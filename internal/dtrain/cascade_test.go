@@ -34,13 +34,11 @@ func runDifferential(t *testing.T, cfg Config, iters, killIter int, events []Cas
 				}
 			}
 		}
-		var loss float64
-		var err error
+		var evs []CascadeEvent
 		if it == killIter {
-			loss, err = rt.RunIterationCascade(events)
-		} else {
-			loss, err = rt.RunIteration()
+			evs = events
 		}
+		loss, err := rt.RunIteration(evs...)
 		if err != nil {
 			t.Fatalf("chaos iteration %d (events %+v): %v", it, events, err)
 		}
@@ -325,7 +323,7 @@ func TestChaosEpochAgreementLiveVsDES(t *testing.T) {
 		t.Fatalf("cut %d is not an epilogue instant: no durable step", cut)
 	}
 
-	loss, err := rt.RunIterationCascade([]CascadeEvent{{Cut: cut, Fail: []schedule.Worker{victim}}})
+	loss, err := rt.RunIteration(CascadeEvent{Cut: cut, Fail: []schedule.Worker{victim}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -420,5 +418,67 @@ func TestChaosStepNoopSkipsRendezvous(t *testing.T) {
 	}
 	if got := tr.Counters()["events.step-noop"]; got != 1 {
 		t.Errorf("recorded %d step-noop events, want 1", got)
+	}
+}
+
+// TestRejectedEventsLeaveRuntimeUntouched pins plan-before-run: an event
+// list the splice chain rejects — even at its second event, after a first
+// event that splices fine — must fail before a single instruction runs.
+// The failure set and iteration counter stay put and the next three losses
+// are bitwise those of a twin runtime that never saw the call. (A cut
+// straddling an optimizer group is rejected by the same LiveSplice call;
+// unit-cost steps leave no such instant to aim a live kill at, so it is
+// pinned at the replay layer.)
+func TestRejectedEventsLeaveRuntimeUntouched(t *testing.T) {
+	w := func(stage, pipeline int) []schedule.Worker {
+		return []schedule.Worker{{Stage: stage, Pipeline: pipeline}}
+	}
+	cases := []struct {
+		name   string
+		down   []schedule.Worker // failed at the boundary before the call
+		events []CascadeEvent
+	}{
+		{"second kill wipes a stage", nil, []CascadeEvent{{Cut: 2, Fail: w(0, 1)}, {Cut: 4, Fail: w(0, 0)}}},
+		{"non-monotone cuts", nil, []CascadeEvent{{Cut: 4, Fail: w(0, 1)}, {Cut: 3, Fail: w(1, 1)}}},
+		{"unknown rejoiner", nil, []CascadeEvent{{Cut: 2, Fail: w(0, 1)}, {Cut: 4, Rejoin: w(1, 1)}}},
+		{"victim already dead", nil, []CascadeEvent{{Cut: 2, Fail: w(0, 1)}, {Cut: 4, Fail: w(0, 1)}}},
+		{"swap leaves no donor", w(0, 0), []CascadeEvent{{Cut: 2, Fail: w(0, 1), Rejoin: w(0, 0)}}},
+		{"cut before the first slot", nil, []CascadeEvent{{Cut: 0, Fail: w(0, 1)}}},
+	}
+	for _, tc := range cases {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := sweepConfig()
+			rt, ref := New(cfg), New(cfg)
+			for _, r := range []*Runtime{rt, ref} {
+				if _, err := r.RunIteration(); err != nil {
+					t.Fatal(err)
+				}
+				for _, v := range tc.down {
+					r.Fail(v)
+				}
+			}
+			failed, iter := rt.FailedCount(), rt.Iteration()
+			if _, err := rt.RunIteration(tc.events...); err == nil {
+				t.Fatalf("events %+v were accepted", tc.events)
+			}
+			if rt.FailedCount() != failed || rt.Iteration() != iter {
+				t.Fatalf("rejected call moved the runtime: %d failed at iteration %d, was %d at %d",
+					rt.FailedCount(), rt.Iteration(), failed, iter)
+			}
+			for i := 0; i < 3; i++ {
+				loss, err := rt.RunIteration()
+				if err != nil {
+					t.Fatalf("iteration %d after the rejected call: %v", i, err)
+				}
+				refLoss, err := ref.RunIteration()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if loss != refLoss {
+					t.Fatalf("iteration %d after the rejected call: loss %.17g, untouched twin %.17g", i, loss, refLoss)
+				}
+			}
+		})
 	}
 }

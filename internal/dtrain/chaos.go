@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"recycle/internal/obs"
-	"recycle/internal/replay"
 	"recycle/internal/schedule"
 	"recycle/internal/sim"
 )
@@ -183,32 +182,22 @@ func Chaos(cfg Config, opt ChaosOptions) (*ChaosResult, error) {
 				}
 			}
 		}
-		var loss float64
-		var err error
+		var events []CascadeEvent
 		if it == opt.KillIter {
-			kills, events, pickErr := pickCascade(rt, cfg, opt, cascade, rng)
-			if pickErr != nil {
-				return res, pickErr
+			kills, err := pickCascade(rt, cfg, opt, cascade, rng)
+			if err != nil {
+				return res, err
 			}
 			for _, k := range kills {
 				res.Victims = append(res.Victims, k.Victims...)
+				events = append(events, CascadeEvent{Cut: k.Cut, Fail: k.Victims})
 			}
-			res.Cut = kills[0].Cut
-			loss, err = rt.RunIterationCascade(events)
-			for i, id := range rt.SpliceEvents() {
-				if i < len(kills) {
-					kills[i].Event = id
-				}
-			}
-			res.Kills = kills
-			res.Event = kills[0].Event
-		} else {
-			loss, err = rt.RunIteration()
+			res.Kills, res.Cut, res.Event = kills, kills[0].Cut, kills[0].Event
 		}
+		loss, err := rt.RunIteration(events...)
 		if err != nil {
-			// RunIterationCascade already folds the flight dump into a
-			// mid-splice error; every other failure gets it here, so a
-			// chaos repro always carries its timeline.
+			// RunIteration folds the flight dump into the error, so a chaos
+			// repro always carries its timeline.
 			return res, fmt.Errorf("dtrain: chaos iteration %d: %w", it, err)
 		}
 		refLoss, err := ref.RunIteration()
@@ -222,45 +211,32 @@ func Chaos(cfg Config, opt ChaosOptions) (*ChaosResult, error) {
 }
 
 // pickCascade draws the victim sets and kill instants for a whole cascade
-// against the current Program, advancing a planning-only splice chain so
+// against the current Program, advancing the runtime's own splice chain so
 // each later kill is drawn from the timeline the previous splice actually
-// produces. RunIterationCascade re-derives the identical chain — both
-// sides run the same deterministic LiveSplice.
-func pickCascade(rt *Runtime, cfg Config, opt ChaosOptions, cascade int, rng *rand.Rand) ([]ChaosKill, []CascadeEvent, error) {
-	prog, err := rt.Program()
+// produces. RunIteration advances a fresh chain over the same events — one
+// deterministic advance, so the planned and the executed splices agree.
+func pickCascade(rt *Runtime, cfg Config, opt ChaosOptions, cascade int, rng *rand.Rand) ([]ChaosKill, error) {
+	sc, err := rt.newSpliceChain()
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	var costs schedule.CostFunc
-	if cm := rt.eng.CostModel(); cm != nil {
-		costs = cm.Fn()
-	}
-	failed := make(map[schedule.Worker]bool, len(rt.failed))
-	for w := range rt.failed {
-		failed[w] = true
-	}
-
-	cur := prog
-	var done map[int]int64
-	var floors map[schedule.Worker]int64
-	var prevCut int64
 	var kills []ChaosKill
-	var events []CascadeEvent
 	for ei := 0; ei < cascade; ei++ {
 		point := opt.Point
 		if len(opt.Points) > 0 {
 			point = opt.Points[ei]
 		}
-		victims, err := drawVictims(rng, cfg, opt.Victims, failed)
+		cur, prevCut := sc.cur, sc.cut
+		victims, err := drawVictims(rng, cfg, opt.Victims, cur.Failed)
 		if err != nil {
 			if ei > 0 {
 				break // survivability envelope exhausted: stop the cascade
 			}
-			return nil, nil, err
+			return nil, err
 		}
-		full, err := sim.ExecuteProgram(cur, sim.ProgramOptions{Done: done, ReleaseAt: floors})
+		full, err := sim.ExecuteProgram(cur, sim.ProgramOptions{Done: sc.done, ReleaseAt: sc.floors})
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		pick := func(chain bool) (KillPoint, []int64) {
 			seen := make(map[KillPoint]bool)
@@ -289,7 +265,7 @@ func pickCascade(rt *Runtime, cfg Config, opt ChaosOptions, cascade int, rng *ra
 				truncate = len(cands) > 0
 			}
 			if len(cands) == 0 {
-				return nil, nil, fmt.Errorf("dtrain: no %s kill candidate after slot %d on victims %v", point, prevCut, victims)
+				return nil, fmt.Errorf("dtrain: no %s kill candidate after slot %d on victims %v", point, prevCut, victims)
 			}
 		} else {
 			// Later cascade events land on whatever timeline the previous
@@ -309,25 +285,16 @@ func pickCascade(rt *Runtime, cfg Config, opt ChaosOptions, cascade int, rng *ra
 		}
 		cut := cands[rng.Intn(len(cands))]
 
-		kills = append(kills, ChaosKill{Victims: victims, Cut: cut, Point: point})
-		events = append(events, CascadeEvent{Cut: cut, Fail: victims})
-		for _, v := range victims {
-			failed[v] = true
-		}
+		kills = append(kills, ChaosKill{Victims: victims, Cut: cut, Point: point,
+			Event: SpliceEventID(rt.iter, cut, victims, nil)})
 		if ei == cascade-1 || truncate {
-			break // no need to advance the planning chain past the last kill
+			break // no need to advance the chain past the last kill
 		}
-		lv, err := replay.LiveSplice(replay.LiveEvent{
-			Prog: cur, Cut: cut, Fail: victims, Costs: costs,
-			Release: floors, Done: done,
-		})
-		if err != nil {
-			return nil, nil, fmt.Errorf("dtrain: planning cascade kill %d: %w", ei+1, err)
+		if _, err := sc.advance(CascadeEvent{Cut: cut, Fail: victims}); err != nil {
+			return nil, fmt.Errorf("dtrain: planning cascade kill %d: %w", ei+1, err)
 		}
-		cur, done, floors = lv.Program, lv.Done, lv.Floors
-		prevCut = cut
 	}
-	return kills, events, nil
+	return kills, nil
 }
 
 // drawVictims draws n victims from the live pool, leaving every stage at

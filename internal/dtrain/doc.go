@@ -26,10 +26,12 @@
 // MarkStraggler, which retunes the plan service's cost model) fires only
 // when the observed factor moves enough to change the routing.
 //
-// A repaired worker can re-join a running iteration: RunIterationRejoin
-// cuts the in-flight Program at a logical slot, executes the prefix the
-// DES predicts completed (agreement by construction makes that the
-// runtime's own prefix), restores the worker's parameters at the splice
-// instant, and interprets the suffix of the replay.Splice Program — the
-// same suffix-re-plan implementation the trace replayer uses.
+// Runtime.RunIteration(events ...CascadeEvent) is the one iteration
+// driver: mid-iteration kills, re-joins and cascades are passed as events,
+// and the fault-free iteration is the zero-event case. It plans the whole
+// chain of splices first (replay.LiveSplice per event — the cut-and-splice
+// routine the trace replayer uses too), rejecting an un-spliceable list
+// before anything runs; then, per event, executes the prefix the DES
+// predicts completed by the cut, lands the event, and interprets the
+// re-planned suffix. Chaos draws its kill instants from the same chain.
 package dtrain

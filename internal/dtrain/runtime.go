@@ -106,13 +106,6 @@ type Runtime struct {
 	lastProg   *schedule.Program
 	lastStarts []int64
 	lastEnds   []int64
-	// lastSpliceEvent is the event ID of the most recent mid-iteration
-	// splice, the key its Program was published under in the plan store;
-	// lastSpliceEvents lists every splice of the last cascade iteration in
-	// cut order (a single kill yields one entry).
-	lastSpliceEvent  string
-	lastSpliceEvents []string
-
 	// rec receives one span per interpreted instruction plus the
 	// iteration/kill/splice lifecycle stream (obs.Nop by default). Installed
 	// via AttachRecorder before training starts; executor goroutines read it
@@ -175,16 +168,8 @@ func (rt *Runtime) Rejoin(w schedule.Worker) error {
 	if !rt.failed[w] {
 		return fmt.Errorf("dtrain: worker %s is not failed", w)
 	}
-	var donor schedule.Worker
-	found := false
-	for k := 0; k < rt.Cfg.DP; k++ {
-		cand := schedule.Worker{Stage: w.Stage, Pipeline: k}
-		if cand != w && !rt.failed[cand] {
-			donor, found = cand, true
-			break
-		}
-	}
-	if !found {
+	donor, ok := livePeer(rt.failed, w, rt.Cfg.DP)
+	if !ok {
 		return fmt.Errorf("dtrain: no live peer to restore %s from", w)
 	}
 	src, dst := rt.stages[donor], rt.stages[w]
@@ -211,6 +196,18 @@ func (rt *Runtime) Rejoin(w schedule.Worker) error {
 			Worker: w, HasWorker: true, Detail: "restored from " + donor.String()})
 	}
 	return nil
+}
+
+// livePeer returns the first data-parallel peer of w that is not in the
+// failed set — the donor a re-joining w is restored from.
+func livePeer(failed map[schedule.Worker]bool, w schedule.Worker, dp int) (schedule.Worker, bool) {
+	for k := 0; k < dp; k++ {
+		cand := schedule.Worker{Stage: w.Stage, Pipeline: k}
+		if cand != w && !failed[cand] {
+			return cand, true
+		}
+	}
+	return schedule.Worker{}, false
 }
 
 // FailedCount returns the number of failed workers.
@@ -276,39 +273,314 @@ func (rt *Runtime) Warm(maxFailures int) *engine.Warmer {
 // store over the run so far.
 func (rt *Runtime) PlanMetrics() engine.Metrics { return rt.eng.Metrics() }
 
+// CascadeEvent is one membership event of a mid-iteration failure
+// sequence: workers in Fail die at Cut, workers in Rejoin are restored at
+// it. Events are applied in order at strictly increasing cuts.
+type CascadeEvent struct {
+	Cut    int64
+	Fail   []schedule.Worker
+	Rejoin []schedule.Worker
+}
+
 // RunIteration executes one full training iteration — forward, backward,
 // all-reduce, staggered optimizer step with post-step validation — by
-// interpreting the compiled Program for the current failure set. It
-// returns the mean micro-batch loss.
-func (rt *Runtime) RunIteration() (float64, error) {
-	prog, err := rt.Program()
+// interpreting the compiled Program for the current failure set, and
+// returns the mean micro-batch loss. It is the only iteration driver:
+// membership events landing mid-iteration (a kill, a re-join, an Nth kill
+// while an earlier splice's suffix still executes) are passed as events,
+// and the fault-free iteration is the zero-event case.
+//
+// Plan: every splice is derived before an instruction runs, so an event
+// list that cannot be spliced is rejected with the runtime untouched. Run:
+// around one shared router, each phase interprets the in-flight Program up
+// to the next cut — the prefix the DES predicts, which agreement by
+// construction makes the runtime's own — stashing every cross-worker
+// payload. Apply: the event lands (applyEvent) and the next phase
+// interprets the re-spliced Program, replaying already-consumed tensors
+// from the stash. Only the final boundary acknowledges the stashes: a
+// later kill can re-lose a suffix an earlier splice planned. Errors carry
+// the flight recorder's dump when one is attached.
+func (rt *Runtime) RunIteration(events ...CascadeEvent) (float64, error) {
+	cur, splices, err := rt.planIteration(events)
 	if err != nil {
-		return 0, err
+		return 0, rt.withFlightDump(err)
 	}
-	if rt.rec.Enabled() {
-		rt.rec.BeginProgram(fmt.Sprintf("iter%d", rt.iter), prog)
-		rt.rec.Event(obs.Event{Kind: obs.EvIterStart, At: 0, Iter: rt.iter, Wall: time.Now()})
-	}
-	r := newRouter()
-	r.rec = rt.rec
-	board := newDepBoard(len(prog.Instrs))
 	rt.captureEpochBase()
 	rt.losses = make(map[nn.MBKey]float64)
 	rt.stepped = make(map[schedule.Worker]int)
-
-	var wg sync.WaitGroup
-	valErrs := make(chan error, rt.Cfg.DP*rt.Cfg.PP)
-	for _, w := range prog.Workers() {
-		wg.Add(1)
-		go func(w schedule.Worker) {
-			defer wg.Done()
-			if err := rt.exec(w, prog, board, r); err != nil {
-				valErrs <- err
+	fl := &inflight{
+		r:       newRouter(),
+		valErrs: make(chan error, rt.Cfg.DP*rt.Cfg.PP*(len(events)+1)),
+		preds:   make(map[schedule.Worker]map[nn.MBKey]*tensor.Matrix),
+	}
+	fl.r.rec = rt.rec
+	var done map[int]int64
+	var floors map[schedule.Worker]int64
+	var board *depBoard
+	for i := 0; ; i++ {
+		if rt.rec.Enabled() {
+			rt.rec.BeginProgram(phaseLabel(rt.iter, i, len(events)), cur)
+			if i == 0 {
+				rt.rec.Event(obs.Event{Kind: obs.EvIterStart, At: 0, Iter: rt.iter, Wall: time.Now()})
 			}
-		}(w)
+		}
+		// Before an event the phase stops at its cut — victims included:
+		// their pre-cut sends are what the stash must hold when the kill
+		// lands. The final phase runs to the iteration boundary.
+		var cutEnds []int64
+		if i < len(events) {
+			cutEnds = splices[i].CutExec.End
+		}
+		board = rt.runPhase(fl, cur, done, floors, cutEnds)
+		if i == len(events) || len(fl.valErrs) > 0 {
+			break
+		}
+		if err := rt.applyEvent(events[i], splices[i], cur); err != nil {
+			return 0, rt.withFlightDump(err)
+		}
+		cur, done, floors = splices[i].Program, splices[i].Done, splices[i].Floors
+	}
+	loss, err := rt.finish(cur, board, fl.r, fl.valErrs)
+	return loss, rt.withFlightDump(err)
+}
+
+// withFlightDump ships the black box with a failed iteration: an attached
+// flight recorder's retained records are the crash's forensic timeline.
+func (rt *Runtime) withFlightDump(err error) error {
+	if err != nil {
+		if fl := obs.FindFlight(rt.rec); fl != nil {
+			return fmt.Errorf("%w\n%s", err, fl.Dump())
+		}
+	}
+	return err
+}
+
+// planIteration derives everything an iteration will interpret before any
+// of it runs: the compiled Program for the current failure set and, event
+// by event, the splice that re-forms it. It touches no runtime state.
+func (rt *Runtime) planIteration(events []CascadeEvent) (*schedule.Program, []*replay.LiveSpliced, error) {
+	chain, err := rt.newSpliceChain()
+	if err != nil {
+		return nil, nil, err
+	}
+	prog := chain.cur
+	splices := make([]*replay.LiveSpliced, len(events))
+	for i, ev := range events {
+		if splices[i], err = chain.advance(ev); err != nil {
+			return nil, nil, err
+		}
+	}
+	return prog, splices, nil
+}
+
+// phaseLabel names the trace segment of one phase: the whole iteration
+// when fault-free, otherwise its position around the splices.
+func phaseLabel(iter, phase, events int) string {
+	switch {
+	case events == 0:
+		return fmt.Sprintf("iter%d", iter)
+	case phase == 0:
+		return fmt.Sprintf("iter%d/pre-splice", iter)
+	case phase == events:
+		return fmt.Sprintf("iter%d/post-splice", iter)
+	}
+	return fmt.Sprintf("iter%d/mid-splice-%d", iter, phase)
+}
+
+// spliceChain threads the in-flight artifact across the splices of one
+// iteration: the Program being interpreted (its Failed set is the
+// membership the next event is checked against), its executed prefix by
+// completion time, the last re-plan's release floors, the cost model and
+// the last cut. The iteration driver and the chaos planner both advance
+// it, so chaos draws kill instants from the splices the runtime executes.
+type spliceChain struct {
+	cur    *schedule.Program
+	done   map[int]int64
+	floors map[schedule.Worker]int64
+	costs  schedule.CostFunc
+	cut    int64
+}
+
+// newSpliceChain starts a chain at the compiled Program for the current
+// failure set.
+func (rt *Runtime) newSpliceChain() (*spliceChain, error) {
+	prog, err := rt.Program()
+	if err != nil {
+		return nil, err
+	}
+	c := &spliceChain{cur: prog}
+	if cm := rt.eng.CostModel(); cm != nil {
+		c.costs = cm.Fn()
+	}
+	return c, nil
+}
+
+// advance splices the in-flight Program around one membership event and
+// steps the chain onto the spliced artifact. It touches no runtime state.
+func (c *spliceChain) advance(ev CascadeEvent) (*replay.LiveSpliced, error) {
+	if ev.Cut <= c.cut {
+		return nil, fmt.Errorf("dtrain: cascade cuts must be strictly increasing, got %d after %d", ev.Cut, c.cut)
+	}
+	lv, err := replay.LiveSplice(replay.LiveEvent{
+		Prog: c.cur, Cut: ev.Cut, Fail: ev.Fail, Rejoin: ev.Rejoin,
+		Costs: c.costs, Release: c.floors, Done: c.done,
+	})
+	if err != nil {
+		return nil, err
+	}
+	if len(ev.Rejoin) > 0 {
+		// A re-joiner copies its state from a live peer once the victims
+		// are gone: neither a victim nor a fellow re-joiner can be its donor.
+		down := make(map[schedule.Worker]bool, len(lv.Failed)+len(ev.Rejoin))
+		for w := range lv.Failed {
+			down[w] = true
+		}
+		for _, w := range ev.Rejoin {
+			down[w] = true
+		}
+		for _, w := range ev.Rejoin {
+			if _, ok := livePeer(down, w, c.cur.Shape.DP); !ok {
+				return nil, fmt.Errorf("dtrain: no live peer to restore %s from", w)
+			}
+		}
+	}
+	c.cur, c.done, c.floors, c.cut = lv.Program, lv.Done, lv.Floors, ev.Cut
+	return lv, nil
+}
+
+// inflight is the state the phases of one iteration share: the router
+// (its send stash must survive every splice), the executors' error channel
+// and each last-stage worker's predictions awaiting their loss — a forward
+// executed before an event meets its backward after it.
+type inflight struct {
+	r       *router
+	valErrs chan error
+	preds   map[schedule.Worker]map[nn.MBKey]*tensor.Matrix
+}
+
+// runPhase interprets the not-yet-done part of every worker's stream of
+// prog, on a dep board seeded with the done prefix so cross-phase edges
+// resolve. cutEnds, when non-nil, is the next event's cut execution: each
+// stream stops at its first instruction that had not completed by the cut.
+func (rt *Runtime) runPhase(fl *inflight, prog *schedule.Program, done map[int]int64, floors map[schedule.Worker]int64, cutEnds []int64) *depBoard {
+	board := newDepBoard(len(prog.Instrs))
+	maxDone := make(map[schedule.Worker]int64, len(done))
+	for id, end := range done {
+		board.post(id, end-prog.DurOf(id), end)
+		if w := prog.Instrs[id].Op.Worker(); end > maxDone[w] {
+			maxDone[w] = end
+		}
+		if rt.rec.Enabled() {
+			// Frozen prefix spans make each post-splice segment tile the
+			// full iteration makespan on its own (the CriticalPath
+			// invariant).
+			ins := prog.Instrs[id]
+			rt.rec.Span(obs.Span{Instr: id, Op: ins.Op, Deps: ins.Deps,
+				Sched: end - prog.DurOf(id), Start: end - prog.DurOf(id), End: end,
+				Modeled: prog.DurOf(id), Frozen: true})
+		}
+	}
+	var wg sync.WaitGroup
+	for _, wk := range prog.Workers() {
+		ids := prog.Streams[wk]
+		for len(ids) > 0 {
+			if _, isDone := done[ids[0]]; !isDone {
+				break
+			}
+			ids = ids[1:]
+		}
+		if cutEnds != nil {
+			n := 0
+			for n < len(ids) && cutEnds[ids[n]] >= 0 {
+				n++
+			}
+			ids = ids[:n]
+		}
+		if len(ids) == 0 {
+			continue
+		}
+		// The worker resumes at its release floor, or later when a frozen
+		// prefix op of its own ran past the cut.
+		clock := floors[wk]
+		if maxDone[wk] > clock {
+			clock = maxDone[wk]
+		}
+		if wk.Stage == rt.Cfg.PP-1 && fl.preds[wk] == nil {
+			fl.preds[wk] = make(map[nn.MBKey]*tensor.Matrix)
+		}
+		wg.Add(1)
+		go func(wk schedule.Worker, ids []int, clock int64, preds map[nn.MBKey]*tensor.Matrix) {
+			defer wg.Done()
+			if err := rt.execOps(wk, prog, board, fl.r, ids, clock, preds); err != nil {
+				fl.valErrs <- err
+			}
+		}(wk, ids, clock, fl.preds[wk])
 	}
 	wg.Wait()
-	return rt.finish(prog, board, r, valErrs)
+	return board
+}
+
+// applyEvent lands one membership event between two phases: the spliced
+// Program is published, victims are marked failed, surviving peers discard
+// the effects the splice declared lost, and re-joining workers are
+// restored. cur is the Program the event interrupted.
+func (rt *Runtime) applyEvent(ev CascadeEvent, lv *replay.LiveSpliced, cur *schedule.Program) error {
+	event := rt.publishSplice(ev, lv.Program)
+	if rt.rec.Enabled() {
+		// Kills and rejoins first, then the splice record with the
+		// re-plan's structural counters.
+		now := time.Now()
+		for _, w := range ev.Fail {
+			rt.rec.Event(obs.Event{Kind: obs.EvKill, At: ev.Cut, Iter: rt.iter, Wall: now, Worker: w, HasWorker: true})
+		}
+		for _, w := range ev.Rejoin {
+			rt.rec.Event(obs.Event{Kind: obs.EvRejoin, At: ev.Cut, Iter: rt.iter, Wall: now, Worker: w, HasWorker: true})
+		}
+		rt.rec.Event(obs.Event{Kind: obs.EvSplice, At: ev.Cut, Iter: rt.iter, Wall: now,
+			Detail: event,
+			Attrs: []obs.Attr{
+				{Key: "replanned", Val: int64(lv.SuffixOps)},
+				{Key: "rerouted", Val: int64(lv.ReroutedOps)},
+				{Key: "migrated", Val: int64(lv.MigratedTriples)},
+				{Key: "lost-slots", Val: lv.LostSlots},
+			}})
+	}
+	// Victims die with their materialized state — activation stashes and
+	// weight-gradient stores on their stage objects are unreachable; only
+	// their router-stashed sends survive, because the stash is
+	// coordinator-visible shared memory.
+	for _, w := range ev.Fail {
+		rt.Fail(w)
+	}
+	// Surviving peers discard the effects of completed instructions whose
+	// provenance died (the splice's lost cascade): the suffix re-executes
+	// them, and the duplicate guards on Forward/BackwardWeight would
+	// otherwise trip on the stale first copy. Stepped stages are never in
+	// the cascade — their update is durable and the step-epoch stamp keeps
+	// it idempotent.
+	for _, id := range lv.LostIDs {
+		op := cur.Instrs[id].Op
+		w := op.Worker()
+		if rt.failed[w] {
+			continue // died with the worker; live peers re-derive it
+		}
+		key := nn.MBKey{Pipeline: op.Home, MB: op.MB}
+		switch op.Type {
+		case schedule.F:
+			rt.stages[w].DiscardStash(key)
+		case schedule.B, schedule.BWeight:
+			rt.stages[w].DiscardGrad(key)
+		}
+	}
+	// A re-joining worker's parameters and optimizer state are restored
+	// from a live data-parallel peer now — at the splice instant, not the
+	// iteration boundary (§3.4, pulled forward).
+	for _, w := range ev.Rejoin {
+		if err := rt.Rejoin(w); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // finish seals one interpreted iteration: it records the executed
@@ -378,281 +650,12 @@ func maxEnd(ends []int64) int64 {
 	return out
 }
 
-// RunIterationRejoin executes one training iteration during which the
-// failed worker w re-joins mid-iteration, at logical slot cutSlot — the
-// live-runtime half of the replay subsystem's splice path. See
-// runCascadeIteration for the phased mechanics.
-func (rt *Runtime) RunIterationRejoin(w schedule.Worker, cutSlot int64) (float64, error) {
-	return rt.runCascadeIteration([]CascadeEvent{{Cut: cutSlot, Rejoin: []schedule.Worker{w}}})
-}
-
 // RunIterationFailure executes one training iteration during which the
-// given live workers are killed mid-iteration, at logical slot cutSlot —
-// the chaos-ready half of the splice path. The victims run (and send)
-// normally up to the cut; when the kill lands, the coordinator splices a
-// new Program via replay.LiveSplice, surviving peers discard the effects
-// of instructions whose provenance died, and the re-planned suffix
-// re-executes them — re-requesting any tensor the victims' streams had
-// already consumed from the router's send stash. The victims stay failed
-// afterward (Rejoin brings them back at a later boundary or splice).
+// given live workers are killed mid-iteration, at logical slot cutSlot: a
+// single-kill RunIteration. The victims stay failed afterward (Rejoin
+// brings them back at a later boundary or splice).
 func (rt *Runtime) RunIterationFailure(victims []schedule.Worker, cutSlot int64) (float64, error) {
-	return rt.RunIterationCascade([]CascadeEvent{{Cut: cutSlot, Fail: victims}})
-}
-
-// CascadeEvent is one membership event of a cascading mid-iteration
-// failure sequence: workers in Fail die at Cut, workers in Rejoin are
-// restored at it. Events are applied in order at strictly increasing cuts.
-type CascadeEvent struct {
-	Cut    int64
-	Fail   []schedule.Worker
-	Rejoin []schedule.Worker
-}
-
-// RunIterationCascade executes one training iteration through a chain of
-// mid-iteration membership events — a second (or Nth) kill arriving while
-// an earlier splice's suffix is still executing. Each event re-splices the
-// in-flight spliced Program via replay.LiveSplice, carrying the frozen
-// prefix forward, and republishes the new artifact; any error ships the
-// flight recorder's forensic timeline when one is attached.
-func (rt *Runtime) RunIterationCascade(events []CascadeEvent) (float64, error) {
-	loss, err := rt.runCascadeIteration(events)
-	if err != nil {
-		// Ship the black box with the failure: when a flight recorder is
-		// attached (dtrain.Chaos always attaches one), its retained records
-		// are the forensic timeline of the crash.
-		if fl := obs.FindFlight(rt.rec); fl != nil {
-			err = fmt.Errorf("%w\n%s", err, fl.Dump())
-		}
-	}
-	return loss, err
-}
-
-// runCascadeIteration executes one training iteration around an ordered
-// chain of mid-iteration membership events. The iteration runs in
-// len(events)+1 phases around one shared router: before each event, the
-// executed prefix of the in-flight Program (exactly the instructions the
-// DES predicts complete by that cut — agreement by construction makes
-// that the runtime's own prefix), with every cross-worker payload stashed
-// by the re-send protocol; then victims are marked failed, invalidated
-// effects discarded, rejoining workers restored, and the next phase
-// interprets the re-spliced Program, whose re-executed instructions
-// replay any already-consumed tensors from the stash. Only the final
-// phase's boundary acknowledges the iteration's stashes: a suffix an
-// earlier splice planned can be re-lost by a later kill, so no stash is
-// GC'd while a cascade is still in flight.
-func (rt *Runtime) runCascadeIteration(events []CascadeEvent) (float64, error) {
-	if len(events) == 0 {
-		return 0, fmt.Errorf("dtrain: cascade needs at least one membership event")
-	}
-	// Validate the chain upfront against the evolving membership.
-	failedSim := make(map[schedule.Worker]bool, len(rt.failed))
-	for w := range rt.failed {
-		failedSim[w] = true
-	}
-	var prevCut int64
-	for _, ev := range events {
-		if ev.Cut <= prevCut {
-			return 0, fmt.Errorf("dtrain: cascade cuts must be strictly increasing, got %d after %d", ev.Cut, prevCut)
-		}
-		prevCut = ev.Cut
-		for _, w := range ev.Rejoin {
-			if !failedSim[w] {
-				return 0, fmt.Errorf("dtrain: worker %s is not failed", w)
-			}
-			delete(failedSim, w)
-		}
-		for _, w := range ev.Fail {
-			if failedSim[w] {
-				return 0, fmt.Errorf("dtrain: worker %s is already failed", w)
-			}
-			failedSim[w] = true
-		}
-	}
-	prog, err := rt.Program()
-	if err != nil {
-		return 0, err
-	}
-	var costs schedule.CostFunc
-	if cm := rt.eng.CostModel(); cm != nil {
-		costs = cm.Fn()
-	}
-
-	rt.captureEpochBase()
-	rt.lastSpliceEvents = nil
-	r := newRouter()
-	r.rec = rt.rec
-	rt.losses = make(map[nn.MBKey]float64)
-	rt.stepped = make(map[schedule.Worker]int)
-	preds := make(map[schedule.Worker]map[nn.MBKey]*tensor.Matrix)
-	predsOf := func(wk schedule.Worker) map[nn.MBKey]*tensor.Matrix {
-		if preds[wk] == nil {
-			preds[wk] = make(map[nn.MBKey]*tensor.Matrix)
-		}
-		return preds[wk]
-	}
-	valErrs := make(chan error, rt.Cfg.DP*rt.Cfg.PP*(len(events)+1))
-	var wg sync.WaitGroup
-
-	// cur/done/floors track the in-flight artifact across splices: the
-	// Program being interpreted, its already-executed stream prefixes (by
-	// completion time) and the per-worker release floors of the last
-	// re-plan.
-	cur := prog
-	var done map[int]int64
-	var floors map[schedule.Worker]int64
-
-	// runPhase interprets the not-yet-done part of every worker's stream
-	// of cur, clipped by keep (nil keeps everything remaining), on a dep
-	// board seeded with the done prefix so cross-phase edges resolve.
-	runPhase := func(keep func(id int) bool) *depBoard {
-		board := newDepBoard(len(cur.Instrs))
-		maxDone := make(map[schedule.Worker]int64, len(done))
-		for id, end := range done {
-			board.post(id, end-cur.DurOf(id), end)
-			if w := cur.Instrs[id].Op.Worker(); end > maxDone[w] {
-				maxDone[w] = end
-			}
-			if rt.rec.Enabled() {
-				// Frozen prefix spans make each post-splice segment tile the
-				// full iteration makespan on its own (the CriticalPath
-				// invariant).
-				ins := cur.Instrs[id]
-				rt.rec.Span(obs.Span{Instr: id, Op: ins.Op, Deps: ins.Deps,
-					Sched: end - cur.DurOf(id), Start: end - cur.DurOf(id), End: end,
-					Modeled: cur.DurOf(id), Frozen: true})
-			}
-		}
-		for _, wk := range cur.Workers() {
-			ids := cur.Streams[wk]
-			for len(ids) > 0 {
-				if _, isDone := done[ids[0]]; !isDone {
-					break
-				}
-				ids = ids[1:]
-			}
-			if keep != nil {
-				n := 0
-				for n < len(ids) && keep(ids[n]) {
-					n++
-				}
-				ids = ids[:n]
-			}
-			if len(ids) == 0 {
-				continue
-			}
-			// The worker resumes at its release floor, or later when a
-			// frozen prefix op of its own ran past the cut.
-			clock := floors[wk]
-			if maxDone[wk] > clock {
-				clock = maxDone[wk]
-			}
-			wg.Add(1)
-			go func(wk schedule.Worker, ids []int, clock int64, pd map[nn.MBKey]*tensor.Matrix) {
-				defer wg.Done()
-				if err := rt.execOps(wk, cur, board, r, ids, clock, pd); err != nil {
-					valErrs <- err
-				}
-			}(wk, ids, clock, predsOf(wk))
-		}
-		wg.Wait()
-		return board
-	}
-
-	for ei, ev := range events {
-		lv, err := replay.LiveSplice(replay.LiveEvent{
-			Prog: cur, Cut: ev.Cut, Fail: ev.Fail, Rejoin: ev.Rejoin,
-			Costs: costs, Release: floors, Done: done,
-		})
-		if err != nil {
-			return 0, err
-		}
-		if rt.rec.Enabled() {
-			label := "pre-splice"
-			if ei > 0 {
-				label = fmt.Sprintf("mid-splice-%d", ei)
-			}
-			rt.rec.BeginProgram(fmt.Sprintf("iter%d/%s", rt.iter, label), cur)
-			if ei == 0 {
-				rt.rec.Event(obs.Event{Kind: obs.EvIterStart, At: 0, Iter: rt.iter, Wall: time.Now()})
-			}
-		}
-		rt.publishSplice(ev.Cut, ev.Fail, ev.Rejoin, lv.Program)
-
-		// Interpret the executed prefix of this event: victims execute
-		// their prefixes too — they were alive until the cut, and the
-		// sends they performed are exactly what the stash must hold when
-		// the kill lands.
-		board := runPhase(func(id int) bool { return lv.CutExec.End[id] >= 0 })
-		if len(valErrs) > 0 {
-			return rt.finish(cur, board, r, valErrs)
-		}
-
-		if rt.rec.Enabled() {
-			// The membership event lands at the cut: kills and rejoins
-			// first, then the splice record with the re-plan's structural
-			// counters.
-			now := time.Now()
-			for _, w := range ev.Fail {
-				rt.rec.Event(obs.Event{Kind: obs.EvKill, At: ev.Cut, Iter: rt.iter, Wall: now, Worker: w, HasWorker: true})
-			}
-			for _, w := range ev.Rejoin {
-				rt.rec.Event(obs.Event{Kind: obs.EvRejoin, At: ev.Cut, Iter: rt.iter, Wall: now, Worker: w, HasWorker: true})
-			}
-			rt.rec.Event(obs.Event{Kind: obs.EvSplice, At: ev.Cut, Iter: rt.iter, Wall: now,
-				Detail: rt.lastSpliceEvent,
-				Attrs: []obs.Attr{
-					{Key: "replanned", Val: int64(lv.SuffixOps)},
-					{Key: "rerouted", Val: int64(lv.ReroutedOps)},
-					{Key: "migrated", Val: int64(lv.MigratedTriples)},
-					{Key: "lost-slots", Val: lv.LostSlots},
-				}})
-		}
-		// The event lands now. Victims die with their materialized state —
-		// activation stashes and weight-gradient stores on their stage
-		// objects are unreachable; only their router-stashed sends survive,
-		// because the stash is coordinator-visible shared memory.
-		for _, w := range ev.Fail {
-			rt.Fail(w)
-		}
-		// Surviving peers discard the effects of completed instructions
-		// whose provenance died (the LiveSplice lost cascade): the suffix
-		// re-executes them, and the duplicate guards on
-		// Forward/BackwardWeight would otherwise trip on the stale first
-		// copy. Stepped stages are never in the cascade — their update is
-		// durable and the step-epoch stamp keeps it idempotent.
-		for _, id := range lv.Lost {
-			op := cur.Instrs[id].Op
-			w := op.Worker()
-			if rt.failed[w] {
-				continue // died with the worker; live peers re-derive it
-			}
-			key := nn.MBKey{Pipeline: op.Home, MB: op.MB}
-			switch op.Type {
-			case schedule.F:
-				rt.stages[w].DiscardStash(key)
-			case schedule.B, schedule.BWeight:
-				rt.stages[w].DiscardGrad(key)
-			}
-		}
-		// A re-joining worker's parameters and optimizer state are restored
-		// from a live data-parallel peer now — at the splice instant, not
-		// the iteration boundary (§3.4, pulled forward).
-		for _, w := range ev.Rejoin {
-			if err := rt.Rejoin(w); err != nil {
-				return 0, err
-			}
-		}
-		cur, done, floors = lv.Program, lv.Done, lv.Floors
-	}
-
-	// Final phase: the last splice's re-planned suffix runs to the
-	// iteration boundary; finish is the only place the cascade's stashes
-	// are acknowledged.
-	if rt.rec.Enabled() {
-		rt.rec.BeginProgram(fmt.Sprintf("iter%d/post-splice", rt.iter), cur)
-	}
-	board := runPhase(nil)
-	return rt.finish(cur, board, r, valErrs)
+	return rt.RunIteration(CascadeEvent{Cut: cutSlot, Fail: victims})
 }
 
 // captureEpochBase snapshots every stage's step-epoch stamp at iteration
@@ -665,20 +668,18 @@ func (rt *Runtime) captureEpochBase() {
 	}
 }
 
-// publishSplice records the splice event and replicates the freshly
-// spliced Program through the plan service's store under a per-event key,
-// so fetch-only executor clients can pull the exact artifact this
-// coordinator is interpreting (engine.Client.SplicedProgram). Skipped when
-// the runtime is itself a fetch-only executor; best-effort either way —
-// the local iteration proceeds on the in-memory artifact.
-func (rt *Runtime) publishSplice(cut int64, fail, rejoin []schedule.Worker, p *schedule.Program) {
-	event := SpliceEventID(rt.iter, cut, fail, rejoin)
-	rt.lastSpliceEvent = event
-	rt.lastSpliceEvents = append(rt.lastSpliceEvents, event)
-	if rt.progSrc != nil {
-		return
+// publishSplice replicates the freshly spliced Program through the plan
+// service's store under its event's key (SpliceEventID), so fetch-only
+// executor clients can pull the exact artifact this coordinator is
+// interpreting (engine.Client.SplicedProgram). Skipped when the runtime is
+// itself a fetch-only executor; best-effort either way — the local
+// iteration proceeds on the in-memory artifact.
+func (rt *Runtime) publishSplice(ev CascadeEvent, p *schedule.Program) string {
+	event := SpliceEventID(rt.iter, ev.Cut, ev.Fail, ev.Rejoin)
+	if rt.progSrc == nil {
+		_ = rt.eng.PublishSplicedProgram(event, p)
 	}
-	_ = rt.eng.PublishSplicedProgram(event, p)
+	return event
 }
 
 // SpliceEventID derives the canonical identifier a mid-iteration splice is
@@ -706,18 +707,6 @@ func SpliceEventID(iter int, cut int64, fail, rejoin []schedule.Worker) string {
 	return fmt.Sprintf("iter%d/cut%d/fail%s/rejoin%s", iter, cut, render(fail), render(rejoin))
 }
 
-// LastSpliceEvent returns the event ID of the most recent mid-iteration
-// splice this runtime performed ("" before the first) — the key its
-// spliced Program was published under.
-func (rt *Runtime) LastSpliceEvent() string { return rt.lastSpliceEvent }
-
-// SpliceEvents returns the event IDs of every splice of the last cascade
-// iteration, in cut order — one entry per CascadeEvent, each the key its
-// re-spliced Program was published under.
-func (rt *Runtime) SpliceEvents() []string {
-	return append([]string(nil), rt.lastSpliceEvents...)
-}
-
 // StageStepEpoch returns a worker replica's step-epoch stamp — the number
 // of optimizer steps its parameters carry (the live half of the
 // live-vs-DES epoch agreement check).
@@ -741,11 +730,6 @@ func (rt *Runtime) iterationLoss() float64 {
 	return sum / float64(len(keys))
 }
 
-// exec interprets one worker's full Program instruction stream.
-func (rt *Runtime) exec(w schedule.Worker, prog *schedule.Program, board *depBoard, r *router) error {
-	return rt.execOps(w, prog, board, r, prog.Streams[w], 0, make(map[nn.MBKey]*tensor.Matrix))
-}
-
 // execOps interprets a contiguous range of one worker's Program
 // instruction stream, starting from the given logical clock. Instructions
 // run in stream order; cross-worker ordering comes only from the Program's
@@ -755,8 +739,8 @@ func (rt *Runtime) exec(w schedule.Worker, prog *schedule.Program, board *depBoa
 // ends + comm) — and posts each instruction's logical span back to the
 // board, so the executed timeline is the simulator's prediction realized.
 // preds carries the worker's last-stage predictions awaiting their loss;
-// a splice resumption (RunIterationRejoin) threads it across phases so a
-// forward executed before the event meets its backward after it.
+// the driver threads it across phases so a forward executed before an
+// event meets its backward after it (nil for workers off the last stage).
 func (rt *Runtime) execOps(w schedule.Worker, prog *schedule.Program, board *depBoard, r *router, stream []int, clock int64, preds map[nn.MBKey]*tensor.Matrix) error {
 	st := rt.stages[w]
 	last := w.Stage == rt.Cfg.PP-1

@@ -12,10 +12,13 @@
 //     re-executed on live peers, the unexecuted suffix is re-planned
 //     against the new worker set (re-routing whole micro-batch triples,
 //     adding the optimizer step of a re-joining worker), and the spliced
-//     artifact passes both schedule.Validate and Program.Validate. The
-//     same splice path serves the discrete-event replayer here and the
-//     live interpreter (dtrain.Runtime.RunIterationRejoin), so suffix
-//     re-planning has exactly one implementation.
+//     artifact passes both schedule.Validate and Program.Validate.
+//     There is one rule: a stage whose optimizer step fully completed
+//     before the cut is durable and stays frozen, victim included. And
+//     one call site: cutAndSplice runs the DES up to the event instant
+//     and splices; Replay calls it directly and the live interpreter
+//     (dtrain.Runtime.RunIteration) reaches it through LiveSplice, which
+//     adds only the optimizer-straddle guard a live all-reduce needs.
 //
 //   - Replay walks a failure.Trace window by window (Trace.Windows),
 //     fetches the compiled Program for each membership state from the

@@ -11,9 +11,9 @@ import (
 // the live runtime is interpreting: the coordinator knows the program and
 // the event instant, and delegates to the DES — whose timeline agrees with
 // the interpreter's by construction — to reconstruct which instructions
-// had completed when the event hit. This is the entry point the live
-// runtime and the trace replayer share: both hand the same (program, cut,
-// fail, rejoin) tuple to the same cut execution and the same Splice.
+// had completed when the event hit. The live runtime and the trace
+// replayer share it: both hand the same (program, cut, fail, rejoin) tuple
+// to the same cut execution and the same Splice (cutAndSplice).
 type LiveEvent struct {
 	// Prog is the Program in flight when the event arrived.
 	Prog *schedule.Program
@@ -35,36 +35,28 @@ type LiveEvent struct {
 	Done map[int]int64
 }
 
-// LiveSpliced is a Spliced plus the live-resumption bookkeeping: the cut
-// execution that defined the prefix, and the set of original-program
-// instructions whose side effects live workers must discard before
-// interpreting the suffix.
+// LiveSpliced is a Spliced plus the cut execution that defined its prefix.
+// Before interpreting the suffix, live workers must discard the
+// materialized effect (activation stash, weight-gradient entry) of every
+// Spliced.LostIDs instruction they executed, so the re-executed suffix can
+// regenerate it.
 type LiveSpliced struct {
 	*Spliced
 	// CutExec is the DES execution of Prog cut at the event instant — its
 	// Start/End arrays define the executed prefix, per worker stream.
 	CutExec *sim.Execution
-	// Lost holds original-program instruction IDs that completed before
-	// the cut but whose results are invalid after it: work done on a
-	// dying worker, plus every completed dependent (the Splice cascade).
-	// For IDs executed on live workers, the runtime must discard the
-	// materialized effect (activation stash, weight-gradient entry) so
-	// the re-executed suffix can regenerate it. Instructions of stepped
-	// (iter, stage) groups — optimizer fully applied before the cut — are
-	// never lost: the all-reduce made the step durable on every live peer
-	// and the group's outbound payloads survive in the re-send stash.
-	Lost []int
 }
 
 // LiveSplice reconstructs the executed prefix of a live Program at an
-// event instant via the DES, applies the guard that makes the splice
-// interpretable by the live runtime, and returns the spliced artifact
-// with the discard list. One guard beyond Splice's own: no stage's
-// optimizer step may straddle the cut (a phase-1 all-reduce root would
-// block on a phase-2 contribution). Kills after a stage's step completed
-// are fine — the splice runs with durable steps, freezing the stepped
-// group in the prefix, and the live runtime's step-epoch stamp keeps any
-// re-delivered step idempotent.
+// event instant via the DES and returns the spliced artifact with the
+// discard list — cutAndSplice, the routine the trace replayer runs too,
+// plus the one guard that makes the splice interpretable by the live
+// runtime: no stage's optimizer step may straddle the cut (a phase-1
+// all-reduce root would block on a phase-2 contribution). Kills after a
+// stage's step completed are fine — the stepped group stays frozen in the
+// prefix, and the live runtime's step-epoch stamp keeps any re-delivered
+// step idempotent. It is a pure function of its input: it consults the
+// DES, never live state.
 func LiveSplice(in LiveEvent) (*LiveSpliced, error) {
 	if in.Prog == nil {
 		return nil, fmt.Errorf("replay: cannot live-splice a nil program")
@@ -72,47 +64,43 @@ func LiveSplice(in LiveEvent) (*LiveSpliced, error) {
 	if in.Cut < 1 {
 		return nil, fmt.Errorf("replay: live-splice cut slot %d must be >= 1", in.Cut)
 	}
-	opts := sim.ProgramOptions{CutAt: in.Cut, Done: in.Done, ReleaseAt: in.Release}
-	if len(in.Fail) > 0 {
-		opts.FailAt = make(map[schedule.Worker]int64, len(in.Fail))
-		for _, w := range in.Fail {
-			opts.FailAt[w] = in.Cut
-		}
-	}
-	cutEx, err := sim.ExecuteProgram(in.Prog, opts)
+	lv, err := cutAndSplice(in, sim.ProgramOptions{ReleaseAt: in.Release})
 	if err != nil {
 		return nil, err
 	}
+	if lv.splitStage >= 0 {
+		return nil, fmt.Errorf("replay: cut %d splits stage %d's optimizer across the event; splice before the stage's all-reduce", in.Cut, lv.splitStage)
+	}
+	return lv, nil
+}
 
-	p := in.Prog
-	type stageIter struct{ iter, stage int }
-	optDone, optPending := map[stageIter]bool{}, map[stageIter]bool{}
-	for i := range p.Instrs {
-		op := p.Instrs[i].Op
-		if op.Type != schedule.Optimizer {
-			continue
-		}
-		k := stageIter{op.Iter, op.Stage}
-		if cutEx.End[i] >= 0 {
-			optDone[k] = true
-		} else {
-			optPending[k] = true
+// cutAndSplice is the one cut-and-splice routine: execute the in-flight
+// Program on the DES up to the event instant (victims' in-flight work dies
+// at the cut), then Splice around the executed prefix. resume carries what
+// the caller knows about the execution in flight — the release floors it
+// was resumed under and where to record it; the cut, the frozen prefix and
+// the victims come from the event. The live runtime reaches it through
+// LiveSplice, the trace replayer calls it directly, so both splice by the
+// same rule.
+func cutAndSplice(in LiveEvent, resume sim.ProgramOptions) (*LiveSpliced, error) {
+	resume.CutAt, resume.Done = in.Cut, in.Done
+	if len(in.Fail) > 0 {
+		resume.FailAt = make(map[schedule.Worker]int64, len(in.Fail))
+		for _, w := range in.Fail {
+			resume.FailAt[w] = in.Cut
 		}
 	}
-	for k := range optDone {
-		if optPending[k] {
-			return nil, fmt.Errorf("replay: cut %d splits stage %d's optimizer across the event; splice before the stage's all-reduce", in.Cut, k.stage)
-		}
+	cutEx, err := sim.ExecuteProgram(in.Prog, resume)
+	if err != nil {
+		return nil, err
 	}
-
 	spl, err := Splice(SpliceInput{
-		Prog: p, Starts: cutEx.Start, Ends: cutEx.End,
+		Prog: in.Prog, Starts: cutEx.Start, Ends: cutEx.End,
 		Cut: in.Cut, Fail: in.Fail, Rejoin: in.Rejoin,
 		Costs: in.Costs, Release: in.Release,
-		DurableSteps: true,
 	})
 	if err != nil {
 		return nil, err
 	}
-	return &LiveSpliced{Spliced: spl, CutExec: cutEx, Lost: spl.LostIDs}, nil
+	return &LiveSpliced{Spliced: spl, CutExec: cutEx}, nil
 }

@@ -302,21 +302,6 @@ func Replay(eng *engine.Engine, tr failure.Trace, opt Options) (*Result, error) 
 			if err != nil {
 				return nil, err
 			}
-			cutOpts := sim.ProgramOptions{
-				CutAt: cut, Done: done, ReleaseAt: floors,
-				Recorder:   opt.Recorder,
-				TraceLabel: fmt.Sprintf("replay/iter%d/cut@%d", res.Iterations, cut),
-			}
-			if len(dying) > 0 {
-				cutOpts.FailAt = make(map[schedule.Worker]int64, len(dying))
-				for _, w := range dying {
-					cutOpts.FailAt[w] = cut
-				}
-			}
-			cutEx, err := sim.ExecuteProgram(curProg, cutOpts)
-			if err != nil {
-				return nil, err
-			}
 			release := make(map[schedule.Worker]int64)
 			if len(dying) > 0 {
 				floor := cut + toSlots(opt.DetectDelay)
@@ -331,10 +316,12 @@ func Replay(eng *engine.Engine, tr failure.Trace, opt Options) (*Result, error) 
 					}
 				}
 			}
-			spl, err := Splice(SpliceInput{
-				Prog: curProg, Starts: cutEx.Start, Ends: cutEx.End,
-				Cut: cut, Fail: dying, Rejoin: joining,
-				Costs: costs, Release: release,
+			spl, err := cutAndSplice(LiveEvent{
+				Prog: curProg, Cut: cut, Fail: dying, Rejoin: joining,
+				Costs: costs, Release: release, Done: done,
+			}, sim.ProgramOptions{
+				ReleaseAt: floors, Recorder: opt.Recorder,
+				TraceLabel: fmt.Sprintf("replay/iter%d/cut@%d", res.Iterations, cut),
 			})
 			if err != nil {
 				return nil, err

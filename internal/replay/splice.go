@@ -23,7 +23,14 @@ type SpliceInput struct {
 	// Fail lists live workers dying at Cut. Their completed compute work
 	// (activation stashes, weight-gradient stores) dies with them, so it is
 	// re-executed on live peers, together with every completed instruction
-	// whose provenance transitively includes the lost work.
+	// whose provenance transitively includes the lost work. The exception is
+	// durable: an (iter, stage) group whose optimizer step fully completed
+	// before the cut was made identical on every live peer by the all-reduce
+	// and its outbound payloads sit in the re-send stash, so a victim's
+	// completed work there stays frozen in the prefix instead of joining the
+	// lost cascade. That is what lets a kill land inside the all-reduce
+	// epilogue without double-stepping — the live runtime's step-epoch stamp
+	// makes the kept step idempotent.
 	Fail []schedule.Worker
 	// Rejoin lists failed workers re-joining at Cut: they become routable
 	// for still-unexecuted micro-batch triples and, when their stage's
@@ -41,17 +48,6 @@ type SpliceInput struct {
 	// parameter-copy time of a re-joining worker. Workers absent from the
 	// map are released at Cut.
 	Release map[schedule.Worker]int64
-	// DurableSteps marks (iter, stage) groups whose optimizer step fully
-	// completed before the cut as durable: the all-reduce made the update
-	// identical on every live peer and the group's outbound payloads sit
-	// in the re-send stash, so a victim's completed work there is kept
-	// frozen in the prefix instead of joining the lost cascade. This is
-	// what lets a kill land inside the all-reduce epilogue without
-	// double-stepping — the live runtime's step-epoch stamp makes the kept
-	// step idempotent. Off (the default), every completed instruction on a
-	// dying worker seeds the cascade, the trace replayer's historical
-	// model.
-	DurableSteps bool
 }
 
 // Spliced is a validated resumption artifact: the same iteration's work as
@@ -80,8 +76,10 @@ type Spliced struct {
 	// LostIDs lists the input-program instruction IDs of the lost cascade
 	// — completed work on dying workers plus every completed dependent —
 	// in the coordinate system the live runtime's materialized effects are
-	// keyed in. Under DurableSteps, instructions of stepped (iter, stage)
-	// groups are excluded (kept frozen instead).
+	// keyed in. Instructions of stepped (iter, stage) groups — optimizer
+	// fully applied before the cut — are never in it: the all-reduce made
+	// the step durable on every live peer and the group's outbound payloads
+	// survive in the re-send stash, so they stay frozen in the prefix.
 	LostIDs []int
 	// PrefixOps counts instructions kept at their executed times; LostOps
 	// and LostSlots measure completed work discarded because its
@@ -96,6 +94,10 @@ type Spliced struct {
 	// store travel with the triple), ReCycle's measured analogue of a
 	// failure-normalization parameter migration.
 	MigratedTriples int
+	// splitStage is a stage whose optimizer group the cut split — some of
+	// its steps completed, some did not — or -1. The trace replayer splices
+	// through such a cut; LiveSplice cannot (see there).
+	splitStage int
 }
 
 // tripleKey identifies the F/BInput/BWeight group of one micro-batch at
@@ -164,30 +166,23 @@ func Splice(in SpliceInput) (*Spliced, error) {
 	}
 
 	// Stepped (iter, stage) groups — every optimizer instruction of the
-	// group completed before the cut. Under DurableSteps these are durable:
-	// the cascade neither seeds from nor propagates into them.
-	stepped := make(map[[2]int]bool)
-	if in.DurableSteps {
-		optTotal, optFired := make(map[[2]int]int), make(map[[2]int]int)
-		for i := range p.Instrs {
-			op := p.Instrs[i].Op
-			if op.Type != schedule.Optimizer {
-				continue
-			}
-			k := [2]int{op.Iter, op.Stage}
-			optTotal[k]++
-			if in.Ends[i] >= 0 {
-				optFired[k]++
-			}
+	// group completed before the cut — are durable: the cascade neither
+	// seeds from nor propagates into them.
+	optTotal, optFired := make(map[[2]int]int), make(map[[2]int]int)
+	for i := range p.Instrs {
+		op := p.Instrs[i].Op
+		if op.Type != schedule.Optimizer {
+			continue
 		}
-		for k, total := range optTotal {
-			if total > 0 && optFired[k] == total {
-				stepped[k] = true
-			}
+		k := [2]int{op.Iter, op.Stage}
+		optTotal[k]++
+		if in.Ends[i] >= 0 {
+			optFired[k]++
 		}
 	}
 	durable := func(op schedule.Op) bool {
-		return stepped[[2]int{op.Iter, op.Stage}]
+		k := [2]int{op.Iter, op.Stage}
+		return optTotal[k] > 0 && optFired[k] == optTotal[k]
 	}
 
 	// Partition: completed instructions keep their spans, minus the lost
@@ -221,9 +216,15 @@ func Splice(in SpliceInput) (*Spliced, error) {
 	}
 
 	out := &Spliced{
-		Done:   make(map[int]int64),
-		Floors: make(map[schedule.Worker]int64),
-		Failed: newFailed,
+		Done:       make(map[int]int64),
+		Floors:     make(map[schedule.Worker]int64),
+		Failed:     newFailed,
+		splitStage: -1,
+	}
+	for k, fired := range optFired {
+		if fired < optTotal[k] {
+			out.splitStage = k[1]
+		}
 	}
 	for i := range lost {
 		if lost[i] {
@@ -231,26 +232,21 @@ func Splice(in SpliceInput) (*Spliced, error) {
 		}
 	}
 	type node struct {
-		op       schedule.Op
-		oldID    int // ordering key for re-planned ops; -1 for added ones
-		start    int64
-		end      int64
-		placed   bool
-		oldExec  int
-		hasPrior bool // existed in the input program
+		op      schedule.Op
+		oldID   int // ordering key for re-planned ops; -1 for added ones
+		start   int64
+		end     int64
+		placed  bool
+		oldExec int
 	}
 	var prefix, suffix []*node
-	pin := make(map[tripleKey]int)    // triple -> live executor holding its state
-	optDone := make(map[[2]int]bool)  // (iter, stage) -> any optimizer completed
-	optKnown := make(map[[2]int]bool) // (iter, stage) -> program has an optimizer
+	pin := make(map[tripleKey]int)   // triple -> live executor holding its state
+	optDone := make(map[[2]int]bool) // (iter, stage) -> any optimizer completed
 	suffixByTriple := make(map[tripleKey][]*node)
 	for i := range p.Instrs {
 		op := p.Instrs[i].Op
-		if op.Type == schedule.Optimizer {
-			optKnown[[2]int{op.Iter, op.Stage}] = true
-		}
 		if in.Ends[i] >= 0 && !lost[i] {
-			nd := &node{op: op, oldID: i, start: in.Starts[i], end: in.Ends[i], placed: true, oldExec: op.Exec, hasPrior: true}
+			nd := &node{op: op, oldID: i, start: in.Starts[i], end: in.Ends[i], placed: true, oldExec: op.Exec}
 			prefix = append(prefix, nd)
 			if op.Type == schedule.Optimizer {
 				optDone[[2]int{op.Iter, op.Stage}] = true
@@ -267,10 +263,10 @@ func Splice(in SpliceInput) (*Spliced, error) {
 			if failSet[op.Worker()] {
 				continue // a dead worker does not step
 			}
-			suffix = append(suffix, &node{op: op, oldID: i, oldExec: op.Exec, hasPrior: true})
+			suffix = append(suffix, &node{op: op, oldID: i, oldExec: op.Exec})
 			continue
 		}
-		nd := &node{op: op, oldID: i, oldExec: op.Exec, hasPrior: true}
+		nd := &node{op: op, oldID: i, oldExec: op.Exec}
 		suffix = append(suffix, nd)
 		k := tripleKey{op.Iter, op.Stage, op.MB, op.Home}
 		suffixByTriple[k] = append(suffixByTriple[k], nd)
@@ -282,7 +278,7 @@ func Splice(in SpliceInput) (*Spliced, error) {
 	for _, w := range in.Rejoin {
 		for it := 0; it < sh.Iter; it++ {
 			si := [2]int{it, w.Stage}
-			if optKnown[si] && !optDone[si] {
+			if optTotal[si] > 0 && !optDone[si] {
 				op := schedule.Op{Stage: w.Stage, MB: -1, Home: w.Pipeline, Exec: w.Pipeline, Type: schedule.Optimizer, Iter: it}
 				suffix = append(suffix, &node{op: op, oldID: maxID, oldExec: w.Pipeline})
 				maxID++
@@ -511,6 +507,9 @@ func Splice(in SpliceInput) (*Spliced, error) {
 	for _, nd := range prefix {
 		placements = append(placements, schedule.Placement{Op: nd.op, Start: nd.start, End: nd.end})
 		prefixEnd[nd.op] = nd.end
+		if nd.end > out.EndSlot {
+			out.EndSlot = nd.end
+		}
 	}
 	for _, nd := range suffix {
 		placements = append(placements, schedule.Placement{Op: nd.op, Start: nd.start, End: nd.end})
@@ -518,21 +517,12 @@ func Splice(in SpliceInput) (*Spliced, error) {
 			out.EndSlot = nd.end
 		}
 	}
-	for _, nd := range prefix {
-		if nd.end > out.EndSlot {
-			out.EndSlot = nd.end
-		}
-	}
 	out.Schedule = schedule.New(sh, p.Durations, newFailed, placements)
-	// Under DurableSteps the prefix may keep a durable consumer whose
-	// producer is re-placed after the cut; CompileFrozen drops the dead
-	// edges into the frozen prefix so that historical back-edge cannot
-	// close a spurious cycle with same-worker stream order.
-	frozenBefore := int64(0)
-	if in.DurableSteps {
-		frozenBefore = in.Cut
-	}
-	prog, err := schedule.CompileFrozen(out.Schedule, frozenBefore)
+	// The prefix may keep a durable consumer whose producer is re-placed
+	// after the cut; CompileFrozen drops the dead edges into the frozen
+	// prefix so that historical back-edge cannot close a spurious cycle with
+	// same-worker stream order.
+	prog, err := schedule.CompileFrozen(out.Schedule, in.Cut)
 	if err != nil {
 		return nil, fmt.Errorf("replay: spliced schedule does not compile: %w", err)
 	}
@@ -544,13 +534,9 @@ func Splice(in SpliceInput) (*Spliced, error) {
 	}
 	out.PrefixOps = len(prefix)
 	out.SuffixOps = len(suffix)
-	vcfg := schedule.ValidateConfig{Costs: in.Costs}
-	if in.DurableSteps {
-		// Durable victim work stays frozen in the prefix on its (now
-		// failed) worker; admit exactly those placements and nothing later.
-		vcfg.FrozenBefore = in.Cut
-	}
-	if err := schedule.Validate(out.Schedule, vcfg); err != nil {
+	// Durable victim work stays frozen in the prefix on its (now failed)
+	// worker; admit exactly those placements and nothing later.
+	if err := schedule.Validate(out.Schedule, schedule.ValidateConfig{Costs: in.Costs, FrozenBefore: in.Cut}); err != nil {
 		return nil, fmt.Errorf("replay: spliced schedule fails validation: %w", err)
 	}
 	return out, nil

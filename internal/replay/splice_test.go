@@ -246,8 +246,10 @@ func TestSpliceProperty(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d (shape %v cut %d fail %v rejoin %v): %v", trial, sh, cut, fail, rejoin, err)
 		}
-		// 1. Validate independently of Splice's own check.
-		if err := schedule.Validate(spl.Schedule, schedule.ValidateConfig{}); err != nil {
+		// 1. Validate independently of Splice's own check. A victim's work
+		// in a stepped group stays frozen on its (now failed) worker, so
+		// the prefix before the cut is admitted there.
+		if err := schedule.Validate(spl.Schedule, schedule.ValidateConfig{FrozenBefore: cut}); err != nil {
 			t.Fatalf("trial %d: spliced schedule invalid: %v", trial, err)
 		}
 		if err := spl.Program.Validate(); err != nil {
