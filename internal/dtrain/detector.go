@@ -62,6 +62,7 @@ type Detector struct {
 	onFail     func(schedule.Worker)
 	onStraggle func(schedule.Worker, float64)
 	rec        obs.Recorder
+	now        func() time.Time // the detector's clock; tests substitute a fake
 	stop       chan struct{}
 	done       chan struct{}
 }
@@ -85,6 +86,7 @@ func NewDetector(timeout time.Duration, onFail func(schedule.Worker)) *Detector 
 		straggling: make(map[schedule.Worker]float64),
 		reported:   make(map[schedule.Worker]float64),
 		onFail:     onFail,
+		now:        time.Now,
 		stop:       make(chan struct{}),
 		done:       make(chan struct{}),
 	}
@@ -104,7 +106,7 @@ func (d *Detector) OnStraggle(cb func(w schedule.Worker, factor float64)) {
 func (d *Detector) Heartbeat(w schedule.Worker) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.lastSeen[w] = time.Now()
+	d.lastSeen[w] = d.now()
 }
 
 // Register begins tracking a worker (counts as an initial heartbeat).
@@ -143,7 +145,7 @@ func (d *Detector) Stop() {
 // sweep marks workers whose heartbeats have lapsed, then re-evaluates the
 // straggler statistics.
 func (d *Detector) sweep() {
-	now := time.Now()
+	now := d.now()
 	var newly []schedule.Worker
 	d.mu.Lock()
 	for w, seen := range d.lastSeen {
@@ -182,7 +184,7 @@ func (d *Detector) ObserveOp(w schedule.Worker, t schedule.OpType, dur time.Dura
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.lastSeen[w] = time.Now()
+	d.lastSeen[w] = d.now()
 	alpha := d.EWMAAlpha
 	if alpha <= 0 || alpha > 1 {
 		alpha = 0.25
@@ -280,7 +282,7 @@ func (d *Detector) DetectStragglers() map[schedule.Worker]float64 {
 	})
 	if rec != nil && rec.Enabled() {
 		for _, c := range fire {
-			rec.Event(obs.Event{Kind: obs.EvStraggler, At: -1, Iter: -1, Wall: time.Now(),
+			rec.Event(obs.Event{Kind: obs.EvStraggler, At: -1, Iter: -1, Wall: d.now(),
 				Worker: c.w, HasWorker: true,
 				Detail: fmt.Sprintf("factor %.2f", c.factor),
 				Attrs:  []obs.Attr{{Key: "factor-pct", Val: int64(c.factor * 100)}}})

@@ -1,6 +1,7 @@
 package dtrain
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -209,39 +210,37 @@ func TestRollbackLeavesNoStaleState(t *testing.T) {
 	}
 }
 
-// TestDetectorFiresOnSilence checks heartbeat-based failure detection.
+// TestDetectorFiresOnSilence checks heartbeat-based failure detection on a
+// fake clock: sweeps are driven by hand, so the verdict does not depend on
+// how the scheduler interleaves a ticker with the heartbeats.
 func TestDetectorFiresOnSilence(t *testing.T) {
-	failures := make(chan schedule.Worker, 4)
-	d := NewDetector(30*time.Millisecond, func(w schedule.Worker) { failures <- w })
+	var failures []schedule.Worker
+	d := NewDetector(30*time.Millisecond, func(w schedule.Worker) { failures = append(failures, w) })
+	clock := time.Unix(0, 0)
+	d.now = func() time.Time { return clock }
 	healthy := schedule.Worker{Stage: 0, Pipeline: 0}
 	silent := schedule.Worker{Stage: 1, Pipeline: 0}
 	d.Register(healthy)
 	d.Register(silent)
-	d.Start(5 * time.Millisecond)
-	defer d.Stop()
 
-	stop := make(chan struct{})
-	go func() {
-		tick := time.NewTicker(5 * time.Millisecond)
-		defer tick.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-tick.C:
-				d.Heartbeat(healthy)
-			}
-		}
-	}()
-	select {
-	case w := <-failures:
-		if w != silent {
-			t.Fatalf("detector flagged %s, want %s", w, silent)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("detector never fired")
+	// Six sweeps 5 ms apart: the silent worker is inside its timeout.
+	for i := 0; i < 6; i++ {
+		clock = clock.Add(5 * time.Millisecond)
+		d.Heartbeat(healthy)
+		d.sweep()
 	}
-	close(stop)
+	if len(failures) != 0 {
+		t.Fatalf("detector fired at exactly the timeout: %v", failures)
+	}
+	// One more tick crosses it; later sweeps must not fire again.
+	for i := 0; i < 3; i++ {
+		clock = clock.Add(5 * time.Millisecond)
+		d.Heartbeat(healthy)
+		d.sweep()
+	}
+	if len(failures) != 1 || failures[0] != silent {
+		t.Fatalf("detector flagged %v, want exactly [%s]", failures, silent)
+	}
 	if d.Failed(healthy) {
 		t.Fatal("healthy worker marked failed")
 	}
@@ -263,6 +262,20 @@ func TestDatasetDeterministic(t *testing.T) {
 	}
 	if tensor.Equal(a.Input(1, 2, 3), a.Input(1, 2, 4)) {
 		t.Fatal("different micro-batches produced identical data")
+	}
+	// Distinct coordinates give distinct inputs across a whole live shape.
+	type coord struct{ iter, pipeline, mb int }
+	seen := make(map[string]coord)
+	for iter := 0; iter < 4; iter++ {
+		for pipeline := 0; pipeline < 4; pipeline++ {
+			for mb := 0; mb < 8; mb++ {
+				key := fmt.Sprint(a.Input(iter, pipeline, mb).Data)
+				if prev, dup := seen[key]; dup {
+					t.Fatalf("%+v and %+v produced identical data", prev, coord{iter, pipeline, mb})
+				}
+				seen[key] = coord{iter, pipeline, mb}
+			}
+		}
 	}
 }
 

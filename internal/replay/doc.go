@@ -20,6 +20,15 @@
 //     (dtrain.Runtime.RunIteration) reaches it through LiveSplice, which
 //     adds only the optimizer-straddle guard a live all-reduce needs.
 //
+//     Splice keeps its books on the schedule package's dense op index —
+//     slices indexed by triple, stage group and worker, one slab of
+//     nodes, pooled across the events of a replay or a splice chain — so
+//     one event allocates little beyond the artifact it returns, while
+//     every check above still runs on every splice. The map-keyed
+//     implementation it replaced lives on as the oracle of
+//     TestSpliceMatchesReference and FuzzSplice, which hold the two
+//     bit-identical.
+//
 //   - Replay walks a failure.Trace window by window (Trace.Windows),
 //     fetches the compiled Program for each membership state from the
 //     engine, executes it on the DES virtual clock, and on a mid-iteration

@@ -211,6 +211,9 @@ func Replay(eng *engine.Engine, tr failure.Trace, opt Options) (*Result, error) 
 		})
 	}
 
+	// release is the per-event floor map handed to cutAndSplice, which only
+	// reads it: one map serves every event of the replay.
+	release := make(map[schedule.Worker]int64, job.Parallel.Workers())
 	now := 0.0
 	wi := 0
 	for now < horizonSec-eps {
@@ -302,7 +305,7 @@ func Replay(eng *engine.Engine, tr failure.Trace, opt Options) (*Result, error) 
 			if err != nil {
 				return nil, err
 			}
-			release := make(map[schedule.Worker]int64)
+			clear(release)
 			if len(dying) > 0 {
 				floor := cut + toSlots(opt.DetectDelay)
 				for _, w := range curProg.Workers() {

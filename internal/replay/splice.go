@@ -2,7 +2,8 @@ package replay
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"sync"
 
 	"recycle/internal/schedule"
 )
@@ -100,12 +101,137 @@ type Spliced struct {
 	splitStage int
 }
 
-// tripleKey identifies the F/BInput/BWeight group of one micro-batch at
-// one stage — the unit that must stay on a single peer (the activation
-// stash and weight-gradient store live where the forward ran).
-type tripleKey struct {
-	iter, stage, mb, home int
+// node is one op of the spliced iteration. Nodes live in one slab indexed by
+// the input program's instruction ID; optimizer steps added for re-joining
+// workers follow at n, n+1, … — so slab order is the ordering key of
+// re-planned work.
+type node struct {
+	op         schedule.Op
+	start, end int64
+	oldExec    int32 // executor the in-flight program assigned
+	group      int32 // stage group (iter·PP + stage) in the dense op index
+	triple     int32 // triple in the dense op index; -1 for an optimizer
+	kind       nodeKind
+	placed     bool
 }
+
+type nodeKind uint8
+
+const (
+	// dropped: the optimizer step of a worker dying at the cut.
+	dropped nodeKind = iota
+	// prefix: completed and kept, frozen at its executed span.
+	prefix
+	// suffix: unexecuted or lost, re-planned after the cut.
+	suffix
+)
+
+// Lost-cascade memo states of an instruction.
+const (
+	unvisited uint8 = iota
+	visiting
+	kept
+	lost
+)
+
+// spliceScratch is Splice's working set: every table is a slice indexed by
+// the Shape's dense op index (schedule.Shape.TripleIndex / StageIndex /
+// WorkerIndex) or by node, sized per call and reused across the events of a
+// Replay or a splice chain through splicePool. Nothing in it outlives the
+// call — the Spliced artifact shares no memory with it.
+type spliceScratch struct {
+	nodes []node
+	state []uint8 // per instruction: lost-cascade memo
+
+	// Per stage group.
+	optTotal, optFired []int32 // optimizer instructions, and how many completed
+	optDone            []bool  // some optimizer of the group is in the prefix
+	pending            []int32 // weight-gradient contributions not yet placed
+	maxEnd             []int64 // latest end among the placed ones
+
+	// Per worker.
+	failing, down []bool  // dying at the cut; failed after the event
+	loads, free   []int64 // routing load; earliest next start
+	pos           []int32 // timing sweep: next unplaced stream position
+
+	// Per triple.
+	pin       []int32 // live executor holding the triple's state, or -1
+	byOp      []int32 // 3 per triple: node of its F, BInput-or-B, BWeight
+	tripleOff []int32 // CSR offsets into tripleNodes
+	// Per (stage group, exec): node of the optimizer step.
+	optNode []int32
+
+	tripleNodes []int32 // suffix compute nodes grouped by triple
+	streamOff   []int32 // CSR offsets into streamNodes, per (worker, iter, optimizer-last)
+	streamNodes []int32 // suffix nodes grouped into per-worker streams
+}
+
+var splicePool = sync.Pool{New: func() any { return new(spliceScratch) }}
+
+// filled returns s resized to n elements, every one set to v, reallocating
+// only when its capacity is too small.
+func filled[T any](s []T, n int, v T) []T {
+	if cap(s) < n {
+		s = make([]T, n)
+	}
+	s = s[:n]
+	for i := range s {
+		s[i] = v
+	}
+	return s
+}
+
+// durable reports whether stage group g stepped before the cut: it has
+// optimizer instructions and every one of them completed.
+func (sc *spliceScratch) durable(g int32) bool {
+	return sc.optTotal[g] > 0 && sc.optFired[g] == sc.optTotal[g]
+}
+
+// isLost reports whether completed instruction i is in the lost cascade:
+// it ran on a dying worker, or some producer of it is lost — unless its
+// (iter, stage) group is durable. It walks incoming edges and memoises, so
+// the whole cascade costs one visit per edge of completed work.
+func (sc *spliceScratch) isLost(p *schedule.Program, ends []int64, i int) bool {
+	switch sc.state[i] {
+	case kept, visiting: // visiting: a cycle, which only a malformed program has
+		return false
+	case lost:
+		return true
+	}
+	sc.state[i] = visiting
+	nd := &sc.nodes[i]
+	verdict := kept
+	if ends[i] >= 0 && !sc.durable(nd.group) {
+		if sc.failing[p.Shape.WorkerIndex(nd.op.Worker())] {
+			verdict = lost
+		} else {
+			for _, d := range p.Instrs[i].Deps {
+				if sc.isLost(p, ends, d.From) {
+					verdict = lost
+					break
+				}
+			}
+		}
+	}
+	sc.state[i] = verdict
+	return verdict == lost
+}
+
+// slot is an op type's position among its triple's three byOp entries.
+func slot(t schedule.OpType) int {
+	switch t {
+	case schedule.F:
+		return 0
+	case schedule.BWeight:
+		return 2
+	default: // BInput, or the coupled B that stands in for it
+		return 1
+	}
+}
+
+// contributes reports whether an op of type t feeds its stage's gradient
+// all-reduce.
+func contributes(t schedule.OpType) bool { return t == schedule.B || t == schedule.BWeight }
 
 // Splice splits the in-flight program into its executed prefix and
 // unexecuted suffix, re-plans only the suffix against the post-event
@@ -123,7 +249,10 @@ func Splice(in SpliceInput) (*Spliced, error) {
 	if in.Cut < 0 {
 		return nil, fmt.Errorf("replay: negative cut instant %d", in.Cut)
 	}
-	failSet := make(map[schedule.Worker]bool, len(in.Fail))
+	sh := p.Shape
+	if !sh.Indexable(n) {
+		return nil, fmt.Errorf("replay: %d instructions cannot cover shape %+v", n, sh)
+	}
 	newFailed := make(map[schedule.Worker]bool, len(p.Failed)+len(in.Fail))
 	for w := range p.Failed {
 		if p.Failed[w] {
@@ -134,23 +263,37 @@ func Splice(in SpliceInput) (*Spliced, error) {
 		if newFailed[w] {
 			return nil, fmt.Errorf("replay: failing worker %s is already failed", w)
 		}
-		failSet[w] = true
 		newFailed[w] = true
 	}
 	for _, w := range in.Rejoin {
 		if !newFailed[w] {
 			return nil, fmt.Errorf("replay: re-joining worker %s is not failed", w)
 		}
-		if failSet[w] {
+		if slices.Contains(in.Fail, w) {
 			return nil, fmt.Errorf("replay: worker %s cannot fail and re-join in one event", w)
 		}
 		delete(newFailed, w)
 	}
-	sh := p.Shape
+	sc := splicePool.Get().(*spliceScratch)
+	defer splicePool.Put(sc)
+	triples, groups, nw := sh.Triples(), sh.Iter*sh.PP, sh.DP*sh.PP
+	sc.failing = filled(sc.failing, nw, false)
+	sc.down = filled(sc.down, nw, false)
+	failing, down := sc.failing, sc.down
+	for _, w := range in.Fail {
+		if wi := sh.WorkerIndex(w); wi >= 0 {
+			failing[wi] = true
+		}
+	}
+	for w := range newFailed {
+		if wi := sh.WorkerIndex(w); wi >= 0 {
+			down[wi] = true
+		}
+	}
 	for s := 0; s < sh.PP; s++ {
 		live := 0
 		for k := 0; k < sh.DP; k++ {
-			if !newFailed[schedule.Worker{Stage: s, Pipeline: k}] {
+			if !down[k*sh.PP+s] {
 				live++
 			}
 		}
@@ -165,180 +308,178 @@ func Splice(in SpliceInput) (*Spliced, error) {
 		return p.Durations.Of(t)
 	}
 
-	// Stepped (iter, stage) groups — every optimizer instruction of the
-	// group completed before the cut — are durable: the cascade neither
-	// seeds from nor propagates into them.
-	optTotal, optFired := make(map[[2]int]int), make(map[[2]int]int)
+	// Locate every instruction in the dense op index. Stepped (iter, stage)
+	// groups — every optimizer instruction of the group completed before the
+	// cut — are durable: the cascade neither seeds from nor propagates into
+	// them.
+	// The slab has room for the optimizer steps re-joiners may add.
+	sc.nodes = filled(sc.nodes, n+len(in.Rejoin)*sh.Iter, node{})
+	sc.optTotal = filled(sc.optTotal, groups, 0)
+	sc.optFired = filled(sc.optFired, groups, 0)
+	nodes, optTotal, optFired := sc.nodes[:n], sc.optTotal, sc.optFired
 	for i := range p.Instrs {
 		op := p.Instrs[i].Op
-		if op.Type != schedule.Optimizer {
-			continue
+		_, g, k, ok := sh.OpIndex(op)
+		if !ok {
+			return nil, fmt.Errorf("replay: instruction %d (%s) lies outside shape %+v", i, op, sh)
 		}
-		k := [2]int{op.Iter, op.Stage}
-		optTotal[k]++
-		if in.Ends[i] >= 0 {
-			optFired[k]++
-		}
-	}
-	durable := func(op schedule.Op) bool {
-		k := [2]int{op.Iter, op.Stage}
-		return optTotal[k] > 0 && optFired[k] == optTotal[k]
-	}
-
-	// Partition: completed instructions keep their spans, minus the lost
-	// set — work completed on a dying worker plus every completed
-	// dependent of it, found by BFS over the program's dependency edges.
-	// (A completed instruction's producers all completed, so the cascade
-	// never has to look at unexecuted work.)
-	succs := make([][]int, n)
-	for i := range p.Instrs {
 		for _, d := range p.Instrs[i].Deps {
-			succs[d.From] = append(succs[d.From], i)
+			if d.From < 0 || d.From >= n {
+				return nil, fmt.Errorf("replay: instruction %d depends on %d outside [0,%d)", i, d.From, n)
+			}
 		}
-	}
-	lost := make([]bool, n)
-	var queue []int
-	for i := range p.Instrs {
-		if in.Ends[i] >= 0 && failSet[p.Instrs[i].Op.Worker()] && !durable(p.Instrs[i].Op) {
-			lost[i] = true
-			queue = append(queue, i)
-		}
-	}
-	for len(queue) > 0 {
-		i := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		for _, j := range succs[i] {
-			if in.Ends[j] >= 0 && !lost[j] && !durable(p.Instrs[j].Op) {
-				lost[j] = true
-				queue = append(queue, j)
+		nodes[i] = node{op: op, oldExec: int32(op.Exec), group: int32(g), triple: int32(k)}
+		if op.Type == schedule.Optimizer {
+			optTotal[g]++
+			if in.Ends[i] >= 0 {
+				optFired[g]++
 			}
 		}
 	}
 
 	out := &Spliced{
-		Done:       make(map[int]int64),
 		Floors:     make(map[schedule.Worker]int64),
 		Failed:     newFailed,
 		splitStage: -1,
 	}
-	for k, fired := range optFired {
-		if fired < optTotal[k] {
-			out.splitStage = k[1]
+	for g := groups - 1; g >= 0; g-- {
+		if optFired[g] > 0 && optFired[g] < optTotal[g] {
+			out.splitStage = g % sh.PP
 		}
 	}
-	for i := range lost {
-		if lost[i] {
-			out.LostIDs = append(out.LostIDs, i)
+
+	// Partition: completed instructions keep their spans, minus the lost
+	// set — work completed on a dying worker plus every completed
+	// dependent of it. (A completed instruction's producers all completed,
+	// so the cascade never has to look at unexecuted work.) Prefix nodes
+	// seed the routing loads, the worker clocks and the all-reduce
+	// readiness, and pin their triple to the peer holding its state.
+	sc.state = filled(sc.state, n, unvisited)
+	sc.optDone = filled(sc.optDone, groups, false)
+	sc.pending = filled(sc.pending, groups, 0)
+	sc.maxEnd = filled(sc.maxEnd, groups, 0)
+	sc.loads = filled(sc.loads, nw, 0)
+	sc.free = filled(sc.free, nw, 0)
+	sc.pin = filled(sc.pin, triples, -1)
+	sc.byOp = filled(sc.byOp, 3*triples, -1)
+	sc.optNode = filled(sc.optNode, groups*sh.DP, -1)
+	sc.tripleOff = filled(sc.tripleOff, triples+1, 0)
+	optDone, pending, maxEnd, loads, free := sc.optDone, sc.pending, sc.maxEnd, sc.loads, sc.free
+	pin, byOp, optNode, tripleOff := sc.pin, sc.byOp, sc.optNode, sc.tripleOff
+	for i := range nodes {
+		nd := &nodes[i]
+		op, g, k := nd.op, nd.group, nd.triple
+		if op.Type == schedule.Optimizer {
+			optNode[int(g)*sh.DP+op.Exec] = int32(i)
+		} else {
+			byOp[3*int(k)+slot(op.Type)] = int32(i)
 		}
-	}
-	type node struct {
-		op      schedule.Op
-		oldID   int // ordering key for re-planned ops; -1 for added ones
-		start   int64
-		end     int64
-		placed  bool
-		oldExec int
-	}
-	var prefix, suffix []*node
-	pin := make(map[tripleKey]int)   // triple -> live executor holding its state
-	optDone := make(map[[2]int]bool) // (iter, stage) -> any optimizer completed
-	suffixByTriple := make(map[tripleKey][]*node)
-	for i := range p.Instrs {
-		op := p.Instrs[i].Op
-		if in.Ends[i] >= 0 && !lost[i] {
-			nd := &node{op: op, oldID: i, start: in.Starts[i], end: in.Ends[i], placed: true, oldExec: op.Exec}
-			prefix = append(prefix, nd)
+		if in.Ends[i] >= 0 && !sc.isLost(p, in.Ends, i) {
+			nd.kind, nd.placed = prefix, true
+			nd.start, nd.end = in.Starts[i], in.Ends[i]
+			out.PrefixOps++
+			w := sh.WorkerIndex(op.Worker())
+			if over := nd.end - in.Cut; over > loads[w] {
+				loads[w] = over // in-flight work that ran past the event instant
+			}
+			free[w] = max(free[w], nd.end)
 			if op.Type == schedule.Optimizer {
-				optDone[[2]int{op.Iter, op.Stage}] = true
+				optDone[g] = true
 			} else {
-				pin[tripleKey{op.Iter, op.Stage, op.MB, op.Home}] = op.Exec
+				pin[k] = int32(op.Exec)
+				if contributes(op.Type) {
+					maxEnd[g] = max(maxEnd[g], nd.end)
+				}
 			}
 			continue
 		}
 		if in.Ends[i] >= 0 { // completed but lost: re-execute
+			out.LostIDs = append(out.LostIDs, i)
 			out.LostOps++
 			out.LostSlots += in.Ends[i] - in.Starts[i]
 		}
 		if op.Type == schedule.Optimizer {
-			if failSet[op.Worker()] {
-				continue // a dead worker does not step
+			if !failing[sh.WorkerIndex(op.Worker())] { // a dead worker does not step
+				nd.kind = suffix
+				out.SuffixOps++
 			}
-			suffix = append(suffix, &node{op: op, oldID: i, oldExec: op.Exec})
 			continue
 		}
-		nd := &node{op: op, oldID: i, oldExec: op.Exec}
-		suffix = append(suffix, nd)
-		k := tripleKey{op.Iter, op.Stage, op.MB, op.Home}
-		suffixByTriple[k] = append(suffixByTriple[k], nd)
+		nd.kind = suffix
+		out.SuffixOps++
+		tripleOff[k+1]++
+		if contributes(op.Type) {
+			pending[g]++
+		}
 	}
 	// A re-joining worker steps this iteration's optimizer iff its stage's
 	// all-reduce has not fired yet: joining later, it copies post-step
 	// parameters and idles to the boundary instead.
-	maxID := n
 	for _, w := range in.Rejoin {
 		for it := 0; it < sh.Iter; it++ {
-			si := [2]int{it, w.Stage}
-			if optTotal[si] > 0 && !optDone[si] {
-				op := schedule.Op{Stage: w.Stage, MB: -1, Home: w.Pipeline, Exec: w.Pipeline, Type: schedule.Optimizer, Iter: it}
-				suffix = append(suffix, &node{op: op, oldID: maxID, oldExec: w.Pipeline})
-				maxID++
+			g := sh.StageIndex(it, w.Stage)
+			if g < 0 || optTotal[g] == 0 || optDone[g] {
+				continue
 			}
+			if sh.WorkerIndex(w) < 0 {
+				return nil, fmt.Errorf("replay: re-joining worker %s lies outside shape %+v", w, sh)
+			}
+			op := schedule.Op{Stage: w.Stage, MB: -1, Home: w.Pipeline, Exec: w.Pipeline, Type: schedule.Optimizer, Iter: it}
+			optNode[g*sh.DP+op.Exec] = int32(len(nodes))
+			nodes = append(nodes, node{op: op, oldExec: int32(w.Pipeline), group: int32(g), triple: -1, kind: suffix})
+			out.SuffixOps++
 		}
 	}
 
 	// Route each micro-batch triple with unexecuted work: pinned to the
 	// peer already holding its state, otherwise home when live, otherwise
 	// (or when home work was lost) the least-loaded live peer of the stage.
-	loads := make(map[schedule.Worker]int64)
-	for _, nd := range prefix {
-		w := nd.op.Worker()
-		if over := nd.end - in.Cut; over > loads[w] {
-			loads[w] = over // in-flight work that ran past the event instant
+	// Triples are visited in index order — (iter, stage, home, mb) — with
+	// their nodes grouped by count -> prefix sum -> fill (the fill leaves
+	// tripleOff[k] at the end of k's group).
+	for k := 0; k < triples; k++ {
+		tripleOff[k+1] += tripleOff[k]
+	}
+	sc.tripleNodes = filled(sc.tripleNodes, int(tripleOff[triples]), 0)
+	tripleNodes := sc.tripleNodes
+	for i := range nodes[:n] {
+		if nd := &nodes[i]; nd.kind == suffix && nd.triple >= 0 {
+			tripleNodes[tripleOff[nd.triple]] = int32(i)
+			tripleOff[nd.triple]++
 		}
 	}
-	triples := make([]tripleKey, 0, len(suffixByTriple))
-	for k := range suffixByTriple {
-		triples = append(triples, k)
-	}
-	sort.Slice(triples, func(a, b int) bool {
-		ka, kb := triples[a], triples[b]
-		if ka.iter != kb.iter {
-			return ka.iter < kb.iter
+	lo := int32(0)
+	for k := 0; k < triples; k++ {
+		group := tripleNodes[lo:tripleOff[k]]
+		lo = tripleOff[k]
+		if len(group) == 0 {
+			continue
 		}
-		if ka.stage != kb.stage {
-			return ka.stage < kb.stage
-		}
-		if ka.home != kb.home {
-			return ka.home < kb.home
-		}
-		return ka.mb < kb.mb
-	})
-	for _, k := range triples {
-		nodes := suffixByTriple[k]
-		exec, pinned := pin[k]
-		if !pinned {
-			home := schedule.Worker{Stage: k.stage, Pipeline: k.home}
-			if !newFailed[home] {
-				exec = k.home
+		first := nodes[group[0]].op
+		stage, home := first.Stage, first.Home
+		exec := int(pin[k])
+		if exec < 0 {
+			if !down[home*sh.PP+stage] {
+				exec = home
 			} else {
-				best, bestLoad := -1, int64(0)
+				bestLoad := int64(0)
 				for kp := 0; kp < sh.DP; kp++ {
-					w := schedule.Worker{Stage: k.stage, Pipeline: kp}
-					if newFailed[w] {
+					w := kp*sh.PP + stage
+					if down[w] {
 						continue
 					}
-					if best < 0 || loads[w] < bestLoad {
-						best, bestLoad = kp, loads[w]
+					if exec < 0 || loads[w] < bestLoad {
+						exec, bestLoad = kp, loads[w]
 					}
 				}
-				exec = best
 			}
 		}
 		migrated := false
-		for _, nd := range nodes {
+		for _, i := range group {
+			nd := &nodes[i]
 			nd.op.Exec = exec
-			loads[schedule.Worker{Stage: k.stage, Pipeline: exec}] += dur(nd.op.Worker(), nd.op.Type)
-			if nd.op.Exec != nd.oldExec {
+			loads[exec*sh.PP+stage] += dur(nd.op.Worker(), nd.op.Type)
+			if int32(exec) != nd.oldExec {
 				out.ReroutedOps++
 				migrated = true
 			}
@@ -352,143 +493,119 @@ func Splice(in SpliceInput) (*Spliced, error) {
 	// original instruction ID): a projection of one global topological
 	// order of the dependency DAG, so executing streams in order can never
 	// deadlock, and the staggered-optimizer per-worker ordering (step
-	// before any next-iteration op) holds by construction.
-	streams := make(map[schedule.Worker][]*node)
-	free := make(map[schedule.Worker]int64)
-	for _, nd := range prefix {
-		w := nd.op.Worker()
-		if nd.end > free[w] {
-			free[w] = nd.end
+	// before any next-iteration op) holds by construction. Nodes are
+	// already in instruction-ID order, so bucketing them by (worker,
+	// iteration, optimizer-last) is the whole sort.
+	bucket := func(nd *node) int {
+		b := (sh.WorkerIndex(nd.op.Worker())*sh.Iter + nd.op.Iter) * 2
+		if nd.op.Type == schedule.Optimizer {
+			b++
+		}
+		return b
+	}
+	perWorker := 2 * sh.Iter
+	sc.streamOff = filled(sc.streamOff, nw*perWorker+1, 0)
+	sc.streamNodes = filled(sc.streamNodes, out.SuffixOps, 0)
+	streamOff, streamNodes := sc.streamOff, sc.streamNodes
+	for i := range nodes {
+		if nd := &nodes[i]; nd.kind == suffix {
+			streamOff[bucket(nd)+1]++
 		}
 	}
-	for _, nd := range suffix {
-		w := nd.op.Worker()
-		streams[w] = append(streams[w], nd)
+	for b := 0; b < nw*perWorker; b++ {
+		streamOff[b+1] += streamOff[b]
+	}
+	for i := range nodes {
+		if nd := &nodes[i]; nd.kind == suffix {
+			b := bucket(nd)
+			streamNodes[streamOff[b]] = int32(i)
+			streamOff[b]++
+		}
+	}
+	// The fill left streamOff[b] at the end of bucket b, so worker w's
+	// stream ends at streamOff[(w+1)·perWorker-1] and starts where w-1's ends.
+	stream := func(w int) []int32 {
+		lo := int32(0)
+		if w > 0 {
+			lo = streamOff[w*perWorker-1]
+		}
+		return streamNodes[lo:streamOff[(w+1)*perWorker-1]]
+	}
+	for w := 0; w < nw; w++ {
+		if len(stream(w)) == 0 {
+			continue
+		}
 		floor := in.Cut
-		if r, ok := in.Release[w]; ok && r > floor {
+		if r, ok := in.Release[sh.WorkerAt(w)]; ok && r > floor {
 			floor = r
 		}
-		out.Floors[w] = floor
-		if floor > free[w] {
-			free[w] = floor
-		}
-	}
-	for w := range streams {
-		s := streams[w]
-		sort.Slice(s, func(a, b int) bool {
-			oa, ob := s[a], s[b]
-			if oa.op.Iter != ob.op.Iter {
-				return oa.op.Iter < ob.op.Iter
-			}
-			aOpt, bOpt := oa.op.Type == schedule.Optimizer, ob.op.Type == schedule.Optimizer
-			if aOpt != bOpt {
-				return bOpt
-			}
-			return oa.oldID < ob.oldID
-		})
-	}
-
-	// Producer indices for dependency resolution by op identity.
-	fBy := make(map[tripleKey]*node)
-	biBy := make(map[tripleKey]*node)
-	bwByStage := make(map[[2]int][]*node)
-	index := func(nd *node) {
-		k := tripleKey{nd.op.Iter, nd.op.Stage, nd.op.MB, nd.op.Home}
-		switch nd.op.Type {
-		case schedule.F:
-			fBy[k] = nd
-		case schedule.B:
-			biBy[k] = nd
-			bwByStage[[2]int{nd.op.Iter, nd.op.Stage}] = append(bwByStage[[2]int{nd.op.Iter, nd.op.Stage}], nd)
-		case schedule.BInput:
-			biBy[k] = nd
-		case schedule.BWeight:
-			bwByStage[[2]int{nd.op.Iter, nd.op.Stage}] = append(bwByStage[[2]int{nd.op.Iter, nd.op.Stage}], nd)
-		}
-	}
-	for _, nd := range prefix {
-		index(nd)
-	}
-	for _, nd := range suffix {
-		index(nd)
-	}
-	deps := func(nd *node) ([]*node, []int64, error) {
-		op := nd.op
-		k := tripleKey{op.Iter, op.Stage, op.MB, op.Home}
-		var ps []*node
-		var lat []int64
-		need := func(p *node, l int64, what string) error {
-			if p == nil {
-				return fmt.Errorf("replay: %s has no %s", op, what)
-			}
-			ps = append(ps, p)
-			lat = append(lat, l)
-			return nil
-		}
-		comm := p.Durations.Comm
-		switch op.Type {
-		case schedule.F:
-			if op.Stage > 0 {
-				if err := need(fBy[tripleKey{op.Iter, op.Stage - 1, op.MB, op.Home}], comm, "upstream forward"); err != nil {
-					return nil, nil, err
-				}
-			}
-		case schedule.B, schedule.BInput:
-			if err := need(fBy[k], 0, "forward"); err != nil {
-				return nil, nil, err
-			}
-			if op.Stage < sh.PP-1 {
-				if err := need(biBy[tripleKey{op.Iter, op.Stage + 1, op.MB, op.Home}], comm, "downstream backward"); err != nil {
-					return nil, nil, err
-				}
-			}
-		case schedule.BWeight:
-			if err := need(biBy[k], 0, "backward-input"); err != nil {
-				return nil, nil, err
-			}
-		case schedule.Optimizer:
-			for _, bw := range bwByStage[[2]int{op.Iter, op.Stage}] {
-				ps = append(ps, bw)
-				lat = append(lat, 0)
-			}
-		}
-		return ps, lat, nil
+		out.Floors[sh.WorkerAt(w)] = floor
+		free[w] = max(free[w], floor)
 	}
 
 	// Fixed-point timing sweep — the executors' own recurrence, start =
 	// max(worker free, dependency ends + comm), applied to the suffix with
-	// the prefix frozen.
-	remaining := len(suffix)
-	pos := make(map[schedule.Worker]int)
-	for remaining > 0 {
+	// the prefix frozen. Producers are resolved by op identity through
+	// byOp; an optimizer waits for its group's contribution counter to
+	// drain and starts no earlier than the contributions' running latest
+	// end. Workers are walked in index order, so a malformed program yields
+	// the same error on every call.
+	comm := p.Durations.Comm
+	stride := sh.DP * sh.MB // triple-index distance between adjacent stages
+	// readyAt returns when nd's producers let it start; ok is false while
+	// one of them is still unplaced.
+	readyAt := func(nd *node) (ready int64, ok bool, err error) {
+		need := func(at int32, lat int64, what string) error {
+			if at < 0 {
+				return fmt.Errorf("replay: %s has no %s", nd.op, what)
+			}
+			if pr := &nodes[at]; !pr.placed {
+				ok = false
+			} else if r := pr.end + lat; r > ready {
+				ready = r
+			}
+			return nil
+		}
+		ok = true
+		k := int(nd.triple)
+		switch nd.op.Type {
+		case schedule.F:
+			if nd.op.Stage > 0 {
+				err = need(byOp[3*(k-stride)], comm, "upstream forward")
+			}
+		case schedule.B, schedule.BInput:
+			if err = need(byOp[3*k], 0, "forward"); err == nil && nd.op.Stage < sh.PP-1 {
+				err = need(byOp[3*(k+stride)+1], comm, "downstream backward")
+			}
+		case schedule.BWeight:
+			err = need(byOp[3*k+1], 0, "backward-input")
+		case schedule.Optimizer:
+			ready, ok = maxEnd[nd.group], pending[nd.group] == 0
+		}
+		return ready, ok, err
+	}
+	sc.pos = filled(sc.pos, nw, 0)
+	pos := sc.pos
+	for remaining := out.SuffixOps; remaining > 0; {
 		progressed := false
-		for w, s := range streams {
-			for pos[w] < len(s) {
-				nd := s[pos[w]]
-				ps, lat, err := deps(nd)
+		for w := 0; w < nw; w++ {
+			s := stream(w)
+			for int(pos[w]) < len(s) {
+				nd := &nodes[s[pos[w]]]
+				ready, ok, err := readyAt(nd)
 				if err != nil {
 					return nil, err
-				}
-				ready := int64(0)
-				ok := true
-				for i, pr := range ps {
-					if !pr.placed {
-						ok = false
-						break
-					}
-					if r := pr.end + lat[i]; r > ready {
-						ready = r
-					}
 				}
 				if !ok {
 					break
 				}
-				start := free[w]
-				if ready > start {
-					start = ready
-				}
-				nd.start, nd.end = start, start+dur(w, nd.op.Type)
+				nd.start = max(free[w], ready)
+				nd.end = nd.start + dur(sh.WorkerAt(w), nd.op.Type)
 				nd.placed = true
+				if contributes(nd.op.Type) {
+					pending[nd.group]--
+					maxEnd[nd.group] = max(maxEnd[nd.group], nd.end)
+				}
 				free[w] = nd.end
 				pos[w]++
 				remaining--
@@ -502,19 +619,13 @@ func Splice(in SpliceInput) (*Spliced, error) {
 
 	// Assemble the spliced schedule and compile it — Compile re-validates
 	// completeness, edge consistency and deadlock-freedom.
-	placements := make([]schedule.Placement, 0, len(prefix)+len(suffix))
-	prefixEnd := make(map[schedule.Op]int64, len(prefix))
-	for _, nd := range prefix {
-		placements = append(placements, schedule.Placement{Op: nd.op, Start: nd.start, End: nd.end})
-		prefixEnd[nd.op] = nd.end
-		if nd.end > out.EndSlot {
-			out.EndSlot = nd.end
-		}
-	}
-	for _, nd := range suffix {
-		placements = append(placements, schedule.Placement{Op: nd.op, Start: nd.start, End: nd.end})
-		if nd.end > out.EndSlot {
-			out.EndSlot = nd.end
+	placements := make([]schedule.Placement, 0, out.PrefixOps+out.SuffixOps)
+	for _, kind := range [...]nodeKind{prefix, suffix} {
+		for i := range nodes {
+			if nd := &nodes[i]; nd.kind == kind {
+				placements = append(placements, schedule.Placement{Op: nd.op, Start: nd.start, End: nd.end})
+				out.EndSlot = max(out.EndSlot, nd.end)
+			}
 		}
 	}
 	out.Schedule = schedule.New(sh, p.Durations, newFailed, placements)
@@ -527,13 +638,22 @@ func Splice(in SpliceInput) (*Spliced, error) {
 		return nil, fmt.Errorf("replay: spliced schedule does not compile: %w", err)
 	}
 	out.Program = prog
+	// Done: the spliced Program's instructions whose op is a prefix node
+	// (Compile accepted the schedule, so every op is one node's).
+	out.Done = make(map[int]int64, out.PrefixOps)
 	for i := range prog.Instrs {
-		if end, ok := prefixEnd[prog.Instrs[i].Op]; ok {
-			out.Done[i] = end
+		op := prog.Instrs[i].Op
+		_, g, k, _ := sh.OpIndex(op)
+		var at int32
+		if op.Type == schedule.Optimizer {
+			at = optNode[g*sh.DP+op.Exec]
+		} else {
+			at = byOp[3*k+slot(op.Type)]
+		}
+		if nd := &nodes[at]; nd.kind == prefix {
+			out.Done[i] = nd.end
 		}
 	}
-	out.PrefixOps = len(prefix)
-	out.SuffixOps = len(suffix)
 	// Durable victim work stays frozen in the prefix on its (now failed)
 	// worker; admit exactly those placements and nothing later.
 	if err := schedule.Validate(out.Schedule, schedule.ValidateConfig{Costs: in.Costs, FrozenBefore: in.Cut}); err != nil {

@@ -1,0 +1,268 @@
+package schedule
+
+import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"strings"
+	"testing"
+)
+
+// decouple splits every coupled B of a unit-slot schedule into BInput
+// followed by BWeight inside the same span, the form Decoupled BackProp
+// plans take.
+func decouple(ps []Placement) []Placement {
+	var out []Placement
+	for _, p := range ps {
+		if p.Op.Type != B {
+			out = append(out, p)
+			continue
+		}
+		bi, bw := p, p
+		bi.Op.Type, bi.End = BInput, p.Start+UnitSlots.BInput
+		bw.Op.Type, bw.Start = BWeight, bi.End
+		out = append(out, bi, bw)
+	}
+	return out
+}
+
+// mutate applies one random defect to the placements: the kinds of damage
+// Compile and Validate exist to reject.
+func mutate(rng *rand.Rand, sh Shape, ps []Placement) ([]Placement, map[Worker]bool) {
+	i := rng.Intn(len(ps))
+	switch rng.Intn(8) {
+	case 0: // drop an op
+		return append(ps[:i:i], ps[i+1:]...), nil
+	case 1: // place an op twice
+		return append(ps, ps[i]), nil
+	case 2: // shift an op, keeping its duration
+		d := int64(rng.Intn(7) - 3)
+		ps[i].Start, ps[i].End = ps[i].Start+d, ps[i].End+d
+	case 3: // stretch an op
+		ps[i].End += int64(1 + rng.Intn(2))
+	case 4: // move an op to a peer
+		ps[i].Op.Exec = rng.Intn(sh.DP)
+	case 5: // re-type an op (an optimizer carries no micro-batch to re-type into)
+		if ps[i].Op.Type != Optimizer {
+			ps[i].Op.Type = OpType(rng.Intn(5))
+		}
+	case 6: // fail the worker under an op
+		return ps, map[Worker]bool{ps[i].Op.Worker(): true}
+	case 7: // a stray weight gradient after an op
+		extra := ps[i]
+		if extra.Op.Type != Optimizer {
+			extra.Op.Type, extra.Start, extra.End = BWeight, ps[i].End, ps[i].End+1
+			return append(ps, extra), nil
+		}
+	}
+	return ps, nil
+}
+
+// sameError requires two rejections to carry the same text. Where the
+// reference walks a map (optimizer checks) or re-sorts with an unstable
+// sort (overlap), several violations race for the report; there only the
+// kind of violation must agree.
+func sameError(t *testing.T, what string, got, want error) {
+	t.Helper()
+	if got == nil || want == nil {
+		if got != want {
+			t.Fatalf("%s: got %v, reference %v", what, got, want)
+		}
+		return
+	}
+	if got.Error() == want.Error() {
+		return
+	}
+	for _, kind := range []string{"all-reduce is ready", "after optimizer starts", "before previous iteration optimizer ends", "overlap"} {
+		if strings.Contains(got.Error(), kind) && strings.Contains(want.Error(), kind) {
+			return
+		}
+	}
+	t.Fatalf("%s:\n      got %v\nreference %v", what, got, want)
+}
+
+// TestCompileValidateMatchReference is the differential oracle of the
+// dense-index Compile, Program.Validate and Validate: on sound schedules
+// (coupled and decoupled, one or two iterations, with and without a frozen
+// prefix) and on schedules carrying one or two random defects, the
+// Programs are equal field by field and the rejections keep their text.
+func TestCompileValidateMatchReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	rejected := 0
+	for trial := 0; trial < 600; trial++ {
+		sh := Shape{DP: 1 + rng.Intn(4), PP: 1 + rng.Intn(4), MB: 1 + rng.Intn(6), Iter: 1 + rng.Intn(2)}
+		if sh.MB < sh.PP {
+			sh.MB = sh.PP
+		}
+		ps := append([]Placement(nil), FaultFree1F1B(sh, UnitSlots).Placements...)
+		if rng.Intn(2) == 0 {
+			ps = decouple(ps)
+		}
+		var failed map[Worker]bool
+		for defects := rng.Intn(3); defects > 0; defects-- {
+			ps, failed = mutate(rng, sh, ps)
+		}
+		s := New(sh, UnitSlots, failed, ps)
+		var frozenBefore int64
+		if rng.Intn(2) == 0 {
+			frozenBefore = int64(rng.Intn(12))
+		}
+		what := fmt.Sprintf("trial %d shape %+v frozen %d", trial, sh, frozenBefore)
+
+		got, gerr := CompileFrozen(s, frozenBefore)
+		want, werr := compileFrozenRef(s, frozenBefore)
+		sameError(t, what+": compile", gerr, werr)
+		if gerr == nil {
+			if !reflect.DeepEqual(got.Instrs, want.Instrs) || !reflect.DeepEqual(got.Streams, want.Streams) || !reflect.DeepEqual(got.Workers(), want.Workers()) {
+				t.Fatalf("%s: compiled Program differs from the reference", what)
+			}
+			// Corrupt one edge and compare the structural verdicts.
+			if i := rng.Intn(len(got.Instrs)); len(got.Instrs[i].Deps) > 0 {
+				d := &got.Instrs[i].Deps[rng.Intn(len(got.Instrs[i].Deps))]
+				d.From = rng.Intn(len(got.Instrs))
+				if err := got.Validate(); err == nil {
+					// Edges are consistent, so acyclicity was decided: both
+					// algorithms must have found the graph acyclic.
+					if ref := got.checkAcyclicRef(); ref != nil {
+						t.Fatalf("%s: checkAcyclic accepted what the reference rejects: %v", what, ref)
+					}
+				} else if strings.Contains(err.Error(), "deadlocks") {
+					sameError(t, what+": acyclic", err, got.checkAcyclicRef())
+				}
+			}
+		} else {
+			rejected++
+		}
+		cfg := ValidateConfig{FrozenBefore: frozenBefore, MemCap: rng.Intn(3) * sh.MB}
+		sameError(t, what+": validate", Validate(s, cfg), validateRef(s, cfg))
+	}
+	if rejected == 0 {
+		t.Fatal("no mutated schedule was rejected: the generator lost its defects")
+	}
+}
+
+// TestRejectionsKeepTheirText pins the text of every rejection the failure
+// path can surface — flight-recorder dumps and the splice oracle compare
+// them as strings.
+func TestRejectionsKeepTheirText(t *testing.T) {
+	one := Shape{DP: 1, PP: 1, MB: 2, Iter: 1}
+	two := Shape{DP: 1, PP: 2, MB: 2, Iter: 1}
+	edit := func(sh Shape, f func(ps []Placement) []Placement) *Schedule {
+		return New(sh, UnitSlots, nil, f(append([]Placement(nil), FaultFree1F1B(sh, UnitSlots).Placements...)))
+	}
+	first := func(ps []Placement, t OpType, stage int) int {
+		for i, p := range ps {
+			if p.Op.Type == t && p.Op.Stage == stage {
+				return i
+			}
+		}
+		panic("no such placement")
+	}
+	compile := func(s *Schedule) error { _, err := Compile(s); return err }
+	validate := func(s *Schedule) error { return Validate(s, ValidateConfig{}) }
+	w00 := Worker{Stage: 0, Pipeline: 0}
+	cases := []struct {
+		name string
+		err  error
+		want string
+	}{
+		{"compile: duplicate F", compile(edit(two, func(ps []Placement) []Placement { return append(ps, ps[first(ps, F, 0)]) })),
+			"schedule: compile: duplicate F for it0:F(mb0,p0)@W0_0 (instr 0 and 1)"},
+		{"compile: missing upstream forward", compile(edit(two, func(ps []Placement) []Placement { i := first(ps, F, 0); return append(ps[:i:i], ps[i+1:]...) })),
+			"schedule: compile: it0:F(mb0,p0)@W0_1 has no upstream forward"},
+		{"compile: all-reduce incomplete", compile(edit(one, func(ps []Placement) []Placement { i := first(ps, B, 0); return append(ps[:i:i], ps[i+1:]...) })),
+			"schedule: compile: it0:OPT@W0_0 gates on 1 weight gradients, want 2"},
+		{"validate: duplicate F", validate(edit(two, func(ps []Placement) []Placement { return append(ps, ps[first(ps, F, 0)]) })),
+			"schedule: duplicate F for it0:F(mb0,p0)@W0_0"},
+		{"validate: missing op", validate(edit(two, func(ps []Placement) []Placement { i := first(ps, F, 1); return append(ps[:i:i], ps[i+1:]...) })),
+			"schedule: missing F stage=1 mb=0 pipe=0 iter=0"},
+		{"validate: overlap", validate(edit(one, func(ps []Placement) []Placement {
+			i := first(ps, B, 0)
+			ps[i].Start, ps[i].End = ps[i].Start+1, ps[i].End+1
+			return ps
+		})), "schedule: worker W0_0 overlap: it0:F(mb1,p0)@W0_0 starts 3 before previous op ends 4"},
+		{"validate: failed worker", Validate(New(one, UnitSlots, map[Worker]bool{w00: true}, append([]Placement(nil), FaultFree1F1B(one, UnitSlots).Placements...)), ValidateConfig{}),
+			"schedule: op it0:F(mb0,p0)@W0_0 placed on failed worker"},
+		{"program: cycle", (&Program{
+			Shape: one, Durations: UnitSlots,
+			Instrs: []Instr{
+				{ID: 0, Op: Op{Type: F}, Deps: []Dep{{From: 1, Kind: DepLocal}}},
+				{ID: 1, Op: Op{Type: B}, Deps: []Dep{{From: 0, Kind: DepLocal}}},
+			},
+			Streams: map[Worker][]int{w00: {0, 1}},
+		}).Validate(), "schedule: program deadlocks: 2 of 2 instructions are on a dependency cycle"},
+		{"program: bad edge", (&Program{
+			Shape: one, Durations: UnitSlots,
+			Instrs: []Instr{
+				{ID: 0, Op: Op{Type: F}},
+				{ID: 1, Op: Op{Type: B}, Deps: []Dep{{From: 0, Kind: DepActivation}}},
+			},
+			Streams: map[Worker][]int{w00: {0, 1}},
+		}).Validate(), "schedule: program: edge 0->1: activation edge must link F(i-1) to F(i) of one micro-batch: it0:F(mb0,p0)@W0_0 -> it0:B(mb0,p0)@W0_0"},
+	}
+	for _, c := range cases {
+		if c.err == nil || c.err.Error() != c.want {
+			t.Errorf("%s:\n got %v\nwant %s", c.name, c.err, c.want)
+		}
+	}
+}
+
+// TestOutOfShapeIsRejectedNotIndexed feeds ops outside the Shape's
+// rectangle — and a Shape far larger than its placements, as a corrupt plan
+// off the wire could claim — to everything that keys tables by the dense op
+// index: each must answer with an error, never a panic or an allocation
+// sized by the bogus shape.
+func TestOutOfShapeIsRejectedNotIndexed(t *testing.T) {
+	sh := Shape{DP: 2, PP: 2, MB: 2, Iter: 1}
+	base := FaultFree1F1B(sh, UnitSlots).Placements
+	for _, stray := range []Op{
+		{Stage: 2, Type: F}, {Stage: -1, Type: F}, {MB: 2, Type: B}, {Home: 2, Exec: 1, Type: F},
+		{Exec: 2, Type: F}, {Iter: 1, Type: F}, {Exec: -1, MB: -1, Type: Optimizer}, {Stage: 2, MB: -1, Type: Optimizer},
+	} {
+		ps := append(append([]Placement(nil), base...), Placement{Op: stray, Start: 100, End: 101})
+		s := New(sh, UnitSlots, nil, ps)
+		if _, err := Compile(s); err == nil {
+			t.Errorf("Compile accepted %s outside %+v", stray, sh)
+		}
+		if err := Validate(s, ValidateConfig{}); err == nil {
+			t.Errorf("Validate accepted %s outside %+v", stray, sh)
+		}
+	}
+	for _, huge := range []Shape{{DP: 1 << 20, PP: 1 << 20, MB: 1 << 20, Iter: 1 << 20}, {DP: 1 << 30, PP: 1, MB: 1, Iter: 1}, {DP: 1 << 62, PP: 2, MB: 2, Iter: 2}} {
+		s := New(huge, UnitSlots, nil, append([]Placement(nil), base...))
+		if _, err := Compile(s); err == nil {
+			t.Errorf("Compile accepted %d placements for shape %+v", len(base), huge)
+		}
+		if err := Validate(s, ValidateConfig{}); err == nil {
+			t.Errorf("Validate accepted %d placements for shape %+v", len(base), huge)
+		}
+	}
+	if got := (Shape{DP: 2, PP: 3, MB: 4, Iter: 5}).Triples(); got != 120 {
+		t.Errorf("Triples() = %d, want 120", got)
+	}
+}
+
+// TestCompileAllocationBudget gates Compile's allocations, which — unlike
+// its time — are deterministic: a DP4×PP4×MB8 iteration (272 instructions)
+// must lower in at most 0.5 allocations per instruction. The map-keyed
+// Compile paid 1 455 here (5.35 per instruction: five maps, one Deps slice
+// per instruction, one append chain per stream); the dense one allocates
+// the Program, its Instrs, one Deps slab, one stream slab and the Streams
+// map.
+func TestCompileAllocationBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector empties sync.Pool at random")
+	}
+	s := FaultFree1F1B(Shape{DP: 4, PP: 4, MB: 8, Iter: 1}, UnitSlots)
+	if _, err := Compile(s); err != nil { // warm the scratch pools
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(50, func() {
+		if _, err := Compile(s); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if per := allocs / float64(len(s.Placements)); per > 0.5 {
+		t.Fatalf("Compile allocates %.0f times for %d instructions (%.2f per instruction), budget 0.5", allocs, len(s.Placements), per)
+	}
+}

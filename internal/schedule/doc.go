@@ -22,6 +22,20 @@
 // construction. Program.Validate proves every compiled artifact
 // deadlock-free and edge-consistent.
 //
+// The failure path runs on one dense op index. Every op of a schedule lies
+// in the rectangle its Shape bounds, so Shape derives TripleIndex =
+// ((iter·PP + stage)·DP + home)·MB + mb for a micro-batch triple,
+// StageIndex = iter·PP + stage for an all-reduce group and WorkerIndex =
+// pipeline·PP + stage for a worker, and Compile, Validate, the acyclicity
+// check and replay.Splice key their bookkeeping by them: []int32 producer
+// tables (-1 for absent), CSR adjacency built count -> prefix sum -> fill,
+// a Program's Deps and Streams each carved out of one slab. The tables are
+// pooled scratch, never cached on a Schedule or Program. Indexing is
+// bounds-checked: an op outside its Shape, or a Shape claiming far more
+// triples than it has placements (Shape.Indexable), is rejected, never
+// indexed. Program.Validate does not consult the Shape, so hand-assembled
+// Programs validate as before.
+//
 // The package also provides the closed-form fault-free 1F1B schedule
 // (FaultFree1F1B), the canonical 1F1B instruction order, and an ASCII
 // Gantt renderer.

@@ -3,6 +3,7 @@ package schedule
 import (
 	"fmt"
 	"sort"
+	"sync"
 )
 
 // DepKind classifies one explicit dependency edge of a compiled Program.
@@ -142,9 +143,31 @@ func (p *Program) DurOf(id int) int64 {
 	return p.Durations.Of(p.Instrs[id].Op.Type)
 }
 
-// opKey identifies a compute op independently of where it executes.
-type opKey struct {
-	iter, stage, mb, home int
+// compileScratch is Compile's working set, pooled so that the splice path
+// (one Compile per membership event) allocates only what the Program keeps.
+// Tables are indexed by the Shape's dense op index and hold instruction IDs,
+// -1 for "absent".
+type compileScratch struct {
+	fID, biID, bwID []int32 // per triple: F, BInput-or-B, BWeight-or-B
+	optAt           []int32 // per (stage group, exec): Optimizer
+	contribOff      []int32 // per stage group: offset into contrib (CSR)
+	contrib         []int32 // weight-gradient instruction IDs, grouped by stage group
+	streamOff       []int32 // per worker: offset into the stream slab (CSR)
+}
+
+var compilePool = sync.Pool{New: func() any { return new(compileScratch) }}
+
+// filled returns s resized to n elements, every one set to v, reallocating
+// only when its capacity is too small.
+func filled[T any](s []T, n int, v T) []T {
+	if cap(s) < n {
+		s = make([]T, n)
+	}
+	s = s[:n]
+	for i := range s {
+		s[i] = v
+	}
+	return s
 }
 
 // Compile lowers a schedule into a Program. Every placement becomes one
@@ -163,6 +186,9 @@ func Compile(s *Schedule) (*Program, error) { return CompileFrozen(s, 0) }
 // into the graph. Executors never consult a frozen instruction's edges —
 // the prefix is installed as done — so only dead edges are dropped.
 // frozenBefore <= 0 compiles normally.
+//
+// Producers are looked up through the Shape's dense op index, and the
+// Program's Deps and Streams are carved out of one slab each.
 func CompileFrozen(s *Schedule, frozenBefore int64) (*Program, error) {
 	if s == nil {
 		return nil, fmt.Errorf("schedule: cannot compile a nil schedule")
@@ -170,111 +196,184 @@ func CompileFrozen(s *Schedule, frozenBefore int64) (*Program, error) {
 	if err := s.Shape.Validate(); err != nil {
 		return nil, err
 	}
+	sh, n := s.Shape, len(s.Placements)
+	if !sh.Indexable(n) {
+		return nil, fmt.Errorf("schedule: compile: %d placements cannot cover shape %+v", n, sh)
+	}
 	p := &Program{
-		Shape:     s.Shape,
+		Shape:     sh,
 		Durations: s.Durations,
 		Failed:    s.Failed,
-		Instrs:    make([]Instr, len(s.Placements)),
-		Streams:   make(map[Worker][]int),
+		Instrs:    make([]Instr, n),
 	}
+	sc := compilePool.Get().(*compileScratch)
+	defer compilePool.Put(sc)
+	triples, groups, nw := sh.Triples(), sh.Iter*sh.PP, sh.DP*sh.PP
+	sc.fID = filled(sc.fID, triples, -1)
+	sc.biID = filled(sc.biID, triples, -1)
+	sc.bwID = filled(sc.bwID, triples, -1)
+	sc.optAt = filled(sc.optAt, groups*sh.DP, -1)
+	sc.contribOff = filled(sc.contribOff, groups+1, 0)
+	sc.streamOff = filled(sc.streamOff, nw+1, 0)
+	fID, biID, bwID, optAt, contribOff, streamOff := sc.fID, sc.biID, sc.bwID, sc.optAt, sc.contribOff, sc.streamOff
+	frozen := func(i int) bool { return frozenBefore > 0 && s.Placements[i].End <= frozenBefore }
+
 	// First pass: materialize instructions in the schedule's canonical
-	// order and index the producers of every data dependency.
-	fID := make(map[opKey]int)
-	biID := make(map[opKey]int)         // BInput, or coupled B
-	bwID := make(map[opKey]int)         // BWeight, or coupled B
-	optAt := make(map[[3]int]int)       // (iter, stage, exec) -> Optimizer id
-	bwByStage := make(map[[2]int][]int) // (iter, stage) -> BWeight/B ids
+	// order, index the producers of every data dependency, and count what
+	// the slabs must hold (counts land one slot up, for the prefix sums).
+	edges := 0
 	for i, pl := range s.Placements {
-		p.Instrs[i] = Instr{ID: i, Op: pl.Op, Dur: pl.End - pl.Start}
-		w := pl.Op.Worker()
-		p.Streams[w] = append(p.Streams[w], i)
-		k := opKey{pl.Op.Iter, pl.Op.Stage, pl.Op.MB, pl.Op.Home}
-		switch pl.Op.Type {
+		op := pl.Op
+		p.Instrs[i] = Instr{ID: i, Op: op, Dur: pl.End - pl.Start}
+		w, g, k, ok := sh.OpIndex(op)
+		if !ok {
+			return nil, fmt.Errorf("schedule: compile: %s lies outside shape %+v", op, sh)
+		}
+		streamOff[w+1]++
+		deps := 1
+		switch op.Type {
 		case F:
-			if prev, dup := fID[k]; dup {
-				return nil, fmt.Errorf("schedule: compile: duplicate F for %s (instr %d and %d)", pl.Op, prev, i)
+			if prev := fID[k]; prev >= 0 {
+				return nil, fmt.Errorf("schedule: compile: duplicate F for %s (instr %d and %d)", op, prev, i)
 			}
-			fID[k] = i
+			fID[k] = int32(i)
+			if op.Stage == 0 {
+				deps = 0
+			}
 		case B:
-			if prev, dup := biID[k]; dup {
-				return nil, fmt.Errorf("schedule: compile: duplicate backward for %s (instr %d and %d)", pl.Op, prev, i)
+			if prev := biID[k]; prev >= 0 {
+				return nil, fmt.Errorf("schedule: compile: duplicate backward for %s (instr %d and %d)", op, prev, i)
 			}
-			if prev, dup := bwID[k]; dup {
-				return nil, fmt.Errorf("schedule: compile: duplicate weight gradient for %s (instr %d and %d)", pl.Op, prev, i)
+			if prev := bwID[k]; prev >= 0 {
+				return nil, fmt.Errorf("schedule: compile: duplicate weight gradient for %s (instr %d and %d)", op, prev, i)
 			}
-			biID[k] = i
-			bwID[k] = i
-			bwByStage[[2]int{pl.Op.Iter, pl.Op.Stage}] = append(bwByStage[[2]int{pl.Op.Iter, pl.Op.Stage}], i)
+			biID[k], bwID[k] = int32(i), int32(i)
+			contribOff[g+1]++
+			if op.Stage < sh.PP-1 {
+				deps = 2
+			}
 		case BInput:
-			if prev, dup := biID[k]; dup {
-				return nil, fmt.Errorf("schedule: compile: duplicate BInput for %s (instr %d and %d)", pl.Op, prev, i)
+			if prev := biID[k]; prev >= 0 {
+				return nil, fmt.Errorf("schedule: compile: duplicate BInput for %s (instr %d and %d)", op, prev, i)
 			}
-			biID[k] = i
+			biID[k] = int32(i)
+			if op.Stage < sh.PP-1 {
+				deps = 2
+			}
 		case BWeight:
-			if prev, dup := bwID[k]; dup {
-				return nil, fmt.Errorf("schedule: compile: duplicate BWeight for %s (instr %d and %d)", pl.Op, prev, i)
+			if prev := bwID[k]; prev >= 0 {
+				return nil, fmt.Errorf("schedule: compile: duplicate BWeight for %s (instr %d and %d)", op, prev, i)
 			}
-			bwID[k] = i
-			bwByStage[[2]int{pl.Op.Iter, pl.Op.Stage}] = append(bwByStage[[2]int{pl.Op.Iter, pl.Op.Stage}], i)
+			bwID[k] = int32(i)
+			contribOff[g+1]++
 		case Optimizer:
-			ko := [3]int{pl.Op.Iter, pl.Op.Stage, pl.Op.Exec}
-			if prev, dup := optAt[ko]; dup {
-				return nil, fmt.Errorf("schedule: compile: duplicate optimizer for %s (instr %d and %d)", pl.Op, prev, i)
+			ko := g*sh.DP + op.Exec
+			if prev := optAt[ko]; prev >= 0 {
+				return nil, fmt.Errorf("schedule: compile: duplicate optimizer for %s (instr %d and %d)", op, prev, i)
 			}
-			optAt[ko] = i
+			optAt[ko] = int32(i)
+			deps = sh.DP * sh.MB
+		default:
+			deps = 0
+		}
+		if !frozen(i) {
+			edges += deps
 		}
 	}
-	// Second pass: attach the explicit dependency edges.
+	// Count -> prefix sum -> fill: per-worker streams and per-stage-group
+	// weight-gradient lists, both in instruction order.
+	for g := 0; g < groups; g++ {
+		contribOff[g+1] += contribOff[g]
+	}
+	for w := 0; w < nw; w++ {
+		streamOff[w+1] += streamOff[w]
+	}
+	sc.contrib = filled(sc.contrib, int(contribOff[groups]), 0)
+	contrib := sc.contrib
+	streams := make([]int, n)
 	for i := range p.Instrs {
-		if frozenBefore > 0 && s.Placements[i].End <= frozenBefore {
+		op := p.Instrs[i].Op
+		w := sh.WorkerIndex(op.Worker())
+		streams[streamOff[w]] = i
+		streamOff[w]++
+		if op.Type == B || op.Type == BWeight {
+			g := sh.StageIndex(op.Iter, op.Stage)
+			contrib[contribOff[g]] = int32(i)
+			contribOff[g]++
+		}
+	}
+	// The fill advanced every offset to its group's end, i.e. to the next
+	// group's start: group g now spans [off[g-1], off[g]).
+	span := func(off []int32, g int) (lo, hi int32) {
+		if g > 0 {
+			lo = off[g-1]
+		}
+		return lo, off[g]
+	}
+
+	// Second pass: attach the explicit dependency edges.
+	deps := make([]Dep, 0, edges)
+	stride := sh.DP * sh.MB // triple-index distance between adjacent stages
+	for i := range p.Instrs {
+		if frozen(i) {
 			continue // frozen prefix: executed pre-event, edges are dead
 		}
 		op := p.Instrs[i].Op
-		k := opKey{op.Iter, op.Stage, op.MB, op.Home}
+		k := sh.TripleIndex(op.Iter, op.Stage, op.Home, op.MB)
+		first := len(deps)
 		switch op.Type {
 		case F:
 			if op.Stage > 0 {
-				up, ok := fID[opKey{op.Iter, op.Stage - 1, op.MB, op.Home}]
-				if !ok {
+				up := fID[k-stride]
+				if up < 0 {
 					return nil, fmt.Errorf("schedule: compile: %s has no upstream forward", op)
 				}
-				p.Instrs[i].Deps = append(p.Instrs[i].Deps, Dep{From: up, Kind: DepActivation})
+				deps = append(deps, Dep{From: int(up), Kind: DepActivation})
 			}
 		case B, BInput:
-			f, ok := fID[k]
-			if !ok {
+			f := fID[k]
+			if f < 0 {
 				return nil, fmt.Errorf("schedule: compile: %s has no forward", op)
 			}
-			p.Instrs[i].Deps = append(p.Instrs[i].Deps, Dep{From: f, Kind: DepLocal})
-			if op.Stage < s.Shape.PP-1 {
-				down, ok := biID[opKey{op.Iter, op.Stage + 1, op.MB, op.Home}]
-				if !ok {
+			deps = append(deps, Dep{From: int(f), Kind: DepLocal})
+			if op.Stage < sh.PP-1 {
+				down := biID[k+stride]
+				if down < 0 {
 					return nil, fmt.Errorf("schedule: compile: %s has no downstream backward", op)
 				}
-				p.Instrs[i].Deps = append(p.Instrs[i].Deps, Dep{From: down, Kind: DepGradient})
+				deps = append(deps, Dep{From: int(down), Kind: DepGradient})
 			}
 		case BWeight:
-			bi, ok := biID[k]
-			if !ok {
+			bi := biID[k]
+			if bi < 0 {
 				return nil, fmt.Errorf("schedule: compile: %s has no backward-input", op)
 			}
-			p.Instrs[i].Deps = append(p.Instrs[i].Deps, Dep{From: bi, Kind: DepLocal})
+			deps = append(deps, Dep{From: int(bi), Kind: DepLocal})
 		case Optimizer:
 			// The per-stage gradient all-reduce: every weight gradient of
 			// this stage and iteration — including rerouted ones computed on
 			// peers — gates every peer's step. A complete schedule carries
 			// exactly DP*MB of them; fewer means a weight gradient is
 			// missing and the barrier would silently weaken.
-			contribs := bwByStage[[2]int{op.Iter, op.Stage}]
-			if got, want := len(contribs), s.Shape.DP*s.Shape.MB; got != want {
+			lo, hi := span(contribOff, sh.StageIndex(op.Iter, op.Stage))
+			if got, want := int(hi-lo), sh.DP*sh.MB; got != want {
 				return nil, fmt.Errorf("schedule: compile: %s gates on %d weight gradients, want %d", op, got, want)
 			}
-			for _, bw := range contribs {
-				p.Instrs[i].Deps = append(p.Instrs[i].Deps, Dep{From: bw, Kind: DepAllReduce})
+			for _, bw := range contrib[lo:hi] {
+				deps = append(deps, Dep{From: int(bw), Kind: DepAllReduce})
 			}
 		}
+		if len(deps) > first {
+			p.Instrs[i].Deps = deps[first:len(deps):len(deps)]
+		}
 	}
-	p.workers = sortedWorkers(p.Streams)
+	p.Streams = make(map[Worker][]int)
+	for w := 0; w < nw; w++ {
+		if lo, hi := span(streamOff, w); hi > lo {
+			p.Streams[sh.WorkerAt(w)] = streams[lo:hi:hi]
+			p.workers = append(p.workers, sh.WorkerAt(w))
+		}
+	}
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
@@ -350,28 +449,64 @@ func checkEdge(from, to Op, k DepKind) error {
 	return nil
 }
 
+// acyclicScratch is checkAcyclic's working set (pooled, see compileScratch).
+type acyclicScratch struct {
+	indeg   []int32 // per instruction: unresolved incoming edges
+	succOff []int32 // per instruction: offset into succ (CSR)
+	succ    []int32 // successor instruction IDs
+	queue   []int32
+}
+
+var acyclicPool = sync.Pool{New: func() any { return new(acyclicScratch) }}
+
 // checkAcyclic runs Kahn's algorithm over dependency edges plus implicit
-// same-worker stream edges.
+// same-worker stream edges. Validate has already bounds-checked every edge
+// and stream entry.
 func (p *Program) checkAcyclic() error {
 	n := len(p.Instrs)
-	indeg := make([]int, n)
-	succs := make([][]int, n)
+	sc := acyclicPool.Get().(*acyclicScratch)
+	defer acyclicPool.Put(sc)
+	sc.indeg = filled(sc.indeg, n, 0)
+	sc.succOff = filled(sc.succOff, n+1, 0)
+	indeg, succOff := sc.indeg, sc.succOff
+	// Count out-degrees one slot up, prefix-sum them into start offsets,
+	// then fill; the fill leaves succOff[i] at the end of i's successors.
+	edges := 0
 	for i := range p.Instrs {
 		for _, d := range p.Instrs[i].Deps {
-			succs[d.From] = append(succs[d.From], i)
-			indeg[i]++
+			succOff[d.From+1]++
+		}
+		indeg[i] = int32(len(p.Instrs[i].Deps))
+		edges += len(p.Instrs[i].Deps)
+	}
+	for _, stream := range p.Streams {
+		for j := 1; j < len(stream); j++ {
+			succOff[stream[j-1]+1]++
+			indeg[stream[j]]++
+		}
+		edges += max(len(stream)-1, 0)
+	}
+	for i := 0; i < n; i++ {
+		succOff[i+1] += succOff[i]
+	}
+	sc.succ = filled(sc.succ, edges, 0)
+	succ := sc.succ
+	for i := range p.Instrs {
+		for _, d := range p.Instrs[i].Deps {
+			succ[succOff[d.From]] = int32(i)
+			succOff[d.From]++
 		}
 	}
 	for _, stream := range p.Streams {
 		for j := 1; j < len(stream); j++ {
-			succs[stream[j-1]] = append(succs[stream[j-1]], stream[j])
-			indeg[stream[j]]++
+			succ[succOff[stream[j-1]]] = int32(stream[j])
+			succOff[stream[j-1]]++
 		}
 	}
-	queue := make([]int, 0, n)
+	queue := filled(sc.queue, n, 0)[:0]
 	for i, d := range indeg {
 		if d == 0 {
-			queue = append(queue, i)
+			queue = append(queue, int32(i))
 		}
 	}
 	done := 0
@@ -379,13 +514,18 @@ func (p *Program) checkAcyclic() error {
 		i := queue[len(queue)-1]
 		queue = queue[:len(queue)-1]
 		done++
-		for _, s := range succs[i] {
+		lo := int32(0)
+		if i > 0 {
+			lo = succOff[i-1]
+		}
+		for _, s := range succ[lo:succOff[i]] {
 			indeg[s]--
 			if indeg[s] == 0 {
 				queue = append(queue, s)
 			}
 		}
 	}
+	sc.queue = queue
 	if done != n {
 		return fmt.Errorf("schedule: program deadlocks: %d of %d instructions are on a dependency cycle", n-done, n)
 	}

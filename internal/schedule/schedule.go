@@ -1,8 +1,13 @@
 package schedule
 
 import (
+	"cmp"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
+	"strings"
+	"sync"
 )
 
 // Shape describes the geometry a schedule was built for.
@@ -21,6 +26,84 @@ func (s Shape) Validate() error {
 	return nil
 }
 
+// The dense op index. Every op of a schedule lives in the rectangle its
+// Shape bounds, so the failure path (Compile, Validate, replay.Splice) keys
+// its bookkeeping by position in that rectangle — slices of int32 initialised
+// to -1 — instead of by struct-keyed maps. All helpers bounds-check: an op
+// outside the Shape has index -1, never an out-of-range one.
+
+// Triples returns how many (iter, stage, home, mb) micro-batch triples the
+// shape holds — the length of a table indexed by TripleIndex — or -1 when
+// the shape is invalid or the count does not fit an int32.
+func (s Shape) Triples() int {
+	if s.Validate() != nil {
+		return -1
+	}
+	n := int64(1)
+	for _, d := range [...]int{s.Iter, s.PP, s.DP, s.MB} {
+		if n *= int64(d); n > math.MaxInt32 || int64(d) > math.MaxInt32 {
+			return -1
+		}
+	}
+	return int(n)
+}
+
+// Indexable reports whether tables indexed by TripleIndex may be allocated
+// for a schedule of n ops. A complete schedule places at least two ops per
+// triple, so a shape claiming more triples than ops (beyond a small table
+// that is always affordable) is incomplete or corrupt — shapes arrive off
+// the wire — and must not size an allocation.
+func (s Shape) Indexable(n int) bool {
+	t := s.Triples()
+	return t > 0 && (t <= n || t <= 1<<12)
+}
+
+// TripleIndex returns ((iter·PP + stage)·DP + home)·MB + mb, the position
+// of a micro-batch triple in (iter, stage, home, mb) order, or -1 when it
+// lies outside the shape.
+func (s Shape) TripleIndex(iter, stage, home, mb int) int {
+	if iter < 0 || iter >= s.Iter || stage < 0 || stage >= s.PP || home < 0 || home >= s.DP || mb < 0 || mb >= s.MB {
+		return -1
+	}
+	return ((iter*s.PP+stage)*s.DP+home)*s.MB + mb
+}
+
+// StageIndex returns iter·PP + stage — the position of one stage's
+// all-reduce group — or -1 outside the shape.
+func (s Shape) StageIndex(iter, stage int) int {
+	if iter < 0 || iter >= s.Iter || stage < 0 || stage >= s.PP {
+		return -1
+	}
+	return iter*s.PP + stage
+}
+
+// WorkerIndex returns pipeline·PP + stage, the worker's position in
+// (pipeline, stage) order — the order Workers lists them in — or -1 outside
+// the shape.
+func (s Shape) WorkerIndex(w Worker) int {
+	if w.Stage < 0 || w.Stage >= s.PP || w.Pipeline < 0 || w.Pipeline >= s.DP {
+		return -1
+	}
+	return w.Pipeline*s.PP + w.Stage
+}
+
+// WorkerAt is the inverse of WorkerIndex.
+func (s Shape) WorkerAt(i int) Worker { return Worker{Stage: i % s.PP, Pipeline: i / s.PP} }
+
+// OpIndex locates op in the shape: its worker index, its stage (all-reduce
+// group) index and, for compute ops, its triple index (-1 for an optimizer).
+// ok is false when any of them falls outside the shape.
+func (s Shape) OpIndex(op Op) (worker, stage, triple int, ok bool) {
+	worker, stage, triple = s.WorkerIndex(op.Worker()), s.StageIndex(op.Iter, op.Stage), -1
+	if op.Type != Optimizer {
+		triple = s.TripleIndex(op.Iter, op.Stage, op.Home, op.MB)
+		ok = triple >= 0
+	} else {
+		ok = true
+	}
+	return worker, stage, triple, ok && worker >= 0 && stage >= 0
+}
+
 // Schedule is a fully timed pipeline schedule: each op of each iteration
 // placed on a worker at a start time. Placements are kept sorted by
 // (Start, worker) for deterministic iteration.
@@ -32,51 +115,68 @@ type Schedule struct {
 	// Placements holds every op placement, sorted by Start.
 	Placements []Placement
 
-	byWorker map[Worker][]Placement
-	byOp     map[Op]Placement
+	// The lookup indexes are derived on first use: the failure path
+	// (Compile, Validate, replay.Splice) reads Placements only, so a spliced
+	// or cached schedule that nobody queries never pays for them.
+	workerOnce sync.Once
+	byWorker   map[Worker][]Placement
+	opOnce     sync.Once
+	byOp       map[Op]Placement
 }
 
 // At returns the placement of op, if it is part of the schedule.
 func (s *Schedule) At(op Op) (Placement, bool) {
+	s.opOnce.Do(func() {
+		s.byOp = make(map[Op]Placement, len(s.Placements))
+		for _, p := range s.Placements {
+			s.byOp[p.Op] = p
+		}
+	})
 	p, ok := s.byOp[op]
 	return p, ok
 }
 
-// New assembles a schedule from placements, sorting and indexing them.
+// New assembles a schedule from placements, sorting them into the canonical
+// order: (Start, pipeline, stage), the op's rendering breaking the ties only
+// zero-length or overlapping placements can produce.
 func New(shape Shape, d Durations, failed map[Worker]bool, ps []Placement) *Schedule {
 	s := &Schedule{Shape: shape, Durations: d, Failed: failed, Placements: ps}
-	sort.Slice(s.Placements, func(a, b int) bool {
-		pa, pb := s.Placements[a], s.Placements[b]
-		if pa.Start != pb.Start {
-			return pa.Start < pb.Start
+	slices.SortFunc(s.Placements, func(a, b Placement) int {
+		if a.Start != b.Start {
+			return cmp.Compare(a.Start, b.Start)
 		}
-		wa, wb := pa.Op.Worker(), pb.Op.Worker()
-		if wa.Pipeline != wb.Pipeline {
-			return wa.Pipeline < wb.Pipeline
+		if a.Op.Exec != b.Op.Exec {
+			return cmp.Compare(a.Op.Exec, b.Op.Exec)
 		}
-		if wa.Stage != wb.Stage {
-			return wa.Stage < wb.Stage
+		if a.Op.Stage != b.Op.Stage {
+			return cmp.Compare(a.Op.Stage, b.Op.Stage)
 		}
-		return pa.Op.String() < pb.Op.String()
+		return strings.Compare(a.Op.String(), b.Op.String())
 	})
-	s.byWorker = make(map[Worker][]Placement)
-	s.byOp = make(map[Op]Placement, len(s.Placements))
-	for _, p := range s.Placements {
-		w := p.Op.Worker()
-		s.byWorker[w] = append(s.byWorker[w], p)
-		s.byOp[p.Op] = p
-	}
 	return s
 }
 
+// workers returns the per-worker index, built on first use.
+func (s *Schedule) workers() map[Worker][]Placement {
+	s.workerOnce.Do(func() {
+		s.byWorker = make(map[Worker][]Placement)
+		for _, p := range s.Placements {
+			w := p.Op.Worker()
+			s.byWorker[w] = append(s.byWorker[w], p)
+		}
+	})
+	return s.byWorker
+}
+
 // Worker returns the placements executed by w in start order.
-func (s *Schedule) Worker(w Worker) []Placement { return s.byWorker[w] }
+func (s *Schedule) Worker(w Worker) []Placement { return s.workers()[w] }
 
 // Workers returns every worker that executes at least one op, in
 // (pipeline, stage) order.
 func (s *Schedule) Workers() []Worker {
-	ws := make([]Worker, 0, len(s.byWorker))
-	for w := range s.byWorker {
+	byWorker := s.workers()
+	ws := make([]Worker, 0, len(byWorker))
+	for w := range byWorker {
 		ws = append(ws, w)
 	}
 	sort.Slice(ws, func(i, j int) bool {
@@ -135,7 +235,7 @@ func (s *Schedule) BubbleSlots(iter int) int64 {
 	}
 	var busy int64
 	var workers int64
-	for w, ps := range s.byWorker {
+	for w, ps := range s.workers() {
 		if s.Failed[w] {
 			continue
 		}

@@ -3,6 +3,7 @@ package schedule
 import (
 	"fmt"
 	"sort"
+	"sync"
 )
 
 // ValidateConfig controls schedule validation.
@@ -33,6 +34,20 @@ type ValidateConfig struct {
 	FrozenBefore int64
 }
 
+// validateScratch is Validate's working set (pooled, see compileScratch).
+// Tables are indexed by the Shape's dense op index and hold positions in
+// Schedule.Placements, -1 for "absent".
+type validateScratch struct {
+	fAt, bInAt, bWAt []int32 // per triple: F, BInput-or-B, BWeight-or-B
+	optAt            []int32 // per (stage group, exec): the worker's optimizer of that iteration
+	lastBW           []int64 // per stage group: latest weight-gradient end
+	failed           []bool  // per worker
+	workerOff        []int32 // per worker: offset into byWorker (CSR)
+	byWorker         []int32 // placement positions grouped by worker, in start order
+}
+
+var validatePool = sync.Pool{New: func() any { return new(validateScratch) }}
+
 // Validate checks a schedule against the MILP constraint set of §4.2.2:
 // completeness (each operation assigned exactly once, Σ S = 1),
 // cross-stage dependencies (Eq. 2, 3), same-stage dependencies (Eq. 4),
@@ -44,19 +59,37 @@ func Validate(s *Schedule, cfg ValidateConfig) error {
 	if err := s.Shape.Validate(); err != nil {
 		return err
 	}
-	type key struct {
-		iter, i, j, k int
+	sh, ps := s.Shape, s.Placements
+	if !sh.Indexable(len(ps)) {
+		return fmt.Errorf("schedule: %d placements cannot cover shape %+v", len(ps), sh)
 	}
-	frozen := func(p Placement) bool {
+	frozen := func(p *Placement) bool {
 		return cfg.FrozenBefore > 0 && p.End <= cfg.FrozenBefore
 	}
-	fAt := make(map[key]Placement)
-	bInAt := make(map[key]Placement) // BInput or coupled B
-	bWAt := make(map[key]Placement)  // BWeight or coupled B
-	optAt := make(map[Worker][]Placement)
+	sc := validatePool.Get().(*validateScratch)
+	defer validatePool.Put(sc)
+	triples, groups, nw := sh.Triples(), sh.Iter*sh.PP, sh.DP*sh.PP
+	sc.fAt = filled(sc.fAt, triples, -1)
+	sc.bInAt = filled(sc.bInAt, triples, -1)
+	sc.bWAt = filled(sc.bWAt, triples, -1)
+	sc.optAt = filled(sc.optAt, groups*sh.DP, -1)
+	sc.lastBW = filled(sc.lastBW, groups, 0)
+	sc.failed = filled(sc.failed, nw, false)
+	sc.workerOff = filled(sc.workerOff, nw+1, 0)
+	fAt, bInAt, bWAt, optAt, lastBW, failed, workerOff := sc.fAt, sc.bInAt, sc.bWAt, sc.optAt, sc.lastBW, sc.failed, sc.workerOff
+	for w, down := range s.Failed {
+		if i := sh.WorkerIndex(w); down && i >= 0 {
+			failed[i] = true
+		}
+	}
 
-	for _, p := range s.Placements {
-		if s.Failed[p.Op.Worker()] && (cfg.FrozenBefore <= 0 || p.End > cfg.FrozenBefore) {
+	for i := range ps {
+		p := &ps[i]
+		w, g, kk, ok := sh.OpIndex(p.Op)
+		if !ok {
+			return fmt.Errorf("schedule: op %s lies outside shape %+v", p.Op, sh)
+		}
+		if failed[w] && (cfg.FrozenBefore <= 0 || p.End > cfg.FrozenBefore) {
 			return fmt.Errorf("schedule: op %s placed on failed worker", p.Op)
 		}
 		want := s.Durations.Of(p.Op.Type)
@@ -66,61 +99,61 @@ func Validate(s *Schedule, cfg ValidateConfig) error {
 		if got := p.End - p.Start; got != want {
 			return fmt.Errorf("schedule: op %s has duration %d, want %d", p.Op, got, want)
 		}
-		if p.Op.Type == Optimizer {
-			optAt[p.Op.Worker()] = append(optAt[p.Op.Worker()], p)
-			continue
-		}
-		kk := key{p.Op.Iter, p.Op.Stage, p.Op.MB, p.Op.Home}
+		workerOff[w+1]++
 		switch p.Op.Type {
+		case Optimizer:
+			optAt[g*sh.DP+p.Op.Exec] = int32(i)
 		case F:
-			if _, dup := fAt[kk]; dup {
+			if fAt[kk] >= 0 {
 				return fmt.Errorf("schedule: duplicate F for %s", p.Op)
 			}
-			fAt[kk] = p
+			fAt[kk] = int32(i)
 		case B:
-			if _, dup := bInAt[kk]; dup {
+			if bInAt[kk] >= 0 {
 				return fmt.Errorf("schedule: duplicate backward for %s", p.Op)
 			}
-			bInAt[kk] = p
-			bWAt[kk] = p
+			bInAt[kk], bWAt[kk] = int32(i), int32(i)
 		case BInput:
-			if _, dup := bInAt[kk]; dup {
+			if bInAt[kk] >= 0 {
 				return fmt.Errorf("schedule: duplicate BInput for %s", p.Op)
 			}
-			bInAt[kk] = p
+			bInAt[kk] = int32(i)
 		case BWeight:
-			if _, dup := bWAt[kk]; dup {
+			if bWAt[kk] >= 0 {
 				return fmt.Errorf("schedule: duplicate BWeight for %s", p.Op)
 			}
-			bWAt[kk] = p
+			bWAt[kk] = int32(i)
+		}
+		if (p.Op.Type == BWeight || p.Op.Type == B) && p.End > lastBW[g] {
+			lastBW[g] = p.End
 		}
 	}
 
 	// Completeness + dependency checks.
-	for it := 0; it < s.Shape.Iter; it++ {
-		for k := 0; k < s.Shape.DP; k++ {
-			for j := 0; j < s.Shape.MB; j++ {
-				for i := 0; i < s.Shape.PP; i++ {
-					kk := key{it, i, j, k}
-					f, ok := fAt[kk]
-					if !ok {
+	stride := sh.DP * sh.MB // triple-index distance between adjacent stages
+	for it := 0; it < sh.Iter; it++ {
+		for k := 0; k < sh.DP; k++ {
+			for j := 0; j < sh.MB; j++ {
+				for i := 0; i < sh.PP; i++ {
+					kk := sh.TripleIndex(it, i, k, j)
+					if fAt[kk] < 0 {
 						return fmt.Errorf("schedule: missing F stage=%d mb=%d pipe=%d iter=%d", i, j, k, it)
 					}
-					bi, ok := bInAt[kk]
-					if !ok {
+					if bInAt[kk] < 0 {
 						return fmt.Errorf("schedule: missing backward-input stage=%d mb=%d pipe=%d iter=%d", i, j, k, it)
 					}
-					bw, ok := bWAt[kk]
-					if !ok {
+					if bWAt[kk] < 0 {
 						return fmt.Errorf("schedule: missing backward-weight stage=%d mb=%d pipe=%d iter=%d", i, j, k, it)
 					}
+					f, bi, bw := &ps[fAt[kk]], &ps[bInAt[kk]], &ps[bWAt[kk]]
 					// Forward and backward of a micro-batch on the same peer.
 					if f.Op.Exec != bi.Op.Exec || bi.Op.Exec != bw.Op.Exec {
 						return fmt.Errorf("schedule: micro-batch (i=%d j=%d k=%d) split across peers F@%d BI@%d BW@%d", i, j, k, f.Op.Exec, bi.Op.Exec, bw.Op.Exec)
 					}
-					// Eq. 2: forward cross-stage dependency.
+					// Eq. 2: forward cross-stage dependency. (Stages are
+					// visited in order, so the upstream forward exists.)
 					if i > 0 && !frozen(f) {
-						prev := fAt[key{it, i - 1, j, k}]
+						prev := &ps[fAt[kk-stride]]
 						if f.Start < prev.End+s.Durations.Comm {
 							return fmt.Errorf("schedule: %s starts at %d before upstream F ends %d (+comm %d)", f.Op, f.Start, prev.End, s.Durations.Comm)
 						}
@@ -129,11 +162,16 @@ func Validate(s *Schedule, cfg ValidateConfig) error {
 					if !frozen(bi) && bi.Start < f.End {
 						return fmt.Errorf("schedule: %s starts at %d before its F ends %d", bi.Op, bi.Start, f.End)
 					}
-					// Eq. 3: backward cross-stage dependency.
-					if i < s.Shape.PP-1 && !frozen(bi) {
-						next := bInAt[key{it, i + 1, j, k}]
-						if bi.Start < next.End+s.Durations.Comm {
-							return fmt.Errorf("schedule: %s starts at %d before downstream BInput ends %d (+comm %d)", bi.Op, bi.Start, next.End, s.Durations.Comm)
+					// Eq. 3: backward cross-stage dependency. A downstream
+					// backward-input that is missing (reported when its own
+					// stage is visited) counts as ending at 0.
+					if i < sh.PP-1 && !frozen(bi) {
+						var nextEnd int64
+						if at := bInAt[kk+stride]; at >= 0 {
+							nextEnd = ps[at].End
+						}
+						if bi.Start < nextEnd+s.Durations.Comm {
+							return fmt.Errorf("schedule: %s starts at %d before downstream BInput ends %d (+comm %d)", bi.Op, bi.Start, nextEnd, s.Durations.Comm)
 						}
 					}
 					// Eq. 4: BWeight after BInput.
@@ -145,19 +183,40 @@ func Validate(s *Schedule, cfg ValidateConfig) error {
 		}
 	}
 
-	// Eq. 5: no overlap per worker; memory sweep (Eq. 6); optimizer order.
-	for _, w := range s.Workers() {
-		ps := append([]Placement(nil), s.Worker(w)...)
-		sort.Slice(ps, func(a, b int) bool { return ps[a].Start < ps[b].Start })
+	// Group placement positions by worker (count -> prefix sum -> fill; the
+	// fill leaves workerOff[w] at the end of w's group). Placements are in
+	// start order, so every group is too.
+	for w := 0; w < nw; w++ {
+		workerOff[w+1] += workerOff[w]
+	}
+	sc.byWorker = filled(sc.byWorker, len(ps), 0)
+	byWorker := sc.byWorker
+	for i := range ps {
+		w := sh.WorkerIndex(ps[i].Op.Worker())
+		byWorker[workerOff[w]] = int32(i)
+		workerOff[w]++
+	}
+
+	// Eq. 5: no overlap per worker; memory sweep (Eq. 6).
+	var mem []Placement
+	lo := int32(0)
+	for w := 0; w < nw; w++ {
+		group := byWorker[lo:workerOff[w]]
+		lo = workerOff[w]
 		var prevEnd int64
-		for idx, p := range ps {
-			if idx > 0 && p.Start < prevEnd {
-				return fmt.Errorf("schedule: worker %s overlap: %s starts %d before previous op ends %d", w, p.Op, p.Start, prevEnd)
+		for n, at := range group {
+			p := &ps[at]
+			if n > 0 && p.Start < prevEnd {
+				return fmt.Errorf("schedule: worker %s overlap: %s starts %d before previous op ends %d", sh.WorkerAt(w), p.Op, p.Start, prevEnd)
 			}
 			prevEnd = p.End
 		}
-		if cfg.MemCap > 0 {
-			if err := checkMemory(w, ps, cfg.MemCap); err != nil {
+		if cfg.MemCap > 0 && len(group) > 0 {
+			mem = mem[:0]
+			for _, at := range group {
+				mem = append(mem, ps[at])
+			}
+			if err := checkMemory(sh.WorkerAt(w), mem, cfg.MemCap); err != nil {
 				return err
 			}
 		}
@@ -166,20 +225,10 @@ func Validate(s *Schedule, cfg ValidateConfig) error {
 	// The per-stage gradient all-reduce needs every BWeight of that stage
 	// — including rerouted ones executed on peers — before any peer of the
 	// stage can step its optimizer.
-	type stageIter struct{ stage, iter int }
-	lastBW := make(map[stageIter]int64)
-	for _, p := range s.Placements {
-		if p.Op.Type == BWeight || p.Op.Type == B {
-			si := stageIter{p.Op.Stage, p.Op.Iter}
-			if p.End > lastBW[si] {
-				lastBW[si] = p.End
-			}
-		}
-	}
-	for w, opts := range optAt {
-		for _, o := range opts {
-			if last := lastBW[stageIter{w.Stage, o.Op.Iter}]; o.Start < last {
-				return fmt.Errorf("schedule: optimizer on %s starts %d before stage %d all-reduce is ready at %d", w, o.Start, w.Stage, last)
+	for i := range ps {
+		if o := &ps[i]; o.Op.Type == Optimizer {
+			if last := lastBW[sh.StageIndex(o.Op.Iter, o.Op.Stage)]; o.Start < last {
+				return fmt.Errorf("schedule: optimizer on %s starts %d before stage %d all-reduce is ready at %d", o.Op.Worker(), o.Start, o.Op.Stage, last)
 			}
 		}
 	}
@@ -187,24 +236,18 @@ func Validate(s *Schedule, cfg ValidateConfig) error {
 	// Optimizer: per worker and iteration, the step must follow every
 	// BWeight that stage executes in that iteration, and precede every op
 	// of the next iteration on that worker.
-	for w, opts := range optAt {
-		byIter := map[int]Placement{}
-		for _, p := range opts {
-			byIter[p.Op.Iter] = p
+	for i := range ps {
+		p := &ps[i]
+		if p.Op.Type == Optimizer {
+			continue
 		}
-		for _, p := range s.Worker(w) {
-			if p.Op.Type == Optimizer {
-				continue
-			}
-			if o, ok := byIter[p.Op.Iter]; ok {
-				if p.Op.Type == BWeight || p.Op.Type == B {
-					if p.End > o.Start {
-						return fmt.Errorf("schedule: %s ends %d after optimizer starts %d on %s", p.Op, p.End, o.Start, w)
-					}
-				}
-			}
-			if o, ok := byIter[p.Op.Iter-1]; ok && p.Start < o.End {
-				return fmt.Errorf("schedule: %s starts %d before previous iteration optimizer ends %d on %s", p.Op, p.Start, o.End, w)
+		at := sh.StageIndex(p.Op.Iter, p.Op.Stage)*sh.DP + p.Op.Exec
+		if o := optAt[at]; o >= 0 && (p.Op.Type == BWeight || p.Op.Type == B) && p.End > ps[o].Start {
+			return fmt.Errorf("schedule: %s ends %d after optimizer starts %d on %s", p.Op, p.End, ps[o].Start, p.Op.Worker())
+		}
+		if p.Op.Iter > 0 {
+			if o := optAt[at-sh.PP*sh.DP]; o >= 0 && p.Start < ps[o].End {
+				return fmt.Errorf("schedule: %s starts %d before previous iteration optimizer ends %d on %s", p.Op, p.Start, ps[o].End, p.Op.Worker())
 			}
 		}
 	}

@@ -142,9 +142,22 @@ func ExecuteProgram(p *schedule.Program, opt ProgramOptions) (*Execution, error)
 	for i := 0; i < n; i++ {
 		ex.Start[i], ex.End[i] = -1, -1
 	}
-	pos := make(map[schedule.Worker]int, len(workers))
-	free := make(map[schedule.Worker]int64, len(workers))
-	dead := make(map[schedule.Worker]bool, len(opt.FailAt))
+	// Per-worker state lives in slices indexed by the worker's position in
+	// p.Workers(); the option maps are consulted once per worker.
+	type lane struct {
+		stream  []int
+		pos     int   // next unexecuted stream position
+		free    int64 // earliest next start
+		failAt  int64 // FailAt instant, when mayFail
+		mayFail bool
+		dead    bool
+	}
+	lanes := make([]lane, len(workers))
+	for wi, w := range workers {
+		ln := &lanes[wi]
+		ln.stream = p.Streams[w]
+		ln.failAt, ln.mayFail = opt.FailAt[w]
+	}
 
 	// Install the pre-executed prefix: spans recorded, streams advanced
 	// past it, worker clocks floored at its completion times.
@@ -157,10 +170,6 @@ func ExecuteProgram(p *schedule.Program, opt ProgramOptions) (*Execution, error)
 		if end > ex.Makespan {
 			ex.Makespan = end
 		}
-		w := p.Instrs[id].Op.Worker()
-		if end > free[w] {
-			free[w] = end
-		}
 		if tracing {
 			opt.Recorder.Span(obs.Span{
 				Instr: id, Op: p.Instrs[id].Op, Deps: p.Instrs[id].Deps,
@@ -169,26 +178,24 @@ func ExecuteProgram(p *schedule.Program, opt ProgramOptions) (*Execution, error)
 			})
 		}
 	}
-	for _, w := range workers {
-		stream := p.Streams[w]
-		for pos[w] < len(stream) {
-			if _, done := opt.Done[stream[pos[w]]]; !done {
+	placed := 0
+	for wi, w := range workers {
+		ln := &lanes[wi]
+		for ln.pos < len(ln.stream) {
+			end, done := opt.Done[ln.stream[ln.pos]]
+			if !done {
 				break
 			}
-			pos[w]++
+			ln.free = max(ln.free, end)
+			ln.pos++
 		}
-		if r, ok := opt.ReleaseAt[w]; ok && r > free[w] {
-			free[w] = r
+		placed += ln.pos
+		if r, ok := opt.ReleaseAt[w]; ok && r > ln.free {
+			ln.free = r
 		}
 	}
-	if len(opt.Done) > 0 {
-		placed := 0
-		for _, w := range workers {
-			placed += pos[w]
-		}
-		if placed != len(opt.Done) {
-			return nil, fmt.Errorf("sim: done set is not a union of stream prefixes (%d of %d instructions at stream heads)", placed, len(opt.Done))
-		}
+	if placed != len(opt.Done) {
+		return nil, fmt.Errorf("sim: done set is not a union of stream prefixes (%d of %d instructions at stream heads)", placed, len(opt.Done))
 	}
 
 	// Fixed-point sweep: each pass advances every worker as far as its
@@ -197,13 +204,13 @@ func ExecuteProgram(p *schedule.Program, opt ProgramOptions) (*Execution, error)
 	// change the resulting timeline.
 	for {
 		progressed := false
-		for _, w := range workers {
-			if dead[w] {
+		for wi, w := range workers {
+			ln := &lanes[wi]
+			if ln.dead {
 				continue
 			}
-			stream := p.Streams[w]
-			for pos[w] < len(stream) {
-				id := stream[pos[w]]
+			for ln.pos < len(ln.stream) {
+				id := ln.stream[ln.pos]
 				ins := &p.Instrs[id]
 				ready := int64(0)
 				ok := true
@@ -219,10 +226,7 @@ func ExecuteProgram(p *schedule.Program, opt ProgramOptions) (*Execution, error)
 				if !ok {
 					break
 				}
-				start := free[w]
-				if ready > start {
-					start = ready
-				}
+				start := max(ln.free, ready)
 				if opt.CutAt > 0 && start >= opt.CutAt {
 					// The event instant arrived before this instruction could
 					// start; the worker freezes here. Per-worker starts are
@@ -230,24 +234,24 @@ func ExecuteProgram(p *schedule.Program, opt ProgramOptions) (*Execution, error)
 					break
 				}
 				end := start + durOf(w, id, ins.Op)
-				if failAt, failing := opt.FailAt[w]; failing && end > failAt {
+				if ln.mayFail && end > ln.failAt {
 					// The op would still be in flight when the worker dies:
 					// it and everything after it on this worker is lost.
-					dead[w] = true
+					ln.dead = true
 					if tracing {
 						opt.Recorder.Event(obs.Event{
-							Kind: obs.EvKill, At: failAt, Iter: ins.Op.Iter,
+							Kind: obs.EvKill, At: ln.failAt, Iter: ins.Op.Iter,
 							Worker: w, HasWorker: true,
 						})
 					}
 					break
 				}
 				ex.Start[id], ex.End[id] = start, end
-				free[w] = end
+				ln.free = end
 				if end > ex.Makespan {
 					ex.Makespan = end
 				}
-				pos[w]++
+				ln.pos++
 				ex.Completed++
 				progressed = true
 				if tracing {
@@ -265,14 +269,12 @@ func ExecuteProgram(p *schedule.Program, opt ProgramOptions) (*Execution, error)
 	}
 
 	// Classify what never ran.
-	for _, w := range workers {
-		stream := p.Streams[w]
-		for i := pos[w]; i < len(stream); i++ {
-			if dead[w] {
-				ex.Lost = append(ex.Lost, stream[i])
-			} else {
-				ex.Blocked = append(ex.Blocked, stream[i])
-			}
+	for wi := range lanes {
+		ln := &lanes[wi]
+		if ln.dead {
+			ex.Lost = append(ex.Lost, ln.stream[ln.pos:]...)
+		} else {
+			ex.Blocked = append(ex.Blocked, ln.stream[ln.pos:]...)
 		}
 	}
 	sort.Ints(ex.Lost)
