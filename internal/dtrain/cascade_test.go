@@ -392,12 +392,12 @@ func TestChaosStepNoopSkipsRendezvous(t *testing.T) {
 	rt.captureEpochBase()
 	w := schedule.Worker{Stage: 0, Pipeline: 0}
 	st := rt.stages[w]
-	st.SetStepEpoch(rt.epochBase[w] + 1) // iteration 0's step already applied
+	st.SetStepEpoch(rt.epochBase[rt.workerIndex(w)] + 1) // iteration 0's step already applied
 	before := make([][]float64, 0, len(st.Params()))
 	for _, p := range st.Params() {
 		before = append(before, append([]float64(nil), p.W.Data...))
 	}
-	r := newRouter()
+	r := testRouter(schedule.Shape{DP: cfg.DP, PP: cfg.PP, MB: cfg.MB, Iter: 1})
 	// The no-op path returns before any rendezvous, so the bare router —
 	// no peers running — must not deadlock this call.
 	if err := rt.allReduceAndStep(w, st, 0, r, func(schedule.OpType, time.Duration) {}); err != nil {
@@ -410,10 +410,10 @@ func TestChaosStepNoopSkipsRendezvous(t *testing.T) {
 			}
 		}
 	}
-	if got := st.StepEpoch(); got != rt.epochBase[w]+1 {
+	if got := st.StepEpoch(); got != rt.epochBase[rt.workerIndex(w)]+1 {
 		t.Errorf("no-op advanced the stamp to %d", got)
 	}
-	if got := r.stash.len(); got != 0 {
+	if got := r.held(); got != 0 {
 		t.Errorf("no-op stashed %d payloads; the rendezvous must be skipped entirely", got)
 	}
 	if got := tr.Counters()["events.step-noop"]; got != 1 {
@@ -459,7 +459,7 @@ func TestRejectedEventsLeaveRuntimeUntouched(t *testing.T) {
 				}
 			}
 			failed, iter := rt.FailedCount(), rt.Iteration()
-			if _, err := rt.RunIteration(tc.events...); err == nil {
+			if _, err := iterateWatched(t, rt, tc.events...); err == nil {
 				t.Fatalf("events %+v were accepted", tc.events)
 			}
 			if rt.FailedCount() != failed || rt.Iteration() != iter {
@@ -467,7 +467,7 @@ func TestRejectedEventsLeaveRuntimeUntouched(t *testing.T) {
 					rt.FailedCount(), rt.Iteration(), failed, iter)
 			}
 			for i := 0; i < 3; i++ {
-				loss, err := rt.RunIteration()
+				loss, err := iterateWatched(t, rt)
 				if err != nil {
 					t.Fatalf("iteration %d after the rejected call: %v", i, err)
 				}

@@ -2,9 +2,11 @@ package dtrain
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"recycle/internal/engine"
+	"recycle/internal/obs"
 	"recycle/internal/planstore"
 	"recycle/internal/schedule"
 	"recycle/internal/sim"
@@ -150,6 +152,56 @@ func TestChaosSplicedProgramServedToClients(t *testing.T) {
 	}
 	if _, err := client.SplicedProgram("iter9/cut9/fail9.9/rejoin"); err == nil {
 		t.Fatal("fetching an unpublished splice event succeeded")
+	}
+}
+
+// TestFailedSplicePublishIsCounted pins the one store write of the failure
+// path: with the plan store below quorum a kill iteration still resumes
+// from its in-memory splice — losses bitwise equal to the fault-free run —
+// and the publish that could not replicate is on record: one store error,
+// one EvPublish event carrying the cause.
+func TestFailedSplicePublishIsCounted(t *testing.T) {
+	cfg := Config{
+		DP: 2, PP: 2, MB: 4,
+		InDim: 6, Hidden: 8, OutDim: 3, MicroBatchSize: 4,
+		Seed: 11, LR: 1e-2,
+	}
+	ref := New(cfg)
+	cfg.Store = planstore.New(3)
+	rt := New(cfg)
+	tr := obs.NewTrace()
+	rt.AttachRecorder(tr)
+	for i := 0; i < 2; i++ {
+		want, err := ref.RunIteration()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got float64
+		if i == 0 {
+			got, err = rt.RunIteration() // warms the engine: the kill iteration's fetch never reads the store
+			cfg.Store.FailReplica(0)
+			cfg.Store.FailReplica(1)
+		} else {
+			got, err = rt.RunIterationFailure([]schedule.Worker{{Stage: 0, Pipeline: 1}}, 2)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Fatalf("iteration %d: loss %.17g diverged from the fault-free %.17g", i, got, want)
+		}
+		if errs := rt.PlanMetrics().StoreErrors; errs != uint64(i) {
+			t.Fatalf("after iteration %d: %d store errors, want %d", i, errs, i)
+		}
+	}
+	var failed int
+	for _, ev := range tr.Events() {
+		if ev.Kind == obs.EvPublish && strings.Contains(ev.Detail, "quorum") {
+			failed++
+		}
+	}
+	if failed != 1 {
+		t.Fatalf("%d EvPublish events carry the quorum error, want 1", failed)
 	}
 }
 

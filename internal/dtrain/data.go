@@ -19,10 +19,11 @@ type Dataset struct {
 // NewDataset builds a dataset with a linear teacher.
 func NewDataset(inDim, outDim, microBatch int, seed int64) *Dataset {
 	rng := rand.New(rand.NewSource(seed))
+	var heap *tensor.Arena // the teacher outlives every iteration
 	return &Dataset{
 		InDim: inDim, OutDim: outDim, MicroBatch: microBatch,
 		seed:    seed,
-		teacher: tensor.Randn(inDim, outDim, 0.5, rng),
+		teacher: heap.Randn(inDim, outDim, 0.5, rng),
 	}
 }
 
@@ -43,14 +44,15 @@ func (s *splitmix) Uint64() uint64 {
 func (s *splitmix) Int63() int64    { return int64(s.Uint64() >> 1) }
 func (s *splitmix) Seed(seed int64) { s.state = uint64(seed) }
 
-// Input returns the micro-batch inputs for (iter, pipeline, mb).
-func (d *Dataset) Input(iter, pipeline, mb int) *tensor.Matrix {
+// Input returns the micro-batch inputs for (iter, pipeline, mb), carved
+// from ar (nil: the Go heap).
+func (d *Dataset) Input(ar *tensor.Arena, iter, pipeline, mb int) *tensor.Matrix {
 	s := d.seed*1_000_003 + int64(iter)*7919 + int64(pipeline)*97 + int64(mb)
 	rng := rand.New(&splitmix{state: uint64(s)})
-	return tensor.Randn(d.MicroBatch, d.InDim, 1.0, rng)
+	return ar.Randn(d.MicroBatch, d.InDim, 1.0, rng)
 }
 
-// Target returns the teacher outputs for the micro-batch.
-func (d *Dataset) Target(iter, pipeline, mb int) *tensor.Matrix {
-	return tensor.MatMul(d.Input(iter, pipeline, mb), d.teacher)
+// Target returns the teacher outputs for the micro-batch, carved from ar.
+func (d *Dataset) Target(ar *tensor.Arena, iter, pipeline, mb int) *tensor.Matrix {
+	return ar.MatMul(d.Input(ar, iter, pipeline, mb), d.teacher)
 }

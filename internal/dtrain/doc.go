@@ -9,12 +9,17 @@
 // the current failure set from the plan service (internal/engine) and
 // owns failure handling, straggler demotion, validation and rollback; the
 // executor half runs one goroutine per live worker, interpreting its
-// Program instruction stream — activations and gradients move through a
-// message router, cross-worker ordering comes exclusively from the
-// Program's dependency edges (awaited on a dep board), and each
-// instruction's logical slot span is propagated along those edges during
-// execution, so the executed timeline is directly comparable (and, by
-// construction, equal) to the discrete-event simulator's prediction.
+// Program instruction stream and blocking only on the messages it
+// consumes. Activations, gradients and the all-reduce move through a
+// router whose dense per-iteration slot table, indexed by each message's
+// own (kind, iteration, stage, micro-batch | peer) coordinates, is send
+// stash and transport at once; every dependency edge of a Program is
+// carried by such a message or by stream order, so nothing else
+// synchronises the workers. Per-iteration tensors are carved from pooled
+// per-stage arenas recycled at the iteration boundary. Each instruction's
+// logical slot span is read off sim.ExecuteProgram's execution of the
+// same Program, so the executed timeline is, by construction, the
+// discrete-event simulator's prediction.
 //
 // It implements the paper's §5 mechanisms — ReRouteAct / ReRouteGrad
 // (micro-batch rerouting to data-parallel peers), the WeightGradStore

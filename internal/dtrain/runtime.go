@@ -14,6 +14,7 @@ import (
 	"recycle/internal/profile"
 	"recycle/internal/replay"
 	"recycle/internal/schedule"
+	"recycle/internal/sim"
 	"recycle/internal/tensor"
 )
 
@@ -32,9 +33,10 @@ type Config struct {
 	// simulator's prediction (Table 2) independent of host CPU contention.
 	Delays schedule.Durations
 	// CostModel seeds the plan service with per-(stage, op, worker)
-	// durations (nil plans with homogeneous unit costs). The dep board
-	// then propagates the stamped heterogeneous durations, so the logical
-	// timeline matches the simulator's under the same cost model.
+	// durations (nil plans with homogeneous unit costs). The compiled
+	// Program carries the stamped heterogeneous durations, so the logical
+	// timeline — the simulator's execution of that Program — is timed
+	// under the same cost model.
 	CostModel *profile.CostModel
 	// Store injects a shared replicated plan store (nil keeps a private
 	// one). Pointing several runtimes — or a runtime and a fetch-only
@@ -83,16 +85,23 @@ type Runtime struct {
 	iter   int
 
 	// epochBase is each stage's step-epoch stamp captured at iteration
-	// start. The optimizer apply path derives its target epoch from it
-	// (base + op.Iter + 1), so a re-delivered step instruction whose
-	// epoch already advanced is detected as an idempotent no-op. Written
-	// only between iterations (and on mid-iteration rejoin, between
-	// phases); executor goroutines read it without locking.
-	epochBase map[schedule.Worker]int
+	// start, by worker index. The optimizer apply path derives its target
+	// epoch from it (base + op.Iter + 1), so a re-delivered step
+	// instruction whose epoch already advanced is detected as an
+	// idempotent no-op. Written only between iterations (and on
+	// mid-iteration rejoin, between phases); executor goroutines read it
+	// without locking.
+	epochBase []int
+	// losses (by home·MB + mb) and stepped (optimizer steps applied this
+	// iteration, by worker index) are written by executors, each entry by
+	// one worker, and read once they have all stopped.
+	losses  []float64
+	stepped []int
+	// wake parks blocked receivers of the iteration's router, one
+	// channel per worker index.
+	wake []chan struct{}
 
 	mu        sync.Mutex
-	losses    map[nn.MBKey]float64
-	stepped   map[schedule.Worker]int // optimizer steps applied this iteration
 	opSeconds map[schedule.OpType]time.Duration
 	opCounts  map[schedule.OpType]int
 	// Per-worker timing — the Profiler view straggler detection needs.
@@ -100,12 +109,12 @@ type Runtime struct {
 	wOpCounts  map[schedule.Worker]int
 	detector   *Detector
 
-	// Executed timeline of the last iteration: the interpreted Program and
-	// each instruction's logical slot-time span, as propagated along the
-	// Program's dependency edges during real execution.
-	lastProg   *schedule.Program
-	lastStarts []int64
-	lastEnds   []int64
+	// lastExec is the executed timeline of the last iteration: the
+	// interpreted Program and each instruction's logical slot-time span —
+	// the DES execution the interpreter took its times from. plainExec
+	// memoizes the timeline of the last fault-free Program by pointer, so
+	// a steady run executes the DES once per Program, not per iteration.
+	lastExec, plainExec *sim.Execution
 	// rec receives one span per interpreted instruction plus the
 	// iteration/kill/splice lifecycle stream (obs.Nop by default). Installed
 	// via AttachRecorder before training starts; executor goroutines read it
@@ -124,7 +133,10 @@ func New(cfg Config) *Runtime {
 		stages:     make(map[schedule.Worker]*nn.Stage),
 		opts:       make(map[schedule.Worker]nn.Optimizer),
 		failed:     make(map[schedule.Worker]bool),
-		losses:     make(map[nn.MBKey]float64),
+		epochBase:  make([]int, cfg.DP*cfg.PP),
+		losses:     make([]float64, cfg.DP*cfg.MB),
+		stepped:    make([]int, cfg.DP*cfg.PP),
+		wake:       newWake(cfg.DP * cfg.PP),
 		opSeconds:  make(map[schedule.OpType]time.Duration),
 		opCounts:   make(map[schedule.OpType]int),
 		wOpSeconds: make(map[schedule.Worker]time.Duration),
@@ -180,12 +192,11 @@ func (rt *Runtime) Rejoin(w schedule.Worker) error {
 	}
 	dst.Reset()
 	// The copied parameters carry the donor's step-epoch stamp — restore
-	// it (and the captured base, when re-joining mid-iteration) so the
-	// rejoiner's own optimizer instructions compute the right target.
+	// it (and the captured base, which matters when re-joining
+	// mid-iteration) so the rejoiner's own optimizer instructions compute
+	// the right target.
 	dst.SetStepEpoch(src.StepEpoch())
-	if rt.epochBase != nil {
-		rt.epochBase[w] = src.StepEpoch()
-	}
+	rt.epochBase[rt.workerIndex(w)] = src.StepEpoch()
 	rt.opts[w] = rt.newOptimizer()
 	if a, ok := rt.opts[donor].(*nn.AdamW); ok {
 		rt.opts[w].(*nn.AdamW).CopyStateFrom(a, srcP, dstP)
@@ -209,6 +220,10 @@ func livePeer(failed map[schedule.Worker]bool, w schedule.Worker, dp int) (sched
 	}
 	return schedule.Worker{}, false
 }
+
+// workerIndex is w's position in the runtime's dense per-worker tables
+// (schedule.Shape.WorkerIndex of every Program it interprets).
+func (rt *Runtime) workerIndex(w schedule.Worker) int { return w.Pipeline*rt.Cfg.PP + w.Stage }
 
 // FailedCount returns the number of failed workers.
 func (rt *Runtime) FailedCount() int { return len(rt.failed) }
@@ -290,33 +305,32 @@ type CascadeEvent struct {
 // while an earlier splice's suffix still executes) are passed as events,
 // and the fault-free iteration is the zero-event case.
 //
-// Plan: every splice is derived before an instruction runs, so an event
-// list that cannot be spliced is rejected with the runtime untouched. Run:
-// around one shared router, each phase interprets the in-flight Program up
-// to the next cut — the prefix the DES predicts, which agreement by
-// construction makes the runtime's own — stashing every cross-worker
-// payload. Apply: the event lands (applyEvent) and the next phase
-// interprets the re-spliced Program, replaying already-consumed tensors
-// from the stash. Only the final boundary acknowledges the stashes: a
-// later kill can re-lose a suffix an earlier splice planned. Errors carry
-// the flight recorder's dump when one is attached.
+// Plan: every splice and every phase's timeline is derived before an
+// instruction runs, so an event list that cannot be spliced is rejected
+// with the runtime untouched. Run: around one shared router, each phase
+// interprets the in-flight Program up to the next cut — the prefix of the
+// DES execution the phase takes its logical times from — keeping every
+// cross-worker payload in its slot. Apply: the event lands (applyEvent) and
+// the next phase interprets the re-spliced Program, re-reading
+// already-consumed tensors from their slots. Only the final boundary
+// acknowledges them: a later kill can re-lose a suffix an earlier splice
+// planned. Errors carry the flight recorder's dump when one is attached.
 func (rt *Runtime) RunIteration(events ...CascadeEvent) (float64, error) {
-	cur, splices, err := rt.planIteration(events)
+	cur, splices, final, err := rt.planIteration(events)
 	if err != nil {
 		return 0, rt.withFlightDump(err)
 	}
 	rt.captureEpochBase()
-	rt.losses = make(map[nn.MBKey]float64)
-	rt.stepped = make(map[schedule.Worker]int)
+	clear(rt.losses)
+	clear(rt.stepped)
 	fl := &inflight{
-		r:       newRouter(),
+		r:       newRouter(cur.Shape, rt.wake),
 		valErrs: make(chan error, rt.Cfg.DP*rt.Cfg.PP*(len(events)+1)),
-		preds:   make(map[schedule.Worker]map[nn.MBKey]*tensor.Matrix),
+		preds:   make([]*tensor.Matrix, rt.Cfg.DP*rt.Cfg.DP*rt.Cfg.MB),
 	}
 	fl.r.rec = rt.rec
 	var done map[int]int64
-	var floors map[schedule.Worker]int64
-	var board *depBoard
+	var exec *sim.Execution
 	for i := 0; ; i++ {
 		if rt.rec.Enabled() {
 			rt.rec.BeginProgram(phaseLabel(rt.iter, i, len(events)), cur)
@@ -324,23 +338,24 @@ func (rt *Runtime) RunIteration(events ...CascadeEvent) (float64, error) {
 				rt.rec.Event(obs.Event{Kind: obs.EvIterStart, At: 0, Iter: rt.iter, Wall: time.Now()})
 			}
 		}
-		// Before an event the phase stops at its cut — victims included:
-		// their pre-cut sends are what the stash must hold when the kill
-		// lands. The final phase runs to the iteration boundary.
-		var cutEnds []int64
+		// Before an event the phase follows the event's cut execution, so
+		// it stops at the cut — victims included: their pre-cut sends are
+		// what the slots must hold when the kill lands. The final phase
+		// runs to the iteration boundary.
+		exec = final
 		if i < len(events) {
-			cutEnds = splices[i].CutExec.End
+			exec = splices[i].CutExec
 		}
-		board = rt.runPhase(fl, cur, done, floors, cutEnds)
+		rt.runPhase(fl, exec, done)
 		if i == len(events) || len(fl.valErrs) > 0 {
 			break
 		}
 		if err := rt.applyEvent(events[i], splices[i], cur); err != nil {
 			return 0, rt.withFlightDump(err)
 		}
-		cur, done, floors = splices[i].Program, splices[i].Done, splices[i].Floors
+		cur, done = splices[i].Program, splices[i].Done
 	}
-	loss, err := rt.finish(cur, board, fl.r, fl.valErrs)
+	loss, err := rt.finish(exec, fl)
 	return loss, rt.withFlightDump(err)
 }
 
@@ -356,21 +371,40 @@ func (rt *Runtime) withFlightDump(err error) error {
 }
 
 // planIteration derives everything an iteration will interpret before any
-// of it runs: the compiled Program for the current failure set and, event
-// by event, the splice that re-forms it. It touches no runtime state.
-func (rt *Runtime) planIteration(events []CascadeEvent) (*schedule.Program, []*replay.LiveSpliced, error) {
+// of it runs: the compiled Program for the current failure set, event by
+// event the splice that re-forms it (whose cut execution times the phase
+// before the event), and the DES execution that times the final phase. It
+// touches no runtime state but the timeline memo.
+func (rt *Runtime) planIteration(events []CascadeEvent) (*schedule.Program, []*replay.LiveSpliced, *sim.Execution, error) {
 	chain, err := rt.newSpliceChain()
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	prog := chain.cur
 	splices := make([]*replay.LiveSpliced, len(events))
 	for i, ev := range events {
 		if splices[i], err = chain.advance(ev); err != nil {
-			return nil, nil, err
+			return nil, nil, nil, err
 		}
 	}
-	return prog, splices, nil
+	final, err := rt.timeline(chain.cur, chain.done, chain.floors)
+	return prog, splices, final, err
+}
+
+// timeline returns the DES execution of prog resumed from a frozen prefix
+// and release floors — each instruction's logical span, which the
+// interpreter takes instead of re-deriving the same recurrence message by
+// message. A fault-free Program's timeline is memoized by pointer.
+func (rt *Runtime) timeline(prog *schedule.Program, done map[int]int64, floors map[schedule.Worker]int64) (*sim.Execution, error) {
+	plain := len(done) == 0 && len(floors) == 0
+	if plain && rt.plainExec != nil && rt.plainExec.Program == prog {
+		return rt.plainExec, nil
+	}
+	ex, err := sim.ExecuteProgram(prog, sim.ProgramOptions{Done: done, ReleaseAt: floors})
+	if err == nil && plain {
+		rt.plainExec = ex
+	}
+	return ex, err
 }
 
 // phaseLabel names the trace segment of one phase: the whole iteration
@@ -449,34 +483,29 @@ func (c *spliceChain) advance(ev CascadeEvent) (*replay.LiveSpliced, error) {
 }
 
 // inflight is the state the phases of one iteration share: the router
-// (its send stash must survive every splice), the executors' error channel
-// and each last-stage worker's predictions awaiting their loss — a forward
-// executed before an event meets its backward after it.
+// (its slots must survive every splice), the executors' error channel and
+// each last-stage worker's predictions awaiting their loss, by
+// (pipeline·DP + home)·MB + mb — a forward executed before an event meets
+// its backward after it.
 type inflight struct {
 	r       *router
 	valErrs chan error
-	preds   map[schedule.Worker]map[nn.MBKey]*tensor.Matrix
+	preds   []*tensor.Matrix
 }
 
-// runPhase interprets the not-yet-done part of every worker's stream of
-// prog, on a dep board seeded with the done prefix so cross-phase edges
-// resolve. cutEnds, when non-nil, is the next event's cut execution: each
-// stream stops at its first instruction that had not completed by the cut.
-func (rt *Runtime) runPhase(fl *inflight, prog *schedule.Program, done map[int]int64, floors map[schedule.Worker]int64, cutEnds []int64) *depBoard {
-	board := newDepBoard(len(prog.Instrs))
-	maxDone := make(map[schedule.Worker]int64, len(done))
-	for id, end := range done {
-		board.post(id, end-prog.DurOf(id), end)
-		if w := prog.Instrs[id].Op.Worker(); end > maxDone[w] {
-			maxDone[w] = end
-		}
-		if rt.rec.Enabled() {
-			// Frozen prefix spans make each post-splice segment tile the
-			// full iteration makespan on its own (the CriticalPath
-			// invariant).
+// runPhase interprets, one goroutine per worker, the part of each stream
+// of exec's Program that is neither in the done prefix nor beyond what
+// exec completed: a cut execution stops every stream at its first
+// instruction that had not completed by the cut.
+func (rt *Runtime) runPhase(fl *inflight, exec *sim.Execution, done map[int]int64) {
+	prog := exec.Program
+	if rt.rec.Enabled() {
+		// Frozen prefix spans make each post-splice segment tile the full
+		// iteration makespan on its own (the CriticalPath invariant).
+		for id := range done {
 			ins := prog.Instrs[id]
 			rt.rec.Span(obs.Span{Instr: id, Op: ins.Op, Deps: ins.Deps,
-				Sched: end - prog.DurOf(id), Start: end - prog.DurOf(id), End: end,
+				Sched: exec.Start[id], Start: exec.Start[id], End: exec.End[id],
 				Modeled: prog.DurOf(id), Frozen: true})
 		}
 	}
@@ -489,35 +518,22 @@ func (rt *Runtime) runPhase(fl *inflight, prog *schedule.Program, done map[int]i
 			}
 			ids = ids[1:]
 		}
-		if cutEnds != nil {
-			n := 0
-			for n < len(ids) && cutEnds[ids[n]] >= 0 {
-				n++
-			}
-			ids = ids[:n]
+		n := 0
+		for n < len(ids) && exec.End[ids[n]] >= 0 {
+			n++
 		}
-		if len(ids) == 0 {
+		if n == 0 {
 			continue
 		}
-		// The worker resumes at its release floor, or later when a frozen
-		// prefix op of its own ran past the cut.
-		clock := floors[wk]
-		if maxDone[wk] > clock {
-			clock = maxDone[wk]
-		}
-		if wk.Stage == rt.Cfg.PP-1 && fl.preds[wk] == nil {
-			fl.preds[wk] = make(map[nn.MBKey]*tensor.Matrix)
-		}
 		wg.Add(1)
-		go func(wk schedule.Worker, ids []int, clock int64, preds map[nn.MBKey]*tensor.Matrix) {
+		go func(wk schedule.Worker, ids []int) {
 			defer wg.Done()
-			if err := rt.execOps(wk, prog, board, fl.r, ids, clock, preds); err != nil {
+			if err := rt.execOps(wk, exec, fl, ids); err != nil {
 				fl.valErrs <- err
 			}
-		}(wk, ids, clock, fl.preds[wk])
+		}(wk, ids[:n])
 	}
 	wg.Wait()
-	return board
 }
 
 // applyEvent lands one membership event between two phases: the spliced
@@ -583,17 +599,17 @@ func (rt *Runtime) applyEvent(ev CascadeEvent, lv *replay.LiveSpliced, cur *sche
 	return nil
 }
 
-// finish seals one interpreted iteration: it records the executed
-// timeline, collects executor errors, rolls back on failure (§5),
-// acknowledges the iteration's stashed sends and retained activation
-// stashes (the boundary GC of the re-send protocol), and reduces the
-// iteration loss.
-func (rt *Runtime) finish(prog *schedule.Program, board *depBoard, r *router, valErrs chan error) (float64, error) {
-	rt.lastProg = prog
-	rt.lastStarts, rt.lastEnds = board.snapshot()
-	close(valErrs)
+// finish seals one interpreted iteration, every executor having stopped:
+// it records the executed timeline, collects executor errors, rolls back
+// on failure (§5) or acknowledges the iteration's messages, and either way
+// frees what the iteration held — the router's slot table, the stages'
+// activation stashes and the arenas under every tensor of the iteration
+// (the boundary GC of the re-send protocol) — then reduces the loss.
+func (rt *Runtime) finish(exec *sim.Execution, fl *inflight) (float64, error) {
+	rt.lastExec = exec
+	close(fl.valErrs)
 	var firstErr error
-	for e := range valErrs {
+	for e := range fl.valErrs {
 		if firstErr == nil {
 			firstErr = e
 		}
@@ -602,8 +618,9 @@ func (rt *Runtime) finish(prog *schedule.Program, board *depBoard, r *router, va
 		// Post-step validation failed somewhere: roll back exactly the
 		// workers that stepped (§5) — aborted peers never applied theirs —
 		// clear every live stage's in-flight state, and skip the iteration.
-		for w, steps := range rt.stepped {
-			for i := 0; i < steps; i++ {
+		for i, steps := range rt.stepped {
+			w := exec.Program.Shape.WorkerAt(i)
+			for n := 0; n < steps; n++ {
 				rt.opts[w].Rollback(rt.stages[w].Params())
 			}
 			rt.stages[w].RegressStepEpoch(steps)
@@ -613,41 +630,33 @@ func (rt *Runtime) finish(prog *schedule.Program, board *depBoard, r *router, va
 				st.Reset()
 			}
 		}
-		if rt.rec.Enabled() {
-			rt.rec.Event(obs.Event{Kind: obs.EvRollback, At: maxEnd(rt.lastEnds), Iter: rt.iter,
-				Wall: time.Now(), Detail: firstErr.Error()})
+	} else {
+		// Iteration boundary: every optimizer step validated, so no
+		// failure can re-request this iteration's tensors anymore.
+		for it := 0; it < exec.Program.Shape.Iter; it++ {
+			fl.r.ackIteration(it)
 		}
-		rt.iter++
-		return 0, fmt.Errorf("dtrain: iteration %d rolled back: %w", rt.iter-1, firstErr)
 	}
-	// Iteration boundary: every optimizer step validated, so no failure
-	// can re-request this iteration's tensors anymore. Acknowledge and GC
-	// the router's stashed sends and free the activation stashes the
-	// stages retained for mid-iteration re-execution.
-	for it := 0; it < prog.Shape.Iter; it++ {
-		r.ackIteration(it)
-	}
+	// Tensors cross workers — an activation is the next stage's stash, a
+	// re-routed op reads a dead victim's sends — so no arena is recycled
+	// before this point, and all of them, victims' included, are now.
+	fl.r.release()
 	for _, st := range rt.stages {
 		st.ReleaseStashes()
 	}
-	loss := rt.iterationLoss()
-	if rt.rec.Enabled() {
-		rt.rec.Event(obs.Event{Kind: obs.EvIterEnd, At: maxEnd(rt.lastEnds), Iter: rt.iter, Wall: time.Now()})
-	}
+	iter := rt.iter
 	rt.iter++
-	return loss, nil
-}
-
-// maxEnd returns the latest executed end time — an iteration's logical
-// makespan.
-func maxEnd(ends []int64) int64 {
-	var out int64
-	for _, e := range ends {
-		if e > out {
-			out = e
+	if firstErr != nil {
+		if rt.rec.Enabled() {
+			rt.rec.Event(obs.Event{Kind: obs.EvRollback, At: exec.Makespan, Iter: iter,
+				Wall: time.Now(), Detail: firstErr.Error()})
 		}
+		return 0, fmt.Errorf("dtrain: iteration %d rolled back: %w", iter, firstErr)
 	}
-	return out
+	if rt.rec.Enabled() {
+		rt.rec.Event(obs.Event{Kind: obs.EvIterEnd, At: exec.Makespan, Iter: iter, Wall: time.Now()})
+	}
+	return rt.iterationLoss(), nil
 }
 
 // RunIterationFailure executes one training iteration during which the
@@ -662,9 +671,8 @@ func (rt *Runtime) RunIterationFailure(victims []schedule.Worker, cutSlot int64)
 // start — the base the optimizer apply path derives its per-instruction
 // target epochs from.
 func (rt *Runtime) captureEpochBase() {
-	rt.epochBase = make(map[schedule.Worker]int, len(rt.stages))
 	for w, st := range rt.stages {
-		rt.epochBase[w] = st.StepEpoch()
+		rt.epochBase[rt.workerIndex(w)] = st.StepEpoch()
 	}
 }
 
@@ -673,11 +681,12 @@ func (rt *Runtime) captureEpochBase() {
 // executor clients can pull the exact artifact this coordinator is
 // interpreting (engine.Client.SplicedProgram). Skipped when the runtime is
 // itself a fetch-only executor; best-effort either way — the local
-// iteration proceeds on the in-memory artifact.
+// iteration proceeds on the in-memory artifact, and a failed publish is on
+// record in the plan service's StoreErrors counter and EvPublish event.
 func (rt *Runtime) publishSplice(ev CascadeEvent, p *schedule.Program) string {
 	event := SpliceEventID(rt.iter, ev.Cut, ev.Fail, ev.Rejoin)
 	if rt.progSrc == nil {
-		_ = rt.eng.PublishSplicedProgram(event, p)
+		_ = rt.eng.PublishSplicedProgram(event, p) // counted and recorded by the engine
 	}
 	return event
 }
@@ -714,83 +723,85 @@ func (rt *Runtime) StageStepEpoch(w schedule.Worker) int {
 	return rt.stages[w].StepEpoch()
 }
 
-// iterationLoss reduces per-micro-batch losses in canonical order.
+// iterationLoss reduces per-micro-batch losses in canonical (pipeline,
+// micro-batch) order — the order of the dense table.
 func (rt *Runtime) iterationLoss() float64 {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	keys := make([]nn.MBKey, 0, len(rt.losses))
-	for k := range rt.losses {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(a, b int) bool { return keys[a].Less(keys[b]) })
 	var sum float64
-	for _, k := range keys {
-		sum += rt.losses[k]
+	for _, l := range rt.losses {
+		sum += l
 	}
-	return sum / float64(len(keys))
+	return sum / float64(len(rt.losses))
 }
 
 // execOps interprets a contiguous range of one worker's Program
-// instruction stream, starting from the given logical clock. Instructions
-// run in stream order; cross-worker ordering comes only from the Program's
-// dependency edges, awaited on the board. Alongside the real computation,
-// it advances a logical slot clock with the same recurrence the
-// discrete-event simulator uses — start = max(worker clock, dependency
-// ends + comm) — and posts each instruction's logical span back to the
-// board, so the executed timeline is the simulator's prediction realized.
-// preds carries the worker's last-stage predictions awaiting their loss;
-// the driver threads it across phases so a forward executed before an
-// event meets its backward after it (nil for workers off the last stage).
-func (rt *Runtime) execOps(w schedule.Worker, prog *schedule.Program, board *depBoard, r *router, stream []int, clock int64, preds map[nn.MBKey]*tensor.Matrix) error {
-	st := rt.stages[w]
+// instruction stream. Instructions run in stream order; cross-worker
+// ordering needs nothing beyond the messages themselves, because every
+// dependency edge of the Program is carried by something its consumer
+// blocks on — an activation or gradient edge by the router message, an
+// all-reduce edge by the contribution/broadcast rendezvous, a local edge by
+// stream order (TestEveryEdgeHasACarrier). Each instruction's logical span
+// is read off exec, the discrete-event simulator's execution of the same
+// Program: the executed timeline is the simulator's prediction by
+// construction.
+func (rt *Runtime) execOps(w schedule.Worker, exec *sim.Execution, fl *inflight, stream []int) error {
+	prog, r := exec.Program, fl.r
+	st, me := rt.stages[w], rt.workerIndex(w)
+	ar := st.Arena()
 	last := w.Stage == rt.Cfg.PP-1
+	preds := fl.preds[w.Pipeline*rt.Cfg.DP*rt.Cfg.MB:]
+	tracing := rt.rec.Enabled()
+	rt.mu.Lock()
+	det := rt.detector
+	rt.mu.Unlock()
 	// opWall accumulates the measured compute time of the instruction in
 	// flight (reset each loop turn) — a span's Actual, the divergence
-	// signal against the modeled duration.
+	// signal against the modeled duration. acc accumulates the worker's
+	// per-type totals, merged into the runtime's when the stream ends.
 	var opWall time.Duration
+	var acc [schedule.Optimizer + 1]struct {
+		d time.Duration
+		n int
+	}
 	record := func(t schedule.OpType, d time.Duration) {
 		opWall += d
-		rt.mu.Lock()
-		rt.opSeconds[t] += d
-		rt.opCounts[t]++
-		if t != schedule.Optimizer {
-			rt.wOpSeconds[w] += d
-			rt.wOpCounts[w]++
-		}
-		det := rt.detector
-		rt.mu.Unlock()
+		acc[t].d += d
+		acc[t].n++
 		if det != nil {
 			det.ObserveOp(w, t, d)
 		}
 	}
-	// bail posts every instruction from stream position si onward as a
-	// zero-length span — the abort path, keeping peers' dependency waits
-	// from hanging while the iteration unwinds toward rollback.
-	bail := func(si int) {
-		for _, id := range stream[si:] {
-			board.post(id, clock, clock)
+	defer func() {
+		rt.mu.Lock()
+		for t, a := range acc {
+			t := schedule.OpType(t)
+			if a.n == 0 {
+				continue
+			}
+			rt.opSeconds[t] += a.d
+			rt.opCounts[t] += a.n
+			if t != schedule.Optimizer {
+				rt.wOpSeconds[w] += a.d
+				rt.wOpCounts[w] += a.n
+			}
 		}
-	}
-	for si, id := range stream {
-		ins := prog.Instrs[id]
+		rt.mu.Unlock()
+	}()
+	for _, id := range stream {
+		ins := &prog.Instrs[id]
 		op := ins.Op
 		key := nn.MBKey{Pipeline: op.Home, MB: op.MB}
+		mb := op.Home*rt.Cfg.MB + op.MB
 		opWall = 0
-		start := clock
-		sched := board.wait(prog, ins.Deps)
-		if sched > start {
-			start = sched
-		}
-		end := start + prog.DurOf(id)
+		// A recv that reports an abort unwinds the worker: its message
+		// will never arrive and the iteration is being rolled back.
 		switch op.Type {
 		case schedule.F:
 			var x *tensor.Matrix
 			if op.Stage == 0 {
-				x = rt.Dataset.Input(rt.iter, op.Home, op.MB)
+				x = rt.Dataset.Input(ar, rt.iter, op.Home, op.MB)
 			} else {
-				m, ok := r.recv(msgKey{kind: msgAct, stage: op.Stage, iter: op.Iter, mb: key})
+				m, ok := r.recv(msgKey{kind: msgAct, stage: op.Stage, iter: op.Iter, mb: key}, me)
 				if !ok {
-					bail(si)
 					return nil
 				}
 				x = m.mat
@@ -800,24 +811,18 @@ func (rt *Runtime) execOps(w schedule.Worker, prog *schedule.Program, board *dep
 			rt.delay(schedule.F)
 			record(schedule.F, time.Since(t0))
 			if last {
-				preds[key] = y
+				preds[mb] = y
 			} else if !r.send(msgKey{kind: msgAct, stage: op.Stage + 1, iter: op.Iter, mb: key}, payload{mat: y}) {
-				bail(si)
 				return nil
 			}
 		case schedule.B, schedule.BInput:
 			var dy *tensor.Matrix
 			if last {
-				loss, g := nn.MSELoss(preds[key], rt.Dataset.Target(rt.iter, op.Home, op.MB))
-				rt.mu.Lock()
-				rt.losses[key] = loss
-				rt.mu.Unlock()
-				dy = g
-				delete(preds, key)
+				rt.losses[mb], dy = nn.MSELoss(ar, preds[mb], rt.Dataset.Target(ar, rt.iter, op.Home, op.MB))
+				preds[mb] = nil
 			} else {
-				m, ok := r.recv(msgKey{kind: msgGrad, stage: op.Stage, iter: op.Iter, mb: key})
+				m, ok := r.recv(msgKey{kind: msgGrad, stage: op.Stage, iter: op.Iter, mb: key}, me)
 				if !ok {
-					bail(si)
 					return nil
 				}
 				dy = m.mat
@@ -827,7 +832,6 @@ func (rt *Runtime) execOps(w schedule.Worker, prog *schedule.Program, board *dep
 			rt.delay(schedule.BInput)
 			record(schedule.BInput, time.Since(t0))
 			if op.Stage > 0 && !r.send(msgKey{kind: msgGrad, stage: op.Stage - 1, iter: op.Iter, mb: key}, payload{mat: dx}) {
-				bail(si)
 				return nil
 			}
 			if op.Type == schedule.B {
@@ -844,21 +848,25 @@ func (rt *Runtime) execOps(w schedule.Worker, prog *schedule.Program, board *dep
 		case schedule.Optimizer:
 			if err := rt.allReduceAndStep(w, st, op.Iter, r, record); err != nil {
 				if err == errAborted {
-					bail(si)
 					return nil
 				}
 				// A real failure: release every blocked peer, then unwind.
 				// RunIteration rolls back whoever managed to step.
 				r.abort()
-				bail(si)
 				return err
 			}
 		}
-		board.post(id, start, end)
-		clock = end
-		if rt.rec.Enabled() {
+		if tracing {
+			// Sched is dependency-ready time: the latest producer end plus
+			// communication latency on cross-stage edges.
+			var sched int64
+			for _, d := range ins.Deps {
+				if t := exec.End[d.From] + prog.EdgeLatency(d.Kind); t > sched {
+					sched = t
+				}
+			}
 			rt.rec.Span(obs.Span{Instr: id, Op: op, Deps: ins.Deps,
-				Sched: sched, Start: start, End: end,
+				Sched: sched, Start: exec.Start[id], End: exec.End[id],
 				Modeled: prog.DurOf(id), Actual: opWall})
 		}
 	}
@@ -867,9 +875,10 @@ func (rt *Runtime) execOps(w schedule.Worker, prog *schedule.Program, board *dep
 
 // allReduceAndStep implements the per-stage gradient all-reduce and
 // staggered optimizer step: peers ship their WeightGradStore contents to
-// the stage root, the root reduces contributions in canonical order and
-// broadcasts the reduced gradients, and every peer then applies an
-// identical optimizer step followed by local post-step validation.
+// the stage root (the first live pipeline), the root reduces contributions
+// in canonical order and broadcasts the reduced gradients, and every peer
+// then applies an identical optimizer step followed by local post-step
+// validation.
 func (rt *Runtime) allReduceAndStep(w schedule.Worker, st *nn.Stage, iter int, r *router, record func(schedule.OpType, time.Duration)) error {
 	// The step-epoch guard: a re-delivered step instruction whose target
 	// epoch the stage's parameters already carry is an idempotent no-op —
@@ -877,7 +886,8 @@ func (rt *Runtime) allReduceAndStep(w schedule.Worker, st *nn.Stage, iter int, r
 	// gradient stores were drained when the step first applied. All DP
 	// peers of a stepped stage share the advanced epoch, so the skip is
 	// consistent across the rendezvous group.
-	target := rt.epochBase[w] + iter + 1
+	me := rt.workerIndex(w)
+	target := rt.epochBase[me] + iter + 1
 	if st.StepEpoch() >= target {
 		if rt.rec.Enabled() {
 			rt.rec.Event(obs.Event{Kind: obs.EvStepNoop, At: -1, Iter: iter, Wall: time.Now(),
@@ -886,49 +896,48 @@ func (rt *Runtime) allReduceAndStep(w schedule.Worker, st *nn.Stage, iter int, r
 		}
 		return nil
 	}
-	var peers []int
-	for k := 0; k < rt.Cfg.DP; k++ {
-		if !rt.failed[schedule.Worker{Stage: w.Stage, Pipeline: k}] {
-			peers = append(peers, k)
-		}
+	live := func(k int) bool { return !rt.failed[schedule.Worker{Stage: w.Stage, Pipeline: k}] }
+	root := 0
+	for !live(root) {
+		root++ // w itself is live, so a root exists
 	}
-	root := peers[0]
-	totalMBs := rt.Cfg.DP * rt.Cfg.MB
+	key := func(kind msgKind, peer int) msgKey {
+		return msgKey{kind: kind, stage: w.Stage, iter: iter, peer: peer}
+	}
 	if w.Pipeline == root {
 		merged := st.DrainStore()
-		for _, p := range peers[1:] {
-			m, ok := r.recv(msgKey{kind: msgContrib, stage: w.Stage, iter: iter, peer: p})
+		for p := root + 1; p < rt.Cfg.DP; p++ {
+			if !live(p) {
+				continue
+			}
+			m, ok := r.recv(key(msgContrib, p), me)
 			if !ok {
 				return errAborted
 			}
-			for k, gs := range m.contribs {
-				if _, dup := merged[k]; dup {
-					return fmt.Errorf("dtrain: duplicate gradient contribution for %+v at stage %d", k, w.Stage)
-				}
-				merged[k] = gs
-			}
-		}
-		if got, want := len(merged), totalMBs; got != want {
-			return fmt.Errorf("dtrain: stage %d all-reduce saw %d contributions, want %d", w.Stage, got, want)
+			merged = append(merged, m.contribs...)
 		}
 		t0 := time.Now()
-		st.ReduceContributions(merged, totalMBs)
+		if err := st.ReduceContributions(merged, rt.Cfg.DP*rt.Cfg.MB); err != nil {
+			return fmt.Errorf("dtrain: stage %d all-reduce: %w", w.Stage, err)
+		}
 		rt.delay(schedule.Optimizer)
 		defer func() { record(schedule.Optimizer, time.Since(t0)) }()
-		grads := make([]*tensor.Matrix, 0)
+		// The broadcast copies are heap clones: the root's accumulators
+		// stay the root's, and nothing of a rendezvous lives in an arena.
+		grads := make([]*tensor.Matrix, 0, len(st.Params()))
 		for _, p := range st.Params() {
 			grads = append(grads, p.Grad.Clone())
 		}
-		for _, p := range peers[1:] {
-			if !r.send(msgKey{kind: msgReduced, stage: w.Stage, iter: iter, peer: p}, payload{grads: grads}) {
+		for p := root + 1; p < rt.Cfg.DP; p++ {
+			if live(p) && !r.send(key(msgReduced, p), payload{grads: grads}) {
 				return errAborted
 			}
 		}
 	} else {
-		if !r.send(msgKey{kind: msgContrib, stage: w.Stage, iter: iter, peer: w.Pipeline}, payload{contribs: st.DrainStore()}) {
+		if !r.send(key(msgContrib, w.Pipeline), payload{contribs: st.DrainStore()}) {
 			return errAborted
 		}
-		m, ok := r.recv(msgKey{kind: msgReduced, stage: w.Stage, iter: iter, peer: w.Pipeline})
+		m, ok := r.recv(key(msgReduced, w.Pipeline), me)
 		if !ok {
 			return errAborted
 		}
@@ -940,36 +949,35 @@ func (rt *Runtime) allReduceAndStep(w schedule.Worker, st *nn.Stage, iter int, r
 	// Apply through the step-epoch stamp: the parameters advance to the
 	// target epoch exactly once, making any later re-delivery a no-op.
 	if st.StepOnce(rt.opts[w], target) {
-		rt.mu.Lock()
-		rt.stepped[w]++
-		rt.mu.Unlock()
+		rt.stepped[me]++
 	}
 	return nn.ValidateFinite(st.Params())
 }
 
 // ExecutedTimeline returns the Program the last iteration interpreted and
-// each instruction's executed logical span (start, end in slot units),
-// indexed by instruction ID. The spans were propagated along the Program's
-// dependency edges during the real run, so comparing them against the
-// discrete-event simulator's virtual execution of the same Program is the
-// Table 2 agreement check, by construction.
+// each instruction's executed logical span (start, end in slot units; -1
+// where a rolled-back phase never got to it), indexed by instruction ID —
+// the discrete-event simulator's execution of that Program, which is what
+// the interpreter's spans, cut points and stream bounds were read from.
+// The slices are shared with the runtime: read-only.
 func (rt *Runtime) ExecutedTimeline() (prog *schedule.Program, starts, ends []int64) {
-	return rt.lastProg, rt.lastStarts, rt.lastEnds
+	if rt.lastExec == nil {
+		return nil, nil, nil
+	}
+	return rt.lastExec.Program, rt.lastExec.Start, rt.lastExec.End
 }
 
 // ExecutedComputeMakespan returns the last iteration's logical compute
 // makespan: the latest executed end among F/B/BI/BW instructions.
 func (rt *Runtime) ExecutedComputeMakespan() int64 {
 	var out int64
-	if rt.lastProg == nil {
+	prog, _, ends := rt.ExecutedTimeline()
+	if prog == nil {
 		return 0
 	}
-	for i := range rt.lastProg.Instrs {
-		if rt.lastProg.Instrs[i].Op.Type == schedule.Optimizer {
-			continue
-		}
-		if e := rt.lastEnds[i]; e > out {
-			out = e
+	for i := range prog.Instrs {
+		if prog.Instrs[i].Op.Type != schedule.Optimizer && ends[i] > out {
+			out = ends[i]
 		}
 	}
 	return out

@@ -12,8 +12,8 @@ import (
 // TestAgreementWithHeterogeneousDurations extends the by-construction
 // agreement check to a cost-model plan: when the Program is solved and
 // stamped with per-(stage, op, worker) durations (here a 3x straggler),
-// the runtime's dep board propagates exactly the stamped spans and the
-// simulator's virtual execution matches instruction for instruction.
+// the runtime's executed timeline carries exactly the stamped spans and
+// the simulator's virtual execution matches instruction for instruction.
 func TestAgreementWithHeterogeneousDurations(t *testing.T) {
 	victim := schedule.Worker{Stage: 1, Pipeline: 0}
 	cfg := Config{

@@ -43,14 +43,22 @@ func (e *Engine) ProgramFor(failed map[schedule.Worker]bool) (*schedule.Program,
 // its event identifier, so fetch-only executor clients sharing the store
 // can pull the exact artifact the coordinator spliced and is interpreting.
 // Spliced programs bypass the get-or-solve caches on purpose: they are
-// one-shot resumption artifacts, not reusable plans.
+// one-shot resumption artifacts, not reusable plans. A publish that fails
+// — the encode, or a store without quorum — is counted in StoreErrors and
+// its EvPublish event carries the error, so a coordinator that carries on
+// with its in-memory artifact still leaves the failure on record.
 func (e *Engine) PublishSplicedProgram(event string, p *schedule.Program) error {
 	data, err := EncodeProgram(p)
-	if err != nil {
-		return err
+	if err == nil {
+		err = e.store.Put(spliceKey(e.config().fp, event), data)
 	}
-	e.observe(obs.EvPublish, event)
-	return e.store.Put(spliceKey(e.config().fp, event), data)
+	detail := event
+	if err != nil {
+		e.storeErrs.Add(1)
+		detail += ": " + err.Error()
+	}
+	e.observe(obs.EvPublish, detail)
+	return err
 }
 
 // SplicedProgram fetches and decodes a previously published spliced

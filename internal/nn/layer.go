@@ -34,18 +34,21 @@ type Stash struct {
 }
 
 // Layer is one differentiable operator with decoupled backward passes.
+// Every tensor a pass produces is carved from ar (nil: the Go heap), so the
+// caller decides how long a micro-batch's intermediates live.
 type Layer interface {
-	// Forward computes the layer output and returns the stash the
-	// backward passes will need.
-	Forward(x *tensor.Matrix) (*tensor.Matrix, *Stash)
+	// Forward computes the layer output and fills the stash the backward
+	// passes will need.
+	Forward(ar *tensor.Arena, x *tensor.Matrix, st *Stash) *tensor.Matrix
 	// BackwardInput computes dL/dx from dL/dy and records dy in the stash
 	// for the deferred BackwardWeight.
-	BackwardInput(st *Stash, dy *tensor.Matrix) *tensor.Matrix
+	BackwardInput(ar *tensor.Arena, st *Stash, dy *tensor.Matrix) *tensor.Matrix
 	// BackwardWeight computes this layer's parameter gradients for the
-	// stashed micro-batch, returning them in Params() order without
-	// touching the shared accumulators (the caller reduces contributions
-	// in canonical order for bitwise-deterministic data parallelism).
-	BackwardWeight(st *Stash) []*tensor.Matrix
+	// stashed micro-batch and appends them to grads in Params() order,
+	// without touching the shared accumulators (the caller reduces
+	// contributions in canonical order for bitwise-deterministic data
+	// parallelism).
+	BackwardWeight(ar *tensor.Arena, st *Stash, grads []*tensor.Matrix) []*tensor.Matrix
 	// Params returns the layer's parameters (empty for stateless layers).
 	Params() []*Param
 }
@@ -59,30 +62,31 @@ type Linear struct {
 // NewLinear initializes a Linear layer with Xavier-scaled weights from rng.
 func NewLinear(in, out int, rng *rand.Rand) *Linear {
 	std := math.Sqrt(2.0 / float64(in+out))
+	var heap *tensor.Arena // parameters outlive every iteration
 	return &Linear{
-		Weight: &Param{Name: fmt.Sprintf("linear%dx%d.w", in, out), W: tensor.Randn(in, out, std, rng), Grad: tensor.New(in, out)},
+		Weight: &Param{Name: fmt.Sprintf("linear%dx%d.w", in, out), W: heap.Randn(in, out, std, rng), Grad: tensor.New(in, out)},
 		Bias:   &Param{Name: fmt.Sprintf("linear%dx%d.b", in, out), W: tensor.New(1, out), Grad: tensor.New(1, out)},
 	}
 }
 
 // Forward implements Layer.
-func (l *Linear) Forward(x *tensor.Matrix) (*tensor.Matrix, *Stash) {
-	y := tensor.AddRowVector(tensor.MatMul(x, l.Weight.W), l.Bias.W)
-	return y, &Stash{X: x}
+func (l *Linear) Forward(ar *tensor.Arena, x *tensor.Matrix, st *Stash) *tensor.Matrix {
+	*st = Stash{X: x}
+	return ar.AddRowVector(ar.MatMul(x, l.Weight.W), l.Bias.W)
 }
 
 // BackwardInput implements Layer: dx = dy @ Wᵀ.
-func (l *Linear) BackwardInput(st *Stash, dy *tensor.Matrix) *tensor.Matrix {
+func (l *Linear) BackwardInput(ar *tensor.Arena, st *Stash, dy *tensor.Matrix) *tensor.Matrix {
 	st.DY = dy
-	return tensor.MatMulBT(dy, l.Weight.W)
+	return ar.MatMulBT(dy, l.Weight.W)
 }
 
 // BackwardWeight implements Layer: dW = xᵀ @ dy, db = colsum(dy).
-func (l *Linear) BackwardWeight(st *Stash) []*tensor.Matrix {
+func (l *Linear) BackwardWeight(ar *tensor.Arena, st *Stash, grads []*tensor.Matrix) []*tensor.Matrix {
 	if st.DY == nil {
 		panic("nn: BackwardWeight before BackwardInput")
 	}
-	return []*tensor.Matrix{tensor.MatMulAT(st.X, st.DY), tensor.ColSums(st.DY)}
+	return append(grads, ar.MatMulAT(st.X, st.DY), ar.ColSums(st.DY))
 }
 
 // Params implements Layer.
@@ -92,32 +96,35 @@ func (l *Linear) Params() []*Param { return []*Param{l.Weight, l.Bias} }
 type Tanh struct{}
 
 // Forward implements Layer.
-func (Tanh) Forward(x *tensor.Matrix) (*tensor.Matrix, *Stash) {
-	y := tensor.Apply(x, math.Tanh)
-	return y, &Stash{X: y} // stash the output: tanh' = 1 - y^2
+func (Tanh) Forward(ar *tensor.Arena, x *tensor.Matrix, st *Stash) *tensor.Matrix {
+	y := ar.Apply(x, math.Tanh)
+	*st = Stash{X: y} // stash the output: tanh' = 1 - y^2
+	return y
 }
 
 // BackwardInput implements Layer.
-func (Tanh) BackwardInput(st *Stash, dy *tensor.Matrix) *tensor.Matrix {
+func (Tanh) BackwardInput(ar *tensor.Arena, st *Stash, dy *tensor.Matrix) *tensor.Matrix {
 	st.DY = dy
-	grad := tensor.Apply(st.X, func(y float64) float64 { return 1 - y*y })
-	return tensor.Hadamard(dy, grad)
+	grad := ar.Apply(st.X, func(y float64) float64 { return 1 - y*y })
+	return ar.Hadamard(dy, grad)
 }
 
 // BackwardWeight implements Layer (stateless).
-func (Tanh) BackwardWeight(st *Stash) []*tensor.Matrix { return nil }
+func (Tanh) BackwardWeight(_ *tensor.Arena, _ *Stash, grads []*tensor.Matrix) []*tensor.Matrix {
+	return grads
+}
 
 // Params implements Layer.
 func (Tanh) Params() []*Param { return nil }
 
 // MSELoss is 0.5 * mean squared error, returning the loss value and the
-// gradient w.r.t. the prediction.
-func MSELoss(pred, target *tensor.Matrix) (float64, *tensor.Matrix) {
-	diff := tensor.Sub(pred, target)
+// gradient w.r.t. the prediction (carved from ar).
+func MSELoss(ar *tensor.Arena, pred, target *tensor.Matrix) (float64, *tensor.Matrix) {
+	diff := ar.Sub(pred, target)
 	n := float64(len(diff.Data))
 	var loss float64
 	for _, v := range diff.Data {
 		loss += 0.5 * v * v
 	}
-	return loss / n, tensor.Scale(diff, 1/n)
+	return loss / n, ar.Scale(diff, 1/n)
 }

@@ -9,23 +9,37 @@ import (
 	"recycle/internal/tensor"
 )
 
+// heap is the nil arena: tensors built on it live on the Go heap.
+var heap *tensor.Arena
+
+// gradsOf picks one micro-batch's gradients out of a drained store.
+func gradsOf(cs []Contribution, key MBKey) []*tensor.Matrix {
+	for _, c := range cs {
+		if c.Key == key {
+			return c.Grads
+		}
+	}
+	return nil
+}
+
 // TestLinearGradientsNumerically verifies the decoupled backward passes
 // against central-difference numerical gradients.
 func TestLinearGradientsNumerically(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	l := NewLinear(4, 3, rng)
-	x := tensor.Randn(5, 4, 1, rng)
-	target := tensor.Randn(5, 3, 1, rng)
+	x := heap.Randn(5, 4, 1, rng)
+	target := heap.Randn(5, 3, 1, rng)
 
 	lossOf := func() float64 {
-		y, _ := l.Forward(x)
-		loss, _ := MSELoss(y, target)
+		var st Stash
+		loss, _ := MSELoss(heap, l.Forward(heap, x, &st), target)
 		return loss
 	}
-	y, st := l.Forward(x)
-	_, dy := MSELoss(y, target)
-	dx := l.BackwardInput(st, dy)
-	grads := l.BackwardWeight(st)
+	var st Stash
+	y := l.Forward(heap, x, &st)
+	_, dy := MSELoss(heap, y, target)
+	dx := l.BackwardInput(heap, &st, dy)
+	grads := l.BackwardWeight(heap, &st, nil)
 
 	const eps = 1e-6
 	// Weight gradient.
@@ -65,8 +79,8 @@ func TestStageDecoupledMatchesCoupled(t *testing.T) {
 		return MLPStages(1, 6, 12, 3, 99)[0]
 	}
 	rng := rand.New(rand.NewSource(5))
-	x := tensor.Randn(4, 6, 1, rng)
-	dy := tensor.Randn(4, 3, 0.1, rng)
+	x := heap.Randn(4, 6, 1, rng)
+	dy := heap.Randn(4, 3, 0.1, rng)
 
 	// Coupled: BI then BW immediately.
 	a := build()
@@ -74,18 +88,18 @@ func TestStageDecoupledMatchesCoupled(t *testing.T) {
 	a.Forward(key, x)
 	a.BackwardInput(key, dy)
 	a.BackwardWeight(key)
-	ca := a.DrainStore()[key]
+	ca := gradsOf(a.DrainStore(), key)
 
 	// Decoupled: interleave another micro-batch before the deferred BW.
 	b := build()
 	other := MBKey{Pipeline: 1, MB: 3}
 	b.Forward(key, x)
-	b.Forward(other, tensor.Randn(4, 6, 1, rng))
+	b.Forward(other, heap.Randn(4, 6, 1, rng))
 	b.BackwardInput(key, dy)
-	b.BackwardInput(other, tensor.Randn(4, 3, 0.1, rng))
+	b.BackwardInput(other, heap.Randn(4, 3, 0.1, rng))
 	b.BackwardWeight(other)
 	b.BackwardWeight(key)
-	cb := b.DrainStore()[key]
+	cb := gradsOf(b.DrainStore(), key)
 
 	for i := range ca {
 		if !tensor.Equal(ca[i], cb[i]) {
@@ -95,35 +109,47 @@ func TestStageDecoupledMatchesCoupled(t *testing.T) {
 }
 
 // TestReduceContributionsOrderInvariant checks the canonical reduction:
-// the same contributions inserted in different map orders reduce to
-// bitwise-identical gradients.
+// the same contributions arriving in different orders reduce to
+// bitwise-identical gradients, and a duplicated or missing micro-batch is
+// rejected.
 func TestReduceContributionsOrderInvariant(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	mk := func() (*Stage, map[MBKey][]*tensor.Matrix) {
+	mk := func() (*Stage, []Contribution) {
 		st := MLPStages(1, 4, 8, 2, 3)[0]
-		contribs := make(map[MBKey][]*tensor.Matrix)
+		var contribs []Contribution
 		for k := 0; k < 3; k++ {
 			for j := 0; j < 4; j++ {
 				var gs []*tensor.Matrix
 				for _, p := range st.Params() {
-					g := tensor.Randn(p.W.Rows, p.W.Cols, 1, rand.New(rand.NewSource(int64(k*100+j))))
+					g := heap.Randn(p.W.Rows, p.W.Cols, 1, rand.New(rand.NewSource(int64(k*100+j))))
 					gs = append(gs, g)
 				}
-				contribs[MBKey{Pipeline: k, MB: j}] = gs
+				contribs = append(contribs, Contribution{Key: MBKey{Pipeline: k, MB: j}, Grads: gs})
 			}
 		}
-		_ = rng
 		return st, contribs
 	}
 	a, ca := mk()
 	b, cb := mk()
-	a.ReduceContributions(ca, 12)
-	b.ReduceContributions(cb, 12)
+	rng.Shuffle(len(cb), func(i, j int) { cb[i], cb[j] = cb[j], cb[i] })
+	if err := a.ReduceContributions(ca, 12); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.ReduceContributions(cb, 12); err != nil {
+		t.Fatal(err)
+	}
 	pa, pb := a.Params(), b.Params()
 	for i := range pa {
 		if !tensor.Equal(pa[i].Grad, pb[i].Grad) {
 			t.Fatalf("canonical reduction not deterministic for param %d", i)
 		}
+	}
+	if err := a.ReduceContributions(ca[:11], 12); err == nil {
+		t.Fatal("a missing contribution was reduced")
+	}
+	ca[11] = ca[3]
+	if err := a.ReduceContributions(ca, 12); err == nil {
+		t.Fatal("a duplicate contribution was reduced")
 	}
 }
 

@@ -3,7 +3,7 @@ package nn
 import (
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"recycle/internal/tensor"
 )
@@ -25,17 +25,31 @@ func (k MBKey) Less(o MBKey) bool {
 	return k.MB < o.MB
 }
 
+// Contribution is one micro-batch's weight gradients, one matrix per
+// parameter in Params() order — the unit the WeightGradStore holds and the
+// all-reduce ships.
+type Contribution struct {
+	Key   MBKey
+	Grads []*tensor.Matrix
+}
+
 // Stage is one pipeline stage: an ordered list of layers plus the
 // per-micro-batch stash bookkeeping and the WeightGradStore (§5) that
 // holds deferred weight-gradient work.
 type Stage struct {
+	// Layers is fixed at NewStage: Params() is built from it once.
 	Layers []Layer
+	params []*Param
 
-	stashes map[MBKey][]*Stash
-	// store holds per-micro-batch weight gradients (one slice per param,
-	// in Params() order) until the all-reduce collects them — the
-	// WeightGradStore of the DeepSpeed implementation.
-	store map[MBKey][]*tensor.Matrix
+	// arena backs every tensor the stage's passes produce: activations,
+	// stashes, input and weight gradients all die at the iteration
+	// boundary, where ReleaseStashes recycles it.
+	arena tensor.Arena
+
+	stashes map[MBKey][]Stash
+	// store holds per-micro-batch weight gradients until the all-reduce
+	// collects them — the WeightGradStore of the DeepSpeed implementation.
+	store []Contribution
 	// epoch counts the optimizer steps applied to this replica's
 	// parameters — the PipeDream-style version stamp that makes step
 	// re-execution idempotent. A re-delivered step whose target epoch the
@@ -45,11 +59,11 @@ type Stage struct {
 
 // NewStage wraps layers into a stage.
 func NewStage(layers ...Layer) *Stage {
-	return &Stage{
-		Layers:  layers,
-		stashes: make(map[MBKey][]*Stash),
-		store:   make(map[MBKey][]*tensor.Matrix),
+	s := &Stage{Layers: layers, stashes: make(map[MBKey][]Stash)}
+	for _, l := range layers {
+		s.params = append(s.params, l.Params()...)
 	}
+	return s
 }
 
 // MLPStages builds a PP-stage multi-layer perceptron: each stage is
@@ -75,14 +89,14 @@ func MLPStages(pp, inDim, hidden, outDim int, seed int64) []*Stage {
 	return stages
 }
 
-// Params returns the stage's parameters in deterministic order.
-func (s *Stage) Params() []*Param {
-	var ps []*Param
-	for _, l := range s.Layers {
-		ps = append(ps, l.Params()...)
-	}
-	return ps
-}
+// Params returns the stage's parameters in deterministic (layer) order.
+// The slice is the stage's own: callers must not modify it.
+func (s *Stage) Params() []*Param { return s.params }
+
+// Arena returns the allocator of the stage's per-iteration tensors, for
+// callers whose tensors share that lifetime (the micro-batch inputs fed to
+// Forward, the loss gradient fed to BackwardInput).
+func (s *Stage) Arena() *tensor.Arena { return &s.arena }
 
 // Forward runs the stage's forward pass for one micro-batch, stashing the
 // per-layer state.
@@ -90,11 +104,9 @@ func (s *Stage) Forward(key MBKey, x *tensor.Matrix) *tensor.Matrix {
 	if _, dup := s.stashes[key]; dup {
 		panic(fmt.Sprintf("nn: duplicate forward for micro-batch %+v", key))
 	}
-	st := make([]*Stash, len(s.Layers))
+	st := make([]Stash, len(s.Layers))
 	for i, l := range s.Layers {
-		var stash *Stash
-		x, stash = l.Forward(x)
-		st[i] = stash
+		x = l.Forward(&s.arena, x, &st[i])
 	}
 	s.stashes[key] = st
 	return x
@@ -109,7 +121,7 @@ func (s *Stage) BackwardInput(key MBKey, dy *tensor.Matrix) *tensor.Matrix {
 		panic(fmt.Sprintf("nn: BackwardInput without forward for %+v", key))
 	}
 	for i := len(s.Layers) - 1; i >= 0; i-- {
-		dy = s.Layers[i].BackwardInput(st[i], dy)
+		dy = s.Layers[i].BackwardInput(&s.arena, &st[i], dy)
 	}
 	return dy
 }
@@ -126,18 +138,22 @@ func (s *Stage) BackwardWeight(key MBKey) {
 	if !ok {
 		panic(fmt.Sprintf("nn: BackwardWeight without forward for %+v", key))
 	}
-	var grads []*tensor.Matrix
-	for i, l := range s.Layers {
-		gs := l.BackwardWeight(st[i])
-		if len(gs) != len(l.Params()) {
-			panic("nn: BackwardWeight arity mismatch")
-		}
-		grads = append(grads, gs...)
-	}
-	if _, dup := s.store[key]; dup {
+	if s.stored(key) >= 0 {
 		panic(fmt.Sprintf("nn: duplicate BackwardWeight for %+v", key))
 	}
-	s.store[key] = grads
+	grads := make([]*tensor.Matrix, 0, len(s.params))
+	for i, l := range s.Layers {
+		grads = l.BackwardWeight(&s.arena, &st[i], grads)
+	}
+	if len(grads) != len(s.params) {
+		panic("nn: BackwardWeight arity mismatch")
+	}
+	s.store = append(s.store, Contribution{Key: key, Grads: grads})
+}
+
+// stored returns the position of key's contribution in the store, or -1.
+func (s *Stage) stored(key MBKey) int {
+	return slices.IndexFunc(s.store, func(c Contribution) bool { return c.Key == key })
 }
 
 // PendingStashes returns the number of micro-batch activation stashes the
@@ -154,14 +170,22 @@ func (s *Stage) DiscardStash(key MBKey) { delete(s.stashes, key) }
 // effect of an invalidated BackwardWeight, cleared so the re-execution can
 // store a fresh (bitwise-identical) contribution without tripping the
 // duplicate guard. Idempotent.
-func (s *Stage) DiscardGrad(key MBKey) { delete(s.store, key) }
+func (s *Stage) DiscardGrad(key MBKey) {
+	if i := s.stored(key); i >= 0 {
+		s.store = slices.Delete(s.store, i, i+1)
+	}
+}
 
-// ReleaseStashes frees every retained activation stash — the
-// iteration-boundary acknowledgement of the stash lifecycle: once the
-// iteration's optimizer steps are validated, no failure can re-request
-// this iteration's backward work, so the stashes are garbage.
+// ReleaseStashes frees every retained activation stash and recycles the
+// arena under them — the iteration-boundary acknowledgement of the stash
+// lifecycle: once the iteration's optimizer steps are validated, no
+// failure can re-request this iteration's backward work, so the stashes
+// and every other tensor the stage produced this iteration are garbage.
+// Tensors cross stages (an activation is the next stage's stash), so the
+// caller releases all stages together, after every executor has stopped.
 func (s *Stage) ReleaseStashes() {
-	s.stashes = make(map[MBKey][]*Stash)
+	s.stashes = make(map[MBKey][]Stash)
+	s.arena.Reset()
 }
 
 // StepEpoch returns the number of optimizer steps applied to this
@@ -181,7 +205,7 @@ func (s *Stage) StepOnce(opt Optimizer, target int) bool {
 	if s.epoch >= target {
 		return false
 	}
-	opt.Step(s.Params())
+	opt.Step(s.params)
 	s.epoch = target
 	return true
 }
@@ -199,43 +223,57 @@ func (s *Stage) RegressStepEpoch(n int) {
 // WeightGradStore.
 func (s *Stage) StoreLen() int { return len(s.store) }
 
-// DrainStore removes and returns all stored contributions keyed by
-// micro-batch.
-func (s *Stage) DrainStore() map[MBKey][]*tensor.Matrix {
+// DrainStore removes and returns all stored contributions, in the order
+// their BackwardWeight passes ran.
+func (s *Stage) DrainStore() []Contribution {
 	out := s.store
-	s.store = make(map[MBKey][]*tensor.Matrix)
+	s.store = nil
 	return out
 }
 
 // Reset clears all stashes and stored gradients (used when an iteration is
-// aborted and replayed after a mid-iteration failure).
+// aborted and replayed after a mid-iteration failure). The arena is left
+// alone: peers may still hold tensors this stage produced.
 func (s *Stage) Reset() {
-	s.stashes = make(map[MBKey][]*Stash)
-	s.store = make(map[MBKey][]*tensor.Matrix)
+	s.stashes = make(map[MBKey][]Stash)
+	s.store = nil
 }
 
 // ReduceContributions sums per-micro-batch gradient contributions in
-// canonical (pipeline, micro-batch) order and scales by 1/totalMBs,
+// canonical (pipeline, micro-batch) order — contribs is sorted in place,
+// whatever order the contributions arrived in — and scales by 1/totalMBs,
 // writing the result into the stage's parameter gradient accumulators.
 // Because floating-point addition is order-sensitive, this canonical
 // ordering is what makes adapted (rerouted) execution produce *bitwise*
-// the same gradients as fault-free execution.
-func (s *Stage) ReduceContributions(contribs map[MBKey][]*tensor.Matrix, totalMBs int) {
-	params := s.Params()
-	keys := make([]MBKey, 0, len(contribs))
-	for k := range contribs {
-		keys = append(keys, k)
+// the same gradients as fault-free execution. A micro-batch contributed
+// twice, or a count other than totalMBs, is an error and reduces nothing.
+func (s *Stage) ReduceContributions(contribs []Contribution, totalMBs int) error {
+	if len(contribs) != totalMBs {
+		return fmt.Errorf("nn: all-reduce saw %d contributions, want %d", len(contribs), totalMBs)
 	}
-	sort.Slice(keys, func(a, b int) bool { return keys[a].Less(keys[b]) })
+	slices.SortFunc(contribs, func(a, b Contribution) int {
+		switch {
+		case a.Key.Less(b.Key):
+			return -1
+		case b.Key.Less(a.Key):
+			return 1
+		}
+		return 0
+	})
+	for i := 1; i < len(contribs); i++ {
+		if contribs[i].Key == contribs[i-1].Key {
+			return fmt.Errorf("nn: duplicate gradient contribution for %+v", contribs[i].Key)
+		}
+	}
+	params := s.params
 	for _, p := range params {
 		p.ZeroGrad()
 	}
-	for _, k := range keys {
-		gs := contribs[k]
-		if len(gs) != len(params) {
-			panic(fmt.Sprintf("nn: contribution arity %d != params %d for %+v", len(gs), len(params), k))
+	for _, c := range contribs {
+		if len(c.Grads) != len(params) {
+			panic(fmt.Sprintf("nn: contribution arity %d != params %d for %+v", len(c.Grads), len(params), c.Key))
 		}
-		for i, g := range gs {
+		for i, g := range c.Grads {
 			tensor.AddInPlace(params[i].Grad, g)
 		}
 	}
@@ -245,4 +283,5 @@ func (s *Stage) ReduceContributions(contribs map[MBKey][]*tensor.Matrix, totalMB
 			p.Grad.Data[i] *= inv
 		}
 	}
+	return nil
 }

@@ -15,8 +15,8 @@ type SpliceInput struct {
 	Prog *schedule.Program
 	// Starts and Ends are the executed spans at the event instant, indexed
 	// by instruction ID, -1 for instructions that have not run — the
-	// Execution arrays of a CutAt run of sim.ExecuteProgram, or the live
-	// runtime's dep-board snapshot.
+	// Execution arrays of a CutAt run of sim.ExecuteProgram, which are the
+	// live runtime's executed timeline too.
 	Starts, Ends []int64
 	// Cut is the event instant on the program's virtual clock. No
 	// re-planned work starts before it.
@@ -61,8 +61,9 @@ type Spliced struct {
 	// passes schedule.Validate under the input cost function.
 	Schedule *schedule.Schedule
 	// Done maps the Program's prefix instruction IDs to their recorded
-	// completion times — hand it to sim.ExecuteProgram (or seed a dep
-	// board) so resumption never re-executes completed work.
+	// completion times — hand it to sim.ExecuteProgram (the live runtime
+	// skips it in every stream) so resumption never re-executes completed
+	// work.
 	Done map[int]int64
 	// Floors is the per-worker release floor the re-plan honored; pass it
 	// as ReleaseAt when re-executing so the resumed timeline reproduces

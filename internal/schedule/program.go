@@ -63,7 +63,7 @@ type Instr struct {
 	// from the schedule's placement span (End - Start). Under a
 	// heterogeneous cost model this is the per-(stage, op, worker) number
 	// the solver optimized against; both executors read it through
-	// Program.DurOf, so the runtime's dep board and the discrete-event
+	// Program.DurOf, so the live runtime's timeline and the discrete-event
 	// simulator consume exactly the durations the plan was solved with.
 	// Zero means "not stamped" (hand-assembled programs) and falls back to
 	// the homogeneous Durations.
@@ -135,7 +135,7 @@ func (p *Program) EdgeLatency(k DepKind) int64 { return p.Durations.EdgeLatency(
 // per-instruction duration when the program was compiled from a timed
 // schedule, falling back to the homogeneous per-op-type Durations for
 // hand-assembled programs. This is the single duration rule shared by the
-// live runtime's dep board and the discrete-event simulator.
+// live runtime and the discrete-event simulator.
 func (p *Program) DurOf(id int) int64 {
 	if d := p.Instrs[id].Dur; d > 0 {
 		return d

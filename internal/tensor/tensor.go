@@ -1,7 +1,9 @@
 // Package tensor provides the dense float64 matrix operations the
 // reproduction's neural-network substrate (internal/nn) is built on. It is
-// deliberately small: deterministic, allocation-explicit, row-major, with
-// the fused transpose-multiply forms needed by decoupled backpropagation.
+// deliberately small: deterministic, allocation-explicit (every op that
+// returns a new matrix is a method on *Arena, nil meaning the Go heap),
+// row-major, with the fused transpose-multiply forms needed by decoupled
+// backpropagation.
 package tensor
 
 import (
@@ -16,13 +18,8 @@ type Matrix struct {
 	Data       []float64
 }
 
-// New allocates a zero matrix.
-func New(rows, cols int) *Matrix {
-	if rows <= 0 || cols <= 0 {
-		panic(fmt.Sprintf("tensor: invalid shape %dx%d", rows, cols))
-	}
-	return &Matrix{Rows: rows, Cols: cols, Data: make([]float64, rows*cols)}
-}
+// New allocates a zero matrix on the Go heap.
+func New(rows, cols int) *Matrix { return (*Arena)(nil).New(rows, cols) }
 
 // FromSlice wraps data (length rows*cols) without copying.
 func FromSlice(rows, cols int, data []float64) *Matrix {
@@ -33,8 +30,8 @@ func FromSlice(rows, cols int, data []float64) *Matrix {
 }
 
 // Randn fills a new matrix with N(0, stddev) values from rng.
-func Randn(rows, cols int, stddev float64, rng *rand.Rand) *Matrix {
-	m := New(rows, cols)
+func (ar *Arena) Randn(rows, cols int, stddev float64, rng *rand.Rand) *Matrix {
+	m := ar.New(rows, cols)
 	for i := range m.Data {
 		m.Data[i] = rng.NormFloat64() * stddev
 	}
@@ -62,11 +59,11 @@ func (m *Matrix) Zero() {
 }
 
 // MatMul returns a @ b.
-func MatMul(a, b *Matrix) *Matrix {
+func (ar *Arena) MatMul(a, b *Matrix) *Matrix {
 	if a.Cols != b.Rows {
 		panic(fmt.Sprintf("tensor: matmul shape mismatch %dx%d @ %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
-	out := New(a.Rows, b.Cols)
+	out := ar.New(a.Rows, b.Cols)
 	for i := 0; i < a.Rows; i++ {
 		arow := a.Data[i*a.Cols : (i+1)*a.Cols]
 		orow := out.Data[i*b.Cols : (i+1)*b.Cols]
@@ -84,11 +81,11 @@ func MatMul(a, b *Matrix) *Matrix {
 }
 
 // MatMulBT returns a @ bᵀ — the backward-input form dX = dY @ Wᵀ.
-func MatMulBT(a, b *Matrix) *Matrix {
+func (ar *Arena) MatMulBT(a, b *Matrix) *Matrix {
 	if a.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: matmulBT shape mismatch %dx%d @ (%dx%d)T", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
-	out := New(a.Rows, b.Rows)
+	out := ar.New(a.Rows, b.Rows)
 	for i := 0; i < a.Rows; i++ {
 		arow := a.Data[i*a.Cols : (i+1)*a.Cols]
 		for j := 0; j < b.Rows; j++ {
@@ -104,11 +101,11 @@ func MatMulBT(a, b *Matrix) *Matrix {
 }
 
 // MatMulAT returns aᵀ @ b — the backward-weight form dW = Xᵀ @ dY.
-func MatMulAT(a, b *Matrix) *Matrix {
+func (ar *Arena) MatMulAT(a, b *Matrix) *Matrix {
 	if a.Rows != b.Rows {
 		panic(fmt.Sprintf("tensor: matmulAT shape mismatch (%dx%d)T @ %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
-	out := New(a.Cols, b.Cols)
+	out := ar.New(a.Cols, b.Cols)
 	for k := 0; k < a.Rows; k++ {
 		arow := a.Data[k*a.Cols : (k+1)*a.Cols]
 		brow := b.Data[k*b.Cols : (k+1)*b.Cols]
@@ -126,9 +123,9 @@ func MatMulAT(a, b *Matrix) *Matrix {
 }
 
 // Add returns a + b.
-func Add(a, b *Matrix) *Matrix {
+func (ar *Arena) Add(a, b *Matrix) *Matrix {
 	mustSameShape("add", a, b)
-	out := New(a.Rows, a.Cols)
+	out := ar.New(a.Rows, a.Cols)
 	for i := range out.Data {
 		out.Data[i] = a.Data[i] + b.Data[i]
 	}
@@ -144,9 +141,9 @@ func AddInPlace(a, b *Matrix) {
 }
 
 // Sub returns a - b.
-func Sub(a, b *Matrix) *Matrix {
+func (ar *Arena) Sub(a, b *Matrix) *Matrix {
 	mustSameShape("sub", a, b)
-	out := New(a.Rows, a.Cols)
+	out := ar.New(a.Rows, a.Cols)
 	for i := range out.Data {
 		out.Data[i] = a.Data[i] - b.Data[i]
 	}
@@ -154,8 +151,8 @@ func Sub(a, b *Matrix) *Matrix {
 }
 
 // Scale returns s * a.
-func Scale(a *Matrix, s float64) *Matrix {
-	out := New(a.Rows, a.Cols)
+func (ar *Arena) Scale(a *Matrix, s float64) *Matrix {
+	out := ar.New(a.Rows, a.Cols)
 	for i := range out.Data {
 		out.Data[i] = a.Data[i] * s
 	}
@@ -163,11 +160,11 @@ func Scale(a *Matrix, s float64) *Matrix {
 }
 
 // AddRowVector adds row vector v (1 x Cols) to every row of a.
-func AddRowVector(a, v *Matrix) *Matrix {
+func (ar *Arena) AddRowVector(a, v *Matrix) *Matrix {
 	if v.Rows != 1 || v.Cols != a.Cols {
 		panic(fmt.Sprintf("tensor: row vector %dx%d for %dx%d matrix", v.Rows, v.Cols, a.Rows, a.Cols))
 	}
-	out := New(a.Rows, a.Cols)
+	out := ar.New(a.Rows, a.Cols)
 	for i := 0; i < a.Rows; i++ {
 		for j := 0; j < a.Cols; j++ {
 			out.Data[i*a.Cols+j] = a.Data[i*a.Cols+j] + v.Data[j]
@@ -178,8 +175,8 @@ func AddRowVector(a, v *Matrix) *Matrix {
 
 // ColSums returns the column sums of a as a 1 x Cols vector (the bias
 // gradient reduction).
-func ColSums(a *Matrix) *Matrix {
-	out := New(1, a.Cols)
+func (ar *Arena) ColSums(a *Matrix) *Matrix {
+	out := ar.New(1, a.Cols)
 	for i := 0; i < a.Rows; i++ {
 		for j := 0; j < a.Cols; j++ {
 			out.Data[j] += a.Data[i*a.Cols+j]
@@ -189,8 +186,8 @@ func ColSums(a *Matrix) *Matrix {
 }
 
 // Apply returns f mapped over a.
-func Apply(a *Matrix, f func(float64) float64) *Matrix {
-	out := New(a.Rows, a.Cols)
+func (ar *Arena) Apply(a *Matrix, f func(float64) float64) *Matrix {
+	out := ar.New(a.Rows, a.Cols)
 	for i, v := range a.Data {
 		out.Data[i] = f(v)
 	}
@@ -198,9 +195,9 @@ func Apply(a *Matrix, f func(float64) float64) *Matrix {
 }
 
 // Hadamard returns the element-wise product.
-func Hadamard(a, b *Matrix) *Matrix {
+func (ar *Arena) Hadamard(a, b *Matrix) *Matrix {
 	mustSameShape("hadamard", a, b)
-	out := New(a.Rows, a.Cols)
+	out := ar.New(a.Rows, a.Cols)
 	for i := range out.Data {
 		out.Data[i] = a.Data[i] * b.Data[i]
 	}
