@@ -1,12 +1,14 @@
 package dtrain
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"strings"
 	"testing"
 	"time"
 
+	"recycle/internal/engine"
 	"recycle/internal/schedule"
 	"recycle/internal/tensor"
 )
@@ -230,6 +232,72 @@ func TestRollbackLeavesNoStaleState(t *testing.T) {
 	}
 	if s := err.Error(); strings.Contains(s, "contribution") {
 		t.Fatalf("rollback leaked in-flight state into the next iteration: %v", err)
+	}
+}
+
+// fixedSource is a ProgramSource that hands out one Program whatever the
+// failure set asked for — a misdirected or stale store entry.
+type fixedSource struct{ prog *schedule.Program }
+
+func (s fixedSource) ProgramFor(map[schedule.Worker]bool) (*schedule.Program, error) {
+	return s.prog, nil
+}
+
+// TestForeignProgramIsRejected covers the stale-or-misdirected-Program
+// case of an executor: a Program of another job's shape (it used to kill
+// the process with a nil dereference in a worker goroutine), and one of the
+// right shape compiled around a failure set the runtime is not in, are
+// both refused with ErrForeignProgram before anything runs, and the
+// runtime then trains on as if the fetch had never happened.
+func TestForeignProgramIsRejected(t *testing.T) {
+	cfg := Config{DP: 2, PP: 2, MB: 4, InDim: 8, Hidden: 16, OutDim: 4, MicroBatchSize: 5, Seed: 7, LR: 1e-2}
+	compile := func(dp, pp, mb int, failed map[schedule.Worker]bool) *schedule.Program {
+		job, stats := engine.ShapeJob(dp, pp, mb)
+		prog, err := engine.New(job, stats, engine.Options{UnrollIterations: 1}).ProgramFor(failed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return prog
+	}
+	victim := schedule.Worker{Stage: 1, Pipeline: 0}
+	around := map[schedule.Worker]bool{victim: true}
+	cases := []struct {
+		name   string
+		prog   *schedule.Program
+		failed bool // the runtime has lost victim
+	}{
+		{"another job's shape", compile(3, 2, 4, nil), false},
+		{"a failure the runtime has not seen", compile(2, 2, 4, around), false},
+		{"a failure set the runtime has moved past", compile(2, 2, 4, nil), true},
+	}
+	for _, tc := range cases {
+		ref, rt := New(cfg), New(cfg)
+		if tc.failed {
+			ref.Fail(victim)
+			rt.Fail(victim)
+		}
+		rt.SetProgramSource(fixedSource{tc.prog})
+		_, err := iterateWatched(t, rt)
+		if !errors.Is(err, ErrForeignProgram) {
+			t.Fatalf("%s: RunIteration returned %v, want ErrForeignProgram", tc.name, err)
+		}
+		if rt.Iteration() != 0 {
+			t.Fatalf("%s: a rejected Program advanced the runtime to iteration %d", tc.name, rt.Iteration())
+		}
+		rt.SetProgramSource(nil)
+		for i := 0; i < 2; i++ {
+			want, err := iterateWatched(t, ref)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := iterateWatched(t, rt)
+			if err != nil {
+				t.Fatalf("%s: iteration %d after the rejection: %v", tc.name, i, err)
+			}
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s: iteration %d loss %v after the rejection, reference %v", tc.name, i, got, want)
+			}
+		}
 	}
 }
 

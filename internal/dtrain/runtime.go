@@ -50,6 +50,12 @@ type Config struct {
 // itself has nothing to report.
 var errAborted = errors.New("dtrain: iteration aborted by a peer")
 
+// ErrForeignProgram marks a fetched Program that was not compiled for this
+// runtime — another job's shape, or a failure set the runtime is not in: a
+// stale or misdirected artifact at an executor. RunIteration returns it
+// before anything runs.
+var ErrForeignProgram = errors.New("dtrain: fetched Program does not fit this runtime")
+
 // delay sleeps for the configured per-op kernel latency.
 func (rt *Runtime) delay(t schedule.OpType) {
 	if d := rt.Cfg.Delays.Of(t); d > 0 {
@@ -436,11 +442,22 @@ type spliceChain struct {
 }
 
 // newSpliceChain starts a chain at the compiled Program for the current
-// failure set.
+// failure set. The Program may come from a remote source, so it is checked
+// against the runtime it is about to drive.
 func (rt *Runtime) newSpliceChain() (*spliceChain, error) {
 	prog, err := rt.Program()
 	if err != nil {
 		return nil, err
+	}
+	if sh := prog.Shape; sh.DP != rt.Cfg.DP || sh.PP != rt.Cfg.PP || sh.MB != rt.Cfg.MB {
+		return nil, fmt.Errorf("%w: shape %+v, runtime is DP%d×PP%d×MB%d", ErrForeignProgram, sh, rt.Cfg.DP, rt.Cfg.PP, rt.Cfg.MB)
+	}
+	stale := len(prog.Failed) != len(rt.failed)
+	for w := range rt.failed {
+		stale = stale || !prog.Failed[w]
+	}
+	if stale {
+		return nil, fmt.Errorf("%w: compiled around %d failed workers %v, the runtime has %d: %v", ErrForeignProgram, len(prog.Failed), prog.Failed, len(rt.failed), rt.failed)
 	}
 	c := &spliceChain{cur: prog}
 	if cm := rt.eng.CostModel(); cm != nil {

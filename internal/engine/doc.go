@@ -17,7 +17,10 @@
 //     written by one engine survives replica failures and is readable by
 //     any other engine sharing the store; compiled Programs round-trip
 //     the same way (EncodeProgram/DecodeProgram), so a remote executor's
-//     fetch-only Client pulls the executable artifact directly;
+//     fetch-only Client pulls the executable artifact directly. Both are
+//     one binary framing of length-prefixed varint arrays (wire.go) read
+//     by a cursor that trusts nothing: a decoded artifact is executable
+//     or the decode fails;
 //   - Plan / PlanConcrete are get-or-solve with request coalescing:
 //     concurrent callers asking for the same (job fingerprint,
 //     techniques, failure count) trigger exactly one solve;

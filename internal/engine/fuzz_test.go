@@ -2,8 +2,36 @@ package engine
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 )
+
+// The v1 (JSON) encodings of the DP1×PP1×MB1 Program and plan, as the
+// retired codec wrote them: stores may still hold such bytes.
+const (
+	v1Program = `{"Version":1,"Shape":{"DP":1,"PP":1,"MB":1,"Iter":1},"Durations":{"F":1,"BInput":1,"BWeight":1,"Opt":1,"Comm":0},"Instrs":[{"Op":{"Stage":0,"MB":0,"Home":0,"Type":0,"Exec":0,"Iter":0},"Dur":1},{"Op":{"Stage":0,"MB":0,"Home":0,"Type":1,"Exec":0,"Iter":0},"Deps":[{"From":0,"Kind":2}],"Dur":2},{"Op":{"Stage":0,"MB":-1,"Home":0,"Type":4,"Exec":0,"Iter":0},"Deps":[{"From":1,"Kind":3}],"Dur":1}],"Streams":[{"Worker":{"Stage":0,"Pipeline":0},"IDs":[0,1,2]}]}`
+	v1Plan    = `{"Version":1,"Failures":0,"Assignment":[0],"Failed":null,"PeriodSlots":4,"PlanTimeNS":43561,"Schedule":{"Shape":{"DP":1,"PP":1,"MB":1,"Iter":1},"Durations":{"F":1,"BInput":1,"BWeight":1,"Opt":1,"Comm":0},"Failed":null,"Placements":[{"Op":{"Stage":0,"MB":0,"Home":0,"Type":0,"Exec":0,"Iter":0},"Start":0,"End":1},{"Op":{"Stage":0,"MB":0,"Home":0,"Type":1,"Exec":0,"Iter":0},"Start":1,"End":3},{"Op":{"Stage":0,"MB":-1,"Home":0,"Type":4,"Exec":0,"Iter":0},"Start":3,"End":4}]}}`
+)
+
+// addHostileSeeds seeds a decode fuzzer with what a replicated store can
+// hand an executor besides a good artifact: a valid encoding cut at each
+// section boundary (sections lists where they end) and just short of its
+// end, the shared header followed by a count the bytes cannot back and by a
+// count of 2³¹, v1 bytes, an artifact of the other kind, and nothing.
+func addHostileSeeds(f *testing.F, data []byte, sections []int, header []byte, v1 string, otherKind []byte) {
+	f.Add(data)
+	for _, end := range append(sections, len(wireMagic)+2, len(header), len(data)-1) {
+		f.Add(data[:end:end])
+	}
+	tooMany := writer{b: bytes.Clone(header)}
+	tooMany.int(len(data))
+	tooMany.int(0)
+	f.Add(tooMany.b)
+	f.Add(binary.AppendUvarint(append(bytes.Clone(header), 1), 1<<31))
+	f.Add([]byte(v1))
+	f.Add(otherKind)
+	f.Add([]byte(nil))
+}
 
 // FuzzDecodePlan hardens the plan codec against the replicated store's
 // failure modes: torn writes, stale versions, hand-edited values. The
@@ -13,6 +41,14 @@ import (
 func FuzzDecodePlan(f *testing.F) {
 	job, stats := ShapeJob(2, 2, 4)
 	eng := New(job, stats, Options{UnrollIterations: 1})
+	prog, err := eng.Program(0)
+	if err != nil {
+		f.Fatal(err)
+	}
+	progData, err := EncodeProgram(prog)
+	if err != nil {
+		f.Fatal(err)
+	}
 	for n := 0; n <= 1; n++ {
 		p, err := eng.Plan(n)
 		if err != nil {
@@ -22,12 +58,26 @@ func FuzzDecodePlan(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
-		f.Add(data)
+		var header writer
+		header.header(kindPlan, CodecVersion, p.Schedule.Shape, p.Schedule.Durations, p.Schedule.Failed)
+		// The plan's own fields end where the placement count begins.
+		fields := writer{b: bytes.Clone(header.b)}
+		fields.int(p.Failures)
+		fields.varint(p.PeriodSlots)
+		fields.varint(int64(p.PlanTime))
+		fields.int(len(p.Assignment))
+		for _, a := range p.Assignment {
+			fields.int(a)
+		}
+		fields.int(len(p.Failed))
+		for _, w := range p.Failed {
+			fields.worker(w)
+		}
+		if !bytes.HasPrefix(data, fields.b) {
+			f.Fatal("the seed builder no longer mirrors EncodePlan")
+		}
+		addHostileSeeds(f, data, []int{len(fields.b)}, header.b, v1Plan, progData)
 	}
-	f.Add([]byte(`{"Version":1}`))
-	f.Add([]byte(`{"Version":99,"Schedule":{}}`))
-	f.Add([]byte(`not json at all`))
-	f.Add([]byte(nil))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p, err := DecodePlan(data)
@@ -63,6 +113,14 @@ func FuzzDecodePlan(f *testing.F) {
 func FuzzDecodeProgram(f *testing.F) {
 	job, stats := ShapeJob(2, 2, 4)
 	eng := New(job, stats, Options{UnrollIterations: 1})
+	plan, err := eng.Plan(0)
+	if err != nil {
+		f.Fatal(err)
+	}
+	planData, err := EncodePlan(plan)
+	if err != nil {
+		f.Fatal(err)
+	}
 	for n := 0; n <= 1; n++ {
 		p, err := eng.Program(n)
 		if err != nil {
@@ -72,13 +130,25 @@ func FuzzDecodeProgram(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
-		f.Add(data)
+		var header writer
+		header.header(kindProgram, ProgramCodecVersion, p.Shape, p.Durations, p.Failed)
+		// The stream section is the tail; the instructions end where it begins.
+		var streams writer
+		streams.int(len(p.Streams))
+		for _, wk := range p.Workers() {
+			streams.worker(wk)
+			streams.int(len(p.Streams[wk]))
+			prev := 0
+			for _, id := range p.Streams[wk] {
+				streams.varint(int64(id - prev))
+				prev = id
+			}
+		}
+		if !bytes.HasSuffix(data, streams.b) {
+			f.Fatal("the seed builder no longer mirrors EncodeProgram")
+		}
+		addHostileSeeds(f, data, []int{len(data) - len(streams.b)}, header.b, v1Program, planData)
 	}
-	f.Add([]byte(`{"Version":1}`))
-	f.Add([]byte(`{"Version":1,"Shape":{"DP":2,"PP":2,"MB":4,"Iter":1},"Instrs":[{"Op":{}}]}`))
-	f.Add([]byte(`{"Version":99,"Instrs":[{}]}`))
-	f.Add([]byte(`not json at all`))
-	f.Add([]byte(nil))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p, err := DecodeProgram(data)

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"encoding/json"
 	"fmt"
 
 	"recycle/internal/schedule"
@@ -11,104 +10,124 @@ import (
 // every encoded Program. DecodeProgram rejects any other version, so a
 // rolling upgrade of the plan service can never misread artifacts written
 // by a newer codec.
-const ProgramCodecVersion = 1
+const ProgramCodecVersion = 2
 
-// wireProgram is the serialized form of schedule.Program: the compiled
-// artifact with stamped per-instruction durations and explicit dependency
-// edges, exactly what a remote executor needs to interpret the schedule
-// without being able to compile it. The failed-worker set and the streams
-// become sorted lists (JSON cannot key maps by struct); instruction IDs
-// are implicit in list order.
-type wireProgram struct {
-	Version   int
-	Shape     schedule.Shape
-	Durations schedule.Durations
-	Failed    []schedule.Worker `json:",omitempty"`
-	Instrs    []wireInstr
-	Streams   []wireStream
-}
-
-// wireInstr is one instruction without its ID (the list index is the ID —
-// Programs index edges by position, so the order is load-bearing and the
-// redundant field would only invite disagreement).
-type wireInstr struct {
-	Op   schedule.Op
-	Deps []schedule.Dep `json:",omitempty"`
-	Dur  int64          `json:",omitempty"`
-}
-
-// wireStream is one worker's execution-ordered instruction stream.
-type wireStream struct {
-	Worker schedule.Worker
-	IDs    []int
-}
-
-// EncodeProgram serializes a compiled Program into the canonical versioned
-// byte format stored in the replicated plan store. Streams are emitted in
-// the deterministic (pipeline, stage) worker order, so encoding the same
-// Program twice — or encoding a decoded copy — yields identical bytes.
+// EncodeProgram serializes a compiled Program — stamped durations and
+// explicit dependency edges, all a remote executor needs to interpret a
+// schedule it cannot compile — into the canonical versioned bytes the
+// replicated plan store holds: after the shared header the instruction and
+// total edge counts, per instruction its op, Dur and (position − From,
+// Kind) edges, then per stream its worker and delta-coded IDs. IDs are list
+// positions and streams go in (pipeline, stage) order, so encoding a Program
+// twice — or encoding a decoded copy — yields identical bytes.
 func EncodeProgram(p *schedule.Program) ([]byte, error) {
 	if p == nil || len(p.Instrs) == 0 {
 		return nil, fmt.Errorf("engine: refusing to encode an empty program")
 	}
-	w := wireProgram{
-		Version:   ProgramCodecVersion,
-		Shape:     p.Shape,
-		Durations: p.Durations,
-		Failed:    workerList(p.Failed),
-		Instrs:    make([]wireInstr, len(p.Instrs)),
-	}
-	for i, in := range p.Instrs {
-		if in.ID != i {
-			return nil, fmt.Errorf("engine: program instruction %d carries ID %d — IDs must equal list positions", i, in.ID)
+	edges := 0
+	for i := range p.Instrs {
+		if id := p.Instrs[i].ID; id != i {
+			return nil, fmt.Errorf("engine: program instruction %d carries ID %d — IDs must equal list positions", i, id)
 		}
-		w.Instrs[i] = wireInstr{Op: in.Op, Deps: in.Deps, Dur: in.Dur}
+		edges += len(p.Instrs[i].Deps)
 	}
-	for _, wk := range p.Workers() {
-		w.Streams = append(w.Streams, wireStream{Worker: wk, IDs: p.Streams[wk]})
+	w := writer{b: make([]byte, 0, 64+12*len(p.Instrs)+3*edges)}
+	w.header(kindProgram, ProgramCodecVersion, p.Shape, p.Durations, p.Failed)
+	w.int(len(p.Instrs))
+	w.int(edges)
+	for i := range p.Instrs {
+		in := &p.Instrs[i]
+		w.op(in.Op)
+		w.varint(in.Dur)
+		w.int(len(in.Deps))
+		for _, d := range in.Deps {
+			w.varint(int64(i) - int64(d.From))
+			w.int(int(d.Kind))
+		}
 	}
-	return json.Marshal(w)
+	workers := p.Workers()
+	w.int(len(workers))
+	for _, wk := range workers {
+		w.worker(wk)
+		w.int(len(p.Streams[wk]))
+		prev := 0
+		for _, id := range p.Streams[wk] {
+			w.varint(int64(id) - int64(prev))
+			prev = id
+		}
+	}
+	return w.b, w.err
 }
 
-// DecodeProgram parses bytes written by EncodeProgram, validates the codec
-// version and the shape, rebuilds the Program with IDs re-stamped from
-// list positions, and runs the full structural Validate (streams partition
-// the instructions, edges are consistent, the graph is acyclic) — a
-// decoded artifact is executable or the decode fails.
+// DecodeProgram parses bytes written by EncodeProgram straight into the
+// layout Compile produces: one instruction slab, one edge slab the Deps are
+// carved from, one stream slab, the precomputed worker list. Every count is
+// checked against the bytes remaining before it sizes anything, both totals
+// declared up front must be consumed exactly, every op, worker and edge kind
+// must lie inside its enum and the shape, and the result passes the full
+// structural Validate — a decoded artifact is executable or the decode fails.
 func DecodeProgram(data []byte) (*schedule.Program, error) {
-	var w wireProgram
-	if err := json.Unmarshal(data, &w); err != nil {
-		return nil, fmt.Errorf("engine: undecodable program: %w", err)
+	r := reader{b: data}
+	durations, failed := r.header(kindProgram, ProgramCodecVersion)
+	n := r.count(8)
+	edges := r.count(2)
+	if r.err == nil && (n == 0 || !r.sh.Indexable(n)) {
+		r.fail("%d instructions cannot cover shape %+v", n, r.sh)
 	}
-	if w.Version != ProgramCodecVersion {
-		return nil, fmt.Errorf("engine: program codec version %d, want %d", w.Version, ProgramCodecVersion)
-	}
-	if err := w.Shape.Validate(); err != nil {
-		return nil, fmt.Errorf("engine: decoded program: %w", err)
-	}
-	if len(w.Instrs) == 0 {
-		return nil, fmt.Errorf("engine: decoded program has no instructions")
-	}
-	p := &schedule.Program{
-		Shape:     w.Shape,
-		Durations: w.Durations,
-		Failed:    make(map[schedule.Worker]bool, len(w.Failed)),
-		Instrs:    make([]schedule.Instr, len(w.Instrs)),
-		Streams:   make(map[schedule.Worker][]int, len(w.Streams)),
-	}
-	for _, fw := range w.Failed {
-		p.Failed[fw] = true
-	}
-	for i, in := range w.Instrs {
-		p.Instrs[i] = schedule.Instr{ID: i, Op: in.Op, Deps: in.Deps, Dur: in.Dur}
-	}
-	for _, st := range w.Streams {
-		if _, dup := p.Streams[st.Worker]; dup {
-			return nil, fmt.Errorf("engine: decoded program repeats stream for %s", st.Worker)
+	instrs := make([]schedule.Instr, n)
+	deps := make([]schedule.Dep, edges)
+	for i := 0; i < n && r.err == nil; i++ {
+		in := &instrs[i]
+		in.ID, in.Op, in.Dur = i, r.op(), r.varint()
+		nd := r.int()
+		if nd > len(deps) {
+			r.fail("instruction %d overruns the %d declared edges", i, edges)
+			break
 		}
-		p.Streams[st.Worker] = st.IDs
+		if nd > 0 {
+			in.Deps, deps = deps[:nd:nd], deps[nd:]
+		}
+		for j := range in.Deps {
+			from, kind := int64(i)-r.varint(), r.int()
+			if from < 0 || from >= int64(n) || kind > int(schedule.DepAllReduce) {
+				r.fail("instruction %d: edge from %d of kind %d", i, from, kind)
+				break
+			}
+			in.Deps[j] = schedule.Dep{From: int(from), Kind: schedule.DepKind(kind)}
+		}
 	}
-	if err := p.Validate(); err != nil {
+	if r.err == nil && len(deps) > 0 {
+		r.fail("%d of the %d declared edges are missing", len(deps), edges)
+	}
+	nw := r.count(3)
+	ids := make([]int, n)
+	streams := make(map[schedule.Worker][]int, nw)
+	workers := make([]schedule.Worker, nw)
+	for i := 0; i < nw && r.err == nil; i++ {
+		workers[i] = r.worker()
+		ns := r.count(1)
+		if ns > len(ids) {
+			r.fail("streams hold more than the %d instructions", n)
+			break
+		}
+		id := int64(0)
+		for j := 0; j < ns; j++ {
+			if id += r.varint(); id < 0 || id >= int64(n) {
+				r.fail("stream of %s references instruction %d outside [0,%d)", workers[i], id, n)
+				break
+			}
+			ids[j] = int(id)
+		}
+		streams[workers[i]], ids = ids[:ns:ns], ids[ns:]
+	}
+	if r.err == nil && len(ids) > 0 {
+		r.fail("%d instructions are in no stream", len(ids))
+	}
+	if err := r.end("program"); err != nil {
+		return nil, err
+	}
+	p, err := schedule.NewProgram(r.sh, durations, failed, instrs, streams, workers)
+	if err != nil {
 		return nil, fmt.Errorf("engine: decoded program: %w", err)
 	}
 	return p, nil

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -235,8 +236,9 @@ func TestProgramCodecRoundTrip(t *testing.T) {
 	}
 }
 
-// TestProgramCodecRejections pins the codec's refusals: wrong version,
-// empty program, and instruction IDs that disagree with list positions.
+// TestProgramCodecRejections pins the codec's refusals: a future version,
+// v1 JSON bytes, an empty program, a plan blob, and instruction IDs that
+// disagree with list positions.
 func TestProgramCodecRejections(t *testing.T) {
 	job, stats := ShapeJob(2, 2, 4)
 	eng := New(job, stats, Options{UnrollIterations: 1})
@@ -257,12 +259,109 @@ func TestProgramCodecRejections(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tampered := bytes.Replace(data, []byte(`"Version":1`), []byte(`"Version":2`), 1)
-	if _, err := DecodeProgram(tampered); err == nil {
-		t.Fatal("DecodeProgram accepted a future codec version")
+	future := bytes.Clone(data)
+	future[len(wireMagic)+1]++
+	if _, err := DecodeProgram(future); err == nil || !strings.Contains(err.Error(), "codec version") {
+		t.Fatalf("DecodeProgram on a future codec version: %v", err)
 	}
-	if _, err := DecodeProgram([]byte(`{"Version":1,"Instrs":[]}`)); err == nil {
+	v1 := []byte(`{"Version":1,"Shape":{"DP":2,"PP":2,"MB":4,"Iter":1},"Instrs":[{"Op":{}}]}`)
+	if _, err := DecodeProgram(v1); err == nil || !strings.Contains(err.Error(), "codec version") {
+		t.Fatalf("DecodeProgram on v1 JSON bytes: %v", err)
+	}
+	empty := writer{}
+	empty.header(kindProgram, ProgramCodecVersion, prog.Shape, prog.Durations, nil)
+	for range 3 { // no instructions, no edges, no streams
+		empty.int(0)
+	}
+	if _, err := DecodeProgram(empty.b); err == nil {
 		t.Fatal("DecodeProgram accepted an empty program")
+	}
+	plan, err := eng.Plan(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	planData, err := EncodePlan(plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DecodeProgram(planData); err == nil {
+		t.Fatal("DecodeProgram accepted a plan blob")
+	}
+	if _, err := DecodePlan(data); err == nil {
+		t.Fatal("DecodePlan accepted a program blob")
+	}
+	if _, err := DecodeProgram(append(bytes.Clone(data), 0)); err == nil {
+		t.Fatal("DecodeProgram accepted trailing bytes")
+	}
+}
+
+// TestDecodeProgramChecksShape is the regression test for a decode that
+// never looked at Shape: a valid DP4×PP4 encoding whose header is rewritten
+// to DP1×PP1 must not decode, nor may a Program carrying one field outside
+// its shape or enum at any position the wire has.
+func TestDecodeProgramChecksShape(t *testing.T) {
+	job, stats := ShapeJob(4, 4, 8)
+	eng := New(job, stats, Options{UnrollIterations: 1})
+	prog, err := eng.ProgramFor(map[schedule.Worker]bool{{Stage: 1, Pipeline: 2}: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := EncodeProgram(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shrunk := bytes.Clone(data)
+	dpAt := len(wireMagic) + 2 // DP and PP follow the framing, one byte each
+	if shrunk[dpAt] != 4 || shrunk[dpAt+1] != 4 {
+		t.Fatalf("header bytes % x are not where the test expects DP and PP", shrunk[:dpAt+2])
+	}
+	shrunk[dpAt], shrunk[dpAt+1] = 1, 1
+	if _, err := DecodeProgram(shrunk); err == nil {
+		t.Fatal("DecodeProgram accepted a DP4×PP4 program under a DP1×PP1 header")
+	}
+
+	// An instruction with edges, to corrupt: the last one is an optimizer.
+	last := len(prog.Instrs) - 1
+	if len(prog.Instrs[last].Deps) == 0 {
+		t.Fatal("last instruction has no edges")
+	}
+	someWorker := prog.Workers()[0]
+	outside := schedule.Worker{Stage: prog.Shape.PP, Pipeline: 0}
+	cases := map[string]func(p *schedule.Program){
+		"op stage":      func(p *schedule.Program) { p.Instrs[0].Op.Stage = p.Shape.PP },
+		"op micro":      func(p *schedule.Program) { p.Instrs[0].Op.MB = p.Shape.MB },
+		"op home":       func(p *schedule.Program) { p.Instrs[0].Op.Home = p.Shape.DP },
+		"op type":       func(p *schedule.Program) { p.Instrs[0].Op.Type = schedule.Optimizer + 1 },
+		"op exec":       func(p *schedule.Program) { p.Instrs[0].Op.Exec = p.Shape.DP },
+		"op iter":       func(p *schedule.Program) { p.Instrs[0].Op.Iter = p.Shape.Iter },
+		"edge kind":     func(p *schedule.Program) { p.Instrs[last].Deps[0].Kind = schedule.DepAllReduce + 1 },
+		"edge producer": func(p *schedule.Program) { p.Instrs[last].Deps[0].From = len(p.Instrs) },
+		"stream id":     func(p *schedule.Program) { p.Streams[someWorker][0] = len(p.Instrs) },
+		"stream worker": func(p *schedule.Program) {
+			p.Streams[outside] = p.Streams[someWorker]
+			delete(p.Streams, someWorker)
+		},
+		"failed worker": func(p *schedule.Program) { p.Failed = map[schedule.Worker]bool{outside: true} },
+	}
+	for name, corrupt := range cases {
+		// A deep copy through the codec, without the precomputed worker
+		// list, so the corrupted streams are what gets encoded.
+		fresh, err := DecodeProgram(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := &schedule.Program{Shape: fresh.Shape, Durations: fresh.Durations, Failed: fresh.Failed, Instrs: fresh.Instrs, Streams: fresh.Streams}
+		corrupt(p)
+		tampered, err := EncodeProgram(p)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if bytes.Equal(tampered, data) {
+			t.Fatalf("%s: corruption did not reach the wire", name)
+		}
+		if _, err := DecodeProgram(tampered); err == nil {
+			t.Errorf("DecodeProgram accepted a program with its %s out of range", name)
+		}
 	}
 }
 

@@ -89,9 +89,35 @@ type Program struct {
 	workers []Worker
 }
 
+// NewProgram assembles and validates a Program from parts already in
+// Compile's layout — the constructor a decoder uses. workers must list the
+// keys of streams, each stream non-empty, in (pipeline, stage) order; it
+// becomes the precomputed list Workers returns.
+func NewProgram(sh Shape, d Durations, failed map[Worker]bool, instrs []Instr, streams map[Worker][]int, workers []Worker) (*Program, error) {
+	if len(workers) != len(streams) {
+		return nil, fmt.Errorf("schedule: program: %d workers listed for %d streams", len(workers), len(streams))
+	}
+	prev := -1
+	for _, w := range workers {
+		at := sh.WorkerIndex(w)
+		if at <= prev {
+			return nil, fmt.Errorf("schedule: program: stream of %s is outside shape %+v or out of (pipeline, stage) order", w, sh)
+		}
+		prev = at
+		if len(streams[w]) == 0 {
+			return nil, fmt.Errorf("schedule: program: %s is listed without a stream", w)
+		}
+	}
+	p := &Program{Shape: sh, Durations: d, Failed: failed, Instrs: instrs, Streams: streams, workers: workers}
+	if err := p.Validate(); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
 // Workers returns every worker with a non-empty stream in (pipeline, stage)
-// order. Compiled programs carry a precomputed list; hand-assembled ones
-// (tests, fuzzing) derive it from the streams on each call.
+// order. Compiled and decoded programs carry a precomputed list;
+// hand-assembled ones (tests, fuzzing) derive it from the streams on each call.
 func (p *Program) Workers() []Worker {
 	if p.workers != nil {
 		return p.workers
