@@ -35,21 +35,11 @@ type report struct {
 	// triples that changed owners at splices) against the scalar
 	// failure-normalization restart charge for the Table 1 workloads.
 	Migration []experiments.MigrationRow
-	// Solver measures the incremental warm-start machinery (warm
-	// re-derivation, equivalence-class dedup, recalibration re-plans) —
-	// the section the CI bench-smoke job gates on.
-	Solver []experiments.SolverRow
-	// Service is the multi-job plan-service load benchmark: sharded vs
-	// single-mutex engines under concurrent fetchers with failure churn,
-	// gated against the BENCH_service.json snapshot in CI.
-	Service experiments.ServiceReport
 }
 
 func main() {
 	fig13 := flag.Bool("fig13", false, "include the (slow) planner-latency heat map")
 	asJSON := flag.Bool("json", false, "emit the structured results as JSON on stdout")
-	solverOnly := flag.Bool("solver", false, "run only the solver warm-start benchmark (fast; the CI bench-smoke mode)")
-	serviceOnly := flag.Bool("service", false, "run only the plan-service load benchmark (sharded vs single-mutex; the BENCH_service.json source)")
 	metricsOnly := flag.Bool("metrics", false, "run a short traced training exercise and dump the unified metrics registry (engine + runtime + per-phase trace counters) as versioned JSON")
 	flag.Parse()
 
@@ -70,32 +60,6 @@ func main() {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
 		check(enc.Encode(m))
-		return
-	}
-
-	if *solverOnly {
-		var t string
-		rep.Solver, t, err = experiments.SolverBench()
-		check(err)
-		emit(t)
-		if *asJSON {
-			enc := json.NewEncoder(os.Stdout)
-			enc.SetIndent("", "  ")
-			check(enc.Encode(struct{ Solver []experiments.SolverRow }{rep.Solver}))
-		}
-		return
-	}
-
-	if *serviceOnly {
-		var t string
-		rep.Service, t, err = experiments.ServiceBench(experiments.DefaultServiceLoad())
-		check(err)
-		emit(t)
-		if *asJSON {
-			enc := json.NewEncoder(os.Stdout)
-			enc.SetIndent("", "  ")
-			check(enc.Encode(struct{ Service experiments.ServiceReport }{rep.Service}))
-		}
 		return
 	}
 
@@ -147,14 +111,6 @@ func main() {
 	if !*fig13 {
 		emit("(run with -fig13 for the full 6x5 grid)")
 	}
-
-	rep.Solver, t, err = experiments.SolverBench()
-	check(err)
-	emit(t)
-
-	rep.Service, t, err = experiments.ServiceBench(experiments.DefaultServiceLoad())
-	check(err)
-	emit(t)
 
 	if *asJSON {
 		enc := json.NewEncoder(os.Stdout)

@@ -3,8 +3,9 @@
 // is replayed against a failure workload (a monotonic failure frequency or
 // the GCP trace of Fig 9a) and the throughput timeline is printed.
 // ReCycle obtains every schedule through the plan service; -preplan runs
-// the offline phase (concurrent PlanAll into the replicated store) before
-// the replay starts, so failure events only ever hit precomputed plans.
+// the offline phase (engine.Warm: every tolerated failure count solved
+// concurrently into the replicated store) before the replay starts, so
+// failure events only ever hit precomputed plans.
 //
 // With -des N the simulator drops below steady-state scalars to the op
 // level: the plan for N failures is compiled into a Program (the same

@@ -160,26 +160,46 @@ func TestPlannerSchedulesValidate(t *testing.T) {
 	}
 }
 
-// TestPlanAllAndStore checks the offline phase: plans for 0..DP-1 failures
-// land in the store and Best falls back to larger plans.
+// TestPlanAllAndStore checks the offline phase: a plan for every count in
+// 0..DP-1 lands in the store, and Best falls back to the smallest larger
+// plan when the exact count is missing.
 func TestPlanAllAndStore(t *testing.T) {
 	p := testPlanner(t)
+	maxF := p.Job.MaxPlannedFailures()
+	if maxF != p.Job.Parallel.DP-1 {
+		t.Fatalf("max planned failures %d, want %d", maxF, p.Job.Parallel.DP-1)
+	}
 	store := NewPlanStore()
-	if err := p.PlanAll(store, 0); err != nil {
-		t.Fatal(err)
+	for f := 0; f <= maxF; f++ {
+		plan, err := p.PlanFor(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := store.Put(plan); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if got, want := store.Len(), p.Job.Parallel.DP; got != want {
-		t.Fatalf("store has %d plans, want %d", got, want)
+	for f := 0; f <= maxF; f++ {
+		if plan, ok := store.Get(f); !ok || plan.Failures != f {
+			t.Fatalf("Get(%d) = (%v, %v), want the %d-failure plan", f, plan, ok, f)
+		}
 	}
-	if _, ok := store.Get(2); !ok {
-		t.Fatal("missing plan for 2 failures")
-	}
-	if store.MaxFailures() != p.Job.Parallel.DP-1 {
-		t.Fatalf("max failures %d, want %d", store.MaxFailures(), p.Job.Parallel.DP-1)
-	}
-	// Best for a missing exact count returns the next larger plan.
 	if plan, ok := store.Best(0); !ok || plan.Failures != 0 {
 		t.Fatal("Best(0) should return the exact plan")
+	}
+
+	gap := NewPlanStore()
+	for _, f := range []int{0, 2} {
+		plan, _ := store.Get(f)
+		if err := gap.Put(plan); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if plan, ok := gap.Best(1); !ok || plan.Failures != 2 {
+		t.Fatalf("Best(1) over {0, 2} = (%v, %v), want the 2-failure plan", plan, ok)
+	}
+	if plan, ok := gap.Best(3); ok {
+		t.Fatalf("Best(3) over {0, 2} returned the %d-failure plan, want none", plan.Failures)
 	}
 }
 

@@ -61,24 +61,3 @@ func (s *PlanStore) Best(n int) (*Plan, bool) {
 	sort.Ints(keys)
 	return s.plans[keys[0]], true
 }
-
-// MaxFailures returns the largest failure count with a stored plan, or -1
-// when empty.
-func (s *PlanStore) MaxFailures() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	maxF := -1
-	for k := range s.plans {
-		if k > maxF {
-			maxF = k
-		}
-	}
-	return maxF
-}
-
-// Len returns the number of stored plans.
-func (s *PlanStore) Len() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.plans)
-}

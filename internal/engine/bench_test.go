@@ -19,7 +19,7 @@ func benchJob(tb testing.TB) (config.Job, profile.Stats) {
 	return job, stats
 }
 
-// planAllPeriods runs one PlanAll and returns the per-count periods.
+// planAllPeriods warms every count and returns the per-count periods.
 func planAllPeriods(tb testing.TB, eng *Engine, maxF int) []int64 {
 	tb.Helper()
 	if err := eng.Warm(maxF).Wait(); err != nil {
@@ -41,7 +41,7 @@ func planAllPeriods(tb testing.TB, eng *Engine, maxF int) []int64 {
 // period is bit-identical to the scratch derivation.
 func TestWarmPlanAllMatchesScratch(t *testing.T) {
 	if testing.Short() {
-		t.Skip("3.35B PlanAll in -short mode")
+		t.Skip("3.35B offline phase in -short mode")
 	}
 	job, stats := benchJob(t)
 	eng := New(job, stats, Options{UnrollIterations: 2})

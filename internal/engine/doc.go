@@ -9,8 +9,7 @@
 //   - Warm precomputes the plan for every tolerated failure count in the
 //     background (fewest failures first, since those are the likeliest
 //     fetches) with a bounded worker pool, while ScheduleFor keeps
-//     serving — the warming pipeline that replaced the blocking PlanAll
-//     offline phase;
+//     serving — the offline phase, run as a background warming pipeline;
 //   - every plan round-trips through the quorum-replicated plan store
 //     (internal/planstore, standing in for the paper's etcd) via the
 //     canonical versioned codec (EncodePlan/DecodePlan), so a plan
@@ -29,8 +28,8 @@
 //     on-demand solve on miss; ProgramFor serves the compiled Program
 //     for the same path, cached alongside the plan.
 //
-// All caches are lock-striped (Options.Stripes hash shards keyed by plan
-// fingerprint or schedule identity) and invalidation is epoch-based: a
+// All caches are lock-striped (64 hash shards keyed by plan fingerprint
+// or schedule identity) and invalidation is epoch-based: a
 // stripe is only ever locked for the keys it owns, and InvalidateCache
 // bumps one atomic instead of sweeping maps under a global mutex.
 //

@@ -16,8 +16,8 @@ import (
 )
 
 // Options tunes an Engine. The zero value selects full ReCycle techniques,
-// the planner's default unroll window, one worker per CPU, 64 lock
-// stripes and a fresh 3-replica plan store.
+// the planner's default unroll window, one worker per CPU and a fresh
+// 3-replica plan store.
 type Options struct {
 	// Techniques overrides the ReCycle technique toggles (nil selects
 	// core.AllTechniques).
@@ -38,16 +38,6 @@ type Options struct {
 	// modeled per-worker compute times below which Recalibrate leaves the
 	// cost model untouched (0 selects DefaultRecalibrateThreshold).
 	RecalibrateThreshold float64
-	// Stripes is the lock-stripe count for the plan/Program caches,
-	// rounded up to a power of two (0 selects 64). More stripes means
-	// less cross-fingerprint contention at a few maps' worth of memory.
-	Stripes int
-	// SingleMutex collapses the engine to one exclusively locked stripe
-	// and restores the pre-striping per-fetch work (a full planner
-	// snapshot plus a cost-model signature per request). It exists as the
-	// honest baseline for the service load benchmark; production engines
-	// leave it false.
-	SingleMutex bool
 }
 
 // Metrics is a snapshot of the engine's plan-traffic counters.
@@ -102,7 +92,6 @@ type plannerConf struct {
 type Engine struct {
 	store   *planstore.Store
 	workers int
-	single  bool
 
 	// confMu guards the live planner's retunable fields (Costs via
 	// SetCostModel/MarkStraggler/Recalibrate) and the conf snapshot.
@@ -118,13 +107,12 @@ type Engine struct {
 	// global lock.
 	epoch atomic.Uint64
 
-	// seed/stripeMask/stripes/pstripes are the lock-striped caches: plans
-	// and in-flight solves sharded by key hash, Programs and encoded plan
-	// bytes sharded by schedule identity.
-	seed       maphash.Seed
-	stripeMask uint64
-	stripes    []stripe
-	pstripes   []progStripe
+	// seed/stripes/pstripes are the lock-striped caches: plans and
+	// in-flight solves sharded by key hash, Programs sharded by schedule
+	// identity.
+	seed     maphash.Seed
+	stripes  [numStripes]stripe
+	pstripes [numStripes]progStripe
 
 	// normMu guards norm, the per-fingerprint Best(n) indexes, each
 	// tagged with the epoch it serves.
@@ -194,28 +182,11 @@ func New(job config.Job, stats profile.Stats, opts Options) *Engine {
 	if threshold <= 0 {
 		threshold = DefaultRecalibrateThreshold
 	}
-	nStripes := opts.Stripes
-	switch {
-	case opts.SingleMutex:
-		nStripes = 1
-	case nStripes <= 0:
-		nStripes = defaultStripes
-	default:
-		p := 1
-		for p < nStripes {
-			p <<= 1
-		}
-		nStripes = p
-	}
 	e := &Engine{
 		planner:        planner,
 		store:          store,
 		workers:        workers,
-		single:         opts.SingleMutex,
 		seed:           maphash.MakeSeed(),
-		stripeMask:     uint64(nStripes - 1),
-		stripes:        make([]stripe, nStripes),
-		pstripes:       make([]progStripe, nStripes),
 		norm:           make(map[string]*normIndex),
 		hintsN:         make(map[int]*core.Plan),
 		hintsC:         make(map[string]*core.Plan),
@@ -228,7 +199,6 @@ func New(job config.Job, stats profile.Stats, opts Options) *Engine {
 	}
 	for i := range e.pstripes {
 		e.pstripes[i].programs = make(map[*schedule.Schedule]progEntry)
-		e.pstripes[i].encoded = make(map[*schedule.Schedule][]byte)
 	}
 	return e
 }
@@ -259,12 +229,8 @@ func (e *Engine) Planner() *core.Planner { return e.planner }
 // config returns the current configuration snapshot, rebuilding it only
 // when the live planner's retunable fields (techniques, unroll window,
 // cost model identity) no longer match — a shared-lock three-field
-// compare on the hot path instead of the old per-request planner copy
-// plus cost-model signature.
+// compare on the hot path.
 func (e *Engine) config() *plannerConf {
-	if e.single {
-		return e.legacyConf()
-	}
 	e.confMu.RLock()
 	c := e.conf
 	fresh := c != nil &&
@@ -293,18 +259,6 @@ func (e *Engine) refreshConf() *plannerConf {
 	c.fp = e.fps.of(&c.pl)
 	e.conf = c
 	e.confSwaps.Add(1)
-	return c
-}
-
-// legacyConf is the SingleMutex-mode configuration path: a full planner
-// copy under the exclusive lock plus a cost-model signature on every
-// request — the per-fetch work the striped engine is benchmarked against.
-func (e *Engine) legacyConf() *plannerConf {
-	e.confMu.Lock()
-	pl := *e.planner
-	e.confMu.Unlock()
-	c := &plannerConf{pl: pl}
-	c.fp = e.fps.of(&c.pl)
 	return c
 }
 
@@ -374,9 +328,6 @@ func (e *Engine) Store() *planstore.Store { return e.store }
 // InvalidateCache; a torn read is impossible (single atomic).
 func (e *Engine) Epoch() uint64 { return e.epoch.Load() }
 
-// StripeCount returns the configured lock-stripe count.
-func (e *Engine) StripeCount() int { return len(e.stripes) }
-
 // Metrics returns a snapshot of the plan-traffic counters.
 func (e *Engine) Metrics() Metrics {
 	return Metrics{
@@ -432,7 +383,7 @@ func (e *Engine) Plan(n int) (*core.Plan, error) {
 		return nil, fmt.Errorf("engine: negative failure count %d", n)
 	}
 	c := e.config()
-	p, err := e.getOrSolve(e.nkey(c.fp, n), c.fp, true, func() (*core.Plan, error) {
+	p, err := e.getOrSolve(nkey(c.fp, n), c.fp, true, func() (*core.Plan, error) {
 		return c.pl.PlanForHinted(n, e.hintNorm(n))
 	})
 	if err == nil {
@@ -452,7 +403,7 @@ func (e *Engine) PlanConcrete(failed []schedule.Worker) (*core.Plan, error) {
 	ws := append([]schedule.Worker(nil), failed...)
 	core.SortWorkers(ws)
 	c := e.config()
-	key := e.ckey(c.fp, ws)
+	key := ckey(c.fp, ws)
 
 	var costs schedule.CostFunc
 	if c.pl.Costs != nil {
@@ -472,7 +423,7 @@ func (e *Engine) PlanConcrete(failed []schedule.Worker) (*core.Plan, error) {
 		return p, nil
 	}
 	e.classDedups.Add(1)
-	cp, err := e.getOrSolve(e.ckey(c.fp, canon), c.fp, false, func() (*core.Plan, error) {
+	cp, err := e.getOrSolve(ckey(c.fp, canon), c.fp, false, func() (*core.Plan, error) {
 		return c.pl.PlanConcreteHinted(canon, e.hintConcrete(canon))
 	})
 	if err != nil {
@@ -522,10 +473,9 @@ func (e *Engine) noteConcrete(ws []schedule.Worker, p *core.Plan) {
 
 // InvalidateCache drops every derived planning artifact — the in-process
 // plan cache, the Best(n) indexes, the compiled-program cache and the
-// replicated store's contents — while keeping the warm-start hints and the
-// immutable encoded-plan bytes. It models plan-state loss (a planner
-// restart, a store wipe, a membership change that voids cached plans): the
-// next Warm re-derives every plan, and the retained hints make the
+// replicated store's contents — while keeping the warm-start hints. It
+// models plan-state loss (a planner restart, a store wipe, a membership
+// change that voids cached plans): the next Warm re-derives every plan, and the retained hints make the
 // re-derivation a warm validation pass instead of a scratch solve.
 //
 // Invalidation is a single epoch bump: entries admitted under older
@@ -547,7 +497,7 @@ func (e *Engine) InvalidateCache() {
 func (e *Engine) Best(n int) (*core.Plan, bool) {
 	c := e.config()
 	ep := e.epoch.Load()
-	if p, ok := e.peek(e.nkey(c.fp, n), c.fp, true); ok {
+	if p, ok := e.peek(nkey(c.fp, n), c.fp, true); ok {
 		return p, true
 	}
 	return e.normStore(c.fp, ep).Best(n)
@@ -556,12 +506,12 @@ func (e *Engine) Best(n int) (*core.Plan, bool) {
 // best is Best without the traffic counters, used by ScheduleFor so each
 // Coordinator fetch lands in exactly one metrics tier.
 func (e *Engine) best(fp string, n int) (*core.Plan, bool) {
-	key := e.nkey(fp, n)
+	key := nkey(fp, n)
 	st := e.stripeFor(key)
 	ep := e.epoch.Load()
 	e.lockShared(&st.mu)
 	ent, ok := st.plans[key]
-	e.unlockShared(&st.mu)
+	st.mu.RUnlock()
 	if ok && ent.epoch == e.epoch.Load() {
 		return ent.plan, true
 	}
@@ -591,7 +541,7 @@ func (e *Engine) ScheduleFor(failed map[schedule.Worker]bool) (*schedule.Schedul
 	}
 	core.SortWorkers(ws)
 	c := e.config()
-	if p, ok := e.peek(e.ckey(c.fp, ws), c.fp, false); ok {
+	if p, ok := e.peek(ckey(c.fp, ws), c.fp, false); ok {
 		return p.Schedule, nil
 	}
 	if p, ok := e.best(c.fp, len(ws)); ok {
@@ -617,7 +567,7 @@ func (e *Engine) peek(key, fp string, normalized bool) (*core.Plan, bool) {
 	ep := e.epoch.Load()
 	e.lockShared(&st.mu)
 	ent, ok := st.plans[key]
-	e.unlockShared(&st.mu)
+	st.mu.RUnlock()
 	if ok && ent.epoch == e.epoch.Load() {
 		e.cacheHits.Add(1)
 		return ent.plan, true
@@ -631,20 +581,18 @@ func (e *Engine) peek(key, fp string, normalized bool) (*core.Plan, bool) {
 
 // getOrSolve is the coalescing get-or-solve core: one solve per key no
 // matter how many callers arrive concurrently. Coalescing is per-stripe —
-// a solve on one fingerprint never blocks a hit on another — and the
-// striped engine probes the cache under the shared lock before touching
-// the exclusive inflight path at all.
+// a solve on one fingerprint never blocks a hit on another — and the cache
+// is probed under the shared lock before the exclusive inflight path is
+// touched at all.
 func (e *Engine) getOrSolve(key, fp string, normalized bool, solve func() (*core.Plan, error)) (*core.Plan, error) {
 	st := e.stripeFor(key)
 	ep := e.epoch.Load()
-	if !e.single {
-		e.lockShared(&st.mu)
-		ent, ok := st.plans[key]
-		e.unlockShared(&st.mu)
-		if ok && ent.epoch == e.epoch.Load() {
-			e.cacheHits.Add(1)
-			return ent.plan, nil
-		}
+	e.lockShared(&st.mu)
+	ent, ok := st.plans[key]
+	st.mu.RUnlock()
+	if ok && ent.epoch == e.epoch.Load() {
+		e.cacheHits.Add(1)
+		return ent.plan, nil
 	}
 	e.lockExcl(&st.mu)
 	if ent, ok := st.plans[key]; ok && ent.epoch == e.epoch.Load() {
@@ -721,32 +669,15 @@ func (e *Engine) loadQuiet(key string) *core.Plan {
 	return p
 }
 
-// persist encodes the plan and replicates it. A lost write quorum does not
-// fail the request — the caller still gets its plan — but is counted.
-// Encodings are memoized by schedule identity (schedules are immutable),
-// so a warm-hit re-solve that returns an already-encoded schedule
-// replicates the cached bytes instead of re-marshaling 10k+ placements.
+// persist encodes the plan and replicates it. A failed encode or a lost
+// write quorum does not fail the request — the caller still gets its plan —
+// but is counted.
 func (e *Engine) persist(key string, p *core.Plan) {
-	ps := e.progStripeFor(p.Schedule)
-	e.lockShared(&ps.mu)
-	data, ok := ps.encoded[p.Schedule]
-	e.unlockShared(&ps.mu)
-	if !ok {
-		var err error
-		data, err = EncodePlan(p)
-		if err != nil {
-			e.storeErrs.Add(1)
-			return
-		}
-		e.lockExcl(&ps.mu)
-		if prev, ok := ps.encoded[p.Schedule]; ok {
-			data = prev
-		} else {
-			ps.encoded[p.Schedule] = data
-		}
-		ps.mu.Unlock()
+	data, err := EncodePlan(p)
+	if err == nil {
+		err = e.store.Put(key, data)
 	}
-	if err := e.store.Put(key, data); err != nil {
+	if err != nil {
 		e.storeErrs.Add(1)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
-	"fmt"
 	"slices"
 	"strconv"
 	"strings"
@@ -51,9 +50,7 @@ func Fingerprint(job config.Job, stats profile.Stats, t core.Techniques, unroll 
 // fpCache memoizes fingerprints per engine. A planner's Job and Stats are
 // immutable for the engine's lifetime; only the technique toggles, the
 // unroll window and the cost model can be retuned, so they key the memo.
-// The striped engine consults it once per configuration snapshot rebuild;
-// the SingleMutex baseline pays the Signature call on every fetch, as the
-// pre-striping engine did.
+// The engine consults it once per configuration snapshot rebuild.
 type fpCache struct {
 	mu sync.Mutex
 	m  map[fpKey]string
@@ -86,28 +83,15 @@ func (c *fpCache) of(p *core.Planner) string {
 }
 
 // nkey addresses the normalized plan for n simultaneous failures — the
-// paper's "one plan per tolerated failure count" store layout (§4.2). The
-// striped engine builds it with append-style concatenation; the
-// SingleMutex baseline keeps the original fmt path (identical string,
-// pre-striping cost).
-func (e *Engine) nkey(fp string, n int) string {
-	if e.single {
-		return fmt.Sprintf("plans/%s/n/%d", fp, n)
-	}
+// paper's "one plan per tolerated failure count" store layout (§4.2).
+func nkey(fp string, n int) string {
 	return "plans/" + fp + "/n/" + strconv.Itoa(n)
 }
 
 // ckey addresses a plan solved for one specific failed-worker set, used
 // by the live runtime when no normalized plan matches. Workers must
 // already be sorted.
-func (e *Engine) ckey(fp string, ws []schedule.Worker) string {
-	if e.single {
-		parts := make([]string, len(ws))
-		for i, w := range ws {
-			parts[i] = fmt.Sprintf("%d.%d", w.Stage, w.Pipeline)
-		}
-		return fmt.Sprintf("plans/%s/c/%s", fp, strings.Join(parts, ","))
-	}
+func ckey(fp string, ws []schedule.Worker) string {
 	var b strings.Builder
 	b.Grow(len(fp) + 9 + len(ws)*8)
 	b.WriteString("plans/")

@@ -86,7 +86,7 @@ func (e *Engine) compiled(s *schedule.Schedule) (*schedule.Program, error) {
 	ep := e.epoch.Load()
 	e.lockShared(&ps.mu)
 	ent, ok := ps.programs[s]
-	e.unlockShared(&ps.mu)
+	ps.mu.RUnlock()
 	if ok && ent.epoch == e.epoch.Load() {
 		e.programHits.Add(1)
 		return ent.prog, nil

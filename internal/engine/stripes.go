@@ -8,11 +8,11 @@ import (
 	"recycle/internal/schedule"
 )
 
-// defaultStripes is the lock-stripe count when Options.Stripes is zero:
+// numStripes is the lock-stripe count of the plan and Program caches:
 // enough shards that concurrent fetchers on distinct fingerprints or
 // failure sets practically never share a lock, cheap enough that every
-// engine can afford the maps.
-const defaultStripes = 64
+// engine can afford the maps. A power of two, so a hash masks to a stripe.
+const numStripes = 64
 
 // call is one in-flight solve that concurrent requesters coalesce onto.
 type call struct {
@@ -46,57 +46,32 @@ type progEntry struct {
 	epoch uint64
 }
 
-// progStripe is one lock shard of the schedule-identity keyed caches:
-// compiled Programs and memoized plan encodings. Encoded bytes derive
-// from immutable schedules and survive epoch bumps (re-replicating after
-// a store wipe reuses them); Programs follow the plan cache's lazy
-// invalidation.
+// progStripe is one lock shard of the compiled-Program cache, keyed by
+// schedule identity. Programs follow the plan cache's lazy invalidation.
 type progStripe struct {
 	mu       sync.RWMutex
 	programs map[*schedule.Schedule]progEntry
-	encoded  map[*schedule.Schedule][]byte
 }
 
 // stripeFor shards the plan keyspace by key hash.
 func (e *Engine) stripeFor(key string) *stripe {
-	if len(e.stripes) == 1 {
-		return &e.stripes[0]
-	}
-	return &e.stripes[maphash.String(e.seed, key)&e.stripeMask]
+	return &e.stripes[maphash.String(e.seed, key)&(numStripes-1)]
 }
 
 // progStripeFor shards the Program caches by schedule identity (plans are
 // cached and shared, so one plan's schedule is one pointer for the
 // engine's lifetime).
 func (e *Engine) progStripeFor(s *schedule.Schedule) *progStripe {
-	if len(e.pstripes) == 1 {
-		return &e.pstripes[0]
-	}
-	return &e.pstripes[maphash.Comparable(e.seed, s)&e.stripeMask]
+	return &e.pstripes[maphash.Comparable(e.seed, s)&(numStripes-1)]
 }
 
-// lockShared acquires a stripe for reading. The single-mutex engine
-// (Options.SingleMutex) locks exclusively — the pre-striping behavior the
-// service benchmark baselines against. A failed speculative acquire
+// lockShared acquires a stripe for reading. A failed speculative acquire
 // counts one contention event before blocking.
 func (e *Engine) lockShared(mu *sync.RWMutex) {
-	if e.single {
-		e.lockExcl(mu)
-		return
-	}
 	if !mu.TryRLock() {
 		e.stripeContended.Add(1)
 		mu.RLock()
 	}
-}
-
-// unlockShared releases a lockShared acquisition.
-func (e *Engine) unlockShared(mu *sync.RWMutex) {
-	if e.single {
-		mu.Unlock()
-		return
-	}
-	mu.RUnlock()
 }
 
 // lockExcl acquires a stripe for writing, counting contention.

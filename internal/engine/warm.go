@@ -25,7 +25,7 @@ type Warmer struct {
 
 // Warm starts precomputing normalized plans for 0..maxFailures
 // simultaneous failures in the background and returns immediately — the
-// successor of the old blocking PlanAll offline phase (Fig 8). Counts are
+// offline phase of Fig 8. Counts are
 // warmed fewest-failures-first: small failure sets are the likeliest
 // fetches, so coverage concentrates where the serving path will look
 // first. maxFailures <= 0 selects the job's fault-tolerance threshold

@@ -9,7 +9,7 @@ import (
 )
 
 // TestInvalidateCacheRederivesWarm is the tentpole scenario: after a full
-// plan-state wipe (cache + replicated store), PlanAll re-derives every
+// plan-state wipe (cache + replicated store), Warm re-derives every
 // plan warm — the retained hints validate instead of re-solving — and
 // every period is bit-identical to the scratch derivation.
 func TestInvalidateCacheRederivesWarm(t *testing.T) {
@@ -29,7 +29,7 @@ func TestInvalidateCacheRederivesWarm(t *testing.T) {
 	}
 	m := eng.Metrics()
 	if m.Solves == 0 || m.ScratchSolves != m.Solves {
-		t.Fatalf("cold PlanAll: %d solves, %d scratch — want all scratch", m.Solves, m.ScratchSolves)
+		t.Fatalf("first Warm: %d solves, %d scratch — want all scratch", m.Solves, m.ScratchSolves)
 	}
 
 	eng.InvalidateCache()
@@ -38,7 +38,7 @@ func TestInvalidateCacheRederivesWarm(t *testing.T) {
 	}
 	m2 := eng.Metrics()
 	if m2.Solves <= m.Solves {
-		t.Fatalf("post-wipe PlanAll did not re-solve (solves %d -> %d)", m.Solves, m2.Solves)
+		t.Fatalf("post-wipe Warm did not re-solve (solves %d -> %d)", m.Solves, m2.Solves)
 	}
 	if m2.WarmHits != m2.Solves-m.Solves {
 		t.Fatalf("post-wipe re-derivation: %d warm hits over %d re-solves — want all warm", m2.WarmHits, m2.Solves-m.Solves)
@@ -58,9 +58,9 @@ func TestInvalidateCacheRederivesWarm(t *testing.T) {
 }
 
 // TestPlanConcreteClassDedup checks symmetry breaking end to end: under
-// homogeneous costs all pipelines are interchangeable, so two concrete
-// victim sets that differ only by the victim's pipeline share one solve.
-// Both returned plans must carry their own requested victims and validate.
+// homogeneous costs all pipelines are interchangeable, so concrete victim
+// sets that differ only by the victim's pipeline share one solve. Every
+// returned plan must carry its own requested victims and validate.
 func TestPlanConcreteClassDedup(t *testing.T) {
 	job, stats := analyticJob(t)
 	eng := New(job, stats, Options{UnrollIterations: 2})
@@ -107,16 +107,51 @@ func TestPlanConcreteClassDedup(t *testing.T) {
 	if m2 := eng.Metrics(); m2.Solves != 1 || m2.CacheHits == m.CacheHits {
 		t.Fatalf("repeat concrete request: solves %d (want 1), cache hits %d -> %d (want a hit)", m2.Solves, m.CacheHits, m2.CacheHits)
 	}
+
+	// A stage-1 victim in every pipeline: one class, so DP requests cost
+	// one solve and every other request is a rename of it.
+	eng = New(job, stats, Options{UnrollIterations: 2})
+	dp := job.Parallel.DP
+	var first *core.Plan
+	for p := 0; p < dp; p++ {
+		w := schedule.Worker{Stage: 1, Pipeline: p}
+		plan, err := eng.PlanConcrete([]schedule.Worker{w})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(plan.Failed) != 1 || plan.Failed[0] != w || !plan.Schedule.Failed[w] {
+			t.Fatalf("victim %v: plan fails %v", w, plan.Failed)
+		}
+		if first == nil {
+			first = plan
+		} else if plan.PeriodSlots != first.PeriodSlots {
+			t.Fatalf("victim %v: period %d, class representative %d", w, plan.PeriodSlots, first.PeriodSlots)
+		}
+	}
+	if m := eng.Metrics(); m.Solves != 1 || m.ClassDedups < uint64(dp-1) {
+		t.Fatalf("%d stage-1 victims: %d solves (want 1), %d class dedups (want >= %d)", dp, m.Solves, m.ClassDedups, dp-1)
+	}
 }
 
 // TestRecalibrateThresholdAndWarmReplan checks the feedback loop: drift
 // inside the threshold is a no-op; drift beyond it updates the cost model
-// and re-solves the planned counts warm (hints cross cost namespaces).
+// and re-solves the planned counts warm (hints cross cost namespaces), never
+// worse than a scratch engine on the drifted model; uniform measurements
+// afterwards drift back out onto the original namespace's cached plans.
 func TestRecalibrateThresholdAndWarmReplan(t *testing.T) {
 	job, stats := analyticJob(t)
 	eng := New(job, stats, Options{UnrollIterations: 2})
-	if err := eng.Warm(1).Wait(); err != nil {
+	const maxF = 1
+	if err := eng.Warm(maxF).Wait(); err != nil {
 		t.Fatal(err)
+	}
+	var pre [maxF + 1]*core.Plan
+	for f := range pre {
+		p, err := eng.Plan(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pre[f] = p
 	}
 	base := eng.Metrics()
 
@@ -180,5 +215,47 @@ func TestRecalibrateThresholdAndWarmReplan(t *testing.T) {
 	}
 	if err := schedule.Validate(p.Schedule, schedule.ValidateConfig{Costs: cm.Fn()}); err != nil {
 		t.Fatalf("recalibrated plan invalid under new costs: %v", err)
+	}
+	fresh := New(job, stats, Options{UnrollIterations: 2, CostModel: cm})
+	for f := range pre {
+		got, err := eng.Plan(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := fresh.Plan(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.PeriodSlots > want.PeriodSlots {
+			t.Errorf("f=%d: recalibrated period %d worse than a fresh engine's %d", f, got.PeriodSlots, want.PeriodSlots)
+		}
+	}
+
+	// Drift out: uniform measurements clear the multiplier, the model
+	// normalizes back to nil, and the working set collapses onto the
+	// pre-drift plans — cache hits, no solve.
+	m = eng.Metrics()
+	rec, err = eng.Recalibrate(uniform)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rec.Drifted || eng.CostModel() != nil {
+		t.Fatalf("uniform measurements did not drift back out: %+v (model %v)", rec, eng.CostModel())
+	}
+	for f := range pre {
+		p, err := eng.Plan(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p != pre[f] {
+			t.Errorf("f=%d: drift-out served period %d, want the pre-drift plan (period %d)", f, p.PeriodSlots, pre[f].PeriodSlots)
+		}
+	}
+	out := eng.Metrics()
+	if out.Solves != m.Solves {
+		t.Fatalf("drift-out re-solved %d times, want 0", out.Solves-m.Solves)
+	}
+	if out.CacheHits < m.CacheHits+2*uint64(len(pre)) {
+		t.Fatalf("drift-out: %d cache hits, want >= %d", out.CacheHits-m.CacheHits, 2*len(pre))
 	}
 }

@@ -14,6 +14,9 @@ func TestGalleryMatchesPaper(t *testing.T) {
 	if g.FaultFree != 27 {
 		t.Errorf("fault-free = %d slots, want 27 (Fig 3a)", g.FaultFree)
 	}
+	if g.AdaptiveNaive != 36 {
+		t.Errorf("adaptive naive = %d slots, want 36 (Fig 3b)", g.AdaptiveNaive)
+	}
 	if g.Decoupled != 29 {
 		t.Errorf("decoupled = %d slots, want 29 (Fig 5)", g.Decoupled)
 	}
