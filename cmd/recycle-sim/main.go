@@ -1,17 +1,16 @@
-// Command recycle-sim runs the discrete-event training simulator (§6.3):
-// a fault-tolerant system (recycle | oobleck | bamboo | elastic | scaled)
-// is replayed against a failure workload (a monotonic failure frequency or
-// the GCP trace of Fig 9a) and the throughput timeline is printed.
-// ReCycle obtains every schedule through the plan service; -preplan runs
-// the offline phase (engine.Warm: every tolerated failure count solved
-// concurrently into the replicated store) before the replay starts, so
-// failure events only ever hit precomputed plans.
+// Command recycle-sim runs the training simulator (§6.3): a fault-tolerant
+// system is replayed against a failure workload (a monotonic failure
+// frequency, per-machine Poisson failures, or the GCP trace of Fig 9a).
+// ReCycle (-system recycle, the default) is replayed at op granularity by
+// internal/replay: chained compiled-Program executions whose mid-iteration
+// failures and re-joins splice the in-flight Program, so stalls emerge
+// from lost instructions. The baselines (oobleck | bamboo | elastic |
+// scaled) are scalar system models whose throughput timeline is printed.
 //
-// With -des N the simulator drops below steady-state scalars to the op
-// level: the plan for N failures is compiled into a Program (the same
-// artifact the live runtime interprets) and executed in virtual time,
-// optionally with a straggler (-straggle), and the per-iteration compute
-// makespans and per-worker utilization are printed.
+// With -des N no trace runs: the plan for N failures is compiled into a
+// Program (the same artifact the live runtime interprets) and executed in
+// virtual time, optionally with a straggler (-straggle), and the
+// per-iteration compute makespans and per-worker utilization are printed.
 package main
 
 import (
@@ -22,6 +21,7 @@ import (
 
 	"recycle/internal/baselines"
 	"recycle/internal/config"
+	"recycle/internal/engine"
 	"recycle/internal/experiments"
 	"recycle/internal/failure"
 	"recycle/internal/obs"
@@ -33,17 +33,15 @@ import (
 
 func main() {
 	model := flag.String("model", "medium", "model preset: medium | 3.35b | 6.7b")
-	system := flag.String("system", "recycle", "system: recycle | oobleck | bamboo | elastic | scaled")
+	system := flag.String("system", "recycle", "system: recycle (op-granularity replay) | oobleck | bamboo | elastic | scaled (scalar models)")
 	freq := flag.Duration("freq", 30*time.Minute, "monotonic failure frequency")
 	gcp := flag.Bool("gcp", false, "replay the GCP availability trace instead")
 	horizon := flag.Duration("horizon", 6*time.Hour, "simulated duration")
-	preplan := flag.Bool("preplan", false, "run the offline phase first: precompute all tolerated plans concurrently")
 	des := flag.Int("des", -1, "execute the compiled Program for this failure count op-by-op in virtual time instead of replaying a trace")
 	straggle := flag.Float64("straggle", 1, "with -des: duration multiplier applied to worker W0_0 (straggler injection)")
 	aware := flag.Bool("aware", true, "with -des and -straggle != 1: also solve a straggler-aware plan (cost model carries the slowdown) and compare makespans")
-	replayMode := flag.Bool("replay", false, "drive the trace through op-granularity chained Program executions (internal/replay): mid-iteration failures and re-joins splice the in-flight Program, stalls emerge from lost instructions")
-	events := flag.Bool("events", false, "with -replay: print the recorded lifecycle-event log (membership changes, kills, cuts)")
-	tracePath := flag.String("trace", "", "with -des or -replay: record every executed Program and write a Chrome/Perfetto trace to this file (critical path audited first)")
+	events := flag.Bool("events", false, "with -system recycle: print the recorded lifecycle-event log (membership changes, kills, cuts)")
+	tracePath := flag.String("trace", "", "with -des or -system recycle: record every executed Program and write a Chrome/Perfetto trace to this file (critical path audited first)")
 	mtbf := flag.Duration("mtbf", 0, "per-machine Poisson failure trace: mean time between failures of each machine (0 keeps the monotonic workload)")
 	mttr := flag.Duration("mttr", 30*time.Minute, "with -mtbf: mean repair time of a failed machine (0 makes failures permanent)")
 	seed := flag.Int64("seed", 1, "with -mtbf: seed of the per-machine failure processes")
@@ -64,43 +62,35 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	rc := sim.NewReCycle(job, stats)
 	if *des >= 0 {
-		if err := desTimeline(rc, job, stats, *des, *straggle, *aware, *tracePath); err != nil {
+		if err := desTimeline(engine.New(job, stats, engine.Options{}), job, stats, *des, *straggle, *aware, *tracePath); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
 		return
 	}
-	if *replayMode {
+	if *system == "recycle" {
 		if err := opReplay(job, *model, *gcp, *freq, *horizon, *events, *mtbf, *mttr, *seed, *tracePath); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
 		return
 	}
-	if *preplan {
-		start := time.Now()
-		if err := rc.PrePlan(0); err != nil {
-			fmt.Fprintln(os.Stderr, "preplan:", err)
-			os.Exit(1)
-		}
-		m := rc.PlanMetrics()
-		fmt.Printf("offline phase: %d plans solved concurrently and replicated in %s\n\n",
-			m.Solves, time.Since(start).Round(time.Millisecond))
-	}
-	ff, err := rc.Throughput(0)
+	// The baselines are normalized against the fault-free throughput of
+	// the plan service's zero-failure plan.
+	eng := engine.New(job, stats, engine.Options{})
+	plan, err := eng.Plan(0)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
+	ff := eng.ThroughputSamplesPerSec(plan)
 	common, err := baselines.NewCommon(job, stats, ff)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
 	systems := map[string]sim.System{
-		"recycle": rc,
 		"oobleck": baselines.Oobleck{C: common},
 		"bamboo":  baselines.Bamboo{C: common},
 		"elastic": baselines.Elastic{C: common},
@@ -132,9 +122,6 @@ func main() {
 			p.Start.Round(time.Second), p.End.Round(time.Second), p.Failed, p.Throughput, p.Stall.Round(time.Millisecond))
 	}
 	fmt.Printf("\naverage throughput: %.2f samples/s (fault-free %.2f, ratio %.3f)\n", res.Average, ff, res.Average/ff)
-	m := rc.PlanMetrics()
-	fmt.Printf("plan service: %d solves, %d cache hits, %d store hits, %d Best(n) hits\n",
-		m.Solves, m.CacheHits, m.StoreHits, m.BestHits)
 }
 
 // opReplay drives the selected trace through internal/replay: chained
@@ -155,7 +142,7 @@ func opReplay(job config.Job, model string, gcp bool, freq, horizon time.Duratio
 		case "6.7b":
 			job = experiments.Figure9Jobs()[1]
 		default:
-			return fmt.Errorf("-replay -gcp needs a 24-worker Fig 9 preset (medium | 6.7b), not %q", model)
+			return fmt.Errorf("-gcp with -system recycle needs a 24-worker Fig 9 preset (medium | 6.7b), not %q", model)
 		}
 		tr = failure.GCP()
 	case mtbf > 0:
@@ -223,12 +210,11 @@ func exportTrace(rec *obs.Trace, path string) error {
 }
 
 // desTimeline compiles the plan for n failures into a Program and executes
-// it op-by-op in virtual time — the schedule-accurate view the scalar
-// throughput model cannot give. With a straggler injected, it additionally
+// it op-by-op in virtual time. With a straggler injected, it additionally
 // re-solves with the slowdown in the Planner's cost model and reports how
 // much makespan the straggler-aware plan recovers.
-func desTimeline(rc *sim.ReCycle, job config.Job, stats profile.Stats, n int, straggle float64, aware bool, tracePath string) error {
-	prog, err := rc.Program(n)
+func desTimeline(eng *engine.Engine, job config.Job, stats profile.Stats, n int, straggle float64, aware bool, tracePath string) error {
+	prog, err := eng.Program(n)
 	if err != nil {
 		return err
 	}
@@ -276,7 +262,7 @@ func desTimeline(rc *sim.ReCycle, job config.Job, stats profile.Stats, n int, st
 		fmt.Printf("  aware plan makespan:     %d slots (victim executes %d compute ops)\n", row.AwareSlots, row.VictimOpsAware)
 		fmt.Printf("  throughput gain from re-planning: %+.1f%%\n", row.GainPct)
 	}
-	m := rc.PlanMetrics()
+	m := eng.Metrics()
 	fmt.Printf("plan service: %d solves, %d programs compiled\n", m.Solves, m.Compiles)
 	if tracePath != "" {
 		return exportTrace(rec, tracePath)

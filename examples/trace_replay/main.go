@@ -10,8 +10,10 @@
 // worker set, and the iteration resumes without waiting for the boundary.
 // Stalls therefore emerge from lost and re-planned instructions; nothing
 // is charged by formula. Oobleck and Bamboo remain scalar system models
-// for comparison. The plan service's traffic counters printed at the end
-// show how many schedules the replay actually solved versus re-used.
+// for comparison, normalized against the fault-free throughput of the
+// plan service's zero-failure plan. The plan service's traffic counters
+// printed at the end show how many schedules the replay actually solved
+// versus re-used.
 package main
 
 import (
@@ -21,6 +23,7 @@ import (
 	"time"
 
 	"recycle/internal/baselines"
+	"recycle/internal/engine"
 	"recycle/internal/experiments"
 	"recycle/internal/failure"
 	"recycle/internal/profile"
@@ -61,12 +64,12 @@ func main() {
 		res.StallSeconds, res.LostSlots)
 	fmt.Printf("  %d micro-batch triples migrated owners across splices\n\n", res.MigratedTriples)
 
-	rc := sim.NewReCycle(job, stats)
-	ff, err := rc.Throughput(0)
+	ffEng := engine.New(job, stats, engine.Options{})
+	ffPlan, err := ffEng.Plan(0)
 	if err != nil {
 		log.Fatal(err)
 	}
-	common, err := baselines.NewCommon(job, stats, ff)
+	common, err := baselines.NewCommon(job, stats, ffEng.ThroughputSamplesPerSec(ffPlan))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -11,8 +11,6 @@
 package baselines
 
 import (
-	"fmt"
-
 	"recycle/internal/config"
 	"recycle/internal/model"
 	"recycle/internal/profile"
@@ -97,5 +95,3 @@ func (s Elastic) ReconfigStall(prev, next int) float64 {
 	}
 	return 10
 }
-
-var _ = fmt.Sprintf // reserved for error paths of future baselines

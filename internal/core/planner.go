@@ -160,7 +160,7 @@ func (p *Planner) PlanConcreteHinted(failed []schedule.Worker, prev *Plan) (*Pla
 		assign[w.Stage]++
 	}
 	ws := append([]schedule.Worker(nil), failed...)
-	SortWorkers(ws)
+	schedule.SortWorkers(ws)
 	return p.solve(sh, assign, ws, time.Now(), hintOf(prev))
 }
 
@@ -177,11 +177,6 @@ func hintOf(prev *Plan) *solver.Hint {
 // plus the unroll window. The engine uses it to canonicalize victim sets
 // before keying its caches.
 func (p *Planner) Shape() schedule.Shape { return p.shape() }
-
-// SortWorkers orders workers canonically by (stage, pipeline). It
-// delegates to schedule.SortWorkers, the single definition of the order;
-// the alias survives for the engine's re-export and existing callers.
-func SortWorkers(ws []schedule.Worker) { schedule.SortWorkers(ws) }
 
 // solve runs the schedule generation phase shared by PlanFor and
 // PlanConcrete: the failed-worker set is fixed, the techniques translate

@@ -16,7 +16,7 @@ func RenamePlan(p *Plan, perm []int) *Plan {
 	for i, w := range p.Failed {
 		failed[i] = schedule.Worker{Stage: w.Stage, Pipeline: perm[w.Pipeline]}
 	}
-	SortWorkers(failed)
+	schedule.SortWorkers(failed)
 	out := *p
 	out.Failed = failed
 	out.Schedule = schedule.RenamePipelines(p.Schedule, perm)

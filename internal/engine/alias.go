@@ -40,4 +40,4 @@ func NormalizeFailures(dp, pp, mb, failures int) ([]int, error) {
 }
 
 // SortWorkers orders workers canonically by (stage, pipeline).
-func SortWorkers(ws []schedule.Worker) { core.SortWorkers(ws) }
+func SortWorkers(ws []schedule.Worker) { schedule.SortWorkers(ws) }

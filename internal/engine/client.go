@@ -28,16 +28,7 @@ type Client struct {
 // the rest is ignored. The derived fingerprint must match the serving
 // engine's, so pass the same options the engine was built with.
 func NewClient(store *planstore.Store, job config.Job, stats profile.Stats, opts Options) *Client {
-	planner := core.New(job, stats)
-	if opts.Techniques != nil {
-		planner.Techniques = *opts.Techniques
-	}
-	planner.Costs = opts.CostModel
-	if opts.UnrollIterations > 0 {
-		planner.UnrollIterations = opts.UnrollIterations
-	}
-	fp := Fingerprint(planner.Job, planner.Stats, planner.Techniques, planner.UnrollIterations, planner.Costs.Signature())
-	return &Client{store: store, fp: fp}
+	return &Client{store: store, fp: newConf(job, stats, opts).fp}
 }
 
 // Fingerprint returns the job fingerprint this client addresses.

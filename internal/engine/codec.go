@@ -97,6 +97,6 @@ func workerList(set map[schedule.Worker]bool) []schedule.Worker {
 	for w := range set {
 		ws = append(ws, w)
 	}
-	core.SortWorkers(ws)
+	schedule.SortWorkers(ws)
 	return ws
 }

@@ -33,10 +33,13 @@
 // stripe is only ever locked for the keys it owns, and InvalidateCache
 // bumps one atomic instead of sweeping maps under a global mutex.
 //
-// The engine also carries the heterogeneous cost model
-// (profile.CostModel): per-(stage, op, worker) durations enter the plan
-// fingerprint, so MarkStraggler — the Coordinator's response to a
-// gray-failure (slow-but-alive worker) detection — moves every plan key
-// into a fresh namespace and the next fetch transparently re-solves,
-// timing the slow worker honestly and routing micro-batches away from it.
+// An engine's configuration — job, stats, technique toggles, unroll
+// window — is fixed at New; an engine per technique set is how the Fig 11
+// ablation compares them. The one exception is the heterogeneous cost
+// model (profile.CostModel): per-(stage, op, worker) durations enter the
+// plan fingerprint, so MarkStraggler — the Coordinator's response to a
+// gray-failure (slow-but-alive worker) detection — and Recalibrate swap
+// in a new immutable configuration snapshot, every plan key moves into a
+// fresh namespace, and the next fetch transparently re-solves, timing the
+// slow worker honestly and routing micro-batches away from it.
 package engine

@@ -32,7 +32,8 @@ type Options struct {
 	Store *planstore.Store
 	// CostModel seeds the heterogeneous cost model (per-(stage, op,
 	// worker) durations). Nil plans with the homogeneous profiled stats.
-	// Straggler observations retune it at runtime via MarkStraggler.
+	// It is the one setting that changes after New: MarkStraggler and
+	// Recalibrate retune it.
 	CostModel *profile.CostModel
 	// RecalibrateThreshold is the relative drift between measured and
 	// modeled per-worker compute times below which Recalibrate leaves the
@@ -67,14 +68,12 @@ type Metrics struct {
 	// direct measure of cache-lock contention under load. ProgramStoreHits
 	// counts compiled Programs decoded out of the replicated store instead
 	// of recompiled. WarmedPlans/WarmTargets track background warming
-	// coverage. ConfSwaps counts planner-configuration snapshot rebuilds
-	// (techniques retuned, cost model changed). Epoch is the current cache
-	// epoch; it advances once per InvalidateCache.
+	// coverage. Epoch is the current cache epoch; it advances once per
+	// InvalidateCache.
 	StripeContended  uint64
 	ProgramStoreHits uint64
 	WarmedPlans      uint64
 	WarmTargets      uint64
-	ConfSwaps        uint64
 	Epoch            uint64
 }
 
@@ -87,19 +86,37 @@ type plannerConf struct {
 	fp string
 }
 
+// newConf resolves Options against the planner defaults. New starts from
+// this snapshot and NewClient derives its namespace from it, so an engine
+// and a client built from the same options address the same keys.
+func newConf(job config.Job, stats profile.Stats, opts Options) *plannerConf {
+	pl := core.New(job, stats)
+	if opts.Techniques != nil {
+		pl.Techniques = *opts.Techniques
+	}
+	pl.Costs = opts.CostModel
+	if opts.UnrollIterations > 0 {
+		pl.UnrollIterations = opts.UnrollIterations
+	}
+	return confOf(*pl)
+}
+
+// confOf fingerprints a planner configuration into a snapshot.
+func confOf(pl core.Planner) *plannerConf {
+	return &plannerConf{pl: pl, fp: Fingerprint(pl.Job, pl.Stats, pl.Techniques, pl.UnrollIterations, pl.Costs.Signature())}
+}
+
 // Engine is the plan service for one training job. It is safe for
 // concurrent use.
 type Engine struct {
 	store   *planstore.Store
 	workers int
 
-	// confMu guards the live planner's retunable fields (Costs via
-	// SetCostModel/MarkStraggler/Recalibrate) and the conf snapshot.
-	// Fetch paths take it shared for a three-field staleness check; only
-	// a configuration change takes it exclusively.
-	confMu  sync.RWMutex
-	planner *core.Planner
-	conf    *plannerConf
+	// conf is the current configuration snapshot. Fetch paths load it
+	// once per request; only MarkStraggler and Recalibrate swap it, each
+	// as a read-modify-write under confMu so concurrent retunes compose.
+	confMu sync.Mutex
+	conf   atomic.Pointer[plannerConf]
 
 	// epoch is the cache generation. InvalidateCache bumps it; cached
 	// plans, Best(n) indexes and compiled Programs admitted under older
@@ -139,7 +156,6 @@ type Engine struct {
 	classDedups                          atomic.Uint64
 	stripeContended, programStoreHits    atomic.Uint64
 	warmedPlans, warmTargets             atomic.Uint64
-	confSwaps                            atomic.Uint64
 
 	// recalThreshold is the Recalibrate no-op band (Options.RecalibrateThreshold).
 	recalThreshold float64
@@ -147,9 +163,6 @@ type Engine struct {
 	// rec holds the installed tracing recorder (a recBox; empty means
 	// tracing off). See SetRecorder / observe in observe.go.
 	rec atomic.Value
-
-	// fps memoizes job fingerprints per (techniques, unroll, costs) triple.
-	fps fpCache
 }
 
 // normIndex is one fingerprint's Best(n) index plus the epoch it was
@@ -162,14 +175,6 @@ type normIndex struct {
 
 // New builds the plan service for a job.
 func New(job config.Job, stats profile.Stats, opts Options) *Engine {
-	planner := core.New(job, stats)
-	if opts.Techniques != nil {
-		planner.Techniques = *opts.Techniques
-	}
-	planner.Costs = opts.CostModel
-	if opts.UnrollIterations > 0 {
-		planner.UnrollIterations = opts.UnrollIterations
-	}
 	store := opts.Store
 	if store == nil {
 		store = planstore.New(3)
@@ -183,7 +188,6 @@ func New(job config.Job, stats profile.Stats, opts Options) *Engine {
 		threshold = DefaultRecalibrateThreshold
 	}
 	e := &Engine{
-		planner:        planner,
 		store:          store,
 		workers:        workers,
 		seed:           maphash.MakeSeed(),
@@ -193,6 +197,7 @@ func New(job config.Job, stats profile.Stats, opts Options) *Engine {
 		plannedN:       make(map[int]bool),
 		recalThreshold: threshold,
 	}
+	e.conf.Store(newConf(job, stats, opts))
 	for i := range e.stripes {
 		e.stripes[i].plans = make(map[string]planEntry)
 		e.stripes[i].inflight = make(map[string]*call)
@@ -218,72 +223,22 @@ func ShapeJob(dp, pp, mb int) (config.Job, profile.Stats) {
 	return job, profile.Unit()
 }
 
-// Planner exposes the underlying planner (for technique retuning and the
-// throughput helpers' inputs). The fetch paths validate their
-// configuration snapshot against the live planner's retunable fields on
-// every request, so retuning between requests transparently addresses a
-// fresh key namespace. Retuning concurrently with in-flight requests
-// requires external synchronization, like any unguarded field write.
-func (e *Engine) Planner() *core.Planner { return e.planner }
-
-// config returns the current configuration snapshot, rebuilding it only
-// when the live planner's retunable fields (techniques, unroll window,
-// cost model identity) no longer match — a shared-lock three-field
-// compare on the hot path.
-func (e *Engine) config() *plannerConf {
-	e.confMu.RLock()
-	c := e.conf
-	fresh := c != nil &&
-		c.pl.Techniques == e.planner.Techniques &&
-		c.pl.UnrollIterations == e.planner.UnrollIterations &&
-		c.pl.Costs == e.planner.Costs
-	e.confMu.RUnlock()
-	if fresh {
-		return c
-	}
-	return e.refreshConf()
-}
-
-// refreshConf rebuilds the configuration snapshot under the exclusive
-// lock (double-checked: a racing refresh publishes once).
-func (e *Engine) refreshConf() *plannerConf {
-	e.confMu.Lock()
-	defer e.confMu.Unlock()
-	if c := e.conf; c != nil &&
-		c.pl.Techniques == e.planner.Techniques &&
-		c.pl.UnrollIterations == e.planner.UnrollIterations &&
-		c.pl.Costs == e.planner.Costs {
-		return c
-	}
-	c := &plannerConf{pl: *e.planner}
-	c.fp = e.fps.of(&c.pl)
-	e.conf = c
-	e.confSwaps.Add(1)
-	return c
-}
+// config returns the current configuration snapshot.
+func (e *Engine) config() *plannerConf { return e.conf.Load() }
 
 // Job returns the job this engine plans for.
-func (e *Engine) Job() config.Job { return e.planner.Job }
+func (e *Engine) Job() config.Job { return e.config().pl.Job }
+
+// Stats returns the profiled statistics this engine plans with.
+func (e *Engine) Stats() profile.Stats { return e.config().pl.Stats }
+
+// Shape returns the schedule shape this engine plans at: the job geometry
+// plus the unroll window.
+func (e *Engine) Shape() schedule.Shape { return e.config().pl.Shape() }
 
 // CostModel returns the current heterogeneous cost model (nil when the
 // engine plans with the homogeneous profiled stats).
-func (e *Engine) CostModel() *profile.CostModel {
-	e.confMu.RLock()
-	defer e.confMu.RUnlock()
-	return e.planner.Costs
-}
-
-// SetCostModel installs a cost model. The model is treated as immutable:
-// callers must not mutate it after handing it over (use the copy-on-write
-// With* methods to derive variants). The change invalidates lazily: plans
-// already cached stay addressable under their old fingerprint, and the
-// next fetch sees a stale configuration snapshot, rebuilds it, and keys
-// into the new model's namespace — no map is swept and no fetch blocks.
-func (e *Engine) SetCostModel(cm *profile.CostModel) {
-	e.confMu.Lock()
-	e.planner.Costs = cm
-	e.confMu.Unlock()
-}
+func (e *Engine) CostModel() *profile.CostModel { return e.config().pl.Costs }
 
 // MarkStraggler records that a worker runs its ops at the given multiple
 // of the profiled durations (a gray failure, the paper's slow-but-alive
@@ -296,24 +251,30 @@ func (e *Engine) SetCostModel(cm *profile.CostModel) {
 // mark.
 func (e *Engine) MarkStraggler(w schedule.Worker, factor float64) {
 	e.confMu.Lock()
-	cm := e.planner.Costs
+	defer e.confMu.Unlock()
+	c := e.config()
+	cm := c.pl.Costs
 	if cm == nil {
 		if factor == 1 {
-			e.confMu.Unlock()
 			return // clearing a mark that was never set
 		}
-		cm = profile.UniformCost(e.planner.Stats)
+		cm = profile.UniformCost(c.pl.Stats)
 	}
-	next := cm.WithWorkerScale(w, factor)
-	// A model that carries no information beyond the profiled stats
-	// normalizes back to nil, so clearing the last straggler returns to the
-	// original plan namespace (and its cached plans) instead of a
-	// signature-distinct uniform copy.
-	if len(next.WorkerScale) == 0 && len(next.StageScale) == 0 && next.Base == e.planner.Stats.Durations() {
+	e.installCostsLocked(c, cm.WithWorkerScale(w, factor))
+}
+
+// installCostsLocked swaps in a snapshot of c with the cost model next.
+// The caller holds confMu and read c under it. A model that carries no
+// information beyond the profiled stats normalizes back to nil, so
+// clearing the last straggler returns to the original plan namespace (and
+// its cached plans) instead of a signature-distinct uniform copy.
+func (e *Engine) installCostsLocked(c *plannerConf, next *profile.CostModel) {
+	if len(next.WorkerScale) == 0 && len(next.StageScale) == 0 && next.Base == c.pl.Stats.Durations() {
 		next = nil
 	}
-	e.planner.Costs = next
-	e.confMu.Unlock()
+	pl := c.pl
+	pl.Costs = next
+	e.conf.Store(confOf(pl))
 }
 
 // ClearStraggler removes a worker's straggler mark (recovered gray
@@ -349,7 +310,6 @@ func (e *Engine) Metrics() Metrics {
 		ProgramStoreHits: e.programStoreHits.Load(),
 		WarmedPlans:      e.warmedPlans.Load(),
 		WarmTargets:      e.warmTargets.Load(),
-		ConfSwaps:        e.confSwaps.Load(),
 		Epoch:            e.epoch.Load(),
 	}
 }
@@ -357,13 +317,13 @@ func (e *Engine) Metrics() Metrics {
 // IterationSeconds converts a plan's steady-state period into wall-clock
 // seconds.
 func (e *Engine) IterationSeconds(p *core.Plan) float64 {
-	return e.planner.IterationSeconds(p)
+	return e.config().pl.IterationSeconds(p)
 }
 
 // ThroughputSamplesPerSec returns the plan's steady-state training
 // throughput.
 func (e *Engine) ThroughputSamplesPerSec(p *core.Plan) float64 {
-	return e.planner.ThroughputSamplesPerSec(p)
+	return e.config().pl.ThroughputSamplesPerSec(p)
 }
 
 // MigrationsNeeded returns how many point-to-point parameter copies morph
@@ -401,7 +361,7 @@ func (e *Engine) Plan(n int) (*core.Plan, error) {
 // interchangeable pipelines run every op at identical cost.
 func (e *Engine) PlanConcrete(failed []schedule.Worker) (*core.Plan, error) {
 	ws := append([]schedule.Worker(nil), failed...)
-	core.SortWorkers(ws)
+	schedule.SortWorkers(ws)
 	c := e.config()
 	key := ckey(c.fp, ws)
 
@@ -539,14 +499,14 @@ func (e *Engine) ScheduleFor(failed map[schedule.Worker]bool) (*schedule.Schedul
 	for w := range failed {
 		ws = append(ws, w)
 	}
-	core.SortWorkers(ws)
+	schedule.SortWorkers(ws)
 	c := e.config()
 	if p, ok := e.peek(ckey(c.fp, ws), c.fp, false); ok {
 		return p.Schedule, nil
 	}
 	if p, ok := e.best(c.fp, len(ws)); ok {
 		norm := append([]schedule.Worker(nil), p.Failed...)
-		core.SortWorkers(norm)
+		schedule.SortWorkers(norm)
 		if sameWorkers(norm, ws) {
 			e.bestHits.Add(1)
 			return p.Schedule, nil

@@ -208,61 +208,100 @@ func TestBestFallsBackToLargerPlan(t *testing.T) {
 	}
 }
 
-// TestTechniqueRetuningAddressesNewNamespace checks that mutating the
-// planner's techniques (as the Fig 11 ablation does) never serves a plan
-// solved under different toggles.
-func TestTechniqueRetuningAddressesNewNamespace(t *testing.T) {
-	job, stats := ShapeJob(3, 4, 6)
-	eng := New(job, stats, Options{UnrollIterations: 4})
-	full, err := eng.Plan(1)
+// TestReCycleThroughputBounded checks that the period under failures never
+// beats fault-free (adaptive schedules repair, they do not re-optimize)
+// and stays within twice it while failures fit the bubble capacity.
+// Between consecutive failure counts the list scheduler may wobble by a
+// small factor (the MILP it stands in for is also only near-optimal), so
+// strict monotonicity is not asserted.
+func TestReCycleThroughputBounded(t *testing.T) {
+	job, stats := analyticJob(t)
+	eng := New(job, stats, Options{UnrollIterations: 2})
+	ff, err := eng.Plan(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng.Planner().Techniques = core.Techniques{AdaptivePipelining: true}
-	naive, err := eng.Plan(1)
+	for f := 1; f <= 4; f++ {
+		p, err := eng.Plan(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.PeriodSlots < ff.PeriodSlots {
+			t.Fatalf("period with %d failures (%d) beats fault-free (%d)", f, p.PeriodSlots, ff.PeriodSlots)
+		}
+		if p.PeriodSlots > 2*ff.PeriodSlots {
+			t.Fatalf("period with %d failures (%d) exceeds twice fault-free (%d)", f, p.PeriodSlots, ff.PeriodSlots)
+		}
+	}
+}
+
+// techniqueEngines builds two engines over one shared plan store that
+// differ only in their technique toggles — the Fig 11 ablation builds one
+// engine per technique set: full ReCycle and Adaptive Pipelining alone.
+func techniqueEngines() (full, adaptive *Engine) {
+	job, stats := ShapeJob(3, 4, 6)
+	store := planstore.New(3)
+	only := core.Techniques{AdaptivePipelining: true}
+	full = New(job, stats, Options{UnrollIterations: 4, Store: store})
+	adaptive = New(job, stats, Options{UnrollIterations: 4, Store: store, Techniques: &only})
+	return full, adaptive
+}
+
+// TestTechniqueRetuningAddressesNewNamespace checks that an engine never
+// serves a plan solved under different technique toggles, even when the
+// plan sits in the replicated store it shares with the engine that did.
+func TestTechniqueRetuningAddressesNewNamespace(t *testing.T) {
+	fullEng, naiveEng := techniqueEngines()
+	full, err := fullEng.Plan(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	naive, err := naiveEng.Plan(1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if naive.PeriodSlots <= full.PeriodSlots {
-		t.Errorf("naive period %d not worse than full-technique period %d — cache namespace collision?",
+		t.Errorf("naive period %d not worse than full-technique period %d — store namespace collision?",
 			naive.PeriodSlots, full.PeriodSlots)
 	}
-	if m := eng.Metrics(); m.Solves != 2 {
-		t.Errorf("technique retune: %d solves, want 2", m.Solves)
+	if m := naiveEng.Metrics(); m.Solves != 1 || m.StoreHits != 0 {
+		t.Errorf("adaptive-only engine: %d solves, %d store hits; want its own solve", m.Solves, m.StoreHits)
 	}
 }
 
 // TestScheduleForNeverCrossesTechniqueNamespace guards the Best(n) index
-// against planner retuning: after switching to naive techniques, a
-// concrete failure set matching the previously stored full-technique plan
-// must be re-solved under the new toggles, never served stale.
+// and the shared store: once the full-technique engine has warmed every
+// count, an adaptive-only engine on the same store still finds no plan of
+// its own, and a concrete failure set matching the stored full-technique
+// plan is solved under its toggles, never served from the other namespace.
 func TestScheduleForNeverCrossesTechniqueNamespace(t *testing.T) {
-	job, stats := ShapeJob(3, 4, 6)
-	eng := New(job, stats, Options{UnrollIterations: 4})
-	if err := eng.Warm(0).Wait(); err != nil {
+	fullEng, naiveEng := techniqueEngines()
+	if err := fullEng.Warm(0).Wait(); err != nil {
 		t.Fatal(err)
 	}
-	full, err := eng.Plan(1)
+	full, err := fullEng.Plan(1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if full.Schedule.OpCount(0, schedule.BInput) == 0 {
 		t.Fatal("full-technique plan should contain decoupled BInput ops")
 	}
+	if _, ok := naiveEng.Best(1); ok {
+		t.Fatal("Best(1) found a plan in the naive namespace although none was planned there")
+	}
 
-	eng.Planner().Techniques = core.Techniques{AdaptivePipelining: true}
-	s, err := eng.ScheduleFor(map[schedule.Worker]bool{full.Failed[0]: true})
+	s, err := naiveEng.ScheduleFor(map[schedule.Worker]bool{full.Failed[0]: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if s == full.Schedule {
-		t.Fatal("ScheduleFor served the stale full-technique schedule after retuning")
+		t.Fatal("ScheduleFor served the full-technique schedule")
 	}
 	if s.OpCount(0, schedule.BInput) != 0 {
-		t.Error("naive-technique schedule contains decoupled BInput ops from the old namespace")
+		t.Error("naive-technique schedule contains decoupled BInput ops from the other namespace")
 	}
-	if _, ok := eng.Best(1); ok {
-		t.Error("Best(1) found a plan in the naive namespace although none was planned there")
+	if m := naiveEng.Metrics(); m.StoreHits != 0 || m.BestHits != 0 {
+		t.Errorf("adaptive-only engine: %d store hits, %d Best(n) hits; want none", m.StoreHits, m.BestHits)
 	}
 }
 

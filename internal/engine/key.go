@@ -7,7 +7,6 @@ import (
 	"slices"
 	"strconv"
 	"strings"
-	"sync"
 
 	"recycle/internal/config"
 	"recycle/internal/core"
@@ -45,41 +44,6 @@ func Fingerprint(job config.Job, stats profile.Stats, t core.Techniques, unroll 
 	}
 	sum := sha256.Sum256(b)
 	return hex.EncodeToString(sum[:12])
-}
-
-// fpCache memoizes fingerprints per engine. A planner's Job and Stats are
-// immutable for the engine's lifetime; only the technique toggles, the
-// unroll window and the cost model can be retuned, so they key the memo.
-// The engine consults it once per configuration snapshot rebuild.
-type fpCache struct {
-	mu sync.Mutex
-	m  map[fpKey]string
-}
-
-type fpKey struct {
-	t      core.Techniques
-	unroll int
-	costs  string
-}
-
-// of returns the planner configuration's fingerprint, computing it at most
-// once per (techniques, unroll, cost signature) triple. Retuning on a live
-// planner — the Fig 11 ablation, a straggler update — still transparently
-// addresses a different key namespace instead of poisoning the cache.
-func (c *fpCache) of(p *core.Planner) string {
-	costs := p.Costs.Signature()
-	k := fpKey{t: p.Techniques, unroll: p.UnrollIterations, costs: costs}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if fp, ok := c.m[k]; ok {
-		return fp
-	}
-	if c.m == nil {
-		c.m = make(map[fpKey]string)
-	}
-	fp := Fingerprint(p.Job, p.Stats, p.Techniques, p.UnrollIterations, costs)
-	c.m[k] = fp
-	return fp
 }
 
 // nkey addresses the normalized plan for n simultaneous failures — the

@@ -54,73 +54,10 @@ type Recalibration struct {
 // relative op costs changed, so replaying the old order would only tax
 // the solve it races.
 func (e *Engine) Recalibrate(measured map[schedule.Worker]time.Duration) (Recalibration, error) {
-	var rec Recalibration
-	ws := make([]schedule.Worker, 0, len(measured))
-	for w, d := range measured {
-		if d > 0 {
-			ws = append(ws, w)
-		}
+	rec, err := e.recalibrateCosts(measured)
+	if err != nil || !rec.Drifted {
+		return rec, err
 	}
-	if len(ws) == 0 {
-		return rec, nil
-	}
-	schedule.SortWorkers(ws)
-
-	pl := &e.config().pl
-	model := pl.Costs
-	if model == nil {
-		model = profile.UniformCost(pl.Stats)
-	}
-	ms := make([]float64, len(ws))
-	es := make([]float64, len(ws))
-	for i, w := range ws {
-		ms[i] = float64(measured[w])
-		es[i] = float64(model.Of(w, schedule.F) + model.Of(w, schedule.BInput) + model.Of(w, schedule.BWeight))
-	}
-	medM, medE := median(ms), median(es)
-	if medM <= 0 || medE <= 0 {
-		return rec, fmt.Errorf("engine: degenerate recalibration measurements (median %v / %v)", medM, medE)
-	}
-
-	next := model
-	for i, w := range ws {
-		norm := (ms[i] / medM) / (es[i] / medE)
-		if d := math.Abs(norm - 1); d > rec.MaxDrift {
-			rec.MaxDrift = d
-		}
-		if math.Abs(norm-1) < e.recalThreshold {
-			continue
-		}
-		cur := 1.0
-		if f, ok := model.WorkerScale[w]; ok && f > 0 {
-			cur = f
-		}
-		q := math.Round(cur*norm*100) / 100
-		if q < 0.01 {
-			q = 0.01
-		}
-		if q == cur {
-			continue
-		}
-		if rec.Applied == nil {
-			rec.Applied = make(map[schedule.Worker]float64)
-		}
-		rec.Applied[w] = q
-		next = next.WithWorkerScale(w, q)
-	}
-	if len(rec.Applied) == 0 {
-		return rec, nil
-	}
-	rec.Drifted = true
-
-	// Install copy-on-write; a model carrying no information beyond the
-	// profiled stats normalizes back to nil (same rule as MarkStraggler).
-	if len(next.WorkerScale) == 0 && len(next.StageScale) == 0 && next.Base == pl.Stats.Durations() {
-		next = nil
-	}
-	e.confMu.Lock()
-	e.planner.Costs = next
-	e.confMu.Unlock()
 	e.hintMu.Lock()
 	counts := make([]int, 0, len(e.plannedN))
 	for n := range e.plannedN {
@@ -166,6 +103,75 @@ func (e *Engine) Recalibrate(measured map[schedule.Worker]time.Duration) (Recali
 		obs.Attr{Key: "adjusted", Val: int64(len(rec.Applied))},
 		obs.Attr{Key: "replanned", Val: int64(len(rec.Replanned))},
 		obs.Attr{Key: "maxdrift-pct", Val: int64(rec.MaxDrift * 100)})
+	return rec, nil
+}
+
+// recalibrateCosts is Recalibrate's model half: it folds the measured
+// drift into the cost model and installs it. The whole read-modify-write
+// runs under confMu, so a MarkStraggler landing mid-pass is composed with,
+// never overwritten.
+func (e *Engine) recalibrateCosts(measured map[schedule.Worker]time.Duration) (Recalibration, error) {
+	var rec Recalibration
+	ws := make([]schedule.Worker, 0, len(measured))
+	for w, d := range measured {
+		if d > 0 {
+			ws = append(ws, w)
+		}
+	}
+	if len(ws) == 0 {
+		return rec, nil
+	}
+	schedule.SortWorkers(ws)
+
+	e.confMu.Lock()
+	defer e.confMu.Unlock()
+	c := e.config()
+	model := c.pl.Costs
+	if model == nil {
+		model = profile.UniformCost(c.pl.Stats)
+	}
+	ms := make([]float64, len(ws))
+	es := make([]float64, len(ws))
+	for i, w := range ws {
+		ms[i] = float64(measured[w])
+		es[i] = float64(model.Of(w, schedule.F) + model.Of(w, schedule.BInput) + model.Of(w, schedule.BWeight))
+	}
+	medM, medE := median(ms), median(es)
+	if medM <= 0 || medE <= 0 {
+		return rec, fmt.Errorf("engine: degenerate recalibration measurements (median %v / %v)", medM, medE)
+	}
+
+	next := model
+	for i, w := range ws {
+		norm := (ms[i] / medM) / (es[i] / medE)
+		if d := math.Abs(norm - 1); d > rec.MaxDrift {
+			rec.MaxDrift = d
+		}
+		if math.Abs(norm-1) < e.recalThreshold {
+			continue
+		}
+		cur := 1.0
+		if f, ok := model.WorkerScale[w]; ok && f > 0 {
+			cur = f
+		}
+		q := math.Round(cur*norm*100) / 100
+		if q < 0.01 {
+			q = 0.01
+		}
+		if q == cur {
+			continue
+		}
+		if rec.Applied == nil {
+			rec.Applied = make(map[schedule.Worker]float64)
+		}
+		rec.Applied[w] = q
+		next = next.WithWorkerScale(w, q)
+	}
+	if len(rec.Applied) == 0 {
+		return rec, nil
+	}
+	rec.Drifted = true
+	e.installCostsLocked(c, next)
 	return rec, nil
 }
 

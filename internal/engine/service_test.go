@@ -141,7 +141,7 @@ func TestChurnRaceStress(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		sh := eng.Planner().Shape()
+		sh := eng.Shape()
 		drifted := make(map[schedule.Worker]time.Duration)
 		uniform := make(map[schedule.Worker]time.Duration)
 		for s := 0; s < sh.PP; s++ {

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"testing"
+	"time"
 
 	"recycle/internal/profile"
 	"recycle/internal/schedule"
@@ -125,6 +126,41 @@ func TestCostModelOptionSeedsPlanner(t *testing.T) {
 	for i := range p1.Schedule.Placements {
 		if p1.Schedule.Placements[i] != p2.Schedule.Placements[i] {
 			t.Fatalf("placement %d diverges under a uniform cost model", i)
+		}
+	}
+}
+
+// TestRecalibrateComposesWithMarkStraggler races a straggler mark against
+// a recalibration touching a different worker: each retune is one
+// read-modify-write of the cost model, so whichever lands second builds
+// on the first and both survive.
+func TestRecalibrateComposesWithMarkStraggler(t *testing.T) {
+	job, stats := ShapeJob(3, 4, 6)
+	marked := schedule.Worker{Stage: 0, Pipeline: 0}
+	drifted := schedule.Worker{Stage: 1, Pipeline: 0}
+	measured := make(map[schedule.Worker]time.Duration)
+	for s := 0; s < 4; s++ {
+		for p := 0; p < 3; p++ {
+			if w := (schedule.Worker{Stage: s, Pipeline: p}); w != marked {
+				measured[w] = 100 * time.Millisecond
+			}
+		}
+	}
+	measured[drifted] = 150 * time.Millisecond
+	for round := 0; round < 50; round++ {
+		e := New(job, stats, Options{})
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			e.MarkStraggler(marked, 3)
+		}()
+		if _, err := e.Recalibrate(measured); err != nil {
+			t.Fatal(err)
+		}
+		<-done
+		cm := e.CostModel()
+		if cm == nil || cm.WorkerScale[marked] != 3 || cm.WorkerScale[drifted] != 1.5 {
+			t.Fatalf("round %d: cost model %s lost a retune; want %s at 3 and %s at 1.5", round, cm.Signature(), marked, drifted)
 		}
 	}
 }

@@ -35,7 +35,7 @@ type Warmer struct {
 // e.Warm(n).Wait().
 func (e *Engine) Warm(maxFailures int) *Warmer {
 	if maxFailures <= 0 {
-		maxFailures = e.planner.Job.MaxPlannedFailures()
+		maxFailures = e.Job().MaxPlannedFailures()
 	}
 	total := maxFailures + 1
 	w := &Warmer{eng: e, total: int64(total)}

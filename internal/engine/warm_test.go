@@ -157,7 +157,7 @@ func TestRecalibrateThresholdAndWarmReplan(t *testing.T) {
 
 	// Uniform measurements: every worker at the same speed — median
 	// normalization cancels it all out, no drift at all.
-	sh := eng.Planner().Shape()
+	sh := eng.Shape()
 	uniform := make(map[schedule.Worker]time.Duration)
 	for s := 0; s < sh.PP; s++ {
 		for p := 0; p < sh.DP; p++ {

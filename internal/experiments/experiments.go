@@ -7,6 +7,7 @@ import (
 
 	"recycle/internal/baselines"
 	"recycle/internal/config"
+	"recycle/internal/engine"
 	"recycle/internal/failure"
 	"recycle/internal/profile"
 	"recycle/internal/replay"
@@ -16,29 +17,31 @@ import (
 // Horizon is the real-experiment duration of §6.1 (6 hours).
 const Horizon = 6 * time.Hour
 
-// systemsFor assembles ReCycle and all baselines for a job.
-func systemsFor(job config.Job) (rc *sim.ReCycle, all []sim.System, ff float64, err error) {
+// systemsFor assembles the baselines for a job, normalized against ff,
+// the fault-free throughput of the plan service's zero-failure plan.
+// ReCycle itself is never a sim.System: its cells are replayed.
+func systemsFor(job config.Job) (systems []sim.System, ff float64, err error) {
 	stats, err := profile.Analytic(job)
 	if err != nil {
-		return nil, nil, 0, err
+		return nil, 0, err
 	}
-	rc = sim.NewReCycle(job, stats)
-	ff, err = rc.Throughput(0)
+	eng := engine.New(job, stats, engine.Options{})
+	p, err := eng.Plan(0)
 	if err != nil {
-		return nil, nil, 0, err
+		return nil, 0, err
 	}
+	ff = eng.ThroughputSamplesPerSec(p)
 	common, err := baselines.NewCommon(job, stats, ff)
 	if err != nil {
-		return nil, nil, 0, err
+		return nil, 0, err
 	}
-	all = []sim.System{
-		rc,
+	systems = []sim.System{
 		baselines.Oobleck{C: common},
 		baselines.Bamboo{C: common},
 		baselines.Elastic{C: common},
 		baselines.FaultScaled{C: common},
 	}
-	return rc, all, ff, nil
+	return systems, ff, nil
 }
 
 // ReplaySummary is the compact, JSON-friendly digest of one replay.Result:
@@ -99,7 +102,7 @@ func Table1() ([]Table1Row, string, error) {
 	fmt.Fprintf(&b, "Table 1: average throughput (samples/sec) under monotonic failures, 6h horizon\n")
 	fmt.Fprintf(&b, "(ReCycle cells replayed at op granularity via internal/replay; baselines scalar)\n")
 	for _, job := range config.Table1Jobs() {
-		_, systems, ff, err := systemsFor(job)
+		systems, ff, err := systemsFor(job)
 		if err != nil {
 			return nil, "", fmt.Errorf("experiments: %s: %w", job.Model.Name, err)
 		}
@@ -109,7 +112,7 @@ func Table1() ([]Table1Row, string, error) {
 		}
 		opts := ReplayOptions(job, stats)
 		fmt.Fprintf(&b, "\n%s (PP=%d DP=%d, fault-free %.2f)\n", job.Model.Name, job.Parallel.PP, job.Parallel.DP, ff)
-		fmt.Fprintf(&b, "  %-6s", "freq")
+		fmt.Fprintf(&b, "  %-6s %12s", "freq", "ReCycle")
 		for _, s := range systems {
 			fmt.Fprintf(&b, " %12s", s.Name())
 		}
@@ -123,12 +126,8 @@ func Table1() ([]Table1Row, string, error) {
 			row := Table1Row{Model: job.Model.Name, Frequency: freq, FaultFree: ff,
 				Avg: map[string]float64{}, OOM: map[string]bool{}, ReCycle: summarizeReplay(rep)}
 			row.Avg["ReCycle"] = rep.Average
-			fmt.Fprintf(&b, "  %-6s", shortDur(freq))
+			fmt.Fprintf(&b, "  %-6s %12.2f", shortDur(freq), rep.Average)
 			for _, s := range systems {
-				if s.Name() == "ReCycle" {
-					fmt.Fprintf(&b, " %12.2f", rep.Average)
-					continue
-				}
 				res := sim.Run(s, tr, Horizon)
 				if res.OOM {
 					row.OOM[s.Name()] = true

@@ -87,7 +87,7 @@ func TestTable1CellGolden(t *testing.T) {
 	if res.MigratedTriples == 0 {
 		t.Fatal("30m failures migrated no micro-batch triples")
 	}
-	_, _, ff, err := systemsFor(job)
+	_, ff, err := systemsFor(job)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -119,11 +119,10 @@ type Result struct {
 // granularity the live runtime also chains at.
 func Replay(eng *engine.Engine, tr failure.Trace, opt Options) (*Result, error) {
 	job := eng.Job()
-	pl := eng.Planner()
-	if pl.UnrollIterations != 1 {
-		return nil, fmt.Errorf("replay: engine plans %d-iteration programs; chaining needs UnrollIterations 1", pl.UnrollIterations)
+	if iters := eng.Shape().Iter; iters != 1 {
+		return nil, fmt.Errorf("replay: engine plans %d-iteration programs; chaining needs UnrollIterations 1", iters)
 	}
-	unit := pl.Stats.UnitSeconds
+	unit := eng.Stats().UnitSeconds
 	if unit <= 0 {
 		return nil, fmt.Errorf("replay: non-positive duration unit %g", unit)
 	}

@@ -29,7 +29,9 @@ func diffEngine(dp, pp, mb int, decoupled, scaled bool) *engine.Engine {
 		return eng
 	}
 	job, stats := engine.ShapeJob(dp, pp, mb)
-	opt := engine.Options{UnrollIterations: 1}
+	tech := engine.AllTechniques
+	tech.DecoupledBackProp = decoupled
+	opt := engine.Options{UnrollIterations: 1, Techniques: &tech}
 	if scaled {
 		scale := make([]float64, pp)
 		for i := range scale {
@@ -38,7 +40,6 @@ func diffEngine(dp, pp, mb int, decoupled, scaled bool) *engine.Engine {
 		opt.CostModel = profile.UniformCost(stats).WithStageScale(scale)
 	}
 	eng := engine.New(job, stats, opt)
-	eng.Planner().Techniques.DecoupledBackProp = decoupled
 	if diffEngines.byKey == nil {
 		diffEngines.byKey = make(map[string]*engine.Engine)
 	}

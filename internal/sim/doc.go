@@ -4,8 +4,8 @@
 // The scalar backend (Run) replays an availability trace against a
 // fault-tolerant training system model (System) and reports instantaneous
 // and average throughput, charging each system its own reconfiguration
-// stalls at failure and re-join events — the baselines' rows of the Fig 9
-// experiments. ReCycle's own Fig 9 row no longer uses this path: it is
+// stalls at failure and re-join events — the baselines' rows of the
+// Table 1 and Fig 9 experiments. ReCycle has no System model: its rows are
 // replayed at op granularity by internal/replay, on top of the
 // discrete-event backend below.
 //

@@ -51,7 +51,7 @@ func ExactMakespan(in Input, maxNodes int64) (ExactResult, error) {
 	if in.Shape.Iter != 1 {
 		return ExactResult{}, fmt.Errorf("solver: exact search supports single-iteration shapes only")
 	}
-	routes, err := routeForInput(in)
+	routes, err := RouteMicroBatchesCost(in.Shape, in.Failed, in.Costs)
 	if err != nil {
 		return ExactResult{}, err
 	}

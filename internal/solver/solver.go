@@ -107,7 +107,7 @@ func SolveInstrumented(in Input) (*schedule.Schedule, SolveInfo, error) {
 	if err := in.Shape.Validate(); err != nil {
 		return nil, SolveInfo{}, err
 	}
-	routes, err := routeForInput(in)
+	routes, err := RouteMicroBatchesCost(in.Shape, in.Failed, in.Costs)
 	if err != nil {
 		return nil, SolveInfo{}, err
 	}
@@ -133,50 +133,13 @@ func SolveInstrumented(in Input) (*schedule.Schedule, SolveInfo, error) {
 	return s, SolveInfo{Kind: kind, Hint: selfHint(in, routes, s)}, nil
 }
 
-// routeForInput picks the routing strategy: plain round-robin over live
-// peers when the costs are homogeneous, load-balanced routing around slow
-// workers otherwise.
-func routeForInput(in Input) ([][][]int, error) {
-	if in.Costs == nil {
-		return RouteMicroBatches(in.Shape, in.Failed)
-	}
-	return RouteMicroBatchesCost(in.Shape, in.Failed, in.Costs)
-}
-
 // RouteMicroBatches computes the exec pipeline for every (stage, home
 // pipeline, micro-batch): the home worker when alive, otherwise live
 // data-parallel peers round-robin (the paper's even distribution, §3.1 and
 // the ReRouteAct operator, §5). The returned map is indexed
-// [stage][home][mb].
+// [stage][home][mb]. It is RouteMicroBatchesCost with no cost model.
 func RouteMicroBatches(shape schedule.Shape, failed map[schedule.Worker]bool) ([][][]int, error) {
-	routes := make([][][]int, shape.PP)
-	for i := 0; i < shape.PP; i++ {
-		var alive []int
-		for k := 0; k < shape.DP; k++ {
-			if !failed[schedule.Worker{Stage: i, Pipeline: k}] {
-				alive = append(alive, k)
-			}
-		}
-		if len(alive) == 0 {
-			return nil, fmt.Errorf("%w: stage %d", ErrStageDead, i)
-		}
-		routes[i] = make([][]int, shape.DP)
-		for k := 0; k < shape.DP; k++ {
-			routes[i][k] = make([]int, shape.MB)
-			if !failed[schedule.Worker{Stage: i, Pipeline: k}] {
-				for j := range routes[i][k] {
-					routes[i][k][j] = k
-				}
-				continue
-			}
-			// Round-robin over live peers, offset by the failed pipeline id
-			// so that multiple failures at a stage spread differently.
-			for j := range routes[i][k] {
-				routes[i][k][j] = alive[(j+k)%len(alive)]
-			}
-		}
-	}
-	return routes, nil
+	return RouteMicroBatchesCost(shape, failed, nil)
 }
 
 // RouteMicroBatchesCost computes the exec pipeline for every (stage, home
@@ -187,8 +150,8 @@ func RouteMicroBatches(shape schedule.Shape, failed map[schedule.Worker]bool) ([
 // least-finish-time rule over per-worker compute costs, so a 2× straggler
 // keeps only the share of work it can finish in step with its peers
 // instead of dragging the whole pipeline. Stages whose live workers all
-// run at the same cost reproduce the round-robin routing exactly, so a
-// uniform cost model changes nothing.
+// run at the same cost — every stage, when costs is nil — keep the
+// round-robin routing, so a uniform cost model changes nothing.
 func RouteMicroBatchesCost(shape schedule.Shape, failed map[schedule.Worker]bool, costs schedule.CostFunc) ([][][]int, error) {
 	routes := make([][][]int, shape.PP)
 	for i := 0; i < shape.PP; i++ {
@@ -202,22 +165,27 @@ func RouteMicroBatchesCost(shape schedule.Shape, failed map[schedule.Worker]bool
 			return nil, fmt.Errorf("%w: stage %d", ErrStageDead, i)
 		}
 		// Per-micro-batch compute cost on each live worker of the stage.
-		cost := make([]int64, shape.DP)
+		var cost []int64
 		minCost := int64(1) << 62
 		flat := true
-		for _, k := range alive {
-			w := schedule.Worker{Stage: i, Pipeline: k}
-			cost[k] = costs(w, schedule.F) + costs(w, schedule.BInput) + costs(w, schedule.BWeight)
-			if cost[k] != cost[alive[0]] {
-				flat = false
-			}
-			if cost[k] < minCost {
-				minCost = cost[k]
+		if costs != nil {
+			cost = make([]int64, shape.DP)
+			for _, k := range alive {
+				w := schedule.Worker{Stage: i, Pipeline: k}
+				cost[k] = costs(w, schedule.F) + costs(w, schedule.BInput) + costs(w, schedule.BWeight)
+				if cost[k] != cost[alive[0]] {
+					flat = false
+				}
+				if cost[k] < minCost {
+					minCost = cost[k]
+				}
 			}
 		}
 		routes[i] = make([][]int, shape.DP)
 		if flat {
-			// Homogeneous stage: identical to RouteMicroBatches.
+			// Homogeneous stage: the home worker when alive, otherwise live
+			// peers round-robin, offset by the failed pipeline id so that
+			// multiple failures at a stage spread differently.
 			for k := 0; k < shape.DP; k++ {
 				routes[i][k] = make([]int, shape.MB)
 				if !failed[schedule.Worker{Stage: i, Pipeline: k}] {
