@@ -1,9 +1,11 @@
 package schedule
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -264,5 +266,70 @@ func TestCompileAllocationBudget(t *testing.T) {
 	})
 	if per := allocs / float64(len(s.Placements)); per > 0.5 {
 		t.Fatalf("Compile allocates %.0f times for %d instructions (%.2f per instruction), budget 0.5", allocs, len(s.Placements), per)
+	}
+}
+
+// canonicalLess is the canonical placement order stated directly on
+// placements: (Start, Exec, Stage), then the op's rendering.
+func canonicalLess(a, b Placement) int {
+	if a.Start != b.Start {
+		return cmp.Compare(a.Start, b.Start)
+	}
+	if a.Op.Exec != b.Op.Exec {
+		return cmp.Compare(a.Op.Exec, b.Op.Exec)
+	}
+	if a.Op.Stage != b.Op.Stage {
+		return cmp.Compare(a.Op.Stage, b.Op.Stage)
+	}
+	return strings.Compare(a.Op.String(), b.Op.String())
+}
+
+// TestNewMatchesPlacementSort checks that New's key sort leaves placements
+// exactly where sorting the placements themselves would — ties, negative
+// and out-of-int32 workers, duplicates and keys equal up to End included.
+func TestNewMatchesPlacementSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(28))
+	for trial := 0; trial < 2000; trial++ {
+		n := rng.Intn(200)
+		ps := make([]Placement, n)
+		for i := range ps {
+			p := Placement{Op: Op{Stage: rng.Intn(4) - 1, MB: rng.Intn(3), Home: rng.Intn(3), Type: OpType(rng.Intn(5)), Exec: rng.Intn(4) - 1, Iter: rng.Intn(2)}, Start: int64(rng.Intn(12))}
+			switch rng.Intn(20) {
+			case 0:
+				p.Op.Exec = 1<<40 + rng.Intn(2)
+			case 1:
+				p.Op.Stage = -1<<35 - rng.Intn(2)
+			case 2:
+				if i > 0 {
+					p = ps[rng.Intn(i)] // a duplicate
+				}
+			}
+			p.End = p.Start + int64(rng.Intn(3))
+			ps[i] = p
+		}
+		want := slices.Clone(ps)
+		slices.SortFunc(want, canonicalLess)
+		if got := New(Shape{DP: 1, PP: 1, MB: 1, Iter: 1}, UnitSlots, nil, ps).Placements; !slices.Equal(got, want) {
+			t.Fatalf("trial %d: New's order differs from sorting the placements", trial)
+		}
+	}
+}
+
+// TestNewAllocationBudget gates New in steady state: it allocates the
+// Schedule and nothing else — the keys come from a pool and the placements
+// are permuted in place.
+func TestNewAllocationBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector empties sync.Pool at random")
+	}
+	base := FaultFree1F1B(Shape{DP: 4, PP: 4, MB: 8, Iter: 1}, UnitSlots).Placements
+	ps := slices.Clone(base)
+	allocs := testing.AllocsPerRun(50, func() {
+		copy(ps, base)
+		slices.Reverse(ps)
+		New(Shape{DP: 4, PP: 4, MB: 8, Iter: 1}, UnitSlots, nil, ps)
+	})
+	if allocs > 1 {
+		t.Fatalf("New allocates %.1f times per call, budget 1", allocs)
 	}
 }

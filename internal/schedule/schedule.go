@@ -136,24 +136,70 @@ func (s *Schedule) At(op Op) (Placement, bool) {
 	return p, ok
 }
 
-// New assembles a schedule from placements, sorting them into the canonical
-// order: (Start, pipeline, stage), the op's rendering breaking the ties only
-// zero-length or overlapping placements can produce.
+// sortKey is one placement's position in the canonical order: its start,
+// its worker packed as exec<<32 | stage with the stage's sign bit flipped
+// (so integer order is (exec, stage) order while both fit an int32), and
+// its index in the unsorted slice.
+type sortKey struct {
+	start  int64
+	worker int64
+	index  int32
+}
+
+var sortKeyPool = sync.Pool{New: func() any { return new([]sortKey) }}
+
+// New assembles a schedule from placements, sorting them in place into the
+// canonical order: (Start, pipeline, stage), the op's rendering breaking the
+// ties only zero-length or overlapping placements can produce. The schedule
+// keeps ps. The sort runs over compact keys drawn from a pool and then
+// permutes ps along the sorted keys' cycles, so in steady state New
+// allocates only the Schedule; every comparison agrees with one of the
+// placements themselves, so the order is the one sorting ps would give.
 func New(shape Shape, d Durations, failed map[Worker]bool, ps []Placement) *Schedule {
-	s := &Schedule{Shape: shape, Durations: d, Failed: failed, Placements: ps}
-	slices.SortFunc(s.Placements, func(a, b Placement) int {
-		if a.Start != b.Start {
-			return cmp.Compare(a.Start, b.Start)
+	buf := sortKeyPool.Get().(*[]sortKey)
+	keys := (*buf)[:0]
+	packed := true // every exec and stage fits an int32
+	for i, p := range ps {
+		e, st := p.Op.Exec, p.Op.Stage
+		packed = packed && e == int(int32(e)) && st == int(int32(st))
+		keys = append(keys, sortKey{start: p.Start, worker: int64(e)<<32 | int64(uint32(st)^1<<31), index: int32(i)})
+	}
+	slices.SortFunc(keys, func(a, b sortKey) int {
+		if a.start != b.start {
+			return cmp.Compare(a.start, b.start)
 		}
-		if a.Op.Exec != b.Op.Exec {
-			return cmp.Compare(a.Op.Exec, b.Op.Exec)
+		if packed && a.worker != b.worker {
+			return cmp.Compare(a.worker, b.worker)
 		}
-		if a.Op.Stage != b.Op.Stage {
-			return cmp.Compare(a.Op.Stage, b.Op.Stage)
+		x, y := &ps[a.index].Op, &ps[b.index].Op
+		if x.Exec != y.Exec {
+			return cmp.Compare(x.Exec, y.Exec)
 		}
-		return strings.Compare(a.Op.String(), b.Op.String())
+		if x.Stage != y.Stage {
+			return cmp.Compare(x.Stage, y.Stage)
+		}
+		return strings.Compare(x.String(), y.String())
 	})
-	return s
+	// Position i takes the placement keys[i].index held; follow each cycle
+	// once, marking a visited position by pointing its key at itself.
+	for i := range keys {
+		if int(keys[i].index) == i {
+			continue
+		}
+		held := ps[i]
+		for j := i; ; {
+			k := int(keys[j].index)
+			keys[j].index = int32(j)
+			if k == i {
+				ps[j] = held
+				break
+			}
+			ps[j], j = ps[k], k
+		}
+	}
+	*buf = keys
+	sortKeyPool.Put(buf)
+	return &Schedule{Shape: shape, Durations: d, Failed: failed, Placements: ps}
 }
 
 // workers returns the per-worker index, built on first use.

@@ -1,6 +1,7 @@
 package solver
 
 import (
+	"cmp"
 	"math"
 
 	"recycle/internal/schedule"
@@ -16,95 +17,76 @@ import (
 // optimizer step to finish before the next iteration's warm-up reaches the
 // stage. When the Staggered Optimizer is disabled every stage shares the
 // iteration-end deadline.
-func (s *state) applyALAP(ref *schedule.Schedule, tie int64) {
+func (s *state) applyALAP() {
 	d := s.in.Durations
-	ffMakespan := ref.ComputeMakespan(0)
-	period := ffMakespan + d.Opt
+	mb := s.in.Shape.MB
+	period := s.ffMakespan + d.Opt
 	// Per-(stage, micro-batch) deadline stagger from the fault-free
 	// skeleton: the dependency DAG has no inter-micro-batch edges, so a
 	// raw longest-path ALAP would give every micro-batch of a stage the
 	// same deadline and least-laxity ordering could not tell the first
 	// micro-batch from the last. Anchor each micro-batch's backward
 	// deadline to its fault-free completion, shifted so the last one meets
-	// the stage deadline.
-	refBEnd := func(stage, mb int) int64 {
-		p, ok := ref.At(schedule.Op{Stage: stage, MB: mb, Home: 0, Exec: 0, Type: schedule.B})
-		if !ok {
-			return ffMakespan
-		}
-		return p.End
-	}
-	alap := make([]int64, len(s.tasks)) // latest allowed finish
-	for i := range alap {
-		alap[i] = math.MaxInt64 / 4
-	}
+	// the stage deadline. Until the last loop, alap holds the latest
+	// allowed finish.
 	for id := range s.tasks {
 		t := &s.tasks[id]
+		t.alap = math.MaxInt64 / 4
 		if t.op.Type == schedule.BWeight || t.op.Type == schedule.B {
 			stageSlack := int64(t.op.Stage) * (d.F + d.Comm)
 			if !s.in.Staggered {
 				stageSlack = 0
 			}
-			mbStagger := refBEnd(t.op.Stage, s.in.Shape.MB-1) - refBEnd(t.op.Stage, t.op.MB)
-			alap[id] = int64(t.op.Iter+1)*period + stageSlack - d.Opt - mbStagger
+			mbStagger := s.refBEnd[t.op.Stage*mb+mb-1] - s.refBEnd[t.op.Stage*mb+t.op.MB]
+			t.alap = int64(t.op.Iter+1)*period + stageSlack - d.Opt - mbStagger
 		}
 	}
-	// Relax in reverse topological order. The task graph is a DAG; a
-	// simple iterate-to-fixpoint over reversed edges converges in at most
-	// depth passes, but we can do one exact pass by processing tasks in
-	// reverse creation order *per iteration* — creation order is not
-	// topological for backward chains, so use Kahn's algorithm on the
-	// reversed graph instead.
-	outDeg := make([]int32, len(s.tasks))
+	// Relax in reverse topological order. Creation order is not
+	// topological for backward chains, so Kahn's algorithm over the
+	// successors orders the graph first; walked backwards, every task's
+	// successors are final before it pulls from them.
+	s.indeg = filled(s.indeg, len(s.tasks), 0)
 	for id := range s.tasks {
-		outDeg[id] = int32(len(s.tasks[id].succs))
-	}
-	queue := make([]taskID, 0, len(s.tasks))
-	for id := range s.tasks {
-		if outDeg[id] == 0 {
-			queue = append(queue, taskID(id))
+		for _, sc := range s.tasks[id].next() {
+			s.indeg[sc.id]++
 		}
 	}
-	preds := make([][]succ, len(s.tasks)) // reversed adjacency
+	s.order = s.order[:0]
 	for id := range s.tasks {
-		for _, sc := range s.tasks[id].succs {
-			preds[sc.id] = append(preds[sc.id], succ{id: taskID(id), comm: sc.comm})
+		if s.indeg[id] == 0 {
+			s.order = append(s.order, taskID(id))
 		}
 	}
-	for len(queue) > 0 {
-		id := queue[0]
-		queue = queue[1:]
-		t := &s.tasks[id]
-		start := alap[id] - t.dur
-		for _, pr := range preds[id] {
-			if f := start - pr.comm; f < alap[pr.id] {
-				alap[pr.id] = f
+	for i := 0; i < len(s.order); i++ {
+		for _, sc := range s.tasks[s.order[i]].next() {
+			if s.indeg[sc.id]--; s.indeg[sc.id] == 0 {
+				s.order = append(s.order, sc.id)
 			}
-			outDeg[pr.id]--
-			if outDeg[pr.id] == 0 {
-				queue = append(queue, pr.id)
-			}
+		}
+	}
+	for i := len(s.order) - 1; i >= 0; i-- {
+		t := &s.tasks[s.order[i]]
+		for _, sc := range t.next() {
+			n := &s.tasks[sc.id]
+			t.alap = min(t.alap, n.alap-n.dur-sc.comm)
 		}
 	}
 	// Record ALAP start times; tasks are compared by
 	// (iteration, ALAP start, skeleton position).
 	for id := range s.tasks {
-		t := &s.tasks[id]
-		t.alap = alap[id] - t.dur
+		s.tasks[id].alap -= s.tasks[id].dur
 	}
-	_ = tie
-	_ = schedule.F // silence unused import if the build changes
 }
 
 // before orders tasks by (iteration, ALAP start, skeleton position) — the
 // dispatch priority.
-func (s *state) before(a, b taskID) bool {
+func (s *state) before(a, b taskID) int {
 	ta, tb := &s.tasks[a], &s.tasks[b]
 	if ta.op.Iter != tb.op.Iter {
-		return ta.op.Iter < tb.op.Iter
+		return cmp.Compare(ta.op.Iter, tb.op.Iter)
 	}
 	if ta.alap != tb.alap {
-		return ta.alap < tb.alap
+		return cmp.Compare(ta.alap, tb.alap)
 	}
-	return ta.pos < tb.pos
+	return cmp.Compare(ta.pos, tb.pos)
 }

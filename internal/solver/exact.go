@@ -57,38 +57,29 @@ func ExactMakespan(in Input, maxNodes int64) (ExactResult, error) {
 	}
 	st := newState(in, routes)
 
-	// Project the task graph onto compute ops.
-	var ids []taskID
-	for id := range st.tasks {
-		if st.tasks[id].op.Type != schedule.Optimizer {
-			ids = append(ids, taskID(id))
-		}
-	}
-	n := len(ids)
-	idx := make(map[taskID]int, n)
-	for i, id := range ids {
-		idx[id] = i
-	}
+	// Project the task graph onto compute ops: with one iteration they are
+	// every task but the optimizers (one per live worker, created last and
+	// without edges), so task IDs are node indices.
+	n := len(st.tasks) - len(st.workers)
 	nodes := make([]exNode, n)
 	npreds := make([]int, n)
-	for i, id := range ids {
-		t := &st.tasks[id]
+	for i := range nodes {
+		t := &st.tasks[i]
 		nd := exNode{
 			dur:   t.dur,
-			wi:    st.widx[t.worker],
+			wi:    int(t.wi),
 			isF:   t.op.Type == schedule.F,
 			frees: t.op.Type == schedule.B || t.op.Type == schedule.BWeight,
 		}
-		for _, sc := range t.succs {
-			if st.tasks[sc.id].op.Type == schedule.Optimizer {
-				continue
-			}
-			nd.succs = append(nd.succs, idx[sc.id])
+		for _, sc := range t.next() {
+			nd.succs = append(nd.succs, int(sc.id))
 			nd.comms = append(nd.comms, sc.comm)
-			npreds[idx[sc.id]]++
+			npreds[sc.id]++
 		}
 		nodes[i] = nd
 	}
+	caps, nw := exCaps(in, st), len(st.workers)
+	st.release()
 
 	// Critical-path tails for the lower bound (reverse topological order).
 	tail := make([]int64, n)
@@ -125,9 +116,9 @@ func ExactMakespan(in Input, maxNodes int64) (ExactResult, error) {
 	e := &exSearch{
 		nodes:    nodes,
 		tail:     tail,
-		caps:     exCaps(in, st),
+		caps:     caps,
 		n:        n,
-		nw:       len(st.workers),
+		nw:       nw,
 		maxNodes: maxNodes,
 	}
 	e.best.Store(best)

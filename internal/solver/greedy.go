@@ -3,35 +3,54 @@ package solver
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
+	"sync"
 
 	"recycle/internal/schedule"
 )
 
+var statePool = sync.Pool{New: func() any { return new(state) }}
+
+// filled returns s resized to n elements, every one set to v, reallocating
+// only when its capacity is too small.
+func filled[T any](s []T, n int, v T) []T {
+	if cap(s) < n {
+		s = make([]T, n)
+	}
+	s = s[:n]
+	for i := range s {
+		s[i] = v
+	}
+	return s
+}
+
 // newState builds the task graph for the input: one F and one backward
 // chain per (iteration, pipeline, micro-batch, stage) with the MILP's
 // dependency structure (Eq. 2–4), per-worker priority streams ordered by
-// the fault-free 1F1B skeleton, and optimizer barrier groups.
+// the fault-free 1F1B skeleton, and optimizer barrier groups. The state
+// comes from a pool; release returns it.
 func newState(in Input, routes [][][]int) *state {
 	sh := in.Shape
 	d := in.Durations
+	s := statePool.Get().(*state)
+	s.in = in
 
 	// Reference fault-free timing used as the merge priority for rerouted
 	// work: identical across pipelines, so compute it once with DP=1.
 	ref := schedule.FaultFree1F1B(schedule.Shape{DP: 1, PP: sh.PP, MB: sh.MB, Iter: 1}, d)
-	refF := make([][]int64, sh.PP)
-	refB := make([][]int64, sh.PP)
-	for i := 0; i < sh.PP; i++ {
-		refF[i] = make([]int64, sh.MB)
-		refB[i] = make([]int64, sh.MB)
-		for j := 0; j < sh.MB; j++ {
-			pf, _ := ref.At(schedule.Op{Stage: i, MB: j, Home: 0, Exec: 0, Type: schedule.F})
-			pb, _ := ref.At(schedule.Op{Stage: i, MB: j, Home: 0, Exec: 0, Type: schedule.B})
-			refF[i][j] = pf.Start
-			refB[i][j] = pb.Start
+	s.ffMakespan = ref.ComputeMakespan(0)
+	s.refF = filled(s.refF, sh.PP*sh.MB, 0)
+	s.refB = filled(s.refB, sh.PP*sh.MB, 0)
+	s.refBEnd = filled(s.refBEnd, sh.PP*sh.MB, s.ffMakespan)
+	for _, p := range ref.Placements {
+		switch slot := p.Op.Stage*sh.MB + p.Op.MB; p.Op.Type {
+		case schedule.F:
+			s.refF[slot] = p.Start
+		case schedule.B:
+			s.refB[slot], s.refBEnd[slot] = p.Start, p.End
 		}
 	}
-	iterSpan := ref.ComputeMakespan(0) + d.Opt + 1
+	iterSpan := s.ffMakespan + d.Opt + 1
 	tie := int64(2*sh.DP + 2)
 	pos := func(iter int, slot int64, home, exec int) int64 {
 		t := int64(0)
@@ -42,32 +61,28 @@ func newState(in Input, routes [][][]int) *state {
 		return (int64(iter)*iterSpan+slot)*tie + t
 	}
 
-	s := &state{
-		in:     in,
-		routes: routes,
-		widx:   make(map[schedule.Worker]int),
-		groups: make(map[string]*optGroup),
-	}
-	for k := 0; k < sh.DP; k++ {
-		for i := 0; i < sh.PP; i++ {
-			w := schedule.Worker{Stage: i, Pipeline: k}
-			if in.Failed[w] {
-				continue
-			}
-			s.widx[w] = len(s.workers)
-			s.workers = append(s.workers, workerState{w: w})
+	s.widx = filled(s.widx, sh.DP*sh.PP, -1)
+	s.workers = s.workers[:0]
+	for x := range s.widx {
+		w := sh.WorkerAt(x)
+		if in.Failed[w] {
+			continue
 		}
-	}
-
-	addTask := func(t task) taskID {
-		t.dur = in.dur(t.worker, t.op.Type)
-		id := taskID(len(s.tasks))
-		s.tasks = append(s.tasks, t)
-		return id
-	}
-	edge := func(from, to taskID, comm int64) {
-		s.tasks[from].succs = append(s.tasks[from].succs, succ{id: to, comm: comm})
-		s.tasks[to].predsN++
+		s.widx[x] = int32(len(s.workers))
+		if len(s.workers) < cap(s.workers) {
+			s.workers = s.workers[:len(s.workers)+1] // keeps an earlier solve's buffers
+		} else {
+			s.workers = append(s.workers, workerState{})
+		}
+		ws := &s.workers[len(s.workers)-1]
+		*ws = workerState{w: w, crit: ws.crit[:0], bwPool: ws.bwPool[:0],
+			critLeft: filled(ws.critLeft, sh.Iter, 0), bwLeft: filled(ws.bwLeft, sh.Iter, 0), memCap: in.MemCap}
+		if in.MemCapPerStage != nil {
+			ws.memCap = in.MemCapPerStage[w.Stage]
+		}
+		for t := range ws.durs {
+			ws.durs[t] = in.dur(w, schedule.OpType(t))
+		}
 	}
 
 	// Selective Decoupled BackProp (§3.2): splitting every backward pass
@@ -77,127 +92,99 @@ func newState(in Input, routes [][][]int) *state {
 	// backward chains must not stall behind coupled BWeight work) and
 	// workers that absorb rerouted micro-batches (they defer BWeight into
 	// bubbles).
-	pipeFailed := make([]bool, sh.DP)
-	loaded := make(map[schedule.Worker]bool)
+	s.pipeFailed = filled(s.pipeFailed, sh.DP, false)
+	s.rerouted = filled(s.rerouted, sh.DP*sh.PP, 0)
 	for w := range in.Failed {
-		pipeFailed[w.Pipeline] = true
+		s.pipeFailed[w.Pipeline] = true
 	}
 	for i := 0; i < sh.PP; i++ {
 		for k := 0; k < sh.DP; k++ {
 			for j := 0; j < sh.MB; j++ {
 				if exec := routes[i][k][j]; exec != k {
-					loaded[schedule.Worker{Stage: i, Pipeline: exec}] = true
+					s.rerouted[exec*sh.PP+i]++
 				}
 			}
 		}
 	}
-	decouple := func(i, k, exec int) bool {
-		if !in.Decoupled {
-			return false
-		}
-		return pipeFailed[k] || loaded[schedule.Worker{Stage: i, Pipeline: exec}]
-	}
-	// Unaffected work keeps the fault-free 1F1B pacing: it may not start
-	// earlier than its fault-free slot. This pins the baseline — adaptive
-	// schedules repair failures rather than re-optimize healthy pipelines,
-	// so fault-free throughput is never exceeded (§3.1: "all other workers
-	// operate as in the fault-free schedule").
-	unaffected := func(i, k, exec int) bool {
-		return !pipeFailed[k] && !loaded[schedule.Worker{Stage: i, Pipeline: exec}]
-	}
-	periodRef := ref.ComputeMakespan(0) + d.Opt
+	periodRef := s.ffMakespan + d.Opt
 
-	type mbKey struct{ iter, i, j, k int }
-	fID := make(map[mbKey]taskID)
-	biID := make(map[mbKey]taskID) // BInput or coupled B
-	bwID := make(map[mbKey]taskID)
-
+	s.tasks = slices.Grow(s.tasks[:0], sh.Iter*(3*sh.DP*sh.PP*sh.MB+len(s.workers)))
+	s.col = filled(s.col, sh.PP, 0)
+	s.optBase = filled(s.optBase, sh.Iter, 0)
 	for it := 0; it < sh.Iter; it++ {
 		for k := 0; k < sh.DP; k++ {
 			for j := 0; j < sh.MB; j++ {
+				var prevF taskID
 				for i := 0; i < sh.PP; i++ {
 					exec := routes[i][k][j]
-					w := schedule.Worker{Stage: i, Pipeline: exec}
-					key := mbKey{it, i, j, k}
+					wi := s.widx[exec*sh.PP+i]
+					loaded := s.rerouted[exec*sh.PP+i] > 0
+					slot := i*sh.MB + j
+					// Unaffected work keeps the fault-free 1F1B pacing: it may
+					// not start earlier than its fault-free slot. This pins the
+					// baseline — adaptive schedules repair failures rather than
+					// re-optimize healthy pipelines, so fault-free throughput is
+					// never exceeded (§3.1: "all other workers operate as in the
+					// fault-free schedule").
 					var relF, relB int64
-					if unaffected(i, k, exec) {
-						relF = int64(it)*periodRef + refF[i][j]
-						relB = int64(it)*periodRef + refB[i][j]
+					if !s.pipeFailed[k] && !loaded {
+						relF = int64(it)*periodRef + s.refF[slot]
+						relB = int64(it)*periodRef + s.refB[slot]
 					}
-					f := addTask(task{
-						op:       schedule.Op{Stage: i, MB: j, Home: k, Exec: exec, Type: schedule.F, Iter: it},
-						worker:   w,
-						pos:      pos(it, refF[i][j], k, exec),
-						release:  relF,
-						critical: true,
-					})
-					fID[key] = f
-					if decouple(i, k, exec) {
-						bi := addTask(task{
-							op:       schedule.Op{Stage: i, MB: j, Home: k, Exec: exec, Type: schedule.BInput, Iter: it},
-							worker:   w,
-							pos:      pos(it, refB[i][j], k, exec),
-							critical: true,
-						})
-						bw := addTask(task{
-							op:     schedule.Op{Stage: i, MB: j, Home: k, Exec: exec, Type: schedule.BWeight, Iter: it},
-							worker: w,
-							pos:    pos(it, refB[i][j], k, exec) + 1,
-						})
-						biID[key] = bi
-						bwID[key] = bw
-						edge(bi, bw, 0)
+					op := schedule.Op{Stage: i, MB: j, Home: k, Exec: exec, Type: schedule.F, Iter: it}
+					f := s.add(task{op: op, wi: wi, pos: pos(it, s.refF[slot], k, exec), release: relF, critical: true})
+					bpos := pos(it, s.refB[slot], k, exec)
+					if in.Decoupled && (s.pipeFailed[k] || loaded) {
+						op.Type = schedule.BInput
+						s.col[i] = s.add(task{op: op, wi: wi, pos: bpos, critical: true})
+						op.Type = schedule.BWeight
+						s.edge(s.col[i], s.add(task{op: op, wi: wi, pos: bpos + 1}), 0)
 					} else {
-						b := addTask(task{
-							op:       schedule.Op{Stage: i, MB: j, Home: k, Exec: exec, Type: schedule.B, Iter: it},
-							worker:   w,
-							pos:      pos(it, refB[i][j], k, exec),
-							release:  relB,
-							critical: true,
-						})
-						biID[key] = b
-						bwID[key] = b
+						op.Type = schedule.B
+						s.col[i] = s.add(task{op: op, wi: wi, pos: bpos, release: relB, critical: true})
 					}
 					// Local data dependency: backward needs the stage stash.
-					edge(f, biID[key], 0)
+					s.edge(f, s.col[i], 0)
 					// Eq. 2: forward cross-stage chain.
 					if i > 0 {
-						edge(fID[mbKey{it, i - 1, j, k}], f, d.Comm)
+						s.edge(prevF, f, d.Comm)
 					}
+					prevF = f
 				}
 				// Eq. 3: backward cross-stage chain (built after the column
 				// exists, downstream to upstream).
 				for i := 0; i < sh.PP-1; i++ {
-					edge(biID[mbKey{it, i + 1, j, k}], biID[mbKey{it, i, j, k}], d.Comm)
+					s.edge(s.col[i+1], s.col[i], d.Comm)
 				}
 			}
 		}
-		// Optimizer tasks and barrier groups.
+		// Optimizer tasks, one per live worker in worker order. They carry
+		// no edges: the stage's gradCount releases them (placeAt).
+		s.optBase[it] = taskID(len(s.tasks))
 		for wi := range s.workers {
 			w := s.workers[wi].w
-			o := addTask(task{
+			s.add(task{
 				op:     schedule.Op{Stage: w.Stage, MB: -1, Home: w.Pipeline, Exec: w.Pipeline, Type: schedule.Optimizer, Iter: it},
-				worker: w,
+				wi:     int32(wi),
 				pos:    pos(it, iterSpan-1, w.Pipeline, w.Pipeline),
+				predsN: 1,
 			})
-			s.workers[wi].opts = append(s.workers[wi].opts, o)
-			key := groupKey(in.Staggered, it, w.Stage)
-			g := s.groups[key]
-			if g == nil {
-				g = &optGroup{}
-				s.groups[key] = g
-			}
-			g.members = append(g.members, wi)
-			g.tasks = append(g.tasks, o)
-			// Gradient readiness: the stage's all-reduce needs every
-			// backward-weight of the stage, wherever it executed.
-			for k := 0; k < sh.DP; k++ {
-				for j := 0; j < sh.MB; j++ {
-					edge(bwID[mbKey{it, w.Stage, j, k}], o, 0)
-				}
+		}
+	}
+	s.byStage, s.stageOff, s.everyone = s.byStage[:0], s.stageOff[:0], s.everyone[:0]
+	for i := 0; i <= sh.PP; i++ {
+		s.stageOff = append(s.stageOff, int32(len(s.byStage)))
+		for wi := range s.workers {
+			if s.workers[wi].w.Stage == i {
+				s.byStage = append(s.byStage, int32(wi))
 			}
 		}
 	}
+	for wi := range s.workers {
+		s.everyone = append(s.everyone, int32(wi))
+	}
+	s.grads = filled(s.grads, sh.Iter*sh.PP, gradCount{left: int32(sh.DP * sh.MB)})
+	s.groups = filled(s.groups, sh.Iter*sh.PP, optGroup{})
 
 	// Refine priorities with ALAP (as-late-as-possible) start times derived
 	// from the staggered per-stage deadlines: stage i's optimizer must end
@@ -207,87 +194,72 @@ func newState(in Input, routes [][][]int) *state {
 	// for its backward chain to clear upstream stages before their
 	// all-reduce deadlines (the zero-overhead packing of Fig 6c).
 	if !in.Naive {
-		s.applyALAP(ref, tie)
+		s.applyALAP()
 	}
 
 	// Per-worker critical streams sorted by priority; per-iteration work
 	// counters for optimizer gating.
 	for id := range s.tasks {
 		t := &s.tasks[id]
-		if t.op.Type == schedule.Optimizer {
-			continue
-		}
-		wi := s.widx[t.worker]
-		if t.critical {
-			s.workers[wi].crit = append(s.workers[wi].crit, taskID(id))
+		w := &s.workers[t.wi]
+		switch {
+		case t.critical:
+			w.crit = append(w.crit, taskID(id))
+			w.critLeft[t.op.Iter]++
+		case t.op.Type == schedule.BWeight:
+			w.bwLeft[t.op.Iter]++
 		}
 	}
 	for wi := range s.workers {
 		w := &s.workers[wi]
-		sort.Slice(w.crit, func(a, b int) bool { return s.before(w.crit[a], w.crit[b]) })
-		w.critLeft = make([]int, sh.Iter)
-		w.bwLeft = make([]int, sh.Iter)
+		slices.SortFunc(w.crit, s.before)
 		// 1F1B forward-ahead window: the fault-free warm-up depth plus one
 		// per rerouted micro-batch this worker absorbs.
-		rerouted := 0
-		for k := 0; k < sh.DP; k++ {
-			if k == w.w.Pipeline {
-				continue
-			}
-			for j := 0; j < sh.MB; j++ {
-				if routes[w.w.Stage][k][j] == w.w.Pipeline {
-					rerouted++
-				}
-			}
-		}
-		w.window = sh.PP - w.w.Stage + rerouted
-		if in.Naive {
-			w.window = sh.PP - w.w.Stage
-		}
-		w.memCap = in.MemCap
-		if in.MemCapPerStage != nil {
-			w.memCap = in.MemCapPerStage[w.w.Stage]
+		w.window = sh.PP - w.w.Stage
+		if !in.Naive {
+			w.window += int(s.rerouted[sh.WorkerIndex(w.w)])
 		}
 	}
-	for id := range s.tasks {
-		t := &s.tasks[id]
-		wi, ok := s.widx[t.worker]
-		if !ok {
-			continue
-		}
-		switch {
-		case t.critical:
-			s.workers[wi].critLeft[t.op.Iter]++
-		case t.op.Type == schedule.BWeight:
-			s.workers[wi].bwLeft[t.op.Iter]++
-		}
-	}
+	s.placements = make([]schedule.Placement, 0, len(s.tasks))
 	s.unplaced = len(s.tasks)
 	return s
 }
 
-func groupKey(staggered bool, iter, stage int) string {
-	if staggered {
-		return fmt.Sprintf("%d/s%d", iter, stage)
-	}
-	return fmt.Sprintf("%d/g", iter)
+// release returns the state to the pool. The placements belong to the
+// schedule built from them and are not kept.
+func (s *state) release() {
+	s.in, s.placements = Input{}, nil
+	statePool.Put(s)
+}
+
+// add appends a task timed by its executor's cost model.
+func (s *state) add(t task) taskID {
+	t.dur = s.workers[t.wi].durs[t.op.Type]
+	s.tasks = append(s.tasks, t)
+	return taskID(len(s.tasks) - 1)
+}
+
+// edge adds a dependency.
+func (s *state) edge(from, to taskID, comm int64) {
+	t := &s.tasks[from]
+	t.succ[t.nsucc] = succ{id: to, comm: comm}
+	t.nsucc++
+	s.tasks[to].predsN++
 }
 
 // run executes the event loop to completion.
 func (s *state) run() error {
 	// Seed future-start hints for tasks that are ready from the start
 	// (their earliest start is their release time).
-	s.wake = make([]int64, len(s.workers))
-	for wi := range s.wake {
-		s.wake[wi] = int64(^uint64(0) >> 1)
-	}
+	s.wake = filled(s.wake, len(s.workers), math.MaxInt64)
+	s.events = s.events[:0]
 	for wi := range s.workers {
 		s.wakeAt(wi, 0)
 	}
 	for s.events.Len() > 0 {
 		e := s.events.popEvent()
 		if s.wake[e.w] == e.t {
-			s.wake[e.w] = int64(^uint64(0) >> 1)
+			s.wake[e.w] = math.MaxInt64
 		}
 		for s.dispatch(e.w, e.t) {
 		}
@@ -306,7 +278,8 @@ func (s *state) dispatch(wi int, t int64) bool {
 		s.wakeAt(wi, w.free)
 		return false
 	}
-	gate := s.gateIter(w)
+	// The worker may execute the iteration of its first unplaced optimizer.
+	gate := w.optNext
 
 	// 1. Ready critical op in priority order (skipping memory-blocked Fs).
 	for w.critHead < len(w.crit) && s.tasks[w.crit[w.critHead]].placed {
@@ -353,10 +326,10 @@ func (s *state) dispatch(wi int, t int64) bool {
 			minFuture = est
 		}
 	}
-	if len(w.bwPool) > 0 {
-		id := w.bwPool[0]
+	if w.bwHead < len(w.bwPool) {
+		id := w.bwPool[w.bwHead]
 		if minFuture == math.MaxInt64 || minFuture-t >= s.tasks[id].dur || s.memPressure(w) {
-			w.bwPool = w.bwPool[1:]
+			w.bwHead++
 			s.place(wi, id, t)
 			return true
 		}
@@ -365,18 +338,13 @@ func (s *state) dispatch(wi int, t int64) bool {
 	}
 
 	// 3. Arrive at the optimizer barrier once this iteration is drained.
-	if gate < len(w.critLeft) && w.critLeft[gate] == 0 && w.bwLeft[gate] == 0 && !w.arrived {
-		o := &s.tasks[w.opts[w.optNext]]
-		if o.predsN == 0 {
-			at := t
-			if o.readyAt > at {
-				at = o.readyAt
-			}
-			s.arrive(wi, o.op.Iter, at)
+	if gate < s.in.Shape.Iter && w.critLeft[gate] == 0 && w.bwLeft[gate] == 0 && !w.arrived {
+		if o := &s.tasks[s.optBase[gate]+taskID(wi)]; o.predsN == 0 {
+			s.arrive(wi, gate, max(t, o.readyAt))
 			return false
 		}
 	}
-	if minFuture < int64(^uint64(0)>>1) {
+	if minFuture < math.MaxInt64 {
 		s.wakeAt(wi, minFuture)
 	}
 	return false
@@ -388,13 +356,28 @@ func (s *state) memPressure(w *workerState) bool {
 	return w.memCap > 0 && w.held >= w.memCap
 }
 
-// gateIter returns the iteration the worker is allowed to execute: the
-// iteration of its first unplaced optimizer step.
-func (s *state) gateIter(w *workerState) int {
-	if w.optNext < len(w.opts) {
-		return s.tasks[w.opts[w.optNext]].op.Iter
+// group returns the barrier index of stage's optimizer in iteration iter:
+// one barrier per (iteration, stage) under the Staggered Optimizer, one per
+// iteration otherwise.
+func (s *state) group(iter, stage int) int {
+	if s.in.Staggered {
+		return iter*s.in.Shape.PP + stage
 	}
-	return s.in.Shape.Iter // all optimizers placed
+	return iter
+}
+
+// members returns the live workers that step stage's optimizer barrier
+// together, in worker order.
+func (s *state) members(stage int) []int32 {
+	if s.in.Staggered {
+		return s.stageWorkers(stage)
+	}
+	return s.everyone
+}
+
+// stageWorkers returns the live workers of stage, in worker order.
+func (s *state) stageWorkers(stage int) []int32 {
+	return s.byStage[s.stageOff[stage]:s.stageOff[stage+1]]
 }
 
 // arrive registers the worker at its optimizer barrier; when the last
@@ -403,23 +386,21 @@ func (s *state) gateIter(w *workerState) int {
 func (s *state) arrive(wi, iter int, at int64) {
 	w := &s.workers[wi]
 	w.arrived = true
-	g := s.groups[groupKey(s.in.Staggered, iter, w.w.Stage)]
+	g := &s.groups[s.group(iter, w.w.Stage)]
 	g.arrived++
-	if at > g.arriveAt {
-		g.arriveAt = at
-	}
-	if g.arrived < len(g.members) {
+	g.arriveAt = max(g.arriveAt, at)
+	members := s.members(w.w.Stage)
+	if g.arrived < len(members) {
 		return
 	}
-	start := g.arriveAt
-	for _, id := range g.tasks {
-		s.placeAt(id, start)
+	for _, m := range members {
+		s.placeAt(s.optBase[iter]+taskID(m), g.arriveAt)
 	}
-	for _, mi := range g.members {
-		m := &s.workers[mi]
-		m.arrived = false
-		m.optNext++
-		s.wakeAt(mi, m.free)
+	for _, m := range members {
+		mw := &s.workers[m]
+		mw.arrived = false
+		mw.optNext++
+		s.wakeAt(int(m), mw.free)
 	}
 }
 
@@ -436,18 +417,13 @@ func (s *state) placeAt(id taskID, start int64) {
 	if c.placed {
 		panic("solver: task placed twice")
 	}
-	dur := c.dur
+	end := start + c.dur
 	c.placed = true
-	c.start = start
-	c.end = start + dur
 	s.unplaced--
-	s.placements = append(s.placements, schedule.Placement{Op: c.op, Start: c.start, End: c.end})
+	s.placements = append(s.placements, schedule.Placement{Op: c.op, Start: start, End: end})
 
-	wi := s.widx[c.worker]
-	w := &s.workers[wi]
-	if c.end > w.free {
-		w.free = c.end
-	}
+	w := &s.workers[c.wi]
+	w.free = max(w.free, end)
 	switch c.op.Type {
 	case schedule.F:
 		w.held++
@@ -467,22 +443,34 @@ func (s *state) placeAt(id taskID, start int64) {
 		w.bwLeft[c.op.Iter]--
 	}
 
-	for _, sc := range c.succs {
+	for _, sc := range c.next() {
 		n := &s.tasks[sc.id]
-		if r := c.end + sc.comm; r > n.readyAt {
-			n.readyAt = r
-		}
-		n.predsN--
-		if n.predsN == 0 {
-			nwi, ok := s.widx[n.worker]
-			if !ok {
-				continue
-			}
-			if n.op.Type == schedule.BWeight {
-				s.workers[nwi].bwPool = append(s.workers[nwi].bwPool, sc.id)
-			}
-			est := max(n.readyAt, n.release)
-			s.wakeAt(nwi, max(est, s.workers[nwi].free))
+		n.readyAt = max(n.readyAt, end+sc.comm)
+		if n.predsN--; n.predsN == 0 {
+			s.ready(sc.id)
 		}
 	}
+	// Gradient readiness: the stage's all-reduce needs every backward-weight
+	// of the stage, wherever it executed. The last one to land releases the
+	// stage's optimizers, in worker order.
+	if g := &s.grads[s.in.Shape.StageIndex(c.op.Iter, c.op.Stage)]; contributes(c.op.Type) && g.land(end) {
+		base := s.optBase[c.op.Iter]
+		for _, m := range s.stageWorkers(c.op.Stage) {
+			o := &s.tasks[base+taskID(m)]
+			o.readyAt, o.predsN = max(o.readyAt, g.end), 0
+			s.ready(base + taskID(m))
+		}
+	}
+}
+
+// ready queues a task whose last predecessor was just placed: a backward
+// weight joins its worker's bubble-filling pool, and the worker wakes at
+// the task's earliest start.
+func (s *state) ready(id taskID) {
+	n := &s.tasks[id]
+	w := &s.workers[n.wi]
+	if n.op.Type == schedule.BWeight {
+		w.bwPool = append(w.bwPool, id)
+	}
+	s.wakeAt(int(n.wi), max(n.readyAt, n.release, w.free))
 }

@@ -1,8 +1,8 @@
 package solver
 
 import (
+	"cmp"
 	"slices"
-	"sort"
 
 	"recycle/internal/schedule"
 )
@@ -177,75 +177,94 @@ func (h *Hint) uniformRescale(in Input) bool {
 // every structural constraint intact — dependencies are re-derived from
 // the state's graph, and per-worker memory/window feasibility follows from
 // the hint's own feasibility since both depend only on the op order. The
-// pass never mutates the state; ok=false means the hint does not cover the
-// task graph or its order is cyclic, and the caller falls back to the
-// scratch dispatch untouched.
+// pass touches only the state's scratch, never its task graph or dispatch
+// state; ok=false means the hint does not cover the task graph or its
+// order is cyclic, and the caller falls back to the scratch dispatch
+// untouched.
 func (s *state) replayOrder(hs *schedule.Schedule) (out []schedule.Placement, ok bool) {
-	n := len(s.tasks)
+	sh, n, nw := s.in.Shape, len(s.tasks), len(s.workers)
 	if len(hs.Placements) != n {
 		return nil, false
 	}
-	hstart := make([]int64, n)
+	// Match placements to tasks through the dense op index: four slots per
+	// triple (F, B, BInput, BWeight), then one per (stage group, exec)
+	// optimizer. A match consumes its slot, so a duplicate misses.
+	triples := sh.Triples()
+	slotOf := func(op schedule.Op) int {
+		_, g, k, ok := sh.OpIndex(op)
+		switch {
+		case !ok || op.Type < schedule.F || op.Type > schedule.Optimizer:
+			return -1
+		case op.Type == schedule.Optimizer:
+			return 4*triples + g*sh.DP + op.Exec
+		}
+		return 4*k + int(op.Type)
+	}
+	s.slot = filled(s.slot, 4*triples+sh.Iter*sh.PP*sh.DP, -1)
 	for id := range s.tasks {
-		p, found := hs.At(s.tasks[id].op)
-		if !found {
+		s.slot[slotOf(s.tasks[id].op)] = int32(id)
+	}
+	s.hstart = filled(s.hstart, n, 0)
+	for _, p := range hs.Placements {
+		sl := slotOf(p.Op)
+		if sl < 0 || s.slot[sl] < 0 || s.tasks[s.slot[sl]].op != p.Op {
 			return nil, false
 		}
-		hstart[id] = p.Start
+		s.hstart[s.slot[sl]], s.slot[sl] = p.Start, -1
 	}
 
 	// Per-worker op order: hint start time, with (iteration, skeleton
-	// priority) breaking zero-duration ties deterministically.
-	seq := make([][]taskID, len(s.workers))
+	// priority) breaking zero-duration ties deterministically. Worker wi's
+	// ops are seq[seqOff[wi]:seqOff[wi+1]] (count, prefix sum, fill), and
+	// chain[wi] is the position of its next one.
+	s.seqOff = filled(s.seqOff, nw+1, 0)
 	for id := range s.tasks {
-		wi, found := s.widx[s.tasks[id].worker]
-		if !found {
-			return nil, false
+		s.seqOff[s.tasks[id].wi+1]++
+	}
+	for wi := 0; wi < nw; wi++ {
+		s.seqOff[wi+1] += s.seqOff[wi]
+	}
+	s.chain = append(s.chain[:0], s.seqOff[:nw]...)
+	s.order = filled(s.order, n, 0) // applyALAP is done with it
+	seq, chain := s.order, s.chain
+	for id := range s.tasks {
+		wi := s.tasks[id].wi
+		seq[chain[wi]] = taskID(id)
+		chain[wi]++
+	}
+	byHint := func(x, y taskID) int {
+		if s.hstart[x] != s.hstart[y] {
+			return cmp.Compare(s.hstart[x], s.hstart[y])
 		}
-		seq[wi] = append(seq[wi], taskID(id))
+		tx, ty := &s.tasks[x], &s.tasks[y]
+		if tx.op.Iter != ty.op.Iter {
+			return cmp.Compare(tx.op.Iter, ty.op.Iter)
+		}
+		return cmp.Compare(tx.pos, ty.pos)
 	}
-	for wi := range seq {
-		ids := seq[wi]
-		sort.Slice(ids, func(a, b int) bool {
-			x, y := ids[a], ids[b]
-			if hstart[x] != hstart[y] {
-				return hstart[x] < hstart[y]
-			}
-			tx, ty := &s.tasks[x], &s.tasks[y]
-			if tx.op.Iter != ty.op.Iter {
-				return tx.op.Iter < ty.op.Iter
-			}
-			return tx.pos < ty.pos
-		})
+	for wi := 0; wi < nw; wi++ {
+		slices.SortFunc(seq[s.seqOff[wi]:s.seqOff[wi+1]], byHint)
 	}
+	copy(chain, s.seqOff[:nw])
 
 	// Kahn over the dependency graph joined with the per-worker chains;
-	// optimizer barrier groups step together at their members' latest
-	// arrival, exactly like the live dispatch.
-	depLeft := make([]int32, n)
+	// gradient counters release the optimizers and barrier groups step
+	// together at their members' latest arrival, exactly like the live
+	// dispatch.
+	s.indeg = filled(s.indeg, n, 0) // applyALAP is done with it
+	depLeft := s.indeg
 	for id := range s.tasks {
 		depLeft[id] = s.tasks[id].predsN
 	}
-	readyAt := make([]int64, n)
-	wfree := make([]int64, len(s.workers))
-	chain := make([]int, len(s.workers))
-	processed := make([]bool, n)
-	gOf := make(map[taskID]*optGroup, len(s.workers)*s.in.Shape.Iter)
-	type groupProg struct {
-		arrive  int64
-		arrived int
-	}
-	gprog := make(map[*optGroup]*groupProg, len(s.groups))
-	for _, g := range s.groups {
-		for _, id := range g.tasks {
-			gOf[id] = g
-		}
-	}
+	s.readyAt, s.wfree, s.processed = filled(s.readyAt, n, 0), filled(s.wfree, nw, 0), filled(s.processed, n, false)
+	s.rgrads = filled(s.rgrads, sh.Iter*sh.PP, gradCount{left: int32(sh.DP * sh.MB)})
+	s.rgroups = filled(s.rgroups, sh.Iter*sh.PP, optGroup{})
+	readyAt, wfree, processed := s.readyAt, s.wfree, s.processed
 	out = make([]schedule.Placement, 0, n)
-	var queue []taskID
-	push := func(wi int) {
-		if chain[wi] < len(seq[wi]) {
-			if id := seq[wi][chain[wi]]; depLeft[id] == 0 && !processed[id] {
+	queue := s.queue[:0]
+	push := func(wi int32) {
+		if c := chain[wi]; c < s.seqOff[wi+1] {
+			if id := seq[c]; depLeft[id] == 0 && !processed[id] {
 				queue = append(queue, id)
 			}
 		}
@@ -254,24 +273,25 @@ func (s *state) replayOrder(hs *schedule.Schedule) (out []schedule.Placement, ok
 		t := &s.tasks[id]
 		end := start + t.dur
 		out = append(out, schedule.Placement{Op: t.op, Start: start, End: end})
-		wi := s.widx[t.worker]
-		if end > wfree[wi] {
-			wfree[wi] = end
-		}
-		chain[wi]++
-		for _, sc := range t.succs {
-			if r := end + sc.comm; r > readyAt[sc.id] {
-				readyAt[sc.id] = r
-			}
-			depLeft[sc.id]--
-			if depLeft[sc.id] == 0 {
-				push(s.widx[s.tasks[sc.id].worker])
+		wfree[t.wi] = max(wfree[t.wi], end)
+		chain[t.wi]++
+		for _, sc := range t.next() {
+			readyAt[sc.id] = max(readyAt[sc.id], end+sc.comm)
+			if depLeft[sc.id]--; depLeft[sc.id] == 0 {
+				push(s.tasks[sc.id].wi)
 			}
 		}
-		push(wi)
+		if g := &s.rgrads[sh.StageIndex(t.op.Iter, t.op.Stage)]; contributes(t.op.Type) && g.land(end) {
+			for _, m := range s.stageWorkers(t.op.Stage) {
+				o := s.optBase[t.op.Iter] + taskID(m)
+				readyAt[o], depLeft[o] = max(readyAt[o], g.end), 0
+				push(m)
+			}
+		}
+		push(t.wi)
 	}
-	for wi := range seq {
-		push(wi)
+	for wi := 0; wi < nw; wi++ {
+		push(int32(wi))
 	}
 	for len(queue) > 0 {
 		id := queue[len(queue)-1]
@@ -280,32 +300,25 @@ func (s *state) replayOrder(hs *schedule.Schedule) (out []schedule.Placement, ok
 			continue
 		}
 		t := &s.tasks[id]
-		wi := s.widx[t.worker]
-		if chain[wi] >= len(seq[wi]) || seq[wi][chain[wi]] != id || depLeft[id] != 0 {
+		wi := t.wi
+		if chain[wi] >= s.seqOff[wi+1] || seq[chain[wi]] != id || depLeft[id] != 0 {
 			continue // stale queue entry
 		}
 		processed[id] = true
 		if t.op.Type == schedule.Optimizer {
-			g := gOf[id]
-			gp := gprog[g]
-			if gp == nil {
-				gp = &groupProg{}
-				gprog[g] = gp
-			}
-			at := max(readyAt[id], wfree[wi])
-			if at > gp.arrive {
-				gp.arrive = at
-			}
-			gp.arrived++
-			if gp.arrived == len(g.tasks) {
-				for _, oid := range g.tasks {
-					finish(oid, gp.arrive)
+			g := &s.rgroups[s.group(t.op.Iter, t.op.Stage)]
+			g.arriveAt = max(g.arriveAt, readyAt[id], wfree[wi])
+			members := s.members(t.op.Stage)
+			if g.arrived++; g.arrived == len(members) {
+				for _, m := range members {
+					finish(s.optBase[t.op.Iter]+taskID(m), g.arriveAt)
 				}
 			}
 			continue
 		}
 		finish(id, max(readyAt[id], t.release, wfree[wi]))
 	}
+	s.queue = queue
 	if len(out) != n {
 		return nil, false // cyclic order or barrier deadlock — fall back
 	}

@@ -16,7 +16,13 @@
 //   - optimizer steps synchronize either globally (conventional) or per
 //     pipeline stage (Staggered Optimizer, §3.3).
 //
-// package exact.go provides a branch-and-bound makespan solver for small
+// The task graph keys nothing by map: workers sit at Shape.WorkerIndex,
+// the skeleton at stage·MB + mb, each iteration's optimizers at a fixed
+// base plus the live-worker index, and one gradient counter per
+// (iteration, stage) stands in for DP·MB edges into every optimizer.
+// Per-solve scratch is pooled.
+//
+// exact.go provides a branch-and-bound makespan solver for small
 // instances, used in tests to certify the heuristic's schedules.
 package solver
 
@@ -117,6 +123,7 @@ func SolveInstrumented(in Input) (*schedule.Schedule, SolveInfo, error) {
 		return h.Schedule, SolveInfo{Kind: KindWarmIdentical, Hint: h}, nil
 	}
 	st := newState(in, routes)
+	defer st.release()
 	var replay []schedule.Placement
 	replayOK := false
 	if warm && h.uniformRescale(in) {
@@ -245,36 +252,48 @@ func RouteMicroBatchesCost(shape schedule.Shape, failed map[schedule.Worker]bool
 // taskID indexes into state.tasks.
 type taskID int32
 
+// task is one node of the task graph. It has at most two successors — a
+// forward feeds its own backward and the next stage's forward, a
+// backward-input its weight gradient and the previous stage's backward —
+// so they live inline.
 type task struct {
+	// What dispatch's scans read first shares one cache line.
+	placed   bool
+	critical bool // F / B / BInput
+	nsucc    uint8
+	predsN   int32
+	readyAt  int64 // valid once predsN == 0
+	release  int64 // earliest allowed start (fault-free pacing of unaffected work)
+	wi       int32 // executor: index into state.workers
 	op       schedule.Op
-	worker   schedule.Worker
 	dur      int64 // modeled duration on this task's executor (cost model)
 	pos      int64 // skeleton priority (fault-free 1F1B position)
 	alap     int64 // latest start that meets the stage deadline
-	release  int64 // earliest allowed start (fault-free pacing of unaffected work)
-	succs    []succ
-	predsN   int32
-	readyAt  int64 // valid once predsN == 0
-	placed   bool
-	start    int64
-	end      int64
-	critical bool // F / B / BInput
+	succ     [2]succ
 }
+
+// next returns the task's successors.
+func (t *task) next() []succ { return t.succ[:t.nsucc] }
 
 type succ struct {
 	id   taskID
 	comm int64 // edge latency added to the predecessor's end
 }
 
+// contributes reports whether ops of type t hand a weight gradient to their
+// stage's all-reduce.
+func contributes(t schedule.OpType) bool { return t == schedule.B || t == schedule.BWeight }
+
 type workerState struct {
 	w        schedule.Worker
+	durs     [schedule.Optimizer + 1]int64 // cost model per op type
 	free     int64
 	held     int // in-flight activation units
 	critHead int // index into crit of first unplaced
 	crit     []taskID
-	bwPool   []taskID // ready BWeight tasks in FIFO order
-	optNext  int      // index into opts of first unplaced optimizer
-	opts     []taskID
+	bwPool   []taskID // ready BWeight tasks in FIFO order, from bwHead on
+	bwHead   int
+	optNext  int   // iteration of the first unplaced optimizer step
 	arrived  bool  // waiting at the current optimizer barrier
 	critLeft []int // unplaced critical ops per iteration
 	bwLeft   []int // unplaced BWeight ops per iteration
@@ -299,28 +318,70 @@ func (q eventQueue) less(i, j int) bool {
 	return q[i].t < q[j].t || (q[i].t == q[j].t && q[i].w < q[j].w)
 }
 
+// optGroup is one optimizer barrier: its members step together at the
+// latest arrival.
 type optGroup struct {
-	members  []int // worker indices
 	arrived  int
 	arriveAt int64
-	tasks    []taskID
-	placed   bool
 }
 
+// gradCount is one (iteration, stage) all-reduce: how many of the stage's
+// DP·MB weight gradients are outstanding and the latest end among those
+// that landed. It stands in for DP·MB edges into every optimizer of the
+// stage. (applyALAP loses nothing without those edges: an optimizer's
+// ALAP finish is MaxInt64/4, which never bounds a backward's deadline.)
+type gradCount struct {
+	left int32
+	end  int64
+}
+
+// land records a gradient ending at end and reports whether it was the last.
+func (g *gradCount) land(end int64) bool {
+	g.end = max(g.end, end)
+	g.left--
+	return g.left == 0
+}
+
+// state is one solve's task graph and dispatch state, indexed densely by
+// the Shape and pooled (statePool) with every buffer in it.
 type state struct {
 	in      Input
-	routes  [][][]int
 	tasks   []task
 	workers []workerState
-	widx    map[schedule.Worker]int
-	groups  map[string]*optGroup // key: "iter/stage" or "iter/global"
-	events  eventQueue
+	// widx maps Shape.WorkerIndex to the index in workers (-1 = failed);
+	// rerouted counts, per Shape.WorkerIndex, the micro-batches the worker
+	// runs for other pipelines; pipeFailed marks pipelines that lost a
+	// worker; refF, refB and refBEnd hold the fault-free skeleton's F
+	// start, B start and B end at stage·MB + mb.
+	widx, rerouted      []int32
+	pipeFailed          []bool
+	refF, refB, refBEnd []int64
+	ffMakespan          int64
+	col                 []taskID // per stage: the backward of the column being built
+	// Iteration it's optimizer on worker wi is task optBase[it]+wi.
+	// byStage lists the live workers stage by stage (see stageWorkers),
+	// everyone lists them all. grads is indexed by Shape.StageIndex, groups
+	// by group.
+	optBase                     []taskID
+	byStage, stageOff, everyone []int32
+	grads                       []gradCount
+	groups                      []optGroup
+	events                      eventQueue
 	// wake[w] is the earliest pending wake event for worker w (MaxInt64
 	// when none); duplicate wake pushes are dropped to keep the event
 	// queue O(workers).
 	wake       []int64
 	placements []schedule.Placement
 	unplaced   int
+	// Scratch of applyALAP (indeg, order), reused by replayOrder with the
+	// rest.
+	indeg                  []int32
+	order, queue           []taskID
+	slot, seqOff, chain    []int32
+	hstart, readyAt, wfree []int64
+	processed              []bool
+	rgrads                 []gradCount
+	rgroups                []optGroup
 }
 
 // wakeAt schedules worker wi to be dispatched at time t, deduplicating
@@ -332,8 +393,6 @@ func (s *state) wakeAt(wi int, t int64) {
 	s.wake[wi] = t
 	s.events.pushEvent(event{t: t, w: wi})
 }
-
-func (s *state) workerOf(w schedule.Worker) *workerState { return &s.workers[s.widx[w]] }
 
 // pushEvent adds an event to the queue (sift-up).
 func (q *eventQueue) pushEvent(e event) {
