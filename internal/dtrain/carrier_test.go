@@ -15,10 +15,12 @@ import (
 // TestEveryEdgeHasACarrier is the proof obligation for interpreting
 // Programs without a dependency board: the executors synchronise on nothing
 // but their messages and their own stream order, so every edge of every
-// Program the runtime can be handed must be carried by one of the two. For
-// every small shape, coupled and decoupled, it audits the fault-free
-// Program, the splice of every admissible single kill, and from each of
-// those a mid-iteration re-join and a second kill (a depth-2 cascade).
+// Program the runtime can be handed — the all-reduce barrier audited as the
+// contribution-to-step edges it stands for — must be carried by one of the
+// two. For every small shape, coupled and decoupled, it audits the
+// fault-free Program, the splice of every admissible single kill, and from
+// each of those a mid-iteration re-join and a second kill (a depth-2
+// cascade).
 func TestEveryEdgeHasACarrier(t *testing.T) {
 	audited := 0
 	for _, sh := range [][3]int{{1, 2, 2}, {2, 1, 2}, {2, 2, 2}, {2, 3, 3}, {3, 2, 3}, {3, 3, 2}, {3, 3, 3}} {
@@ -109,7 +111,7 @@ func auditCarriers(t *testing.T, label string, prog *schedule.Program) {
 	bySlot := make(map[int]carrier)
 	for i := range prog.Instrs {
 		to := prog.Instrs[i].Op
-		for _, d := range prog.Instrs[i].Deps {
+		for _, d := range prog.Producers(i) {
 			from := prog.Instrs[d.From].Op
 			edge := fmt.Sprintf("%s: %s edge %s -> %s", label, d.Kind, from, to)
 			if from.Worker() == to.Worker() {

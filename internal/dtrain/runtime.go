@@ -520,8 +520,7 @@ func (rt *Runtime) runPhase(fl *inflight, exec *sim.Execution, done map[int]int6
 		// Frozen prefix spans make each post-splice segment tile the full
 		// iteration makespan on its own (the CriticalPath invariant).
 		for id := range done {
-			ins := prog.Instrs[id]
-			rt.rec.Span(obs.Span{Instr: id, Op: ins.Op, Deps: ins.Deps,
+			rt.rec.Span(obs.Span{Instr: id, Op: prog.Instrs[id].Op, Deps: prog.Producers(id),
 				Sched: exec.Start[id], Start: exec.Start[id], End: exec.End[id],
 				Modeled: prog.DurOf(id), Frozen: true})
 		}
@@ -754,9 +753,9 @@ func (rt *Runtime) iterationLoss() float64 {
 // instruction stream. Instructions run in stream order; cross-worker
 // ordering needs nothing beyond the messages themselves, because every
 // dependency edge of the Program is carried by something its consumer
-// blocks on — an activation or gradient edge by the router message, an
-// all-reduce edge by the contribution/broadcast rendezvous, a local edge by
-// stream order (TestEveryEdgeHasACarrier). Each instruction's logical span
+// blocks on — an activation or gradient edge by the router message, the
+// all-reduce barrier by the contribution/broadcast rendezvous, a local edge
+// by stream order (TestEveryEdgeHasACarrier). Each instruction's logical span
 // is read off exec, the discrete-event simulator's execution of the same
 // Program: the executed timeline is the simulator's prediction by
 // construction.
@@ -875,14 +874,16 @@ func (rt *Runtime) execOps(w schedule.Worker, exec *sim.Execution, fl *inflight,
 		}
 		if tracing {
 			// Sched is dependency-ready time: the latest producer end plus
-			// communication latency on cross-stage edges.
+			// communication latency on cross-stage edges — a gated
+			// optimizer's producers being its stage's contributions.
+			deps := prog.Producers(id)
 			var sched int64
-			for _, d := range ins.Deps {
+			for _, d := range deps {
 				if t := exec.End[d.From] + prog.EdgeLatency(d.Kind); t > sched {
 					sched = t
 				}
 			}
-			rt.rec.Span(obs.Span{Instr: id, Op: op, Deps: ins.Deps,
+			rt.rec.Span(obs.Span{Instr: id, Op: op, Deps: deps,
 				Sched: sched, Start: exec.Start[id], End: exec.End[id],
 				Modeled: prog.DurOf(id), Actual: opWall})
 		}

@@ -63,6 +63,9 @@ func programRoundTrip(t *testing.T, label string, p *schedule.Program) []byte {
 	if !reflect.DeepEqual(back.Streams, p.Streams) {
 		t.Fatalf("%s: streams changed across the codec", label)
 	}
+	if !reflect.DeepEqual(back.Barrier, p.Barrier) {
+		t.Fatalf("%s: barrier changed across the codec", label)
+	}
 	if !reflect.DeepEqual(back.Workers(), p.Workers()) {
 		t.Fatalf("%s: worker list changed across the codec", label)
 	}

@@ -3,7 +3,10 @@ package engine
 import (
 	"bytes"
 	"encoding/binary"
+	"slices"
 	"testing"
+
+	"recycle/internal/schedule"
 )
 
 // The v1 (JSON) encodings of the DP1×PP1×MB1 Program and plan, as the
@@ -31,6 +34,26 @@ func addHostileSeeds(f *testing.F, data []byte, sections []int, header []byte, v
 	f.Add([]byte(v1))
 	f.Add(otherKind)
 	f.Add([]byte(nil))
+}
+
+// addBarrierSeeds seeds the Program decoder with what the barrier adds to
+// the hostile inputs: p's encoding stamped v2, a gate bit on a forward
+// (instruction 0), and p without a weight gradient no edge consumes, which
+// leaves its stage's optimizers gated on one fewer than DP·MB.
+func addBarrierSeeds(f *testing.F, p *schedule.Program, data []byte) {
+	v2 := bytes.Clone(data)
+	v2[len(wireMagic)+1] = 2
+	f.Add(v2)
+	gate := *p
+	gate.Barrier.Gated = slices.Clone(p.Barrier.Gated)
+	gate.Barrier.Gated[0] = true
+	for _, q := range []*schedule.Program{&gate, without(p, leafGradient(p))} {
+		b, err := EncodeProgram(q)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
 }
 
 // FuzzDecodePlan hardens the plan codec against the replicated store's
@@ -148,6 +171,7 @@ func FuzzDecodeProgram(f *testing.F) {
 			f.Fatal("the seed builder no longer mirrors EncodeProgram")
 		}
 		addHostileSeeds(f, data, []int{len(data) - len(streams.b)}, header.b, v1Program, planData)
+		addBarrierSeeds(f, p, data)
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {

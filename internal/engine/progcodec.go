@@ -9,17 +9,21 @@ import (
 // ProgramCodecVersion is the wire-format version EncodeProgram stamps into
 // every encoded Program. DecodeProgram rejects any other version, so a
 // rolling upgrade of the plan service can never misread artifacts written
-// by a newer codec.
-const ProgramCodecVersion = 2
+// by a newer codec — or by v2, which spelled the all-reduce out as DP·MB
+// edges into every optimizer.
+const ProgramCodecVersion = 3
 
-// EncodeProgram serializes a compiled Program — stamped durations and
-// explicit dependency edges, all a remote executor needs to interpret a
-// schedule it cannot compile — into the canonical versioned bytes the
-// replicated plan store holds: after the shared header the instruction and
-// total edge counts, per instruction its op, Dur and (position − From,
-// Kind) edges, then per stream its worker and delta-coded IDs. IDs are list
-// positions and streams go in (pipeline, stage) order, so encoding a Program
-// twice — or encoding a decoded copy — yields identical bytes.
+// EncodeProgram serializes a compiled Program — stamped durations, explicit
+// dependency edges and the all-reduce barrier, all a remote executor needs
+// to interpret a schedule it cannot compile — into the canonical versioned
+// bytes the replicated plan store holds: after the shared header the
+// instruction and total edge counts, per instruction its op, Dur, its edge
+// count shifted left by one with the barrier's gate bit below it, and its
+// (position − From, Kind) edges, then per stream its worker and
+// delta-coded IDs. The barrier's contribution lists are not on the wire:
+// they are a function of the instructions, which the decoder rebuilds. IDs
+// are list positions and streams go in (pipeline, stage) order, so encoding
+// a Program twice — or encoding a decoded copy — yields identical bytes.
 func EncodeProgram(p *schedule.Program) ([]byte, error) {
 	if p == nil || len(p.Instrs) == 0 {
 		return nil, fmt.Errorf("engine: refusing to encode an empty program")
@@ -39,7 +43,11 @@ func EncodeProgram(p *schedule.Program) ([]byte, error) {
 		in := &p.Instrs[i]
 		w.op(in.Op)
 		w.varint(in.Dur)
-		w.int(len(in.Deps))
+		gate := 0
+		if p.Barrier.Gates(i) {
+			gate = 1
+		}
+		w.int(len(in.Deps)<<1 | gate)
 		for _, d := range in.Deps {
 			w.varint(int64(i) - int64(d.From))
 			w.int(int(d.Kind))
@@ -61,11 +69,14 @@ func EncodeProgram(p *schedule.Program) ([]byte, error) {
 
 // DecodeProgram parses bytes written by EncodeProgram straight into the
 // layout Compile produces: one instruction slab, one edge slab the Deps are
-// carved from, one stream slab, the precomputed worker list. Every count is
-// checked against the bytes remaining before it sizes anything, both totals
-// declared up front must be consumed exactly, every op, worker and edge kind
-// must lie inside its enum and the shape, and the result passes the full
-// structural Validate — a decoded artifact is executable or the decode fails.
+// carved from, one stream slab, the precomputed worker list, the gate bits
+// (schedule.NewProgram rebuilds the barrier's lists from the instructions).
+// Every count is checked against the bytes remaining before it sizes
+// anything, both totals declared up front must be consumed exactly, every
+// op, worker and edge kind must lie inside its enum and the shape — an
+// all-reduce edge is not an edge kind the wire carries — and the result
+// passes the full structural Validate, barrier included: a decoded artifact
+// is executable or the decode fails.
 func DecodeProgram(data []byte) (*schedule.Program, error) {
 	r := reader{b: data}
 	durations, failed := r.header(kindProgram, ProgramCodecVersion)
@@ -75,11 +86,14 @@ func DecodeProgram(data []byte) (*schedule.Program, error) {
 		r.fail("%d instructions cannot cover shape %+v", n, r.sh)
 	}
 	instrs := make([]schedule.Instr, n)
+	gated := make([]bool, n)
 	deps := make([]schedule.Dep, edges)
 	for i := 0; i < n && r.err == nil; i++ {
 		in := &instrs[i]
 		in.ID, in.Op, in.Dur = i, r.op(), r.varint()
-		nd := r.int()
+		head := r.int()
+		nd := head >> 1
+		gated[i] = head&1 == 1
 		if nd > len(deps) {
 			r.fail("instruction %d overruns the %d declared edges", i, edges)
 			break
@@ -89,7 +103,7 @@ func DecodeProgram(data []byte) (*schedule.Program, error) {
 		}
 		for j := range in.Deps {
 			from, kind := int64(i)-r.varint(), r.int()
-			if from < 0 || from >= int64(n) || kind > int(schedule.DepAllReduce) {
+			if from < 0 || from >= int64(n) || kind >= int(schedule.DepAllReduce) {
 				r.fail("instruction %d: edge from %d of kind %d", i, from, kind)
 				break
 			}
@@ -126,7 +140,7 @@ func DecodeProgram(data []byte) (*schedule.Program, error) {
 	if err := r.end("program"); err != nil {
 		return nil, err
 	}
-	p, err := schedule.NewProgram(r.sh, durations, failed, instrs, streams, workers)
+	p, err := schedule.NewProgram(r.sh, durations, failed, instrs, streams, workers, gated)
 	if err != nil {
 		return nil, fmt.Errorf("engine: decoded program: %w", err)
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -227,6 +228,9 @@ func TestProgramCodecRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(back.Streams, prog.Streams) {
 		t.Fatal("streams changed across the codec")
 	}
+	if !reflect.DeepEqual(back.Barrier, prog.Barrier) {
+		t.Fatal("barrier changed across the codec")
+	}
 	re, err := EncodeProgram(back)
 	if err != nil {
 		t.Fatal(err)
@@ -236,9 +240,56 @@ func TestProgramCodecRoundTrip(t *testing.T) {
 	}
 }
 
+// leafGradient returns the first weight gradient no edge consumes: one
+// only the barrier reads.
+func leafGradient(p *schedule.Program) int {
+	consumed := make([]bool, len(p.Instrs))
+	for i := range p.Instrs {
+		for _, d := range p.Instrs[i].Deps {
+			consumed[d.From] = true
+		}
+	}
+	return slices.IndexFunc(p.Instrs, func(in schedule.Instr) bool {
+		return (in.Op.Type == schedule.B || in.Op.Type == schedule.BWeight) && !consumed[in.ID]
+	})
+}
+
+// without returns a hand-assembled copy of p with instruction drop removed
+// and every later ID shifted down one, in Deps, Streams and gate bits alike.
+func without(p *schedule.Program, drop int) *schedule.Program {
+	shift := func(id int) int {
+		if id > drop {
+			return id - 1
+		}
+		return id
+	}
+	q := &schedule.Program{Shape: p.Shape, Durations: p.Durations, Failed: p.Failed, Streams: map[schedule.Worker][]int{}}
+	for i, in := range p.Instrs {
+		if i == drop {
+			continue
+		}
+		in.ID, in.Deps = shift(i), slices.Clone(in.Deps)
+		for j := range in.Deps {
+			in.Deps[j].From = shift(in.Deps[j].From)
+		}
+		q.Instrs = append(q.Instrs, in)
+		q.Barrier.Gated = append(q.Barrier.Gated, p.Barrier.Gates(i))
+	}
+	for w, s := range p.Streams {
+		for _, id := range s {
+			if id != drop {
+				q.Streams[w] = append(q.Streams[w], shift(id))
+			}
+		}
+	}
+	return q
+}
+
 // TestProgramCodecRejections pins the codec's refusals: a future version,
-// v1 JSON bytes, an empty program, a plan blob, and instruction IDs that
-// disagree with list positions.
+// v1 JSON bytes, a v2 blob, an empty program, a plan blob, instruction IDs
+// that disagree with list positions, and a Program whose optimizers gate on
+// one weight gradient fewer than DP·MB — which v2 decoded, because only
+// Compile counted them.
 func TestProgramCodecRejections(t *testing.T) {
 	job, stats := ShapeJob(2, 2, 4)
 	eng := New(job, stats, Options{UnrollIterations: 1})
@@ -268,6 +319,14 @@ func TestProgramCodecRejections(t *testing.T) {
 	if _, err := DecodeProgram(v1); err == nil || !strings.Contains(err.Error(), "codec version") {
 		t.Fatalf("DecodeProgram on v1 JSON bytes: %v", err)
 	}
+	// A store written before the barrier holds v2 blobs: the same framing
+	// stamped version 2. Engine.compiled and loadQuiet treat the "codec
+	// version" rejection as a miss and re-derive the artifact.
+	v2 := bytes.Clone(data)
+	v2[len(wireMagic)+1] = 2
+	if _, err := DecodeProgram(v2); err == nil || !strings.Contains(err.Error(), "codec version") {
+		t.Fatalf("DecodeProgram on a v2 blob: %v", err)
+	}
 	empty := writer{}
 	empty.header(kindProgram, ProgramCodecVersion, prog.Shape, prog.Durations, nil)
 	for range 3 { // no instructions, no edges, no streams
@@ -292,6 +351,22 @@ func TestProgramCodecRejections(t *testing.T) {
 	}
 	if _, err := DecodeProgram(append(bytes.Clone(data), 0)); err == nil {
 		t.Fatal("DecodeProgram accepted trailing bytes")
+	}
+
+	// Drop one weight gradient no edge consumes from a DP3×PP2×MB4 Program:
+	// every other check passes, and the stage's optimizers gate on 11.
+	job, stats = ShapeJob(3, 2, 4)
+	prog, err = New(job, stats, Options{UnrollIterations: 1}).Program(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	drop := leafGradient(prog)
+	short, err := EncodeProgram(without(prog, drop))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DecodeProgram(short); err == nil || !strings.Contains(err.Error(), "gates on 11 weight gradients, want 12") {
+		t.Fatalf("DecodeProgram on a Program missing %s: %v", prog.Instrs[drop].Op, err)
 	}
 }
 
@@ -320,10 +395,11 @@ func TestDecodeProgramChecksShape(t *testing.T) {
 		t.Fatal("DecodeProgram accepted a DP4×PP4 program under a DP1×PP1 header")
 	}
 
-	// An instruction with edges, to corrupt: the last one is an optimizer.
+	// An instruction with edges, to corrupt: the last one that has any (the
+	// optimizers that close the program have none, only the barrier).
 	last := len(prog.Instrs) - 1
-	if len(prog.Instrs[last].Deps) == 0 {
-		t.Fatal("last instruction has no edges")
+	for len(prog.Instrs[last].Deps) == 0 {
+		last--
 	}
 	someWorker := prog.Workers()[0]
 	outside := schedule.Worker{Stage: prog.Shape.PP, Pipeline: 0}
@@ -334,8 +410,9 @@ func TestDecodeProgramChecksShape(t *testing.T) {
 		"op type":       func(p *schedule.Program) { p.Instrs[0].Op.Type = schedule.Optimizer + 1 },
 		"op exec":       func(p *schedule.Program) { p.Instrs[0].Op.Exec = p.Shape.DP },
 		"op iter":       func(p *schedule.Program) { p.Instrs[0].Op.Iter = p.Shape.Iter },
-		"edge kind":     func(p *schedule.Program) { p.Instrs[last].Deps[0].Kind = schedule.DepAllReduce + 1 },
+		"edge kind":     func(p *schedule.Program) { p.Instrs[last].Deps[0].Kind = schedule.DepAllReduce },
 		"edge producer": func(p *schedule.Program) { p.Instrs[last].Deps[0].From = len(p.Instrs) },
+		"gate":          func(p *schedule.Program) { p.Barrier.Gated[0] = true }, // instruction 0 is a forward
 		"stream id":     func(p *schedule.Program) { p.Streams[someWorker][0] = len(p.Instrs) },
 		"stream worker": func(p *schedule.Program) {
 			p.Streams[outside] = p.Streams[someWorker]
@@ -350,7 +427,7 @@ func TestDecodeProgramChecksShape(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p := &schedule.Program{Shape: fresh.Shape, Durations: fresh.Durations, Failed: fresh.Failed, Instrs: fresh.Instrs, Streams: fresh.Streams}
+		p := &schedule.Program{Shape: fresh.Shape, Durations: fresh.Durations, Failed: fresh.Failed, Instrs: fresh.Instrs, Streams: fresh.Streams, Barrier: fresh.Barrier}
 		corrupt(p)
 		tampered, err := EncodeProgram(p)
 		if err != nil {

@@ -17,9 +17,10 @@ type Span struct {
 	// Op carries the full instruction identity: stage, micro-batch triple
 	// (MB, Home), executing pipeline, op kind and iteration.
 	Op schedule.Op
-	// Deps are the dependency edges that released the instruction. The
-	// slice is shared with the Program — recorders must treat it as
-	// read-only.
+	// Deps are the dependency edges that released the instruction
+	// (schedule.Program.Producers): a gated optimizer's stage
+	// contributions appear as all-reduce edges. The slice may be shared
+	// with the Program — recorders must treat it as read-only.
 	Deps []schedule.Dep
 	// Sched is the logical time the instruction's dependencies released it
 	// (max producer end + edge latency); Start and End are the executed

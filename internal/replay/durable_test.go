@@ -1,6 +1,8 @@
 package replay
 
 import (
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -139,6 +141,142 @@ func TestReplaySplicesLikeLiveSplice(t *testing.T) {
 	if ev.LostOps != lv.LostOps || ev.ReplannedOps != lv.SuffixOps || ev.MigratedTriples != lv.MigratedTriples {
 		t.Fatalf("offline replay lost/re-planned/migrated %d/%d/%d, LiveSplice %d/%d/%d",
 			ev.LostOps, ev.ReplannedOps, ev.MigratedTriples, lv.LostOps, lv.SuffixOps, lv.MigratedTriples)
+	}
+}
+
+// frozenStepsUngated requires the gating rule of a spliced Program: a step
+// of the frozen prefix — done, and ended by the cut — is ungated, as it
+// carried no edges before the barrier; every other step is gated. It
+// returns the frozen steps.
+func frozenStepsUngated(t *testing.T, what string, spl *Spliced, cut int64) []int {
+	t.Helper()
+	var frozen []int
+	p := spl.Program
+	for i := range p.Instrs {
+		if p.Instrs[i].Op.Type != schedule.Optimizer {
+			continue
+		}
+		end, done := spl.Done[i]
+		if f := done && end <= cut; p.Barrier.Gates(i) == f {
+			t.Fatalf("%s: %s frozen=%v gated=%v", what, p.Instrs[i].Op, f, p.Barrier.Gates(i))
+		} else if f {
+			frozen = append(frozen, i)
+		}
+	}
+	return frozen
+}
+
+// cutInput cuts prog at in.Cut — resuming from done and floors, the
+// event's victims dying there — and fills in the program and its executed
+// spans.
+func cutInput(t *testing.T, prog *schedule.Program, done map[int]int64, floors map[schedule.Worker]int64, in SpliceInput) SpliceInput {
+	t.Helper()
+	opt := sim.ProgramOptions{CutAt: in.Cut, Done: done, ReleaseAt: floors, FailAt: map[schedule.Worker]int64{}}
+	for _, w := range in.Fail {
+		opt.FailAt[w] = in.Cut
+	}
+	cutEx, err := sim.ExecuteProgram(prog, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in.Prog, in.Starts, in.Ends = prog, cutEx.Start, cutEx.End
+	return in
+}
+
+// TestFrozenOptimizerIsNotGated pins the optimizers the barrier leaves
+// alone. Every first and second kill of a small iteration yields spliced
+// Programs whose frozen steps are ungated and whose other steps are gated,
+// and each second splice equals the reference's field by field.
+//
+// A cascade reads the rule once release floors have staggered a stage
+// group's steps: in a chain of two re-joins and a kill, the second re-join
+// lands between the group's steps and freezes the first of them, and the
+// kill then loses the victim's contributions to the unfinished group.
+// Ungated, the frozen step stays in the prefix, ahead of its re-executed
+// gradients, and the splice is rejected exactly as the reference rejects
+// it; gated, the step would be lost and re-executed — a splice the
+// reference never makes.
+func TestFrozenOptimizerIsNotGated(t *testing.T) {
+	var tally diffTally
+	for _, decoupled := range []bool{true, false} {
+		prog := mustProgram(t, diffEngine(3, 2, 4, decoupled, false), nil)
+		full, err := sim.ExecuteProgram(prog, sim.ProgramOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, v1 := range prog.Workers() {
+			for c1 := int64(1); c1 < full.Makespan; c1++ {
+				what := fmt.Sprintf("decoupled=%v %s killed at %d", decoupled, v1, c1)
+				first := sameSplice(t, &tally, what, cutInput(t, prog, nil, nil, SpliceInput{Cut: c1, Fail: []schedule.Worker{v1}}))
+				if first == nil || len(frozenStepsUngated(t, what, first, c1)) == 0 {
+					continue
+				}
+				for c2 := c1 + 1; c2 < first.EndSlot; c2++ {
+					for _, v2 := range first.Program.Workers() {
+						at := fmt.Sprintf("%s, then %s at %d", what, v2, c2)
+						in := cutInput(t, first.Program, first.Done, first.Floors, SpliceInput{Cut: c2, Fail: []schedule.Worker{v2}})
+						if second := sameSplice(t, &tally, at, in); second != nil {
+							frozenStepsUngated(t, at, second, c2)
+						}
+					}
+				}
+			}
+		}
+	}
+	if tally.spliced < 500 {
+		t.Fatalf("only %d splices: the sweep no longer reaches the cascades", tally.spliced)
+	}
+
+	// The chain: the other stage runs on W0 alone, and stage s steps first,
+	// every step at the instant its last weight gradient lands.
+	eng := diffEngine(3, 2, 4, true, false)
+	s, _ := epilogueCut(t, mustProgram(t, eng, nil))
+	w := func(pipeline, stage int) schedule.Worker { return schedule.Worker{Stage: stage, Pipeline: pipeline} }
+	prog := mustProgram(t, eng, map[schedule.Worker]bool{w(1, 1-s): true, w(2, 1-s): true})
+	full, err := sim.ExecuteProgram(prog, sim.ProgramOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c1 := full.Makespan
+	for i := range prog.Instrs {
+		if op := prog.Instrs[i].Op; op.Type == schedule.Optimizer && op.Stage == s {
+			c1 = min(c1, full.Start[i])
+		}
+	}
+	// Stage s's pipeline k is released k slots after c1, so its steps fire
+	// one slot apart.
+	stagger := make(map[schedule.Worker]int64)
+	for k := 0; k < 3; k++ {
+		stagger[w(k, s)] = c1 + int64(k)
+	}
+	first := sameSplice(t, &tally, "re-join 1", cutInput(t, prog, nil, nil, SpliceInput{Cut: c1, Rejoin: []schedule.Worker{w(1, 1-s)}, Release: stagger}))
+	if first == nil {
+		t.Fatal("the first re-join was rejected")
+	}
+	c2 := c1 + 1
+	second := sameSplice(t, &tally, "re-join 2", cutInput(t, first.Program, first.Done, first.Floors, SpliceInput{Cut: c2, Rejoin: []schedule.Worker{w(2, 1-s)}, Release: stagger}))
+	if second == nil {
+		t.Fatal("the second re-join was rejected")
+	}
+	frozen := frozenStepsUngated(t, "re-join 2", second, c2)
+	if len(frozen) != 1 || second.Program.Instrs[frozen[0]].Op.Worker() != w(0, s) {
+		t.Fatalf("the second re-join froze steps %v, want %s's alone", frozen, w(0, s))
+	}
+	kill := cutInput(t, second.Program, second.Done, second.Floors, SpliceInput{Cut: c2 + 1, Fail: []schedule.Worker{w(2, s)}})
+	if third := sameSplice(t, &tally, "kill", kill); third != nil {
+		t.Fatal("the kill was accepted: the frozen step no longer precedes re-executed gradients")
+	}
+	if _, err := Splice(kill); err == nil || !strings.Contains(err.Error(), "all-reduce is ready") {
+		t.Fatalf("the kill was rejected for another reason: %v", err)
+	}
+	allGated := *second.Program
+	allGated.Barrier.Gated = make([]bool, len(allGated.Instrs))
+	for i := range allGated.Instrs {
+		allGated.Barrier.Gated[i] = allGated.Instrs[i].Op.Type == schedule.Optimizer
+	}
+	kill.Prog = &allGated
+	if alt, err := Splice(kill); err != nil || !slices.Contains(alt.LostIDs, frozen[0]) {
+		t.Fatalf("gating every step did not re-execute the frozen one: %v", err)
 	}
 }
 

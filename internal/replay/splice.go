@@ -190,8 +190,10 @@ func (sc *spliceScratch) durable(g int32) bool {
 
 // isLost reports whether completed instruction i is in the lost cascade:
 // it ran on a dying worker, or some producer of it is lost — unless its
-// (iter, stage) group is durable. It walks incoming edges and memoises, so
-// the whole cascade costs one visit per edge of completed work.
+// (iter, stage) group is durable. A gated optimizer's producers are its
+// group's contributions, walked off the barrier. It walks incoming edges
+// and memoises, so the whole cascade costs one visit per edge of completed
+// work.
 func (sc *spliceScratch) isLost(p *schedule.Program, ends []int64, i int) bool {
 	switch sc.state[i] {
 	case kept, visiting: // visiting: a cycle, which only a malformed program has
@@ -210,6 +212,14 @@ func (sc *spliceScratch) isLost(p *schedule.Program, ends []int64, i int) bool {
 				if sc.isLost(p, ends, d.From) {
 					verdict = lost
 					break
+				}
+			}
+			if verdict == kept && p.Barrier.Gates(i) {
+				for _, c := range p.Barrier.Group(int(nd.group)) {
+					if sc.isLost(p, ends, int(c)) {
+						verdict = lost
+						break
+					}
 				}
 			}
 		}
@@ -318,6 +328,11 @@ func Splice(in SpliceInput) (*Spliced, error) {
 	sc.optTotal = filled(sc.optTotal, groups, 0)
 	sc.optFired = filled(sc.optFired, groups, 0)
 	nodes, optTotal, optFired := sc.nodes[:n], sc.optTotal, sc.optFired
+	for _, c := range p.Barrier.IDs {
+		if c < 0 || int(c) >= n {
+			return nil, fmt.Errorf("replay: the barrier lists instruction %d outside [0,%d)", c, n)
+		}
+	}
 	for i := range p.Instrs {
 		op := p.Instrs[i].Op
 		_, g, k, ok := sh.OpIndex(op)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -47,13 +48,29 @@ func diffEngine(dp, pp, mb int, decoupled, scaled bool) *engine.Engine {
 	return eng
 }
 
-// sameSplice requires Splice to reproduce the reference on one input: equal
+// withBarrierEdges returns p in the form the reference reads: every gated
+// optimizer's barrier spelled out as DepAllReduce edges in its Deps
+// (Producers), and no Barrier.
+func withBarrierEdges(p *schedule.Program) *schedule.Program {
+	q := *p
+	q.Instrs = slices.Clone(p.Instrs)
+	for i := range q.Instrs {
+		q.Instrs[i].Deps = p.Producers(i)
+	}
+	q.Barrier = schedule.Barrier{}
+	return &q
+}
+
+// sameSplice requires Splice to reproduce the reference on one input — the
+// reference walking the barrier as the edges it stands for — with equal
 // error strings, or artifacts equal field by field. It returns Splice's
 // artifact (nil when both rejected the input).
 func sameSplice(t testing.TB, tally *diffTally, what string, in SpliceInput) *Spliced {
 	t.Helper()
 	got, gerr := Splice(in)
-	want, werr := spliceRef(in)
+	ref := in
+	ref.Prog = withBarrierEdges(in.Prog)
+	want, werr := spliceRef(ref)
 	if gerr != nil || werr != nil {
 		tally.rejected++
 		if gerr == nil || werr == nil || gerr.Error() != werr.Error() {
@@ -78,6 +95,7 @@ func sameSplice(t testing.TB, tally *diffTally, what string, in SpliceInput) *Sp
 	}
 	check("len(Program.Instrs)", len(got.Program.Instrs), len(want.Program.Instrs))
 	check("Program.Streams", got.Program.Streams, want.Program.Streams)
+	check("Program.Barrier", got.Program.Barrier, want.Program.Barrier)
 	check("Schedule.Placements", got.Schedule.Placements, want.Schedule.Placements)
 	check("Done", got.Done, want.Done)
 	check("Floors", got.Floors, want.Floors)

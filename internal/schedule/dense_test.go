@@ -83,11 +83,26 @@ func sameError(t *testing.T, what string, got, want error) {
 	t.Fatalf("%s:\n      got %v\nreference %v", what, got, want)
 }
 
+// withBarrierEdges returns p in the form the references build and read:
+// every gated optimizer's barrier spelled out as DepAllReduce edges in its
+// Deps (Producers), and no Barrier.
+func withBarrierEdges(p *Program) *Program {
+	q := *p
+	q.Instrs = slices.Clone(p.Instrs)
+	for i := range q.Instrs {
+		q.Instrs[i].Deps = p.Producers(i)
+	}
+	q.Barrier = Barrier{}
+	return &q
+}
+
 // TestCompileValidateMatchReference is the differential oracle of the
 // dense-index Compile, Program.Validate and Validate: on sound schedules
 // (coupled and decoupled, one or two iterations, with and without a frozen
 // prefix) and on schedules carrying one or two random defects, the
-// Programs are equal field by field and the rejections keep their text.
+// Programs are equal field by field — the barrier expanded into the
+// all-reduce edges the reference attaches — and the rejections keep their
+// text.
 func TestCompileValidateMatchReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	rejected := 0
@@ -115,7 +130,7 @@ func TestCompileValidateMatchReference(t *testing.T) {
 		want, werr := compileFrozenRef(s, frozenBefore)
 		sameError(t, what+": compile", gerr, werr)
 		if gerr == nil {
-			if !reflect.DeepEqual(got.Instrs, want.Instrs) || !reflect.DeepEqual(got.Streams, want.Streams) || !reflect.DeepEqual(got.Workers(), want.Workers()) {
+			if !reflect.DeepEqual(withBarrierEdges(got).Instrs, want.Instrs) || !reflect.DeepEqual(got.Streams, want.Streams) || !reflect.DeepEqual(got.Workers(), want.Workers()) {
 				t.Fatalf("%s: compiled Program differs from the reference", what)
 			}
 			// Corrupt one edge and compare the structural verdicts.
@@ -125,11 +140,11 @@ func TestCompileValidateMatchReference(t *testing.T) {
 				if err := got.Validate(); err == nil {
 					// Edges are consistent, so acyclicity was decided: both
 					// algorithms must have found the graph acyclic.
-					if ref := got.checkAcyclicRef(); ref != nil {
+					if ref := withBarrierEdges(got).checkAcyclicRef(); ref != nil {
 						t.Fatalf("%s: checkAcyclic accepted what the reference rejects: %v", what, ref)
 					}
 				} else if strings.Contains(err.Error(), "deadlocks") {
-					sameError(t, what+": acyclic", err, got.checkAcyclicRef())
+					sameError(t, what+": acyclic", err, withBarrierEdges(got).checkAcyclicRef())
 				}
 			}
 		} else {

@@ -11,16 +11,22 @@
 //
 // The Program IR is the executable form: Compile lowers a timed schedule
 // into per-worker instruction streams with explicit dependency edges —
-// cross-stage activation/gradient sends, same-worker data dependencies,
-// per-stage all-reduce barriers — and stamps each instruction with the
-// modeled duration the solver optimized against (Instr.Dur, read through
-// Program.DurOf). Both executors consume this one artifact: the live
-// runtime (internal/dtrain) interprets it with real tensors and
-// goroutines, the discrete-event simulator (internal/sim) executes it in
-// virtual time. Op ordering and op durations are decided here, once, and
-// nowhere else, which is what makes the two executions agree by
-// construction. Program.Validate proves every compiled artifact
-// deadlock-free and edge-consistent.
+// cross-stage activation/gradient sends and same-worker data dependencies
+// — plus one all-reduce Barrier per (iteration, stage) group, and stamps
+// each instruction with the modeled duration the solver optimized against
+// (Instr.Dur, read through Program.DurOf). The barrier holds each group's
+// weight-gradient contributions once, in one CSR slab, and marks the
+// optimizers it gates (all but a frozen prefix's), so a Program carries
+// O(instructions) links where DP·MB edges into every optimizer took
+// DP²·MB·PP; executors keep one pending count and one running latest end
+// per group, and Producers spells a gated optimizer's group out as
+// DepAllReduce edges for recorders. Both executors consume this one
+// artifact: the live runtime (internal/dtrain) interprets it with real
+// tensors and goroutines, the discrete-event simulator (internal/sim)
+// executes it in virtual time. Op ordering and op durations are decided
+// here, once, and nowhere else, which is what makes the two executions
+// agree by construction. Program.Validate proves every compiled artifact
+// deadlock-free, edge-consistent and its barrier complete.
 //
 // The failure path runs on one dense op index. Every op of a schedule lies
 // in the rectangle its Shape bounds, so Shape derives TripleIndex =
@@ -29,12 +35,12 @@
 // pipeline·PP + stage for a worker, and Compile, Validate, the acyclicity
 // check and replay.Splice key their bookkeeping by them: []int32 producer
 // tables (-1 for absent), CSR adjacency built count -> prefix sum -> fill,
-// a Program's Deps and Streams each carved out of one slab. The tables are
-// pooled scratch, never cached on a Schedule or Program. Indexing is
-// bounds-checked: an op outside its Shape, or a Shape claiming far more
-// triples than it has placements (Shape.Indexable), is rejected, never
-// indexed. Program.Validate does not consult the Shape, so hand-assembled
-// Programs validate as before.
+// a Program's Deps, Streams and barrier lists each carved out of one slab.
+// The tables are pooled scratch, never cached on a Schedule or Program.
+// Indexing is bounds-checked: an op outside its Shape, or a Shape claiming
+// far more triples than it has placements (Shape.Indexable), is rejected,
+// never indexed. Program.Validate consults the Shape only for the barrier's
+// groups, so hand-assembled Programs without a barrier validate as before.
 //
 // The package also provides the closed-form fault-free 1F1B schedule
 // (FaultFree1F1B), the canonical 1F1B instruction order, and an ASCII

@@ -7,10 +7,12 @@ import (
 )
 
 // ExampleCompile lowers a timed schedule into the executable Program IR:
-// per-worker instruction streams plus explicit dependency edges, with each
-// instruction stamped with the duration the schedule assigned it. The same
-// artifact is interpreted by the live runtime and executed in virtual time
-// by the discrete-event simulator.
+// per-worker instruction streams plus explicit dependency edges and one
+// all-reduce barrier per stage, with each instruction stamped with the
+// duration the schedule assigned it. The same artifact is interpreted by
+// the live runtime and executed in virtual time by the discrete-event
+// simulator. An optimizer's producers are its stage's weight gradients,
+// which the barrier holds rather than its Deps.
 func ExampleCompile() {
 	// The fault-free 1F1B baseline on 1 pipeline × 2 stages × 2 micro-batches.
 	s := schedule.FaultFree1F1B(schedule.Shape{DP: 1, PP: 2, MB: 2, Iter: 1}, schedule.UnitSlots)
@@ -26,7 +28,7 @@ func ExampleCompile() {
 	fmt.Printf("stream of %s:\n", w)
 	for _, id := range prog.Streams[w] {
 		ins := prog.Instrs[id]
-		fmt.Printf("  %-18s dur=%d deps=%d\n", ins.Op, prog.DurOf(id), len(ins.Deps))
+		fmt.Printf("  %-18s dur=%d deps=%d\n", ins.Op, prog.DurOf(id), len(prog.Producers(id)))
 	}
 	// Output:
 	// instructions: 10 over 2 workers

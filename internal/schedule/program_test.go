@@ -1,6 +1,7 @@
 package schedule
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -35,9 +36,9 @@ func TestCompileFaultFree1F1B(t *testing.T) {
 		}
 	}
 	// A stage-0 forward has no data deps; a stage-i>0 forward has exactly
-	// one activation edge; optimizers carry one all-reduce edge per
-	// backward of their stage.
-	for _, ins := range p.Instrs {
+	// one activation edge; optimizers carry no edges, and the barrier
+	// gates each on one weight gradient per backward of its stage.
+	for id, ins := range p.Instrs {
 		switch ins.Op.Type {
 		case F:
 			want := 0
@@ -48,8 +49,11 @@ func TestCompileFaultFree1F1B(t *testing.T) {
 				t.Fatalf("%s has %d deps, want %d", ins.Op, len(ins.Deps), want)
 			}
 		case Optimizer:
-			if got, want := len(ins.Deps), shape.DP*shape.MB; got != want {
-				t.Fatalf("%s has %d all-reduce deps, want %d", ins.Op, got, want)
+			if len(ins.Deps) != 0 || !p.Barrier.Gates(id) {
+				t.Fatalf("%s has %d deps and gated=%v, want the barrier alone", ins.Op, len(ins.Deps), p.Barrier.Gates(id))
+			}
+			if got, want := len(p.Barrier.Group(shape.StageIndex(ins.Op.Iter, ins.Op.Stage))), shape.DP*shape.MB; got != want {
+				t.Fatalf("%s gates on %d weight gradients, want %d", ins.Op, got, want)
 			}
 		}
 	}
@@ -124,6 +128,88 @@ func TestValidateCatchesCycle(t *testing.T) {
 	}
 	if err := p.Validate(); err == nil {
 		t.Fatal("a cyclic program should fail validation")
+	}
+}
+
+// TestBarrierIsLinear pins what the barrier buys at the Fig 9 GPT-3 Medium
+// shape (PP2×MB85): explicit edges plus barrier entries stay within two per
+// instruction at every DP, where DP·MB all-reduce edges into every
+// optimizer cost 6.96 per instruction at DP 12 and grew linearly with DP.
+func TestBarrierIsLinear(t *testing.T) {
+	for _, dp := range []int{3, 6, 12} {
+		sh := Shape{DP: dp, PP: 2, MB: 85, Iter: 1}
+		p, err := Compile(FaultFree1F1B(sh, UnitSlots))
+		if err != nil {
+			t.Fatal(err)
+		}
+		links, expanded := len(p.Barrier.IDs), 0
+		for i := range p.Instrs {
+			links += len(p.Instrs[i].Deps)
+			if p.Barrier.Gates(i) {
+				links++
+			}
+			expanded += len(p.Producers(i))
+		}
+		per := float64(links) / float64(len(p.Instrs))
+		t.Logf("DP%d: %d instructions, %.2f edges and barrier entries per instruction (%.2f as explicit edges)",
+			dp, len(p.Instrs), per, float64(expanded)/float64(len(p.Instrs)))
+		if per > 2 {
+			t.Errorf("DP%d: %.2f edges and barrier entries per instruction, budget 2", dp, per)
+		}
+	}
+}
+
+// TestValidateChecksBarrier corrupts the barrier of a compiled Program one
+// way at a time; Validate must name each defect.
+func TestValidateChecksBarrier(t *testing.T) {
+	sh := Shape{DP: 2, PP: 2, MB: 2, Iter: 1}
+	// The canonical order opens on a forward and closes on an optimizer.
+	firstF, lastOpt := 0, len(FaultFree1F1B(sh, UnitSlots).Placements)-1
+	cases := []struct {
+		name, want string
+		corrupt    func(p *Program)
+	}{
+		{"gate on a forward", "not an optimizer", func(p *Program) { p.Barrier.Gated[firstF] = true }},
+		{"short gate bits", "gate bits cover", func(p *Program) { p.Barrier.Gated = p.Barrier.Gated[1:] }},
+		{"gates without lists", "lists no weight gradients", func(p *Program) { p.Barrier.Off, p.Barrier.IDs = nil, nil }},
+		{"group out of order", "out of order", func(p *Program) { p.Barrier.IDs[0], p.Barrier.IDs[1] = p.Barrier.IDs[1], p.Barrier.IDs[0] }},
+		{"entry outside the program", "outside", func(p *Program) { p.Barrier.IDs[len(p.Barrier.IDs)-1] = int32(len(p.Instrs)) }},
+		{"foreign entry", "not one of its weight gradients", func(p *Program) { p.Barrier.IDs[0] = int32(firstF) }},
+		{"short group", "gates on 3 weight gradients, want 4", func(p *Program) {
+			p.Barrier.IDs = p.Barrier.IDs[1:]
+			for g := 1; g < len(p.Barrier.Off); g++ {
+				p.Barrier.Off[g]--
+			}
+		}},
+		{"offsets past the list", "offsets do not span", func(p *Program) { p.Barrier.Off[len(p.Barrier.Off)-1]++ }},
+		{"unlisted weight gradient", "lists 7 of the 8 weight gradients", func(p *Program) {
+			p.Barrier.Gated = nil // no gate to trip over the short group first
+			p.Barrier.IDs = p.Barrier.IDs[1:]
+			for g := 1; g < len(p.Barrier.Off); g++ {
+				p.Barrier.Off[g]--
+			}
+		}},
+		{"step before its gradients", "deadlocks", func(p *Program) {
+			// Move the optimizer to the head of its worker's stream: its own
+			// weight gradients now wait on it in stream order.
+			w := p.Instrs[lastOpt].Op.Worker()
+			s := p.Streams[w]
+			copy(s[1:], s[:len(s)-1])
+			s[0] = lastOpt
+		}},
+	}
+	for _, c := range cases {
+		p, err := Compile(FaultFree1F1B(sh, UnitSlots))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.Instrs[firstF].Op.Type != F || p.Instrs[lastOpt].Op.Type != Optimizer {
+			t.Fatalf("instructions %d and %d are %s and %s, not a forward and an optimizer", firstF, lastOpt, p.Instrs[firstF].Op, p.Instrs[lastOpt].Op)
+		}
+		c.corrupt(p)
+		if err := p.Validate(); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: Validate returned %v, want an error containing %q", c.name, err, c.want)
+		}
 	}
 }
 

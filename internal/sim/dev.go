@@ -3,7 +3,8 @@ package sim
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
+	"sync"
 
 	"recycle/internal/obs"
 	"recycle/internal/schedule"
@@ -90,13 +91,30 @@ func (x *Execution) StepEpochs() map[schedule.Worker]int {
 	return out
 }
 
+// arGroup is the DES's reading of one stage group's all-reduce barrier:
+// contributions not yet finished, and the latest end among those that are.
+type arGroup struct {
+	pending int32
+	end     int64
+}
+
+// Classification marks of an instruction that never ran; 0 marks one that
+// did.
+const (
+	lostMark uint8 = 1 + iota
+	blockedMark
+)
+
+var markPool = sync.Pool{New: func() any { return new([]uint8) }}
+
 // ExecuteProgram runs the program's instruction streams in virtual time:
 // each worker executes its stream in order, every instruction starting as
 // soon as its worker is free and its dependency edges are satisfied
-// (producers finished, plus communication latency on cross-stage edges).
-// This is exactly the recurrence the live runtime's interpreter follows, so
-// on a healthy fleet the predicted timeline and the runtime's logical
-// timeline agree by construction.
+// (producers finished, plus communication latency on cross-stage edges) —
+// and a gated optimizer once its stage group's barrier drains, at the
+// group's latest contribution end. This is exactly the recurrence the live
+// runtime's interpreter follows, so on a healthy fleet the predicted
+// timeline and the runtime's logical timeline agree by construction.
 //
 // A program whose instructions cannot all complete without any injected
 // failure is reported as a deadlock error.
@@ -158,6 +176,28 @@ func ExecuteProgram(p *schedule.Program, opt ProgramOptions) (*Execution, error)
 		ln.stream = p.Streams[w]
 		ln.failAt, ln.mayFail = opt.FailAt[w]
 	}
+	// The all-reduce barrier, one counter per stage group: a finished
+	// contribution decrements its group and raises its latest end.
+	bar := &p.Barrier
+	groups := make([]arGroup, max(len(bar.Off)-1, 0))
+	for g := range groups {
+		groups[g].pending = int32(len(bar.Group(g)))
+	}
+	group := func(op schedule.Op) int {
+		if g := p.Shape.StageIndex(op.Iter, op.Stage); g < len(groups) {
+			return g
+		}
+		return -1
+	}
+	contributed := func(op schedule.Op, end int64) {
+		if op.Type != schedule.B && op.Type != schedule.BWeight {
+			return
+		}
+		if g := group(op); g >= 0 {
+			groups[g].pending--
+			groups[g].end = max(groups[g].end, end)
+		}
+	}
 
 	// Install the pre-executed prefix: spans recorded, streams advanced
 	// past it, worker clocks floored at its completion times.
@@ -170,9 +210,10 @@ func ExecuteProgram(p *schedule.Program, opt ProgramOptions) (*Execution, error)
 		if end > ex.Makespan {
 			ex.Makespan = end
 		}
+		contributed(p.Instrs[id].Op, end)
 		if tracing {
 			opt.Recorder.Span(obs.Span{
-				Instr: id, Op: p.Instrs[id].Op, Deps: p.Instrs[id].Deps,
+				Instr: id, Op: p.Instrs[id].Op, Deps: p.Producers(id),
 				Sched: ex.Start[id], Start: ex.Start[id], End: end,
 				Modeled: p.DurOf(id), Frozen: true,
 			})
@@ -223,6 +264,15 @@ func ExecuteProgram(p *schedule.Program, opt ProgramOptions) (*Execution, error)
 						ready = r
 					}
 				}
+				if ok && bar.Gates(id) {
+					g := group(ins.Op)
+					if g < 0 {
+						return nil, fmt.Errorf("sim: the barrier gates %s outside its %d groups", ins.Op, len(groups))
+					}
+					if ok = groups[g].pending == 0; ok {
+						ready = max(ready, groups[g].end+durs.EdgeLatency(schedule.DepAllReduce))
+					}
+				}
 				if !ok {
 					break
 				}
@@ -251,12 +301,13 @@ func ExecuteProgram(p *schedule.Program, opt ProgramOptions) (*Execution, error)
 				if end > ex.Makespan {
 					ex.Makespan = end
 				}
+				contributed(ins.Op, end)
 				ln.pos++
 				ex.Completed++
 				progressed = true
 				if tracing {
 					opt.Recorder.Span(obs.Span{
-						Instr: id, Op: ins.Op, Deps: ins.Deps,
+						Instr: id, Op: ins.Op, Deps: p.Producers(id),
 						Sched: ready, Start: start, End: end,
 						Modeled: p.DurOf(id),
 					})
@@ -268,17 +319,48 @@ func ExecuteProgram(p *schedule.Program, opt ProgramOptions) (*Execution, error)
 		}
 	}
 
-	// Classify what never ran.
+	// Classify what never ran: mark each worker's unexecuted tail lost (the
+	// worker died) or blocked, then collect both lists in one pass in
+	// instruction-ID order.
+	lost, blocked := 0, 0
 	for wi := range lanes {
-		ln := &lanes[wi]
-		if ln.dead {
-			ex.Lost = append(ex.Lost, ln.stream[ln.pos:]...)
+		if ln := &lanes[wi]; ln.dead {
+			lost += len(ln.stream) - ln.pos
 		} else {
-			ex.Blocked = append(ex.Blocked, ln.stream[ln.pos:]...)
+			blocked += len(ln.stream) - ln.pos
 		}
 	}
-	sort.Ints(ex.Lost)
-	sort.Ints(ex.Blocked)
+	if lost+blocked > 0 {
+		buf := markPool.Get().(*[]uint8)
+		mark := slices.Grow((*buf)[:0], n)[:n]
+		clear(mark)
+		for wi := range lanes {
+			ln := &lanes[wi]
+			m := blockedMark
+			if ln.dead {
+				m = lostMark
+			}
+			for _, id := range ln.stream[ln.pos:] {
+				mark[id] = m
+			}
+		}
+		if lost > 0 {
+			ex.Lost = make([]int, 0, lost)
+		}
+		if blocked > 0 {
+			ex.Blocked = make([]int, 0, blocked)
+		}
+		for id, m := range mark {
+			switch m {
+			case lostMark:
+				ex.Lost = append(ex.Lost, id)
+			case blockedMark:
+				ex.Blocked = append(ex.Blocked, id)
+			}
+		}
+		*buf = mark
+		markPool.Put(buf)
+	}
 	if tracing && opt.CutAt > 0 {
 		opt.Recorder.Event(obs.Event{
 			Kind: obs.EvCut, At: opt.CutAt, Iter: -1,
