@@ -41,7 +41,7 @@ func TestSimRuntimeAgreementByConstruction(t *testing.T) {
 	for i := range prog.Instrs {
 		if starts[i] != ex.Start[i] || ends[i] != ex.End[i] {
 			t.Fatalf("instruction %d (%s): runtime span [%d,%d] != simulated span [%d,%d]",
-				i, prog.Instrs[i].Op, starts[i], ends[i], ex.Start[i], ex.End[i])
+				i, prog.Op(i), starts[i], ends[i], ex.Start[i], ex.End[i])
 		}
 	}
 	if got, want := rt.ExecutedComputeMakespan(), ex.ComputeMakespan(0); got != want {
@@ -79,7 +79,7 @@ func TestAgreementMidIterationFailureSplice(t *testing.T) {
 	}
 	minOpt := int64(-1)
 	for i := range prog.Instrs {
-		if prog.Instrs[i].Op.Type == schedule.Optimizer {
+		if prog.Op(i).Type == schedule.Optimizer {
 			if minOpt < 0 || full.Start[i] < minOpt {
 				minOpt = full.Start[i]
 			}
@@ -118,12 +118,12 @@ func TestAgreementMidIterationFailureSplice(t *testing.T) {
 		t.Fatalf("live spliced Program has %d instructions, DES derivation %d", len(live.Instrs), len(lv.Program.Instrs))
 	}
 	for i := range live.Instrs {
-		if live.Instrs[i].Op != lv.Program.Instrs[i].Op {
-			t.Fatalf("instruction %d differs: live %s vs DES %s", i, live.Instrs[i].Op, lv.Program.Instrs[i].Op)
+		if live.Op(i) != lv.Program.Op(i) {
+			t.Fatalf("instruction %d differs: live %s vs DES %s", i, live.Op(i), lv.Program.Op(i))
 		}
 		if starts[i] != des.Start[i] || ends[i] != des.End[i] {
 			t.Fatalf("instruction %d (%s): live span [%d,%d] != DES span [%d,%d]",
-				i, live.Instrs[i].Op, starts[i], ends[i], des.Start[i], des.End[i])
+				i, live.Op(i), starts[i], ends[i], des.Start[i], des.End[i])
 		}
 	}
 
@@ -168,7 +168,7 @@ func TestAgreementHoldsAcrossFailureSets(t *testing.T) {
 		for i := range prog.Instrs {
 			if ends[i] != ex.End[i] {
 				t.Fatalf("failures=%v: instruction %d (%s) executed end %d != simulated %d",
-					fs, i, prog.Instrs[i].Op, ends[i], ex.End[i])
+					fs, i, prog.Op(i), ends[i], ex.End[i])
 			}
 		}
 	}

@@ -90,8 +90,8 @@ func auditCarriers(t *testing.T, label string, prog *schedule.Program) {
 	defer r.release()
 	slots := len(r.slots)
 	pos := make([]int, len(prog.Instrs)) // position in the worker's stream
-	for _, ids := range prog.Streams {
-		for i, id := range ids {
+	for _, w := range prog.Workers() {
+		for i, id := range prog.Stream(w) {
 			pos[id] = i
 		}
 	}
@@ -110,9 +110,9 @@ func auditCarriers(t *testing.T, label string, prog *schedule.Program) {
 	}
 	bySlot := make(map[int]carrier)
 	for i := range prog.Instrs {
-		to := prog.Instrs[i].Op
+		to := prog.Op(i)
 		for _, d := range prog.Producers(i) {
-			from := prog.Instrs[d.From].Op
+			from := prog.Op(int(d.From))
 			edge := fmt.Sprintf("%s: %s edge %s -> %s", label, d.Kind, from, to)
 			if from.Worker() == to.Worker() {
 				if pos[d.From] >= pos[i] {

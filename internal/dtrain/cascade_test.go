@@ -296,7 +296,7 @@ func TestChaosEpochAgreementLiveVsDES(t *testing.T) {
 		if full.Start[i] < 0 || full.Start[i] >= c {
 			return false
 		}
-		if prog.Instrs[i].Op.Worker() == victim {
+		if prog.Op(i).Worker() == victim {
 			return full.End[i] <= c
 		}
 		return true
@@ -304,7 +304,7 @@ func TestChaosEpochAgreementLiveVsDES(t *testing.T) {
 	optTotal := make(map[int]int)
 	optDone := make(map[int]int)
 	for i := range prog.Instrs {
-		op := prog.Instrs[i].Op
+		op := prog.Op(i)
 		if op.Type != schedule.Optimizer {
 			continue
 		}

@@ -354,7 +354,7 @@ func killCandidates(p *schedule.Program, full *sim.Execution, victims []schedule
 		if full.Start[i] < 0 || full.Start[i] >= c {
 			return false
 		}
-		if victimSet[p.Instrs[i].Op.Worker()] {
+		if victimSet[p.Op(i).Worker()] {
 			return full.End[i] <= c
 		}
 		return true
@@ -362,8 +362,7 @@ func killCandidates(p *schedule.Program, full *sim.Execution, victims []schedule
 	type group = [2]int // (iter, stage)
 	optOf := make(map[group][]int)
 	for i := range p.Instrs {
-		op := p.Instrs[i].Op
-		if op.Type == schedule.Optimizer {
+		if op := p.Op(i); op.Type == schedule.Optimizer {
 			optOf[group{op.Iter, op.Stage}] = append(optOf[group{op.Iter, op.Stage}], i)
 		}
 	}
@@ -404,7 +403,7 @@ func killCandidates(p *schedule.Program, full *sim.Execution, victims []schedule
 		for i := range p.Instrs {
 			if !completed(i, c) {
 				anyPending = true
-				if p.Instrs[i].Op.Type != schedule.Optimizer {
+				if p.Type(i) != schedule.Optimizer {
 					computePending = true
 					break
 				}
@@ -457,7 +456,7 @@ func killCandidates(p *schedule.Program, full *sim.Execution, victims []schedule
 	default:
 		// Boundaries of the victims' own compute instructions.
 		for i := range p.Instrs {
-			op := p.Instrs[i].Op
+			op := p.Op(i)
 			if !victimSet[op.Worker()] || op.Type == schedule.Optimizer || full.End[i] < 0 {
 				continue
 			}

@@ -117,7 +117,7 @@ func TestChaosSplicedProgramServedToClients(t *testing.T) {
 	}
 	minOpt := int64(-1)
 	for i := range prog.Instrs {
-		if prog.Instrs[i].Op.Type == schedule.Optimizer {
+		if prog.Op(i).Type == schedule.Optimizer {
 			if minOpt < 0 || full.Start[i] < minOpt {
 				minOpt = full.Start[i]
 			}
@@ -146,8 +146,8 @@ func TestChaosSplicedProgramServedToClients(t *testing.T) {
 		t.Fatalf("fetched spliced Program has %d instructions, coordinator executed %d", len(fetched.Instrs), len(executed.Instrs))
 	}
 	for i := range fetched.Instrs {
-		if fetched.Instrs[i].Op != executed.Instrs[i].Op {
-			t.Fatalf("instruction %d differs: fetched %s vs executed %s", i, fetched.Instrs[i].Op, executed.Instrs[i].Op)
+		if fetched.Op(i) != executed.Op(i) {
+			t.Fatalf("instruction %d differs: fetched %s vs executed %s", i, fetched.Op(i), executed.Op(i))
 		}
 	}
 	if _, err := client.SplicedProgram("iter9/cut9/fail9.9/rejoin"); err == nil {

@@ -74,7 +74,7 @@ func TestRejoinMidIterationResumesBeforeBoundary(t *testing.T) {
 	var wOps, wOpt int
 	var firstStart int64 = -1
 	for i := range spliced.Instrs {
-		op := spliced.Instrs[i].Op
+		op := spliced.Op(i)
 		if op.Worker() != w || ends[i] < 0 {
 			continue
 		}
@@ -145,7 +145,7 @@ func TestRejoinAllReduceNeverSplits(t *testing.T) {
 		}
 		done, pending := map[stageIter]bool{}, map[stageIter]bool{}
 		for i := range prog.Instrs {
-			op := prog.Instrs[i].Op
+			op := prog.Op(i)
 			if op.Type != schedule.Optimizer {
 				continue
 			}

@@ -520,16 +520,16 @@ func (rt *Runtime) runPhase(fl *inflight, exec *sim.Execution, done map[int]int6
 		// Frozen prefix spans make each post-splice segment tile the full
 		// iteration makespan on its own (the CriticalPath invariant).
 		for id := range done {
-			rt.rec.Span(obs.Span{Instr: id, Op: prog.Instrs[id].Op, Deps: prog.Producers(id),
+			rt.rec.Span(obs.Span{Instr: id, Op: prog.Op(id), Deps: prog.Producers(id),
 				Sched: exec.Start[id], Start: exec.Start[id], End: exec.End[id],
 				Modeled: prog.DurOf(id), Frozen: true})
 		}
 	}
 	var wg sync.WaitGroup
 	for _, wk := range prog.Workers() {
-		ids := prog.Streams[wk]
+		ids := prog.Stream(wk)
 		for len(ids) > 0 {
-			if _, isDone := done[ids[0]]; !isDone {
+			if _, isDone := done[int(ids[0])]; !isDone {
 				break
 			}
 			ids = ids[1:]
@@ -542,7 +542,7 @@ func (rt *Runtime) runPhase(fl *inflight, exec *sim.Execution, done map[int]int6
 			continue
 		}
 		wg.Add(1)
-		go func(wk schedule.Worker, ids []int) {
+		go func(wk schedule.Worker, ids []int32) {
 			defer wg.Done()
 			if err := rt.execOps(wk, exec, fl, ids); err != nil {
 				fl.valErrs <- err
@@ -591,7 +591,7 @@ func (rt *Runtime) applyEvent(ev CascadeEvent, lv *replay.LiveSpliced, cur *sche
 	// the cascade — their update is durable and the step-epoch stamp keeps
 	// it idempotent.
 	for _, id := range lv.LostIDs {
-		op := cur.Instrs[id].Op
+		op := cur.Op(id)
 		w := op.Worker()
 		if rt.failed[w] {
 			continue // died with the worker; live peers re-derive it
@@ -759,7 +759,7 @@ func (rt *Runtime) iterationLoss() float64 {
 // is read off exec, the discrete-event simulator's execution of the same
 // Program: the executed timeline is the simulator's prediction by
 // construction.
-func (rt *Runtime) execOps(w schedule.Worker, exec *sim.Execution, fl *inflight, stream []int) error {
+func (rt *Runtime) execOps(w schedule.Worker, exec *sim.Execution, fl *inflight, stream []int32) error {
 	prog, r := exec.Program, fl.r
 	st, me := rt.stages[w], rt.workerIndex(w)
 	ar := st.Arena()
@@ -803,8 +803,8 @@ func (rt *Runtime) execOps(w schedule.Worker, exec *sim.Execution, fl *inflight,
 		rt.mu.Unlock()
 	}()
 	for _, id := range stream {
-		ins := &prog.Instrs[id]
-		op := ins.Op
+		id := int(id)
+		op := prog.Op(id)
 		key := nn.MBKey{Pipeline: op.Home, MB: op.MB}
 		mb := op.Home*rt.Cfg.MB + op.MB
 		opWall = 0
@@ -994,7 +994,7 @@ func (rt *Runtime) ExecutedComputeMakespan() int64 {
 		return 0
 	}
 	for i := range prog.Instrs {
-		if prog.Instrs[i].Op.Type != schedule.Optimizer && ends[i] > out {
+		if prog.Type(i) != schedule.Optimizer && ends[i] > out {
 			out = ends[i]
 		}
 	}

@@ -35,7 +35,7 @@ func TestAgreementWithHeterogeneousDurations(t *testing.T) {
 	// The plan must actually be heterogeneous: some victim op stamped 3x.
 	hetero := false
 	for i := range prog.Instrs {
-		op := prog.Instrs[i].Op
+		op := prog.Op(i)
 		if op.Type != schedule.Optimizer && op.Worker() == victim && prog.DurOf(i) == 3*prog.Durations.Of(op.Type) {
 			hetero = true
 			break
@@ -54,7 +54,7 @@ func TestAgreementWithHeterogeneousDurations(t *testing.T) {
 	for i := range prog.Instrs {
 		if starts[i] != ex.Start[i] || ends[i] != ex.End[i] {
 			t.Fatalf("instruction %d (%s): runtime span [%d,%d] != simulated span [%d,%d]",
-				i, prog.Instrs[i].Op, starts[i], ends[i], ex.Start[i], ex.End[i])
+				i, prog.Op(i), starts[i], ends[i], ex.Start[i], ex.End[i])
 		}
 	}
 }
@@ -86,7 +86,7 @@ func TestDetectorFlagsStragglerAndTriggersReplan(t *testing.T) {
 	}
 	beforeOps := 0
 	for i := range before.Instrs {
-		if before.Instrs[i].Op.Type != schedule.Optimizer && before.Instrs[i].Op.Worker() == victim {
+		if before.Op(i).Type != schedule.Optimizer && before.Op(i).Worker() == victim {
 			beforeOps++
 		}
 	}
@@ -119,7 +119,7 @@ func TestDetectorFlagsStragglerAndTriggersReplan(t *testing.T) {
 	}
 	afterOps := 0
 	for i := range after.Instrs {
-		if after.Instrs[i].Op.Type != schedule.Optimizer && after.Instrs[i].Op.Worker() == victim {
+		if after.Op(i).Type != schedule.Optimizer && after.Op(i).Worker() == victim {
 			afterOps++
 		}
 	}

@@ -3,7 +3,6 @@ package engine
 import (
 	"bytes"
 	"encoding/binary"
-	"slices"
 	"testing"
 
 	"recycle/internal/schedule"
@@ -44,16 +43,10 @@ func addBarrierSeeds(f *testing.F, p *schedule.Program, data []byte) {
 	v2 := bytes.Clone(data)
 	v2[len(wireMagic)+1] = 2
 	f.Add(v2)
-	gate := *p
-	gate.Barrier.Gated = slices.Clone(p.Barrier.Gated)
-	gate.Barrier.Gated[0] = true
-	for _, q := range []*schedule.Program{&gate, without(p, leafGradient(p))} {
-		b, err := EncodeProgram(q)
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(b)
-	}
+	gate := wireOf(p)
+	gate.instrs[0].gated = true
+	f.Add(gate.encode())
+	f.Add(wireOf(p).without(leafGradient(p)).encode())
 }
 
 // FuzzDecodePlan hardens the plan codec against the replicated store's
@@ -157,12 +150,12 @@ func FuzzDecodeProgram(f *testing.F) {
 		header.header(kindProgram, ProgramCodecVersion, p.Shape, p.Durations, p.Failed)
 		// The stream section is the tail; the instructions end where it begins.
 		var streams writer
-		streams.int(len(p.Streams))
+		streams.int(len(p.Workers()))
 		for _, wk := range p.Workers() {
 			streams.worker(wk)
-			streams.int(len(p.Streams[wk]))
-			prev := 0
-			for _, id := range p.Streams[wk] {
+			streams.int(len(p.Stream(wk)))
+			prev := int32(0)
+			for _, id := range p.Stream(wk) {
 				streams.varint(int64(id - prev))
 				prev = id
 			}
@@ -179,7 +172,7 @@ func FuzzDecodeProgram(f *testing.F) {
 		if err != nil {
 			return // rejected, fine
 		}
-		if p == nil || len(p.Instrs) == 0 || len(p.Streams) == 0 {
+		if p == nil || len(p.Instrs) == 0 || len(p.Workers()) == 0 {
 			t.Fatalf("DecodeProgram accepted bytes but produced a hollow program: %+v", p)
 		}
 		if err := p.Validate(); err != nil {

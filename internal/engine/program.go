@@ -156,7 +156,7 @@ func programMatches(p *schedule.Program, s *schedule.Schedule) bool {
 		return false
 	}
 	for i, pl := range s.Placements {
-		if p.Instrs[i].Op != pl.Op || p.Instrs[i].Dur != pl.End-pl.Start {
+		if p.Op(i) != pl.Op || p.Instrs[i].Dur != pl.End-pl.Start {
 			return false
 		}
 	}

@@ -85,7 +85,7 @@ func TestSolvedProgramsSoundAcrossFailureCounts(t *testing.T) {
 			t.Logf("n=%d: %v", n, err)
 			return false
 		}
-		for w := range prog.Streams {
+		for _, w := range prog.Workers() {
 			if prog.Failed[w] {
 				t.Logf("n=%d: failed worker %s has a stream", n, w)
 				return false

@@ -199,8 +199,8 @@ func TestChurnRaceStress(t *testing.T) {
 }
 
 // TestProgramCodecRoundTrip pins the wire format: a compiled Program
-// encodes, decodes back field-for-field, and re-encodes to identical
-// bytes (streams are emitted in deterministic worker order).
+// encodes, decodes back slab for slab, and re-encodes to identical bytes
+// (streams are emitted in deterministic worker order).
 func TestProgramCodecRoundTrip(t *testing.T) {
 	job, stats := ShapeJob(3, 2, 4)
 	eng := New(job, stats, Options{UnrollIterations: 1})
@@ -216,20 +216,8 @@ func TestProgramCodecRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.Shape != prog.Shape || back.Durations != prog.Durations {
-		t.Fatalf("shape/durations changed across the codec: %+v vs %+v", back.Shape, prog.Shape)
-	}
-	if !reflect.DeepEqual(back.Failed, prog.Failed) {
-		t.Fatalf("failed set changed across the codec: %v vs %v", back.Failed, prog.Failed)
-	}
-	if !reflect.DeepEqual(back.Instrs, prog.Instrs) {
-		t.Fatal("instructions changed across the codec")
-	}
-	if !reflect.DeepEqual(back.Streams, prog.Streams) {
-		t.Fatal("streams changed across the codec")
-	}
-	if !reflect.DeepEqual(back.Barrier, prog.Barrier) {
-		t.Fatal("barrier changed across the codec")
+	if !reflect.DeepEqual(back, prog) {
+		t.Fatal("the Program changed across the codec")
 	}
 	re, err := EncodeProgram(back)
 	if err != nil {
@@ -240,56 +228,153 @@ func TestProgramCodecRoundTrip(t *testing.T) {
 	}
 }
 
+// wireProgram is a Program field by field as the codec lays it out: a form
+// tests can corrupt in ways a Program's flat slabs cannot hold (an op
+// outside the shape, a stream under a foreign worker) and encode as
+// EncodeProgram would.
+type wireProgram struct {
+	shape     schedule.Shape
+	durations schedule.Durations
+	failed    map[schedule.Worker]bool
+	instrs    []wireInstr
+	streams   []wireStream
+}
+
+type wireInstr struct {
+	op    schedule.Op
+	dur   int64
+	gated bool
+	deps  []schedule.Dep
+}
+
+type wireStream struct {
+	worker schedule.Worker
+	ids    []int
+}
+
+// wireOf spells p out field by field.
+func wireOf(p *schedule.Program) *wireProgram {
+	wp := &wireProgram{shape: p.Shape, durations: p.Durations, failed: p.Failed}
+	for i := range p.Instrs {
+		wp.instrs = append(wp.instrs, wireInstr{op: p.Op(i), dur: p.Instrs[i].Dur, gated: p.Gated(i), deps: slices.Clone(p.Deps(i))})
+	}
+	for _, w := range p.Workers() {
+		s := wireStream{worker: w}
+		for _, id := range p.Stream(w) {
+			s.ids = append(s.ids, int(id))
+		}
+		wp.streams = append(wp.streams, s)
+	}
+	return wp
+}
+
+// encode writes wp as EncodeProgram writes a Program.
+func (wp *wireProgram) encode() []byte {
+	edges := 0
+	for _, in := range wp.instrs {
+		edges += len(in.deps)
+	}
+	var w writer
+	w.header(kindProgram, ProgramCodecVersion, wp.shape, wp.durations, wp.failed)
+	w.int(len(wp.instrs))
+	w.int(edges)
+	for i, in := range wp.instrs {
+		w.op(in.op)
+		w.varint(in.dur)
+		gate := 0
+		if in.gated {
+			gate = 1
+		}
+		w.int(len(in.deps)<<1 | gate)
+		for _, d := range in.deps {
+			w.varint(int64(i) - int64(d.From))
+			w.int(int(d.Kind))
+		}
+	}
+	w.int(len(wp.streams))
+	for _, s := range wp.streams {
+		w.worker(s.worker)
+		w.int(len(s.ids))
+		prev := 0
+		for _, id := range s.ids {
+			w.varint(int64(id - prev))
+			prev = id
+		}
+	}
+	return w.b
+}
+
+// TestWireProgramMirrorsEncodeProgram keeps the tests' field-by-field
+// encoder honest: on an untouched Program it writes EncodeProgram's bytes.
+func TestWireProgramMirrorsEncodeProgram(t *testing.T) {
+	job, stats := ShapeJob(3, 2, 4)
+	prog, err := New(job, stats, Options{UnrollIterations: 1}).ProgramFor(map[schedule.Worker]bool{{Stage: 1, Pipeline: 2}: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := EncodeProgram(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(wireOf(prog).encode(), data) {
+		t.Fatal("wireProgram.encode no longer mirrors EncodeProgram")
+	}
+}
+
 // leafGradient returns the first weight gradient no edge consumes: one
 // only the barrier reads.
 func leafGradient(p *schedule.Program) int {
 	consumed := make([]bool, len(p.Instrs))
 	for i := range p.Instrs {
-		for _, d := range p.Instrs[i].Deps {
+		for _, d := range p.Deps(i) {
 			consumed[d.From] = true
 		}
 	}
-	return slices.IndexFunc(p.Instrs, func(in schedule.Instr) bool {
-		return (in.Op.Type == schedule.B || in.Op.Type == schedule.BWeight) && !consumed[in.ID]
-	})
+	for i := range p.Instrs {
+		if t := p.Type(i); (t == schedule.B || t == schedule.BWeight) && !consumed[i] {
+			return i
+		}
+	}
+	return -1
 }
 
-// without returns a hand-assembled copy of p with instruction drop removed
-// and every later ID shifted down one, in Deps, Streams and gate bits alike.
-func without(p *schedule.Program, drop int) *schedule.Program {
+// without returns wp with instruction drop removed and every later ID
+// shifted down one, in edges and streams alike.
+func (wp *wireProgram) without(drop int) *wireProgram {
 	shift := func(id int) int {
 		if id > drop {
 			return id - 1
 		}
 		return id
 	}
-	q := &schedule.Program{Shape: p.Shape, Durations: p.Durations, Failed: p.Failed, Streams: map[schedule.Worker][]int{}}
-	for i, in := range p.Instrs {
+	q := *wp
+	q.instrs, q.streams = nil, nil
+	for i, in := range wp.instrs {
 		if i == drop {
 			continue
 		}
-		in.ID, in.Deps = shift(i), slices.Clone(in.Deps)
-		for j := range in.Deps {
-			in.Deps[j].From = shift(in.Deps[j].From)
+		in.deps = slices.Clone(in.deps)
+		for j := range in.deps {
+			in.deps[j].From = int32(shift(int(in.deps[j].From)))
 		}
-		q.Instrs = append(q.Instrs, in)
-		q.Barrier.Gated = append(q.Barrier.Gated, p.Barrier.Gates(i))
+		q.instrs = append(q.instrs, in)
 	}
-	for w, s := range p.Streams {
-		for _, id := range s {
+	for _, s := range wp.streams {
+		var ids []int
+		for _, id := range s.ids {
 			if id != drop {
-				q.Streams[w] = append(q.Streams[w], shift(id))
+				ids = append(ids, shift(id))
 			}
 		}
+		q.streams = append(q.streams, wireStream{worker: s.worker, ids: ids})
 	}
-	return q
+	return &q
 }
 
 // TestProgramCodecRejections pins the codec's refusals: a future version,
-// v1 JSON bytes, a v2 blob, an empty program, a plan blob, instruction IDs
-// that disagree with list positions, and a Program whose optimizers gate on
-// one weight gradient fewer than DP·MB — which v2 decoded, because only
-// Compile counted them.
+// v1 JSON bytes, a v2 blob, an empty program, a plan blob, and a Program
+// whose optimizers gate on one weight gradient fewer than DP·MB — which v2
+// decoded, because only Compile counted them.
 func TestProgramCodecRejections(t *testing.T) {
 	job, stats := ShapeJob(2, 2, 4)
 	eng := New(job, stats, Options{UnrollIterations: 1})
@@ -299,12 +384,6 @@ func TestProgramCodecRejections(t *testing.T) {
 	}
 	if _, err := EncodeProgram(nil); err == nil {
 		t.Fatal("EncodeProgram accepted a nil program")
-	}
-	bad := *prog
-	bad.Instrs = append([]schedule.Instr(nil), prog.Instrs...)
-	bad.Instrs[0].ID = 7
-	if _, err := EncodeProgram(&bad); err == nil {
-		t.Fatal("EncodeProgram accepted an instruction whose ID disagrees with its position")
 	}
 	data, err := EncodeProgram(prog)
 	if err != nil {
@@ -361,12 +440,9 @@ func TestProgramCodecRejections(t *testing.T) {
 		t.Fatal(err)
 	}
 	drop := leafGradient(prog)
-	short, err := EncodeProgram(without(prog, drop))
-	if err != nil {
-		t.Fatal(err)
-	}
+	short := wireOf(prog).without(drop).encode()
 	if _, err := DecodeProgram(short); err == nil || !strings.Contains(err.Error(), "gates on 11 weight gradients, want 12") {
-		t.Fatalf("DecodeProgram on a Program missing %s: %v", prog.Instrs[drop].Op, err)
+		t.Fatalf("DecodeProgram on a Program missing %s: %v", prog.Op(drop), err)
 	}
 }
 
@@ -398,41 +474,30 @@ func TestDecodeProgramChecksShape(t *testing.T) {
 	// An instruction with edges, to corrupt: the last one that has any (the
 	// optimizers that close the program have none, only the barrier).
 	last := len(prog.Instrs) - 1
-	for len(prog.Instrs[last].Deps) == 0 {
+	for len(prog.Deps(last)) == 0 {
 		last--
 	}
-	someWorker := prog.Workers()[0]
 	outside := schedule.Worker{Stage: prog.Shape.PP, Pipeline: 0}
-	cases := map[string]func(p *schedule.Program){
-		"op stage":      func(p *schedule.Program) { p.Instrs[0].Op.Stage = p.Shape.PP },
-		"op micro":      func(p *schedule.Program) { p.Instrs[0].Op.MB = p.Shape.MB },
-		"op home":       func(p *schedule.Program) { p.Instrs[0].Op.Home = p.Shape.DP },
-		"op type":       func(p *schedule.Program) { p.Instrs[0].Op.Type = schedule.Optimizer + 1 },
-		"op exec":       func(p *schedule.Program) { p.Instrs[0].Op.Exec = p.Shape.DP },
-		"op iter":       func(p *schedule.Program) { p.Instrs[0].Op.Iter = p.Shape.Iter },
-		"edge kind":     func(p *schedule.Program) { p.Instrs[last].Deps[0].Kind = schedule.DepAllReduce },
-		"edge producer": func(p *schedule.Program) { p.Instrs[last].Deps[0].From = len(p.Instrs) },
-		"gate":          func(p *schedule.Program) { p.Barrier.Gated[0] = true }, // instruction 0 is a forward
-		"stream id":     func(p *schedule.Program) { p.Streams[someWorker][0] = len(p.Instrs) },
-		"stream worker": func(p *schedule.Program) {
-			p.Streams[outside] = p.Streams[someWorker]
-			delete(p.Streams, someWorker)
-		},
-		"failed worker": func(p *schedule.Program) { p.Failed = map[schedule.Worker]bool{outside: true} },
+	cases := map[string]func(p *wireProgram){
+		"op stage":       func(p *wireProgram) { p.instrs[0].op.Stage = p.shape.PP },
+		"op micro":       func(p *wireProgram) { p.instrs[0].op.MB = p.shape.MB },
+		"op home":        func(p *wireProgram) { p.instrs[0].op.Home = p.shape.DP },
+		"op type":        func(p *wireProgram) { p.instrs[0].op.Type = schedule.Optimizer + 1 },
+		"op exec":        func(p *wireProgram) { p.instrs[0].op.Exec = p.shape.DP },
+		"op iter":        func(p *wireProgram) { p.instrs[0].op.Iter = p.shape.Iter },
+		"optimizer mb":   func(p *wireProgram) { p.instrs[len(p.instrs)-1].op.MB = 0 }, // the Program closes on an optimizer
+		"optimizer home": func(p *wireProgram) { p.instrs[len(p.instrs)-1].op.Home++ }, // nor may it run off its home
+		"edge kind":      func(p *wireProgram) { p.instrs[last].deps[0].Kind = schedule.DepAllReduce },
+		"edge producer":  func(p *wireProgram) { p.instrs[last].deps[0].From = int32(len(p.instrs)) },
+		"gate":           func(p *wireProgram) { p.instrs[0].gated = true }, // instruction 0 is a forward
+		"stream id":      func(p *wireProgram) { p.streams[0].ids[0] = len(p.instrs) },
+		"stream worker":  func(p *wireProgram) { p.streams[0].worker = outside },
+		"failed worker":  func(p *wireProgram) { p.failed = map[schedule.Worker]bool{outside: true} },
 	}
 	for name, corrupt := range cases {
-		// A deep copy through the codec, without the precomputed worker
-		// list, so the corrupted streams are what gets encoded.
-		fresh, err := DecodeProgram(data)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p := &schedule.Program{Shape: fresh.Shape, Durations: fresh.Durations, Failed: fresh.Failed, Instrs: fresh.Instrs, Streams: fresh.Streams, Barrier: fresh.Barrier}
+		p := wireOf(prog)
 		corrupt(p)
-		tampered, err := EncodeProgram(p)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
+		tampered := p.encode()
 		if bytes.Equal(tampered, data) {
 			t.Fatalf("%s: corruption did not reach the wire", name)
 		}

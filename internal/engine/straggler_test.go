@@ -12,7 +12,7 @@ import (
 func victimComputeOps(p *schedule.Program, w schedule.Worker) int {
 	n := 0
 	for i := range p.Instrs {
-		if p.Instrs[i].Op.Type != schedule.Optimizer && p.Instrs[i].Op.Worker() == w {
+		if p.Op(i).Type != schedule.Optimizer && p.Op(i).Worker() == w {
 			n++
 		}
 	}
@@ -53,7 +53,7 @@ func TestMarkStragglerTriggersReplan(t *testing.T) {
 
 	// Stamped durations on the aware program must charge the victim 2x.
 	for i := range after.Instrs {
-		op := after.Instrs[i].Op
+		op := after.Op(i)
 		if op.Type == schedule.Optimizer {
 			continue
 		}
@@ -98,7 +98,7 @@ func TestCostModelOptionSeedsPlanner(t *testing.T) {
 	}
 	found := false
 	for i := range prog.Instrs {
-		op := prog.Instrs[i].Op
+		op := prog.Op(i)
 		if op.Worker() == victim && op.Type == schedule.F {
 			if prog.DurOf(i) != 3 {
 				t.Fatalf("victim F stamped %d, want 3", prog.DurOf(i))

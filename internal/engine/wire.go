@@ -139,12 +139,23 @@ func (r *reader) worker() schedule.Worker {
 	return k
 }
 
-// op reads an op and checks its type and its position in the header's shape.
-func (r *reader) op() schedule.Op {
+// opFields reads an op and checks its type. The Program decoder leaves the
+// op's position to schedule.ProgramBuilder, which checks it as it indexes
+// the op.
+func (r *reader) opFields() schedule.Op {
 	stage, mb, home, t := r.int(), r.int()-1, r.int(), r.int()
 	o := schedule.Op{Stage: stage, MB: mb, Home: home, Type: schedule.OpType(t), Exec: r.int(), Iter: r.int()}
-	if _, _, _, ok := r.sh.OpIndex(o); r.err == nil && (!ok || t > int(schedule.Optimizer)) {
-		r.fail("op %s (type %d) has an unknown type or lies outside shape %+v", o, t, r.sh)
+	if r.err == nil && t > int(schedule.Optimizer) {
+		r.fail("op %s has unknown type %d", o, t)
+	}
+	return o
+}
+
+// op reads an op and checks its type and its position in the header's shape.
+func (r *reader) op() schedule.Op {
+	o := r.opFields()
+	if _, _, _, ok := r.sh.OpIndex(o); r.err == nil && !ok {
+		r.fail("op %s lies outside shape %+v", o, r.sh)
 	}
 	return o
 }

@@ -48,7 +48,7 @@ func groundTruth(truth *profile.CostModel) sim.ProgramOptions {
 func victimOps(p *schedule.Program, w schedule.Worker) int {
 	n := 0
 	for i := range p.Instrs {
-		if p.Instrs[i].Op.Type != schedule.Optimizer && p.Instrs[i].Op.Worker() == w {
+		if op := p.Op(i); op.Type != schedule.Optimizer && op.Worker() == w {
 			n++
 		}
 	}

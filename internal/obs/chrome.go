@@ -104,7 +104,7 @@ func BuildChromeTrace(t *Trace) *ChromeTrace {
 			// Flow arrows along the dependency edges that released this
 			// span, from each producer's completion to our start.
 			for _, d := range s.Deps {
-				p, ok := byInstr[d.From]
+				p, ok := byInstr[int(d.From)]
 				if !ok {
 					continue
 				}

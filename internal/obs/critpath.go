@@ -128,7 +128,7 @@ func CriticalPath(g *Segment) (*PathReport, error) {
 		// or before our start.
 		best, found := Span{}, false
 		for _, d := range cur.Deps {
-			ds, ok := byInstr[d.From]
+			ds, ok := byInstr[int(d.From)]
 			if !ok || ds.End > cur.Start {
 				continue
 			}

@@ -10,12 +10,9 @@ import (
 	"recycle/internal/sim"
 )
 
-// BenchmarkSpliceReplayJob measures one Splice of the Fig 9 GPT-3 Medium
-// iteration — DP12×PP2×MB85 on the calibrated cost model the replay
-// engine plans with — cut at half its makespan, where W5_1 dies: the
-// splice replay-warm pays per membership event. The cut execution is taken
-// once, outside the loop.
-func BenchmarkSpliceReplayJob(b *testing.B) {
+// replayJobEngine is the engine replay-warm plans the Fig 9 GPT-3 Medium
+// iteration with: DP12×PP2×MB85 on the calibrated cost model.
+func replayJobEngine(b *testing.B) *engine.Engine {
 	job := config.Job{
 		Model:    config.GPT3Medium,
 		Parallel: config.Parallelism{DP: 12, PP: 2, TP: 1},
@@ -30,7 +27,31 @@ func BenchmarkSpliceReplayJob(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	eng := engine.New(job, stats, engine.Options{UnrollIterations: 1, CostModel: cm})
+	return engine.New(job, stats, engine.Options{UnrollIterations: 1, CostModel: cm})
+}
+
+// BenchmarkCompileReplayJob measures one Compile of the healthy Fig 9 GPT-3
+// Medium schedule (4 104 instructions): the lowering every spliced
+// schedule pays, and what each Program the engine caches costs to build.
+func BenchmarkCompileReplayJob(b *testing.B) {
+	s, err := replayJobEngine(b).ScheduleFor(nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := schedule.Compile(s); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkSpliceReplayJob measures one Splice of the Fig 9 GPT-3 Medium
+// iteration cut at half its makespan, where W5_1 dies: the splice
+// replay-warm pays per membership event. The cut execution is taken once,
+// outside the loop.
+func BenchmarkSpliceReplayJob(b *testing.B) {
+	eng := replayJobEngine(b)
 	prog, err := eng.ProgramFor(nil)
 	if err != nil {
 		b.Fatal(err)

@@ -24,7 +24,7 @@ func epilogueCut(t *testing.T, prog *schedule.Program) (stage int, cut int64) {
 	}
 	groupEnd := map[int]int64{}
 	for i := range prog.Instrs {
-		op := prog.Instrs[i].Op
+		op := prog.Op(i)
 		if op.Type != schedule.Optimizer {
 			continue
 		}
@@ -59,7 +59,7 @@ func TestLiveSpliceDurableEpilogueKill(t *testing.T) {
 	var steppedOpt []int // the stepped group's instruction IDs
 	victimOpt := -1
 	for i := range prog.Instrs {
-		op := prog.Instrs[i].Op
+		op := prog.Op(i)
 		if op.Type == schedule.Optimizer && op.Stage == stage {
 			steppedOpt = append(steppedOpt, i)
 			if op.Worker() == victim {
@@ -153,12 +153,12 @@ func frozenStepsUngated(t *testing.T, what string, spl *Spliced, cut int64) []in
 	var frozen []int
 	p := spl.Program
 	for i := range p.Instrs {
-		if p.Instrs[i].Op.Type != schedule.Optimizer {
+		if p.Op(i).Type != schedule.Optimizer {
 			continue
 		}
 		end, done := spl.Done[i]
-		if f := done && end <= cut; p.Barrier.Gates(i) == f {
-			t.Fatalf("%s: %s frozen=%v gated=%v", what, p.Instrs[i].Op, f, p.Barrier.Gates(i))
+		if f := done && end <= cut; p.Gated(i) == f {
+			t.Fatalf("%s: %s frozen=%v gated=%v", what, p.Op(i), f, p.Gated(i))
 		} else if f {
 			frozen = append(frozen, i)
 		}
@@ -239,7 +239,7 @@ func TestFrozenOptimizerIsNotGated(t *testing.T) {
 	}
 	c1 := full.Makespan
 	for i := range prog.Instrs {
-		if op := prog.Instrs[i].Op; op.Type == schedule.Optimizer && op.Stage == s {
+		if op := prog.Op(i); op.Type == schedule.Optimizer && op.Stage == s {
 			c1 = min(c1, full.Start[i])
 		}
 	}
@@ -259,7 +259,7 @@ func TestFrozenOptimizerIsNotGated(t *testing.T) {
 		t.Fatal("the second re-join was rejected")
 	}
 	frozen := frozenStepsUngated(t, "re-join 2", second, c2)
-	if len(frozen) != 1 || second.Program.Instrs[frozen[0]].Op.Worker() != w(0, s) {
+	if len(frozen) != 1 || second.Program.Op(frozen[0]).Worker() != w(0, s) {
 		t.Fatalf("the second re-join froze steps %v, want %s's alone", frozen, w(0, s))
 	}
 	kill := cutInput(t, second.Program, second.Done, second.Floors, SpliceInput{Cut: c2 + 1, Fail: []schedule.Worker{w(2, s)}})
@@ -269,12 +269,7 @@ func TestFrozenOptimizerIsNotGated(t *testing.T) {
 	if _, err := Splice(kill); err == nil || !strings.Contains(err.Error(), "all-reduce is ready") {
 		t.Fatalf("the kill was rejected for another reason: %v", err)
 	}
-	allGated := *second.Program
-	allGated.Barrier.Gated = make([]bool, len(allGated.Instrs))
-	for i := range allGated.Instrs {
-		allGated.Barrier.Gated[i] = allGated.Instrs[i].Op.Type == schedule.Optimizer
-	}
-	kill.Prog = &allGated
+	kill.Prog = rebuild(t, second.Program, second.Program.Deps, func(i int) bool { return second.Program.Type(i) == schedule.Optimizer })
 	if alt, err := Splice(kill); err != nil || !slices.Contains(alt.LostIDs, frozen[0]) {
 		t.Fatalf("gating every step did not re-execute the frozen one: %v", err)
 	}

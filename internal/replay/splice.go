@@ -208,13 +208,13 @@ func (sc *spliceScratch) isLost(p *schedule.Program, ends []int64, i int) bool {
 		if sc.failing[p.Shape.WorkerIndex(nd.op.Worker())] {
 			verdict = lost
 		} else {
-			for _, d := range p.Instrs[i].Deps {
-				if sc.isLost(p, ends, d.From) {
+			for _, d := range p.Deps(i) {
+				if sc.isLost(p, ends, int(d.From)) {
 					verdict = lost
 					break
 				}
 			}
-			if verdict == kept && p.Barrier.Gates(i) {
+			if verdict == kept && p.Gated(i) {
 				for _, c := range p.Barrier.Group(int(nd.group)) {
 					if sc.isLost(p, ends, int(c)) {
 						verdict = lost
@@ -334,13 +334,10 @@ func Splice(in SpliceInput) (*Spliced, error) {
 		}
 	}
 	for i := range p.Instrs {
-		op := p.Instrs[i].Op
-		_, g, k, ok := sh.OpIndex(op)
-		if !ok {
-			return nil, fmt.Errorf("replay: instruction %d (%s) lies outside shape %+v", i, op, sh)
-		}
-		for _, d := range p.Instrs[i].Deps {
-			if d.From < 0 || d.From >= n {
+		op := p.Op(i)
+		_, g, k := p.OpIndex(i)
+		for _, d := range p.Deps(i) {
+			if d.From < 0 || int(d.From) >= n {
 				return nil, fmt.Errorf("replay: instruction %d depends on %d outside [0,%d)", i, d.From, n)
 			}
 		}
@@ -658,13 +655,12 @@ func Splice(in SpliceInput) (*Spliced, error) {
 	// (Compile accepted the schedule, so every op is one node's).
 	out.Done = make(map[int]int64, out.PrefixOps)
 	for i := range prog.Instrs {
-		op := prog.Instrs[i].Op
-		_, g, k, _ := sh.OpIndex(op)
+		_, g, k := prog.OpIndex(i)
 		var at int32
-		if op.Type == schedule.Optimizer {
-			at = optNode[g*sh.DP+op.Exec]
+		if t := prog.Type(i); t == schedule.Optimizer {
+			at = optNode[g*sh.DP+prog.Op(i).Exec]
 		} else {
-			at = byOp[3*k+slot(op.Type)]
+			at = byOp[3*k+slot(t)]
 		}
 		if nd := &nodes[at]; nd.kind == prefix {
 			out.Done[i] = nd.end

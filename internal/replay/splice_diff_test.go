@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
-	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -48,17 +47,39 @@ func diffEngine(dp, pp, mb int, decoupled, scaled bool) *engine.Engine {
 	return eng
 }
 
+// rebuild assembles a copy of p through schedule.ProgramBuilder with
+// deps(i) as instruction i's edges and gated(i) as its gate bit.
+func rebuild(t testing.TB, p *schedule.Program, deps func(i int) []schedule.Dep, gated func(i int) bool) *schedule.Program {
+	t.Helper()
+	edges := 0
+	for i := range p.Instrs {
+		edges += len(deps(i))
+	}
+	b := schedule.NewProgramBuilder(p.Shape, p.Durations, p.Failed, len(p.Instrs), edges)
+	for i := range p.Instrs {
+		b.Instr(p.Op(i), p.Instrs[i].Dur, gated(i))
+		for _, d := range deps(i) {
+			b.Dep(int(d.From), d.Kind)
+		}
+	}
+	for _, w := range p.Workers() {
+		b.Stream(w)
+		for _, id := range p.Stream(w) {
+			b.Next(int(id))
+		}
+	}
+	q, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return q
+}
+
 // withBarrierEdges returns p in the form the reference reads: every gated
 // optimizer's barrier spelled out as DepAllReduce edges in its Deps
-// (Producers), and no Barrier.
-func withBarrierEdges(p *schedule.Program) *schedule.Program {
-	q := *p
-	q.Instrs = slices.Clone(p.Instrs)
-	for i := range q.Instrs {
-		q.Instrs[i].Deps = p.Producers(i)
-	}
-	q.Barrier = schedule.Barrier{}
-	return &q
+// (Producers), and nothing gated.
+func withBarrierEdges(t testing.TB, p *schedule.Program) *schedule.Program {
+	return rebuild(t, p, p.Producers, func(int) bool { return false })
 }
 
 // sameSplice requires Splice to reproduce the reference on one input — the
@@ -69,7 +90,7 @@ func sameSplice(t testing.TB, tally *diffTally, what string, in SpliceInput) *Sp
 	t.Helper()
 	got, gerr := Splice(in)
 	ref := in
-	ref.Prog = withBarrierEdges(in.Prog)
+	ref.Prog = withBarrierEdges(t, in.Prog)
 	want, werr := spliceRef(ref)
 	if gerr != nil || werr != nil {
 		tally.rejected++
@@ -94,8 +115,11 @@ func sameSplice(t testing.TB, tally *diffTally, what string, in SpliceInput) *Sp
 		}
 	}
 	check("len(Program.Instrs)", len(got.Program.Instrs), len(want.Program.Instrs))
-	check("Program.Streams", got.Program.Streams, want.Program.Streams)
+	for _, w := range want.Program.Workers() {
+		check(fmt.Sprintf("Program.Stream(%s)", w), got.Program.Stream(w), want.Program.Stream(w))
+	}
 	check("Program.Barrier", got.Program.Barrier, want.Program.Barrier)
+	check("Program", got.Program, want.Program)
 	check("Schedule.Placements", got.Schedule.Placements, want.Schedule.Placements)
 	check("Done", got.Done, want.Done)
 	check("Floors", got.Floors, want.Floors)
@@ -306,16 +330,22 @@ func FuzzSplice(f *testing.F) {
 // micro-batch or the other from run to run).
 func TestSpliceErrorIsDeterministic(t *testing.T) {
 	sh := schedule.Shape{DP: 2, PP: 2, MB: 1, Iter: 1}
-	p := &schedule.Program{Shape: sh, Durations: schedule.UnitSlots, Streams: map[schedule.Worker][]int{}}
+	b := schedule.NewProgramBuilder(sh, schedule.UnitSlots, nil, sh.DP, 0)
 	for home := 0; home < sh.DP; home++ {
 		// Stage 1 of each pipeline holds a forward whose stage-0 producer
 		// does not exist.
-		op := schedule.Op{Stage: 1, MB: 0, Home: home, Exec: home, Type: schedule.F}
-		p.Streams[op.Worker()] = []int{len(p.Instrs)}
-		p.Instrs = append(p.Instrs, schedule.Instr{ID: len(p.Instrs), Op: op})
+		b.Instr(schedule.Op{Stage: 1, MB: 0, Home: home, Exec: home, Type: schedule.F}, 0, false)
+	}
+	for home := 0; home < sh.DP; home++ {
+		b.Stream(schedule.Worker{Stage: 1, Pipeline: home})
+		b.Next(home)
+	}
+	p, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
 	}
 	in := SpliceInput{Prog: p, Starts: []int64{-1, -1}, Ends: []int64{-1, -1}, Cut: 1}
-	_, err := Splice(in)
+	_, err = Splice(in)
 	if err == nil || !strings.Contains(err.Error(), "has no upstream forward") {
 		t.Fatalf("want a missing-upstream-forward rejection, got %v", err)
 	}

@@ -76,7 +76,7 @@ func spliceRef(in SpliceInput) (*Spliced, error) {
 	// seeds from nor propagates into them.
 	optTotal, optFired := make(map[[2]int]int), make(map[[2]int]int)
 	for i := range p.Instrs {
-		op := p.Instrs[i].Op
+		op := p.Op(i)
 		if op.Type != schedule.Optimizer {
 			continue
 		}
@@ -98,14 +98,14 @@ func spliceRef(in SpliceInput) (*Spliced, error) {
 	// never has to look at unexecuted work.)
 	succs := make([][]int, n)
 	for i := range p.Instrs {
-		for _, d := range p.Instrs[i].Deps {
+		for _, d := range p.Deps(i) {
 			succs[d.From] = append(succs[d.From], i)
 		}
 	}
 	lost := make([]bool, n)
 	var queue []int
 	for i := range p.Instrs {
-		if in.Ends[i] >= 0 && failSet[p.Instrs[i].Op.Worker()] && !durable(p.Instrs[i].Op) {
+		if in.Ends[i] >= 0 && failSet[p.Op(i).Worker()] && !durable(p.Op(i)) {
 			lost[i] = true
 			queue = append(queue, i)
 		}
@@ -114,7 +114,7 @@ func spliceRef(in SpliceInput) (*Spliced, error) {
 		i := queue[len(queue)-1]
 		queue = queue[:len(queue)-1]
 		for _, j := range succs[i] {
-			if in.Ends[j] >= 0 && !lost[j] && !durable(p.Instrs[j].Op) {
+			if in.Ends[j] >= 0 && !lost[j] && !durable(p.Op(j)) {
 				lost[j] = true
 				queue = append(queue, j)
 			}
@@ -150,7 +150,7 @@ func spliceRef(in SpliceInput) (*Spliced, error) {
 	optDone := make(map[[2]int]bool) // (iter, stage) -> any optimizer completed
 	suffixByTriple := make(map[tripleKey][]*node)
 	for i := range p.Instrs {
-		op := p.Instrs[i].Op
+		op := p.Op(i)
 		if in.Ends[i] >= 0 && !lost[i] {
 			nd := &node{op: op, oldID: i, start: in.Starts[i], end: in.Ends[i], placed: true, oldExec: op.Exec}
 			prefix = append(prefix, nd)
@@ -434,7 +434,7 @@ func spliceRef(in SpliceInput) (*Spliced, error) {
 	}
 	out.Program = prog
 	for i := range prog.Instrs {
-		if end, ok := prefixEnd[prog.Instrs[i].Op]; ok {
+		if end, ok := prefixEnd[prog.Op(i)]; ok {
 			out.Done[i] = end
 		}
 	}

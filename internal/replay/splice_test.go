@@ -19,7 +19,7 @@ type computeKey struct {
 func computeCensus(p *schedule.Program) map[computeKey]int {
 	out := make(map[computeKey]int)
 	for i := range p.Instrs {
-		op := p.Instrs[i].Op
+		op := p.Op(i)
 		if op.Type == schedule.Optimizer {
 			continue
 		}

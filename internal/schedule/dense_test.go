@@ -42,11 +42,17 @@ func mutate(rng *rand.Rand, sh Shape, ps []Placement) ([]Placement, map[Worker]b
 		ps[i].Start, ps[i].End = ps[i].Start+d, ps[i].End+d
 	case 3: // stretch an op
 		ps[i].End += int64(1 + rng.Intn(2))
-	case 4: // move an op to a peer
-		ps[i].Op.Exec = rng.Intn(sh.DP)
-	case 5: // re-type an op (an optimizer carries no micro-batch to re-type into)
+	case 4: // move an op to a peer (an optimizer's home moves with it)
+		if ps[i].Op.Exec = rng.Intn(sh.DP); ps[i].Op.Type == Optimizer {
+			ps[i].Op.Home = ps[i].Op.Exec
+		}
+	case 5: // re-type an op (an optimizer carries no micro-batch to re-type into,
+		// and an op re-typed into one runs on its home with MB -1, as every
+		// optimizer a Program can hold does)
 		if ps[i].Op.Type != Optimizer {
-			ps[i].Op.Type = OpType(rng.Intn(5))
+			if ps[i].Op.Type = OpType(rng.Intn(5)); ps[i].Op.Type == Optimizer {
+				ps[i].Op.MB, ps[i].Op.Home = -1, ps[i].Op.Exec
+			}
 		}
 	case 6: // fail the worker under an op
 		return ps, map[Worker]bool{ps[i].Op.Worker(): true}
@@ -84,16 +90,22 @@ func sameError(t *testing.T, what string, got, want error) {
 }
 
 // withBarrierEdges returns p in the form the references build and read:
-// every gated optimizer's barrier spelled out as DepAllReduce edges in its
-// Deps (Producers), and no Barrier.
-func withBarrierEdges(p *Program) *Program {
-	q := *p
-	q.Instrs = slices.Clone(p.Instrs)
+// every instruction with its ID, op and edges, a gated optimizer's barrier
+// spelled out as DepAllReduce edges (Producers), and the streams in a map.
+func withBarrierEdges(p *Program) *refProgram {
+	q := &refProgram{Instrs: make([]refInstr, len(p.Instrs)), Streams: make(map[Worker][]int), workers: p.Workers()}
 	for i := range q.Instrs {
-		q.Instrs[i].Deps = p.Producers(i)
+		q.Instrs[i] = refInstr{ID: i, Op: p.Op(i), Dur: p.Instrs[i].Dur}
+		if deps := p.Producers(i); len(deps) > 0 {
+			q.Instrs[i].Deps = slices.Clone(deps)
+		}
 	}
-	q.Barrier = Barrier{}
-	return &q
+	for _, w := range p.Workers() {
+		for _, id := range p.Stream(w) {
+			q.Streams[w] = append(q.Streams[w], int(id))
+		}
+	}
+	return q
 }
 
 // TestCompileValidateMatchReference is the differential oracle of the
@@ -130,13 +142,13 @@ func TestCompileValidateMatchReference(t *testing.T) {
 		want, werr := compileFrozenRef(s, frozenBefore)
 		sameError(t, what+": compile", gerr, werr)
 		if gerr == nil {
-			if !reflect.DeepEqual(withBarrierEdges(got).Instrs, want.Instrs) || !reflect.DeepEqual(got.Streams, want.Streams) || !reflect.DeepEqual(got.Workers(), want.Workers()) {
+			if !reflect.DeepEqual(withBarrierEdges(got), want) {
 				t.Fatalf("%s: compiled Program differs from the reference", what)
 			}
 			// Corrupt one edge and compare the structural verdicts.
-			if i := rng.Intn(len(got.Instrs)); len(got.Instrs[i].Deps) > 0 {
-				d := &got.Instrs[i].Deps[rng.Intn(len(got.Instrs[i].Deps))]
-				d.From = rng.Intn(len(got.Instrs))
+			if i := rng.Intn(len(got.Instrs)); len(got.Deps(i)) > 0 {
+				d := &got.Deps(i)[rng.Intn(len(got.Deps(i)))]
+				d.From = int32(rng.Intn(len(got.Instrs)))
 				if err := got.Validate(); err == nil {
 					// Edges are consistent, so acyclicity was decided: both
 					// algorithms must have found the graph acyclic.
@@ -200,22 +212,10 @@ func TestRejectionsKeepTheirText(t *testing.T) {
 		})), "schedule: worker W0_0 overlap: it0:F(mb1,p0)@W0_0 starts 3 before previous op ends 4"},
 		{"validate: failed worker", Validate(New(one, UnitSlots, map[Worker]bool{w00: true}, append([]Placement(nil), FaultFree1F1B(one, UnitSlots).Placements...)), ValidateConfig{}),
 			"schedule: op it0:F(mb0,p0)@W0_0 placed on failed worker"},
-		{"program: cycle", (&Program{
-			Shape: one, Durations: UnitSlots,
-			Instrs: []Instr{
-				{ID: 0, Op: Op{Type: F}, Deps: []Dep{{From: 1, Kind: DepLocal}}},
-				{ID: 1, Op: Op{Type: B}, Deps: []Dep{{From: 0, Kind: DepLocal}}},
-			},
-			Streams: map[Worker][]int{w00: {0, 1}},
-		}).Validate(), "schedule: program deadlocks: 2 of 2 instructions are on a dependency cycle"},
-		{"program: bad edge", (&Program{
-			Shape: one, Durations: UnitSlots,
-			Instrs: []Instr{
-				{ID: 0, Op: Op{Type: F}},
-				{ID: 1, Op: Op{Type: B}, Deps: []Dep{{From: 0, Kind: DepActivation}}},
-			},
-			Streams: map[Worker][]int{w00: {0, 1}},
-		}).Validate(), "schedule: program: edge 0->1: activation edge must link F(i-1) to F(i) of one micro-batch: it0:F(mb0,p0)@W0_0 -> it0:B(mb0,p0)@W0_0"},
+		{"program: cycle", assembleErr(one, []Op{{Type: F}, {Type: B}}, map[int][]Dep{0: {{From: 1, Kind: DepLocal}}, 1: {{From: 0, Kind: DepLocal}}}),
+			"schedule: program deadlocks: 2 of 2 instructions are on a dependency cycle"},
+		{"program: bad edge", assembleErr(one, []Op{{Type: F}, {Type: B}}, map[int][]Dep{1: {{From: 0, Kind: DepActivation}}}),
+			"schedule: program: edge 0->1: activation edge must link F(i-1) to F(i) of one micro-batch: it0:F(mb0,p0)@W0_0 -> it0:B(mb0,p0)@W0_0"},
 	}
 	for _, c := range cases {
 		if c.err == nil || c.err.Error() != c.want {
@@ -264,8 +264,8 @@ func TestOutOfShapeIsRejectedNotIndexed(t *testing.T) {
 // must lower in at most 0.5 allocations per instruction. The map-keyed
 // Compile paid 1 455 here (5.35 per instruction: five maps, one Deps slice
 // per instruction, one append chain per stream); the dense one allocates
-// the Program, its Instrs, one Deps slab, one stream slab and the Streams
-// map.
+// the Program, its Instrs, one edge slab, one int32 slab for the streams
+// and the barrier, and the worker list.
 func TestCompileAllocationBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector empties sync.Pool at random")

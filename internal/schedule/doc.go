@@ -15,8 +15,8 @@
 // — plus one all-reduce Barrier per (iteration, stage) group, and stamps
 // each instruction with the modeled duration the solver optimized against
 // (Instr.Dur, read through Program.DurOf). The barrier holds each group's
-// weight-gradient contributions once, in one CSR slab, and marks the
-// optimizers it gates (all but a frozen prefix's), so a Program carries
+// weight-gradient contributions once, in CSR form, and a gate bit in each
+// optimizer it gates (all but a frozen prefix's), so a Program carries
 // O(instructions) links where DP·MB edges into every optimizer took
 // DP²·MB·PP; executors keep one pending count and one running latest end
 // per group, and Producers spells a gated optimizer's group out as
@@ -34,13 +34,20 @@
 // StageIndex = iter·PP + stage for an all-reduce group and WorkerIndex =
 // pipeline·PP + stage for a worker, and Compile, Validate, the acyclicity
 // check and replay.Splice key their bookkeeping by them: []int32 producer
-// tables (-1 for absent), CSR adjacency built count -> prefix sum -> fill,
-// a Program's Deps, Streams and barrier lists each carved out of one slab.
+// tables (-1 for absent), CSR adjacency built count -> prefix sum -> fill.
 // The tables are pooled scratch, never cached on a Schedule or Program.
 // Indexing is bounds-checked: an op outside its Shape, or a Shape claiming
 // far more triples than it has placements (Shape.Indexable), is rejected,
-// never indexed. Program.Validate consults the Shape only for the barrier's
-// groups, so hand-assembled Programs without a barrier validate as before.
+// never indexed.
+//
+// A Program holds its ops by the same index, in pointer-free slabs: a
+// 24-byte Instr (the op's TripleIndex or an optimizer's StageIndex, its
+// executing pipeline, its type, its stamped duration, its gate bit and the
+// offset of its edges), one edge slab of 8-byte Deps, and one int32 slab
+// for the streams — CSR over WorkerIndex — and the barrier's lists. Its
+// accessors (Op, Type, OpIndex, Deps, Gated, Stream) decode on read.
+// Compile and ProgramBuilder, the constructor decoders and hand-assembled
+// Programs go through, are the only ways to build one.
 //
 // The package also provides the closed-form fault-free 1F1B schedule
 // (FaultFree1F1B), the canonical 1F1B instruction order, and an ASCII

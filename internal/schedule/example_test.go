@@ -26,9 +26,8 @@ func ExampleCompile() {
 	fmt.Printf("instructions: %d over %d workers\n", len(prog.Instrs), len(prog.Workers()))
 	w := schedule.Worker{Stage: 1, Pipeline: 0}
 	fmt.Printf("stream of %s:\n", w)
-	for _, id := range prog.Streams[w] {
-		ins := prog.Instrs[id]
-		fmt.Printf("  %-18s dur=%d deps=%d\n", ins.Op, prog.DurOf(id), len(prog.Producers(id)))
+	for _, id := range prog.Stream(w) {
+		fmt.Printf("  %-18s dur=%d deps=%d\n", prog.Op(int(id)), prog.DurOf(int(id)), len(prog.Producers(int(id))))
 	}
 	// Output:
 	// instructions: 10 over 2 workers

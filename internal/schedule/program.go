@@ -2,7 +2,6 @@ package schedule
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 )
 
@@ -47,21 +46,20 @@ func (k DepKind) String() string {
 }
 
 // Dep is one incoming edge of an instruction: the producing instruction's
-// index and the edge kind (which decides whether communication latency is
+// ID and the edge kind (which decides whether communication latency is
 // charged on top of the producer's completion).
 type Dep struct {
-	From int
+	From int32
 	Kind DepKind
 }
 
-// Instr is one instruction of a compiled Program: an op plus its explicit
-// dependency edges. Same-worker program order is NOT encoded as edges — it
-// is implicit in the worker's stream — and neither is the all-reduce, which
-// the Program's Barrier holds, so Deps carry only data dependencies.
+// Instr is one instruction of a compiled Program: 24 bytes holding no
+// pointer, read through the Program's accessors (Op, Type, OpIndex, Deps,
+// Gated, DurOf). Its ID is its position in Program.Instrs. Same-worker
+// program order is NOT encoded as edges — it is implicit in the worker's
+// stream — and neither is the all-reduce, which the Program's Barrier
+// holds, so its edges carry only data dependencies.
 type Instr struct {
-	ID   int
-	Op   Op
-	Deps []Dep
 	// Dur is the modeled duration of this instruction, stamped by Compile
 	// from the schedule's placement span (End - Start). Under a
 	// heterogeneous cost model this is the per-(stage, op, worker) number
@@ -71,6 +69,15 @@ type Instr struct {
 	// Zero means "not stamped" (hand-assembled programs) and falls back to
 	// the homogeneous Durations.
 	Dur int64
+	// op is the op's position in the Shape's dense op index: its
+	// TripleIndex, or an optimizer's StageIndex. The type is held apart
+	// because B and BInput share a triple; an optimizer's MB is -1 and its
+	// home is its executor, so exec completes the op.
+	op     uint32
+	exec   int32
+	depOff uint32 // the instruction's first edge in Program.deps
+	typ    OpType
+	gated  bool // the barrier gates this optimizer step
 }
 
 // Program is the executable form of a Schedule: per-worker instruction
@@ -78,22 +85,26 @@ type Instr struct {
 // executors consume — internal/dtrain interprets it with real tensors and
 // goroutines, internal/sim executes it in virtual time — so op ordering is
 // decided here, once, and nowhere else.
+//
+// Its memory is a handful of pointer-free slabs: the instructions, one edge
+// slab every instruction's edges are a window of, and one int32 slab holding
+// the streams in CSR form (per-worker offsets by Shape.WorkerIndex) and the
+// barrier's lists.
 type Program struct {
 	Shape     Shape
 	Durations Durations
 	Failed    map[Worker]bool
-	// Instrs holds every instruction, indexed by ID, in the schedule's
-	// canonical global order.
+	// Instrs holds every instruction in the schedule's canonical global
+	// order; an instruction's ID is its position.
 	Instrs []Instr
-	// Streams maps each worker to the IDs it executes, in execution order
-	// (the schedule's start order for that worker).
-	Streams map[Worker][]int
 	// Barrier is the per-stage gradient all-reduce the optimizer steps
-	// wait on. Hand-assembled Programs may leave it empty: then no
-	// instruction is gated.
+	// wait on.
 	Barrier Barrier
 
-	workers []Worker
+	deps      []Dep    // every instruction's edges, instruction i's from Instrs[i].depOff
+	streams   []int32  // every worker's instruction IDs in execution order
+	streamOff []int32  // per WorkerIndex w: streams[streamOff[w]:streamOff[w+1]] is w's stream
+	workers   []Worker // the workers with a non-empty stream, in (pipeline, stage) order
 }
 
 // Barrier is a Program's per-stage gradient all-reduce: each (iteration,
@@ -102,20 +113,16 @@ type Program struct {
 // gated optimizer step of the group starts. It is one rendezvous per group,
 // held once, where explicit edges would take DP·MB of them into every
 // optimizer (DP²·MB·PP per iteration); executors keep one pending count
-// and one running latest end per group, as the solver does.
+// and one running latest end per group, as the solver does. The optimizers
+// it gates are marked on their instructions (Program.Gated): every
+// optimizer Compile emits except those of a frozen prefix, which ran before
+// the splice and carry no edges.
 type Barrier struct {
-	// Gated marks, by instruction ID, the optimizer steps the barrier
-	// gates: every optimizer Compile emits except those of a frozen
-	// prefix, which ran before the splice and carry no edges.
-	Gated []bool
 	// Off and IDs list each group's contributions in CSR form: stage group
 	// g = Shape.StageIndex(iter, stage) is IDs[Off[g]:Off[g+1]], in
 	// increasing instruction order.
 	Off, IDs []int32
 }
-
-// Gates reports whether the barrier gates instruction id.
-func (b *Barrier) Gates(id int) bool { return uint(id) < uint(len(b.Gated)) && b.Gated[id] }
 
 // Group returns the contribution IDs of stage group g, nil outside the
 // barrier.
@@ -130,41 +137,87 @@ func (b *Barrier) Group(g int) []int32 {
 // all-reduce.
 func contributes(t OpType) bool { return t == B || t == BWeight }
 
-// barrierGroups lists every stage group's contributions, in instruction
-// order, as the CSR pair a Barrier holds, carved from one slab. Counts land
-// in off[g], an inclusive prefix sum leaves off[g] at g's end, and a
-// reverse fill walks each back to g's start. Every contribution must lie in
-// the shape.
-func barrierGroups(sh Shape, instrs []Instr) (off, ids []int32, err error) {
-	groups, n := sh.Iter*sh.PP, 0
-	for i := range instrs {
-		if contributes(instrs[i].Op.Type) {
-			n++
-		}
-	}
-	slab := make([]int32, groups+1+n)
-	off, ids = slab[:groups+1:groups+1], slab[groups+1:]
-	for i := range instrs {
-		if op := &instrs[i].Op; contributes(op.Type) {
-			g := sh.StageIndex(op.Iter, op.Stage)
-			if g < 0 {
-				return nil, nil, fmt.Errorf("schedule: program: %s lies outside shape %+v", *op, sh)
-			}
+// fillBarrier lays the barrier's lists out in slab — groups+1 offsets, then
+// one entry per contribution — for n instructions, group(i) naming
+// instruction i's stage group or -1 for one that contributes nothing.
+// Counts land in off[g], an inclusive prefix sum leaves off[g] at g's end,
+// and a reverse fill walks each back to g's start.
+func fillBarrier(slab []int32, groups, n int, group func(i int) int) Barrier {
+	off, ids := slab[:groups+1:groups+1], slab[groups+1:]
+	for i := 0; i < n; i++ {
+		if g := group(i); g >= 0 {
 			off[g]++
 		}
 	}
 	for g := 1; g <= groups; g++ {
 		off[g] += off[g-1]
 	}
-	for i := len(instrs) - 1; i >= 0; i-- {
-		if op := &instrs[i].Op; contributes(op.Type) {
-			g := sh.StageIndex(op.Iter, op.Stage)
+	for i := n - 1; i >= 0; i-- {
+		if g := group(i); g >= 0 {
 			off[g]--
 			ids[off[g]] = int32(i)
 		}
 	}
-	return off, ids, nil
+	return Barrier{Off: off, IDs: ids}
 }
+
+// Op returns instruction id's op, decoded from the dense op index. (The
+// index and every extent of the Shape it was built for fit a uint32, whose
+// division is the cheaper one.)
+func (p *Program) Op(id int) Op {
+	in, sh := &p.Instrs[id], &p.Shape
+	k, exec, pp := in.op, int(in.exec), uint32(sh.PP)
+	if in.typ == Optimizer {
+		return Op{Stage: int(k % pp), MB: -1, Home: exec, Type: Optimizer, Exec: exec, Iter: int(k / pp)}
+	}
+	mb, k := k%uint32(sh.MB), k/uint32(sh.MB)
+	home, k := k%uint32(sh.DP), k/uint32(sh.DP)
+	return Op{Stage: int(k % pp), MB: int(mb), Home: int(home), Type: in.typ, Exec: exec, Iter: int(k / pp)}
+}
+
+// Type returns instruction id's op type.
+func (p *Program) Type(id int) OpType { return p.Instrs[id].typ }
+
+// OpIndex locates instruction id in the dense op index — Shape.OpIndex of
+// its op, without decoding it: its worker's WorkerIndex, its stage group's
+// StageIndex and its triple's TripleIndex (-1 for an optimizer).
+func (p *Program) OpIndex(id int) (worker, group, triple int) {
+	in, sh := &p.Instrs[id], &p.Shape
+	g, triple := in.op, -1
+	if in.typ != Optimizer {
+		triple, g = int(g), g/uint32(sh.DP*sh.MB)
+	}
+	return int(in.exec)*sh.PP + int(g%uint32(sh.PP)), int(g), triple
+}
+
+// Deps returns instruction id's explicit dependency edges: its window of the
+// Program's edge slab.
+func (p *Program) Deps(id int) []Dep {
+	hi := uint32(len(p.deps))
+	if id+1 < len(p.Instrs) {
+		hi = p.Instrs[id+1].depOff
+	}
+	return p.deps[p.Instrs[id].depOff:hi:hi]
+}
+
+// Gated reports whether the barrier gates instruction id.
+func (p *Program) Gated(id int) bool { return p.Instrs[id].gated }
+
+// Stream returns the IDs of the instructions w executes, in execution order
+// (the schedule's start order for that worker); nil for a worker without
+// one.
+func (p *Program) Stream(w Worker) []int32 {
+	wi := p.Shape.WorkerIndex(w)
+	if wi < 0 || wi+1 >= len(p.streamOff) {
+		return nil
+	}
+	lo, hi := p.streamOff[wi], p.streamOff[wi+1]
+	return p.streams[lo:hi:hi]
+}
+
+// Workers returns every worker with a non-empty stream in (pipeline, stage)
+// order.
+func (p *Program) Workers() []Worker { return p.workers }
 
 // Producers returns instruction id's incoming edges with the barrier
 // spelled out: a gated optimizer's group contributions follow its Deps as
@@ -172,79 +225,17 @@ func barrierGroups(sh Shape, instrs []Instr) (off, ids []int32, err error) {
 // come back as they are. A gated optimizer's list is built on each call,
 // so this serves recorders and audits, not an executor's inner loop.
 func (p *Program) Producers(id int) []Dep {
-	deps := p.Instrs[id].Deps
-	if !p.Barrier.Gates(id) {
+	deps := p.Deps(id)
+	if !p.Gated(id) {
 		return deps
 	}
-	op := p.Instrs[id].Op
-	group := p.Barrier.Group(p.Shape.StageIndex(op.Iter, op.Stage))
+	group := p.Barrier.Group(int(p.Instrs[id].op))
 	out := make([]Dep, len(deps), len(deps)+len(group))
 	copy(out, deps)
 	for _, c := range group {
-		out = append(out, Dep{From: int(c), Kind: DepAllReduce})
+		out = append(out, Dep{From: c, Kind: DepAllReduce})
 	}
 	return out
-}
-
-// NewProgram assembles and validates a Program from parts already in
-// Compile's layout — the constructor a decoder uses. workers must list the
-// keys of streams, each stream non-empty, in (pipeline, stage) order; it
-// becomes the precomputed list Workers returns. gated marks the optimizers
-// the barrier gates, by instruction ID (nil gates none); the barrier's
-// contribution lists are rebuilt from the instructions.
-func NewProgram(sh Shape, d Durations, failed map[Worker]bool, instrs []Instr, streams map[Worker][]int, workers []Worker, gated []bool) (*Program, error) {
-	if !sh.Indexable(len(instrs)) {
-		return nil, fmt.Errorf("schedule: program: %d instructions cannot cover shape %+v", len(instrs), sh)
-	}
-	if len(workers) != len(streams) {
-		return nil, fmt.Errorf("schedule: program: %d workers listed for %d streams", len(workers), len(streams))
-	}
-	prev := -1
-	for _, w := range workers {
-		at := sh.WorkerIndex(w)
-		if at <= prev {
-			return nil, fmt.Errorf("schedule: program: stream of %s is outside shape %+v or out of (pipeline, stage) order", w, sh)
-		}
-		prev = at
-		if len(streams[w]) == 0 {
-			return nil, fmt.Errorf("schedule: program: %s is listed without a stream", w)
-		}
-	}
-	off, ids, err := barrierGroups(sh, instrs)
-	if err != nil {
-		return nil, err
-	}
-	p := &Program{Shape: sh, Durations: d, Failed: failed, Instrs: instrs, Streams: streams,
-		Barrier: Barrier{Gated: gated, Off: off, IDs: ids}, workers: workers}
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	return p, nil
-}
-
-// Workers returns every worker with a non-empty stream in (pipeline, stage)
-// order. Compiled and decoded programs carry a precomputed list;
-// hand-assembled ones (tests, fuzzing) derive it from the streams on each call.
-func (p *Program) Workers() []Worker {
-	if p.workers != nil {
-		return p.workers
-	}
-	return sortedWorkers(p.Streams)
-}
-
-// sortedWorkers lists the stream keys in (pipeline, stage) order.
-func sortedWorkers(streams map[Worker][]int) []Worker {
-	ws := make([]Worker, 0, len(streams))
-	for w := range streams {
-		ws = append(ws, w)
-	}
-	sort.Slice(ws, func(i, j int) bool {
-		if ws[i].Pipeline != ws[j].Pipeline {
-			return ws[i].Pipeline < ws[j].Pipeline
-		}
-		return ws[i].Stage < ws[j].Stage
-	})
-	return ws
 }
 
 // EdgeLatency returns the transport latency charged on an edge kind under
@@ -273,7 +264,173 @@ func (p *Program) DurOf(id int) int64 {
 	if d := p.Instrs[id].Dur; d > 0 {
 		return d
 	}
-	return p.Durations.Of(p.Instrs[id].Op.Type)
+	return p.Durations.Of(p.Instrs[id].typ)
+}
+
+// ProgramBuilder assembles a Program straight into its slabs — the
+// constructor a decoder or a hand-assembled test uses where Compile has no
+// schedule to lower. Instructions come in ID order, each followed by its
+// edges, then the streams in (pipeline, stage) order, each followed by its
+// instruction IDs. Build derives the barrier's lists from the instructions
+// and validates the result. The first malformed call latches the error
+// Build returns; the calls after it do nothing.
+type ProgramBuilder struct {
+	p       *Program
+	err     error
+	next    int  // the lowest WorkerIndex whose stream may still open
+	pending bool // a stream is open and holds no instruction yet
+}
+
+// NewProgramBuilder starts a Program of instrs instructions with edges
+// edges in all, every one of them to be added before Build.
+func NewProgramBuilder(sh Shape, d Durations, failed map[Worker]bool, instrs, edges int) ProgramBuilder {
+	b := ProgramBuilder{p: &Program{Shape: sh, Durations: d, Failed: failed}}
+	if !sh.Indexable(instrs) {
+		b.fail("%d instructions cannot cover shape %+v", instrs, sh)
+		return b
+	}
+	if edges < 0 {
+		b.fail("%d edges declared", edges)
+		return b
+	}
+	nw := sh.DP * sh.PP
+	slab := make([]int32, nw+1+instrs)
+	b.p.Instrs = make([]Instr, 0, instrs)
+	b.p.deps = make([]Dep, 0, edges)
+	b.p.streamOff, b.p.streams = slab[:nw+1:nw+1], slab[nw+1:nw+1]
+	b.p.workers = make([]Worker, 0, nw)
+	return b
+}
+
+func (b *ProgramBuilder) fail(format string, args ...any) {
+	if b.err == nil {
+		b.err = fmt.Errorf("schedule: program: "+format, args...)
+	}
+}
+
+// Instr adds the next instruction: its op, its stamped duration (zero for
+// none) and whether the barrier gates it. The op must lie in the shape, and
+// an optimizer must carry MB -1 and run on its home pipeline.
+func (b *ProgramBuilder) Instr(op Op, dur int64, gated bool) {
+	p := b.p
+	if b.err != nil {
+		return
+	}
+	if len(p.Instrs) == cap(p.Instrs) {
+		b.fail("more than the %d declared instructions", cap(p.Instrs))
+		return
+	}
+	sh, k := &p.Shape, -1
+	switch {
+	case op.Exec < 0 || op.Exec >= sh.DP:
+	case op.Type >= F && op.Type < Optimizer:
+		k = sh.TripleIndex(op.Iter, op.Stage, op.Home, op.MB)
+	case op.Type == Optimizer && op.MB == -1 && op.Home == op.Exec:
+		k = sh.StageIndex(op.Iter, op.Stage)
+	}
+	if k < 0 {
+		b.fail("%s (type %d) cannot be indexed in shape %+v", op, op.Type, *sh)
+		return
+	}
+	p.Instrs = append(p.Instrs, Instr{Dur: dur, op: uint32(k), exec: int32(op.Exec), depOff: uint32(len(p.deps)), typ: op.Type, gated: gated})
+}
+
+// Dep adds an edge from instruction from into the latest instruction.
+func (b *ProgramBuilder) Dep(from int, kind DepKind) {
+	p := b.p
+	if b.err != nil {
+		return
+	}
+	switch to := len(p.Instrs) - 1; {
+	case to < 0:
+		b.fail("an edge precedes every instruction")
+	case len(p.deps) == cap(p.deps):
+		b.fail("more than the %d declared edges", cap(p.deps))
+	case from < 0 || from >= cap(p.Instrs):
+		b.fail("instruction %d depends on %d outside [0,%d)", to, from, cap(p.Instrs))
+	default:
+		p.deps = append(p.deps, Dep{From: int32(from), Kind: kind})
+	}
+}
+
+// closeStreams ends the open stream and starts the stream of every worker
+// index up to to at the slab's current end, so a worker skipped over gets
+// an empty one.
+func (b *ProgramBuilder) closeStreams(to int) {
+	if b.pending {
+		b.fail("%s is listed without a stream", b.p.workers[len(b.p.workers)-1])
+	}
+	for ; b.next <= to; b.next++ {
+		b.p.streamOff[b.next] = int32(len(b.p.streams))
+	}
+}
+
+// Stream opens worker w's stream; the IDs Next adds fill it in execution
+// order. Workers must come in (pipeline, stage) order, each with a
+// non-empty stream.
+func (b *ProgramBuilder) Stream(w Worker) {
+	p := b.p
+	if b.err != nil {
+		return
+	}
+	wi := p.Shape.WorkerIndex(w)
+	if wi < b.next {
+		b.fail("stream of %s is outside shape %+v or out of (pipeline, stage) order", w, p.Shape)
+		return
+	}
+	b.closeStreams(wi)
+	p.workers = append(p.workers, w)
+	b.pending = true
+}
+
+// Next adds instruction id to the open stream.
+func (b *ProgramBuilder) Next(id int) {
+	p := b.p
+	switch {
+	case b.err != nil:
+	case len(p.workers) == 0:
+		b.fail("instruction %d precedes every stream", id)
+	case len(p.streams) == cap(p.streams):
+		b.fail("streams hold more than the %d instructions", cap(p.streams))
+	case id < 0 || id >= cap(p.Instrs):
+		b.fail("stream of %s references instruction %d outside [0,%d)", p.workers[len(p.workers)-1], id, cap(p.Instrs))
+	default:
+		p.streams = append(p.streams, int32(id))
+		b.pending = false
+	}
+}
+
+// Build checks every declared instruction and edge arrived, derives the
+// barrier's lists and returns the validated Program.
+func (b *ProgramBuilder) Build() (*Program, error) {
+	p := b.p
+	if b.err == nil {
+		b.closeStreams(len(p.streamOff) - 1)
+	}
+	if b.err == nil && (len(p.Instrs) != cap(p.Instrs) || len(p.deps) != cap(p.deps)) {
+		b.fail("%d of %d declared instructions and %d of %d declared edges arrived", len(p.Instrs), cap(p.Instrs), len(p.deps), cap(p.deps))
+	}
+	if b.err != nil {
+		return nil, b.err
+	}
+	sh, contribs := p.Shape, 0
+	for i := range p.Instrs {
+		if contributes(p.Instrs[i].typ) {
+			contribs++
+		}
+	}
+	groups := sh.Iter * sh.PP
+	p.Barrier = fillBarrier(make([]int32, groups+1+contribs), groups, len(p.Instrs), func(i int) int {
+		if !contributes(p.Instrs[i].typ) {
+			return -1
+		}
+		_, g, _ := p.OpIndex(i)
+		return g
+	})
+	if err := p.Validate(); err != nil {
+		return nil, err
+	}
+	return p, nil
 }
 
 // compileScratch is Compile's working set, pooled so that the splice path
@@ -283,7 +440,7 @@ func (p *Program) DurOf(id int) int64 {
 type compileScratch struct {
 	fID, biID, bwID []int32 // per triple: F, BInput-or-B, BWeight-or-B
 	optAt           []int32 // per (stage group, exec): Optimizer
-	streamOff       []int32 // per worker: offset into the stream slab (CSR)
+	cursor          []int32 // per worker: stream length, then next free slot
 }
 
 var compilePool = sync.Pool{New: func() any { return new(compileScratch) }}
@@ -320,9 +477,9 @@ func Compile(s *Schedule) (*Program, error) { return CompileFrozen(s, 0) }
 // is installed as done — so only dead edges are dropped.
 // frozenBefore <= 0 compiles normally.
 //
-// Producers are looked up through the Shape's dense op index, and the
-// Program's Deps, Streams and barrier lists are carved out of one slab
-// each.
+// Producers are looked up through the Shape's dense op index. The Program
+// is four allocations besides itself: its instructions, its edges, one
+// int32 slab for the streams and the barrier, and its worker list.
 func CompileFrozen(s *Schedule, frozenBefore int64) (*Program, error) {
 	if s == nil {
 		return nil, fmt.Errorf("schedule: cannot compile a nil schedule")
@@ -347,23 +504,24 @@ func CompileFrozen(s *Schedule, frozenBefore int64) (*Program, error) {
 	sc.biID = filled(sc.biID, triples, -1)
 	sc.bwID = filled(sc.bwID, triples, -1)
 	sc.optAt = filled(sc.optAt, groups*sh.DP, -1)
-	sc.streamOff = filled(sc.streamOff, nw+1, 0)
-	fID, biID, bwID, optAt, streamOff := sc.fID, sc.biID, sc.bwID, sc.optAt, sc.streamOff
+	sc.cursor = filled(sc.cursor, nw+1, 0)
+	fID, biID, bwID, optAt, cursor := sc.fID, sc.biID, sc.bwID, sc.optAt, sc.cursor
 	frozen := func(i int) bool { return frozenBefore > 0 && s.Placements[i].End <= frozenBefore }
 
 	// First pass: materialize instructions in the schedule's canonical
 	// order, index the producers of every data dependency, and count what
-	// the slabs must hold (counts land one slot up, for the prefix sums).
-	edges := 0
-	for i, pl := range s.Placements {
+	// the slabs must hold (stream lengths land one slot up, for the prefix
+	// sum).
+	edges, contribs := 0, 0
+	for i := range s.Placements {
+		pl := &s.Placements[i]
 		op := pl.Op
-		p.Instrs[i] = Instr{ID: i, Op: op, Dur: pl.End - pl.Start}
 		w, g, k, ok := sh.OpIndex(op)
 		if !ok {
 			return nil, fmt.Errorf("schedule: compile: %s lies outside shape %+v", op, sh)
 		}
-		streamOff[w+1]++
-		deps := 1
+		cursor[w+1]++
+		at, deps := k, 1
 		switch op.Type {
 		case F:
 			if prev := fID[k]; prev >= 0 {
@@ -402,78 +560,92 @@ func CompileFrozen(s *Schedule, frozenBefore int64) (*Program, error) {
 			if prev := optAt[ko]; prev >= 0 {
 				return nil, fmt.Errorf("schedule: compile: duplicate optimizer for %s (instr %d and %d)", op, prev, i)
 			}
+			if op.MB != -1 || op.Home != op.Exec {
+				return nil, fmt.Errorf("schedule: compile: %s carries MB %d and home %d, not -1 and its executor", op, op.MB, op.Home)
+			}
 			optAt[ko] = int32(i)
-			deps = 0 // the barrier, not edges
+			at, deps = g, 0 // the barrier, not edges
 		default:
-			deps = 0
+			return nil, fmt.Errorf("schedule: compile: %s has unknown type %d", op, op.Type)
+		}
+		if contributes(op.Type) {
+			contribs++
 		}
 		if !frozen(i) {
 			edges += deps
 		}
+		p.Instrs[i] = Instr{Dur: pl.End - pl.Start, op: uint32(at), exec: int32(op.Exec), typ: op.Type}
 	}
+
+	// One int32 slab: stream offsets, streams, then the barrier's lists.
+	slab := make([]int32, nw+1+n+groups+1+contribs)
+	p.streamOff, p.streams = slab[:nw+1:nw+1], slab[nw+1:nw+1+n:nw+1+n]
 	// Count -> prefix sum -> fill: per-worker streams in instruction order.
+	workers := 0
 	for w := 0; w < nw; w++ {
-		streamOff[w+1] += streamOff[w]
-	}
-	streams := make([]int, n)
-	for i := range p.Instrs {
-		w := sh.WorkerIndex(p.Instrs[i].Op.Worker())
-		streams[streamOff[w]] = i
-		streamOff[w]++
-	}
-	// The fill advanced every offset to its worker's end, i.e. to the next
-	// worker's start: worker w now spans [off[w-1], off[w]).
-	span := func(w int) (lo, hi int32) {
-		if w > 0 {
-			lo = streamOff[w-1]
+		if cursor[w+1] > 0 {
+			workers++
 		}
-		return lo, streamOff[w]
+		cursor[w+1] += cursor[w]
 	}
-	off, ids, err := barrierGroups(sh, p.Instrs)
-	if err != nil {
-		return nil, err
+	copy(p.streamOff, cursor)
+	for i := range s.Placements {
+		w := sh.WorkerIndex(s.Placements[i].Op.Worker())
+		p.streams[cursor[w]] = int32(i)
+		cursor[w]++
 	}
-	p.Barrier = Barrier{Gated: make([]bool, n), Off: off, IDs: ids}
+	p.workers = make([]Worker, 0, workers)
+	for w := 0; w < nw; w++ {
+		if p.streamOff[w+1] > p.streamOff[w] {
+			p.workers = append(p.workers, sh.WorkerAt(w))
+		}
+	}
+	p.Barrier = fillBarrier(slab[nw+1+n:], groups, n, func(i int) int {
+		if op := &s.Placements[i].Op; contributes(op.Type) {
+			return sh.StageIndex(op.Iter, op.Stage)
+		}
+		return -1
+	})
 
 	// Second pass: attach the explicit dependency edges and gate the
 	// optimizers.
 	deps := make([]Dep, 0, edges)
 	stride := sh.DP * sh.MB // triple-index distance between adjacent stages
 	for i := range p.Instrs {
+		p.Instrs[i].depOff = uint32(len(deps))
 		if frozen(i) {
 			continue // frozen prefix: executed pre-event, edges are dead
 		}
-		op := p.Instrs[i].Op
-		k := sh.TripleIndex(op.Iter, op.Stage, op.Home, op.MB)
-		first := len(deps)
+		op := &s.Placements[i].Op
+		k := int(p.Instrs[i].op)
 		switch op.Type {
 		case F:
 			if op.Stage > 0 {
 				up := fID[k-stride]
 				if up < 0 {
-					return nil, fmt.Errorf("schedule: compile: %s has no upstream forward", op)
+					return nil, fmt.Errorf("schedule: compile: %s has no upstream forward", *op)
 				}
-				deps = append(deps, Dep{From: int(up), Kind: DepActivation})
+				deps = append(deps, Dep{From: up, Kind: DepActivation})
 			}
 		case B, BInput:
 			f := fID[k]
 			if f < 0 {
-				return nil, fmt.Errorf("schedule: compile: %s has no forward", op)
+				return nil, fmt.Errorf("schedule: compile: %s has no forward", *op)
 			}
-			deps = append(deps, Dep{From: int(f), Kind: DepLocal})
+			deps = append(deps, Dep{From: f, Kind: DepLocal})
 			if op.Stage < sh.PP-1 {
 				down := biID[k+stride]
 				if down < 0 {
-					return nil, fmt.Errorf("schedule: compile: %s has no downstream backward", op)
+					return nil, fmt.Errorf("schedule: compile: %s has no downstream backward", *op)
 				}
-				deps = append(deps, Dep{From: int(down), Kind: DepGradient})
+				deps = append(deps, Dep{From: down, Kind: DepGradient})
 			}
 		case BWeight:
 			bi := biID[k]
 			if bi < 0 {
-				return nil, fmt.Errorf("schedule: compile: %s has no backward-input", op)
+				return nil, fmt.Errorf("schedule: compile: %s has no backward-input", *op)
 			}
-			deps = append(deps, Dep{From: int(bi), Kind: DepLocal})
+			deps = append(deps, Dep{From: bi, Kind: DepLocal})
 		case Optimizer:
 			// The per-stage gradient all-reduce: every weight gradient of
 			// this stage and iteration — including rerouted ones computed on
@@ -481,22 +653,13 @@ func CompileFrozen(s *Schedule, frozenBefore int64) (*Program, error) {
 			// exactly DP*MB of them; fewer means a weight gradient is
 			// missing and the barrier would silently weaken. Validate checks
 			// the same count; this names the optimizer where it is found.
-			if got, want := len(p.Barrier.Group(sh.StageIndex(op.Iter, op.Stage))), sh.DP*sh.MB; got != want {
-				return nil, fmt.Errorf("schedule: compile: %s gates on %d weight gradients, want %d", op, got, want)
+			if got, want := len(p.Barrier.Group(k)), sh.DP*sh.MB; got != want {
+				return nil, fmt.Errorf("schedule: compile: %s gates on %d weight gradients, want %d", *op, got, want)
 			}
-			p.Barrier.Gated[i] = true
-		}
-		if len(deps) > first {
-			p.Instrs[i].Deps = deps[first:len(deps):len(deps)]
+			p.Instrs[i].gated = true
 		}
 	}
-	p.Streams = make(map[Worker][]int)
-	for w := 0; w < nw; w++ {
-		if lo, hi := span(w); hi > lo {
-			p.Streams[sh.WorkerAt(w)] = streams[lo:hi:hi]
-			p.workers = append(p.workers, sh.WorkerAt(w))
-		}
-	}
+	p.deps = deps
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
@@ -510,37 +673,37 @@ func CompileFrozen(s *Schedule, frozenBefore int64) (*Program, error) {
 // is complete (checkBarrier), and the graph formed by dependency edges,
 // the barrier and same-worker stream order admits a topological order
 // (deadlock-freedom — an executor that runs streams in order and blocks on
-// edges and barriers can always make progress).
+// edges and barriers can always make progress). Streams are walked in
+// WorkerIndex order, so a Program with several defects reports the same
+// one on every call.
 func (p *Program) Validate() error {
-	n := len(p.Instrs)
+	n, sh := len(p.Instrs), p.Shape
 	seen := make([]bool, n)
-	for w, stream := range p.Streams {
-		for _, id := range stream {
-			if id < 0 || id >= n {
-				return fmt.Errorf("schedule: program: stream of %s references instruction %d outside [0,%d)", w, id, n)
+	for wi := 0; wi+1 < len(p.streamOff); wi++ {
+		for _, id := range p.streams[p.streamOff[wi]:p.streamOff[wi+1]] {
+			if id < 0 || int(id) >= n {
+				return fmt.Errorf("schedule: program: stream of %s references instruction %d outside [0,%d)", sh.WorkerAt(wi), id, n)
 			}
 			if seen[id] {
 				return fmt.Errorf("schedule: program: instruction %d appears in two streams", id)
 			}
 			seen[id] = true
-			if got := p.Instrs[id].Op.Worker(); got != w {
-				return fmt.Errorf("schedule: program: instruction %d (%s) filed under worker %s", id, p.Instrs[id].Op, w)
+			if w, _, _ := p.OpIndex(int(id)); w != wi {
+				return fmt.Errorf("schedule: program: instruction %d (%s) filed under worker %s", id, p.Op(int(id)), sh.WorkerAt(wi))
 			}
 		}
 	}
 	for i := range seen {
 		if !seen[i] {
-			return fmt.Errorf("schedule: program: instruction %d (%s) is in no stream", i, p.Instrs[i].Op)
+			return fmt.Errorf("schedule: program: instruction %d (%s) is in no stream", i, p.Op(i))
 		}
 	}
 	for i := range p.Instrs {
-		to := p.Instrs[i].Op
-		for _, d := range p.Instrs[i].Deps {
-			if d.From < 0 || d.From >= n {
+		for _, d := range p.Deps(i) {
+			if d.From < 0 || int(d.From) >= n {
 				return fmt.Errorf("schedule: program: instruction %d depends on %d outside [0,%d)", i, d.From, n)
 			}
-			from := p.Instrs[d.From].Op
-			if err := checkEdge(from, to, d.Kind); err != nil {
+			if err := p.checkEdge(int(d.From), i, d.Kind); err != nil {
 				return fmt.Errorf("schedule: program: edge %d->%d: %w", d.From, i, err)
 			}
 		}
@@ -556,16 +719,13 @@ func (p *Program) Validate() error {
 // hold every weight gradient of the Program; only optimizers are gated,
 // and a gated optimizer's group lists exactly DP·MB entries — one per
 // micro-batch of every pipeline. A Program without contribution lists may
-// gate nothing, and is checked without consulting its Shape.
+// gate nothing.
 func (p *Program) checkBarrier() error {
 	b, n, sh := &p.Barrier, len(p.Instrs), p.Shape
-	if len(b.Gated) != 0 && len(b.Gated) != n {
-		return fmt.Errorf("schedule: program: barrier gate bits cover %d of %d instructions", len(b.Gated), n)
-	}
 	if len(b.Off) == 0 {
-		for i, gated := range b.Gated {
-			if gated {
-				return fmt.Errorf("schedule: program: barrier gates %s but lists no weight gradients", p.Instrs[i].Op)
+		for i := range p.Instrs {
+			if p.Instrs[i].gated {
+				return fmt.Errorf("schedule: program: barrier gates %s but lists no weight gradients", p.Op(i))
 			}
 		}
 		if len(b.IDs) > 0 {
@@ -573,7 +733,7 @@ func (p *Program) checkBarrier() error {
 		}
 		return nil
 	}
-	if sh.Triples() < 0 || len(b.Off) != sh.Iter*sh.PP+1 {
+	if len(b.Off) != sh.Iter*sh.PP+1 {
 		return fmt.Errorf("schedule: program: barrier has %d group offsets for shape %+v", len(b.Off), sh)
 	}
 	if b.Off[0] != 0 || int(b.Off[len(b.Off)-1]) != len(b.IDs) {
@@ -588,27 +748,26 @@ func (p *Program) checkBarrier() error {
 			if c <= prev || int(c) >= n {
 				return fmt.Errorf("schedule: program: barrier group %d lists instruction %d out of order or outside [0,%d)", g, c, n)
 			}
-			if op := &p.Instrs[c].Op; !contributes(op.Type) || sh.StageIndex(op.Iter, op.Stage) != g {
-				return fmt.Errorf("schedule: program: barrier group %d lists %s, not one of its weight gradients", g, op)
+			if _, cg, _ := p.OpIndex(int(c)); !contributes(p.Instrs[c].typ) || cg != g {
+				return fmt.Errorf("schedule: program: barrier group %d lists %s, not one of its weight gradients", g, p.Op(int(c)))
 			}
 			prev = c
 		}
 	}
 	contribs := 0
 	for i := range p.Instrs {
-		t := p.Instrs[i].Op.Type
-		if contributes(t) {
+		in := &p.Instrs[i]
+		if contributes(in.typ) {
 			contribs++
 		}
-		if !b.Gates(i) {
+		if !in.gated {
 			continue
 		}
-		op := &p.Instrs[i].Op
-		if t != Optimizer {
-			return fmt.Errorf("schedule: program: barrier gates %s, which is not an optimizer", op)
+		if in.typ != Optimizer {
+			return fmt.Errorf("schedule: program: barrier gates %s, which is not an optimizer", p.Op(i))
 		}
-		if got, want := len(b.Group(sh.StageIndex(op.Iter, op.Stage))), sh.DP*sh.MB; got != want {
-			return fmt.Errorf("schedule: program: %s gates on %d weight gradients, want %d", op, got, want)
+		if got, want := len(b.Group(int(in.op))), sh.DP*sh.MB; got != want {
+			return fmt.Errorf("schedule: program: %s gates on %d weight gradients, want %d", p.Op(i), got, want)
 		}
 	}
 	if contribs != len(b.IDs) {
@@ -617,28 +776,37 @@ func (p *Program) checkBarrier() error {
 	return nil
 }
 
-// checkEdge verifies one edge relates the ops its kind claims.
-func checkEdge(from, to Op, k DepKind) error {
-	sameMB := from.Iter == to.Iter && from.MB == to.MB && from.Home == to.Home
+// checkEdge verifies that the edge from → to relates the ops its kind
+// claims. It compares positions in the dense op index: one micro-batch's
+// triples on adjacent stages lie one stage stride (DP·MB) apart, so an
+// activation edge spans one stride upward and a gradient edge one downward,
+// neither wrapping into another iteration's stage 0.
+func (p *Program) checkEdge(from, to int, k DepKind) error {
+	f, t := &p.Instrs[from], &p.Instrs[to]
+	stride := uint32(p.Shape.DP * p.Shape.MB)
+	stage := func(id int) int { _, g, _ := p.OpIndex(id); return g % p.Shape.PP }
+	backward := func(in *Instr) bool { return in.typ == B || in.typ == BInput }
+	var ok bool
+	var rule string
 	switch k {
 	case DepActivation:
-		if from.Type != F || to.Type != F || !sameMB || from.Stage != to.Stage-1 {
-			return fmt.Errorf("activation edge must link F(i-1) to F(i) of one micro-batch: %s -> %s", from, to)
-		}
+		ok = f.typ == F && t.typ == F && f.op+stride == t.op && stage(to) > 0
+		rule = "activation edge must link F(i-1) to F(i) of one micro-batch"
 	case DepGradient:
-		if (from.Type != B && from.Type != BInput) || (to.Type != B && to.Type != BInput) || !sameMB || from.Stage != to.Stage+1 {
-			return fmt.Errorf("gradient edge must link backward(i+1) to backward(i) of one micro-batch: %s -> %s", from, to)
-		}
+		ok = backward(f) && backward(t) && t.op+stride == f.op && stage(from) > 0
+		rule = "gradient edge must link backward(i+1) to backward(i) of one micro-batch"
 	case DepLocal:
-		if from.Worker() != to.Worker() || !sameMB || from.Stage != to.Stage {
-			return fmt.Errorf("local edge must stay on one worker and micro-batch: %s -> %s", from, to)
-		}
+		ok = (f.typ == Optimizer) == (t.typ == Optimizer) && f.op == t.op && f.exec == t.exec
+		rule = "local edge must stay on one worker and micro-batch"
 	case DepAllReduce:
-		if (from.Type != BWeight && from.Type != B) || to.Type != Optimizer || from.Stage != to.Stage || from.Iter != to.Iter {
-			return fmt.Errorf("all-reduce edge must link a weight gradient to its stage optimizer: %s -> %s", from, to)
-		}
+		_, g, _ := p.OpIndex(from)
+		ok = contributes(f.typ) && t.typ == Optimizer && g == int(t.op)
+		rule = "all-reduce edge must link a weight gradient to its stage optimizer"
 	default:
 		return fmt.Errorf("unknown edge kind %v", k)
+	}
+	if !ok {
+		return fmt.Errorf("%s: %s -> %s", rule, p.Op(from), p.Op(to))
 	}
 	return nil
 }
@@ -663,10 +831,7 @@ var acyclicPool = sync.Pool{New: func() any { return new(acyclicScratch) }}
 func (p *Program) checkAcyclic() error {
 	n, b := len(p.Instrs), &p.Barrier
 	nodes := n + max(len(b.Off)-1, 0)
-	gate := func(i int) int { // the barrier node gating optimizer i
-		op := &p.Instrs[i].Op
-		return n + p.Shape.StageIndex(op.Iter, op.Stage)
-	}
+	gate := func(i int) int { return n + int(p.Instrs[i].op) } // the barrier node gating optimizer i
 	sc := acyclicPool.Get().(*acyclicScratch)
 	defer acyclicPool.Put(sc)
 	sc.indeg = filled(sc.indeg, nodes, 0)
@@ -676,23 +841,27 @@ func (p *Program) checkAcyclic() error {
 	// then fill; the fill leaves succOff[i] at the end of i's successors.
 	edges := len(b.IDs)
 	for i := range p.Instrs {
-		for _, d := range p.Instrs[i].Deps {
+		deps := p.Deps(i)
+		for _, d := range deps {
 			succOff[d.From+1]++
 		}
-		indeg[i] = int32(len(p.Instrs[i].Deps))
-		edges += len(p.Instrs[i].Deps)
-		if b.Gates(i) {
+		indeg[i] = int32(len(deps))
+		edges += len(deps)
+		if p.Instrs[i].gated {
 			succOff[gate(i)+1]++
 			indeg[i]++
 			edges++
 		}
 	}
-	for _, stream := range p.Streams {
-		for j := 1; j < len(stream); j++ {
-			succOff[stream[j-1]+1]++
-			indeg[stream[j]]++
+	// Consecutive entries of the stream slab are stream-order edges, except
+	// across the boundary between two workers' streams.
+	streams, off := p.streams, p.streamOff
+	for wi := 0; wi+1 < len(off); wi++ {
+		for j := off[wi] + 1; j < off[wi+1]; j++ {
+			succOff[streams[j-1]+1]++
+			indeg[streams[j]]++
+			edges++
 		}
-		edges += max(len(stream)-1, 0)
 	}
 	for g := n; g < nodes; g++ {
 		group := b.Group(g - n)
@@ -711,16 +880,16 @@ func (p *Program) checkAcyclic() error {
 		succOff[from]++
 	}
 	for i := range p.Instrs {
-		for _, d := range p.Instrs[i].Deps {
-			link(d.From, i)
+		for _, d := range p.Deps(i) {
+			link(int(d.From), i)
 		}
-		if b.Gates(i) {
+		if p.Instrs[i].gated {
 			link(gate(i), i)
 		}
 	}
-	for _, stream := range p.Streams {
-		for j := 1; j < len(stream); j++ {
-			link(stream[j-1], stream[j])
+	for wi := 0; wi+1 < len(off); wi++ {
+		for j := off[wi] + 1; j < off[wi+1]; j++ {
+			link(int(streams[j-1]), int(streams[j]))
 		}
 	}
 	for g := n; g < nodes; g++ {
@@ -764,7 +933,7 @@ func (p *Program) checkAcyclic() error {
 func (p *Program) OpCount(t OpType) int {
 	n := 0
 	for i := range p.Instrs {
-		if t < 0 || p.Instrs[i].Op.Type == t {
+		if t < 0 || p.Instrs[i].typ == t {
 			n++
 		}
 	}

@@ -1,9 +1,11 @@
 package schedule
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 // TestCompileFaultFree1F1B checks the lowering of the running example's
@@ -25,35 +27,36 @@ func TestCompileFaultFree1F1B(t *testing.T) {
 	// Streams preserve the schedule's per-worker start order.
 	for _, w := range p.Workers() {
 		ps := s.Worker(w)
-		stream := p.Streams[w]
+		stream := p.Stream(w)
 		if len(stream) != len(ps) {
 			t.Fatalf("worker %s stream has %d instructions, schedule has %d placements", w, len(stream), len(ps))
 		}
 		for i, id := range stream {
-			if p.Instrs[id].Op != ps[i].Op {
-				t.Fatalf("worker %s stream[%d] = %s, schedule has %s", w, i, p.Instrs[id].Op, ps[i].Op)
+			if p.Op(int(id)) != ps[i].Op {
+				t.Fatalf("worker %s stream[%d] = %s, schedule has %s", w, i, p.Op(int(id)), ps[i].Op)
 			}
 		}
 	}
 	// A stage-0 forward has no data deps; a stage-i>0 forward has exactly
 	// one activation edge; optimizers carry no edges, and the barrier
 	// gates each on one weight gradient per backward of its stage.
-	for id, ins := range p.Instrs {
-		switch ins.Op.Type {
+	for id := range p.Instrs {
+		op, deps := p.Op(id), p.Deps(id)
+		switch op.Type {
 		case F:
 			want := 0
-			if ins.Op.Stage > 0 {
+			if op.Stage > 0 {
 				want = 1
 			}
-			if len(ins.Deps) != want {
-				t.Fatalf("%s has %d deps, want %d", ins.Op, len(ins.Deps), want)
+			if len(deps) != want {
+				t.Fatalf("%s has %d deps, want %d", op, len(deps), want)
 			}
 		case Optimizer:
-			if len(ins.Deps) != 0 || !p.Barrier.Gates(id) {
-				t.Fatalf("%s has %d deps and gated=%v, want the barrier alone", ins.Op, len(ins.Deps), p.Barrier.Gates(id))
+			if len(deps) != 0 || !p.Gated(id) {
+				t.Fatalf("%s has %d deps and gated=%v, want the barrier alone", op, len(deps), p.Gated(id))
 			}
-			if got, want := len(p.Barrier.Group(shape.StageIndex(ins.Op.Iter, ins.Op.Stage))), shape.DP*shape.MB; got != want {
-				t.Fatalf("%s gates on %d weight gradients, want %d", ins.Op, got, want)
+			if got, want := len(p.Barrier.Group(shape.StageIndex(op.Iter, op.Stage))), shape.DP*shape.MB; got != want {
+				t.Fatalf("%s gates on %d weight gradients, want %d", op, got, want)
 			}
 		}
 	}
@@ -112,22 +115,72 @@ func TestCompileRejectsDuplicateAndMissingWeightGradients(t *testing.T) {
 	}
 }
 
+// assemble builds a Program of the given ops through ProgramBuilder, with
+// deps[i] as instruction i's edges, no stamped durations, no gates and
+// every worker's stream in instruction order.
+func assemble(sh Shape, ops []Op, deps map[int][]Dep) (*Program, error) {
+	edges := 0
+	for _, ds := range deps {
+		edges += len(ds)
+	}
+	b := NewProgramBuilder(sh, UnitSlots, nil, len(ops), edges)
+	for i, op := range ops {
+		b.Instr(op, 0, false)
+		for _, d := range deps[i] {
+			b.Dep(int(d.From), d.Kind)
+		}
+	}
+	for w := 0; w < sh.DP*sh.PP; w++ {
+		opened := false
+		for i, op := range ops {
+			if sh.WorkerIndex(op.Worker()) != w {
+				continue
+			}
+			if !opened {
+				b.Stream(sh.WorkerAt(w))
+				opened = true
+			}
+			b.Next(i)
+		}
+	}
+	return b.Build()
+}
+
+// assembleErr is assemble's verdict alone.
+func assembleErr(sh Shape, ops []Op, deps map[int][]Dep) error {
+	_, err := assemble(sh, ops, deps)
+	return err
+}
+
 // TestValidateCatchesCycle checks deadlock detection on a hand-built
 // program whose edges form a cycle.
 func TestValidateCatchesCycle(t *testing.T) {
-	w := Worker{Stage: 0, Pipeline: 0}
 	op := func(mb int, t OpType) Op { return Op{Stage: 0, MB: mb, Home: 0, Exec: 0, Type: t} }
-	p := &Program{
-		Shape:     Shape{DP: 1, PP: 1, MB: 2, Iter: 1},
-		Durations: UnitSlots,
-		Instrs: []Instr{
-			{ID: 0, Op: op(0, F), Deps: []Dep{{From: 1, Kind: DepLocal}}},
-			{ID: 1, Op: op(0, B), Deps: []Dep{{From: 0, Kind: DepLocal}}},
-		},
-		Streams: map[Worker][]int{w: {0, 1}},
+	err := assembleErr(Shape{DP: 1, PP: 1, MB: 2, Iter: 1}, []Op{op(0, F), op(0, B)},
+		map[int][]Dep{0: {{From: 1, Kind: DepLocal}}, 1: {{From: 0, Kind: DepLocal}}})
+	if err == nil || !strings.Contains(err.Error(), "deadlocks") {
+		t.Fatalf("a cyclic program built with %v, want a deadlock", err)
 	}
-	if err := p.Validate(); err == nil {
-		t.Fatal("a cyclic program should fail validation")
+}
+
+// TestValidateErrorsAreDeterministic misfiles two instructions into each
+// other's streams on different workers: Validate must name the same one —
+// the first in WorkerIndex order — on every call.
+func TestValidateErrorsAreDeterministic(t *testing.T) {
+	p, err := Compile(FaultFree1F1B(Shape{DP: 2, PP: 2, MB: 2, Iter: 1}, UnitSlots))
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := p.streamOff[0], p.streamOff[len(p.streamOff)-2]
+	p.streams[a], p.streams[b] = p.streams[b], p.streams[a]
+	want := p.Validate()
+	if want == nil || !strings.Contains(want.Error(), "filed under worker W0_0") {
+		t.Fatalf("Validate returned %v, want the misfiled head of W0_0's stream", want)
+	}
+	for range 50 {
+		if err := p.Validate(); err == nil || err.Error() != want.Error() {
+			t.Fatalf("Validate returned %v, then %v", want, err)
+		}
 	}
 }
 
@@ -144,8 +197,8 @@ func TestBarrierIsLinear(t *testing.T) {
 		}
 		links, expanded := len(p.Barrier.IDs), 0
 		for i := range p.Instrs {
-			links += len(p.Instrs[i].Deps)
-			if p.Barrier.Gates(i) {
+			links += len(p.Deps(i))
+			if p.Gated(i) {
 				links++
 			}
 			expanded += len(p.Producers(i))
@@ -159,6 +212,70 @@ func TestBarrierIsLinear(t *testing.T) {
 	}
 }
 
+// pointerFree reports whether values of type t hold no pointer: no
+// pointer, slice, map, string, interface, function or channel, however
+// deeply nested in structs and arrays.
+func pointerFree(t reflect.Type) bool {
+	switch t.Kind() {
+	case reflect.Struct:
+		for i := 0; i < t.NumField(); i++ {
+			if !pointerFree(t.Field(i).Type) {
+				return false
+			}
+		}
+		return true
+	case reflect.Array:
+		return pointerFree(t.Elem())
+	case reflect.Pointer, reflect.UnsafePointer, reflect.Slice, reflect.Map, reflect.String, reflect.Interface, reflect.Func, reflect.Chan:
+		return false
+	default:
+		return true
+	}
+}
+
+// TestProgramFootprint pins the in-memory size of a Program: a
+// pointer-free instruction of at most 24 bytes, a pointer-free edge, and
+// the healthy Fig 9 GPT-3 Medium Program (DP12×PP2×MB85, 4 104
+// instructions) in at most 40 bytes per instruction across all its slabs.
+// The pointer-graph layout it replaced took about 115: an 88-byte
+// instruction with an ID, a six-int op and an edge-list header, 16-byte
+// edges and a map of per-worker ID lists.
+func TestProgramFootprint(t *testing.T) {
+	if size := unsafe.Sizeof(Instr{}); size > 24 {
+		t.Errorf("an instruction takes %d bytes, budget 24", size)
+	}
+	for _, v := range []any{Instr{}, Dep{}} {
+		if typ := reflect.TypeOf(v); !pointerFree(typ) {
+			t.Errorf("%s holds a pointer", typ)
+		}
+	}
+	p, err := Compile(FaultFree1F1B(Shape{DP: 12, PP: 2, MB: 85, Iter: 1}, UnitSlots))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(p.Instrs) != 4104 {
+		t.Fatalf("the Fig 9 Medium Program has %d instructions, want 4104", len(p.Instrs))
+	}
+	slabs := []struct {
+		name  string
+		bytes uintptr
+	}{
+		{"instructions", uintptr(cap(p.Instrs)) * unsafe.Sizeof(Instr{})},
+		{"edges", uintptr(cap(p.deps)) * unsafe.Sizeof(Dep{})},
+		{"streams", uintptr(len(p.streamOff)+len(p.streams)) * 4},
+		{"barrier", uintptr(len(p.Barrier.Off)+len(p.Barrier.IDs)) * 4},
+		{"workers", uintptr(cap(p.workers)) * unsafe.Sizeof(Worker{})},
+	}
+	var total uintptr
+	for _, s := range slabs {
+		total += s.bytes
+		t.Logf("%-12s %6d B (%.1f per instruction)", s.name, s.bytes, float64(s.bytes)/float64(len(p.Instrs)))
+	}
+	if per := float64(total) / float64(len(p.Instrs)); per > 40 {
+		t.Errorf("the Fig 9 Medium Program takes %d bytes, %.1f per instruction, budget 40", total, per)
+	}
+}
+
 // TestValidateChecksBarrier corrupts the barrier of a compiled Program one
 // way at a time; Validate must name each defect.
 func TestValidateChecksBarrier(t *testing.T) {
@@ -169,8 +286,7 @@ func TestValidateChecksBarrier(t *testing.T) {
 		name, want string
 		corrupt    func(p *Program)
 	}{
-		{"gate on a forward", "not an optimizer", func(p *Program) { p.Barrier.Gated[firstF] = true }},
-		{"short gate bits", "gate bits cover", func(p *Program) { p.Barrier.Gated = p.Barrier.Gated[1:] }},
+		{"gate on a forward", "not an optimizer", func(p *Program) { p.Instrs[firstF].gated = true }},
 		{"gates without lists", "lists no weight gradients", func(p *Program) { p.Barrier.Off, p.Barrier.IDs = nil, nil }},
 		{"group out of order", "out of order", func(p *Program) { p.Barrier.IDs[0], p.Barrier.IDs[1] = p.Barrier.IDs[1], p.Barrier.IDs[0] }},
 		{"entry outside the program", "outside", func(p *Program) { p.Barrier.IDs[len(p.Barrier.IDs)-1] = int32(len(p.Instrs)) }},
@@ -183,7 +299,9 @@ func TestValidateChecksBarrier(t *testing.T) {
 		}},
 		{"offsets past the list", "offsets do not span", func(p *Program) { p.Barrier.Off[len(p.Barrier.Off)-1]++ }},
 		{"unlisted weight gradient", "lists 7 of the 8 weight gradients", func(p *Program) {
-			p.Barrier.Gated = nil // no gate to trip over the short group first
+			for i := range p.Instrs {
+				p.Instrs[i].gated = false // no gate to trip over the short group first
+			}
 			p.Barrier.IDs = p.Barrier.IDs[1:]
 			for g := 1; g < len(p.Barrier.Off); g++ {
 				p.Barrier.Off[g]--
@@ -192,10 +310,9 @@ func TestValidateChecksBarrier(t *testing.T) {
 		{"step before its gradients", "deadlocks", func(p *Program) {
 			// Move the optimizer to the head of its worker's stream: its own
 			// weight gradients now wait on it in stream order.
-			w := p.Instrs[lastOpt].Op.Worker()
-			s := p.Streams[w]
+			s := p.Stream(p.Op(lastOpt).Worker())
 			copy(s[1:], s[:len(s)-1])
-			s[0] = lastOpt
+			s[0] = int32(lastOpt)
 		}},
 	}
 	for _, c := range cases {
@@ -203,8 +320,8 @@ func TestValidateChecksBarrier(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if p.Instrs[firstF].Op.Type != F || p.Instrs[lastOpt].Op.Type != Optimizer {
-			t.Fatalf("instructions %d and %d are %s and %s, not a forward and an optimizer", firstF, lastOpt, p.Instrs[firstF].Op, p.Instrs[lastOpt].Op)
+		if p.Type(firstF) != F || p.Type(lastOpt) != Optimizer {
+			t.Fatalf("instructions %d and %d are %s and %s, not a forward and an optimizer", firstF, lastOpt, p.Op(firstF), p.Op(lastOpt))
 		}
 		c.corrupt(p)
 		if err := p.Validate(); err == nil || !strings.Contains(err.Error(), c.want) {
@@ -223,8 +340,8 @@ func TestValidateCatchesBadEdge(t *testing.T) {
 	}
 	// Corrupt one gradient/activation edge to point at an unrelated op.
 	for i := range p.Instrs {
-		if p.Instrs[i].Op.Type == F && p.Instrs[i].Op.Stage == 1 {
-			p.Instrs[i].Deps[0].From = i // self-edge: wrong producer type
+		if op := p.Op(i); op.Type == F && op.Stage == 1 {
+			p.Deps(i)[0].From = int32(i) // self-edge: wrong producer type
 			break
 		}
 	}

@@ -10,21 +10,35 @@ type opKey struct {
 	iter, stage, mb, home int
 }
 
+// refInstr and refProgram are the pointer-graph Program layout the
+// references build and read: an ID, the op and an edge list per
+// instruction — a gated optimizer's all-reduce spelled out as DepAllReduce
+// edges — and the streams in a map.
+type refInstr struct {
+	ID   int
+	Op   Op
+	Deps []Dep
+	Dur  int64
+}
+
+type refProgram struct {
+	Instrs  []refInstr
+	Streams map[Worker][]int
+	workers []Worker
+}
+
 // compileFrozenRef is the map-keyed CompileFrozen this package shipped before
 // the dense op index, kept verbatim as a differential oracle.
-func compileFrozenRef(s *Schedule, frozenBefore int64) (*Program, error) {
+func compileFrozenRef(s *Schedule, frozenBefore int64) (*refProgram, error) {
 	if s == nil {
 		return nil, fmt.Errorf("schedule: cannot compile a nil schedule")
 	}
 	if err := s.Shape.Validate(); err != nil {
 		return nil, err
 	}
-	p := &Program{
-		Shape:     s.Shape,
-		Durations: s.Durations,
-		Failed:    s.Failed,
-		Instrs:    make([]Instr, len(s.Placements)),
-		Streams:   make(map[Worker][]int),
+	p := &refProgram{
+		Instrs:  make([]refInstr, len(s.Placements)),
+		Streams: make(map[Worker][]int),
 	}
 	// First pass: materialize instructions in the schedule's canonical
 	// order and index the producers of every data dependency.
@@ -34,7 +48,7 @@ func compileFrozenRef(s *Schedule, frozenBefore int64) (*Program, error) {
 	optAt := make(map[[3]int]int)       // (iter, stage, exec) -> Optimizer id
 	bwByStage := make(map[[2]int][]int) // (iter, stage) -> BWeight/B ids
 	for i, pl := range s.Placements {
-		p.Instrs[i] = Instr{ID: i, Op: pl.Op, Dur: pl.End - pl.Start}
+		p.Instrs[i] = refInstr{ID: i, Op: pl.Op, Dur: pl.End - pl.Start}
 		w := pl.Op.Worker()
 		p.Streams[w] = append(p.Streams[w], i)
 		k := opKey{pl.Op.Iter, pl.Op.Stage, pl.Op.MB, pl.Op.Home}
@@ -87,27 +101,27 @@ func compileFrozenRef(s *Schedule, frozenBefore int64) (*Program, error) {
 				if !ok {
 					return nil, fmt.Errorf("schedule: compile: %s has no upstream forward", op)
 				}
-				p.Instrs[i].Deps = append(p.Instrs[i].Deps, Dep{From: up, Kind: DepActivation})
+				p.Instrs[i].Deps = append(p.Instrs[i].Deps, Dep{From: int32(up), Kind: DepActivation})
 			}
 		case B, BInput:
 			f, ok := fID[k]
 			if !ok {
 				return nil, fmt.Errorf("schedule: compile: %s has no forward", op)
 			}
-			p.Instrs[i].Deps = append(p.Instrs[i].Deps, Dep{From: f, Kind: DepLocal})
+			p.Instrs[i].Deps = append(p.Instrs[i].Deps, Dep{From: int32(f), Kind: DepLocal})
 			if op.Stage < s.Shape.PP-1 {
 				down, ok := biID[opKey{op.Iter, op.Stage + 1, op.MB, op.Home}]
 				if !ok {
 					return nil, fmt.Errorf("schedule: compile: %s has no downstream backward", op)
 				}
-				p.Instrs[i].Deps = append(p.Instrs[i].Deps, Dep{From: down, Kind: DepGradient})
+				p.Instrs[i].Deps = append(p.Instrs[i].Deps, Dep{From: int32(down), Kind: DepGradient})
 			}
 		case BWeight:
 			bi, ok := biID[k]
 			if !ok {
 				return nil, fmt.Errorf("schedule: compile: %s has no backward-input", op)
 			}
-			p.Instrs[i].Deps = append(p.Instrs[i].Deps, Dep{From: bi, Kind: DepLocal})
+			p.Instrs[i].Deps = append(p.Instrs[i].Deps, Dep{From: int32(bi), Kind: DepLocal})
 		case Optimizer:
 			// The per-stage gradient all-reduce: every weight gradient of
 			// this stage and iteration — including rerouted ones computed on
@@ -119,19 +133,101 @@ func compileFrozenRef(s *Schedule, frozenBefore int64) (*Program, error) {
 				return nil, fmt.Errorf("schedule: compile: %s gates on %d weight gradients, want %d", op, got, want)
 			}
 			for _, bw := range contribs {
-				p.Instrs[i].Deps = append(p.Instrs[i].Deps, Dep{From: bw, Kind: DepAllReduce})
+				p.Instrs[i].Deps = append(p.Instrs[i].Deps, Dep{From: int32(bw), Kind: DepAllReduce})
 			}
 		}
 	}
 	p.workers = sortedWorkers(p.Streams)
-	if err := p.Validate(); err != nil {
+	if err := p.validateRef(); err != nil {
 		return nil, err
 	}
 	return p, nil
 }
 
+// sortedWorkers lists the stream keys in (pipeline, stage) order.
+func sortedWorkers(streams map[Worker][]int) []Worker {
+	ws := make([]Worker, 0, len(streams))
+	for w := range streams {
+		ws = append(ws, w)
+	}
+	sort.Slice(ws, func(i, j int) bool {
+		if ws[i].Pipeline != ws[j].Pipeline {
+			return ws[i].Pipeline < ws[j].Pipeline
+		}
+		return ws[i].Stage < ws[j].Stage
+	})
+	return ws
+}
+
+// validateRef is Program.Validate as it read on the pointer-graph layout,
+// the all-reduce checked as edges: streams partition the instructions, every
+// edge relates the ops its kind claims, and the graph is acyclic.
+func (p *refProgram) validateRef() error {
+	n := len(p.Instrs)
+	seen := make([]bool, n)
+	for w, stream := range p.Streams {
+		for _, id := range stream {
+			if id < 0 || id >= n {
+				return fmt.Errorf("schedule: program: stream of %s references instruction %d outside [0,%d)", w, id, n)
+			}
+			if seen[id] {
+				return fmt.Errorf("schedule: program: instruction %d appears in two streams", id)
+			}
+			seen[id] = true
+			if got := p.Instrs[id].Op.Worker(); got != w {
+				return fmt.Errorf("schedule: program: instruction %d (%s) filed under worker %s", id, p.Instrs[id].Op, w)
+			}
+		}
+	}
+	for i := range seen {
+		if !seen[i] {
+			return fmt.Errorf("schedule: program: instruction %d (%s) is in no stream", i, p.Instrs[i].Op)
+		}
+	}
+	for i := range p.Instrs {
+		to := p.Instrs[i].Op
+		for _, d := range p.Instrs[i].Deps {
+			if d.From < 0 || int(d.From) >= n {
+				return fmt.Errorf("schedule: program: instruction %d depends on %d outside [0,%d)", i, d.From, n)
+			}
+			from := p.Instrs[d.From].Op
+			if err := checkEdgeRef(from, to, d.Kind); err != nil {
+				return fmt.Errorf("schedule: program: edge %d->%d: %w", d.From, i, err)
+			}
+		}
+	}
+	return p.checkAcyclicRef()
+}
+
+// checkEdgeRef is the op-comparing edge check the dense-index checkEdge
+// replaced.
+func checkEdgeRef(from, to Op, k DepKind) error {
+	sameMB := from.Iter == to.Iter && from.MB == to.MB && from.Home == to.Home
+	switch k {
+	case DepActivation:
+		if from.Type != F || to.Type != F || !sameMB || from.Stage != to.Stage-1 {
+			return fmt.Errorf("activation edge must link F(i-1) to F(i) of one micro-batch: %s -> %s", from, to)
+		}
+	case DepGradient:
+		if (from.Type != B && from.Type != BInput) || (to.Type != B && to.Type != BInput) || !sameMB || from.Stage != to.Stage+1 {
+			return fmt.Errorf("gradient edge must link backward(i+1) to backward(i) of one micro-batch: %s -> %s", from, to)
+		}
+	case DepLocal:
+		if from.Worker() != to.Worker() || !sameMB || from.Stage != to.Stage {
+			return fmt.Errorf("local edge must stay on one worker and micro-batch: %s -> %s", from, to)
+		}
+	case DepAllReduce:
+		if (from.Type != BWeight && from.Type != B) || to.Type != Optimizer || from.Stage != to.Stage || from.Iter != to.Iter {
+			return fmt.Errorf("all-reduce edge must link a weight gradient to its stage optimizer: %s -> %s", from, to)
+		}
+	default:
+		return fmt.Errorf("unknown edge kind %v", k)
+	}
+	return nil
+}
+
 // checkAcyclicRef is the successor-list Kahn's algorithm checkAcyclic replaced.
-func (p *Program) checkAcyclicRef() error {
+func (p *refProgram) checkAcyclicRef() error {
 	n := len(p.Instrs)
 	indeg := make([]int, n)
 	succs := make([][]int, n)

@@ -12,9 +12,9 @@ func TestCompileStampsDurations(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range prog.Instrs {
-		pl, ok := s.At(prog.Instrs[i].Op)
+		pl, ok := s.At(prog.Op(i))
 		if !ok {
-			t.Fatalf("instruction %d (%s) has no placement", i, prog.Instrs[i].Op)
+			t.Fatalf("instruction %d (%s) has no placement", i, prog.Op(i))
 		}
 		if got, want := prog.Instrs[i].Dur, pl.End-pl.Start; got != want {
 			t.Fatalf("instruction %d stamped %d, placement span %d", i, got, want)
@@ -29,11 +29,13 @@ func TestCompileStampsDurations(t *testing.T) {
 // programs built without Compile (tests, fuzzing) keep reading the
 // homogeneous Durations.
 func TestDurOfFallsBackForHandAssembledPrograms(t *testing.T) {
-	op := Op{Stage: 0, MB: 0, Home: 0, Exec: 0, Type: F}
-	p := &Program{
-		Durations: Durations{F: 7},
-		Instrs:    []Instr{{ID: 0, Op: op}},
-		Streams:   map[Worker][]int{op.Worker(): {0}},
+	b := NewProgramBuilder(Shape{DP: 1, PP: 1, MB: 1, Iter: 1}, Durations{F: 7}, nil, 1, 0)
+	b.Instr(Op{Type: F}, 0, false)
+	b.Stream(Worker{})
+	b.Next(0)
+	p, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
 	}
 	if got := p.DurOf(0); got != 7 {
 		t.Fatalf("DurOf fallback = %d, want 7", got)

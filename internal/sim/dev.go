@@ -83,8 +83,7 @@ type Execution struct {
 func (x *Execution) StepEpochs() map[schedule.Worker]int {
 	out := make(map[schedule.Worker]int)
 	for i := range x.Program.Instrs {
-		op := x.Program.Instrs[i].Op
-		if op.Type == schedule.Optimizer && x.End[i] >= 0 {
+		if op := x.Program.Op(i); op.Type == schedule.Optimizer && x.End[i] >= 0 {
 			out[op.Worker()]++
 		}
 	}
@@ -126,15 +125,15 @@ func ExecuteProgram(p *schedule.Program, opt ProgramOptions) (*Execution, error)
 	if opt.Durations != nil {
 		durs = *opt.Durations
 	}
-	durOf := func(w schedule.Worker, id int, op schedule.Op) int64 {
+	durOf := func(w schedule.Worker, id int) int64 {
 		var d int64
 		if opt.Durations != nil {
-			d = durs.Of(op.Type)
+			d = durs.Of(p.Type(id))
 		} else {
 			d = p.DurOf(id) // stamped (cost-model) duration, or the program's own homogeneous set
 		}
 		if opt.OpDuration != nil {
-			d = opt.OpDuration(op, d)
+			d = opt.OpDuration(p.Op(id), d)
 		}
 		if s, ok := opt.Scale[w]; ok && s > 0 {
 			d = int64(math.Round(float64(d) * s))
@@ -163,7 +162,7 @@ func ExecuteProgram(p *schedule.Program, opt ProgramOptions) (*Execution, error)
 	// Per-worker state lives in slices indexed by the worker's position in
 	// p.Workers(); the option maps are consulted once per worker.
 	type lane struct {
-		stream  []int
+		stream  []int32
 		pos     int   // next unexecuted stream position
 		free    int64 // earliest next start
 		failAt  int64 // FailAt instant, when mayFail
@@ -173,7 +172,7 @@ func ExecuteProgram(p *schedule.Program, opt ProgramOptions) (*Execution, error)
 	lanes := make([]lane, len(workers))
 	for wi, w := range workers {
 		ln := &lanes[wi]
-		ln.stream = p.Streams[w]
+		ln.stream = p.Stream(w)
 		ln.failAt, ln.mayFail = opt.FailAt[w]
 	}
 	// The all-reduce barrier, one counter per stage group: a finished
@@ -183,17 +182,17 @@ func ExecuteProgram(p *schedule.Program, opt ProgramOptions) (*Execution, error)
 	for g := range groups {
 		groups[g].pending = int32(len(bar.Group(g)))
 	}
-	group := func(op schedule.Op) int {
-		if g := p.Shape.StageIndex(op.Iter, op.Stage); g < len(groups) {
+	group := func(id int) int {
+		if _, g, _ := p.OpIndex(id); g < len(groups) {
 			return g
 		}
 		return -1
 	}
-	contributed := func(op schedule.Op, end int64) {
-		if op.Type != schedule.B && op.Type != schedule.BWeight {
+	contributed := func(id int, end int64) {
+		if t := p.Type(id); t != schedule.B && t != schedule.BWeight {
 			return
 		}
-		if g := group(op); g >= 0 {
+		if g := group(id); g >= 0 {
 			groups[g].pending--
 			groups[g].end = max(groups[g].end, end)
 		}
@@ -210,10 +209,10 @@ func ExecuteProgram(p *schedule.Program, opt ProgramOptions) (*Execution, error)
 		if end > ex.Makespan {
 			ex.Makespan = end
 		}
-		contributed(p.Instrs[id].Op, end)
+		contributed(id, end)
 		if tracing {
 			opt.Recorder.Span(obs.Span{
-				Instr: id, Op: p.Instrs[id].Op, Deps: p.Producers(id),
+				Instr: id, Op: p.Op(id), Deps: p.Producers(id),
 				Sched: ex.Start[id], Start: ex.Start[id], End: end,
 				Modeled: p.DurOf(id), Frozen: true,
 			})
@@ -223,7 +222,7 @@ func ExecuteProgram(p *schedule.Program, opt ProgramOptions) (*Execution, error)
 	for wi, w := range workers {
 		ln := &lanes[wi]
 		for ln.pos < len(ln.stream) {
-			end, done := opt.Done[ln.stream[ln.pos]]
+			end, done := opt.Done[int(ln.stream[ln.pos])]
 			if !done {
 				break
 			}
@@ -251,11 +250,10 @@ func ExecuteProgram(p *schedule.Program, opt ProgramOptions) (*Execution, error)
 				continue
 			}
 			for ln.pos < len(ln.stream) {
-				id := ln.stream[ln.pos]
-				ins := &p.Instrs[id]
+				id := int(ln.stream[ln.pos])
 				ready := int64(0)
 				ok := true
-				for _, d := range ins.Deps {
+				for _, d := range p.Deps(id) {
 					if ex.End[d.From] < 0 {
 						ok = false
 						break
@@ -264,10 +262,10 @@ func ExecuteProgram(p *schedule.Program, opt ProgramOptions) (*Execution, error)
 						ready = r
 					}
 				}
-				if ok && bar.Gates(id) {
-					g := group(ins.Op)
+				if ok && p.Gated(id) {
+					g := group(id)
 					if g < 0 {
-						return nil, fmt.Errorf("sim: the barrier gates %s outside its %d groups", ins.Op, len(groups))
+						return nil, fmt.Errorf("sim: the barrier gates %s outside its %d groups", p.Op(id), len(groups))
 					}
 					if ok = groups[g].pending == 0; ok {
 						ready = max(ready, groups[g].end+durs.EdgeLatency(schedule.DepAllReduce))
@@ -283,14 +281,14 @@ func ExecuteProgram(p *schedule.Program, opt ProgramOptions) (*Execution, error)
 					// monotone, so nothing later in the stream can run either.
 					break
 				}
-				end := start + durOf(w, id, ins.Op)
+				end := start + durOf(w, id)
 				if ln.mayFail && end > ln.failAt {
 					// The op would still be in flight when the worker dies:
 					// it and everything after it on this worker is lost.
 					ln.dead = true
 					if tracing {
 						opt.Recorder.Event(obs.Event{
-							Kind: obs.EvKill, At: ln.failAt, Iter: ins.Op.Iter,
+							Kind: obs.EvKill, At: ln.failAt, Iter: p.Op(id).Iter,
 							Worker: w, HasWorker: true,
 						})
 					}
@@ -301,13 +299,13 @@ func ExecuteProgram(p *schedule.Program, opt ProgramOptions) (*Execution, error)
 				if end > ex.Makespan {
 					ex.Makespan = end
 				}
-				contributed(ins.Op, end)
+				contributed(id, end)
 				ln.pos++
 				ex.Completed++
 				progressed = true
 				if tracing {
 					opt.Recorder.Span(obs.Span{
-						Instr: id, Op: ins.Op, Deps: p.Producers(id),
+						Instr: id, Op: p.Op(id), Deps: p.Producers(id),
 						Sched: ready, Start: start, End: end,
 						Modeled: p.DurOf(id),
 					})
@@ -383,7 +381,7 @@ func ExecuteProgram(p *schedule.Program, opt ProgramOptions) (*Execution, error)
 func (e *Execution) ComputeMakespan(iter int) int64 {
 	var out int64
 	for i := range e.Program.Instrs {
-		op := e.Program.Instrs[i].Op
+		op := e.Program.Op(i)
 		if op.Iter != iter || op.Type == schedule.Optimizer || e.End[i] < 0 {
 			continue
 		}
@@ -402,7 +400,7 @@ func (e *Execution) WorkerBusy() map[schedule.Worker]int64 {
 		if e.End[i] < 0 {
 			continue
 		}
-		w := e.Program.Instrs[i].Op.Worker()
+		w := e.Program.Op(i).Worker()
 		busy[w] += e.End[i] - e.Start[i]
 	}
 	return busy
@@ -413,7 +411,7 @@ func (e *Execution) WorkerBusy() map[schedule.Worker]int64 {
 // blocked sets say what the fault took down.
 func (e *Execution) IterationComplete(iter int) bool {
 	for i := range e.Program.Instrs {
-		if e.Program.Instrs[i].Op.Iter == iter && e.End[i] < 0 {
+		if e.Program.Op(i).Iter == iter && e.End[i] < 0 {
 			return false
 		}
 	}

@@ -144,7 +144,7 @@ func TestMidIterationFailure(t *testing.T) {
 		t.Fatal("iteration reported complete despite a mid-iteration failure")
 	}
 	for _, id := range ex.Lost {
-		if got := p.Instrs[id].Op.Worker(); got != victim {
+		if got := p.Op(id).Worker(); got != victim {
 			t.Fatalf("instruction %d lost on %s, victim is %s", id, got, victim)
 		}
 	}
@@ -228,28 +228,22 @@ func TestDonePrefixResumes(t *testing.T) {
 		}
 	}
 	// A Done set that is not a stream prefix is rejected.
-	bad := map[int]int64{p.Streams[p.Workers()[0]][1]: 5}
+	bad := map[int]int64{int(p.Stream(p.Workers()[0])[1]): 5}
 	if _, err := ExecuteProgram(p, ProgramOptions{Done: bad}); err == nil {
 		t.Fatal("mid-stream done set was not rejected")
 	}
 }
 
-// TestDeadlockDetected checks that a cyclic hand-built program is reported
-// instead of spinning or silently under-executing.
+// TestDeadlockDetected checks that a cyclic program is reported instead of
+// spinning or silently under-executing: stage 1's first forward has its
+// activation edge re-pointed at the last instruction of its own stream.
 func TestDeadlockDetected(t *testing.T) {
-	w0 := schedule.Worker{Stage: 0, Pipeline: 0}
-	op := func(mb int, typ schedule.OpType) schedule.Op {
-		return schedule.Op{Stage: 0, MB: mb, Home: 0, Exec: 0, Type: typ}
+	p, err := schedule.Compile(schedule.FaultFree1F1B(schedule.Shape{DP: 1, PP: 2, MB: 2, Iter: 1}, schedule.UnitSlots))
+	if err != nil {
+		t.Fatal(err)
 	}
-	p := &schedule.Program{
-		Shape:     schedule.Shape{DP: 1, PP: 1, MB: 2, Iter: 1},
-		Durations: schedule.UnitSlots,
-		Instrs: []schedule.Instr{
-			{ID: 0, Op: op(0, schedule.F), Deps: []schedule.Dep{{From: 1, Kind: schedule.DepLocal}}},
-			{ID: 1, Op: op(1, schedule.F)},
-		},
-		Streams: map[schedule.Worker][]int{w0: {0, 1}},
-	}
+	s := p.Stream(schedule.Worker{Stage: 1})
+	p.Deps(int(s[0]))[0].From = s[len(s)-1]
 	if _, err := ExecuteProgram(p, ProgramOptions{}); err == nil {
 		t.Fatal("expected a deadlock error for a cyclic program")
 	}

@@ -29,10 +29,10 @@ func TestExecuteProgramUsesStampedDurations(t *testing.T) {
 	sawScaled := false
 	for i := range prog.Instrs {
 		if got, want := ex.End[i]-ex.Start[i], prog.DurOf(i); got != want {
-			t.Fatalf("instruction %d (%s) ran %d slots, stamped %d", i, prog.Instrs[i].Op, got, want)
+			t.Fatalf("instruction %d (%s) ran %d slots, stamped %d", i, prog.Op(i), got, want)
 		}
-		if prog.Instrs[i].Op.Worker() == victim && prog.Instrs[i].Op.Type != schedule.Optimizer &&
-			prog.DurOf(i) == 2*prog.Durations.Of(prog.Instrs[i].Op.Type) {
+		if prog.Op(i).Worker() == victim && prog.Op(i).Type != schedule.Optimizer &&
+			prog.DurOf(i) == 2*prog.Durations.Of(prog.Op(i).Type) {
 			sawScaled = true
 		}
 	}
@@ -47,7 +47,7 @@ func TestExecuteProgramUsesStampedDurations(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range prog.Instrs {
-		if got, want := ex2.End[i]-ex2.Start[i], unit.Of(prog.Instrs[i].Op.Type); got != want {
+		if got, want := ex2.End[i]-ex2.Start[i], unit.Of(prog.Op(i).Type); got != want {
 			t.Fatalf("override: instruction %d ran %d slots, want %d", i, got, want)
 		}
 	}
