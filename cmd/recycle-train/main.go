@@ -32,6 +32,10 @@ func main() {
 	chaosCascade := flag.Int("chaos-cascade", 1, "chained chaos kill events in the kill iteration (later kills land while the previous splice's suffix is executing)")
 	tracePath := flag.String("trace", "", "record every executed instruction on the adapted (or chaos) runtime and write a Chrome/Perfetto trace to this file (critical path audited first)")
 	flag.Parse()
+	if *dp < 2 {
+		fmt.Fprintf(os.Stderr, "-dp %d: ReCycle re-routes a failed worker's micro-batches to its data-parallel peers, so it needs at least two data-parallel pipelines\n", *dp)
+		os.Exit(2)
+	}
 
 	cfg := dtrain.Config{
 		DP: *dp, PP: *pp, MB: *mb,

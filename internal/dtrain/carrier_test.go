@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"testing"
 
-	"recycle/internal/core"
 	"recycle/internal/engine"
 	"recycle/internal/nn"
 	"recycle/internal/replay"
@@ -26,7 +25,7 @@ func TestEveryEdgeHasACarrier(t *testing.T) {
 	for _, sh := range [][3]int{{1, 2, 2}, {2, 1, 2}, {2, 2, 2}, {2, 3, 3}, {3, 2, 3}, {3, 3, 2}, {3, 3, 3}} {
 		for _, decoupled := range []bool{true, false} {
 			dp, pp, mb := sh[0], sh[1], sh[2]
-			tech := core.AllTechniques
+			tech := engine.AllTechniques
 			tech.DecoupledBackProp = decoupled
 			job, stats := engine.ShapeJob(dp, pp, mb)
 			eng := engine.New(job, stats, engine.Options{UnrollIterations: 1, Techniques: &tech})

@@ -1093,18 +1093,3 @@ func (rt *Runtime) MeasuredWorkerTimes() map[schedule.Worker]time.Duration {
 func (rt *Runtime) Recalibrate() (engine.Recalibration, error) {
 	return rt.eng.Recalibrate(rt.MeasuredWorkerTimes())
 }
-
-// MeasuredTimes returns the mean wall-clock duration per op type observed
-// so far — the live runtime's Profiler output, used by the Table 2
-// sim-fidelity experiment.
-func (rt *Runtime) MeasuredTimes() map[schedule.OpType]time.Duration {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	out := make(map[schedule.OpType]time.Duration)
-	for t, total := range rt.opSeconds {
-		if n := rt.opCounts[t]; n > 0 {
-			out[t] = total / time.Duration(n)
-		}
-	}
-	return out
-}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"recycle/internal/core"
 	"recycle/internal/schedule"
 )
 
@@ -19,7 +18,7 @@ const CodecVersion = 2
 // plan order, and every placement as its op, its Start as a delta from the
 // previous placement's, and End − Start. The schedule's derived indexes and
 // the in-memory warm-start provenance are not encoded.
-func EncodePlan(p *core.Plan) ([]byte, error) {
+func EncodePlan(p *Plan) ([]byte, error) {
 	if p == nil || p.Schedule == nil {
 		return nil, fmt.Errorf("engine: refusing to encode an empty plan")
 	}
@@ -54,10 +53,10 @@ func EncodePlan(p *core.Plan) ([]byte, error) {
 // and rebuilds the plan through schedule.New, which re-sorts placements
 // into the canonical deterministic order, so a decoded plan is structurally
 // identical to the plan that was encoded.
-func DecodePlan(data []byte) (*core.Plan, error) {
+func DecodePlan(data []byte) (*Plan, error) {
 	r := reader{b: data}
 	durations, failedSet := r.header(kindPlan, CodecVersion)
-	p := &core.Plan{Failures: r.int(), PeriodSlots: r.varint(), PlanTime: time.Duration(r.varint())}
+	p := &Plan{Failures: r.int(), PeriodSlots: r.varint(), PlanTime: time.Duration(r.varint())}
 	if na := r.count(1); na > 0 {
 		p.Assignment = make([]int, na)
 		for i := range p.Assignment {

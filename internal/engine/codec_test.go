@@ -6,15 +6,14 @@ import (
 	"strings"
 	"testing"
 
-	"recycle/internal/core"
 	"recycle/internal/schedule"
 )
 
 // testPlanner builds a planner over a small unit-cost job.
-func testPlanner(t *testing.T) *core.Planner {
+func testPlanner(t *testing.T) *Planner {
 	t.Helper()
 	job, stats := ShapeJob(4, 4, 8)
-	p := core.New(job, stats)
+	p := NewPlanner(job, stats)
 	p.UnrollIterations = 2
 	return p
 }
@@ -77,7 +76,7 @@ func TestEncodeRejectsEmptyPlan(t *testing.T) {
 	if _, err := EncodePlan(nil); err == nil {
 		t.Error("encoding a nil plan should fail")
 	}
-	if _, err := EncodePlan(&core.Plan{}); err == nil {
+	if _, err := EncodePlan(&Plan{}); err == nil {
 		t.Error("encoding a schedule-less plan should fail")
 	}
 }
@@ -115,11 +114,11 @@ func TestDecodeRejectsBadInput(t *testing.T) {
 		t.Error("trailing bytes should not decode")
 	}
 	// A placement outside the schedule's shape must not decode either.
-	outside := *plan
 	ps := append([]schedule.Placement(nil), plan.Schedule.Placements...)
 	ps[0].Op.Stage = plan.Schedule.Shape.PP
+	outside := planContent(plan)
 	outside.Schedule = schedule.New(plan.Schedule.Shape, plan.Schedule.Durations, plan.Schedule.Failed, ps)
-	tampered, err := EncodePlan(&outside)
+	tampered, err := EncodePlan(outside)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,12 +26,14 @@
 //   - ScheduleFor is the Coordinator's failure-handling fetch path
 //     (§4.1): exact plan from cache/store, then Best(n) fallback, then
 //     on-demand solve on miss; ProgramFor serves the compiled Program
-//     for the same path, cached alongside the plan.
+//     for the same path, held in the cached plan's Program slot.
 //
-// All caches are lock-striped (64 hash shards keyed by plan fingerprint
-// or schedule identity) and invalidation is epoch-based: a
-// stripe is only ever locked for the keys it owns, and InvalidateCache
-// bumps one atomic instead of sweeping maps under a global mutex.
+// The Planner (§4.2: Failure Normalization plus schedule generation)
+// lives here too, as the engine's immutable configuration snapshot. There
+// is one cache, lock-striped (64 hash shards keyed by plan key), and
+// invalidation is epoch-based: a stripe is only ever locked for the keys
+// it owns, and InvalidateCache bumps one atomic instead of sweeping maps
+// under a global mutex.
 //
 // An engine's configuration — job, stats, technique toggles, unroll
 // window — is fixed at New; an engine per technique set is how the Fig 11

@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 
 	"recycle/internal/config"
-	"recycle/internal/core"
 	"recycle/internal/obs"
 	"recycle/internal/planstore"
 	"recycle/internal/profile"
@@ -20,8 +19,8 @@ import (
 // 3-replica plan store.
 type Options struct {
 	// Techniques overrides the ReCycle technique toggles (nil selects
-	// core.AllTechniques).
-	Techniques *core.Techniques
+	// AllTechniques).
+	Techniques *Techniques
 	// UnrollIterations overrides the planner's steady-state unroll window
 	// (0 keeps the planner default; the live runtime plans 1 iteration).
 	UnrollIterations int
@@ -77,33 +76,21 @@ type Metrics struct {
 	Epoch            uint64
 }
 
-// plannerConf is one immutable snapshot of the planner's configuration:
-// the full planner copy every solve in this configuration uses (Planner
-// methods never mutate their receiver, so one copy is shared by all
-// concurrent requests) and the fingerprint namespacing its keys.
-type plannerConf struct {
-	pl core.Planner
-	fp string
-}
-
-// newConf resolves Options against the planner defaults. New starts from
-// this snapshot and NewClient derives its namespace from it, so an engine
-// and a client built from the same options address the same keys.
-func newConf(job config.Job, stats profile.Stats, opts Options) *plannerConf {
-	pl := core.New(job, stats)
+// newConf resolves Options against the planner defaults into the
+// engine's configuration snapshot: an immutable Planner (its methods never
+// mutate their receiver, so one snapshot is shared by all concurrent
+// requests) carrying the fingerprint that namespaces its keys. New starts
+// from it and NewClient derives its namespace from it, so an engine and a
+// client built from the same options address the same keys.
+func newConf(job config.Job, stats profile.Stats, opts Options) *Planner {
+	pl := NewPlanner(job, stats)
 	if opts.Techniques != nil {
 		pl.Techniques = *opts.Techniques
 	}
-	pl.Costs = opts.CostModel
 	if opts.UnrollIterations > 0 {
 		pl.UnrollIterations = opts.UnrollIterations
 	}
-	return confOf(*pl)
-}
-
-// confOf fingerprints a planner configuration into a snapshot.
-func confOf(pl core.Planner) *plannerConf {
-	return &plannerConf{pl: pl, fp: Fingerprint(pl.Job, pl.Stats, pl.Techniques, pl.UnrollIterations, pl.Costs.Signature())}
+	return pl.withCosts(opts.CostModel)
 }
 
 // Engine is the plan service for one training job. It is safe for
@@ -116,25 +103,23 @@ type Engine struct {
 	// once per request; only MarkStraggler and Recalibrate swap it, each
 	// as a read-modify-write under confMu so concurrent retunes compose.
 	confMu sync.Mutex
-	conf   atomic.Pointer[plannerConf]
+	conf   atomic.Pointer[Planner]
 
 	// epoch is the cache generation. InvalidateCache bumps it; cached
-	// plans, Best(n) indexes and compiled Programs admitted under older
-	// epochs become invisible lazily instead of being swept under a
-	// global lock.
+	// plans (and the Programs in their slots) and Best(n) indexes admitted
+	// under older epochs become invisible lazily instead of being swept
+	// under a global lock.
 	epoch atomic.Uint64
 
-	// seed/stripes/pstripes are the lock-striped caches: plans and
-	// in-flight solves sharded by key hash, Programs sharded by schedule
-	// identity.
-	seed     maphash.Seed
-	stripes  [numStripes]stripe
-	pstripes [numStripes]progStripe
+	// seed/stripes are the lock-striped plan cache: plans and in-flight
+	// solves sharded by key hash.
+	seed    maphash.Seed
+	stripes [numStripes]stripe
 
 	// normMu guards norm, the per-fingerprint Best(n) indexes, each
 	// tagged with the epoch it serves.
 	normMu sync.Mutex
-	norm   map[string]*normIndex
+	norm   map[string]normIndex
 
 	// hintMu guards the warm-start state. hintsN / hintsC retain the last
 	// successfully solved plan per normalized failure count and per
@@ -145,8 +130,8 @@ type Engine struct {
 	// counts have been requested, so Recalibrate re-solves exactly the
 	// working set. Hints survive epoch bumps by design.
 	hintMu   sync.Mutex
-	hintsN   map[int]*core.Plan
-	hintsC   map[string]*core.Plan
+	hintsN   map[int]*Plan
+	hintsC   map[string]*Plan
 	plannedN map[int]bool
 
 	cacheHits, storeHits, bestHits       atomic.Uint64
@@ -165,11 +150,12 @@ type Engine struct {
 	rec atomic.Value
 }
 
-// normIndex is one fingerprint's Best(n) index plus the epoch it was
-// built under; an index from an older epoch is rebuilt empty on first
-// touch (the lazy equivalent of the old stop-the-world map wipe).
+// normIndex is one fingerprint's Best(n) index — the adaptive-schedule
+// store of Fig 8, one normalized plan per failure count — plus the epoch
+// it was built under; an index from an older epoch is rebuilt empty on
+// first touch (the lazy equivalent of the old stop-the-world map wipe).
 type normIndex struct {
-	store *core.PlanStore
+	plans map[int]*Plan
 	epoch uint64
 }
 
@@ -191,9 +177,9 @@ func New(job config.Job, stats profile.Stats, opts Options) *Engine {
 		store:          store,
 		workers:        workers,
 		seed:           maphash.MakeSeed(),
-		norm:           make(map[string]*normIndex),
-		hintsN:         make(map[int]*core.Plan),
-		hintsC:         make(map[string]*core.Plan),
+		norm:           make(map[string]normIndex),
+		hintsN:         make(map[int]*Plan),
+		hintsC:         make(map[string]*Plan),
 		plannedN:       make(map[int]bool),
 		recalThreshold: threshold,
 	}
@@ -201,9 +187,6 @@ func New(job config.Job, stats profile.Stats, opts Options) *Engine {
 	for i := range e.stripes {
 		e.stripes[i].plans = make(map[string]planEntry)
 		e.stripes[i].inflight = make(map[string]*call)
-	}
-	for i := range e.pstripes {
-		e.pstripes[i].programs = make(map[*schedule.Schedule]progEntry)
 	}
 	return e
 }
@@ -224,21 +207,21 @@ func ShapeJob(dp, pp, mb int) (config.Job, profile.Stats) {
 }
 
 // config returns the current configuration snapshot.
-func (e *Engine) config() *plannerConf { return e.conf.Load() }
+func (e *Engine) config() *Planner { return e.conf.Load() }
 
 // Job returns the job this engine plans for.
-func (e *Engine) Job() config.Job { return e.config().pl.Job }
+func (e *Engine) Job() config.Job { return e.config().Job }
 
 // Stats returns the profiled statistics this engine plans with.
-func (e *Engine) Stats() profile.Stats { return e.config().pl.Stats }
+func (e *Engine) Stats() profile.Stats { return e.config().Stats }
 
 // Shape returns the schedule shape this engine plans at: the job geometry
 // plus the unroll window.
-func (e *Engine) Shape() schedule.Shape { return e.config().pl.Shape() }
+func (e *Engine) Shape() schedule.Shape { return e.config().Shape() }
 
 // CostModel returns the current heterogeneous cost model (nil when the
 // engine plans with the homogeneous profiled stats).
-func (e *Engine) CostModel() *profile.CostModel { return e.config().pl.Costs }
+func (e *Engine) CostModel() *profile.CostModel { return e.config().Costs }
 
 // MarkStraggler records that a worker runs its ops at the given multiple
 // of the profiled durations (a gray failure, the paper's slow-but-alive
@@ -253,12 +236,12 @@ func (e *Engine) MarkStraggler(w schedule.Worker, factor float64) {
 	e.confMu.Lock()
 	defer e.confMu.Unlock()
 	c := e.config()
-	cm := c.pl.Costs
+	cm := c.Costs
 	if cm == nil {
 		if factor == 1 {
 			return // clearing a mark that was never set
 		}
-		cm = profile.UniformCost(c.pl.Stats)
+		cm = profile.UniformCost(c.Stats)
 	}
 	e.installCostsLocked(c, cm.WithWorkerScale(w, factor))
 }
@@ -268,13 +251,11 @@ func (e *Engine) MarkStraggler(w schedule.Worker, factor float64) {
 // information beyond the profiled stats normalizes back to nil, so
 // clearing the last straggler returns to the original plan namespace (and
 // its cached plans) instead of a signature-distinct uniform copy.
-func (e *Engine) installCostsLocked(c *plannerConf, next *profile.CostModel) {
-	if len(next.WorkerScale) == 0 && len(next.StageScale) == 0 && next.Base == c.pl.Stats.Durations() {
+func (e *Engine) installCostsLocked(c *Planner, next *profile.CostModel) {
+	if len(next.WorkerScale) == 0 && len(next.StageScale) == 0 && next.Base == c.Stats.Durations() {
 		next = nil
 	}
-	pl := c.pl
-	pl.Costs = next
-	e.conf.Store(confOf(pl))
+	e.conf.Store(c.withCosts(next))
 }
 
 // ClearStraggler removes a worker's straggler mark (recovered gray
@@ -316,20 +297,20 @@ func (e *Engine) Metrics() Metrics {
 
 // IterationSeconds converts a plan's steady-state period into wall-clock
 // seconds.
-func (e *Engine) IterationSeconds(p *core.Plan) float64 {
-	return e.config().pl.IterationSeconds(p)
+func (e *Engine) IterationSeconds(p *Plan) float64 {
+	return e.config().IterationSeconds(p)
 }
 
 // ThroughputSamplesPerSec returns the plan's steady-state training
 // throughput.
-func (e *Engine) ThroughputSamplesPerSec(p *core.Plan) float64 {
-	return e.config().pl.ThroughputSamplesPerSec(p)
+func (e *Engine) ThroughputSamplesPerSec(p *Plan) float64 {
+	return e.config().ThroughputSamplesPerSec(p)
 }
 
 // MigrationsNeeded returns how many point-to-point parameter copies morph
 // a concrete failure set into the plan's normalized layout.
-func (e *Engine) MigrationsNeeded(concrete []schedule.Worker, p *core.Plan) int {
-	return core.MigrationsNeeded(concrete, p.Assignment)
+func (e *Engine) MigrationsNeeded(concrete []schedule.Worker, p *Plan) int {
+	return migrationsNeeded(concrete, p.Assignment)
 }
 
 // Plan returns the normalized plan for n simultaneous failures:
@@ -338,13 +319,13 @@ func (e *Engine) MigrationsNeeded(concrete []schedule.Worker, p *core.Plan) int 
 // count (under any cost model — see hintsN), so a re-solve after a cache
 // invalidation or a recalibration validates or replays the previous
 // schedule instead of re-deriving it.
-func (e *Engine) Plan(n int) (*core.Plan, error) {
+func (e *Engine) Plan(n int) (*Plan, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("engine: negative failure count %d", n)
 	}
 	c := e.config()
-	p, err := e.getOrSolve(nkey(c.fp, n), c.fp, true, func() (*core.Plan, error) {
-		return c.pl.PlanForHinted(n, e.hintNorm(n))
+	p, err := e.getOrSolve(nkey(c.fp, n), c.fp, true, func() (*Plan, error) {
+		return c.planForHinted(n, e.hintNorm(n))
 	})
 	if err == nil {
 		e.noteNorm(n, p)
@@ -358,21 +339,27 @@ func (e *Engine) Plan(n int) (*core.Plan, error) {
 // solve: the set is canonicalized first, the canonical representative is
 // fetched or solved (same get-or-solve lifecycle as Plan), and its plan is
 // renamed back onto the requested pipelines — an exact isomorph, since
-// interchangeable pipelines run every op at identical cost.
-func (e *Engine) PlanConcrete(failed []schedule.Worker) (*core.Plan, error) {
+// interchangeable pipelines run every op at identical cost. A set naming a
+// worker outside the job, or one worker twice, is rejected first, in the
+// caller's names.
+func (e *Engine) PlanConcrete(failed []schedule.Worker) (*Plan, error) {
 	ws := append([]schedule.Worker(nil), failed...)
 	schedule.SortWorkers(ws)
 	c := e.config()
+	sh := c.Shape()
+	if err := checkFailed(sh, ws); err != nil {
+		return nil, err
+	}
 	key := ckey(c.fp, ws)
 
 	var costs schedule.CostFunc
-	if c.pl.Costs != nil {
-		costs = c.pl.Costs.Fn()
+	if c.Costs != nil {
+		costs = c.Costs.Fn()
 	}
-	canon, perm, changed := schedule.CanonicalizeVictims(c.pl.Shape(), costs, ws)
+	canon, perm, changed := schedule.CanonicalizeVictims(sh, costs, ws)
 	if !changed {
-		p, err := e.getOrSolve(key, c.fp, false, func() (*core.Plan, error) {
-			return c.pl.PlanConcreteHinted(ws, e.hintConcrete(ws))
+		p, err := e.getOrSolve(key, c.fp, false, func() (*Plan, error) {
+			return c.planConcreteHinted(ws, e.hintConcrete(ws))
 		})
 		if err == nil {
 			e.noteConcrete(ws, p)
@@ -383,20 +370,20 @@ func (e *Engine) PlanConcrete(failed []schedule.Worker) (*core.Plan, error) {
 		return p, nil
 	}
 	e.classDedups.Add(1)
-	cp, err := e.getOrSolve(ckey(c.fp, canon), c.fp, false, func() (*core.Plan, error) {
-		return c.pl.PlanConcreteHinted(canon, e.hintConcrete(canon))
+	cp, err := e.getOrSolve(ckey(c.fp, canon), c.fp, false, func() (*Plan, error) {
+		return c.planConcreteHinted(canon, e.hintConcrete(canon))
 	})
 	if err != nil {
 		return nil, err
 	}
 	e.noteConcrete(canon, cp)
-	p := core.RenamePlan(cp, schedule.InvertPerm(perm))
+	p := renamePlan(cp, schedule.InvertPerm(perm))
 	e.admit(key, c.fp, p, false, e.epoch.Load())
 	return p, nil
 }
 
 // hintNorm returns the warm-start plan for a normalized count.
-func (e *Engine) hintNorm(n int) *core.Plan {
+func (e *Engine) hintNorm(n int) *Plan {
 	e.hintMu.Lock()
 	defer e.hintMu.Unlock()
 	return e.hintsN[n]
@@ -405,7 +392,7 @@ func (e *Engine) hintNorm(n int) *core.Plan {
 // noteNorm records a served normalized plan: the count joins the working
 // set Recalibrate re-solves, and plans that carry a hint (i.e. came out of
 // the solver rather than the store codec) become the next warm start.
-func (e *Engine) noteNorm(n int, p *core.Plan) {
+func (e *Engine) noteNorm(n int, p *Plan) {
 	e.hintMu.Lock()
 	defer e.hintMu.Unlock()
 	e.plannedN[n] = true
@@ -415,14 +402,14 @@ func (e *Engine) noteNorm(n int, p *core.Plan) {
 }
 
 // hintConcrete returns the warm-start plan for a sorted victim set.
-func (e *Engine) hintConcrete(ws []schedule.Worker) *core.Plan {
+func (e *Engine) hintConcrete(ws []schedule.Worker) *Plan {
 	e.hintMu.Lock()
 	defer e.hintMu.Unlock()
 	return e.hintsC[victimKey(ws)]
 }
 
 // noteConcrete records a served concrete plan as a future warm start.
-func (e *Engine) noteConcrete(ws []schedule.Worker, p *core.Plan) {
+func (e *Engine) noteConcrete(ws []schedule.Worker, p *Plan) {
 	if p.Hint == nil {
 		return
 	}
@@ -432,9 +419,9 @@ func (e *Engine) noteConcrete(ws []schedule.Worker, p *core.Plan) {
 }
 
 // InvalidateCache drops every derived planning artifact — the in-process
-// plan cache, the Best(n) indexes, the compiled-program cache and the
-// replicated store's contents — while keeping the warm-start hints. It
-// models plan-state loss (a planner restart, a store wipe, a membership
+// plan cache with the Programs compiled into its plans, the Best(n)
+// indexes and the replicated store's contents — while keeping the
+// warm-start hints. It models plan-state loss (a planner restart, a store wipe, a membership
 // change that voids cached plans): the next Warm re-derives every plan, and the retained hints make the
 // re-derivation a warm validation pass instead of a scratch solve.
 //
@@ -454,18 +441,18 @@ func (e *Engine) InvalidateCache() {
 // for more failures always routes around at least the workers that are
 // down). The exact count is first sought in the cache and the replicated
 // store.
-func (e *Engine) Best(n int) (*core.Plan, bool) {
+func (e *Engine) Best(n int) (*Plan, bool) {
 	c := e.config()
 	ep := e.epoch.Load()
 	if p, ok := e.peek(nkey(c.fp, n), c.fp, true); ok {
 		return p, true
 	}
-	return e.normStore(c.fp, ep).Best(n)
+	return e.normBest(c.fp, ep, n)
 }
 
 // best is Best without the traffic counters, used by ScheduleFor so each
 // Coordinator fetch lands in exactly one metrics tier.
-func (e *Engine) best(fp string, n int) (*core.Plan, bool) {
+func (e *Engine) best(fp string, n int) (*Plan, bool) {
 	key := nkey(fp, n)
 	st := e.stripeFor(key)
 	ep := e.epoch.Load()
@@ -479,7 +466,7 @@ func (e *Engine) best(fp string, n int) (*core.Plan, bool) {
 		e.admit(key, fp, p, true, ep)
 		return p, true
 	}
-	return e.normStore(fp, ep).Best(n)
+	return e.normBest(fp, ep, n)
 }
 
 // ScheduleFor is the Coordinator's failure-handling path (§4.1, Fig 8):
@@ -488,12 +475,18 @@ func (e *Engine) best(fp string, n int) (*core.Plan, bool) {
 // failed set coincides with the concrete one (zero migrations needed);
 // otherwise solve on demand and persist the result.
 func (e *Engine) ScheduleFor(failed map[schedule.Worker]bool) (*schedule.Schedule, error) {
+	p, err := e.planFor(failed)
+	if err != nil {
+		return nil, err
+	}
+	return p.Schedule, nil
+}
+
+// planFor is ScheduleFor's fetch path, returning the plan so ProgramFor
+// reaches its Program slot.
+func (e *Engine) planFor(failed map[schedule.Worker]bool) (*Plan, error) {
 	if len(failed) == 0 {
-		p, err := e.Plan(0)
-		if err != nil {
-			return nil, err
-		}
-		return p.Schedule, nil
+		return e.Plan(0)
 	}
 	ws := make([]schedule.Worker, 0, len(failed))
 	for w := range failed {
@@ -502,27 +495,23 @@ func (e *Engine) ScheduleFor(failed map[schedule.Worker]bool) (*schedule.Schedul
 	schedule.SortWorkers(ws)
 	c := e.config()
 	if p, ok := e.peek(ckey(c.fp, ws), c.fp, false); ok {
-		return p.Schedule, nil
+		return p, nil
 	}
 	if p, ok := e.best(c.fp, len(ws)); ok {
 		norm := append([]schedule.Worker(nil), p.Failed...)
 		schedule.SortWorkers(norm)
 		if sameWorkers(norm, ws) {
 			e.bestHits.Add(1)
-			return p.Schedule, nil
+			return p, nil
 		}
 	}
-	p, err := e.PlanConcrete(ws)
-	if err != nil {
-		return nil, err
-	}
-	return p.Schedule, nil
+	return e.PlanConcrete(ws)
 }
 
 // peek returns the plan under key from the cache or the replicated store
 // without ever solving. Store hits are promoted into the cache (and the
 // Best(n) index when normalized).
-func (e *Engine) peek(key, fp string, normalized bool) (*core.Plan, bool) {
+func (e *Engine) peek(key, fp string, normalized bool) (*Plan, bool) {
 	st := e.stripeFor(key)
 	ep := e.epoch.Load()
 	e.lockShared(&st.mu)
@@ -544,7 +533,7 @@ func (e *Engine) peek(key, fp string, normalized bool) (*core.Plan, bool) {
 // a solve on one fingerprint never blocks a hit on another — and the cache
 // is probed under the shared lock before the exclusive inflight path is
 // touched at all.
-func (e *Engine) getOrSolve(key, fp string, normalized bool, solve func() (*core.Plan, error)) (*core.Plan, error) {
+func (e *Engine) getOrSolve(key, fp string, normalized bool, solve func() (*Plan, error)) (*Plan, error) {
 	st := e.stripeFor(key)
 	ep := e.epoch.Load()
 	e.lockShared(&st.mu)
@@ -578,9 +567,9 @@ func (e *Engine) getOrSolve(key, fp string, normalized bool, solve func() (*core
 		p, err = solve()
 		if err == nil {
 			switch p.SolveKind {
-			case core.SolveWarmIdentical:
+			case SolveWarmIdentical:
 				e.warmHits.Add(1)
-			case core.SolveWarmReplay:
+			case SolveWarmReplay:
 				e.warmReplays.Add(1)
 			default:
 				e.scratchSolves.Add(1)
@@ -601,7 +590,7 @@ func (e *Engine) getOrSolve(key, fp string, normalized bool, solve func() (*core
 
 // load fetches and decodes a plan from the replicated store, counting the
 // hit.
-func (e *Engine) load(key string) *core.Plan {
+func (e *Engine) load(key string) *Plan {
 	p := e.loadQuiet(key)
 	if p != nil {
 		e.storeHits.Add(1)
@@ -612,7 +601,7 @@ func (e *Engine) load(key string) *core.Plan {
 // loadQuiet is load without the StoreHits counter. A lost read quorum or
 // a corrupt value degrades to a miss (the engine can always re-solve) and
 // is counted in StoreErrors.
-func (e *Engine) loadQuiet(key string) *core.Plan {
+func (e *Engine) loadQuiet(key string) *Plan {
 	data, ok, err := e.store.Get(key)
 	if err != nil {
 		e.storeErrs.Add(1)
@@ -632,7 +621,7 @@ func (e *Engine) loadQuiet(key string) *core.Plan {
 // persist encodes the plan and replicates it. A failed encode or a lost
 // write quorum does not fail the request — the caller still gets its plan —
 // but is counted.
-func (e *Engine) persist(key string, p *core.Plan) {
+func (e *Engine) persist(key string, p *Plan) {
 	data, err := EncodePlan(p)
 	if err == nil {
 		err = e.store.Put(key, data)
@@ -646,7 +635,7 @@ func (e *Engine) persist(key string, p *core.Plan) {
 // request began in and, for normalized plans, the fingerprint's Best(n)
 // index. An entry admitted under a newer epoch is never replaced by a
 // stale one.
-func (e *Engine) admit(key, fp string, p *core.Plan, normalized bool, ep uint64) {
+func (e *Engine) admit(key, fp string, p *Plan, normalized bool, ep uint64) {
 	st := e.stripeFor(key)
 	e.lockExcl(&st.mu)
 	if ent, ok := st.plans[key]; !ok || ent.epoch <= ep {
@@ -654,21 +643,36 @@ func (e *Engine) admit(key, fp string, p *core.Plan, normalized bool, ep uint64)
 	}
 	st.mu.Unlock()
 	if normalized {
-		// Put only rejects empty plans, which cannot reach here.
-		_ = e.normStore(fp, ep).Put(p)
+		e.normMu.Lock()
+		e.normLocked(fp, ep)[p.Failures] = p
+		e.normMu.Unlock()
 	}
 }
 
-// normStore returns the Best(n) index for one job fingerprint at the
-// given epoch, lazily rebuilding an index whose epoch is stale.
-func (e *Engine) normStore(fp string, ep uint64) *core.PlanStore {
+// normBest returns the plan for n failures from fp's Best(n) index, or
+// the smallest indexed plan covering more than n failures if the exact
+// count is missing (a plan for more failures always routes around at
+// least the workers that are down).
+func (e *Engine) normBest(fp string, ep uint64, n int) (*Plan, bool) {
 	e.normMu.Lock()
 	defer e.normMu.Unlock()
-	ni := e.norm[fp]
-	if ni != nil && ni.epoch >= ep {
-		return ni.store
+	var best *Plan
+	for k, p := range e.normLocked(fp, ep) {
+		if k >= n && (best == nil || k < best.Failures) {
+			best = p
+		}
 	}
-	ni = &normIndex{store: core.NewPlanStore(), epoch: ep}
-	e.norm[fp] = ni
-	return ni.store
+	return best, best != nil
+}
+
+// normLocked returns the Best(n) index for one job fingerprint at the
+// given epoch, lazily rebuilding an index whose epoch is stale. The caller
+// holds normMu.
+func (e *Engine) normLocked(fp string, ep uint64) map[int]*Plan {
+	ni, ok := e.norm[fp]
+	if !ok || ni.epoch < ep {
+		ni = normIndex{plans: make(map[int]*Plan), epoch: ep}
+		e.norm[fp] = ni
+	}
+	return ni.plans
 }

@@ -2,11 +2,11 @@ package engine
 
 import (
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
 	"recycle/internal/config"
-	"recycle/internal/core"
 	"recycle/internal/planstore"
 	"recycle/internal/profile"
 	"recycle/internal/schedule"
@@ -37,7 +37,7 @@ func TestPlanAllParallelMatchesSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	seq := core.New(job, stats)
+	seq := NewPlanner(job, stats)
 	seq.UnrollIterations = 2
 	for f := 0; f < job.Parallel.DP; f++ {
 		want, err := seq.PlanFor(f)
@@ -71,7 +71,7 @@ func TestPlanCoalescesConcurrentRequests(t *testing.T) {
 
 	const callers = 16
 	var wg sync.WaitGroup
-	plans := make([]*core.Plan, callers)
+	plans := make([]*Plan, callers)
 	errs := make([]error, callers)
 	for i := 0; i < callers; i++ {
 		wg.Add(1)
@@ -118,14 +118,17 @@ func TestSharedStoreServesSecondEngine(t *testing.T) {
 	if m.Solves != 0 || m.StoreHits != 1 {
 		t.Errorf("second engine: %d solves and %d store hits, want 0 and 1", m.Solves, m.StoreHits)
 	}
-	// Solver provenance (warm-start hint, solve kind) is in-memory-only
-	// metadata and never crosses the store; compare plan content.
-	wantC, gotC := *want, *got
-	wantC.Hint, wantC.SolveKind = nil, ""
-	gotC.Hint, gotC.SolveKind = nil, ""
-	if !reflect.DeepEqual(&wantC, &gotC) {
+	if !reflect.DeepEqual(planContent(want), planContent(got)) {
 		t.Error("plan decoded from the shared store differs from the original")
 	}
+}
+
+// planContent is the part of a plan that crosses the store: solver
+// provenance (warm-start hint, solve kind) and the Program slot are
+// in-memory only.
+func planContent(p *Plan) *Plan {
+	return &Plan{Failures: p.Failures, Assignment: p.Assignment, Failed: p.Failed,
+		Schedule: p.Schedule, PeriodSlots: p.PeriodSlots, PlanTime: p.PlanTime}
 }
 
 // TestScheduleForCoordinatorFlow checks the failure-handling fetch order:
@@ -241,7 +244,7 @@ func TestReCycleThroughputBounded(t *testing.T) {
 func techniqueEngines() (full, adaptive *Engine) {
 	job, stats := ShapeJob(3, 4, 6)
 	store := planstore.New(3)
-	only := core.Techniques{AdaptivePipelining: true}
+	only := Techniques{AdaptivePipelining: true}
 	full = New(job, stats, Options{UnrollIterations: 4, Store: store})
 	adaptive = New(job, stats, Options{UnrollIterations: 4, Store: store, Techniques: &only})
 	return full, adaptive
@@ -317,5 +320,50 @@ func TestPlanRejectsInvalidCounts(t *testing.T) {
 	}
 	if _, err := eng.Plan(4); err == nil {
 		t.Error("repeated invalid request should still fail")
+	}
+}
+
+// TestConcreteRejectsBadVictims checks that a victim set naming a worker
+// outside the job, or one worker twice, is an error in the caller's own
+// names — not a panic in canonicalization, and not a report about the
+// renamed class representative — on the slice and map fetch paths alike,
+// under homogeneous and heterogeneous costs.
+func TestConcreteRejectsBadVictims(t *testing.T) {
+	job, stats := ShapeJob(3, 2, 4)
+	slow := profile.UniformCost(stats).WithWorkerScale(schedule.Worker{Stage: 0, Pipeline: 0}, 2)
+	w := func(pipeline, stage int) schedule.Worker { return schedule.Worker{Stage: stage, Pipeline: pipeline} }
+	for _, tc := range []struct {
+		name   string
+		failed []schedule.Worker
+		bad    schedule.Worker
+	}{
+		{"pipeline past DP", []schedule.Worker{w(3, 0)}, w(3, 0)},
+		{"stage past PP", []schedule.Worker{w(2, 2)}, w(2, 2)},
+		{"negative pipeline", []schedule.Worker{w(-1, 1)}, w(-1, 1)},
+		{"negative stage", []schedule.Worker{w(1, -1)}, w(1, -1)},
+		{"next to a valid victim", []schedule.Worker{w(1, 0), w(4, 1)}, w(4, 1)},
+		{"duplicate", []schedule.Worker{w(2, 1), w(2, 1)}, w(2, 1)},
+	} {
+		for _, cm := range []*profile.CostModel{nil, slow} {
+			eng := New(job, stats, Options{UnrollIterations: 1, CostModel: cm})
+			check := func(path string, err error) {
+				t.Helper()
+				if err == nil || !strings.Contains(err.Error(), tc.bad.String()) {
+					t.Errorf("%s (costs %v) via %s: error %v, want one naming %s", tc.name, cm != nil, path, err, tc.bad)
+				}
+			}
+			_, err := eng.PlanConcrete(tc.failed)
+			check("PlanConcrete", err)
+			_, err = eng.ProgramConcrete(tc.failed)
+			check("ProgramConcrete", err)
+			set := make(map[schedule.Worker]bool)
+			for _, v := range tc.failed {
+				set[v] = true
+			}
+			if len(set) == len(tc.failed) { // a map cannot hold a duplicate
+				_, err = eng.ProgramFor(set)
+				check("ProgramFor", err)
+			}
+		}
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"strings"
 
 	"recycle/internal/config"
-	"recycle/internal/core"
 	"recycle/internal/profile"
 	"recycle/internal/schedule"
 )
@@ -27,14 +26,14 @@ import (
 type fingerprintInput struct {
 	Job        config.Job
 	Stats      profile.Stats
-	Techniques core.Techniques
+	Techniques Techniques
 	Unroll     int
 	Costs      string
 }
 
 // Fingerprint derives the deterministic job fingerprint used to key plans.
 // costs is the cost model's Signature ("" for the homogeneous model).
-func Fingerprint(job config.Job, stats profile.Stats, t core.Techniques, unroll int, costs string) string {
+func Fingerprint(job config.Job, stats profile.Stats, t Techniques, unroll int, costs string) string {
 	b, err := json.Marshal(fingerprintInput{Job: job, Stats: stats, Techniques: t, Unroll: unroll, Costs: costs})
 	if err != nil {
 		// The input is plain data; Marshal cannot fail. Guard anyway so a
@@ -112,6 +111,10 @@ func appendVictims(b *strings.Builder, ws []schedule.Worker) {
 		b.WriteString(strconv.Itoa(w.Pipeline))
 	}
 }
+
+// SortWorkers orders workers canonically by (stage, pipeline), the order
+// every key above renders them in.
+func SortWorkers(ws []schedule.Worker) { schedule.SortWorkers(ws) }
 
 // sameWorkers reports whether two sorted worker lists are identical.
 func sameWorkers(a, b []schedule.Worker) bool { return slices.Equal(a, b) }

@@ -1,4 +1,4 @@
-package core
+package engine
 
 import (
 	"fmt"
@@ -6,7 +6,7 @@ import (
 	"recycle/internal/schedule"
 )
 
-// NormalizeFailures implements Algorithm 1 (Failure Normalization): a
+// normalizeFailures implements Algorithm 1 (Failure Normalization): a
 // dynamic program that distributes F failures across PP pipeline stages to
 // minimize total rerouting overhead. It returns A, a slice of length PP
 // where A[i] is the number of failures migrated to stage i; sum(A) == F.
@@ -24,12 +24,12 @@ import (
 // stated goal — so we implement the max.) Ties prefer later stages, which
 // hold more surplus memory and whose cool-down bubbles sit closer to their
 // (staggered) optimizer deadline (§4.2.1 intuition b).
-func NormalizeFailures(dp, pp, mb, failures int) ([]int, error) {
+func normalizeFailures(dp, pp, mb, failures int) ([]int, error) {
 	if failures < 0 {
-		return nil, fmt.Errorf("core: negative failure count")
+		return nil, fmt.Errorf("engine: negative failure count")
 	}
 	if failures > dp*pp {
-		return nil, fmt.Errorf("core: %d failures exceed %d workers", failures, dp*pp)
+		return nil, fmt.Errorf("engine: %d failures exceed %d workers", failures, dp*pp)
 	}
 	// O[f] is the running DP row (stage-major fold); A holds assignments.
 	type cell struct {
@@ -38,14 +38,14 @@ func NormalizeFailures(dp, pp, mb, failures int) ([]int, error) {
 	}
 	prev := make([]cell, failures+1)
 	for f := range prev {
-		prev[f] = cell{cost: NormalizationCost(dp, pp, mb, f), assign: []int{f}}
+		prev[f] = cell{cost: normalizationCost(dp, pp, mb, f), assign: []int{f}}
 	}
 	for i := 1; i < pp; i++ {
 		cur := make([]cell, failures+1)
 		for f := 0; f <= failures; f++ {
 			best := cell{cost: int64(1) << 62}
 			for x := 0; x <= f && x <= dp; x++ {
-				c := prev[f-x].cost + NormalizationCost(dp, pp, mb, x)
+				c := prev[f-x].cost + normalizationCost(dp, pp, mb, x)
 				// <= prefers the largest x at the latest stage scanned,
 				// i.e. ties shift failures toward later stages.
 				if c <= best.cost {
@@ -62,21 +62,22 @@ func NormalizeFailures(dp, pp, mb, failures int) ([]int, error) {
 	return prev[failures].assign, nil
 }
 
-// NormalizationCost is the COST heuristic used by the dynamic program. It
+// normalizationCost is the COST heuristic used by the dynamic program. It
 // refines Algorithm 1's line 27 to measure the per-surviving-peer overload
 // rather than the stage total:
 //
 //	COST(f) = max(0, MB*f*3/(DP-f) - (PP-1)*3)     (scaled by 1024)
 //
-// The paper's literal expression (see PaperCost) is linear in f, so every
-// way of splitting F failures across stages costs the same once bubbles
-// are exhausted and the DP's stated goal — "evenly balance the additional
-// workload" (§4.2.1 intuition a) — never emerges from it. Iteration
+// The paper's literal stage-total expression, max(0, MB*f*3 -
+// (DP-f)*(PP-1)*3), is linear in f, so every way of splitting F failures
+// across stages costs the same once bubbles are exhausted and the DP's
+// stated goal — "evenly balance the additional workload" (§4.2.1
+// intuition a) — never emerges from it. Iteration
 // latency is gated by the most-loaded surviving peer group, and the
 // per-peer form is convex in f, which makes the DP prefer balanced
 // assignments exactly as the paper intends. Ties still shift failures to
 // later stages (intuition b).
-func NormalizationCost(dp, pp, mb, f int) int64 {
+func normalizationCost(dp, pp, mb, f int) int64 {
 	if f <= 0 {
 		return 0
 	}
@@ -93,27 +94,12 @@ func NormalizationCost(dp, pp, mb, f int) int64 {
 	return demandPerPeer - supply
 }
 
-// PaperCost is the literal line-27 heuristic of Algorithm 1 (with the
-// min/max typo corrected): the stage-total unabsorbed slot count. Kept for
-// reference and for the ablation comparing normalization policies.
-func PaperCost(dp, pp, mb, f int) int64 {
-	if f <= 0 {
-		return 0
-	}
-	demand := int64(mb) * int64(f) * 3
-	supply := int64(dp-f) * int64(pp-1) * 3
-	if demand <= supply {
-		return 0
-	}
-	return demand - supply
-}
-
-// AssignmentWorkers converts a per-stage failure assignment into a
+// assignmentWorkers converts a per-stage failure assignment into a
 // concrete normalized failed-worker set. Within a stage the specific
 // pipelines are arbitrary (§4.2.1: "the specific pipeline assignments
 // being arbitrary and not impacting performance"); we fail the highest
 // pipeline ids, keeping pipeline 0 always intact.
-func AssignmentWorkers(assign []int, dp int) []schedule.Worker {
+func assignmentWorkers(assign []int, dp int) []schedule.Worker {
 	var failed []schedule.Worker
 	for stage, n := range assign {
 		for x := 0; x < n && x < dp; x++ {
@@ -123,13 +109,13 @@ func AssignmentWorkers(assign []int, dp int) []schedule.Worker {
 	return failed
 }
 
-// MigrationsNeeded returns how many point-to-point parameter copies are
+// migrationsNeeded returns how many point-to-point parameter copies are
 // required to morph the concrete failure set into the normalized one: the
 // number of failed workers not already at a normalized location. Each
 // migration copies one stage's parameters between two live workers —
 // ReCycle's entire reconfiguration cost (vs. Oobleck's full-pipeline
 // reshuffle).
-func MigrationsNeeded(concrete []schedule.Worker, assign []int) int {
+func migrationsNeeded(concrete []schedule.Worker, assign []int) int {
 	perStage := make(map[int]int)
 	for _, w := range concrete {
 		perStage[w.Stage]++

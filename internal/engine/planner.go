@@ -1,23 +1,8 @@
-// Package core implements ReCycle's primary contribution: the Planner
-// (§4.2). Given a training job configuration and profiled statistics, the
-// Planner precomputes an adaptive pipeline schedule for every tolerated
-// failure count. It runs in two phases:
-//
-//  1. Failure Normalization (§4.2.1, Algorithm 1): a dynamic program that
-//     decides how many failures to migrate to each pipeline stage so that
-//     rerouting overhead is minimized — avoiding a combinatorial solve per
-//     concrete failure location. Applying a plan to concrete failures then
-//     needs only a point-to-point parameter copy per failed worker.
-//  2. Adaptive Schedule Generation (§4.2.2): a makespan-minimizing solve
-//     (internal/solver) that integrates Adaptive Pipelining, Decoupled
-//     BackProp and the Staggered Optimizer under memory constraints.
-//
-// Plans are stored in a PlanStore (one per failure count) and fetched by
-// the runtime Coordinator when failures are detected.
-package core
+package engine
 
 import (
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"recycle/internal/config"
@@ -51,12 +36,18 @@ type Plan struct {
 	// Hint is the solver's warm-start package for this plan's instance —
 	// the schedule plus the routing and toggles it was solved under. It
 	// lives only in memory (the engine codec does not serialize it, so
-	// store-decoded plans carry nil) and feeds PlanForHinted /
-	// PlanConcreteHinted on the next solve of the same configuration.
+	// store-decoded plans carry nil) and feeds planForHinted /
+	// planConcreteHinted on the next solve of the same configuration.
 	Hint *solver.Hint `json:"-"`
 	// SolveKind records how the schedule was derived: SolveScratch,
 	// SolveWarmIdentical or SolveWarmReplay.
 	SolveKind string `json:"-"`
+
+	// prog is the compiled Program of Schedule, filled by the first
+	// ProgramFor/CompiledProgram that reaches this plan. A plan is cached
+	// under one key and epoch, so the slot shares its lifetime; a Plan is
+	// therefore never copied by value, which would alias or drop it.
+	prog atomic.Pointer[schedule.Program]
 }
 
 // SolveKind values stamped into Plan.SolveKind (solver.SolveKind.String()).
@@ -66,7 +57,15 @@ const (
 	SolveWarmReplay    = "warm-replay"
 )
 
-// Planner generates and caches adaptive schedules for one job.
+// Planner is ReCycle's primary contribution (§4.2): given a job and its
+// profiled statistics, it precomputes an adaptive pipeline schedule for a
+// failure count or set in two phases — Failure Normalization (Algorithm 1,
+// normalize.go), which decides how many failures each stage carries so one
+// plan serves every concrete set of that size, then Adaptive Schedule
+// Generation (§4.2.2), a makespan-minimizing solve (internal/solver) with
+// Adaptive Pipelining, Decoupled BackProp and the Staggered Optimizer
+// under memory constraints. The engine holds one immutable Planner as its
+// configuration snapshot; NewPlanner builds a bare one.
 type Planner struct {
 	Job        config.Job
 	Stats      profile.Stats
@@ -82,15 +81,31 @@ type Planner struct {
 	// time; throughput analyses unroll 2+ iterations so SteadyPeriod can
 	// difference consecutive makespans.
 	UnrollIterations int
+
+	// fp is the fingerprint namespacing this configuration's keys in the
+	// replicated store ("" on a bare NewPlanner).
+	fp string
 }
 
-// New returns a Planner for the job with full ReCycle techniques.
-func New(job config.Job, stats profile.Stats) *Planner {
+// NewPlanner returns a Planner for the job with full ReCycle techniques —
+// the sequential baseline benchmarks and tests use; production consumers
+// construct a full Engine instead.
+func NewPlanner(job config.Job, stats profile.Stats) *Planner {
 	return &Planner{Job: job, Stats: stats, Techniques: AllTechniques, UnrollIterations: 3}
 }
 
-// shape derives the schedule shape from the job.
-func (p *Planner) shape() schedule.Shape {
+// withCosts returns a copy of p planning under the cost model costs, its
+// key namespace re-derived.
+func (p *Planner) withCosts(costs *profile.CostModel) *Planner {
+	q := *p
+	q.Costs = costs
+	q.fp = Fingerprint(q.Job, q.Stats, q.Techniques, q.UnrollIterations, costs.Signature())
+	return &q
+}
+
+// Shape returns the schedule shape the planner solves at: the job geometry
+// plus the unroll window.
+func (p *Planner) Shape() schedule.Shape {
 	iters := p.UnrollIterations
 	if iters < 1 {
 		iters = 3
@@ -107,30 +122,30 @@ func (p *Planner) shape() schedule.Shape {
 // failures. Failure locations are normalized (Algorithm 1), so one plan
 // serves any concrete failure set of that size.
 func (p *Planner) PlanFor(failures int) (*Plan, error) {
-	return p.PlanForHinted(failures, nil)
+	return p.planForHinted(failures, nil)
 }
 
-// PlanForHinted is PlanFor warm-started by a previous plan of the same
+// planForHinted is PlanFor warm-started by a previous plan of the same
 // failure count. Normalization is deterministic, so the previous plan's
 // failed set matches the new one exactly; the solver then validates or
 // replays the previous schedule instead of re-deriving it, unless the
 // planner's configuration drifted incompatibly (in which case the hint is
 // ignored and the solve falls back to scratch — passing a stale plan is
 // always safe and never yields a worse makespan).
-func (p *Planner) PlanForHinted(failures int, prev *Plan) (*Plan, error) {
+func (p *Planner) planForHinted(failures int, prev *Plan) (*Plan, error) {
 	if failures < 0 {
-		return nil, fmt.Errorf("core: negative failure count %d", failures)
+		return nil, fmt.Errorf("engine: negative failure count %d", failures)
 	}
-	sh := p.shape()
+	sh := p.Shape()
 	if failures >= sh.DP*sh.PP {
-		return nil, fmt.Errorf("core: %d failures exceed the %d-worker job", failures, sh.DP*sh.PP)
+		return nil, fmt.Errorf("engine: %d failures exceed the %d-worker job", failures, sh.DP*sh.PP)
 	}
 	start := time.Now()
-	assign, err := NormalizeFailures(sh.DP, sh.PP, sh.MB, failures)
+	assign, err := normalizeFailures(sh.DP, sh.PP, sh.MB, failures)
 	if err != nil {
 		return nil, err
 	}
-	return p.solve(sh, assign, AssignmentWorkers(assign, sh.DP), start, hintOf(prev))
+	return p.solve(sh, assign, assignmentWorkers(assign, sh.DP), start, hintOf(prev))
 }
 
 // PlanConcrete generates the adaptive plan for a specific failed-worker
@@ -140,28 +155,38 @@ func (p *Planner) PlanForHinted(failures int, prev *Plan) (*Plan, error) {
 // meaningful); the figure gallery uses it to reproduce the paper's running
 // example with worker W1_2 failed.
 func (p *Planner) PlanConcrete(failed []schedule.Worker) (*Plan, error) {
-	return p.PlanConcreteHinted(failed, nil)
+	return p.planConcreteHinted(failed, nil)
 }
 
-// PlanConcreteHinted is PlanConcrete warm-started by a previous plan for
-// the same failed-worker set (same hint semantics as PlanForHinted).
-func (p *Planner) PlanConcreteHinted(failed []schedule.Worker, prev *Plan) (*Plan, error) {
-	sh := p.shape()
-	assign := make([]int, sh.PP)
-	seen := make(map[schedule.Worker]bool, len(failed))
-	for _, w := range failed {
-		if w.Stage < 0 || w.Stage >= sh.PP || w.Pipeline < 0 || w.Pipeline >= sh.DP {
-			return nil, fmt.Errorf("core: failed worker %s outside the %dx%d job", w, sh.DP, sh.PP)
-		}
-		if seen[w] {
-			return nil, fmt.Errorf("core: duplicate failed worker %s", w)
-		}
-		seen[w] = true
-		assign[w.Stage]++
-	}
+// planConcreteHinted is PlanConcrete warm-started by a previous plan for
+// the same failed-worker set (same hint semantics as planForHinted).
+func (p *Planner) planConcreteHinted(failed []schedule.Worker, prev *Plan) (*Plan, error) {
+	sh := p.Shape()
 	ws := append([]schedule.Worker(nil), failed...)
 	schedule.SortWorkers(ws)
+	if err := checkFailed(sh, ws); err != nil {
+		return nil, err
+	}
+	assign := make([]int, sh.PP)
+	for _, w := range ws {
+		assign[w.Stage]++
+	}
 	return p.solve(sh, assign, ws, time.Now(), hintOf(prev))
+}
+
+// checkFailed rejects a sorted failed-worker set that names a worker
+// outside the job's DP×PP grid, or one worker twice. It runs before any
+// canonicalization, so an error names the worker the caller gave.
+func checkFailed(sh schedule.Shape, ws []schedule.Worker) error {
+	for i, w := range ws {
+		if w.Stage < 0 || w.Stage >= sh.PP || w.Pipeline < 0 || w.Pipeline >= sh.DP {
+			return fmt.Errorf("engine: failed worker %s outside the %dx%d job", w, sh.DP, sh.PP)
+		}
+		if i > 0 && ws[i-1] == w {
+			return fmt.Errorf("engine: duplicate failed worker %s", w)
+		}
+	}
+	return nil
 }
 
 // hintOf extracts a plan's warm-start hint (nil-safe; store-decoded plans
@@ -173,17 +198,12 @@ func hintOf(prev *Plan) *solver.Hint {
 	return prev.Hint
 }
 
-// Shape returns the schedule shape the planner solves at: the job geometry
-// plus the unroll window. The engine uses it to canonicalize victim sets
-// before keying its caches.
-func (p *Planner) Shape() schedule.Shape { return p.shape() }
-
 // solve runs the schedule generation phase shared by PlanFor and
 // PlanConcrete: the failed-worker set is fixed, the techniques translate
 // into solver toggles, and the result is wrapped into a Plan.
 func (p *Planner) solve(sh schedule.Shape, assign []int, failed []schedule.Worker, start time.Time, hint *solver.Hint) (*Plan, error) {
 	if !p.Techniques.AdaptivePipelining && len(failed) > 0 {
-		return nil, fmt.Errorf("core: %d failures but Adaptive Pipelining disabled — no recovery path without spares", len(failed))
+		return nil, fmt.Errorf("engine: %d failures but Adaptive Pipelining disabled — no recovery path without spares", len(failed))
 	}
 	failedSet := make(map[schedule.Worker]bool, len(failed))
 	for _, w := range failed {
@@ -222,6 +242,33 @@ func (p *Planner) solve(sh schedule.Shape, assign []int, failed []schedule.Worke
 		Hint:        info.Hint,
 		SolveKind:   info.Kind.String(),
 	}, nil
+}
+
+// renamePlan applies a pipeline permutation to a plan — the engine's
+// un-canonicalization step after solving one cost-equivalence-class
+// representative per victim orbit (schedule.CanonicalizeVictims). The
+// permutation must move pipelines only within cost-equivalence classes;
+// the renamed schedule is then an exact isomorph of the original
+// (schedule.RenamePipelines), so period, makespan and per-stage
+// assignment carry over unchanged. The warm-start hint is dropped: hints
+// describe the instance that was actually solved, and the canonical
+// plan keeps it. The renamed plan starts with an empty Program slot: the
+// representative's Program runs the other pipelines.
+func renamePlan(p *Plan, perm []int) *Plan {
+	failed := make([]schedule.Worker, len(p.Failed))
+	for i, w := range p.Failed {
+		failed[i] = schedule.Worker{Stage: w.Stage, Pipeline: perm[w.Pipeline]}
+	}
+	schedule.SortWorkers(failed)
+	return &Plan{
+		Failures:    p.Failures,
+		Assignment:  p.Assignment,
+		Failed:      failed,
+		Schedule:    schedule.RenamePipelines(p.Schedule, perm),
+		PeriodSlots: p.PeriodSlots,
+		PlanTime:    p.PlanTime,
+		SolveKind:   p.SolveKind,
+	}
 }
 
 // IterationSeconds converts a plan's steady-state period into wall-clock

@@ -1,11 +1,9 @@
-package core
+package engine
 
 import (
 	"testing"
 	"testing/quick"
 
-	"recycle/internal/config"
-	"recycle/internal/profile"
 	"recycle/internal/schedule"
 )
 
@@ -18,7 +16,7 @@ func TestNormalizeSumsToF(t *testing.T) {
 		pp := int(ppR%7) + 2
 		maxF := pp * (dp - 1)
 		f := int(fR) % (maxF + 1)
-		a, err := NormalizeFailures(dp, pp, dp*2, f)
+		a, err := normalizeFailures(dp, pp, dp*2, f)
 		if err != nil {
 			return false
 		}
@@ -45,7 +43,7 @@ func TestNormalizeBalances(t *testing.T) {
 		{4, 8, 256, 12},
 		{32, 8, 64, 40},
 	} {
-		a, err := NormalizeFailures(tc.dp, tc.pp, tc.mb, tc.f)
+		a, err := normalizeFailures(tc.dp, tc.pp, tc.mb, tc.f)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -62,7 +60,7 @@ func TestNormalizeBalances(t *testing.T) {
 // TestNormalizePrefersLaterStages checks intuition (b): with a single
 // failure, the assignment lands on the last stage.
 func TestNormalizePrefersLaterStages(t *testing.T) {
-	a, err := NormalizeFailures(3, 4, 6, 1)
+	a, err := normalizeFailures(3, 4, 6, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,15 +75,15 @@ func TestNormalizePrefersLaterStages(t *testing.T) {
 // TestCostHeuristicShapes checks the COST heuristic: zero while bubbles
 // absorb the rerouted work, convex beyond, prohibitive at f >= DP.
 func TestCostHeuristicShapes(t *testing.T) {
-	if c := NormalizationCost(64, 16, 2, 1); c != 0 {
+	if c := normalizationCost(64, 16, 2, 1); c != 0 {
 		t.Errorf("LLaMA-3-style config should absorb 1 failure free, got cost %d", c)
 	}
-	c1 := NormalizationCost(4, 8, 256, 1)
-	c2 := NormalizationCost(4, 8, 256, 2)
+	c1 := normalizationCost(4, 8, 256, 1)
+	c2 := normalizationCost(4, 8, 256, 2)
 	if !(c2 > 2*c1 && c1 > 0) {
 		t.Errorf("cost not convex: COST(1)=%d COST(2)=%d", c1, c2)
 	}
-	if c := NormalizationCost(4, 8, 256, 4); c < 1<<39 {
+	if c := normalizationCost(4, 8, 256, 4); c < 1<<39 {
 		t.Errorf("f=DP should be prohibitive, got %d", c)
 	}
 }
@@ -94,28 +92,19 @@ func TestCostHeuristicShapes(t *testing.T) {
 func TestMigrationsNeeded(t *testing.T) {
 	assign := []int{0, 0, 1, 1}
 	concrete := []schedule.Worker{{Stage: 2, Pipeline: 0}, {Stage: 3, Pipeline: 1}}
-	if got := MigrationsNeeded(concrete, assign); got != 0 {
+	if got := migrationsNeeded(concrete, assign); got != 0 {
 		t.Errorf("already normalized: want 0 migrations, got %d", got)
 	}
 	concrete = []schedule.Worker{{Stage: 0, Pipeline: 0}, {Stage: 0, Pipeline: 1}}
-	if got := MigrationsNeeded(concrete, assign); got != 2 {
+	if got := migrationsNeeded(concrete, assign); got != 2 {
 		t.Errorf("both failures misplaced: want 2 migrations, got %d", got)
 	}
 }
 
-func testPlanner(t *testing.T) *Planner {
+// analyticPlanner is a bare planner over analyticJob.
+func analyticPlanner(t *testing.T) *Planner {
 	t.Helper()
-	job := config.Job{
-		Model:    config.GPT3XL,
-		Parallel: config.Parallelism{DP: 4, PP: 4, TP: 1},
-		Batch:    config.Batch{GlobalBatch: 128, MicroBatch: 2},
-		Hardware: config.A100x1,
-	}
-	stats, err := profile.Analytic(job)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := New(job, stats)
+	p := NewPlanner(analyticJob(t))
 	p.UnrollIterations = 2
 	return p
 }
@@ -125,7 +114,7 @@ func testPlanner(t *testing.T) *Planner {
 // for, which Gurobi also solves only to a gap) may wobble by a fraction of
 // a percent between adjacent failure counts; 0.5% is tolerated.
 func TestPlannerMonotoneDegradation(t *testing.T) {
-	p := testPlanner(t)
+	p := analyticPlanner(t)
 	var prev int64
 	for f := 0; f <= 3; f++ {
 		plan, err := p.PlanFor(f)
@@ -144,7 +133,7 @@ func TestPlannerMonotoneDegradation(t *testing.T) {
 // TestPlannerSchedulesValidate runs the MILP constraint checker over
 // generated plans, including the profile-derived memory caps.
 func TestPlannerSchedulesValidate(t *testing.T) {
-	p := testPlanner(t)
+	p := analyticPlanner(t)
 	for f := 0; f <= 3; f++ {
 		plan, err := p.PlanFor(f)
 		if err != nil {
@@ -160,38 +149,28 @@ func TestPlannerSchedulesValidate(t *testing.T) {
 	}
 }
 
-// TestPlanAllAndStore checks the offline phase: a plan for every count in
-// 0..DP-1 lands in the store, and Best falls back to the smallest larger
-// plan when the exact count is missing.
+// TestPlanAllAndStore checks the offline phase: warming lands a plan for
+// every count in 0..DP-1 in the engine's Best(n) index, and Best falls
+// back to the smallest larger plan when the exact count is missing.
 func TestPlanAllAndStore(t *testing.T) {
-	p := testPlanner(t)
-	maxF := p.Job.MaxPlannedFailures()
-	if maxF != p.Job.Parallel.DP-1 {
-		t.Fatalf("max planned failures %d, want %d", maxF, p.Job.Parallel.DP-1)
+	job, stats := analyticJob(t)
+	maxF := job.MaxPlannedFailures()
+	if maxF != job.Parallel.DP-1 {
+		t.Fatalf("max planned failures %d, want %d", maxF, job.Parallel.DP-1)
 	}
-	store := NewPlanStore()
-	for f := 0; f <= maxF; f++ {
-		plan, err := p.PlanFor(f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := store.Put(plan); err != nil {
-			t.Fatal(err)
-		}
+	eng := New(job, stats, Options{UnrollIterations: 2})
+	if err := eng.Warm(maxF).Wait(); err != nil {
+		t.Fatal(err)
 	}
 	for f := 0; f <= maxF; f++ {
-		if plan, ok := store.Get(f); !ok || plan.Failures != f {
-			t.Fatalf("Get(%d) = (%v, %v), want the %d-failure plan", f, plan, ok, f)
+		if plan, ok := eng.Best(f); !ok || plan.Failures != f {
+			t.Fatalf("Best(%d) = (%v, %v), want the %d-failure plan", f, plan, ok, f)
 		}
-	}
-	if plan, ok := store.Best(0); !ok || plan.Failures != 0 {
-		t.Fatal("Best(0) should return the exact plan")
 	}
 
-	gap := NewPlanStore()
+	gap := New(job, stats, Options{UnrollIterations: 2}) // private store: no 1- or 3-failure plan anywhere
 	for _, f := range []int{0, 2} {
-		plan, _ := store.Get(f)
-		if err := gap.Put(plan); err != nil {
+		if _, err := gap.Plan(f); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -206,7 +185,7 @@ func TestPlanAllAndStore(t *testing.T) {
 // TestAblationOrdering checks Fig 11's monotone technique improvements at
 // the planner level.
 func TestAblationOrdering(t *testing.T) {
-	p := testPlanner(t)
+	p := analyticPlanner(t)
 	period := func(tech Techniques) int64 {
 		p.Techniques = tech
 		plan, err := p.PlanFor(2)
@@ -226,7 +205,7 @@ func TestAblationOrdering(t *testing.T) {
 // TestNoAdaptiveNoRecovery checks that disabling Adaptive Pipelining
 // removes the recovery path entirely.
 func TestNoAdaptiveNoRecovery(t *testing.T) {
-	p := testPlanner(t)
+	p := analyticPlanner(t)
 	p.Techniques = Techniques{}
 	if _, err := p.PlanFor(1); err == nil {
 		t.Fatal("expected error planning failures without Adaptive Pipelining")

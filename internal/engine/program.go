@@ -1,20 +1,19 @@
 package engine
 
 import (
-	"recycle/internal/core"
 	"recycle/internal/obs"
 	"recycle/internal/schedule"
 )
 
 // Program returns the compiled Program for the normalized plan covering n
 // simultaneous failures: the plan comes through the usual get-or-solve
-// path, and the lowering is compiled at most once per cached schedule.
+// path, and the lowering is compiled at most once per cached plan.
 func (e *Engine) Program(n int) (*schedule.Program, error) {
 	p, err := e.Plan(n)
 	if err != nil {
 		return nil, err
 	}
-	return e.compiled(p.Schedule)
+	return e.compiled(p)
 }
 
 // ProgramConcrete returns the compiled Program for one specific
@@ -24,7 +23,7 @@ func (e *Engine) ProgramConcrete(failed []schedule.Worker) (*schedule.Program, e
 	if err != nil {
 		return nil, err
 	}
-	return e.compiled(p.Schedule)
+	return e.compiled(p)
 }
 
 // ProgramFor is the Coordinator's executable-artifact fetch path: the
@@ -32,11 +31,11 @@ func (e *Engine) ProgramConcrete(failed []schedule.Worker) (*schedule.Program, e
 // exactly ScheduleFor) lowered into the Program both executors interpret.
 func (e *Engine) ProgramFor(failed map[schedule.Worker]bool) (*schedule.Program, error) {
 	e.observe(obs.EvPlanFetch, "", obs.Attr{Key: "failed", Val: int64(len(failed))})
-	s, err := e.ScheduleFor(failed)
+	p, err := e.planFor(failed)
 	if err != nil {
 		return nil, err
 	}
-	return e.compiled(s)
+	return e.compiled(p)
 }
 
 // PublishSplicedProgram replicates a mid-iteration spliced Program under
@@ -70,32 +69,28 @@ func (e *Engine) SplicedProgram(event string) (*schedule.Program, error) {
 // CompiledProgram lowers (or fetches the cached lowering of) a plan this
 // engine served — the hook consumers with a *Plan in hand use to reach the
 // executable artifact.
-func (e *Engine) CompiledProgram(p *core.Plan) (*schedule.Program, error) {
-	return e.compiled(p.Schedule)
+func (e *Engine) CompiledProgram(p *Plan) (*schedule.Program, error) {
+	return e.compiled(p)
 }
 
-// compiled resolves a schedule's Program: per-stripe memo (identity
-// keying — plans are cached and shared, so one plan's schedule is one
-// pointer), then the replicated store (another engine sharing the store
-// may have compiled and replicated the artifact already), then a local
-// Compile that is encoded and replicated for everyone else. Concurrent
-// first requests may compile twice; both results are structurally
-// identical and the stripe keeps one.
-func (e *Engine) compiled(s *schedule.Schedule) (*schedule.Program, error) {
-	ps := e.progStripeFor(s)
-	ep := e.epoch.Load()
-	e.lockShared(&ps.mu)
-	ent, ok := ps.programs[s]
-	ps.mu.RUnlock()
-	if ok && ent.epoch == e.epoch.Load() {
+// compiled resolves a plan's Program: the plan's own slot (plans are
+// cached and shared, so the slot lives exactly as long as the cache
+// entry), then the replicated store (another engine sharing the store may
+// have compiled and replicated the artifact already), then a local Compile
+// that is encoded and replicated for everyone else. Concurrent first
+// requests may compile twice; both results are structurally identical and
+// the slot keeps the first.
+func (e *Engine) compiled(p *Plan) (*schedule.Program, error) {
+	if prog := p.prog.Load(); prog != nil {
 		e.programHits.Add(1)
-		return ent.prog, nil
+		return prog, nil
 	}
 
 	// The store key uses the current configuration's namespace, but the
 	// schedule in hand may have been solved under an older one (a cost
 	// model retired between the fetch and this lowering), so a decoded
 	// artifact is only accepted when it demonstrably lowers THIS schedule.
+	s := p.Schedule
 	key := programKey(e.config().fp, workerList(s.Failed))
 	data, found, err := e.store.Get(key)
 	if err != nil {
@@ -103,7 +98,7 @@ func (e *Engine) compiled(s *schedule.Schedule) (*schedule.Program, error) {
 	} else if found {
 		if prog, err := DecodeProgram(data); err == nil && programMatches(prog, s) {
 			e.programStoreHits.Add(1)
-			return e.admitProgram(s, prog, ep), nil
+			return p.setProgram(prog), nil
 		}
 	}
 
@@ -112,7 +107,7 @@ func (e *Engine) compiled(s *schedule.Schedule) (*schedule.Program, error) {
 		return nil, err
 	}
 	e.compiles.Add(1)
-	prog = e.admitProgram(s, prog, ep)
+	prog = p.setProgram(prog)
 	if data, err := EncodeProgram(prog); err != nil {
 		e.storeErrs.Add(1)
 	} else if err := e.store.Put(key, data); err != nil {
@@ -121,19 +116,13 @@ func (e *Engine) compiled(s *schedule.Schedule) (*schedule.Program, error) {
 	return prog, nil
 }
 
-// admitProgram installs a Program into its schedule's stripe under the
-// request's epoch, keeping an existing entry from the same or a newer
-// epoch (first compile wins on a race).
-func (e *Engine) admitProgram(s *schedule.Schedule, prog *schedule.Program, ep uint64) *schedule.Program {
-	ps := e.progStripeFor(s)
-	e.lockExcl(&ps.mu)
-	if ent, ok := ps.programs[s]; ok && ent.epoch >= ep {
-		prog = ent.prog
-	} else {
-		ps.programs[s] = progEntry{prog: prog, epoch: ep}
+// setProgram fills the plan's Program slot unless a concurrent first
+// request already did (first compile wins), returning the slot's Program.
+func (p *Plan) setProgram(prog *schedule.Program) *schedule.Program {
+	if p.prog.CompareAndSwap(nil, prog) {
+		return prog
 	}
-	ps.mu.Unlock()
-	return prog
+	return p.prog.Load()
 }
 
 // programMatches reports whether a decoded Program is exactly the lowering

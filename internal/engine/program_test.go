@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"bytes"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -94,6 +96,86 @@ func TestSolvedProgramsSoundAcrossFailureCounts(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 20}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestInvalidateCacheRecompilesPrograms checks that a Program lives in its
+// cached plan's slot: InvalidateCache retires the plan and with it the
+// Program, so the next ProgramFor compiles again — to the same bytes. The
+// healthy fleet's warm re-solve hands back the very same Schedule, so the
+// Program must not be reached through it.
+func TestInvalidateCacheRecompilesPrograms(t *testing.T) {
+	job, stats := ShapeJob(3, 4, 6)
+	for _, failed := range []map[schedule.Worker]bool{nil, {{Stage: 1, Pipeline: 2}: true}} {
+		eng := New(job, stats, Options{UnrollIterations: 1})
+		before, err := eng.ProgramFor(failed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng.InvalidateCache()
+		after, err := eng.ProgramFor(failed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c := eng.Metrics().Compiles; c != 2 {
+			t.Fatalf("failed %v: %d compiles across an invalidation, want 2", failed, c)
+		}
+		if after == before {
+			t.Fatalf("failed %v: ProgramFor served the pre-invalidation Program", failed)
+		}
+		a, err := EncodeProgram(before)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := EncodeProgram(after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(a, b) {
+			t.Fatalf("failed %v: the recompiled Program encodes differently", failed)
+		}
+	}
+}
+
+// TestProgramConcreteClassDedup checks that a renamed plan gets its own
+// Program, not its class representative's: ProgramConcrete on a victim set
+// answered by a rename fails exactly the requested workers, and its
+// streams skip exactly those.
+func TestProgramConcreteClassDedup(t *testing.T) {
+	job, stats := ShapeJob(3, 3, 4)
+	eng := New(job, stats, Options{UnrollIterations: 1})
+	canon := []schedule.Worker{{Stage: 1, Pipeline: 0}}
+	asked := []schedule.Worker{{Stage: 1, Pipeline: 2}}
+	rep, err := eng.ProgramConcrete(canon)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := eng.ProgramConcrete(asked)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m := eng.Metrics(); m.Solves != 1 || m.ClassDedups != 1 {
+		t.Fatalf("%d solves, %d class dedups; want the second set renamed from the first", m.Solves, m.ClassDedups)
+	}
+	if prog == rep {
+		t.Fatal("the renamed set was served its representative's Program")
+	}
+	if want := map[schedule.Worker]bool{asked[0]: true}; !reflect.DeepEqual(prog.Failed, want) {
+		t.Fatalf("Program fails %v, want %v", prog.Failed, want)
+	}
+	var live []schedule.Worker
+	for k := 0; k < 3; k++ {
+		for i := 0; i < 3; i++ {
+			if w := (schedule.Worker{Stage: i, Pipeline: k}); w != asked[0] {
+				live = append(live, w)
+			}
+		}
+	}
+	if !reflect.DeepEqual(prog.Workers(), live) {
+		t.Fatalf("Program streams %v, want every worker but %v", prog.Workers(), asked[0])
+	}
+	if err := prog.Validate(); err != nil {
 		t.Fatal(err)
 	}
 }

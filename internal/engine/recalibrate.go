@@ -126,9 +126,9 @@ func (e *Engine) recalibrateCosts(measured map[schedule.Worker]time.Duration) (R
 	e.confMu.Lock()
 	defer e.confMu.Unlock()
 	c := e.config()
-	model := c.pl.Costs
+	model := c.Costs
 	if model == nil {
-		model = profile.UniformCost(c.pl.Stats)
+		model = profile.UniformCost(c.Stats)
 	}
 	ms := make([]float64, len(ws))
 	es := make([]float64, len(ws))

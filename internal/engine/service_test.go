@@ -109,7 +109,8 @@ func TestChurnRaceStress(t *testing.T) {
 	var stop atomic.Bool
 	var wg sync.WaitGroup
 
-	// Fetch storm: every served schedule is validated against its request.
+	// Fetch storm: every served schedule and Program is validated against
+	// its request; concurrent fetchers race to fill one plan's Program slot.
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
 		go func(g int) {
@@ -123,6 +124,19 @@ func TestChurnRaceStress(t *testing.T) {
 					return
 				}
 				checkServed(t, s, failed)
+				prog, err := eng.ProgramFor(failed)
+				if err != nil {
+					t.Errorf("program fetch under churn: %v", err)
+					return
+				}
+				if len(prog.Failed) != len(failed) {
+					t.Errorf("Program fails %v, want %v", prog.Failed, failed)
+				}
+				for w := range failed {
+					if !prog.Failed[w] {
+						t.Errorf("Program fails %v, want %v", prog.Failed, failed)
+					}
+				}
 			}
 		}(g)
 	}

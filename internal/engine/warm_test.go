@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"recycle/internal/core"
 	"recycle/internal/schedule"
 )
 
@@ -84,7 +83,7 @@ func TestPlanConcreteClassDedup(t *testing.T) {
 	}
 	for i, pair := range []struct {
 		want []schedule.Worker
-		plan *core.Plan
+		plan *Plan
 	}{{a, pa}, {b, pb}} {
 		if len(pair.plan.Failed) != 1 || pair.plan.Failed[0] != pair.want[0] {
 			t.Fatalf("plan %d failed set %v, want %v", i, pair.plan.Failed, pair.want)
@@ -112,7 +111,7 @@ func TestPlanConcreteClassDedup(t *testing.T) {
 	// one solve and every other request is a rename of it.
 	eng = New(job, stats, Options{UnrollIterations: 2})
 	dp := job.Parallel.DP
-	var first *core.Plan
+	var first *Plan
 	for p := 0; p < dp; p++ {
 		w := schedule.Worker{Stage: 1, Pipeline: p}
 		plan, err := eng.PlanConcrete([]schedule.Worker{w})
@@ -145,7 +144,7 @@ func TestRecalibrateThresholdAndWarmReplan(t *testing.T) {
 	if err := eng.Warm(maxF).Wait(); err != nil {
 		t.Fatal(err)
 	}
-	var pre [maxF + 1]*core.Plan
+	var pre [maxF + 1]*Plan
 	for f := range pre {
 		p, err := eng.Plan(f)
 		if err != nil {

@@ -219,10 +219,6 @@ func (s *Stage) RegressStepEpoch(n int) {
 	}
 }
 
-// StoreLen returns how many micro-batch gradient contributions sit in the
-// WeightGradStore.
-func (s *Stage) StoreLen() int { return len(s.store) }
-
 // DrainStore removes and returns all stored contributions, in the order
 // their BackwardWeight passes ran.
 func (s *Stage) DrainStore() []Contribution {

@@ -9,8 +9,8 @@ import (
 
 // TestWarmIdenticalReturnsHintSchedule checks the fast path: re-solving
 // the exact instance a hint was minted from skips the solver entirely and
-// returns the hinted schedule itself (same pointer — the engine's encoded
-// -bytes memoization relies on schedule identity surviving warm hits).
+// returns the hinted schedule itself (same pointer: a warm hit shares the
+// hint's schedule instead of copying it).
 func TestWarmIdenticalReturnsHintSchedule(t *testing.T) {
 	in := Input{Shape: paperShape, Durations: schedule.UnitSlots, Failed: paperFailed, Decoupled: true, Staggered: true}
 	s1, info1, err := SolveInstrumented(in)

@@ -204,15 +204,6 @@ func (ar *Arena) Hadamard(a, b *Matrix) *Matrix {
 	return out
 }
 
-// FrobeniusNorm returns sqrt(sum of squares).
-func (m *Matrix) FrobeniusNorm() float64 {
-	var s float64
-	for _, v := range m.Data {
-		s += v * v
-	}
-	return math.Sqrt(s)
-}
-
 // Equal reports exact element-wise equality.
 func Equal(a, b *Matrix) bool {
 	if a.Rows != b.Rows || a.Cols != b.Cols {

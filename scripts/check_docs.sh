@@ -30,6 +30,17 @@ for fn in $(grep -oE 'experiments\.[A-Za-z0-9_]+' EVALUATION.md | sed 's/experim
   fi
 done
 
+# 1c. Conversely, every internal/* package directory must have its own
+#     row in ARCHITECTURE.md's package table (a row whose first cell
+#     starts with it).
+for dir in internal/*/; do
+  pkg=${dir%/}
+  if ! grep -q "^| \`$pkg\`" ARCHITECTURE.md; then
+    echo "ARCHITECTURE.md's package table has no row for $pkg"
+    fail=1
+  fi
+done
+
 # 2. Every flag documented in README's reference tables (between the
 #    flags:begin/end markers) must be defined by some cmd binary.
 flags=$(awk '/<!-- flags:begin -->/,/<!-- flags:end -->/' README.md |
