@@ -73,27 +73,8 @@ func TestAgreementMidIterationFailureSplice(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := sim.ExecuteProgram(prog, sim.ProgramOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	minOpt := int64(-1)
-	for i := range prog.Instrs {
-		if prog.Op(i).Type == schedule.Optimizer {
-			if minOpt < 0 || full.Start[i] < minOpt {
-				minOpt = full.Start[i]
-			}
-		}
-	}
-	cut := minOpt / 2
-	if cut < 1 {
-		cut = 1
-	}
-	var costs schedule.CostFunc
-	if cm := rt.eng.CostModel(); cm != nil {
-		costs = cm.Fn()
-	}
-	lv, err := replay.LiveSplice(replay.LiveEvent{Prog: prog, Cut: cut, Fail: victims, Costs: costs})
+	cut := cutBeforeFirstStep(t, prog)
+	lv, err := replay.LiveSplice(replay.LiveEvent{Prog: prog, Cut: cut, Fail: victims})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package dtrain
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 	"time"
@@ -425,7 +426,9 @@ func TestChaosStepNoopSkipsRendezvous(t *testing.T) {
 // list the splice chain rejects — even at its second event, after a first
 // event that splices fine — must fail before a single instruction runs.
 // The failure set and iteration counter stay put and the next three losses
-// are bitwise those of a twin runtime that never saw the call. (A cut
+// are bitwise those of a twin runtime that never saw the call. An event whose
+// digest names a splice other than the one the runtime derives is refused
+// the same way, as ErrForeignProgram. (A cut
 // straddling an optimizer group is rejected by the same LiveSplice call;
 // unit-cost steps leave no such instant to aim a live kill at, so it is
 // pinned at the replay layer.)
@@ -434,16 +437,20 @@ func TestRejectedEventsLeaveRuntimeUntouched(t *testing.T) {
 		return []schedule.Worker{{Stage: stage, Pipeline: pipeline}}
 	}
 	cases := []struct {
-		name   string
-		down   []schedule.Worker // failed at the boundary before the call
-		events []CascadeEvent
+		name    string
+		down    []schedule.Worker // failed at the boundary before the call
+		events  []CascadeEvent
+		foreign bool // refused as ErrForeignProgram
 	}{
-		{"second kill wipes a stage", nil, []CascadeEvent{{Cut: 2, Fail: w(0, 1)}, {Cut: 4, Fail: w(0, 0)}}},
-		{"non-monotone cuts", nil, []CascadeEvent{{Cut: 4, Fail: w(0, 1)}, {Cut: 3, Fail: w(1, 1)}}},
-		{"unknown rejoiner", nil, []CascadeEvent{{Cut: 2, Fail: w(0, 1)}, {Cut: 4, Rejoin: w(1, 1)}}},
-		{"victim already dead", nil, []CascadeEvent{{Cut: 2, Fail: w(0, 1)}, {Cut: 4, Fail: w(0, 1)}}},
-		{"swap leaves no donor", w(0, 0), []CascadeEvent{{Cut: 2, Fail: w(0, 1), Rejoin: w(0, 0)}}},
-		{"cut before the first slot", nil, []CascadeEvent{{Cut: 0, Fail: w(0, 1)}}},
+		{"second kill wipes a stage", nil, []CascadeEvent{{Cut: 2, Fail: w(0, 1)}, {Cut: 4, Fail: w(0, 0)}}, false},
+		{"non-monotone cuts", nil, []CascadeEvent{{Cut: 4, Fail: w(0, 1)}, {Cut: 3, Fail: w(1, 1)}}, false},
+		{"unknown rejoiner", nil, []CascadeEvent{{Cut: 2, Fail: w(0, 1)}, {Cut: 4, Rejoin: w(1, 1)}}, false},
+		{"victim already dead", nil, []CascadeEvent{{Cut: 2, Fail: w(0, 1)}, {Cut: 4, Fail: w(0, 1)}}, false},
+		{"swap leaves no donor", w(0, 0), []CascadeEvent{{Cut: 2, Fail: w(0, 1), Rejoin: w(0, 0)}}, false},
+		{"cut before the first slot", nil, []CascadeEvent{{Cut: 0, Fail: w(0, 1)}}, false},
+		// Digest 1 stands for any digest but the derived splice's.
+		{"digest names another splice", nil, []CascadeEvent{{Cut: 2, Fail: w(0, 1), Digest: 1}}, true},
+		{"second digest names another splice", nil, []CascadeEvent{{Cut: 2, Fail: w(0, 1)}, {Cut: 4, Fail: w(1, 0), Digest: 1}}, true},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -459,8 +466,12 @@ func TestRejectedEventsLeaveRuntimeUntouched(t *testing.T) {
 				}
 			}
 			failed, iter := rt.FailedCount(), rt.Iteration()
-			if _, err := iterateWatched(t, rt, tc.events...); err == nil {
+			_, err := iterateWatched(t, rt, tc.events...)
+			if err == nil {
 				t.Fatalf("events %+v were accepted", tc.events)
+			}
+			if errors.Is(err, ErrForeignProgram) != tc.foreign {
+				t.Fatalf("events %+v: error %v, ErrForeignProgram %v", tc.events, err, tc.foreign)
 			}
 			if rt.FailedCount() != failed || rt.Iteration() != iter {
 				t.Fatalf("rejected call moved the runtime: %d failed at iteration %d, was %d at %d",

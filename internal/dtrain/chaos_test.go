@@ -2,14 +2,7 @@ package dtrain
 
 import (
 	"fmt"
-	"strings"
 	"testing"
-
-	"recycle/internal/engine"
-	"recycle/internal/obs"
-	"recycle/internal/planstore"
-	"recycle/internal/schedule"
-	"recycle/internal/sim"
 )
 
 // TestChaosBitwiseLosses is the acceptance matrix for the chaos-ready
@@ -87,121 +80,6 @@ func TestChaosRejectsDegenerateOptions(t *testing.T) {
 	solo.DP = 1
 	if _, err := Chaos(solo, ChaosOptions{Seed: 1, Iterations: 2, KillIter: 0, Victims: 1}); err == nil {
 		t.Fatal("killing the only replica of a stage was accepted")
-	}
-}
-
-// TestChaosSplicedProgramServedToClients closes the engine leg of the
-// tentpole: the spliced Program a coordinator builds for a live
-// mid-iteration kill is published through the plan service's replicated
-// store, and a fetch-only engine.Client pulls the instruction-identical
-// artifact by the splice event ID — a remote executor can interpret the
-// post-event suffix without re-splicing.
-func TestChaosSplicedProgramServedToClients(t *testing.T) {
-	store := planstore.New(3)
-	cfg := Config{
-		DP: 2, PP: 2, MB: 4,
-		InDim: 6, Hidden: 8, OutDim: 3, MicroBatchSize: 4,
-		Seed: 11, LR: 1e-2,
-		Store: store,
-	}
-	rt := New(cfg)
-	victims := []schedule.Worker{{Stage: 0, Pipeline: 1}}
-
-	prog, err := rt.Program()
-	if err != nil {
-		t.Fatal(err)
-	}
-	full, err := sim.ExecuteProgram(prog, sim.ProgramOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	minOpt := int64(-1)
-	for i := range prog.Instrs {
-		if prog.Op(i).Type == schedule.Optimizer {
-			if minOpt < 0 || full.Start[i] < minOpt {
-				minOpt = full.Start[i]
-			}
-		}
-	}
-	cut := minOpt / 2
-	if cut < 1 {
-		cut = 1
-	}
-	if _, err := rt.RunIterationFailure(victims, cut); err != nil {
-		t.Fatal(err)
-	}
-	event := SpliceEventID(rt.Iteration()-1, cut, victims, nil)
-
-	job, stats := engine.ShapeJob(cfg.DP, cfg.PP, cfg.MB)
-	client := engine.NewClient(store, job, stats, engine.Options{UnrollIterations: 1})
-	fetched, err := client.SplicedProgram(event)
-	if err != nil {
-		t.Fatal(err)
-	}
-	executed, _, _ := rt.ExecutedTimeline()
-	if fetched == executed {
-		t.Fatal("client returned the coordinator's in-memory Program — not a store round-trip")
-	}
-	if len(fetched.Instrs) != len(executed.Instrs) {
-		t.Fatalf("fetched spliced Program has %d instructions, coordinator executed %d", len(fetched.Instrs), len(executed.Instrs))
-	}
-	for i := range fetched.Instrs {
-		if fetched.Op(i) != executed.Op(i) {
-			t.Fatalf("instruction %d differs: fetched %s vs executed %s", i, fetched.Op(i), executed.Op(i))
-		}
-	}
-	if _, err := client.SplicedProgram("iter9/cut9/fail9.9/rejoin"); err == nil {
-		t.Fatal("fetching an unpublished splice event succeeded")
-	}
-}
-
-// TestFailedSplicePublishIsCounted pins the one store write of the failure
-// path: with the plan store below quorum a kill iteration still resumes
-// from its in-memory splice — losses bitwise equal to the fault-free run —
-// and the publish that could not replicate is on record: one store error,
-// one EvPublish event carrying the cause.
-func TestFailedSplicePublishIsCounted(t *testing.T) {
-	cfg := Config{
-		DP: 2, PP: 2, MB: 4,
-		InDim: 6, Hidden: 8, OutDim: 3, MicroBatchSize: 4,
-		Seed: 11, LR: 1e-2,
-	}
-	ref := New(cfg)
-	cfg.Store = planstore.New(3)
-	rt := New(cfg)
-	tr := obs.NewTrace()
-	rt.AttachRecorder(tr)
-	for i := 0; i < 2; i++ {
-		want, err := ref.RunIteration()
-		if err != nil {
-			t.Fatal(err)
-		}
-		var got float64
-		if i == 0 {
-			got, err = rt.RunIteration() // warms the engine: the kill iteration's fetch never reads the store
-			cfg.Store.FailReplica(0)
-			cfg.Store.FailReplica(1)
-		} else {
-			got, err = rt.RunIterationFailure([]schedule.Worker{{Stage: 0, Pipeline: 1}}, 2)
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != want {
-			t.Fatalf("iteration %d: loss %.17g diverged from the fault-free %.17g", i, got, want)
-		}
-		if errs := rt.PlanMetrics().StoreErrors; errs != uint64(i) {
-			t.Fatalf("after iteration %d: %d store errors, want %d", i, errs, i)
-		}
-	}
-	var failed int
-	for _, ev := range tr.Events() {
-		if ev.Kind == obs.EvPublish && strings.Contains(ev.Detail, "quorum") {
-			failed++
-		}
-	}
-	if failed != 1 {
-		t.Fatalf("%d EvPublish events carry the quorum error, want 1", failed)
 	}
 }
 

@@ -39,4 +39,11 @@
 // before anything runs; then, per event, executes the prefix the DES
 // predicts completed by the cut, lands the event, and interprets the
 // re-planned suffix. Chaos draws its kill instants from the same chain.
+// A splice is a pure function of the in-flight Program — which carries the
+// cost table its schedule was solved under — and the event, so every
+// runtime derives it itself, fetch-only executors included: nothing is
+// published to or fetched from the plan store for a kill. An event may
+// carry the digest of its sender's splice (CascadeEvent.Digest); a runtime
+// whose own derivation differs refuses the iteration with
+// ErrForeignProgram.
 package dtrain

@@ -52,8 +52,9 @@ var errAborted = errors.New("dtrain: iteration aborted by a peer")
 
 // ErrForeignProgram marks a fetched Program that was not compiled for this
 // runtime — another job's shape, or a failure set the runtime is not in: a
-// stale or misdirected artifact at an executor. RunIteration returns it
-// before anything runs.
+// stale or misdirected artifact at an executor — and a splice event whose
+// digest names a spliced Program other than the one the runtime derived.
+// RunIteration returns it before anything runs.
 var ErrForeignProgram = errors.New("dtrain: fetched Program does not fit this runtime")
 
 // delay sleeps for the configured per-op kernel latency.
@@ -301,6 +302,12 @@ type CascadeEvent struct {
 	Cut    int64
 	Fail   []schedule.Worker
 	Rejoin []schedule.Worker
+	// Digest, when non-zero, is the engine.ProgramDigest of the spliced
+	// Program the event's sender derived. Every runtime derives the splice
+	// itself, from the in-flight Program and the event; a digest that
+	// differs from its own derivation fails the iteration with
+	// ErrForeignProgram before anything runs.
+	Digest uint64
 }
 
 // RunIteration executes one full training iteration — forward, backward,
@@ -312,8 +319,9 @@ type CascadeEvent struct {
 // and the fault-free iteration is the zero-event case.
 //
 // Plan: every splice and every phase's timeline is derived before an
-// instruction runs, so an event list that cannot be spliced is rejected
-// with the runtime untouched. Run: around one shared router, each phase
+// instruction runs, so an event list that cannot be spliced — or whose
+// digest names another splice — is rejected with the runtime untouched.
+// Run: around one shared router, each phase
 // interprets the in-flight Program up to the next cut — the prefix of the
 // DES execution the phase takes its logical times from — keeping every
 // cross-worker payload in its slot. Apply: the event lands (applyEvent) and
@@ -429,15 +437,15 @@ func phaseLabel(iter, phase, events int) string {
 
 // spliceChain threads the in-flight artifact across the splices of one
 // iteration: the Program being interpreted (its Failed set is the
-// membership the next event is checked against), its executed prefix by
-// completion time, the last re-plan's release floors, the cost model and
-// the last cut. The iteration driver and the chaos planner both advance
-// it, so chaos draws kill instants from the splices the runtime executes.
+// membership the next event is checked against, its cost table times the
+// re-planned work), its executed prefix by completion time, the last
+// re-plan's release floors and the last cut. The iteration driver and the
+// chaos planner both advance it, so chaos draws kill instants from the
+// splices the runtime executes.
 type spliceChain struct {
 	cur    *schedule.Program
 	done   map[int]int64
 	floors map[schedule.Worker]int64
-	costs  schedule.CostFunc
 	cut    int64
 }
 
@@ -459,25 +467,31 @@ func (rt *Runtime) newSpliceChain() (*spliceChain, error) {
 	if stale {
 		return nil, fmt.Errorf("%w: compiled around %d failed workers %v, the runtime has %d: %v", ErrForeignProgram, len(prog.Failed), prog.Failed, len(rt.failed), rt.failed)
 	}
-	c := &spliceChain{cur: prog}
-	if cm := rt.eng.CostModel(); cm != nil {
-		c.costs = cm.Fn()
-	}
-	return c, nil
+	return &spliceChain{cur: prog}, nil
 }
 
 // advance splices the in-flight Program around one membership event and
-// steps the chain onto the spliced artifact. It touches no runtime state.
+// steps the chain onto the spliced artifact, after checking it against the
+// event's digest. It touches no runtime state.
 func (c *spliceChain) advance(ev CascadeEvent) (*replay.LiveSpliced, error) {
 	if ev.Cut <= c.cut {
 		return nil, fmt.Errorf("dtrain: cascade cuts must be strictly increasing, got %d after %d", ev.Cut, c.cut)
 	}
 	lv, err := replay.LiveSplice(replay.LiveEvent{
 		Prog: c.cur, Cut: ev.Cut, Fail: ev.Fail, Rejoin: ev.Rejoin,
-		Costs: c.costs, Release: c.floors, Done: c.done,
+		Release: c.floors, Done: c.done,
 	})
 	if err != nil {
 		return nil, err
+	}
+	if ev.Digest != 0 {
+		d, err := engine.ProgramDigest(lv.Program)
+		if err != nil {
+			return nil, err
+		}
+		if d != ev.Digest {
+			return nil, fmt.Errorf("%w: the event at cut %d carries splice digest %#016x, this runtime derived %#016x", ErrForeignProgram, ev.Cut, ev.Digest, d)
+		}
 	}
 	if len(ev.Rejoin) > 0 {
 		// A re-joiner copies its state from a live peer once the victims
@@ -552,12 +566,12 @@ func (rt *Runtime) runPhase(fl *inflight, exec *sim.Execution, done map[int]int6
 	wg.Wait()
 }
 
-// applyEvent lands one membership event between two phases: the spliced
-// Program is published, victims are marked failed, surviving peers discard
-// the effects the splice declared lost, and re-joining workers are
-// restored. cur is the Program the event interrupted.
+// applyEvent lands one membership event between two phases: victims are
+// marked failed, surviving peers discard the effects the splice declared
+// lost, and re-joining workers are restored. Nothing is published: every
+// runtime derives the same spliced Program from the in-flight one and the
+// event. cur is the Program the event interrupted.
 func (rt *Runtime) applyEvent(ev CascadeEvent, lv *replay.LiveSpliced, cur *schedule.Program) error {
-	event := rt.publishSplice(ev, lv.Program)
 	if rt.rec.Enabled() {
 		// Kills and rejoins first, then the splice record with the
 		// re-plan's structural counters.
@@ -569,7 +583,7 @@ func (rt *Runtime) applyEvent(ev CascadeEvent, lv *replay.LiveSpliced, cur *sche
 			rt.rec.Event(obs.Event{Kind: obs.EvRejoin, At: ev.Cut, Iter: rt.iter, Wall: now, Worker: w, HasWorker: true})
 		}
 		rt.rec.Event(obs.Event{Kind: obs.EvSplice, At: ev.Cut, Iter: rt.iter, Wall: now,
-			Detail: event,
+			Detail: SpliceEventID(rt.iter, ev.Cut, ev.Fail, ev.Rejoin),
 			Attrs: []obs.Attr{
 				{Key: "replanned", Val: int64(lv.SuffixOps)},
 				{Key: "rerouted", Val: int64(lv.ReroutedOps)},
@@ -692,25 +706,10 @@ func (rt *Runtime) captureEpochBase() {
 	}
 }
 
-// publishSplice replicates the freshly spliced Program through the plan
-// service's store under its event's key (SpliceEventID), so fetch-only
-// executor clients can pull the exact artifact this coordinator is
-// interpreting (engine.Client.SplicedProgram). Skipped when the runtime is
-// itself a fetch-only executor; best-effort either way — the local
-// iteration proceeds on the in-memory artifact, and a failed publish is on
-// record in the plan service's StoreErrors counter and EvPublish event.
-func (rt *Runtime) publishSplice(ev CascadeEvent, p *schedule.Program) string {
-	event := SpliceEventID(rt.iter, ev.Cut, ev.Fail, ev.Rejoin)
-	if rt.progSrc == nil {
-		_ = rt.eng.PublishSplicedProgram(event, p) // counted and recorded by the engine
-	}
-	return event
-}
-
-// SpliceEventID derives the canonical identifier a mid-iteration splice is
-// published under: the iteration, the cut instant, and the sorted victim
-// and rejoiner sets — every process sharing the store derives the same
-// string from the same event.
+// SpliceEventID derives the canonical identifier of a mid-iteration splice:
+// the iteration, the cut instant, and the sorted victim and rejoiner sets —
+// every process derives the same string from the same event. It names the
+// splice in the trace's EvSplice record and in chaos reports.
 func SpliceEventID(iter int, cut int64, fail, rejoin []schedule.Worker) string {
 	render := func(ws []schedule.Worker) string {
 		sorted := append([]schedule.Worker(nil), ws...)

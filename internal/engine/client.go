@@ -32,10 +32,10 @@ func NewClient(store *planstore.Store, job config.Job, stats profile.Stats, opts
 // Fingerprint returns the job fingerprint this client addresses.
 func (c *Client) Fingerprint() string { return c.fp }
 
-// SplicedProgram fetches and decodes the mid-iteration spliced Program a
-// coordinator published under the given event identifier — the artifact a
-// remote executor needs to interpret the post-event suffix of an
-// iteration it did not splice itself.
+// SplicedProgram fetches and decodes the spliced Program published under
+// the given event identifier (Engine.PublishSplicedProgram). No runtime
+// reads one — each derives its splice from the in-flight Program and the
+// event — so only the benchmark's control-plane probe times this fetch.
 func (c *Client) SplicedProgram(event string) (*schedule.Program, error) {
 	return fetchSpliced(c.store, c.fp, event)
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"recycle/internal/engine"
@@ -223,4 +224,62 @@ func TestPlanCodecOverSmallShapes(t *testing.T) {
 		}
 	})
 	t.Logf("round-tripped %d plans", plans)
+}
+
+// TestProgramCodecCostTables is the sweep for Programs that carry a cost
+// table: under each of CostModelEngines' models, the healthy Program, a
+// degraded one and every admissible single-kill splice of the healthy one
+// carry exactly the model's durations, round-trip field for field to a byte
+// fixed point, and survive the truncation and corruption sweeps.
+func TestProgramCodecCostTables(t *testing.T) {
+	labels, engines := engine.CostModelEngines(t)
+	for i, eng := range engines {
+		label := labels[i]
+		want := schedule.NewCostTable(eng.Shape(), eng.CostModel().Fn())
+		check := func(at string, p *schedule.Program) []byte {
+			t.Helper()
+			if !slices.Equal(p.CostTable(), want) {
+				t.Fatalf("%s: cost table %v, the model gives %v", at, p.CostTable(), want)
+			}
+			return programRoundTrip(t, at, p)
+		}
+		prog, err := eng.ProgramFor(nil)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		hostileSweep(t, label, check(label, prog), decodeProgramChecked)
+		client := engine.NewClient(eng.Store(), eng.Job(), eng.Stats(), engine.Options{UnrollIterations: 1, CostModel: eng.CostModel()})
+		fetched, err := client.ProgramFor(nil)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		check(label+", fetched through a Client", fetched)
+		degraded, err := eng.ProgramFor(map[schedule.Worker]bool{{Stage: 0, Pipeline: 0}: true})
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		check(label+", W0_0 failed", degraded)
+		full, err := sim.ExecuteProgram(prog, sim.ProgramOptions{})
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		spliced := 0
+		for _, victim := range prog.Workers() {
+			for cut := int64(1); cut < full.Makespan; cut += max(full.Makespan/16, 1) {
+				lv, err := replay.LiveSplice(replay.LiveEvent{Prog: prog, Cut: cut, Fail: []schedule.Worker{victim}})
+				if err != nil {
+					continue // inadmissible kill
+				}
+				at := fmt.Sprintf("%s, %s killed at %d", label, victim, cut)
+				data := check(at, lv.Program)
+				if spliced == 0 {
+					hostileSweep(t, at, data, decodeProgramChecked)
+				}
+				spliced++
+			}
+		}
+		if spliced == 0 {
+			t.Fatalf("%s: no admissible kill: the sweep reaches no spliced Program", label)
+		}
+	}
 }

@@ -16,7 +16,10 @@
 //     written by one engine survives replica failures and is readable by
 //     any other engine sharing the store; compiled Programs round-trip
 //     the same way (EncodeProgram/DecodeProgram), so a remote executor's
-//     fetch-only Client pulls the executable artifact directly. Both are
+//     fetch-only Client pulls the executable artifact directly — cost
+//     table included, which is all the executor needs to splice the
+//     Program itself on a failure (ProgramDigest lets it check its splice
+//     against the coordinator's). Both are
 //     one binary framing of length-prefixed varint arrays (wire.go) read
 //     by a cursor that trusts nothing: a decoded artifact is executable
 //     or the decode fails;
@@ -43,5 +46,8 @@
 // gray-failure (slow-but-alive worker) detection — and Recalibrate swap
 // in a new immutable configuration snapshot, every plan key moves into a
 // fresh namespace, and the next fetch transparently re-solves, timing the
-// slow worker honestly and routing micro-batches away from it.
+// slow worker honestly and routing micro-batches away from it. A compiled
+// Program carries the model it was solved under as a dense cost table
+// (schedule.Program.CostTable), tabulated from the same configuration
+// snapshot whose fingerprint keyed its plan.
 package engine

@@ -319,11 +319,13 @@ func (e *Engine) MigrationsNeeded(concrete []schedule.Worker, p *Plan) int {
 // count (under any cost model — see hintsN), so a re-solve after a cache
 // invalidation or a recalibration validates or replays the previous
 // schedule instead of re-deriving it.
-func (e *Engine) Plan(n int) (*Plan, error) {
+func (e *Engine) Plan(n int) (*Plan, error) { return e.plan(e.config(), n) }
+
+// plan is Plan under the configuration snapshot c.
+func (e *Engine) plan(c *Planner, n int) (*Plan, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("engine: negative failure count %d", n)
 	}
-	c := e.config()
 	p, err := e.getOrSolve(nkey(c.fp, n), c.fp, true, func() (*Plan, error) {
 		return c.planForHinted(n, e.hintNorm(n))
 	})
@@ -343,9 +345,13 @@ func (e *Engine) Plan(n int) (*Plan, error) {
 // worker outside the job, or one worker twice, is rejected first, in the
 // caller's names.
 func (e *Engine) PlanConcrete(failed []schedule.Worker) (*Plan, error) {
+	return e.planConcrete(e.config(), failed)
+}
+
+// planConcrete is PlanConcrete under the configuration snapshot c.
+func (e *Engine) planConcrete(c *Planner, failed []schedule.Worker) (*Plan, error) {
 	ws := append([]schedule.Worker(nil), failed...)
 	schedule.SortWorkers(ws)
-	c := e.config()
 	sh := c.Shape()
 	if err := checkFailed(sh, ws); err != nil {
 		return nil, err
@@ -475,25 +481,24 @@ func (e *Engine) best(fp string, n int) (*Plan, bool) {
 // failed set coincides with the concrete one (zero migrations needed);
 // otherwise solve on demand and persist the result.
 func (e *Engine) ScheduleFor(failed map[schedule.Worker]bool) (*schedule.Schedule, error) {
-	p, err := e.planFor(failed)
+	p, err := e.planFor(e.config(), failed)
 	if err != nil {
 		return nil, err
 	}
 	return p.Schedule, nil
 }
 
-// planFor is ScheduleFor's fetch path, returning the plan so ProgramFor
-// reaches its Program slot.
-func (e *Engine) planFor(failed map[schedule.Worker]bool) (*Plan, error) {
+// planFor is ScheduleFor's fetch path under the configuration snapshot c,
+// returning the plan so ProgramFor reaches its Program slot.
+func (e *Engine) planFor(c *Planner, failed map[schedule.Worker]bool) (*Plan, error) {
 	if len(failed) == 0 {
-		return e.Plan(0)
+		return e.plan(c, 0)
 	}
 	ws := make([]schedule.Worker, 0, len(failed))
 	for w := range failed {
 		ws = append(ws, w)
 	}
 	schedule.SortWorkers(ws)
-	c := e.config()
 	if p, ok := e.peek(ckey(c.fp, ws), c.fp, false); ok {
 		return p, nil
 	}
@@ -505,7 +510,7 @@ func (e *Engine) planFor(failed map[schedule.Worker]bool) (*Plan, error) {
 			return p, nil
 		}
 	}
-	return e.PlanConcrete(ws)
+	return e.planConcrete(c, ws)
 }
 
 // peek returns the plan under key from the cache or the replicated store

@@ -3,8 +3,11 @@ package engine
 import (
 	"bytes"
 	"encoding/binary"
+	"slices"
 	"testing"
 
+	"recycle/internal/config"
+	"recycle/internal/profile"
 	"recycle/internal/schedule"
 )
 
@@ -47,6 +50,34 @@ func addBarrierSeeds(f *testing.F, p *schedule.Program, data []byte) {
 	gate.instrs[0].gated = true
 	f.Add(gate.encode())
 	f.Add(wireOf(p).without(leafGradient(p)).encode())
+}
+
+// CostModelEngines builds one small single-iteration engine per kind of cost
+// model a Program's cost table carries, labelled: a 2× straggler on unit
+// slots, and the calibrated model the replay experiments build
+// (experiments.ReplayEngine: analytic stats plus the stage scales of the
+// real layer split). The Fig 9 jobs split evenly, so their calibrated model
+// is nil; this one is GPT-3 3.35B at PP4, 8/8/7/7 layers. The external
+// codec sweeps use it too.
+func CostModelEngines(tb testing.TB) (labels []string, engines []*Engine) {
+	job, stats := ShapeJob(2, 2, 3)
+	straggler := profile.UniformCost(stats).WithWorkerScale(schedule.Worker{Stage: 0, Pipeline: 1}, 2)
+	labels = append(labels, "2x straggler")
+	engines = append(engines, New(job, stats, Options{UnrollIterations: 1, CostModel: straggler}))
+
+	job = config.Job{Model: config.GPT3_3_35B, Parallel: config.Parallelism{DP: 2, PP: 4, TP: 1},
+		Batch: config.Batch{GlobalBatch: 4, MicroBatch: 1}, Hardware: config.A100x1}
+	stats, err := profile.Analytic(job)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	calibrated, err := profile.CalibratedCost(job, stats)
+	if err != nil || calibrated == nil {
+		tb.Fatalf("calibrated cost model %v: %v", calibrated, err)
+	}
+	labels = append(labels, "calibrated 3.35B")
+	engines = append(engines, New(job, stats, Options{UnrollIterations: 1, CostModel: calibrated}))
+	return labels, engines
 }
 
 // FuzzDecodePlan hardens the plan codec against the replicated store's
@@ -165,6 +196,34 @@ func FuzzDecodeProgram(f *testing.F) {
 		}
 		addHostileSeeds(f, data, []int{len(data) - len(streams.b)}, header.b, v1Program, planData)
 		addBarrierSeeds(f, p, data)
+	}
+	// Programs that carry a cost table, cut where the table ends, and with a
+	// duration the decoder must refuse.
+	_, engines := CostModelEngines(f)
+	for _, eng := range engines {
+		p, err := eng.Program(0)
+		if err != nil {
+			f.Fatal(err)
+		}
+		data, err := EncodeProgram(p)
+		if err != nil {
+			f.Fatal(err)
+		}
+		var header writer
+		header.header(kindProgram, ProgramCodecVersion, p.Shape, p.Durations, p.Failed)
+		costs := writer{b: bytes.Clone(header.b)}
+		costs.int(len(p.CostTable()))
+		for _, d := range p.CostTable() {
+			costs.varint(d)
+		}
+		if len(p.CostTable()) == 0 || !bytes.HasPrefix(data, costs.b) {
+			f.Fatal("the seed builder no longer mirrors EncodeProgram's cost table")
+		}
+		addHostileSeeds(f, data, []int{len(costs.b)}, header.b, v1Program, planData)
+		zero := wireOf(p)
+		zero.costs = slices.Clone(zero.costs)
+		zero.costs[len(zero.costs)-1] = 0
+		f.Add(zero.encode())
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {

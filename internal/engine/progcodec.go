@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"hash/fnv"
 
 	"recycle/internal/schedule"
 )
@@ -9,21 +10,22 @@ import (
 // ProgramCodecVersion is the wire-format version EncodeProgram stamps into
 // every encoded Program. DecodeProgram rejects any other version, so a
 // rolling upgrade of the plan service can never misread artifacts written
-// by a newer codec — or by v2, which spelled the all-reduce out as DP·MB
-// edges into every optimizer.
-const ProgramCodecVersion = 3
+// by a newer codec — by v3, which carried no cost table, or by v2, which
+// spelled the all-reduce out as DP·MB edges into every optimizer.
+const ProgramCodecVersion = 4
 
-// EncodeProgram serializes a compiled Program — stamped durations, explicit
-// dependency edges and the all-reduce barrier, all a remote executor needs
-// to interpret a schedule it cannot compile — into the canonical versioned
-// bytes the replicated plan store holds: after the shared header the
-// instruction and total edge counts, per instruction its op, Dur, its edge
-// count shifted left by one with the barrier's gate bit below it, and its
-// (position − From, Kind) edges, then per stream its worker and
-// delta-coded IDs. The barrier's contribution lists are not on the wire:
-// they are a function of the instructions, which the decoder rebuilds.
-// Streams go in (pipeline, stage) order, so encoding a Program twice — or
-// encoding a decoded copy — yields identical bytes.
+// EncodeProgram serializes a compiled Program — stamped durations, the cost
+// table, explicit dependency edges and the all-reduce barrier, all a remote
+// executor needs to interpret a schedule it cannot compile and to splice it
+// itself — into the canonical versioned bytes the replicated plan store
+// holds: after the shared header the cost table's length (0 or DP·PP·5) and
+// its durations, then the instruction and total edge counts, per
+// instruction its op, Dur, its edge count shifted left by one with the
+// barrier's gate bit below it, and its (position − From, Kind) edges, then
+// per stream its worker and delta-coded IDs. The barrier's contribution
+// lists are not on the wire: they are a function of the instructions, which
+// the decoder rebuilds. Streams go in (pipeline, stage) order, so encoding a
+// Program twice — or encoding a decoded copy — yields identical bytes.
 func EncodeProgram(p *schedule.Program) ([]byte, error) {
 	if p == nil || len(p.Instrs) == 0 {
 		return nil, fmt.Errorf("engine: refusing to encode an empty program")
@@ -34,6 +36,11 @@ func EncodeProgram(p *schedule.Program) ([]byte, error) {
 	}
 	w := writer{b: make([]byte, 0, 64+12*len(p.Instrs)+3*edges)}
 	w.header(kindProgram, ProgramCodecVersion, p.Shape, p.Durations, p.Failed)
+	costs := p.CostTable()
+	w.int(len(costs))
+	for _, d := range costs {
+		w.varint(d)
+	}
 	w.int(len(p.Instrs))
 	w.int(edges)
 	for i := range p.Instrs {
@@ -71,11 +78,23 @@ func EncodeProgram(p *schedule.Program) ([]byte, error) {
 // the bytes remaining before it sizes anything, both totals declared up
 // front must be consumed exactly, every op, worker and edge kind must lie
 // inside its enum and the shape — an all-reduce edge is not an edge kind
-// the wire carries — and the result passes the full structural Validate,
+// the wire carries — a cost table must be empty or cover the shape with
+// positive durations, and the result passes the full structural Validate,
 // barrier included: a decoded artifact is executable or the decode fails.
 func DecodeProgram(data []byte) (*schedule.Program, error) {
 	r := reader{b: data}
 	durations, failed := r.header(kindProgram, ProgramCodecVersion)
+	var costs []int64
+	if nc := r.count(1); nc > 0 && r.err == nil {
+		if want := r.sh.DP * r.sh.PP * schedule.OpTypes; nc != want {
+			r.fail("cost table of %d durations, shape %+v needs %d", nc, r.sh, want)
+		} else {
+			costs = make([]int64, nc)
+			for i := range costs {
+				costs[i] = r.varint()
+			}
+		}
+	}
 	n := r.count(8)
 	edges := r.count(2)
 	if r.err == nil && (n == 0 || !r.sh.Indexable(n)) {
@@ -111,8 +130,24 @@ func DecodeProgram(data []byte) (*schedule.Program, error) {
 		return nil, err
 	}
 	p, err := b.Build()
+	if err == nil {
+		err = p.SetCostTable(costs)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("engine: decoded program: %w", err)
 	}
 	return p, nil
+}
+
+// ProgramDigest returns the FNV-64a digest of p's canonical encoding: what
+// a splice event carries so that an executor can check the Program it
+// derived against the one the coordinator derived.
+func ProgramDigest(p *schedule.Program) (uint64, error) {
+	data, err := EncodeProgram(p)
+	if err != nil {
+		return 0, err
+	}
+	h := fnv.New64a()
+	h.Write(data)
+	return h.Sum64(), nil
 }

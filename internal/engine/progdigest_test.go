@@ -148,82 +148,84 @@ func rejoinDigest(t *testing.T) (digest uint64, programs int) {
 }
 
 // programDigests pins the EncodeProgram bytes of every Program the sweep
-// builds, as encoded before the in-memory Program went flat: one FNV-64a
-// digest per shape of codecDigestShapes, in order, then the re-join sweep's.
+// builds, as codec v4 lays them out (none carries a cost table, so each
+// differs from its v3 bytes only in the version byte and one zero-length
+// cost section): one FNV-64a digest per shape of codecDigestShapes, in
+// order, then the re-join sweep's.
 var programDigests = []uint64{
-	0x61a5833b3379651f, // {DP:1 PP:1 MB:1 Iter:1}
-	0xbf7e83f00cc46e97, // {DP:1 PP:1 MB:1 Iter:2}
-	0xa164419b5a921fa9, // {DP:1 PP:1 MB:2 Iter:1}
-	0x0fa70d436a8ec2ef, // {DP:1 PP:1 MB:2 Iter:2}
-	0x44805fecc15b022f, // {DP:1 PP:1 MB:3 Iter:1}
-	0xe1eaad0659d1f99b, // {DP:1 PP:1 MB:3 Iter:2}
-	0x1c8f9e75cd2a67d5, // {DP:1 PP:1 MB:4 Iter:1}
-	0xe75b229eb12ae73b, // {DP:1 PP:1 MB:4 Iter:2}
-	0x7d1a16853792a6a1, // {DP:1 PP:2 MB:1 Iter:1}
-	0x8925a43087144067, // {DP:1 PP:2 MB:1 Iter:2}
-	0x61d966d0879ca6fd, // {DP:1 PP:2 MB:2 Iter:1}
-	0x38438f6767a095e1, // {DP:1 PP:2 MB:2 Iter:2}
-	0xfe861a1d9cc0ff75, // {DP:1 PP:2 MB:3 Iter:1}
-	0xb34653a8fe325c69, // {DP:1 PP:2 MB:3 Iter:2}
-	0xe74f03d09f51ed91, // {DP:1 PP:2 MB:4 Iter:1}
-	0x67f365471fb37b2b, // {DP:1 PP:2 MB:4 Iter:2}
-	0x627f492260de3e8d, // {DP:1 PP:3 MB:1 Iter:1}
-	0x52b831e53b083bed, // {DP:1 PP:3 MB:1 Iter:2}
-	0x15a6994a9027ccaf, // {DP:1 PP:3 MB:2 Iter:1}
-	0xd2cab8dd6d982f01, // {DP:1 PP:3 MB:2 Iter:2}
-	0x41a9b1ea70672013, // {DP:1 PP:3 MB:3 Iter:1}
-	0x6d968a696bdf9c6b, // {DP:1 PP:3 MB:3 Iter:2}
-	0x8a2846fec6a01581, // {DP:1 PP:3 MB:4 Iter:1}
-	0x03f6683ad5a9c0d3, // {DP:1 PP:3 MB:4 Iter:2}
-	0x0bc04ca193eb3ed1, // {DP:2 PP:1 MB:1 Iter:1}
-	0x0d19a867832f22b9, // {DP:2 PP:1 MB:1 Iter:2}
-	0xfa74c032c6177e19, // {DP:2 PP:1 MB:2 Iter:1}
-	0x913b303075ebc033, // {DP:2 PP:1 MB:2 Iter:2}
-	0x9851bb235f1a001d, // {DP:2 PP:1 MB:3 Iter:1}
-	0x0dd37a159c03d007, // {DP:2 PP:1 MB:3 Iter:2}
-	0xc37b759f1cf7e7eb, // {DP:2 PP:1 MB:4 Iter:1}
-	0x3b605ca71c31d465, // {DP:2 PP:1 MB:4 Iter:2}
-	0x7fd41839ed17ec24, // {DP:2 PP:2 MB:1 Iter:1}
-	0xab8ba3f906703599, // {DP:2 PP:2 MB:1 Iter:2}
-	0xf1c30c1d85d6b268, // {DP:2 PP:2 MB:2 Iter:1}
-	0xc94c2952386748c9, // {DP:2 PP:2 MB:2 Iter:2}
-	0xa412c649f77fdf10, // {DP:2 PP:2 MB:3 Iter:1}
-	0xcbf2a56d054facf1, // {DP:2 PP:2 MB:3 Iter:2}
-	0x1c201911130e9778, // {DP:2 PP:2 MB:4 Iter:1}
-	0x7e026ca06a9fb423, // {DP:2 PP:2 MB:4 Iter:2}
-	0x3da39df68e1df63c, // {DP:2 PP:3 MB:1 Iter:1}
-	0x1737b82c25c014ff, // {DP:2 PP:3 MB:1 Iter:2}
-	0xe34fff2db787c74c, // {DP:2 PP:3 MB:2 Iter:1}
-	0x5f5b5b693afcd7cd, // {DP:2 PP:3 MB:2 Iter:2}
-	0x6735daf94873b306, // {DP:2 PP:3 MB:3 Iter:1}
-	0xb08f0afb4cba5179, // {DP:2 PP:3 MB:3 Iter:2}
-	0xdb3835d958f53ebe, // {DP:2 PP:3 MB:4 Iter:1}
-	0x80d0e6c3481ae6c3, // {DP:2 PP:3 MB:4 Iter:2}
-	0xb76032bf11f424d2, // {DP:3 PP:1 MB:1 Iter:1}
-	0xff07abdc340c23a2, // {DP:3 PP:1 MB:1 Iter:2}
-	0x5b0d287c757f8077, // {DP:3 PP:1 MB:2 Iter:1}
-	0x7b2c5c01479f5943, // {DP:3 PP:1 MB:2 Iter:2}
-	0xb535e3d079329f23, // {DP:3 PP:1 MB:3 Iter:1}
-	0x8541f06952003c6f, // {DP:3 PP:1 MB:3 Iter:2}
-	0x9245f818532f5fd3, // {DP:3 PP:1 MB:4 Iter:1}
-	0x8119011f26826ccb, // {DP:3 PP:1 MB:4 Iter:2}
-	0x6177964a358fe0bf, // {DP:3 PP:2 MB:1 Iter:1}
-	0x68409bb64b05b9f9, // {DP:3 PP:2 MB:1 Iter:2}
-	0xfa8aa15399edf9d6, // {DP:3 PP:2 MB:2 Iter:1}
-	0x1db285d70c64d0d0, // {DP:3 PP:2 MB:2 Iter:2}
-	0x45fd790a3e0165b9, // {DP:3 PP:2 MB:3 Iter:1}
-	0x56d8324e4102160f, // {DP:3 PP:2 MB:3 Iter:2}
-	0xdd3ed9833cf63461, // {DP:3 PP:2 MB:4 Iter:1}
-	0x516be86c42565e3d, // {DP:3 PP:2 MB:4 Iter:2}
-	0xef7c7bacba103af2, // {DP:3 PP:3 MB:1 Iter:1}
-	0x43125e0b277b8ae5, // {DP:3 PP:3 MB:1 Iter:2}
-	0xd3f55319f8eec818, // {DP:3 PP:3 MB:2 Iter:1}
-	0x5fb33c9763625996, // {DP:3 PP:3 MB:2 Iter:2}
-	0xb4f3a35921fa8118, // {DP:3 PP:3 MB:3 Iter:1}
-	0xe9825c45eed7c4d9, // {DP:3 PP:3 MB:3 Iter:2}
-	0x13885153f00ec7f2, // {DP:3 PP:3 MB:4 Iter:1}
-	0x34150c28f316b0e8, // {DP:3 PP:3 MB:4 Iter:2}
-	0xc300615fc13cc46a, // re-join
+	0x192f39e73b9f6197, // {DP:1 PP:1 MB:1 Iter:1}
+	0xb399612eb2964bfb, // {DP:1 PP:1 MB:1 Iter:2}
+	0x65754ac8e927aa37, // {DP:1 PP:1 MB:2 Iter:1}
+	0x90b756c1dc0cd3b5, // {DP:1 PP:1 MB:2 Iter:2}
+	0x3bca08fcc8173b47, // {DP:1 PP:1 MB:3 Iter:1}
+	0x746a5f3ece83006f, // {DP:1 PP:1 MB:3 Iter:2}
+	0x2dcf99783625e20f, // {DP:1 PP:1 MB:4 Iter:1}
+	0x8d0e3ce161b4380d, // {DP:1 PP:1 MB:4 Iter:2}
+	0xf80a881afda09b85, // {DP:1 PP:2 MB:1 Iter:1}
+	0xbbb8ced3cfe76f95, // {DP:1 PP:2 MB:1 Iter:2}
+	0x95099f0878a545dd, // {DP:1 PP:2 MB:2 Iter:1}
+	0xc049898f6f636465, // {DP:1 PP:2 MB:2 Iter:2}
+	0xe27b4d2e442cc32d, // {DP:1 PP:2 MB:3 Iter:1}
+	0x56692513900c215d, // {DP:1 PP:2 MB:3 Iter:2}
+	0xcf2b882ceb6c1331, // {DP:1 PP:2 MB:4 Iter:1}
+	0xf762a38881b89719, // {DP:1 PP:2 MB:4 Iter:2}
+	0xbe1368668aa9ce5d, // {DP:1 PP:3 MB:1 Iter:1}
+	0x8c6bce7d67dfffc3, // {DP:1 PP:3 MB:1 Iter:2}
+	0xbe315c6bd29e6bd1, // {DP:1 PP:3 MB:2 Iter:1}
+	0x7e0be6b47ff4ffab, // {DP:1 PP:3 MB:2 Iter:2}
+	0xa2803ead6aaa77e1, // {DP:1 PP:3 MB:3 Iter:1}
+	0xea4cdaff84dafa27, // {DP:1 PP:3 MB:3 Iter:2}
+	0xa7f28368176ca5c9, // {DP:1 PP:3 MB:4 Iter:1}
+	0xd96c31a0a9b01363, // {DP:1 PP:3 MB:4 Iter:2}
+	0xa55d3879820a5ec9, // {DP:2 PP:1 MB:1 Iter:1}
+	0xb7d096a92292f6f3, // {DP:2 PP:1 MB:1 Iter:2}
+	0x5141e0faa1a3e843, // {DP:2 PP:1 MB:2 Iter:1}
+	0x8cc72c6257e61115, // {DP:2 PP:1 MB:2 Iter:2}
+	0x358510903513bcab, // {DP:2 PP:1 MB:3 Iter:1}
+	0x577aaacbf60b74b3, // {DP:2 PP:1 MB:3 Iter:2}
+	0x16e99a8c79b6285f, // {DP:2 PP:1 MB:4 Iter:1}
+	0xe9cfd943f76e7e55, // {DP:2 PP:1 MB:4 Iter:2}
+	0xcbbd766a9f844a40, // {DP:2 PP:2 MB:1 Iter:1}
+	0x1322f490a92d98c1, // {DP:2 PP:2 MB:1 Iter:2}
+	0x95f3f06d3c3586ea, // {DP:2 PP:2 MB:2 Iter:1}
+	0x355e23c235808f53, // {DP:2 PP:2 MB:2 Iter:2}
+	0x8c68a7b23f0b311c, // {DP:2 PP:2 MB:3 Iter:1}
+	0xff85a4fec6512611, // {DP:2 PP:2 MB:3 Iter:2}
+	0x673763315d86f6ca, // {DP:2 PP:2 MB:4 Iter:1}
+	0x23c0bd0b8b7d55f9, // {DP:2 PP:2 MB:4 Iter:2}
+	0x23c1b45d62f20cfa, // {DP:2 PP:3 MB:1 Iter:1}
+	0x0728255e99d6e7bb, // {DP:2 PP:3 MB:1 Iter:2}
+	0x3cb620e2b8b208f8, // {DP:2 PP:3 MB:2 Iter:1}
+	0x90c27425ea54ede7, // {DP:2 PP:3 MB:2 Iter:2}
+	0x16ccd5e486603f14, // {DP:2 PP:3 MB:3 Iter:1}
+	0xbd51ddde2b538a79, // {DP:2 PP:3 MB:3 Iter:2}
+	0xc753a164885e4da6, // {DP:2 PP:3 MB:4 Iter:1}
+	0x6e26c62c16eb20b7, // {DP:2 PP:3 MB:4 Iter:2}
+	0x601581001e9e7a46, // {DP:3 PP:1 MB:1 Iter:1}
+	0x6f18d3469d2c6f12, // {DP:3 PP:1 MB:1 Iter:2}
+	0x256eb311fb3edaa3, // {DP:3 PP:1 MB:2 Iter:1}
+	0x81d4085a998a27c9, // {DP:3 PP:1 MB:2 Iter:2}
+	0xcb3d439e9eae1b0d, // {DP:3 PP:1 MB:3 Iter:1}
+	0x19c1ab9af464acef, // {DP:3 PP:1 MB:3 Iter:2}
+	0x9747c048036eff0f, // {DP:3 PP:1 MB:4 Iter:1}
+	0xfab03ee564ce8e4d, // {DP:3 PP:1 MB:4 Iter:2}
+	0x8b190ad96aa1fc51, // {DP:3 PP:2 MB:1 Iter:1}
+	0xe3422c31abf184d1, // {DP:3 PP:2 MB:1 Iter:2}
+	0xf92a6e2f137ccfcc, // {DP:3 PP:2 MB:2 Iter:1}
+	0x1160156f5f7c76f6, // {DP:3 PP:2 MB:2 Iter:2}
+	0x134ad4c7e57a02ef, // {DP:3 PP:2 MB:3 Iter:1}
+	0x717b14e212b10bdb, // {DP:3 PP:2 MB:3 Iter:2}
+	0xa1276cc3abe5b937, // {DP:3 PP:2 MB:4 Iter:1}
+	0xa66b8e559ca36a53, // {DP:3 PP:2 MB:4 Iter:2}
+	0x278b9b0e2c39074a, // {DP:3 PP:3 MB:1 Iter:1}
+	0xeb206c9bb5b03ab9, // {DP:3 PP:3 MB:1 Iter:2}
+	0xf551fd0d7f56cbd8, // {DP:3 PP:3 MB:2 Iter:1}
+	0xe8ee830d4952b2de, // {DP:3 PP:3 MB:2 Iter:2}
+	0xeda8a670e7460e04, // {DP:3 PP:3 MB:3 Iter:1}
+	0x5e814f270fe755a3, // {DP:3 PP:3 MB:3 Iter:2}
+	0x115eecc8dd18c730, // {DP:3 PP:3 MB:4 Iter:1}
+	0xfbefe3ef4ecd3dc2, // {DP:3 PP:3 MB:4 Iter:2}
+	0x5613f6b5fe796c20, // re-join
 }
 
 // TestProgramCodecDigestsUnchanged is the byte-identity gate of the Program

@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"slices"
+
 	"recycle/internal/obs"
 	"recycle/internal/schedule"
 )
@@ -9,21 +11,23 @@ import (
 // simultaneous failures: the plan comes through the usual get-or-solve
 // path, and the lowering is compiled at most once per cached plan.
 func (e *Engine) Program(n int) (*schedule.Program, error) {
-	p, err := e.Plan(n)
+	c := e.config()
+	p, err := e.plan(c, n)
 	if err != nil {
 		return nil, err
 	}
-	return e.compiled(p)
+	return e.compiled(c, p)
 }
 
 // ProgramConcrete returns the compiled Program for one specific
 // failed-worker set.
 func (e *Engine) ProgramConcrete(failed []schedule.Worker) (*schedule.Program, error) {
-	p, err := e.PlanConcrete(failed)
+	c := e.config()
+	p, err := e.planConcrete(c, failed)
 	if err != nil {
 		return nil, err
 	}
-	return e.compiled(p)
+	return e.compiled(c, p)
 }
 
 // ProgramFor is the Coordinator's executable-artifact fetch path: the
@@ -31,17 +35,19 @@ func (e *Engine) ProgramConcrete(failed []schedule.Worker) (*schedule.Program, e
 // exactly ScheduleFor) lowered into the Program both executors interpret.
 func (e *Engine) ProgramFor(failed map[schedule.Worker]bool) (*schedule.Program, error) {
 	e.observe(obs.EvPlanFetch, "", obs.Attr{Key: "failed", Val: int64(len(failed))})
-	p, err := e.planFor(failed)
+	c := e.config()
+	p, err := e.planFor(c, failed)
 	if err != nil {
 		return nil, err
 	}
-	return e.compiled(p)
+	return e.compiled(c, p)
 }
 
 // PublishSplicedProgram replicates a mid-iteration spliced Program under
-// its event identifier, so fetch-only executor clients sharing the store
-// can pull the exact artifact the coordinator spliced and is interpreting.
-// Spliced programs bypass the get-or-solve caches on purpose: they are
+// its event identifier, where Client.SplicedProgram fetches it. No runtime
+// publishes its splices — every one derives them from the in-flight
+// Program and the event — so the benchmark's control-plane probe is the
+// one caller. Spliced programs bypass the get-or-solve caches: they are
 // one-shot resumption artifacts, not reusable plans. A publish that fails
 // — the encode, or a store without quorum — is counted in StoreErrors and
 // its EvPublish event carries the error, so a coordinator that carries on
@@ -60,43 +66,42 @@ func (e *Engine) PublishSplicedProgram(event string, p *schedule.Program) error 
 	return err
 }
 
-// SplicedProgram fetches and decodes a previously published spliced
-// Program by its event identifier.
-func (e *Engine) SplicedProgram(event string) (*schedule.Program, error) {
-	return fetchSpliced(e.store, e.config().fp, event)
-}
-
 // CompiledProgram lowers (or fetches the cached lowering of) a plan this
-// engine served — the hook consumers with a *Plan in hand use to reach the
-// executable artifact.
+// engine served under its current configuration — the hook consumers with a
+// *Plan in hand use to reach the executable artifact.
 func (e *Engine) CompiledProgram(p *Plan) (*schedule.Program, error) {
-	return e.compiled(p)
+	return e.compiled(e.config(), p)
 }
 
-// compiled resolves a plan's Program: the plan's own slot (plans are
-// cached and shared, so the slot lives exactly as long as the cache
-// entry), then the replicated store (another engine sharing the store may
-// have compiled and replicated the artifact already), then a local Compile
-// that is encoded and replicated for everyone else. Concurrent first
-// requests may compile twice; both results are structurally identical and
-// the slot keeps the first.
-func (e *Engine) compiled(p *Plan) (*schedule.Program, error) {
+// compiled resolves the Program of a plan served under the configuration
+// snapshot c: the plan's own slot (plans are cached and shared, so the slot
+// lives exactly as long as the cache entry), then the replicated store
+// (another engine sharing the store may have compiled and replicated the
+// artifact already), then a local Compile that is encoded and replicated for
+// everyone else. The Program carries c's cost model as its cost table — the
+// model the plan was solved under, since c's fingerprint keyed it.
+// Concurrent first requests may compile twice; both results are
+// structurally identical and the slot keeps the first.
+func (e *Engine) compiled(c *Planner, p *Plan) (*schedule.Program, error) {
 	if prog := p.prog.Load(); prog != nil {
 		e.programHits.Add(1)
 		return prog, nil
 	}
 
-	// The store key uses the current configuration's namespace, but the
-	// schedule in hand may have been solved under an older one (a cost
-	// model retired between the fetch and this lowering), so a decoded
-	// artifact is only accepted when it demonstrably lowers THIS schedule.
+	// A key can outlive its artifact's configuration (a store shared with an
+	// engine that retuned), so a decoded artifact is only accepted when it
+	// demonstrably lowers THIS schedule under THIS cost model.
 	s := p.Schedule
-	key := programKey(e.config().fp, workerList(s.Failed))
+	var costs []int64
+	if c.Costs != nil {
+		costs = schedule.NewCostTable(s.Shape, c.Costs.Fn())
+	}
+	key := programKey(c.fp, workerList(s.Failed))
 	data, found, err := e.store.Get(key)
 	if err != nil {
 		e.storeErrs.Add(1)
 	} else if found {
-		if prog, err := DecodeProgram(data); err == nil && programMatches(prog, s) {
+		if prog, err := DecodeProgram(data); err == nil && programMatches(prog, s, costs) {
 			e.programStoreHits.Add(1)
 			return p.setProgram(prog), nil
 		}
@@ -104,6 +109,9 @@ func (e *Engine) compiled(p *Plan) (*schedule.Program, error) {
 
 	prog, err := schedule.Compile(s)
 	if err != nil {
+		return nil, err
+	}
+	if err := prog.SetCostTable(costs); err != nil {
 		return nil, err
 	}
 	e.compiles.Add(1)
@@ -126,11 +134,12 @@ func (p *Plan) setProgram(prog *schedule.Program) *schedule.Program {
 }
 
 // programMatches reports whether a decoded Program is exactly the lowering
-// of the given schedule: same shape, durations, failed set, and one
-// instruction per placement with matching op and stamped span. It guards
-// the store fetch against stale artifacts left under a reused key.
-func programMatches(p *schedule.Program, s *schedule.Schedule) bool {
-	if p.Shape != s.Shape || p.Durations != s.Durations {
+// of the given schedule under the cost table costs: same shape, durations,
+// cost table, failed set, and one instruction per placement with matching
+// op and stamped span. It guards the store fetch against stale artifacts
+// left under a reused key.
+func programMatches(p *schedule.Program, s *schedule.Schedule, costs []int64) bool {
+	if p.Shape != s.Shape || p.Durations != s.Durations || !slices.Equal(p.CostTable(), costs) {
 		return false
 	}
 	if len(p.Failed) != len(s.Failed) {

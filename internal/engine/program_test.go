@@ -3,9 +3,12 @@ package engine
 import (
 	"bytes"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
+	"recycle/internal/obs"
+	"recycle/internal/planstore"
 	"recycle/internal/schedule"
 )
 
@@ -177,5 +180,73 @@ func TestProgramConcreteClassDedup(t *testing.T) {
 	}
 	if err := prog.Validate(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestPublishSplicedProgramCountsFailures pins the publish path's error
+// accounting: a publish to a healthy store counts nothing, and one to a
+// store below quorum returns the error, counts one StoreErrors and records
+// an EvPublish event carrying the cause.
+func TestPublishSplicedProgramCountsFailures(t *testing.T) {
+	job, stats := ShapeJob(2, 2, 4)
+	store := planstore.New(3)
+	eng := New(job, stats, Options{UnrollIterations: 1, Store: store})
+	tr := obs.NewTrace()
+	eng.SetRecorder(tr)
+	prog, err := eng.Program(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.PublishSplicedProgram("kept", prog); err != nil {
+		t.Fatal(err)
+	}
+	store.FailReplica(0)
+	store.FailReplica(1)
+	if err := eng.PublishSplicedProgram("lost", prog); err == nil || !strings.Contains(err.Error(), "quorum") {
+		t.Fatalf("a publish below quorum returned %v", err)
+	}
+	if errs := eng.Metrics().StoreErrors; errs != 1 {
+		t.Fatalf("%d store errors, want 1", errs)
+	}
+	var published, failed int
+	for _, ev := range tr.Events() {
+		if ev.Kind == obs.EvPublish {
+			published++
+			if strings.HasPrefix(ev.Detail, "lost: ") && strings.Contains(ev.Detail, "quorum") {
+				failed++
+			}
+		}
+	}
+	if published != 2 || failed != 1 {
+		t.Fatalf("%d EvPublish events, %d carrying the quorum error; want 2 and 1", published, failed)
+	}
+}
+
+// TestProgramMatchesComparesCostTables pins the store-fetch guard on the
+// cost table: a decoded Program lowers a schedule only under the cost model
+// it carries, so an artifact stored under a reused key by an engine with
+// another model is refused and recompiled.
+func TestProgramMatchesComparesCostTables(t *testing.T) {
+	labels, engines := CostModelEngines(t)
+	for i, eng := range engines {
+		plan, err := eng.Plan(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prog, err := eng.CompiledProgram(plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		table := prog.CostTable()
+		other := append([]int64(nil), table...)
+		other[0]++
+		for _, tc := range []struct {
+			costs []int64
+			want  bool
+		}{{table, true}, {nil, false}, {other, false}} {
+			if got := programMatches(prog, plan.Schedule, tc.costs); got != tc.want {
+				t.Errorf("%s: programMatches under %d durations = %v, want %v", labels[i], len(tc.costs), got, tc.want)
+			}
+		}
 	}
 }

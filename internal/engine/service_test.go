@@ -250,6 +250,7 @@ type wireProgram struct {
 	shape     schedule.Shape
 	durations schedule.Durations
 	failed    map[schedule.Worker]bool
+	costs     []int64
 	instrs    []wireInstr
 	streams   []wireStream
 }
@@ -268,7 +269,7 @@ type wireStream struct {
 
 // wireOf spells p out field by field.
 func wireOf(p *schedule.Program) *wireProgram {
-	wp := &wireProgram{shape: p.Shape, durations: p.Durations, failed: p.Failed}
+	wp := &wireProgram{shape: p.Shape, durations: p.Durations, failed: p.Failed, costs: p.CostTable()}
 	for i := range p.Instrs {
 		wp.instrs = append(wp.instrs, wireInstr{op: p.Op(i), dur: p.Instrs[i].Dur, gated: p.Gated(i), deps: slices.Clone(p.Deps(i))})
 	}
@@ -290,6 +291,10 @@ func (wp *wireProgram) encode() []byte {
 	}
 	var w writer
 	w.header(kindProgram, ProgramCodecVersion, wp.shape, wp.durations, wp.failed)
+	w.int(len(wp.costs))
+	for _, d := range wp.costs {
+		w.varint(d)
+	}
 	w.int(len(wp.instrs))
 	w.int(edges)
 	for i, in := range wp.instrs {
@@ -422,7 +427,7 @@ func TestProgramCodecRejections(t *testing.T) {
 	}
 	empty := writer{}
 	empty.header(kindProgram, ProgramCodecVersion, prog.Shape, prog.Durations, nil)
-	for range 3 { // no instructions, no edges, no streams
+	for range 4 { // no cost table, instructions, edges or streams
 		empty.int(0)
 	}
 	if _, err := DecodeProgram(empty.b); err == nil {
@@ -492,21 +497,33 @@ func TestDecodeProgramChecksShape(t *testing.T) {
 		last--
 	}
 	outside := schedule.Worker{Stage: prog.Shape.PP, Pipeline: 0}
+	// costTable returns a full cost table of unit durations with entry i set to d.
+	costTable := func(p *wireProgram, i int, d int64) []int64 {
+		table := make([]int64, p.shape.DP*p.shape.PP*schedule.OpTypes)
+		for j := range table {
+			table[j] = 1
+		}
+		table[i] = d
+		return table
+	}
 	cases := map[string]func(p *wireProgram){
-		"op stage":       func(p *wireProgram) { p.instrs[0].op.Stage = p.shape.PP },
-		"op micro":       func(p *wireProgram) { p.instrs[0].op.MB = p.shape.MB },
-		"op home":        func(p *wireProgram) { p.instrs[0].op.Home = p.shape.DP },
-		"op type":        func(p *wireProgram) { p.instrs[0].op.Type = schedule.Optimizer + 1 },
-		"op exec":        func(p *wireProgram) { p.instrs[0].op.Exec = p.shape.DP },
-		"op iter":        func(p *wireProgram) { p.instrs[0].op.Iter = p.shape.Iter },
-		"optimizer mb":   func(p *wireProgram) { p.instrs[len(p.instrs)-1].op.MB = 0 }, // the Program closes on an optimizer
-		"optimizer home": func(p *wireProgram) { p.instrs[len(p.instrs)-1].op.Home++ }, // nor may it run off its home
-		"edge kind":      func(p *wireProgram) { p.instrs[last].deps[0].Kind = schedule.DepAllReduce },
-		"edge producer":  func(p *wireProgram) { p.instrs[last].deps[0].From = int32(len(p.instrs)) },
-		"gate":           func(p *wireProgram) { p.instrs[0].gated = true }, // instruction 0 is a forward
-		"stream id":      func(p *wireProgram) { p.streams[0].ids[0] = len(p.instrs) },
-		"stream worker":  func(p *wireProgram) { p.streams[0].worker = outside },
-		"failed worker":  func(p *wireProgram) { p.failed = map[schedule.Worker]bool{outside: true} },
+		"cost table size":     func(p *wireProgram) { p.costs = costTable(p, 0, 1)[1:] },
+		"cost table zero":     func(p *wireProgram) { p.costs = costTable(p, 7, 0) },
+		"cost table negative": func(p *wireProgram) { p.costs = costTable(p, 0, -3) },
+		"op stage":            func(p *wireProgram) { p.instrs[0].op.Stage = p.shape.PP },
+		"op micro":            func(p *wireProgram) { p.instrs[0].op.MB = p.shape.MB },
+		"op home":             func(p *wireProgram) { p.instrs[0].op.Home = p.shape.DP },
+		"op type":             func(p *wireProgram) { p.instrs[0].op.Type = schedule.Optimizer + 1 },
+		"op exec":             func(p *wireProgram) { p.instrs[0].op.Exec = p.shape.DP },
+		"op iter":             func(p *wireProgram) { p.instrs[0].op.Iter = p.shape.Iter },
+		"optimizer mb":        func(p *wireProgram) { p.instrs[len(p.instrs)-1].op.MB = 0 }, // the Program closes on an optimizer
+		"optimizer home":      func(p *wireProgram) { p.instrs[len(p.instrs)-1].op.Home++ }, // nor may it run off its home
+		"edge kind":           func(p *wireProgram) { p.instrs[last].deps[0].Kind = schedule.DepAllReduce },
+		"edge producer":       func(p *wireProgram) { p.instrs[last].deps[0].From = int32(len(p.instrs)) },
+		"gate":                func(p *wireProgram) { p.instrs[0].gated = true }, // instruction 0 is a forward
+		"stream id":           func(p *wireProgram) { p.streams[0].ids[0] = len(p.instrs) },
+		"stream worker":       func(p *wireProgram) { p.streams[0].worker = outside },
+		"failed worker":       func(p *wireProgram) { p.failed = map[schedule.Worker]bool{outside: true} },
 	}
 	for name, corrupt := range cases {
 		p := wireOf(prog)

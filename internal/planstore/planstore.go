@@ -8,6 +8,7 @@ package planstore
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 )
 
@@ -89,6 +90,23 @@ func (s *Store) Get(key string) ([]byte, bool, error) {
 		return nil, false, nil
 	}
 	return append([]byte(nil), best.Data...), true, nil
+}
+
+// Keys returns every key a live replica holds, sorted: what the store
+// retains.
+func (s *Store) Keys() []string {
+	var keys []string
+	for _, r := range s.replicas {
+		r.mu.Lock()
+		if r.up {
+			for k := range r.data {
+				keys = append(keys, k)
+			}
+		}
+		r.mu.Unlock()
+	}
+	slices.Sort(keys)
+	return slices.Compact(keys)
 }
 
 // Clear drops every key from every replica (up or down) — a full store

@@ -15,6 +15,12 @@ func TestPutGet(t *testing.T) {
 	if _, ok, _ := s.Get("missing"); ok {
 		t.Fatal("missing key reported present")
 	}
+	if err := s.Put("plan/0", []byte("b")); err != nil {
+		t.Fatal(err)
+	}
+	if keys := s.Keys(); len(keys) != 2 || keys[0] != "plan/0" || keys[1] != "plan/1" {
+		t.Fatalf("keys %q, want [plan/0 plan/1]", keys)
+	}
 }
 
 // TestSurvivesMinorityFailure checks quorum semantics: one replica of

@@ -56,10 +56,6 @@ func BenchmarkSpliceReplayJob(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	var costs schedule.CostFunc
-	if cm := eng.CostModel(); cm != nil {
-		costs = cm.Fn()
-	}
 	full, err := sim.ExecuteProgram(prog, sim.ProgramOptions{})
 	if err != nil {
 		b.Fatal(err)
@@ -71,7 +67,7 @@ func BenchmarkSpliceReplayJob(b *testing.B) {
 	}
 	in := SpliceInput{
 		Prog: prog, Starts: cutEx.Start, Ends: cutEx.End,
-		Cut: cut, Fail: []schedule.Worker{victim}, Costs: costs,
+		Cut: cut, Fail: []schedule.Worker{victim},
 	}
 	b.ReportAllocs()
 	for b.Loop() {

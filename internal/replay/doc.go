@@ -13,7 +13,10 @@
 //     against the new worker set (re-routing whole micro-batch triples,
 //     adding the optimizer step of a re-joining worker), and the spliced
 //     artifact passes both schedule.Validate and Program.Validate.
-//     There is one rule: a stage whose optimizer step fully completed
+//     Re-planned work is timed by the in-flight Program's cost table
+//     (Program.Cost), which the spliced Program carries on, so a splice is
+//     a pure function of the Program and the event: any process holding
+//     the Program derives the same bytes. There is one rule: a stage whose optimizer step fully completed
 //     before the cut is durable and stays frozen, victim included. And
 //     one call site: cutAndSplice runs the DES up to the event instant
 //     and splices; Replay calls it directly and the live interpreter

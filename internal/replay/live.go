@@ -22,9 +22,6 @@ type LiveEvent struct {
 	// Fail lists live workers killed at Cut; Rejoin lists failed workers
 	// restored at Cut (see SpliceInput).
 	Fail, Rejoin []schedule.Worker
-	// Costs is the cost model the program was solved with (nil for
-	// homogeneous durations).
-	Costs schedule.CostFunc
 	// Release floors per-worker re-planned start times (see SpliceInput).
 	Release map[schedule.Worker]int64
 	// Done carries the frozen prefix of an earlier splice when this event
@@ -96,8 +93,7 @@ func cutAndSplice(in LiveEvent, resume sim.ProgramOptions) (*LiveSpliced, error)
 	}
 	spl, err := Splice(SpliceInput{
 		Prog: in.Prog, Starts: cutEx.Start, Ends: cutEx.End,
-		Cut: in.Cut, Fail: in.Fail, Rejoin: in.Rejoin,
-		Costs: in.Costs, Release: in.Release,
+		Cut: in.Cut, Fail: in.Fail, Rejoin: in.Rejoin, Release: in.Release,
 	})
 	if err != nil {
 		return nil, err

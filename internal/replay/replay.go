@@ -133,10 +133,6 @@ func Replay(eng *engine.Engine, tr failure.Trace, opt Options) (*Result, error) 
 	if err != nil {
 		return nil, err
 	}
-	var costs schedule.CostFunc
-	if cm := eng.CostModel(); cm != nil {
-		costs = cm.Fn()
-	}
 	toSlots := func(d time.Duration) int64 { return int64(math.Round(d.Seconds() / unit)) }
 
 	res := &Result{Trace: tr.Name, Horizon: opt.Horizon}
@@ -320,7 +316,7 @@ func Replay(eng *engine.Engine, tr failure.Trace, opt Options) (*Result, error) 
 			}
 			spl, err := cutAndSplice(LiveEvent{
 				Prog: curProg, Cut: cut, Fail: dying, Rejoin: joining,
-				Costs: costs, Release: release, Done: done,
+				Release: release, Done: done,
 			}, sim.ProgramOptions{
 				ReleaseAt: floors, Recorder: opt.Recorder,
 				TraceLabel: fmt.Sprintf("replay/iter%d/cut@%d", res.Iterations, cut),

@@ -38,12 +38,6 @@ type SpliceInput struct {
 	// all-reduce has not fired yet, receive an optimizer step of their own
 	// — resuming participation before the iteration boundary.
 	Rejoin []schedule.Worker
-	// Costs gives per-(worker, op) durations for re-planned work (the
-	// engine's cost model). Nil re-plans with the program's homogeneous
-	// durations. It must be the model the in-flight program was solved
-	// with, so frozen prefix spans and re-planned spans validate under one
-	// duration rule.
-	Costs schedule.CostFunc
 	// Release floors a worker's earliest re-planned start time (absolute,
 	// on the program clock): detection latency after a failure, the
 	// parameter-copy time of a re-joining worker. Workers absent from the
@@ -312,12 +306,10 @@ func Splice(in SpliceInput) (*Spliced, error) {
 			return nil, fmt.Errorf("replay: stage %d has no live worker after the event", s)
 		}
 	}
-	dur := func(w schedule.Worker, t schedule.OpType) int64 {
-		if in.Costs != nil {
-			return in.Costs(w, t)
-		}
-		return p.Durations.Of(t)
-	}
+	// Re-planned work is timed by the Program's own cost table, the model
+	// its schedule was solved with, so frozen prefix spans and re-planned
+	// spans validate under one duration rule.
+	dur := p.Cost
 
 	// Locate every instruction in the dense op index. Stepped (iter, stage)
 	// groups — every optimizer instruction of the group completed before the
@@ -650,6 +642,9 @@ func Splice(in SpliceInput) (*Spliced, error) {
 	if err != nil {
 		return nil, fmt.Errorf("replay: spliced schedule does not compile: %w", err)
 	}
+	if err := prog.SetCostTable(p.CostTable()); err != nil {
+		return nil, err
+	}
 	out.Program = prog
 	// Done: the spliced Program's instructions whose op is a prefix node
 	// (Compile accepted the schedule, so every op is one node's).
@@ -668,7 +663,7 @@ func Splice(in SpliceInput) (*Spliced, error) {
 	}
 	// Durable victim work stays frozen in the prefix on its (now failed)
 	// worker; admit exactly those placements and nothing later.
-	if err := schedule.Validate(out.Schedule, schedule.ValidateConfig{Costs: in.Costs, FrozenBefore: in.Cut}); err != nil {
+	if err := schedule.Validate(out.Schedule, schedule.ValidateConfig{Costs: p.Cost, FrozenBefore: in.Cut}); err != nil {
 		return nil, fmt.Errorf("replay: spliced schedule fails validation: %w", err)
 	}
 	return out, nil

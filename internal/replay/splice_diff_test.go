@@ -69,6 +69,9 @@ func rebuild(t testing.TB, p *schedule.Program, deps func(i int) []schedule.Dep,
 		}
 	}
 	q, err := b.Build()
+	if err == nil {
+		err = q.SetCostTable(p.CostTable())
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,10 +203,6 @@ func drawEvent(rng *rand.Rand, dp, pp int, failed map[schedule.Worker]bool) (fai
 func diffCase(t testing.TB, tally *diffTally, rng *rand.Rand) {
 	dp, pp, mb := 2+rng.Intn(5), 2+rng.Intn(3), 2+rng.Intn(7)
 	eng := diffEngine(dp, pp, mb, rng.Intn(2) == 0, rng.Intn(4) == 0)
-	var costs schedule.CostFunc
-	if cm := eng.CostModel(); cm != nil {
-		costs = cm.Fn()
-	}
 	failed := make(map[schedule.Worker]bool)
 	if rng.Intn(2) == 0 {
 		failed[schedule.Worker{Stage: rng.Intn(pp), Pipeline: rng.Intn(dp)}] = true
@@ -253,7 +252,7 @@ func diffCase(t testing.TB, tally *diffTally, rng *rand.Rand) {
 		}
 		in := SpliceInput{
 			Prog: prog, Starts: cutEx.Start, Ends: cutEx.End,
-			Cut: cut, Fail: fail, Rejoin: rejoin, Costs: costs, Release: release,
+			Cut: cut, Fail: fail, Rejoin: rejoin, Release: release,
 		}
 		if rng.Intn(8) == 0 {
 			live := schedule.Worker{Stage: rng.Intn(pp), Pipeline: rng.Intn(dp)}

@@ -64,12 +64,7 @@ func spliceRef(in SpliceInput) (*Spliced, error) {
 			return nil, fmt.Errorf("replay: stage %d has no live worker after the event", s)
 		}
 	}
-	dur := func(w schedule.Worker, t schedule.OpType) int64 {
-		if in.Costs != nil {
-			return in.Costs(w, t)
-		}
-		return p.Durations.Of(t)
-	}
+	dur := p.Cost
 
 	// Stepped (iter, stage) groups — every optimizer instruction of the
 	// group completed before the cut — are durable: the cascade neither
@@ -432,6 +427,9 @@ func spliceRef(in SpliceInput) (*Spliced, error) {
 	if err != nil {
 		return nil, fmt.Errorf("replay: spliced schedule does not compile: %w", err)
 	}
+	if err := prog.SetCostTable(p.CostTable()); err != nil {
+		return nil, err
+	}
 	out.Program = prog
 	for i := range prog.Instrs {
 		if end, ok := prefixEnd[prog.Op(i)]; ok {
@@ -442,7 +440,7 @@ func spliceRef(in SpliceInput) (*Spliced, error) {
 	out.SuffixOps = len(suffix)
 	// Durable victim work stays frozen in the prefix on its (now failed)
 	// worker; admit exactly those placements and nothing later.
-	if err := schedule.Validate(out.Schedule, schedule.ValidateConfig{Costs: in.Costs, FrozenBefore: in.Cut}); err != nil {
+	if err := schedule.Validate(out.Schedule, schedule.ValidateConfig{Costs: p.Cost, FrozenBefore: in.Cut}); err != nil {
 		return nil, fmt.Errorf("replay: spliced schedule fails validation: %w", err)
 	}
 	return out, nil

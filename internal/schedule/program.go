@@ -89,7 +89,8 @@ type Instr struct {
 // Its memory is a handful of pointer-free slabs: the instructions, one edge
 // slab every instruction's edges are a window of, and one int32 slab holding
 // the streams in CSR form (per-worker offsets by Shape.WorkerIndex) and the
-// barrier's lists.
+// barrier's lists — plus, when it was solved under a cost model, the cost
+// table its splices time re-planned work with.
 type Program struct {
 	Shape     Shape
 	Durations Durations
@@ -105,6 +106,7 @@ type Program struct {
 	streams   []int32  // every worker's instruction IDs in execution order
 	streamOff []int32  // per WorkerIndex w: streams[streamOff[w]:streamOff[w+1]] is w's stream
 	workers   []Worker // the workers with a non-empty stream, in (pipeline, stage) order
+	costs     []int64  // the cost table (see Cost); empty when every worker runs Durations
 }
 
 // Barrier is a Program's per-stage gradient all-reduce: each (iteration,
@@ -265,6 +267,54 @@ func (p *Program) DurOf(id int) int64 {
 		return d
 	}
 	return p.Durations.Of(p.Instrs[id].typ)
+}
+
+// OpTypes is the number of op types: the stride of a cost table, whose
+// entry WorkerIndex·OpTypes + type is one worker's duration of one op type.
+const OpTypes = int(Optimizer) + 1
+
+// NewCostTable tabulates fn over every worker of sh and every op type — the
+// dense form a Program carries its cost model in.
+func NewCostTable(sh Shape, fn CostFunc) []int64 {
+	table := make([]int64, sh.DP*sh.PP*OpTypes)
+	for w := 0; w < sh.DP*sh.PP; w++ {
+		for t := range OpTypes {
+			table[w*OpTypes+t] = fn(sh.WorkerAt(w), OpType(t))
+		}
+	}
+	return table
+}
+
+// SetCostTable installs the cost model the Program's schedule was solved
+// under, tabulated by NewCostTable: what the splice times re-planned work
+// with. A table must be empty or hold a positive duration for every worker
+// and op type of the shape. The Program keeps the slice, so call it before
+// the Program is shared, and never write the table afterwards.
+func (p *Program) SetCostTable(table []int64) error {
+	if n := p.Shape.DP * p.Shape.PP * OpTypes; len(table) != 0 && len(table) != n {
+		return fmt.Errorf("schedule: program: cost table holds %d durations, want 0 or %d", len(table), n)
+	}
+	for i, d := range table {
+		if d <= 0 {
+			return fmt.Errorf("schedule: program: %s of %s costs %d, not a positive duration", OpType(i%OpTypes), p.Shape.WorkerAt(i/OpTypes), d)
+		}
+	}
+	p.costs = table
+	return nil
+}
+
+// CostTable returns the Program's cost table, empty when it carries none.
+// The slice is the Program's own: read-only.
+func (p *Program) CostTable() []int64 { return p.costs }
+
+// Cost returns the modeled duration of an op of type t on worker w: the cost
+// table's entry, or the homogeneous Durations — DurOf's fallback — when the
+// Program carries no table.
+func (p *Program) Cost(w Worker, t OpType) int64 {
+	if len(p.costs) == 0 {
+		return p.Durations.Of(t)
+	}
+	return p.costs[p.Shape.WorkerIndex(w)*OpTypes+int(t)]
 }
 
 // ProgramBuilder assembles a Program straight into its slabs — the

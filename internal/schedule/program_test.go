@@ -62,6 +62,59 @@ func TestCompileFaultFree1F1B(t *testing.T) {
 	}
 }
 
+// TestCostTable pins a Program's cost table: NewCostTable tabulates a cost
+// function by (WorkerIndex, op type), Cost reads it back — or the Program's
+// Durations when it carries none — and SetCostTable refuses a table that
+// does not cover the shape or holds a non-positive duration.
+func TestCostTable(t *testing.T) {
+	shape := Shape{DP: 2, PP: 3, MB: 2, Iter: 1}
+	p, err := Compile(FaultFree1F1B(shape, UnitSlots))
+	if err != nil {
+		t.Fatal(err)
+	}
+	slow := Worker{Stage: 1, Pipeline: 1}
+	fn := func(w Worker, t OpType) int64 {
+		if w == slow {
+			return 3 * UnitSlots.Of(t)
+		}
+		return UnitSlots.Of(t)
+	}
+	if p.CostTable() != nil || p.Cost(slow, B) != 2 {
+		t.Fatal("a Program without a cost table does not run its Durations")
+	}
+	table := NewCostTable(shape, fn)
+	if len(table) != shape.DP*shape.PP*OpTypes {
+		t.Fatalf("cost table of %d durations", len(table))
+	}
+	if err := p.SetCostTable(table); err != nil {
+		t.Fatal(err)
+	}
+	for w := 0; w < shape.DP*shape.PP; w++ {
+		for ty := F; ty <= Optimizer; ty++ {
+			if got, want := p.Cost(shape.WorkerAt(w), ty), fn(shape.WorkerAt(w), ty); got != want {
+				t.Fatalf("%s of %s costs %d, want %d", ty, shape.WorkerAt(w), got, want)
+			}
+		}
+	}
+	bad := func(i int, d int64) []int64 {
+		out := append([]int64(nil), table...)
+		out[i] = d
+		return out
+	}
+	for name, tc := range map[string][]int64{
+		"short":    table[1:],
+		"zero":     bad(len(table)-1, 0),
+		"negative": bad(0, -1),
+	} {
+		if err := p.SetCostTable(tc); err == nil {
+			t.Errorf("SetCostTable accepted a %s table", name)
+		}
+	}
+	if err := p.SetCostTable(nil); err != nil || p.CostTable() != nil {
+		t.Fatalf("clearing the cost table: %v", err)
+	}
+}
+
 // TestCompileRejectsIncompleteSchedule checks that a schedule with a
 // missing producer cannot be lowered.
 func TestCompileRejectsIncompleteSchedule(t *testing.T) {
