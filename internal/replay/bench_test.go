@@ -46,6 +46,53 @@ func BenchmarkCompileReplayJob(b *testing.B) {
 	}
 }
 
+// BenchmarkValidateReplayJob measures one Program.Validate of the healthy
+// Fig 9 GPT-3 Medium Program: what Compile, the builder and every decode
+// pay to prove a Program runs to completion.
+func BenchmarkValidateReplayJob(b *testing.B) {
+	prog, err := replayJobEngine(b).ProgramFor(nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		if err := prog.Validate(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkExecuteReplayJob measures the DES on the Fig 9 GPT-3 Medium
+// Program: a whole healthy iteration, and the cut execution a kill of W5_1
+// at half the makespan starts its splice with.
+func BenchmarkExecuteReplayJob(b *testing.B) {
+	prog, err := replayJobEngine(b).ProgramFor(nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	full, err := sim.ExecuteProgram(prog, sim.ProgramOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	cut := full.Makespan / 2
+	for _, c := range []struct {
+		name string
+		opt  sim.ProgramOptions
+	}{
+		{"healthy", sim.ProgramOptions{}},
+		{"cut", sim.ProgramOptions{CutAt: cut, FailAt: map[schedule.Worker]int64{{Stage: 1, Pipeline: 5}: cut}}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, err := sim.ExecuteProgram(prog, c.opt); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkSpliceReplayJob measures one Splice of the Fig 9 GPT-3 Medium
 // iteration cut at half its makespan, where W5_1 dies: the splice
 // replay-warm pays per membership event. The cut execution is taken once,

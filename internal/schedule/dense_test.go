@@ -150,10 +150,10 @@ func TestCompileValidateMatchReference(t *testing.T) {
 				d := &got.Deps(i)[rng.Intn(len(got.Deps(i)))]
 				d.From = int32(rng.Intn(len(got.Instrs)))
 				if err := got.Validate(); err == nil {
-					// Edges are consistent, so acyclicity was decided: both
+					// Edges are consistent, so the walk decided: both
 					// algorithms must have found the graph acyclic.
 					if ref := withBarrierEdges(got).checkAcyclicRef(); ref != nil {
-						t.Fatalf("%s: checkAcyclic accepted what the reference rejects: %v", what, ref)
+						t.Fatalf("%s: the walk ran what the reference rejects: %v", what, ref)
 					}
 				} else if strings.Contains(err.Error(), "deadlocks") {
 					sameError(t, what+": acyclic", err, withBarrierEdges(got).checkAcyclicRef())

@@ -25,15 +25,20 @@
 // tensors and goroutines, the discrete-event simulator (internal/sim)
 // executes it in virtual time. Op ordering and op durations are decided
 // here, once, and nowhere else, which is what makes the two executions
-// agree by construction. Program.Validate proves every compiled artifact
-// deadlock-free, edge-consistent and its barrier complete.
+// agree by construction. When an instruction may run is decided once too:
+// a Walk holds a stream cursor and a clock per worker, a pending count per
+// barrier group and the ready set of workers whose head may run, and times
+// each admitted instruction by its Timing. Program.Validate walks every
+// compiled artifact — it must run every instruction, so the artifact is
+// deadlock-free — and checks it edge-consistent and its barrier complete;
+// the simulator times Programs on the same walk.
 //
 // The failure path runs on one dense op index. Every op of a schedule lies
 // in the rectangle its Shape bounds, so Shape derives TripleIndex =
 // ((iter·PP + stage)·DP + home)·MB + mb for a micro-batch triple,
 // StageIndex = iter·PP + stage for an all-reduce group and WorkerIndex =
-// pipeline·PP + stage for a worker, and Compile, Validate, the acyclicity
-// check and replay.Splice key their bookkeeping by them: []int32 producer
+// pipeline·PP + stage for a worker, and Compile, Validate, the walk and
+// replay.Splice key their bookkeeping by them: []int32 producer
 // tables (-1 for absent), CSR adjacency built count -> prefix sum -> fill.
 // The tables are pooled scratch, never cached on a Schedule or Program.
 // Indexing is bounds-checked: an op outside its Shape, or a Shape claiming

@@ -720,12 +720,11 @@ func CompileFrozen(s *Schedule, frozenBefore int64) (*Program, error) {
 // an existing instruction and relates ops the way its kind claims
 // (edge consistency), streams partition the instruction set, the barrier
 // lists every weight gradient of its group and a gated optimizer's group
-// is complete (checkBarrier), and the graph formed by dependency edges,
-// the barrier and same-worker stream order admits a topological order
-// (deadlock-freedom — an executor that runs streams in order and blocks on
-// edges and barriers can always make progress). Streams are walked in
-// WorkerIndex order, so a Program with several defects reports the same
-// one on every call.
+// is complete (checkBarrier), and a Walk — the rule every executor runs
+// instructions by — runs every instruction (deadlock-freedom: an executor
+// that runs streams in order and blocks on edges and barriers can always
+// make progress). Streams are checked in WorkerIndex order, so a Program
+// with several defects reports the same one on every call.
 func (p *Program) Validate() error {
 	n, sh := len(p.Instrs), p.Shape
 	seen := make([]bool, n)
@@ -761,7 +760,7 @@ func (p *Program) Validate() error {
 	if err := p.checkBarrier(); err != nil {
 		return err
 	}
-	return p.checkAcyclic()
+	return p.checkRuns()
 }
 
 // checkBarrier verifies the all-reduce barrier: each group lists, strictly
@@ -857,123 +856,6 @@ func (p *Program) checkEdge(from, to int, k DepKind) error {
 	}
 	if !ok {
 		return fmt.Errorf("%s: %s -> %s", rule, p.Op(from), p.Op(to))
-	}
-	return nil
-}
-
-// acyclicScratch is checkAcyclic's working set (pooled, see compileScratch).
-type acyclicScratch struct {
-	indeg   []int32 // per node: unresolved incoming edges
-	succOff []int32 // per node: offset into succ (CSR)
-	succ    []int32 // successor nodes
-	queue   []int32
-}
-
-var acyclicPool = sync.Pool{New: func() any { return new(acyclicScratch) }}
-
-// checkAcyclic runs Kahn's algorithm over dependency edges, implicit
-// same-worker stream edges and the barrier. Instruction i is node i, and
-// stage group g's barrier is one more node, n+g: an edge from each of the
-// group's contributions into it, and one from it into each optimizer it
-// gates — a cycle through the barrier is a cycle of the edges it stands
-// for. Validate has already bounds-checked every edge, stream entry and
-// barrier list.
-func (p *Program) checkAcyclic() error {
-	n, b := len(p.Instrs), &p.Barrier
-	nodes := n + max(len(b.Off)-1, 0)
-	gate := func(i int) int { return n + int(p.Instrs[i].op) } // the barrier node gating optimizer i
-	sc := acyclicPool.Get().(*acyclicScratch)
-	defer acyclicPool.Put(sc)
-	sc.indeg = filled(sc.indeg, nodes, 0)
-	sc.succOff = filled(sc.succOff, nodes+1, 0)
-	indeg, succOff := sc.indeg, sc.succOff
-	// Count out-degrees one slot up, prefix-sum them into start offsets,
-	// then fill; the fill leaves succOff[i] at the end of i's successors.
-	edges := len(b.IDs)
-	for i := range p.Instrs {
-		deps := p.Deps(i)
-		for _, d := range deps {
-			succOff[d.From+1]++
-		}
-		indeg[i] = int32(len(deps))
-		edges += len(deps)
-		if p.Instrs[i].gated {
-			succOff[gate(i)+1]++
-			indeg[i]++
-			edges++
-		}
-	}
-	// Consecutive entries of the stream slab are stream-order edges, except
-	// across the boundary between two workers' streams.
-	streams, off := p.streams, p.streamOff
-	for wi := 0; wi+1 < len(off); wi++ {
-		for j := off[wi] + 1; j < off[wi+1]; j++ {
-			succOff[streams[j-1]+1]++
-			indeg[streams[j]]++
-			edges++
-		}
-	}
-	for g := n; g < nodes; g++ {
-		group := b.Group(g - n)
-		for _, c := range group {
-			succOff[c+1]++
-		}
-		indeg[g] = int32(len(group))
-	}
-	for i := 0; i < nodes; i++ {
-		succOff[i+1] += succOff[i]
-	}
-	sc.succ = filled(sc.succ, edges, 0)
-	succ := sc.succ
-	link := func(from, to int) {
-		succ[succOff[from]] = int32(to)
-		succOff[from]++
-	}
-	for i := range p.Instrs {
-		for _, d := range p.Deps(i) {
-			link(int(d.From), i)
-		}
-		if p.Instrs[i].gated {
-			link(gate(i), i)
-		}
-	}
-	for wi := 0; wi+1 < len(off); wi++ {
-		for j := off[wi] + 1; j < off[wi+1]; j++ {
-			link(int(streams[j-1]), int(streams[j]))
-		}
-	}
-	for g := n; g < nodes; g++ {
-		for _, c := range b.Group(g - n) {
-			link(int(c), g)
-		}
-	}
-	queue := filled(sc.queue, nodes, 0)[:0]
-	for i, d := range indeg {
-		if d == 0 {
-			queue = append(queue, int32(i))
-		}
-	}
-	done := 0
-	for len(queue) > 0 {
-		i := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		if int(i) < n {
-			done++
-		}
-		lo := int32(0)
-		if i > 0 {
-			lo = succOff[i-1]
-		}
-		for _, s := range succ[lo:succOff[i]] {
-			indeg[s]--
-			if indeg[s] == 0 {
-				queue = append(queue, s)
-			}
-		}
-	}
-	sc.queue = queue
-	if done != n {
-		return fmt.Errorf("schedule: program deadlocks: %d of %d instructions are on a dependency cycle", n-done, n)
 	}
 	return nil
 }

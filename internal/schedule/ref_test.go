@@ -226,7 +226,8 @@ func checkEdgeRef(from, to Op, k DepKind) error {
 	return nil
 }
 
-// checkAcyclicRef is the successor-list Kahn's algorithm checkAcyclic replaced.
+// checkAcyclicRef is a successor-list Kahn's algorithm over edges and stream
+// order: the oracle of the walk's deadlock verdict (Program.checkRuns).
 func (p *refProgram) checkAcyclicRef() error {
 	n := len(p.Instrs)
 	indeg := make([]int, n)

@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 	"math"
-	"slices"
 	"sync"
 
 	"recycle/internal/obs"
@@ -90,13 +89,6 @@ func (x *Execution) StepEpochs() map[schedule.Worker]int {
 	return out
 }
 
-// arGroup is the DES's reading of one stage group's all-reduce barrier:
-// contributions not yet finished, and the latest end among those that are.
-type arGroup struct {
-	pending int32
-	end     int64
-}
-
 // Classification marks of an instruction that never ran; 0 marks one that
 // did.
 const (
@@ -104,16 +96,30 @@ const (
 	blockedMark
 )
 
-var markPool = sync.Pool{New: func() any { return new([]uint8) }}
+// execScratch is ExecuteProgram's working set, pooled so that an execution
+// allocates only what its Execution keeps.
+type execScratch struct {
+	walk   schedule.Walk
+	dur    []int64   // per instruction: its duration under the options
+	scale  []float64 // per WorkerIndex: its Scale factor, 0 for none
+	failAt []int64   // per WorkerIndex: its FailAt instant
+	mark   []uint8   // per instruction: classification mark
+}
 
-// ExecuteProgram runs the program's instruction streams in virtual time:
-// each worker executes its stream in order, every instruction starting as
-// soon as its worker is free and its dependency edges are satisfied
-// (producers finished, plus communication latency on cross-stage edges) —
-// and a gated optimizer once its stage group's barrier drains, at the
-// group's latest contribution end. This is exactly the recurrence the live
-// runtime's interpreter follows, so on a healthy fleet the predicted
-// timeline and the runtime's logical timeline agree by construction.
+var execPool = sync.Pool{New: func() any { return new(execScratch) }}
+
+// ExecuteProgram runs the program's instruction streams in virtual time on
+// a schedule.Walk — the rule Program.Validate proves every Program runs to
+// completion under: each worker executes its stream in order, every
+// instruction starting as soon as its worker is free and its dependency
+// edges are satisfied (producers finished, plus communication latency on
+// cross-stage edges) — and a gated optimizer once its stage group's
+// barrier drains, at the group's latest contribution end. This is exactly
+// the recurrence the live runtime's interpreter follows, so on a healthy
+// fleet the predicted timeline and the runtime's logical timeline agree by
+// construction. The options become the walk's Timing: the durations, the
+// cut and the death instants; the frozen prefix is installed and the
+// release floors raise the workers' clocks before it runs.
 //
 // A program whose instructions cannot all complete without any injected
 // failure is reported as a deadlock error.
@@ -121,29 +127,6 @@ func ExecuteProgram(p *schedule.Program, opt ProgramOptions) (*Execution, error)
 	if p == nil {
 		return nil, fmt.Errorf("sim: cannot execute a nil program")
 	}
-	durs := p.Durations
-	if opt.Durations != nil {
-		durs = *opt.Durations
-	}
-	durOf := func(w schedule.Worker, id int) int64 {
-		var d int64
-		if opt.Durations != nil {
-			d = durs.Of(p.Type(id))
-		} else {
-			d = p.DurOf(id) // stamped (cost-model) duration, or the program's own homogeneous set
-		}
-		if opt.OpDuration != nil {
-			d = opt.OpDuration(p.Op(id), d)
-		}
-		if s, ok := opt.Scale[w]; ok && s > 0 {
-			d = int64(math.Round(float64(d) * s))
-		}
-		if d < 0 {
-			d = 0
-		}
-		return d
-	}
-
 	tracing := opt.Recorder != nil && opt.Recorder.Enabled()
 	if tracing {
 		label := opt.TraceLabel
@@ -153,63 +136,38 @@ func ExecuteProgram(p *schedule.Program, opt ProgramOptions) (*Execution, error)
 		opt.Recorder.BeginProgram(label, p)
 	}
 
-	workers := p.Workers()
-	n := len(p.Instrs)
+	n, sh, nw := len(p.Instrs), p.Shape, p.Shape.DP*p.Shape.PP
 	ex := &Execution{Program: p, Start: make([]int64, n), End: make([]int64, n)}
-	for i := 0; i < n; i++ {
-		ex.Start[i], ex.End[i] = -1, -1
+	sc := execPool.Get().(*execScratch)
+	defer execPool.Put(sc)
+	t := schedule.Timing{Lat: p.Durations, Cut: opt.CutAt}
+	if opt.Durations != nil {
+		t.Lat = *opt.Durations
 	}
-	// Per-worker state lives in slices indexed by the worker's position in
-	// p.Workers(); the option maps are consulted once per worker.
-	type lane struct {
-		stream  []int32
-		pos     int   // next unexecuted stream position
-		free    int64 // earliest next start
-		failAt  int64 // FailAt instant, when mayFail
-		mayFail bool
-		dead    bool
+	if opt.Durations != nil || opt.OpDuration != nil || len(opt.Scale) > 0 {
+		t.Dur = sc.durations(p, opt)
 	}
-	lanes := make([]lane, len(workers))
-	for wi, w := range workers {
-		ln := &lanes[wi]
-		ln.stream = p.Stream(w)
-		ln.failAt, ln.mayFail = opt.FailAt[w]
-	}
-	// The all-reduce barrier, one counter per stage group: a finished
-	// contribution decrements its group and raises its latest end.
-	bar := &p.Barrier
-	groups := make([]arGroup, max(len(bar.Off)-1, 0))
-	for g := range groups {
-		groups[g].pending = int32(len(bar.Group(g)))
-	}
-	group := func(id int) int {
-		if _, g, _ := p.OpIndex(id); g < len(groups) {
-			return g
+	if len(opt.FailAt) > 0 {
+		sc.failAt = filled(sc.failAt, nw, math.MaxInt64)
+		for w, at := range opt.FailAt {
+			if wi := sh.WorkerIndex(w); wi >= 0 {
+				sc.failAt[wi] = at
+			}
 		}
-		return -1
+		t.FailAt = sc.failAt
 	}
-	contributed := func(id int, end int64) {
-		if t := p.Type(id); t != schedule.B && t != schedule.BWeight {
-			return
-		}
-		if g := group(id); g >= 0 {
-			groups[g].pending--
-			groups[g].end = max(groups[g].end, end)
-		}
-	}
+	walk := &sc.walk
+	defer walk.Clear()
+	walk.Reset(p, t, ex.Start, ex.End)
 
 	// Install the pre-executed prefix: spans recorded, streams advanced
-	// past it, worker clocks floored at its completion times.
+	// past it, worker clocks floored at its completion times and then at
+	// their release floors.
 	for id, end := range opt.Done {
 		if id < 0 || id >= n {
 			return nil, fmt.Errorf("sim: done instruction %d outside [0,%d)", id, n)
 		}
-		ex.Start[id], ex.End[id] = end-p.DurOf(id), end
-		ex.Completed++
-		if end > ex.Makespan {
-			ex.Makespan = end
-		}
-		contributed(id, end)
+		walk.Install(id, end)
 		if tracing {
 			opt.Recorder.Span(obs.Span{
 				Instr: id, Op: p.Op(id), Deps: p.Producers(id),
@@ -219,101 +177,29 @@ func ExecuteProgram(p *schedule.Program, opt ProgramOptions) (*Execution, error)
 		}
 	}
 	placed := 0
-	for wi, w := range workers {
-		ln := &lanes[wi]
-		for ln.pos < len(ln.stream) {
-			end, done := opt.Done[int(ln.stream[ln.pos])]
-			if !done {
-				break
-			}
-			ln.free = max(ln.free, end)
-			ln.pos++
-		}
-		placed += ln.pos
-		if r, ok := opt.ReleaseAt[w]; ok && r > ln.free {
-			ln.free = r
+	for _, w := range p.Workers() {
+		wi := sh.WorkerIndex(w)
+		placed += walk.Skip(wi)
+		if r, ok := opt.ReleaseAt[w]; ok {
+			walk.Release(wi, r)
 		}
 	}
 	if placed != len(opt.Done) {
 		return nil, fmt.Errorf("sim: done set is not a union of stream prefixes (%d of %d instructions at stream heads)", placed, len(opt.Done))
 	}
 
-	// Fixed-point sweep: each pass advances every worker as far as its
-	// dependencies allow. Instruction start times are a pure function of
-	// producer end times and stream order, so the sweep order cannot
-	// change the resulting timeline.
-	for {
-		progressed := false
-		for wi, w := range workers {
-			ln := &lanes[wi]
-			if ln.dead {
+	walk.Run()
+	ex.Completed, ex.Makespan = walk.Ended(), walk.Makespan()
+	if tracing {
+		for id := range p.Instrs {
+			if _, frozen := opt.Done[id]; ex.End[id] < 0 || frozen {
 				continue
 			}
-			for ln.pos < len(ln.stream) {
-				id := int(ln.stream[ln.pos])
-				ready := int64(0)
-				ok := true
-				for _, d := range p.Deps(id) {
-					if ex.End[d.From] < 0 {
-						ok = false
-						break
-					}
-					if r := ex.End[d.From] + durs.EdgeLatency(d.Kind); r > ready {
-						ready = r
-					}
-				}
-				if ok && p.Gated(id) {
-					g := group(id)
-					if g < 0 {
-						return nil, fmt.Errorf("sim: the barrier gates %s outside its %d groups", p.Op(id), len(groups))
-					}
-					if ok = groups[g].pending == 0; ok {
-						ready = max(ready, groups[g].end+durs.EdgeLatency(schedule.DepAllReduce))
-					}
-				}
-				if !ok {
-					break
-				}
-				start := max(ln.free, ready)
-				if opt.CutAt > 0 && start >= opt.CutAt {
-					// The event instant arrived before this instruction could
-					// start; the worker freezes here. Per-worker starts are
-					// monotone, so nothing later in the stream can run either.
-					break
-				}
-				end := start + durOf(w, id)
-				if ln.mayFail && end > ln.failAt {
-					// The op would still be in flight when the worker dies:
-					// it and everything after it on this worker is lost.
-					ln.dead = true
-					if tracing {
-						opt.Recorder.Event(obs.Event{
-							Kind: obs.EvKill, At: ln.failAt, Iter: p.Op(id).Iter,
-							Worker: w, HasWorker: true,
-						})
-					}
-					break
-				}
-				ex.Start[id], ex.End[id] = start, end
-				ln.free = end
-				if end > ex.Makespan {
-					ex.Makespan = end
-				}
-				contributed(id, end)
-				ln.pos++
-				ex.Completed++
-				progressed = true
-				if tracing {
-					opt.Recorder.Span(obs.Span{
-						Instr: id, Op: p.Op(id), Deps: p.Producers(id),
-						Sched: ready, Start: start, End: end,
-						Modeled: p.DurOf(id),
-					})
-				}
-			}
-		}
-		if !progressed {
-			break
+			opt.Recorder.Span(obs.Span{
+				Instr: id, Op: p.Op(id), Deps: p.Producers(id),
+				Sched: walk.Ready(id), Start: ex.Start[id], End: ex.End[id],
+				Modeled: p.DurOf(id),
+			})
 		}
 	}
 
@@ -321,24 +207,28 @@ func ExecuteProgram(p *schedule.Program, opt ProgramOptions) (*Execution, error)
 	// worker died) or blocked, then collect both lists in one pass in
 	// instruction-ID order.
 	lost, blocked := 0, 0
-	for wi := range lanes {
-		if ln := &lanes[wi]; ln.dead {
-			lost += len(ln.stream) - ln.pos
+	for wi := 0; wi < nw; wi++ {
+		if walk.Dead(wi) {
+			lost += len(walk.Left(wi))
 		} else {
-			blocked += len(ln.stream) - ln.pos
+			blocked += len(walk.Left(wi))
 		}
 	}
 	if lost+blocked > 0 {
-		buf := markPool.Get().(*[]uint8)
-		mark := slices.Grow((*buf)[:0], n)[:n]
-		clear(mark)
-		for wi := range lanes {
-			ln := &lanes[wi]
+		sc.mark = filled(sc.mark, n, 0)
+		mark := sc.mark
+		for wi := 0; wi < nw; wi++ {
 			m := blockedMark
-			if ln.dead {
+			if walk.Dead(wi) {
 				m = lostMark
+				if tracing {
+					opt.Recorder.Event(obs.Event{
+						Kind: obs.EvKill, At: opt.FailAt[sh.WorkerAt(wi)], Iter: p.Op(int(walk.Left(wi)[0])).Iter,
+						Worker: sh.WorkerAt(wi), HasWorker: true,
+					})
+				}
 			}
-			for _, id := range ln.stream[ln.pos:] {
+			for _, id := range walk.Left(wi) {
 				mark[id] = m
 			}
 		}
@@ -356,8 +246,6 @@ func ExecuteProgram(p *schedule.Program, opt ProgramOptions) (*Execution, error)
 				ex.Blocked = append(ex.Blocked, id)
 			}
 		}
-		*buf = mark
-		markPool.Put(buf)
 	}
 	if tracing && opt.CutAt > 0 {
 		opt.Recorder.Event(obs.Event{
@@ -373,6 +261,48 @@ func ExecuteProgram(p *schedule.Program, opt ProgramOptions) (*Execution, error)
 		return ex, fmt.Errorf("sim: program deadlocked with %d of %d instructions unexecuted", n-ex.Completed, n)
 	}
 	return ex, nil
+}
+
+// durations tabulates every instruction's duration under the options: the
+// stamped (cost-model) duration or the program's own homogeneous set,
+// unless Durations overrides it, passed through OpDuration and scaled by
+// its worker's Scale factor.
+func (sc *execScratch) durations(p *schedule.Program, opt ProgramOptions) []int64 {
+	sh := p.Shape
+	sc.scale = filled(sc.scale, sh.DP*sh.PP, 0)
+	for w, s := range opt.Scale {
+		if wi := sh.WorkerIndex(w); wi >= 0 && s > 0 {
+			sc.scale[wi] = s
+		}
+	}
+	sc.dur = filled(sc.dur, len(p.Instrs), 0)
+	for id := range sc.dur {
+		d := p.DurOf(id)
+		if opt.Durations != nil {
+			d = opt.Durations.Of(p.Type(id))
+		}
+		if opt.OpDuration != nil {
+			d = opt.OpDuration(p.Op(id), d)
+		}
+		if wi, _, _ := p.OpIndex(id); sc.scale[wi] > 0 {
+			d = int64(math.Round(float64(d) * sc.scale[wi]))
+		}
+		sc.dur[id] = d
+	}
+	return sc.dur
+}
+
+// filled returns s resized to n elements, every one set to v, reallocating
+// only when its capacity is too small.
+func filled[T any](s []T, n int, v T) []T {
+	if cap(s) < n {
+		s = make([]T, n)
+	}
+	s = s[:n]
+	for i := range s {
+		s[i] = v
+	}
+	return s
 }
 
 // ComputeMakespan returns the completion time of the last finished

@@ -234,6 +234,66 @@ func TestDonePrefixResumes(t *testing.T) {
 	}
 }
 
+// TestExecuteChargesCommLatency checks the edge rule under substituted
+// durations: every cross-stage forward starts no earlier than its upstream
+// forward's end plus Comm, and the first one exactly then.
+func TestExecuteChargesCommLatency(t *testing.T) {
+	p := compile1F1B(t, schedule.Shape{DP: 1, PP: 2, MB: 2, Iter: 1})
+	d := schedule.Durations{F: 2, BInput: 3, BWeight: 1, Opt: 1, Comm: 5}
+	ex, err := ExecuteProgram(p, ProgramOptions{Durations: &d})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range p.Instrs {
+		for _, dep := range p.Deps(i) {
+			if dep.Kind != schedule.DepActivation {
+				continue
+			}
+			if got, min := ex.Start[i], ex.End[dep.From]+d.Comm; got < min {
+				t.Fatalf("%s starts at %d, before its activation lands at %d", p.Op(i), got, min)
+			}
+		}
+	}
+	first := p.Stream(schedule.Worker{Stage: 1})[0]
+	if got := ex.Start[first]; got != d.F+d.Comm {
+		t.Fatalf("stage 1's first forward starts at %d, want %d", got, d.F+d.Comm)
+	}
+}
+
+// TestExecuteAllocationBudget pins what an execution allocates: the
+// Execution and its two span arrays, plus the Lost and Blocked lists of a
+// cut execution with a kill — the walk, the duration table and the marks
+// are pooled scratch.
+func TestExecuteAllocationBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	p := compile1F1B(t, schedule.Shape{DP: 4, PP: 4, MB: 8, Iter: 1})
+	full, err := ExecuteProgram(p, ProgramOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cut := full.Makespan / 2
+	for _, c := range []struct {
+		name   string
+		opt    ProgramOptions
+		budget float64
+	}{
+		{"healthy", ProgramOptions{}, 3},
+		{"straggler", ProgramOptions{Scale: map[schedule.Worker]float64{{Stage: 1, Pipeline: 2}: 2}}, 3},
+		{"cut with a kill", ProgramOptions{CutAt: cut, FailAt: map[schedule.Worker]int64{{Stage: 2, Pipeline: 1}: cut}}, 5},
+	} {
+		got := testing.AllocsPerRun(20, func() {
+			if _, err := ExecuteProgram(p, c.opt); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got > c.budget {
+			t.Errorf("%s: an execution of %d instructions allocates %.0f objects, budget %.0f", c.name, len(p.Instrs), got, c.budget)
+		}
+	}
+}
+
 // TestDeadlockDetected checks that a cyclic program is reported instead of
 // spinning or silently under-executing: stage 1's first forward has its
 // activation edge re-pointed at the last instruction of its own stream.

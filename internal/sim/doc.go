@@ -13,10 +13,13 @@
 // scalars to the op level: it executes a compiled schedule.Program — the
 // same artifact the live runtime interprets — in virtual time, each
 // instruction starting as soon as its worker is free and its dependency
-// edges are satisfied. Durations default to the per-instruction values
-// Compile stamped from the Planner's cost model, and can be overridden
-// homogeneously (ProgramOptions.Durations), per worker
-// (ProgramOptions.Scale, straggler injection) or per op
+// edges are satisfied. It owns no recurrence of its own: it times the
+// Program on a schedule.Walk, the rule Program.Validate proves every
+// Program runs to completion under, and its options become the walk's
+// Timing, frozen prefix and release floors. Durations default to the
+// per-instruction values Compile stamped from the Planner's cost model,
+// and can be overridden homogeneously (ProgramOptions.Durations), per
+// worker (ProgramOptions.Scale, straggler injection) or per op
 // (ProgramOptions.OpDuration); mid-iteration failures are injected with
 // FailAt, reporting lost and blocked instruction sets. The splice hooks
 // serve internal/replay: CutAt freezes the clock at a membership-event
