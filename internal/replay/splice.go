@@ -131,7 +131,7 @@ const (
 
 // spliceScratch is Splice's working set: every table is a slice indexed by
 // the Shape's dense op index (schedule.Shape.TripleIndex / StageIndex /
-// WorkerIndex) or by node, sized per call and reused across the events of a
+// WorkerIndex / Slot) or by node, sized per call and reused across the events of a
 // Replay or a splice chain through splicePool. Nothing in it outlives the
 // call — the Spliced artifact shares no memory with it.
 type spliceScratch struct {
@@ -151,10 +151,9 @@ type spliceScratch struct {
 
 	// Per triple.
 	pin       []int32 // live executor holding the triple's state, or -1
-	byOp      []int32 // 3 per triple: node of its F, BInput-or-B, BWeight
 	tripleOff []int32 // CSR offsets into tripleNodes
-	// Per (stage group, exec): node of the optimizer step.
-	optNode []int32
+
+	bySlot []int32 // per op slot: the node holding it, -1 for none
 
 	tripleNodes []int32 // suffix compute nodes grouped by triple
 	streamOff   []int32 // CSR offsets into streamNodes, per (worker, iter, optimizer-last)
@@ -220,18 +219,6 @@ func (sc *spliceScratch) isLost(p *schedule.Program, ends []int64, i int) bool {
 	}
 	sc.state[i] = verdict
 	return verdict == lost
-}
-
-// slot is an op type's position among its triple's three byOp entries.
-func slot(t schedule.OpType) int {
-	switch t {
-	case schedule.F:
-		return 0
-	case schedule.BWeight:
-		return 2
-	default: // BInput, or the coupled B that stands in for it
-		return 1
-	}
 }
 
 // contributes reports whether an op of type t feeds its stage's gradient
@@ -319,7 +306,8 @@ func Splice(in SpliceInput) (*Spliced, error) {
 	sc.nodes = filled(sc.nodes, n+len(in.Rejoin)*sh.Iter, node{})
 	sc.optTotal = filled(sc.optTotal, groups, 0)
 	sc.optFired = filled(sc.optFired, groups, 0)
-	nodes, optTotal, optFired := sc.nodes[:n], sc.optTotal, sc.optFired
+	sc.bySlot = filled(sc.bySlot, sh.Slots(), -1)
+	nodes, optTotal, optFired, bySlot := sc.nodes[:n], sc.optTotal, sc.optFired, sc.bySlot
 	for _, c := range p.Barrier.IDs {
 		if c < 0 || int(c) >= n {
 			return nil, fmt.Errorf("replay: the barrier lists instruction %d outside [0,%d)", c, n)
@@ -334,6 +322,7 @@ func Splice(in SpliceInput) (*Spliced, error) {
 			}
 		}
 		nodes[i] = node{op: op, oldExec: int32(op.Exec), group: int32(g), triple: int32(k)}
+		bySlot[p.Slot(i)] = int32(i)
 		if op.Type == schedule.Optimizer {
 			optTotal[g]++
 			if in.Ends[i] >= 0 {
@@ -366,19 +355,12 @@ func Splice(in SpliceInput) (*Spliced, error) {
 	sc.loads = filled(sc.loads, nw, 0)
 	sc.free = filled(sc.free, nw, 0)
 	sc.pin = filled(sc.pin, triples, -1)
-	sc.byOp = filled(sc.byOp, 3*triples, -1)
-	sc.optNode = filled(sc.optNode, groups*sh.DP, -1)
 	sc.tripleOff = filled(sc.tripleOff, triples+1, 0)
 	optDone, pending, maxEnd, loads, free := sc.optDone, sc.pending, sc.maxEnd, sc.loads, sc.free
-	pin, byOp, optNode, tripleOff := sc.pin, sc.byOp, sc.optNode, sc.tripleOff
+	pin, tripleOff := sc.pin, sc.tripleOff
 	for i := range nodes {
 		nd := &nodes[i]
 		op, g, k := nd.op, nd.group, nd.triple
-		if op.Type == schedule.Optimizer {
-			optNode[int(g)*sh.DP+op.Exec] = int32(i)
-		} else {
-			byOp[3*int(k)+slot(op.Type)] = int32(i)
-		}
 		if in.Ends[i] >= 0 && !sc.isLost(p, in.Ends, i) {
 			nd.kind, nd.placed = prefix, true
 			nd.start, nd.end = in.Starts[i], in.Ends[i]
@@ -430,7 +412,7 @@ func Splice(in SpliceInput) (*Spliced, error) {
 				return nil, fmt.Errorf("replay: re-joining worker %s lies outside shape %+v", w, sh)
 			}
 			op := schedule.Op{Stage: w.Stage, MB: -1, Home: w.Pipeline, Exec: w.Pipeline, Type: schedule.Optimizer, Iter: it}
-			optNode[g*sh.DP+op.Exec] = int32(len(nodes))
+			bySlot[sh.Slot(schedule.Optimizer, g, op.Exec)] = int32(len(nodes))
 			nodes = append(nodes, node{op: op, oldExec: int32(w.Pipeline), group: int32(g), triple: -1, kind: suffix})
 			out.SuffixOps++
 		}
@@ -550,56 +532,33 @@ func Splice(in SpliceInput) (*Spliced, error) {
 
 	// Fixed-point timing sweep — the executors' own recurrence, start =
 	// max(worker free, dependency ends + comm), applied to the suffix with
-	// the prefix frozen. Producers are resolved by op identity through
-	// byOp; an optimizer waits for its group's contribution counter to
+	// the prefix frozen. A compute node waits on its Shape.AppendInputs,
+	// looked up by op slot; an optimizer waits for its group's contribution counter to
 	// drain and starts no earlier than the contributions' running latest
 	// end. Workers are walked in index order, so a malformed program yields
 	// the same error on every call.
-	comm := p.Durations.Comm
-	stride := sh.DP * sh.MB // triple-index distance between adjacent stages
-	// readyAt returns when nd's producers let it start; ok is false while
-	// one of them is still unplaced.
-	readyAt := func(nd *node) (ready int64, ok bool, err error) {
-		need := func(at int32, lat int64, what string) error {
-			if at < 0 {
-				return fmt.Errorf("replay: %s has no %s", nd.op, what)
-			}
-			if pr := &nodes[at]; !pr.placed {
-				ok = false
-			} else if r := pr.end + lat; r > ready {
-				ready = r
-			}
-			return nil
-		}
-		ok = true
-		k := int(nd.triple)
-		switch nd.op.Type {
-		case schedule.F:
-			if nd.op.Stage > 0 {
-				err = need(byOp[3*(k-stride)], comm, "upstream forward")
-			}
-		case schedule.B, schedule.BInput:
-			if err = need(byOp[3*k], 0, "forward"); err == nil && nd.op.Stage < sh.PP-1 {
-				err = need(byOp[3*(k+stride)+1], comm, "downstream backward")
-			}
-		case schedule.BWeight:
-			err = need(byOp[3*k+1], 0, "backward-input")
-		case schedule.Optimizer:
-			ready, ok = maxEnd[nd.group], pending[nd.group] == 0
-		}
-		return ready, ok, err
-	}
 	sc.pos = filled(sc.pos, nw, 0)
 	pos := sc.pos
+	var inputs [2]schedule.Input
 	for remaining := out.SuffixOps; remaining > 0; {
 		progressed := false
 		for w := 0; w < nw; w++ {
 			s := stream(w)
 			for int(pos[w]) < len(s) {
 				nd := &nodes[s[pos[w]]]
-				ready, ok, err := readyAt(nd)
-				if err != nil {
-					return nil, err
+				ready, ok := maxEnd[nd.group], pending[nd.group] == 0
+				if nd.op.Type != schedule.Optimizer {
+					ready, ok = 0, true
+					for _, d := range sh.AppendInputs(inputs[:0], nd.op.Type, nd.op.Stage, int(nd.triple)) {
+						if bySlot[d.Slot] < 0 {
+							return nil, fmt.Errorf("replay: %s has no %s", nd.op, d)
+						}
+						if pr := &nodes[bySlot[d.Slot]]; !pr.placed {
+							ok = false
+						} else {
+							ready = max(ready, pr.end+p.Durations.EdgeLatency(d.Kind))
+						}
+					}
 				}
 				if !ok {
 					break
@@ -650,14 +609,7 @@ func Splice(in SpliceInput) (*Spliced, error) {
 	// (Compile accepted the schedule, so every op is one node's).
 	out.Done = make(map[int]int64, out.PrefixOps)
 	for i := range prog.Instrs {
-		_, g, k := prog.OpIndex(i)
-		var at int32
-		if t := prog.Type(i); t == schedule.Optimizer {
-			at = optNode[g*sh.DP+prog.Op(i).Exec]
-		} else {
-			at = byOp[3*k+slot(t)]
-		}
-		if nd := &nodes[at]; nd.kind == prefix {
+		if nd := &nodes[bySlot[prog.Slot(i)]]; nd.kind == prefix {
 			out.Done[i] = nd.end
 		}
 	}

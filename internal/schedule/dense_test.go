@@ -70,7 +70,7 @@ func mutate(rng *rand.Rand, sh Shape, ps []Placement) ([]Placement, map[Worker]b
 // reference walks a map (optimizer checks) or re-sorts with an unstable
 // sort (overlap), several violations race for the report; there only the
 // kind of violation must agree.
-func sameError(t *testing.T, what string, got, want error) {
+func sameError(t testing.TB, what string, got, want error) {
 	t.Helper()
 	if got == nil || want == nil {
 		if got != want {
@@ -108,66 +108,103 @@ func withBarrierEdges(p *Program) *refProgram {
 	return q
 }
 
+// trial is one differential case: the fault-free 1F1B schedule of a shape,
+// optionally decoupled, carrying random defects, compiled with a frozen
+// prefix and validated under a memory cap.
+type trial struct {
+	sh           Shape
+	decouple     bool
+	defects      int
+	frozenBefore int64
+	memCap       int
+}
+
+// checkTrial runs one trial against the references: the Program CompileFrozen
+// builds equals the reference's field by field — the barrier expanded into
+// the all-reduce edges the reference attaches — and every rejection keeps
+// its text. rng draws the defects and one edge corruption of the compiled
+// Program, whose structural verdict must match too. It reports whether
+// Compile rejected the schedule.
+func checkTrial(t testing.TB, rng *rand.Rand, c trial) (rejected bool) {
+	t.Helper()
+	ps := append([]Placement(nil), FaultFree1F1B(c.sh, UnitSlots).Placements...)
+	if c.decouple {
+		ps = decouple(ps)
+	}
+	var failed map[Worker]bool
+	for defects := c.defects; defects > 0; defects-- {
+		ps, failed = mutate(rng, c.sh, ps)
+	}
+	s := New(c.sh, UnitSlots, failed, ps)
+	what := fmt.Sprintf("%+v", c)
+
+	got, gerr := CompileFrozen(s, c.frozenBefore)
+	want, werr := compileFrozenRef(s, c.frozenBefore)
+	sameError(t, what+": compile", gerr, werr)
+	if gerr == nil {
+		if !reflect.DeepEqual(withBarrierEdges(got), want) {
+			t.Fatalf("%s: compiled Program differs from the reference", what)
+		}
+		// Corrupt one edge and compare the structural verdicts.
+		if i := rng.Intn(len(got.Instrs)); len(got.Deps(i)) > 0 {
+			d := &got.Deps(i)[rng.Intn(len(got.Deps(i)))]
+			d.From = int32(rng.Intn(len(got.Instrs)))
+			if err := got.Validate(); err == nil {
+				// Edges are consistent, so the walk decided: both
+				// algorithms must have found the graph acyclic.
+				if ref := withBarrierEdges(got).checkAcyclicRef(); ref != nil {
+					t.Fatalf("%s: the walk ran what the reference rejects: %v", what, ref)
+				}
+			} else if strings.Contains(err.Error(), "deadlocks") {
+				sameError(t, what+": acyclic", err, withBarrierEdges(got).checkAcyclicRef())
+			}
+		}
+	}
+	cfg := ValidateConfig{FrozenBefore: c.frozenBefore, MemCap: c.memCap}
+	sameError(t, what+": validate", Validate(s, cfg), validateRef(s, cfg))
+	return gerr != nil
+}
+
 // TestCompileValidateMatchReference is the differential oracle of the
 // dense-index Compile, Program.Validate and Validate: on sound schedules
 // (coupled and decoupled, one or two iterations, with and without a frozen
-// prefix) and on schedules carrying one or two random defects, the
-// Programs are equal field by field — the barrier expanded into the
-// all-reduce edges the reference attaches — and the rejections keep their
-// text.
+// prefix) and on schedules carrying one or two random defects, checkTrial
+// holds.
 func TestCompileValidateMatchReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	rejected := 0
-	for trial := 0; trial < 600; trial++ {
-		sh := Shape{DP: 1 + rng.Intn(4), PP: 1 + rng.Intn(4), MB: 1 + rng.Intn(6), Iter: 1 + rng.Intn(2)}
-		if sh.MB < sh.PP {
-			sh.MB = sh.PP
-		}
-		ps := append([]Placement(nil), FaultFree1F1B(sh, UnitSlots).Placements...)
+	for range 600 {
+		c := trial{sh: Shape{DP: 1 + rng.Intn(4), PP: 1 + rng.Intn(4), MB: 1 + rng.Intn(6), Iter: 1 + rng.Intn(2)}}
+		c.sh.MB = max(c.sh.MB, c.sh.PP)
+		c.decouple, c.defects = rng.Intn(2) == 0, rng.Intn(3)
 		if rng.Intn(2) == 0 {
-			ps = decouple(ps)
+			c.frozenBefore = int64(rng.Intn(12))
 		}
-		var failed map[Worker]bool
-		for defects := rng.Intn(3); defects > 0; defects-- {
-			ps, failed = mutate(rng, sh, ps)
-		}
-		s := New(sh, UnitSlots, failed, ps)
-		var frozenBefore int64
-		if rng.Intn(2) == 0 {
-			frozenBefore = int64(rng.Intn(12))
-		}
-		what := fmt.Sprintf("trial %d shape %+v frozen %d", trial, sh, frozenBefore)
-
-		got, gerr := CompileFrozen(s, frozenBefore)
-		want, werr := compileFrozenRef(s, frozenBefore)
-		sameError(t, what+": compile", gerr, werr)
-		if gerr == nil {
-			if !reflect.DeepEqual(withBarrierEdges(got), want) {
-				t.Fatalf("%s: compiled Program differs from the reference", what)
-			}
-			// Corrupt one edge and compare the structural verdicts.
-			if i := rng.Intn(len(got.Instrs)); len(got.Deps(i)) > 0 {
-				d := &got.Deps(i)[rng.Intn(len(got.Deps(i)))]
-				d.From = int32(rng.Intn(len(got.Instrs)))
-				if err := got.Validate(); err == nil {
-					// Edges are consistent, so the walk decided: both
-					// algorithms must have found the graph acyclic.
-					if ref := withBarrierEdges(got).checkAcyclicRef(); ref != nil {
-						t.Fatalf("%s: the walk ran what the reference rejects: %v", what, ref)
-					}
-				} else if strings.Contains(err.Error(), "deadlocks") {
-					sameError(t, what+": acyclic", err, withBarrierEdges(got).checkAcyclicRef())
-				}
-			}
-		} else {
+		c.memCap = rng.Intn(3) * c.sh.MB
+		if checkTrial(t, rng, c) {
 			rejected++
 		}
-		cfg := ValidateConfig{FrozenBefore: frozenBefore, MemCap: rng.Intn(3) * sh.MB}
-		sameError(t, what+": validate", Validate(s, cfg), validateRef(s, cfg))
 	}
 	if rejected == 0 {
 		t.Fatal("no mutated schedule was rejected: the generator lost its defects")
 	}
+}
+
+// FuzzCompileValidate runs checkTrial on trials drawn from the fuzz input:
+// the shape, the decoupling, the defect count, the frozen prefix, the
+// memory cap, and the seed the defects are drawn from.
+func FuzzCompileValidate(f *testing.F) {
+	f.Add(uint8(2), uint8(3), uint8(4), uint8(0), false, uint8(0), uint8(0), uint8(0), int64(1))
+	f.Add(uint8(1), uint8(2), uint8(2), uint8(1), true, uint8(1), uint8(5), uint8(1), int64(2))
+	f.Add(uint8(3), uint8(1), uint8(5), uint8(0), true, uint8(2), uint8(11), uint8(2), int64(3))
+	f.Fuzz(func(t *testing.T, dp, pp, mb, iter uint8, decoupled bool, defects, frozen, memCap uint8, seed int64) {
+		sh := Shape{DP: 1 + int(dp%4), PP: 1 + int(pp%4), MB: 1 + int(mb%6), Iter: 1 + int(iter%2)}
+		sh.MB = max(sh.MB, sh.PP)
+		checkTrial(t, rand.New(rand.NewSource(seed)), trial{
+			sh: sh, decouple: decoupled, defects: int(defects % 3),
+			frozenBefore: int64(frozen % 12), memCap: int(memCap%3) * sh.MB,
+		})
+	})
 }
 
 // TestRejectionsKeepTheirText pins the text of every rejection the failure

@@ -38,9 +38,17 @@
 // ((iter·PP + stage)·DP + home)·MB + mb for a micro-batch triple,
 // StageIndex = iter·PP + stage for an all-reduce group and WorkerIndex =
 // pipeline·PP + stage for a worker, and Compile, Validate, the walk and
-// replay.Splice key their bookkeeping by them: []int32 producer
-// tables (-1 for absent), CSR adjacency built count -> prefix sum -> fill.
-// The tables are pooled scratch, never cached on a Schedule or Program.
+// replay.Splice key their bookkeeping by them, with CSR adjacency built
+// count -> prefix sum -> fill. One op-slot layout files every op: triple k
+// owns slots 3k (F), 3k+1 (BInput, or a coupled B) and 3k+2 (BWeight, or
+// a coupled B), then one slot per (stage group, exec) optimizer (Slot,
+// OpSlot). One dependency rule says what an op waits on: Shape.AppendInputs,
+// the MILP's Eq. 2–4 as at most two producer slots with their DepKind.
+// Compile's edges, Validate's timing checks, replay.Splice's re-plan and
+// FaultFree1F1B's closed form all loop over those inputs through one table
+// indexed by op slot (-1 for absent); re-routing a micro-batch
+// changes which worker runs it, never what it waits on. The tables are
+// pooled scratch, never cached on a Schedule or Program.
 // Indexing is bounds-checked: an op outside its Shape, or a Shape claiming
 // far more triples than it has placements (Shape.Indexable), is rejected,
 // never indexed.

@@ -40,11 +40,12 @@ func FaultFree1F1B(shape Shape, d Durations) *Schedule {
 		panic(err)
 	}
 	var ps []Placement
-	base := int64(0) // start of the current iteration (post optimizer barrier)
+	end := filled(nil, shape.Slots(), int64(-1)) // per op slot: the op's end, -1 until timed
+	base := int64(0)                             // start of the current iteration (post optimizer barrier)
 	for it := 0; it < shape.Iter; it++ {
 		var iterEnd int64
 		for k := 0; k < shape.DP; k++ {
-			ps = append(ps, pipeline1F1B(shape, d, k, it, base)...)
+			ps = append(ps, pipeline1F1B(shape, d, k, it, base, end)...)
 		}
 		for i := len(ps) - 1; i >= 0; i-- {
 			if ps[i].Op.Iter != it {
@@ -71,48 +72,41 @@ func FaultFree1F1B(shape Shape, d Durations) *Schedule {
 }
 
 // pipeline1F1B times one pipeline's 1F1B iteration starting at base using
-// earliest-start evaluation of the canonical order.
-func pipeline1F1B(shape Shape, d Durations, k, it int, base int64) []Placement {
-	pp, mb := shape.PP, shape.MB
+// earliest-start evaluation of the canonical order: an op starts once its
+// stage is free and each of its inputs (Shape.AppendInputs) has ended, plus
+// the edge's latency. end holds every timed op's end by op slot.
+func pipeline1F1B(shape Shape, d Durations, k, it int, base int64, end []int64) []Placement {
+	pp := shape.PP
 	orders := make([][]OpRef, pp)
 	next := make([]int, pp)
 	free := make([]int64, pp)
-	fEnd := make([][]int64, pp)
-	bEnd := make([][]int64, pp)
-	for i := 0; i < pp; i++ {
-		orders[i] = OneFOneBOrder(pp, mb, i)
+	for i := range orders {
+		orders[i] = OneFOneBOrder(pp, shape.MB, i)
 		free[i] = base
-		fEnd[i] = make([]int64, mb)
-		bEnd[i] = make([]int64, mb)
-		for j := range fEnd[i] {
-			fEnd[i][j] = -1
-			bEnd[i][j] = -1
-		}
 	}
 	var ps []Placement
-	remaining := pp * 2 * mb
-	for remaining > 0 {
+	var inputs [2]Input
+	for remaining := pp * 2 * shape.MB; remaining > 0; {
 		progressed := false
 		for i := 0; i < pp; i++ {
+		stage:
 			for next[i] < len(orders[i]) {
 				ref := orders[i][next[i]]
-				ready, ok := readyAt1F1B(ref, i, pp, d, fEnd, bEnd)
-				if !ok {
-					break
+				kk := shape.TripleIndex(it, i, k, ref.MB)
+				start := free[i]
+				for _, in := range shape.AppendInputs(inputs[:0], ref.Type, i, kk) {
+					if end[in.Slot] < 0 {
+						break stage
+					}
+					start = max(start, end[in.Slot]+d.EdgeLatency(in.Kind))
 				}
-				start := max64(ready, free[i])
-				end := start + d.Of(ref.Type)
+				free[i] = start + d.Of(ref.Type)
+				end[shape.Slot(ref.Type, kk, k)] = free[i]
 				ps = append(ps, Placement{
 					Op:    Op{Stage: i, MB: ref.MB, Home: k, Exec: k, Type: ref.Type, Iter: it},
 					Start: start,
-					End:   end,
+					End:   free[i],
 				})
-				free[i] = end
-				if ref.Type == F {
-					fEnd[i][ref.MB] = end
-				} else {
-					bEnd[i][ref.MB] = end
-				}
 				next[i]++
 				remaining--
 				progressed = true
@@ -123,43 +117,4 @@ func pipeline1F1B(shape Shape, d Durations, k, it int, base int64) []Placement {
 		}
 	}
 	return ps
-}
-
-// readyAt1F1B returns the earliest dependency-ready time of ref at stage i,
-// or ok=false if a predecessor is not yet timed.
-func readyAt1F1B(ref OpRef, i, pp int, d Durations, fEnd, bEnd [][]int64) (int64, bool) {
-	switch ref.Type {
-	case F:
-		if i == 0 {
-			return 0, true
-		}
-		if fEnd[i-1][ref.MB] < 0 {
-			return 0, false
-		}
-		return fEnd[i-1][ref.MB] + d.Comm, true
-	case B:
-		if i == pp-1 {
-			if fEnd[i][ref.MB] < 0 {
-				return 0, false
-			}
-			return fEnd[i][ref.MB], true
-		}
-		if bEnd[i+1][ref.MB] < 0 {
-			return 0, false
-		}
-		ready := bEnd[i+1][ref.MB] + d.Comm
-		if fEnd[i][ref.MB] < 0 {
-			return 0, false
-		}
-		return max64(ready, fEnd[i][ref.MB]), true
-	default:
-		panic("schedule: unexpected op type in 1F1B order")
-	}
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

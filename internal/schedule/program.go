@@ -192,6 +192,12 @@ func (p *Program) OpIndex(id int) (worker, group, triple int) {
 	return int(in.exec)*sh.PP + int(g%uint32(sh.PP)), int(g), triple
 }
 
+// Slot returns instruction id's op slot: Shape.Slot of its op.
+func (p *Program) Slot(id int) int {
+	in := &p.Instrs[id]
+	return p.Shape.Slot(in.typ, int(in.op), int(in.exec))
+}
+
 // Deps returns instruction id's explicit dependency edges: its window of the
 // Program's edge slab.
 func (p *Program) Deps(id int) []Dep {
@@ -485,12 +491,9 @@ func (b *ProgramBuilder) Build() (*Program, error) {
 
 // compileScratch is Compile's working set, pooled so that the splice path
 // (one Compile per membership event) allocates only what the Program keeps.
-// Tables are indexed by the Shape's dense op index and hold instruction IDs,
-// -1 for "absent".
 type compileScratch struct {
-	fID, biID, bwID []int32 // per triple: F, BInput-or-B, BWeight-or-B
-	optAt           []int32 // per (stage group, exec): Optimizer
-	cursor          []int32 // per worker: stream length, then next free slot
+	id     []int32 // per op slot: the instruction holding it, -1 for absent
+	cursor []int32 // per worker: stream length, then next free slot
 }
 
 var compilePool = sync.Pool{New: func() any { return new(compileScratch) }}
@@ -507,6 +510,9 @@ func filled[T any](s []T, n int, v T) []T {
 	}
 	return s
 }
+
+// dupName names an op type in a duplicate-op rejection.
+var dupName = [...]string{F: "F", B: "backward", BInput: "BInput", BWeight: "BWeight", Optimizer: "optimizer"}
 
 // Compile lowers a schedule into a Program. Every placement becomes one
 // instruction; cross-stage activation/gradient edges and same-worker data
@@ -527,9 +533,10 @@ func Compile(s *Schedule) (*Program, error) { return CompileFrozen(s, 0) }
 // is installed as done — so only dead edges are dropped.
 // frozenBefore <= 0 compiles normally.
 //
-// Producers are looked up through the Shape's dense op index. The Program
-// is four allocations besides itself: its instructions, its edges, one
-// int32 slab for the streams and the barrier, and its worker list.
+// Every instruction is filed under its op slot, and its edges are its
+// Shape.AppendInputs looked up there. The Program is four allocations besides
+// itself: its instructions, its edges, one int32 slab for the streams and
+// the barrier, and its worker list.
 func CompileFrozen(s *Schedule, frozenBefore int64) (*Program, error) {
 	if s == nil {
 		return nil, fmt.Errorf("schedule: cannot compile a nil schedule")
@@ -549,19 +556,16 @@ func CompileFrozen(s *Schedule, frozenBefore int64) (*Program, error) {
 	}
 	sc := compilePool.Get().(*compileScratch)
 	defer compilePool.Put(sc)
-	triples, groups, nw := sh.Triples(), sh.Iter*sh.PP, sh.DP*sh.PP
-	sc.fID = filled(sc.fID, triples, -1)
-	sc.biID = filled(sc.biID, triples, -1)
-	sc.bwID = filled(sc.bwID, triples, -1)
-	sc.optAt = filled(sc.optAt, groups*sh.DP, -1)
+	groups, nw := sh.Iter*sh.PP, sh.DP*sh.PP
+	sc.id = filled(sc.id, sh.Slots(), -1)
 	sc.cursor = filled(sc.cursor, nw+1, 0)
-	fID, biID, bwID, optAt, cursor := sc.fID, sc.biID, sc.bwID, sc.optAt, sc.cursor
+	id, cursor := sc.id, sc.cursor
+	var inputs [2]Input
 	frozen := func(i int) bool { return frozenBefore > 0 && s.Placements[i].End <= frozenBefore }
 
 	// First pass: materialize instructions in the schedule's canonical
-	// order, index the producers of every data dependency, and count what
-	// the slabs must hold (stream lengths land one slot up, for the prefix
-	// sum).
+	// order, file each under its op slot, and count what the slabs must
+	// hold (stream lengths land one slot up, for the prefix sum).
 	edges, contribs := 0, 0
 	for i := range s.Placements {
 		pl := &s.Placements[i]
@@ -571,58 +575,29 @@ func CompileFrozen(s *Schedule, frozenBefore int64) (*Program, error) {
 			return nil, fmt.Errorf("schedule: compile: %s lies outside shape %+v", op, sh)
 		}
 		cursor[w+1]++
-		at, deps := k, 1
-		switch op.Type {
-		case F:
-			if prev := fID[k]; prev >= 0 {
-				return nil, fmt.Errorf("schedule: compile: duplicate F for %s (instr %d and %d)", op, prev, i)
-			}
-			fID[k] = int32(i)
-			if op.Stage == 0 {
-				deps = 0
-			}
-		case B:
-			if prev := biID[k]; prev >= 0 {
-				return nil, fmt.Errorf("schedule: compile: duplicate backward for %s (instr %d and %d)", op, prev, i)
-			}
-			if prev := bwID[k]; prev >= 0 {
-				return nil, fmt.Errorf("schedule: compile: duplicate weight gradient for %s (instr %d and %d)", op, prev, i)
-			}
-			biID[k], bwID[k] = int32(i), int32(i)
-			if op.Stage < sh.PP-1 {
-				deps = 2
-			}
-		case BInput:
-			if prev := biID[k]; prev >= 0 {
-				return nil, fmt.Errorf("schedule: compile: duplicate BInput for %s (instr %d and %d)", op, prev, i)
-			}
-			biID[k] = int32(i)
-			if op.Stage < sh.PP-1 {
-				deps = 2
-			}
-		case BWeight:
-			if prev := bwID[k]; prev >= 0 {
-				return nil, fmt.Errorf("schedule: compile: duplicate BWeight for %s (instr %d and %d)", op, prev, i)
-			}
-			bwID[k] = int32(i)
-		case Optimizer:
-			ko := g*sh.DP + op.Exec
-			if prev := optAt[ko]; prev >= 0 {
-				return nil, fmt.Errorf("schedule: compile: duplicate optimizer for %s (instr %d and %d)", op, prev, i)
-			}
-			if op.MB != -1 || op.Home != op.Exec {
-				return nil, fmt.Errorf("schedule: compile: %s carries MB %d and home %d, not -1 and its executor", op, op.MB, op.Home)
-			}
-			optAt[ko] = int32(i)
-			at, deps = g, 0 // the barrier, not edges
-		default:
-			return nil, fmt.Errorf("schedule: compile: %s has unknown type %d", op, op.Type)
+		at := k
+		if op.Type == Optimizer {
+			at = g // its StageIndex: an optimizer waits on the barrier, not edges
 		}
+		sl := sh.Slot(op.Type, at, op.Exec)
+		switch {
+		case op.Type < F || op.Type > Optimizer:
+			return nil, fmt.Errorf("schedule: compile: %s has unknown type %d", op, op.Type)
+		case id[sl] >= 0:
+			return nil, fmt.Errorf("schedule: compile: duplicate %s for %s (instr %d and %d)", dupName[op.Type], op, id[sl], i)
+		case op.Type == B && id[sl+1] >= 0: // a coupled B fills the BWeight slot too
+			return nil, fmt.Errorf("schedule: compile: duplicate weight gradient for %s (instr %d and %d)", op, id[sl+1], i)
+		case op.Type == Optimizer && (op.MB != -1 || op.Home != op.Exec):
+			return nil, fmt.Errorf("schedule: compile: %s carries MB %d and home %d, not -1 and its executor", op, op.MB, op.Home)
+		case op.Type == B:
+			id[sl+1] = int32(i)
+		}
+		id[sl] = int32(i)
 		if contributes(op.Type) {
 			contribs++
 		}
 		if !frozen(i) {
-			edges += deps
+			edges += len(sh.AppendInputs(inputs[:0], op.Type, op.Stage, k))
 		}
 		p.Instrs[i] = Instr{Dur: pl.End - pl.Start, op: uint32(at), exec: int32(op.Exec), typ: op.Type}
 	}
@@ -660,53 +635,31 @@ func CompileFrozen(s *Schedule, frozenBefore int64) (*Program, error) {
 	// Second pass: attach the explicit dependency edges and gate the
 	// optimizers.
 	deps := make([]Dep, 0, edges)
-	stride := sh.DP * sh.MB // triple-index distance between adjacent stages
 	for i := range p.Instrs {
-		p.Instrs[i].depOff = uint32(len(deps))
+		in := &p.Instrs[i]
+		in.depOff = uint32(len(deps))
 		if frozen(i) {
 			continue // frozen prefix: executed pre-event, edges are dead
 		}
 		op := &s.Placements[i].Op
-		k := int(p.Instrs[i].op)
-		switch op.Type {
-		case F:
-			if op.Stage > 0 {
-				up := fID[k-stride]
-				if up < 0 {
-					return nil, fmt.Errorf("schedule: compile: %s has no upstream forward", *op)
-				}
-				deps = append(deps, Dep{From: up, Kind: DepActivation})
-			}
-		case B, BInput:
-			f := fID[k]
-			if f < 0 {
-				return nil, fmt.Errorf("schedule: compile: %s has no forward", *op)
-			}
-			deps = append(deps, Dep{From: f, Kind: DepLocal})
-			if op.Stage < sh.PP-1 {
-				down := biID[k+stride]
-				if down < 0 {
-					return nil, fmt.Errorf("schedule: compile: %s has no downstream backward", *op)
-				}
-				deps = append(deps, Dep{From: down, Kind: DepGradient})
-			}
-		case BWeight:
-			bi := biID[k]
-			if bi < 0 {
-				return nil, fmt.Errorf("schedule: compile: %s has no backward-input", *op)
-			}
-			deps = append(deps, Dep{From: bi, Kind: DepLocal})
-		case Optimizer:
+		if in.typ == Optimizer {
 			// The per-stage gradient all-reduce: every weight gradient of
 			// this stage and iteration — including rerouted ones computed on
 			// peers — gates every peer's step. A complete schedule carries
 			// exactly DP*MB of them; fewer means a weight gradient is
 			// missing and the barrier would silently weaken. Validate checks
 			// the same count; this names the optimizer where it is found.
-			if got, want := len(p.Barrier.Group(k)), sh.DP*sh.MB; got != want {
+			if got, want := len(p.Barrier.Group(int(in.op))), sh.DP*sh.MB; got != want {
 				return nil, fmt.Errorf("schedule: compile: %s gates on %d weight gradients, want %d", *op, got, want)
 			}
-			p.Instrs[i].gated = true
+			in.gated = true
+			continue
+		}
+		for _, d := range sh.AppendInputs(inputs[:0], in.typ, op.Stage, int(in.op)) {
+			if id[d.Slot] < 0 {
+				return nil, fmt.Errorf("schedule: compile: %s has no %s", *op, d)
+			}
+			deps = append(deps, Dep{From: id[d.Slot], Kind: d.Kind})
 		}
 	}
 	p.deps = deps

@@ -104,6 +104,89 @@ func (s Shape) OpIndex(op Op) (worker, stage, triple int, ok bool) {
 	return worker, stage, triple, ok && worker >= 0 && stage >= 0
 }
 
+// The op slot layout. Tables that hold one entry per op of a schedule index
+// it by op slot: triple k owns slots 3k (its F), 3k+1 (its BInput, or the
+// coupled B that stands in for it) and 3k+2 (its BWeight, or the coupled
+// B), and one slot per (stage group, exec) optimizer follows every triple's.
+
+// Slots returns the length of a table indexed by op slot, for a shape whose
+// Triples are indexable.
+func (s Shape) Slots() int { return 3*s.Triples() + s.Iter*s.PP*s.DP }
+
+// Slot returns the op slot of an op of type t run by pipeline exec, at its
+// position in the dense op index: its TripleIndex, or an optimizer's
+// StageIndex. A coupled B answers its BInput slot.
+func (s Shape) Slot(t OpType, at, exec int) int {
+	switch t {
+	case F:
+		return 3 * at
+	case BWeight:
+		return 3*at + 2
+	case Optimizer:
+		return 3*s.Iter*s.PP*s.DP*s.MB + at*s.DP + exec
+	}
+	return 3*at + 1
+}
+
+// OpSlot returns op's slot, or -1 when op lies outside the shape or has no
+// op type.
+func (s Shape) OpSlot(op Op) int {
+	_, g, k, ok := s.OpIndex(op)
+	switch {
+	case !ok || op.Type < F || op.Type > Optimizer:
+		return -1
+	case op.Type == Optimizer:
+		k = g
+	}
+	return s.Slot(op.Type, k, op.Exec)
+}
+
+// Input is one producer an op waits on: the op slot that holds it and the
+// kind of edge its result travels on.
+type Input struct {
+	Slot int
+	Kind DepKind
+}
+
+// String names the producer the way rejections spell it.
+func (in Input) String() string {
+	switch {
+	case in.Kind == DepActivation:
+		return "upstream forward"
+	case in.Kind == DepGradient:
+		return "downstream backward"
+	case in.Slot%3 == 0:
+		return "forward"
+	}
+	return "backward-input"
+}
+
+// AppendInputs is the dependency rule — the MILP's Eq. 2–4: it appends to
+// dst what an op of type t at stage and triple waits on, and returns the
+// extended slice. A forward waits on its upstream stage's forward (Eq. 2);
+// a backward or backward-input on its own forward's activation stash and
+// on its downstream stage's backward (Eq. 3); a backward-weight on its
+// backward-input (Eq. 4). Re-routing a micro-batch moves none of this, and
+// an optimizer waits on its stage's all-reduce Barrier instead, so it has
+// no inputs. An op has at most two, so a [2]Input buffer never grows.
+func (s Shape) AppendInputs(dst []Input, t OpType, stage, triple int) []Input {
+	// One micro-batch's triples on adjacent stages lie DP·MB apart.
+	switch t {
+	case F:
+		if stage > 0 {
+			return append(dst, Input{3 * (triple - s.DP*s.MB), DepActivation})
+		}
+	case B, BInput:
+		dst = append(dst, Input{3 * triple, DepLocal})
+		if stage < s.PP-1 {
+			return append(dst, Input{3*(triple+s.DP*s.MB) + 1, DepGradient})
+		}
+	case BWeight:
+		return append(dst, Input{3*triple + 1, DepLocal})
+	}
+	return dst
+}
+
 // Schedule is a fully timed pipeline schedule: each op of each iteration
 // placed on a worker at a start time. Placements are kept sorted by
 // (Start, worker) for deterministic iteration.

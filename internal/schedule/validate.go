@@ -1,8 +1,9 @@
 package schedule
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 )
 
@@ -35,18 +36,31 @@ type ValidateConfig struct {
 }
 
 // validateScratch is Validate's working set (pooled, see compileScratch).
-// Tables are indexed by the Shape's dense op index and hold positions in
-// Schedule.Placements, -1 for "absent".
 type validateScratch struct {
-	fAt, bInAt, bWAt []int32 // per triple: F, BInput-or-B, BWeight-or-B
-	optAt            []int32 // per (stage group, exec): the worker's optimizer of that iteration
-	lastBW           []int64 // per stage group: latest weight-gradient end
-	failed           []bool  // per worker
-	workerOff        []int32 // per worker: offset into byWorker (CSR)
-	byWorker         []int32 // placement positions grouped by worker, in start order
+	pos       []int32 // per op slot: position in Schedule.Placements, -1 for absent
+	lastBW    []int64 // per stage group: latest weight-gradient end
+	failed    []bool  // per worker
+	workerOff []int32 // per worker: offset into byWorker (CSR)
+	byWorker  []int32 // placement positions grouped by worker, in start order
 }
 
 var validatePool = sync.Pool{New: func() any { return new(validateScratch) }}
+
+// slotName names a triple's three op slots in a completeness rejection.
+var slotName = [3]string{"F", "backward-input", "backward-weight"}
+
+// lateName names an Input's producer in a timing rejection.
+func lateName(in Input) string {
+	switch {
+	case in.Kind == DepActivation:
+		return "upstream F"
+	case in.Kind == DepGradient:
+		return "downstream BInput"
+	case in.Slot%3 == 0:
+		return "its F"
+	}
+	return "BInput"
+}
 
 // Validate checks a schedule against the MILP constraint set of §4.2.2:
 // completeness (each operation assigned exactly once, Σ S = 1),
@@ -68,15 +82,12 @@ func Validate(s *Schedule, cfg ValidateConfig) error {
 	}
 	sc := validatePool.Get().(*validateScratch)
 	defer validatePool.Put(sc)
-	triples, groups, nw := sh.Triples(), sh.Iter*sh.PP, sh.DP*sh.PP
-	sc.fAt = filled(sc.fAt, triples, -1)
-	sc.bInAt = filled(sc.bInAt, triples, -1)
-	sc.bWAt = filled(sc.bWAt, triples, -1)
-	sc.optAt = filled(sc.optAt, groups*sh.DP, -1)
+	groups, nw := sh.Iter*sh.PP, sh.DP*sh.PP
+	sc.pos = filled(sc.pos, sh.Slots(), -1)
 	sc.lastBW = filled(sc.lastBW, groups, 0)
 	sc.failed = filled(sc.failed, nw, false)
 	sc.workerOff = filled(sc.workerOff, nw+1, 0)
-	fAt, bInAt, bWAt, optAt, lastBW, failed, workerOff := sc.fAt, sc.bInAt, sc.bWAt, sc.optAt, sc.lastBW, sc.failed, sc.workerOff
+	pos, lastBW, failed, workerOff := sc.pos, sc.lastBW, sc.failed, sc.workerOff
 	for w, down := range s.Failed {
 		if i := sh.WorkerIndex(w); down && i >= 0 {
 			failed[i] = true
@@ -100,83 +111,67 @@ func Validate(s *Schedule, cfg ValidateConfig) error {
 			return fmt.Errorf("schedule: op %s has duration %d, want %d", p.Op, got, want)
 		}
 		workerOff[w+1]++
-		switch p.Op.Type {
-		case Optimizer:
-			optAt[g*sh.DP+p.Op.Exec] = int32(i)
-		case F:
-			if fAt[kk] >= 0 {
-				return fmt.Errorf("schedule: duplicate F for %s", p.Op)
-			}
-			fAt[kk] = int32(i)
-		case B:
-			if bInAt[kk] >= 0 {
-				return fmt.Errorf("schedule: duplicate backward for %s", p.Op)
-			}
-			bInAt[kk], bWAt[kk] = int32(i), int32(i)
-		case BInput:
-			if bInAt[kk] >= 0 {
-				return fmt.Errorf("schedule: duplicate BInput for %s", p.Op)
-			}
-			bInAt[kk] = int32(i)
-		case BWeight:
-			if bWAt[kk] >= 0 {
-				return fmt.Errorf("schedule: duplicate BWeight for %s", p.Op)
-			}
-			bWAt[kk] = int32(i)
+		if p.Op.Type < F || p.Op.Type > Optimizer {
+			continue
 		}
-		if (p.Op.Type == BWeight || p.Op.Type == B) && p.End > lastBW[g] {
+		if p.Op.Type == Optimizer {
+			kk = g
+		}
+		// A later optimizer of the same worker and group replaces the
+		// earlier; a coupled B fills the BWeight slot too.
+		switch sl := sh.Slot(p.Op.Type, kk, p.Op.Exec); {
+		case p.Op.Type != Optimizer && pos[sl] >= 0:
+			return fmt.Errorf("schedule: duplicate %s for %s", dupName[p.Op.Type], p.Op)
+		case p.Op.Type == B:
+			pos[sl], pos[sl+1] = int32(i), int32(i)
+		default:
+			pos[sl] = int32(i)
+		}
+		if contributes(p.Op.Type) && p.End > lastBW[g] {
 			lastBW[g] = p.End
 		}
 	}
 
-	// Completeness + dependency checks.
-	stride := sh.DP * sh.MB // triple-index distance between adjacent stages
+	// Completeness + dependency checks. A producer that is missing — only
+	// a downstream backward-input can be, and it is reported when its own
+	// stage is visited — counts as ending at 0.
+	var inputs [2]Input
 	for it := 0; it < sh.Iter; it++ {
 		for k := 0; k < sh.DP; k++ {
 			for j := 0; j < sh.MB; j++ {
 				for i := 0; i < sh.PP; i++ {
 					kk := sh.TripleIndex(it, i, k, j)
-					if fAt[kk] < 0 {
-						return fmt.Errorf("schedule: missing F stage=%d mb=%d pipe=%d iter=%d", i, j, k, it)
+					slots := pos[3*kk : 3*kk+3]
+					for n, at := range slots {
+						if at < 0 {
+							return fmt.Errorf("schedule: missing %s stage=%d mb=%d pipe=%d iter=%d", slotName[n], i, j, k, it)
+						}
 					}
-					if bInAt[kk] < 0 {
-						return fmt.Errorf("schedule: missing backward-input stage=%d mb=%d pipe=%d iter=%d", i, j, k, it)
-					}
-					if bWAt[kk] < 0 {
-						return fmt.Errorf("schedule: missing backward-weight stage=%d mb=%d pipe=%d iter=%d", i, j, k, it)
-					}
-					f, bi, bw := &ps[fAt[kk]], &ps[bInAt[kk]], &ps[bWAt[kk]]
+					f, bi, bw := &ps[slots[0]], &ps[slots[1]], &ps[slots[2]]
 					// Forward and backward of a micro-batch on the same peer.
 					if f.Op.Exec != bi.Op.Exec || bi.Op.Exec != bw.Op.Exec {
 						return fmt.Errorf("schedule: micro-batch (i=%d j=%d k=%d) split across peers F@%d BI@%d BW@%d", i, j, k, f.Op.Exec, bi.Op.Exec, bw.Op.Exec)
 					}
-					// Eq. 2: forward cross-stage dependency. (Stages are
-					// visited in order, so the upstream forward exists.)
-					if i > 0 && !frozen(f) {
-						prev := &ps[fAt[kk-stride]]
-						if f.Start < prev.End+s.Durations.Comm {
-							return fmt.Errorf("schedule: %s starts at %d before upstream F ends %d (+comm %d)", f.Op, f.Start, prev.End, s.Durations.Comm)
+					// Eq. 2–4, each op of the triple once (a coupled B
+					// holds two slots).
+					for n, at := range slots {
+						c := &ps[at]
+						if frozen(c) || n == 2 && at == slots[1] {
+							continue
 						}
-					}
-					// Local data dependency: backward needs this stage's stash.
-					if !frozen(bi) && bi.Start < f.End {
-						return fmt.Errorf("schedule: %s starts at %d before its F ends %d", bi.Op, bi.Start, f.End)
-					}
-					// Eq. 3: backward cross-stage dependency. A downstream
-					// backward-input that is missing (reported when its own
-					// stage is visited) counts as ending at 0.
-					if i < sh.PP-1 && !frozen(bi) {
-						var nextEnd int64
-						if at := bInAt[kk+stride]; at >= 0 {
-							nextEnd = ps[at].End
+						for _, d := range sh.AppendInputs(inputs[:0], c.Op.Type, i, kk) {
+							var end int64
+							if pr := pos[d.Slot]; pr >= 0 {
+								end = ps[pr].End
+							}
+							if c.Start >= end+s.Durations.EdgeLatency(d.Kind) {
+								continue
+							}
+							if d.Kind == DepLocal {
+								return fmt.Errorf("schedule: %s starts at %d before %s ends %d", c.Op, c.Start, lateName(d), end)
+							}
+							return fmt.Errorf("schedule: %s starts at %d before %s ends %d (+comm %d)", c.Op, c.Start, lateName(d), end, s.Durations.Comm)
 						}
-						if bi.Start < nextEnd+s.Durations.Comm {
-							return fmt.Errorf("schedule: %s starts at %d before downstream BInput ends %d (+comm %d)", bi.Op, bi.Start, nextEnd, s.Durations.Comm)
-						}
-					}
-					// Eq. 4: BWeight after BInput.
-					if bw.Op.Type == BWeight && !frozen(bw) && bw.Start < bi.End {
-						return fmt.Errorf("schedule: %s starts at %d before BInput ends %d", bw.Op, bw.Start, bi.End)
 					}
 				}
 			}
@@ -241,12 +236,12 @@ func Validate(s *Schedule, cfg ValidateConfig) error {
 		if p.Op.Type == Optimizer {
 			continue
 		}
-		at := sh.StageIndex(p.Op.Iter, p.Op.Stage)*sh.DP + p.Op.Exec
-		if o := optAt[at]; o >= 0 && (p.Op.Type == BWeight || p.Op.Type == B) && p.End > ps[o].Start {
+		g := sh.StageIndex(p.Op.Iter, p.Op.Stage)
+		if o := pos[sh.Slot(Optimizer, g, p.Op.Exec)]; o >= 0 && contributes(p.Op.Type) && p.End > ps[o].Start {
 			return fmt.Errorf("schedule: %s ends %d after optimizer starts %d on %s", p.Op, p.End, ps[o].Start, p.Op.Worker())
 		}
 		if p.Op.Iter > 0 {
-			if o := optAt[at-sh.PP*sh.DP]; o >= 0 && p.Start < ps[o].End {
+			if o := pos[sh.Slot(Optimizer, g-sh.PP, p.Op.Exec)]; o >= 0 && p.Start < ps[o].End {
 				return fmt.Errorf("schedule: %s starts %d before previous iteration optimizer ends %d on %s", p.Op, p.Start, ps[o].End, p.Op.Worker())
 			}
 		}
@@ -254,39 +249,45 @@ func Validate(s *Schedule, cfg ValidateConfig) error {
 	return nil
 }
 
-// checkMemory sweeps a worker's timeline counting in-flight activation
-// units: +1 when a forward starts (activation stash allocated), -1 when the
-// micro-batch's weight gradient completes (stash freed). Rerouted
-// micro-batches count against the peer that executes them.
-func checkMemory(w Worker, ps []Placement, cap int) error {
+// sweepActivations walks a worker's placements counting in-flight
+// activation units: +1 when a forward starts (activation stash allocated),
+// -1 when the micro-batch's B or BWeight ends (stash freed), frees first at
+// the same instant. Rerouted micro-batches count against the peer that
+// executes them. visit sees the count after each change, in time order,
+// until it returns false.
+func sweepActivations(ps []Placement, visit func(held int, t int64) bool) {
 	type ev struct {
 		t     int64
 		delta int
-		order int // frees before allocs at the same instant
 	}
-	var evs []ev
+	evs := make([]ev, 0, len(ps))
 	for _, p := range ps {
 		switch p.Op.Type {
 		case F:
-			evs = append(evs, ev{p.Start, +1, 1})
+			evs = append(evs, ev{p.Start, +1})
 		case B, BWeight:
-			evs = append(evs, ev{p.End, -1, 0})
+			evs = append(evs, ev{p.End, -1})
 		}
 	}
-	sort.Slice(evs, func(a, b int) bool {
-		if evs[a].t != evs[b].t {
-			return evs[a].t < evs[b].t
-		}
-		return evs[a].order < evs[b].order
-	})
+	slices.SortFunc(evs, func(a, b ev) int { return cmp.Or(cmp.Compare(a.t, b.t), cmp.Compare(a.delta, b.delta)) })
 	held := 0
 	for _, e := range evs {
-		held += e.delta
-		if held > cap {
-			return fmt.Errorf("schedule: worker %s holds %d in-flight activations at t=%d, cap %d", w, held, e.t, cap)
+		if held += e.delta; !visit(held, e.t) {
+			return
 		}
 	}
-	return nil
+}
+
+// checkMemory rejects a worker's timeline that ever holds more than cap
+// in-flight activation units.
+func checkMemory(w Worker, ps []Placement, cap int) (err error) {
+	sweepActivations(ps, func(held int, t int64) bool {
+		if held > cap {
+			err = fmt.Errorf("schedule: worker %s holds %d in-flight activations at t=%d, cap %d", w, held, t, cap)
+		}
+		return err == nil
+	})
+	return err
 }
 
 // PeakActivations returns the maximum number of in-flight activation units
@@ -295,33 +296,8 @@ func checkMemory(w Worker, ps []Placement, cap int) error {
 func PeakActivations(s *Schedule) map[Worker]int {
 	peaks := make(map[Worker]int)
 	for _, w := range s.Workers() {
-		type ev struct {
-			t     int64
-			delta int
-			order int
-		}
-		var evs []ev
-		for _, p := range s.Worker(w) {
-			switch p.Op.Type {
-			case F:
-				evs = append(evs, ev{p.Start, +1, 1})
-			case B, BWeight:
-				evs = append(evs, ev{p.End, -1, 0})
-			}
-		}
-		sort.Slice(evs, func(a, b int) bool {
-			if evs[a].t != evs[b].t {
-				return evs[a].t < evs[b].t
-			}
-			return evs[a].order < evs[b].order
-		})
-		held, peak := 0, 0
-		for _, e := range evs {
-			held += e.delta
-			if held > peak {
-				peak = held
-			}
-		}
+		peak := 0
+		sweepActivations(s.Worker(w), func(held int, _ int64) bool { peak = max(peak, held); return true })
 		peaks[w] = peak
 	}
 	return peaks

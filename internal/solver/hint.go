@@ -12,9 +12,13 @@ import (
 // and the toggles/caps that shaped its task graph. Solve emits a self-hint
 // for every schedule it produces (SolveInfo.Hint); planners thread the
 // previous plan's hint into the next solve of the same failure
-// configuration — a cache invalidation, a cost-model recalibration — so
-// re-solving degrades from a full graph build + dispatch to a validation
-// or replay pass.
+// configuration — a cache invalidation, a cost-model recalibration. An
+// identical instance re-solves as a validation pass. A uniformly rescaled
+// one saves nothing: SolveInstrumented replays the hint's op order and
+// runs the scratch dispatch too, keeping the shorter horizon, so the race
+// costs one extra pass over the task graph. With comm latency rescaled
+// along with the op costs the two produce the same placements; with it
+// held fixed each wins about as often as it loses.
 type Hint struct {
 	// Schedule is the solved schedule of the hint's instance.
 	Schedule *schedule.Schedule
@@ -186,27 +190,15 @@ func (s *state) replayOrder(hs *schedule.Schedule) (out []schedule.Placement, ok
 	if len(hs.Placements) != n {
 		return nil, false
 	}
-	// Match placements to tasks through the dense op index: four slots per
-	// triple (F, B, BInput, BWeight), then one per (stage group, exec)
-	// optimizer. A match consumes its slot, so a duplicate misses.
-	triples := sh.Triples()
-	slotOf := func(op schedule.Op) int {
-		_, g, k, ok := sh.OpIndex(op)
-		switch {
-		case !ok || op.Type < schedule.F || op.Type > schedule.Optimizer:
-			return -1
-		case op.Type == schedule.Optimizer:
-			return 4*triples + g*sh.DP + op.Exec
-		}
-		return 4*k + int(op.Type)
-	}
-	s.slot = filled(s.slot, 4*triples+sh.Iter*sh.PP*sh.DP, -1)
+	// Match placements to tasks by op slot; a match consumes its slot, so a
+	// duplicate misses.
+	s.slot = filled(s.slot, sh.Slots(), -1)
 	for id := range s.tasks {
-		s.slot[slotOf(s.tasks[id].op)] = int32(id)
+		s.slot[sh.OpSlot(s.tasks[id].op)] = int32(id)
 	}
 	s.hstart = filled(s.hstart, n, 0)
 	for _, p := range hs.Placements {
-		sl := slotOf(p.Op)
+		sl := sh.OpSlot(p.Op)
 		if sl < 0 || s.slot[sl] < 0 || s.tasks[s.slot[sl]].op != p.Op {
 			return nil, false
 		}

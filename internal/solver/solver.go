@@ -66,10 +66,11 @@ type Input struct {
 	Naive bool
 	// Hint, when non-nil, warm-starts the solve from a previously solved
 	// neighboring instance (see Hint). Incompatible hints are ignored, so
-	// passing a stale hint is always safe; a compatible hint turns the
-	// solve into a validation pass (identical instance) or an order-replay
-	// race against the scratch dispatch (drifted durations), never
-	// producing a worse makespan than a scratch solve of the same input.
+	// passing a stale hint is always safe. A compatible hint turns the
+	// solve into a validation pass (identical instance) or, under a
+	// uniform rescale, a race between a replay of its op order and the
+	// scratch dispatch: both run, so the race costs an extra pass, and it
+	// never keeps a worse makespan than a scratch solve of the same input.
 	Hint *Hint
 }
 
