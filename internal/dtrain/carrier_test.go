@@ -15,8 +15,9 @@ import (
 // Programs without a dependency board: the executors synchronise on nothing
 // but their messages and their own stream order, so every edge of every
 // Program the runtime can be handed — the all-reduce barrier audited as the
-// contribution-to-step edges it stands for — must be carried by one of the
-// two. For every small shape, coupled and decoupled, it audits the
+// contribution-to-step edges it stands for, each carried by its triple's
+// contribution slot, which the step's barrier waits on — must be carried by
+// one of the two. For every small shape, coupled and decoupled, it audits the
 // fault-free Program, the splice of every admissible single kill, and from
 // each of those a mid-iteration re-join and a second kill (a depth-2
 // cascade).
@@ -94,15 +95,6 @@ func auditCarriers(t *testing.T, label string, prog *schedule.Program) {
 			pos[id] = i
 		}
 	}
-	root := func(stage int) int { // the all-reduce root: first live pipeline
-		for k := 0; k < sh.DP; k++ {
-			if !prog.Failed[schedule.Worker{Stage: stage, Pipeline: k}] {
-				return k
-			}
-		}
-		t.Fatalf("%s: stage %d has no live worker", label, stage)
-		return -1
-	}
 	type carrier struct {
 		key    msgKey
 		sender schedule.Worker
@@ -135,18 +127,14 @@ func auditCarriers(t *testing.T, label string, prog *schedule.Program) {
 					t.Fatalf("%s: producer does not send the message the consumer reads", edge)
 				}
 			case schedule.DepAllReduce:
-				// A peer's weight gradient reaches the step through the
-				// rendezvous: the root's broadcast when the root produced
-				// it, the producer's contribution (which the root awaits
-				// before it broadcasts or steps) otherwise.
-				if prog.Failed[from.Worker()] {
-					t.Fatalf("%s: a dead worker's gradient store cannot be contributed", edge)
+				// A weight gradient reaches every peer's step through its
+				// own triple's contribution slot, which the producer's
+				// executor fills and the step's barrier (its group's slots)
+				// waits on.
+				if to.Type != schedule.Optimizer || from.Stage != to.Stage || from.Iter != to.Iter {
+					t.Fatalf("%s: the contribution is not in the step's barrier group", edge)
 				}
-				if from.Exec == root(to.Stage) {
-					c = carrier{msgKey{kind: msgReduced, stage: to.Stage, iter: to.Iter, peer: to.Exec}, from.Worker()}
-				} else {
-					c = carrier{msgKey{kind: msgContrib, stage: to.Stage, iter: to.Iter, peer: from.Exec}, from.Worker()}
-				}
+				c = carrier{msgKey{kind: msgContrib, stage: from.Stage, iter: from.Iter, mb: nn.MBKey{Pipeline: from.Home, MB: from.MB}}, from.Worker()}
 			default:
 				// DepLocal across workers, or a kind added without
 				// deciding what the consumer blocks on.

@@ -399,8 +399,8 @@ func TestChaosStepNoopSkipsRendezvous(t *testing.T) {
 		before = append(before, append([]float64(nil), p.W.Data...))
 	}
 	r := testRouter(schedule.Shape{DP: cfg.DP, PP: cfg.PP, MB: cfg.MB, Iter: 1})
-	// The no-op path returns before any rendezvous, so the bare router —
-	// no peers running — must not deadlock this call.
+	// The no-op path returns before the barrier, so the bare router — no
+	// contributions sent — must not deadlock this call.
 	if err := rt.allReduceAndStep(w, st, 0, r, func(schedule.OpType, time.Duration) {}); err != nil {
 		t.Fatal(err)
 	}
@@ -415,7 +415,7 @@ func TestChaosStepNoopSkipsRendezvous(t *testing.T) {
 		t.Errorf("no-op advanced the stamp to %d", got)
 	}
 	if got := r.held(); got != 0 {
-		t.Errorf("no-op stashed %d payloads; the rendezvous must be skipped entirely", got)
+		t.Errorf("no-op stashed %d payloads; the barrier must be skipped entirely", got)
 	}
 	if got := tr.Counters()["events.step-noop"]; got != 1 {
 		t.Errorf("recorded %d step-noop events, want 1", got)

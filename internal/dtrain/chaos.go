@@ -25,7 +25,7 @@ const (
 	KillBetweenOps
 	// KillDuringAllReduce kills a victim at the brink of a gradient
 	// all-reduce: every compute instruction that can complete by then has,
-	// and an optimizer rendezvous is about to begin.
+	// and a stage group's optimizers are about to pass its barrier.
 	KillDuringAllReduce
 	// KillInEpilogue kills a victim inside the all-reduce epilogue: at
 	// least one stage's optimizer step has fully completed — durable on

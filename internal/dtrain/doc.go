@@ -5,29 +5,33 @@
 // gradients as fault-free execution.
 //
 // The Runtime is the in-process counterpart of the paper's Coordinator +
-// Executors (§4.1). The coordinator half fetches compiled Programs for
-// the current failure set from the plan service (internal/engine) and
-// owns failure handling, straggler demotion, validation and rollback; the
+// Executors (§4.1). The coordinator half fetches compiled Programs for the
+// current failure set from the plan service (internal/engine) and owns
+// failure handling, straggler demotion, validation and rollback; the
 // executor half runs one goroutine per live worker, interpreting its
 // Program instruction stream and blocking only on the messages it
-// consumes. Activations, gradients and the all-reduce move through a
-// router whose dense per-iteration slot table, indexed by each message's
-// own (kind, iteration, stage, micro-batch | peer) coordinates, is send
-// stash and transport at once; every dependency edge of a Program is
-// carried by such a message or by stream order, so nothing else
+// consumes. Activations, input gradients and weight-gradient contributions
+// move through a router whose dense per-iteration slot table, indexed by
+// each message's own (kind, iteration, stage, micro-batch) coordinates, is
+// send stash, transport and WeightGradStore at once. A stage's optimizers
+// park on their group's all-reduce barrier — a count of the group's empty
+// contribution slots — and the first peer past it reduces the group once,
+// in (home, mb) order, for every peer; every dependency edge of a Program
+// is carried by a message, that barrier or stream order, so nothing else
 // synchronises the workers. Per-iteration tensors are carved from pooled
 // per-stage arenas recycled at the iteration boundary. Each instruction's
-// logical slot span is read off sim.ExecuteProgram's execution of the
-// same Program, so the executed timeline is, by construction, the
+// logical slot span is read off sim.ExecuteProgram's execution of the same
+// Program, so the executed timeline is, by construction, the
 // discrete-event simulator's prediction.
 //
 // It implements the paper's §5 mechanisms — ReRouteAct / ReRouteGrad
 // (micro-batch rerouting to data-parallel peers), the WeightGradStore
-// (deferred weight gradients), per-stage optimizer steps with post-step
-// validation and rollback — plus the §5 heartbeat Detector, which flags
-// both hard failures (lapsed heartbeats) and gray failures: per-op timing
-// observations feed per-worker EWMAs compared against the fleet median,
-// with clear-and-reflag hysteresis so the straggler callback (feeding
+// (deferred weight gradients, held in the router's contribution slots),
+// per-stage optimizer steps with post-step validation and rollback — plus
+// the §5 heartbeat Detector, which flags both hard failures (lapsed
+// heartbeats) and gray failures: per-op timing observations feed
+// per-worker EWMAs compared against the fleet median, with
+// clear-and-reflag hysteresis so the straggler callback (feeding
 // MarkStraggler, which retunes the plan service's cost model) fires only
 // when the observed factor moves enough to change the routing.
 //

@@ -115,10 +115,10 @@ func TestRejoinMidIterationResumesBeforeBoundary(t *testing.T) {
 }
 
 // TestRejoinAllReduceNeverSplits pins the invariant LiveSplice's
-// rendezvous guard defends (and why it cannot trip on single-iteration
+// straddle guard defends (and why it cannot trip on single-iteration
 // programs): a stage's optimizer steps all gate on the same all-reduce
 // barrier, so for every possible cut they land on one side of the event
-// together — no phase-1 root can block on a phase-2 contribution. The
+// together — no group is stepped on one peer and pending on another. The
 // splice path works at any cut inside the compute span.
 func TestRejoinAllReduceNeverSplits(t *testing.T) {
 	cfg := Config{

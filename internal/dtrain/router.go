@@ -20,20 +20,19 @@ const (
 	msgAct msgKind = iota
 	// msgGrad carries an input gradient upstream (ReRouteGrad).
 	msgGrad
-	// msgContrib carries a worker's WeightGradStore to its stage's
-	// all-reduce root.
+	// msgContrib carries one micro-batch's weight gradients, one matrix per
+	// parameter, from the B or BWeight that computed them to its stage
+	// group's all-reduce barrier.
 	msgContrib
-	// msgReduced broadcasts reduced gradients from the root to peers.
-	msgReduced
 )
 
-// msgKey addresses one rendezvous between two ops: the (sender, receiver,
-// micro-batch) coordinate of the re-send protocol. Sender and receiver are
-// implicit in (kind, stage, mb): an msgAct to stage s comes from stage
-// s-1's executor of that micro-batch, an msgGrad to stage s from stage
-// s+1's, and contribution/broadcast messages name the peer pipeline. The
-// key deliberately addresses by the micro-batch's *home* pipeline, not by
-// the executing worker or the Program's instruction numbering, so a payload
+// msgKey addresses one message: the (kind, iteration, stage, micro-batch)
+// coordinate of the re-send protocol. Sender and receiver are implicit in
+// it: an msgAct to stage s comes from stage s-1's executor of that
+// micro-batch, an msgGrad to stage s from stage s+1's, an msgContrib of
+// stage s from stage s's and goes to every live peer's optimizer. The key
+// deliberately addresses by the micro-batch's *home* pipeline, not by the
+// executing worker or the Program's instruction numbering, so a payload
 // re-requested by re-routed work — the same logical message, a different
 // physical executor, a re-numbered Program after every splice — resolves
 // to the same slot.
@@ -42,15 +41,12 @@ type msgKey struct {
 	stage int
 	iter  int
 	mb    nn.MBKey
-	// peer disambiguates contribution/broadcast messages per pipeline.
-	peer int
 }
 
 // payload is the router's unit of exchange.
 type payload struct {
-	mat      *tensor.Matrix
-	contribs []nn.Contribution
-	grads    []*tensor.Matrix
+	mat   *tensor.Matrix
+	grads []*tensor.Matrix
 }
 
 // slot is one message's cell of the router's table: stash and transport at
@@ -70,6 +66,18 @@ const (
 	slotRead
 )
 
+// barrier is one stage group's all-reduce, kept as schedule.Walk keeps
+// it: pending counts the group's empty contribution slots, head is the
+// first worker (index+1) parked on it and the router's next links the
+// rest. sum is the parameters of the first peer past it, whose
+// accumulators hold the group's one reduction.
+type barrier struct {
+	mu      sync.Mutex
+	pending int32
+	head    int16
+	sum     []*nn.Param
+}
+
 // slotPool recycles slot tables across iterations: a router takes one at
 // construction and hands it back, emptied, in release — so neither an
 // idle Runtime nor the garbage collector's live heap carries a table.
@@ -86,16 +94,21 @@ var slotPool sync.Pool
 // once per phase — the original plus one re-derived send per later splice
 // that re-executes the producer — and every copy is bitwise identical
 // (re-execution recomputes the same tensors from the same replica
-// parameters), so latest-wins overwrite loses nothing. An abort releases
-// every blocked party so an erroring iteration can unwind instead of
-// hanging peers whose producers will never send.
+// parameters), so latest-wins overwrite loses nothing. The contribution
+// slots are the WeightGradStore, and a stage group's optimizers park on its
+// barrier until all of them are filled. An abort releases every blocked
+// party so an erroring iteration can unwind instead of hanging peers whose
+// producers will never send.
 type router struct {
-	shape schedule.Shape
-	slots []slot
-	table *[]slot // slots' pooled backing, handed back by release
-	// wake holds one single-token channel per worker index: a receiver
-	// parks on its own, and only the sender of the slot it registered on
-	// (or abort, through done) wakes it.
+	shape   schedule.Shape
+	triples int
+	slots   []slot
+	table   *[]slot // slots' pooled backing, handed back by release
+	bars    []barrier
+	next    []int16 // per worker index: the worker (index+1) parked after it
+	// wake holds one single-token channel per worker index: a worker parks
+	// on its own, and only whoever fills what it waits on (or abort,
+	// through done) wakes it.
 	wake []chan struct{}
 	done chan struct{}
 	once sync.Once
@@ -113,39 +126,36 @@ func newWake(workers int) []chan struct{} {
 	return wake
 }
 
-// newRouter takes an empty slot table for every message of the shape.
+// newRouter takes an empty slot table for every message of the shape and
+// opens one barrier per stage group.
 func newRouter(shape schedule.Shape, wake []chan struct{}) *router {
-	n := 2 * (shape.Triples() + shape.Iter*shape.PP*shape.DP)
-	r := &router{shape: shape, wake: wake, done: make(chan struct{})}
+	r := &router{shape: shape, triples: shape.Triples(), wake: wake, done: make(chan struct{}),
+		bars: make([]barrier, shape.Iter*shape.PP), next: make([]int16, shape.DP*shape.PP)}
+	n := 3 * r.triples
 	if r.table, _ = slotPool.Get().(*[]slot); r.table == nil || len(*r.table) < n {
 		t := make([]slot, n)
 		r.table = &t
 	}
 	r.slots = (*r.table)[:n]
+	for i := range r.bars {
+		r.bars[i].pending = int32(shape.DP * shape.MB)
+	}
 	return r
 }
 
-// index maps a message to its slot: activations and gradients by
-// micro-batch triple, contributions and broadcasts by (stage group, peer).
-// -1 when the key lies outside the shape.
+// index maps a message to its slot: kind-major, then by micro-batch
+// triple, so a stage group's contributions are contiguous in (home, mb)
+// order. -1 when the key lies outside the shape.
 func (r *router) index(k msgKey) int {
-	sh := r.shape
-	if k.kind == msgAct || k.kind == msgGrad {
-		t := sh.TripleIndex(k.iter, k.stage, k.mb.Pipeline, k.mb.MB)
-		if t < 0 {
-			return -1
-		}
-		return int(k.kind)*sh.Triples() + t
-	}
-	g := sh.StageIndex(k.iter, k.stage)
-	if g < 0 || k.peer < 0 || k.peer >= sh.DP || k.kind > msgReduced {
+	t := r.shape.TripleIndex(k.iter, k.stage, k.mb.Pipeline, k.mb.MB)
+	if t < 0 || k.kind < msgAct || k.kind > msgContrib {
 		return -1
 	}
-	groups := sh.Iter * sh.PP
-	return 2*sh.Triples() + (int(k.kind-msgContrib)*groups+g)*sh.DP + k.peer
+	return int(k.kind)*r.triples + t
 }
 
-// send fills the slot and wakes its parked receiver, if any. It never
+// send fills the slot and wakes its parked receiver, if any; a
+// contribution filling an empty slot counts its barrier down. It never
 // blocks: an occupied slot already holds a bitwise-identical copy, which
 // the fresh one replaces (and re-opens for an unflagged first read).
 // ok=false means the iteration was aborted and the receiver will never
@@ -158,20 +168,43 @@ func (r *router) send(k msgKey, p payload) bool {
 	}
 	s := &r.slots[r.index(k)]
 	s.mu.Lock()
+	first := s.state == slotEmpty
 	s.p, s.state = p, slotUnread
 	w := s.waiter
 	s.waiter = 0
 	s.mu.Unlock()
 	if w != 0 {
-		// The receiver consumes one token per park, so the buffer has
-		// room — unless an aborted iteration left a stale token, which
-		// wakes it just as well.
-		select {
-		case r.wake[w-1] <- struct{}{}:
-		default:
-		}
+		r.wakeUp(int(w - 1))
+	}
+	if first && k.kind == msgContrib {
+		r.count(r.shape.StageIndex(k.iter, k.stage), -1)
 	}
 	return true
+}
+
+// wakeUp hands worker wi its wake token. It consumes one token per park, so
+// the buffer has room — unless an aborted iteration left a stale token,
+// which wakes it just as well.
+func (r *router) wakeUp(wi int) {
+	select {
+	case r.wake[wi] <- struct{}{}:
+	default:
+	}
+}
+
+// count moves stage group g's pending count by d and, when it drains,
+// wakes every worker parked on the group.
+func (r *router) count(g int, d int32) {
+	b := &r.bars[g]
+	b.mu.Lock()
+	b.pending += d
+	if b.pending == 0 {
+		for v := b.head; v != 0; v = r.next[v-1] {
+			r.wakeUp(int(v - 1))
+		}
+		b.head = 0
+	}
+	b.mu.Unlock()
 }
 
 // recv returns the message under k for the worker with index me, parking
@@ -202,15 +235,72 @@ func (r *router) recv(k msgKey, me int) (payload, bool) {
 	}
 }
 
+// gather parks the worker with index me on stage group g's barrier until
+// every contribution slot of the group is filled; ok=false means the
+// iteration was aborted.
+func (r *router) gather(g, me int) bool {
+	b := &r.bars[g]
+	parked := false
+	for {
+		b.mu.Lock()
+		if b.pending == 0 {
+			b.mu.Unlock()
+			return true
+		}
+		if !parked {
+			// Parked until the drain unlinks the whole list: a stale token
+			// that wakes the worker early must not link it twice.
+			r.next[me], b.head = b.head, int16(me+1)
+			parked = true
+		}
+		b.mu.Unlock()
+		select {
+		case <-r.wake[me]:
+		case <-r.done:
+			return false
+		}
+	}
+}
+
+// reduce leaves stage group g's mean weight gradient in the stage's
+// accumulators once its barrier has drained: the first peer past it sums
+// the group's contribution slots in table order — (home, mb), the order
+// that keeps re-routed execution bitwise equal to fault-free execution —
+// and every later peer copies that one result.
+func (r *router) reduce(g int, st *nn.Stage) {
+	b := &r.bars[g]
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.sum != nil {
+		for i, p := range st.Params() {
+			copy(p.Grad.Data, b.sum[i].Grad.Data)
+		}
+		return
+	}
+	contribs := make([][]*tensor.Matrix, r.shape.DP*r.shape.MB)
+	for i := range contribs {
+		s := &r.slots[int(msgContrib)*r.triples+g*len(contribs)+i]
+		s.mu.Lock()
+		contribs[i] = s.p.grads
+		s.mu.Unlock()
+	}
+	st.ReduceContributions(contribs)
+	b.sum = st.Params()
+}
+
 // ack empties one slot: the payload's effects are durable and it must
-// never be replayed again (a fresh send re-opens the obligation). It
-// reports whether the slot held a payload.
+// never be replayed again (a fresh send re-opens the obligation, and an
+// emptied contribution slot counts its barrier back up). It reports
+// whether the slot held a payload.
 func (r *router) ack(i int) bool {
 	s := &r.slots[i]
 	s.mu.Lock()
 	held := s.state != slotEmpty
 	s.p, s.state = payload{}, slotEmpty
 	s.mu.Unlock()
+	if c := i - int(msgContrib)*r.triples; held && c >= 0 {
+		r.count(c/(r.shape.DP*r.shape.MB), 1)
+	}
 	return held
 }
 
@@ -220,13 +310,9 @@ func (r *router) ack(i int) bool {
 // and returns how many it collected.
 func (r *router) ackIteration(iter int) int {
 	sh, n := r.shape, 0
-	for kind := msgAct; kind <= msgReduced; kind++ {
+	for kind := msgAct; kind <= msgContrib; kind++ {
 		lo := r.index(msgKey{kind: kind, iter: iter})
-		hi := lo + sh.PP*sh.DP
-		if kind <= msgGrad {
-			hi = lo + sh.PP*sh.DP*sh.MB
-		}
-		for i := lo; i < hi; i++ {
+		for i := lo; i < lo+sh.PP*sh.DP*sh.MB; i++ {
 			if r.ack(i) {
 				n++
 			}
@@ -247,5 +333,5 @@ func (r *router) release() {
 func (r *router) abort() { r.once.Do(func() { close(r.done) }) }
 
 func (k msgKey) String() string {
-	return fmt.Sprintf("kind=%d stage=%d iter=%d mb=%+v peer=%d", k.kind, k.stage, k.iter, k.mb, k.peer)
+	return fmt.Sprintf("kind=%d stage=%d iter=%d mb=%+v", k.kind, k.stage, k.iter, k.mb)
 }

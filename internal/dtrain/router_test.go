@@ -1,7 +1,9 @@
 package dtrain
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -43,21 +45,17 @@ func (r *router) held() int {
 }
 
 // TestStashRingProperty drives the slot table through seeded interleavings
-// of send, ack and iteration GC, checking the protocol invariant after
-// every step: a payload is replayable if and only if it was sent and not
-// since acknowledged (individually or by its iteration's boundary GC), and
-// what replays is always the latest copy sent.
+// of send, ack and iteration GC over all three per-triple kinds, checking
+// the protocol invariant after every step: a payload is replayable if and
+// only if it was sent and not since acknowledged (individually or by its
+// iteration's boundary GC), what replays is always the latest copy sent,
+// and every stage group's barrier counts exactly its empty contribution
+// slots.
 func TestStashRingProperty(t *testing.T) {
 	sh := schedule.Shape{DP: 2, PP: 3, MB: 6, Iter: 2}
-	keys := make([]msgKey, 0, 12)
-	for i := 0; i < 12; i++ {
-		k := msgKey{kind: msgKind(i % 4), stage: i % 3, iter: i % 2}
-		if k.kind == msgAct || k.kind == msgGrad {
-			k.mb = nn.MBKey{Pipeline: i % 2, MB: i / 2}
-		} else {
-			k.peer = i % 2
-		}
-		keys = append(keys, k)
+	keys := make([]msgKey, 0, 18)
+	for i := 0; i < 18; i++ {
+		keys = append(keys, msgKey{kind: msgKind(i % 3), stage: i % 3, iter: i % 2, mb: nn.MBKey{Pipeline: i % 2, MB: i / 3}})
 	}
 	for seed := int64(0); seed < 25; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -90,6 +88,17 @@ func TestStashRingProperty(t *testing.T) {
 				}
 				if ok && p.mat != want {
 					t.Fatalf("seed %d step %d: key {%s} replayed a stale payload", seed, step, mk)
+				}
+			}
+			filled := make([]int32, len(r.bars))
+			for mk := range model {
+				if mk.kind == msgContrib {
+					filled[sh.StageIndex(mk.iter, mk.stage)]++
+				}
+			}
+			for g := range r.bars {
+				if got, want := r.bars[g].pending, int32(sh.DP*sh.MB)-filled[g]; got != want {
+					t.Fatalf("seed %d step %d: group %d counts %d empty contribution slots, want %d", seed, step, g, got, want)
 				}
 			}
 		}
@@ -288,5 +297,205 @@ func TestChaosRouterStashSurvivesSecondLoss(t *testing.T) {
 	r.send(k, payload{mat: m})
 	if _, ok := r.replay(k); !ok {
 		t.Fatal("re-stash after ack did not re-open the obligation")
+	}
+}
+
+// contrib keys one micro-batch's contribution to stage group (iter, stage).
+func contrib(iter, stage, home, mb int) msgKey {
+	return msgKey{kind: msgContrib, stage: stage, iter: iter, mb: nn.MBKey{Pipeline: home, MB: mb}}
+}
+
+// parkedOn lists the worker indices parked on group g's barrier.
+func (r *router) parkedOn(g int) []int {
+	b := &r.bars[g]
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	var out []int
+	for v := b.head; v != 0; v = r.next[v-1] {
+		out = append(out, int(v-1))
+	}
+	return out
+}
+
+// startGather runs gather(g, me) on its own goroutine and reports its
+// result on the returned channel once it has parked.
+func startGather(t *testing.T, r *router, g, me int) <-chan bool {
+	t.Helper()
+	out := make(chan bool, 1)
+	go func() { out <- r.gather(g, me) }()
+	deadline := time.Now().Add(5 * time.Second)
+	for !slices.Contains(r.parkedOn(g), me) {
+		if time.Now().After(deadline) {
+			t.Fatalf("worker %d never parked on group %d", me, g)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	return out
+}
+
+// TestBarrierWakesEveryParkedPeer pins the barrier's wake-up: every peer
+// that parks on a stage group stays parked until the group's last
+// contribution slot fills, and that send wakes them all — not one, and not
+// another group's.
+func TestBarrierWakesEveryParkedPeer(t *testing.T) {
+	sh := schedule.Shape{DP: 3, PP: 2, MB: 2, Iter: 1}
+	r := testRouter(sh)
+	defer r.release()
+	g := sh.StageIndex(0, 1)
+	peers := []int{sh.WorkerIndex(schedule.Worker{Stage: 1, Pipeline: 0}), sh.WorkerIndex(schedule.Worker{Stage: 1, Pipeline: 2})}
+	var done []<-chan bool
+	for _, me := range peers {
+		done = append(done, startGather(t, r, g, me))
+	}
+	var keys []msgKey
+	for home := 0; home < sh.DP; home++ {
+		for mb := 0; mb < sh.MB; mb++ {
+			keys = append(keys, contrib(0, 1, home, mb))
+			r.send(contrib(0, 0, home, mb), payload{}) // the other group's slots wake no one here
+		}
+	}
+	for _, k := range keys[:len(keys)-1] {
+		r.send(k, payload{})
+	}
+	for i, ch := range done {
+		select {
+		case <-ch:
+			t.Fatalf("peer %d passed the barrier with one contribution missing", peers[i])
+		case <-time.After(20 * time.Millisecond):
+		}
+	}
+	r.send(keys[len(keys)-1], payload{})
+	for i, ch := range done {
+		select {
+		case ok := <-ch:
+			if !ok {
+				t.Fatalf("peer %d reported an abort", peers[i])
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("the last contribution did not wake peer %d", peers[i])
+		}
+	}
+	if got := r.parkedOn(g); len(got) != 0 {
+		t.Fatalf("drained barrier still lists parked workers %v", got)
+	}
+	if !r.gather(g, peers[0]) {
+		t.Fatal("gather on a drained barrier did not pass")
+	}
+}
+
+// TestBarrierCountsAResendOnce pins the splice-safety of the count: a
+// contribution re-sent by re-executed work fills a slot that is already
+// full, and must not count the barrier down a second time.
+func TestBarrierCountsAResendOnce(t *testing.T) {
+	sh := schedule.Shape{DP: 2, PP: 1, MB: 2, Iter: 1}
+	r := testRouter(sh)
+	defer r.release()
+	k := contrib(0, 0, 1, 0)
+	for i := 0; i < 3; i++ {
+		r.send(k, payload{})
+	}
+	if got := r.bars[0].pending; got != 3 {
+		t.Fatalf("three sends of one contribution left %d pending, want 3", got)
+	}
+	ch := startGather(t, r, 0, 0)
+	r.send(contrib(0, 0, 0, 0), payload{})
+	r.send(contrib(0, 0, 0, 1), payload{})
+	r.send(k, payload{})
+	select {
+	case <-ch:
+		t.Fatal("a re-sent contribution stood in for a missing one")
+	case <-time.After(20 * time.Millisecond):
+	}
+	r.send(contrib(0, 0, 1, 1), payload{})
+	select {
+	case <-ch:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the last contribution did not drain the barrier")
+	}
+}
+
+// TestBarrierAbortReleasesGather pins the teardown of a parked optimizer: an
+// abort releases it with ok=false, and a later gather on the same barrier
+// reports the abort at once.
+func TestBarrierAbortReleasesGather(t *testing.T) {
+	r := testRouter(schedule.Shape{DP: 2, PP: 2, MB: 2, Iter: 1})
+	defer r.release()
+	ch := startGather(t, r, 1, 3)
+	r.abort()
+	select {
+	case ok := <-ch:
+		if ok {
+			t.Fatal("an aborted gather reported a drained barrier")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("abort left a gather parked")
+	}
+	if r.gather(1, 1) {
+		t.Fatal("gather after abort reported a drained barrier")
+	}
+}
+
+// TestBarrierReducesInHomeMBOrder pins the reduction order: whatever order
+// the contributions arrive in, the group sums them in (home, mb) order —
+// MBKey.Less, the order that keeps re-routed execution bitwise equal to
+// fault-free execution, on data whose sum tells orders apart — and every
+// peer's accumulators get the first peer's one reduction, bit for bit.
+func TestBarrierReducesInHomeMBOrder(t *testing.T) {
+	sh := schedule.Shape{DP: 3, PP: 2, MB: 4, Iter: 1}
+	r := testRouter(sh)
+	defer r.release()
+	rng := rand.New(rand.NewSource(3))
+	// Magnitudes spread over 30 decades make every summation order round
+	// differently.
+	value := func(home, mb int) float64 { return math.Pow(10, float64(home*sh.MB+mb)*2.5) * (rng.Float64() - 0.5) }
+	var keys []nn.MBKey
+	for home := 0; home < sh.DP; home++ {
+		for mb := 0; mb < sh.MB; mb++ {
+			keys = append(keys, nn.MBKey{Pipeline: home, MB: mb})
+		}
+	}
+	want := make(map[nn.MBKey][]*tensor.Matrix)
+	// Two peers of stage 1.
+	stages := []*nn.Stage{nn.MLPStages(sh.PP, 2, 3, 2, 1)[1], nn.MLPStages(sh.PP, 2, 3, 2, 1)[1]}
+	for _, k := range keys {
+		var grads []*tensor.Matrix
+		for _, p := range stages[0].Params() {
+			g := tensor.New(p.Grad.Rows, p.Grad.Cols)
+			for i := range g.Data {
+				g.Data[i] = value(k.Pipeline, k.MB)
+			}
+			grads = append(grads, g)
+		}
+		want[k] = grads
+	}
+	rng.Shuffle(len(keys), func(i, j int) { keys[i], keys[j] = keys[j], keys[i] })
+	for _, k := range keys {
+		r.send(contrib(0, 1, k.Pipeline, k.MB), payload{grads: want[k]})
+	}
+	slices.SortFunc(keys, func(a, b nn.MBKey) int {
+		if a.Less(b) {
+			return -1
+		}
+		return 1
+	})
+	ordered := make([][]*tensor.Matrix, len(keys))
+	for i, k := range keys {
+		ordered[i] = want[k]
+	}
+	// The data is order-sensitive: the reverse order reduces differently.
+	ref, backward := nn.MLPStages(sh.PP, 2, 3, 2, 1)[1], nn.MLPStages(sh.PP, 2, 3, 2, 1)[1]
+	ref.ReduceContributions(ordered)
+	slices.Reverse(ordered)
+	backward.ReduceContributions(ordered)
+	if tensor.Equal(ref.Params()[0].Grad, backward.Params()[0].Grad) {
+		t.Fatal("reduction order does not change the sum: the test data cannot tell orders apart")
+	}
+	for _, st := range stages {
+		r.reduce(sh.StageIndex(0, 1), st) // the second copies the first's reduction
+		for i, p := range st.Params() {
+			if !tensor.Equal(p.Grad, ref.Params()[i].Grad) {
+				t.Fatalf("a peer's reduced gradient %d differs from the (home, mb)-ordered sum", i)
+			}
+		}
 	}
 }

@@ -3,6 +3,8 @@ package dtrain
 import (
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -531,9 +533,10 @@ type inflight struct {
 func (rt *Runtime) runPhase(fl *inflight, exec *sim.Execution, done map[int]int64) {
 	prog := exec.Program
 	if rt.rec.Enabled() {
-		// Frozen prefix spans make each post-splice segment tile the full
-		// iteration makespan on its own (the CriticalPath invariant).
-		for id := range done {
+		// Frozen prefix spans, in instruction-ID order, make each
+		// post-splice segment tile the full iteration makespan on its own
+		// (the CriticalPath invariant).
+		for _, id := range slices.Sorted(maps.Keys(done)) {
 			rt.rec.Span(obs.Span{Instr: id, Op: prog.Op(id), Deps: prog.Producers(id),
 				Sched: exec.Start[id], Start: exec.Start[id], End: exec.End[id],
 				Modeled: prog.DurOf(id), Frozen: true})
@@ -591,31 +594,24 @@ func (rt *Runtime) applyEvent(ev CascadeEvent, lv *replay.LiveSpliced, cur *sche
 				{Key: "lost-slots", Val: lv.LostSlots},
 			}})
 	}
-	// Victims die with their materialized state — activation stashes and
-	// weight-gradient stores on their stage objects are unreachable; only
-	// their router-stashed sends survive, because the stash is
-	// coordinator-visible shared memory.
+	// Victims die with their materialized state — the activation stashes
+	// on their stage objects are unreachable; only their router-stashed
+	// sends, weight-gradient contributions included, survive, because the
+	// stash is coordinator-visible shared memory.
 	for _, w := range ev.Fail {
 		rt.Fail(w)
 	}
-	// Surviving peers discard the effects of completed instructions whose
+	// Surviving peers discard the stashes of completed forwards whose
 	// provenance died (the splice's lost cascade): the suffix re-executes
-	// them, and the duplicate guards on Forward/BackwardWeight would
-	// otherwise trip on the stale first copy. Stepped stages are never in
-	// the cascade — their update is durable and the step-epoch stamp keeps
-	// it idempotent.
+	// them, and the duplicate guard on Forward would otherwise trip on the
+	// stale first copy. A re-executed weight gradient just re-sends its
+	// bitwise-identical contribution. Stepped stages are never in the
+	// cascade — their update is durable and the step-epoch stamp keeps it
+	// idempotent.
 	for _, id := range lv.LostIDs {
 		op := cur.Op(id)
-		w := op.Worker()
-		if rt.failed[w] {
-			continue // died with the worker; live peers re-derive it
-		}
-		key := nn.MBKey{Pipeline: op.Home, MB: op.MB}
-		switch op.Type {
-		case schedule.F:
-			rt.stages[w].DiscardStash(key)
-		case schedule.B, schedule.BWeight:
-			rt.stages[w].DiscardGrad(key)
+		if w := op.Worker(); op.Type == schedule.F && !rt.failed[w] {
+			rt.stages[w].DiscardStash(nn.MBKey{Pipeline: op.Home, MB: op.MB})
 		}
 	}
 	// A re-joining worker's parameters and optimizer state are restored
@@ -753,8 +749,8 @@ func (rt *Runtime) iterationLoss() float64 {
 // ordering needs nothing beyond the messages themselves, because every
 // dependency edge of the Program is carried by something its consumer
 // blocks on — an activation or gradient edge by the router message, the
-// all-reduce barrier by the contribution/broadcast rendezvous, a local edge
-// by stream order (TestEveryEdgeHasACarrier). Each instruction's logical span
+// all-reduce barrier by its group's contribution slots, a local edge by
+// stream order (TestEveryEdgeHasACarrier). Each instruction's logical span
 // is read off exec, the discrete-event simulator's execution of the same
 // Program: the executed timeline is the simulator's prediction by
 // construction.
@@ -849,17 +845,20 @@ func (rt *Runtime) execOps(w schedule.Worker, exec *sim.Execution, fl *inflight,
 			if op.Stage > 0 && !r.send(msgKey{kind: msgGrad, stage: op.Stage - 1, iter: op.Iter, mb: key}, payload{mat: dx}) {
 				return nil
 			}
-			if op.Type == schedule.B {
-				t1 := time.Now()
-				st.BackwardWeight(key)
-				rt.delay(schedule.BWeight)
-				record(schedule.BWeight, time.Since(t1))
+			if op.Type == schedule.BInput {
+				break
 			}
+			fallthrough
 		case schedule.BWeight:
+			// The weight gradients go to their contribution slot, where the
+			// stage group's all-reduce reads them.
 			t0 := time.Now()
-			st.BackwardWeight(key)
+			grads := st.BackwardWeight(key)
 			rt.delay(schedule.BWeight)
 			record(schedule.BWeight, time.Since(t0))
+			if !r.send(msgKey{kind: msgContrib, stage: op.Stage, iter: op.Iter, mb: key}, payload{grads: grads}) {
+				return nil
+			}
 		case schedule.Optimizer:
 			if err := rt.allReduceAndStep(w, st, op.Iter, r, record); err != nil {
 				if err == errAborted {
@@ -891,18 +890,15 @@ func (rt *Runtime) execOps(w schedule.Worker, exec *sim.Execution, fl *inflight,
 }
 
 // allReduceAndStep implements the per-stage gradient all-reduce and
-// staggered optimizer step: peers ship their WeightGradStore contents to
-// the stage root (the first live pipeline), the root reduces contributions
-// in canonical order and broadcasts the reduced gradients, and every peer
-// then applies an identical optimizer step followed by local post-step
-// validation.
+// staggered optimizer step: the worker parks on its stage group's barrier
+// until every micro-batch's contribution is in, takes the group's one
+// reduction (router.reduce) and applies the optimizer step followed by
+// local post-step validation.
 func (rt *Runtime) allReduceAndStep(w schedule.Worker, st *nn.Stage, iter int, r *router, record func(schedule.OpType, time.Duration)) error {
 	// The step-epoch guard: a re-delivered step instruction whose target
-	// epoch the stage's parameters already carry is an idempotent no-op —
-	// recorded, and skipping the whole rendezvous, since a stepped stage's
-	// gradient stores were drained when the step first applied. All DP
-	// peers of a stepped stage share the advanced epoch, so the skip is
-	// consistent across the rendezvous group.
+	// epoch the stage's parameters already carry is an idempotent no-op;
+	// the barrier counts contributions, not peers, so skipping it holds up
+	// no one.
 	me := rt.workerIndex(w)
 	target := rt.epochBase[me] + iter + 1
 	if st.StepEpoch() >= target {
@@ -913,60 +909,18 @@ func (rt *Runtime) allReduceAndStep(w schedule.Worker, st *nn.Stage, iter int, r
 		}
 		return nil
 	}
-	live := func(k int) bool { return !rt.failed[schedule.Worker{Stage: w.Stage, Pipeline: k}] }
-	root := 0
-	for !live(root) {
-		root++ // w itself is live, so a root exists
+	g := r.shape.StageIndex(iter, w.Stage)
+	if !r.gather(g, me) {
+		return errAborted
 	}
-	key := func(kind msgKind, peer int) msgKey {
-		return msgKey{kind: kind, stage: w.Stage, iter: iter, peer: peer}
-	}
-	if w.Pipeline == root {
-		merged := st.DrainStore()
-		for p := root + 1; p < rt.Cfg.DP; p++ {
-			if !live(p) {
-				continue
-			}
-			m, ok := r.recv(key(msgContrib, p), me)
-			if !ok {
-				return errAborted
-			}
-			merged = append(merged, m.contribs...)
-		}
-		t0 := time.Now()
-		if err := st.ReduceContributions(merged, rt.Cfg.DP*rt.Cfg.MB); err != nil {
-			return fmt.Errorf("dtrain: stage %d all-reduce: %w", w.Stage, err)
-		}
-		rt.delay(schedule.Optimizer)
-		defer func() { record(schedule.Optimizer, time.Since(t0)) }()
-		// The broadcast copies are heap clones: the root's accumulators
-		// stay the root's, and nothing of a rendezvous lives in an arena.
-		grads := make([]*tensor.Matrix, 0, len(st.Params()))
-		for _, p := range st.Params() {
-			grads = append(grads, p.Grad.Clone())
-		}
-		for p := root + 1; p < rt.Cfg.DP; p++ {
-			if live(p) && !r.send(key(msgReduced, p), payload{grads: grads}) {
-				return errAborted
-			}
-		}
-	} else {
-		if !r.send(key(msgContrib, w.Pipeline), payload{contribs: st.DrainStore()}) {
-			return errAborted
-		}
-		m, ok := r.recv(key(msgReduced, w.Pipeline), me)
-		if !ok {
-			return errAborted
-		}
-		params := st.Params()
-		for i, g := range m.grads {
-			copy(params[i].Grad.Data, g.Data)
-		}
-	}
+	t0 := time.Now()
+	r.reduce(g, st)
+	rt.delay(schedule.Optimizer)
 	// Apply through the step-epoch stamp: the parameters advance to the
 	// target epoch exactly once, making any later re-delivery a no-op.
 	if st.StepOnce(rt.opts[w], target) {
 		rt.stepped[me]++
+		record(schedule.Optimizer, time.Since(t0))
 	}
 	return nn.ValidateFinite(st.Params())
 }

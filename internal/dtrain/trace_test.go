@@ -257,3 +257,23 @@ func TestMetricsSnapshotFoldsAllGroups(t *testing.T) {
 		t.Fatalf("runtime group = %v", snap2.Groups["runtime"])
 	}
 }
+
+// TestOptimizerOpsCountEveryStep pins what the runtime's optimizer counter
+// counts: one op per worker whose step applies, so N healthy DP2×PP2
+// iterations record 4N — every data-parallel peer of every stage steps.
+func TestOptimizerOpsCountEveryStep(t *testing.T) {
+	rt := New(Config{
+		DP: 2, PP: 2, MB: 4,
+		InDim: 6, Hidden: 8, OutDim: 3, MicroBatchSize: 4,
+		Seed: 11, LR: 1e-2,
+	})
+	const iters = 3
+	for i := 0; i < iters; i++ {
+		if _, err := rt.RunIteration(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := rt.MetricsSnapshot().Groups["runtime"]["OpsOPT"]; got != 4*iters {
+		t.Fatalf("OpsOPT = %d after %d DP2×PP2 iterations, want %d", got, iters, 4*iters)
+	}
+}

@@ -3,7 +3,6 @@ package nn
 import (
 	"fmt"
 	"math/rand"
-	"slices"
 
 	"recycle/internal/tensor"
 )
@@ -25,17 +24,12 @@ func (k MBKey) Less(o MBKey) bool {
 	return k.MB < o.MB
 }
 
-// Contribution is one micro-batch's weight gradients, one matrix per
-// parameter in Params() order — the unit the WeightGradStore holds and the
-// all-reduce ships.
-type Contribution struct {
-	Key   MBKey
-	Grads []*tensor.Matrix
-}
-
 // Stage is one pipeline stage: an ordered list of layers plus the
-// per-micro-batch stash bookkeeping and the WeightGradStore (§5) that
-// holds deferred weight-gradient work.
+// per-micro-batch stash bookkeeping. The deferred weight gradients (§5's
+// WeightGradStore) are not the stage's: BackwardWeight returns them to the
+// caller, which keeps each micro-batch's until its stage group's
+// all-reduce (dtrain's router holds them in one contribution slot per
+// micro-batch).
 type Stage struct {
 	// Layers is fixed at NewStage: Params() is built from it once.
 	Layers []Layer
@@ -47,9 +41,6 @@ type Stage struct {
 	arena tensor.Arena
 
 	stashes map[MBKey][]Stash
-	// store holds per-micro-batch weight gradients until the all-reduce
-	// collects them — the WeightGradStore of the DeepSpeed implementation.
-	store []Contribution
 	// epoch counts the optimizer steps applied to this replica's
 	// parameters — the PipeDream-style version stamp that makes step
 	// re-execution idempotent. A re-delivered step whose target epoch the
@@ -126,20 +117,19 @@ func (s *Stage) BackwardInput(key MBKey, dy *tensor.Matrix) *tensor.Matrix {
 	return dy
 }
 
-// BackwardWeight runs the deferred weight-gradient pass, moving the
-// micro-batch's contribution into the WeightGradStore. The activation
-// stash is retained until ReleaseStashes at the iteration boundary
-// (PipeDream-style stash discipline): a mid-iteration failure can
-// invalidate an already-computed BackwardInput/BackwardWeight on a *live*
-// peer (its downstream provenance died), and re-executing it needs the
-// stash the old lifecycle would have freed here.
-func (s *Stage) BackwardWeight(key MBKey) {
+// BackwardWeight runs the deferred weight-gradient pass and returns the
+// micro-batch's contribution: one gradient per parameter, in Params()
+// order. Running it again for the same micro-batch recomputes the same
+// gradients bit for bit. The activation stash is retained until
+// ReleaseStashes at the iteration boundary (PipeDream-style stash
+// discipline): a mid-iteration failure can invalidate an already-computed
+// BackwardInput/BackwardWeight on a *live* peer (its downstream provenance
+// died), and re-executing it needs the stash the old lifecycle would have
+// freed here.
+func (s *Stage) BackwardWeight(key MBKey) []*tensor.Matrix {
 	st, ok := s.stashes[key]
 	if !ok {
 		panic(fmt.Sprintf("nn: BackwardWeight without forward for %+v", key))
-	}
-	if s.stored(key) >= 0 {
-		panic(fmt.Sprintf("nn: duplicate BackwardWeight for %+v", key))
 	}
 	grads := make([]*tensor.Matrix, 0, len(s.params))
 	for i, l := range s.Layers {
@@ -148,12 +138,7 @@ func (s *Stage) BackwardWeight(key MBKey) {
 	if len(grads) != len(s.params) {
 		panic("nn: BackwardWeight arity mismatch")
 	}
-	s.store = append(s.store, Contribution{Key: key, Grads: grads})
-}
-
-// stored returns the position of key's contribution in the store, or -1.
-func (s *Stage) stored(key MBKey) int {
-	return slices.IndexFunc(s.store, func(c Contribution) bool { return c.Key == key })
+	return grads
 }
 
 // PendingStashes returns the number of micro-batch activation stashes the
@@ -165,16 +150,6 @@ func (s *Stage) PendingStashes() int { return len(s.stashes) }
 // forward whose provenance died in a mid-iteration failure, about to be
 // re-executed from a re-sent upstream activation. Idempotent.
 func (s *Stage) DiscardStash(key MBKey) { delete(s.stashes, key) }
-
-// DiscardGrad drops one micro-batch's WeightGradStore contribution — the
-// effect of an invalidated BackwardWeight, cleared so the re-execution can
-// store a fresh (bitwise-identical) contribution without tripping the
-// duplicate guard. Idempotent.
-func (s *Stage) DiscardGrad(key MBKey) {
-	if i := s.stored(key); i >= 0 {
-		s.store = slices.Delete(s.store, i, i+1)
-	}
-}
 
 // ReleaseStashes frees every retained activation stash and recycles the
 // arena under them — the iteration-boundary acknowledgement of the stash
@@ -219,65 +194,34 @@ func (s *Stage) RegressStepEpoch(n int) {
 	}
 }
 
-// DrainStore removes and returns all stored contributions, in the order
-// their BackwardWeight passes ran.
-func (s *Stage) DrainStore() []Contribution {
-	out := s.store
-	s.store = nil
-	return out
-}
-
-// Reset clears all stashes and stored gradients (used when an iteration is
-// aborted and replayed after a mid-iteration failure). The arena is left
-// alone: peers may still hold tensors this stage produced.
+// Reset clears all stashes (used when an iteration is aborted and replayed
+// after a mid-iteration failure). The arena is left alone: peers may still
+// hold tensors this stage produced.
 func (s *Stage) Reset() {
 	s.stashes = make(map[MBKey][]Stash)
-	s.store = nil
 }
 
-// ReduceContributions sums per-micro-batch gradient contributions in
-// canonical (pipeline, micro-batch) order — contribs is sorted in place,
-// whatever order the contributions arrived in — and scales by 1/totalMBs,
-// writing the result into the stage's parameter gradient accumulators.
-// Because floating-point addition is order-sensitive, this canonical
-// ordering is what makes adapted (rerouted) execution produce *bitwise*
-// the same gradients as fault-free execution. A micro-batch contributed
-// twice, or a count other than totalMBs, is an error and reduces nothing.
-func (s *Stage) ReduceContributions(contribs []Contribution, totalMBs int) error {
-	if len(contribs) != totalMBs {
-		return fmt.Errorf("nn: all-reduce saw %d contributions, want %d", len(contribs), totalMBs)
-	}
-	slices.SortFunc(contribs, func(a, b Contribution) int {
-		switch {
-		case a.Key.Less(b.Key):
-			return -1
-		case b.Key.Less(a.Key):
-			return 1
-		}
-		return 0
-	})
-	for i := 1; i < len(contribs); i++ {
-		if contribs[i].Key == contribs[i-1].Key {
-			return fmt.Errorf("nn: duplicate gradient contribution for %+v", contribs[i].Key)
-		}
-	}
+// ReduceContributions sums per-micro-batch weight gradients —
+// contribs[k][i] is micro-batch k's gradient of the i-th parameter — in
+// the order given and scales by 1/len(contribs), writing the mean into the
+// stage's parameter gradient accumulators. Floating-point addition is
+// order-sensitive: the caller passes the contributions in canonical (home
+// pipeline, micro-batch) order — MBKey.Less — which is what makes adapted (rerouted)
+// execution produce *bitwise* the same gradients as fault-free execution.
+func (s *Stage) ReduceContributions(contribs [][]*tensor.Matrix) {
 	params := s.params
 	for _, p := range params {
 		p.ZeroGrad()
 	}
 	for _, c := range contribs {
-		if len(c.Grads) != len(params) {
-			panic(fmt.Sprintf("nn: contribution arity %d != params %d for %+v", len(c.Grads), len(params), c.Key))
-		}
-		for i, g := range c.Grads {
+		for i, g := range c {
 			tensor.AddInPlace(params[i].Grad, g)
 		}
 	}
-	inv := 1 / float64(totalMBs)
+	inv := 1 / float64(len(contribs))
 	for _, p := range params {
 		for i := range p.Grad.Data {
 			p.Grad.Data[i] *= inv
 		}
 	}
-	return nil
 }

@@ -278,9 +278,10 @@ func TestFrozenOptimizerIsNotGated(t *testing.T) {
 // TestStraddlingCutIsALiveOnlyRejection pins the one difference between
 // the two callers of the cut-and-splice routine: a cut that splits a
 // stage's optimizer group (the victim's in-flight step dies, its peer's
-// completes) cannot be interpreted live — a phase-1 all-reduce root would
-// wait on a phase-2 contribution — so LiveSplice rejects it, while the
-// trace replayer, which interprets nothing, splices through it.
+// completes) cannot be interpreted live — the group is not durable, so its
+// lost work may be re-executed on the peer that already stepped, with
+// post-step parameters — so LiveSplice rejects it, while the trace
+// replayer, which computes nothing, splices through it.
 func TestStraddlingCutIsALiveOnlyRejection(t *testing.T) {
 	job, stats := engine.ShapeJob(2, 2, 4)
 	stats.TOpt = 2 // a two-slot step has an interior instant to cut at

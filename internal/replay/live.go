@@ -34,7 +34,7 @@ type LiveEvent struct {
 
 // LiveSpliced is a Spliced plus the cut execution that defined its prefix.
 // Before interpreting the suffix, live workers must discard the
-// materialized effect (activation stash, weight-gradient entry) of every
+// materialized effect (the activation stash of a forward) of every
 // Spliced.LostIDs instruction they executed, so the re-executed suffix can
 // regenerate it.
 type LiveSpliced struct {
@@ -48,9 +48,11 @@ type LiveSpliced struct {
 // event instant via the DES and returns the spliced artifact with the
 // discard list — cutAndSplice, the routine the trace replayer runs too,
 // plus the one guard that makes the splice interpretable by the live
-// runtime: no stage's optimizer step may straddle the cut (a phase-1
-// all-reduce root would block on a phase-2 contribution). Kills after a
-// stage's step completed are fine — the stepped group stays frozen in the
+// runtime: no stage's optimizer step may straddle the cut. A group the cut
+// splits is not durable, so the splice may re-execute its lost work on a
+// peer whose replica already stepped — with post-step parameters, which no
+// longer reproduce the fault-free gradients. Kills after a stage's step
+// completed are fine — the stepped group stays frozen in the
 // prefix, and the live runtime's step-epoch stamp keeps any re-delivered
 // step idempotent. It is a pure function of its input: it consults the
 // DES, never live state.

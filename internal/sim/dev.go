@@ -2,7 +2,9 @@ package sim
 
 import (
 	"fmt"
+	"maps"
 	"math"
+	"slices"
 	"sync"
 
 	"recycle/internal/obs"
@@ -160,18 +162,20 @@ func ExecuteProgram(p *schedule.Program, opt ProgramOptions) (*Execution, error)
 	defer walk.Clear()
 	walk.Reset(p, t, ex.Start, ex.End)
 
-	// Install the pre-executed prefix: spans recorded, streams advanced
-	// past it, worker clocks floored at its completion times and then at
-	// their release floors.
+	// Install the pre-executed prefix: spans recorded in instruction-ID
+	// order, streams advanced past it, worker clocks floored at its
+	// completion times and then at their release floors.
 	for id, end := range opt.Done {
 		if id < 0 || id >= n {
 			return nil, fmt.Errorf("sim: done instruction %d outside [0,%d)", id, n)
 		}
 		walk.Install(id, end)
-		if tracing {
+	}
+	if tracing {
+		for _, id := range slices.Sorted(maps.Keys(opt.Done)) {
 			opt.Recorder.Span(obs.Span{
 				Instr: id, Op: p.Op(id), Deps: p.Producers(id),
-				Sched: ex.Start[id], Start: ex.Start[id], End: end,
+				Sched: ex.Start[id], Start: ex.Start[id], End: opt.Done[id],
 				Modeled: p.DurOf(id), Frozen: true,
 			})
 		}

@@ -1,9 +1,11 @@
 package sim
 
 import (
+	"slices"
 	"testing"
 
 	"recycle/internal/engine"
+	"recycle/internal/obs"
 	"recycle/internal/schedule"
 )
 
@@ -231,6 +233,34 @@ func TestDonePrefixResumes(t *testing.T) {
 	bad := map[int]int64{int(p.Stream(p.Workers()[0])[1]): 5}
 	if _, err := ExecuteProgram(p, ProgramOptions{Done: bad}); err == nil {
 		t.Fatal("mid-stream done set was not rejected")
+	}
+}
+
+// TestFrozenSpansInInstructionOrder pins the order a resumed execution
+// records its frozen prefix in: two cut-then-resume executions of the same
+// Program, each into its own flight recorder, record the same lines.
+func TestFrozenSpansInInstructionOrder(t *testing.T) {
+	p := compile1F1B(t, schedule.Shape{DP: 3, PP: 4, MB: 6, Iter: 1})
+	var got [2][]string
+	for i := range got {
+		head, err := ExecuteProgram(p, ProgramOptions{CutAt: 15})
+		if err != nil {
+			t.Fatal(err)
+		}
+		done := make(map[int]int64)
+		for id := range p.Instrs {
+			if head.End[id] >= 0 {
+				done[id] = head.End[id]
+			}
+		}
+		fl := obs.NewFlightRecorder(0)
+		if _, err := ExecuteProgram(p, ProgramOptions{Done: done, Recorder: fl}); err != nil {
+			t.Fatal(err)
+		}
+		got[i] = fl.Records()
+	}
+	if !slices.Equal(got[0], got[1]) {
+		t.Fatalf("two resumed executions recorded different lines:\n%q\n%q", got[0], got[1])
 	}
 }
 
