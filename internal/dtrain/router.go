@@ -148,7 +148,7 @@ func newRouter(shape schedule.Shape, wake []chan struct{}) *router {
 // order. -1 when the key lies outside the shape.
 func (r *router) index(k msgKey) int {
 	t := r.shape.TripleIndex(k.iter, k.stage, k.mb.Pipeline, k.mb.MB)
-	if t < 0 || k.kind < msgAct || k.kind > msgContrib {
+	if t < 0 || k.kind > msgContrib {
 		return -1
 	}
 	return int(k.kind)*r.triples + t

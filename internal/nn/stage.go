@@ -25,11 +25,9 @@ func (k MBKey) Less(o MBKey) bool {
 }
 
 // Stage is one pipeline stage: an ordered list of layers plus the
-// per-micro-batch stash bookkeeping. The deferred weight gradients (§5's
-// WeightGradStore) are not the stage's: BackwardWeight returns them to the
-// caller, which keeps each micro-batch's until its stage group's
-// all-reduce (dtrain's router holds them in one contribution slot per
-// micro-batch).
+// per-micro-batch stash bookkeeping. BackwardWeight returns its deferred
+// weight gradients instead of storing them: the WeightGradStore (§5) is
+// the caller's — in dtrain, one router slot per micro-batch.
 type Stage struct {
 	// Layers is fixed at NewStage: Params() is built from it once.
 	Layers []Layer
@@ -205,9 +203,9 @@ func (s *Stage) Reset() {
 // contribs[k][i] is micro-batch k's gradient of the i-th parameter — in
 // the order given and scales by 1/len(contribs), writing the mean into the
 // stage's parameter gradient accumulators. Floating-point addition is
-// order-sensitive: the caller passes the contributions in canonical (home
-// pipeline, micro-batch) order — MBKey.Less — which is what makes adapted (rerouted)
-// execution produce *bitwise* the same gradients as fault-free execution.
+// order-sensitive: the caller passes the contributions in canonical
+// MBKey.Less order, which is what makes adapted (rerouted) execution
+// produce *bitwise* the same gradients as fault-free execution.
 func (s *Stage) ReduceContributions(contribs [][]*tensor.Matrix) {
 	params := s.params
 	for _, p := range params {
