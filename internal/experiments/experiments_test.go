@@ -32,7 +32,7 @@ func TestTable1Shapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full Table 1 simulation is slow")
 	}
-	rows, _, err := Table1()
+	rows, _, err := table1Once()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestFig11Ordering(t *testing.T) {
 	if testing.Short() {
 		t.Skip("ablation simulation is slow")
 	}
-	rows, _, err := Fig11()
+	rows, _, err := fig11Once()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,7 +14,7 @@ import (
 // and the per-model replay carries a full event log. No steady-state
 // scalar enters ReCycle's row.
 func TestFigure9StallsAreEmergent(t *testing.T) {
-	results, report, err := Figure9()
+	results, report, err := figure9Once()
 	if err != nil {
 		t.Fatal(err)
 	}

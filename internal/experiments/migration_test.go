@@ -17,7 +17,7 @@ func TestMigrationMonotoneInFailureFrequency(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-horizon replays are slow")
 	}
-	rows, err := MigrationJob(config.Table1Jobs()[0])
+	rows, _, err := migrationOnce()
 	if err != nil {
 		t.Fatal(err)
 	}
