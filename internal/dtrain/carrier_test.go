@@ -53,7 +53,7 @@ func TestEveryEdgeHasACarrier(t *testing.T) {
 					audited++
 					// Second events on the spliced chain, at every fifth
 					// later instant to keep the sweep in seconds.
-					for next := cut + 1; next < lv.EndSlot; next += 5 {
+					for next := cut + 1; next < lv.Exec.Makespan; next += 5 {
 						ev := replay.LiveEvent{Prog: lv.Program, Cut: next, Done: lv.Done, Release: lv.Floors}
 						ev.Rejoin = []schedule.Worker{victim}
 						if re, err := replay.LiveSplice(ev); err == nil {

@@ -234,10 +234,7 @@ func pickCascade(rt *Runtime, cfg Config, opt ChaosOptions, cascade int, rng *ra
 			}
 			return nil, err
 		}
-		full, err := sim.ExecuteProgram(cur, sim.ProgramOptions{Done: sc.done, ReleaseAt: sc.floors})
-		if err != nil {
-			return nil, err
-		}
+		full := sc.exec
 		pick := func(chain bool) (KillPoint, []int64) {
 			seen := make(map[KillPoint]bool)
 			for _, pt := range []KillPoint{point, KillBetweenOps, KillAtSend, KillDuringAllReduce, KillInEpilogue} {

@@ -403,24 +403,7 @@ func (rt *Runtime) planIteration(events []CascadeEvent) (*schedule.Program, []*r
 			return nil, nil, nil, err
 		}
 	}
-	final, err := rt.timeline(chain.cur, chain.done, chain.floors)
-	return prog, splices, final, err
-}
-
-// timeline returns the DES execution of prog resumed from a frozen prefix
-// and release floors — each instruction's logical span, which the
-// interpreter takes instead of re-deriving the same recurrence message by
-// message. A fault-free Program's timeline is memoized by pointer.
-func (rt *Runtime) timeline(prog *schedule.Program, done map[int]int64, floors map[schedule.Worker]int64) (*sim.Execution, error) {
-	plain := len(done) == 0 && len(floors) == 0
-	if plain && rt.plainExec != nil && rt.plainExec.Program == prog {
-		return rt.plainExec, nil
-	}
-	ex, err := sim.ExecuteProgram(prog, sim.ProgramOptions{Done: done, ReleaseAt: floors})
-	if err == nil && plain {
-		rt.plainExec = ex
-	}
-	return ex, err
+	return prog, splices, chain.exec, nil
 }
 
 // phaseLabel names the trace segment of one phase: the whole iteration
@@ -441,19 +424,23 @@ func phaseLabel(iter, phase, events int) string {
 // iteration: the Program being interpreted (its Failed set is the
 // membership the next event is checked against, its cost table times the
 // re-planned work), its executed prefix by completion time, the last
-// re-plan's release floors and the last cut. The iteration driver and the
-// chaos planner both advance it, so chaos draws kill instants from the
-// splices the runtime executes.
+// re-plan's release floors, its timeline — each instruction's logical span,
+// which the interpreter takes instead of re-deriving the same recurrence
+// message by message — and the last cut. The iteration
+// driver and the chaos planner both advance it, so chaos draws kill instants
+// from the splices the runtime executes.
 type spliceChain struct {
 	cur    *schedule.Program
 	done   map[int]int64
 	floors map[schedule.Worker]int64
+	exec   *sim.Execution
 	cut    int64
 }
 
 // newSpliceChain starts a chain at the compiled Program for the current
-// failure set. The Program may come from a remote source, so it is checked
-// against the runtime it is about to drive.
+// failure set and its DES execution, memoized by pointer. The Program may
+// come from a remote source, so it is checked against the runtime it is
+// about to drive.
 func (rt *Runtime) newSpliceChain() (*spliceChain, error) {
 	prog, err := rt.Program()
 	if err != nil {
@@ -469,7 +456,14 @@ func (rt *Runtime) newSpliceChain() (*spliceChain, error) {
 	if stale {
 		return nil, fmt.Errorf("%w: compiled around %d failed workers %v, the runtime has %d: %v", ErrForeignProgram, len(prog.Failed), prog.Failed, len(rt.failed), rt.failed)
 	}
-	return &spliceChain{cur: prog}, nil
+	if rt.plainExec == nil || rt.plainExec.Program != prog {
+		ex, err := sim.ExecuteProgram(prog, sim.ProgramOptions{})
+		if err != nil {
+			return nil, err
+		}
+		rt.plainExec = ex
+	}
+	return &spliceChain{cur: prog, exec: rt.plainExec}, nil
 }
 
 // advance splices the in-flight Program around one membership event and
@@ -511,7 +505,7 @@ func (c *spliceChain) advance(ev CascadeEvent) (*replay.LiveSpliced, error) {
 			}
 		}
 	}
-	c.cur, c.done, c.floors, c.cut = lv.Program, lv.Done, lv.Floors, ev.Cut
+	c.cur, c.done, c.floors, c.exec, c.cut = lv.Program, lv.Done, lv.Floors, lv.Exec, ev.Cut
 	return lv, nil
 }
 

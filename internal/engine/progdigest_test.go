@@ -149,7 +149,7 @@ func hashSpliceIdentity(h io.Writer, lv *replay.LiveSpliced) {
 			fmt.Fprintln(h)
 		}
 	}
-	fmt.Fprintf(h, "floors %v end %d lost %v counters %d %d %d %d %d %d %d\n", lv.Floors, lv.EndSlot, lv.LostIDs,
+	fmt.Fprintf(h, "floors %v end %d lost %v counters %d %d %d %d %d %d %d\n", lv.Floors, lv.Exec.Makespan, lv.LostIDs,
 		lv.PrefixOps, lv.SuffixOps, lv.LostOps, lv.LostSlots, lv.ReroutedOps, lv.MigratedTriples, len(p.Instrs))
 }
 

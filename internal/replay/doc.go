@@ -9,28 +9,28 @@
 //     membership-event instant and produces a new, fully validated Program
 //     covering the same iteration: the executed prefix is frozen at its
 //     recorded times, work whose provenance died with a failed worker is
-//     re-executed on live peers, the unexecuted suffix is re-planned
+//     re-executed on live peers, and the unexecuted suffix is re-planned
 //     against the new worker set (re-routing whole micro-batch triples,
-//     adding the optimizer step of a re-joining worker), and the spliced
-//     artifact passes both schedule.Validate and Program.Validate.
-//     Re-planned work is timed by the in-flight Program's cost table
-//     (Program.Cost), which the spliced Program carries on, so a splice is
-//     a pure function of the Program and the event: any process holding
-//     the Program derives the same bytes. There is one rule: a stage whose optimizer step fully completed
-//     before the cut is durable and stays frozen, victim included. And
-//     one call site: cutAndSplice runs the DES up to the event instant
-//     and splices; Replay calls it directly and the live interpreter
+//     adding the optimizer step of a re-joining worker). The Program is
+//     built through schedule.ProgramBuilder, timed from the kept prefix by
+//     the walk every executor runs (Spliced.Exec) and numbered in that
+//     timeline's order. Re-planned work is timed by the in-flight
+//     Program's cost table (Program.Cost), which the spliced Program
+//     carries on, so a splice is a pure function of the Program and the
+//     event: any process holding the Program derives the same bytes. There
+//     is one rule: a stage whose optimizer step fully completed before the
+//     cut is durable and stays frozen, victim included. And one call site:
+//     cutAndSplice runs the DES up to the event instant and splices;
+//     Replay calls it directly and the live interpreter
 //     (dtrain.Runtime.RunIteration) reaches it through LiveSplice, which
 //     adds only the optimizer-straddle guard a live all-reduce needs.
 //
 //     Splice keeps its books on the schedule package's dense op index —
 //     slices indexed by triple, stage group and worker, one slab of
 //     nodes, pooled across the events of a replay or a splice chain — so
-//     one event allocates little beyond the artifact it returns, while
-//     every check above still runs on every splice. The map-keyed
-//     implementation it replaced lives on as the oracle of
-//     TestSpliceMatchesReference and FuzzSplice, which hold the two
-//     bit-identical.
+//     one event allocates little beyond the artifact it returns. The
+//     map-keyed implementation it replaced lives on as the oracle of
+//     TestSpliceMatchesReference and FuzzSplice.
 //
 //   - Replay walks a failure.Trace window by window (Trace.Windows),
 //     fetches the compiled Program for each membership state from the

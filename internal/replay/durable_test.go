@@ -90,16 +90,16 @@ func TestLiveSpliceDurableEpilogueKill(t *testing.T) {
 	// The victim's applied step stays frozen at its executed time, even
 	// though the victim is failed after the event.
 	frozen := false
-	for _, p := range lv.Schedule.Placements {
-		if p.Op.Type == schedule.Optimizer && p.Op.Worker() == victim {
-			if p.End > cut {
-				t.Errorf("victim's durable step re-placed to end at %d, after the cut %d", p.End, cut)
+	for i := range lv.Program.Instrs {
+		if op := lv.Program.Op(i); op.Type == schedule.Optimizer && op.Worker() == victim {
+			if end := lv.Exec.End[i]; end > cut {
+				t.Errorf("victim's durable step re-placed to end at %d, after the cut %d", end, cut)
 			}
 			frozen = true
 		}
 	}
 	if !frozen {
-		t.Error("victim's durable step vanished from the spliced schedule")
+		t.Error("victim's durable step vanished from the spliced program")
 	}
 }
 
@@ -211,7 +211,7 @@ func TestFrozenOptimizerIsNotGated(t *testing.T) {
 				if first == nil || len(frozenStepsUngated(t, what, first, c1)) == 0 {
 					continue
 				}
-				for c2 := c1 + 1; c2 < first.EndSlot; c2++ {
+				for c2 := c1 + 1; c2 < first.Exec.Makespan; c2++ {
 					for _, v2 := range first.Program.Workers() {
 						at := fmt.Sprintf("%s, then %s at %d", what, v2, c2)
 						in := cutInput(t, first.Program, first.Done, first.Floors, SpliceInput{Cut: c2, Fail: []schedule.Worker{v2}})

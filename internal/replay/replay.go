@@ -338,8 +338,8 @@ func Replay(eng *engine.Engine, tr failure.Trace, opt Options) (*Result, error) 
 			ev.Workers = append(append(ev.Workers, dying...), joining...)
 			ev.Machines = append(append(ev.Machines, next.Failed...), next.Rejoined...)
 			ev.ResumedMidIteration = spl.PrefixOps > 0
-			ev.StallSeconds = math.Max(0, float64(spl.EndSlot-expectEnd)*unit)
-			expectEnd = spl.EndSlot
+			ev.StallSeconds = math.Max(0, float64(spl.Exec.Makespan-expectEnd)*unit)
+			expectEnd = spl.Exec.Makespan
 			res.Events = append(res.Events, ev)
 			recordEvent(ev)
 			res.StallSeconds += ev.StallSeconds
@@ -347,7 +347,7 @@ func Replay(eng *engine.Engine, tr failure.Trace, opt Options) (*Result, error) 
 			res.MigratedTriples += spl.MigratedTriples
 			wi++
 			curProg, done, floors = spl.Program, spl.Done, spl.Floors
-			endSec = iterStart + float64(spl.EndSlot)*unit
+			endSec = iterStart + float64(spl.Exec.Makespan)*unit
 			if wi < len(windows)-1 && windows[wi].End.Seconds() < endSec-eps {
 				continue // the next event interrupts the spliced iteration too
 			}

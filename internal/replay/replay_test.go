@@ -246,8 +246,8 @@ func TestReplayRejectsUnrolledEngine(t *testing.T) {
 	}
 }
 
-// TestReplayHonorsCostModel replays under a heterogeneous cost model: the
-// spliced schedules must validate under it (Splice would fail otherwise),
+// TestReplayHonorsCostModel replays under a heterogeneous cost model: kept
+// spans must last their cost under it (Splice would fail otherwise),
 // and the slower fleet yields a longer effective iteration than uniform.
 func TestReplayHonorsCostModel(t *testing.T) {
 	job, stats := engine.ShapeJob(3, 4, 6)

@@ -2,10 +2,12 @@ package replay
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 	"sync"
 
 	"recycle/internal/schedule"
+	"recycle/internal/sim"
 )
 
 // SpliceInput describes one mid-iteration membership event against an
@@ -48,27 +50,24 @@ type SpliceInput struct {
 // Spliced is a validated resumption artifact: the same iteration's work as
 // the input program, re-formed around the new worker set.
 type Spliced struct {
-	// Program is the spliced executable: frozen prefix first, re-planned
-	// suffix after, compiled and validated deadlock-free/edge-consistent.
+	// Program is the spliced executable, numbered in its timeline's order
+	// and validated deadlock-free/edge-consistent.
 	Program *schedule.Program
-	// Schedule is the timed schedule the Program was compiled from; it
-	// passes schedule.Validate under the input cost function.
-	Schedule *schedule.Schedule
 	// Done maps the Program's prefix instruction IDs to their recorded
 	// completion times — hand it to sim.ExecuteProgram (the live runtime
 	// skips it in every stream) so resumption never re-executes completed
 	// work.
 	Done map[int]int64
-	// Floors is the per-worker release floor the re-plan honored; pass it
-	// as ReleaseAt when re-executing so the resumed timeline reproduces
-	// the spliced schedule's.
+	// Floors is the per-worker release floor of the re-planned suffix: no
+	// worker with re-planned work starts it earlier.
 	Floors map[schedule.Worker]int64
 	// Failed is the post-event failed-worker set the suffix was planned
 	// against.
 	Failed map[schedule.Worker]bool
-	// EndSlot is the spliced iteration's completion time (latest placement
-	// end, optimizer included) on the program clock.
-	EndSlot int64
+	// Exec is the resumed timeline: sim.ExecuteProgram of Program from Done
+	// under Floors, so Exec.Makespan is the spliced iteration's completion
+	// time, optimizer included, on the program clock.
+	Exec *sim.Execution
 	// LostIDs lists the input-program instruction IDs of the lost cascade
 	// — completed work on dying workers plus every completed dependent —
 	// in the coordinate system the live runtime's materialized effects are
@@ -106,8 +105,8 @@ type node struct {
 	oldExec    int32 // executor the in-flight program assigned
 	group      int32 // stage group (iter·PP + stage) in the dense op index
 	triple     int32 // triple in the dense op index; -1 for an optimizer
+	id         int32 // instruction ID in the spliced Program
 	kind       nodeKind
-	placed     bool
 }
 
 type nodeKind uint8
@@ -141,13 +140,10 @@ type spliceScratch struct {
 	// Per stage group.
 	optTotal, optFired []int32 // optimizer instructions, and how many completed
 	optDone            []bool  // some optimizer of the group is in the prefix
-	pending            []int32 // weight-gradient contributions not yet placed
-	maxEnd             []int64 // latest end among the placed ones
 
 	// Per worker.
 	failing, down []bool  // dying at the cut; failed after the event
-	loads, free   []int64 // routing load; earliest next start
-	pos           []int32 // timing sweep: next unplaced stream position
+	loads         []int64 // routing load
 
 	// Per triple.
 	pin       []int32 // live executor holding the triple's state, or -1
@@ -155,9 +151,11 @@ type spliceScratch struct {
 
 	bySlot []int32 // per op slot: the node holding it, -1 for none
 
-	tripleNodes []int32 // suffix compute nodes grouped by triple
-	streamOff   []int32 // CSR offsets into streamNodes, per (worker, iter, optimizer-last)
-	streamNodes []int32 // suffix nodes grouped into per-worker streams
+	tripleNodes []int32  // suffix compute nodes grouped by triple
+	runOff      []int32  // CSR offsets into runs, per (worker, kept-first, iter, optimizer-last)
+	runs        []int32  // nodes grouped into per-worker streams
+	keys        []uint64 // (start, worker) per node of runs
+	order       []int32  // positions in runs, in timeline order
 }
 
 var splicePool = sync.Pool{New: func() any { return new(spliceScratch) }}
@@ -220,10 +218,6 @@ func (sc *spliceScratch) isLost(p *schedule.Program, ends []int64, i int) bool {
 	sc.state[i] = verdict
 	return verdict == lost
 }
-
-// contributes reports whether an op of type t feeds its stage's gradient
-// all-reduce.
-func contributes(t schedule.OpType) bool { return t == schedule.B || t == schedule.BWeight }
 
 // Splice splits the in-flight program into its executed prefix and
 // unexecuted suffix, re-plans only the suffix against the post-event
@@ -294,8 +288,8 @@ func Splice(in SpliceInput) (*Spliced, error) {
 		}
 	}
 	// Re-planned work is timed by the Program's own cost table, the model
-	// its schedule was solved with, so frozen prefix spans and re-planned
-	// spans validate under one duration rule.
+	// its schedule was solved with, so kept prefix spans and re-planned
+	// spans are checked against one duration rule.
 	dur := p.Cost
 
 	// Locate every instruction in the dense op index. Stepped (iter, stage)
@@ -346,37 +340,30 @@ func Splice(in SpliceInput) (*Spliced, error) {
 	// set — work completed on a dying worker plus every completed
 	// dependent of it. (A completed instruction's producers all completed,
 	// so the cascade never has to look at unexecuted work.) Prefix nodes
-	// seed the routing loads, the worker clocks and the all-reduce
-	// readiness, and pin their triple to the peer holding its state.
+	// seed the routing loads and pin their triple to the peer holding its
+	// state.
 	sc.state = filled(sc.state, n, unvisited)
 	sc.optDone = filled(sc.optDone, groups, false)
-	sc.pending = filled(sc.pending, groups, 0)
-	sc.maxEnd = filled(sc.maxEnd, groups, 0)
 	sc.loads = filled(sc.loads, nw, 0)
-	sc.free = filled(sc.free, nw, 0)
 	sc.pin = filled(sc.pin, triples, -1)
 	sc.tripleOff = filled(sc.tripleOff, triples+1, 0)
-	optDone, pending, maxEnd, loads, free := sc.optDone, sc.pending, sc.maxEnd, sc.loads, sc.free
+	optDone, loads := sc.optDone, sc.loads
 	pin, tripleOff := sc.pin, sc.tripleOff
 	for i := range nodes {
 		nd := &nodes[i]
 		op, g, k := nd.op, nd.group, nd.triple
 		if in.Ends[i] >= 0 && !sc.isLost(p, in.Ends, i) {
-			nd.kind, nd.placed = prefix, true
+			nd.kind = prefix
 			nd.start, nd.end = in.Starts[i], in.Ends[i]
 			out.PrefixOps++
 			w := sh.WorkerIndex(op.Worker())
 			if over := nd.end - in.Cut; over > loads[w] {
 				loads[w] = over // in-flight work that ran past the event instant
 			}
-			free[w] = max(free[w], nd.end)
 			if op.Type == schedule.Optimizer {
 				optDone[g] = true
 			} else {
 				pin[k] = int32(op.Exec)
-				if contributes(op.Type) {
-					maxEnd[g] = max(maxEnd[g], nd.end)
-				}
 			}
 			continue
 		}
@@ -395,9 +382,6 @@ func Splice(in SpliceInput) (*Spliced, error) {
 		nd.kind = suffix
 		out.SuffixOps++
 		tripleOff[k+1]++
-		if contributes(op.Type) {
-			pending[g]++
-		}
 	}
 	// A re-joining worker steps this iteration's optimizer iff its stage's
 	// all-reduce has not fired yet: joining later, it copies post-step
@@ -476,147 +460,164 @@ func Splice(in SpliceInput) (*Spliced, error) {
 		}
 	}
 
-	// Per-worker suffix streams, ordered by (iteration, optimizer-last,
-	// original instruction ID): a projection of one global topological
-	// order of the dependency DAG, so executing streams in order can never
-	// deadlock, and the staggered-optimizer per-worker ordering (step
-	// before any next-iteration op) holds by construction. Nodes are
-	// already in instruction-ID order, so bucketing them by (worker,
-	// iteration, optimizer-last) is the whole sort.
+	// Each worker's run — its stream in the spliced Program — is its kept
+	// prefix, then its suffix by (iteration, optimizer-last, original
+	// instruction ID): a projection of one topological order of the
+	// dependency DAG, as a Program is numbered in its timeline's order
+	// (Compile's and Splice's alike), so running streams in order cannot
+	// deadlock and a re-planned step precedes its worker's next-iteration
+	// ops. Nodes are in instruction-ID order, so bucketing them by (worker,
+	// kept-first, iteration, optimizer-last) is the whole sort: counts, an
+	// inclusive prefix sum, and a reverse fill that leaves runOff[b] at the
+	// start of bucket b.
+	perWorker := 1 + 2*sh.Iter
 	bucket := func(nd *node) int {
-		b := (sh.WorkerIndex(nd.op.Worker())*sh.Iter + nd.op.Iter) * 2
-		if nd.op.Type == schedule.Optimizer {
-			b++
+		b := sh.WorkerIndex(nd.op.Worker()) * perWorker
+		if nd.kind == suffix {
+			b += 1 + 2*nd.op.Iter
+			if nd.op.Type == schedule.Optimizer {
+				b++
+			}
 		}
 		return b
 	}
-	perWorker := 2 * sh.Iter
-	sc.streamOff = filled(sc.streamOff, nw*perWorker+1, 0)
-	sc.streamNodes = filled(sc.streamNodes, out.SuffixOps, 0)
-	streamOff, streamNodes := sc.streamOff, sc.streamNodes
+	sc.runOff = filled(sc.runOff, nw*perWorker+1, 0)
+	sc.runs = filled(sc.runs, out.PrefixOps+out.SuffixOps, 0)
+	runOff, runs := sc.runOff, sc.runs
 	for i := range nodes {
-		if nd := &nodes[i]; nd.kind == suffix {
-			streamOff[bucket(nd)+1]++
+		if nd := &nodes[i]; nd.kind != dropped {
+			runOff[bucket(nd)]++
 		}
 	}
-	for b := 0; b < nw*perWorker; b++ {
-		streamOff[b+1] += streamOff[b]
+	for b := 1; b <= nw*perWorker; b++ {
+		runOff[b] += runOff[b-1]
 	}
-	for i := range nodes {
-		if nd := &nodes[i]; nd.kind == suffix {
+	for i := len(nodes) - 1; i >= 0; i-- {
+		if nd := &nodes[i]; nd.kind != dropped {
 			b := bucket(nd)
-			streamNodes[streamOff[b]] = int32(i)
-			streamOff[b]++
+			runOff[b]--
+			runs[runOff[b]] = int32(i)
 		}
 	}
-	// The fill left streamOff[b] at the end of bucket b, so worker w's
-	// stream ends at streamOff[(w+1)·perWorker-1] and starts where w-1's ends.
-	stream := func(w int) []int32 {
-		lo := int32(0)
-		if w > 0 {
-			lo = streamOff[w*perWorker-1]
+	for w := 0; w < nw; w++ { // worker w's run is runs[runOff[w·perWorker]:runOff[(w+1)·perWorker]]
+		if runOff[(w+1)*perWorker] > runOff[w*perWorker+1] { // a suffix follows the prefix
+			out.Floors[sh.WorkerAt(w)] = max(in.Cut, in.Release[sh.WorkerAt(w)])
 		}
-		return streamNodes[lo:streamOff[(w+1)*perWorker-1]]
 	}
-	for w := 0; w < nw; w++ {
-		if len(stream(w)) == 0 {
+
+	// A kept instruction that ended by the cut is frozen: it consumed its
+	// inputs before the event, and a producer it read from may be re-placed
+	// after the cut, so it waits on nothing — no edges, and no gate on an
+	// optimizer. Every other compute op waits on its Shape.AppendInputs,
+	// found by op slot, and every other optimizer on its group's barrier.
+	frozen := func(nd *node) bool { return nd.kind == prefix && nd.end <= in.Cut }
+	waits := func(nd *node) bool { return !frozen(nd) && nd.op.Type != schedule.Optimizer }
+	var inputs [2]schedule.Input
+	edges := 0
+	for k, i := range runs {
+		if nd := &nodes[i]; waits(nd) {
+			edges += len(sh.AppendInputs(inputs[:0], nd.op.Type, nd.op.Stage, int(nd.triple)))
+		}
+		nodes[i].id = int32(k)
+	}
+	// Emit the spliced Program with runs[k] as instruction k, and time it by
+	// the walk every executor runs, resumed from the kept prefix under the
+	// release floors.
+	b := schedule.NewProgramBuilder(sh, p.Durations, newFailed, len(runs), edges)
+	done := make(map[int]int64, out.PrefixOps)
+	for k, i := range runs {
+		nd := &nodes[i]
+		d := dur(nd.op.Worker(), nd.op.Type)
+		if nd.kind == prefix {
+			d, done[k] = nd.end-nd.start, nd.end
+		}
+		if b.Instr(nd.op, d, !frozen(nd) && nd.op.Type == schedule.Optimizer); !waits(nd) {
 			continue
 		}
-		floor := in.Cut
-		if r, ok := in.Release[sh.WorkerAt(w)]; ok && r > floor {
-			floor = r
-		}
-		out.Floors[sh.WorkerAt(w)] = floor
-		free[w] = max(free[w], floor)
-	}
-
-	// Fixed-point timing sweep — the executors' own recurrence, start =
-	// max(worker free, dependency ends + comm), applied to the suffix with
-	// the prefix frozen. A compute node waits on its Shape.AppendInputs,
-	// looked up by op slot; an optimizer waits for its group's contribution counter to
-	// drain and starts no earlier than the contributions' running latest
-	// end. Workers are walked in index order, so a malformed program yields
-	// the same error on every call.
-	sc.pos = filled(sc.pos, nw, 0)
-	pos := sc.pos
-	var inputs [2]schedule.Input
-	for remaining := out.SuffixOps; remaining > 0; {
-		progressed := false
-		for w := 0; w < nw; w++ {
-			s := stream(w)
-			for int(pos[w]) < len(s) {
-				nd := &nodes[s[pos[w]]]
-				ready, ok := maxEnd[nd.group], pending[nd.group] == 0
-				if nd.op.Type != schedule.Optimizer {
-					ready, ok = 0, true
-					for _, d := range sh.AppendInputs(inputs[:0], nd.op.Type, nd.op.Stage, int(nd.triple)) {
-						if bySlot[d.Slot] < 0 {
-							return nil, fmt.Errorf("replay: %s has no %s", nd.op, d)
-						}
-						if pr := &nodes[bySlot[d.Slot]]; !pr.placed {
-							ok = false
-						} else {
-							ready = max(ready, pr.end+p.Durations.EdgeLatency(d.Kind))
-						}
-					}
-				}
-				if !ok {
-					break
-				}
-				nd.start = max(free[w], ready)
-				nd.end = nd.start + dur(sh.WorkerAt(w), nd.op.Type)
-				nd.placed = true
-				if contributes(nd.op.Type) {
-					pending[nd.group]--
-					maxEnd[nd.group] = max(maxEnd[nd.group], nd.end)
-				}
-				free[w] = nd.end
-				pos[w]++
-				remaining--
-				progressed = true
+		for _, d := range sh.AppendInputs(inputs[:0], nd.op.Type, nd.op.Stage, int(nd.triple)) {
+			if bySlot[d.Slot] < 0 {
+				return nil, fmt.Errorf("replay: %s has no %s", nd.op, d)
 			}
-		}
-		if !progressed {
-			return nil, fmt.Errorf("replay: suffix re-plan deadlocked with %d ops unplaced", remaining)
+			b.Dep(int(nodes[bySlot[d.Slot]].id), d.Kind)
 		}
 	}
-
-	// Assemble the spliced schedule and compile it — Compile re-validates
-	// completeness, edge consistency and deadlock-freedom.
-	placements := make([]schedule.Placement, 0, out.PrefixOps+out.SuffixOps)
-	for _, kind := range [...]nodeKind{prefix, suffix} {
-		for i := range nodes {
-			if nd := &nodes[i]; nd.kind == kind {
-				placements = append(placements, schedule.Placement{Op: nd.op, Start: nd.start, End: nd.end})
-				out.EndSlot = max(out.EndSlot, nd.end)
+	for w := 0; w < nw; w++ {
+		if lo, hi := runOff[w*perWorker], runOff[(w+1)*perWorker]; hi > lo {
+			b.Stream(sh.WorkerAt(w))
+			for k := lo; k < hi; k++ {
+				b.Next(int(k))
 			}
 		}
 	}
-	out.Schedule = schedule.New(sh, p.Durations, newFailed, placements)
-	// The prefix may keep a durable consumer whose producer is re-placed
-	// after the cut; CompileFrozen drops the dead edges into the frozen
-	// prefix so that historical back-edge cannot close a spurious cycle with
-	// same-worker stream order.
-	prog, err := schedule.CompileFrozen(out.Schedule, in.Cut)
+	prog, err := b.Build()
 	if err != nil {
 		return nil, fmt.Errorf("replay: spliced schedule does not compile: %w", err)
 	}
 	if err := prog.SetCostTable(p.CostTable()); err != nil {
 		return nil, err
 	}
-	out.Program = prog
-	// Done: the spliced Program's instructions whose op is a prefix node
-	// (Compile accepted the schedule, so every op is one node's).
-	out.Done = make(map[int]int64, out.PrefixOps)
-	for i := range prog.Instrs {
-		if nd := &nodes[bySlot[prog.Slot(i)]]; nd.kind == prefix {
-			out.Done[i] = nd.end
+	ex, err := sim.ExecuteProgram(prog, sim.ProgramOptions{Done: done, ReleaseAt: out.Floors})
+	if err != nil {
+		return nil, fmt.Errorf("replay: spliced program does not run: %w", err)
+	}
+	for k, i := range runs {
+		if nd := &nodes[i]; nd.kind == suffix {
+			nd.start, nd.end = ex.Start[k], ex.End[k]
 		}
 	}
-	// Durable victim work stays frozen in the prefix on its (now failed)
-	// worker; admit exactly those placements and nothing later.
-	if err := schedule.Validate(out.Schedule, schedule.ValidateConfig{Costs: p.Cost, FrozenBefore: in.Cut}); err != nil {
-		return nil, fmt.Errorf("replay: spliced schedule fails validation: %w", err)
+
+	// Number the spliced Program in its timeline's order — start, then
+	// worker — as Compile numbers a schedule's: a later splice buckets its
+	// suffix by that order. Each run is in start order, so sorting (start,
+	// worker) keys and taking each key's worker's next instruction merges
+	// them.
+	shift := bits.Len(uint(nw))
+	sc.keys = filled(sc.keys, len(runs), 0)
+	for k, i := range runs {
+		start := min(max(nodes[i].start, 0), 1<<(63-shift)-1)
+		sc.keys[k] = uint64(start)<<shift | uint64(sh.WorkerIndex(nodes[i].op.Worker()))
+	}
+	slices.Sort(sc.keys)
+	sc.order = filled(sc.order, len(runs), 0)
+	for k, key := range sc.keys {
+		run := int(key&(1<<shift-1)) * perWorker // its worker's run: runOff[run] is now a cursor
+		sc.order[k] = runOff[run]
+		runOff[run]++
+	}
+
+	// The walk's spans, copied into the nodes above, renumbered with it,
+	// and the prefix/suffix boundary. Kept spans are the caller's: none may
+	// run past the cut on a worker that is down after the event — a victim
+	// keeps only its durable pre-cut work — and each must last its cost. An
+	// ungated kept step must follow its group's weight gradients, which the
+	// splice may have re-executed after it. The first offender in timeline
+	// order is reported.
+	out.Program, out.Done, out.Exec = prog.Renumber(sc.order), make(map[int]int64, out.PrefixOps), ex
+	ex.Program = out.Program
+	for k, at := range sc.order {
+		nd := &nodes[runs[at]]
+		if ex.Start[k], ex.End[k] = nd.start, nd.end; nd.kind != prefix {
+			continue
+		}
+		out.Done[k], ex.Start[k] = nd.end, nd.end-out.Program.DurOf(k) // as the walk installs it
+		switch want := dur(nd.op.Worker(), nd.op.Type); {
+		case down[sh.WorkerIndex(nd.op.Worker())] && nd.end > in.Cut:
+			return nil, fmt.Errorf("replay: spliced schedule fails validation: schedule: op %s placed on failed worker", nd.op)
+		case nd.end-nd.start != want:
+			return nil, fmt.Errorf("replay: spliced schedule fails validation: schedule: op %s has duration %d, want %d", nd.op, nd.end-nd.start, want)
+		}
+	}
+	for _, at := range sc.order {
+		if nd := &nodes[runs[at]]; nd.kind == prefix && nd.op.Type == schedule.Optimizer {
+			ready := int64(0)
+			for _, c := range out.Program.Barrier.Group(int(nd.group)) {
+				ready = max(ready, out.Exec.End[c])
+			}
+			if nd.start < ready {
+				return nil, fmt.Errorf("replay: spliced schedule fails validation: schedule: optimizer on %s starts %d before stage %d all-reduce is ready at %d",
+					nd.op.Worker(), nd.start, nd.op.Stage, ready)
+			}
+		}
 	}
 	return out, nil
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -87,8 +88,12 @@ func withBarrierEdges(t testing.TB, p *schedule.Program) *schedule.Program {
 
 // sameSplice requires Splice to reproduce the reference on one input — the
 // reference walking the barrier as the edges it stands for — with equal
-// error strings, or artifacts equal field by field. It returns Splice's
-// artifact (nil when both rejected the input).
+// error strings, or artifacts equal field by field up to instruction
+// numbering: instructions are matched by op, and each must carry the same
+// duration, gate, producers and Done end, sit at the same place in its
+// worker's stream and barrier group, and run for the span the reference's
+// sweep placed it at. It returns Splice's artifact (nil when both rejected
+// the input).
 func sameSplice(t testing.TB, tally *diffTally, what string, in SpliceInput) *Spliced {
 	t.Helper()
 	got, gerr := Splice(in)
@@ -108,27 +113,60 @@ func sameSplice(t testing.TB, tally *diffTally, what string, in SpliceInput) *Sp
 			t.Fatalf("%s: %s differs from the reference\n got: %v\nwant: %v", what, field, g, w)
 		}
 	}
-	check("Program.Shape", got.Program.Shape, want.Program.Shape)
-	check("Program.Durations", got.Program.Durations, want.Program.Durations)
-	check("Program.Failed", got.Program.Failed, want.Program.Failed)
-	check("Program.Workers", got.Program.Workers(), want.Program.Workers())
-	for i := range want.Program.Instrs {
-		if i < len(got.Program.Instrs) {
-			check(fmt.Sprintf("Program.Instrs[%d]", i), got.Program.Instrs[i], want.Program.Instrs[i])
+	gp, wp := got.Program, want.Program
+	check("Program.Shape", gp.Shape, wp.Shape)
+	check("Program.Durations", gp.Durations, wp.Durations)
+	check("Program.Failed", gp.Failed, wp.Failed)
+	check("Program.CostTable", gp.CostTable(), wp.CostTable())
+	check("Program.Workers", gp.Workers(), wp.Workers())
+	check("len(Program.Instrs)", len(gp.Instrs), len(wp.Instrs))
+	check("len(Done)", len(got.Done), len(want.Done))
+	placed := make(map[schedule.Op]schedule.Placement, len(want.Schedule.Placements))
+	for _, pl := range want.Schedule.Placements {
+		placed[pl.Op] = pl
+	}
+	// ops names instructions by op, the identity renumbering keeps.
+	ops := func(p *schedule.Program, ids []int32) []schedule.Op {
+		out := make([]schedule.Op, len(ids))
+		for n, id := range ids {
+			out[n] = p.Op(int(id))
+		}
+		return out
+	}
+	wantID := make(map[schedule.Op]int, len(wp.Instrs))
+	for j := range wp.Instrs {
+		wantID[wp.Op(j)] = j
+	}
+	for i := range gp.Instrs {
+		op := gp.Op(i)
+		j, ok := wantID[op]
+		if !ok {
+			t.Fatalf("%s: Splice emits %s, the reference does not", what, op)
+		}
+		check(op.String()+" Dur", gp.Instrs[i].Dur, wp.Instrs[j].Dur)
+		check(op.String()+" gated", gp.Gated(i), wp.Gated(j))
+		gd, gok := got.Done[i]
+		wd, wok := want.Done[j]
+		check(op.String()+" Done", [2]any{gd, gok}, [2]any{wd, wok})
+		check(op.String()+" span", [2]int64{got.Exec.Start[i], got.Exec.End[i]}, [2]int64{placed[op].Start, placed[op].End})
+		gdeps, wdeps := gp.Deps(i), wp.Deps(j)
+		check(op.String()+" producers", len(gdeps), len(wdeps))
+		for n := range gdeps {
+			check(op.String()+" producer", [2]any{gdeps[n].Kind, gp.Op(int(gdeps[n].From))}, [2]any{wdeps[n].Kind, wp.Op(int(wdeps[n].From))})
 		}
 	}
-	check("len(Program.Instrs)", len(got.Program.Instrs), len(want.Program.Instrs))
-	for _, w := range want.Program.Workers() {
-		check(fmt.Sprintf("Program.Stream(%s)", w), got.Program.Stream(w), want.Program.Stream(w))
+	for _, w := range wp.Workers() {
+		check(fmt.Sprintf("Program.Stream(%s)", w), ops(gp, gp.Stream(w)), ops(wp, wp.Stream(w)))
 	}
-	check("Program.Barrier", got.Program.Barrier, want.Program.Barrier)
-	check("Program", got.Program, want.Program)
-	check("Schedule.Placements", got.Schedule.Placements, want.Schedule.Placements)
-	check("Done", got.Done, want.Done)
+	for g := 0; g+1 < len(wp.Barrier.Off); g++ {
+		gops, wops := ops(gp, gp.Barrier.Group(g)), ops(wp, wp.Barrier.Group(g))
+		slices.SortFunc(gops, func(a, b schedule.Op) int { return wantID[a] - wantID[b] })
+		check(fmt.Sprintf("Program.Barrier.Group(%d)", g), gops, wops)
+	}
 	check("Floors", got.Floors, want.Floors)
 	check("Failed", got.Failed, want.Failed)
 	check("LostIDs", got.LostIDs, want.LostIDs)
-	check("EndSlot", got.EndSlot, want.EndSlot)
+	check("Exec.Makespan", got.Exec.Makespan, want.EndSlot)
 	check("counters",
 		[]int64{int64(got.PrefixOps), int64(got.LostOps), int64(got.SuffixOps), int64(got.ReroutedOps), got.LostSlots, int64(got.MigratedTriples)},
 		[]int64{int64(want.PrefixOps), int64(want.LostOps), int64(want.SuffixOps), int64(want.ReroutedOps), want.LostSlots, int64(want.MigratedTriples)})
@@ -285,7 +323,7 @@ func diffCase(t testing.TB, tally *diffTally, rng *rand.Rand) {
 		if spl == nil || rng.Intn(2) == 0 {
 			return
 		}
-		prog, done, floors, failed, end = spl.Program, spl.Done, spl.Floors, spl.Failed, spl.EndSlot
+		prog, done, floors, failed, end = spl.Program, spl.Done, spl.Floors, spl.Failed, spl.Exec.Makespan
 	}
 }
 
@@ -323,10 +361,10 @@ func FuzzSplice(f *testing.F) {
 
 // TestSpliceErrorIsDeterministic hands Splice a hand-assembled Program in
 // which two micro-batches, homed on different pipelines, lack their
-// upstream forward. Splice does not validate its input, so the timing
-// sweep is what notices; walking workers in index order makes the error it
-// returns a pure function of the input (the map-ordered sweep named one
-// micro-batch or the other from run to run).
+// upstream forward. Splice does not validate its input, so wiring the
+// suffix's edges is what notices; emitting the streams in worker order makes
+// the error it returns a pure function of the input (the map-ordered sweep
+// of the reference named one micro-batch or the other from run to run).
 func TestSpliceErrorIsDeterministic(t *testing.T) {
 	sh := schedule.Shape{DP: 2, PP: 2, MB: 1, Iter: 1}
 	b := schedule.NewProgramBuilder(sh, schedule.UnitSlots, nil, sh.DP, 0)
@@ -360,8 +398,8 @@ func TestSpliceErrorIsDeterministic(t *testing.T) {
 // LiveSplice of a DP4×PP4×MB8 iteration (272 instructions) must stay within
 // one allocation per instruction. The map-keyed Splice paid 4 115 here
 // (15.1 per instruction); what remains is the artifact itself — the cut
-// execution's spans, the placements, the Program's Instrs, Deps slab and
-// stream slab, and the Done/Floors/Failed maps.
+// execution's spans, the Program's Instrs, Deps slab and stream slab (built,
+// then renumbered), its timeline, and the Done/Floors/Failed maps.
 func TestLiveSpliceAllocationBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector empties sync.Pool at random")
@@ -384,4 +422,5 @@ func TestLiveSpliceAllocationBudget(t *testing.T) {
 	if per := allocs / float64(len(prog.Instrs)); per > 1 {
 		t.Fatalf("LiveSplice allocates %.0f times for %d instructions (%.2f per instruction), budget 1", allocs, len(prog.Instrs), per)
 	}
+	t.Logf("LiveSplice allocates %.0f times for %d instructions", allocs, len(prog.Instrs))
 }

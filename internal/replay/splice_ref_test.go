@@ -14,10 +14,21 @@ type tripleKey struct {
 	iter, stage, mb, home int
 }
 
+// refSpliced is the reference's artifact: the Spliced fields it fills, plus
+// the timed schedule it lowers and that schedule's latest end.
+type refSpliced struct {
+	*Spliced
+	Schedule *schedule.Schedule
+	EndSlot  int64
+}
+
 // spliceRef is the map-keyed Splice this package shipped before the dense op
 // index, kept verbatim as the differential oracle: TestSpliceMatchesReference
-// and FuzzSplice require Splice to reproduce its output bit for bit.
-func spliceRef(in SpliceInput) (*Spliced, error) {
+// and FuzzSplice require Splice to reproduce its output up to instruction
+// numbering. It times the suffix with its own sweep and lowers and validates
+// the timed schedule with the frozen-prefix rules Splice once delegated to
+// the schedule package (compileFrozenRef, validateFrozenRef).
+func spliceRef(in SpliceInput) (*refSpliced, error) {
 	p := in.Prog
 	if p == nil {
 		return nil, fmt.Errorf("replay: cannot splice a nil program")
@@ -116,12 +127,12 @@ func spliceRef(in SpliceInput) (*Spliced, error) {
 		}
 	}
 
-	out := &Spliced{
+	out := &refSpliced{Spliced: &Spliced{
 		Done:       make(map[int]int64),
 		Floors:     make(map[schedule.Worker]int64),
 		Failed:     newFailed,
 		splitStage: -1,
-	}
+	}}
 	for k, fired := range optFired {
 		if fired < optTotal[k] {
 			out.splitStage = k[1]
@@ -420,10 +431,10 @@ func spliceRef(in SpliceInput) (*Spliced, error) {
 	}
 	out.Schedule = schedule.New(sh, p.Durations, newFailed, placements)
 	// The prefix may keep a durable consumer whose producer is re-placed
-	// after the cut; CompileFrozen drops the dead edges into the frozen
+	// after the cut; compileFrozenRef drops the dead edges into the frozen
 	// prefix so that historical back-edge cannot close a spurious cycle with
 	// same-worker stream order.
-	prog, err := schedule.CompileFrozen(out.Schedule, in.Cut)
+	prog, err := compileFrozenRef(out.Schedule, in.Cut)
 	if err != nil {
 		return nil, fmt.Errorf("replay: spliced schedule does not compile: %w", err)
 	}
@@ -440,7 +451,7 @@ func spliceRef(in SpliceInput) (*Spliced, error) {
 	out.SuffixOps = len(suffix)
 	// Durable victim work stays frozen in the prefix on its (now failed)
 	// worker; admit exactly those placements and nothing later.
-	if err := schedule.Validate(out.Schedule, schedule.ValidateConfig{Costs: p.Cost, FrozenBefore: in.Cut}); err != nil {
+	if err := validateFrozenRef(out.Schedule, p.Cost, in.Cut); err != nil {
 		return nil, fmt.Errorf("replay: spliced schedule fails validation: %w", err)
 	}
 	return out, nil

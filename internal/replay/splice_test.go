@@ -1,6 +1,7 @@
 package replay
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -71,9 +72,9 @@ func TestSpliceFailureMidIteration(t *testing.T) {
 	if spl.PrefixOps == 0 {
 		t.Fatal("no executed prefix survived a mid-iteration cut")
 	}
-	for _, pl := range spl.Schedule.Placements {
-		if pl.Op.Worker() == victim {
-			t.Fatalf("spliced schedule still places %s on the dead worker", pl.Op)
+	for i := range spl.Program.Instrs {
+		if op := spl.Program.Op(i); op.Worker() == victim {
+			t.Fatalf("spliced program still places %s on the dead worker", op)
 		}
 	}
 	// The dead worker's optimizer is dropped; everyone else still steps.
@@ -136,16 +137,17 @@ func TestSpliceRejoinResumesBeforeBoundary(t *testing.T) {
 	}
 	var wOps, wOpt int
 	var firstStart int64 = -1
-	for _, pl := range spl.Schedule.Placements {
-		if pl.Op.Worker() != w {
+	for i := range spl.Program.Instrs {
+		op := spl.Program.Op(i)
+		if op.Worker() != w {
 			continue
 		}
 		wOps++
-		if pl.Op.Type == schedule.Optimizer {
+		if op.Type == schedule.Optimizer {
 			wOpt++
 		}
-		if firstStart < 0 || pl.Start < firstStart {
-			firstStart = pl.Start
+		if start := spl.Exec.Start[i]; firstStart < 0 || start < firstStart {
+			firstStart = start
 		}
 	}
 	if wOps == 0 {
@@ -178,8 +180,8 @@ func TestSpliceRejoinResumesBeforeBoundary(t *testing.T) {
 // TestSpliceProperty is the splice-correctness property test: across
 // random shapes, cut instants and event kinds, a suffix-re-planned
 // Program never loses a micro-batch, never double-executes a completed
-// instruction, and passes schedule.Validate (which Splice itself enforces
-// — this test asserts it independently) plus full resumption.
+// instruction, runs a timeline that keeps every dependency (checkTimeline)
+// and resumes to completion.
 func TestSpliceProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	shapes := [][3]int{{2, 2, 4}, {3, 4, 6}, {2, 3, 5}, {4, 2, 6}}
@@ -246,12 +248,9 @@ func TestSpliceProperty(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d (shape %v cut %d fail %v rejoin %v): %v", trial, sh, cut, fail, rejoin, err)
 		}
-		// 1. Validate independently of Splice's own check. A victim's work
-		// in a stepped group stays frozen on its (now failed) worker, so
-		// the prefix before the cut is admitted there.
-		if err := schedule.Validate(spl.Schedule, schedule.ValidateConfig{FrozenBefore: cut}); err != nil {
-			t.Fatalf("trial %d: spliced schedule invalid: %v", trial, err)
-		}
+		// 1. Check the splice's timeline independently of the walk that
+		// made it, and the Program's structure.
+		checkTimeline(t, fmt.Sprintf("trial %d", trial), spl, cut)
 		if err := spl.Program.Validate(); err != nil {
 			t.Fatalf("trial %d: spliced program invalid: %v", trial, err)
 		}
@@ -285,6 +284,45 @@ func TestSpliceProperty(t *testing.T) {
 		for i := range spl.Program.Instrs {
 			if _, isDone := spl.Done[i]; !isDone && res.Start[i] < cut {
 				t.Fatalf("trial %d: re-planned instruction %d started at %d, before the event %d", trial, i, res.Start[i], cut)
+			}
+		}
+	}
+}
+
+// checkTimeline asserts, on the splice's own timeline, what a valid
+// schedule promises: every instruction ran for its duration; none ran on a
+// failed worker past the cut (a victim keeps only its durable pre-cut
+// work); each worker runs its stream in order, one instruction at a time;
+// and no re-planned instruction starts before its producers end plus
+// their edge latency or, for a gated step, before its group's weight
+// gradients end.
+func checkTimeline(t *testing.T, what string, spl *Spliced, cut int64) {
+	t.Helper()
+	p, ex := spl.Program, spl.Exec
+	if ex.Completed != len(p.Instrs) {
+		t.Fatalf("%s: the splice ran %d of %d instructions", what, ex.Completed, len(p.Instrs))
+	}
+	for _, w := range p.Workers() {
+		free := int64(0)
+		for _, id := range p.Stream(w) {
+			op, start, end := p.Op(int(id)), ex.Start[id], ex.End[id]
+			if end-start != p.DurOf(int(id)) {
+				t.Fatalf("%s: %s runs [%d,%d), not its duration %d", what, op, start, end, p.DurOf(int(id)))
+			}
+			if spl.Failed[w] && end > cut {
+				t.Fatalf("%s: %s runs on failed %s until %d, past the cut %d", what, op, w, end, cut)
+			}
+			if start < free {
+				t.Fatalf("%s: %s starts at %d, before %s is free at %d", what, op, start, w, free)
+			}
+			free = end
+			if _, done := spl.Done[int(id)]; done {
+				continue
+			}
+			for _, d := range p.Producers(int(id)) {
+				if ready := ex.End[d.From] + p.EdgeLatency(d.Kind); start < ready {
+					t.Fatalf("%s: %s starts at %d, before its %v producer %s is ready at %d", what, op, start, d.Kind, p.Op(int(d.From)), ready)
+				}
 			}
 		}
 	}

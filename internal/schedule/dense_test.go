@@ -109,17 +109,16 @@ func withBarrierEdges(p *Program) *refProgram {
 }
 
 // trial is one differential case: the fault-free 1F1B schedule of a shape,
-// optionally decoupled, carrying random defects, compiled with a frozen
-// prefix and validated under a memory cap.
+// optionally decoupled, carrying random defects, compiled and validated
+// under a memory cap.
 type trial struct {
-	sh           Shape
-	decouple     bool
-	defects      int
-	frozenBefore int64
-	memCap       int
+	sh       Shape
+	decouple bool
+	defects  int
+	memCap   int
 }
 
-// checkTrial runs one trial against the references: the Program CompileFrozen
+// checkTrial runs one trial against the references: the Program Compile
 // builds equals the reference's field by field — the barrier expanded into
 // the all-reduce edges the reference attaches — and every rejection keeps
 // its text. rng draws the defects and one edge corruption of the compiled
@@ -138,8 +137,8 @@ func checkTrial(t testing.TB, rng *rand.Rand, c trial) (rejected bool) {
 	s := New(c.sh, UnitSlots, failed, ps)
 	what := fmt.Sprintf("%+v", c)
 
-	got, gerr := CompileFrozen(s, c.frozenBefore)
-	want, werr := compileFrozenRef(s, c.frozenBefore)
+	got, gerr := Compile(s)
+	want, werr := compileRef(s)
 	sameError(t, what+": compile", gerr, werr)
 	if gerr == nil {
 		if !reflect.DeepEqual(withBarrierEdges(got), want) {
@@ -160,15 +159,14 @@ func checkTrial(t testing.TB, rng *rand.Rand, c trial) (rejected bool) {
 			}
 		}
 	}
-	cfg := ValidateConfig{FrozenBefore: c.frozenBefore, MemCap: c.memCap}
+	cfg := ValidateConfig{MemCap: c.memCap}
 	sameError(t, what+": validate", Validate(s, cfg), validateRef(s, cfg))
 	return gerr != nil
 }
 
 // TestCompileValidateMatchReference is the differential oracle of the
 // dense-index Compile, Program.Validate and Validate: on sound schedules
-// (coupled and decoupled, one or two iterations, with and without a frozen
-// prefix) and on schedules carrying one or two random defects, checkTrial
+// (coupled and decoupled, one or two iterations) and on schedules carrying one or two random defects, checkTrial
 // holds.
 func TestCompileValidateMatchReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
@@ -177,9 +175,6 @@ func TestCompileValidateMatchReference(t *testing.T) {
 		c := trial{sh: Shape{DP: 1 + rng.Intn(4), PP: 1 + rng.Intn(4), MB: 1 + rng.Intn(6), Iter: 1 + rng.Intn(2)}}
 		c.sh.MB = max(c.sh.MB, c.sh.PP)
 		c.decouple, c.defects = rng.Intn(2) == 0, rng.Intn(3)
-		if rng.Intn(2) == 0 {
-			c.frozenBefore = int64(rng.Intn(12))
-		}
 		c.memCap = rng.Intn(3) * c.sh.MB
 		if checkTrial(t, rng, c) {
 			rejected++
@@ -191,18 +186,17 @@ func TestCompileValidateMatchReference(t *testing.T) {
 }
 
 // FuzzCompileValidate runs checkTrial on trials drawn from the fuzz input:
-// the shape, the decoupling, the defect count, the frozen prefix, the
-// memory cap, and the seed the defects are drawn from.
+// the shape, the decoupling, the defect count, the memory cap, and the
+// seed the defects are drawn from.
 func FuzzCompileValidate(f *testing.F) {
-	f.Add(uint8(2), uint8(3), uint8(4), uint8(0), false, uint8(0), uint8(0), uint8(0), int64(1))
-	f.Add(uint8(1), uint8(2), uint8(2), uint8(1), true, uint8(1), uint8(5), uint8(1), int64(2))
-	f.Add(uint8(3), uint8(1), uint8(5), uint8(0), true, uint8(2), uint8(11), uint8(2), int64(3))
-	f.Fuzz(func(t *testing.T, dp, pp, mb, iter uint8, decoupled bool, defects, frozen, memCap uint8, seed int64) {
+	f.Add(uint8(2), uint8(3), uint8(4), uint8(0), false, uint8(0), uint8(0), int64(1))
+	f.Add(uint8(1), uint8(2), uint8(2), uint8(1), true, uint8(1), uint8(1), int64(2))
+	f.Add(uint8(3), uint8(1), uint8(5), uint8(0), true, uint8(2), uint8(2), int64(3))
+	f.Fuzz(func(t *testing.T, dp, pp, mb, iter uint8, decoupled bool, defects, memCap uint8, seed int64) {
 		sh := Shape{DP: 1 + int(dp%4), PP: 1 + int(pp%4), MB: 1 + int(mb%6), Iter: 1 + int(iter%2)}
 		sh.MB = max(sh.MB, sh.PP)
 		checkTrial(t, rand.New(rand.NewSource(seed)), trial{
-			sh: sh, decouple: decoupled, defects: int(defects % 3),
-			frozenBefore: int64(frozen % 12), memCap: int(memCap%3) * sh.MB,
+			sh: sh, decouple: decoupled, defects: int(defects % 3), memCap: int(memCap%3) * sh.MB,
 		})
 	})
 }

@@ -44,7 +44,7 @@
 // a coupled B), then one slot per (stage group, exec) optimizer (Slot,
 // OpSlot). One dependency rule says what an op waits on: Shape.AppendInputs,
 // the MILP's Eq. 2–4 as at most two producer slots with their DepKind.
-// Compile's edges, Validate's timing checks, replay.Splice's re-plan and
+// Compile's edges, Validate's timing checks, replay.Splice's edges and
 // FaultFree1F1B's closed form all loop over those inputs through one table
 // indexed by op slot (-1 for absent); re-routing a micro-batch
 // changes which worker runs it, never what it waits on. The tables are
@@ -59,8 +59,8 @@
 // offset of its edges), one edge slab of 8-byte Deps, and one int32 slab
 // for the streams — CSR over WorkerIndex — and the barrier's lists. Its
 // accessors (Op, Type, OpIndex, Deps, Gated, Stream) decode on read.
-// Compile and ProgramBuilder, the constructor decoders and hand-assembled
-// Programs go through, are the only ways to build one.
+// Compile and ProgramBuilder, the constructor replay.Splice, decoders and
+// hand-assembled Programs go through, are the only ways to build one.
 //
 // The package also provides the closed-form fault-free 1F1B schedule
 // (FaultFree1F1B), the canonical 1F1B instruction order, and an ASCII

@@ -117,8 +117,8 @@ type Program struct {
 // optimizer (DP²·MB·PP per iteration); executors keep one pending count
 // and one running latest end per group, as the solver does. The optimizers
 // it gates are marked on their instructions (Program.Gated): every
-// optimizer Compile emits except those of a frozen prefix, which ran before
-// the splice and carry no edges.
+// optimizer but those of a splice's frozen prefix, which ran before the
+// splice and carry no edges.
 type Barrier struct {
 	// Off and IDs list each group's contributions in CSR form: stage group
 	// g = Shape.StageIndex(iter, stage) is IDs[Off[g]:Off[g+1]], in
@@ -489,10 +489,47 @@ func (b *ProgramBuilder) Build() (*Program, error) {
 	return p, nil
 }
 
-// compileScratch is Compile's working set, pooled so that the splice path
-// (one Compile per membership event) allocates only what the Program keeps.
+// Renumber returns p with instruction order[k] as instruction k: the same
+// ops, edges, gates, streams and barrier under new IDs, so it holds every
+// invariant Validate checked of p without walking it again. order must be
+// a permutation of p's instruction IDs.
+func (p *Program) Renumber(order []int32) *Program {
+	n, groups := len(p.Instrs), p.Shape.Iter*p.Shape.PP
+	sc := compilePool.Get().(*compileScratch)
+	defer compilePool.Put(sc)
+	sc.id = filled(sc.id, n, 0)
+	for k, i := range order {
+		sc.id[i] = int32(k)
+	}
+	q := &Program{Shape: p.Shape, Durations: p.Durations, Failed: p.Failed, Instrs: make([]Instr, n),
+		deps: make([]Dep, 0, len(p.deps)), workers: p.workers, costs: p.costs}
+	for k, i := range order {
+		q.Instrs[k] = p.Instrs[i]
+		q.Instrs[k].depOff = uint32(len(q.deps))
+		for _, d := range p.Deps(int(i)) {
+			q.deps = append(q.deps, Dep{From: sc.id[d.From], Kind: d.Kind})
+		}
+	}
+	ns, nc := len(p.streamOff), len(p.streamOff)+len(p.streams)
+	slab := make([]int32, nc+groups+1+len(p.Barrier.IDs))
+	q.streamOff, q.streams = slab[:ns:ns], slab[ns:nc:nc]
+	copy(q.streamOff, p.streamOff)
+	for j, i := range p.streams {
+		q.streams[j] = sc.id[i]
+	}
+	q.Barrier = fillBarrier(slab[nc:], groups, n, func(k int) int {
+		if _, g, _ := q.OpIndex(k); contributes(q.Instrs[k].typ) {
+			return g
+		}
+		return -1
+	})
+	return q
+}
+
+// compileScratch is the working set of Compile and Renumber, pooled so that
+// they allocate only what the Program keeps.
 type compileScratch struct {
-	id     []int32 // per op slot: the instruction holding it, -1 for absent
+	id     []int32 // per op slot: the instruction holding it, -1 for absent; Renumber's new IDs
 	cursor []int32 // per worker: stream length, then next free slot
 }
 
@@ -520,24 +557,12 @@ var dupName = [...]string{F: "F", B: "backward", BInput: "BInput", BWeight: "BWe
 // stage's all-reduce Barrier. The schedule must be complete (every op of
 // every micro-batch placed exactly once); Compile reports schedules it
 // cannot lower.
-func Compile(s *Schedule) (*Program, error) { return CompileFrozen(s, 0) }
-
-// CompileFrozen lowers a spliced schedule whose executed prefix is frozen:
-// placements ending at or before frozenBefore already ran pre-event, so no
-// dependency edges are attached into them, and the barrier does not gate a
-// frozen optimizer — their inputs were consumed in the pre-splice
-// timeline, and a producer they historically read from may be re-placed
-// after the cut (to re-materialize state a victim lost), which would
-// otherwise put a back-edge into the past and a spurious cycle into the
-// graph. Executors never consult a frozen instruction's edges — the prefix
-// is installed as done — so only dead edges are dropped.
-// frozenBefore <= 0 compiles normally.
 //
 // Every instruction is filed under its op slot, and its edges are its
 // Shape.AppendInputs looked up there. The Program is four allocations besides
 // itself: its instructions, its edges, one int32 slab for the streams and
 // the barrier, and its worker list.
-func CompileFrozen(s *Schedule, frozenBefore int64) (*Program, error) {
+func Compile(s *Schedule) (*Program, error) {
 	if s == nil {
 		return nil, fmt.Errorf("schedule: cannot compile a nil schedule")
 	}
@@ -561,7 +586,6 @@ func CompileFrozen(s *Schedule, frozenBefore int64) (*Program, error) {
 	sc.cursor = filled(sc.cursor, nw+1, 0)
 	id, cursor := sc.id, sc.cursor
 	var inputs [2]Input
-	frozen := func(i int) bool { return frozenBefore > 0 && s.Placements[i].End <= frozenBefore }
 
 	// First pass: materialize instructions in the schedule's canonical
 	// order, file each under its op slot, and count what the slabs must
@@ -596,9 +620,7 @@ func CompileFrozen(s *Schedule, frozenBefore int64) (*Program, error) {
 		if contributes(op.Type) {
 			contribs++
 		}
-		if !frozen(i) {
-			edges += len(sh.AppendInputs(inputs[:0], op.Type, op.Stage, k))
-		}
+		edges += len(sh.AppendInputs(inputs[:0], op.Type, op.Stage, k))
 		p.Instrs[i] = Instr{Dur: pl.End - pl.Start, op: uint32(at), exec: int32(op.Exec), typ: op.Type}
 	}
 
@@ -638,9 +660,6 @@ func CompileFrozen(s *Schedule, frozenBefore int64) (*Program, error) {
 	for i := range p.Instrs {
 		in := &p.Instrs[i]
 		in.depOff = uint32(len(deps))
-		if frozen(i) {
-			continue // frozen prefix: executed pre-event, edges are dead
-		}
 		op := &s.Placements[i].Op
 		if in.typ == Optimizer {
 			// The per-stage gradient all-reduce: every weight gradient of

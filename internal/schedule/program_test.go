@@ -1,6 +1,7 @@
 package schedule
 
 import (
+	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
@@ -59,6 +60,53 @@ func TestCompileFaultFree1F1B(t *testing.T) {
 				t.Fatalf("%s gates on %d weight gradients, want %d", op, got, want)
 			}
 		}
+	}
+}
+
+// TestRenumberKeepsTheProgram renumbers a compiled decoupled Program by a
+// random permutation: every instruction keeps its op, duration, gate and
+// producers under its new ID, every stream and barrier group its members,
+// the result validates, and renumbering back restores the Program.
+func TestRenumberKeepsTheProgram(t *testing.T) {
+	sh := Shape{DP: 3, PP: 3, MB: 4, Iter: 2}
+	p, err := Compile(New(sh, UnitSlots, nil, decouple(FaultFree1F1B(sh, UnitSlots).Placements)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	order := make([]int32, len(p.Instrs))
+	for k, i := range rand.New(rand.NewSource(5)).Perm(len(order)) {
+		order[k] = int32(i)
+	}
+	q := p.Renumber(order)
+	if err := q.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	back := make([]int32, len(order))
+	for k, i := range order {
+		back[i] = int32(k)
+		if q.Op(k) != p.Op(int(i)) || q.Instrs[k].Dur != p.Instrs[i].Dur || q.Gated(k) != p.Gated(int(i)) || len(q.Deps(k)) != len(p.Deps(int(i))) {
+			t.Fatalf("instruction %d (%s) became %d (%s)", i, p.Op(int(i)), k, q.Op(k))
+		}
+		for n, d := range q.Deps(k) {
+			if pd := p.Deps(int(i))[n]; order[d.From] != pd.From || d.Kind != pd.Kind {
+				t.Fatalf("%s: edge %v became %v", q.Op(k), pd, d)
+			}
+		}
+	}
+	for _, w := range p.Workers() {
+		for n, id := range q.Stream(w) {
+			if order[id] != p.Stream(w)[n] {
+				t.Fatalf("stream of %s: position %d holds %s, want %s", w, n, q.Op(int(id)), p.Op(int(p.Stream(w)[n])))
+			}
+		}
+	}
+	for g := 0; g+1 < len(p.Barrier.Off); g++ {
+		if len(q.Barrier.Group(g)) != len(p.Barrier.Group(g)) {
+			t.Fatalf("barrier group %d lists %d weight gradients, want %d", g, len(q.Barrier.Group(g)), len(p.Barrier.Group(g)))
+		}
+	}
+	if again := q.Renumber(back); !reflect.DeepEqual(again, p) {
+		t.Fatal("renumbering back does not restore the Program")
 	}
 }
 

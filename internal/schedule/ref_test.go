@@ -27,9 +27,9 @@ type refProgram struct {
 	workers []Worker
 }
 
-// compileFrozenRef is the map-keyed CompileFrozen this package shipped before
-// the dense op index, kept verbatim as a differential oracle.
-func compileFrozenRef(s *Schedule, frozenBefore int64) (*refProgram, error) {
+// compileRef is the map-keyed Compile this package shipped before the dense
+// op index, kept verbatim as a differential oracle.
+func compileRef(s *Schedule) (*refProgram, error) {
 	if s == nil {
 		return nil, fmt.Errorf("schedule: cannot compile a nil schedule")
 	}
@@ -89,9 +89,6 @@ func compileFrozenRef(s *Schedule, frozenBefore int64) (*refProgram, error) {
 	}
 	// Second pass: attach the explicit dependency edges.
 	for i := range p.Instrs {
-		if frozenBefore > 0 && s.Placements[i].End <= frozenBefore {
-			continue // frozen prefix: executed pre-event, edges are dead
-		}
 		op := p.Instrs[i].Op
 		k := opKey{op.Iter, op.Stage, op.MB, op.Home}
 		switch op.Type {
@@ -277,16 +274,13 @@ func validateRef(s *Schedule, cfg ValidateConfig) error {
 	type key struct {
 		iter, i, j, k int
 	}
-	frozen := func(p Placement) bool {
-		return cfg.FrozenBefore > 0 && p.End <= cfg.FrozenBefore
-	}
 	fAt := make(map[key]Placement)
 	bInAt := make(map[key]Placement) // BInput or coupled B
 	bWAt := make(map[key]Placement)  // BWeight or coupled B
 	optAt := make(map[Worker][]Placement)
 
 	for _, p := range s.Placements {
-		if s.Failed[p.Op.Worker()] && (cfg.FrozenBefore <= 0 || p.End > cfg.FrozenBefore) {
+		if s.Failed[p.Op.Worker()] {
 			return fmt.Errorf("schedule: op %s placed on failed worker", p.Op)
 		}
 		want := s.Durations.Of(p.Op.Type)
@@ -349,25 +343,25 @@ func validateRef(s *Schedule, cfg ValidateConfig) error {
 						return fmt.Errorf("schedule: micro-batch (i=%d j=%d k=%d) split across peers F@%d BI@%d BW@%d", i, j, k, f.Op.Exec, bi.Op.Exec, bw.Op.Exec)
 					}
 					// Eq. 2: forward cross-stage dependency.
-					if i > 0 && !frozen(f) {
+					if i > 0 {
 						prev := fAt[key{it, i - 1, j, k}]
 						if f.Start < prev.End+s.Durations.Comm {
 							return fmt.Errorf("schedule: %s starts at %d before upstream F ends %d (+comm %d)", f.Op, f.Start, prev.End, s.Durations.Comm)
 						}
 					}
 					// Local data dependency: backward needs this stage's stash.
-					if !frozen(bi) && bi.Start < f.End {
+					if bi.Start < f.End {
 						return fmt.Errorf("schedule: %s starts at %d before its F ends %d", bi.Op, bi.Start, f.End)
 					}
 					// Eq. 3: backward cross-stage dependency.
-					if i < s.Shape.PP-1 && !frozen(bi) {
+					if i < s.Shape.PP-1 {
 						next := bInAt[key{it, i + 1, j, k}]
 						if bi.Start < next.End+s.Durations.Comm {
 							return fmt.Errorf("schedule: %s starts at %d before downstream BInput ends %d (+comm %d)", bi.Op, bi.Start, next.End, s.Durations.Comm)
 						}
 					}
 					// Eq. 4: BWeight after BInput.
-					if bw.Op.Type == BWeight && !frozen(bw) && bw.Start < bi.End {
+					if bw.Op.Type == BWeight && bw.Start < bi.End {
 						return fmt.Errorf("schedule: %s starts at %d before BInput ends %d", bw.Op, bw.Start, bi.End)
 					}
 				}

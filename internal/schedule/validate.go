@@ -22,17 +22,6 @@ type ValidateConfig struct {
 	// solved under a heterogeneous cost model. Nil means every op must
 	// take the schedule's homogeneous Durations.
 	Costs CostFunc
-	// FrozenBefore, when > 0, admits placements on failed workers whose
-	// End does not exceed it: a spliced schedule's frozen prefix keeps a
-	// victim's durable pre-cut work (completed triples whose optimizer
-	// step already applied) at its executed time, even though the worker
-	// is failed in the post-event set. Anything a failed worker would
-	// execute at or after FrozenBefore is still rejected. Frozen
-	// placements are also exempt from dependency-timing checks: they
-	// consumed their inputs in the pre-splice timeline, which validated
-	// when it executed, while a producer they historically read from may
-	// be re-placed after the cut to re-materialize state its victim lost.
-	FrozenBefore int64
 }
 
 // validateScratch is Validate's working set (pooled, see compileScratch).
@@ -77,9 +66,6 @@ func Validate(s *Schedule, cfg ValidateConfig) error {
 	if !sh.Indexable(len(ps)) {
 		return fmt.Errorf("schedule: %d placements cannot cover shape %+v", len(ps), sh)
 	}
-	frozen := func(p *Placement) bool {
-		return cfg.FrozenBefore > 0 && p.End <= cfg.FrozenBefore
-	}
 	sc := validatePool.Get().(*validateScratch)
 	defer validatePool.Put(sc)
 	groups, nw := sh.Iter*sh.PP, sh.DP*sh.PP
@@ -100,7 +86,7 @@ func Validate(s *Schedule, cfg ValidateConfig) error {
 		if !ok {
 			return fmt.Errorf("schedule: op %s lies outside shape %+v", p.Op, sh)
 		}
-		if failed[w] && (cfg.FrozenBefore <= 0 || p.End > cfg.FrozenBefore) {
+		if failed[w] {
 			return fmt.Errorf("schedule: op %s placed on failed worker", p.Op)
 		}
 		want := s.Durations.Of(p.Op.Type)
@@ -156,7 +142,7 @@ func Validate(s *Schedule, cfg ValidateConfig) error {
 					// holds two slots).
 					for n, at := range slots {
 						c := &ps[at]
-						if frozen(c) || n == 2 && at == slots[1] {
+						if n == 2 && at == slots[1] {
 							continue
 						}
 						for _, d := range sh.AppendInputs(inputs[:0], c.Op.Type, i, kk) {
