@@ -426,9 +426,9 @@ func phaseLabel(iter, phase, events int) string {
 // re-planned work), its executed prefix by completion time, the last
 // re-plan's release floors, its timeline — each instruction's logical span,
 // which the interpreter takes instead of re-deriving the same recurrence
-// message by message — and the last cut. The iteration
-// driver and the chaos planner both advance it, so chaos draws kill instants
-// from the splices the runtime executes.
+// message by message — and the last cut. The iteration driver and the
+// chaos planner both advance it, so chaos draws kill instants from the
+// splices the runtime executes.
 type spliceChain struct {
 	cur    *schedule.Program
 	done   map[int]int64

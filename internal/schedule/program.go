@@ -518,10 +518,11 @@ func (p *Program) Renumber(order []int32) *Program {
 		q.streams[j] = sc.id[i]
 	}
 	q.Barrier = fillBarrier(slab[nc:], groups, n, func(k int) int {
-		if _, g, _ := q.OpIndex(k); contributes(q.Instrs[k].typ) {
-			return g
+		if !contributes(q.Instrs[k].typ) {
+			return -1
 		}
-		return -1
+		_, g, _ := q.OpIndex(k)
+		return g
 	})
 	return q
 }
