@@ -2,9 +2,11 @@ package replay
 
 import (
 	"testing"
+	"time"
 
 	"recycle/internal/config"
 	"recycle/internal/engine"
+	"recycle/internal/failure"
 	"recycle/internal/profile"
 	"recycle/internal/schedule"
 	"recycle/internal/sim"
@@ -119,6 +121,38 @@ func BenchmarkSpliceReplayJob(b *testing.B) {
 	b.ReportAllocs()
 	for b.Loop() {
 		if _, err := Splice(in); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkReplayWarmJob measures one Replay of an hour-long churn trace on
+// the warm Fig 9 GPT-3 Medium engine: machines A = 2 and C = 14 (stage 0 of
+// pipelines 1 and 7) and B = 9 (stage 1 of pipeline 4) fail and re-join in
+// the order A, B, A back, C, B back, C back, one event per seventh of the
+// horizon — the shape of a replay-warm trace. One Replay outside the loop
+// fills the engine's caches, so each iteration pays the splices and the
+// DES, not the solver.
+func BenchmarkReplayWarmJob(b *testing.B) {
+	eng := replayJobEngine(b)
+	const horizon = time.Hour
+	tr := failure.Trace{Name: "churn", Total: 24, Steps: []failure.Step{{Available: 24}}}
+	for k, ev := range []struct{ fail, rejoin []int }{{fail: []int{2}}, {fail: []int{9}}, {rejoin: []int{2}}, {fail: []int{14}}, {rejoin: []int{9}}, {rejoin: []int{14}}} {
+		avail := tr.Steps[k].Available - len(ev.fail) + len(ev.rejoin)
+		at := (2*time.Duration(k) + 1) * horizon / 14 // the middle of seventh k
+		tr.Steps = append(tr.Steps, failure.Step{At: at, Available: avail, Failed: ev.fail, Rejoined: ev.rejoin})
+	}
+	opt := Options{Horizon: horizon, DetectDelay: 5 * time.Second, RejoinDelay: 2 * time.Second}
+	res, err := Replay(eng, tr, opt)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if res.SplicedCount() == 0 {
+		b.Fatal("no event spliced mid-iteration")
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := Replay(eng, tr, opt); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -54,9 +54,9 @@ type Spliced struct {
 	// and validated deadlock-free/edge-consistent.
 	Program *schedule.Program
 	// Done maps the Program's prefix instruction IDs to their recorded
-	// completion times — hand it to sim.ExecuteProgram (the live runtime
-	// skips it in every stream) so resumption never re-executes completed
-	// work.
+	// completion times: the kept prefix an executor installs before it
+	// runs the Program (sim.ProgramOptions.Done; the live runtime skips it
+	// in every stream), so resumption never re-executes completed work.
 	Done map[int]int64
 	// Floors is the per-worker release floor of the re-planned suffix: no
 	// worker with re-planned work starts it earlier.
@@ -64,9 +64,10 @@ type Spliced struct {
 	// Failed is the post-event failed-worker set the suffix was planned
 	// against.
 	Failed map[schedule.Worker]bool
-	// Exec is the resumed timeline: sim.ExecuteProgram of Program from Done
-	// under Floors, so Exec.Makespan is the spliced iteration's completion
-	// time, optimizer included, on the program clock.
+	// Exec is the resumed timeline: Program timed on schedule.Walk, the rule
+	// every executor runs it by, from Done under Floors — the Execution
+	// sim.ExecuteProgram returns for it — so Exec.Makespan is the spliced
+	// iteration's completion time, optimizer included, on the program clock.
 	Exec *sim.Execution
 	// LostIDs lists the input-program instruction IDs of the lost cascade
 	// — completed work on dying workers plus every completed dependent —
@@ -154,11 +155,32 @@ type spliceScratch struct {
 	tripleNodes []int32  // suffix compute nodes grouped by triple
 	runOff      []int32  // CSR offsets into runs, per (worker, kept-first, iter, optimizer-last)
 	runs        []int32  // nodes grouped into per-worker streams
-	keys        []uint64 // (start, worker) per node of runs
+	heap        []uint64 // (start, worker) of each run's next node: the numbering merge
+	next        []int32  // per worker: its run's next position in runs, in the merge
 	order       []int32  // positions in runs, in timeline order
+
+	walk schedule.Walk // times the spliced Program
 }
 
 var splicePool = sync.Pool{New: func() any { return new(spliceScratch) }}
+
+// siftDown restores the min-heap order of h below position j.
+func siftDown(h []uint64, j int) {
+	for {
+		c := 2*j + 1
+		if c >= len(h) {
+			return
+		}
+		if c+1 < len(h) && h[c+1] < h[c] {
+			c++
+		}
+		if h[j] <= h[c] {
+			return
+		}
+		h[j], h[c] = h[c], h[j]
+		j = c
+	}
+}
 
 // filled returns s resized to n elements, every one set to v, reallocating
 // only when its capacity is too small.
@@ -296,12 +318,16 @@ func Splice(in SpliceInput) (*Spliced, error) {
 	// groups — every optimizer instruction of the group completed before the
 	// cut — are durable: the cascade neither seeds from nor propagates into
 	// them.
-	// The slab has room for the optimizer steps re-joiners may add.
-	sc.nodes = filled(sc.nodes, n+len(in.Rejoin)*sh.Iter, node{})
+	// The slab has room for the optimizer steps re-joiners may add, appended
+	// after the n nodes the loop below writes.
+	if need := n + len(in.Rejoin)*sh.Iter; cap(sc.nodes) < need {
+		sc.nodes = make([]node, need)
+	}
+	sc.nodes = sc.nodes[:n]
 	sc.optTotal = filled(sc.optTotal, groups, 0)
 	sc.optFired = filled(sc.optFired, groups, 0)
 	sc.bySlot = filled(sc.bySlot, sh.Slots(), -1)
-	nodes, optTotal, optFired, bySlot := sc.nodes[:n], sc.optTotal, sc.optFired, sc.bySlot
+	nodes, optTotal, optFired, bySlot := sc.nodes, sc.optTotal, sc.optFired, sc.bySlot
 	for _, c := range p.Barrier.IDs {
 		if c < 0 || int(c) >= n {
 			return nil, fmt.Errorf("replay: the barrier lists instruction %d outside [0,%d)", c, n)
@@ -520,16 +546,15 @@ func Splice(in SpliceInput) (*Spliced, error) {
 		}
 		nodes[i].id = int32(k)
 	}
-	// Emit the spliced Program with runs[k] as instruction k, and time it by
-	// the walk every executor runs, resumed from the kept prefix under the
-	// release floors.
+	// Emit the spliced Program with runs[k] as instruction k, and time it on
+	// the walk every executor runs: the kept prefix installed at its
+	// recorded ends, every worker skipped past it and released at its floor.
 	b := schedule.NewProgramBuilder(sh, p.Durations, newFailed, len(runs), edges)
-	done := make(map[int]int64, out.PrefixOps)
-	for k, i := range runs {
+	for _, i := range runs {
 		nd := &nodes[i]
 		d := dur(nd.op.Worker(), nd.op.Type)
 		if nd.kind == prefix {
-			d, done[k] = nd.end-nd.start, nd.end
+			d = nd.end - nd.start
 		}
 		if b.Instr(nd.op, d, !frozen(nd) && nd.op.Type == schedule.Optimizer); !waits(nd) {
 			continue
@@ -556,34 +581,76 @@ func Splice(in SpliceInput) (*Spliced, error) {
 	if err := prog.SetCostTable(p.CostTable()); err != nil {
 		return nil, err
 	}
-	ex, err := sim.ExecuteProgram(prog, sim.ProgramOptions{Done: done, ReleaseAt: out.Floors})
-	if err != nil {
-		return nil, fmt.Errorf("replay: spliced program does not run: %w", err)
+	m := len(runs)
+	spans := make([]int64, 2*m)
+	ex := &sim.Execution{Program: prog, Start: spans[:m:m], End: spans[m:]}
+	walk := &sc.walk
+	defer walk.Clear()
+	walk.Reset(prog, schedule.Timing{Lat: prog.Durations}, ex.Start, ex.End)
+	for k, i := range runs {
+		if nd := &nodes[i]; nd.kind == prefix {
+			walk.Install(k, nd.end)
+		}
 	}
+	placed := 0
+	for w := 0; w < nw; w++ {
+		placed += walk.Skip(w)
+		if r, ok := out.Floors[sh.WorkerAt(w)]; ok {
+			walk.Release(w, r)
+		}
+	}
+	if placed != out.PrefixOps {
+		return nil, fmt.Errorf("replay: spliced program does not run: done set is not a union of stream prefixes (%d of %d instructions at stream heads)", placed, out.PrefixOps)
+	}
+	walk.Run()
+	if ex.Completed, ex.Makespan = walk.Ended(), walk.Makespan(); ex.Completed != m {
+		return nil, fmt.Errorf("replay: spliced program does not run: program deadlocked with %d of %d instructions unexecuted", m-ex.Completed, m)
+	}
+	// Copy the walk's spans into the suffix nodes; a kept node's recorded
+	// start goes the other way, so the numbering below keys every position
+	// on ex.Start.
 	for k, i := range runs {
 		if nd := &nodes[i]; nd.kind == suffix {
 			nd.start, nd.end = ex.Start[k], ex.End[k]
+		} else {
+			ex.Start[k] = nd.start
 		}
 	}
 
 	// Number the spliced Program in its timeline's order — start, then
 	// worker — as Compile numbers a schedule's: a later splice buckets its
-	// suffix by that order. Each run is in start order, so sorting (start,
-	// worker) keys and taking each key's worker's next instruction merges
-	// them.
+	// suffix by that order. Each run is in start order, so a k-way merge of
+	// the runs is the whole sort: a min-heap holds the packed (start,
+	// worker) key of each unfinished run's next node, and each pop numbers
+	// that node.
 	shift := bits.Len(uint(nw))
-	sc.keys = filled(sc.keys, len(runs), 0)
-	for k, i := range runs {
-		start := min(max(nodes[i].start, 0), 1<<(63-shift)-1)
-		sc.keys[k] = uint64(start)<<shift | uint64(sh.WorkerIndex(nodes[i].op.Worker()))
+	key := func(at int32, w int) uint64 {
+		start := min(max(ex.Start[at], 0), 1<<(63-shift)-1)
+		return uint64(start)<<shift | uint64(w)
 	}
-	slices.Sort(sc.keys)
-	sc.order = filled(sc.order, len(runs), 0)
-	for k, key := range sc.keys {
-		run := int(key&(1<<shift-1)) * perWorker // its worker's run: runOff[run] is now a cursor
-		sc.order[k] = runOff[run]
-		runOff[run]++
+	sc.next = filled(sc.next, nw, 0)
+	heap, next := sc.heap[:0], sc.next
+	for w := 0; w < nw; w++ {
+		if next[w] = runOff[w*perWorker]; next[w] < runOff[(w+1)*perWorker] {
+			heap = append(heap, key(next[w], w))
+		}
 	}
+	for j := len(heap)/2 - 1; j >= 0; j-- {
+		siftDown(heap, j)
+	}
+	sc.order = filled(sc.order, m, 0)
+	for k := range sc.order {
+		w := int(heap[0] & (1<<shift - 1))
+		sc.order[k] = next[w]
+		if next[w]++; next[w] < runOff[(w+1)*perWorker] {
+			heap[0] = key(next[w], w)
+		} else {
+			heap[0] = heap[len(heap)-1]
+			heap = heap[:len(heap)-1]
+		}
+		siftDown(heap, 0)
+	}
+	sc.heap = heap
 
 	// The walk's spans, copied into the nodes above, renumbered with it,
 	// and the prefix/suffix boundary. Kept spans are the caller's: none may
@@ -592,8 +659,8 @@ func Splice(in SpliceInput) (*Spliced, error) {
 	// ungated kept step must follow its group's weight gradients, which the
 	// splice may have re-executed after it. The first offender in timeline
 	// order is reported.
-	out.Program, out.Done, out.Exec = prog.Renumber(sc.order), make(map[int]int64, out.PrefixOps), ex
-	ex.Program = out.Program
+	prog.Renumber(sc.order)
+	out.Program, out.Done, out.Exec = prog, make(map[int]int64, out.PrefixOps), ex
 	for k, at := range sc.order {
 		nd := &nodes[runs[at]]
 		if ex.Start[k], ex.End[k] = nd.start, nd.end; nd.kind != prefix {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -396,11 +397,12 @@ func TestSpliceErrorIsDeterministic(t *testing.T) {
 // TestLiveSpliceAllocationBudget gates what one membership event allocates,
 // which — unlike its time — is deterministic: with warm scratch, a
 // LiveSplice of a DP4×PP4×MB8 iteration (272 instructions) must stay within
-// one allocation per instruction. The map-keyed Splice paid 4 115 here
-// (15.1 per instruction); what remains is the artifact itself — the cut
-// execution's spans, the Program's Instrs, Deps slab and stream slab (built,
-// then renumbered), its timeline, and the Done/Floors/Failed maps.
+// maxAllocs objects and maxBytes bytes per instruction. The map-keyed
+// Splice paid 4 115 objects here (15.1 per instruction); what remains is
+// the artifact itself — the cut execution's spans, the Program's Instrs,
+// Deps slab and stream slab, its timeline, and the Done/Floors/Failed maps.
 func TestLiveSpliceAllocationBudget(t *testing.T) {
+	const maxAllocs, maxBytes = 40, 125
 	if raceEnabled {
 		t.Skip("the race detector empties sync.Pool at random")
 	}
@@ -411,16 +413,27 @@ func TestLiveSpliceAllocationBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	ev := LiveEvent{Prog: prog, Cut: full.Makespan / 2, Fail: []schedule.Worker{{Stage: 1, Pipeline: 2}}}
-	if _, err := LiveSplice(ev); err != nil { // warm the scratch pools
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(50, func() {
+	splice := func() {
 		if _, err := LiveSplice(ev); err != nil {
 			t.Fatal(err)
 		}
-	})
-	if per := allocs / float64(len(prog.Instrs)); per > 1 {
-		t.Fatalf("LiveSplice allocates %.0f times for %d instructions (%.2f per instruction), budget 1", allocs, len(prog.Instrs), per)
 	}
-	t.Logf("LiveSplice allocates %.0f times for %d instructions", allocs, len(prog.Instrs))
+	splice() // warm the scratch pools
+	const runs = 50
+	allocs := testing.AllocsPerRun(runs, splice)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		splice()
+	}
+	runtime.ReadMemStats(&after)
+	n := float64(len(prog.Instrs))
+	bytes := float64(after.TotalAlloc-before.TotalAlloc) / runs / n
+	t.Logf("LiveSplice allocates %.0f times and %.0f bytes per instruction for %.0f instructions", allocs, bytes, n)
+	if allocs > maxAllocs {
+		t.Errorf("LiveSplice allocates %.0f times for %.0f instructions, budget %d", allocs, n, maxAllocs)
+	}
+	if bytes > maxBytes {
+		t.Errorf("LiveSplice allocates %.0f bytes per instruction, budget %d", bytes, maxBytes)
+	}
 }

@@ -3,6 +3,7 @@ package replay
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"recycle/internal/engine"
@@ -275,6 +276,12 @@ func TestSpliceProperty(t *testing.T) {
 		}
 		if res.Completed != len(spl.Program.Instrs) {
 			t.Fatalf("trial %d: resumption completed %d of %d", trial, res.Completed, len(spl.Program.Instrs))
+		}
+		// The splice times its Program on the walk directly: its timeline
+		// must be the one the executors' walk gives.
+		if ex := spl.Exec; !slices.Equal(ex.Start, res.Start) || !slices.Equal(ex.End, res.End) || ex.Makespan != res.Makespan || ex.Completed != res.Completed {
+			t.Fatalf("trial %d: the splice's timeline (makespan %d, %d completed) is not sim.ExecuteProgram's (makespan %d, %d completed)",
+				trial, ex.Makespan, ex.Completed, res.Makespan, res.Completed)
 		}
 		for id, end := range spl.Done {
 			if res.End[id] != end || res.Start[id] != end-spl.Program.DurOf(id) {

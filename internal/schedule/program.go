@@ -139,23 +139,22 @@ func (b *Barrier) Group(g int) []int32 {
 // all-reduce.
 func contributes(t OpType) bool { return t == B || t == BWeight }
 
-// fillBarrier lays the barrier's lists out in slab — groups+1 offsets, then
-// one entry per contribution — for n instructions, group(i) naming
-// instruction i's stage group or -1 for one that contributes nothing.
-// Counts land in off[g], an inclusive prefix sum leaves off[g] at g's end,
-// and a reverse fill walks each back to g's start.
-func fillBarrier(slab []int32, groups, n int, group func(i int) int) Barrier {
-	off, ids := slab[:groups+1:groups+1], slab[groups+1:]
-	for i := 0; i < n; i++ {
-		if g := group(i); g >= 0 {
+// fillBarrier lays the barrier's lists out in off — groups+1 offsets, all
+// zero — and ids, one entry per contribution, group[i] naming instruction
+// i's stage group or -1 for one that contributes nothing. Counts land in
+// off[g], an inclusive prefix sum leaves off[g] at g's end, and a reverse
+// fill walks each back to g's start.
+func fillBarrier(off, ids, group []int32) Barrier {
+	for _, g := range group {
+		if g >= 0 {
 			off[g]++
 		}
 	}
-	for g := 1; g <= groups; g++ {
+	for g := 1; g < len(off); g++ {
 		off[g] += off[g-1]
 	}
-	for i := n - 1; i >= 0; i-- {
-		if g := group(i); g >= 0 {
+	for i := len(group) - 1; i >= 0; i-- {
+		if g := group[i]; g >= 0 {
 			off[g]--
 			ids[off[g]] = int32(i)
 		}
@@ -469,62 +468,69 @@ func (b *ProgramBuilder) Build() (*Program, error) {
 	if b.err != nil {
 		return nil, b.err
 	}
-	sh, contribs := p.Shape, 0
+	sc := compilePool.Get().(*compileScratch)
+	defer compilePool.Put(sc)
+	sc.group = filled(sc.group, len(p.Instrs), -1)
+	contribs := 0
 	for i := range p.Instrs {
 		if contributes(p.Instrs[i].typ) {
+			_, g, _ := p.OpIndex(i)
+			sc.group[i] = int32(g)
 			contribs++
 		}
 	}
-	groups := sh.Iter * sh.PP
-	p.Barrier = fillBarrier(make([]int32, groups+1+contribs), groups, len(p.Instrs), func(i int) int {
-		if !contributes(p.Instrs[i].typ) {
-			return -1
-		}
-		_, g, _ := p.OpIndex(i)
-		return g
-	})
+	groups := p.Shape.Iter * p.Shape.PP
+	slab := make([]int32, groups+1+contribs)
+	p.Barrier = fillBarrier(slab[:groups+1:groups+1], slab[groups+1:], sc.group)
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
 	return p, nil
 }
 
-// Renumber returns p with instruction order[k] as instruction k: the same
-// ops, edges, gates, streams and barrier under new IDs, so it holds every
-// invariant Validate checked of p without walking it again. order must be
-// a permutation of p's instruction IDs.
-func (p *Program) Renumber(order []int32) *Program {
-	n, groups := len(p.Instrs), p.Shape.Iter*p.Shape.PP
+// Renumber renumbers p in place, instruction order[k] becoming instruction
+// k: the same ops, edges, gates, streams and barrier under new IDs, so p
+// keeps every invariant Validate checked without walking it again. order
+// must be a permutation of p's instruction IDs, and p must not be shared
+// yet: its instructions and edges are permuted through pooled scratch, its
+// stream IDs rewritten and its barrier lists refilled, each in its own
+// slab, so a warm call allocates nothing.
+func (p *Program) Renumber(order []int32) {
+	n := len(p.Instrs)
 	sc := compilePool.Get().(*compileScratch)
 	defer compilePool.Put(sc)
 	sc.id = filled(sc.id, n, 0)
 	for k, i := range order {
 		sc.id[i] = int32(k)
 	}
-	q := &Program{Shape: p.Shape, Durations: p.Durations, Failed: p.Failed, Instrs: make([]Instr, n),
-		deps: make([]Dep, 0, len(p.deps)), workers: p.workers, costs: p.costs}
+	sc.instrs = append(sc.instrs[:0], p.Instrs...)
+	sc.deps = append(sc.deps[:0], p.deps...)
+	edges := 0
 	for k, i := range order {
-		q.Instrs[k] = p.Instrs[i]
-		q.Instrs[k].depOff = uint32(len(q.deps))
-		for _, d := range p.Deps(int(i)) {
-			q.deps = append(q.deps, Dep{From: sc.id[d.From], Kind: d.Kind})
+		lo, hi := sc.instrs[i].depOff, uint32(len(sc.deps))
+		if int(i)+1 < n {
+			hi = sc.instrs[i+1].depOff
+		}
+		p.Instrs[k] = sc.instrs[i]
+		p.Instrs[k].depOff = uint32(edges)
+		for _, d := range sc.deps[lo:hi] {
+			p.deps[edges] = Dep{From: sc.id[d.From], Kind: d.Kind}
+			edges++
 		}
 	}
-	ns, nc := len(p.streamOff), len(p.streamOff)+len(p.streams)
-	slab := make([]int32, nc+groups+1+len(p.Barrier.IDs))
-	q.streamOff, q.streams = slab[:ns:ns], slab[ns:nc:nc]
-	copy(q.streamOff, p.streamOff)
 	for j, i := range p.streams {
-		q.streams[j] = sc.id[i]
+		p.streams[j] = sc.id[i]
 	}
-	q.Barrier = fillBarrier(slab[nc:], groups, n, func(k int) int {
-		if !contributes(q.Instrs[k].typ) {
-			return -1
+	// Renumbering moves no weight gradient to another group: label each new
+	// ID with its group and refill the lists in their own slab.
+	sc.group = filled(sc.group, n, -1)
+	for g := 0; g+1 < len(p.Barrier.Off); g++ {
+		for _, c := range p.Barrier.Group(g) {
+			sc.group[sc.id[c]] = int32(g)
 		}
-		_, g, _ := q.OpIndex(k)
-		return g
-	})
-	return q
+	}
+	clear(p.Barrier.Off)
+	p.Barrier = fillBarrier(p.Barrier.Off, p.Barrier.IDs, sc.group)
 }
 
 // compileScratch is the working set of Compile and Renumber, pooled so that
@@ -532,6 +538,9 @@ func (p *Program) Renumber(order []int32) *Program {
 type compileScratch struct {
 	id     []int32 // per op slot: the instruction holding it, -1 for absent; Renumber's new IDs
 	cursor []int32 // per worker: stream length, then next free slot
+	instrs []Instr // Renumber's copy of the instructions before the permutation
+	deps   []Dep   // Renumber's copy of the edge slab before the permutation
+	group  []int32 // per instruction: its barrier group, -1 for none
 }
 
 var compilePool = sync.Pool{New: func() any { return new(compileScratch) }}
@@ -585,6 +594,7 @@ func Compile(s *Schedule) (*Program, error) {
 	groups, nw := sh.Iter*sh.PP, sh.DP*sh.PP
 	sc.id = filled(sc.id, sh.Slots(), -1)
 	sc.cursor = filled(sc.cursor, nw+1, 0)
+	sc.group = filled(sc.group, n, -1)
 	id, cursor := sc.id, sc.cursor
 	var inputs [2]Input
 
@@ -619,6 +629,7 @@ func Compile(s *Schedule) (*Program, error) {
 		}
 		id[sl] = int32(i)
 		if contributes(op.Type) {
+			sc.group[i] = int32(g)
 			contribs++
 		}
 		edges += len(sh.AppendInputs(inputs[:0], op.Type, op.Stage, k))
@@ -648,12 +659,8 @@ func Compile(s *Schedule) (*Program, error) {
 			p.workers = append(p.workers, sh.WorkerAt(w))
 		}
 	}
-	p.Barrier = fillBarrier(slab[nw+1+n:], groups, n, func(i int) int {
-		if op := &s.Placements[i].Op; contributes(op.Type) {
-			return sh.StageIndex(op.Iter, op.Stage)
-		}
-		return -1
-	})
+	bar := slab[nw+1+n:]
+	p.Barrier = fillBarrier(bar[:groups+1:groups+1], bar[groups+1:], sc.group)
 
 	// Second pass: attach the explicit dependency edges and gate the
 	// optimizers.

@@ -3,6 +3,7 @@ package schedule
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -63,10 +64,11 @@ func TestCompileFaultFree1F1B(t *testing.T) {
 	}
 }
 
-// TestRenumberKeepsTheProgram renumbers a compiled decoupled Program by a
-// random permutation: every instruction keeps its op, duration, gate and
-// producers under its new ID, every stream and barrier group its members,
-// the result validates, and renumbering back restores the Program.
+// TestRenumberKeepsTheProgram renumbers a copy of a compiled decoupled
+// Program in place by a random permutation: every instruction keeps its op,
+// duration, gate and producers under its new ID, every stream and barrier
+// group its members, the result validates, renumbering back restores the
+// Program, and with the scratch pool warm a renumbering allocates nothing.
 func TestRenumberKeepsTheProgram(t *testing.T) {
 	sh := Shape{DP: 3, PP: 3, MB: 4, Iter: 2}
 	p, err := Compile(New(sh, UnitSlots, nil, decouple(FaultFree1F1B(sh, UnitSlots).Placements)))
@@ -77,7 +79,8 @@ func TestRenumberKeepsTheProgram(t *testing.T) {
 	for k, i := range rand.New(rand.NewSource(5)).Perm(len(order)) {
 		order[k] = int32(i)
 	}
-	q := p.Renumber(order)
+	q := cloneProgram(p)
+	q.Renumber(order)
 	if err := q.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -105,9 +108,25 @@ func TestRenumberKeepsTheProgram(t *testing.T) {
 			t.Fatalf("barrier group %d lists %d weight gradients, want %d", g, len(q.Barrier.Group(g)), len(p.Barrier.Group(g)))
 		}
 	}
-	if again := q.Renumber(back); !reflect.DeepEqual(again, p) {
+	if q.Renumber(back); !reflect.DeepEqual(q, p) {
 		t.Fatal("renumbering back does not restore the Program")
 	}
+	if raceEnabled {
+		return // the race detector empties sync.Pool at random
+	}
+	if allocs := testing.AllocsPerRun(20, func() { q.Renumber(order); q.Renumber(back) }); allocs != 0 {
+		t.Fatalf("a warm Renumber allocates %.1f times, want 0", allocs/2)
+	}
+}
+
+// cloneProgram copies p into slabs of its own, so renumbering the copy in
+// place leaves p as it was.
+func cloneProgram(p *Program) *Program {
+	q := *p
+	q.Instrs, q.deps = slices.Clone(p.Instrs), slices.Clone(p.deps)
+	q.streams, q.streamOff = slices.Clone(p.streams), slices.Clone(p.streamOff)
+	q.Barrier = Barrier{Off: slices.Clone(p.Barrier.Off), IDs: slices.Clone(p.Barrier.IDs)}
+	return &q
 }
 
 // TestCostTable pins a Program's cost table: NewCostTable tabulates a cost
