@@ -44,10 +44,11 @@ func TestSimRuntimeAgreementByConstruction(t *testing.T) {
 				i, prog.Op(i), starts[i], ends[i], ex.Start[i], ex.End[i])
 		}
 	}
-	if got, want := rt.ExecutedComputeMakespan(), ex.ComputeMakespan(0); got != want {
+	executed := &sim.Execution{Program: prog, Start: starts, End: ends}
+	if got, want := executed.ComputeMakespan(0), ex.ComputeMakespan(0); got != want {
 		t.Fatalf("runtime compute makespan %d slots != simulator prediction %d", got, want)
 	}
-	if rt.ExecutedComputeMakespan() <= 0 {
+	if executed.ComputeMakespan(0) <= 0 {
 		t.Fatal("degenerate zero-length timeline")
 	}
 }
@@ -78,7 +79,7 @@ func TestAgreementMidIterationFailureSplice(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lv.Spliced.LostOps == 0 {
+	if lv.LostOps == 0 {
 		t.Fatalf("cut %d lost no completed work; the event is not exercising re-execution", cut)
 	}
 	des, err := sim.ExecuteProgram(lv.Program, sim.ProgramOptions{Done: lv.Done, ReleaseAt: lv.Floors})

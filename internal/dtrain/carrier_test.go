@@ -43,8 +43,8 @@ func TestEveryEdgeHasACarrier(t *testing.T) {
 			}
 			for _, victim := range prog.Workers() {
 				for cut := int64(1); cut < full.Makespan; cut++ {
-					first := replay.LiveEvent{Prog: prog, Cut: cut, Fail: []schedule.Worker{victim}}
-					lv, err := replay.LiveSplice(first)
+					c := replay.Chain{Exec: full}
+					lv, err := c.AdvanceLive(cut, []schedule.Worker{victim}, nil)
 					if err != nil {
 						continue // inadmissible: the runtime rejects it before running anything
 					}
@@ -54,17 +54,15 @@ func TestEveryEdgeHasACarrier(t *testing.T) {
 					// Second events on the spliced chain, at every fifth
 					// later instant to keep the sweep in seconds.
 					for next := cut + 1; next < lv.Exec.Makespan; next += 5 {
-						ev := replay.LiveEvent{Prog: lv.Program, Cut: next, Done: lv.Done, Release: lv.Floors}
-						ev.Rejoin = []schedule.Worker{victim}
-						if re, err := replay.LiveSplice(ev); err == nil {
-							auditCarriers(t, fmt.Sprintf("%s, re-joined at %d", at, next), re.Program)
+						re := c
+						if spl, err := re.AdvanceLive(next, nil, []schedule.Worker{victim}); err == nil {
+							auditCarriers(t, fmt.Sprintf("%s, re-joined at %d", at, next), spl.Program)
 							audited++
 						}
-						ev.Rejoin = nil
 						for _, second := range lv.Program.Workers() {
-							ev.Fail = []schedule.Worker{second}
-							if re, err := replay.LiveSplice(ev); err == nil {
-								auditCarriers(t, fmt.Sprintf("%s, then %s at %d", at, second, next), re.Program)
+							re := c
+							if spl, err := re.AdvanceLive(next, []schedule.Worker{second}, nil); err == nil {
+								auditCarriers(t, fmt.Sprintf("%s, then %s at %d", at, second, next), spl.Program)
 								audited++
 							}
 						}

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"recycle/internal/obs"
+	"recycle/internal/replay"
 	"recycle/internal/schedule"
 	"recycle/internal/sim"
 )
@@ -80,7 +81,7 @@ func TestChaosKillSweepEveryClass(t *testing.T) {
 		for _, point := range points {
 			point := point
 			t.Run(fmt.Sprintf("%s/%s", victim, point), func(t *testing.T) {
-				cands := killCandidates(prog, full, victims, point, 0, false, cfg.PP)
+				cands := killCandidates(&replay.Chain{Exec: full}, victims, point, false, cfg.PP)
 				if len(cands) == 0 {
 					t.Fatalf("no admissible %s kill instant for victim %s", point, victim)
 				}
@@ -285,7 +286,7 @@ func TestChaosEpochAgreementLiveVsDES(t *testing.T) {
 		t.Fatal(err)
 	}
 	victim := schedule.Worker{Stage: 1, Pipeline: 1}
-	cands := killCandidates(prog, full, []schedule.Worker{victim}, KillInEpilogue, 0, false, cfg.PP)
+	cands := killCandidates(&replay.Chain{Exec: full}, []schedule.Worker{victim}, KillInEpilogue, false, cfg.PP)
 	if len(cands) == 0 {
 		t.Fatal("no epilogue kill instant on the sweep shape")
 	}

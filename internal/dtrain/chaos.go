@@ -3,11 +3,12 @@ package dtrain
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"recycle/internal/obs"
+	"recycle/internal/replay"
 	"recycle/internal/schedule"
-	"recycle/internal/sim"
 )
 
 // KillPoint classifies where in a victim's instruction stream a chaos kill
@@ -148,7 +149,7 @@ func (r *ChaosResult) BitwiseEqual() bool {
 // instruction boundaries — optionally as a cascade, with later kills
 // landing while an earlier splice's suffix is still executing — side by
 // side with an identical fault-free run. The kills exercise the full live
-// failure path — stash-and-replay re-sends, repeated LiveSplice, effect
+// failure path — stash-and-replay re-sends, repeated splices, effect
 // discard, suffix re-execution, step-epoch idempotence in the all-reduce
 // epilogue — and the victims are restored from live peers at the next
 // iteration boundary, so the runs must stay bitwise loss-equal throughout.
@@ -211,12 +212,13 @@ func Chaos(cfg Config, opt ChaosOptions) (*ChaosResult, error) {
 }
 
 // pickCascade draws the victim sets and kill instants for a whole cascade
-// against the current Program, advancing the runtime's own splice chain so
-// each later kill is drawn from the timeline the previous splice actually
-// produces. RunIteration advances a fresh chain over the same events — one
-// deterministic advance, so the planned and the executed splices agree.
+// against the current Program, advancing a splice chain as the runtime does
+// so each later kill is drawn from the timeline the previous splice
+// actually produces. RunIteration advances a fresh chain over the same
+// events — one deterministic advance, so the planned and the executed
+// splices agree.
 func pickCascade(rt *Runtime, cfg Config, opt ChaosOptions, cascade int, rng *rand.Rand) ([]ChaosKill, error) {
-	sc, err := rt.newSpliceChain()
+	c, err := rt.newChain()
 	if err != nil {
 		return nil, err
 	}
@@ -226,15 +228,13 @@ func pickCascade(rt *Runtime, cfg Config, opt ChaosOptions, cascade int, rng *ra
 		if len(opt.Points) > 0 {
 			point = opt.Points[ei]
 		}
-		cur, prevCut := sc.cur, sc.cut
-		victims, err := drawVictims(rng, cfg, opt.Victims, cur.Failed)
+		victims, err := drawVictims(rng, cfg, opt.Victims, c.Exec.Program.Failed)
 		if err != nil {
 			if ei > 0 {
 				break // survivability envelope exhausted: stop the cascade
 			}
 			return nil, err
 		}
-		full := sc.exec
 		pick := func(chain bool) (KillPoint, []int64) {
 			seen := make(map[KillPoint]bool)
 			for _, pt := range []KillPoint{point, KillBetweenOps, KillAtSend, KillDuringAllReduce, KillInEpilogue} {
@@ -242,8 +242,8 @@ func pickCascade(rt *Runtime, cfg Config, opt ChaosOptions, cascade int, rng *ra
 					continue
 				}
 				seen[pt] = true
-				if c := killCandidates(cur, full, victims, pt, prevCut, chain, cfg.PP); len(c) > 0 {
-					return pt, c
+				if cands := killCandidates(&c, victims, pt, chain, cfg.PP); len(cands) > 0 {
+					return pt, cands
 				}
 			}
 			return point, nil
@@ -256,13 +256,13 @@ func pickCascade(rt *Runtime, cfg Config, opt ChaosOptions, cascade int, rng *ra
 			// point or an error, so a seeded run always lands where the
 			// caller asked — but degrades the cascade depth when the shape
 			// leaves no chainable instant of that class.
-			cands = killCandidates(cur, full, victims, point, prevCut, chain, cfg.PP)
+			cands = killCandidates(&c, victims, point, chain, cfg.PP)
 			if len(cands) == 0 && chain {
-				cands = killCandidates(cur, full, victims, point, prevCut, false, cfg.PP)
+				cands = killCandidates(&c, victims, point, false, cfg.PP)
 				truncate = len(cands) > 0
 			}
 			if len(cands) == 0 {
-				return nil, fmt.Errorf("dtrain: no %s kill candidate after slot %d on victims %v", point, prevCut, victims)
+				return nil, fmt.Errorf("dtrain: no %s kill candidate after slot %d on victims %v", point, c.Cut, victims)
 			}
 		} else {
 			// Later cascade events land on whatever timeline the previous
@@ -287,7 +287,7 @@ func pickCascade(rt *Runtime, cfg Config, opt ChaosOptions, cascade int, rng *ra
 		if ei == cascade-1 || truncate {
 			break // no need to advance the chain past the last kill
 		}
-		if _, err := sc.advance(CascadeEvent{Cut: cut, Fail: victims}); err != nil {
+		if _, err := advance(&c, CascadeEvent{Cut: cut, Fail: victims}); err != nil {
 			return nil, fmt.Errorf("dtrain: planning cascade kill %d: %w", ei+1, err)
 		}
 	}
@@ -331,31 +331,15 @@ func drawVictims(rng *rand.Rand, cfg Config, n int, failed map[schedule.Worker]b
 }
 
 // killCandidates enumerates the valid kill instants for one cascade event
-// of the given point class against the full (uncut) execution of the
-// in-flight program. Every candidate is strictly after the previous cut,
-// leaves at least one instruction unexecuted, and never splits a stage's
-// optimizer group across the event (the LiveSplice straddle guard). With
-// chain set (a later cascade event must land after this one), candidates
-// must also leave non-optimizer work pending, so the next event still has
-// an instruction boundary to land on.
-func killCandidates(p *schedule.Program, full *sim.Execution, victims []schedule.Worker, point KillPoint, prevCut int64, chain bool, pp int) []int64 {
-	victimSet := make(map[schedule.Worker]bool, len(victims))
-	for _, v := range victims {
-		victimSet[v] = true
-	}
-	// completed mirrors the cut-execution semantics at candidate instant
-	// c: an instruction completes iff it started before c — except on a
-	// victim, where in-flight work is killed at the cut, so it must also
-	// have ended by c.
-	completed := func(i int, c int64) bool {
-		if full.Start[i] < 0 || full.Start[i] >= c {
-			return false
-		}
-		if victimSet[p.Op(i).Worker()] {
-			return full.End[i] <= c
-		}
-		return true
-	}
+// of the given point class against the chain's timeline. Every candidate is
+// strictly after the chain's last cut, leaves at least one instruction
+// unexecuted, and never splits a stage's optimizer group across the event
+// (the AdvanceLive straddle guard). With chain set (a later cascade event
+// must land after this one), candidates must also leave non-optimizer work
+// pending, so the next event still has an instruction boundary to land on.
+// What had run at a candidate instant is the chain's cut rule.
+func killCandidates(c *replay.Chain, victims []schedule.Worker, point KillPoint, chain bool, pp int) []int64 {
+	p, full, prevCut := c.Exec.Program, c.Exec, c.Cut
 	type group = [2]int // (iter, stage)
 	optOf := make(map[group][]int)
 	for i := range p.Instrs {
@@ -365,12 +349,12 @@ func killCandidates(p *schedule.Program, full *sim.Execution, victims []schedule
 	}
 	// Groups already stepped at the previous cut (the frozen prefix of
 	// this cascade event) do not distinguish the classes: only a step that
-	// becomes durable within (prevCut, c] makes c an epilogue instant.
+	// becomes durable within (prevCut, at] makes at an epilogue instant.
 	steppedAtPrev := make(map[group]bool)
 	for g, ids := range optOf {
 		n := 0
 		for _, i := range ids {
-			if completed(i, prevCut) {
+			if c.Ran(i, prevCut, victims) {
 				n++
 			}
 		}
@@ -378,15 +362,15 @@ func killCandidates(p *schedule.Program, full *sim.Execution, victims []schedule
 			steppedAtPrev[g] = true
 		}
 	}
-	admissible := func(c int64) bool {
-		if c <= prevCut || c < 1 {
+	admissible := func(at int64) bool {
+		if at <= prevCut || at < 1 {
 			return false
 		}
 		anyPending, computePending, newStepped := false, false, false
 		for g, ids := range optOf {
 			n := 0
 			for _, i := range ids {
-				if completed(i, c) {
+				if c.Ran(i, at, victims) {
 					n++
 				}
 			}
@@ -398,7 +382,7 @@ func killCandidates(p *schedule.Program, full *sim.Execution, victims []schedule
 			}
 		}
 		for i := range p.Instrs {
-			if !completed(i, c) {
+			if !c.Ran(i, at, victims) {
 				anyPending = true
 				if p.Type(i) != schedule.Optimizer {
 					computePending = true
@@ -410,7 +394,7 @@ func killCandidates(p *schedule.Program, full *sim.Execution, victims []schedule
 			return false // nothing left to adapt — an iteration-boundary kill
 		}
 		if chain && !computePending {
-			// Only optimizer tails remain past c: the next cascade event
+			// Only optimizer tails remain past at: the next cascade event
 			// would have no boundary left to land on.
 			return false
 		}
@@ -454,7 +438,7 @@ func killCandidates(p *schedule.Program, full *sim.Execution, victims []schedule
 		// Boundaries of the victims' own compute instructions.
 		for i := range p.Instrs {
 			op := p.Op(i)
-			if !victimSet[op.Worker()] || op.Type == schedule.Optimizer || full.End[i] < 0 {
+			if !slices.Contains(victims, op.Worker()) || op.Type == schedule.Optimizer || full.End[i] < 0 {
 				continue
 			}
 			if point == KillAtSend && !opSends(op, pp) {
@@ -466,10 +450,10 @@ func killCandidates(p *schedule.Program, full *sim.Execution, victims []schedule
 	sort.Slice(cands, func(i, j int) bool { return cands[i] < cands[j] })
 	out := cands[:0]
 	var last int64 = -1
-	for _, c := range cands {
-		if c != last && admissible(c) {
-			out = append(out, c)
-			last = c
+	for _, at := range cands {
+		if at != last && admissible(at) {
+			out = append(out, at)
+			last = at
 		}
 	}
 	return out

@@ -38,10 +38,10 @@
 // Runtime.RunIteration(events ...CascadeEvent) is the one iteration
 // driver: mid-iteration kills, re-joins and cascades are passed as events,
 // and the fault-free iteration is the zero-event case. It plans the whole
-// chain of splices first (replay.LiveSplice per event — the cut-and-splice
-// routine the trace replayer uses too), rejecting an un-spliceable list
-// before anything runs; then, per event, executes the prefix the DES
-// predicts completed by the cut, lands the event, and interprets the
+// splice chain first (a replay.Chain advanced once per event, as the trace
+// replayer advances its own), rejecting an un-spliceable list before
+// anything runs; then, per event, executes what the chain's timeline had
+// run by the cut (replay.Chain.Ran), lands the event, and interprets the
 // re-planned suffix. Chaos draws its kill instants from the same chain.
 // A splice is a pure function of the in-flight Program — which carries the
 // cost table its schedule was solved under — and the event, so every

@@ -3,9 +3,7 @@ package dtrain
 import (
 	"errors"
 	"fmt"
-	"maps"
-	"slices"
-	"sort"
+	"math"
 	"sync"
 	"time"
 
@@ -120,7 +118,8 @@ type Runtime struct {
 
 	// lastExec is the executed timeline of the last iteration: the
 	// interpreted Program and each instruction's logical slot-time span —
-	// the DES execution the interpreter took its times from. plainExec
+	// its splice chain's timeline, which the interpreter took its times
+	// from, or its cut when a phase before an event rolled back. plainExec
 	// memoizes the timeline of the last fault-free Program by pointer, so
 	// a steady run executes the DES once per Program, not per iteration.
 	lastExec, plainExec *sim.Execution
@@ -324,15 +323,15 @@ type CascadeEvent struct {
 // instruction runs, so an event list that cannot be spliced — or whose
 // digest names another splice — is rejected with the runtime untouched.
 // Run: around one shared router, each phase
-// interprets the in-flight Program up to the next cut — the prefix of the
-// DES execution the phase takes its logical times from — keeping every
+// interprets the in-flight Program up to the next cut — what its splice
+// chain's timeline, which times the phase, had run by then — keeping every
 // cross-worker payload in its slot. Apply: the event lands (applyEvent) and
 // the next phase interprets the re-spliced Program, re-reading
 // already-consumed tensors from their slots. Only the final boundary
 // acknowledges them: a later kill can re-lose a suffix an earlier splice
 // planned. Errors carry the flight recorder's dump when one is attached.
 func (rt *Runtime) RunIteration(events ...CascadeEvent) (float64, error) {
-	cur, splices, final, err := rt.planIteration(events)
+	chains, splices, err := rt.planIteration(events)
 	if err != nil {
 		return 0, rt.withFlightDump(err)
 	}
@@ -340,36 +339,38 @@ func (rt *Runtime) RunIteration(events ...CascadeEvent) (float64, error) {
 	clear(rt.losses)
 	clear(rt.stepped)
 	fl := &inflight{
-		r:       newRouter(cur.Shape, rt.wake),
+		r:       newRouter(chains[0].Exec.Program.Shape, rt.wake),
 		valErrs: make(chan error, rt.Cfg.DP*rt.Cfg.PP*(len(events)+1)),
 		preds:   make([]*tensor.Matrix, rt.Cfg.DP*rt.Cfg.DP*rt.Cfg.MB),
 	}
 	fl.r.rec = rt.rec
-	var done map[int]int64
-	var exec *sim.Execution
-	for i := 0; ; i++ {
+	i := 0
+	for ; ; i++ {
+		cur := chains[i].Exec.Program
 		if rt.rec.Enabled() {
 			rt.rec.BeginProgram(phaseLabel(rt.iter, i, len(events)), cur)
 			if i == 0 {
 				rt.rec.Event(obs.Event{Kind: obs.EvIterStart, At: 0, Iter: rt.iter, Wall: time.Now()})
 			}
 		}
-		// Before an event the phase follows the event's cut execution, so
-		// it stops at the cut — victims included: their pre-cut sends are
-		// what the slots must hold when the kill lands. The final phase
-		// runs to the iteration boundary.
-		exec = final
-		if i < len(events) {
-			exec = splices[i].CutExec
+		// Before an event the phase stops at its cut — victims included:
+		// their pre-cut sends are what the slots must hold when the kill
+		// lands. The final phase runs to the iteration boundary.
+		if i == len(events) {
+			rt.runPhase(fl, &chains[i], math.MaxInt64, nil)
+			break
 		}
-		rt.runPhase(fl, exec, done)
-		if i == len(events) || len(fl.valErrs) > 0 {
+		rt.runPhase(fl, &chains[i], events[i].Cut, events[i].Fail)
+		if len(fl.valErrs) > 0 {
 			break
 		}
 		if err := rt.applyEvent(events[i], splices[i], cur); err != nil {
 			return 0, rt.withFlightDump(err)
 		}
-		cur, done = splices[i].Program, splices[i].Done
+	}
+	exec := chains[i].Exec
+	if i < len(events) { // rolled back before the event: what ran is its cut
+		exec = chains[i].Project(events[i].Cut, events[i].Fail)
 	}
 	loss, err := rt.finish(exec, fl)
 	return loss, rt.withFlightDump(err)
@@ -387,23 +388,26 @@ func (rt *Runtime) withFlightDump(err error) error {
 }
 
 // planIteration derives everything an iteration will interpret before any
-// of it runs: the compiled Program for the current failure set, event by
-// event the splice that re-forms it (whose cut execution times the phase
-// before the event), and the DES execution that times the final phase. It
-// touches no runtime state but the timeline memo.
-func (rt *Runtime) planIteration(events []CascadeEvent) (*schedule.Program, []*replay.LiveSpliced, *sim.Execution, error) {
-	chain, err := rt.newSpliceChain()
+// of it runs: the splice chain from the compiled Program for the current
+// failure set, as it stands before each event and after the last, and event
+// by event the splice that re-forms it. Phase i interprets chain i up to
+// event i's cut, the last phase its chain to the end. It touches no runtime
+// state but the timeline memo.
+func (rt *Runtime) planIteration(events []CascadeEvent) ([]replay.Chain, []*replay.Spliced, error) {
+	c, err := rt.newChain()
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
-	prog := chain.cur
-	splices := make([]*replay.LiveSpliced, len(events))
+	chains := make([]replay.Chain, len(events)+1)
+	splices := make([]*replay.Spliced, len(events))
 	for i, ev := range events {
-		if splices[i], err = chain.advance(ev); err != nil {
-			return nil, nil, nil, err
+		chains[i] = c
+		if splices[i], err = advance(&c, ev); err != nil {
+			return nil, nil, err
 		}
 	}
-	return prog, splices, chain.exec, nil
+	chains[len(events)] = c
+	return chains, splices, nil
 }
 
 // phaseLabel names the trace segment of one phase: the whole iteration
@@ -420,68 +424,51 @@ func phaseLabel(iter, phase, events int) string {
 	return fmt.Sprintf("iter%d/mid-splice-%d", iter, phase)
 }
 
-// spliceChain threads the in-flight artifact across the splices of one
-// iteration: the Program being interpreted (its Failed set is the
-// membership the next event is checked against, its cost table times the
-// re-planned work), its executed prefix by completion time, the last
-// re-plan's release floors, its timeline — each instruction's logical span,
-// which the interpreter takes instead of re-deriving the same recurrence
-// message by message — and the last cut. The iteration driver and the
-// chaos planner both advance it, so chaos draws kill instants from the
-// splices the runtime executes.
-type spliceChain struct {
-	cur    *schedule.Program
-	done   map[int]int64
-	floors map[schedule.Worker]int64
-	exec   *sim.Execution
-	cut    int64
-}
-
-// newSpliceChain starts a chain at the compiled Program for the current
+// newChain starts a splice chain at the compiled Program for the current
 // failure set and its DES execution, memoized by pointer. The Program may
 // come from a remote source, so it is checked against the runtime it is
 // about to drive.
-func (rt *Runtime) newSpliceChain() (*spliceChain, error) {
+func (rt *Runtime) newChain() (replay.Chain, error) {
 	prog, err := rt.Program()
 	if err != nil {
-		return nil, err
+		return replay.Chain{}, err
 	}
 	if sh := prog.Shape; sh.DP != rt.Cfg.DP || sh.PP != rt.Cfg.PP || sh.MB != rt.Cfg.MB {
-		return nil, fmt.Errorf("%w: shape %+v, runtime is DP%d×PP%d×MB%d", ErrForeignProgram, sh, rt.Cfg.DP, rt.Cfg.PP, rt.Cfg.MB)
+		return replay.Chain{}, fmt.Errorf("%w: shape %+v, runtime is DP%d×PP%d×MB%d", ErrForeignProgram, sh, rt.Cfg.DP, rt.Cfg.PP, rt.Cfg.MB)
 	}
 	stale := len(prog.Failed) != len(rt.failed)
 	for w := range rt.failed {
 		stale = stale || !prog.Failed[w]
 	}
 	if stale {
-		return nil, fmt.Errorf("%w: compiled around %d failed workers %v, the runtime has %d: %v", ErrForeignProgram, len(prog.Failed), prog.Failed, len(rt.failed), rt.failed)
+		return replay.Chain{}, fmt.Errorf("%w: compiled around %d failed workers %v, the runtime has %d: %v", ErrForeignProgram, len(prog.Failed), prog.Failed, len(rt.failed), rt.failed)
 	}
 	if rt.plainExec == nil || rt.plainExec.Program != prog {
 		ex, err := sim.ExecuteProgram(prog, sim.ProgramOptions{})
 		if err != nil {
-			return nil, err
+			return replay.Chain{}, err
 		}
 		rt.plainExec = ex
 	}
-	return &spliceChain{cur: prog, exec: rt.plainExec}, nil
+	return replay.Chain{Exec: rt.plainExec}, nil
 }
 
-// advance splices the in-flight Program around one membership event and
-// steps the chain onto the spliced artifact, after checking it against the
-// event's digest. It touches no runtime state.
-func (c *spliceChain) advance(ev CascadeEvent) (*replay.LiveSpliced, error) {
-	if ev.Cut <= c.cut {
-		return nil, fmt.Errorf("dtrain: cascade cuts must be strictly increasing, got %d after %d", ev.Cut, c.cut)
+// advance splices the chain's Program around one membership event, as the
+// live runtime can interpret it, and checks the splice against the event's
+// digest and every re-joiner against a live donor. The iteration driver
+// and the chaos planner both advance a chain through it, so chaos draws
+// kill instants from the splices the runtime executes. It touches no
+// runtime state.
+func advance(c *replay.Chain, ev CascadeEvent) (*replay.Spliced, error) {
+	if ev.Cut <= c.Cut {
+		return nil, fmt.Errorf("dtrain: cascade cuts must be strictly increasing, got %d after %d", ev.Cut, c.Cut)
 	}
-	lv, err := replay.LiveSplice(replay.LiveEvent{
-		Prog: c.cur, Cut: ev.Cut, Fail: ev.Fail, Rejoin: ev.Rejoin,
-		Release: c.floors, Done: c.done,
-	})
+	spl, err := c.AdvanceLive(ev.Cut, ev.Fail, ev.Rejoin)
 	if err != nil {
 		return nil, err
 	}
 	if ev.Digest != 0 {
-		d, err := engine.ProgramDigest(lv.Program)
+		d, err := engine.ProgramDigest(spl.Program)
 		if err != nil {
 			return nil, err
 		}
@@ -492,21 +479,20 @@ func (c *spliceChain) advance(ev CascadeEvent) (*replay.LiveSpliced, error) {
 	if len(ev.Rejoin) > 0 {
 		// A re-joiner copies its state from a live peer once the victims
 		// are gone: neither a victim nor a fellow re-joiner can be its donor.
-		down := make(map[schedule.Worker]bool, len(lv.Failed)+len(ev.Rejoin))
-		for w := range lv.Failed {
+		down := make(map[schedule.Worker]bool, len(spl.Failed)+len(ev.Rejoin))
+		for w := range spl.Failed {
 			down[w] = true
 		}
 		for _, w := range ev.Rejoin {
 			down[w] = true
 		}
 		for _, w := range ev.Rejoin {
-			if _, ok := livePeer(down, w, c.cur.Shape.DP); !ok {
+			if _, ok := livePeer(down, w, spl.Program.Shape.DP); !ok {
 				return nil, fmt.Errorf("dtrain: no live peer to restore %s from", w)
 			}
 		}
 	}
-	c.cur, c.done, c.floors, c.exec, c.cut = lv.Program, lv.Done, lv.Floors, lv.Exec, ev.Cut
-	return lv, nil
+	return spl, nil
 }
 
 // inflight is the state the phases of one iteration share: the router
@@ -521,32 +507,31 @@ type inflight struct {
 }
 
 // runPhase interprets, one goroutine per worker, the part of each stream
-// of exec's Program that is neither in the done prefix nor beyond what
-// exec completed: a cut execution stops every stream at its first
-// instruction that had not completed by the cut.
-func (rt *Runtime) runPhase(fl *inflight, exec *sim.Execution, done map[int]int64) {
+// of the chain's Program that is neither in its frozen prefix nor beyond
+// what had run by instant at, the workers in fail dying there: a phase
+// before an event stops every stream at its first instruction the event's
+// cut leaves unrun (replay.Chain.Ran).
+func (rt *Runtime) runPhase(fl *inflight, c *replay.Chain, at int64, fail []schedule.Worker) {
+	exec := c.Exec
 	prog := exec.Program
 	if rt.rec.Enabled() {
 		// Frozen prefix spans, in instruction-ID order, make each
 		// post-splice segment tile the full iteration makespan on its own
 		// (the CriticalPath invariant).
-		for _, id := range slices.Sorted(maps.Keys(done)) {
-			rt.rec.Span(obs.Span{Instr: id, Op: prog.Op(id), Deps: prog.Producers(id),
-				Sched: exec.Start[id], Start: exec.Start[id], End: exec.End[id],
-				Modeled: prog.DurOf(id), Frozen: true})
+		for id := range prog.Instrs {
+			if c.Ran(id, c.Cut, nil) {
+				rt.rec.Span(exec.Span(id, prog.Durations, true))
+			}
 		}
 	}
 	var wg sync.WaitGroup
 	for _, wk := range prog.Workers() {
 		ids := prog.Stream(wk)
-		for len(ids) > 0 {
-			if _, isDone := done[int(ids[0])]; !isDone {
-				break
-			}
+		for len(ids) > 0 && c.Ran(int(ids[0]), c.Cut, nil) {
 			ids = ids[1:]
 		}
 		n := 0
-		for n < len(ids) && exec.End[ids[n]] >= 0 {
+		for n < len(ids) && c.Ran(int(ids[n]), at, fail) {
 			n++
 		}
 		if n == 0 {
@@ -568,7 +553,7 @@ func (rt *Runtime) runPhase(fl *inflight, exec *sim.Execution, done map[int]int6
 // lost, and re-joining workers are restored. Nothing is published: every
 // runtime derives the same spliced Program from the in-flight one and the
 // event. cur is the Program the event interrupted.
-func (rt *Runtime) applyEvent(ev CascadeEvent, lv *replay.LiveSpliced, cur *schedule.Program) error {
+func (rt *Runtime) applyEvent(ev CascadeEvent, lv *replay.Spliced, cur *schedule.Program) error {
 	if rt.rec.Enabled() {
 		// Kills and rejoins first, then the splice record with the
 		// re-plan's structural counters.
@@ -703,12 +688,7 @@ func (rt *Runtime) captureEpochBase() {
 func SpliceEventID(iter int, cut int64, fail, rejoin []schedule.Worker) string {
 	render := func(ws []schedule.Worker) string {
 		sorted := append([]schedule.Worker(nil), ws...)
-		sort.Slice(sorted, func(i, j int) bool {
-			if sorted[i].Stage != sorted[j].Stage {
-				return sorted[i].Stage < sorted[j].Stage
-			}
-			return sorted[i].Pipeline < sorted[j].Pipeline
-		})
+		schedule.SortWorkers(sorted)
 		s := ""
 		for i, w := range sorted {
 			if i > 0 {
@@ -865,19 +845,9 @@ func (rt *Runtime) execOps(w schedule.Worker, exec *sim.Execution, fl *inflight,
 			}
 		}
 		if tracing {
-			// Sched is dependency-ready time: the latest producer end plus
-			// communication latency on cross-stage edges — a gated
-			// optimizer's producers being its stage's contributions.
-			deps := prog.Producers(id)
-			var sched int64
-			for _, d := range deps {
-				if t := exec.End[d.From] + prog.EdgeLatency(d.Kind); t > sched {
-					sched = t
-				}
-			}
-			rt.rec.Span(obs.Span{Instr: id, Op: op, Deps: deps,
-				Sched: sched, Start: exec.Start[id], End: exec.End[id],
-				Modeled: prog.DurOf(id), Actual: opWall})
+			sp := exec.Span(id, prog.Durations, false)
+			sp.Actual = opWall
+			rt.rec.Span(sp)
 		}
 	}
 	return nil
@@ -922,7 +892,7 @@ func (rt *Runtime) allReduceAndStep(w schedule.Worker, st *nn.Stage, iter int, r
 // ExecutedTimeline returns the Program the last iteration interpreted and
 // each instruction's executed logical span (start, end in slot units; -1
 // where a rolled-back phase never got to it), indexed by instruction ID —
-// the discrete-event simulator's execution of that Program, which is what
+// the discrete-event simulator's timeline of that Program, which is what
 // the interpreter's spans, cut points and stream bounds were read from.
 // The slices are shared with the runtime: read-only.
 func (rt *Runtime) ExecutedTimeline() (prog *schedule.Program, starts, ends []int64) {
@@ -930,22 +900,6 @@ func (rt *Runtime) ExecutedTimeline() (prog *schedule.Program, starts, ends []in
 		return nil, nil, nil
 	}
 	return rt.lastExec.Program, rt.lastExec.Start, rt.lastExec.End
-}
-
-// ExecutedComputeMakespan returns the last iteration's logical compute
-// makespan: the latest executed end among F/B/BI/BW instructions.
-func (rt *Runtime) ExecutedComputeMakespan() int64 {
-	var out int64
-	prog, _, ends := rt.ExecutedTimeline()
-	if prog == nil {
-		return 0
-	}
-	for i := range prog.Instrs {
-		if prog.Type(i) != schedule.Optimizer && ends[i] > out {
-			out = ends[i]
-		}
-	}
-	return out
 }
 
 // AttachDetector routes per-op timing observations into a failure/straggler

@@ -132,7 +132,7 @@ func programShapeDigest(t *testing.T, sh schedule.Shape) (d shapeDigests, progra
 // Program: each worker's stream as ops with their stamped Dur, gate bit,
 // producers and Done end (-1 outside the prefix), then the Floors, the
 // iteration's end, the lost input IDs and the counters.
-func hashSpliceIdentity(h io.Writer, lv *replay.LiveSpliced) {
+func hashSpliceIdentity(h io.Writer, lv *replay.Spliced) {
 	p := lv.Program
 	fmt.Fprintf(h, "%+v %+v %v %v\n", p.Shape, p.Durations, p.Failed, p.CostTable())
 	for _, w := range p.Workers() {

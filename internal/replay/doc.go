@@ -20,10 +20,12 @@
 //     event: any process holding the Program derives the same bytes. There
 //     is one rule: a stage whose optimizer step fully completed before the
 //     cut is durable and stays frozen, victim included. And one call site:
-//     cutAndSplice runs the DES up to the event instant and splices;
-//     Replay calls it directly and the live interpreter
-//     (dtrain.Runtime.RunIteration) reaches it through LiveSplice, which
-//     adds only the optimizer-straddle guard a live all-reduce needs.
+//     a Chain — the Program in flight, its timeline and the last cut —
+//     reads each cut off its timeline by one rule (Chain.Ran), splices and
+//     steps onto the spliced Program. Replay, the live interpreter
+//     (dtrain.Runtime.RunIteration) and its chaos planner all advance one;
+//     the live side through AdvanceLive, which adds only the
+//     optimizer-straddle guard a live all-reduce needs.
 //
 //     Splice keeps its books on the schedule package's dense op index —
 //     slices indexed by triple, stage group and worker, one slab of

@@ -26,9 +26,9 @@ type Options struct {
 	// joining worker is floored by it, so live peers keep computing.
 	RejoinDelay time.Duration
 	// Recorder, when enabled, receives every distinct Program execution the
-	// replay simulates (steady-state windows once each, cut executions per
-	// splice) plus one membership event per splice — the recorder-backed
-	// source of the -events log.
+	// replay simulates (steady-state windows once each, and per splice the
+	// cut projected off its chain) plus one membership event per splice —
+	// the recorder-backed source of the -events log.
 	Recorder obs.Recorder
 }
 
@@ -206,7 +206,7 @@ func Replay(eng *engine.Engine, tr failure.Trace, opt Options) (*Result, error) 
 		})
 	}
 
-	// release is the per-event floor map handed to cutAndSplice, which only
+	// release is the per-event floor map handed to Chain.Advance, which only
 	// reads it: one map serves every event of the replay.
 	release := make(map[schedule.Worker]int64, job.Parallel.Workers())
 	now := 0.0
@@ -280,9 +280,7 @@ func Replay(eng *engine.Engine, tr failure.Trace, opt Options) (*Result, error) 
 		// splice, resume — repeatedly, if the resumed iteration is
 		// interrupted again.
 		iterStart := now
-		curProg := prog
-		var done map[int]int64
-		var floors map[schedule.Worker]int64
+		chain := Chain{Exec: base}
 		endSec := 0.0
 		expectEnd := base.Makespan // what the iteration would have taken without the event
 		for {
@@ -303,7 +301,7 @@ func Replay(eng *engine.Engine, tr failure.Trace, opt Options) (*Result, error) 
 			clear(release)
 			if len(dying) > 0 {
 				floor := cut + toSlots(opt.DetectDelay)
-				for _, w := range curProg.Workers() {
+				for _, w := range chain.Exec.Program.Workers() {
 					release[w] = floor
 				}
 			}
@@ -314,13 +312,16 @@ func Replay(eng *engine.Engine, tr failure.Trace, opt Options) (*Result, error) 
 					}
 				}
 			}
-			spl, err := cutAndSplice(LiveEvent{
-				Prog: curProg, Cut: cut, Fail: dying, Rejoin: joining,
-				Release: release, Done: done,
-			}, sim.ProgramOptions{
-				ReleaseAt: floors, Recorder: opt.Recorder,
-				TraceLabel: fmt.Sprintf("replay/iter%d/cut@%d", res.Iterations, cut),
-			})
+			if opt.Recorder != nil && opt.Recorder.Enabled() {
+				failAt := make(map[schedule.Worker]int64, len(dying))
+				for _, w := range dying {
+					failAt[w] = cut
+				}
+				frozen := func(id int) bool { return chain.Ran(id, chain.Cut, nil) }
+				chain.Project(cut, dying).Record(opt.Recorder, fmt.Sprintf("replay/iter%d/cut@%d", res.Iterations, cut),
+					chain.Exec.Program.Durations, frozen, failAt, cut)
+			}
+			spl, err := chain.Advance(cut, dying, joining, release)
 			if err != nil {
 				return nil, err
 			}
@@ -346,7 +347,6 @@ func Replay(eng *engine.Engine, tr failure.Trace, opt Options) (*Result, error) 
 			res.LostSlots += spl.LostSlots
 			res.MigratedTriples += spl.MigratedTriples
 			wi++
-			curProg, done, floors = spl.Program, spl.Done, spl.Floors
 			endSec = iterStart + float64(spl.Exec.Makespan)*unit
 			if wi < len(windows)-1 && windows[wi].End.Seconds() < endSec-eps {
 				continue // the next event interrupts the spliced iteration too

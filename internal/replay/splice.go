@@ -16,9 +16,8 @@ type SpliceInput struct {
 	// Prog is the Program that was executing when the event arrived.
 	Prog *schedule.Program
 	// Starts and Ends are the executed spans at the event instant, indexed
-	// by instruction ID, -1 for instructions that have not run — the
-	// Execution arrays of a CutAt run of sim.ExecuteProgram, which are the
-	// live runtime's executed timeline too.
+	// by instruction ID, -1 for instructions that have not run — a Chain's
+	// cut, projected off the timeline the live runtime executes too.
 	Starts, Ends []int64
 	// Cut is the event instant on the program's virtual clock. No
 	// re-planned work starts before it.
@@ -92,7 +91,7 @@ type Spliced struct {
 	MigratedTriples int
 	// splitStage is a stage whose optimizer group the cut split — some of
 	// its steps completed, some did not — or -1. The trace replayer splices
-	// through such a cut; LiveSplice cannot (see there).
+	// through such a cut; Chain.AdvanceLive cannot (see there).
 	splitStage int
 }
 

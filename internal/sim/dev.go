@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"maps"
 	"math"
 	"slices"
 	"sync"
@@ -35,10 +34,10 @@ type ProgramOptions struct {
 	FailAt map[schedule.Worker]int64
 	// CutAt, when > 0, freezes the virtual clock at an event instant: no
 	// instruction starts at or after CutAt, while instructions already in
-	// flight run to completion. The completed set of a cut execution is the
-	// executed prefix a mid-iteration splice (internal/replay) keeps;
-	// unexecuted instructions are classified Blocked but do not make the
-	// execution a deadlock.
+	// flight run to completion. Unexecuted instructions are classified
+	// Blocked but do not make the execution a deadlock. A mid-iteration
+	// splice (internal/replay) projects its cut off a timeline instead;
+	// this walk is the projection's reference.
 	CutAt int64
 	// Done marks instructions that already executed before this program run
 	// — the frozen prefix of a spliced Program — each mapped to its
@@ -91,13 +90,6 @@ func (x *Execution) StepEpochs() map[schedule.Worker]int {
 	return out
 }
 
-// Classification marks of an instruction that never ran; 0 marks one that
-// did.
-const (
-	lostMark uint8 = 1 + iota
-	blockedMark
-)
-
 // execScratch is ExecuteProgram's working set, pooled so that an execution
 // allocates only what its Execution keeps.
 type execScratch struct {
@@ -105,7 +97,6 @@ type execScratch struct {
 	dur    []int64   // per instruction: its duration under the options
 	scale  []float64 // per WorkerIndex: its Scale factor, 0 for none
 	failAt []int64   // per WorkerIndex: its FailAt instant
-	mark   []uint8   // per instruction: classification mark
 }
 
 var execPool = sync.Pool{New: func() any { return new(execScratch) }}
@@ -129,15 +120,6 @@ func ExecuteProgram(p *schedule.Program, opt ProgramOptions) (*Execution, error)
 	if p == nil {
 		return nil, fmt.Errorf("sim: cannot execute a nil program")
 	}
-	tracing := opt.Recorder != nil && opt.Recorder.Enabled()
-	if tracing {
-		label := opt.TraceLabel
-		if label == "" {
-			label = "sim"
-		}
-		opt.Recorder.BeginProgram(label, p)
-	}
-
 	n, sh, nw := len(p.Instrs), p.Shape, p.Shape.DP*p.Shape.PP
 	ex := &Execution{Program: p, Start: make([]int64, n), End: make([]int64, n)}
 	sc := execPool.Get().(*execScratch)
@@ -171,15 +153,6 @@ func ExecuteProgram(p *schedule.Program, opt ProgramOptions) (*Execution, error)
 		}
 		walk.Install(id, end)
 	}
-	if tracing {
-		for _, id := range slices.Sorted(maps.Keys(opt.Done)) {
-			opt.Recorder.Span(obs.Span{
-				Instr: id, Op: p.Op(id), Deps: p.Producers(id),
-				Sched: ex.Start[id], Start: ex.Start[id], End: opt.Done[id],
-				Modeled: p.DurOf(id), Frozen: true,
-			})
-		}
-	}
 	placed := 0
 	for _, w := range p.Workers() {
 		wi := sh.WorkerIndex(w)
@@ -194,77 +167,108 @@ func ExecuteProgram(p *schedule.Program, opt ProgramOptions) (*Execution, error)
 
 	walk.Run()
 	ex.Completed, ex.Makespan = walk.Ended(), walk.Makespan()
-	if tracing {
-		for id := range p.Instrs {
-			if _, frozen := opt.Done[id]; ex.End[id] < 0 || frozen {
-				continue
-			}
-			opt.Recorder.Span(obs.Span{
-				Instr: id, Op: p.Op(id), Deps: p.Producers(id),
-				Sched: walk.Ready(id), Start: ex.Start[id], End: ex.End[id],
-				Modeled: p.DurOf(id),
-			})
-		}
+	if ex.Completed < n {
+		ex.Classify(walk.Dead)
 	}
-
-	// Classify what never ran: mark each worker's unexecuted tail lost (the
-	// worker died) or blocked, then collect both lists in one pass in
-	// instruction-ID order.
-	lost, blocked := 0, 0
-	for wi := 0; wi < nw; wi++ {
-		if walk.Dead(wi) {
-			lost += len(walk.Left(wi))
-		} else {
-			blocked += len(walk.Left(wi))
+	if opt.Recorder != nil && opt.Recorder.Enabled() {
+		label := opt.TraceLabel
+		if label == "" {
+			label = "sim"
 		}
-	}
-	if lost+blocked > 0 {
-		sc.mark = filled(sc.mark, n, 0)
-		mark := sc.mark
-		for wi := 0; wi < nw; wi++ {
-			m := blockedMark
-			if walk.Dead(wi) {
-				m = lostMark
-				if tracing {
-					opt.Recorder.Event(obs.Event{
-						Kind: obs.EvKill, At: opt.FailAt[sh.WorkerAt(wi)], Iter: p.Op(int(walk.Left(wi)[0])).Iter,
-						Worker: sh.WorkerAt(wi), HasWorker: true,
-					})
-				}
-			}
-			for _, id := range walk.Left(wi) {
-				mark[id] = m
-			}
-		}
-		if lost > 0 {
-			ex.Lost = make([]int, 0, lost)
-		}
-		if blocked > 0 {
-			ex.Blocked = make([]int, 0, blocked)
-		}
-		for id, m := range mark {
-			switch m {
-			case lostMark:
-				ex.Lost = append(ex.Lost, id)
-			case blockedMark:
-				ex.Blocked = append(ex.Blocked, id)
-			}
-		}
-	}
-	if tracing && opt.CutAt > 0 {
-		opt.Recorder.Event(obs.Event{
-			Kind: obs.EvCut, At: opt.CutAt, Iter: -1,
-			Attrs: []obs.Attr{
-				{Key: "completed", Val: int64(ex.Completed)},
-				{Key: "lost", Val: int64(len(ex.Lost))},
-				{Key: "blocked", Val: int64(len(ex.Blocked))},
-			},
-		})
+		frozen := func(id int) bool { _, ok := opt.Done[id]; return ok }
+		ex.Record(opt.Recorder, label, t.Lat, frozen, opt.FailAt, opt.CutAt)
 	}
 	if len(opt.FailAt) == 0 && opt.CutAt <= 0 && ex.Completed != n {
 		return ex, fmt.Errorf("sim: program deadlocked with %d of %d instructions unexecuted", n-ex.Completed, n)
 	}
 	return ex, nil
+}
+
+// Classify fills Lost and Blocked, each in instruction-ID order, with the
+// instructions that never ran: lost on a worker that dead reports (by
+// WorkerIndex) died, blocked on any other.
+func (x *Execution) Classify(dead func(wi int) bool) {
+	lost, blocked := 0, 0
+	for id, e := range x.End {
+		if wi, _, _ := x.Program.OpIndex(id); e < 0 && dead(wi) {
+			lost++
+		} else if e < 0 {
+			blocked++
+		}
+	}
+	x.Lost, x.Blocked = nil, nil
+	if lost > 0 {
+		x.Lost = make([]int, 0, lost)
+	}
+	if blocked > 0 {
+		x.Blocked = make([]int, 0, blocked)
+	}
+	for id, e := range x.End {
+		if wi, _, _ := x.Program.OpIndex(id); e < 0 && dead(wi) {
+			x.Lost = append(x.Lost, id)
+		} else if e < 0 {
+			x.Blocked = append(x.Blocked, id)
+		}
+	}
+}
+
+// Span is instruction id's span in x as a recorder shows it. A frozen span
+// is scheduled at its start; any other at its producers' latest end plus
+// each edge's latency under lat — a gated optimizer's producers being its
+// stage group's contributions — the instant the walk let it start.
+func (x *Execution) Span(id int, lat schedule.Durations, frozen bool) obs.Span {
+	p := x.Program
+	sp := obs.Span{Instr: id, Op: p.Op(id), Deps: p.Producers(id),
+		Sched: x.Start[id], Start: x.Start[id], End: x.End[id],
+		Modeled: p.DurOf(id), Frozen: frozen}
+	if !frozen {
+		sp.Sched = 0
+		for _, d := range sp.Deps {
+			sp.Sched = max(sp.Sched, x.End[d.From]+lat.EdgeLatency(d.Kind))
+		}
+	}
+	return sp
+}
+
+// Record records x into rec as one trace segment named label: the frozen
+// instructions' spans in ID order, the span of every other instruction that
+// ran, a kill event per worker that died with work left, at its failAt
+// instant, and — for a cut execution (cut > 0) — the cut event with what
+// completed, was lost and was blocked. lat is what x charged its edges.
+func (x *Execution) Record(rec obs.Recorder, label string, lat schedule.Durations, frozen func(id int) bool, failAt map[schedule.Worker]int64, cut int64) {
+	p := x.Program
+	rec.BeginProgram(label, p)
+	for id := range p.Instrs {
+		if frozen(id) {
+			rec.Span(x.Span(id, lat, true))
+		}
+	}
+	for id := range p.Instrs {
+		if x.End[id] >= 0 && !frozen(id) {
+			rec.Span(x.Span(id, lat, false))
+		}
+	}
+	for _, w := range p.Workers() { // a worker that died lost all it did not run
+		for _, id := range p.Stream(w) {
+			if x.End[id] >= 0 {
+				continue
+			}
+			if _, died := slices.BinarySearch(x.Lost, int(id)); died {
+				rec.Event(obs.Event{Kind: obs.EvKill, At: failAt[w], Iter: p.Op(int(id)).Iter, Worker: w, HasWorker: true})
+			}
+			break
+		}
+	}
+	if cut > 0 {
+		rec.Event(obs.Event{
+			Kind: obs.EvCut, At: cut, Iter: -1,
+			Attrs: []obs.Attr{
+				{Key: "completed", Val: int64(x.Completed)},
+				{Key: "lost", Val: int64(len(x.Lost))},
+				{Key: "blocked", Val: int64(len(x.Blocked))},
+			},
+		})
+	}
 }
 
 // durations tabulates every instruction's duration under the options: the
@@ -338,16 +342,4 @@ func (e *Execution) WorkerBusy() map[schedule.Worker]int64 {
 		busy[w] += e.End[i] - e.Start[i]
 	}
 	return busy
-}
-
-// IterationComplete reports whether every instruction of the iteration
-// finished — false after a mid-iteration failure, where the lost and
-// blocked sets say what the fault took down.
-func (e *Execution) IterationComplete(iter int) bool {
-	for i := range e.Program.Instrs {
-		if e.Program.Op(i).Iter == iter && e.End[i] < 0 {
-			return false
-		}
-	}
-	return true
 }

@@ -39,11 +39,8 @@ func TestExecuteFaultFreeMatchesSchedule(t *testing.T) {
 	if got, want := ex.ComputeMakespan(0), s.ComputeMakespan(0); got != want {
 		t.Fatalf("DES compute makespan %d != schedule %d", got, want)
 	}
-	if ex.Completed != len(p.Instrs) {
-		t.Fatalf("only %d of %d instructions completed", ex.Completed, len(p.Instrs))
-	}
-	if !ex.IterationComplete(0) {
-		t.Fatal("iteration reported incomplete on a healthy fleet")
+	if ex.Completed != len(p.Instrs) || len(ex.Lost)+len(ex.Blocked) > 0 {
+		t.Fatalf("%d of %d instructions completed, %d lost, %d blocked on a healthy fleet", ex.Completed, len(p.Instrs), len(ex.Lost), len(ex.Blocked))
 	}
 }
 
@@ -142,8 +139,8 @@ func TestMidIterationFailure(t *testing.T) {
 	if len(ex.Blocked) == 0 {
 		t.Fatal("no downstream instructions blocked on the lost work")
 	}
-	if ex.IterationComplete(0) {
-		t.Fatal("iteration reported complete despite a mid-iteration failure")
+	if ex.Completed+len(ex.Lost)+len(ex.Blocked) != len(p.Instrs) {
+		t.Fatalf("%d completed, %d lost and %d blocked do not cover %d instructions", ex.Completed, len(ex.Lost), len(ex.Blocked), len(p.Instrs))
 	}
 	for _, id := range ex.Lost {
 		if got := p.Op(id).Worker(); got != victim {

@@ -21,11 +21,12 @@
 // and can be overridden homogeneously (ProgramOptions.Durations), per
 // worker (ProgramOptions.Scale, straggler injection) or per op
 // (ProgramOptions.OpDuration); mid-iteration failures are injected with
-// FailAt, reporting lost and blocked instruction sets. The splice hooks
-// serve internal/replay: CutAt freezes the clock at a membership-event
-// instant, Done resumes a spliced Program past its frozen prefix, and
-// ReleaseAt floors re-planned work (detection and parameter-copy
-// latencies surface as idle time, not subtracted stalls).
+// FailAt, reporting lost and blocked instruction sets. CutAt freezes the
+// clock at an event instant, Done resumes a spliced Program past its frozen
+// prefix, and ReleaseAt floors re-planned work: the cut walk internal/replay
+// projects off a timeline instead, kept as that projection's reference.
+// Execution.Record writes one execution as a trace segment, and
+// Execution.Span is the one span constructor every executor records by.
 //
 // The paper validates this style of simulator against its real 32-GPU
 // cluster within 5.98% (Table 2); here the simulator is the primary
