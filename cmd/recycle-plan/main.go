@@ -83,9 +83,8 @@ func main() {
 		eng.ThroughputSamplesPerSec(ff), eng.ThroughputSamplesPerSec(plan))
 	fmt.Printf("planner latency: %s\n", plan.PlanTime)
 	m := eng.Metrics()
-	fmt.Printf("plan service: %d solves, %d cache hits, %d store hits\n", m.Solves, m.CacheHits, m.StoreHits)
-	fmt.Printf("solver paths: %d warm hits, %d warm replays, %d scratch, %d class dedups\n",
-		m.WarmHits, m.WarmReplays, m.ScratchSolves, m.ClassDedups)
+	fmt.Printf("plan service: %d solves, %d cache hits, %d store hits, %d class dedups\n",
+		m.Solves, m.CacheHits, m.StoreHits, m.ClassDedups)
 	if *events {
 		fmt.Printf("\nplan service events:\n%s", obs.FormatEvents(rec.Events()))
 	}

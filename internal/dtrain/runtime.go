@@ -989,7 +989,7 @@ func (rt *Runtime) MeasuredWorkerTimes() map[schedule.Worker]time.Duration {
 // the engine's cost model (engine.Recalibrate): workers whose measured
 // time drifts from the model beyond the engine's threshold get updated
 // multipliers, and the previously planned failure counts are re-solved
-// warm under the new model. Call it between iterations — after enough
+// under the new model. Call it between iterations — after enough
 // compute ops have been timed for the means to be meaningful.
 func (rt *Runtime) Recalibrate() (engine.Recalibration, error) {
 	return rt.eng.Recalibrate(rt.MeasuredWorkerTimes())

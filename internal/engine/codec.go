@@ -16,8 +16,8 @@ const CodecVersion = 2
 // stored in the replicated plan store: the shared header for its schedule,
 // then Failures, PeriodSlots, PlanTime, the assignment, the failed list in
 // plan order, and every placement as its op, its Start as a delta from the
-// previous placement's, and End − Start. The schedule's derived indexes and
-// the in-memory warm-start provenance are not encoded.
+// previous placement's, and End − Start. The schedule's derived indexes are
+// not encoded.
 func EncodePlan(p *Plan) ([]byte, error) {
 	if p == nil || p.Schedule == nil {
 		return nil, fmt.Errorf("engine: refusing to encode an empty plan")
@@ -87,14 +87,17 @@ func DecodePlan(data []byte) (*Plan, error) {
 	return p, nil
 }
 
-// workerList flattens a failed-worker set into a deterministic sorted list.
+// workerList flattens a failed-worker set into a deterministic sorted list
+// of the workers marked true; a false entry is a healthy worker.
 func workerList(set map[schedule.Worker]bool) []schedule.Worker {
 	if len(set) == 0 {
 		return nil
 	}
 	ws := make([]schedule.Worker, 0, len(set))
-	for w := range set {
-		ws = append(ws, w)
+	for w, down := range set {
+		if down {
+			ws = append(ws, w)
+		}
 	}
 	schedule.SortWorkers(ws)
 	return ws

@@ -41,8 +41,6 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Warm-start provenance is in-memory-only and never encoded.
-		plan.Hint, plan.SolveKind = nil, ""
 		if !reflect.DeepEqual(plan, got) {
 			t.Errorf("f=%d: decoded plan differs from original", f)
 		}
@@ -65,7 +63,6 @@ func TestEncodeDecodeConcreteRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan.Hint, plan.SolveKind = nil, ""
 	if !reflect.DeepEqual(plan, got) {
 		t.Error("decoded concrete plan differs from original")
 	}

@@ -33,10 +33,9 @@
 //
 // The Planner (§4.2: Failure Normalization plus schedule generation)
 // lives here too, as the engine's immutable configuration snapshot. There
-// is one cache, lock-striped (64 hash shards keyed by plan key), and
-// invalidation is epoch-based: a stripe is only ever locked for the keys
-// it owns, and InvalidateCache bumps one atomic instead of sweeping maps
-// under a global mutex.
+// is one cache, a get-or-solve map lock-striped into 64 hash shards keyed
+// by plan key, so a stripe is only ever locked for the keys it owns. A
+// plan is a pure function of its key and is solved at most once.
 //
 // An engine's configuration — job, stats, technique toggles, unroll
 // window — is fixed at New; an engine per technique set is how the Fig 11

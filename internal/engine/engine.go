@@ -51,12 +51,8 @@ type Metrics struct {
 	Compiles    uint64 // schedule→Program lowerings performed
 	ProgramHits uint64 // Programs served from the compiled cache
 
-	// Solver-path split of Solves: warm-start hits (the hint's schedule
-	// validated as-is), warm replays (the hint's op order re-timed and it
-	// matched or beat scratch), and scratch solves.
-	// Warm+Replay+Scratch == Solves.
-	WarmHits      uint64
-	WarmReplays   uint64
+	// ScratchSolves equals Solves: every solve runs from scratch. It stays
+	// for the benchmark harness that reads it.
 	ScratchSolves uint64
 	// ClassDedups counts concrete plan requests answered by renaming a
 	// cost-equivalence-class representative instead of solving.
@@ -67,13 +63,11 @@ type Metrics struct {
 	// direct measure of cache-lock contention under load. ProgramStoreHits
 	// counts compiled Programs decoded out of the replicated store instead
 	// of recompiled. WarmedPlans/WarmTargets track background warming
-	// coverage. Epoch is the current cache epoch; it advances once per
-	// InvalidateCache.
+	// coverage.
 	StripeContended  uint64
 	ProgramStoreHits uint64
 	WarmedPlans      uint64
 	WarmTargets      uint64
-	Epoch            uint64
 }
 
 // newConf resolves Options against the planner defaults into the
@@ -105,42 +99,28 @@ type Engine struct {
 	confMu sync.Mutex
 	conf   atomic.Pointer[Planner]
 
-	// epoch is the cache generation. InvalidateCache bumps it; cached
-	// plans (and the Programs in their slots) and Best(n) indexes admitted
-	// under older epochs become invisible lazily instead of being swept
-	// under a global lock.
-	epoch atomic.Uint64
-
 	// seed/stripes are the lock-striped plan cache: plans and in-flight
 	// solves sharded by key hash.
 	seed    maphash.Seed
 	stripes [numStripes]stripe
 
-	// normMu guards norm, the per-fingerprint Best(n) indexes, each
-	// tagged with the epoch it serves.
+	// normMu guards norm, the per-fingerprint Best(n) indexes — the
+	// adaptive-schedule store of Fig 8, one normalized plan per failure
+	// count.
 	normMu sync.Mutex
-	norm   map[string]normIndex
+	norm   map[string]map[int]*Plan
 
-	// hintMu guards the warm-start state. hintsN / hintsC retain the last
-	// successfully solved plan per normalized failure count and per
-	// concrete victim key, across fingerprints: hints deliberately cross
-	// cost-model namespaces, which is what makes the re-solve after a
-	// recalibration warm instead of scratch. Store-decoded plans carry no
-	// hint and are not retained. plannedN remembers which normalized
-	// counts have been requested, so Recalibrate re-solves exactly the
-	// working set. Hints survive epoch bumps by design.
-	hintMu   sync.Mutex
-	hintsN   map[int]*Plan
-	hintsC   map[string]*Plan
-	plannedN map[int]bool
+	// plannedMu guards plannedN, the normalized counts served so far: the
+	// working set Recalibrate re-solves.
+	plannedMu sync.Mutex
+	plannedN  map[int]bool
 
-	cacheHits, storeHits, bestHits       atomic.Uint64
-	solves, coalesced, storeErrs         atomic.Uint64
-	compiles, programHits                atomic.Uint64
-	warmHits, warmReplays, scratchSolves atomic.Uint64
-	classDedups                          atomic.Uint64
-	stripeContended, programStoreHits    atomic.Uint64
-	warmedPlans, warmTargets             atomic.Uint64
+	cacheHits, storeHits, bestHits    atomic.Uint64
+	solves, coalesced, storeErrs      atomic.Uint64
+	compiles, programHits             atomic.Uint64
+	classDedups                       atomic.Uint64
+	stripeContended, programStoreHits atomic.Uint64
+	warmedPlans, warmTargets          atomic.Uint64
 
 	// recalThreshold is the Recalibrate no-op band (Options.RecalibrateThreshold).
 	recalThreshold float64
@@ -148,15 +128,6 @@ type Engine struct {
 	// rec holds the installed tracing recorder (a recBox; empty means
 	// tracing off). See SetRecorder / observe in observe.go.
 	rec atomic.Value
-}
-
-// normIndex is one fingerprint's Best(n) index — the adaptive-schedule
-// store of Fig 8, one normalized plan per failure count — plus the epoch
-// it was built under; an index from an older epoch is rebuilt empty on
-// first touch (the lazy equivalent of the old stop-the-world map wipe).
-type normIndex struct {
-	plans map[int]*Plan
-	epoch uint64
 }
 
 // New builds the plan service for a job.
@@ -177,15 +148,13 @@ func New(job config.Job, stats profile.Stats, opts Options) *Engine {
 		store:          store,
 		workers:        workers,
 		seed:           maphash.MakeSeed(),
-		norm:           make(map[string]normIndex),
-		hintsN:         make(map[int]*Plan),
-		hintsC:         make(map[string]*Plan),
+		norm:           make(map[string]map[int]*Plan),
 		plannedN:       make(map[int]bool),
 		recalThreshold: threshold,
 	}
 	e.conf.Store(newConf(job, stats, opts))
 	for i := range e.stripes {
-		e.stripes[i].plans = make(map[string]planEntry)
+		e.stripes[i].plans = make(map[string]*Plan)
 		e.stripes[i].inflight = make(map[string]*call)
 	}
 	return e
@@ -266,10 +235,6 @@ func (e *Engine) ClearStraggler(w schedule.Worker) { e.MarkStraggler(w, 1) }
 // Store returns the replicated plan store backing this engine.
 func (e *Engine) Store() *planstore.Store { return e.store }
 
-// Epoch returns the current cache epoch. It advances exactly once per
-// InvalidateCache; a torn read is impossible (single atomic).
-func (e *Engine) Epoch() uint64 { return e.epoch.Load() }
-
 // Metrics returns a snapshot of the plan-traffic counters.
 func (e *Engine) Metrics() Metrics {
 	return Metrics{
@@ -282,16 +247,13 @@ func (e *Engine) Metrics() Metrics {
 		Compiles:    e.compiles.Load(),
 		ProgramHits: e.programHits.Load(),
 
-		WarmHits:      e.warmHits.Load(),
-		WarmReplays:   e.warmReplays.Load(),
-		ScratchSolves: e.scratchSolves.Load(),
+		ScratchSolves: e.solves.Load(),
 		ClassDedups:   e.classDedups.Load(),
 
 		StripeContended:  e.stripeContended.Load(),
 		ProgramStoreHits: e.programStoreHits.Load(),
 		WarmedPlans:      e.warmedPlans.Load(),
 		WarmTargets:      e.warmTargets.Load(),
-		Epoch:            e.epoch.Load(),
 	}
 }
 
@@ -314,11 +276,7 @@ func (e *Engine) MigrationsNeeded(concrete []schedule.Worker, p *Plan) int {
 }
 
 // Plan returns the normalized plan for n simultaneous failures:
-// in-process cache, then replicated store, then one coalesced solve. The
-// solve is warm-started by the last plan this engine derived for the same
-// count (under any cost model — see hintsN), so a re-solve after a cache
-// invalidation or a recalibration validates or replays the previous
-// schedule instead of re-deriving it.
+// in-process cache, then replicated store, then one coalesced solve.
 func (e *Engine) Plan(n int) (*Plan, error) { return e.plan(e.config(), n) }
 
 // plan is Plan under the configuration snapshot c.
@@ -326,11 +284,11 @@ func (e *Engine) plan(c *Planner, n int) (*Plan, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("engine: negative failure count %d", n)
 	}
-	p, err := e.getOrSolve(nkey(c.fp, n), c.fp, true, func() (*Plan, error) {
-		return c.planForHinted(n, e.hintNorm(n))
-	})
+	p, err := e.getOrSolve(nkey(c.fp, n), c.fp, true, func() (*Plan, error) { return c.PlanFor(n) })
 	if err == nil {
-		e.noteNorm(n, p)
+		e.plannedMu.Lock()
+		e.plannedN[n] = true
+		e.plannedMu.Unlock()
 	}
 	return p, err
 }
@@ -364,82 +322,19 @@ func (e *Engine) planConcrete(c *Planner, failed []schedule.Worker) (*Plan, erro
 	}
 	canon, perm, changed := schedule.CanonicalizeVictims(sh, costs, ws)
 	if !changed {
-		p, err := e.getOrSolve(key, c.fp, false, func() (*Plan, error) {
-			return c.planConcreteHinted(ws, e.hintConcrete(ws))
-		})
-		if err == nil {
-			e.noteConcrete(ws, p)
-		}
-		return p, err
+		return e.getOrSolve(key, c.fp, false, func() (*Plan, error) { return c.PlanConcrete(ws) })
 	}
 	if p, ok := e.peek(key, c.fp, false); ok {
 		return p, nil
 	}
 	e.classDedups.Add(1)
-	cp, err := e.getOrSolve(ckey(c.fp, canon), c.fp, false, func() (*Plan, error) {
-		return c.planConcreteHinted(canon, e.hintConcrete(canon))
-	})
+	cp, err := e.getOrSolve(ckey(c.fp, canon), c.fp, false, func() (*Plan, error) { return c.PlanConcrete(canon) })
 	if err != nil {
 		return nil, err
 	}
-	e.noteConcrete(canon, cp)
 	p := renamePlan(cp, schedule.InvertPerm(perm))
-	e.admit(key, c.fp, p, false, e.epoch.Load())
+	e.admit(key, c.fp, p, false)
 	return p, nil
-}
-
-// hintNorm returns the warm-start plan for a normalized count.
-func (e *Engine) hintNorm(n int) *Plan {
-	e.hintMu.Lock()
-	defer e.hintMu.Unlock()
-	return e.hintsN[n]
-}
-
-// noteNorm records a served normalized plan: the count joins the working
-// set Recalibrate re-solves, and plans that carry a hint (i.e. came out of
-// the solver rather than the store codec) become the next warm start.
-func (e *Engine) noteNorm(n int, p *Plan) {
-	e.hintMu.Lock()
-	defer e.hintMu.Unlock()
-	e.plannedN[n] = true
-	if p.Hint != nil {
-		e.hintsN[n] = p
-	}
-}
-
-// hintConcrete returns the warm-start plan for a sorted victim set.
-func (e *Engine) hintConcrete(ws []schedule.Worker) *Plan {
-	e.hintMu.Lock()
-	defer e.hintMu.Unlock()
-	return e.hintsC[victimKey(ws)]
-}
-
-// noteConcrete records a served concrete plan as a future warm start.
-func (e *Engine) noteConcrete(ws []schedule.Worker, p *Plan) {
-	if p.Hint == nil {
-		return
-	}
-	e.hintMu.Lock()
-	defer e.hintMu.Unlock()
-	e.hintsC[victimKey(ws)] = p
-}
-
-// InvalidateCache drops every derived planning artifact — the in-process
-// plan cache with the Programs compiled into its plans, the Best(n)
-// indexes and the replicated store's contents — while keeping the
-// warm-start hints. It models plan-state loss (a planner restart, a store wipe, a membership
-// change that voids cached plans): the next Warm re-derives every plan, and the retained hints make the
-// re-derivation a warm validation pass instead of a scratch solve.
-//
-// Invalidation is a single epoch bump: entries admitted under older
-// epochs stop being served but are never swept under a lock, so in-flight
-// fetches on other stripes proceed untouched. A caller that coalesced
-// onto a solve started before the bump still gets a correct plan — plans
-// are pure functions of their key — it is merely re-derived again on the
-// next fetch.
-func (e *Engine) InvalidateCache() {
-	e.epoch.Add(1)
-	e.store.Clear()
 }
 
 // Best returns the plan for n failures, falling back to the smallest plan
@@ -449,30 +344,24 @@ func (e *Engine) InvalidateCache() {
 // store.
 func (e *Engine) Best(n int) (*Plan, bool) {
 	c := e.config()
-	ep := e.epoch.Load()
 	if p, ok := e.peek(nkey(c.fp, n), c.fp, true); ok {
 		return p, true
 	}
-	return e.normBest(c.fp, ep, n)
+	return e.normBest(c.fp, n)
 }
 
 // best is Best without the traffic counters, used by ScheduleFor so each
 // Coordinator fetch lands in exactly one metrics tier.
 func (e *Engine) best(fp string, n int) (*Plan, bool) {
 	key := nkey(fp, n)
-	st := e.stripeFor(key)
-	ep := e.epoch.Load()
-	e.lockShared(&st.mu)
-	ent, ok := st.plans[key]
-	st.mu.RUnlock()
-	if ok && ent.epoch == e.epoch.Load() {
-		return ent.plan, true
-	}
-	if p := e.loadQuiet(key); p != nil {
-		e.admit(key, fp, p, true, ep)
+	if p, ok := e.cached(key); ok {
 		return p, true
 	}
-	return e.normBest(fp, ep, n)
+	if p := e.loadQuiet(key); p != nil {
+		e.admit(key, fp, p, true)
+		return p, true
+	}
+	return e.normBest(fp, n)
 }
 
 // ScheduleFor is the Coordinator's failure-handling path (§4.1, Fig 8):
@@ -491,14 +380,10 @@ func (e *Engine) ScheduleFor(failed map[schedule.Worker]bool) (*schedule.Schedul
 // planFor is ScheduleFor's fetch path under the configuration snapshot c,
 // returning the plan so ProgramFor reaches its Program slot.
 func (e *Engine) planFor(c *Planner, failed map[schedule.Worker]bool) (*Plan, error) {
-	if len(failed) == 0 {
+	ws := workerList(failed)
+	if len(ws) == 0 {
 		return e.plan(c, 0)
 	}
-	ws := make([]schedule.Worker, 0, len(failed))
-	for w := range failed {
-		ws = append(ws, w)
-	}
-	schedule.SortWorkers(ws)
 	if p, ok := e.peek(ckey(c.fp, ws), c.fp, false); ok {
 		return p, nil
 	}
@@ -517,17 +402,12 @@ func (e *Engine) planFor(c *Planner, failed map[schedule.Worker]bool) (*Plan, er
 // without ever solving. Store hits are promoted into the cache (and the
 // Best(n) index when normalized).
 func (e *Engine) peek(key, fp string, normalized bool) (*Plan, bool) {
-	st := e.stripeFor(key)
-	ep := e.epoch.Load()
-	e.lockShared(&st.mu)
-	ent, ok := st.plans[key]
-	st.mu.RUnlock()
-	if ok && ent.epoch == e.epoch.Load() {
+	if p, ok := e.cached(key); ok {
 		e.cacheHits.Add(1)
-		return ent.plan, true
+		return p, true
 	}
 	if p := e.load(key); p != nil {
-		e.admit(key, fp, p, normalized, ep)
+		e.admit(key, fp, p, normalized)
 		return p, true
 	}
 	return nil, false
@@ -539,20 +419,16 @@ func (e *Engine) peek(key, fp string, normalized bool) (*Plan, bool) {
 // is probed under the shared lock before the exclusive inflight path is
 // touched at all.
 func (e *Engine) getOrSolve(key, fp string, normalized bool, solve func() (*Plan, error)) (*Plan, error) {
-	st := e.stripeFor(key)
-	ep := e.epoch.Load()
-	e.lockShared(&st.mu)
-	ent, ok := st.plans[key]
-	st.mu.RUnlock()
-	if ok && ent.epoch == e.epoch.Load() {
+	if p, ok := e.cached(key); ok {
 		e.cacheHits.Add(1)
-		return ent.plan, nil
+		return p, nil
 	}
+	st := e.stripeFor(key)
 	e.lockExcl(&st.mu)
-	if ent, ok := st.plans[key]; ok && ent.epoch == e.epoch.Load() {
+	if p, ok := st.plans[key]; ok {
 		st.mu.Unlock()
 		e.cacheHits.Add(1)
-		return ent.plan, nil
+		return p, nil
 	}
 	if c, ok := st.inflight[key]; ok {
 		st.mu.Unlock()
@@ -571,19 +447,11 @@ func (e *Engine) getOrSolve(key, fp string, normalized bool, solve func() (*Plan
 		e.observe(obs.EvPlanSolve, key)
 		p, err = solve()
 		if err == nil {
-			switch p.SolveKind {
-			case SolveWarmIdentical:
-				e.warmHits.Add(1)
-			case SolveWarmReplay:
-				e.warmReplays.Add(1)
-			default:
-				e.scratchSolves.Add(1)
-			}
 			e.persist(key, p)
 		}
 	}
 	if err == nil {
-		e.admit(key, fp, p, normalized, ep)
+		e.admit(key, fp, p, normalized)
 	}
 	e.lockExcl(&st.mu)
 	delete(st.inflight, key)
@@ -636,20 +504,21 @@ func (e *Engine) persist(key string, p *Plan) {
 	}
 }
 
-// admit installs a plan into the in-process cache under the epoch its
-// request began in and, for normalized plans, the fingerprint's Best(n)
-// index. An entry admitted under a newer epoch is never replaced by a
-// stale one.
-func (e *Engine) admit(key, fp string, p *Plan, normalized bool, ep uint64) {
+// admit installs a plan into the in-process cache and, for normalized
+// plans, the fingerprint's Best(n) index.
+func (e *Engine) admit(key, fp string, p *Plan, normalized bool) {
 	st := e.stripeFor(key)
 	e.lockExcl(&st.mu)
-	if ent, ok := st.plans[key]; !ok || ent.epoch <= ep {
-		st.plans[key] = planEntry{plan: p, epoch: ep}
-	}
+	st.plans[key] = p
 	st.mu.Unlock()
 	if normalized {
 		e.normMu.Lock()
-		e.normLocked(fp, ep)[p.Failures] = p
+		idx := e.norm[fp]
+		if idx == nil {
+			idx = make(map[int]*Plan)
+			e.norm[fp] = idx
+		}
+		idx[p.Failures] = p
 		e.normMu.Unlock()
 	}
 }
@@ -658,26 +527,14 @@ func (e *Engine) admit(key, fp string, p *Plan, normalized bool, ep uint64) {
 // the smallest indexed plan covering more than n failures if the exact
 // count is missing (a plan for more failures always routes around at
 // least the workers that are down).
-func (e *Engine) normBest(fp string, ep uint64, n int) (*Plan, bool) {
+func (e *Engine) normBest(fp string, n int) (*Plan, bool) {
 	e.normMu.Lock()
 	defer e.normMu.Unlock()
 	var best *Plan
-	for k, p := range e.normLocked(fp, ep) {
+	for k, p := range e.norm[fp] {
 		if k >= n && (best == nil || k < best.Failures) {
 			best = p
 		}
 	}
 	return best, best != nil
-}
-
-// normLocked returns the Best(n) index for one job fingerprint at the
-// given epoch, lazily rebuilding an index whose epoch is stale. The caller
-// holds normMu.
-func (e *Engine) normLocked(fp string, ep uint64) map[int]*Plan {
-	ni, ok := e.norm[fp]
-	if !ok || ni.epoch < ep {
-		ni = normIndex{plans: make(map[int]*Plan), epoch: ep}
-		e.norm[fp] = ni
-	}
-	return ni.plans
 }

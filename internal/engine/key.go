@@ -88,17 +88,6 @@ func spliceKey(fp, event string) string {
 	return "splices/" + fp + "/" + event
 }
 
-// victimKey renders a sorted victim set as a fingerprint-independent key —
-// the index of the concrete warm-start hint registry, which deliberately
-// spans cost-model namespaces (that is what keeps a post-recalibration
-// re-solve warm).
-func victimKey(ws []schedule.Worker) string {
-	var b strings.Builder
-	b.Grow(len(ws) * 8)
-	appendVictims(&b, ws)
-	return b.String()
-}
-
 // appendVictims writes the canonical "stage.pipeline,..." rendering of a
 // sorted victim set.
 func appendVictims(b *strings.Builder, ws []schedule.Worker) {

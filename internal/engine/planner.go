@@ -33,29 +33,12 @@ type Plan struct {
 	PeriodSlots int64
 	// PlanTime is how long the Planner spent generating this plan.
 	PlanTime time.Duration
-	// Hint is the solver's warm-start package for this plan's instance —
-	// the schedule plus the routing and toggles it was solved under. It
-	// lives only in memory (the engine codec does not serialize it, so
-	// store-decoded plans carry nil) and feeds planForHinted /
-	// planConcreteHinted on the next solve of the same configuration.
-	Hint *solver.Hint `json:"-"`
-	// SolveKind records how the schedule was derived: SolveScratch,
-	// SolveWarmIdentical or SolveWarmReplay.
-	SolveKind string `json:"-"`
-
 	// prog is the compiled Program of Schedule, filled by the first
 	// ProgramFor/CompiledProgram that reaches this plan. A plan is cached
-	// under one key and epoch, so the slot shares its lifetime; a Plan is
-	// therefore never copied by value, which would alias or drop it.
+	// under one key, so the slot shares its lifetime; a Plan is therefore
+	// never copied by value, which would alias or drop it.
 	prog atomic.Pointer[schedule.Program]
 }
-
-// SolveKind values stamped into Plan.SolveKind (solver.SolveKind.String()).
-const (
-	SolveScratch       = "scratch"
-	SolveWarmIdentical = "warm-identical"
-	SolveWarmReplay    = "warm-replay"
-)
 
 // Planner is ReCycle's primary contribution (§4.2): given a job and its
 // profiled statistics, it precomputes an adaptive pipeline schedule for a
@@ -122,17 +105,6 @@ func (p *Planner) Shape() schedule.Shape {
 // failures. Failure locations are normalized (Algorithm 1), so one plan
 // serves any concrete failure set of that size.
 func (p *Planner) PlanFor(failures int) (*Plan, error) {
-	return p.planForHinted(failures, nil)
-}
-
-// planForHinted is PlanFor warm-started by a previous plan of the same
-// failure count. Normalization is deterministic, so the previous plan's
-// failed set matches the new one exactly; the solver then validates or
-// replays the previous schedule instead of re-deriving it, unless the
-// planner's configuration drifted incompatibly (in which case the hint is
-// ignored and the solve falls back to scratch — passing a stale plan is
-// always safe and never yields a worse makespan).
-func (p *Planner) planForHinted(failures int, prev *Plan) (*Plan, error) {
 	if failures < 0 {
 		return nil, fmt.Errorf("engine: negative failure count %d", failures)
 	}
@@ -145,7 +117,7 @@ func (p *Planner) planForHinted(failures int, prev *Plan) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	return p.solve(sh, assign, assignmentWorkers(assign, sh.DP), start, hintOf(prev))
+	return p.solve(sh, assign, assignmentWorkers(assign, sh.DP), start)
 }
 
 // PlanConcrete generates the adaptive plan for a specific failed-worker
@@ -155,12 +127,6 @@ func (p *Planner) planForHinted(failures int, prev *Plan) (*Plan, error) {
 // meaningful); the figure gallery uses it to reproduce the paper's running
 // example with worker W1_2 failed.
 func (p *Planner) PlanConcrete(failed []schedule.Worker) (*Plan, error) {
-	return p.planConcreteHinted(failed, nil)
-}
-
-// planConcreteHinted is PlanConcrete warm-started by a previous plan for
-// the same failed-worker set (same hint semantics as planForHinted).
-func (p *Planner) planConcreteHinted(failed []schedule.Worker, prev *Plan) (*Plan, error) {
 	sh := p.Shape()
 	ws := append([]schedule.Worker(nil), failed...)
 	schedule.SortWorkers(ws)
@@ -171,7 +137,7 @@ func (p *Planner) planConcreteHinted(failed []schedule.Worker, prev *Plan) (*Pla
 	for _, w := range ws {
 		assign[w.Stage]++
 	}
-	return p.solve(sh, assign, ws, time.Now(), hintOf(prev))
+	return p.solve(sh, assign, ws, time.Now())
 }
 
 // checkFailed rejects a sorted failed-worker set that names a worker
@@ -189,19 +155,10 @@ func checkFailed(sh schedule.Shape, ws []schedule.Worker) error {
 	return nil
 }
 
-// hintOf extracts a plan's warm-start hint (nil-safe; store-decoded plans
-// carry no hint and degrade to scratch solves).
-func hintOf(prev *Plan) *solver.Hint {
-	if prev == nil {
-		return nil
-	}
-	return prev.Hint
-}
-
 // solve runs the schedule generation phase shared by PlanFor and
 // PlanConcrete: the failed-worker set is fixed, the techniques translate
 // into solver toggles, and the result is wrapped into a Plan.
-func (p *Planner) solve(sh schedule.Shape, assign []int, failed []schedule.Worker, start time.Time, hint *solver.Hint) (*Plan, error) {
+func (p *Planner) solve(sh schedule.Shape, assign []int, failed []schedule.Worker, start time.Time) (*Plan, error) {
 	if !p.Techniques.AdaptivePipelining && len(failed) > 0 {
 		return nil, fmt.Errorf("engine: %d failures but Adaptive Pipelining disabled — no recovery path without spares", len(failed))
 	}
@@ -226,9 +183,8 @@ func (p *Planner) solve(sh schedule.Shape, assign []int, failed []schedule.Worke
 		// naively into the 1F1B skeleton (the Fig 3b behavior the Fig 11
 		// ablation measures as "Adaptive Pipelining" alone).
 		Naive: !p.Techniques.DecoupledBackProp,
-		Hint:  hint,
 	}
-	s, info, err := solver.SolveInstrumented(in)
+	s, err := solver.Solve(in)
 	if err != nil {
 		return nil, err
 	}
@@ -239,8 +195,6 @@ func (p *Planner) solve(sh schedule.Shape, assign []int, failed []schedule.Worke
 		Schedule:    s,
 		PeriodSlots: s.SteadyPeriod(),
 		PlanTime:    time.Since(start),
-		Hint:        info.Hint,
-		SolveKind:   info.Kind.String(),
 	}, nil
 }
 
@@ -250,10 +204,8 @@ func (p *Planner) solve(sh schedule.Shape, assign []int, failed []schedule.Worke
 // permutation must move pipelines only within cost-equivalence classes;
 // the renamed schedule is then an exact isomorph of the original
 // (schedule.RenamePipelines), so period, makespan and per-stage
-// assignment carry over unchanged. The warm-start hint is dropped: hints
-// describe the instance that was actually solved, and the canonical
-// plan keeps it. The renamed plan starts with an empty Program slot: the
-// representative's Program runs the other pipelines.
+// assignment carry over unchanged. The renamed plan starts with an empty
+// Program slot: the representative's Program runs the other pipelines.
 func renamePlan(p *Plan, perm []int) *Plan {
 	failed := make([]schedule.Worker, len(p.Failed))
 	for i, w := range p.Failed {
@@ -267,7 +219,6 @@ func renamePlan(p *Plan, perm []int) *Plan {
 		Schedule:    schedule.RenamePipelines(p.Schedule, perm),
 		PeriodSlots: p.PeriodSlots,
 		PlanTime:    p.PlanTime,
-		SolveKind:   p.SolveKind,
 	}
 }
 

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"bytes"
 	"reflect"
 	"strings"
 	"testing"
@@ -54,20 +53,44 @@ func TestProgramCachedAlongsidePlan(t *testing.T) {
 }
 
 // TestProgramForHealthyFleet checks the n=0 path and the normalized
-// Program accessor.
+// Program accessor. A failed-worker map whose entries are all false names
+// a healthy fleet too: ScheduleFor, ProgramFor and a Client's ProgramFor
+// serve the healthy artifact for it.
 func TestProgramForHealthyFleet(t *testing.T) {
 	job, stats := ShapeJob(2, 2, 4)
-	eng := New(job, stats, Options{UnrollIterations: 1})
-	viaFor, err := eng.ProgramFor(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	opts := Options{UnrollIterations: 1}
+	eng := New(job, stats, opts)
+	client := NewClient(eng.Store(), job, stats, opts)
 	viaN, err := eng.Program(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if viaFor != viaN {
-		t.Fatal("ProgramFor(nil) and Program(0) compiled distinct artifacts for one plan")
+	healthy, err := eng.Plan(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, failed := range []map[schedule.Worker]bool{nil, {{Stage: 0, Pipeline: 0}: false}} {
+		s, err := eng.ScheduleFor(failed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s != healthy.Schedule {
+			t.Fatalf("ScheduleFor(%v) served a schedule failing %v, want the healthy plan's", failed, s.Failed)
+		}
+		viaFor, err := eng.ProgramFor(failed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if viaFor != viaN {
+			t.Fatalf("ProgramFor(%v) and Program(0) compiled distinct artifacts for one plan", failed)
+		}
+		fetched, err := client.ProgramFor(failed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(fetched.Failed) != 0 || len(fetched.Instrs) != len(viaN.Instrs) {
+			t.Fatalf("Client.ProgramFor(%v) fetched a Program failing %v, want the healthy one", failed, fetched.Failed)
+		}
 	}
 }
 
@@ -100,44 +123,6 @@ func TestSolvedProgramsSoundAcrossFailureCounts(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestInvalidateCacheRecompilesPrograms checks that a Program lives in its
-// cached plan's slot: InvalidateCache retires the plan and with it the
-// Program, so the next ProgramFor compiles again — to the same bytes. The
-// healthy fleet's warm re-solve hands back the very same Schedule, so the
-// Program must not be reached through it.
-func TestInvalidateCacheRecompilesPrograms(t *testing.T) {
-	job, stats := ShapeJob(3, 4, 6)
-	for _, failed := range []map[schedule.Worker]bool{nil, {{Stage: 1, Pipeline: 2}: true}} {
-		eng := New(job, stats, Options{UnrollIterations: 1})
-		before, err := eng.ProgramFor(failed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		eng.InvalidateCache()
-		after, err := eng.ProgramFor(failed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if c := eng.Metrics().Compiles; c != 2 {
-			t.Fatalf("failed %v: %d compiles across an invalidation, want 2", failed, c)
-		}
-		if after == before {
-			t.Fatalf("failed %v: ProgramFor served the pre-invalidation Program", failed)
-		}
-		a, err := EncodeProgram(before)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := EncodeProgram(after)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(a, b) {
-			t.Fatalf("failed %v: the recompiled Program encodes differently", failed)
-		}
 	}
 }
 

@@ -30,7 +30,7 @@ type Recalibration struct {
 	// (quantized to 2 decimals; 1.0 entries mean the mark was cleared).
 	Applied map[schedule.Worker]float64
 	// Replanned lists the normalized failure counts that were re-solved
-	// under the new model (warm-started by the retained hints).
+	// under the new model.
 	Replanned []int
 }
 
@@ -46,29 +46,25 @@ type Recalibration struct {
 // interconnect regression — cancels out instead of marking every worker a
 // straggler; only relative imbalance recalibrates. Multipliers are
 // quantized to 2 decimals to keep sub-noise drift from minting a fresh
-// plan namespace per call, and the re-solves are warm-started by the
-// engine's retained hints: when the quantized model leaves a plan's
-// durations unchanged the re-solve is a validation pass, and when the
-// whole fleet rescaled uniformly it is an order-replay. Non-uniform drift
-// abandons the hint path immediately and re-solves from scratch — the
-// relative op costs changed, so replaying the old order would only tax
-// the solve it races.
+// plan namespace per call. Each re-solve is an ordinary Plan under the new
+// namespace, so it matches what a fresh engine built with the new model
+// serves.
 func (e *Engine) Recalibrate(measured map[schedule.Worker]time.Duration) (Recalibration, error) {
 	rec, err := e.recalibrateCosts(measured)
 	if err != nil || !rec.Drifted {
 		return rec, err
 	}
-	e.hintMu.Lock()
+	e.plannedMu.Lock()
 	counts := make([]int, 0, len(e.plannedN))
 	for n := range e.plannedN {
 		counts = append(counts, n)
 	}
-	e.hintMu.Unlock()
+	e.plannedMu.Unlock()
 	sort.Ints(counts)
 
-	// The working-set re-solves are independent warm re-plans; fan them
-	// out over the same bounded pool Warm uses instead of serializing them
-	// behind one another.
+	// The working-set re-solves are independent; fan them out over the
+	// same bounded pool Warm uses instead of serializing them behind one
+	// another.
 	sem := make(chan struct{}, e.workers)
 	var wg sync.WaitGroup
 	var mu sync.Mutex

@@ -18,28 +18,29 @@ type call struct {
 	err  error
 }
 
-// planEntry tags a cached plan with the cache epoch it was admitted
-// under. InvalidateCache bumps the engine epoch instead of sweeping the
-// stripes, so an entry from an older epoch simply stops being visible —
-// lazy invalidation, no stop-the-world pause for in-flight fetches.
-type planEntry struct {
-	plan  *Plan
-	epoch uint64
-}
-
 // stripe is one lock shard of the plan cache: a slice of the keyspace
 // plus the in-flight solves for that slice. Request coalescing is
 // per-stripe, so a solve on one fingerprint never blocks a hit on
 // another.
 type stripe struct {
 	mu       sync.RWMutex
-	plans    map[string]planEntry
+	plans    map[string]*Plan
 	inflight map[string]*call
 }
 
 // stripeFor shards the plan keyspace by key hash.
 func (e *Engine) stripeFor(key string) *stripe {
 	return &e.stripes[maphash.String(e.seed, key)&(numStripes-1)]
+}
+
+// cached returns the plan cached under key, probing its stripe under the
+// shared lock.
+func (e *Engine) cached(key string) (*Plan, bool) {
+	st := e.stripeFor(key)
+	e.lockShared(&st.mu)
+	p, ok := st.plans[key]
+	st.mu.RUnlock()
+	return p, ok
 }
 
 // lockShared acquires a stripe for reading. A failed speculative acquire

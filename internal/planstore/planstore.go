@@ -109,19 +109,6 @@ func (s *Store) Keys() []string {
 	return slices.Compact(keys)
 }
 
-// Clear drops every key from every replica (up or down) — a full store
-// wipe. The engine uses it to model plan-state loss: cached plans are gone,
-// but whatever in-memory hints the planner holds survive, so re-derivation
-// after a wipe is warm rather than scratch. The version counter is not
-// reset, so values written after a clear still supersede any stale reads.
-func (s *Store) Clear() {
-	for _, r := range s.replicas {
-		r.mu.Lock()
-		r.data = make(map[string]versioned)
-		r.mu.Unlock()
-	}
-}
-
 // FailReplica takes replica i offline.
 func (s *Store) FailReplica(i int) {
 	r := s.replicas[i]

@@ -21,10 +21,6 @@ func TestEncodedPlanSurvivesReplicaFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The wire codec carries plan content only; the warm-start hint and
-	// solve-kind provenance are in-memory solver metadata (json:"-") and
-	// round-trip as empty by design.
-	plan.Hint, plan.SolveKind = nil, ""
 	data, err := engine.EncodePlan(plan)
 	if err != nil {
 		t.Fatal(err)

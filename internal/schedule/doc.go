@@ -41,9 +41,9 @@
 // replay.Splice key their bookkeeping by them, with CSR adjacency built
 // count -> prefix sum -> fill. One op-slot layout files every op: triple k
 // owns slots 3k (F), 3k+1 (BInput, or a coupled B) and 3k+2 (BWeight, or
-// a coupled B), then one slot per (stage group, exec) optimizer (Slot,
-// OpSlot). One dependency rule says what an op waits on: Shape.AppendInputs,
-// the MILP's Eq. 2–4 as at most two producer slots with their DepKind.
+// a coupled B), then one slot per (stage group, exec) optimizer (Slot).
+// One dependency rule says what an op waits on: Shape.AppendInputs, the
+// MILP's Eq. 2–4 as at most two producer slots with their DepKind.
 // Compile's edges, Validate's timing checks, replay.Splice's edges and
 // FaultFree1F1B's closed form all loop over those inputs through one table
 // indexed by op slot (-1 for absent); re-routing a micro-batch

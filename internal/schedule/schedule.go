@@ -128,19 +128,6 @@ func (s Shape) Slot(t OpType, at, exec int) int {
 	return 3*at + 1
 }
 
-// OpSlot returns op's slot, or -1 when op lies outside the shape or has no
-// op type.
-func (s Shape) OpSlot(op Op) int {
-	_, g, k, ok := s.OpIndex(op)
-	switch {
-	case !ok || op.Type < F || op.Type > Optimizer:
-		return -1
-	case op.Type == Optimizer:
-		k = g
-	}
-	return s.Slot(op.Type, k, op.Exec)
-}
-
 // Input is one producer an op waits on: the op slot that holds it and the
 // kind of edge its result travels on.
 type Input struct {

@@ -73,28 +73,6 @@ func digestInputs(sh schedule.Shape) []Input {
 	return out
 }
 
-// rescaled is the input with every duration, comm latency included, doubled:
-// the uniform recalibration a warm hint replays its op order under.
-func rescaled(in Input) Input {
-	d := in.Durations
-	in.Durations = schedule.Durations{F: 2 * d.F, BInput: 2 * d.BInput, BWeight: 2 * d.BWeight, Opt: 2 * d.Opt, Comm: 2 * d.Comm}
-	if c := in.Costs; c != nil {
-		in.Costs = func(w schedule.Worker, t schedule.OpType) int64 { return 2 * c(w, t) }
-	}
-	return in
-}
-
-// hashSolve folds one SolveInstrumented outcome into h: the error text, or
-// the solve kind and then hashPlacements' bytes.
-func hashSolve(h hash.Hash64, s *schedule.Schedule, info SolveInfo, err error) {
-	if err == nil {
-		var buf [8]byte
-		binary.LittleEndian.PutUint64(buf[:], uint64(info.Kind))
-		h.Write(buf[:])
-	}
-	hashPlacements(h, s, err)
-}
-
 // hashPlacements folds one solve outcome into h: the error text, or every
 // placement in the order the schedule holds them.
 func hashPlacements(h hash.Hash64, s *schedule.Schedule, err error) {
@@ -111,112 +89,22 @@ func hashPlacements(h hash.Hash64, s *schedule.Schedule, err error) {
 	}
 }
 
-// shapeDigest solves every configuration and failure set of the shape, then
-// re-solves each success warm: once identical, once uniformly rescaled.
-// scratch hashes the first solves alone, placements only.
-func shapeDigest(sh schedule.Shape) (digest, scratch uint64, solves int) {
-	h, hs := fnv.New64a(), fnv.New64a()
+// shapeDigest solves every configuration and failure set of the shape.
+func shapeDigest(sh schedule.Shape) (digest uint64, solves int) {
+	h := fnv.New64a()
 	for _, failed := range digestFailureSets(sh) {
 		for _, in := range digestInputs(sh) {
 			in.Failed = failed
-			s, info, err := SolveInstrumented(in)
-			hashSolve(h, s, info, err)
-			hashPlacements(hs, s, err)
+			s, err := Solve(in)
+			hashPlacements(h, s, err)
 			solves++
-			if err != nil {
-				continue
-			}
-			for _, warm := range []Input{in, rescaled(in)} {
-				warm.Hint = info.Hint
-				ws, winfo, werr := SolveInstrumented(warm)
-				hashSolve(h, ws, winfo, werr)
-				solves++
-			}
 		}
 	}
-	return h.Sum64(), hs.Sum64(), solves
+	return h.Sum64(), solves
 }
 
-// solveDigests pins what Solve returned before the solver moved onto the
-// dense index: one FNV-64a digest per shape of digestShapes, in order.
-var solveDigests = []uint64{
-	0xcb9caecdc7edd505, // {DP:1 PP:1 MB:1 Iter:1}
-	0xa9cc5bfdfa8607c5, // {DP:1 PP:1 MB:1 Iter:2}
-	0x1a0b0737eb80ee85, // {DP:1 PP:1 MB:2 Iter:1}
-	0xd3777b0c39039545, // {DP:1 PP:1 MB:2 Iter:2}
-	0xdce70908abf94685, // {DP:1 PP:1 MB:3 Iter:1}
-	0x013e9544913ea045, // {DP:1 PP:1 MB:3 Iter:2}
-	0x9ba58b58ffd0d345, // {DP:1 PP:1 MB:4 Iter:1}
-	0xbf9db05bff3ac6c5, // {DP:1 PP:1 MB:4 Iter:2}
-	0x857daa20dbfb2fc5, // {DP:1 PP:2 MB:1 Iter:1}
-	0x8a7a2cec31f893c5, // {DP:1 PP:2 MB:1 Iter:2}
-	0xa399adc7d765aa05, // {DP:1 PP:2 MB:2 Iter:1}
-	0x84f20c506a11fe45, // {DP:1 PP:2 MB:2 Iter:2}
-	0x3b237ef6aba959c5, // {DP:1 PP:2 MB:3 Iter:1}
-	0x447783f4925ec905, // {DP:1 PP:2 MB:3 Iter:2}
-	0x9d35c4085bf5c1c5, // {DP:1 PP:2 MB:4 Iter:1}
-	0xdb45de65746eb505, // {DP:1 PP:2 MB:4 Iter:2}
-	0x3c67e457ebbf3ed5, // {DP:1 PP:3 MB:1 Iter:1}
-	0x4ad23cd3933ea875, // {DP:1 PP:3 MB:1 Iter:2}
-	0x2a51cba367d3a9f5, // {DP:1 PP:3 MB:2 Iter:1}
-	0x6ba253349955f5f5, // {DP:1 PP:3 MB:2 Iter:2}
-	0xa4774f46f66387b5, // {DP:1 PP:3 MB:3 Iter:1}
-	0x1ec6d9b91619f575, // {DP:1 PP:3 MB:3 Iter:2}
-	0x9a146cf9a8f15b15, // {DP:1 PP:3 MB:4 Iter:1}
-	0xf99a1804f614de15, // {DP:1 PP:3 MB:4 Iter:2}
-	0x5fdbc1573ddbb285, // {DP:2 PP:1 MB:1 Iter:1}
-	0xe2c466572d1eb7c5, // {DP:2 PP:1 MB:1 Iter:2}
-	0x91b3147794918645, // {DP:2 PP:1 MB:2 Iter:1}
-	0x31a080e74b3b5605, // {DP:2 PP:1 MB:2 Iter:2}
-	0xbf7d128b1dc2a505, // {DP:2 PP:1 MB:3 Iter:1}
-	0xb274666d5e1f9775, // {DP:2 PP:1 MB:3 Iter:2}
-	0x85a971a035649a45, // {DP:2 PP:1 MB:4 Iter:1}
-	0x778220a8afed898d, // {DP:2 PP:1 MB:4 Iter:2}
-	0xbf257f01bc5fa555, // {DP:2 PP:2 MB:1 Iter:1}
-	0x5d077ee7f36e5635, // {DP:2 PP:2 MB:1 Iter:2}
-	0x2dcdf1464652fbc5, // {DP:2 PP:2 MB:2 Iter:1}
-	0x04e87de8e02a3905, // {DP:2 PP:2 MB:2 Iter:2}
-	0xb447f8f08e3172c5, // {DP:2 PP:2 MB:3 Iter:1}
-	0x090dab46db8e5eed, // {DP:2 PP:2 MB:3 Iter:2}
-	0x720ee7a8f4e717d5, // {DP:2 PP:2 MB:4 Iter:1}
-	0xf17500bbb3279b25, // {DP:2 PP:2 MB:4 Iter:2}
-	0xec8ed31589d55afd, // {DP:2 PP:3 MB:1 Iter:1}
-	0xc6a2e8d0e38dbddd, // {DP:2 PP:3 MB:1 Iter:2}
-	0x7fd4f56bd1221615, // {DP:2 PP:3 MB:2 Iter:1}
-	0x210bd5251a23836d, // {DP:2 PP:3 MB:2 Iter:2}
-	0x447946d2eaf2fff5, // {DP:2 PP:3 MB:3 Iter:1}
-	0x245085ec252e41f1, // {DP:2 PP:3 MB:3 Iter:2}
-	0x9b06be30a546dffd, // {DP:2 PP:3 MB:4 Iter:1}
-	0xb67124db37679036, // {DP:2 PP:3 MB:4 Iter:2}
-	0x19fbcf4d3e5b2e65, // {DP:3 PP:1 MB:1 Iter:1}
-	0x20591c846e0d4a65, // {DP:3 PP:1 MB:1 Iter:2}
-	0xcb41c389db5a4325, // {DP:3 PP:1 MB:2 Iter:1}
-	0xde2e2ff9fac0c3ed, // {DP:3 PP:1 MB:2 Iter:2}
-	0x7a11649eeb249d65, // {DP:3 PP:1 MB:3 Iter:1}
-	0x3246bed4ef6ecd05, // {DP:3 PP:1 MB:3 Iter:2}
-	0x6f627102774de8cd, // {DP:3 PP:1 MB:4 Iter:1}
-	0xeec72b3cb704809d, // {DP:3 PP:1 MB:4 Iter:2}
-	0x55b0592df28c1e65, // {DP:3 PP:2 MB:1 Iter:1}
-	0xd576b0d730251a1d, // {DP:3 PP:2 MB:1 Iter:2}
-	0x818ccc71b8e7f47d, // {DP:3 PP:2 MB:2 Iter:1}
-	0x2936662c8dc4c06e, // {DP:3 PP:2 MB:2 Iter:2}
-	0x24494ce627f90a3d, // {DP:3 PP:2 MB:3 Iter:1}
-	0x3f6af3bd0d994665, // {DP:3 PP:2 MB:3 Iter:2}
-	0xd314a192fcb06941, // {DP:3 PP:2 MB:4 Iter:1}
-	0x8ead5a6050e9ea0c, // {DP:3 PP:2 MB:4 Iter:2}
-	0x34ae674f3d520be9, // {DP:3 PP:3 MB:1 Iter:1}
-	0xf0e792a27c4ced79, // {DP:3 PP:3 MB:1 Iter:2}
-	0xa043702e5272a365, // {DP:3 PP:3 MB:2 Iter:1}
-	0x19e14f26bc5bcdf5, // {DP:3 PP:3 MB:2 Iter:2}
-	0x55b0384109633ff1, // {DP:3 PP:3 MB:3 Iter:1}
-	0xcbc77bfebc59cfba, // {DP:3 PP:3 MB:3 Iter:2}
-	0x15af9378f07ddc79, // {DP:3 PP:3 MB:4 Iter:1}
-	0xcb6c6b1d6da7a0ac, // {DP:3 PP:3 MB:4 Iter:2}
-}
-
-// scratchDigests pins the scratch solves of shapeDigest alone: every
-// digestInputs × digestFailureSets schedule, placements only, with no
-// solve kind. One FNV-64a digest per shape of digestShapes, in order.
+// scratchDigests pins every schedule shapeDigest hashes: one FNV-64a digest
+// per shape of digestShapes, in order.
 var scratchDigests = []uint64{
 	0xfa7ca288f9c71985, // {DP:1 PP:1 MB:1 Iter:1}
 	0xb967b4243867e9c5, // {DP:1 PP:1 MB:1 Iter:2}
@@ -293,36 +181,27 @@ var scratchDigests = []uint64{
 }
 
 // TestSolveDigestsUnchanged is the bit-identity gate of the solver: every
-// schedule it returns — placements, their order and the solve kind — over
-// every small shape, technique toggle, memory cap, cost model, failure set
-// and warm re-solve must hash to the pinned digest, and the scratch solves
-// alone, placements only, to scratchDigests. A change that alters any
-// schedule fails here and prints the new table; re-pin only when a schedule
-// is meant to change.
+// schedule Solve returns — its placements and their order — over every
+// small shape, technique toggle, memory cap, cost model and failure set
+// must hash to the pinned digest. A change that alters any schedule fails
+// here and prints the new table; re-pin only when a schedule is meant to
+// change.
 func TestSolveDigestsUnchanged(t *testing.T) {
 	if raceEnabled {
 		t.Skip("a single-goroutine sweep: the race detector finds nothing here and multiplies its time tenfold")
 	}
 	shapes := digestShapes()
-	got, scratch := make([]uint64, len(shapes)), make([]uint64, len(shapes))
+	got := make([]uint64, len(shapes))
 	total := 0
 	for i, sh := range shapes {
 		var n int
-		got[i], scratch[i], n = shapeDigest(sh)
+		got[i], n = shapeDigest(sh)
 		total += n
 	}
-	checkDigests(t, "solveDigests", shapes, got, solveDigests, total)
-	checkDigests(t, "scratchDigests", shapes, scratch, scratchDigests, total)
-}
-
-// checkDigests compares one digest per shape against the pinned table and
-// prints the table at this tree on a mismatch.
-func checkDigests(t *testing.T, name string, shapes []schedule.Shape, got, pinned []uint64, solves int) {
-	t.Helper()
-	mismatch := len(got) != len(pinned)
+	mismatch := len(got) != len(scratchDigests)
 	for i := 0; !mismatch && i < len(got); i++ {
-		if got[i] != pinned[i] {
-			t.Errorf("%s: shape %+v: digest %#016x, pinned %#016x", name, shapes[i], got[i], pinned[i])
+		if got[i] != scratchDigests[i] {
+			t.Errorf("shape %+v: digest %#016x, pinned %#016x", shapes[i], got[i], scratchDigests[i])
 			mismatch = true
 		}
 	}
@@ -331,6 +210,6 @@ func checkDigests(t *testing.T, name string, shapes []schedule.Shape, got, pinne
 		for i, d := range got {
 			fmt.Fprintf(&b, "\t%#016x, // %+v\n", d, shapes[i])
 		}
-		t.Errorf("%d solves hash differently from %s; at this tree it reads:\n%s", solves, name, b.String())
+		t.Fatalf("%d solves hash differently from the pinned table; at this tree it reads:\n%s", total, b.String())
 	}
 }

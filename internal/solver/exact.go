@@ -39,11 +39,9 @@ type exNode struct {
 // the best makespan found so far (never worse than the seed incumbent) is
 // returned with Optimal=false.
 //
-// The incumbent is seeded through Solve, so a compatible in.Hint makes the
-// seed a warm validation instead of a full greedy run; and when the
-// incumbent already meets the critical-path lower bound at the root — the
-// common case when re-certifying a hinted plan — the search returns it
-// unchanged without burning any of the node budget. Otherwise the root's
+// The incumbent is seeded through Solve; when it already meets the
+// critical-path lower bound at the root, the search returns it unchanged
+// without burning any of the node budget. Otherwise the root's
 // branch set is fanned out over a worker pool (work-stealing over subtree
 // roots) with a shared atomic incumbent, so one subtree's improvement
 // immediately tightens every other subtree's bound.
@@ -94,7 +92,7 @@ func ExactMakespan(in Input, maxNodes int64) (ExactResult, error) {
 		}
 	}
 
-	// Incumbent: the greedy (or hint-validated) solution.
+	// Incumbent: the greedy solution.
 	best := int64(1) << 62
 	if g, err := Solve(in); err == nil {
 		best = g.ComputeMakespan(0)

@@ -64,14 +64,6 @@ type Input struct {
 	// backward instructions. The Planner uses it for the Fig 11 ablation's
 	// "Adaptive Pipelining only" configuration.
 	Naive bool
-	// Hint, when non-nil, warm-starts the solve from a previously solved
-	// neighboring instance (see Hint). Incompatible hints are ignored, so
-	// passing a stale hint is always safe. A compatible hint turns the
-	// solve into a validation pass (identical instance) or, under a
-	// uniform rescale, a race between a replay of its op order and the
-	// scratch dispatch: both run, so the race costs an extra pass, and it
-	// never keeps a worse makespan than a scratch solve of the same input.
-	Hint *Hint
 }
 
 // ErrStageDead is returned when some pipeline stage has no live worker in
@@ -90,55 +82,19 @@ func (in Input) dur(w schedule.Worker, t schedule.OpType) int64 {
 
 // Solve produces an adaptive schedule for the input.
 func Solve(in Input) (*schedule.Schedule, error) {
-	s, _, err := SolveInstrumented(in)
-	return s, err
-}
-
-// SolveInstrumented is Solve plus provenance: how the schedule was derived
-// (scratch, warm-identical, warm-replay) and a self-hint that warm-starts
-// future solves of neighboring instances. Warm-start flow:
-//
-//   - identical instance (hint routes, toggles, caps and every placement
-//     duration match the input): the hint schedule is returned unchanged
-//     after an O(placements) validation — the solver is deterministic, so
-//     this is bit-identical to what a scratch solve would produce;
-//   - durations uniformly rescaled with unchanged routing (a fleet-wide
-//     recalibration — every op cost multiplied by one factor): the hint's
-//     per-worker op order is replayed under the new durations and replay
-//     wins unless scratch is strictly better;
-//   - anything else — including non-uniform drift, where the relative op
-//     costs changed and a replay almost never wins — the hint is
-//     abandoned immediately and the solve runs from scratch, paying no
-//     replay tax.
-func SolveInstrumented(in Input) (*schedule.Schedule, SolveInfo, error) {
 	if err := in.Shape.Validate(); err != nil {
-		return nil, SolveInfo{}, err
+		return nil, err
 	}
 	routes, err := RouteMicroBatchesCost(in.Shape, in.Failed, in.Costs)
 	if err != nil {
-		return nil, SolveInfo{}, err
-	}
-	h := in.Hint
-	warm := h.compatible(in, routes)
-	if warm && h.Schedule.Durations == in.Durations && h.durationsMatch(in) {
-		return h.Schedule, SolveInfo{Kind: KindWarmIdentical, Hint: h}, nil
+		return nil, err
 	}
 	st := newState(in, routes)
 	defer st.release()
-	var replay []schedule.Placement
-	replayOK := false
-	if warm && h.uniformRescale(in) {
-		replay, replayOK = st.replayOrder(h.Schedule)
-	}
 	if err := st.run(); err != nil {
-		return nil, SolveInfo{}, err
+		return nil, err
 	}
-	ps, kind := st.placements, KindScratch
-	if replayOK && horizon(replay) <= horizon(st.placements) {
-		ps, kind = replay, KindWarmReplay
-	}
-	s := schedule.New(in.Shape, in.Durations, in.Failed, ps)
-	return s, SolveInfo{Kind: kind, Hint: selfHint(in, routes, s)}, nil
+	return schedule.New(in.Shape, in.Durations, in.Failed, st.placements), nil
 }
 
 // RouteMicroBatches computes the exec pipeline for every (stage, home
@@ -374,15 +330,9 @@ type state struct {
 	wake       []int64
 	placements []schedule.Placement
 	unplaced   int
-	// Scratch of applyALAP (indeg, order), reused by replayOrder with the
-	// rest.
-	indeg                  []int32
-	order, queue           []taskID
-	slot, seqOff, chain    []int32
-	hstart, readyAt, wfree []int64
-	processed              []bool
-	rgrads                 []gradCount
-	rgroups                []optGroup
+	// Scratch of applyALAP.
+	indeg []int32
+	order []taskID
 }
 
 // wakeAt schedules worker wi to be dispatched at time t, deduplicating
