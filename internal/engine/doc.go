@@ -25,7 +25,11 @@
 //     or the decode fails;
 //   - Plan / PlanConcrete are get-or-solve with request coalescing:
 //     concurrent callers asking for the same (job fingerprint,
-//     techniques, failure count) trigger exactly one solve;
+//     techniques, failure count) trigger exactly one solve, a plan is
+//     installed first-wins (a class-dedup rename or a store decode racing
+//     another returns the one already cached), and a plan's first Program
+//     fetches coalesce onto one compile, encode and put — concurrent first
+//     callers of a key share one *Plan and one *schedule.Program;
 //   - ScheduleFor is the Coordinator's failure-handling fetch path
 //     (§4.1): exact plan from cache/store, then Best(n) fallback, then
 //     on-demand solve on miss; ProgramFor serves the compiled Program

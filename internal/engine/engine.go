@@ -54,8 +54,9 @@ type Metrics struct {
 	// ScratchSolves equals Solves: every solve runs from scratch. It stays
 	// for the benchmark harness that reads it.
 	ScratchSolves uint64
-	// ClassDedups counts concrete plan requests answered by renaming a
-	// cost-equivalence-class representative instead of solving.
+	// ClassDedups counts concrete plans built by renaming a
+	// cost-equivalence-class representative instead of solving: one per
+	// key, however many first requests for it arrive concurrently.
 	ClassDedups uint64
 
 	// Service counters (PR 7). StripeContended counts lock acquisitions
@@ -327,13 +328,14 @@ func (e *Engine) planConcrete(c *Planner, failed []schedule.Worker) (*Plan, erro
 	if p, ok := e.peek(key, c.fp, false); ok {
 		return p, nil
 	}
-	e.classDedups.Add(1)
 	cp, err := e.getOrSolve(ckey(c.fp, canon), c.fp, false, func() (*Plan, error) { return c.PlanConcrete(canon) })
 	if err != nil {
 		return nil, err
 	}
-	p := renamePlan(cp, schedule.InvertPerm(perm))
-	e.admit(key, c.fp, p, false)
+	p, installed := e.admit(key, c.fp, renamePlan(cp, schedule.InvertPerm(perm)), false)
+	if installed {
+		e.classDedups.Add(1)
+	}
 	return p, nil
 }
 
@@ -358,7 +360,7 @@ func (e *Engine) best(fp string, n int) (*Plan, bool) {
 		return p, true
 	}
 	if p := e.loadQuiet(key); p != nil {
-		e.admit(key, fp, p, true)
+		p, _ = e.admit(key, fp, p, true)
 		return p, true
 	}
 	return e.normBest(fp, n)
@@ -407,7 +409,7 @@ func (e *Engine) peek(key, fp string, normalized bool) (*Plan, bool) {
 		return p, true
 	}
 	if p := e.load(key); p != nil {
-		e.admit(key, fp, p, normalized)
+		p, _ = e.admit(key, fp, p, normalized)
 		return p, true
 	}
 	return nil, false
@@ -451,7 +453,7 @@ func (e *Engine) getOrSolve(key, fp string, normalized bool, solve func() (*Plan
 		}
 	}
 	if err == nil {
-		e.admit(key, fp, p, normalized)
+		p, _ = e.admit(key, fp, p, normalized)
 	}
 	e.lockExcl(&st.mu)
 	delete(st.inflight, key)
@@ -505,10 +507,17 @@ func (e *Engine) persist(key string, p *Plan) {
 }
 
 // admit installs a plan into the in-process cache and, for normalized
-// plans, the fingerprint's Best(n) index.
-func (e *Engine) admit(key, fp string, p *Plan, normalized bool) {
+// plans, the fingerprint's Best(n) index — unless the key already holds a
+// plan. The first admit wins: it returns the cached plan (p, or the one a
+// concurrent first request installed before it) and whether that is p, so
+// every caller of a key shares one *Plan and with it one Program slot.
+func (e *Engine) admit(key, fp string, p *Plan, normalized bool) (*Plan, bool) {
 	st := e.stripeFor(key)
 	e.lockExcl(&st.mu)
+	if q, ok := st.plans[key]; ok {
+		st.mu.Unlock()
+		return q, false
+	}
 	st.plans[key] = p
 	st.mu.Unlock()
 	if normalized {
@@ -521,6 +530,7 @@ func (e *Engine) admit(key, fp string, p *Plan, normalized bool) {
 		idx[p.Failures] = p
 		e.normMu.Unlock()
 	}
+	return p, true
 }
 
 // normBest returns the plan for n failures from fp's Best(n) index, or

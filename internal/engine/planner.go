@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -34,10 +35,12 @@ type Plan struct {
 	// PlanTime is how long the Planner spent generating this plan.
 	PlanTime time.Duration
 	// prog is the compiled Program of Schedule, filled by the first
-	// ProgramFor/CompiledProgram that reaches this plan. A plan is cached
+	// ProgramFor/CompiledProgram that reaches this plan; progMu serializes
+	// the fills, so concurrent first requests share one. A plan is cached
 	// under one key, so the slot shares its lifetime; a Plan is therefore
 	// never copied by value, which would alias or drop it.
-	prog atomic.Pointer[schedule.Program]
+	prog   atomic.Pointer[schedule.Program]
+	progMu sync.Mutex
 }
 
 // Planner is ReCycle's primary contribution (§4.2): given a job and its

@@ -80,9 +80,15 @@ func (e *Engine) CompiledProgram(p *Plan) (*schedule.Program, error) {
 // artifact already), then a local Compile that is encoded and replicated for
 // everyone else. The Program carries c's cost model as its cost table — the
 // model the plan was solved under, since c's fingerprint keyed it.
-// Concurrent first requests may compile twice; both results are
-// structurally identical and the slot keeps the first.
+// Concurrent first requests coalesce on the plan: one of them fetches or
+// compiles, encodes and puts, the others wait for it and share its Program.
 func (e *Engine) compiled(c *Planner, p *Plan) (*schedule.Program, error) {
+	if prog := p.prog.Load(); prog != nil {
+		e.programHits.Add(1)
+		return prog, nil
+	}
+	p.progMu.Lock()
+	defer p.progMu.Unlock()
 	if prog := p.prog.Load(); prog != nil {
 		e.programHits.Add(1)
 		return prog, nil
@@ -103,7 +109,8 @@ func (e *Engine) compiled(c *Planner, p *Plan) (*schedule.Program, error) {
 	} else if found {
 		if prog, err := DecodeProgram(data); err == nil && programMatches(prog, s, costs) {
 			e.programStoreHits.Add(1)
-			return p.setProgram(prog), nil
+			p.prog.Store(prog)
+			return prog, nil
 		}
 	}
 
@@ -115,22 +122,13 @@ func (e *Engine) compiled(c *Planner, p *Plan) (*schedule.Program, error) {
 		return nil, err
 	}
 	e.compiles.Add(1)
-	prog = p.setProgram(prog)
+	p.prog.Store(prog)
 	if data, err := EncodeProgram(prog); err != nil {
 		e.storeErrs.Add(1)
 	} else if err := e.store.Put(key, data); err != nil {
 		e.storeErrs.Add(1)
 	}
 	return prog, nil
-}
-
-// setProgram fills the plan's Program slot unless a concurrent first
-// request already did (first compile wins), returning the slot's Program.
-func (p *Plan) setProgram(prog *schedule.Program) *schedule.Program {
-	if p.prog.CompareAndSwap(nil, prog) {
-		return prog
-	}
-	return p.prog.Load()
 }
 
 // programMatches reports whether a decoded Program is exactly the lowering

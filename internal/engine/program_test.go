@@ -3,6 +3,7 @@ package engine
 import (
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -123,6 +124,80 @@ func TestSolvedProgramsSoundAcrossFailureCounts(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// firstFetchRounds is how many fresh engines the concurrent first-fetch
+// tests race on: a lost race shows in any one round, so many rounds make a
+// regression fail the test almost surely rather than now and then.
+const firstFetchRounds = 32
+
+// concurrentProgramFor has n goroutines, released together, fetch the
+// Program of one failed set on eng, and returns what each caller got.
+func concurrentProgramFor(t *testing.T, eng *Engine, failed map[schedule.Worker]bool, n int) []*schedule.Program {
+	t.Helper()
+	progs, errs := make([]*schedule.Program, n), make([]error, n)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := range progs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			progs[i], errs[i] = eng.ProgramFor(failed)
+		}(i)
+	}
+	close(start)
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("caller %d: %v", i, err)
+		}
+	}
+	return progs
+}
+
+// firstFetchEngine is the fresh engine each round of the concurrent
+// first-fetch tests races on.
+func firstFetchEngine() *Engine {
+	job, stats := ShapeJob(4, 4, 8)
+	return New(job, stats, Options{UnrollIterations: 1})
+}
+
+// TestConcurrentFirstFetchesShareOnePlan checks that a class-dedup rename
+// is admitted first-wins: concurrent first fetches of one non-canonical
+// failed set all get one Program, from one renamed plan.
+func TestConcurrentFirstFetchesShareOnePlan(t *testing.T) {
+	orbit := map[schedule.Worker]bool{{Stage: 1, Pipeline: 3}: true} // canonical: pipeline 0
+	for round := 0; round < firstFetchRounds; round++ {
+		eng := firstFetchEngine()
+		progs := concurrentProgramFor(t, eng, orbit, 16)
+		for i, p := range progs {
+			if p != progs[0] {
+				t.Fatalf("round %d: caller %d got a different Program instance", round, i)
+			}
+		}
+		if m := eng.Metrics(); m.Solves != 1 || m.ClassDedups != 1 {
+			t.Fatalf("round %d: %d solves, %d class dedups; want one solve renamed once", round, m.Solves, m.ClassDedups)
+		}
+	}
+}
+
+// TestConcurrentFirstFetchesCompileOnce checks that compiled() coalesces:
+// concurrent first fetches of one cached plan's Program — what every
+// caller coalesced on a solve does once it finishes — compile, encode and
+// put it once.
+func TestConcurrentFirstFetchesCompileOnce(t *testing.T) {
+	failed := []schedule.Worker{{Stage: 1, Pipeline: 0}}
+	for round := 0; round < firstFetchRounds; round++ {
+		eng := firstFetchEngine()
+		if _, err := eng.PlanConcrete(failed); err != nil {
+			t.Fatal(err)
+		}
+		concurrentProgramFor(t, eng, map[schedule.Worker]bool{failed[0]: true}, 16)
+		if m := eng.Metrics(); m.Compiles != 1 {
+			t.Fatalf("round %d: 16 concurrent first fetches compiled %d times, want 1", round, m.Compiles)
+		}
 	}
 }
 

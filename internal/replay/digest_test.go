@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -32,15 +34,19 @@ func digestCases() []digestCase {
 	return out
 }
 
-// replayDigest replays one case with a trace recorder and hashes what it
-// produced into two digests. The result digest covers the Result with every
-// Event; the span digest covers each recorded segment's label and sorted
-// spans, and the recorder's event list. When the replay fails, both hash
-// the error text. Spans name instructions by ID, so only the span digest
-// moves when a splice numbers its Program differently.
-func replayDigest(c digestCase) (result, spans uint64) {
+// digestEngine builds a fresh engine for a digestCase's shape.
+func digestEngine(c digestCase) *engine.Engine {
 	job, stats := engine.ShapeJob(c.dp, c.pp, c.mb)
-	eng := engine.New(job, stats, engine.Options{UnrollIterations: 1})
+	return engine.New(job, stats, engine.Options{UnrollIterations: 1})
+}
+
+// replayDigest replays one case on eng with a trace recorder and hashes
+// what it produced into two digests. The result digest covers the Result
+// with every Event; the span digest covers each recorded segment's label
+// and sorted spans, and the recorder's event list. When the replay fails,
+// both hash the error text. Spans name instructions by ID, so only the span
+// digest moves when a splice numbers its Program differently.
+func replayDigest(eng *engine.Engine, c digestCase) (result, spans uint64) {
 	tr := failure.PoissonMachines(c.dp*c.pp, time.Hour, 10*time.Minute, 30*time.Minute, c.seed)
 	rec := obs.NewTrace()
 	res, err := Replay(eng, tr, Options{Horizon: 30 * time.Minute, DetectDelay: 2 * time.Second, RejoinDelay: 5 * time.Second, Recorder: rec})
@@ -124,19 +130,61 @@ var spanDigests = []uint64{
 }
 
 // TestReplayDigestsUnchanged is the bit-identity gate of the trace replayer:
-// every replay of the pinned Poisson traces — its result and events, and
-// every span and event it recorded — must hash to the pinned digests. A
-// change that alters any of them fails here and prints the new tables;
-// re-pin only the table a change is meant to move.
+// every replay of the pinned Poisson traces, each on a fresh engine — its
+// result and events, and every span and event it recorded — must hash to
+// the pinned digests. A change that alters any of them fails here and
+// prints the new tables; re-pin only the table a change is meant to move.
 func TestReplayDigestsUnchanged(t *testing.T) {
-	if raceEnabled {
-		t.Skip("a single-goroutine sweep: the race detector finds nothing here and multiplies its time tenfold")
-	}
 	cases := digestCases()
 	result, spans := make([]uint64, len(cases)), make([]uint64, len(cases))
 	for i, c := range cases {
-		result[i], spans[i] = replayDigest(c)
+		result[i], spans[i] = replayDigest(digestEngine(c), c)
 	}
+	checkDigests(t, cases, result, spans)
+}
+
+// TestConcurrentReplaysKeepTheirDigests replays every digestCase at once,
+// the cases of one shape sharing one engine, so replays and their
+// prefetchers race on first fetches of the same failed sets. Each must
+// still hash to the pinned digests, and once every Replay has returned —
+// the four failing traces included — no prefetch goroutine may remain.
+func TestConcurrentReplaysKeepTheirDigests(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	cases := digestCases()
+	engines := make(map[[3]int]*engine.Engine)
+	for _, c := range cases {
+		if sh := [3]int{c.dp, c.pp, c.mb}; engines[sh] == nil {
+			engines[sh] = digestEngine(c)
+		}
+	}
+	result, spans := make([]uint64, len(cases)), make([]uint64, len(cases))
+	var wg sync.WaitGroup
+	release := make(chan struct{})
+	for i, c := range cases {
+		wg.Add(1)
+		go func() {
+			result[i], spans[i] = replayDigest(engines[[3]int{c.dp, c.pp, c.mb}], c)
+			wg.Done()
+			<-release // parked, so the count below sees only what Replay left
+		}()
+	}
+	wg.Wait()
+	defer close(release)
+	checkDigests(t, cases, result, spans)
+	// A prefetcher Replay waited for may still be returning from its
+	// function; anything alive past the bounded wait outlived its replay.
+	want := baseline + len(cases)
+	for deadline := time.Now().Add(100 * time.Millisecond); runtime.NumGoroutine() > want; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines beyond the %d parked replayers remain after every replay returned", runtime.NumGoroutine()-want, len(cases))
+		}
+	}
+}
+
+// checkDigests compares a run's result and span digests with the pinned
+// tables and, on a mismatch, prints the table the run reads.
+func checkDigests(t *testing.T, cases []digestCase, result, spans []uint64) {
+	t.Helper()
 	for _, tab := range []struct {
 		name        string
 		got, pinned []uint64

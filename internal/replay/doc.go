@@ -38,7 +38,12 @@
 //     fetches the compiled Program for each membership state from the
 //     engine, executes it on the DES virtual clock, and on a mid-iteration
 //     failure or re-join splices the in-flight Program and resumes without
-//     waiting for the iteration boundary. Reconfiguration stalls, catch-up
+//     waiting for the iteration boundary. Every window's failed set is
+//     derived once, up front, and a prefetch goroutine fetches their
+//     Programs in window order while the replay runs, so solves and
+//     compiles overlap the splices; the engine serves one Program per
+//     failed set however the two interleave, so the result does not
+//     depend on the prefetch. Reconfiguration stalls, catch-up
 //     bubbles and re-join warm-up all emerge from lost and re-planned
 //     instructions — there is no analytic stall formula anywhere in the
 //     path.

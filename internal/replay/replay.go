@@ -2,6 +2,7 @@ package replay
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"time"
 
@@ -116,7 +117,11 @@ type Result struct {
 // re-planned instructions. Failure victims and re-joiners come from the
 // trace's machine identities (MachineWorker), not from any heuristic. The
 // engine must plan single iterations (UnrollIterations 1), the
-// granularity the live runtime also chains at.
+// granularity the live runtime also chains at. The trace's Programs are
+// prefetched: one goroutine fetches every window's Program from the engine
+// in window order while the replay runs, and Replay stops and waits for it
+// before returning. The engine serves one Program per failed set however
+// the two fetches interleave, so the result does not depend on it.
 func Replay(eng *engine.Engine, tr failure.Trace, opt Options) (*Result, error) {
 	job := eng.Job()
 	if iters := eng.Shape().Iter; iters != 1 {
@@ -138,35 +143,19 @@ func Replay(eng *engine.Engine, tr failure.Trace, opt Options) (*Result, error) 
 	res := &Result{Trace: tr.Name, Horizon: opt.Horizon}
 	horizonSec := opt.Horizon.Seconds()
 	const eps = 1e-9
-	pp := job.Parallel.PP
-	failed := make(map[schedule.Worker]bool)
-	applyFail := func(ids []int) ([]schedule.Worker, error) {
-		ws := make([]schedule.Worker, 0, len(ids))
-		for _, id := range ids {
-			w := MachineWorker(id, pp)
-			if failed[w] {
-				return nil, fmt.Errorf("replay: machine %d (%s) fails while already down", id, w)
-			}
-			failed[w] = true
-			ws = append(ws, w)
+	states, badWindow := memberships(windows, job.Parallel.PP)
+	// state returns window i's membership, or the error of the first window
+	// that contradicts the trace so far, at the point the replay reaches it.
+	state := func(i int) (membership, error) {
+		if i >= len(states) {
+			return membership{}, badWindow
 		}
-		return ws, nil
+		return states[i], nil
 	}
-	applyRejoin := func(ids []int) ([]schedule.Worker, error) {
-		ws := make([]schedule.Worker, 0, len(ids))
-		for _, id := range ids {
-			w := MachineWorker(id, pp)
-			if !failed[w] {
-				return nil, fmt.Errorf("replay: machine %d (%s) re-joins while already up", id, w)
-			}
-			delete(failed, w)
-			ws = append(ws, w)
-		}
-		return ws, nil
-	}
-	if _, err := applyFail(windows[0].Failed); err != nil {
+	if _, err := state(0); err != nil {
 		return nil, err
 	}
+	defer prefetch(eng, states)()
 
 	execCache := make(map[*schedule.Program]*sim.Execution)
 	baseExec := func(p *schedule.Program, label string) (*sim.Execution, error) {
@@ -221,23 +210,19 @@ func Replay(eng *engine.Engine, tr failure.Trace, opt Options) (*Result, error) 
 		// overlaps the previous iteration (§3.4).
 		for wi+1 < len(windows) && windows[wi].End.Seconds() <= now+eps {
 			next := windows[wi+1]
+			st, err := state(wi + 1)
+			if err != nil {
+				return nil, err
+			}
 			ev := Event{
 				At:        windows[wi].End,
 				Iteration: res.Iterations,
+				Kind:      eventKind(len(st.dying), len(st.joining)),
 				Available: next.Available,
 			}
-			dying, err := applyFail(next.Failed)
-			if err != nil {
-				return nil, err
-			}
-			joining, err := applyRejoin(next.Rejoined)
-			if err != nil {
-				return nil, err
-			}
-			ev.Kind = eventKind(len(dying), len(joining))
-			ev.Workers = append(append(ev.Workers, dying...), joining...)
+			ev.Workers = append(append(ev.Workers, st.dying...), st.joining...)
 			ev.Machines = append(append(ev.Machines, next.Failed...), next.Rejoined...)
-			if len(dying) > 0 {
+			if len(st.dying) > 0 {
 				ev.StallSeconds = opt.DetectDelay.Seconds()
 				res.StallSeconds += ev.StallSeconds
 				now += ev.StallSeconds
@@ -246,7 +231,7 @@ func Replay(eng *engine.Engine, tr failure.Trace, opt Options) (*Result, error) 
 			recordEvent(ev)
 			wi++
 		}
-		prog, err := eng.ProgramFor(failed)
+		prog, err := eng.ProgramFor(states[wi].failed)
 		if err != nil {
 			return nil, err
 		}
@@ -256,7 +241,7 @@ func Replay(eng *engine.Engine, tr failure.Trace, opt Options) (*Result, error) 
 		}
 		iterSec := float64(base.Makespan) * unit
 		if iterSec <= 0 {
-			return nil, fmt.Errorf("replay: zero-length iteration for %d failures", len(failed))
+			return nil, fmt.Errorf("replay: zero-length iteration for %d failures", len(states[wi].failed))
 		}
 		boundary := windows[wi].End.Seconds()
 		if now+iterSec <= boundary+eps {
@@ -290,14 +275,11 @@ func Replay(eng *engine.Engine, tr failure.Trace, opt Options) (*Result, error) 
 				cut = 1
 			}
 			next := windows[wi+1]
-			dying, err := applyFail(next.Failed)
+			st, err := state(wi + 1)
 			if err != nil {
 				return nil, err
 			}
-			joining, err := applyRejoin(next.Rejoined)
-			if err != nil {
-				return nil, err
-			}
+			dying, joining := st.dying, st.joining
 			clear(release)
 			if len(dying) > 0 {
 				floor := cut + toSlots(opt.DetectDelay)
@@ -362,6 +344,75 @@ func Replay(eng *engine.Engine, tr failure.Trace, opt Options) (*Result, error) 
 	}
 	res.Average = res.Samples / horizonSec
 	return res, nil
+}
+
+// membership is the failed-worker state of one trace window: the workers
+// down while it lasts, and those that failed and re-joined at its start.
+type membership struct {
+	failed         map[schedule.Worker]bool
+	dying, joining []schedule.Worker
+}
+
+// memberships derives every window's membership once, applying each
+// window's failures, then its re-joins, to the state before it (the first
+// window's re-joins aside: nothing is down before it). It returns the
+// states of the windows up to the first one that contradicts the trace so
+// far — a machine failing while down or re-joining while up — and that
+// window's error; Replay reports it when it reaches the window.
+func memberships(windows []failure.Window, pp int) ([]membership, error) {
+	states := make([]membership, 0, len(windows))
+	down := make(map[schedule.Worker]bool)
+	for i, win := range windows {
+		var st membership
+		for _, id := range win.Failed {
+			w := MachineWorker(id, pp)
+			if down[w] {
+				return states, fmt.Errorf("replay: machine %d (%s) fails while already down", id, w)
+			}
+			down[w] = true
+			st.dying = append(st.dying, w)
+		}
+		if i > 0 {
+			for _, id := range win.Rejoined {
+				w := MachineWorker(id, pp)
+				if !down[w] {
+					return states, fmt.Errorf("replay: machine %d (%s) re-joins while already up", id, w)
+				}
+				delete(down, w)
+				st.joining = append(st.joining, w)
+			}
+		}
+		st.failed = maps.Clone(down)
+		states = append(states, st)
+	}
+	return states, nil
+}
+
+// prefetch warms eng's caches with the Program of every state, in window
+// order, on its own goroutine while the replay runs: the replay's own
+// fetch then hits the cache or coalesces onto the solve in flight. The
+// engine serves one Program per failed set however the two interleave, so
+// the replay's result does not depend on it. The returned func stops the
+// prefetcher and waits for it, so no solve outlives the replay.
+func prefetch(eng *engine.Engine, states []membership) (stop func()) {
+	quit, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		for _, st := range states {
+			select {
+			case <-quit:
+				return
+			default:
+			}
+			if _, err := eng.ProgramFor(st.failed); err != nil {
+				return // the replay reports it if it gets there
+			}
+		}
+	}()
+	return func() {
+		close(quit)
+		<-done
+	}
 }
 
 // eventKind names a membership event by what changed: a failure, a
