@@ -20,8 +20,9 @@
 // is carried by a message, that barrier or stream order, so nothing else
 // synchronises the workers. Per-iteration tensors are carved from pooled
 // per-stage arenas recycled at the iteration boundary. Each instruction's
-// logical slot span is read off sim.ExecuteProgram's execution of the same
-// Program, so the executed timeline is, by construction, the
+// logical slot span is read off the discrete-event timeline of the same
+// Program — its plain timeline, which the Program memoizes (sim.Plain), or
+// a splice's — so the executed timeline is, by construction, the
 // discrete-event simulator's prediction.
 //
 // It implements the paper's §5 mechanisms — ReRouteAct / ReRouteGrad

@@ -119,10 +119,8 @@ type Runtime struct {
 	// lastExec is the executed timeline of the last iteration: the
 	// interpreted Program and each instruction's logical slot-time span —
 	// its splice chain's timeline, which the interpreter took its times
-	// from, or its cut when a phase before an event rolled back. plainExec
-	// memoizes the timeline of the last fault-free Program by pointer, so
-	// a steady run executes the DES once per Program, not per iteration.
-	lastExec, plainExec *sim.Execution
+	// from, or its cut when a phase before an event rolled back.
+	lastExec *sim.Execution
 	// rec receives one span per interpreted instruction plus the
 	// iteration/kill/splice lifecycle stream (obs.Nop by default). Installed
 	// via AttachRecorder before training starts; executor goroutines read it
@@ -392,7 +390,7 @@ func (rt *Runtime) withFlightDump(err error) error {
 // failure set, as it stands before each event and after the last, and event
 // by event the splice that re-forms it. Phase i interprets chain i up to
 // event i's cut, the last phase its chain to the end. It touches no runtime
-// state but the timeline memo.
+// state.
 func (rt *Runtime) planIteration(events []CascadeEvent) ([]replay.Chain, []*replay.Spliced, error) {
 	c, err := rt.newChain()
 	if err != nil {
@@ -425,7 +423,8 @@ func phaseLabel(iter, phase, events int) string {
 }
 
 // newChain starts a splice chain at the compiled Program for the current
-// failure set and its DES execution, memoized by pointer. The Program may
+// failure set and its plain timeline, which the Program memoizes
+// (sim.Plain). The Program may
 // come from a remote source, so it is checked against the runtime it is
 // about to drive.
 func (rt *Runtime) newChain() (replay.Chain, error) {
@@ -443,14 +442,11 @@ func (rt *Runtime) newChain() (replay.Chain, error) {
 	if stale {
 		return replay.Chain{}, fmt.Errorf("%w: compiled around %d failed workers %v, the runtime has %d: %v", ErrForeignProgram, len(prog.Failed), prog.Failed, len(rt.failed), rt.failed)
 	}
-	if rt.plainExec == nil || rt.plainExec.Program != prog {
-		ex, err := sim.ExecuteProgram(prog, sim.ProgramOptions{})
-		if err != nil {
-			return replay.Chain{}, err
-		}
-		rt.plainExec = ex
+	ex, err := sim.Plain(prog)
+	if err != nil {
+		return replay.Chain{}, err
 	}
-	return replay.Chain{Exec: rt.plainExec}, nil
+	return replay.Chain{Exec: ex}, nil
 }
 
 // advance splices the chain's Program around one membership event, as the

@@ -7,6 +7,7 @@ import (
 	"hash"
 	"hash/fnv"
 	"io"
+	"slices"
 	"strings"
 	"testing"
 
@@ -101,13 +102,10 @@ func programShapeDigest(t *testing.T, sh schedule.Shape) (d shapeDigests, progra
 				t.Fatalf("%s: %v", label, err)
 			}
 			hashEncoded(t, hc, label, prog)
+			full := checkPlainTimeline(t, label, prog)
 			programs++
 			if failed != nil || sh.Iter > 1 {
 				continue
-			}
-			full, err := sim.ExecuteProgram(prog, sim.ProgramOptions{})
-			if err != nil {
-				t.Fatalf("%s: %v", label, err)
 			}
 			for _, victim := range prog.Workers() {
 				for cut := int64(1); cut < full.Makespan; cut++ {
@@ -118,6 +116,7 @@ func programShapeDigest(t *testing.T, sh schedule.Shape) (d shapeDigests, progra
 						continue
 					}
 					hashEncoded(t, hs, fmt.Sprintf("%s, %s killed at %d", label, victim, cut), lv.Program)
+					checkPlainTimeline(t, fmt.Sprintf("%s, %s killed at %d", label, victim, cut), lv.Program)
 					hashSpliceIdentity(hi, lv)
 					programs++
 				}
@@ -125,6 +124,25 @@ func programShapeDigest(t *testing.T, sh schedule.Shape) (d shapeDigests, progra
 		}
 	}
 	return shapeDigests{hc.Sum64(), hs.Sum64(), hi.Sum64()}, programs
+}
+
+// checkPlainTimeline requires p's memoized plain timeline (sim.Plain) to
+// equal a fresh sim.ExecuteProgram of p — spans, makespan and completed
+// count — and returns it.
+func checkPlainTimeline(t *testing.T, label string, p *schedule.Program) *sim.Execution {
+	t.Helper()
+	memo, err := sim.Plain(p)
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	want, err := sim.ExecuteProgram(p, sim.ProgramOptions{})
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	if !slices.Equal(memo.Start, want.Start) || !slices.Equal(memo.End, want.End) || memo.Makespan != want.Makespan || memo.Completed != want.Completed {
+		t.Fatalf("%s: the plain timeline (makespan %d, %d completed) is not ExecuteProgram's (makespan %d, %d completed)", label, memo.Makespan, memo.Completed, want.Makespan, want.Completed)
+	}
+	return memo
 }
 
 // hashSpliceIdentity folds one splice into h with every instruction named

@@ -131,8 +131,10 @@ func BenchmarkSpliceReplayJob(b *testing.B) {
 // pipelines 1 and 7) and B = 9 (stage 1 of pipeline 4) fail and re-join in
 // the order A, B, A back, C, B back, C back, one event per seventh of the
 // horizon — the shape of a replay-warm trace. One Replay outside the loop
-// fills the engine's caches, so each iteration pays the splices and the
-// DES, not the solver.
+// fills the engine's caches and has every window's Program memoize its
+// plain timeline, so each iteration pays the splices — each timed on the
+// walk it drives itself — and the cuts projected off their chains, not
+// the solver and not a plain walk.
 func BenchmarkReplayWarmJob(b *testing.B) {
 	eng := replayJobEngine(b)
 	const horizon = time.Hour

@@ -1,10 +1,12 @@
 package replay
 
 import (
+	"encoding/binary"
 	"fmt"
 	"hash/fnv"
 	"io"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -13,6 +15,8 @@ import (
 	"recycle/internal/engine"
 	"recycle/internal/failure"
 	"recycle/internal/obs"
+	"recycle/internal/schedule"
+	"recycle/internal/sim"
 )
 
 // digestCase is one pinned replay: a per-machine Poisson trace of the given
@@ -141,6 +145,64 @@ func TestReplayDigestsUnchanged(t *testing.T) {
 		result[i], spans[i] = replayDigest(digestEngine(c), c)
 	}
 	checkDigests(t, cases, result, spans)
+}
+
+// TestReplaysKeepPlainTimelines fetches the Program of every window of
+// every digestCase's trace before it is replayed: each Program's memoized
+// plain timeline must equal a fresh sim.ExecuteProgram, and replaying the
+// trace — which starts every window, and every splice chain, from those
+// timelines — must leave each one byte-identical, by a hash of its slab
+// taken before and after.
+func TestReplaysKeepPlainTimelines(t *testing.T) {
+	for _, c := range digestCases() {
+		eng := digestEngine(c)
+		tr := failure.PoissonMachines(c.dp*c.pp, time.Hour, 10*time.Minute, 30*time.Minute, c.seed)
+		windows, err := tr.Windows(30 * time.Minute)
+		if err != nil {
+			t.Fatal(err)
+		}
+		states, _ := memberships(windows, c.pp)
+		before := make(map[*schedule.Program]uint64)
+		for i, st := range states {
+			prog, err := eng.ProgramFor(st.failed)
+			if err != nil {
+				continue // a stage is empty: the replay rejects the trace there
+			}
+			memo, err := sim.Plain(prog)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := sim.ExecuteProgram(prog, sim.ProgramOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(memo.Start, want.Start) || !slices.Equal(memo.End, want.End) || memo.Makespan != want.Makespan || memo.Completed != want.Completed {
+				t.Fatalf("%+v window %d: the plain timeline is not ExecuteProgram's", c, i)
+			}
+			before[prog] = hashTimeline(memo)
+		}
+		replayDigest(eng, c)
+		for prog, h := range before {
+			memo, err := sim.Plain(prog)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if hashTimeline(memo) != h {
+				t.Fatalf("%+v: replaying the trace changed the plain timeline of a %d-instruction Program", c, len(prog.Instrs))
+			}
+		}
+	}
+}
+
+// hashTimeline hashes an execution's spans, makespan and completed count.
+func hashTimeline(x *sim.Execution) uint64 {
+	h := fnv.New64a()
+	var b [8]byte
+	for _, v := range append(append([]int64{x.Makespan, int64(x.Completed)}, x.Start...), x.End...) {
+		binary.LittleEndian.PutUint64(b[:], uint64(v))
+		h.Write(b[:])
+	}
+	return h.Sum64()
 }
 
 // TestConcurrentReplaysKeepTheirDigests replays every digestCase at once,

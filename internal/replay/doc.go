@@ -29,14 +29,19 @@
 //
 //     Splice keeps its books on the schedule package's dense op index —
 //     slices indexed by triple, stage group and worker, one slab of
-//     nodes, pooled across the events of a replay or a splice chain — so
-//     one event allocates little beyond the artifact it returns. The
+//     nodes, each holding its op as the flat IR does (type, triple or
+//     stage group, executor: Program.At in, ProgramBuilder.InstrAt out),
+//     pooled across the events of a replay or a splice chain — and
+//     numbers the spliced Program by a radix sort of its (start, worker)
+//     keys, so one event allocates little beyond the artifact it returns. The
 //     map-keyed implementation it replaced lives on as the oracle of
 //     TestSpliceMatchesReference and FuzzSplice.
 //
 //   - Replay walks a failure.Trace window by window (Trace.Windows),
 //     fetches the compiled Program for each membership state from the
-//     engine, executes it on the DES virtual clock, and on a mid-iteration
+//     engine, runs it on the DES virtual clock — its plain timeline, which
+//     the Program memoizes (sim.Plain), so a Program is walked once
+//     however many replays start from it — and on a mid-iteration
 //     failure or re-join splices the in-flight Program and resumes without
 //     waiting for the iteration boundary. Every window's failed set is
 //     derived once, up front, and a prefetch goroutine fetches their

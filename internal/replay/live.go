@@ -147,8 +147,8 @@ type LiveEvent struct {
 }
 
 // LiveSplice splices a Program at one event the way the live runtime does:
-// a chain started from the Program's plain timeline, advanced once by
-// AdvanceLive. Before interpreting the suffix, live workers must discard
+// a chain started from the Program's plain timeline (sim.Plain, walked once
+// per Program), advanced once by AdvanceLive. Before interpreting the suffix, live workers must discard
 // the materialized effect (the activation stash of a forward) of every
 // Spliced.LostIDs instruction they executed, so the re-executed suffix can
 // regenerate it. It is a pure function of its input: it consults the DES,
@@ -160,7 +160,7 @@ func LiveSplice(in LiveEvent) (*Spliced, error) {
 	if in.Cut < 1 {
 		return nil, fmt.Errorf("replay: live-splice cut slot %d must be >= 1", in.Cut)
 	}
-	ex, err := sim.ExecuteProgram(in.Prog, sim.ProgramOptions{})
+	ex, err := sim.Plain(in.Prog)
 	if err != nil {
 		return nil, err
 	}

@@ -157,22 +157,18 @@ func Replay(eng *engine.Engine, tr failure.Trace, opt Options) (*Result, error) 
 	}
 	defer prefetch(eng, states)()
 
-	execCache := make(map[*schedule.Program]*sim.Execution)
-	baseExec := func(p *schedule.Program, label string) (*sim.Execution, error) {
-		if ex, ok := execCache[p]; ok {
-			return ex, nil
-		}
-		ex, err := sim.ExecuteProgram(p, sim.ProgramOptions{Recorder: opt.Recorder, TraceLabel: label})
-		if err != nil {
-			return nil, err
-		}
-		execCache[p] = ex
-		return ex, nil
+	// Each window runs its Program's plain timeline, which the Program
+	// memoizes (sim.Plain). A recorder gets each distinct Program's timeline
+	// once, at its first window: recorded holds those it has.
+	traced := opt.Recorder != nil && opt.Recorder.Enabled()
+	var recorded map[*schedule.Program]bool
+	if traced {
+		recorded = make(map[*schedule.Program]bool)
 	}
 	// recordEvent mirrors each membership event into the recorder's
 	// lifecycle stream (the structured record -events renders).
 	recordEvent := func(ev Event) {
-		if opt.Recorder == nil || !opt.Recorder.Enabled() {
+		if !traced {
 			return
 		}
 		spliced := int64(0)
@@ -235,9 +231,13 @@ func Replay(eng *engine.Engine, tr failure.Trace, opt Options) (*Result, error) 
 		if err != nil {
 			return nil, err
 		}
-		base, err := baseExec(prog, fmt.Sprintf("replay/window%d", wi))
+		base, err := sim.Plain(prog)
 		if err != nil {
 			return nil, err
+		}
+		if traced && !recorded[prog] {
+			recorded[prog] = true
+			base.Record(opt.Recorder, fmt.Sprintf("replay/window%d", wi), prog.Durations, func(int) bool { return false }, nil, 0)
 		}
 		iterSec := float64(base.Makespan) * unit
 		if iterSec <= 0 {
@@ -294,7 +294,7 @@ func Replay(eng *engine.Engine, tr failure.Trace, opt Options) (*Result, error) 
 					}
 				}
 			}
-			if opt.Recorder != nil && opt.Recorder.Enabled() {
+			if traced {
 				failAt := make(map[schedule.Worker]int64, len(dying))
 				for _, w := range dying {
 					failAt[w] = cut

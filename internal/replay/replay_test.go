@@ -1,12 +1,16 @@
 package replay
 
 import (
+	"bytes"
+	"errors"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
 	"recycle/internal/engine"
 	"recycle/internal/failure"
+	"recycle/internal/obs"
 	"recycle/internal/profile"
 	"recycle/internal/schedule"
 )
@@ -272,4 +276,72 @@ func TestReplayHonorsCostModel(t *testing.T) {
 		t.Fatalf("scaled stage did not slow the replay: %d vs %d iterations", a.Iterations, b.Iterations)
 	}
 	var _ schedule.CostFunc = cm.Fn() // the model drives splice validation
+}
+
+// stopAtFirstProgram is a recorder that, at the first Program a replay
+// records (window 0's timeline, right after the replay fetched it), waits
+// until its engine has begun a second solve — the prefetcher's, for a
+// window the replay has not reached — and then aborts the replay.
+type stopAtFirstProgram struct {
+	t   *testing.T
+	eng *engine.Engine
+}
+
+var errStopReplay = errors.New("replay stopped by its recorder")
+
+func (r stopAtFirstProgram) Enabled() bool   { return true }
+func (r stopAtFirstProgram) Span(obs.Span)   {}
+func (r stopAtFirstProgram) Event(obs.Event) {}
+func (r stopAtFirstProgram) BeginProgram(string, *schedule.Program) {
+	for deadline := time.Now().Add(10 * time.Second); r.eng.Metrics().Solves < 2; runtime.Gosched() {
+		if time.Now().After(deadline) {
+			r.t.Fatal("the prefetcher never began a second solve")
+		}
+	}
+	panic(errStopReplay)
+}
+
+// TestReplayStopsItsPrefetcher makes Replay return — its recorder aborts it
+// at window 0 — while the prefetcher is solving window 1 of a trace of six
+// cold failed sets on the Fig 9 GPT-3 Medium shape. Replay's deferred stop
+// must wait for the prefetcher: right after the return, with no sleep, no
+// prefetch goroutine may remain and the goroutine count must be back at
+// its baseline, and no solve may start afterwards.
+func TestReplayStopsItsPrefetcher(t *testing.T) {
+	job, stats := engine.ShapeJob(12, 2, 85)
+	eng := engine.New(job, stats, engine.Options{UnrollIterations: 1})
+	// Machines 2, 9 and 14 (W1_0, W4_1, W7_0) fail and re-join.
+	n := job.Parallel.Workers()
+	tr := failure.Trace{Name: "churn", Total: n, Steps: []failure.Step{{Available: n}}}
+	for k, ev := range []struct{ fail, rejoin []int }{{fail: []int{2}}, {fail: []int{9}}, {rejoin: []int{2}}, {fail: []int{14}}, {rejoin: []int{9}}, {rejoin: []int{14}}} {
+		avail := tr.Steps[k].Available - len(ev.fail) + len(ev.rejoin)
+		tr.Steps = append(tr.Steps, failure.Step{At: time.Duration(k+1) * time.Minute, Available: avail, Failed: ev.fail, Rejoined: ev.rejoin})
+	}
+	baseline := runtime.NumGoroutine()
+	func() {
+		defer func() {
+			if r := recover(); r != errStopReplay {
+				panic(r)
+			}
+		}()
+		_, err := Replay(eng, tr, Options{Horizon: 10 * time.Minute, Recorder: stopAtFirstProgram{t, eng}})
+		t.Fatalf("Replay returned (%v) without recording window 0", err)
+	}()
+	m := eng.Metrics()
+	stacks := make([]byte, 1<<20)
+	if bytes.Contains(stacks[:runtime.Stack(stacks, true)], []byte("replay.prefetch")) {
+		t.Fatal("the prefetch goroutine outlived Replay")
+	}
+	if g := runtime.NumGoroutine(); g > baseline {
+		t.Fatalf("%d goroutines outlived Replay", g-baseline)
+	}
+	for range 100 {
+		runtime.Gosched()
+	}
+	if got := eng.Metrics().Solves; got != m.Solves {
+		t.Fatalf("%d solves started after Replay returned", got-m.Solves)
+	}
+	if m.Compiles >= 6 {
+		t.Fatalf("the prefetcher compiled all %d failed sets before Replay returned", m.Compiles)
+	}
 }

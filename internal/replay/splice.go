@@ -95,18 +95,50 @@ type Spliced struct {
 	splitStage int
 }
 
-// node is one op of the spliced iteration. Nodes live in one slab indexed by
-// the input program's instruction ID; optimizer steps added for re-joining
-// workers follow at n, n+1, … — so slab order is the ordering key of
-// re-planned work.
+// node is one op of the spliced iteration, held by its place in the dense
+// op index — its type, triple (or stage group) and executor, as
+// schedule.Program.At reads them and schedule.ProgramBuilder.InstrAt takes
+// them — so nothing is decoded into a schedule.Op but an error's text.
+// Nodes live in one slab indexed by the input program's instruction ID;
+// optimizer steps added for re-joining workers follow at n, n+1, … — so
+// slab order is the ordering key of re-planned work.
 type node struct {
-	op         schedule.Op
 	start, end int64
-	oldExec    int32 // executor the in-flight program assigned
 	group      int32 // stage group (iter·PP + stage) in the dense op index
 	triple     int32 // triple in the dense op index; -1 for an optimizer
+	stage      int32 // the group's stage and iteration, divided out once
+	iter       int32
+	exec       int32 // executor in the spliced Program
+	oldExec    int32 // executor the in-flight program assigned
 	id         int32 // instruction ID in the spliced Program
+	typ        schedule.OpType
 	kind       nodeKind
+}
+
+// worker returns the worker running the node in the spliced Program.
+func (nd *node) worker() schedule.Worker {
+	return schedule.Worker{Stage: int(nd.stage), Pipeline: int(nd.exec)}
+}
+
+// workerIndex returns the WorkerIndex of the node's worker.
+func (nd *node) workerIndex(sh schedule.Shape) int { return int(nd.exec)*sh.PP + int(nd.stage) }
+
+// at returns the node's position in the dense op index: its triple, or an
+// optimizer's stage group.
+func (nd *node) at() int {
+	if nd.typ == schedule.Optimizer {
+		return int(nd.group)
+	}
+	return int(nd.triple)
+}
+
+// op decodes the node's op, for the text of a rejection.
+func (nd *node) op(sh schedule.Shape) schedule.Op {
+	op := schedule.Op{Stage: int(nd.stage), MB: -1, Home: int(nd.exec), Type: nd.typ, Exec: int(nd.exec), Iter: int(nd.iter)}
+	if nd.typ != schedule.Optimizer {
+		op.MB, op.Home = int(nd.triple)%sh.MB, int(nd.triple)/sh.MB%sh.DP
+	}
+	return op
 }
 
 type nodeKind uint8
@@ -154,32 +186,13 @@ type spliceScratch struct {
 	tripleNodes []int32  // suffix compute nodes grouped by triple
 	runOff      []int32  // CSR offsets into runs, per (worker, kept-first, iter, optimizer-last)
 	runs        []int32  // nodes grouped into per-worker streams
-	heap        []uint64 // (start, worker) of each run's next node: the numbering merge
-	next        []int32  // per worker: its run's next position in runs, in the merge
-	order       []int32  // positions in runs, in timeline order
+	keys        []uint64 // per position in runs: its packed (start, worker), then the sort's spare half
+	order       []int32  // positions in runs, then the sort's spare half: timeline order once sorted
 
 	walk schedule.Walk // times the spliced Program
 }
 
 var splicePool = sync.Pool{New: func() any { return new(spliceScratch) }}
-
-// siftDown restores the min-heap order of h below position j.
-func siftDown(h []uint64, j int) {
-	for {
-		c := 2*j + 1
-		if c >= len(h) {
-			return
-		}
-		if c+1 < len(h) && h[c+1] < h[c] {
-			c++
-		}
-		if h[j] <= h[c] {
-			return
-		}
-		h[j], h[c] = h[c], h[j]
-		j = c
-	}
-}
 
 // filled returns s resized to n elements, every one set to v, reallocating
 // only when its capacity is too small.
@@ -217,7 +230,7 @@ func (sc *spliceScratch) isLost(p *schedule.Program, ends []int64, i int) bool {
 	nd := &sc.nodes[i]
 	verdict := kept
 	if ends[i] >= 0 && !sc.durable(nd.group) {
-		if sc.failing[p.Shape.WorkerIndex(nd.op.Worker())] {
+		if sc.failing[int(nd.oldExec)*p.Shape.PP+int(nd.stage)] {
 			verdict = lost
 		} else {
 			for _, d := range p.Deps(i) {
@@ -332,17 +345,21 @@ func Splice(in SpliceInput) (*Spliced, error) {
 			return nil, fmt.Errorf("replay: the barrier lists instruction %d outside [0,%d)", c, n)
 		}
 	}
+	stride, pp := uint32(sh.DP*sh.MB), uint32(sh.PP)
 	for i := range p.Instrs {
-		op := p.Op(i)
-		_, g, k := p.OpIndex(i)
+		t, at, exec := p.At(i)
 		for _, d := range p.Deps(i) {
 			if d.From < 0 || int(d.From) >= n {
 				return nil, fmt.Errorf("replay: instruction %d depends on %d outside [0,%d)", i, d.From, n)
 			}
 		}
-		nodes[i] = node{op: op, oldExec: int32(op.Exec), group: int32(g), triple: int32(k)}
-		bySlot[p.Slot(i)] = int32(i)
-		if op.Type == schedule.Optimizer {
+		g, k := uint32(at), int32(-1)
+		if t != schedule.Optimizer {
+			g, k = g/stride, int32(at)
+		}
+		nodes[i] = node{group: int32(g), triple: k, stage: int32(g % pp), iter: int32(g / pp), exec: int32(exec), oldExec: int32(exec), typ: t}
+		bySlot[sh.Slot(t, at, exec)] = int32(i)
+		if t == schedule.Optimizer {
 			optTotal[g]++
 			if in.Ends[i] >= 0 {
 				optFired[g]++
@@ -376,19 +393,19 @@ func Splice(in SpliceInput) (*Spliced, error) {
 	pin, tripleOff := sc.pin, sc.tripleOff
 	for i := range nodes {
 		nd := &nodes[i]
-		op, g, k := nd.op, nd.group, nd.triple
+		g, k := nd.group, nd.triple
 		if in.Ends[i] >= 0 && !sc.isLost(p, in.Ends, i) {
 			nd.kind = prefix
 			nd.start, nd.end = in.Starts[i], in.Ends[i]
 			out.PrefixOps++
-			w := sh.WorkerIndex(op.Worker())
+			w := nd.workerIndex(sh)
 			if over := nd.end - in.Cut; over > loads[w] {
 				loads[w] = over // in-flight work that ran past the event instant
 			}
-			if op.Type == schedule.Optimizer {
+			if nd.typ == schedule.Optimizer {
 				optDone[g] = true
 			} else {
-				pin[k] = int32(op.Exec)
+				pin[k] = nd.exec
 			}
 			continue
 		}
@@ -397,8 +414,8 @@ func Splice(in SpliceInput) (*Spliced, error) {
 			out.LostOps++
 			out.LostSlots += in.Ends[i] - in.Starts[i]
 		}
-		if op.Type == schedule.Optimizer {
-			if !failing[sh.WorkerIndex(op.Worker())] { // a dead worker does not step
+		if nd.typ == schedule.Optimizer {
+			if !failing[nd.workerIndex(sh)] { // a dead worker does not step
 				nd.kind = suffix
 				out.SuffixOps++
 			}
@@ -420,9 +437,9 @@ func Splice(in SpliceInput) (*Spliced, error) {
 			if sh.WorkerIndex(w) < 0 {
 				return nil, fmt.Errorf("replay: re-joining worker %s lies outside shape %+v", w, sh)
 			}
-			op := schedule.Op{Stage: w.Stage, MB: -1, Home: w.Pipeline, Exec: w.Pipeline, Type: schedule.Optimizer, Iter: it}
-			bySlot[sh.Slot(schedule.Optimizer, g, op.Exec)] = int32(len(nodes))
-			nodes = append(nodes, node{op: op, oldExec: int32(w.Pipeline), group: int32(g), triple: -1, kind: suffix})
+			bySlot[sh.Slot(schedule.Optimizer, g, w.Pipeline)] = int32(len(nodes))
+			nodes = append(nodes, node{group: int32(g), triple: -1, stage: int32(w.Stage), iter: int32(it),
+				exec: int32(w.Pipeline), oldExec: int32(w.Pipeline), typ: schedule.Optimizer, kind: suffix})
 			out.SuffixOps++
 		}
 	}
@@ -451,8 +468,7 @@ func Splice(in SpliceInput) (*Spliced, error) {
 		if len(group) == 0 {
 			continue
 		}
-		first := nodes[group[0]].op
-		stage, home := first.Stage, first.Home
+		stage, home := int(nodes[group[0]].stage), k/sh.MB%sh.DP
 		exec := int(pin[k])
 		if exec < 0 {
 			if !down[home*sh.PP+stage] {
@@ -471,10 +487,11 @@ func Splice(in SpliceInput) (*Spliced, error) {
 			}
 		}
 		migrated := false
+		w := schedule.Worker{Stage: stage, Pipeline: exec}
 		for _, i := range group {
 			nd := &nodes[i]
-			nd.op.Exec = exec
-			loads[exec*sh.PP+stage] += dur(nd.op.Worker(), nd.op.Type)
+			nd.exec = int32(exec)
+			loads[exec*sh.PP+stage] += dur(w, nd.typ)
 			if int32(exec) != nd.oldExec {
 				out.ReroutedOps++
 				migrated = true
@@ -497,10 +514,10 @@ func Splice(in SpliceInput) (*Spliced, error) {
 	// start of bucket b.
 	perWorker := 1 + 2*sh.Iter
 	bucket := func(nd *node) int {
-		b := sh.WorkerIndex(nd.op.Worker()) * perWorker
+		b := nd.workerIndex(sh) * perWorker
 		if nd.kind == suffix {
-			b += 1 + 2*nd.op.Iter
-			if nd.op.Type == schedule.Optimizer {
+			b += 1 + 2*int(nd.iter)
+			if nd.typ == schedule.Optimizer {
 				b++
 			}
 		}
@@ -536,12 +553,12 @@ func Splice(in SpliceInput) (*Spliced, error) {
 	// optimizer. Every other compute op waits on its Shape.AppendInputs,
 	// found by op slot, and every other optimizer on its group's barrier.
 	frozen := func(nd *node) bool { return nd.kind == prefix && nd.end <= in.Cut }
-	waits := func(nd *node) bool { return !frozen(nd) && nd.op.Type != schedule.Optimizer }
+	waits := func(nd *node) bool { return !frozen(nd) && nd.typ != schedule.Optimizer }
 	var inputs [2]schedule.Input
 	edges := 0
 	for k, i := range runs {
 		if nd := &nodes[i]; waits(nd) {
-			edges += len(sh.AppendInputs(inputs[:0], nd.op.Type, nd.op.Stage, int(nd.triple)))
+			edges += len(sh.AppendInputs(inputs[:0], nd.typ, int(nd.stage), int(nd.triple)))
 		}
 		nodes[i].id = int32(k)
 	}
@@ -551,16 +568,16 @@ func Splice(in SpliceInput) (*Spliced, error) {
 	b := schedule.NewProgramBuilder(sh, p.Durations, newFailed, len(runs), edges)
 	for _, i := range runs {
 		nd := &nodes[i]
-		d := dur(nd.op.Worker(), nd.op.Type)
+		d := dur(nd.worker(), nd.typ)
 		if nd.kind == prefix {
 			d = nd.end - nd.start
 		}
-		if b.Instr(nd.op, d, !frozen(nd) && nd.op.Type == schedule.Optimizer); !waits(nd) {
+		if b.InstrAt(nd.typ, nd.at(), int(nd.exec), d, !frozen(nd) && nd.typ == schedule.Optimizer); !waits(nd) {
 			continue
 		}
-		for _, d := range sh.AppendInputs(inputs[:0], nd.op.Type, nd.op.Stage, int(nd.triple)) {
+		for _, d := range sh.AppendInputs(inputs[:0], nd.typ, int(nd.stage), int(nd.triple)) {
 			if bySlot[d.Slot] < 0 {
-				return nil, fmt.Errorf("replay: %s has no %s", nd.op, d)
+				return nil, fmt.Errorf("replay: %s has no %s", nd.op(sh), d)
 			}
 			b.Dep(int(nodes[bySlot[d.Slot]].id), d.Kind)
 		}
@@ -618,38 +635,41 @@ func Splice(in SpliceInput) (*Spliced, error) {
 
 	// Number the spliced Program in its timeline's order — start, then
 	// worker — as Compile numbers a schedule's: a later splice buckets its
-	// suffix by that order. Each run is in start order, so a k-way merge of
-	// the runs is the whole sort: a min-heap holds the packed (start,
-	// worker) key of each unfinished run's next node, and each pop numbers
-	// that node.
+	// suffix by that order. Each position in runs gets its packed (start,
+	// worker) key, and a stable LSD radix sort of the positions by key,
+	// eight bits a pass over the bits the largest key holds, is the whole
+	// sort. Runs are in start order, so stability keeps a worker's equal
+	// starts in run order: the order a merge of the runs would give.
 	shift := bits.Len(uint(nw))
-	key := func(at int32, w int) uint64 {
-		start := min(max(ex.Start[at], 0), 1<<(63-shift)-1)
-		return uint64(start)<<shift | uint64(w)
-	}
-	sc.next = filled(sc.next, nw, 0)
-	heap, next := sc.heap[:0], sc.next
+	sc.keys = filled(sc.keys, 2*m, 0)
+	sc.order = filled(sc.order, 2*m, 0)
+	keys, spareKeys := sc.keys[:m:m], sc.keys[m:]
+	order, spare := sc.order[:m:m], sc.order[m:]
+	var top uint64
 	for w := 0; w < nw; w++ {
-		if next[w] = runOff[w*perWorker]; next[w] < runOff[(w+1)*perWorker] {
-			heap = append(heap, key(next[w], w))
+		for at := runOff[w*perWorker]; at < runOff[(w+1)*perWorker]; at++ {
+			start := min(max(ex.Start[at], 0), 1<<(63-shift)-1)
+			keys[at], order[at] = uint64(start)<<shift|uint64(w), at
+			top |= keys[at]
 		}
 	}
-	for j := len(heap)/2 - 1; j >= 0; j-- {
-		siftDown(heap, j)
-	}
-	sc.order = filled(sc.order, m, 0)
-	for k := range sc.order {
-		w := int(heap[0] & (1<<shift - 1))
-		sc.order[k] = next[w]
-		if next[w]++; next[w] < runOff[(w+1)*perWorker] {
-			heap[0] = key(next[w], w)
-		} else {
-			heap[0] = heap[len(heap)-1]
-			heap = heap[:len(heap)-1]
+	var count [256]int32
+	for s := 0; s < bits.Len64(top); s += 8 {
+		clear(count[:])
+		for _, k := range keys {
+			count[k>>s&255]++
 		}
-		siftDown(heap, 0)
+		sum := int32(0)
+		for d, c := range count {
+			count[d], sum = sum, sum+c
+		}
+		for j, k := range keys {
+			d := k >> s & 255
+			spareKeys[count[d]], spare[count[d]] = k, order[j]
+			count[d]++
+		}
+		keys, spareKeys, order, spare = spareKeys, keys, spare, order
 	}
-	sc.heap = heap
 
 	// The walk's spans, copied into the nodes above, renumbered with it,
 	// and the prefix/suffix boundary. Kept spans are the caller's: none may
@@ -658,30 +678,30 @@ func Splice(in SpliceInput) (*Spliced, error) {
 	// ungated kept step must follow its group's weight gradients, which the
 	// splice may have re-executed after it. The first offender in timeline
 	// order is reported.
-	prog.Renumber(sc.order)
+	prog.Renumber(order)
 	out.Program, out.Done, out.Exec = prog, make(map[int]int64, out.PrefixOps), ex
-	for k, at := range sc.order {
+	for k, at := range order {
 		nd := &nodes[runs[at]]
 		if ex.Start[k], ex.End[k] = nd.start, nd.end; nd.kind != prefix {
 			continue
 		}
 		out.Done[k], ex.Start[k] = nd.end, nd.end-out.Program.DurOf(k) // as the walk installs it
-		switch want := dur(nd.op.Worker(), nd.op.Type); {
-		case down[sh.WorkerIndex(nd.op.Worker())] && nd.end > in.Cut:
-			return nil, fmt.Errorf("replay: spliced schedule fails validation: schedule: op %s placed on failed worker", nd.op)
+		switch want := dur(nd.worker(), nd.typ); {
+		case down[nd.workerIndex(sh)] && nd.end > in.Cut:
+			return nil, fmt.Errorf("replay: spliced schedule fails validation: schedule: op %s placed on failed worker", nd.op(sh))
 		case nd.end-nd.start != want:
-			return nil, fmt.Errorf("replay: spliced schedule fails validation: schedule: op %s has duration %d, want %d", nd.op, nd.end-nd.start, want)
+			return nil, fmt.Errorf("replay: spliced schedule fails validation: schedule: op %s has duration %d, want %d", nd.op(sh), nd.end-nd.start, want)
 		}
 	}
-	for _, at := range sc.order {
-		if nd := &nodes[runs[at]]; nd.kind == prefix && nd.op.Type == schedule.Optimizer {
+	for _, at := range order {
+		if nd := &nodes[runs[at]]; nd.kind == prefix && nd.typ == schedule.Optimizer {
 			ready := int64(0)
 			for _, c := range out.Program.Barrier.Group(int(nd.group)) {
 				ready = max(ready, out.Exec.End[c])
 			}
 			if nd.start < ready {
 				return nil, fmt.Errorf("replay: spliced schedule fails validation: schedule: optimizer on %s starts %d before stage %d all-reduce is ready at %d",
-					nd.op.Worker(), nd.start, nd.op.Stage, ready)
+					nd.worker(), nd.start, nd.stage, ready)
 			}
 		}
 	}

@@ -399,8 +399,9 @@ func TestSpliceErrorIsDeterministic(t *testing.T) {
 // LiveSplice of a DP4×PP4×MB8 iteration (272 instructions) must stay within
 // maxAllocs objects and maxBytes bytes per instruction. The map-keyed
 // Splice paid 4 115 objects here (15.1 per instruction); what remains is
-// the artifact itself — the cut execution's spans, the Program's Instrs,
-// Deps slab and stream slab, its timeline, and the Done/Floors/Failed maps.
+// the artifact itself — the Program's Instrs, Deps slab and stream slab,
+// its timeline, and the Done/Floors/Failed maps. The plain timeline the
+// splice starts from is the Program's memo, walked once, before the runs.
 func TestLiveSpliceAllocationBudget(t *testing.T) {
 	const maxAllocs, maxBytes = 40, 125
 	if raceEnabled {

@@ -31,7 +31,9 @@
 // each admitted instruction by its Timing. Program.Validate walks every
 // compiled artifact — it must run every instruction, so the artifact is
 // deadlock-free — and checks it edge-consistent and its barrier complete;
-// the simulator times Programs on the same walk.
+// the simulator times Programs on the same walk. A Program times itself
+// once: Plain walks it under its own Durations on first use and keeps the
+// spans in one slab every later reader shares.
 //
 // The failure path runs on one dense op index. Every op of a schedule lies
 // in the rectangle its Shape bounds, so Shape derives TripleIndex =
@@ -48,7 +50,8 @@
 // FaultFree1F1B's closed form all loop over those inputs through one table
 // indexed by op slot (-1 for absent); re-routing a micro-batch
 // changes which worker runs it, never what it waits on. The tables are
-// pooled scratch, never cached on a Schedule or Program.
+// pooled scratch, never cached on a Schedule or Program; the plain
+// timeline is the one thing a Program memoizes.
 // Indexing is bounds-checked: an op outside its Shape, or a Shape claiming
 // far more triples than it has placements (Shape.Indexable), is rejected,
 // never indexed.
@@ -58,9 +61,12 @@
 // executing pipeline, its type, its stamped duration, its gate bit and the
 // offset of its edges), one edge slab of 8-byte Deps, and one int32 slab
 // for the streams — CSR over WorkerIndex — and the barrier's lists. Its
-// accessors (Op, Type, OpIndex, Deps, Gated, Stream) decode on read.
+// accessors (Op, Type, OpIndex, Deps, Gated, Stream) decode on read; At
+// reads an instruction's (type, dense index, executor) undecoded.
 // Compile and ProgramBuilder, the constructor replay.Splice, decoders and
-// hand-assembled Programs go through, are the only ways to build one.
+// hand-assembled Programs go through, are the only ways to build one;
+// ProgramBuilder.InstrAt takes an instruction by its dense index, and
+// Instr by its op, through the same checks.
 //
 // The package also provides the closed-form fault-free 1F1B schedule
 // (FaultFree1F1B), the canonical 1F1B instruction order, and an ASCII

@@ -90,7 +90,8 @@ type Instr struct {
 // slab every instruction's edges are a window of, and one int32 slab holding
 // the streams in CSR form (per-worker offsets by Shape.WorkerIndex) and the
 // barrier's lists — plus, when it was solved under a cost model, the cost
-// table its splices time re-planned work with.
+// table its splices time re-planned work with, and, once something asks for
+// it, its plain timeline (Plain). A Program is immutable once shared.
 type Program struct {
 	Shape     Shape
 	Durations Durations
@@ -107,6 +108,7 @@ type Program struct {
 	streamOff []int32  // per WorkerIndex w: streams[streamOff[w]:streamOff[w+1]] is w's stream
 	workers   []Worker // the workers with a non-empty stream, in (pipeline, stage) order
 	costs     []int64  // the cost table (see Cost); empty when every worker runs Durations
+	plain     timeline // the plain timeline, walked on first use (see Plain)
 }
 
 // Barrier is a Program's per-stage gradient all-reduce: each (iteration,
@@ -176,6 +178,14 @@ func (p *Program) Op(id int) Op {
 	return Op{Stage: int(k % pp), MB: int(mb), Home: int(home), Type: in.typ, Exec: exec, Iter: int(k / pp)}
 }
 
+// At returns instruction id's place in the dense op index, as
+// ProgramBuilder.InstrAt takes it: its op type, its TripleIndex (an
+// optimizer's StageIndex) and its executing pipeline. Nothing is decoded.
+func (p *Program) At(id int) (t OpType, at, exec int) {
+	in := &p.Instrs[id]
+	return in.typ, int(in.op), int(in.exec)
+}
+
 // Type returns instruction id's op type.
 func (p *Program) Type(id int) OpType { return p.Instrs[id].typ }
 
@@ -189,12 +199,6 @@ func (p *Program) OpIndex(id int) (worker, group, triple int) {
 		triple, g = int(g), g/uint32(sh.DP*sh.MB)
 	}
 	return int(in.exec)*sh.PP + int(g%uint32(sh.PP)), int(g), triple
-}
-
-// Slot returns instruction id's op slot: Shape.Slot of its op.
-func (p *Program) Slot(id int) int {
-	in := &p.Instrs[id]
-	return p.Shape.Slot(in.typ, int(in.op), int(in.exec))
 }
 
 // Deps returns instruction id's explicit dependency edges: its window of the
@@ -294,7 +298,8 @@ func NewCostTable(sh Shape, fn CostFunc) []int64 {
 // under, tabulated by NewCostTable: what the splice times re-planned work
 // with. A table must be empty or hold a positive duration for every worker
 // and op type of the shape. The Program keeps the slice, so call it before
-// the Program is shared, and never write the table afterwards.
+// the Program is shared, and never write the table afterwards. It drops
+// the memoized plain timeline, which a later Plain walks again.
 func (p *Program) SetCostTable(table []int64) error {
 	if n := p.Shape.DP * p.Shape.PP * OpTypes; len(table) != 0 && len(table) != n {
 		return fmt.Errorf("schedule: program: cost table holds %d durations, want 0 or %d", len(table), n)
@@ -304,7 +309,7 @@ func (p *Program) SetCostTable(table []int64) error {
 			return fmt.Errorf("schedule: program: %s of %s costs %d, not a positive duration", OpType(i%OpTypes), p.Shape.WorkerAt(i/OpTypes), d)
 		}
 	}
-	p.costs = table
+	p.costs, p.plain = table, timeline{}
 	return nil
 }
 
@@ -367,6 +372,22 @@ func (b *ProgramBuilder) fail(format string, args ...any) {
 // none) and whether the barrier gates it. The op must lie in the shape, and
 // an optimizer must carry MB -1 and run on its home pipeline.
 func (b *ProgramBuilder) Instr(op Op, dur int64, gated bool) {
+	sh, at := &b.p.Shape, -1
+	switch {
+	case op.Type >= F && op.Type < Optimizer:
+		at = sh.TripleIndex(op.Iter, op.Stage, op.Home, op.MB)
+	case op.Type == Optimizer && op.MB == -1 && op.Home == op.Exec:
+		at = sh.StageIndex(op.Iter, op.Stage)
+	}
+	b.InstrAt(op.Type, at, op.Exec, dur, gated)
+}
+
+// InstrAt adds the next instruction by its place in the dense op index: an
+// op of type t at index at — its TripleIndex, or an optimizer's StageIndex
+// — run by pipeline exec (Program.At reads the three back), with its
+// stamped duration (zero for none) and whether the barrier gates it. The
+// index and the pipeline must lie in the shape.
+func (b *ProgramBuilder) InstrAt(t OpType, at, exec int, dur int64, gated bool) {
 	p := b.p
 	if b.err != nil {
 		return
@@ -375,19 +396,18 @@ func (b *ProgramBuilder) Instr(op Op, dur int64, gated bool) {
 		b.fail("more than the %d declared instructions", cap(p.Instrs))
 		return
 	}
-	sh, k := &p.Shape, -1
+	sh, n := &p.Shape, -1 // NewProgramBuilder checked the shape Indexable
 	switch {
-	case op.Exec < 0 || op.Exec >= sh.DP:
-	case op.Type >= F && op.Type < Optimizer:
-		k = sh.TripleIndex(op.Iter, op.Stage, op.Home, op.MB)
-	case op.Type == Optimizer && op.MB == -1 && op.Home == op.Exec:
-		k = sh.StageIndex(op.Iter, op.Stage)
+	case t >= F && t < Optimizer:
+		n = sh.Iter * sh.PP * sh.DP * sh.MB
+	case t == Optimizer:
+		n = sh.Iter * sh.PP
 	}
-	if k < 0 {
-		b.fail("%s (type %d) cannot be indexed in shape %+v", op, op.Type, *sh)
+	if at < 0 || at >= n || exec < 0 || exec >= sh.DP {
+		b.fail("%s at op index %d on pipeline %d cannot be indexed in shape %+v", t, at, exec, *sh)
 		return
 	}
-	p.Instrs = append(p.Instrs, Instr{Dur: dur, op: uint32(k), exec: int32(op.Exec), depOff: uint32(len(p.deps)), typ: op.Type, gated: gated})
+	p.Instrs = append(p.Instrs, Instr{Dur: dur, op: uint32(at), exec: int32(exec), depOff: uint32(len(p.deps)), typ: t, gated: gated})
 }
 
 // Dep adds an edge from instruction from into the latest instruction.
@@ -494,9 +514,11 @@ func (b *ProgramBuilder) Build() (*Program, error) {
 // must be a permutation of p's instruction IDs, and p must not be shared
 // yet: its instructions and edges are permuted through pooled scratch, its
 // stream IDs rewritten and its barrier lists refilled, each in its own
-// slab, so a warm call allocates nothing.
+// slab, so a warm call allocates nothing. It drops the memoized plain
+// timeline, which is keyed by the old IDs.
 func (p *Program) Renumber(order []int32) {
 	n := len(p.Instrs)
+	p.plain = timeline{} // its spans are keyed by the old IDs
 	sc := compilePool.Get().(*compileScratch)
 	defer compilePool.Put(sc)
 	sc.id = filled(sc.id, n, 0)

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -394,6 +395,103 @@ func TestProgramFootprint(t *testing.T) {
 	if per := float64(total) / float64(len(p.Instrs)); per > 40 {
 		t.Errorf("the Fig 9 Medium Program takes %d bytes, %.1f per instruction, budget 40", total, per)
 	}
+	// The memoized plain timeline is allocated on first use, as one slab.
+	if p.plain.spans != nil || p.plain.set != 0 {
+		t.Error("a compiled Program holds a plain timeline nobody asked for")
+	}
+	p.Plain()
+	memo := uintptr(cap(p.plain.spans)) * 8
+	t.Logf("%-12s %6d B (%.1f per instruction)", "plain memo", memo, float64(memo)/float64(len(p.Instrs)))
+	if per := float64(memo) / float64(len(p.Instrs)); per > 16 {
+		t.Errorf("the plain timeline takes %d bytes, %.1f per instruction, budget 16", memo, per)
+	}
+	if raceEnabled {
+		return // the race detector empties sync.Pool at random
+	}
+	if allocs := testing.AllocsPerRun(10, func() { p.plain = timeline{}; p.Plain() }); allocs != 1 {
+		t.Errorf("a first Plain allocates %.1f times, want 1", allocs)
+	}
+}
+
+// walkPlain times p on a walk of its own under Plain's Timing — the memo's
+// reference.
+func walkPlain(p *Program) (start, end []int64, makespan int64, ran int) {
+	n := len(p.Instrs)
+	start, end = make([]int64, n), make([]int64, n)
+	var w Walk
+	w.Reset(p, Timing{Lat: p.Durations}, start, end)
+	w.Run()
+	return start, end, w.Makespan(), w.Ended()
+}
+
+// checkPlain requires p's plain timeline to equal a fresh walk of p.
+func checkPlain(t *testing.T, label string, p *Program) {
+	t.Helper()
+	start, end, makespan, ran := p.Plain()
+	wantStart, wantEnd, wantMakespan, wantRan := walkPlain(p)
+	if !slices.Equal(start, wantStart) || !slices.Equal(end, wantEnd) || makespan != wantMakespan || ran != wantRan {
+		t.Errorf("%s: the plain timeline (makespan %d, %d ran) is not the walk's (makespan %d, %d ran)", label, makespan, ran, wantMakespan, wantRan)
+	}
+}
+
+// TestPlainMemoIsNeverStale memoizes a Program's plain timeline, then
+// changes the Program the two ways an unshared Program may change: a
+// Renumber, whose IDs the spans are keyed by, and a SetCostTable. Each must
+// drop the memo, so the next Plain walks the Program as it now is.
+func TestPlainMemoIsNeverStale(t *testing.T) {
+	sh := Shape{DP: 3, PP: 3, MB: 4, Iter: 2}
+	p, err := Compile(New(sh, Durations{F: 2, BInput: 3, BWeight: 1, Opt: 2, Comm: 1}, nil, decouple(FaultFree1F1B(sh, UnitSlots).Placements)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkPlain(t, "compiled", p)
+	order := make([]int32, len(p.Instrs))
+	for k, i := range rand.New(rand.NewSource(7)).Perm(len(order)) {
+		order[k] = int32(i)
+	}
+	p.Renumber(order)
+	if p.plain.set != 0 {
+		t.Error("Renumber kept the plain timeline of the old IDs")
+	}
+	checkPlain(t, "renumbered", p)
+	if err := p.SetCostTable(NewCostTable(sh, func(w Worker, ty OpType) int64 { return 2 * UnitSlots.Of(ty) })); err != nil {
+		t.Fatal(err)
+	}
+	if p.plain.set != 0 {
+		t.Error("SetCostTable kept the plain timeline")
+	}
+	checkPlain(t, "re-costed", p)
+}
+
+// TestConcurrentFirstPlainUsesShareOneSlab releases sixteen goroutines on
+// one Program's first Plain at once: every one must get the same slab,
+// holding the walk's timeline. CI runs it under the race detector.
+func TestConcurrentFirstPlainUsesShareOneSlab(t *testing.T) {
+	p, err := Compile(FaultFree1F1B(Shape{DP: 4, PP: 3, MB: 8, Iter: 1}, UnitSlots))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const users = 16
+	slabs := make([]*int64, users)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for u := range users {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			s, _, _, _ := p.Plain()
+			slabs[u] = &s[0]
+		}()
+	}
+	close(start)
+	wg.Wait()
+	for u, s := range slabs {
+		if s != slabs[0] {
+			t.Fatalf("user %d got a slab of its own", u)
+		}
+	}
+	checkPlain(t, "shared", p)
 }
 
 // TestValidateChecksBarrier corrupts the barrier of a compiled Program one

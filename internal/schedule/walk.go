@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 )
 
 // Walk is the one rule deciding when an instruction of a Program may run,
@@ -267,4 +268,45 @@ func (p *Program) checkRuns() error {
 		return fmt.Errorf("schedule: program deadlocks: %d of %d instructions are on a dependency cycle", n-ran, n)
 	}
 	return nil
+}
+
+// timeline is a Program's memoized plain timeline (Plain).
+type timeline struct {
+	spans    []int64 // every instruction's start, then every end, by ID
+	makespan int64
+	ran      int
+	// set is 1 once the fields above hold the timeline. It is a plain
+	// uint32 read with sync/atomic, not an atomic.Uint32, so a Program
+	// stays copyable by value without go vet's copylocks complaint.
+	set uint32
+}
+
+// plainMu serializes the first walks of Plain; a later call takes no lock.
+var plainMu sync.Mutex
+
+// Plain returns p's plain timeline — the walk under Timing{Lat:
+// p.Durations}, with nothing installed, released, cut or killed: every
+// instruction's start and end by ID (-1 for one that never ran), the
+// latest end and how many ran. The first call walks p and keeps the spans
+// in one slab of 2·len(Instrs) int64s; every later call, from any
+// goroutine, returns that slab, so start and end are p's own: read-only.
+// Renumber and SetCostTable drop the memo; nothing else may change a
+// Program once it is shared.
+func (p *Program) Plain() (start, end []int64, makespan int64, ran int) {
+	t, n := &p.plain, len(p.Instrs)
+	if atomic.LoadUint32(&t.set) == 0 {
+		plainMu.Lock()
+		if atomic.LoadUint32(&t.set) == 0 {
+			spans := make([]int64, 2*n)
+			w := walkPool.Get().(*Walk)
+			w.Reset(p, Timing{Lat: p.Durations}, spans[:n:n], spans[n:])
+			w.Run()
+			t.spans, t.makespan, t.ran = spans, w.Makespan(), w.Ended()
+			w.Clear()
+			walkPool.Put(w)
+			atomic.StoreUint32(&t.set, 1)
+		}
+		plainMu.Unlock()
+	}
+	return t.spans[:n:n], t.spans[n:], t.makespan, t.ran
 }

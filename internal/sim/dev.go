@@ -184,6 +184,25 @@ func ExecuteProgram(p *schedule.Program, opt ProgramOptions) (*Execution, error)
 	return ex, nil
 }
 
+// Plain returns p's plain execution — what ExecuteProgram(p,
+// ProgramOptions{}) returns — read off the timeline p memoizes
+// (schedule.Program.Plain): the first use walks p, every later one, from
+// any goroutine, shares its spans. The Execution is read-only, its Start
+// and End being the Program's own; Record traces it. ExecuteProgram walks
+// on every call.
+func Plain(p *schedule.Program) (*Execution, error) {
+	if p == nil {
+		return nil, fmt.Errorf("sim: cannot execute a nil program")
+	}
+	start, end, makespan, ran := p.Plain()
+	ex := &Execution{Program: p, Start: start, End: end, Makespan: makespan, Completed: ran}
+	if n := len(p.Instrs); ran != n {
+		ex.Classify(func(int) bool { return false })
+		return ex, fmt.Errorf("sim: program deadlocked with %d of %d instructions unexecuted", n-ran, n)
+	}
+	return ex, nil
+}
+
 // Classify fills Lost and Blocked, each in instruction-ID order, with the
 // instructions that never ran: lost on a worker that dead reports (by
 // WorkerIndex) died, blocked on any other.

@@ -25,8 +25,12 @@
 // clock at an event instant, Done resumes a spliced Program past its frozen
 // prefix, and ReleaseAt floors re-planned work: the cut walk internal/replay
 // projects off a timeline instead, kept as that projection's reference.
-// Execution.Record writes one execution as a trace segment, and
-// Execution.Span is the one span constructor every executor records by.
+// ExecuteProgram walks on every call; Plain returns a Program's plain
+// execution — no options — off the timeline the Program memoizes on first
+// use (schedule.Program.Plain), the base every replay window, live splice
+// and live iteration starts from. Execution.Record writes one execution as
+// a trace segment, and Execution.Span is the one span constructor every
+// executor records by.
 //
 // The paper validates this style of simulator against its real 32-GPU
 // cluster within 5.98% (Table 2); here the simulator is the primary
