@@ -123,9 +123,8 @@ func TestSharedStoreServesSecondEngine(t *testing.T) {
 	}
 }
 
-// planContent is the part of a plan that crosses the store: solver
-// provenance (warm-start hint, solve kind) and the Program slot are
-// in-memory only.
+// planContent is the part of a plan that crosses the store: the Program
+// slot is in-memory only.
 func planContent(p *Plan) *Plan {
 	return &Plan{Failures: p.Failures, Assignment: p.Assignment, Failed: p.Failed,
 		Schedule: p.Schedule, PeriodSlots: p.PeriodSlots, PlanTime: p.PlanTime}

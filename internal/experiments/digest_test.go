@@ -27,12 +27,14 @@ func (f *figure[T]) get(run func() (T, string, error)) (T, string, error) {
 var (
 	fig9Out      figure[[]Figure9Result]
 	table1Out    figure[[]Table1Row]
+	fig10Out     figure[[]Fig10Row]
 	fig11Out     figure[[]Fig11Row]
 	migrationOut figure[[]MigrationRow]
 )
 
 func figure9Once() ([]Figure9Result, string, error) { return fig9Out.get(Figure9) }
 func table1Once() ([]Table1Row, string, error)      { return table1Out.get(Table1) }
+func fig10Once() ([]Fig10Row, string, error)        { return fig10Out.get(Fig10) }
 func fig11Once() ([]Fig11Row, string, error)        { return fig11Out.get(Fig11) }
 
 // migrationOnce is the migration comparison of the first Table 1 job, the
@@ -44,17 +46,18 @@ func migrationOnce() ([]MigrationRow, string, error) {
 	})
 }
 
-// paperDigests pins an FNV-64a digest of each replay-driven paper output:
-// its rows — Fig 9's with every replayed event — and its rendered report.
+// paperDigests pins an FNV-64a digest of each paper output: its rows —
+// Fig 9's with every replayed event — and its rendered report.
 var paperDigests = map[string]uint64{
 	"fig9":      0x9544ae47cc8f2516,
 	"table1":    0xda886cacd21d7563,
+	"fig10":     0x84d2f8846e5c97a2,
 	"fig11":     0x268aa6a27a71345e,
 	"migration": 0x403629f47ffc3dcd,
 }
 
-// TestPaperOutputsUnchanged is the bit-identity gate of the replay-driven
-// paper outputs: Fig 9, Table 1, Fig 11 and the migration comparison must
+// TestPaperOutputsUnchanged is the bit-identity gate of the paper outputs:
+// Fig 9, Table 1, Fig 10, Fig 11 and the migration comparison must
 // hash to the pinned digests. A change that alters any of them fails here
 // and prints the new table; re-pin only a figure a change is meant to move.
 func TestPaperOutputsUnchanged(t *testing.T) {
@@ -79,6 +82,11 @@ func TestPaperOutputsUnchanged(t *testing.T) {
 		}},
 		{"table1", true, func(h io.Writer) error {
 			rows, report, err := table1Once()
+			fmt.Fprintf(h, "%+v\n%s", rows, report)
+			return err
+		}},
+		{"fig10", true, func(h io.Writer) error {
+			rows, report, err := fig10Once()
 			fmt.Fprintf(h, "%+v\n%s", rows, report)
 			return err
 		}},

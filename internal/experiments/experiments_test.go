@@ -72,7 +72,7 @@ func TestFig10Shapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("large-cluster planning is slow")
 	}
-	rows, _, err := Fig10()
+	rows, _, err := fig10Once()
 	if err != nil {
 		t.Fatal(err)
 	}

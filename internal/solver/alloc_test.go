@@ -18,9 +18,30 @@ func replayJob() Input {
 	}
 }
 
+// largeJob is a solve whose per-worker priority streams span several 64-bit
+// words: PP8×DP4×MB64 over two iterations with three of its 32 workers
+// down (10 % failures), every technique on.
+func largeJob() Input {
+	in := replayJob()
+	in.Shape = schedule.Shape{DP: 4, PP: 8, MB: 64, Iter: 2}
+	in.Failed = map[schedule.Worker]bool{{Stage: 1, Pipeline: 0}: true, {Stage: 4, Pipeline: 2}: true, {Stage: 7, Pipeline: 3}: true}
+	return in
+}
+
 // BenchmarkSolveReplayJob measures one scratch solve of replayJob.
 func BenchmarkSolveReplayJob(b *testing.B) {
 	in := replayJob()
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := Solve(in); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkSolveLargeJob measures one scratch solve of largeJob.
+func BenchmarkSolveLargeJob(b *testing.B) {
+	in := largeJob()
 	b.ReportAllocs()
 	for b.Loop() {
 		if _, err := Solve(in); err != nil {

@@ -180,15 +180,34 @@ var scratchDigests = []uint64{
 	0x20201e7fd72b0e02, // {DP:3 PP:3 MB:4 Iter:2}
 }
 
+// largeDigests pins the placements of the solves whose per-worker priority
+// streams span several 64-bit words, which no shape of digestShapes reaches.
+var largeDigests = []struct {
+	name   string
+	in     func() Input
+	digest uint64
+}{
+	{"replayJob", replayJob, 0x2486de0971257ae1},
+	{"largeJob", largeJob, 0xfac432fe4356641e},
+}
+
 // TestSolveDigestsUnchanged is the bit-identity gate of the solver: every
 // schedule Solve returns — its placements and their order — over every
-// small shape, technique toggle, memory cap, cost model and failure set
-// must hash to the pinned digest. A change that alters any schedule fails
+// small shape, technique toggle, memory cap, cost model and failure set,
+// and over the large jobs of largeDigests, must hash to the pinned digest. A change that alters any schedule fails
 // here and prints the new table; re-pin only when a schedule is meant to
 // change.
 func TestSolveDigestsUnchanged(t *testing.T) {
 	if raceEnabled {
 		t.Skip("a single-goroutine sweep: the race detector finds nothing here and multiplies its time tenfold")
+	}
+	for _, l := range largeDigests {
+		h := fnv.New64a()
+		s, err := Solve(l.in())
+		hashPlacements(h, s, err)
+		if d := h.Sum64(); d != l.digest {
+			t.Errorf("%s: digest %#016x, pinned %#016x", l.name, d, l.digest)
+		}
 	}
 	shapes := digestShapes()
 	got := make([]uint64, len(shapes))
