@@ -24,7 +24,8 @@ type Options struct {
 	// UnrollIterations overrides the planner's steady-state unroll window
 	// (0 keeps the planner default; the live runtime plans 1 iteration).
 	UnrollIterations int
-	// Workers bounds the Warm worker pool (0 selects GOMAXPROCS).
+	// Workers bounds the worker pool that Warm and Prefetch run on (0
+	// selects GOMAXPROCS).
 	Workers int
 	// Store injects a (possibly shared) replicated plan store. Nil
 	// creates a private 3-replica store, matching a small etcd deployment.

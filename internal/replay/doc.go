@@ -44,11 +44,12 @@
 //     however many replays start from it — and on a mid-iteration
 //     failure or re-join splices the in-flight Program and resumes without
 //     waiting for the iteration boundary. Every window's failed set is
-//     derived once, up front, and a prefetch goroutine fetches their
-//     Programs in window order while the replay runs, so solves and
-//     compiles overlap the splices; the engine serves one Program per
-//     failed set however the two interleave, so the result does not
-//     depend on the prefetch. Reconfiguration stalls, catch-up
+//     derived once, up front, and the engine's worker pool
+//     (Engine.Prefetch) fetches their Programs, claiming windows in order,
+//     while the replay runs, so cold solves and compiles run side by side
+//     and overlap the splices; the engine serves one Program per failed
+//     set however the fetches interleave, so the result does not depend on
+//     the prefetch. Reconfiguration stalls, catch-up
 //     bubbles and re-join warm-up all emerge from lost and re-planned
 //     instructions — there is no analytic stall formula anywhere in the
 //     path.

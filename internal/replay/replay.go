@@ -118,10 +118,11 @@ type Result struct {
 // trace's machine identities (MachineWorker), not from any heuristic. The
 // engine must plan single iterations (UnrollIterations 1), the
 // granularity the live runtime also chains at. The trace's Programs are
-// prefetched: one goroutine fetches every window's Program from the engine
-// in window order while the replay runs, and Replay stops and waits for it
-// before returning. The engine serves one Program per failed set however
-// the two fetches interleave, so the result does not depend on it.
+// prefetched: the engine's worker pool (Engine.Prefetch) fetches every
+// window's Program, claiming windows in order, while the replay runs, and
+// Replay stops the pool and waits for it before returning. The engine
+// serves one Program per failed set however the fetches interleave, so the
+// result does not depend on it.
 func Replay(eng *engine.Engine, tr failure.Trace, opt Options) (*Result, error) {
 	job := eng.Job()
 	if iters := eng.Shape().Iter; iters != 1 {
@@ -155,7 +156,11 @@ func Replay(eng *engine.Engine, tr failure.Trace, opt Options) (*Result, error) 
 	if _, err := state(0); err != nil {
 		return nil, err
 	}
-	defer prefetch(eng, states)()
+	sets := make([]map[schedule.Worker]bool, len(states))
+	for i, st := range states {
+		sets[i] = st.failed
+	}
+	defer eng.Prefetch(sets).Stop()
 
 	// Each window runs its Program's plain timeline, which the Program
 	// memoizes (sim.Plain). A recorder gets each distinct Program's timeline
@@ -386,33 +391,6 @@ func memberships(windows []failure.Window, pp int) ([]membership, error) {
 		states = append(states, st)
 	}
 	return states, nil
-}
-
-// prefetch warms eng's caches with the Program of every state, in window
-// order, on its own goroutine while the replay runs: the replay's own
-// fetch then hits the cache or coalesces onto the solve in flight. The
-// engine serves one Program per failed set however the two interleave, so
-// the replay's result does not depend on it. The returned func stops the
-// prefetcher and waits for it, so no solve outlives the replay.
-func prefetch(eng *engine.Engine, states []membership) (stop func()) {
-	quit, done := make(chan struct{}), make(chan struct{})
-	go func() {
-		defer close(done)
-		for _, st := range states {
-			select {
-			case <-quit:
-				return
-			default:
-			}
-			if _, err := eng.ProgramFor(st.failed); err != nil {
-				return // the replay reports it if it gets there
-			}
-		}
-	}()
-	return func() {
-		close(quit)
-		<-done
-	}
 }
 
 // eventKind names a membership event by what changed: a failure, a

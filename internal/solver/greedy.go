@@ -75,7 +75,7 @@ func newState(in Input, routes [][][]int) *state {
 			s.workers = append(s.workers, workerState{})
 		}
 		ws := &s.workers[len(s.workers)-1]
-		*ws = workerState{w: w, crit: ws.crit[:0], bwPool: ws.bwPool[:0],
+		*ws = workerState{w: w, crit: ws.crit[:0], ready: ws.ready, bwPool: ws.bwPool[:0],
 			critLeft: filled(ws.critLeft, sh.Iter, 0), bwLeft: filled(ws.bwLeft, sh.Iter, 0), memCap: in.MemCap}
 		if in.MemCapPerStage != nil {
 			ws.memCap = in.MemCapPerStage[w.Stage]
@@ -197,8 +197,9 @@ func newState(in Input, routes [][][]int) *state {
 		s.applyALAP()
 	}
 
-	// Per-worker critical streams sorted by priority; per-iteration work
-	// counters for optimizer gating.
+	// Per-worker critical streams sorted by priority, with the ready set of
+	// their predecessor-free tasks; per-iteration work counters for
+	// optimizer gating.
 	for id := range s.tasks {
 		t := &s.tasks[id]
 		w := &s.workers[t.wi]
@@ -213,6 +214,14 @@ func newState(in Input, routes [][][]int) *state {
 	for wi := range s.workers {
 		w := &s.workers[wi]
 		slices.SortFunc(w.crit, s.before)
+		w.ready = filled(w.ready, (len(w.crit)+63)/64, 0)
+		for i, id := range w.crit {
+			t := &s.tasks[id]
+			t.cpos = int32(i)
+			if t.predsN == 0 {
+				w.ready[i>>6] |= 1 << (i & 63)
+			}
+		}
 		// 1F1B forward-ahead window: the fault-free warm-up depth plus one
 		// per rerouted micro-batch this worker absorbs.
 		w.window = sh.PP - w.w.Stage
@@ -281,15 +290,10 @@ func (s *state) dispatch(wi int, t int64) bool {
 	// The worker may execute the iteration of its first unplaced optimizer.
 	gate := w.optNext
 
-	// 1. Ready critical op in priority order (skipping memory-blocked Fs).
-	for w.critHead < len(w.crit) && s.tasks[w.crit[w.critHead]].placed {
-		w.critHead++
-	}
-	for idx := w.critHead; idx < len(w.crit); idx++ {
+	// 1. Ready critical op in priority order (skipping memory-blocked Fs):
+	// the ready set holds exactly the unplaced, predecessor-free entries.
+	for idx := w.firstReady(); idx >= 0; idx = w.nextReady(idx + 1) {
 		c := &s.tasks[w.crit[idx]]
-		if c.placed || c.predsN > 0 {
-			continue
-		}
 		if c.op.Iter > gate {
 			break
 		}
@@ -314,11 +318,8 @@ func (s *state) dispatch(wi int, t int64) bool {
 	// this worker (from the future-heap; entries may be stale, which only
 	// makes bubble filling more conservative).
 	minFuture := int64(math.MaxInt64)
-	for idx := w.critHead; idx < len(w.crit); idx++ {
+	for idx := w.firstReady(); idx >= 0; idx = w.nextReady(idx + 1) {
 		c := &s.tasks[w.crit[idx]]
-		if c.placed || c.predsN > 0 {
-			continue
-		}
 		if c.op.Iter > gate {
 			break
 		}
@@ -438,6 +439,7 @@ func (s *state) placeAt(id taskID, start int64) {
 	}
 	switch {
 	case c.critical:
+		w.ready[c.cpos>>6] &^= 1 << (c.cpos & 63)
 		w.critLeft[c.op.Iter]--
 	case c.op.Type == schedule.BWeight:
 		w.bwLeft[c.op.Iter]--
@@ -463,13 +465,17 @@ func (s *state) placeAt(id taskID, start int64) {
 	}
 }
 
-// ready queues a task whose last predecessor was just placed: a backward
-// weight joins its worker's bubble-filling pool, and the worker wakes at
-// the task's earliest start.
+// ready queues a task whose last predecessor was just placed: a critical
+// task joins its worker's ready set, a backward weight its bubble-filling
+// pool, and the worker wakes at the task's earliest start.
 func (s *state) ready(id taskID) {
 	n := &s.tasks[id]
 	w := &s.workers[n.wi]
-	if n.op.Type == schedule.BWeight {
+	switch {
+	case n.critical:
+		w.ready[n.cpos>>6] |= 1 << (n.cpos & 63)
+		w.readyLo = min(w.readyLo, int(n.cpos>>6))
+	case n.op.Type == schedule.BWeight:
 		w.bwPool = append(w.bwPool, id)
 	}
 	s.wakeAt(int(n.wi), max(n.readyAt, n.release, w.free))

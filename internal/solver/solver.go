@@ -28,6 +28,7 @@ package solver
 
 import (
 	"fmt"
+	"math/bits"
 
 	"recycle/internal/schedule"
 )
@@ -222,6 +223,7 @@ type task struct {
 	readyAt  int64 // valid once predsN == 0
 	release  int64 // earliest allowed start (fault-free pacing of unaffected work)
 	wi       int32 // executor: index into state.workers
+	cpos     int32 // critical tasks: index into the executor's crit stream
 	op       schedule.Op
 	dur      int64 // modeled duration on this task's executor (cost model)
 	pos      int64 // skeleton priority (fault-free 1F1B position)
@@ -242,12 +244,16 @@ type succ struct {
 func contributes(t schedule.OpType) bool { return t == schedule.B || t == schedule.BWeight }
 
 type workerState struct {
-	w        schedule.Worker
-	durs     [schedule.Optimizer + 1]int64 // cost model per op type
-	free     int64
-	held     int // in-flight activation units
-	critHead int // index into crit of first unplaced
-	crit     []taskID
+	w    schedule.Worker
+	durs [schedule.Optimizer + 1]int64 // cost model per op type
+	free int64
+	held int // in-flight activation units
+	crit []taskID
+	// ready has bit i set while crit[i] is unplaced and predecessor-free,
+	// so dispatch walks what is ready rather than what remains; no word
+	// of ready below readyLo has a bit set.
+	ready    []uint64
+	readyLo  int
 	bwPool   []taskID // ready BWeight tasks in FIFO order, from bwHead on
 	bwHead   int
 	optNext  int   // iteration of the first unplaced optimizer step
@@ -257,6 +263,35 @@ type workerState struct {
 	window   int   // 1F1B forward-ahead window: PP - stage + rerouted MBs
 	ahead    int   // forwards placed minus backward-inputs placed
 	memCap   int   // in-flight activation cap (0 = unlimited)
+}
+
+// firstReady returns the position of the first ready critical task in the
+// worker's crit stream, or -1 when there is none, moving readyLo past the
+// words that have emptied.
+func (w *workerState) firstReady() int {
+	for ; w.readyLo < len(w.ready); w.readyLo++ {
+		if word := w.ready[w.readyLo]; word != 0 {
+			return w.readyLo<<6 | bits.TrailingZeros64(word)
+		}
+	}
+	return -1
+}
+
+// nextReady returns the position of the first ready critical task at or
+// after position i of the worker's crit stream, or -1 when there is none.
+func (w *workerState) nextReady(i int) int {
+	k := i >> 6
+	if k >= len(w.ready) {
+		return -1
+	}
+	word := w.ready[k] &^ (1<<(i&63) - 1)
+	for word == 0 {
+		if k++; k == len(w.ready) {
+			return -1
+		}
+		word = w.ready[k]
+	}
+	return k<<6 | bits.TrailingZeros64(word)
 }
 
 // event wakes a worker at a given time.
