@@ -269,12 +269,10 @@ type workerState struct {
 // worker's crit stream, or -1 when there is none, moving readyLo past the
 // words that have emptied.
 func (w *workerState) firstReady() int {
-	for ; w.readyLo < len(w.ready); w.readyLo++ {
-		if word := w.ready[w.readyLo]; word != 0 {
-			return w.readyLo<<6 | bits.TrailingZeros64(word)
-		}
+	for w.readyLo < len(w.ready) && w.ready[w.readyLo] == 0 {
+		w.readyLo++
 	}
-	return -1
+	return w.nextReady(w.readyLo << 6)
 }
 
 // nextReady returns the position of the first ready critical task at or
