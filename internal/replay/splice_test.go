@@ -334,3 +334,44 @@ func checkTimeline(t *testing.T, what string, spl *Spliced, cut int64) {
 		}
 	}
 }
+
+// TestSpliceRejectsInTimelineOrder hands Splice two kept spans that each
+// last a slot longer than their cost: a late one on W0_0 and an early one
+// on W1_0. A spliced Program's streams are emitted worker by worker, so
+// W0_0's offender comes first in run order; the rejection names the
+// offender that comes first in timeline order, W1_0's.
+func TestSpliceRejectsInTimelineOrder(t *testing.T) {
+	job, stats := engine.ShapeJob(2, 2, 4)
+	prog := mustProgram(t, engine.New(job, stats, engine.Options{UnrollIterations: 1}), nil)
+	full, err := sim.ExecuteProgram(prog, sim.ProgramOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	victim, cut := schedule.Worker{Stage: 1, Pipeline: 1}, full.Makespan/2
+	in := cutInput(t, prog, nil, nil, SpliceInput{Cut: cut, Fail: []schedule.Worker{victim}})
+	if _, err := Splice(in); err != nil {
+		t.Fatal(err)
+	}
+	// early: W1_0's first instruction; late: the last instruction W0_0
+	// started before it.
+	w00, w10 := schedule.Worker{Stage: 0, Pipeline: 0}, schedule.Worker{Stage: 1, Pipeline: 0}
+	early, late := int(prog.Stream(w10)[0]), -1
+	for _, id := range prog.Stream(w00) {
+		if in.Ends[id] >= 0 && in.Ends[id] <= cut {
+			late = int(id)
+		}
+	}
+	if late < 0 || in.Starts[late] <= in.Starts[early]+1 {
+		t.Fatalf("W0_0 ran nothing before the cut %d later than W1_0's first instruction", cut)
+	}
+	starts := slices.Clone(in.Starts)
+	starts[early]--
+	starts[late]--
+	in.Starts = starts
+	_, err = Splice(in)
+	want := fmt.Sprintf("replay: spliced schedule fails validation: schedule: op %s has duration %d, want %d",
+		prog.Op(early), prog.DurOf(early)+1, prog.DurOf(early))
+	if err == nil || err.Error() != want {
+		t.Fatalf("Splice returned %v\nwant %s", err, want)
+	}
+}
