@@ -1,10 +1,13 @@
 package replay
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
 	"io"
+	"maps"
+	"reflect"
 	"runtime"
 	"slices"
 	"strings"
@@ -191,6 +194,72 @@ func TestReplaysKeepPlainTimelines(t *testing.T) {
 				t.Fatalf("%+v: replaying the trace changed the plain timeline of a %d-instruction Program", c, len(prog.Instrs))
 			}
 		}
+	}
+}
+
+// TestDeferredNumberingMatchesSplice replays every digestCase and checks
+// each splice Replay makes, which Replay numbers only when another event
+// cuts the spliced iteration, against Splice on the same input. A splice
+// that was numbered must equal Splice's artifact: the Program's encoded
+// bytes, the timeline, Done, Floors, Failed and every counter. One that was
+// not must agree on the timeline's makespan and every counter, and must
+// have given its scratch back.
+func TestDeferredNumberingMatchesSplice(t *testing.T) {
+	type splice struct {
+		in  SpliceInput
+		got *Spliced
+	}
+	var seen []splice
+	testHookAdvance = func(in SpliceInput, spl *Spliced) {
+		in.Starts, in.Ends, in.Release = slices.Clone(in.Starts), slices.Clone(in.Ends), maps.Clone(in.Release)
+		seen = append(seen, splice{in, spl})
+	}
+	defer func() { testHookAdvance = nil }()
+	for _, c := range digestCases() {
+		replayDigest(digestEngine(c), c)
+	}
+	encode := func(p *schedule.Program) []byte {
+		b, err := engine.EncodeProgram(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	numbered := 0
+	for k, s := range seen {
+		want, err := Splice(s.in)
+		if err != nil {
+			t.Fatalf("splice %d: Splice rejects what Replay spliced: %v", k, err)
+		}
+		// Everything but the Program and the timeline compares as a
+		// value; a splice Replay never numbered has no Done.
+		got, ref := *s.got, *want
+		got.Program, got.Exec, ref.Program, ref.Exec = nil, nil, nil, nil
+		if s.got.sc != nil {
+			t.Fatalf("splice %d: Replay kept its scratch", k)
+		}
+		if s.got.Done == nil {
+			ref.Done = nil
+			if s.got.Exec.Makespan != want.Exec.Makespan || s.got.Exec.Completed != want.Exec.Completed || !reflect.DeepEqual(got, ref) {
+				t.Fatalf("splice %d, never numbered: makespan %d, counters %+v; Splice: makespan %d, counters %+v",
+					k, s.got.Exec.Makespan, got, want.Exec.Makespan, ref)
+			}
+			continue
+		}
+		numbered++
+		gx, wx := s.got.Exec, want.Exec
+		switch {
+		case !bytes.Equal(encode(s.got.Program), encode(want.Program)):
+			t.Fatalf("splice %d: the numbered Program encodes differently from Splice's", k)
+		case !slices.Equal(gx.Start, wx.Start) || !slices.Equal(gx.End, wx.End) || gx.Makespan != wx.Makespan || gx.Completed != wx.Completed:
+			t.Fatalf("splice %d: the numbered timeline differs from Splice's", k)
+		case !reflect.DeepEqual(got, ref):
+			t.Fatalf("splice %d: numbered %+v, Splice %+v", k, got, ref)
+		}
+	}
+	t.Logf("%d splices, %d numbered", len(seen), numbered)
+	if numbered != 13 {
+		t.Fatalf("%d of %d splices were cut again, want the digest traces' 13", numbered, len(seen))
 	}
 }
 

@@ -14,7 +14,8 @@
 //     adding the optimizer step of a re-joining worker). The Program is
 //     built through schedule.ProgramBuilder, timed from the kept prefix by
 //     the walk every executor runs (Spliced.Exec) and numbered in that
-//     timeline's order. Re-planned work is timed by the in-flight
+//     timeline's order, the order a later splice of the same iteration
+//     reads it in. Re-planned work is timed by the in-flight
 //     Program's cost table (Program.Cost), which the spliced Program
 //     carries on, so a splice is a pure function of the Program and the
 //     event: any process holding the Program derives the same bytes. There
@@ -33,7 +34,11 @@
 //     stage group, executor: Program.At in, ProgramBuilder.InstrAt out),
 //     pooled across the events of a replay or a splice chain — and
 //     numbers the spliced Program by a radix sort of its (start, worker)
-//     keys, so one event allocates little beyond the artifact it returns. The
+//     keys, so one event allocates little beyond the artifact it returns.
+//     The numbering is its second half: Replay runs the first alone —
+//     every check, the walk, Exec and the counters, the Program left in
+//     run order — and numbers a splice only when the next event lands in
+//     the same iteration, before the chain is cut again. The
 //     map-keyed implementation it replaced lives on as the oracle of
 //     TestSpliceMatchesReference and FuzzSplice.
 //

@@ -89,6 +89,19 @@ func (c *Chain) Project(at int64, fail []schedule.Worker) *sim.Execution {
 // the floors already in the chain's timeline; release is only the new
 // re-plan's. The projected spans go to Splice from a pool: it keeps none.
 func (c *Chain) Advance(at int64, fail, rejoin []schedule.Worker, release map[schedule.Worker]int64) (*Spliced, error) {
+	spl, err := c.advance(at, fail, rejoin, release)
+	if err != nil {
+		return nil, err
+	}
+	spl.number()
+	return spl, nil
+}
+
+// advance is Advance with the splice left in run order (see splice): the
+// chain steps onto a Program that must be numbered (Spliced.number) before
+// the chain is cut again, and onto its timeline, which numbering permutes
+// in place.
+func (c *Chain) advance(at int64, fail, rejoin []schedule.Worker, release map[schedule.Worker]int64) (*Spliced, error) {
 	if at < c.Cut {
 		return nil, fmt.Errorf("replay: cut %d precedes the chain's last cut %d", at, c.Cut)
 	}
@@ -101,15 +114,25 @@ func (c *Chain) Advance(at int64, fail, rejoin []schedule.Worker, release map[sc
 	}
 	start, end := (*buf)[:n:n], (*buf)[n:2*n]
 	c.project(start, end, at, fail)
-	spl, err := Splice(SpliceInput{Prog: p, Starts: start, Ends: end, Cut: at, Fail: fail, Rejoin: rejoin, Release: release})
+	in := SpliceInput{Prog: p, Starts: start, Ends: end, Cut: at, Fail: fail, Rejoin: rejoin, Release: release}
+	spl, err := splice(in)
 	if err != nil {
 		return nil, err
+	}
+	if testHookAdvance != nil {
+		testHookAdvance(in, spl)
 	}
 	c.Exec, c.Cut = spl.Exec, at
 	return spl, nil
 }
 
 var spanPool = sync.Pool{New: func() any { return new([]int64) }}
+
+// testHookAdvance, when a test sets it, sees each splice a chain steps
+// onto, with its input, before the splice is numbered. The input's spans
+// are pooled and Replay reuses its release map: a hook that keeps them
+// copies them.
+var testHookAdvance func(SpliceInput, *Spliced)
 
 // AdvanceLive is Advance with no release floors plus the one guard that
 // makes a splice interpretable by the live runtime: no stage's optimizer

@@ -114,7 +114,9 @@ type Result struct {
 // engine's Coordinator path, executed on the DES virtual clock; membership
 // changes that land inside an iteration splice the in-flight Program and
 // resume, so every stall in the result is the makespan of real lost or
-// re-planned instructions. Failure victims and re-joiners come from the
+// re-planned instructions. A splice is numbered in its timeline's order
+// only when the next event lands in the same iteration: nothing else reads
+// its instructions by ID. Failure victims and re-joiners come from the
 // trace's machine identities (MachineWorker), not from any heuristic. The
 // engine must plan single iterations (UnrollIterations 1), the
 // granularity the live runtime also chains at. The trace's Programs are
@@ -308,7 +310,7 @@ func Replay(eng *engine.Engine, tr failure.Trace, opt Options) (*Result, error) 
 				chain.Project(cut, dying).Record(opt.Recorder, fmt.Sprintf("replay/iter%d/cut@%d", res.Iterations, cut),
 					chain.Exec.Program.Durations, frozen, failAt, cut)
 			}
-			spl, err := chain.Advance(cut, dying, joining, release)
+			spl, err := chain.advance(cut, dying, joining, release)
 			if err != nil {
 				return nil, err
 			}
@@ -336,8 +338,12 @@ func Replay(eng *engine.Engine, tr failure.Trace, opt Options) (*Result, error) 
 			wi++
 			endSec = iterStart + float64(spl.Exec.Makespan)*unit
 			if wi < len(windows)-1 && windows[wi].End.Seconds() < endSec-eps {
-				continue // the next event interrupts the spliced iteration too
+				// The next event interrupts the spliced iteration too: it
+				// cuts the Program by instruction ID, so number it first.
+				spl.number()
+				continue
 			}
+			spl.release() // nothing reads the Program by ID again
 			break
 		}
 		if endSec > horizonSec+eps {

@@ -50,12 +50,14 @@ type SpliceInput struct {
 // the input program, re-formed around the new worker set.
 type Spliced struct {
 	// Program is the spliced executable, numbered in its timeline's order
-	// and validated deadlock-free/edge-consistent.
+	// — the order a later splice of the same iteration buckets its suffix
+	// by — and validated deadlock-free/edge-consistent.
 	Program *schedule.Program
 	// Done maps the Program's prefix instruction IDs to their recorded
-	// completion times: the kept prefix an executor installs before it
-	// runs the Program (sim.ProgramOptions.Done; the live runtime skips it
-	// in every stream), so resumption never re-executes completed work.
+	// completion times: the kept prefix sim.ProgramOptions.Done installs
+	// before a cut walk runs the Program. Only tests and the benchmark
+	// read it; the splice and every executor install the prefix from the
+	// timeline (Exec) instead.
 	Done map[int]int64
 	// Floors is the per-worker release floor of the re-planned suffix: no
 	// worker with re-planned work starts it earlier.
@@ -93,6 +95,9 @@ type Spliced struct {
 	// its steps completed, some did not — or -1. The trace replayer splices
 	// through such a cut; Chain.AdvanceLive cannot (see there).
 	splitStage int
+	// sc holds the splice's scratch while the Program is still in run
+	// order, until number numbers it or release drops it; nil otherwise.
+	sc *spliceScratch
 }
 
 // node is one op of the spliced iteration, held by its place in the dense
@@ -255,9 +260,25 @@ func (sc *spliceScratch) isLost(p *schedule.Program, ends []int64, i int) bool {
 
 // Splice splits the in-flight program into its executed prefix and
 // unexecuted suffix, re-plans only the suffix against the post-event
-// worker set, and returns the validated spliced artifact. See the package
-// comment for the invariants it maintains.
+// worker set, and returns the validated spliced artifact, numbered in its
+// timeline's order. See the package comment for the invariants it
+// maintains.
 func Splice(in SpliceInput) (*Spliced, error) {
+	out, err := splice(in)
+	if err != nil {
+		return nil, err
+	}
+	out.number()
+	return out, nil
+}
+
+// splice is Splice up to and including the timed walk, with every check
+// Splice makes: it fills Exec and every counter, but leaves the Program in
+// run order — each worker's stream a contiguous block, workers in
+// WorkerIndex order — with Done unset and the scratch held in out.sc. The
+// caller numbers it (number) before anything reads it by instruction ID,
+// or releases it.
+func splice(in SpliceInput) (out *Spliced, err error) {
 	p := in.Prog
 	if p == nil {
 		return nil, fmt.Errorf("replay: cannot splice a nil program")
@@ -295,7 +316,11 @@ func Splice(in SpliceInput) (*Spliced, error) {
 		delete(newFailed, w)
 	}
 	sc := splicePool.Get().(*spliceScratch)
-	defer splicePool.Put(sc)
+	defer func() {
+		if out == nil {
+			splicePool.Put(sc)
+		}
+	}()
 	triples, groups, nw := sh.Triples(), sh.Iter*sh.PP, sh.DP*sh.PP
 	sc.failing = filled(sc.failing, nw, false)
 	sc.down = filled(sc.down, nw, false)
@@ -367,7 +392,7 @@ func Splice(in SpliceInput) (*Spliced, error) {
 		}
 	}
 
-	out := &Spliced{
+	out = &Spliced{
 		Floors:     make(map[schedule.Worker]int64),
 		Failed:     newFailed,
 		splitStage: -1,
@@ -443,6 +468,7 @@ func Splice(in SpliceInput) (*Spliced, error) {
 			out.SuffixOps++
 		}
 	}
+	sc.nodes = nodes
 
 	// Route each micro-batch triple with unexecuted work: pinned to the
 	// peer already holding its state, otherwise home when live, otherwise
@@ -622,36 +648,82 @@ func Splice(in SpliceInput) (*Spliced, error) {
 	if ex.Completed, ex.Makespan = walk.Ended(), walk.Makespan(); ex.Completed != m {
 		return nil, fmt.Errorf("replay: spliced program does not run: program deadlocked with %d of %d instructions unexecuted", m-ex.Completed, m)
 	}
-	// Copy the walk's spans into the suffix nodes; a kept node's recorded
-	// start goes the other way, so the numbering below keys every position
-	// on ex.Start.
+	// Copy the walk's spans into the suffix nodes, which number keys on. A
+	// kept node's span stays in Exec as the walk installed it.
 	for k, i := range runs {
 		if nd := &nodes[i]; nd.kind == suffix {
 			nd.start, nd.end = ex.Start[k], ex.End[k]
-		} else {
-			ex.Start[k] = nd.start
 		}
 	}
+	out.Program, out.Exec = prog, ex
+	if err := sc.boundary(out, in.Cut, dur, nil); err != nil {
+		return nil, sc.boundary(out, in.Cut, dur, sc.timeline(sh))
+	}
+	out.sc = sc
+	return out, nil
+}
 
-	// Number the spliced Program in its timeline's order — start, then
-	// worker — as Compile numbers a schedule's: a later splice buckets its
-	// suffix by that order. Each position in runs gets its packed (start,
-	// worker) key, and a stable LSD radix sort of the positions by key,
-	// eight bits a pass over the bits the largest key holds, is the whole
-	// sort. Runs are in start order, so stability keeps a worker's equal
-	// starts in run order: the order a merge of the runs would give.
-	shift := bits.Len(uint(nw))
+// boundary checks the prefix/suffix boundary of a spliced Program still in
+// run order, visiting its positions in order (nil: run order). Kept spans
+// are the caller's: none may run past the cut on a worker that is down
+// after the event — a victim keeps only its durable pre-cut work — and
+// each must last its cost. An ungated kept step must follow its group's
+// weight gradients, which the splice may have re-executed after it. Every
+// span is checked before any step, and the first offender in order is
+// reported.
+func (sc *spliceScratch) boundary(out *Spliced, cut int64, dur schedule.CostFunc, order []int32) error {
+	sh := out.Program.Shape
+	node := func(j int) *node {
+		if order != nil {
+			j = int(order[j])
+		}
+		return &sc.nodes[sc.runs[j]]
+	}
+	for j := range sc.runs {
+		if nd := node(j); nd.kind == prefix {
+			switch want := dur(nd.worker(), nd.typ); {
+			case sc.down[nd.workerIndex(sh)] && nd.end > cut:
+				return fmt.Errorf("replay: spliced schedule fails validation: schedule: op %s placed on failed worker", nd.op(sh))
+			case nd.end-nd.start != want:
+				return fmt.Errorf("replay: spliced schedule fails validation: schedule: op %s has duration %d, want %d", nd.op(sh), nd.end-nd.start, want)
+			}
+		}
+	}
+	for j := range sc.runs {
+		if nd := node(j); nd.kind == prefix && nd.typ == schedule.Optimizer {
+			ready := int64(0)
+			for _, c := range out.Program.Barrier.Group(int(nd.group)) {
+				ready = max(ready, out.Exec.End[c])
+			}
+			if nd.start < ready {
+				return fmt.Errorf("replay: spliced schedule fails validation: schedule: optimizer on %s starts %d before stage %d all-reduce is ready at %d",
+					nd.worker(), nd.start, nd.stage, ready)
+			}
+		}
+	}
+	return nil
+}
+
+// timeline returns the positions of the run-ordered Program in its
+// timeline's order — start, then worker — as Compile numbers a schedule's.
+// Each position gets its packed (start, worker) key, and a stable LSD radix
+// sort of the positions by key, eight bits a pass over the bits the largest
+// key holds, is the whole sort. Runs are in start order, so stability keeps
+// a worker's equal starts in run order: the order a merge of the runs would
+// give.
+func (sc *spliceScratch) timeline(sh schedule.Shape) []int32 {
+	m := len(sc.runs)
+	shift := bits.Len(uint(sh.DP * sh.PP))
 	sc.keys = filled(sc.keys, 2*m, 0)
 	sc.order = filled(sc.order, 2*m, 0)
 	keys, spareKeys := sc.keys[:m:m], sc.keys[m:]
 	order, spare := sc.order[:m:m], sc.order[m:]
 	var top uint64
-	for w := 0; w < nw; w++ {
-		for at := runOff[w*perWorker]; at < runOff[(w+1)*perWorker]; at++ {
-			start := min(max(ex.Start[at], 0), 1<<(63-shift)-1)
-			keys[at], order[at] = uint64(start)<<shift|uint64(w), at
-			top |= keys[at]
-		}
+	for at, i := range sc.runs {
+		nd := &sc.nodes[i]
+		start := min(max(nd.start, 0), 1<<(63-shift)-1)
+		keys[at], order[at] = uint64(start)<<shift|uint64(nd.workerIndex(sh)), int32(at)
+		top |= keys[at]
 	}
 	var count [256]int32
 	for s := 0; s < bits.Len64(top); s += 8 {
@@ -670,40 +742,37 @@ func Splice(in SpliceInput) (*Spliced, error) {
 		}
 		keys, spareKeys, order, spare = spareKeys, keys, spare, order
 	}
+	return order
+}
 
-	// The walk's spans, copied into the nodes above, renumbered with it,
-	// and the prefix/suffix boundary. Kept spans are the caller's: none may
-	// run past the cut on a worker that is down after the event — a victim
-	// keeps only its durable pre-cut work — and each must last its cost. An
-	// ungated kept step must follow its group's weight gradients, which the
-	// splice may have re-executed after it. The first offender in timeline
-	// order is reported.
-	prog.Renumber(order)
-	out.Program, out.Done, out.Exec = prog, make(map[int]int64, out.PrefixOps), ex
+// number is Splice's second half: it numbers a Program splice left in run
+// order in its timeline's order, as a later splice of the same iteration
+// buckets its suffix by, permutes Exec's spans with it, fills Done and
+// gives the scratch back. A numbered Spliced is left as it is.
+func (s *Spliced) number() {
+	sc := s.sc
+	if sc == nil {
+		return
+	}
+	defer s.release()
+	order := sc.timeline(s.Program.Shape)
+	s.Program.Renumber(order)
+	s.Done = make(map[int]int64, s.PrefixOps)
+	ex := s.Exec
 	for k, at := range order {
-		nd := &nodes[runs[at]]
-		if ex.Start[k], ex.End[k] = nd.start, nd.end; nd.kind != prefix {
-			continue
-		}
-		out.Done[k], ex.Start[k] = nd.end, nd.end-out.Program.DurOf(k) // as the walk installs it
-		switch want := dur(nd.worker(), nd.typ); {
-		case down[nd.workerIndex(sh)] && nd.end > in.Cut:
-			return nil, fmt.Errorf("replay: spliced schedule fails validation: schedule: op %s placed on failed worker", nd.op(sh))
-		case nd.end-nd.start != want:
-			return nil, fmt.Errorf("replay: spliced schedule fails validation: schedule: op %s has duration %d, want %d", nd.op(sh), nd.end-nd.start, want)
+		nd := &sc.nodes[sc.runs[at]]
+		if ex.Start[k], ex.End[k] = nd.start, nd.end; nd.kind == prefix {
+			s.Done[k], ex.Start[k] = nd.end, nd.end-s.Program.DurOf(k) // as the walk installs it
 		}
 	}
-	for _, at := range order {
-		if nd := &nodes[runs[at]]; nd.kind == prefix && nd.typ == schedule.Optimizer {
-			ready := int64(0)
-			for _, c := range out.Program.Barrier.Group(int(nd.group)) {
-				ready = max(ready, out.Exec.End[c])
-			}
-			if nd.start < ready {
-				return nil, fmt.Errorf("replay: spliced schedule fails validation: schedule: optimizer on %s starts %d before stage %d all-reduce is ready at %d",
-					nd.worker(), nd.start, nd.stage, ready)
-			}
-		}
+}
+
+// release gives a run-ordered splice's scratch back without numbering it:
+// the Program stays in run order, for a caller that reads nothing of it by
+// instruction ID.
+func (s *Spliced) release() {
+	if s.sc != nil {
+		splicePool.Put(s.sc)
+		s.sc = nil
 	}
-	return out, nil
 }
