@@ -16,7 +16,7 @@ import (
 
 // replayJobEngine is the engine replay-warm plans the Fig 9 GPT-3 Medium
 // iteration with: DP12×PP2×MB85 on the calibrated cost model.
-func replayJobEngine(b testing.TB) *engine.Engine {
+func replayJobEngine(tb testing.TB) *engine.Engine {
 	job := config.Job{
 		Model:    config.GPT3Medium,
 		Parallel: config.Parallelism{DP: 12, PP: 2, TP: 1},
@@ -25,11 +25,11 @@ func replayJobEngine(b testing.TB) *engine.Engine {
 	}
 	stats, err := profile.Analytic(job)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	cm, err := profile.CalibratedCost(job, stats)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	return engine.New(job, stats, engine.Options{UnrollIterations: 1, CostModel: cm})
 }
@@ -165,8 +165,8 @@ func warmChurnTrace() (failure.Trace, Options) {
 // of tr: its caches hold every window's Program, and each Program has
 // memoized its plain timeline, so a later Replay of tr pays the splices —
 // each timed on the walk it drives itself — and the cuts projected off
-// their chains, not the solver and not a plain walk.
-// The warming Replay's result comes back with the engine.
+// their chains, not the solver and not a plain walk. The warming Replay's
+// result comes back with the engine.
 func warmReplayJob(tb testing.TB, tr failure.Trace, opt Options) (*engine.Engine, *Result) {
 	eng := replayJobEngine(tb)
 	res, err := Replay(eng, tr, opt)

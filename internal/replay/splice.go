@@ -673,14 +673,14 @@ func splice(in SpliceInput) (out *Spliced, err error) {
 // reported.
 func (sc *spliceScratch) boundary(out *Spliced, cut int64, dur schedule.CostFunc, order []int32) error {
 	sh := out.Program.Shape
-	node := func(j int) *node {
+	nodeAt := func(j int) *node {
 		if order != nil {
 			j = int(order[j])
 		}
 		return &sc.nodes[sc.runs[j]]
 	}
 	for j := range sc.runs {
-		if nd := node(j); nd.kind == prefix {
+		if nd := nodeAt(j); nd.kind == prefix {
 			switch want := dur(nd.worker(), nd.typ); {
 			case sc.down[nd.workerIndex(sh)] && nd.end > cut:
 				return fmt.Errorf("replay: spliced schedule fails validation: schedule: op %s placed on failed worker", nd.op(sh))
@@ -690,7 +690,7 @@ func (sc *spliceScratch) boundary(out *Spliced, cut int64, dur schedule.CostFunc
 		}
 	}
 	for j := range sc.runs {
-		if nd := node(j); nd.kind == prefix && nd.typ == schedule.Optimizer {
+		if nd := nodeAt(j); nd.kind == prefix && nd.typ == schedule.Optimizer {
 			ready := int64(0)
 			for _, c := range out.Program.Barrier.Group(int(nd.group)) {
 				ready = max(ready, out.Exec.End[c])
@@ -745,10 +745,10 @@ func (sc *spliceScratch) timeline(sh schedule.Shape) []int32 {
 	return order
 }
 
-// number is Splice's second half: it numbers a Program splice left in run
-// order in its timeline's order, as a later splice of the same iteration
-// buckets its suffix by, permutes Exec's spans with it, fills Done and
-// gives the scratch back. A numbered Spliced is left as it is.
+// number is Splice's second half: it renumbers the Program splice left in
+// run order in its timeline's order, the order a later splice of the same
+// iteration buckets its suffix by, permutes Exec's spans with it, fills
+// Done and gives the scratch back. A numbered Spliced is left as it is.
 func (s *Spliced) number() {
 	sc := s.sc
 	if sc == nil {
