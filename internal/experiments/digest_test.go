@@ -30,6 +30,9 @@ var (
 	fig10Out     figure[[]Fig10Row]
 	fig11Out     figure[[]Fig11Row]
 	migrationOut figure[[]MigrationRow]
+	stragglerOut figure[[]StragglerRow]
+	galleryOut   figure[GallerySlots]
+	fig12Out     figure[[]Fig12Row]
 )
 
 func figure9Once() ([]Figure9Result, string, error)        { return fig9Out.get(Figure9) }
@@ -37,6 +40,17 @@ func table1Once() ([]Table1Row, string, error)             { return table1Out.ge
 func fig10Once() ([]Fig10Row, string, error)               { return fig10Out.get(Fig10) }
 func fig11Once() ([]Fig11Row, string, error)               { return fig11Out.get(Fig11) }
 func migrationReportOnce() ([]MigrationRow, string, error) { return migrationOut.get(Migration) }
+func stragglerOnce() ([]StragglerRow, string, error)       { return stragglerOut.get(Straggler) }
+func fig12Once() ([]Fig12Row, string, error)               { return fig12Out.get(Fig12) }
+
+// galleryOnce is Gallery, which renders no report.
+func galleryOnce() (GallerySlots, error) {
+	g, _, err := galleryOut.get(func() (GallerySlots, string, error) {
+		g, err := Gallery()
+		return g, "", err
+	})
+	return g, err
+}
 
 // migrationOnce is the migration comparison of the first Table 1 job, the
 // rows TestMigrationMonotoneInFailureFrequency checks: the head of the
@@ -55,12 +69,15 @@ var paperDigests = map[string]uint64{
 	"fig11":           0x268aa6a27a71345e,
 	"migration":       0x403629f47ffc3dcd,
 	"migrationReport": 0x6435819085cf890d,
+	"straggler":       0xeb5f7c17ec4213df,
+	"gallery":         0x17ff5e61d8ec6576,
+	"fig12":           0x93c9d427b0260f2f,
 }
 
 // TestPaperOutputsUnchanged is the bit-identity gate of the paper outputs:
 // Fig 9, Table 1, Fig 10, Fig 11, the first Table 1 job's migration
-// comparison and the whole Migration report must
-// hash to the pinned digests. A change that alters any of them fails here
+// comparison, the whole Migration report, the Straggler study, the
+// running example's Gallery and Fig 12 must hash to the pinned digests. A change that alters any of them fails here
 // and prints the new table; re-pin only a figure a change is meant to move.
 func TestPaperOutputsUnchanged(t *testing.T) {
 	digest := func(write func(h io.Writer) error) (uint64, error) {
@@ -104,6 +121,21 @@ func TestPaperOutputsUnchanged(t *testing.T) {
 		}},
 		{"migrationReport", true, func(h io.Writer) error {
 			rows, report, err := migrationReportOnce()
+			fmt.Fprintf(h, "%+v\n%s", rows, report)
+			return err
+		}},
+		{"straggler", false, func(h io.Writer) error {
+			rows, report, err := stragglerOnce()
+			fmt.Fprintf(h, "%+v\n%s", rows, report)
+			return err
+		}},
+		{"gallery", false, func(h io.Writer) error {
+			g, err := galleryOnce()
+			fmt.Fprintf(h, "%+v\n", g)
+			return err
+		}},
+		{"fig12", false, func(h io.Writer) error {
+			rows, report, err := fig12Once()
 			fmt.Fprintf(h, "%+v\n%s", rows, report)
 			return err
 		}},

@@ -7,7 +7,7 @@ import (
 
 // TestGalleryMatchesPaper pins the running example's headline numbers.
 func TestGalleryMatchesPaper(t *testing.T) {
-	g, err := Gallery()
+	g, err := galleryOnce()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestFig11Ordering(t *testing.T) {
 // TestFig12Shape checks the memory claims: fault-free usage decreases with
 // stage depth; ReCycle raises later stages toward (but within) capacity.
 func TestFig12Shape(t *testing.T) {
-	rows, _, err := Fig12()
+	rows, _, err := fig12Once()
 	if err != nil {
 		t.Fatal(err)
 	}

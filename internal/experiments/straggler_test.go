@@ -50,7 +50,7 @@ func TestStragglerStudyWithFailures(t *testing.T) {
 // TestStragglerSweepMonotone checks the full Table-2-extension sweep: gains
 // must grow with the slowdown factor.
 func TestStragglerSweepMonotone(t *testing.T) {
-	rows, text, err := Straggler()
+	rows, text, err := stragglerOnce()
 	if err != nil {
 		t.Fatal(err)
 	}
