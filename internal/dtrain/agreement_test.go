@@ -3,6 +3,7 @@ package dtrain
 import (
 	"testing"
 
+	"recycle/internal/profile"
 	"recycle/internal/replay"
 	"recycle/internal/schedule"
 	"recycle/internal/sim"
@@ -152,6 +153,56 @@ func TestAgreementHoldsAcrossFailureSets(t *testing.T) {
 				t.Fatalf("failures=%v: instruction %d (%s) executed end %d != simulated %d",
 					fs, i, prog.Op(i), ends[i], ex.End[i])
 			}
+		}
+	}
+}
+
+// TestAgreementWithHeterogeneousDurations extends the by-construction
+// agreement check to a cost-model plan: when the Program is solved and
+// stamped with per-(stage, op, worker) durations (here a 3x straggler),
+// the runtime's executed timeline carries exactly the stamped spans and
+// the simulator's virtual execution matches instruction for instruction.
+func TestAgreementWithHeterogeneousDurations(t *testing.T) {
+	victim := schedule.Worker{Stage: 1, Pipeline: 0}
+	cfg := Config{
+		DP: 3, PP: 4, MB: 6,
+		InDim: 8, Hidden: 16, OutDim: 4, MicroBatchSize: 5,
+		Seed: 42, LR: 1e-2,
+		CostModel: profile.UniformCost(profile.Unit()).WithWorkerScale(victim, 3),
+	}
+	rt := New(cfg)
+	rt.Fail(schedule.Worker{Stage: 2, Pipeline: 1}) // a hard failure on top of the gray one
+	if _, err := rt.RunIteration(); err != nil {
+		t.Fatal(err)
+	}
+
+	prog, starts, ends := rt.ExecutedTimeline()
+	if prog == nil {
+		t.Fatal("runtime recorded no executed timeline")
+	}
+	// The plan must actually be heterogeneous: some victim op stamped 3x.
+	hetero := false
+	for i := range prog.Instrs {
+		op := prog.Op(i)
+		if op.Type != schedule.Optimizer && op.Worker() == victim && prog.DurOf(i) == 3*prog.Durations.Of(op.Type) {
+			hetero = true
+			break
+		}
+	}
+	if !hetero {
+		t.Fatal("no instruction on the straggler carries a scaled duration")
+	}
+	ex, err := sim.ExecuteProgram(prog, sim.ProgramOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ex.Completed != len(prog.Instrs) {
+		t.Fatalf("simulator completed %d of %d instructions", ex.Completed, len(prog.Instrs))
+	}
+	for i := range prog.Instrs {
+		if starts[i] != ex.Start[i] || ends[i] != ex.End[i] {
+			t.Fatalf("instruction %d (%s): runtime span [%d,%d] != simulated span [%d,%d]",
+				i, prog.Op(i), starts[i], ends[i], ex.Start[i], ex.End[i])
 		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 
 	"recycle/internal/engine"
 	"recycle/internal/planstore"
+	"recycle/internal/profile"
 	"recycle/internal/schedule"
 	"recycle/internal/sim"
 )
@@ -50,9 +51,10 @@ func executedBytes(t *testing.T, rt *Runtime) []byte {
 }
 
 // TestChaosExecutorSplicesWithProgramCosts pins that a splice is a function
-// of the Program and the event alone. A coordinator marks the victim's
-// surviving peer a 2× straggler; an executor interprets the coordinator's
-// Program through a fixed source, with a straggler-free engine of its own.
+// of the Program and the event alone. A coordinator plans with a cost
+// model that makes the victim's surviving peer a 2× straggler; an executor
+// interprets the coordinator's Program through a fixed source, with a
+// straggler-free engine of its own.
 // Both run the same kill, and the spliced Programs they execute must encode
 // to identical bytes: the re-routed ops are timed by the cost model the
 // Program was solved with, never by the executor's own.
@@ -60,8 +62,9 @@ func TestChaosExecutorSplicesWithProgramCosts(t *testing.T) {
 	cfg := deriveConfig()
 	victim := schedule.Worker{Stage: 0, Pipeline: 1}
 	peer := schedule.Worker{Stage: 0, Pipeline: 0}
-	coord, exec := New(cfg), New(cfg)
-	coord.MarkStraggler(peer, 2)
+	coordCfg := cfg
+	coordCfg.CostModel = profile.UniformCost(profile.Unit()).WithWorkerScale(peer, 2)
+	coord, exec := New(coordCfg), New(cfg)
 	prog, err := coord.Program()
 	if err != nil {
 		t.Fatal(err)

@@ -7,7 +7,7 @@
 // The Runtime is the in-process counterpart of the paper's Coordinator +
 // Executors (§4.1). The coordinator half fetches compiled Programs for the
 // current failure set from the plan service (internal/engine) and owns
-// failure handling, straggler demotion, validation and rollback; the
+// failure handling, validation and rollback; the
 // executor half runs one goroutine per live worker, interpreting its
 // Program instruction stream and blocking only on the messages it
 // consumes. Activations, input gradients and weight-gradient contributions
@@ -28,13 +28,10 @@
 // It implements the paper's §5 mechanisms — ReRouteAct / ReRouteGrad
 // (micro-batch rerouting to data-parallel peers), the WeightGradStore
 // (deferred weight gradients, held in the router's contribution slots),
-// per-stage optimizer steps with post-step validation and rollback — plus
-// the §5 heartbeat Detector, which flags both hard failures (lapsed
-// heartbeats) and gray failures: per-op timing observations feed
-// per-worker EWMAs compared against the fleet median, with
-// clear-and-reflag hysteresis so the straggler callback (feeding
-// MarkStraggler, which retunes the plan service's cost model) fires only
-// when the observed factor moves enough to change the routing.
+// per-stage optimizer steps with post-step validation and rollback.
+// Failures reach it as events — a trace replay's or a seeded Chaos kill —
+// never from a detector of its own. A heterogeneous cost model
+// (Config.CostModel) is fixed when the runtime is built.
 //
 // Runtime.RunIteration(events ...CascadeEvent) is the one iteration
 // driver: mid-iteration kills, re-joins and cascades are passed as events,

@@ -301,45 +301,6 @@ func TestForeignProgramIsRejected(t *testing.T) {
 	}
 }
 
-// TestDetectorFiresOnSilence checks heartbeat-based failure detection on a
-// fake clock: sweeps are driven by hand, so the verdict does not depend on
-// how the scheduler interleaves a ticker with the heartbeats.
-func TestDetectorFiresOnSilence(t *testing.T) {
-	var failures []schedule.Worker
-	d := NewDetector(30*time.Millisecond, func(w schedule.Worker) { failures = append(failures, w) })
-	clock := time.Unix(0, 0)
-	d.now = func() time.Time { return clock }
-	healthy := schedule.Worker{Stage: 0, Pipeline: 0}
-	silent := schedule.Worker{Stage: 1, Pipeline: 0}
-	d.Register(healthy)
-	d.Register(silent)
-
-	// Six sweeps 5 ms apart: the silent worker is inside its timeout.
-	for i := 0; i < 6; i++ {
-		clock = clock.Add(5 * time.Millisecond)
-		d.Heartbeat(healthy)
-		d.sweep()
-	}
-	if len(failures) != 0 {
-		t.Fatalf("detector fired at exactly the timeout: %v", failures)
-	}
-	// One more tick crosses it; later sweeps must not fire again.
-	for i := 0; i < 3; i++ {
-		clock = clock.Add(5 * time.Millisecond)
-		d.Heartbeat(healthy)
-		d.sweep()
-	}
-	if len(failures) != 1 || failures[0] != silent {
-		t.Fatalf("detector flagged %v, want exactly [%s]", failures, silent)
-	}
-	if d.Failed(healthy) {
-		t.Fatal("healthy worker marked failed")
-	}
-	if !d.Failed(silent) {
-		t.Fatal("silent worker not marked failed")
-	}
-}
-
 // TestDatasetDeterministic checks the data source is a pure function of
 // its coordinates.
 func TestDatasetDeterministic(t *testing.T) {

@@ -111,10 +111,6 @@ type Runtime struct {
 	mu        sync.Mutex
 	opSeconds map[schedule.OpType]time.Duration
 	opCounts  map[schedule.OpType]int
-	// Per-worker timing — the Profiler view straggler detection needs.
-	wOpSeconds map[schedule.Worker]time.Duration
-	wOpCounts  map[schedule.Worker]int
-	detector   *Detector
 
 	// lastExec is the executed timeline of the last iteration: the
 	// interpreted Program and each instruction's logical slot-time span —
@@ -133,21 +129,19 @@ type Runtime struct {
 func New(cfg Config) *Runtime {
 	job, stats := engine.ShapeJob(cfg.DP, cfg.PP, cfg.MB)
 	rt := &Runtime{
-		Cfg:        cfg,
-		eng:        engine.New(job, stats, engine.Options{UnrollIterations: 1, CostModel: cfg.CostModel, Store: cfg.Store}),
-		Dataset:    NewDataset(cfg.InDim, cfg.OutDim, cfg.MicroBatchSize, cfg.Seed),
-		stages:     make(map[schedule.Worker]*nn.Stage),
-		opts:       make(map[schedule.Worker]nn.Optimizer),
-		failed:     make(map[schedule.Worker]bool),
-		epochBase:  make([]int, cfg.DP*cfg.PP),
-		losses:     make([]float64, cfg.DP*cfg.MB),
-		stepped:    make([]int, cfg.DP*cfg.PP),
-		wake:       newWake(cfg.DP * cfg.PP),
-		opSeconds:  make(map[schedule.OpType]time.Duration),
-		opCounts:   make(map[schedule.OpType]int),
-		wOpSeconds: make(map[schedule.Worker]time.Duration),
-		wOpCounts:  make(map[schedule.Worker]int),
-		rec:        obs.Nop{},
+		Cfg:       cfg,
+		eng:       engine.New(job, stats, engine.Options{UnrollIterations: 1, CostModel: cfg.CostModel, Store: cfg.Store}),
+		Dataset:   NewDataset(cfg.InDim, cfg.OutDim, cfg.MicroBatchSize, cfg.Seed),
+		stages:    make(map[schedule.Worker]*nn.Stage),
+		opts:      make(map[schedule.Worker]nn.Optimizer),
+		failed:    make(map[schedule.Worker]bool),
+		epochBase: make([]int, cfg.DP*cfg.PP),
+		losses:    make([]float64, cfg.DP*cfg.MB),
+		stepped:   make([]int, cfg.DP*cfg.PP),
+		wake:      newWake(cfg.DP * cfg.PP),
+		opSeconds: make(map[schedule.OpType]time.Duration),
+		opCounts:  make(map[schedule.OpType]int),
+		rec:       obs.Nop{},
 	}
 	for k := 0; k < cfg.DP; k++ {
 		// Every pipeline gets an identical replica: same seed.
@@ -169,8 +163,8 @@ func (rt *Runtime) newOptimizer() nn.Optimizer {
 }
 
 // Fail marks a worker failed before the next iteration (the coordinator's
-// response to a detector event; training resumes from the iteration in
-// which the failure was identified, §4.1).
+// response to a failure at an iteration boundary; training resumes from
+// the iteration in which the failure was identified, §4.1).
 func (rt *Runtime) Fail(w schedule.Worker) {
 	rt.failed[w] = true
 	if rt.rec.Enabled() {
@@ -731,13 +725,11 @@ func (rt *Runtime) execOps(w schedule.Worker, exec *sim.Execution, fl *inflight,
 	last := w.Stage == rt.Cfg.PP-1
 	preds := fl.preds[w.Pipeline*rt.Cfg.DP*rt.Cfg.MB:]
 	tracing := rt.rec.Enabled()
-	rt.mu.Lock()
-	det := rt.detector
-	rt.mu.Unlock()
 	// opWall accumulates the measured compute time of the instruction in
-	// flight (reset each loop turn) — a span's Actual, the divergence
-	// signal against the modeled duration. acc accumulates the worker's
-	// per-type totals, merged into the runtime's when the stream ends.
+	// flight (reset each loop turn) — a span's Actual, which the Chrome
+	// trace shows next to the modeled duration. acc accumulates the
+	// worker's per-type totals, merged into the runtime's when the stream
+	// ends.
 	var opWall time.Duration
 	var acc [schedule.Optimizer + 1]struct {
 		d time.Duration
@@ -747,9 +739,6 @@ func (rt *Runtime) execOps(w schedule.Worker, exec *sim.Execution, fl *inflight,
 		opWall += d
 		acc[t].d += d
 		acc[t].n++
-		if det != nil {
-			det.ObserveOp(w, t, d)
-		}
 	}
 	defer func() {
 		rt.mu.Lock()
@@ -760,10 +749,6 @@ func (rt *Runtime) execOps(w schedule.Worker, exec *sim.Execution, fl *inflight,
 			}
 			rt.opSeconds[t] += a.d
 			rt.opCounts[t] += a.n
-			if t != schedule.Optimizer {
-				rt.wOpSeconds[w] += a.d
-				rt.wOpCounts[w] += a.n
-			}
 		}
 		rt.mu.Unlock()
 	}()
@@ -898,37 +883,18 @@ func (rt *Runtime) ExecutedTimeline() (prog *schedule.Program, starts, ends []in
 	return rt.lastExec.Program, rt.lastExec.Start, rt.lastExec.End
 }
 
-// AttachDetector routes per-op timing observations into a failure/straggler
-// detector — the heartbeat statistics stream of §5. Attach before the first
-// RunIteration; the detector's OnStraggle callback is where the Coordinator
-// triggers a straggler-aware re-plan (typically rt.MarkStraggler).
-func (rt *Runtime) AttachDetector(d *Detector) {
-	rt.mu.Lock()
-	rt.detector = d
-	rt.mu.Unlock()
-	if d != nil {
-		d.SetRecorder(rt.rec)
-	}
-}
-
 // AttachRecorder installs the tracing recorder every layer of this runtime
 // records into: the interpreter's per-instruction spans, the router's
-// re-send events, the detector's straggler flags and the plan service's
-// fetch/solve/warm lifecycle. Attach before the first RunIteration — the
-// field is read without locking by executor goroutines. Passing nil
-// restores the default no-op recorder.
+// re-send events and the plan service's fetch/solve/warm lifecycle.
+// Attach before the first RunIteration — the field is read without
+// locking by executor goroutines. Passing nil restores the default no-op
+// recorder.
 func (rt *Runtime) AttachRecorder(r obs.Recorder) {
 	if r == nil {
 		r = obs.Nop{}
 	}
 	rt.rec = r
 	rt.eng.SetRecorder(r)
-	rt.mu.Lock()
-	det := rt.detector
-	rt.mu.Unlock()
-	if det != nil {
-		det.SetRecorder(r)
-	}
 }
 
 // MetricsSnapshot folds the plan service's traffic counters, the runtime's
@@ -951,42 +917,4 @@ func (rt *Runtime) MetricsSnapshot() obs.Snapshot {
 		reg.SetAll("trace", tr.Counters())
 	}
 	return reg.Snapshot()
-}
-
-// MarkStraggler retunes the plan service's cost model: the worker's ops are
-// modeled at factor × the profiled durations, the plan fingerprint changes,
-// and the next Program() fetch re-solves — timing the slow worker honestly
-// and routing micro-batches away from it. The worker stays live: it keeps
-// its stage replica, all-reduce participation and optimizer steps, so
-// training math is unchanged (demotion, not failure).
-func (rt *Runtime) MarkStraggler(w schedule.Worker, factor float64) {
-	rt.eng.MarkStraggler(w, factor)
-}
-
-// ClearStraggler removes a worker's straggler mark; subsequent iterations
-// plan with its profiled speed again.
-func (rt *Runtime) ClearStraggler(w schedule.Worker) { rt.eng.ClearStraggler(w) }
-
-// MeasuredWorkerTimes returns each worker's mean wall-clock compute-op
-// duration — the per-worker Profiler view straggler detection consumes.
-func (rt *Runtime) MeasuredWorkerTimes() map[schedule.Worker]time.Duration {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	out := make(map[schedule.Worker]time.Duration, len(rt.wOpSeconds))
-	for w, total := range rt.wOpSeconds {
-		if n := rt.wOpCounts[w]; n > 0 {
-			out[w] = total / time.Duration(n)
-		}
-	}
-	return out
-}
-
-// Recalibrate folds the runtime's measured per-worker compute times into
-// the engine's cost model (engine.Recalibrate): workers whose measured
-// time drifts from the model beyond the engine's threshold get updated
-// multipliers, and the previously planned failure counts are re-solved
-// under the new model. Call it between iterations — after enough
-// compute ops have been timed for the means to be meaningful.
-func (rt *Runtime) Recalibrate() (engine.Recalibration, error) {
-	return rt.eng.Recalibrate(rt.MeasuredWorkerTimes())
 }

@@ -36,21 +36,19 @@
 //     for the same path, held in the cached plan's Program slot.
 //
 // The Planner (§4.2: Failure Normalization plus schedule generation)
-// lives here too, as the engine's immutable configuration snapshot. There
+// lives here too, as the engine's immutable configuration. There
 // is one cache, a get-or-solve map lock-striped into 64 hash shards keyed
 // by plan key, so a stripe is only ever locked for the keys it owns. A
 // plan is a pure function of its key and is solved at most once.
 //
 // An engine's configuration — job, stats, technique toggles, unroll
-// window — is fixed at New; an engine per technique set is how the Fig 11
-// ablation compares them. The one exception is the heterogeneous cost
-// model (profile.CostModel): per-(stage, op, worker) durations enter the
-// plan fingerprint, so MarkStraggler — the Coordinator's response to a
-// gray-failure (slow-but-alive worker) detection — and Recalibrate swap
-// in a new immutable configuration snapshot, every plan key moves into a
-// fresh namespace, and the next fetch transparently re-solves, timing the
-// slow worker honestly and routing micro-batches away from it. A compiled
-// Program carries the model it was solved under as a dense cost table
-// (schedule.Program.CostTable), tabulated from the same configuration
-// snapshot whose fingerprint keyed its plan.
+// window and heterogeneous cost model (profile.CostModel) — is fixed at
+// New; an engine per technique set is how the Fig 11 ablation compares
+// them, and an engine per cost model is how the Straggler study compares
+// a plan that knows a worker is slow with one that does not. The cost
+// model's per-(stage, op, worker) durations enter the plan fingerprint,
+// so engines with different models never share a key. A compiled Program
+// carries the model it was solved under as a dense cost table
+// (schedule.Program.CostTable), tabulated from the configuration whose
+// fingerprint keyed its plan.
 package engine

@@ -30,15 +30,11 @@ type Options struct {
 	// Store injects a (possibly shared) replicated plan store. Nil
 	// creates a private 3-replica store, matching a small etcd deployment.
 	Store *planstore.Store
-	// CostModel seeds the heterogeneous cost model (per-(stage, op,
-	// worker) durations). Nil plans with the homogeneous profiled stats.
-	// It is the one setting that changes after New: MarkStraggler and
-	// Recalibrate retune it.
+	// CostModel is the heterogeneous cost model (per-(stage, op, worker)
+	// durations). Nil plans with the homogeneous profiled stats. Like every
+	// other option it is fixed at New: to plan under another model, build
+	// another engine (it may share the Store).
 	CostModel *profile.CostModel
-	// RecalibrateThreshold is the relative drift between measured and
-	// modeled per-worker compute times below which Recalibrate leaves the
-	// cost model untouched (0 selects DefaultRecalibrateThreshold).
-	RecalibrateThreshold float64
 }
 
 // Metrics is a snapshot of the engine's plan-traffic counters.
@@ -73,11 +69,11 @@ type Metrics struct {
 }
 
 // newConf resolves Options against the planner defaults into the
-// engine's configuration snapshot: an immutable Planner (its methods never
-// mutate their receiver, so one snapshot is shared by all concurrent
-// requests) carrying the fingerprint that namespaces its keys. New starts
-// from it and NewClient derives its namespace from it, so an engine and a
-// client built from the same options address the same keys.
+// engine's configuration: an immutable Planner (its methods never mutate
+// their receiver, so one Planner is shared by all concurrent requests)
+// carrying the fingerprint that namespaces its keys. New starts from it
+// and NewClient derives its namespace from it, so an engine and a client
+// built from the same options address the same keys.
 func newConf(job config.Job, stats profile.Stats, opts Options) *Planner {
 	pl := NewPlanner(job, stats)
 	if opts.Techniques != nil {
@@ -86,7 +82,9 @@ func newConf(job config.Job, stats profile.Stats, opts Options) *Planner {
 	if opts.UnrollIterations > 0 {
 		pl.UnrollIterations = opts.UnrollIterations
 	}
-	return pl.withCosts(opts.CostModel)
+	pl.Costs = opts.CostModel
+	pl.fp = Fingerprint(pl.Job, pl.Stats, pl.Techniques, pl.UnrollIterations, pl.Costs.Signature())
+	return pl
 }
 
 // Engine is the plan service for one training job. It is safe for
@@ -95,27 +93,18 @@ type Engine struct {
 	store   *planstore.Store
 	workers int
 
-	// conf is the current configuration snapshot. Fetch paths load it
-	// once per request; only MarkStraggler and Recalibrate swap it, each
-	// as a read-modify-write under confMu so concurrent retunes compose.
-	confMu sync.Mutex
-	conf   atomic.Pointer[Planner]
+	// conf is the configuration, fixed at New.
+	conf *Planner
 
 	// seed/stripes are the lock-striped plan cache: plans and in-flight
 	// solves sharded by key hash.
 	seed    maphash.Seed
 	stripes [numStripes]stripe
 
-	// normMu guards norm, the per-fingerprint Best(n) indexes — the
-	// adaptive-schedule store of Fig 8, one normalized plan per failure
-	// count.
+	// normMu guards norm, the Best(n) index — the adaptive-schedule store
+	// of Fig 8, one normalized plan per failure count.
 	normMu sync.Mutex
-	norm   map[string]map[int]*Plan
-
-	// plannedMu guards plannedN, the normalized counts served so far: the
-	// working set Recalibrate re-solves.
-	plannedMu sync.Mutex
-	plannedN  map[int]bool
+	norm   map[int]*Plan
 
 	cacheHits, storeHits, bestHits    atomic.Uint64
 	solves, coalesced, storeErrs      atomic.Uint64
@@ -123,9 +112,6 @@ type Engine struct {
 	classDedups                       atomic.Uint64
 	stripeContended, programStoreHits atomic.Uint64
 	warmedPlans, warmTargets          atomic.Uint64
-
-	// recalThreshold is the Recalibrate no-op band (Options.RecalibrateThreshold).
-	recalThreshold float64
 
 	// rec holds the installed tracing recorder (a recBox; empty means
 	// tracing off). See SetRecorder / observe in observe.go.
@@ -142,19 +128,13 @@ func New(job config.Job, stats profile.Stats, opts Options) *Engine {
 	if workers < 1 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	threshold := opts.RecalibrateThreshold
-	if threshold <= 0 {
-		threshold = DefaultRecalibrateThreshold
-	}
 	e := &Engine{
-		store:          store,
-		workers:        workers,
-		seed:           maphash.MakeSeed(),
-		norm:           make(map[string]map[int]*Plan),
-		plannedN:       make(map[int]bool),
-		recalThreshold: threshold,
+		store:   store,
+		workers: workers,
+		conf:    newConf(job, stats, opts),
+		seed:    maphash.MakeSeed(),
+		norm:    make(map[int]*Plan),
 	}
-	e.conf.Store(newConf(job, stats, opts))
 	for i := range e.stripes {
 		e.stripes[i].plans = make(map[string]*Plan)
 		e.stripes[i].inflight = make(map[string]*call)
@@ -177,62 +157,19 @@ func ShapeJob(dp, pp, mb int) (config.Job, profile.Stats) {
 	return job, profile.Unit()
 }
 
-// config returns the current configuration snapshot.
-func (e *Engine) config() *Planner { return e.conf.Load() }
-
 // Job returns the job this engine plans for.
-func (e *Engine) Job() config.Job { return e.config().Job }
+func (e *Engine) Job() config.Job { return e.conf.Job }
 
 // Stats returns the profiled statistics this engine plans with.
-func (e *Engine) Stats() profile.Stats { return e.config().Stats }
+func (e *Engine) Stats() profile.Stats { return e.conf.Stats }
 
 // Shape returns the schedule shape this engine plans at: the job geometry
 // plus the unroll window.
-func (e *Engine) Shape() schedule.Shape { return e.config().Shape() }
+func (e *Engine) Shape() schedule.Shape { return e.conf.Shape() }
 
-// CostModel returns the current heterogeneous cost model (nil when the
-// engine plans with the homogeneous profiled stats).
-func (e *Engine) CostModel() *profile.CostModel { return e.config().Costs }
-
-// MarkStraggler records that a worker runs its ops at the given multiple
-// of the profiled durations (a gray failure, the paper's slow-but-alive
-// discussion) — the re-plan trigger the Detector's straggler callback
-// invokes. The cost model is updated copy-on-write and the plan
-// fingerprint changes with it, so the very next ScheduleFor/ProgramFor
-// re-solves: the solver times the slow worker honestly AND routes
-// micro-batches away from it (demotion, not removal — the worker keeps
-// participating in all-reduce and optimizer steps). factor 1 clears the
-// mark.
-func (e *Engine) MarkStraggler(w schedule.Worker, factor float64) {
-	e.confMu.Lock()
-	defer e.confMu.Unlock()
-	c := e.config()
-	cm := c.Costs
-	if cm == nil {
-		if factor == 1 {
-			return // clearing a mark that was never set
-		}
-		cm = profile.UniformCost(c.Stats)
-	}
-	e.installCostsLocked(c, cm.WithWorkerScale(w, factor))
-}
-
-// installCostsLocked swaps in a snapshot of c with the cost model next.
-// The caller holds confMu and read c under it. A model that carries no
-// information beyond the profiled stats normalizes back to nil, so
-// clearing the last straggler returns to the original plan namespace (and
-// its cached plans) instead of a signature-distinct uniform copy.
-func (e *Engine) installCostsLocked(c *Planner, next *profile.CostModel) {
-	if len(next.WorkerScale) == 0 && len(next.StageScale) == 0 && next.Base == c.Stats.Durations() {
-		next = nil
-	}
-	e.conf.Store(c.withCosts(next))
-}
-
-// ClearStraggler removes a worker's straggler mark (recovered gray
-// failure); plans revert to the namespace without the mark, typically a
-// cache hit.
-func (e *Engine) ClearStraggler(w schedule.Worker) { e.MarkStraggler(w, 1) }
+// CostModel returns the heterogeneous cost model (nil when the engine
+// plans with the homogeneous profiled stats).
+func (e *Engine) CostModel() *profile.CostModel { return e.conf.Costs }
 
 // Store returns the replicated plan store backing this engine.
 func (e *Engine) Store() *planstore.Store { return e.store }
@@ -262,13 +199,13 @@ func (e *Engine) Metrics() Metrics {
 // IterationSeconds converts a plan's steady-state period into wall-clock
 // seconds.
 func (e *Engine) IterationSeconds(p *Plan) float64 {
-	return e.config().IterationSeconds(p)
+	return e.conf.IterationSeconds(p)
 }
 
 // ThroughputSamplesPerSec returns the plan's steady-state training
 // throughput.
 func (e *Engine) ThroughputSamplesPerSec(p *Plan) float64 {
-	return e.config().ThroughputSamplesPerSec(p)
+	return e.conf.ThroughputSamplesPerSec(p)
 }
 
 // MigrationsNeeded returns how many point-to-point parameter copies morph
@@ -279,20 +216,12 @@ func (e *Engine) MigrationsNeeded(concrete []schedule.Worker, p *Plan) int {
 
 // Plan returns the normalized plan for n simultaneous failures:
 // in-process cache, then replicated store, then one coalesced solve.
-func (e *Engine) Plan(n int) (*Plan, error) { return e.plan(e.config(), n) }
-
-// plan is Plan under the configuration snapshot c.
-func (e *Engine) plan(c *Planner, n int) (*Plan, error) {
+func (e *Engine) Plan(n int) (*Plan, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("engine: negative failure count %d", n)
 	}
-	p, err := e.getOrSolve(nkey(c.fp, n), c.fp, true, func() (*Plan, error) { return c.PlanFor(n) })
-	if err == nil {
-		e.plannedMu.Lock()
-		e.plannedN[n] = true
-		e.plannedMu.Unlock()
-	}
-	return p, err
+	c := e.conf
+	return e.getOrSolve(nkey(c.fp, n), true, func() (*Plan, error) { return c.PlanFor(n) })
 }
 
 // PlanConcrete returns the plan for one specific failed-worker set,
@@ -305,11 +234,7 @@ func (e *Engine) plan(c *Planner, n int) (*Plan, error) {
 // worker outside the job, or one worker twice, is rejected first, in the
 // caller's names.
 func (e *Engine) PlanConcrete(failed []schedule.Worker) (*Plan, error) {
-	return e.planConcrete(e.config(), failed)
-}
-
-// planConcrete is PlanConcrete under the configuration snapshot c.
-func (e *Engine) planConcrete(c *Planner, failed []schedule.Worker) (*Plan, error) {
+	c := e.conf
 	ws := append([]schedule.Worker(nil), failed...)
 	schedule.SortWorkers(ws)
 	sh := c.Shape()
@@ -324,16 +249,16 @@ func (e *Engine) planConcrete(c *Planner, failed []schedule.Worker) (*Plan, erro
 	}
 	canon, perm, changed := schedule.CanonicalizeVictims(sh, costs, ws)
 	if !changed {
-		return e.getOrSolve(key, c.fp, false, func() (*Plan, error) { return c.PlanConcrete(ws) })
+		return e.getOrSolve(key, false, func() (*Plan, error) { return c.PlanConcrete(ws) })
 	}
-	if p, ok := e.peek(key, c.fp, false); ok {
+	if p, ok := e.peek(key, false); ok {
 		return p, nil
 	}
-	cp, err := e.getOrSolve(ckey(c.fp, canon), c.fp, false, func() (*Plan, error) { return c.PlanConcrete(canon) })
+	cp, err := e.getOrSolve(ckey(c.fp, canon), false, func() (*Plan, error) { return c.PlanConcrete(canon) })
 	if err != nil {
 		return nil, err
 	}
-	p, installed := e.admit(key, c.fp, renamePlan(cp, schedule.InvertPerm(perm)), false)
+	p, installed := e.admit(key, renamePlan(cp, schedule.InvertPerm(perm)), false)
 	if installed {
 		e.classDedups.Add(1)
 	}
@@ -346,25 +271,24 @@ func (e *Engine) planConcrete(c *Planner, failed []schedule.Worker) (*Plan, erro
 // down). The exact count is first sought in the cache and the replicated
 // store.
 func (e *Engine) Best(n int) (*Plan, bool) {
-	c := e.config()
-	if p, ok := e.peek(nkey(c.fp, n), c.fp, true); ok {
+	if p, ok := e.peek(nkey(e.conf.fp, n), true); ok {
 		return p, true
 	}
-	return e.normBest(c.fp, n)
+	return e.normBest(n)
 }
 
 // best is Best without the traffic counters, used by ScheduleFor so each
 // Coordinator fetch lands in exactly one metrics tier.
-func (e *Engine) best(fp string, n int) (*Plan, bool) {
-	key := nkey(fp, n)
+func (e *Engine) best(n int) (*Plan, bool) {
+	key := nkey(e.conf.fp, n)
 	if p, ok := e.cached(key); ok {
 		return p, true
 	}
 	if p := e.loadQuiet(key); p != nil {
-		p, _ = e.admit(key, fp, p, true)
+		p, _ = e.admit(key, p, true)
 		return p, true
 	}
-	return e.normBest(fp, n)
+	return e.normBest(n)
 }
 
 // ScheduleFor is the Coordinator's failure-handling path (§4.1, Fig 8):
@@ -373,24 +297,24 @@ func (e *Engine) best(fp string, n int) (*Plan, bool) {
 // failed set coincides with the concrete one (zero migrations needed);
 // otherwise solve on demand and persist the result.
 func (e *Engine) ScheduleFor(failed map[schedule.Worker]bool) (*schedule.Schedule, error) {
-	p, err := e.planFor(e.config(), failed)
+	p, err := e.planFor(failed)
 	if err != nil {
 		return nil, err
 	}
 	return p.Schedule, nil
 }
 
-// planFor is ScheduleFor's fetch path under the configuration snapshot c,
-// returning the plan so ProgramFor reaches its Program slot.
-func (e *Engine) planFor(c *Planner, failed map[schedule.Worker]bool) (*Plan, error) {
+// planFor is ScheduleFor's fetch path, returning the plan so ProgramFor
+// reaches its Program slot.
+func (e *Engine) planFor(failed map[schedule.Worker]bool) (*Plan, error) {
 	ws := workerList(failed)
 	if len(ws) == 0 {
-		return e.plan(c, 0)
+		return e.Plan(0)
 	}
-	if p, ok := e.peek(ckey(c.fp, ws), c.fp, false); ok {
+	if p, ok := e.peek(ckey(e.conf.fp, ws), false); ok {
 		return p, nil
 	}
-	if p, ok := e.best(c.fp, len(ws)); ok {
+	if p, ok := e.best(len(ws)); ok {
 		norm := append([]schedule.Worker(nil), p.Failed...)
 		schedule.SortWorkers(norm)
 		if sameWorkers(norm, ws) {
@@ -398,19 +322,19 @@ func (e *Engine) planFor(c *Planner, failed map[schedule.Worker]bool) (*Plan, er
 			return p, nil
 		}
 	}
-	return e.planConcrete(c, ws)
+	return e.PlanConcrete(ws)
 }
 
 // peek returns the plan under key from the cache or the replicated store
 // without ever solving. Store hits are promoted into the cache (and the
 // Best(n) index when normalized).
-func (e *Engine) peek(key, fp string, normalized bool) (*Plan, bool) {
+func (e *Engine) peek(key string, normalized bool) (*Plan, bool) {
 	if p, ok := e.cached(key); ok {
 		e.cacheHits.Add(1)
 		return p, true
 	}
 	if p := e.load(key); p != nil {
-		p, _ = e.admit(key, fp, p, normalized)
+		p, _ = e.admit(key, p, normalized)
 		return p, true
 	}
 	return nil, false
@@ -421,7 +345,7 @@ func (e *Engine) peek(key, fp string, normalized bool) (*Plan, bool) {
 // a solve on one fingerprint never blocks a hit on another — and the cache
 // is probed under the shared lock before the exclusive inflight path is
 // touched at all.
-func (e *Engine) getOrSolve(key, fp string, normalized bool, solve func() (*Plan, error)) (*Plan, error) {
+func (e *Engine) getOrSolve(key string, normalized bool, solve func() (*Plan, error)) (*Plan, error) {
 	if p, ok := e.cached(key); ok {
 		e.cacheHits.Add(1)
 		return p, nil
@@ -454,7 +378,7 @@ func (e *Engine) getOrSolve(key, fp string, normalized bool, solve func() (*Plan
 		}
 	}
 	if err == nil {
-		p, _ = e.admit(key, fp, p, normalized)
+		p, _ = e.admit(key, p, normalized)
 	}
 	e.lockExcl(&st.mu)
 	delete(st.inflight, key)
@@ -508,11 +432,11 @@ func (e *Engine) persist(key string, p *Plan) {
 }
 
 // admit installs a plan into the in-process cache and, for normalized
-// plans, the fingerprint's Best(n) index — unless the key already holds a
-// plan. The first admit wins: it returns the cached plan (p, or the one a
-// concurrent first request installed before it) and whether that is p, so
-// every caller of a key shares one *Plan and with it one Program slot.
-func (e *Engine) admit(key, fp string, p *Plan, normalized bool) (*Plan, bool) {
+// plans, the Best(n) index — unless the key already holds a plan. The
+// first admit wins: it returns the cached plan (p, or the one a concurrent
+// first request installed before it) and whether that is p, so every
+// caller of a key shares one *Plan and with it one Program slot.
+func (e *Engine) admit(key string, p *Plan, normalized bool) (*Plan, bool) {
 	st := e.stripeFor(key)
 	e.lockExcl(&st.mu)
 	if q, ok := st.plans[key]; ok {
@@ -523,26 +447,21 @@ func (e *Engine) admit(key, fp string, p *Plan, normalized bool) (*Plan, bool) {
 	st.mu.Unlock()
 	if normalized {
 		e.normMu.Lock()
-		idx := e.norm[fp]
-		if idx == nil {
-			idx = make(map[int]*Plan)
-			e.norm[fp] = idx
-		}
-		idx[p.Failures] = p
+		e.norm[p.Failures] = p
 		e.normMu.Unlock()
 	}
 	return p, true
 }
 
-// normBest returns the plan for n failures from fp's Best(n) index, or
-// the smallest indexed plan covering more than n failures if the exact
-// count is missing (a plan for more failures always routes around at
-// least the workers that are down).
-func (e *Engine) normBest(fp string, n int) (*Plan, bool) {
+// normBest returns the plan for n failures from the Best(n) index, or the
+// smallest indexed plan covering more than n failures if the exact count
+// is missing (a plan for more failures always routes around at least the
+// workers that are down).
+func (e *Engine) normBest(n int) (*Plan, bool) {
 	e.normMu.Lock()
 	defer e.normMu.Unlock()
 	var best *Plan
-	for k, p := range e.norm[fp] {
+	for k, p := range e.norm {
 		if k >= n && (best == nil || k < best.Failures) {
 			best = p
 		}

@@ -19,10 +19,8 @@ import (
 // fingerprints produce interchangeable plans, so the fingerprint
 // namespaces every key in the shared replicated store. The cost model
 // enters as its canonical signature string (JSON cannot key maps by
-// struct), which is also what makes a straggler update an automatic
-// re-plan: marking a worker slow changes the signature, every plan key
-// moves to a fresh namespace, and the next fetch misses the cache and
-// re-solves under the new costs.
+// struct), so engines built with different cost models (say, one that
+// knows a worker is slow and one that does not) never share a key.
 type fingerprintInput struct {
 	Job        config.Job
 	Stats      profile.Stats

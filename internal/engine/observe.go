@@ -12,7 +12,7 @@ type recBox struct{ r obs.Recorder }
 
 // SetRecorder installs the tracing recorder the plan service's lifecycle
 // is recorded into: Coordinator fetches, on-demand solves, background
-// warms, recalibrations and spliced-Program publishes. Safe to call
+// warms and spliced-Program publishes. Safe to call
 // concurrently with fetches; passing nil restores the default no-op.
 func (e *Engine) SetRecorder(r obs.Recorder) {
 	if r == nil {

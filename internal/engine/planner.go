@@ -51,7 +51,7 @@ type Plan struct {
 // Generation (§4.2.2), a makespan-minimizing solve (internal/solver) with
 // Adaptive Pipelining, Decoupled BackProp and the Staggered Optimizer
 // under memory constraints. The engine holds one immutable Planner as its
-// configuration snapshot; NewPlanner builds a bare one.
+// configuration, fixed at New; NewPlanner builds a bare one.
 type Planner struct {
 	Job        config.Job
 	Stats      profile.Stats
@@ -59,8 +59,7 @@ type Planner struct {
 	// Costs is the heterogeneous cost model: per-(stage, op, worker)
 	// durations built from Stats plus straggler/stage multipliers. Nil
 	// plans with the homogeneous Stats durations. The model is treated as
-	// immutable — straggler updates install a fresh copy (copy-on-write),
-	// so snapshotting the Planner by value is always safe.
+	// immutable, so copying the Planner by value is always safe.
 	Costs *profile.CostModel
 	// UnrollIterations controls the steady-state measurement window
 	// (>= 1; 0 defaults to 3). The live runtime plans one iteration at a
@@ -78,15 +77,6 @@ type Planner struct {
 // construct a full Engine instead.
 func NewPlanner(job config.Job, stats profile.Stats) *Planner {
 	return &Planner{Job: job, Stats: stats, Techniques: AllTechniques, UnrollIterations: 3}
-}
-
-// withCosts returns a copy of p planning under the cost model costs, its
-// key namespace re-derived.
-func (p *Planner) withCosts(costs *profile.CostModel) *Planner {
-	q := *p
-	q.Costs = costs
-	q.fp = Fingerprint(q.Job, q.Stats, q.Techniques, q.UnrollIterations, costs.Signature())
-	return &q
 }
 
 // Shape returns the schedule shape the planner solves at: the job geometry

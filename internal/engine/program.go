@@ -11,23 +11,21 @@ import (
 // simultaneous failures: the plan comes through the usual get-or-solve
 // path, and the lowering is compiled at most once per cached plan.
 func (e *Engine) Program(n int) (*schedule.Program, error) {
-	c := e.config()
-	p, err := e.plan(c, n)
+	p, err := e.Plan(n)
 	if err != nil {
 		return nil, err
 	}
-	return e.compiled(c, p)
+	return e.CompiledProgram(p)
 }
 
 // ProgramConcrete returns the compiled Program for one specific
 // failed-worker set.
 func (e *Engine) ProgramConcrete(failed []schedule.Worker) (*schedule.Program, error) {
-	c := e.config()
-	p, err := e.planConcrete(c, failed)
+	p, err := e.PlanConcrete(failed)
 	if err != nil {
 		return nil, err
 	}
-	return e.compiled(c, p)
+	return e.CompiledProgram(p)
 }
 
 // ProgramFor is the Coordinator's executable-artifact fetch path: the
@@ -35,12 +33,11 @@ func (e *Engine) ProgramConcrete(failed []schedule.Worker) (*schedule.Program, e
 // exactly ScheduleFor) lowered into the Program both executors interpret.
 func (e *Engine) ProgramFor(failed map[schedule.Worker]bool) (*schedule.Program, error) {
 	e.observe(obs.EvPlanFetch, "", obs.Attr{Key: "failed", Val: int64(len(failed))})
-	c := e.config()
-	p, err := e.planFor(c, failed)
+	p, err := e.planFor(failed)
 	if err != nil {
 		return nil, err
 	}
-	return e.compiled(c, p)
+	return e.CompiledProgram(p)
 }
 
 // PublishSplicedProgram replicates a mid-iteration spliced Program under
@@ -55,7 +52,7 @@ func (e *Engine) ProgramFor(failed map[schedule.Worker]bool) (*schedule.Program,
 func (e *Engine) PublishSplicedProgram(event string, p *schedule.Program) error {
 	data, err := EncodeProgram(p)
 	if err == nil {
-		err = e.store.Put(spliceKey(e.config().fp, event), data)
+		err = e.store.Put(spliceKey(e.conf.fp, event), data)
 	}
 	detail := event
 	if err != nil {
@@ -67,22 +64,17 @@ func (e *Engine) PublishSplicedProgram(event string, p *schedule.Program) error 
 }
 
 // CompiledProgram lowers (or fetches the cached lowering of) a plan this
-// engine served under its current configuration — the hook consumers with a
-// *Plan in hand use to reach the executable artifact.
+// engine served — the hook consumers with a *Plan in hand use to reach the
+// executable artifact. It tries the plan's own slot (plans are cached and
+// shared, so the slot lives exactly as long as the cache entry), then the
+// replicated store (another engine sharing the store may have compiled and
+// replicated the artifact already), then a local Compile that is encoded
+// and replicated for everyone else. The Program carries the engine's cost
+// model as its cost table — the model the plan was solved under, since its
+// fingerprint keyed it. Concurrent first requests coalesce on the plan:
+// one of them fetches or compiles, encodes and puts, the others wait for
+// it and share its Program.
 func (e *Engine) CompiledProgram(p *Plan) (*schedule.Program, error) {
-	return e.compiled(e.config(), p)
-}
-
-// compiled resolves the Program of a plan served under the configuration
-// snapshot c: the plan's own slot (plans are cached and shared, so the slot
-// lives exactly as long as the cache entry), then the replicated store
-// (another engine sharing the store may have compiled and replicated the
-// artifact already), then a local Compile that is encoded and replicated for
-// everyone else. The Program carries c's cost model as its cost table — the
-// model the plan was solved under, since c's fingerprint keyed it.
-// Concurrent first requests coalesce on the plan: one of them fetches or
-// compiles, encodes and puts, the others wait for it and share its Program.
-func (e *Engine) compiled(c *Planner, p *Plan) (*schedule.Program, error) {
 	if prog := p.prog.Load(); prog != nil {
 		e.programHits.Add(1)
 		return prog, nil
@@ -94,9 +86,11 @@ func (e *Engine) compiled(c *Planner, p *Plan) (*schedule.Program, error) {
 		return prog, nil
 	}
 
-	// A key can outlive its artifact's configuration (a store shared with an
-	// engine that retuned), so a decoded artifact is only accepted when it
-	// demonstrably lowers THIS schedule under THIS cost model.
+	// The store is shared and its bytes are untrusted (another engine, or a
+	// corrupt replica, may have left them under this key), so a decoded
+	// artifact is only accepted when it demonstrably lowers THIS schedule
+	// under THIS cost model.
+	c := e.conf
 	s := p.Schedule
 	var costs []int64
 	if c.Costs != nil {

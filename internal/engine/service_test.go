@@ -7,9 +7,7 @@ import (
 	"slices"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"recycle/internal/planstore"
 	"recycle/internal/schedule"
@@ -93,10 +91,10 @@ func TestWarmConcurrentWithScheduleStorm(t *testing.T) {
 	}
 }
 
-// TestChurnRaceStress drives every mutating path concurrently with a
-// fetch storm: straggler marks and clears and recalibrations in and out of
-// drift, all while fetchers validate every schedule they are served. Run
-// under -race this is the data-race proof for the striped engine.
+// TestChurnRaceStress drives a fetch storm over a warmed engine: fetchers
+// validate every schedule and Program they are served while they race to
+// solve, admit and compile the same keys. Run under -race this is the
+// data-race proof for the striped engine.
 func TestChurnRaceStress(t *testing.T) {
 	job, stats := ShapeJob(3, 3, 4)
 	eng := New(job, stats, Options{UnrollIterations: 1})
@@ -104,7 +102,6 @@ func TestChurnRaceStress(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var stop atomic.Bool
 	var wg sync.WaitGroup
 
 	// Fetch storm: every served schedule and Program is validated against
@@ -139,49 +136,7 @@ func TestChurnRaceStress(t *testing.T) {
 		}(g)
 	}
 
-	// Straggler churn: mark and clear, flipping the plan namespace.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		w := schedule.Worker{Stage: 1, Pipeline: 1}
-		for i := 0; i < 20 && !stop.Load(); i++ {
-			eng.MarkStraggler(w, 1.5)
-			eng.ClearStraggler(w)
-		}
-	}()
-
-	// Recalibration churn: drift in, then uniform measurements drift out.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		sh := eng.Shape()
-		drifted := make(map[schedule.Worker]time.Duration)
-		uniform := make(map[schedule.Worker]time.Duration)
-		for s := 0; s < sh.PP; s++ {
-			for p := 0; p < sh.DP; p++ {
-				w := schedule.Worker{Stage: s, Pipeline: p}
-				uniform[w] = 100 * time.Millisecond
-				if s == 0 {
-					drifted[w] = 130 * time.Millisecond
-				} else {
-					drifted[w] = 100 * time.Millisecond
-				}
-			}
-		}
-		for i := 0; i < 4 && !stop.Load(); i++ {
-			if _, err := eng.Recalibrate(drifted); err != nil {
-				t.Errorf("recalibrate in: %v", err)
-				return
-			}
-			if _, err := eng.Recalibrate(uniform); err != nil {
-				t.Errorf("recalibrate out: %v", err)
-				return
-			}
-		}
-	}()
-
 	wg.Wait()
-	stop.Store(true)
 	// The service must still answer cleanly after the storm settles.
 	s, err := eng.ScheduleFor(map[schedule.Worker]bool{{Stage: 0, Pipeline: 1}: true})
 	if err != nil {

@@ -2,8 +2,10 @@
 // Program executors: the live runtime (internal/dtrain) and the
 // discrete-event simulator (internal/sim) emit one Span per executed
 // instruction and a stream of lifecycle Events (iteration boundaries,
-// kills, splices, re-sends, plan fetches) into a Recorder, so one run
-// yields one merged timeline regardless of which executor produced it.
+// rollbacks, kills, re-joins, splices, re-sends, DES cuts, replayed
+// membership changes, plan fetches, solves, warms and publishes, skipped
+// re-delivered optimizer steps) into a Recorder, so one run yields one
+// merged timeline regardless of which executor produced it.
 //
 // The package is deliberately dependency-light — it imports only
 // internal/schedule and the standard library — because every layer above

@@ -31,9 +31,9 @@ type Span struct {
 	// End-Start is what the execution actually charged. The two differ
 	// under injected straggler scales or duration overrides.
 	Modeled int64
-	// Actual is the measured wall-clock compute time of the instruction —
-	// the live runtime's divergence signal against Modeled. Zero in
-	// virtual-time executions.
+	// Actual is the measured wall-clock compute time of the instruction in
+	// the live runtime, shown next to Modeled. Zero in virtual-time
+	// executions.
 	Actual time.Duration
 	// Frozen marks a pre-executed prefix span installed into a spliced
 	// Program (recorded at its frozen completion time, not re-executed).
@@ -66,20 +66,16 @@ const (
 	// consumer re-requesting a tensor whose original copy was consumed by
 	// an executor that has since died or been invalidated.
 	EvResend
-	// EvStraggler marks a gray-failure flag change from the detector.
-	EvStraggler
 	// EvCut marks the virtual clock freezing at a splice instant (DES).
 	EvCut
 	// EvMembership is a replayed trace membership event (fail/rejoin/swap
 	// windows of internal/replay).
 	EvMembership
 	// Plan-service lifecycle: a Coordinator fetch, an on-demand solve, a
-	// background warm, a measured-cost recalibration, and a spliced
-	// Program replicated through the store.
+	// background warm, and a spliced Program replicated through the store.
 	EvPlanFetch
 	EvPlanSolve
 	EvWarm
-	EvRecalibrate
 	EvPublish
 	// EvStepNoop marks a re-delivered optimizer step skipped by the
 	// step-epoch stamp: the stage's parameters already carry the target
@@ -104,8 +100,6 @@ func (k EventKind) String() string {
 		return "splice"
 	case EvResend:
 		return "resend"
-	case EvStraggler:
-		return "straggler"
 	case EvCut:
 		return "cut"
 	case EvMembership:
@@ -116,8 +110,6 @@ func (k EventKind) String() string {
 		return "plan-solve"
 	case EvWarm:
 		return "warm"
-	case EvRecalibrate:
-		return "recalibrate"
 	case EvPublish:
 		return "publish"
 	case EvStepNoop:
@@ -149,7 +141,7 @@ type Event struct {
 	Worker    schedule.Worker
 	HasWorker bool
 	// Detail is a short free-form annotation (a splice event ID, a plan
-	// key, a straggler factor).
+	// key).
 	Detail string
 	// Attrs carry the event's structured counters.
 	Attrs []Attr

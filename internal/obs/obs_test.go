@@ -338,3 +338,25 @@ func TestChromeTraceShape(t *testing.T) {
 		t.Fatal("frozen span lost its marker in export")
 	}
 }
+
+// TestEventKindNames pins that every declared event kind has a name of its
+// own: traces serialize kinds by name (the Chrome export, Counters, the
+// text rendering), so a kind that fell through to the EventKind(n)
+// fallback, or two kinds sharing a name, would merge or mislabel events.
+// EvStepNoop is the last declared kind; the one after it must fall back.
+func TestEventKindNames(t *testing.T) {
+	seen := map[string]EventKind{}
+	for k := EvIterStart; k <= EvStepNoop; k++ {
+		name := k.String()
+		if strings.HasPrefix(name, "EventKind(") {
+			t.Errorf("kind %d has no name: %q", k, name)
+		}
+		if prev, ok := seen[name]; ok {
+			t.Errorf("kinds %d and %d share the name %q", prev, k, name)
+		}
+		seen[name] = k
+	}
+	if name := (EvStepNoop + 1).String(); !strings.HasPrefix(name, "EventKind(") {
+		t.Errorf("a kind after EvStepNoop is named %q: extend this test to the new last kind", name)
+	}
+}

@@ -57,8 +57,7 @@ func (m *CostModel) scaleOf(w schedule.Worker) float64 {
 // schedules unchanged. Scaled durations round to nearest and never drop
 // below 1 when the base duration is positive. Only compute ops (F, B,
 // BInput, BWeight) scale: the Optimizer span is dominated by the
-// all-reduce collective, not local compute — the same reason the
-// straggler detector excludes it from timing observations.
+// all-reduce collective, not local compute.
 func (m *CostModel) Of(w schedule.Worker, t schedule.OpType) int64 {
 	base := m.Base.Of(t)
 	if t == schedule.Optimizer {
@@ -130,19 +129,6 @@ func (m *CostModel) clone() *CostModel {
 		}
 	}
 	return out
-}
-
-// Stragglers returns the workers scaled strictly above 1, in canonical
-// (stage, pipeline) order.
-func (m *CostModel) Stragglers() []schedule.Worker {
-	var ws []schedule.Worker
-	for w, f := range m.WorkerScale {
-		if f > 1 {
-			ws = append(ws, w)
-		}
-	}
-	schedule.SortWorkers(ws)
-	return ws
 }
 
 // Signature renders the model as a canonical deterministic string — the

@@ -94,17 +94,3 @@ func TestCostModelSignatureDeterministic(t *testing.T) {
 		t.Fatal("nil model must have the empty signature")
 	}
 }
-
-func TestCostModelStragglers(t *testing.T) {
-	cm := UniformCost(Unit()).
-		WithWorkerScale(schedule.Worker{Stage: 2, Pipeline: 0}, 3).
-		WithWorkerScale(schedule.Worker{Stage: 0, Pipeline: 1}, 2).
-		WithWorkerScale(schedule.Worker{Stage: 1, Pipeline: 0}, 0.5) // fast spare, not a straggler
-	ws := cm.Stragglers()
-	if len(ws) != 2 {
-		t.Fatalf("stragglers = %v, want 2 entries", ws)
-	}
-	if ws[0] != (schedule.Worker{Stage: 0, Pipeline: 1}) || ws[1] != (schedule.Worker{Stage: 2, Pipeline: 0}) {
-		t.Fatalf("stragglers not in canonical order: %v", ws)
-	}
-}

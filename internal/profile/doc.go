@@ -19,7 +19,7 @@
 // makespan decisions use real durations; schedule.Compile stamps the same
 // numbers onto Program instructions, so the runtime and the simulator
 // execute against exactly what was optimized. Cost models are immutable
-// and updated copy-on-write (WithWorkerScale / WithStageScale), and their
-// canonical Signature keys the engine's plan-cache namespace — updating a
-// straggler mark is what triggers a re-plan.
+// and derived copy-on-write (WithWorkerScale / WithStageScale), and their
+// canonical Signature keys the engine's plan-cache namespace, so two
+// engines built with different models never share a plan.
 package profile

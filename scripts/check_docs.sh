@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # check_docs.sh — docs-consistency gate: fail when README.md,
 # ARCHITECTURE.md or EVALUATION.md reference a package directory that no
-# longer exists, when EVALUATION.md names an experiments entry point that
-# is not a defined function, or when the README flag reference and the
+# longer exists or a backticked Go identifier that nothing declares, when
+# EVALUATION.md names an experiments entry point that is not a defined
+# function, or when the README flag reference and the
 # cmd/ binaries disagree (a flag documented but not defined, or defined
 # but not documented).
 set -euo pipefail
@@ -39,6 +40,31 @@ for dir in internal/*/; do
     echo "ARCHITECTURE.md's package table has no row for $pkg"
     fail=1
   fi
+done
+
+# 1d. Every backticked Go identifier in README.md, ARCHITECTURE.md and
+#     EVALUATION.md must be declared by some Go file of the tree (tests
+#     included, the separate bench/ module excluded): a bare exported
+#     `Name`, or the last component of a dotted `x.Name` / `Type.Method`,
+#     each with an optional `(...)`. Names qualified by a standard-library
+#     package are not checked. A declaration is an identifier that opens a
+#     line after func/type/const/var or indentation (struct fields,
+#     interface methods and const/var block entries, comma lists
+#     included) — loose, but a deleted name appears in no such position.
+declared=$(git ls-files -co --exclude-standard '*.go' ':!:bench/' |
+  { xargs grep -shoE '^(func (\([^)]*\) )?|type |const |var |[[:space:]]+)[A-Za-z_][A-Za-z0-9_]*(, [A-Za-z_][A-Za-z0-9_]*)*([[:space:](,[]|$)' || true; } |
+  sed -E 's/^(func (\([^)]*\) )?|type |const |var |[[:space:]]+)//; s/[[:space:](,[]$//' | tr -s ', ' '\n' | sort -u)
+stdlib='atomic|binary|bits|bytes|context|errors|expvar|fmt|fnv|heap|io|json|maphash|math|os|pprof|rand|runtime|slices|sort|strconv|strings|sync|testing|time'
+for doc in README.md ARCHITECTURE.md EVALUATION.md; do
+  for id in $(grep -oE '`[A-Za-z_][A-Za-z0-9_.]*(\([^`]*\))?`' "$doc" | tr -d '`' | sed -E 's/\(.*\)$//' | sort -u); do
+    name=${id##*.}
+    [[ $name =~ ^[A-Z] ]] || continue
+    [[ $id == *.* && ${id%%.*} =~ ^($stdlib)$ ]] && continue
+    if ! grep -qx "$name" <<<"$declared"; then
+      echo "$doc names \`$id\` but no Go file in the tree declares $name"
+      fail=1
+    fi
+  done
 done
 
 # 2. Every flag documented in README's reference tables (between the
@@ -125,6 +151,6 @@ if ! grep -q 'EVALUATION.md' ARCHITECTURE.md; then
 fi
 
 if [ "$fail" -eq 0 ]; then
-  echo "docs check OK: $(printf '%s\n' $flags | wc -l | tr -d ' ') flags documented, all package references and experiment entry points resolve"
+  echo "docs check OK: $(printf '%s\n' $flags | wc -l | tr -d ' ') flags documented, all package references, identifiers and experiment entry points resolve"
 fi
 exit $fail
