@@ -74,12 +74,9 @@ type shapeDigests struct {
 	compiled, spliced, identity uint64
 }
 
-// programShapeDigest compiles every failure set of the shape (none, every
-// single and every double failure) under each input, and live-splices each
-// single-iteration healthy Program at every cut for every single kill; an
-// error or inadmissible cut folds in as a one-byte marker.
-func programShapeDigest(t *testing.T, sh schedule.Shape) (d shapeDigests, programs int) {
-	hc, hs, hi := fnv.New64a(), fnv.New64a(), fnv.New64a()
+// codecFailureSets lists the failure sets every shape is compiled under:
+// none, every single and every double failure.
+func codecFailureSets(sh schedule.Shape) []map[schedule.Worker]bool {
 	n := sh.DP * sh.PP
 	sets := []map[schedule.Worker]bool{nil}
 	for a := 0; a < n; a++ {
@@ -88,8 +85,17 @@ func programShapeDigest(t *testing.T, sh schedule.Shape) (d shapeDigests, progra
 			sets = append(sets, map[schedule.Worker]bool{sh.WorkerAt(a): true, sh.WorkerAt(b): true})
 		}
 	}
+	return sets
+}
+
+// programShapeDigest compiles every failure set of the shape (none, every
+// single and every double failure) under each input, and live-splices each
+// single-iteration healthy Program at every cut for every single kill; an
+// error or inadmissible cut folds in as a one-byte marker.
+func programShapeDigest(t *testing.T, sh schedule.Shape) (d shapeDigests, programs int) {
+	hc, hs, hi := fnv.New64a(), fnv.New64a(), fnv.New64a()
 	for _, in := range codecDigestInputs(sh) {
-		for _, failed := range sets {
+		for _, failed := range codecFailureSets(sh) {
 			in.Failed = failed
 			label := fmt.Sprintf("%+v %+v failed %v", sh, in.Durations, failed)
 			s, err := solver.Solve(in)

@@ -72,12 +72,15 @@ var paperDigests = map[string]uint64{
 	"straggler":       0xeb5f7c17ec4213df,
 	"gallery":         0x17ff5e61d8ec6576,
 	"fig12":           0x93c9d427b0260f2f,
+	"table2model":     0x796cea9fc76fc789,
 }
 
 // TestPaperOutputsUnchanged is the bit-identity gate of the paper outputs:
 // Fig 9, Table 1, Fig 10, Fig 11, the first Table 1 job's migration
 // comparison, the whole Migration report, the Straggler study, the
-// running example's Gallery and Fig 12 must hash to the pinned digests. A change that alters any of them fails here
+// running example's Gallery, Fig 12 and Table 2's modeled column (its
+// measured column reads the wall clock) must hash to the pinned digests. A
+// change that alters any of them fails here
 // and prints the new table; re-pin only a figure a change is meant to move.
 func TestPaperOutputsUnchanged(t *testing.T) {
 	digest := func(write func(h io.Writer) error) (uint64, error) {
@@ -137,6 +140,13 @@ func TestPaperOutputsUnchanged(t *testing.T) {
 		{"fig12", false, func(h io.Writer) error {
 			rows, report, err := fig12Once()
 			fmt.Fprintf(h, "%+v\n%s", rows, report)
+			return err
+		}},
+		{"table2model", false, func(h io.Writer) error {
+			rows, _, err := table2Model()
+			for _, r := range rows {
+				fmt.Fprintf(h, "%s %d %v\n", r.Name, r.Failures, r.PredictedSec)
+			}
 			return err
 		}},
 	} {
