@@ -38,7 +38,7 @@ func main() {
 	gcp := flag.Bool("gcp", false, "replay the GCP availability trace instead")
 	horizon := flag.Duration("horizon", 6*time.Hour, "simulated duration")
 	des := flag.Int("des", -1, "execute the compiled Program for this failure count op-by-op in virtual time instead of replaying a trace")
-	straggle := flag.Float64("straggle", 1, "with -des: duration multiplier applied to worker W0_0 (straggler injection)")
+	straggle := flag.Float64("straggle", 1, "with -des: compute-op duration multiplier applied to worker W0_0 (straggler injection)")
 	aware := flag.Bool("aware", true, "with -des and -straggle != 1: also solve a straggler-aware plan (cost model carries the slowdown) and compare makespans")
 	events := flag.Bool("events", false, "with -system recycle: print the recorded lifecycle-event log (membership changes, kills, cuts)")
 	tracePath := flag.String("trace", "", "with -des or -system recycle: record every executed Program and write a Chrome/Perfetto trace to this file (critical path audited first)")
@@ -227,7 +227,12 @@ func desTimeline(eng *engine.Engine, job config.Job, stats profile.Stats, n int,
 	}
 	victim := schedule.Worker{Stage: 0, Pipeline: 0}
 	if straggle != 1 {
-		opts.Scale = map[schedule.Worker]float64{victim: straggle}
+		// The victim's ops run at its modeled straggler cost — the cost
+		// model the straggler-aware comparison below prices it with.
+		truth := profile.UniformCost(stats).WithWorkerScale(victim, straggle)
+		if prog, err = prog.WithCosts(schedule.NewCostTable(prog.Shape, truth.Fn())); err != nil {
+			return err
+		}
 	}
 	ex, err := sim.ExecuteProgram(prog, opts)
 	if err != nil {

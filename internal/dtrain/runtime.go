@@ -510,7 +510,7 @@ func (rt *Runtime) runPhase(fl *inflight, c *replay.Chain, at int64, fail []sche
 		// (the CriticalPath invariant).
 		for id := range prog.Instrs {
 			if c.Ran(id, c.Cut, nil) {
-				rt.rec.Span(exec.Span(id, prog.Durations, true))
+				rt.rec.Span(exec.Span(id, true))
 			}
 		}
 	}
@@ -826,7 +826,7 @@ func (rt *Runtime) execOps(w schedule.Worker, exec *sim.Execution, fl *inflight,
 			}
 		}
 		if tracing {
-			sp := exec.Span(id, prog.Durations, false)
+			sp := exec.Span(id, false)
 			sp.Actual = opWall
 			rt.rec.Span(sp)
 		}

@@ -32,18 +32,6 @@ type StragglerRow struct {
 	VictimOps, VictimOpsAware int
 }
 
-// groundTruth builds the simulator option set that executes any program
-// under the cost model's durations — each op takes its *executing* worker's
-// modeled time, regardless of what the plan assumed. Comparing two plans
-// under one ground truth isolates the scheduling decision.
-func groundTruth(truth *profile.CostModel) sim.ProgramOptions {
-	return sim.ProgramOptions{
-		OpDuration: func(op schedule.Op, def int64) int64 {
-			return truth.Of(op.Worker(), op.Type)
-		},
-	}
-}
-
 // victimOps counts the compute ops a program places on one worker.
 func victimOps(p *schedule.Program, w schedule.Worker) int {
 	n := 0
@@ -91,21 +79,27 @@ func StragglerStudyJob(job config.Job, stats profile.Stats, n int, victim schedu
 		return StragglerRow{}, err
 	}
 
-	gt := groundTruth(truth)
-	exO, err := sim.ExecuteProgram(oblivProg, gt)
-	if err != nil {
-		return StragglerRow{}, err
-	}
-	exA, err := sim.ExecuteProgram(awareProg, gt)
-	if err != nil {
-		return StragglerRow{}, err
+	// Both Programs run under the one ground truth — each op takes its
+	// executing worker's modeled time, whatever the plan assumed — so the
+	// comparison isolates the scheduling decision.
+	var slots [2]int64
+	for i, p := range []*schedule.Program{oblivProg, awareProg} {
+		view, err := p.WithCosts(schedule.NewCostTable(p.Shape, truth.Fn()))
+		if err != nil {
+			return StragglerRow{}, err
+		}
+		ex, err := sim.Plain(view)
+		if err != nil {
+			return StragglerRow{}, err
+		}
+		slots[i] = ex.Makespan
 	}
 	row := StragglerRow{
 		Shape:          fmt.Sprintf("%dx%dx%d", job.Parallel.DP, job.Parallel.PP, job.Batch.MicroBatchesPerPipeline(job.Parallel)),
 		Victim:         victim,
 		Factor:         factor,
-		ObliviousSlots: exO.Makespan,
-		AwareSlots:     exA.Makespan,
+		ObliviousSlots: slots[0],
+		AwareSlots:     slots[1],
 		VictimOps:      victimOps(oblivProg, victim),
 		VictimOpsAware: victimOps(awareProg, victim),
 	}

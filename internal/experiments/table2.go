@@ -95,7 +95,11 @@ func table2Model() ([]Table2Row, []*dtrain.Runtime, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		ex, err := sim.ExecuteProgram(prog, sim.ProgramOptions{Durations: &delays})
+		view, err := prog.WithCosts(schedule.NewCostTable(prog.Shape, func(_ schedule.Worker, t schedule.OpType) int64 { return delays.Of(t) }))
+		if err != nil {
+			return nil, nil, err
+		}
+		ex, err := sim.Plain(view)
 		if err != nil {
 			return nil, nil, err
 		}

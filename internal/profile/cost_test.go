@@ -9,9 +9,6 @@ import (
 func TestCostModelUniformReproducesBase(t *testing.T) {
 	s := Stats{TF: 1024, TBInput: 900, TBWeight: 700, TOpt: 300, TComm: 50, UnitSeconds: 1e-6}
 	cm := UniformCost(s)
-	if !cm.IsUniform() {
-		t.Fatal("fresh model not uniform")
-	}
 	d := s.Durations()
 	for stage := 0; stage < 4; stage++ {
 		for pipe := 0; pipe < 3; pipe++ {
@@ -38,11 +35,8 @@ func TestCostModelWorkerScale(t *testing.T) {
 	if got := cm2.Of(schedule.Worker{Stage: 1, Pipeline: 1}, schedule.F); got != 1 {
 		t.Fatalf("peer F = %d, want 1", got)
 	}
-	if cm2.IsUniform() {
-		t.Fatal("model with a straggler reports uniform")
-	}
-	if got := cm2.WithWorkerScale(slow, 1); !got.IsUniform() {
-		t.Fatal("clearing the straggler did not restore uniformity")
+	if got := cm2.WithWorkerScale(slow, 1).Of(slow, schedule.F); got != 1 {
+		t.Fatalf("cleared straggler F = %d, want 1", got)
 	}
 	// Coupled B scales the combined backward.
 	if got := cm2.Of(slow, schedule.B); got != 4 {

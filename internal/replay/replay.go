@@ -244,7 +244,7 @@ func Replay(eng *engine.Engine, tr failure.Trace, opt Options) (*Result, error) 
 		}
 		if traced && !recorded[prog] {
 			recorded[prog] = true
-			base.Record(opt.Recorder, fmt.Sprintf("replay/window%d", wi), prog.Durations, func(int) bool { return false }, nil, 0)
+			base.Record(opt.Recorder, fmt.Sprintf("replay/window%d", wi), func(int) bool { return false }, nil, 0)
 		}
 		iterSec := float64(base.Makespan) * unit
 		if iterSec <= 0 {
@@ -307,8 +307,7 @@ func Replay(eng *engine.Engine, tr failure.Trace, opt Options) (*Result, error) 
 					failAt[w] = cut
 				}
 				frozen := func(id int) bool { return chain.Ran(id, chain.Cut, nil) }
-				chain.Project(cut, dying).Record(opt.Recorder, fmt.Sprintf("replay/iter%d/cut@%d", res.Iterations, cut),
-					chain.Exec.Program.Durations, frozen, failAt, cut)
+				chain.Project(cut, dying).Record(opt.Recorder, fmt.Sprintf("replay/iter%d/cut@%d", res.Iterations, cut), frozen, failAt, cut)
 			}
 			spl, err := chain.advance(cut, dying, joining, release)
 			if err != nil {

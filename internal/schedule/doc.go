@@ -27,13 +27,16 @@
 // here, once, and nowhere else, which is what makes the two executions
 // agree by construction. When an instruction may run is decided once too:
 // a Walk holds a stream cursor and a clock per worker, a pending count per
-// barrier group and the ready set of workers whose head may run, and times
-// each admitted instruction by its Timing. Program.Validate walks every
+// barrier group and the ready set of workers whose head may run, and runs
+// each admitted instruction for its stamped duration, charging edges,
+// cuts and deaths by its Timing. Program.Validate walks every
 // compiled artifact — it must run every instruction, so the artifact is
 // deadlock-free — and checks it edge-consistent and its barrier complete;
 // the simulator times Programs on the same walk. A Program times itself
 // once: Plain walks it under its own Durations on first use and keeps the
-// spans in one slab every later reader shares.
+// spans in one slab every later reader shares. WithCosts re-times a
+// Program under another cost table: a view with its instructions
+// re-stamped, sharing everything else.
 //
 // The failure path runs on one dense op index. Every op of a schedule lies
 // in the rectangle its Shape bounds, so Shape derives TripleIndex =

@@ -63,11 +63,13 @@ type Instr struct {
 	// Dur is the modeled duration of this instruction, stamped by Compile
 	// from the schedule's placement span (End - Start). Under a
 	// heterogeneous cost model this is the per-(stage, op, worker) number
-	// the solver optimized against; both executors read it through
-	// Program.DurOf, so the live runtime's timeline and the discrete-event
-	// simulator consume exactly the durations the plan was solved with.
-	// Zero means "not stamped" (hand-assembled programs) and falls back to
-	// the homogeneous Durations.
+	// the solver optimized against, its executing worker's cost-table
+	// entry; Program.WithCosts re-stamps it from another table. Both
+	// executors read it through Program.DurOf, so the live runtime's
+	// timeline and the discrete-event simulator consume exactly the
+	// durations the Program carries. Zero means "not stamped"
+	// (hand-assembled programs) and falls back to the homogeneous
+	// Durations.
 	Dur int64
 	// op is the op's position in the Shape's dense op index: its
 	// TripleIndex, or an optimizer's StageIndex. The type is held apart
@@ -251,10 +253,9 @@ func (p *Program) Producers(id int) []Dep {
 
 // EdgeLatency returns the transport latency charged on an edge kind under
 // the given duration set: cross-stage activation/gradient sends pay Comm,
-// local and barrier edges are free. The rule lives on Durations — not on
-// Program — so an executor substituting its own durations (the simulator's
-// ProgramOptions.Durations) charges edges by the same single rule the
-// runtime uses.
+// local and barrier edges are free. The rule lives on Durations, so a walk
+// charges edges by its Timing's set under the same single rule the runtime
+// uses.
 func (d Durations) EdgeLatency(k DepKind) int64 {
 	if k == DepActivation || k == DepGradient {
 		return d.Comm
@@ -311,6 +312,28 @@ func (p *Program) SetCostTable(table []int64) error {
 	}
 	p.costs, p.plain = table, timeline{}
 	return nil
+}
+
+// WithCosts returns p re-timed by table, a cost table as NewCostTable
+// tabulates one: a view whose every instruction is stamped with its
+// executing worker's entry for its op type (with an empty table, its
+// Durations), the one way to run a Program under other durations. The
+// view shares p's edges, streams, barrier and worker list and copies only
+// its instructions; table becomes its cost table, and it walks its own
+// plain timeline. p is not changed. The table must pass SetCostTable's
+// checks, and the view keeps the slice.
+func (p *Program) WithCosts(table []int64) (*Program, error) {
+	q := &Program{Shape: p.Shape, Durations: p.Durations, Failed: p.Failed, Barrier: p.Barrier,
+		deps: p.deps, streams: p.streams, streamOff: p.streamOff, workers: p.workers}
+	if err := q.SetCostTable(table); err != nil {
+		return nil, err
+	}
+	q.Instrs = append([]Instr(nil), p.Instrs...)
+	for id := range q.Instrs {
+		wi, _, _ := q.OpIndex(id)
+		q.Instrs[id].Dur = q.Cost(q.Shape.WorkerAt(wi), q.Instrs[id].typ)
+	}
+	return q, nil
 }
 
 // CostTable returns the Program's cost table, empty when it carries none.

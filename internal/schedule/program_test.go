@@ -132,8 +132,8 @@ func cloneProgram(p *Program) *Program {
 
 // TestCostTable pins a Program's cost table: NewCostTable tabulates a cost
 // function by (WorkerIndex, op type), Cost reads it back — or the Program's
-// Durations when it carries none — and SetCostTable refuses a table that
-// does not cover the shape or holds a non-positive duration.
+// Durations when it carries none — and SetCostTable and WithCosts refuse a
+// table that does not cover the shape or holds a non-positive duration.
 func TestCostTable(t *testing.T) {
 	shape := Shape{DP: 2, PP: 3, MB: 2, Iter: 1}
 	p, err := Compile(FaultFree1F1B(shape, UnitSlots))
@@ -174,8 +174,12 @@ func TestCostTable(t *testing.T) {
 		"zero":     bad(len(table)-1, 0),
 		"negative": bad(0, -1),
 	} {
-		if err := p.SetCostTable(tc); err == nil {
+		err := p.SetCostTable(tc)
+		if err == nil {
 			t.Errorf("SetCostTable accepted a %s table", name)
+		}
+		if _, werr := p.WithCosts(tc); werr == nil || werr.Error() != err.Error() {
+			t.Errorf("WithCosts on a %s table: %v, want SetCostTable's %v", name, werr, err)
 		}
 	}
 	if err := p.SetCostTable(nil); err != nil || p.CostTable() != nil {

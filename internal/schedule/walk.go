@@ -43,15 +43,14 @@ type Walk struct {
 	makespan int64   // the latest end
 }
 
-// Timing is what a walk times instructions by. The zero Timing — the one
-// Program.Validate walks on — runs every instruction for its DurOf with
-// free edges, no cut and no failure.
+// Timing is what a walk charges beside the instructions' own durations:
+// every instruction runs for its DurOf (a negative one counts as zero), and
+// a Program re-timed by WithCosts is the way to run it for others. The zero
+// Timing — the one Program.Validate walks on — charges free edges, no cut
+// and no failure.
 type Timing struct {
 	// Lat charges each edge its kind's latency (Durations.EdgeLatency).
 	Lat Durations
-	// Dur holds each instruction's duration, by ID; nil selects DurOf. A
-	// negative duration counts as zero.
-	Dur []int64
 	// Cut, when > 0, freezes the clock at an event instant: a head that
 	// would start at or after it does not run, and neither does the rest of
 	// its stream.
@@ -146,11 +145,7 @@ func (w *Walk) Run() {
 			if t.Cut > 0 && start >= t.Cut {
 				break // frozen: per-worker starts are monotone
 			}
-			d := p.DurOf(id)
-			if t.Dur != nil {
-				d = t.Dur[id]
-			}
-			e := start + max(d, 0)
+			e := start + max(p.DurOf(id), 0)
 			if e < start {
 				e = math.MaxInt64 // saturate: an end is never negative
 			}

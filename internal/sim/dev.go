@@ -12,21 +12,10 @@ import (
 
 // ProgramOptions parameterizes one virtual-time execution of a compiled
 // Program — the scenario knobs the steady-state Throughput(failed) model
-// cannot express.
+// cannot express. Every instruction runs for the duration the Program
+// stamps it with; to run it under other durations, execute the view
+// schedule.Program.WithCosts returns.
 type ProgramOptions struct {
-	// Durations overrides the program's durations with a homogeneous
-	// per-op-type set (nil keeps the durations the schedule was solved
-	// with, including any per-instruction durations Compile stamped from a
-	// heterogeneous cost model). The Table 2 experiment uses this to
-	// execute a unit-slot program under profiled kernel latencies.
-	Durations *schedule.Durations
-	// Scale multiplies every op duration on a worker — stragglers (>1) or
-	// fast spares (<1). Workers absent from the map run at 1x.
-	Scale map[schedule.Worker]float64
-	// OpDuration, when non-nil, decides each op's duration from the op and
-	// the default that would otherwise apply — fully heterogeneous per-op
-	// profiles (e.g. a slow first micro-batch, per-stage imbalance).
-	OpDuration func(op schedule.Op, def int64) int64
 	// FailAt kills a worker at a virtual time: instructions that would
 	// still be running at (or start after) the failure instant never
 	// complete, and everything depending on them is left blocked —
@@ -94,9 +83,7 @@ func (x *Execution) StepEpochs() map[schedule.Worker]int {
 // allocates only what its Execution keeps.
 type execScratch struct {
 	walk   schedule.Walk
-	dur    []int64   // per instruction: its duration under the options
-	scale  []float64 // per WorkerIndex: its Scale factor, 0 for none
-	failAt []int64   // per WorkerIndex: its FailAt instant
+	failAt []int64 // per WorkerIndex: its FailAt instant
 }
 
 var execPool = sync.Pool{New: func() any { return new(execScratch) }}
@@ -110,9 +97,10 @@ var execPool = sync.Pool{New: func() any { return new(execScratch) }}
 // barrier drains, at the group's latest contribution end. This is exactly
 // the recurrence the live runtime's interpreter follows, so on a healthy
 // fleet the predicted timeline and the runtime's logical timeline agree by
-// construction. The options become the walk's Timing: the durations, the
-// cut and the death instants; the frozen prefix is installed and the
-// release floors raise the workers' clocks before it runs.
+// construction. The Program's durations and edge latencies, the cut and
+// the death instants become the walk's Timing; the frozen prefix is
+// installed and the release floors raise the workers' clocks before it
+// runs.
 //
 // A program whose instructions cannot all complete without any injected
 // failure is reported as a deadlock error.
@@ -125,12 +113,6 @@ func ExecuteProgram(p *schedule.Program, opt ProgramOptions) (*Execution, error)
 	sc := execPool.Get().(*execScratch)
 	defer execPool.Put(sc)
 	t := schedule.Timing{Lat: p.Durations, Cut: opt.CutAt}
-	if opt.Durations != nil {
-		t.Lat = *opt.Durations
-	}
-	if opt.Durations != nil || opt.OpDuration != nil || len(opt.Scale) > 0 {
-		t.Dur = sc.durations(p, opt)
-	}
 	if len(opt.FailAt) > 0 {
 		sc.failAt = filled(sc.failAt, nw, math.MaxInt64)
 		for w, at := range opt.FailAt {
@@ -176,7 +158,7 @@ func ExecuteProgram(p *schedule.Program, opt ProgramOptions) (*Execution, error)
 			label = "sim"
 		}
 		frozen := func(id int) bool { _, ok := opt.Done[id]; return ok }
-		ex.Record(opt.Recorder, label, t.Lat, frozen, opt.FailAt, opt.CutAt)
+		ex.Record(opt.Recorder, label, frozen, opt.FailAt, opt.CutAt)
 	}
 	if len(opt.FailAt) == 0 && opt.CutAt <= 0 && ex.Completed != n {
 		return ex, fmt.Errorf("sim: program deadlocked with %d of %d instructions unexecuted", n-ex.Completed, n)
@@ -233,9 +215,9 @@ func (x *Execution) Classify(dead func(wi int) bool) {
 
 // Span is instruction id's span in x as a recorder shows it. A frozen span
 // is scheduled at its start; any other at its producers' latest end plus
-// each edge's latency under lat — a gated optimizer's producers being its
-// stage group's contributions — the instant the walk let it start.
-func (x *Execution) Span(id int, lat schedule.Durations, frozen bool) obs.Span {
+// each edge's latency — a gated optimizer's producers being its stage
+// group's contributions — the instant the walk let it start.
+func (x *Execution) Span(id int, frozen bool) obs.Span {
 	p := x.Program
 	sp := obs.Span{Instr: id, Op: p.Op(id), Deps: p.Producers(id),
 		Sched: x.Start[id], Start: x.Start[id], End: x.End[id],
@@ -243,7 +225,7 @@ func (x *Execution) Span(id int, lat schedule.Durations, frozen bool) obs.Span {
 	if !frozen {
 		sp.Sched = 0
 		for _, d := range sp.Deps {
-			sp.Sched = max(sp.Sched, x.End[d.From]+lat.EdgeLatency(d.Kind))
+			sp.Sched = max(sp.Sched, x.End[d.From]+p.EdgeLatency(d.Kind))
 		}
 	}
 	return sp
@@ -253,18 +235,18 @@ func (x *Execution) Span(id int, lat schedule.Durations, frozen bool) obs.Span {
 // instructions' spans in ID order, the span of every other instruction that
 // ran, a kill event per worker that died with work left, at its failAt
 // instant, and — for a cut execution (cut > 0) — the cut event with what
-// completed, was lost and was blocked. lat is what x charged its edges.
-func (x *Execution) Record(rec obs.Recorder, label string, lat schedule.Durations, frozen func(id int) bool, failAt map[schedule.Worker]int64, cut int64) {
+// completed, was lost and was blocked.
+func (x *Execution) Record(rec obs.Recorder, label string, frozen func(id int) bool, failAt map[schedule.Worker]int64, cut int64) {
 	p := x.Program
 	rec.BeginProgram(label, p)
 	for id := range p.Instrs {
 		if frozen(id) {
-			rec.Span(x.Span(id, lat, true))
+			rec.Span(x.Span(id, true))
 		}
 	}
 	for id := range p.Instrs {
 		if x.End[id] >= 0 && !frozen(id) {
-			rec.Span(x.Span(id, lat, false))
+			rec.Span(x.Span(id, false))
 		}
 	}
 	for _, w := range p.Workers() { // a worker that died lost all it did not run
@@ -288,35 +270,6 @@ func (x *Execution) Record(rec obs.Recorder, label string, lat schedule.Duration
 			},
 		})
 	}
-}
-
-// durations tabulates every instruction's duration under the options: the
-// stamped (cost-model) duration or the program's own homogeneous set,
-// unless Durations overrides it, passed through OpDuration and scaled by
-// its worker's Scale factor.
-func (sc *execScratch) durations(p *schedule.Program, opt ProgramOptions) []int64 {
-	sh := p.Shape
-	sc.scale = filled(sc.scale, sh.DP*sh.PP, 0)
-	for w, s := range opt.Scale {
-		if wi := sh.WorkerIndex(w); wi >= 0 && s > 0 {
-			sc.scale[wi] = s
-		}
-	}
-	sc.dur = filled(sc.dur, len(p.Instrs), 0)
-	for id := range sc.dur {
-		d := p.DurOf(id)
-		if opt.Durations != nil {
-			d = opt.Durations.Of(p.Type(id))
-		}
-		if opt.OpDuration != nil {
-			d = opt.OpDuration(p.Op(id), d)
-		}
-		if wi, _, _ := p.OpIndex(id); sc.scale[wi] > 0 {
-			d = int64(math.Round(float64(d) * sc.scale[wi]))
-		}
-		sc.dur[id] = d
-	}
-	return sc.dur
 }
 
 // filled returns s resized to n elements, every one set to v, reallocating

@@ -76,6 +76,22 @@ func TestExecuteFaultedProgram(t *testing.T) {
 	}
 }
 
+// straggle returns p re-timed with worker w running every op factor times
+// slower.
+func straggle(t *testing.T, p *schedule.Program, w schedule.Worker, factor int64) *schedule.Program {
+	t.Helper()
+	view, err := p.WithCosts(schedule.NewCostTable(p.Shape, func(v schedule.Worker, ty schedule.OpType) int64 {
+		if v == w {
+			return factor * p.Cost(v, ty)
+		}
+		return p.Cost(v, ty)
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return view
+}
+
 // TestStragglerStretchesMakespan checks per-worker heterogeneity: slowing
 // one stage-0 worker 4x must strictly lengthen the iteration.
 func TestStragglerStretchesMakespan(t *testing.T) {
@@ -84,39 +100,12 @@ func TestStragglerStretchesMakespan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	slow, err := ExecuteProgram(p, ProgramOptions{
-		Scale: map[schedule.Worker]float64{{Stage: 0, Pipeline: 0}: 4},
-	})
+	slow, err := ExecuteProgram(straggle(t, p, schedule.Worker{Stage: 0, Pipeline: 0}, 4), ProgramOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if slow.Makespan <= base.Makespan {
 		t.Fatalf("straggler makespan %d not above baseline %d", slow.Makespan, base.Makespan)
-	}
-}
-
-// TestHeterogeneousOpDurations checks the per-op hook: charging the first
-// micro-batch a warm-up premium stretches the timeline by at least that
-// premium.
-func TestHeterogeneousOpDurations(t *testing.T) {
-	p := compile1F1B(t, schedule.Shape{DP: 1, PP: 2, MB: 4, Iter: 1})
-	base, err := ExecuteProgram(p, ProgramOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	warm, err := ExecuteProgram(p, ProgramOptions{
-		OpDuration: func(op schedule.Op, def int64) int64 {
-			if op.Type == schedule.F && op.MB == 0 && op.Stage == 0 {
-				return def + 10 // cold kernel on the very first forward
-			}
-			return def
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if warm.Makespan < base.Makespan+10 {
-		t.Fatalf("warm-up premium not on the critical path: %d vs base %d", warm.Makespan, base.Makespan)
 	}
 }
 
@@ -261,13 +250,16 @@ func TestFrozenSpansInInstructionOrder(t *testing.T) {
 	}
 }
 
-// TestExecuteChargesCommLatency checks the edge rule under substituted
-// durations: every cross-stage forward starts no earlier than its upstream
-// forward's end plus Comm, and the first one exactly then.
+// TestExecuteChargesCommLatency checks the edge rule: every cross-stage
+// forward starts no earlier than its upstream forward's end plus Comm, and
+// the first one exactly then.
 func TestExecuteChargesCommLatency(t *testing.T) {
-	p := compile1F1B(t, schedule.Shape{DP: 1, PP: 2, MB: 2, Iter: 1})
 	d := schedule.Durations{F: 2, BInput: 3, BWeight: 1, Opt: 1, Comm: 5}
-	ex, err := ExecuteProgram(p, ProgramOptions{Durations: &d})
+	p, err := schedule.Compile(schedule.FaultFree1F1B(schedule.Shape{DP: 1, PP: 2, MB: 2, Iter: 1}, d))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ex, err := ExecuteProgram(p, ProgramOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,8 +281,8 @@ func TestExecuteChargesCommLatency(t *testing.T) {
 
 // TestExecuteAllocationBudget pins what an execution allocates: the
 // Execution and its two span arrays, plus the Lost and Blocked lists of a
-// cut execution with a kill — the walk, the duration table and the marks
-// are pooled scratch.
+// cut execution with a kill — the walk and the death instants are pooled
+// scratch, and a straggler's view is built before the measured runs.
 func TestExecuteAllocationBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under the race detector")
@@ -303,15 +295,16 @@ func TestExecuteAllocationBudget(t *testing.T) {
 	cut := full.Makespan / 2
 	for _, c := range []struct {
 		name   string
+		prog   *schedule.Program
 		opt    ProgramOptions
 		budget float64
 	}{
-		{"healthy", ProgramOptions{}, 3},
-		{"straggler", ProgramOptions{Scale: map[schedule.Worker]float64{{Stage: 1, Pipeline: 2}: 2}}, 3},
-		{"cut with a kill", ProgramOptions{CutAt: cut, FailAt: map[schedule.Worker]int64{{Stage: 2, Pipeline: 1}: cut}}, 5},
+		{"healthy", p, ProgramOptions{}, 3},
+		{"straggler", straggle(t, p, schedule.Worker{Stage: 1, Pipeline: 2}, 2), ProgramOptions{}, 3},
+		{"cut with a kill", p, ProgramOptions{CutAt: cut, FailAt: map[schedule.Worker]int64{{Stage: 2, Pipeline: 1}: cut}}, 5},
 	} {
 		got := testing.AllocsPerRun(20, func() {
-			if _, err := ExecuteProgram(p, c.opt); err != nil {
+			if _, err := ExecuteProgram(c.prog, c.opt); err != nil {
 				t.Fatal(err)
 			}
 		})

@@ -16,12 +16,12 @@
 // edges are satisfied. It owns no recurrence of its own: it times the
 // Program on a schedule.Walk, the rule Program.Validate proves every
 // Program runs to completion under, and its options become the walk's
-// Timing, frozen prefix and release floors. Durations default to the
-// per-instruction values Compile stamped from the Planner's cost model,
-// and can be overridden homogeneously (ProgramOptions.Durations), per
-// worker (ProgramOptions.Scale, straggler injection) or per op
-// (ProgramOptions.OpDuration); mid-iteration failures are injected with
-// FailAt, reporting lost and blocked instruction sets. CutAt freezes the
+// Timing, frozen prefix and release floors. Every instruction runs for
+// the duration Compile stamped from the Planner's cost model; a Program is
+// run under other durations — a straggler, profiled kernel latencies — by
+// executing the view schedule.Program.WithCosts re-times it into.
+// Mid-iteration failures are injected with FailAt, reporting lost and
+// blocked instruction sets. CutAt freezes the
 // clock at an event instant, Done resumes a spliced Program past its frozen
 // prefix, and ReleaseAt floors re-planned work: the cut walk internal/replay
 // projects off a timeline instead, kept as that projection's reference.

@@ -119,15 +119,15 @@ func TestHeterogeneousSolveValidates(t *testing.T) {
 }
 
 // TestRouteMicroBatchesCostUniformMatchesRoundRobin pins the fallback:
-// flat per-stage costs must reproduce RouteMicroBatches exactly, failures
-// included.
+// flat per-stage costs must reproduce the round-robin routing of no cost
+// model exactly, failures included.
 func TestRouteMicroBatchesCostUniformMatchesRoundRobin(t *testing.T) {
 	sh := schedule.Shape{DP: 3, PP: 4, MB: 6, Iter: 1}
 	failed := map[schedule.Worker]bool{
 		{Stage: 1, Pipeline: 1}: true,
 		{Stage: 1, Pipeline: 2}: true,
 	}
-	want, err := RouteMicroBatches(sh, failed)
+	want, err := RouteMicroBatchesCost(sh, failed, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

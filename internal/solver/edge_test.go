@@ -141,11 +141,11 @@ func TestRouteStabilityAcrossSolves(t *testing.T) {
 		{Stage: 1, Pipeline: 0}: true,
 		{Stage: 1, Pipeline: 2}: true,
 	}
-	a, err := RouteMicroBatches(sh, failed)
+	a, err := RouteMicroBatchesCost(sh, failed, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RouteMicroBatches(sh, failed)
+	b, err := RouteMicroBatchesCost(sh, failed, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -98,25 +98,19 @@ func Solve(in Input) (*schedule.Schedule, error) {
 	return schedule.New(in.Shape, in.Durations, in.Failed, st.placements), nil
 }
 
-// RouteMicroBatches computes the exec pipeline for every (stage, home
-// pipeline, micro-batch): the home worker when alive, otherwise live
-// data-parallel peers round-robin (the paper's even distribution, §3.1 and
-// the ReRouteAct operator, §5). The returned map is indexed
-// [stage][home][mb]. It is RouteMicroBatchesCost with no cost model.
-func RouteMicroBatches(shape schedule.Shape, failed map[schedule.Worker]bool) ([][][]int, error) {
-	return RouteMicroBatchesCost(shape, failed, nil)
-}
-
 // RouteMicroBatchesCost computes the exec pipeline for every (stage, home
-// pipeline, micro-batch) under a heterogeneous cost model — the
-// gray-failure generalization of RouteMicroBatches. Dead workers are
-// routed around as before; slow-but-alive workers are demoted: their
-// micro-batches (and those of failed homes) are placed by a greedy
-// least-finish-time rule over per-worker compute costs, so a 2× straggler
-// keeps only the share of work it can finish in step with its peers
-// instead of dragging the whole pipeline. Stages whose live workers all
-// run at the same cost — every stage, when costs is nil — keep the
-// round-robin routing, so a uniform cost model changes nothing.
+// pipeline, micro-batch), indexed [stage][home][mb]: the home worker when
+// alive, otherwise a live data-parallel peer. With no cost model (nil
+// costs) the peers take a failed home's micro-batches round-robin (the
+// paper's even distribution, §3.1 and the ReRouteAct operator, §5). Under
+// a heterogeneous cost model — the gray-failure generalization —
+// slow-but-alive workers are demoted too: their micro-batches (and those
+// of failed homes) are placed by a greedy least-finish-time rule over
+// per-worker compute costs, so a 2× straggler keeps only the share of work
+// it can finish in step with its peers instead of dragging the whole
+// pipeline. Stages whose live workers all run at the same cost — every
+// stage, when costs is nil — keep the round-robin routing, so a uniform
+// cost model changes nothing.
 func RouteMicroBatchesCost(shape schedule.Shape, failed map[schedule.Worker]bool, costs schedule.CostFunc) ([][][]int, error) {
 	routes := make([][][]int, shape.PP)
 	for i := 0; i < shape.PP; i++ {

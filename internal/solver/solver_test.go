@@ -133,7 +133,7 @@ func TestTechniqueOrdering(t *testing.T) {
 func TestReroutingEvenlySpreads(t *testing.T) {
 	sh := schedule.Shape{DP: 4, PP: 2, MB: 12, Iter: 1}
 	failed := map[schedule.Worker]bool{{Stage: 1, Pipeline: 2}: true}
-	routes, err := RouteMicroBatches(sh, failed)
+	routes, err := RouteMicroBatchesCost(sh, failed, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
