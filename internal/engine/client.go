@@ -29,9 +29,6 @@ func NewClient(store *planstore.Store, job config.Job, stats profile.Stats, opts
 	return &Client{store: store, fp: newConf(job, stats, opts).fp}
 }
 
-// Fingerprint returns the job fingerprint this client addresses.
-func (c *Client) Fingerprint() string { return c.fp }
-
 // SplicedProgram fetches and decodes the spliced Program published under
 // the given event identifier (Engine.PublishSplicedProgram). No runtime
 // reads one — each derives its splice from the in-flight Program and the

@@ -57,7 +57,9 @@ func programRoundTrip(t *testing.T, label string, p *schedule.Program) []byte {
 	if len(back.Failed) != len(p.Failed) || (len(p.Failed) > 0 && !reflect.DeepEqual(back.Failed, p.Failed)) {
 		t.Fatalf("%s: failed set changed across the codec: %v vs %v", label, back.Failed, p.Failed)
 	}
-	// Slab for slab: a nil failed set decodes as an empty one.
+	// Slab for slab: a nil failed set decodes as an empty one, and decoding
+	// memoized the plain timeline p's own first Plain walks.
+	p.Plain()
 	same := *back
 	same.Failed = p.Failed
 	if !reflect.DeepEqual(&same, p) {

@@ -3,6 +3,8 @@ package engine
 import (
 	"bytes"
 	"reflect"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -154,5 +156,66 @@ func TestDecodeAllocationBudget(t *testing.T) {
 	}
 	if float64(len(data)) > 20*instrs {
 		t.Errorf("an encoded Program costs %.1f bytes per instruction, budget 20", float64(len(data))/instrs)
+	}
+}
+
+// cyclicEncoding encodes a hand-built Program whose two instructions wait
+// on each other: structurally sound, so only a walk can reject it.
+func cyclicEncoding(tb testing.TB) []byte {
+	b := schedule.NewProgramBuilder(schedule.Shape{DP: 1, PP: 1, MB: 1, Iter: 1}, schedule.UnitSlots, nil, 2, 2)
+	b.Instr(schedule.Op{Type: schedule.F}, 0, false)
+	b.Dep(1, schedule.DepLocal)
+	b.Instr(schedule.Op{Type: schedule.B}, 0, false)
+	b.Dep(0, schedule.DepLocal)
+	b.Stream(schedule.Worker{})
+	b.Next(0)
+	b.Next(1)
+	cyclic, err := b.Build()
+	if err != nil {
+		tb.Fatalf("Build rejected a structurally sound program: %v", err)
+	}
+	data, err := EncodeProgram(cyclic)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return data
+}
+
+// TestDecodeProvesProgramsRun decodes a cyclic Program (cyclicEncoding):
+// only the walk decoding ends on can reject it, with the text Validate
+// gives. A Program that runs comes back with its plain timeline already
+// walked, so its first Plain allocates nothing and walks nothing.
+func TestDecodeProvesProgramsRun(t *testing.T) {
+	data := cyclicEncoding(t)
+	const want = "engine: decoded program: schedule: program deadlocks: 2 of 2 instructions are on a dependency cycle"
+	if _, err := DecodeProgram(data); err == nil || err.Error() != want {
+		t.Fatalf("decoding a cyclic program returned %v, want %s", err, want)
+	}
+
+	job, stats := ShapeJob(2, 2, 4)
+	prog, err := New(job, stats, Options{UnrollIterations: 1}).ProgramFor(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if data, err = EncodeProgram(prog); err != nil {
+		t.Fatal(err)
+	}
+	back, err := DecodeProgram(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if raceEnabled {
+		return // the race detector allocates on its own
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	start, _, makespan, ran := back.Plain()
+	runtime.ReadMemStats(&after)
+	if allocs := after.Mallocs - before.Mallocs; allocs != 0 {
+		t.Errorf("a decoded Program's first Plain allocates %d times: it walked again", allocs)
+	}
+	wantStart, _, wantMakespan, wantRan := prog.Plain()
+	if !slices.Equal(start, wantStart) || makespan != wantMakespan || ran != wantRan {
+		t.Errorf("the decoded plain timeline (makespan %d, %d ran) is not the source's (makespan %d, %d ran)", makespan, ran, wantMakespan, wantRan)
 	}
 }

@@ -226,6 +226,8 @@ func FuzzDecodeProgram(f *testing.F) {
 		f.Add(zero.encode())
 	}
 
+	f.Add(cyclicEncoding(f)) // sound structure, but it deadlocks
+
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p, err := DecodeProgram(data)
 		if err != nil {

@@ -79,8 +79,8 @@ func EncodeProgram(p *schedule.Program) ([]byte, error) {
 // front must be consumed exactly, every op, worker and edge kind must lie
 // inside its enum and the shape — an all-reduce edge is not an edge kind
 // the wire carries — a cost table must be empty or cover the shape with
-// positive durations, and the result passes the full structural Validate,
-// barrier included: a decoded artifact is executable or the decode fails.
+// positive durations, and the result passes Build's structural checks and
+// Prove: a decoded artifact is executable or the decode fails.
 func DecodeProgram(data []byte) (*schedule.Program, error) {
 	r := reader{b: data}
 	durations, failed := r.header(kindProgram, ProgramCodecVersion)
@@ -131,7 +131,9 @@ func DecodeProgram(data []byte) (*schedule.Program, error) {
 	}
 	p, err := b.Build()
 	if err == nil {
-		err = p.SetCostTable(costs)
+		if err = p.Prove(); err == nil {
+			err = p.SetCostTable(costs)
+		}
 	}
 	if err != nil {
 		return nil, fmt.Errorf("engine: decoded program: %w", err)

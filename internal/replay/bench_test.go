@@ -224,9 +224,10 @@ func chainedChurnTrace() (failure.Trace, Options) {
 // warmChurnTrace allocates: BenchmarkReplayWarmJob's quantity, whose
 // splices are never cut again and so are never numbered. Numbering each
 // of them, as Splice does, allocated 2.24–2.33 MB a Replay; a Replay that
-// defers the numbering reads 1.78–1.85 MB.
+// defers the numbering, each splice proven to run by its one timed walk,
+// reads 1.776–1.784 MB, and the budget is the top of that plus 3 %.
 func TestReplayWarmAllocationBudget(t *testing.T) {
-	const maxBytes = 1_950_000
+	const maxBytes = 1_835_000
 	if raceEnabled {
 		t.Skip("the race detector empties sync.Pool at random")
 	}

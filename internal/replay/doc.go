@@ -6,14 +6,14 @@
 // Two pieces make it up:
 //
 //   - Splice takes an in-flight Program plus the executed spans at a
-//     membership-event instant and produces a new, fully validated Program
+//     membership-event instant and produces a new, executable Program
 //     covering the same iteration: the executed prefix is frozen at its
 //     recorded times, work whose provenance died with a failed worker is
 //     re-executed on live peers, and the unexecuted suffix is re-planned
 //     against the new worker set (re-routing whole micro-batch triples,
 //     adding the optimizer step of a re-joining worker). The Program is
-//     built through schedule.ProgramBuilder, timed from the kept prefix by
-//     the walk every executor runs (Spliced.Exec) and numbered in that
+//     built through schedule.ProgramBuilder, proven to run by the walk
+//     that times it from the kept prefix (Spliced.Exec) and numbered in that
 //     timeline's order, the order a later splice of the same iteration
 //     reads it in. Re-planned work is timed by the in-flight
 //     Program's cost table (Program.Cost), which the spliced Program

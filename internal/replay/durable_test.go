@@ -226,6 +226,7 @@ func TestFrozenOptimizerIsNotGated(t *testing.T) {
 	if tally.spliced < 500 {
 		t.Fatalf("only %d splices: the sweep no longer reaches the cascades", tally.spliced)
 	}
+	checkRejections(t, "the exhaustive sweep", &tally, 6, 0x31f4a63fe668d76d)
 
 	// The chain: the other stage runs on W0 alone, and stage s steps first,
 	// every step at the instant its last weight gradient lands.

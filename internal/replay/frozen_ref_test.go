@@ -101,7 +101,13 @@ func compileFrozenRef(s *schedule.Schedule, frozenBefore int64) (*schedule.Progr
 			b.Next(i)
 		}
 	}
-	return b.Build()
+	// CompileFrozen validated what it built, deadlock-freedom included; the
+	// builder checks structure only.
+	p, err := b.Build()
+	if err != nil {
+		return nil, err
+	}
+	return p, p.Validate()
 }
 
 // slotName names a triple's three op slots in a completeness rejection.

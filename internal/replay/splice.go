@@ -51,7 +51,7 @@ type SpliceInput struct {
 type Spliced struct {
 	// Program is the spliced executable, numbered in its timeline's order
 	// — the order a later splice of the same iteration buckets its suffix
-	// by — and validated deadlock-free/edge-consistent.
+	// by — edge-consistent, and deadlock-free by the walk that timed it.
 	Program *schedule.Program
 	// Done maps the Program's prefix instruction IDs to their recorded
 	// completion times: the kept prefix sim.ProgramOptions.Done installs

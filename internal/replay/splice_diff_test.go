@@ -2,6 +2,8 @@ package replay
 
 import (
 	"fmt"
+	"hash/fnv"
+	"io"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -106,7 +108,13 @@ func sameSplice(t testing.TB, tally *diffTally, what string, in SpliceInput) *Sp
 		if gerr == nil || werr == nil || gerr.Error() != werr.Error() {
 			t.Fatalf("%s: Splice error %v, reference error %v", what, gerr, werr)
 		}
+		tally.texts = append(tally.texts, gerr.Error())
 		return nil
+	}
+	// The splice's own walk is its deadlock proof; the full audit must
+	// agree on every artifact it accepts.
+	if err := got.Program.Validate(); err != nil {
+		t.Fatalf("%s: spliced program invalid: %v", what, err)
 	}
 	check := func(field string, g, w any) {
 		t.Helper()
@@ -194,6 +202,23 @@ func sameSplice(t testing.TB, tally *diffTally, what string, in SpliceInput) *Sp
 // generator that stopped reaching a path from one that found no difference.
 type diffTally struct {
 	spliced, rejected, lost, rerouted, rejoined, decoupled, cascaded int
+	texts                                                            []string // every rejection's text, in draw order
+}
+
+// checkRejections fails unless a sweep drew exactly the pinned rejections:
+// their count and the FNV-64a digest of their texts, in draw order, each
+// ended by a newline. A splice that rejects other inputs, or names another
+// offender, moves one of them.
+func checkRejections(t *testing.T, sweep string, tally *diffTally, n int, digest uint64) {
+	t.Helper()
+	h := fnv.New64a()
+	for _, s := range tally.texts {
+		io.WriteString(h, s+"\n")
+	}
+	if got := h.Sum64(); len(tally.texts) != n || got != digest {
+		t.Errorf("%s: %d rejections hashing to %#016x, pinned %d hashing to %#016x; the texts:\n%s",
+			sweep, len(tally.texts), got, n, digest, strings.Join(tally.texts, "\n"))
+	}
 }
 
 // drawEvent draws a membership event against the failed set: a failure of
@@ -344,15 +369,33 @@ func TestSpliceMatchesReference(t *testing.T) {
 	for i := 0; i < cases; i++ {
 		diffCase(t, &tally, rng)
 	}
-	t.Logf("%+v", tally)
+	counts := tally
+	counts.texts = nil
+	t.Logf("%+v", counts)
 	if tally.rejected == 0 || tally.lost == 0 || tally.rerouted == 0 || tally.rejoined == 0 || tally.decoupled == 0 || tally.cascaded == 0 {
-		t.Fatalf("the drawn cases no longer reach every path: %+v", tally)
+		t.Fatalf("the drawn cases no longer reach every path: %+v", counts)
+	}
+	if !testing.Short() {
+		checkRejections(t, "the full sweep", &tally, 64, 0x1713e23943f40246)
 	}
 }
 
+// TestFuzzSeedsKeepTheirRejections runs FuzzSplice's seed corpus through
+// the oracle and pins the rejections it draws.
+func TestFuzzSeedsKeepTheirRejections(t *testing.T) {
+	var tally diffTally
+	for seed := int64(0); seed < fuzzSeeds; seed++ {
+		diffCase(t, &tally, rand.New(rand.NewSource(seed)))
+	}
+	checkRejections(t, "FuzzSplice's seeds", &tally, 2, 0xa252315ccd2b9d3c)
+}
+
+// fuzzSeeds is the size of FuzzSplice's seed corpus: seeds 0 to fuzzSeeds-1.
+const fuzzSeeds = 8
+
 // FuzzSplice drives the same oracle from fuzzer-chosen seeds.
 func FuzzSplice(f *testing.F) {
-	for seed := int64(0); seed < 8; seed++ {
+	for seed := int64(0); seed < fuzzSeeds; seed++ {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, seed int64) {

@@ -300,9 +300,9 @@ func TestSpliceProperty(t *testing.T) {
 // schedule promises: every instruction ran for its duration; none ran on a
 // failed worker past the cut (a victim keeps only its durable pre-cut
 // work); each worker runs its stream in order, one instruction at a time;
-// and no re-planned instruction starts before its producers end plus
-// their edge latency or, for a gated step, before its group's weight
-// gradients end.
+// no kept instruction waits on a re-planned one; and no re-planned
+// instruction starts before its producers end plus their edge latency or,
+// for a gated step, before its group's weight gradients end.
 func checkTimeline(t *testing.T, what string, spl *Spliced, cut int64) {
 	t.Helper()
 	p, ex := spl.Program, spl.Exec
@@ -324,6 +324,15 @@ func checkTimeline(t *testing.T, what string, spl *Spliced, cut int64) {
 			}
 			free = end
 			if _, done := spl.Done[int(id)]; done {
+				// Kept work waits on nothing re-planned: a producer lost
+				// and re-run after the cut would put a cycle into the
+				// Program that the splice's resumed walk, which installs
+				// the prefix, cannot see.
+				for _, d := range p.Producers(int(id)) {
+					if _, kept := spl.Done[int(d.From)]; !kept {
+						t.Fatalf("%s: kept %s waits on re-planned %s", what, op, p.Op(int(d.From)))
+					}
+				}
 				continue
 			}
 			for _, d := range p.Producers(int(id)) {

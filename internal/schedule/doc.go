@@ -29,12 +29,14 @@
 // a Walk holds a stream cursor and a clock per worker, a pending count per
 // barrier group and the ready set of workers whose head may run, and runs
 // each admitted instruction for its stamped duration, charging edges,
-// cuts and deaths by its Timing. Program.Validate walks every
-// compiled artifact — it must run every instruction, so the artifact is
-// deadlock-free — and checks it edge-consistent and its barrier complete;
-// the simulator times Programs on the same walk. A Program times itself
-// once: Plain walks it under its own Durations on first use and keeps the
-// spans in one slab every later reader shares. WithCosts re-times a
+// cuts and deaths by its Timing. A Program is proven to run by the walk
+// that times it: Compile checks it edge-consistent and its barrier
+// complete, then Prove walks its plain timeline — under its own
+// Durations — into the one slab every later Plain shares, and every
+// instruction must run, so the artifact is deadlock-free. ProgramBuilder
+// checks structure only and leaves that proof to its caller's walk;
+// Program.Validate, the full audit, walks on every call, and the
+// simulator times Programs on the same walk. WithCosts re-times a
 // Program under another cost table: a view with its instructions
 // re-stamped, sharing everything else.
 //

@@ -299,8 +299,8 @@ func NewCostTable(sh Shape, fn CostFunc) []int64 {
 // under, tabulated by NewCostTable: what the splice times re-planned work
 // with. A table must be empty or hold a positive duration for every worker
 // and op type of the shape. The Program keeps the slice, so call it before
-// the Program is shared, and never write the table afterwards. It drops
-// the memoized plain timeline, which a later Plain walks again.
+// the Program is shared, and never write the table afterwards. The
+// memoized plain timeline stays: Plain never reads the table.
 func (p *Program) SetCostTable(table []int64) error {
 	if n := p.Shape.DP * p.Shape.PP * OpTypes; len(table) != 0 && len(table) != n {
 		return fmt.Errorf("schedule: program: cost table holds %d durations, want 0 or %d", len(table), n)
@@ -310,7 +310,7 @@ func (p *Program) SetCostTable(table []int64) error {
 			return fmt.Errorf("schedule: program: %s of %s costs %d, not a positive duration", OpType(i%OpTypes), p.Shape.WorkerAt(i/OpTypes), d)
 		}
 	}
-	p.costs, p.plain = table, timeline{}
+	p.costs = table
 	return nil
 }
 
@@ -355,8 +355,8 @@ func (p *Program) Cost(w Worker, t OpType) int64 {
 // schedule to lower. Instructions come in ID order, each followed by its
 // edges, then the streams in (pipeline, stage) order, each followed by its
 // instruction IDs. Build derives the barrier's lists from the instructions
-// and validates the result. The first malformed call latches the error
-// Build returns; the calls after it do nothing.
+// and checks the result's structure. The first malformed call latches the
+// error Build returns; the calls after it do nothing.
 type ProgramBuilder struct {
 	p       *Program
 	err     error
@@ -499,7 +499,8 @@ func (b *ProgramBuilder) Next(id int) {
 }
 
 // Build checks every declared instruction and edge arrived, derives the
-// barrier's lists and returns the validated Program.
+// barrier's lists and returns the Program once its structure checks out.
+// It runs no walk: Prove, Validate or the caller's own walk proves it runs.
 func (b *ProgramBuilder) Build() (*Program, error) {
 	p := b.p
 	if b.err == nil {
@@ -525,7 +526,7 @@ func (b *ProgramBuilder) Build() (*Program, error) {
 	groups := p.Shape.Iter * p.Shape.PP
 	slab := make([]int32, groups+1+contribs)
 	p.Barrier = fillBarrier(slab[:groups+1:groups+1], slab[groups+1:], sc.group)
-	if err := p.Validate(); err != nil {
+	if err := p.checkStructure(); err != nil {
 		return nil, err
 	}
 	return p, nil
@@ -614,9 +615,9 @@ var dupName = [...]string{F: "F", B: "backward", BInput: "BInput", BWeight: "BWe
 // cannot lower.
 //
 // Every instruction is filed under its op slot, and its edges are its
-// Shape.AppendInputs looked up there. The Program is four allocations besides
+// Shape.AppendInputs looked up there. The Program is five allocations besides
 // itself: its instructions, its edges, one int32 slab for the streams and
-// the barrier, and its worker list.
+// the barrier, its worker list and its plain timeline (Prove).
 func Compile(s *Schedule) (*Program, error) {
 	if s == nil {
 		return nil, fmt.Errorf("schedule: cannot compile a nil schedule")
@@ -735,22 +736,33 @@ func Compile(s *Schedule) (*Program, error) {
 		}
 	}
 	p.deps = deps
-	if err := p.Validate(); err != nil {
+	if err := p.checkStructure(); err != nil {
+		return nil, err
+	}
+	if err := p.Prove(); err != nil {
 		return nil, err
 	}
 	return p, nil
 }
 
-// Validate checks the Program's structural invariants: every edge points at
-// an existing instruction and relates ops the way its kind claims
-// (edge consistency), streams partition the instruction set, the barrier
-// lists every weight gradient of its group and a gated optimizer's group
-// is complete (checkBarrier), and a Walk — the rule every executor runs
-// instructions by — runs every instruction (deadlock-freedom: an executor
-// that runs streams in order and blocks on edges and barriers can always
-// make progress). Streams are checked in WorkerIndex order, so a Program
-// with several defects reports the same one on every call.
+// Validate is the full audit: every edge points at an existing instruction
+// and relates ops the way its kind claims, streams partition the
+// instructions, the barrier is complete (checkBarrier), and a Walk runs
+// every instruction, so an executor that runs streams in order and blocks
+// on edges and barriers cannot deadlock. It walks on every call. Streams
+// are checked in WorkerIndex order, so a Program with several defects
+// reports the same one on every call.
 func (p *Program) Validate() error {
+	err := p.checkStructure()
+	if err == nil {
+		_, _, err = p.checkRuns(nil, nil)
+	}
+	return err
+}
+
+// checkStructure is Validate short of the walk: streams partitioning the
+// instructions, filing, edge consistency and the barrier.
+func (p *Program) checkStructure() error {
 	n, sh := len(p.Instrs), p.Shape
 	seen := make([]bool, n)
 	for wi := 0; wi+1 < len(p.streamOff); wi++ {
@@ -782,10 +794,7 @@ func (p *Program) Validate() error {
 			}
 		}
 	}
-	if err := p.checkBarrier(); err != nil {
-		return err
-	}
-	return p.checkRuns()
+	return p.checkBarrier()
 }
 
 // checkBarrier verifies the all-reduce barrier: each group lists, strictly

@@ -109,7 +109,10 @@ func TestRenumberKeepsTheProgram(t *testing.T) {
 			t.Fatalf("barrier group %d lists %d weight gradients, want %d", g, len(q.Barrier.Group(g)), len(p.Barrier.Group(g)))
 		}
 	}
-	if q.Renumber(back); !reflect.DeepEqual(q, p) {
+	if q.Renumber(back); q.plain.set != 0 {
+		t.Fatal("Renumber kept the plain timeline of the old IDs")
+	}
+	if q.plain = p.plain; !reflect.DeepEqual(q, p) {
 		t.Fatal("renumbering back does not restore the Program")
 	}
 	if raceEnabled {
@@ -271,20 +274,35 @@ func assemble(sh Shape, ops []Op, deps map[int][]Dep) (*Program, error) {
 	return b.Build()
 }
 
-// assembleErr is assemble's verdict alone.
+// assembleErr is the verdict on what assemble builds: Build's structural
+// checks, then the full Validate.
 func assembleErr(sh Shape, ops []Op, deps map[int][]Dep) error {
-	_, err := assemble(sh, ops, deps)
-	return err
+	p, err := assemble(sh, ops, deps)
+	if err != nil {
+		return err
+	}
+	return p.Validate()
 }
 
 // TestValidateCatchesCycle checks deadlock detection on a hand-built
-// program whose edges form a cycle.
+// program whose edges form a cycle. Build checks structure only, so it
+// builds; Validate walks it, and so does Prove.
 func TestValidateCatchesCycle(t *testing.T) {
 	op := func(mb int, t OpType) Op { return Op{Stage: 0, MB: mb, Home: 0, Exec: 0, Type: t} }
-	err := assembleErr(Shape{DP: 1, PP: 1, MB: 2, Iter: 1}, []Op{op(0, F), op(0, B)},
+	p, err := assemble(Shape{DP: 1, PP: 1, MB: 2, Iter: 1}, []Op{op(0, F), op(0, B)},
 		map[int][]Dep{0: {{From: 1, Kind: DepLocal}}, 1: {{From: 0, Kind: DepLocal}}})
-	if err == nil || !strings.Contains(err.Error(), "deadlocks") {
-		t.Fatalf("a cyclic program built with %v, want a deadlock", err)
+	if err != nil {
+		t.Fatalf("Build rejected a structurally sound program: %v", err)
+	}
+	const want = "schedule: program deadlocks: 2 of 2 instructions are on a dependency cycle"
+	if err := p.Validate(); err == nil || err.Error() != want {
+		t.Fatalf("Validate of a cyclic program returned %v, want %s", err, want)
+	}
+	if err := p.Prove(); err == nil || err.Error() != want {
+		t.Fatalf("Prove of a cyclic program returned %v, want %s", err, want)
+	}
+	if _, _, _, ran := p.Plain(); ran != 0 {
+		t.Fatalf("the cyclic program's plain timeline ran %d instructions, want 0", ran)
 	}
 }
 
@@ -399,11 +417,11 @@ func TestProgramFootprint(t *testing.T) {
 	if per := float64(total) / float64(len(p.Instrs)); per > 40 {
 		t.Errorf("the Fig 9 Medium Program takes %d bytes, %.1f per instruction, budget 40", total, per)
 	}
-	// The memoized plain timeline is allocated on first use, as one slab.
-	if p.plain.spans != nil || p.plain.set != 0 {
-		t.Error("a compiled Program holds a plain timeline nobody asked for")
+	// Compile proves the Program runs by walking its plain timeline into
+	// the memo, one slab.
+	if p.plain.set == 0 {
+		t.Error("a compiled Program holds no plain timeline: Compile proved it runs on some other walk")
 	}
-	p.Plain()
 	memo := uintptr(cap(p.plain.spans)) * 8
 	t.Logf("%-12s %6d B (%.1f per instruction)", "plain memo", memo, float64(memo)/float64(len(p.Instrs)))
 	if per := float64(memo) / float64(len(p.Instrs)); per > 16 {
@@ -438,15 +456,19 @@ func checkPlain(t *testing.T, label string, p *Program) {
 	}
 }
 
-// TestPlainMemoIsNeverStale memoizes a Program's plain timeline, then
-// changes the Program the two ways an unshared Program may change: a
-// Renumber, whose IDs the spans are keyed by, and a SetCostTable. Each must
-// drop the memo, so the next Plain walks the Program as it now is.
+// TestPlainMemoIsNeverStale changes a compiled Program, whose plain
+// timeline Compile memoized, the two ways an unshared Program may change:
+// a Renumber, whose IDs the spans are keyed by, must drop the memo, so the
+// next Plain walks the Program as it now is; a SetCostTable keeps it, and
+// the memo still equals a fresh walk, which never reads the table.
 func TestPlainMemoIsNeverStale(t *testing.T) {
 	sh := Shape{DP: 3, PP: 3, MB: 4, Iter: 2}
 	p, err := Compile(New(sh, Durations{F: 2, BInput: 3, BWeight: 1, Opt: 2, Comm: 1}, nil, decouple(FaultFree1F1B(sh, UnitSlots).Placements)))
 	if err != nil {
 		t.Fatal(err)
+	}
+	if p.plain.set == 0 {
+		t.Fatal("Compile did not memoize the plain timeline")
 	}
 	checkPlain(t, "compiled", p)
 	order := make([]int32, len(p.Instrs))
@@ -461,8 +483,8 @@ func TestPlainMemoIsNeverStale(t *testing.T) {
 	if err := p.SetCostTable(NewCostTable(sh, func(w Worker, ty OpType) int64 { return 2 * UnitSlots.Of(ty) })); err != nil {
 		t.Fatal(err)
 	}
-	if p.plain.set != 0 {
-		t.Error("SetCostTable kept the plain timeline")
+	if p.plain.set == 0 {
+		t.Error("SetCostTable dropped the plain timeline")
 	}
 	checkPlain(t, "re-costed", p)
 }
@@ -475,6 +497,8 @@ func TestConcurrentFirstPlainUsesShareOneSlab(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	p.plain = timeline{} // Compile's memo: the users race on a first walk instead
+
 	const users = 16
 	slabs := make([]*int64, users)
 	start := make(chan struct{})

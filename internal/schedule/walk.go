@@ -8,14 +8,14 @@ import (
 )
 
 // Walk is the one rule deciding when an instruction of a Program may run,
-// held once for every reader: Program.Validate walks it to prove a Program
-// deadlock-free, and the discrete-event simulator (internal/sim) walks it
-// to time one. Each worker runs its stream in order. The head of a stream
-// may run once every producer it depends on has ended and, for a gated
-// optimizer, once its stage group's barrier has drained; it starts at the
-// later of its worker's clock and its producers' ends plus their edges'
-// latencies (for a gated optimizer, its group's latest contribution end),
-// and runs for its duration.
+// held once for every reader; the walk that times a Program also proves it
+// deadlock-free (Prove, replay.Splice), and the simulator (internal/sim)
+// walks it under cuts and deaths. Each worker runs its stream in order.
+// The head of a stream may run once every producer it depends on has ended
+// and, for a gated optimizer, once its stage group's barrier has drained;
+// it starts at the later of its worker's clock and its producers' ends
+// plus their edges' latencies (for a gated optimizer, its group's latest
+// contribution end), and runs for its duration.
 //
 // A walk holds a stream cursor and a clock per WorkerIndex, a pending count
 // and a latest contribution end per barrier group, each instruction's end,
@@ -46,8 +46,8 @@ type Walk struct {
 // Timing is what a walk charges beside the instructions' own durations:
 // every instruction runs for its DurOf (a negative one counts as zero), and
 // a Program re-timed by WithCosts is the way to run it for others. The zero
-// Timing — the one Program.Validate walks on — charges free edges, no cut
-// and no failure.
+// Timing charges free edges, no cut and no failure; a plain timeline
+// charges its Program's Durations on the edges.
 type Timing struct {
 	// Lat charges each edge its kind's latency (Durations.EdgeLatency).
 	Lat Durations
@@ -189,17 +189,6 @@ func (w *Walk) admit(id int) (ready int64, wait int) {
 	return ready, -1
 }
 
-// Ready returns the instant instruction id's producers let it start, once
-// every one of them has ended: the span's scheduled start a recorder shows.
-func (w *Walk) Ready(id int) int64 {
-	ready, _ := w.admit(id)
-	return ready
-}
-
-// Left returns the instructions of worker wi's stream that have not run,
-// in stream order.
-func (w *Walk) Left(wi int) []int32 { return w.p.streams[w.pos[wi]:w.p.streamOff[wi+1]] }
-
 // Dead reports whether worker wi died during the walk.
 func (w *Walk) Dead(wi int) bool { return w.dead[wi] }
 
@@ -247,22 +236,23 @@ func (w *Walk) wake(k int) {
 
 var walkPool = sync.Pool{New: func() any { return new(Walk) }}
 
-// checkRuns walks the Program on the zero Timing: it must run every
-// instruction. Those it cannot run wait, directly or through stream order
-// and barriers, on a cycle of dependencies — an executor that runs streams
-// in order and blocks on edges and barriers would deadlock on them.
-// Validate has already bounds-checked every edge, stream entry and barrier
-// list.
-func (p *Program) checkRuns() error {
+// checkRuns, the one run check, walks p's plain timeline into start and
+// end (as Reset takes them), returns its latest end and how many ran, and
+// fails unless all did: the rest wait on a dependency cycle, through stream
+// order and barriers too. Without a cut or deaths a walk stops only on a
+// wait, so the verdict does not depend on the timing. The caller has
+// bounds-checked every edge, stream entry and barrier list.
+func (p *Program) checkRuns(start, end []int64) (makespan int64, ran int, err error) {
 	w := walkPool.Get().(*Walk)
 	defer walkPool.Put(w)
-	w.Reset(p, Timing{}, nil, nil)
+	w.Reset(p, Timing{Lat: p.Durations}, start, end)
 	w.Run()
+	makespan, ran = w.Makespan(), w.Ended()
 	w.Clear()
-	if n, ran := len(p.Instrs), w.Ended(); ran != n {
-		return fmt.Errorf("schedule: program deadlocks: %d of %d instructions are on a dependency cycle", n-ran, n)
+	if n := len(p.Instrs); ran != n {
+		err = fmt.Errorf("schedule: program deadlocks: %d of %d instructions are on a dependency cycle", n-ran, n)
 	}
-	return nil
+	return makespan, ran, err
 }
 
 // timeline is a Program's memoized plain timeline (Plain).
@@ -282,26 +272,31 @@ var plainMu sync.Mutex
 // Plain returns p's plain timeline — the walk under Timing{Lat:
 // p.Durations}, with nothing installed, released, cut or killed: every
 // instruction's start and end by ID (-1 for one that never ran), the
-// latest end and how many ran. The first call walks p and keeps the spans
-// in one slab of 2·len(Instrs) int64s; every later call, from any
-// goroutine, returns that slab, so start and end are p's own: read-only.
-// Renumber and SetCostTable drop the memo; nothing else may change a
-// Program once it is shared.
+// latest end and how many ran. It reads DurOf and Durations, never the
+// cost table. Unless Prove has, the first call walks p into one slab of
+// 2·len(Instrs) int64s; every call, from any goroutine, returns that
+// slab, so start and end are p's own: read-only. Renumber drops the memo;
+// nothing else may change a Program once it is shared.
 func (p *Program) Plain() (start, end []int64, makespan int64, ran int) {
 	t, n := &p.plain, len(p.Instrs)
 	if atomic.LoadUint32(&t.set) == 0 {
 		plainMu.Lock()
 		if atomic.LoadUint32(&t.set) == 0 {
-			spans := make([]int64, 2*n)
-			w := walkPool.Get().(*Walk)
-			w.Reset(p, Timing{Lat: p.Durations}, spans[:n:n], spans[n:])
-			w.Run()
-			t.spans, t.makespan, t.ran = spans, w.Makespan(), w.Ended()
-			w.Clear()
-			walkPool.Put(w)
-			atomic.StoreUint32(&t.set, 1)
+			p.Prove() // a Program that deadlocks times what ran
 		}
 		plainMu.Unlock()
 	}
 	return t.spans[:n:n], t.spans[n:], t.makespan, t.ran
+}
+
+// Prove proves p runs by walking its plain timeline into p's memo, the
+// walk p's first Plain would run: it fails unless every instruction ran.
+// Call it before p is shared — it takes no lock.
+func (p *Program) Prove() error {
+	n := len(p.Instrs)
+	spans := make([]int64, 2*n)
+	makespan, ran, err := p.checkRuns(spans[:n:n], spans[n:])
+	p.plain.spans, p.plain.makespan, p.plain.ran = spans, makespan, ran
+	atomic.StoreUint32(&p.plain.set, 1)
+	return err
 }

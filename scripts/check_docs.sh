@@ -46,8 +46,10 @@ done
 #     EVALUATION.md must be declared by some Go file of the tree (tests
 #     included, the separate bench/ module excluded): a bare exported
 #     `Name`, or the last component of a dotted `x.Name` / `Type.Method`,
-#     each with an optional `(...)`. Names qualified by a standard-library
-#     package are not checked. A declaration is an identifier that opens a
+#     exported or not (`engine.compiled`, `Program.checkRuns`), each with an
+#     optional `(...)`. Names qualified by a standard-library package, file
+#     names (`go.mod`, `BENCHMARK.json`) and metric prefixes (`engine.`)
+#     are not checked. A declaration is an identifier that opens a
 #     line after func/type/const/var or indentation (struct fields,
 #     interface methods and const/var block entries, comma lists
 #     included) — loose, but a deleted name appears in no such position.
@@ -58,8 +60,9 @@ stdlib='atomic|binary|bits|bytes|context|errors|expvar|fmt|fnv|heap|io|json|maph
 for doc in README.md ARCHITECTURE.md EVALUATION.md; do
   for id in $(grep -oE '`[A-Za-z_][A-Za-z0-9_.]*(\([^`]*\))?`' "$doc" | tr -d '`' | sed -E 's/\(.*\)$//' | sort -u); do
     name=${id##*.}
-    [[ $name =~ ^[A-Z] ]] || continue
+    [[ ($id == *.* && -n $name) || $name =~ ^[A-Z] ]] || continue
     [[ $id == *.* && ${id%%.*} =~ ^($stdlib)$ ]] && continue
+    [[ $id == *.* && $name =~ ^(md|json|go|yml|sh|mod)$ ]] && continue
     if ! grep -qx "$name" <<<"$declared"; then
       echo "$doc names \`$id\` but no Go file in the tree declares $name"
       fail=1
