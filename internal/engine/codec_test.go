@@ -200,20 +200,28 @@ func TestDecodeProvesProgramsRun(t *testing.T) {
 	if data, err = EncodeProgram(prog); err != nil {
 		t.Fatal(err)
 	}
-	back, err := DecodeProgram(data)
-	if err != nil {
-		t.Fatal(err)
-	}
 	if raceEnabled {
 		return // the race detector allocates on its own
 	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	start, _, makespan, ran := back.Plain()
-	runtime.ReadMemStats(&after)
-	if allocs := after.Mallocs - before.Mallocs; allocs != 0 {
-		t.Errorf("a decoded Program's first Plain allocates %d times: it walked again", allocs)
+	// The fewest allocations over three fresh decodes: a first Plain that
+	// walks allocates its slab every time, while a stray allocation by
+	// another goroutine is unlikely to land in all three readings.
+	var back *schedule.Program
+	least := ^uint64(0)
+	for range 3 {
+		if back, err = DecodeProgram(data); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		back.Plain()
+		runtime.ReadMemStats(&after)
+		least = min(least, after.Mallocs-before.Mallocs)
 	}
+	if least != 0 {
+		t.Errorf("a decoded Program's first Plain allocates %d times: it walked again", least)
+	}
+	start, _, makespan, ran := back.Plain()
 	wantStart, _, wantMakespan, wantRan := prog.Plain()
 	if !slices.Equal(start, wantStart) || makespan != wantMakespan || ran != wantRan {
 		t.Errorf("the decoded plain timeline (makespan %d, %d ran) is not the source's (makespan %d, %d ran)", makespan, ran, wantMakespan, wantRan)

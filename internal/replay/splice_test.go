@@ -325,7 +325,7 @@ func checkTimeline(t *testing.T, what string, spl *Spliced, cut int64) {
 			free = end
 			if _, done := spl.Done[int(id)]; done {
 				// Kept work waits on nothing re-planned: a producer lost
-				// and re-run after the cut would put a cycle into the
+				// and re-run after the cut can close a cycle in the
 				// Program that the splice's resumed walk, which installs
 				// the prefix, cannot see.
 				for _, d := range p.Producers(int(id)) {
