@@ -59,7 +59,7 @@ func main() {
 			os.Exit(1)
 		}
 		done, total := w.Coverage()
-		fmt.Printf("offline phase: %d/%d plans (0..%d failures) warmed concurrently and replicated in %s\n",
+		fmt.Printf("offline phase: %d/%d plans (0..%d failures) warmed concurrently in %s\n",
 			done, total, job.MaxPlannedFailures(), time.Since(start).Round(time.Millisecond))
 	}
 	ff, err := eng.Plan(0)

@@ -3,7 +3,7 @@
 // This example sets up a small hybrid-parallel job, profiles it with the
 // analytic cost model, and runs the offline phase of Fig 8 through the
 // plan service: adaptive schedules for 0..2 simultaneous failures are
-// solved concurrently and replicated. It then reports throughput, the
+// solved concurrently and cached. It then reports throughput, the
 // per-stage failure normalization, and the migration count needed to
 // apply the plan to a concrete failure.
 package main
@@ -35,8 +35,8 @@ func main() {
 	eng := engine.New(job, stats, engine.Options{})
 
 	// The offline phase: one plan per tolerated failure count, warmed in
-	// the background (fewest failures first), encoded and
-	// quorum-replicated; Wait makes it synchronous here.
+	// the background (fewest failures first) into the engine's cache; Wait
+	// makes it synchronous here.
 	if err := eng.Warm(2).Wait(); err != nil {
 		log.Fatal(err)
 	}
@@ -67,6 +67,6 @@ func main() {
 		concrete, eng.MigrationsNeeded(concrete, adapted))
 
 	m := eng.Metrics()
-	fmt.Printf("plan service: %d solves, %d cache hits (all plans replicated across the store)\n",
+	fmt.Printf("plan service: %d solves, %d cache hits\n",
 		m.Solves, m.CacheHits)
 }

@@ -40,8 +40,8 @@ type Config struct {
 	CostModel *profile.CostModel
 	// Store injects a shared replicated plan store (nil keeps a private
 	// one). Pointing several runtimes — or a runtime and a fetch-only
-	// engine.Client — at one store is how executors consume plan and
-	// Program artifacts another coordinator solved and compiled.
+	// engine.Client — at one store is how executors consume the Program
+	// artifacts another coordinator solved and compiled.
 	Store *planstore.Store
 }
 
@@ -267,8 +267,8 @@ func (rt *Runtime) Program() (*schedule.Program, error) {
 // tests and executor wiring can hand it to other runtimes or clients.
 func (rt *Runtime) PlanStore() *planstore.Store { return rt.eng.Store() }
 
-// PrePlan precomputes normalized plans for 0..maxFailures concurrently and
-// replicates them — the offline Planner phase of Fig 8, run to completion
+// PrePlan precomputes normalized plans for 0..maxFailures concurrently into
+// the engine's cache — the offline Planner phase of Fig 8, run to completion
 // before training starts. Training that wants to begin immediately uses
 // Warm instead and lets coverage build in the background.
 func (rt *Runtime) PrePlan(maxFailures int) error {

@@ -124,25 +124,6 @@ func decodeProgramChecked(data []byte) error {
 	return nil
 }
 
-func decodePlanChecked(data []byte) error {
-	p, err := engine.DecodePlan(data)
-	if err != nil {
-		return errRejected
-	}
-	re, err := engine.EncodePlan(p)
-	if err != nil {
-		return fmt.Errorf("accepted plan does not re-encode: %w", err)
-	}
-	back, err := engine.DecodePlan(re)
-	if err != nil {
-		return fmt.Errorf("re-encoded plan does not decode: %w", err)
-	}
-	if again, _ := engine.EncodePlan(back); !bytes.Equal(re, again) {
-		return fmt.Errorf("re-encoding is not a fixed point")
-	}
-	return nil
-}
-
 // TestProgramCodecOverSmallShapes runs the Program codec over everything
 // the suite can produce at small scope: fault-free Programs and, from
 // every admissible single kill, the spliced ones — which carry re-routed
@@ -187,45 +168,6 @@ func TestProgramCodecOverSmallShapes(t *testing.T) {
 	if programs < 1000 {
 		t.Fatalf("only %d Programs round-tripped: the sweep no longer reaches the spliced cases", programs)
 	}
-}
-
-// TestPlanCodecOverSmallShapes is the plan-side sweep: every normalized
-// plan each small shape tolerates round-trips to an identical plan and a
-// byte fixed point, and survives the truncation and corruption sweeps.
-func TestPlanCodecOverSmallShapes(t *testing.T) {
-	plans := 0
-	forSmallShapes(func(label string, eng *engine.Engine) {
-		for n := 0; ; n++ {
-			plan, err := eng.Plan(n)
-			if err != nil {
-				if n == 0 {
-					t.Fatalf("%s: %v", label, err)
-				}
-				break // more failures than the shape tolerates
-			}
-			at := fmt.Sprintf("%s n=%d", label, n)
-			data, err := engine.EncodePlan(plan)
-			if err != nil {
-				t.Fatalf("%s: %v", at, err)
-			}
-			back, err := engine.DecodePlan(data)
-			if err != nil {
-				t.Fatalf("%s: %v", at, err)
-			}
-			// In-memory provenance and the Program slot are never encoded.
-			want := &engine.Plan{Failures: plan.Failures, Assignment: plan.Assignment, Failed: plan.Failed,
-				Schedule: plan.Schedule, PeriodSlots: plan.PeriodSlots, PlanTime: plan.PlanTime}
-			if !reflect.DeepEqual(want, back) {
-				t.Fatalf("%s: decoded plan differs from the original", at)
-			}
-			if re, _ := engine.EncodePlan(back); !bytes.Equal(data, re) {
-				t.Fatalf("%s: encode(decode(data)) != data", at)
-			}
-			hostileSweep(t, at, data, decodePlanChecked)
-			plans++
-		}
-	})
-	t.Logf("round-tripped %d plans", plans)
 }
 
 // TestProgramCodecCostTables is the sweep for Programs that carry a cost

@@ -4,36 +4,35 @@
 // examples — uses to obtain adaptive pipeline schedules and their
 // compiled Programs.
 //
-// It owns the full solve→plan→store→fetch lifecycle of Fig 8:
+// It owns the full solve→plan→compile→store→fetch lifecycle of Fig 8:
 //
 //   - Warm precomputes the plan for every tolerated failure count in the
 //     background (fewest failures first, since those are the likeliest
-//     fetches) with a bounded worker pool, while ScheduleFor keeps
+//     fetches) with a bounded worker pool, while ProgramFor keeps
 //     serving — the offline phase, run as a background warming pipeline;
-//   - every plan round-trips through the quorum-replicated plan store
-//     (internal/planstore, standing in for the paper's etcd) via the
-//     canonical versioned codec (EncodePlan/DecodePlan), so a plan
-//     written by one engine survives replica failures and is readable by
-//     any other engine sharing the store; compiled Programs round-trip
-//     the same way (EncodeProgram/DecodeProgram), so a remote executor's
-//     fetch-only Client pulls the executable artifact directly — cost
-//     table included, which is all the executor needs to splice the
-//     Program itself on a failure (ProgramDigest lets it check its splice
-//     against the coordinator's). Both are
-//     one binary framing of length-prefixed varint arrays (wire.go) read
-//     by a cursor that trusts nothing: a decoded artifact is executable
-//     or the decode fails;
+//   - plans live in the engine's cache; the one artifact the
+//     quorum-replicated plan store (internal/planstore, standing in for
+//     the paper's etcd) holds is the compiled Program, round-tripped
+//     through the canonical versioned codec (EncodeProgram/DecodeProgram),
+//     so a remote executor's fetch-only Client pulls the executable
+//     artifact directly — cost table included, which is all the executor
+//     needs to splice the Program itself on a failure (ProgramDigest lets
+//     it check its splice against the coordinator's). The codec is one
+//     binary framing of length-prefixed varint arrays (wire.go) read by a
+//     cursor that trusts nothing: a decoded artifact is executable or the
+//     decode fails;
 //   - Plan / PlanConcrete are get-or-solve with request coalescing:
 //     concurrent callers asking for the same (job fingerprint,
 //     techniques, failure count) trigger exactly one solve, a plan is
-//     installed first-wins (a class-dedup rename or a store decode racing
-//     another returns the one already cached), and a plan's first Program
-//     fetches coalesce onto one compile, encode and put — concurrent first
-//     callers of a key share one *Plan and one *schedule.Program;
-//   - ScheduleFor is the Coordinator's failure-handling fetch path
-//     (§4.1): exact plan from cache/store, then Best(n) fallback, then
-//     on-demand solve on miss; ProgramFor serves the compiled Program
-//     for the same path, held in the cached plan's Program slot.
+//     installed first-wins (a class-dedup rename racing another returns
+//     the one already cached), and a plan's first Program fetches
+//     coalesce onto one store fetch or compile, encode and put —
+//     concurrent first callers of a key share one *Plan and one
+//     *schedule.Program;
+//   - ProgramFor is the Coordinator's failure-handling fetch path
+//     (§4.1): exact plan from the cache, then Best(n) fallback, then
+//     on-demand solve on miss; then the plan's Program from its slot, the
+//     replicated store, or a compile.
 //
 // The Planner (§4.2: Failure Normalization plus schedule generation)
 // lives here too, as the engine's immutable configuration. There

@@ -40,7 +40,7 @@ type Options struct {
 // Metrics is a snapshot of the engine's plan-traffic counters.
 type Metrics struct {
 	CacheHits   uint64 // served from the in-process cache
-	StoreHits   uint64 // decoded out of the replicated store
+	StoreHits   uint64 // Programs decoded out of the replicated store
 	BestHits    uint64 // served via the Best(n) normalized-plan fallback
 	Solves      uint64 // full solver runs
 	Coalesced   uint64 // callers that waited on another caller's solve
@@ -56,16 +56,13 @@ type Metrics struct {
 	// key, however many first requests for it arrive concurrently.
 	ClassDedups uint64
 
-	// Service counters (PR 7). StripeContended counts lock acquisitions
-	// that could not be satisfied speculatively and had to block — the
-	// direct measure of cache-lock contention under load. ProgramStoreHits
-	// counts compiled Programs decoded out of the replicated store instead
-	// of recompiled. WarmedPlans/WarmTargets track background warming
-	// coverage.
-	StripeContended  uint64
-	ProgramStoreHits uint64
-	WarmedPlans      uint64
-	WarmTargets      uint64
+	// Service counters. StripeContended counts lock acquisitions that
+	// could not be satisfied speculatively and had to block — the direct
+	// measure of cache-lock contention under load. WarmedPlans/WarmTargets
+	// track background warming coverage.
+	StripeContended uint64
+	WarmedPlans     uint64
+	WarmTargets     uint64
 }
 
 // newConf resolves Options against the planner defaults into the
@@ -106,12 +103,11 @@ type Engine struct {
 	normMu sync.Mutex
 	norm   map[int]*Plan
 
-	cacheHits, storeHits, bestHits    atomic.Uint64
-	solves, coalesced, storeErrs      atomic.Uint64
-	compiles, programHits             atomic.Uint64
-	classDedups                       atomic.Uint64
-	stripeContended, programStoreHits atomic.Uint64
-	warmedPlans, warmTargets          atomic.Uint64
+	cacheHits, storeHits, bestHits atomic.Uint64
+	solves, coalesced, storeErrs   atomic.Uint64
+	compiles, programHits          atomic.Uint64
+	classDedups, stripeContended   atomic.Uint64
+	warmedPlans, warmTargets       atomic.Uint64
 
 	// rec holds the installed tracing recorder (a recBox; empty means
 	// tracing off). See SetRecorder / observe in observe.go.
@@ -189,10 +185,9 @@ func (e *Engine) Metrics() Metrics {
 		ScratchSolves: e.solves.Load(),
 		ClassDedups:   e.classDedups.Load(),
 
-		StripeContended:  e.stripeContended.Load(),
-		ProgramStoreHits: e.programStoreHits.Load(),
-		WarmedPlans:      e.warmedPlans.Load(),
-		WarmTargets:      e.warmTargets.Load(),
+		StripeContended: e.stripeContended.Load(),
+		WarmedPlans:     e.warmedPlans.Load(),
+		WarmTargets:     e.warmTargets.Load(),
 	}
 }
 
@@ -214,8 +209,8 @@ func (e *Engine) MigrationsNeeded(concrete []schedule.Worker, p *Plan) int {
 	return migrationsNeeded(concrete, p.Assignment)
 }
 
-// Plan returns the normalized plan for n simultaneous failures:
-// in-process cache, then replicated store, then one coalesced solve.
+// Plan returns the normalized plan for n simultaneous failures: the
+// in-process cache, then one coalesced solve.
 func (e *Engine) Plan(n int) (*Plan, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("engine: negative failure count %d", n)
@@ -251,7 +246,7 @@ func (e *Engine) PlanConcrete(failed []schedule.Worker) (*Plan, error) {
 	if !changed {
 		return e.getOrSolve(key, false, func() (*Plan, error) { return c.PlanConcrete(ws) })
 	}
-	if p, ok := e.peek(key, false); ok {
+	if p, ok := e.peek(key); ok {
 		return p, nil
 	}
 	cp, err := e.getOrSolve(ckey(c.fp, canon), false, func() (*Plan, error) { return c.PlanConcrete(canon) })
@@ -265,53 +260,34 @@ func (e *Engine) PlanConcrete(failed []schedule.Worker) (*Plan, error) {
 	return p, nil
 }
 
-// Best returns the plan for n failures, falling back to the smallest plan
-// covering more than n failures among those this engine has seen (a plan
-// for more failures always routes around at least the workers that are
-// down). The exact count is first sought in the cache and the replicated
-// store.
-func (e *Engine) Best(n int) (*Plan, bool) {
-	if p, ok := e.peek(nkey(e.conf.fp, n), true); ok {
-		return p, true
-	}
-	return e.normBest(n)
-}
-
-// best is Best without the traffic counters, used by ScheduleFor so each
+// best returns the normalized plan for n failures, falling back to the
+// smallest plan covering more than n failures among those this engine has
+// seen (a plan for more failures always routes around at least the workers
+// that are down) — the Best(n) index of Fig 8. It counts nothing, so each
 // Coordinator fetch lands in exactly one metrics tier.
 func (e *Engine) best(n int) (*Plan, bool) {
-	key := nkey(e.conf.fp, n)
-	if p, ok := e.cached(key); ok {
-		return p, true
+	e.normMu.Lock()
+	defer e.normMu.Unlock()
+	var found *Plan
+	for k, p := range e.norm {
+		if k >= n && (found == nil || k < found.Failures) {
+			found = p
+		}
 	}
-	if p := e.loadQuiet(key); p != nil {
-		p, _ = e.admit(key, p, true)
-		return p, true
-	}
-	return e.normBest(n)
+	return found, found != nil
 }
 
-// ScheduleFor is the Coordinator's failure-handling path (§4.1, Fig 8):
-// given the concrete failed-worker set, fetch the exact concrete plan from
-// cache/store; fall back to the stored normalized Best(n) plan when its
-// failed set coincides with the concrete one (zero migrations needed);
-// otherwise solve on demand and persist the result.
-func (e *Engine) ScheduleFor(failed map[schedule.Worker]bool) (*schedule.Schedule, error) {
-	p, err := e.planFor(failed)
-	if err != nil {
-		return nil, err
-	}
-	return p.Schedule, nil
-}
-
-// planFor is ScheduleFor's fetch path, returning the plan so ProgramFor
-// reaches its Program slot.
+// planFor is the Coordinator's failure-handling path (§4.1, Fig 8): given
+// the concrete failed-worker set, serve the exact concrete plan from the
+// cache; fall back to the normalized Best(n) plan when its failed set
+// coincides with the concrete one (zero migrations needed); otherwise
+// solve on demand. ProgramFor lowers what it returns.
 func (e *Engine) planFor(failed map[schedule.Worker]bool) (*Plan, error) {
 	ws := workerList(failed)
 	if len(ws) == 0 {
 		return e.Plan(0)
 	}
-	if p, ok := e.peek(ckey(e.conf.fp, ws), false); ok {
+	if p, ok := e.peek(ckey(e.conf.fp, ws)); ok {
 		return p, nil
 	}
 	if p, ok := e.best(len(ws)); ok {
@@ -325,19 +301,14 @@ func (e *Engine) planFor(failed map[schedule.Worker]bool) (*Plan, error) {
 	return e.PlanConcrete(ws)
 }
 
-// peek returns the plan under key from the cache or the replicated store
-// without ever solving. Store hits are promoted into the cache (and the
-// Best(n) index when normalized).
-func (e *Engine) peek(key string, normalized bool) (*Plan, bool) {
-	if p, ok := e.cached(key); ok {
+// peek returns the plan cached under key, counting the hit, without ever
+// solving.
+func (e *Engine) peek(key string) (*Plan, bool) {
+	p, ok := e.cached(key)
+	if ok {
 		e.cacheHits.Add(1)
-		return p, true
 	}
-	if p := e.load(key); p != nil {
-		p, _ = e.admit(key, p, normalized)
-		return p, true
-	}
-	return nil, false
+	return p, ok
 }
 
 // getOrSolve is the coalescing get-or-solve core: one solve per key no
@@ -346,8 +317,7 @@ func (e *Engine) peek(key string, normalized bool) (*Plan, bool) {
 // is probed under the shared lock before the exclusive inflight path is
 // touched at all.
 func (e *Engine) getOrSolve(key string, normalized bool, solve func() (*Plan, error)) (*Plan, error) {
-	if p, ok := e.cached(key); ok {
-		e.cacheHits.Add(1)
+	if p, ok := e.peek(key); ok {
 		return p, nil
 	}
 	st := e.stripeFor(key)
@@ -367,16 +337,9 @@ func (e *Engine) getOrSolve(key string, normalized bool, solve func() (*Plan, er
 	st.inflight[key] = c
 	st.mu.Unlock()
 
-	p := e.load(key)
-	var err error
-	if p == nil {
-		e.solves.Add(1)
-		e.observe(obs.EvPlanSolve, key)
-		p, err = solve()
-		if err == nil {
-			e.persist(key, p)
-		}
-	}
+	e.solves.Add(1)
+	e.observe(obs.EvPlanSolve, key)
+	p, err := solve()
 	if err == nil {
 		p, _ = e.admit(key, p, normalized)
 	}
@@ -386,49 +349,6 @@ func (e *Engine) getOrSolve(key string, normalized bool, solve func() (*Plan, er
 	c.plan, c.err = p, err
 	close(c.done)
 	return p, err
-}
-
-// load fetches and decodes a plan from the replicated store, counting the
-// hit.
-func (e *Engine) load(key string) *Plan {
-	p := e.loadQuiet(key)
-	if p != nil {
-		e.storeHits.Add(1)
-	}
-	return p
-}
-
-// loadQuiet is load without the StoreHits counter. A lost read quorum or
-// a corrupt value degrades to a miss (the engine can always re-solve) and
-// is counted in StoreErrors.
-func (e *Engine) loadQuiet(key string) *Plan {
-	data, ok, err := e.store.Get(key)
-	if err != nil {
-		e.storeErrs.Add(1)
-		return nil
-	}
-	if !ok {
-		return nil
-	}
-	p, err := DecodePlan(data)
-	if err != nil {
-		e.storeErrs.Add(1)
-		return nil
-	}
-	return p
-}
-
-// persist encodes the plan and replicates it. A failed encode or a lost
-// write quorum does not fail the request — the caller still gets its plan —
-// but is counted.
-func (e *Engine) persist(key string, p *Plan) {
-	data, err := EncodePlan(p)
-	if err == nil {
-		err = e.store.Put(key, data)
-	}
-	if err != nil {
-		e.storeErrs.Add(1)
-	}
 }
 
 // admit installs a plan into the in-process cache and, for normalized
@@ -451,20 +371,4 @@ func (e *Engine) admit(key string, p *Plan, normalized bool) (*Plan, bool) {
 		e.normMu.Unlock()
 	}
 	return p, true
-}
-
-// normBest returns the plan for n failures from the Best(n) index, or the
-// smallest indexed plan covering more than n failures if the exact count
-// is missing (a plan for more failures always routes around at least the
-// workers that are down).
-func (e *Engine) normBest(n int) (*Plan, bool) {
-	e.normMu.Lock()
-	defer e.normMu.Unlock()
-	var best *Plan
-	for k, p := range e.norm {
-		if k >= n && (best == nil || k < best.Failures) {
-			best = p
-		}
-	}
-	return best, best != nil
 }

@@ -94,47 +94,11 @@ func TestPlanCoalescesConcurrentRequests(t *testing.T) {
 	}
 }
 
-// TestSharedStoreServesSecondEngine checks the store round-trip across
-// engines: plans written by one engine are decoded — not re-solved — by a
-// second engine sharing the replicated store.
-func TestSharedStoreServesSecondEngine(t *testing.T) {
-	job, stats := analyticJob(t)
-	store := planstore.New(3)
-	engA := New(job, stats, Options{UnrollIterations: 2, Store: store})
-	if err := engA.Warm(2).Wait(); err != nil {
-		t.Fatal(err)
-	}
-
-	engB := New(job, stats, Options{UnrollIterations: 2, Store: store})
-	want, err := engA.Plan(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := engB.Plan(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := engB.Metrics()
-	if m.Solves != 0 || m.StoreHits != 1 {
-		t.Errorf("second engine: %d solves and %d store hits, want 0 and 1", m.Solves, m.StoreHits)
-	}
-	if !reflect.DeepEqual(planContent(want), planContent(got)) {
-		t.Error("plan decoded from the shared store differs from the original")
-	}
-}
-
-// planContent is the part of a plan that crosses the store: the Program
-// slot is in-memory only.
-func planContent(p *Plan) *Plan {
-	return &Plan{Failures: p.Failures, Assignment: p.Assignment, Failed: p.Failed,
-		Schedule: p.Schedule, PeriodSlots: p.PeriodSlots, PlanTime: p.PlanTime}
-}
-
-// TestScheduleForCoordinatorFlow checks the failure-handling fetch order:
-// a concrete failure set matching the stored normalized plan is served via
+// TestPlanForCoordinatorFlow checks the failure-handling fetch order: a
+// concrete failure set matching the warmed normalized plan is served via
 // Best(n) without a new solve; a mismatching set solves on demand; the
 // fault-free set uses the normalized plan for zero failures.
-func TestScheduleForCoordinatorFlow(t *testing.T) {
+func TestPlanForCoordinatorFlow(t *testing.T) {
 	job, stats := ShapeJob(3, 4, 6)
 	eng := New(job, stats, Options{UnrollIterations: 1})
 	if err := eng.Warm(2).Wait(); err != nil {
@@ -148,12 +112,12 @@ func TestScheduleForCoordinatorFlow(t *testing.T) {
 		t.Fatal(err)
 	}
 	match := map[schedule.Worker]bool{normPlan.Failed[0]: true}
-	s, err := eng.ScheduleFor(match)
+	p, err := eng.planFor(match)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s != normPlan.Schedule {
-		t.Error("matching concrete set should reuse the stored normalized plan")
+	if p != normPlan {
+		t.Error("matching concrete set should reuse the warmed normalized plan")
 	}
 	m := eng.Metrics()
 	if m.Solves != base {
@@ -165,18 +129,18 @@ func TestScheduleForCoordinatorFlow(t *testing.T) {
 
 	// A different concrete location misses and solves on demand.
 	other := map[schedule.Worker]bool{{Stage: 1, Pipeline: 0}: true}
-	s2, err := eng.ScheduleFor(other)
+	p2, err := eng.planFor(other)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !s2.Failed[schedule.Worker{Stage: 1, Pipeline: 0}] {
+	if !p2.Schedule.Failed[schedule.Worker{Stage: 1, Pipeline: 0}] {
 		t.Error("on-demand schedule does not route around the concrete failure")
 	}
 	if got := eng.Metrics().Solves; got != base+1 {
 		t.Errorf("mismatching set: %d solves, want %d", got, base+1)
 	}
 	// Fetching the same set again is a pure cache hit.
-	if _, err := eng.ScheduleFor(other); err != nil {
+	if _, err := eng.planFor(other); err != nil {
 		t.Fatal(err)
 	}
 	if got := eng.Metrics().Solves; got != base+1 {
@@ -184,11 +148,11 @@ func TestScheduleForCoordinatorFlow(t *testing.T) {
 	}
 
 	// Fault-free fetch uses the normalized zero-failure plan.
-	ff, err := eng.ScheduleFor(nil)
+	ff, err := eng.planFor(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ff.Failed) != 0 {
+	if len(ff.Schedule.Failed) != 0 {
 		t.Error("fault-free fetch returned a degraded schedule")
 	}
 }
@@ -201,12 +165,12 @@ func TestBestFallsBackToLargerPlan(t *testing.T) {
 	if _, err := eng.Plan(2); err != nil {
 		t.Fatal(err)
 	}
-	p, ok := eng.Best(1)
+	p, ok := eng.best(1)
 	if !ok || p.Failures != 2 {
-		t.Fatalf("Best(1) = (%v, %v), want the 2-failure plan", p, ok)
+		t.Fatalf("best(1) = (%v, %v), want the 2-failure plan", p, ok)
 	}
-	if _, ok := eng.Best(3); ok {
-		t.Error("Best(3) found a plan although none covers 3 failures")
+	if _, ok := eng.best(3); ok {
+		t.Error("best(3) found a plan although none covers 3 failures")
 	}
 }
 
@@ -249,14 +213,48 @@ func techniqueEngines() (full, adaptive *Engine) {
 	return full, adaptive
 }
 
+// binputs counts the decoupled input-gradient instructions of a Program.
+func binputs(p *schedule.Program) int {
+	n := 0
+	for i := range p.Instrs {
+		if p.Op(i).Type == schedule.BInput {
+			n++
+		}
+	}
+	return n
+}
+
+// checkOwnProgram requires the adaptive-only engine to have solved and
+// compiled its Program itself: nothing decoded out of the store it shares
+// with the full-technique engine, no Best(n) hit, and no decoupled BInput
+// in what it serves.
+func checkOwnProgram(t *testing.T, eng *Engine, prog *schedule.Program) {
+	t.Helper()
+	if m := eng.Metrics(); m.Solves != 1 || m.Compiles != 1 || m.StoreHits != 0 || m.BestHits != 0 {
+		t.Errorf("adaptive-only engine: %d solves, %d compiles, %d store hits, %d Best(n) hits; want its own solve and compile",
+			m.Solves, m.Compiles, m.StoreHits, m.BestHits)
+	}
+	if n := binputs(prog); n != 0 {
+		t.Errorf("adaptive-only Program carries %d decoupled BInput instructions from the other namespace", n)
+	}
+}
+
 // TestTechniqueRetuningAddressesNewNamespace checks that an engine never
-// serves a plan solved under different technique toggles, even when the
-// plan sits in the replicated store it shares with the engine that did.
+// serves a Program compiled under different technique toggles, even when
+// the Program sits in the replicated store it shares with the engine that
+// compiled it.
 func TestTechniqueRetuningAddressesNewNamespace(t *testing.T) {
 	fullEng, naiveEng := techniqueEngines()
 	full, err := fullEng.Plan(1)
 	if err != nil {
 		t.Fatal(err)
+	}
+	fullProg, err := fullEng.CompiledProgram(full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if binputs(fullProg) == 0 {
+		t.Fatal("full-technique Program should contain decoupled BInput instructions")
 	}
 	naive, err := naiveEng.Plan(1)
 	if err != nil {
@@ -266,17 +264,20 @@ func TestTechniqueRetuningAddressesNewNamespace(t *testing.T) {
 		t.Errorf("naive period %d not worse than full-technique period %d — store namespace collision?",
 			naive.PeriodSlots, full.PeriodSlots)
 	}
-	if m := naiveEng.Metrics(); m.Solves != 1 || m.StoreHits != 0 {
-		t.Errorf("adaptive-only engine: %d solves, %d store hits; want its own solve", m.Solves, m.StoreHits)
+	naiveProg, err := naiveEng.CompiledProgram(naive)
+	if err != nil {
+		t.Fatal(err)
 	}
+	checkOwnProgram(t, naiveEng, naiveProg)
 }
 
-// TestScheduleForNeverCrossesTechniqueNamespace guards the Best(n) index
+// TestProgramForNeverCrossesTechniqueNamespace guards the Best(n) index
 // and the shared store: once the full-technique engine has warmed every
-// count, an adaptive-only engine on the same store still finds no plan of
-// its own, and a concrete failure set matching the stored full-technique
-// plan is solved under its toggles, never served from the other namespace.
-func TestScheduleForNeverCrossesTechniqueNamespace(t *testing.T) {
+// count and replicated the Program of a concrete failure set, an
+// adaptive-only engine on the same store still finds no plan of its own,
+// and its fetch for that set is solved and compiled under its toggles,
+// never served from the other namespace.
+func TestProgramForNeverCrossesTechniqueNamespace(t *testing.T) {
 	fullEng, naiveEng := techniqueEngines()
 	if err := fullEng.Warm(0).Wait(); err != nil {
 		t.Fatal(err)
@@ -285,25 +286,52 @@ func TestScheduleForNeverCrossesTechniqueNamespace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if full.Schedule.OpCount(0, schedule.BInput) == 0 {
-		t.Fatal("full-technique plan should contain decoupled BInput ops")
-	}
-	if _, ok := naiveEng.Best(1); ok {
-		t.Fatal("Best(1) found a plan in the naive namespace although none was planned there")
-	}
-
-	s, err := naiveEng.ScheduleFor(map[schedule.Worker]bool{full.Failed[0]: true})
+	set := map[schedule.Worker]bool{full.Failed[0]: true}
+	fullProg, err := fullEng.ProgramFor(set)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s == full.Schedule {
-		t.Fatal("ScheduleFor served the full-technique schedule")
+	if binputs(fullProg) == 0 {
+		t.Fatal("full-technique Program should contain decoupled BInput ops")
 	}
-	if s.OpCount(0, schedule.BInput) != 0 {
-		t.Error("naive-technique schedule contains decoupled BInput ops from the other namespace")
+	if _, ok := naiveEng.best(1); ok {
+		t.Fatal("best(1) found a plan in the naive namespace although none was planned there")
 	}
-	if m := naiveEng.Metrics(); m.StoreHits != 0 || m.BestHits != 0 {
-		t.Errorf("adaptive-only engine: %d store hits, %d Best(n) hits; want none", m.StoreHits, m.BestHits)
+
+	prog, err := naiveEng.ProgramFor(set)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if prog == fullProg {
+		t.Fatal("ProgramFor served the full-technique Program")
+	}
+	checkOwnProgram(t, naiveEng, prog)
+}
+
+// TestStoreHoldsOnlyPrograms checks that the replicated store holds one
+// artifact: after warming every normalized plan and fetching the Program
+// of every single failure, every key it holds addresses a Program.
+func TestStoreHoldsOnlyPrograms(t *testing.T) {
+	job, stats := ShapeJob(3, 2, 4)
+	eng := New(job, stats, Options{UnrollIterations: 1})
+	if err := eng.Warm(0).Wait(); err != nil {
+		t.Fatal(err)
+	}
+	for stage := range 2 {
+		for pipeline := range 3 {
+			if _, err := eng.ProgramFor(map[schedule.Worker]bool{{Stage: stage, Pipeline: pipeline}: true}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	keys := eng.Store().Keys()
+	if len(keys) == 0 {
+		t.Fatal("the store holds nothing after six Program fetches")
+	}
+	for _, k := range keys {
+		if !strings.HasPrefix(k, "programs/") {
+			t.Errorf("the store holds %q, which is not a Program", k)
+		}
 	}
 }
 

@@ -11,19 +11,16 @@ import (
 	"recycle/internal/schedule"
 )
 
-// The v1 (JSON) encodings of the DP1×PP1×MB1 Program and plan, as the
-// retired codec wrote them: stores may still hold such bytes.
-const (
-	v1Program = `{"Version":1,"Shape":{"DP":1,"PP":1,"MB":1,"Iter":1},"Durations":{"F":1,"BInput":1,"BWeight":1,"Opt":1,"Comm":0},"Instrs":[{"Op":{"Stage":0,"MB":0,"Home":0,"Type":0,"Exec":0,"Iter":0},"Dur":1},{"Op":{"Stage":0,"MB":0,"Home":0,"Type":1,"Exec":0,"Iter":0},"Deps":[{"From":0,"Kind":2}],"Dur":2},{"Op":{"Stage":0,"MB":-1,"Home":0,"Type":4,"Exec":0,"Iter":0},"Deps":[{"From":1,"Kind":3}],"Dur":1}],"Streams":[{"Worker":{"Stage":0,"Pipeline":0},"IDs":[0,1,2]}]}`
-	v1Plan    = `{"Version":1,"Failures":0,"Assignment":[0],"Failed":null,"PeriodSlots":4,"PlanTimeNS":43561,"Schedule":{"Shape":{"DP":1,"PP":1,"MB":1,"Iter":1},"Durations":{"F":1,"BInput":1,"BWeight":1,"Opt":1,"Comm":0},"Failed":null,"Placements":[{"Op":{"Stage":0,"MB":0,"Home":0,"Type":0,"Exec":0,"Iter":0},"Start":0,"End":1},{"Op":{"Stage":0,"MB":0,"Home":0,"Type":1,"Exec":0,"Iter":0},"Start":1,"End":3},{"Op":{"Stage":0,"MB":-1,"Home":0,"Type":4,"Exec":0,"Iter":0},"Start":3,"End":4}]}}`
-)
+// v1Program is the v1 (JSON) encoding of the DP1×PP1×MB1 Program, as the
+// retired JSON codec wrote it: stores may still hold such bytes.
+const v1Program = `{"Version":1,"Shape":{"DP":1,"PP":1,"MB":1,"Iter":1},"Durations":{"F":1,"BInput":1,"BWeight":1,"Opt":1,"Comm":0},"Instrs":[{"Op":{"Stage":0,"MB":0,"Home":0,"Type":0,"Exec":0,"Iter":0},"Dur":1},{"Op":{"Stage":0,"MB":0,"Home":0,"Type":1,"Exec":0,"Iter":0},"Deps":[{"From":0,"Kind":2}],"Dur":2},{"Op":{"Stage":0,"MB":-1,"Home":0,"Type":4,"Exec":0,"Iter":0},"Deps":[{"From":1,"Kind":3}],"Dur":1}],"Streams":[{"Worker":{"Stage":0,"Pipeline":0},"IDs":[0,1,2]}]}`
 
-// addHostileSeeds seeds a decode fuzzer with what a replicated store can
+// addHostileSeeds seeds the decode fuzzer with what a replicated store can
 // hand an executor besides a good artifact: a valid encoding cut at each
 // section boundary (sections lists where they end) and just short of its
-// end, the shared header followed by a count the bytes cannot back and by a
-// count of 2³¹, v1 bytes, an artifact of the other kind, and nothing.
-func addHostileSeeds(f *testing.F, data []byte, sections []int, header []byte, v1 string, otherKind []byte) {
+// end, the header followed by a count the bytes cannot back and by a count
+// of 2³¹, v1 bytes, the encoding framed as another kind, and nothing.
+func addHostileSeeds(f *testing.F, data []byte, sections []int, header []byte) {
 	f.Add(data)
 	for _, end := range append(sections, len(wireMagic)+2, len(header), len(data)-1) {
 		f.Add(data[:end:end])
@@ -33,8 +30,8 @@ func addHostileSeeds(f *testing.F, data []byte, sections []int, header []byte, v
 	tooMany.int(0)
 	f.Add(tooMany.b)
 	f.Add(binary.AppendUvarint(append(bytes.Clone(header), 1), 1<<31))
-	f.Add([]byte(v1))
-	f.Add(otherKind)
+	f.Add([]byte(v1Program))
+	f.Add(otherKind(data))
 	f.Add([]byte(nil))
 }
 
@@ -80,94 +77,23 @@ func CostModelEngines(tb testing.TB) (labels []string, engines []*Engine) {
 	return labels, engines
 }
 
-// FuzzDecodePlan hardens the plan codec against the replicated store's
-// failure modes: torn writes, stale versions, hand-edited values. The
-// invariant: DecodePlan either rejects the bytes with an error or returns
-// a plan whose schedule re-encodes and re-decodes to the same placements —
-// never a panic, never a half-built plan.
-func FuzzDecodePlan(f *testing.F) {
-	job, stats := ShapeJob(2, 2, 4)
-	eng := New(job, stats, Options{UnrollIterations: 1})
-	prog, err := eng.Program(0)
-	if err != nil {
-		f.Fatal(err)
-	}
-	progData, err := EncodeProgram(prog)
-	if err != nil {
-		f.Fatal(err)
-	}
-	for n := 0; n <= 1; n++ {
-		p, err := eng.Plan(n)
-		if err != nil {
-			f.Fatal(err)
-		}
-		data, err := EncodePlan(p)
-		if err != nil {
-			f.Fatal(err)
-		}
-		var header writer
-		header.header(kindPlan, CodecVersion, p.Schedule.Shape, p.Schedule.Durations, p.Schedule.Failed)
-		// The plan's own fields end where the placement count begins.
-		fields := writer{b: bytes.Clone(header.b)}
-		fields.int(p.Failures)
-		fields.varint(p.PeriodSlots)
-		fields.varint(int64(p.PlanTime))
-		fields.int(len(p.Assignment))
-		for _, a := range p.Assignment {
-			fields.int(a)
-		}
-		fields.int(len(p.Failed))
-		for _, w := range p.Failed {
-			fields.worker(w)
-		}
-		if !bytes.HasPrefix(data, fields.b) {
-			f.Fatal("the seed builder no longer mirrors EncodePlan")
-		}
-		addHostileSeeds(f, data, []int{len(fields.b)}, header.b, v1Plan, progData)
-	}
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		p, err := DecodePlan(data)
-		if err != nil {
-			return // rejected, fine
-		}
-		if p == nil || p.Schedule == nil || len(p.Schedule.Placements) == 0 {
-			t.Fatalf("DecodePlan accepted bytes but produced a hollow plan: %+v", p)
-		}
-		re, err := EncodePlan(p)
-		if err != nil {
-			t.Fatalf("accepted plan does not re-encode: %v", err)
-		}
-		back, err := DecodePlan(re)
-		if err != nil {
-			t.Fatalf("re-encoded plan does not decode: %v", err)
-		}
-		a, err := EncodePlan(back)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(re, a) {
-			t.Fatal("encode(decode(encode(p))) is not a fixed point")
-		}
-	})
+// otherKind frames a Program's encoding as the retired plan codec framed
+// its artifacts: "RCW", then kind 'P' where a Program has 'G'.
+func otherKind(data []byte) []byte {
+	other := bytes.Clone(data)
+	other[len(wireMagic)] = 'P'
+	return other
 }
 
-// FuzzDecodeProgram is the Program-codec counterpart of FuzzDecodePlan:
-// remote executors decode these artifacts straight out of the replicated
-// store, so arbitrary bytes must either be rejected or produce a fully
-// validated, re-encodable Program — never a panic, never a half-built
-// artifact that executes.
+// FuzzDecodeProgram hardens the Program codec against the replicated
+// store's failure modes: torn writes, stale versions, hand-edited values.
+// Remote executors decode these artifacts straight out of the store, so
+// arbitrary bytes must either be rejected or produce a fully validated,
+// re-encodable Program — never a panic, never a half-built artifact that
+// executes.
 func FuzzDecodeProgram(f *testing.F) {
 	job, stats := ShapeJob(2, 2, 4)
 	eng := New(job, stats, Options{UnrollIterations: 1})
-	plan, err := eng.Plan(0)
-	if err != nil {
-		f.Fatal(err)
-	}
-	planData, err := EncodePlan(plan)
-	if err != nil {
-		f.Fatal(err)
-	}
 	for n := 0; n <= 1; n++ {
 		p, err := eng.Program(n)
 		if err != nil {
@@ -178,7 +104,7 @@ func FuzzDecodeProgram(f *testing.F) {
 			f.Fatal(err)
 		}
 		var header writer
-		header.header(kindProgram, ProgramCodecVersion, p.Shape, p.Durations, p.Failed)
+		header.header(p.Shape, p.Durations, p.Failed)
 		// The stream section is the tail; the instructions end where it begins.
 		var streams writer
 		streams.int(len(p.Workers()))
@@ -194,7 +120,7 @@ func FuzzDecodeProgram(f *testing.F) {
 		if !bytes.HasSuffix(data, streams.b) {
 			f.Fatal("the seed builder no longer mirrors EncodeProgram")
 		}
-		addHostileSeeds(f, data, []int{len(data) - len(streams.b)}, header.b, v1Program, planData)
+		addHostileSeeds(f, data, []int{len(data) - len(streams.b)}, header.b)
 		addBarrierSeeds(f, p, data)
 	}
 	// Programs that carry a cost table, cut where the table ends, and with a
@@ -210,7 +136,7 @@ func FuzzDecodeProgram(f *testing.F) {
 			f.Fatal(err)
 		}
 		var header writer
-		header.header(kindProgram, ProgramCodecVersion, p.Shape, p.Durations, p.Failed)
+		header.header(p.Shape, p.Durations, p.Failed)
 		costs := writer{b: bytes.Clone(header.b)}
 		costs.int(len(p.CostTable()))
 		for _, d := range p.CostTable() {
@@ -219,7 +145,7 @@ func FuzzDecodeProgram(f *testing.F) {
 		if len(p.CostTable()) == 0 || !bytes.HasPrefix(data, costs.b) {
 			f.Fatal("the seed builder no longer mirrors EncodeProgram's cost table")
 		}
-		addHostileSeeds(f, data, []int{len(costs.b)}, header.b, v1Program, planData)
+		addHostileSeeds(f, data, []int{len(costs.b)}, header.b)
 		zero := wireOf(p)
 		zero.costs = slices.Clone(zero.costs)
 		zero.costs[len(zero.costs)-1] = 0

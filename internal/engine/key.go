@@ -16,11 +16,11 @@ import (
 // fingerprintInput is everything that determines a plan besides the
 // failure set: the job geometry, the profiled statistics, the technique
 // toggles, the unroll window and the cost model. Two engines with equal
-// fingerprints produce interchangeable plans, so the fingerprint
-// namespaces every key in the shared replicated store. The cost model
-// enters as its canonical signature string (JSON cannot key maps by
-// struct), so engines built with different cost models (say, one that
-// knows a worker is slow and one that does not) never share a key.
+// fingerprints produce interchangeable plans and Programs, so the
+// fingerprint namespaces every key in the shared replicated store. The
+// cost model enters as its canonical signature string (JSON cannot key
+// maps by struct), so engines built with different cost models (say, one
+// that knows a worker is slow and one that does not) never share a key.
 type fingerprintInput struct {
 	Job        config.Job
 	Stats      profile.Stats
@@ -43,15 +43,16 @@ func Fingerprint(job config.Job, stats profile.Stats, t Techniques, unroll int, 
 	return hex.EncodeToString(sum[:12])
 }
 
-// nkey addresses the normalized plan for n simultaneous failures — the
-// paper's "one plan per tolerated failure count" store layout (§4.2).
+// nkey addresses the normalized plan for n simultaneous failures in the
+// engine's cache — the paper's "one plan per tolerated failure count"
+// layout (§4.2). Plans never reach the replicated store; their Programs do.
 func nkey(fp string, n int) string {
 	return "plans/" + fp + "/n/" + strconv.Itoa(n)
 }
 
-// ckey addresses a plan solved for one specific failed-worker set, used
-// by the live runtime when no normalized plan matches. Workers must
-// already be sorted.
+// ckey addresses a plan solved for one specific failed-worker set in the
+// engine's cache, used by the live runtime when no normalized plan
+// matches. Workers must already be sorted.
 func ckey(fp string, ws []schedule.Worker) string {
 	var b strings.Builder
 	b.Grow(len(fp) + 9 + len(ws)*8)
@@ -97,6 +98,22 @@ func appendVictims(b *strings.Builder, ws []schedule.Worker) {
 		b.WriteByte('.')
 		b.WriteString(strconv.Itoa(w.Pipeline))
 	}
+}
+
+// workerList flattens a failed-worker set into a deterministic sorted list
+// of the workers marked true; a false entry is a healthy worker.
+func workerList(set map[schedule.Worker]bool) []schedule.Worker {
+	if len(set) == 0 {
+		return nil
+	}
+	ws := make([]schedule.Worker, 0, len(set))
+	for w, down := range set {
+		if down {
+			ws = append(ws, w)
+		}
+	}
+	schedule.SortWorkers(ws)
+	return ws
 }
 
 // SortWorkers orders workers canonically by (stage, pipeline), the order

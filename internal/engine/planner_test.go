@@ -150,7 +150,7 @@ func TestPlannerSchedulesValidate(t *testing.T) {
 }
 
 // TestPlanAllAndStore checks the offline phase: warming lands a plan for
-// every count in 0..DP-1 in the engine's Best(n) index, and Best falls
+// every count in 0..DP-1 in the engine's Best(n) index, and best falls
 // back to the smallest larger plan when the exact count is missing.
 func TestPlanAllAndStore(t *testing.T) {
 	job, stats := analyticJob(t)
@@ -163,8 +163,8 @@ func TestPlanAllAndStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	for f := 0; f <= maxF; f++ {
-		if plan, ok := eng.Best(f); !ok || plan.Failures != f {
-			t.Fatalf("Best(%d) = (%v, %v), want the %d-failure plan", f, plan, ok, f)
+		if plan, ok := eng.best(f); !ok || plan.Failures != f {
+			t.Fatalf("best(%d) = (%v, %v), want the %d-failure plan", f, plan, ok, f)
 		}
 	}
 
@@ -174,11 +174,11 @@ func TestPlanAllAndStore(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if plan, ok := gap.Best(1); !ok || plan.Failures != 2 {
-		t.Fatalf("Best(1) over {0, 2} = (%v, %v), want the 2-failure plan", plan, ok)
+	if plan, ok := gap.best(1); !ok || plan.Failures != 2 {
+		t.Fatalf("best(1) over {0, 2} = (%v, %v), want the 2-failure plan", plan, ok)
 	}
-	if plan, ok := gap.Best(3); ok {
-		t.Fatalf("Best(3) over {0, 2} returned the %d-failure plan, want none", plan.Failures)
+	if plan, ok := gap.best(3); ok {
+		t.Fatalf("best(3) over {0, 2} returned the %d-failure plan, want none", plan.Failures)
 	}
 }
 

@@ -18,7 +18,7 @@ const ProgramCodecVersion = 4
 // table, explicit dependency edges and the all-reduce barrier, all a remote
 // executor needs to interpret a schedule it cannot compile and to splice it
 // itself — into the canonical versioned bytes the replicated plan store
-// holds: after the shared header the cost table's length (0 or DP·PP·5) and
+// holds: after the header the cost table's length (0 or DP·PP·5) and
 // its durations, then the instruction and total edge counts, per
 // instruction its op, Dur, its edge count shifted left by one with the
 // barrier's gate bit below it, and its (position − From, Kind) edges, then
@@ -35,7 +35,7 @@ func EncodeProgram(p *schedule.Program) ([]byte, error) {
 		edges += len(p.Deps(i))
 	}
 	w := writer{b: make([]byte, 0, 64+12*len(p.Instrs)+3*edges)}
-	w.header(kindProgram, ProgramCodecVersion, p.Shape, p.Durations, p.Failed)
+	w.header(p.Shape, p.Durations, p.Failed)
 	costs := p.CostTable()
 	w.int(len(costs))
 	for _, d := range costs {
@@ -83,7 +83,7 @@ func EncodeProgram(p *schedule.Program) ([]byte, error) {
 // Prove: a decoded artifact is executable or the decode fails.
 func DecodeProgram(data []byte) (*schedule.Program, error) {
 	r := reader{b: data}
-	durations, failed := r.header(kindProgram, ProgramCodecVersion)
+	durations, failed := r.header()
 	var costs []int64
 	if nc := r.count(1); nc > 0 && r.err == nil {
 		if want := r.sh.DP * r.sh.PP * schedule.OpTypes; nc != want {

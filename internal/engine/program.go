@@ -28,9 +28,9 @@ func (e *Engine) ProgramConcrete(failed []schedule.Worker) (*schedule.Program, e
 	return e.CompiledProgram(p)
 }
 
-// ProgramFor is the Coordinator's executable-artifact fetch path: the
-// schedule for the concrete failure set (cache → store → Best(n) → solve,
-// exactly ScheduleFor) lowered into the Program both executors interpret.
+// ProgramFor is the Coordinator's executable-artifact fetch path: the plan
+// for the concrete failure set (cache → Best(n) → solve) lowered into the
+// Program both executors interpret.
 func (e *Engine) ProgramFor(failed map[schedule.Worker]bool) (*schedule.Program, error) {
 	e.observe(obs.EvPlanFetch, "", obs.Attr{Key: "failed", Val: int64(len(failed))})
 	p, err := e.planFor(failed)
@@ -102,7 +102,7 @@ func (e *Engine) CompiledProgram(p *Plan) (*schedule.Program, error) {
 		e.storeErrs.Add(1)
 	} else if found {
 		if prog, err := DecodeProgram(data); err == nil && programMatches(prog, s, costs) {
-			e.programStoreHits.Add(1)
+			e.storeHits.Add(1)
 			p.prog.Store(prog)
 			return prog, nil
 		}

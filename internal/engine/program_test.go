@@ -55,7 +55,7 @@ func TestProgramCachedAlongsidePlan(t *testing.T) {
 
 // TestProgramForHealthyFleet checks the n=0 path and the normalized
 // Program accessor. A failed-worker map whose entries are all false names
-// a healthy fleet too: ScheduleFor, ProgramFor and a Client's ProgramFor
+// a healthy fleet too: planFor, ProgramFor and a Client's ProgramFor
 // serve the healthy artifact for it.
 func TestProgramForHealthyFleet(t *testing.T) {
 	job, stats := ShapeJob(2, 2, 4)
@@ -71,12 +71,12 @@ func TestProgramForHealthyFleet(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, failed := range []map[schedule.Worker]bool{nil, {{Stage: 0, Pipeline: 0}: false}} {
-		s, err := eng.ScheduleFor(failed)
+		p, err := eng.planFor(failed)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if s != healthy.Schedule {
-			t.Fatalf("ScheduleFor(%v) served a schedule failing %v, want the healthy plan's", failed, s.Failed)
+		if p != healthy {
+			t.Fatalf("planFor(%v) served a plan failing %v, want the healthy one", failed, p.Failed)
 		}
 		viaFor, err := eng.ProgramFor(failed)
 		if err != nil {

@@ -13,13 +13,13 @@ import (
 	"recycle/internal/schedule"
 )
 
-// checkServed validates one ScheduleFor answer against its request: the
-// schedule exists, routes around exactly the requested failed set, and
-// places no op on a failed worker.
+// checkServed validates the schedule of one planFor answer against its
+// request: the schedule exists, routes around exactly the requested failed
+// set, and places no op on a failed worker.
 func checkServed(t *testing.T, s *schedule.Schedule, failed map[schedule.Worker]bool) {
 	t.Helper()
 	if s == nil || len(s.Placements) == 0 {
-		t.Fatal("ScheduleFor served an empty schedule")
+		t.Fatal("planFor served an empty schedule")
 	}
 	for w := range failed {
 		if !s.Failed[w] {
@@ -51,7 +51,7 @@ func drawVictims(rng *rand.Rand, dp, pp, maxF int) map[schedule.Worker]bool {
 }
 
 // TestWarmConcurrentWithScheduleStorm pins the tentpole concurrency
-// property: the background warming pipeline and a ScheduleFor storm run
+// property: the background warming pipeline and a planFor storm run
 // against the same engine at the same time, every request is answered
 // correctly, and warming still reaches full coverage.
 func TestWarmConcurrentWithScheduleStorm(t *testing.T) {
@@ -68,12 +68,12 @@ func TestWarmConcurrentWithScheduleStorm(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(g) + 1))
 			for i := 0; i < 40; i++ {
 				failed := drawVictims(rng, 4, 3, maxF)
-				s, err := eng.ScheduleFor(failed)
+				p, err := eng.planFor(failed)
 				if err != nil {
 					t.Errorf("fetch during warm: %v", err)
 					return
 				}
-				checkServed(t, s, failed)
+				checkServed(t, p.Schedule, failed)
 			}
 		}(g)
 	}
@@ -113,12 +113,12 @@ func TestChurnRaceStress(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(g) + 100))
 			for i := 0; i < 40; i++ {
 				failed := drawVictims(rng, 3, 3, 2)
-				s, err := eng.ScheduleFor(failed)
+				p, err := eng.planFor(failed)
 				if err != nil {
 					t.Errorf("fetch under churn: %v", err)
 					return
 				}
-				checkServed(t, s, failed)
+				checkServed(t, p.Schedule, failed)
 				prog, err := eng.ProgramFor(failed)
 				if err != nil {
 					t.Errorf("program fetch under churn: %v", err)
@@ -138,11 +138,11 @@ func TestChurnRaceStress(t *testing.T) {
 
 	wg.Wait()
 	// The service must still answer cleanly after the storm settles.
-	s, err := eng.ScheduleFor(map[schedule.Worker]bool{{Stage: 0, Pipeline: 1}: true})
+	p, err := eng.planFor(map[schedule.Worker]bool{{Stage: 0, Pipeline: 1}: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkServed(t, s, map[schedule.Worker]bool{{Stage: 0, Pipeline: 1}: true})
+	checkServed(t, p.Schedule, map[schedule.Worker]bool{{Stage: 0, Pipeline: 1}: true})
 }
 
 // TestProgramCodecRoundTrip pins the wire format: a compiled Program
@@ -223,7 +223,7 @@ func (wp *wireProgram) encode() []byte {
 		edges += len(in.deps)
 	}
 	var w writer
-	w.header(kindProgram, ProgramCodecVersion, wp.shape, wp.durations, wp.failed)
+	w.header(wp.shape, wp.durations, wp.failed)
 	w.int(len(wp.costs))
 	for _, d := range wp.costs {
 		w.varint(d)
@@ -351,34 +351,23 @@ func TestProgramCodecRejections(t *testing.T) {
 		t.Fatalf("DecodeProgram on v1 JSON bytes: %v", err)
 	}
 	// A store written before the barrier holds v2 blobs: the same framing
-	// stamped version 2. Engine.compiled and loadQuiet treat the "codec
-	// version" rejection as a miss and re-derive the artifact.
+	// stamped version 2. CompiledProgram treats the "codec version"
+	// rejection as a miss and compiles the artifact afresh.
 	v2 := bytes.Clone(data)
 	v2[len(wireMagic)+1] = 2
 	if _, err := DecodeProgram(v2); err == nil || !strings.Contains(err.Error(), "codec version") {
 		t.Fatalf("DecodeProgram on a v2 blob: %v", err)
 	}
 	empty := writer{}
-	empty.header(kindProgram, ProgramCodecVersion, prog.Shape, prog.Durations, nil)
+	empty.header(prog.Shape, prog.Durations, nil)
 	for range 4 { // no cost table, instructions, edges or streams
 		empty.int(0)
 	}
 	if _, err := DecodeProgram(empty.b); err == nil {
 		t.Fatal("DecodeProgram accepted an empty program")
 	}
-	plan, err := eng.Plan(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	planData, err := EncodePlan(plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := DecodeProgram(planData); err == nil {
-		t.Fatal("DecodeProgram accepted a plan blob")
-	}
-	if _, err := DecodePlan(data); err == nil {
-		t.Fatal("DecodePlan accepted a program blob")
+	if _, err := DecodeProgram(otherKind(data)); err == nil || !strings.Contains(err.Error(), "codec version") {
+		t.Fatalf("DecodeProgram on a blob framed as another kind: %v", err)
 	}
 	if _, err := DecodeProgram(append(bytes.Clone(data), 0)); err == nil {
 		t.Fatal("DecodeProgram accepted trailing bytes")
@@ -499,8 +488,8 @@ func TestProgramStoreRoundTrip(t *testing.T) {
 	if m.Compiles != 0 {
 		t.Fatalf("second engine compiled %d times, want 0 (artifact was replicated)", m.Compiles)
 	}
-	if m.ProgramStoreHits != 1 {
-		t.Fatalf("ProgramStoreHits = %d, want 1", m.ProgramStoreHits)
+	if m.StoreHits != 1 {
+		t.Fatalf("StoreHits = %d, want 1", m.StoreHits)
 	}
 	da, err := EncodeProgram(pa)
 	if err != nil {

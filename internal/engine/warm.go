@@ -60,8 +60,7 @@ func (e *Engine) pool(total int, fetch func(i int) error) *Warmer {
 // offline phase of Fig 8. Counts are claimed fewest-failures-first: small
 // failure sets are the likeliest fetches, so coverage concentrates where
 // the serving path will look first. maxFailures <= 0 selects the job's
-// fault-tolerance threshold (default DP-1). Every plan lands in the cache
-// and the replicated store.
+// fault-tolerance threshold (default DP-1). Every plan lands in the cache.
 //
 // Callers that want the old synchronous behavior chain the calls:
 // e.Warm(n).Wait().

@@ -8,14 +8,14 @@ import (
 	"recycle/internal/schedule"
 )
 
-// Both codecs share one framing: wireMagic, a kind byte and the version
+// The Program codec's framing: wireMagic, a kind byte and the version
 // byte, then the artifact's Shape, Durations and failed-worker set, then
 // length-prefixed arrays. Fields typed int travel as uvarints and must fit
-// an int32; int64 fields and deltas travel as zigzag varints.
+// an int32; int64 fields and deltas travel as zigzag varints. The kind byte
+// is 'G'; any other kind (the retired plan codec wrote 'P') is rejected.
 const (
 	wireMagic   = "RCW"
 	kindProgram = 'G'
-	kindPlan    = 'P'
 )
 
 // writer appends fields to one buffer. An int no reader would accept
@@ -55,8 +55,8 @@ func (w *writer) op(o schedule.Op) {
 
 // header writes what every artifact starts with. The failed set is written
 // in SortWorkers order, so equal sets yield equal bytes.
-func (w *writer) header(kind byte, version int, sh schedule.Shape, d schedule.Durations, failed map[schedule.Worker]bool) {
-	w.b = append(append(w.b, wireMagic...), kind, byte(version))
+func (w *writer) header(sh schedule.Shape, d schedule.Durations, failed map[schedule.Worker]bool) {
+	w.b = append(append(w.b, wireMagic...), kindProgram, ProgramCodecVersion)
 	for _, v := range [...]int{sh.DP, sh.PP, sh.MB, sh.Iter} {
 		w.int(v)
 	}
@@ -70,10 +70,10 @@ func (w *writer) header(kind byte, version int, sh schedule.Shape, d schedule.Du
 	}
 }
 
-// reader is the cursor both decoders read through. Artifacts are decoded
+// reader is the cursor the decoder reads through. Artifacts are decoded
 // straight out of the replicated store, so it trusts nothing: the first
 // malformed field latches err and every later read returns zero, which
-// lets decoders read field by field and test err once per element.
+// lets the decoder read field by field and test err once per element.
 type reader struct {
 	b   []byte
 	off int
@@ -139,9 +139,8 @@ func (r *reader) worker() schedule.Worker {
 	return k
 }
 
-// opFields reads an op and checks its type. The Program decoder leaves the
-// op's position to schedule.ProgramBuilder, which checks it as it indexes
-// the op.
+// opFields reads an op and checks its type. The decoder leaves the op's
+// position to schedule.ProgramBuilder, which checks it as it indexes the op.
 func (r *reader) opFields() schedule.Op {
 	stage, mb, home, t := r.int(), r.int()-1, r.int(), r.int()
 	o := schedule.Op{Stage: stage, MB: mb, Home: home, Type: schedule.OpType(t), Exec: r.int(), Iter: r.int()}
@@ -151,21 +150,12 @@ func (r *reader) opFields() schedule.Op {
 	return o
 }
 
-// op reads an op and checks its type and its position in the header's shape.
-func (r *reader) op() schedule.Op {
-	o := r.opFields()
-	if _, _, _, ok := r.sh.OpIndex(o); r.err == nil && !ok {
-		r.fail("op %s lies outside shape %+v", o, r.sh)
-	}
-	return o
-}
-
-// header checks the framing — v1 JSON, a future version and the other
-// kind all fail here — and reads Shape, Durations and the failed set,
-// which must arrive strictly increasing in SortWorkers order.
-func (r *reader) header(kind byte, version int) (d schedule.Durations, failed map[schedule.Worker]bool) {
-	if n := len(wireMagic); len(r.b) < n+2 || string(r.b[:n]) != wireMagic || r.b[n] != kind || int(r.b[n+1]) != version {
-		r.fail("codec version: %d bytes not headed %q, kind %q, version %d", len(r.b), wireMagic, kind, version)
+// header checks the framing — v1 JSON, another version and another kind
+// all fail here — and reads Shape, Durations and the failed set, which must
+// arrive strictly increasing in SortWorkers order.
+func (r *reader) header() (d schedule.Durations, failed map[schedule.Worker]bool) {
+	if n := len(wireMagic); len(r.b) < n+2 || string(r.b[:n]) != wireMagic || r.b[n] != kindProgram || r.b[n+1] != ProgramCodecVersion {
+		r.fail("codec version: %d bytes not headed %q, kind %q, version %d", len(r.b), wireMagic, kindProgram, ProgramCodecVersion)
 		return
 	}
 	r.off = len(wireMagic) + 2

@@ -38,13 +38,13 @@ func replayJobEngine(tb testing.TB) *engine.Engine {
 // Medium schedule (4 104 instructions): the lowering every spliced
 // schedule pays, and what each Program the engine caches costs to build.
 func BenchmarkCompileReplayJob(b *testing.B) {
-	s, err := replayJobEngine(b).ScheduleFor(nil)
+	p, err := replayJobEngine(b).PlanConcrete(nil)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	for b.Loop() {
-		if _, err := schedule.Compile(s); err != nil {
+		if _, err := schedule.Compile(p.Schedule); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -89,8 +89,9 @@ func hashPlacements(h hash.Hash64, s *schedule.Schedule, err error) {
 	}
 }
 
-// shapeDigest solves every configuration and failure set of the shape.
-func shapeDigest(sh schedule.Shape) (digest uint64, solves int) {
+// shapeDigest solves every configuration and failure set of the shape, and
+// checks every schedule it solves against the walk of its Program (lead).
+func shapeDigest(sh schedule.Shape, lead *walkLead) (digest uint64, solves int) {
 	h := fnv.New64a()
 	for _, failed := range digestFailureSets(sh) {
 		for _, in := range digestInputs(sh) {
@@ -98,9 +99,54 @@ func shapeDigest(sh schedule.Shape) (digest uint64, solves int) {
 			s, err := Solve(in)
 			hashPlacements(h, s, err)
 			solves++
+			if err == nil {
+				lead.check(s)
+			}
 		}
 	}
 	return h.Sum64(), solves
+}
+
+// walkLead pins how a solved Schedule relates to the walk that times its
+// compiled Program (Program.Plain), which is what every executor follows:
+// the walk starts each instruction no later than the solver placed it, and
+// finishes no later than the schedule's last End. It may start one earlier
+// (it waits on dependencies alone, where the solver also waited on slots it
+// had not yet filled), so the Schedule is a bound on the walk, not a view
+// of it. schedules and instrs count what was checked, earlier the
+// instructions the walk starts before their placement; err holds the first
+// violation.
+type walkLead struct {
+	schedules, instrs, earlier int
+	err                        error
+}
+
+func (l *walkLead) check(s *schedule.Schedule) {
+	if l.err != nil {
+		return
+	}
+	prog, err := schedule.Compile(s)
+	if err != nil {
+		l.err = fmt.Errorf("shape %+v failing %v: %w", s.Shape, s.Failed, err)
+		return
+	}
+	start, _, makespan, _ := prog.Plain()
+	var last int64
+	for i, pl := range s.Placements {
+		switch {
+		case start[i] > pl.Start:
+			l.err = fmt.Errorf("shape %+v failing %v: the walk starts %s at %d, after its placement at %d", s.Shape, s.Failed, pl.Op, start[i], pl.Start)
+			return
+		case start[i] < pl.Start:
+			l.earlier++
+		}
+		last = max(last, pl.End)
+	}
+	l.schedules++
+	l.instrs += len(s.Placements)
+	if makespan > last {
+		l.err = fmt.Errorf("shape %+v failing %v: the walk ends at %d, after the schedule's last End %d", s.Shape, s.Failed, makespan, last)
+	}
 }
 
 // scratchDigests pins every schedule shapeDigest hashes: one FNV-64a digest
@@ -212,10 +258,16 @@ func TestSolveDigestsUnchanged(t *testing.T) {
 	shapes := digestShapes()
 	got := make([]uint64, len(shapes))
 	total := 0
+	var lead walkLead
 	for i, sh := range shapes {
 		var n int
-		got[i], n = shapeDigest(sh)
+		got[i], n = shapeDigest(sh, &lead)
 		total += n
+	}
+	if lead.err != nil {
+		t.Errorf("a solved schedule bounds the walk of its Program no more: %v", lead.err)
+	} else {
+		t.Logf("%d schedules, %d instructions: the walk starts %d earlier than placed", lead.schedules, lead.instrs, lead.earlier)
 	}
 	mismatch := len(got) != len(scratchDigests)
 	for i := 0; !mismatch && i < len(got); i++ {
