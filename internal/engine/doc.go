@@ -30,9 +30,16 @@
 //     concurrent first callers of a key share one *Plan and one
 //     *schedule.Program;
 //   - ProgramFor is the Coordinator's failure-handling fetch path
-//     (§4.1): exact plan from the cache, then Best(n) fallback, then
-//     on-demand solve on miss; then the plan's Program from its slot, the
-//     replicated store, or a compile.
+//     (§4.1): a class-dedup rename's Program from the cache, else the
+//     exact plan from the cache, then Best(n) fallback, then on-demand
+//     solve on miss; then the plan's Program from its slot, the
+//     replicated store, or a compile. A set whose canonical victim form
+//     differs is never solved or compiled itself: its orbit
+//     representative is, once, and the representative's Program is
+//     renamed onto the set (schedule.RenameProgram), cached under the
+//     set's key and replicated under its Program key. No renamed Schedule
+//     is built on this path; PlanConcrete builds one for callers that read
+//     it.
 //
 // The Planner (§4.2: Failure Normalization plus schedule generation)
 // lives here too, as the engine's immutable configuration. There

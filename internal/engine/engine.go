@@ -51,9 +51,11 @@ type Metrics struct {
 	// ScratchSolves equals Solves: every solve runs from scratch. It stays
 	// for the benchmark harness that reads it.
 	ScratchSolves uint64
-	// ClassDedups counts concrete plans built by renaming a
-	// cost-equivalence-class representative instead of solving: one per
-	// key, however many first requests for it arrive concurrently.
+	// ClassDedups counts concrete failure sets served by renaming their
+	// cost-equivalence-class representative instead of solving: its
+	// Program (ProgramFor, ProgramConcrete), or its Plan (PlanConcrete).
+	// One per key, whichever artifacts are renamed for it and however many
+	// first requests for it arrive concurrently.
 	ClassDedups uint64
 
 	// Service counters. StripeContended counts lock acquisitions that
@@ -227,37 +229,56 @@ func (e *Engine) Plan(n int) (*Plan, error) {
 // renamed back onto the requested pipelines — an exact isomorph, since
 // interchangeable pipelines run every op at identical cost. A set naming a
 // worker outside the job, or one worker twice, is rejected first, in the
-// caller's names.
+// caller's names. The renamed plan is cached for callers that read its
+// Schedule; its Program is the one ProgramFor serves for the set.
 func (e *Engine) PlanConcrete(failed []schedule.Worker) (*Plan, error) {
-	c := e.conf
-	ws := append([]schedule.Worker(nil), failed...)
-	schedule.SortWorkers(ws)
-	sh := c.Shape()
-	if err := checkFailed(sh, ws); err != nil {
+	ws, key := e.concrete(failed)
+	if err := checkFailed(e.conf.Shape(), ws); err != nil {
 		return nil, err
 	}
-	key := ckey(c.fp, ws)
-
-	var costs schedule.CostFunc
-	if c.Costs != nil {
-		costs = c.Costs.Fn()
-	}
-	canon, perm, changed := schedule.CanonicalizeVictims(sh, costs, ws)
+	canon, perm, changed := e.canonicalize(ws)
 	if !changed {
-		return e.getOrSolve(key, false, func() (*Plan, error) { return c.PlanConcrete(ws) })
+		return e.solveConcrete(key, ws)
 	}
 	if p, ok := e.peek(key); ok {
 		return p, nil
 	}
-	cp, err := e.getOrSolve(ckey(c.fp, canon), false, func() (*Plan, error) { return c.PlanConcrete(canon) })
+	cp, err := e.solveConcrete(ckey(e.conf.fp, canon), canon)
 	if err != nil {
 		return nil, err
 	}
-	p, installed := e.admit(key, renamePlan(cp, schedule.InvertPerm(perm)), false)
-	if installed {
+	p, fresh := e.admit(key, renamePlan(cp, schedule.InvertPerm(perm)), false)
+	if fresh {
 		e.classDedups.Add(1)
 	}
 	return p, nil
+}
+
+// concrete returns a sorted copy of a concrete failed-worker set and its
+// cache key.
+func (e *Engine) concrete(failed []schedule.Worker) ([]schedule.Worker, string) {
+	ws := append([]schedule.Worker(nil), failed...)
+	schedule.SortWorkers(ws)
+	return ws, ckey(e.conf.fp, ws)
+}
+
+// canonicalize maps a checked, sorted failed set onto its victim orbit's
+// representative under the engine's cost model
+// (schedule.CanonicalizeVictims).
+func (e *Engine) canonicalize(ws []schedule.Worker) (canon []schedule.Worker, perm []int, changed bool) {
+	c := e.conf
+	var costs schedule.CostFunc
+	if c.Costs != nil {
+		costs = c.Costs.Fn()
+	}
+	return schedule.CanonicalizeVictims(c.Shape(), costs, ws)
+}
+
+// solveConcrete is the get-or-solve of the concrete plan for a checked,
+// sorted failed set, cached under key.
+func (e *Engine) solveConcrete(key string, ws []schedule.Worker) (*Plan, error) {
+	c := e.conf
+	return e.getOrSolve(key, false, func() (*Plan, error) { return c.PlanConcrete(ws) })
 }
 
 // best returns the normalized plan for n failures, falling back to the
@@ -277,28 +298,24 @@ func (e *Engine) best(n int) (*Plan, bool) {
 	return found, found != nil
 }
 
-// planFor is the Coordinator's failure-handling path (§4.1, Fig 8): given
-// the concrete failed-worker set, serve the exact concrete plan from the
-// cache; fall back to the normalized Best(n) plan when its failed set
-// coincides with the concrete one (zero migrations needed); otherwise
-// solve on demand. ProgramFor lowers what it returns.
-func (e *Engine) planFor(failed map[schedule.Worker]bool) (*Plan, error) {
-	ws := workerList(failed)
-	if len(ws) == 0 {
-		return e.Plan(0)
-	}
-	if p, ok := e.peek(ckey(e.conf.fp, ws)); ok {
-		return p, nil
+// cachedPlan returns the plan the Coordinator's failure-handling path
+// (§4.1, Fig 8) serves a sorted, nonempty failed set without solving: the
+// exact concrete plan cached under key, or the normalized Best(n) plan
+// when its failed set coincides with the concrete one (zero migrations
+// needed).
+func (e *Engine) cachedPlan(key string, ws []schedule.Worker) (*Plan, bool) {
+	if p, ok := e.peek(key); ok {
+		return p, true
 	}
 	if p, ok := e.best(len(ws)); ok {
 		norm := append([]schedule.Worker(nil), p.Failed...)
 		schedule.SortWorkers(norm)
 		if sameWorkers(norm, ws) {
 			e.bestHits.Add(1)
-			return p, nil
+			return p, true
 		}
 	}
-	return e.PlanConcrete(ws)
+	return nil, false
 }
 
 // peek returns the plan cached under key, counting the hit, without ever
@@ -354,8 +371,10 @@ func (e *Engine) getOrSolve(key string, normalized bool, solve func() (*Plan, er
 // admit installs a plan into the in-process cache and, for normalized
 // plans, the Best(n) index — unless the key already holds a plan. The
 // first admit wins: it returns the cached plan (p, or the one a concurrent
-// first request installed before it) and whether that is p, so every
-// caller of a key shares one *Plan and with it one Program slot.
+// first request installed before it), so every caller of a key shares one
+// *Plan and with it one Program slot. It reports whether p was installed
+// under a key that held no class-dedup rename's Program either: a key's
+// first rename, whichever artifact it renames.
 func (e *Engine) admit(key string, p *Plan, normalized bool) (*Plan, bool) {
 	st := e.stripeFor(key)
 	e.lockExcl(&st.mu)
@@ -364,11 +383,12 @@ func (e *Engine) admit(key string, p *Plan, normalized bool) (*Plan, bool) {
 		return q, false
 	}
 	st.plans[key] = p
+	_, renamed := st.renamed[key]
 	st.mu.Unlock()
 	if normalized {
 		e.normMu.Lock()
 		e.norm[p.Failures] = p
 		e.normMu.Unlock()
 	}
-	return p, true
+	return p, !renamed
 }

@@ -94,6 +94,21 @@ func TestPlanCoalescesConcurrentRequests(t *testing.T) {
 	}
 }
 
+// planFor is ProgramFor's plan half, for tests that check the schedule
+// behind a fetch: the healthy plan for an empty set, else the cached
+// concrete plan or Best(n) (cachedPlan), else PlanConcrete — which, for a
+// class-dedup rename, builds the renamed plan ProgramFor never caches.
+func (e *Engine) planFor(failed map[schedule.Worker]bool) (*Plan, error) {
+	ws := workerList(failed)
+	if len(ws) == 0 {
+		return e.Plan(0)
+	}
+	if p, ok := e.cachedPlan(ckey(e.conf.fp, ws), ws); ok {
+		return p, nil
+	}
+	return e.PlanConcrete(ws)
+}
+
 // TestPlanForCoordinatorFlow checks the failure-handling fetch order: a
 // concrete failure set matching the warmed normalized plan is served via
 // Best(n) without a new solve; a mismatching set solves on demand; the

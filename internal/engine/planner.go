@@ -41,6 +41,12 @@ type Plan struct {
 	// never copied by value, which would alias or drop it.
 	prog   atomic.Pointer[schedule.Program]
 	progMu sync.Mutex
+	// rep is the orbit representative a class-dedup rename was made from
+	// (nil for a solved plan), and perm the pipeline permutation onto this
+	// plan: CompiledProgram serves a renamed plan the Program renamed from
+	// rep's, the one ProgramFor serves for its key.
+	rep  *Plan
+	perm []int
 }
 
 // Planner is ReCycle's primary contribution (§4.2): given a job and its
@@ -197,8 +203,8 @@ func (p *Planner) solve(sh schedule.Shape, assign []int, failed []schedule.Worke
 // permutation must move pipelines only within cost-equivalence classes;
 // the renamed schedule is then an exact isomorph of the original
 // (schedule.RenamePipelines), so period, makespan and per-stage
-// assignment carry over unchanged. The renamed plan starts with an empty
-// Program slot: the representative's Program runs the other pipelines.
+// assignment carry over unchanged. The renamed plan keeps no Program of
+// its own: CompiledProgram renames the representative's.
 func renamePlan(p *Plan, perm []int) *Plan {
 	failed := make([]schedule.Worker, len(p.Failed))
 	for i, w := range p.Failed {
@@ -212,6 +218,8 @@ func renamePlan(p *Plan, perm []int) *Plan {
 		Schedule:    schedule.RenamePipelines(p.Schedule, perm),
 		PeriodSlots: p.PeriodSlots,
 		PlanTime:    p.PlanTime,
+		rep:         p,
+		perm:        perm,
 	}
 }
 

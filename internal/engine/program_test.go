@@ -166,7 +166,8 @@ func firstFetchEngine() *Engine {
 
 // TestConcurrentFirstFetchesShareOnePlan checks that a class-dedup rename
 // is admitted first-wins: concurrent first fetches of one non-canonical
-// failed set all get one Program, from one renamed plan.
+// failed set all get one Program, renamed from the one plan solved for
+// the set's orbit representative, and no renamed plan is cached.
 func TestConcurrentFirstFetchesShareOnePlan(t *testing.T) {
 	orbit := map[schedule.Worker]bool{{Stage: 1, Pipeline: 3}: true} // canonical: pipeline 0
 	for round := 0; round < firstFetchRounds; round++ {
@@ -177,8 +178,11 @@ func TestConcurrentFirstFetchesShareOnePlan(t *testing.T) {
 				t.Fatalf("round %d: caller %d got a different Program instance", round, i)
 			}
 		}
-		if m := eng.Metrics(); m.Solves != 1 || m.ClassDedups != 1 {
-			t.Fatalf("round %d: %d solves, %d class dedups; want one solve renamed once", round, m.Solves, m.ClassDedups)
+		if m := eng.Metrics(); m.Solves != 1 || m.Compiles != 1 || m.ClassDedups != 1 {
+			t.Fatalf("round %d: %d solves, %d compiles, %d class dedups; want one solve compiled once and renamed once", round, m.Solves, m.Compiles, m.ClassDedups)
+		}
+		if _, ok := eng.cached(ckey(eng.conf.fp, workerList(orbit))); ok {
+			t.Fatalf("round %d: a renamed plan was cached", round)
 		}
 	}
 }

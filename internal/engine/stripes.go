@@ -3,6 +3,8 @@ package engine
 import (
 	"hash/maphash"
 	"sync"
+
+	"recycle/internal/schedule"
 )
 
 // numStripes is the lock-stripe count of the plan cache: enough shards
@@ -18,13 +20,15 @@ type call struct {
 	err  error
 }
 
-// stripe is one lock shard of the plan cache: a slice of the keyspace
-// plus the in-flight solves for that slice. Request coalescing is
-// per-stripe, so a solve on one fingerprint never blocks a hit on
-// another.
+// stripe is one lock shard of the plan cache: a slice of the keyspace,
+// the Programs of its class-dedup renames (which keep no Plan unless
+// PlanConcrete asked for one; the map is made on the first) plus the
+// in-flight solves for that slice. Request coalescing is per-stripe, so a
+// solve on one fingerprint never blocks a hit on another.
 type stripe struct {
 	mu       sync.RWMutex
 	plans    map[string]*Plan
+	renamed  map[string]*schedule.Program
 	inflight map[string]*call
 }
 
@@ -39,6 +43,16 @@ func (e *Engine) cached(key string) (*Plan, bool) {
 	st := e.stripeFor(key)
 	e.lockShared(&st.mu)
 	p, ok := st.plans[key]
+	st.mu.RUnlock()
+	return p, ok
+}
+
+// cachedRenamed returns the class-dedup rename's Program cached under key,
+// probing its stripe under the shared lock.
+func (e *Engine) cachedRenamed(key string) (*schedule.Program, bool) {
+	st := e.stripeFor(key)
+	e.lockShared(&st.mu)
+	p, ok := st.renamed[key]
 	st.mu.RUnlock()
 	return p, ok
 }

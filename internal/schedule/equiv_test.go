@@ -2,6 +2,7 @@ package schedule_test
 
 import (
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -109,5 +110,48 @@ func TestCanonicalizeRoundTrip(t *testing.T) {
 		if back.ComputeMakespan(0) != s.ComputeMakespan(0) {
 			t.Fatalf("trial %d: rename changed makespan %d -> %d", trial, s.ComputeMakespan(0), back.ComputeMakespan(0))
 		}
+	}
+}
+
+// TestRenameProgramReordersTiedStreams covers the rename whose streams
+// change order: two zero-length forwards tied at one Start on one worker
+// swap places when their homes are renamed, so the representative's plain
+// timeline no longer relabels onto the renamed Program. RenameProgram must
+// still equal Compile(RenamePipelines), its timeline walked on first use.
+func TestRenameProgramReordersTiedStreams(t *testing.T) {
+	sh := schedule.Shape{DP: 2, PP: 1, MB: 1, Iter: 1}
+	d := schedule.Durations{F: 1, BInput: 1, BWeight: 1, Opt: 1} // a zero-length F runs for d.F
+	op := func(ty schedule.OpType, home int) schedule.Op {
+		if ty == schedule.Optimizer {
+			return schedule.Op{Type: ty, MB: -1}
+		}
+		return schedule.Op{Type: ty, Home: home}
+	}
+	s := schedule.New(sh, d, map[schedule.Worker]bool{{Stage: 0, Pipeline: 1}: true}, []schedule.Placement{
+		{Op: op(schedule.F, 0), Start: 0, End: 0},
+		{Op: op(schedule.F, 1), Start: 0, End: 0},
+		{Op: op(schedule.B, 0), Start: 1, End: 3},
+		{Op: op(schedule.B, 1), Start: 3, End: 5},
+		{Op: op(schedule.Optimizer, 0), Start: 5, End: 6},
+	})
+	p, err := schedule.Compile(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	perm := []int{1, 0}
+	want, err := schedule.Compile(schedule.RenamePipelines(s, perm))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := schedule.RenameProgram(s, p, perm)
+	// p runs F(home 0) first; renamed, it is F(home 1), which now sorts
+	// after the renamed F(home 0).
+	if first := got.Op(int(got.Stream(schedule.Worker{Stage: 0, Pipeline: 1})[0])); first.Home != 0 {
+		t.Fatalf("the renamed stream starts with %s; the test no longer reaches the reordering rename", first)
+	}
+	want.Plain()
+	got.Plain()
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("RenameProgram differs from Compile(RenamePipelines)")
 	}
 }

@@ -216,6 +216,10 @@ type sortKey struct {
 	index  int32
 }
 
+// packWorker packs a sortKey's worker: exec<<32 | stage, the stage's sign
+// bit flipped.
+func packWorker(exec, stage int) int64 { return int64(exec)<<32 | int64(uint32(stage)^1<<31) }
+
 var sortKeyPool = sync.Pool{New: func() any { return new([]sortKey) }}
 
 // New assembles a schedule from placements, sorting them in place into the
@@ -232,7 +236,7 @@ func New(shape Shape, d Durations, failed map[Worker]bool, ps []Placement) *Sche
 	for i, p := range ps {
 		e, st := p.Op.Exec, p.Op.Stage
 		packed = packed && e == int(int32(e)) && st == int(int32(st))
-		keys = append(keys, sortKey{start: p.Start, worker: int64(e)<<32 | int64(uint32(st)^1<<31), index: int32(i)})
+		keys = append(keys, sortKey{start: p.Start, worker: packWorker(e, st), index: int32(i)})
 	}
 	slices.SortFunc(keys, func(a, b sortKey) int {
 		if a.start != b.start {

@@ -24,6 +24,30 @@ func filled[T any](s []T, n int, v T) []T {
 	return s
 }
 
+// reference fills the fault-free skeleton tables — the merge priority for
+// rerouted work, identical across pipelines, so timed once with DP=1 —
+// unless the pooled state already holds them for (pp, mb, d).
+func (s *state) reference(pp, mb int, d schedule.Durations) {
+	key := refKey{pp, mb, d}
+	if s.ref == key {
+		return
+	}
+	ref := schedule.FaultFree1F1B(schedule.Shape{DP: 1, PP: pp, MB: mb, Iter: 1}, d)
+	s.ffMakespan = ref.ComputeMakespan(0)
+	s.refF = filled(s.refF, pp*mb, 0)
+	s.refB = filled(s.refB, pp*mb, 0)
+	s.refBEnd = filled(s.refBEnd, pp*mb, s.ffMakespan)
+	for _, p := range ref.Placements {
+		switch slot := p.Op.Stage*mb + p.Op.MB; p.Op.Type {
+		case schedule.F:
+			s.refF[slot] = p.Start
+		case schedule.B:
+			s.refB[slot], s.refBEnd[slot] = p.Start, p.End
+		}
+	}
+	s.ref = key
+}
+
 // newState builds the task graph for the input: one F and one backward
 // chain per (iteration, pipeline, micro-batch, stage) with the MILP's
 // dependency structure (Eq. 2–4), per-worker priority streams ordered by
@@ -35,21 +59,7 @@ func newState(in Input, routes [][][]int) *state {
 	s := statePool.Get().(*state)
 	s.in = in
 
-	// Reference fault-free timing used as the merge priority for rerouted
-	// work: identical across pipelines, so compute it once with DP=1.
-	ref := schedule.FaultFree1F1B(schedule.Shape{DP: 1, PP: sh.PP, MB: sh.MB, Iter: 1}, d)
-	s.ffMakespan = ref.ComputeMakespan(0)
-	s.refF = filled(s.refF, sh.PP*sh.MB, 0)
-	s.refB = filled(s.refB, sh.PP*sh.MB, 0)
-	s.refBEnd = filled(s.refBEnd, sh.PP*sh.MB, s.ffMakespan)
-	for _, p := range ref.Placements {
-		switch slot := p.Op.Stage*sh.MB + p.Op.MB; p.Op.Type {
-		case schedule.F:
-			s.refF[slot] = p.Start
-		case schedule.B:
-			s.refB[slot], s.refBEnd[slot] = p.Start, p.End
-		}
-	}
+	s.reference(sh.PP, sh.MB, d)
 	iterSpan := s.ffMakespan + d.Opt + 1
 	tie := int64(2*sh.DP + 2)
 	pos := func(iter int, slot int64, home, exec int) int64 {

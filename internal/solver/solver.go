@@ -326,6 +326,14 @@ func (g *gradCount) land(end int64) bool {
 	return g.left == 0
 }
 
+// refKey is what the fault-free skeleton tables depend on: the stage and
+// micro-batch counts and the durations. Its zero value names no skeleton
+// (a Shape has PP >= 1).
+type refKey struct {
+	pp, mb int
+	d      schedule.Durations
+}
+
 // state is one solve's task graph and dispatch state, indexed densely by
 // the Shape and pooled (statePool) with every buffer in it.
 type state struct {
@@ -336,11 +344,13 @@ type state struct {
 	// rerouted counts, per Shape.WorkerIndex, the micro-batches the worker
 	// runs for other pipelines; pipeFailed marks pipelines that lost a
 	// worker; refF, refB and refBEnd hold the fault-free skeleton's F
-	// start, B start and B end at stage·MB + mb.
+	// start, B start and B end at stage·MB + mb, and ffMakespan its
+	// makespan, all timed for ref (reference).
 	widx, rerouted      []int32
 	pipeFailed          []bool
 	refF, refB, refBEnd []int64
 	ffMakespan          int64
+	ref                 refKey
 	col                 []taskID // per stage: the backward of the column being built
 	// Iteration it's optimizer on worker wi is task optBase[it]+wi.
 	// byStage lists the live workers stage by stage (see stageWorkers),
