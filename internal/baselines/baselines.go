@@ -36,11 +36,6 @@ func NewCommon(job config.Job, stats profile.Stats, faultFree float64) (Common, 
 	return Common{Job: job, Stats: stats, Costs: costs, FaultFree: faultFree}, nil
 }
 
-// slotSeconds converts stats units into seconds.
-func (c Common) slotSeconds(units int64) float64 {
-	return float64(units) * c.Stats.UnitSeconds
-}
-
 // iterSeconds1F1B returns the fault-free 1F1B iteration latency with a
 // per-stage time multiplier (stageScale > 1 when a node holds more layers)
 // and mb micro-batches on an n-stage pipeline.

@@ -206,3 +206,16 @@ func TestAgreementWithHeterogeneousDurations(t *testing.T) {
 		}
 	}
 }
+
+// ExecutedTimeline returns the Program the last iteration interpreted and
+// each instruction's executed logical span (start, end in slot units; -1
+// where a rolled-back phase never got to it), indexed by instruction ID —
+// the discrete-event simulator's timeline of that Program, which is what
+// the interpreter's spans, cut points and stream bounds were read from.
+// The slices are shared with the runtime: read-only.
+func (rt *Runtime) ExecutedTimeline() (prog *schedule.Program, starts, ends []int64) {
+	if rt.lastExec == nil {
+		return nil, nil, nil
+	}
+	return rt.lastExec.Program, rt.lastExec.Start, rt.lastExec.End
+}

@@ -272,7 +272,7 @@ func TestChaosEpochAgreementLiveVsDES(t *testing.T) {
 		}
 	}
 	for _, w := range workers {
-		if got := rt.StageStepEpoch(w); got != 1 {
+		if got := rt.stages[w].StepEpoch(); got != 1 {
 			t.Fatalf("worker %s epoch %d after one healthy iteration, want 1", w, got)
 		}
 	}
@@ -344,7 +344,7 @@ func TestChaosEpochAgreementLiveVsDES(t *testing.T) {
 		if w == victim && !durable[w.Stage] {
 			want = 1
 		}
-		if got := rt.StageStepEpoch(w); got != want {
+		if got := rt.stages[w].StepEpoch(); got != want {
 			t.Errorf("worker %s epoch %d after epilogue-kill iteration, want %d (durable=%v)",
 				w, got, want, durable[w.Stage])
 		}
@@ -357,7 +357,7 @@ func TestChaosEpochAgreementLiveVsDES(t *testing.T) {
 	ex := &sim.Execution{Program: exProg, Start: starts, End: ends}
 	des := ex.StepEpochs()
 	for _, w := range workers {
-		if got, want := des[w], rt.StageStepEpoch(w)-1; got != want {
+		if got, want := des[w], rt.stages[w].StepEpoch()-1; got != want {
 			t.Errorf("DES counts %d steps for %s, live stamp advanced by %d", got, w, want)
 		}
 	}
@@ -366,7 +366,7 @@ func TestChaosEpochAgreementLiveVsDES(t *testing.T) {
 	if err := rt.Rejoin(victim); err != nil {
 		t.Fatal(err)
 	}
-	if got := rt.StageStepEpoch(victim); got != 2 {
+	if got := rt.stages[victim].StepEpoch(); got != 2 {
 		t.Errorf("rejoined victim epoch %d, want the donor's 2", got)
 	}
 	loss, err = rt.RunIteration()
@@ -466,7 +466,7 @@ func TestRejectedEventsLeaveRuntimeUntouched(t *testing.T) {
 					r.Fail(v)
 				}
 			}
-			failed, iter := rt.FailedCount(), rt.Iteration()
+			failed, iter := len(rt.failed), rt.iter
 			_, err := iterateWatched(t, rt, tc.events...)
 			if err == nil {
 				t.Fatalf("events %+v were accepted", tc.events)
@@ -474,9 +474,9 @@ func TestRejectedEventsLeaveRuntimeUntouched(t *testing.T) {
 			if errors.Is(err, ErrForeignProgram) != tc.foreign {
 				t.Fatalf("events %+v: error %v, ErrForeignProgram %v", tc.events, err, tc.foreign)
 			}
-			if rt.FailedCount() != failed || rt.Iteration() != iter {
+			if len(rt.failed) != failed || rt.iter != iter {
 				t.Fatalf("rejected call moved the runtime: %d failed at iteration %d, was %d at %d",
-					rt.FailedCount(), rt.Iteration(), failed, iter)
+					len(rt.failed), rt.iter, failed, iter)
 			}
 			for i := 0; i < 3; i++ {
 				loss, err := iterateWatched(t, rt)

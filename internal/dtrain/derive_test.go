@@ -179,14 +179,14 @@ func TestChaosKillsLeaveStoreFlat(t *testing.T) {
 		t.Helper()
 		got, err := iterateWatched(t, rt, events...)
 		if err != nil {
-			t.Fatalf("iteration %d (events %+v): %v", rt.Iteration(), events, err)
+			t.Fatalf("iteration %d (events %+v): %v", rt.iter, events, err)
 		}
 		want, err := ref.RunIteration()
 		if err != nil {
 			t.Fatal(err)
 		}
 		if math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("iteration %d (events %+v): loss %v, fault-free %v", rt.Iteration()-1, events, got, want)
+			t.Fatalf("iteration %d (events %+v): loss %v, fault-free %v", rt.iter-1, events, got, want)
 		}
 	}
 	step()

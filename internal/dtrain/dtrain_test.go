@@ -281,8 +281,8 @@ func TestForeignProgramIsRejected(t *testing.T) {
 		if !errors.Is(err, ErrForeignProgram) {
 			t.Fatalf("%s: RunIteration returned %v, want ErrForeignProgram", tc.name, err)
 		}
-		if rt.Iteration() != 0 {
-			t.Fatalf("%s: a rejected Program advanced the runtime to iteration %d", tc.name, rt.Iteration())
+		if rt.iter != 0 {
+			t.Fatalf("%s: a rejected Program advanced the runtime to iteration %d", tc.name, rt.iter)
 		}
 		rt.SetProgramSource(nil)
 		for i := 0; i < 2; i++ {

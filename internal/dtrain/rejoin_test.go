@@ -58,8 +58,8 @@ func TestRejoinMidIterationResumesBeforeBoundary(t *testing.T) {
 	if loss != lossRef1 {
 		t.Fatalf("spliced-iteration loss %v != fault-free %v (training math must be bitwise preserved)", loss, lossRef1)
 	}
-	if rt.FailedCount() != 0 {
-		t.Fatalf("%d workers still failed after the re-join", rt.FailedCount())
+	if len(rt.failed) != 0 {
+		t.Fatalf("%d workers still failed after the re-join", len(rt.failed))
 	}
 
 	// The executed timeline is the spliced Program — validated, and with
@@ -169,7 +169,7 @@ func TestRejoinAllReduceNeverSplits(t *testing.T) {
 	if _, err := rt.RunIteration(CascadeEvent{Cut: 5, Rejoin: []schedule.Worker{{Stage: 0, Pipeline: 0}}}); err == nil {
 		t.Fatal("re-joining a live worker was accepted")
 	}
-	if rt.FailedCount() != 1 {
-		t.Fatalf("rejected calls mutated the failure set: %d failed", rt.FailedCount())
+	if len(rt.failed) != 1 {
+		t.Fatalf("rejected calls mutated the failure set: %d failed", len(rt.failed))
 	}
 }

@@ -1,6 +1,7 @@
 package dtrain
 
 import (
+	"cmp"
 	"math"
 	"math/rand"
 	"slices"
@@ -473,10 +474,7 @@ func TestBarrierReducesInHomeMBOrder(t *testing.T) {
 		r.send(contrib(0, 1, k.Pipeline, k.MB), payload{grads: want[k]})
 	}
 	slices.SortFunc(keys, func(a, b nn.MBKey) int {
-		if a.Less(b) {
-			return -1
-		}
-		return 1
+		return cmp.Or(cmp.Compare(a.Pipeline, b.Pipeline), cmp.Compare(a.MB, b.MB))
 	})
 	ordered := make([][]*tensor.Matrix, len(keys))
 	for i, k := range keys {

@@ -225,12 +225,6 @@ func livePeer(failed map[schedule.Worker]bool, w schedule.Worker, dp int) (sched
 // (schedule.Shape.WorkerIndex of every Program it interprets).
 func (rt *Runtime) workerIndex(w schedule.Worker) int { return w.Pipeline*rt.Cfg.PP + w.Stage }
 
-// FailedCount returns the number of failed workers.
-func (rt *Runtime) FailedCount() int { return len(rt.failed) }
-
-// Iteration returns the number of completed iterations.
-func (rt *Runtime) Iteration() int { return rt.iter }
-
 // StageParams exposes a worker's parameters (read-only use in tests).
 func (rt *Runtime) StageParams(w schedule.Worker) []*nn.Param {
 	return rt.stages[w].Params()
@@ -263,24 +257,11 @@ func (rt *Runtime) Program() (*schedule.Program, error) {
 	return rt.eng.ProgramFor(rt.failed)
 }
 
-// PlanStore exposes the replicated store backing the plan service, so
-// tests and executor wiring can hand it to other runtimes or clients.
-func (rt *Runtime) PlanStore() *planstore.Store { return rt.eng.Store() }
-
 // PrePlan precomputes normalized plans for 0..maxFailures concurrently into
 // the engine's cache — the offline Planner phase of Fig 8, run to completion
-// before training starts. Training that wants to begin immediately uses
-// Warm instead and lets coverage build in the background.
+// before training starts.
 func (rt *Runtime) PrePlan(maxFailures int) error {
 	return rt.eng.Warm(maxFailures).Wait()
-}
-
-// Warm starts the background warming pipeline for 0..maxFailures
-// normalized plans and returns without blocking; iterations can start
-// while coverage builds, and a failure that arrives before its plan is
-// warmed simply coalesces onto (or triggers) the solve.
-func (rt *Runtime) Warm(maxFailures int) *engine.Warmer {
-	return rt.eng.Warm(maxFailures)
 }
 
 // PlanMetrics reports the plan service's traffic counters: how many
@@ -691,13 +672,6 @@ func SpliceEventID(iter int, cut int64, fail, rejoin []schedule.Worker) string {
 	return fmt.Sprintf("iter%d/cut%d/fail%s/rejoin%s", iter, cut, render(fail), render(rejoin))
 }
 
-// StageStepEpoch returns a worker replica's step-epoch stamp — the number
-// of optimizer steps its parameters carry (the live half of the
-// live-vs-DES epoch agreement check).
-func (rt *Runtime) StageStepEpoch(w schedule.Worker) int {
-	return rt.stages[w].StepEpoch()
-}
-
 // iterationLoss reduces per-micro-batch losses in canonical (pipeline,
 // micro-batch) order — the order of the dense table.
 func (rt *Runtime) iterationLoss() float64 {
@@ -868,19 +842,6 @@ func (rt *Runtime) allReduceAndStep(w schedule.Worker, st *nn.Stage, iter int, r
 		record(schedule.Optimizer, time.Since(t0))
 	}
 	return nn.ValidateFinite(st.Params())
-}
-
-// ExecutedTimeline returns the Program the last iteration interpreted and
-// each instruction's executed logical span (start, end in slot units; -1
-// where a rolled-back phase never got to it), indexed by instruction ID —
-// the discrete-event simulator's timeline of that Program, which is what
-// the interpreter's spans, cut points and stream bounds were read from.
-// The slices are shared with the runtime: read-only.
-func (rt *Runtime) ExecutedTimeline() (prog *schedule.Program, starts, ends []int64) {
-	if rt.lastExec == nil {
-		return nil, nil, nil
-	}
-	return rt.lastExec.Program, rt.lastExec.Start, rt.lastExec.End
 }
 
 // AttachRecorder installs the tracing recorder every layer of this runtime

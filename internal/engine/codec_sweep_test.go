@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"recycle/internal/engine"
+	"recycle/internal/planstore"
 	"recycle/internal/replay"
 	"recycle/internal/schedule"
 	"recycle/internal/sim"
@@ -176,7 +177,8 @@ func TestProgramCodecOverSmallShapes(t *testing.T) {
 // carry exactly the model's durations, round-trip field for field to a byte
 // fixed point, and survive the truncation and corruption sweeps.
 func TestProgramCodecCostTables(t *testing.T) {
-	labels, engines := engine.CostModelEngines(t)
+	store := planstore.New(3)
+	labels, engines := engine.CostModelEngines(t, store)
 	for i, eng := range engines {
 		label := labels[i]
 		want := schedule.NewCostTable(eng.Shape(), eng.CostModel().Fn())
@@ -192,7 +194,7 @@ func TestProgramCodecCostTables(t *testing.T) {
 			t.Fatalf("%s: %v", label, err)
 		}
 		hostileSweep(t, label, check(label, prog), decodeProgramChecked)
-		client := engine.NewClient(eng.Store(), eng.Job(), eng.Stats(), engine.Options{UnrollIterations: 1, CostModel: eng.CostModel()})
+		client := engine.NewClient(store, eng.Job(), eng.Stats(), engine.Options{UnrollIterations: 1, CostModel: eng.CostModel()})
 		fetched, err := client.ProgramFor(nil)
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)

@@ -31,10 +31,10 @@
 //     *schedule.Program;
 //   - ProgramFor is the Coordinator's failure-handling fetch path
 //     (§4.1): a class-dedup rename's Program from the cache, else the
-//     exact plan from the cache, then Best(n) fallback, then on-demand
-//     solve on miss; then the plan's Program from its slot, the
-//     replicated store, or a compile. A set whose canonical victim form
-//     differs is never solved or compiled itself: its orbit
+//     exact plan from the cache, then the Best(n) plan of the same
+//     failed set, then on-demand solve on miss; then the plan's Program
+//     from its slot, the replicated store, or a compile. A set whose
+//     canonical victim form differs is never solved or compiled: its orbit
 //     representative is, once, and the representative's Program is
 //     renamed onto the set (schedule.RenameProgram), cached under the
 //     set's key and replicated under its Program key. No renamed Schedule

@@ -169,9 +169,6 @@ func (e *Engine) Shape() schedule.Shape { return e.conf.Shape() }
 // plans with the homogeneous profiled stats).
 func (e *Engine) CostModel() *profile.CostModel { return e.conf.Costs }
 
-// Store returns the replicated plan store backing this engine.
-func (e *Engine) Store() *planstore.Store { return e.store }
-
 // Metrics returns a snapshot of the plan-traffic counters.
 func (e *Engine) Metrics() Metrics {
 	return Metrics{
@@ -281,21 +278,15 @@ func (e *Engine) solveConcrete(key string, ws []schedule.Worker) (*Plan, error) 
 	return e.getOrSolve(key, false, func() (*Plan, error) { return c.PlanConcrete(ws) })
 }
 
-// best returns the normalized plan for n failures, falling back to the
-// smallest plan covering more than n failures among those this engine has
-// seen (a plan for more failures always routes around at least the workers
-// that are down) — the Best(n) index of Fig 8. It counts nothing, so each
+// best returns the normalized plan for n failures — the Best(n) index of
+// Fig 8. Only that plan can be served for n failed workers: a plan for
+// more failures has more workers down. It counts nothing, so each
 // Coordinator fetch lands in exactly one metrics tier.
 func (e *Engine) best(n int) (*Plan, bool) {
 	e.normMu.Lock()
 	defer e.normMu.Unlock()
-	var found *Plan
-	for k, p := range e.norm {
-		if k >= n && (found == nil || k < found.Failures) {
-			found = p
-		}
-	}
-	return found, found != nil
+	p, ok := e.norm[n]
+	return p, ok
 }
 
 // cachedPlan returns the plan the Coordinator's failure-handling path

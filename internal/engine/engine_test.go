@@ -172,23 +172,6 @@ func TestPlanForCoordinatorFlow(t *testing.T) {
 	}
 }
 
-// TestBestFallsBackToLargerPlan mirrors the core store semantics at the
-// engine level.
-func TestBestFallsBackToLargerPlan(t *testing.T) {
-	job, stats := analyticJob(t)
-	eng := New(job, stats, Options{UnrollIterations: 2})
-	if _, err := eng.Plan(2); err != nil {
-		t.Fatal(err)
-	}
-	p, ok := eng.best(1)
-	if !ok || p.Failures != 2 {
-		t.Fatalf("best(1) = (%v, %v), want the 2-failure plan", p, ok)
-	}
-	if _, ok := eng.best(3); ok {
-		t.Error("best(3) found a plan although none covers 3 failures")
-	}
-}
-
 // TestReCycleThroughputBounded checks that the period under failures never
 // beats fault-free (adaptive schedules repair, they do not re-optimize)
 // and stays within twice it while failures fit the bubble capacity.
@@ -328,7 +311,8 @@ func TestProgramForNeverCrossesTechniqueNamespace(t *testing.T) {
 // of every single failure, every key it holds addresses a Program.
 func TestStoreHoldsOnlyPrograms(t *testing.T) {
 	job, stats := ShapeJob(3, 2, 4)
-	eng := New(job, stats, Options{UnrollIterations: 1})
+	store := planstore.New(3)
+	eng := New(job, stats, Options{UnrollIterations: 1, Store: store})
 	if err := eng.Warm(0).Wait(); err != nil {
 		t.Fatal(err)
 	}
@@ -339,7 +323,7 @@ func TestStoreHoldsOnlyPrograms(t *testing.T) {
 			}
 		}
 	}
-	keys := eng.Store().Keys()
+	keys := store.Keys()
 	if len(keys) == 0 {
 		t.Fatal("the store holds nothing after six Program fetches")
 	}

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"recycle/internal/config"
+	"recycle/internal/planstore"
 	"recycle/internal/profile"
 	"recycle/internal/schedule"
 )
@@ -54,13 +55,14 @@ func addBarrierSeeds(f *testing.F, p *schedule.Program, data []byte) {
 // slots, and the calibrated model the replay experiments build
 // (experiments.ReplayEngine: analytic stats plus the stage scales of the
 // real layer split). The Fig 9 jobs split evenly, so their calibrated model
-// is nil; this one is GPT-3 3.35B at PP4, 8/8/7/7 layers. The external
-// codec sweeps use it too.
-func CostModelEngines(tb testing.TB) (labels []string, engines []*Engine) {
+// is nil; this one is GPT-3 3.35B at PP4, 8/8/7/7 layers. The engines
+// persist into store (nil gives each a private one). The external codec
+// sweeps use it too.
+func CostModelEngines(tb testing.TB, store *planstore.Store) (labels []string, engines []*Engine) {
 	job, stats := ShapeJob(2, 2, 3)
 	straggler := profile.UniformCost(stats).WithWorkerScale(schedule.Worker{Stage: 0, Pipeline: 1}, 2)
 	labels = append(labels, "2x straggler")
-	engines = append(engines, New(job, stats, Options{UnrollIterations: 1, CostModel: straggler}))
+	engines = append(engines, New(job, stats, Options{UnrollIterations: 1, CostModel: straggler, Store: store}))
 
 	job = config.Job{Model: config.GPT3_3_35B, Parallel: config.Parallelism{DP: 2, PP: 4, TP: 1},
 		Batch: config.Batch{GlobalBatch: 4, MicroBatch: 1}, Hardware: config.A100x1}
@@ -73,7 +75,7 @@ func CostModelEngines(tb testing.TB) (labels []string, engines []*Engine) {
 		tb.Fatalf("calibrated cost model %v: %v", calibrated, err)
 	}
 	labels = append(labels, "calibrated 3.35B")
-	engines = append(engines, New(job, stats, Options{UnrollIterations: 1, CostModel: calibrated}))
+	engines = append(engines, New(job, stats, Options{UnrollIterations: 1, CostModel: calibrated, Store: store}))
 	return labels, engines
 }
 
@@ -125,7 +127,7 @@ func FuzzDecodeProgram(f *testing.F) {
 	}
 	// Programs that carry a cost table, cut where the table ends, and with a
 	// duration the decoder must refuse.
-	_, engines := CostModelEngines(f)
+	_, engines := CostModelEngines(f, nil)
 	for _, eng := range engines {
 		p, err := eng.Program(0)
 		if err != nil {

@@ -150,8 +150,7 @@ func TestPlannerSchedulesValidate(t *testing.T) {
 }
 
 // TestPlanAllAndStore checks the offline phase: warming lands a plan for
-// every count in 0..DP-1 in the engine's Best(n) index, and best falls
-// back to the smallest larger plan when the exact count is missing.
+// every count in 0..DP-1 in the engine's Best(n) index.
 func TestPlanAllAndStore(t *testing.T) {
 	job, stats := analyticJob(t)
 	maxF := job.MaxPlannedFailures()
@@ -166,19 +165,6 @@ func TestPlanAllAndStore(t *testing.T) {
 		if plan, ok := eng.best(f); !ok || plan.Failures != f {
 			t.Fatalf("best(%d) = (%v, %v), want the %d-failure plan", f, plan, ok, f)
 		}
-	}
-
-	gap := New(job, stats, Options{UnrollIterations: 2}) // private store: no 1- or 3-failure plan anywhere
-	for _, f := range []int{0, 2} {
-		if _, err := gap.Plan(f); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if plan, ok := gap.best(1); !ok || plan.Failures != 2 {
-		t.Fatalf("best(1) over {0, 2} = (%v, %v), want the 2-failure plan", plan, ok)
-	}
-	if plan, ok := gap.best(3); ok {
-		t.Fatalf("best(3) over {0, 2} returned the %d-failure plan, want none", plan.Failures)
 	}
 }
 

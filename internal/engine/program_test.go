@@ -59,9 +59,9 @@ func TestProgramCachedAlongsidePlan(t *testing.T) {
 // serve the healthy artifact for it.
 func TestProgramForHealthyFleet(t *testing.T) {
 	job, stats := ShapeJob(2, 2, 4)
-	opts := Options{UnrollIterations: 1}
+	opts := Options{UnrollIterations: 1, Store: planstore.New(3)}
 	eng := New(job, stats, opts)
-	client := NewClient(eng.Store(), job, stats, opts)
+	client := NewClient(opts.Store, job, stats, opts)
 	viaN, err := eng.Program(0)
 	if err != nil {
 		t.Fatal(err)
@@ -291,7 +291,7 @@ func TestPublishSplicedProgramCountsFailures(t *testing.T) {
 // it carries, so an artifact stored under a reused key by an engine with
 // another model is refused and recompiled.
 func TestProgramMatchesComparesCostTables(t *testing.T) {
-	labels, engines := CostModelEngines(t)
+	labels, engines := CostModelEngines(t, nil)
 	for i, eng := range engines {
 		plan, err := eng.Plan(0)
 		if err != nil {

@@ -97,8 +97,9 @@ func TestRemoteExecutorRuntimeAgreement(t *testing.T) {
 
 	// Coordinator: compiles healthy and 1-failure Programs, replicating
 	// both into its store.
+	store := planstore.New(3)
 	coordCfg := cfg
-	coordCfg.Store = planstore.New(3)
+	coordCfg.Store = store
 	coord := dtrain.New(coordCfg)
 	want := run(coord)
 
@@ -106,10 +107,10 @@ func TestRemoteExecutorRuntimeAgreement(t *testing.T) {
 	// of the shared store via the fetch-only client — its own engine never
 	// solves or compiles.
 	execCfg := cfg
-	execCfg.Store = coord.PlanStore()
+	execCfg.Store = store
 	executor := dtrain.New(execCfg)
 	job, stats := engine.ShapeJob(cfg.DP, cfg.PP, cfg.MB)
-	executor.SetProgramSource(engine.NewClient(coord.PlanStore(), job, stats, engine.Options{UnrollIterations: 1}))
+	executor.SetProgramSource(engine.NewClient(store, job, stats, engine.Options{UnrollIterations: 1}))
 	got := run(executor)
 
 	for i := range want {

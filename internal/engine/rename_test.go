@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"recycle/internal/config"
+	"recycle/internal/planstore"
 	"recycle/internal/profile"
 	"recycle/internal/schedule"
 )
@@ -170,9 +171,9 @@ func TestRenameProgramMatchesCompile(t *testing.T) {
 // are cache hits that solve, compile and rename nothing more.
 func TestRenamedSetsCompileOnlyRepresentatives(t *testing.T) {
 	job, stats := ShapeJob(4, 3, 4)
-	opts := Options{UnrollIterations: 1}
+	opts := Options{UnrollIterations: 1, Store: planstore.New(3)}
 	eng := New(job, stats, opts)
-	client := NewClient(eng.Store(), job, stats, opts)
+	client := NewClient(opts.Store, job, stats, opts)
 	sets := renameSets(eng.Shape(), false)
 	served := make([]*schedule.Program, len(sets))
 	orbits := 0
@@ -195,7 +196,7 @@ func TestRenamedSetsCompileOnlyRepresentatives(t *testing.T) {
 		if _, ok := eng.cached(ckey(eng.conf.fp, ws)); ok == changed {
 			t.Fatalf("%v: plan cached %v, want %v", ws, ok, !changed)
 		}
-		if _, found, err := eng.Store().Get(programKey(eng.conf.fp, ws)); err != nil || !found {
+		if _, found, err := opts.Store.Get(programKey(eng.conf.fp, ws)); err != nil || !found {
 			t.Fatalf("%v: no Program in the store (%v)", ws, err)
 		}
 		fetched, err := client.ProgramFor(map[schedule.Worker]bool{ws[0]: true})

@@ -144,19 +144,6 @@ func Table1() ([]Table1Row, string, error) {
 	return rows, b.String(), nil
 }
 
-// Table1Cell recomputes one ReCycle cell of Table 1 from scratch: a fresh
-// replay engine (empty plan caches), the monotonic trace for freq, one
-// replay over the full horizon. Every step is deterministic, so two calls
-// agree event for event — the golden test pins that.
-func Table1Cell(job config.Job, freq time.Duration) (*replay.Result, error) {
-	eng, stats, err := ReplayEngine(job, nil)
-	if err != nil {
-		return nil, err
-	}
-	tr := failure.Monotonic(job.Parallel.Workers(), freq, Horizon)
-	return replay.Replay(eng, tr, ReplayOptions(job, stats))
-}
-
 func shortDur(d time.Duration) string {
 	if d >= time.Hour {
 		return fmt.Sprintf("%dh", int(d.Hours()))

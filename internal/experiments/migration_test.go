@@ -6,6 +6,8 @@ import (
 	"time"
 
 	"recycle/internal/config"
+	"recycle/internal/failure"
+	"recycle/internal/replay"
 )
 
 // TestMigrationMonotoneInFailureFrequency pins the acceptance criterion
@@ -101,4 +103,17 @@ func TestTable1CellGolden(t *testing.T) {
 	if !reflect.DeepEqual(res, again) {
 		t.Fatalf("Table 1 cell is not deterministic:\n%+v\nvs\n%+v", res, again)
 	}
+}
+
+// Table1Cell recomputes one ReCycle cell of Table 1 from scratch: a fresh
+// replay engine (empty plan caches), the monotonic trace for freq, one
+// replay over the full horizon. Every step is deterministic, so two calls
+// agree event for event — the golden test pins that.
+func Table1Cell(job config.Job, freq time.Duration) (*replay.Result, error) {
+	eng, stats, err := ReplayEngine(job, nil)
+	if err != nil {
+		return nil, err
+	}
+	tr := failure.Monotonic(job.Parallel.Workers(), freq, Horizon)
+	return replay.Replay(eng, tr, ReplayOptions(job, stats))
 }

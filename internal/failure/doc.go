@@ -1,9 +1,8 @@
 // Package failure models the failure workloads of the paper's evaluation
 // (§6): fixed-frequency monotonic failure schedules (Table 1), Poisson
-// failure processes parameterized by MTBF — both the pooled fleet-level
-// process (Poisson) and independent per-machine processes with stable
-// machine identities (PoissonMachines) — and availability traces with
-// failures and re-joins (the GCP trace of Fig 9a).
+// failure processes parameterized by MTBF — independent per-machine
+// processes with stable machine identities (PoissonMachines) — and
+// availability traces with failures and re-joins (the GCP trace of Fig 9a).
 //
 // A Trace is a timeline of availability Steps. Beyond the count, each step
 // can name the machines that changed: a machine identity is a flat index

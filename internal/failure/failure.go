@@ -282,58 +282,6 @@ func Monotonic(total int, freq, horizon time.Duration) Trace {
 	return t
 }
 
-// Poisson builds a trace with exponentially distributed inter-failure
-// times (mean mtbf) and exponentially distributed repair times (mean mttr,
-// zero disables repair), modeled at fleet granularity: one pooled process
-// decides when the availability count moves, and Identify assigns the
-// canonical machine identities afterwards. PoissonMachines is the
-// per-machine variant whose identities come from the processes themselves.
-// Deterministic for a given seed.
-func Poisson(total int, mtbf, mttr, horizon time.Duration, seed int64) Trace {
-	rng := rand.New(rand.NewSource(seed))
-	type ev struct {
-		at   time.Duration
-		down bool
-	}
-	var evs []ev
-	at := time.Duration(0)
-	for {
-		at += time.Duration(rng.ExpFloat64() * float64(mtbf))
-		if at > horizon {
-			break
-		}
-		evs = append(evs, ev{at, true})
-		if mttr > 0 {
-			repair := at + time.Duration(rng.ExpFloat64()*float64(mttr))
-			if repair <= horizon {
-				evs = append(evs, ev{repair, false})
-			}
-		}
-	}
-	sort.Slice(evs, func(i, j int) bool { return evs[i].at < evs[j].at })
-	t := Trace{Name: fmt.Sprintf("poisson-mtbf%s", mtbf), Total: total, Steps: []Step{{At: 0, Available: total}}}
-	avail := total
-	for _, e := range evs {
-		if e.down && avail > 0 {
-			avail--
-		} else if !e.down && avail < total {
-			avail++
-		}
-		// Same-instant events (duration rounding) collapse into one step;
-		// Validate requires strictly increasing timestamps.
-		if last := &t.Steps[len(t.Steps)-1]; last.At == e.at {
-			last.Available = avail
-			continue
-		}
-		t.Steps = append(t.Steps, Step{At: e.at, Available: avail})
-	}
-	id, err := dedupe(t).Identify()
-	if err != nil {
-		panic(fmt.Sprintf("failure: Poisson generated an invalid trace: %v", err)) // timestamps strictly increase; unreachable
-	}
-	return id
-}
-
 // PoissonMachines builds a trace from per-machine Poisson processes:
 // machine i alternates between up spells drawn from Exp(mtbf) and down
 // spells drawn from Exp(mttr), each machine's process seeded independently
@@ -464,19 +412,6 @@ func GCP() Trace {
 		panic(fmt.Sprintf("failure: GCP trace invalid: %v", err)) // fixed data; unreachable
 	}
 	return id
-}
-
-// dedupe drops steps that neither change availability nor carry machine
-// identities.
-func dedupe(t Trace) Trace {
-	out := t.Steps[:1]
-	for _, s := range t.Steps[1:] {
-		if s.Available != out[len(out)-1].Available || len(s.Failed) > 0 || len(s.Rejoined) > 0 {
-			out = append(out, s)
-		}
-	}
-	t.Steps = out
-	return t
 }
 
 // FailureRate converts a percentage of a fleet into a worker count,

@@ -171,23 +171,6 @@ func TestCancelPairs(t *testing.T) {
 	}
 }
 
-// TestPoissonDeterministicAndValid property-checks the fleet-level
-// Poisson generator: deterministic per seed, valid, and identified via
-// the canonical derivation.
-func TestPoissonDeterministicAndValid(t *testing.T) {
-	check := func(seed int64) bool {
-		a := Poisson(16, time.Hour, 30*time.Minute, 6*time.Hour, seed)
-		b := Poisson(16, time.Hour, 30*time.Minute, 6*time.Hour, seed)
-		if !reflect.DeepEqual(a, b) {
-			return false
-		}
-		return a.Validate() == nil
-	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestPoissonMachinesDeterministic property-checks the per-machine
 // Poisson generator: two runs with one seed agree step for step
 // (including the machine identities), the trace validates as identified,
@@ -273,7 +256,7 @@ func TestAtMatchesLinearScan(t *testing.T) {
 		return avail
 	}
 	check := func(seed int64) bool {
-		tr := Poisson(24, 40*time.Minute, time.Hour, 6*time.Hour, seed)
+		tr := PoissonMachines(24, 40*time.Minute, time.Hour, 6*time.Hour, seed)
 		probes := []time.Duration{0, time.Nanosecond, 3 * time.Hour, 6 * time.Hour, 7 * time.Hour}
 		for _, s := range tr.Steps {
 			probes = append(probes, s.At, s.At-time.Nanosecond, s.At+time.Nanosecond)
@@ -339,12 +322,12 @@ func TestAtBoundaries(t *testing.T) {
 	}
 }
 
-// BenchmarkTraceAt guards the O(log steps) lookup: a dense 6h Poisson
-// trace probed across the horizon. The former linear scan walked half the
-// step list per query on average; regressions reintroducing it show up as
-// a ~100x blowup here.
+// BenchmarkTraceAt guards the O(log steps) lookup: a dense 6h per-machine
+// Poisson trace (about a million steps) probed across the horizon. The
+// former linear scan walked half the step list per query on average;
+// regressions reintroducing it show up as a ~100x blowup here.
 func BenchmarkTraceAt(b *testing.B) {
-	tr := Poisson(2048, 30*time.Second, time.Minute, 6*time.Hour, 11)
+	tr := PoissonMachines(2048, 30*time.Second, time.Minute, 6*time.Hour, 11)
 	b.Logf("trace has %d steps", len(tr.Steps))
 	probe := make([]time.Duration, 1024)
 	for i := range probe {

@@ -3,6 +3,7 @@ package nn
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -11,6 +12,21 @@ import (
 
 // heap is the nil arena: tensors built on it live on the Go heap.
 var heap *tensor.Arena
+
+// clone deep-copies m onto the Go heap.
+func clone(m *tensor.Matrix) *tensor.Matrix {
+	return &tensor.Matrix{Rows: m.Rows, Cols: m.Cols, Data: slices.Clone(m.Data)}
+}
+
+// maxAbsDiff returns the largest absolute element difference of two
+// matrices of one shape.
+func maxAbsDiff(a, b *tensor.Matrix) float64 {
+	var m float64
+	for i := range a.Data {
+		m = max(m, math.Abs(a.Data[i]-b.Data[i]))
+	}
+	return m
+}
 
 // TestLinearGradientsNumerically verifies the decoupled backward passes
 // against central-difference numerical gradients.
@@ -110,24 +126,24 @@ func TestAdamWRollback(t *testing.T) {
 	opt := NewAdamW(1e-3)
 	before := make([]*tensor.Matrix, len(params))
 	for i, p := range params {
-		before[i] = p.W.Clone()
+		before[i] = clone(p.W)
 	}
 	// Two steps, then roll one back.
 	opt.Step(params)
 	after1 := make([]*tensor.Matrix, len(params))
 	for i, p := range params {
-		after1[i] = p.W.Clone()
+		after1[i] = clone(p.W)
 	}
 	opt.Step(params)
 	opt.Rollback(params)
 	for i, p := range params {
-		if d := tensor.MaxAbsDiff(p.W, after1[i]); d > 1e-12 {
+		if d := maxAbsDiff(p.W, after1[i]); d > 1e-12 {
 			t.Errorf("param %d: rollback residual %g after one undo", i, d)
 		}
 	}
 	opt.Rollback(params)
 	for i, p := range params {
-		if d := tensor.MaxAbsDiff(p.W, before[i]); d > 1e-12 {
+		if d := maxAbsDiff(p.W, before[i]); d > 1e-12 {
 			t.Errorf("param %d: rollback residual %g after full undo", i, d)
 		}
 	}
@@ -143,11 +159,11 @@ func TestSGDRollback(t *testing.T) {
 			p.Grad.Data[i] = rng.NormFloat64()
 		}
 	}
-	before := params[0].W.Clone()
+	before := clone(params[0].W)
 	opt := &SGD{LR: 0.1}
 	opt.Step(params)
 	opt.Rollback(params)
-	if d := tensor.MaxAbsDiff(params[0].W, before); d > 1e-15 {
+	if d := maxAbsDiff(params[0].W, before); d > 1e-15 {
 		t.Fatalf("SGD rollback residual %g", d)
 	}
 }
@@ -163,6 +179,16 @@ func TestValidateFiniteDetectsNaN(t *testing.T) {
 	if err := ValidateFinite(l.Params()); err == nil {
 		t.Fatal("NaN parameter not detected")
 	}
+}
+
+// Less orders keys canonically (pipeline-major) — the reduction order that
+// makes data-parallel gradients bitwise identical regardless of where
+// rerouted micro-batches executed.
+func (k MBKey) Less(o MBKey) bool {
+	if k.Pipeline != o.Pipeline {
+		return k.Pipeline < o.Pipeline
+	}
+	return k.MB < o.MB
 }
 
 // TestMBKeyOrdering property-checks the canonical ordering's totality.

@@ -14,16 +14,6 @@ type MBKey struct {
 	MB       int
 }
 
-// Less orders keys canonically (pipeline-major) — the reduction order that
-// makes data-parallel gradients bitwise identical regardless of where
-// rerouted micro-batches executed.
-func (k MBKey) Less(o MBKey) bool {
-	if k.Pipeline != o.Pipeline {
-		return k.Pipeline < o.Pipeline
-	}
-	return k.MB < o.MB
-}
-
 // Stage is one pipeline stage: an ordered list of layers plus the
 // per-micro-batch stash bookkeeping. BackwardWeight returns its deferred
 // weight gradients instead of storing them: the WeightGradStore (§5) is

@@ -185,25 +185,11 @@ type Schedule struct {
 	// Placements holds every op placement, sorted by Start.
 	Placements []Placement
 
-	// The lookup indexes are derived on first use: the failure path
+	// The per-worker index is derived on first use: the failure path
 	// (Compile, Validate, replay.Splice) reads Placements only, so a spliced
-	// or cached schedule that nobody queries never pays for them.
+	// or cached schedule that nobody queries never pays for it.
 	workerOnce sync.Once
 	byWorker   map[Worker][]Placement
-	opOnce     sync.Once
-	byOp       map[Op]Placement
-}
-
-// At returns the placement of op, if it is part of the schedule.
-func (s *Schedule) At(op Op) (Placement, bool) {
-	s.opOnce.Do(func() {
-		s.byOp = make(map[Op]Placement, len(s.Placements))
-		for _, p := range s.Placements {
-			s.byOp[p.Op] = p
-		}
-	})
-	p, ok := s.byOp[op]
-	return p, ok
 }
 
 // sortKey is one placement's position in the canonical order: its start,

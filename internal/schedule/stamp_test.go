@@ -11,8 +11,12 @@ func TestCompileStampsDurations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	placed := make(map[Op]Placement, len(s.Placements))
+	for _, p := range s.Placements {
+		placed[p.Op] = p
+	}
 	for i := range prog.Instrs {
-		pl, ok := s.At(prog.Op(i))
+		pl, ok := placed[prog.Op(i)]
 		if !ok {
 			t.Fatalf("instruction %d (%s) has no placement", i, prog.Op(i))
 		}

@@ -88,7 +88,7 @@ func TestStallsChargedOnFailureEvents(t *testing.T) {
 // experiments.TestTable1Shapes.
 func TestSystemsOrderingUnderChurn(t *testing.T) {
 	common := testCommon(t)
-	tr := failure.Poisson(16, 45*time.Minute, 90*time.Minute, 6*time.Hour, 7)
+	tr := failure.PoissonMachines(16, 45*time.Minute, 90*time.Minute, 6*time.Hour, 7)
 	for _, sys := range []System{
 		baselines.Oobleck{C: common},
 		baselines.Bamboo{C: common},

@@ -8,7 +8,6 @@ package tensor
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 )
 
@@ -21,14 +20,6 @@ type Matrix struct {
 // New allocates a zero matrix on the Go heap.
 func New(rows, cols int) *Matrix { return (*Arena)(nil).New(rows, cols) }
 
-// FromSlice wraps data (length rows*cols) without copying.
-func FromSlice(rows, cols int, data []float64) *Matrix {
-	if len(data) != rows*cols {
-		panic(fmt.Sprintf("tensor: %d values for %dx%d matrix", len(data), rows, cols))
-	}
-	return &Matrix{Rows: rows, Cols: cols, Data: data}
-}
-
 // Randn fills a new matrix with N(0, stddev) values from rng.
 func (ar *Arena) Randn(rows, cols int, stddev float64, rng *rand.Rand) *Matrix {
 	m := ar.New(rows, cols)
@@ -36,19 +27,6 @@ func (ar *Arena) Randn(rows, cols int, stddev float64, rng *rand.Rand) *Matrix {
 		m.Data[i] = rng.NormFloat64() * stddev
 	}
 	return m
-}
-
-// At returns element (r, c).
-func (m *Matrix) At(r, c int) float64 { return m.Data[r*m.Cols+c] }
-
-// Set assigns element (r, c).
-func (m *Matrix) Set(r, c int, v float64) { m.Data[r*m.Cols+c] = v }
-
-// Clone deep-copies the matrix.
-func (m *Matrix) Clone() *Matrix {
-	out := New(m.Rows, m.Cols)
-	copy(out.Data, m.Data)
-	return out
 }
 
 // Zero clears the matrix in place.
@@ -118,16 +96,6 @@ func (ar *Arena) MatMulAT(a, b *Matrix) *Matrix {
 				orow[j] += av * bv
 			}
 		}
-	}
-	return out
-}
-
-// Add returns a + b.
-func (ar *Arena) Add(a, b *Matrix) *Matrix {
-	mustSameShape("add", a, b)
-	out := ar.New(a.Rows, a.Cols)
-	for i := range out.Data {
-		out.Data[i] = a.Data[i] + b.Data[i]
 	}
 	return out
 }
@@ -215,18 +183,6 @@ func Equal(a, b *Matrix) bool {
 		}
 	}
 	return true
-}
-
-// MaxAbsDiff returns the largest absolute element difference.
-func MaxAbsDiff(a, b *Matrix) float64 {
-	mustSameShape("maxabsdiff", a, b)
-	var m float64
-	for i := range a.Data {
-		if d := math.Abs(a.Data[i] - b.Data[i]); d > m {
-			m = d
-		}
-	}
-	return m
 }
 
 func mustSameShape(op string, a, b *Matrix) {
