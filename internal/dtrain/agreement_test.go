@@ -24,11 +24,12 @@ func TestSimRuntimeAgreementByConstruction(t *testing.T) {
 	}
 	rt := New(cfg)
 	rt.Fail(schedule.Worker{Stage: 2, Pipeline: 1}) // the paper's W1_2
+	planned := plannedTimeline(t, rt)
 	if _, err := rt.RunIteration(); err != nil {
 		t.Fatal(err)
 	}
 
-	prog, starts, ends := rt.ExecutedTimeline()
+	prog, starts, ends := planned.Program, planned.Start, planned.End
 	if prog == nil {
 		t.Fatal("runtime recorded no executed timeline")
 	}
@@ -92,11 +93,12 @@ func TestAgreementMidIterationFailureSplice(t *testing.T) {
 	}
 
 	// Live side: the chaos path runs the same event for real.
+	planned := plannedTimeline(t, rt, CascadeEvent{Cut: cut, Fail: victims})
 	loss, err := rt.RunIterationFailure(victims, cut)
 	if err != nil {
 		t.Fatal(err)
 	}
-	live, starts, ends := rt.ExecutedTimeline()
+	live, starts, ends := planned.Program, planned.Start, planned.End
 	if len(live.Instrs) != len(lv.Program.Instrs) {
 		t.Fatalf("live spliced Program has %d instructions, DES derivation %d", len(live.Instrs), len(lv.Program.Instrs))
 	}
@@ -140,10 +142,11 @@ func TestAgreementHoldsAcrossFailureSets(t *testing.T) {
 		for _, w := range fs {
 			rt.Fail(w)
 		}
+		planned := plannedTimeline(t, rt)
 		if _, err := rt.RunIteration(); err != nil {
 			t.Fatal(err)
 		}
-		prog, _, ends := rt.ExecutedTimeline()
+		prog, ends := planned.Program, planned.End
 		ex, err := sim.ExecuteProgram(prog, sim.ProgramOptions{})
 		if err != nil {
 			t.Fatal(err)
@@ -172,11 +175,12 @@ func TestAgreementWithHeterogeneousDurations(t *testing.T) {
 	}
 	rt := New(cfg)
 	rt.Fail(schedule.Worker{Stage: 2, Pipeline: 1}) // a hard failure on top of the gray one
+	planned := plannedTimeline(t, rt)
 	if _, err := rt.RunIteration(); err != nil {
 		t.Fatal(err)
 	}
 
-	prog, starts, ends := rt.ExecutedTimeline()
+	prog, starts, ends := planned.Program, planned.Start, planned.End
 	if prog == nil {
 		t.Fatal("runtime recorded no executed timeline")
 	}
@@ -207,15 +211,18 @@ func TestAgreementWithHeterogeneousDurations(t *testing.T) {
 	}
 }
 
-// ExecutedTimeline returns the Program the last iteration interpreted and
-// each instruction's executed logical span (start, end in slot units; -1
-// where a rolled-back phase never got to it), indexed by instruction ID —
-// the discrete-event simulator's timeline of that Program, which is what
-// the interpreter's spans, cut points and stream bounds were read from.
-// The slices are shared with the runtime: read-only.
-func (rt *Runtime) ExecutedTimeline() (prog *schedule.Program, starts, ends []int64) {
-	if rt.lastExec == nil {
-		return nil, nil, nil
+// plannedTimeline returns the timeline rt.RunIteration(events...) executes
+// when the iteration succeeds: the last chain's Exec of the runtime's plan
+// for the events — the interpreted Program and each instruction's logical
+// span (start, end in slot units), indexed by instruction ID, which is
+// what the interpreter's spans, cut points and stream bounds are read
+// from. Planning changes no runtime state, so call it just before
+// RunIteration. The slices are read-only.
+func plannedTimeline(t *testing.T, rt *Runtime, events ...CascadeEvent) *sim.Execution {
+	t.Helper()
+	chains, _, err := rt.planIteration(events)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return rt.lastExec.Program, rt.lastExec.Start, rt.lastExec.End
+	return chains[len(chains)-1].Exec
 }

@@ -209,7 +209,7 @@ func TestChaosCascadeGolden(t *testing.T) {
 	// doubly-spliced trace).
 	labels := []string{"iter1/pre-splice", "iter1/mid-splice-1", "iter1/post-splice"}
 	for _, label := range labels {
-		seg := tr.Segment(label)
+		seg := segmentNamed(tr, label)
 		if seg == nil {
 			var have []string
 			for _, g := range tr.Segments() {
@@ -226,17 +226,21 @@ func TestChaosCascadeGolden(t *testing.T) {
 		}
 	}
 
-	// Two splices, two cuts, three windows on the final timeline.
-	cuts := obs.SpliceCuts(tr.Events())
+	// Two splices, two distinct cuts inside the final timeline.
+	var cuts []int64
+	for _, e := range tr.Events() {
+		if e.Kind == obs.EvSplice {
+			cuts = append(cuts, e.At)
+		}
+	}
 	if len(cuts) != 2 {
 		t.Fatalf("trace has %d splice cuts, want 2", len(cuts))
 	}
 	if cuts[0] != res.Kills[0].Cut || cuts[1] != res.Kills[1].Cut {
 		t.Errorf("splice cuts %v disagree with kills %+v", cuts, res.Kills)
 	}
-	wins := obs.SpliceWindows(tr.Segment("iter1/post-splice"), cuts)
-	if len(wins) != 3 {
-		t.Fatalf("SpliceWindows produced %d windows, want 3", len(wins))
+	if end := segmentNamed(tr, "iter1/post-splice").Makespan(); cuts[0] == cuts[1] || min(cuts[0], cuts[1]) <= 0 || max(cuts[0], cuts[1]) >= end {
+		t.Fatalf("splice cuts %v do not split the final timeline (0, %d) in three", cuts, end)
 	}
 	// Each kill leaves two EvKill records: the membership change (Fail)
 	// and the timeline event at the cut.
@@ -325,7 +329,9 @@ func TestChaosEpochAgreementLiveVsDES(t *testing.T) {
 		t.Fatalf("cut %d is not an epilogue instant: no durable step", cut)
 	}
 
-	loss, err := rt.RunIteration(CascadeEvent{Cut: cut, Fail: []schedule.Worker{victim}})
+	kill := CascadeEvent{Cut: cut, Fail: []schedule.Worker{victim}}
+	ex := plannedTimeline(t, rt, kill)
+	loss, err := rt.RunIteration(kill)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,8 +359,6 @@ func TestChaosEpochAgreementLiveVsDES(t *testing.T) {
 	// DES agreement: optimizer completions on the executed timeline equal
 	// each worker's live epoch delta — the frozen durable step counts, a
 	// non-durable victim step does not.
-	exProg, starts, ends := rt.ExecutedTimeline()
-	ex := &sim.Execution{Program: exProg, Start: starts, End: ends}
 	des := ex.StepEpochs()
 	for _, w := range workers {
 		if got, want := des[w], rt.stages[w].StepEpoch()-1; got != want {

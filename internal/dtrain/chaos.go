@@ -92,9 +92,6 @@ type ChaosOptions struct {
 	// kills, splices, re-sends (the fault-free reference run is not
 	// traced). A flight-recorder ring is always attached alongside it.
 	Recorder obs.Recorder
-	// FlightCap sizes the flight-recorder ring (obs.DefaultFlightCap when
-	// 0).
-	FlightCap int
 }
 
 // ChaosKill reports one kill event of a chaos cascade.
@@ -169,7 +166,7 @@ func Chaos(cfg Config, opt ChaosOptions) (*ChaosResult, error) {
 	}
 	rng := rand.New(rand.NewSource(opt.Seed))
 	rt, ref := New(cfg), New(cfg)
-	fl := obs.NewFlightRecorder(opt.FlightCap)
+	fl := obs.NewFlightRecorder(obs.DefaultFlightCap)
 	rt.AttachRecorder(obs.Multi(opt.Recorder, fl))
 	res := &ChaosResult{Flight: fl}
 	for it := 0; it < opt.Iterations; it++ {

@@ -39,11 +39,10 @@ func cutBeforeFirstStep(t *testing.T, prog *schedule.Program) int64 {
 	return max(first/2, 1)
 }
 
-// executedBytes encodes the Program rt interpreted last.
-func executedBytes(t *testing.T, rt *Runtime) []byte {
+// executedBytes encodes the Program of an executed timeline.
+func executedBytes(t *testing.T, ex *sim.Execution) []byte {
 	t.Helper()
-	prog, _, _ := rt.ExecutedTimeline()
-	data, err := engine.EncodeProgram(prog)
+	data, err := engine.EncodeProgram(ex.Program)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +71,9 @@ func TestChaosExecutorSplicesWithProgramCosts(t *testing.T) {
 	exec.SetProgramSource(fixedSource{prog})
 	kill := CascadeEvent{Cut: cutBeforeFirstStep(t, prog), Fail: []schedule.Worker{victim}}
 	var losses [2]float64
+	var planned [2]*sim.Execution
 	for i, rt := range []*Runtime{coord, exec} {
+		planned[i] = plannedTimeline(t, rt, kill)
 		if losses[i], err = iterateWatched(t, rt, kill); err != nil {
 			t.Fatalf("runtime %d: %v", i, err)
 		}
@@ -80,7 +81,7 @@ func TestChaosExecutorSplicesWithProgramCosts(t *testing.T) {
 	if math.Float64bits(losses[0]) != math.Float64bits(losses[1]) {
 		t.Fatalf("executor loss %v, coordinator %v", losses[1], losses[0])
 	}
-	spliced, starts, _ := coord.ExecutedTimeline()
+	spliced, starts := planned[0].Program, planned[0].Start
 	rerouted := 0
 	for i := range spliced.Instrs {
 		if op := spliced.Op(i); op.Worker() == peer && op.Rerouted() && starts[i] >= kill.Cut {
@@ -90,7 +91,7 @@ func TestChaosExecutorSplicesWithProgramCosts(t *testing.T) {
 	if rerouted == 0 {
 		t.Fatalf("the kill at %d re-routed nothing onto the straggler: the costs were never read", kill.Cut)
 	}
-	if want, got := executedBytes(t, coord), executedBytes(t, exec); !bytes.Equal(got, want) {
+	if want, got := executedBytes(t, planned[0]), executedBytes(t, planned[1]); !bytes.Equal(got, want) {
 		t.Fatalf("the executor's spliced Program (%d bytes) differs from the coordinator's (%d bytes)", len(got), len(want))
 	}
 }
@@ -124,12 +125,14 @@ func TestChaosExecutorRederivesSplice(t *testing.T) {
 	victim := schedule.Worker{Stage: 0, Pipeline: 1}
 	for it := 0; it < 3; it++ {
 		var kill []CascadeEvent
+		var coordEx, execEx *sim.Execution
 		if it == 1 {
 			prog, err := coord.Program()
 			if err != nil {
 				t.Fatal(err)
 			}
 			kill = []CascadeEvent{{Cut: cutBeforeFirstStep(t, prog), Fail: []schedule.Worker{victim}}}
+			coordEx, execEx = plannedTimeline(t, coord, kill...), plannedTimeline(t, exec, kill...)
 		}
 		want, err := iterateWatched(t, coord, kill...)
 		if err != nil {
@@ -137,8 +140,7 @@ func TestChaosExecutorRederivesSplice(t *testing.T) {
 		}
 		keys, fetches := cfg.Store.Keys(), src.fetches
 		if kill != nil {
-			spliced, _, _ := coord.ExecutedTimeline()
-			if kill[0].Digest, err = engine.ProgramDigest(spliced); err != nil {
+			if kill[0].Digest, err = engine.ProgramDigest(coordEx.Program); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -159,7 +161,7 @@ func TestChaosExecutorRederivesSplice(t *testing.T) {
 			if after := cfg.Store.Keys(); !slices.Equal(after, keys) {
 				t.Fatalf("the kill changed the store's keys from %q to %q", keys, after)
 			}
-			if !bytes.Equal(executedBytes(t, exec), executedBytes(t, coord)) {
+			if !bytes.Equal(executedBytes(t, execEx), executedBytes(t, coordEx)) {
 				t.Fatal("the executor interpreted a spliced Program other than the coordinator's")
 			}
 		}

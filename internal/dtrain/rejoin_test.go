@@ -47,7 +47,9 @@ func TestRejoinMidIterationResumesBeforeBoundary(t *testing.T) {
 	}
 	cut := full.ComputeMakespan(0) / 3
 
-	loss, err := rt.RunIteration(CascadeEvent{Cut: cut, Rejoin: []schedule.Worker{w}})
+	rejoin := CascadeEvent{Cut: cut, Rejoin: []schedule.Worker{w}}
+	planned := plannedTimeline(t, rt, rejoin)
+	loss, err := rt.RunIteration(rejoin)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +66,7 @@ func TestRejoinMidIterationResumesBeforeBoundary(t *testing.T) {
 
 	// The executed timeline is the spliced Program — validated, and with
 	// the repaired worker computing (and stepping) before the boundary.
-	spliced, starts, ends := rt.ExecutedTimeline()
+	spliced, starts, ends := planned.Program, planned.Start, planned.End
 	if spliced == nil || len(spliced.Instrs) == 0 {
 		t.Fatal("no executed timeline recorded")
 	}

@@ -438,7 +438,7 @@ func TestBarrierAbortReleasesGather(t *testing.T) {
 
 // TestBarrierReducesInHomeMBOrder pins the reduction order: whatever order
 // the contributions arrive in, the group sums them in (home, mb) order —
-// MBKey.Less, the order that keeps re-routed execution bitwise equal to
+// the canonical order that keeps re-routed execution bitwise equal to
 // fault-free execution, on data whose sum tells orders apart — and every
 // peer's accumulators get the first peer's one reduction, bit for bit.
 func TestBarrierReducesInHomeMBOrder(t *testing.T) {

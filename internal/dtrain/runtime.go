@@ -112,11 +112,6 @@ type Runtime struct {
 	opSeconds map[schedule.OpType]time.Duration
 	opCounts  map[schedule.OpType]int
 
-	// lastExec is the executed timeline of the last iteration: the
-	// interpreted Program and each instruction's logical slot-time span —
-	// its splice chain's timeline, which the interpreter took its times
-	// from, or its cut when a phase before an event rolled back.
-	lastExec *sim.Execution
 	// rec receives one span per interpreted instruction plus the
 	// iteration/kill/splice lifecycle stream (obs.Nop by default). Installed
 	// via AttachRecorder before training starts; executor goroutines read it
@@ -575,14 +570,13 @@ func (rt *Runtime) applyEvent(ev CascadeEvent, lv *replay.Spliced, cur *schedule
 	return nil
 }
 
-// finish seals one interpreted iteration, every executor having stopped:
-// it records the executed timeline, collects executor errors, rolls back
-// on failure (§5) or acknowledges the iteration's messages, and either way
+// finish seals one interpreted iteration, every executor having stopped,
+// exec its executed timeline: it collects executor errors, rolls back on
+// failure (§5) or acknowledges the iteration's messages, and either way
 // frees what the iteration held — the router's slot table, the stages'
 // activation stashes and the arenas under every tensor of the iteration
 // (the boundary GC of the re-send protocol) — then reduces the loss.
 func (rt *Runtime) finish(exec *sim.Execution, fl *inflight) (float64, error) {
-	rt.lastExec = exec
 	close(fl.valErrs)
 	var firstErr error
 	for e := range fl.valErrs {

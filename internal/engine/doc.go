@@ -25,27 +25,30 @@
 //     concurrent callers asking for the same (job fingerprint,
 //     techniques, failure count) trigger exactly one solve, a plan is
 //     installed first-wins (a class-dedup rename racing another returns
-//     the one already cached), and a plan's first Program fetches
+//     the one already cached), and a key's first Program fetches
 //     coalesce onto one store fetch or compile, encode and put —
 //     concurrent first callers of a key share one *Plan and one
 //     *schedule.Program;
 //   - ProgramFor is the Coordinator's failure-handling fetch path
-//     (§4.1): a class-dedup rename's Program from the cache, else the
-//     exact plan from the cache, then the Best(n) plan of the same
-//     failed set, then on-demand solve on miss; then the plan's Program
-//     from its slot, the replicated store, or a compile. A set whose
-//     canonical victim form differs is never solved or compiled: its orbit
-//     representative is, once, and the representative's Program is
-//     renamed onto the set (schedule.RenameProgram), cached under the
-//     set's key and replicated under its Program key. No renamed Schedule
-//     is built on this path; PlanConcrete builds one for callers that read
+//     (§4.1): the set's own cache entry, then the Best(n) entry of the
+//     same failed set, then on-demand solve on miss; then the entry's
+//     Program, from the cache, the replicated store, or a compile. A set
+//     whose canonical victim form differs is never solved or compiled: its
+//     orbit representative is, once, and the representative's Program is
+//     renamed onto the set (schedule.RenameProgram), cached in the set's
+//     entry and replicated under its Program key. No renamed Schedule is
+//     built on this path; PlanConcrete builds one for callers that read
 //     it.
 //
 // The Planner (§4.2: Failure Normalization plus schedule generation)
 // lives here too, as the engine's immutable configuration. There
 // is one cache, a get-or-solve map lock-striped into 64 hash shards keyed
-// by plan key, so a stripe is only ever locked for the keys it owns. A
-// plan is a pure function of its key and is solved at most once.
+// by plan key, so a stripe is only ever locked for the keys it owns. Each
+// key has one entry: its Plan (absent for a renamed set no PlanConcrete
+// asked for), its Program, filled once under the entry's mutex, and
+// whether both are renamed from the orbit representative's. The Best(n)
+// index of Fig 8 is the entries under the normalized keys. A plan is a
+// pure function of its key and is solved at most once.
 //
 // An engine's configuration — job, stats, technique toggles, unroll
 // window and heterogeneous cost model (profile.CostModel) — is fixed at

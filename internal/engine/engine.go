@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"hash/maphash"
 	"runtime"
-	"sync"
 	"sync/atomic"
 
 	"recycle/internal/config"
@@ -95,15 +94,11 @@ type Engine struct {
 	// conf is the configuration, fixed at New.
 	conf *Planner
 
-	// seed/stripes are the lock-striped plan cache: plans and in-flight
-	// solves sharded by key hash.
+	// seed/stripes are the lock-striped plan cache: one entry per key and
+	// the in-flight solves, sharded by key hash. The entries under nkey
+	// are the Best(n) index, the adaptive-schedule store of Fig 8.
 	seed    maphash.Seed
 	stripes [numStripes]stripe
-
-	// normMu guards norm, the Best(n) index — the adaptive-schedule store
-	// of Fig 8, one normalized plan per failure count.
-	normMu sync.Mutex
-	norm   map[int]*Plan
 
 	cacheHits, storeHits, bestHits atomic.Uint64
 	solves, coalesced, storeErrs   atomic.Uint64
@@ -131,10 +126,9 @@ func New(job config.Job, stats profile.Stats, opts Options) *Engine {
 		workers: workers,
 		conf:    newConf(job, stats, opts),
 		seed:    maphash.MakeSeed(),
-		norm:    make(map[int]*Plan),
 	}
 	for i := range e.stripes {
-		e.stripes[i].plans = make(map[string]*Plan)
+		e.stripes[i].entries = make(map[string]*entry)
 		e.stripes[i].inflight = make(map[string]*call)
 	}
 	return e
@@ -215,7 +209,7 @@ func (e *Engine) Plan(n int) (*Plan, error) {
 		return nil, fmt.Errorf("engine: negative failure count %d", n)
 	}
 	c := e.conf
-	return e.getOrSolve(nkey(c.fp, n), true, func() (*Plan, error) { return c.PlanFor(n) })
+	return e.getOrSolve(nkey(c.fp, n), func() (*Plan, error) { return c.PlanFor(n) })
 }
 
 // PlanConcrete returns the plan for one specific failed-worker set,
@@ -226,8 +220,9 @@ func (e *Engine) Plan(n int) (*Plan, error) {
 // renamed back onto the requested pipelines — an exact isomorph, since
 // interchangeable pipelines run every op at identical cost. A set naming a
 // worker outside the job, or one worker twice, is rejected first, in the
-// caller's names. The renamed plan is cached for callers that read its
-// Schedule; its Program is the one ProgramFor serves for the set.
+// caller's names. The renamed plan is cached in the set's entry for
+// callers that read its Schedule; its Program is the one ProgramFor serves
+// for the set.
 func (e *Engine) PlanConcrete(failed []schedule.Worker) (*Plan, error) {
 	ws, key := e.concrete(failed)
 	if err := checkFailed(e.conf.Shape(), ws); err != nil {
@@ -244,11 +239,7 @@ func (e *Engine) PlanConcrete(failed []schedule.Worker) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	p, fresh := e.admit(key, renamePlan(cp, schedule.InvertPerm(perm)), false)
-	if fresh {
-		e.classDedups.Add(1)
-	}
-	return p, nil
+	return e.admit(key, renamePlan(cp, schedule.InvertPerm(perm)), true).plan.Load(), nil
 }
 
 // concrete returns a sorted copy of a concrete failed-worker set and its
@@ -275,35 +266,28 @@ func (e *Engine) canonicalize(ws []schedule.Worker) (canon []schedule.Worker, pe
 // sorted failed set, cached under key.
 func (e *Engine) solveConcrete(key string, ws []schedule.Worker) (*Plan, error) {
 	c := e.conf
-	return e.getOrSolve(key, false, func() (*Plan, error) { return c.PlanConcrete(ws) })
+	return e.getOrSolve(key, func() (*Plan, error) { return c.PlanConcrete(ws) })
 }
 
-// best returns the normalized plan for n failures — the Best(n) index of
-// Fig 8. Only that plan can be served for n failed workers: a plan for
-// more failures has more workers down. It counts nothing, so each
-// Coordinator fetch lands in exactly one metrics tier.
-func (e *Engine) best(n int) (*Plan, bool) {
-	e.normMu.Lock()
-	defer e.normMu.Unlock()
-	p, ok := e.norm[n]
-	return p, ok
-}
-
-// cachedPlan returns the plan the Coordinator's failure-handling path
-// (§4.1, Fig 8) serves a sorted, nonempty failed set without solving: the
-// exact concrete plan cached under key, or the normalized Best(n) plan
-// when its failed set coincides with the concrete one (zero migrations
-// needed).
-func (e *Engine) cachedPlan(key string, ws []schedule.Worker) (*Plan, bool) {
-	if p, ok := e.peek(key); ok {
-		return p, true
+// cached returns the entry the Coordinator's failure-handling path (§4.1,
+// Fig 8) serves a sorted, nonempty failed set from without solving: the
+// set's own entry under key (a cached plan, or a class-dedup rename's
+// Program), counting a cache hit, or the normalized Best(n) entry (the
+// entry under nkey) when its failed set coincides with the concrete one
+// (zero migrations needed), counting a Best hit. Only that plan can be
+// served for n failed workers: a plan for more failures has more workers
+// down. Each fetch lands in exactly one metrics tier.
+func (e *Engine) cached(key string, ws []schedule.Worker) (*entry, bool) {
+	if en := e.lookup(key); en != nil {
+		e.cacheHits.Add(1)
+		return en, true
 	}
-	if p, ok := e.best(len(ws)); ok {
-		norm := append([]schedule.Worker(nil), p.Failed...)
+	if en := e.lookup(nkey(e.conf.fp, len(ws))); en != nil {
+		norm := append([]schedule.Worker(nil), en.plan.Load().Failed...)
 		schedule.SortWorkers(norm)
 		if sameWorkers(norm, ws) {
 			e.bestHits.Add(1)
-			return p, true
+			return en, true
 		}
 	}
 	return nil, false
@@ -312,11 +296,15 @@ func (e *Engine) cachedPlan(key string, ws []schedule.Worker) (*Plan, bool) {
 // peek returns the plan cached under key, counting the hit, without ever
 // solving.
 func (e *Engine) peek(key string) (*Plan, bool) {
-	p, ok := e.cached(key)
-	if ok {
-		e.cacheHits.Add(1)
+	var p *Plan
+	if en := e.lookup(key); en != nil {
+		p = en.plan.Load()
 	}
-	return p, ok
+	if p == nil {
+		return nil, false
+	}
+	e.cacheHits.Add(1)
+	return p, true
 }
 
 // getOrSolve is the coalescing get-or-solve core: one solve per key no
@@ -324,16 +312,16 @@ func (e *Engine) peek(key string) (*Plan, bool) {
 // a solve on one fingerprint never blocks a hit on another — and the cache
 // is probed under the shared lock before the exclusive inflight path is
 // touched at all.
-func (e *Engine) getOrSolve(key string, normalized bool, solve func() (*Plan, error)) (*Plan, error) {
+func (e *Engine) getOrSolve(key string, solve func() (*Plan, error)) (*Plan, error) {
 	if p, ok := e.peek(key); ok {
 		return p, nil
 	}
 	st := e.stripeFor(key)
 	e.lockExcl(&st.mu)
-	if p, ok := st.plans[key]; ok {
+	if en, ok := st.entries[key]; ok {
 		st.mu.Unlock()
 		e.cacheHits.Add(1)
-		return p, nil
+		return en.plan.Load(), nil
 	}
 	if c, ok := st.inflight[key]; ok {
 		st.mu.Unlock()
@@ -349,7 +337,7 @@ func (e *Engine) getOrSolve(key string, normalized bool, solve func() (*Plan, er
 	e.observe(obs.EvPlanSolve, key)
 	p, err := solve()
 	if err == nil {
-		p, _ = e.admit(key, p, normalized)
+		p = e.admit(key, p, false).plan.Load()
 	}
 	e.lockExcl(&st.mu)
 	delete(st.inflight, key)
@@ -357,29 +345,4 @@ func (e *Engine) getOrSolve(key string, normalized bool, solve func() (*Plan, er
 	c.plan, c.err = p, err
 	close(c.done)
 	return p, err
-}
-
-// admit installs a plan into the in-process cache and, for normalized
-// plans, the Best(n) index — unless the key already holds a plan. The
-// first admit wins: it returns the cached plan (p, or the one a concurrent
-// first request installed before it), so every caller of a key shares one
-// *Plan and with it one Program slot. It reports whether p was installed
-// under a key that held no class-dedup rename's Program either: a key's
-// first rename, whichever artifact it renames.
-func (e *Engine) admit(key string, p *Plan, normalized bool) (*Plan, bool) {
-	st := e.stripeFor(key)
-	e.lockExcl(&st.mu)
-	if q, ok := st.plans[key]; ok {
-		st.mu.Unlock()
-		return q, false
-	}
-	st.plans[key] = p
-	_, renamed := st.renamed[key]
-	st.mu.Unlock()
-	if normalized {
-		e.normMu.Lock()
-		e.norm[p.Failures] = p
-		e.normMu.Unlock()
-	}
-	return p, !renamed
 }

@@ -96,15 +96,15 @@ func TestPlanCoalescesConcurrentRequests(t *testing.T) {
 
 // planFor is ProgramFor's plan half, for tests that check the schedule
 // behind a fetch: the healthy plan for an empty set, else the cached
-// concrete plan or Best(n) (cachedPlan), else PlanConcrete — which, for a
+// concrete plan or Best(n) (cached), else PlanConcrete — which, for a
 // class-dedup rename, builds the renamed plan ProgramFor never caches.
 func (e *Engine) planFor(failed map[schedule.Worker]bool) (*Plan, error) {
 	ws := workerList(failed)
 	if len(ws) == 0 {
 		return e.Plan(0)
 	}
-	if p, ok := e.cachedPlan(ckey(e.conf.fp, ws), ws); ok {
-		return p, nil
+	if en, ok := e.cached(ckey(e.conf.fp, ws), ws); ok && en.plan.Load() != nil {
+		return en.plan.Load(), nil
 	}
 	return e.PlanConcrete(ws)
 }

@@ -2,8 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"recycle/internal/config"
@@ -34,19 +32,10 @@ type Plan struct {
 	PeriodSlots int64
 	// PlanTime is how long the Planner spent generating this plan.
 	PlanTime time.Duration
-	// prog is the compiled Program of Schedule, filled by the first
-	// ProgramFor/CompiledProgram that reaches this plan; progMu serializes
-	// the fills, so concurrent first requests share one. A plan is cached
-	// under one key, so the slot shares its lifetime; a Plan is therefore
-	// never copied by value, which would alias or drop it.
-	prog   atomic.Pointer[schedule.Program]
-	progMu sync.Mutex
-	// rep is the orbit representative a class-dedup rename was made from
-	// (nil for a solved plan), and perm the pipeline permutation onto this
-	// plan: CompiledProgram serves a renamed plan the Program renamed from
-	// rep's, the one ProgramFor serves for its key.
-	rep  *Plan
-	perm []int
+	// key is the cache key the plan was admitted under ("" until admitted):
+	// CompiledProgram finds the plan's cache entry, and with it its
+	// Program, through it.
+	key string
 }
 
 // Planner is ReCycle's primary contribution (§4.2): given a job and its
@@ -203,8 +192,8 @@ func (p *Planner) solve(sh schedule.Shape, assign []int, failed []schedule.Worke
 // permutation must move pipelines only within cost-equivalence classes;
 // the renamed schedule is then an exact isomorph of the original
 // (schedule.RenamePipelines), so period, makespan and per-stage
-// assignment carry over unchanged. The renamed plan keeps no Program of
-// its own: CompiledProgram renames the representative's.
+// assignment carry over unchanged. CompiledProgram serves it its cache
+// entry's Program: the representative's, renamed.
 func renamePlan(p *Plan, perm []int) *Plan {
 	failed := make([]schedule.Worker, len(p.Failed))
 	for i, w := range p.Failed {
@@ -218,8 +207,6 @@ func renamePlan(p *Plan, perm []int) *Plan {
 		Schedule:    schedule.RenamePipelines(p.Schedule, perm),
 		PeriodSlots: p.PeriodSlots,
 		PlanTime:    p.PlanTime,
-		rep:         p,
-		perm:        perm,
 	}
 }
 

@@ -149,6 +149,15 @@ func TestPlannerSchedulesValidate(t *testing.T) {
 	}
 }
 
+// best returns the normalized plan for n failures cached in the engine's
+// Best(n) index (the entries under nkey), counting nothing.
+func (e *Engine) best(n int) (*Plan, bool) {
+	if en := e.lookup(nkey(e.conf.fp, n)); en != nil {
+		return en.plan.Load(), true
+	}
+	return nil, false
+}
+
 // TestPlanAllAndStore checks the offline phase: warming lands a plan for
 // every count in 0..DP-1 in the engine's Best(n) index.
 func TestPlanAllAndStore(t *testing.T) {

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"slices"
 
 	"recycle/internal/obs"
@@ -23,17 +24,18 @@ func (e *Engine) Program(n int) (*schedule.Program, error) {
 // ProgramFor serves the set when no Best(n) plan matches it.
 func (e *Engine) ProgramConcrete(failed []schedule.Worker) (*schedule.Program, error) {
 	ws, key := e.concrete(failed)
-	if prog, ok := e.renamedHit(key); ok {
-		return prog, nil
+	if en := e.lookup(key); en != nil {
+		e.cacheHits.Add(1)
+		return e.programOf(en, ws)
 	}
 	return e.programConcrete(ws, key)
 }
 
 // ProgramFor is the Coordinator's executable-artifact fetch path: the
-// Program both executors interpret for the concrete failure set. A
-// class-dedup rename's Program is served from the cache; otherwise the
-// set's plan (cache → Best(n)) is lowered, and on a miss the set is
-// solved, or renamed from its orbit representative.
+// Program both executors interpret for the concrete failure set. The set's
+// entry (cache → Best(n)) serves its Program, lowering its plan on first
+// use; on a miss the set is solved, or renamed from its orbit
+// representative.
 func (e *Engine) ProgramFor(failed map[schedule.Worker]bool) (*schedule.Program, error) {
 	e.observe(obs.EvPlanFetch, "", obs.Attr{Key: "failed", Val: int64(len(failed))})
 	ws := workerList(failed)
@@ -41,36 +43,24 @@ func (e *Engine) ProgramFor(failed map[schedule.Worker]bool) (*schedule.Program,
 		return e.Program(0)
 	}
 	key := ckey(e.conf.fp, ws)
-	if prog, ok := e.renamedHit(key); ok {
-		return prog, nil
-	}
-	if p, ok := e.cachedPlan(key, ws); ok {
-		return e.CompiledProgram(p)
+	if en, ok := e.cached(key, ws); ok {
+		return e.programOf(en, ws)
 	}
 	return e.programConcrete(ws, key)
-}
-
-// renamedHit returns the class-dedup rename's Program cached under key,
-// counting a cache hit and a Program hit as a cached plan's Program would.
-func (e *Engine) renamedHit(key string) (*schedule.Program, bool) {
-	prog, ok := e.cachedRenamed(key)
-	if ok {
-		e.cacheHits.Add(1)
-		e.programHits.Add(1)
-	}
-	return prog, ok
 }
 
 // programConcrete serves the Program of a sorted concrete failed set keyed
 // key on a miss: the set is checked first, so a rejection names the
 // caller's workers; a canonical set's plan is fetched or solved and
-// lowered; any other set's orbit representative is, and its Program is
-// renamed onto the set (renameProgram). No renamed Schedule is built.
+// lowered; any other set's orbit representative is, and the set's renamed
+// entry is admitted (counting its class dedup) and served the
+// representative's Program renamed onto the set. No renamed Schedule is
+// built.
 func (e *Engine) programConcrete(ws []schedule.Worker, key string) (*schedule.Program, error) {
 	if err := checkFailed(e.conf.Shape(), ws); err != nil {
 		return nil, err
 	}
-	canon, perm, changed := e.canonicalize(ws)
+	canon, _, changed := e.canonicalize(ws)
 	if !changed {
 		p, err := e.solveConcrete(key, ws)
 		if err != nil {
@@ -78,54 +68,10 @@ func (e *Engine) programConcrete(ws []schedule.Worker, key string) (*schedule.Pr
 		}
 		return e.CompiledProgram(p)
 	}
-	rep, err := e.solveConcrete(ckey(e.conf.fp, canon), canon)
-	if err != nil {
+	if _, err := e.solveConcrete(ckey(e.conf.fp, canon), canon); err != nil {
 		return nil, err
 	}
-	return e.renameProgram(ws, key, rep, schedule.InvertPerm(perm))
-}
-
-// renameProgram serves the Program of the concrete set ws, keyed key, that
-// perm renames the orbit representative rep onto: the cached rename, or
-// rep's Program (compiled and replicated once per orbit) permuted by
-// schedule.RenameProgram, admitted first-wins — concurrent first callers
-// of a key share one *schedule.Program — and replicated under the set's
-// own Program key, where a Client fetches it.
-func (e *Engine) renameProgram(ws []schedule.Worker, key string, rep *Plan, perm []int) (*schedule.Program, error) {
-	if prog, ok := e.cachedRenamed(key); ok {
-		e.programHits.Add(1)
-		return prog, nil
-	}
-	rp, err := e.CompiledProgram(rep)
-	if err != nil {
-		return nil, err
-	}
-	prog, installed := e.admitRenamed(key, schedule.RenameProgram(rep.Schedule, rp, perm))
-	if installed {
-		e.replicate(programKey(e.conf.fp, ws), prog)
-	}
-	return prog, nil
-}
-
-// admitRenamed installs a class-dedup rename's Program under key unless the
-// key already holds one, and returns the cached Program and whether it is
-// prog. The first admit of a key that holds no renamed plan either counts
-// one ClassDedups.
-func (e *Engine) admitRenamed(key string, prog *schedule.Program) (*schedule.Program, bool) {
-	st := e.stripeFor(key)
-	e.lockExcl(&st.mu)
-	defer st.mu.Unlock()
-	if q, ok := st.renamed[key]; ok {
-		return q, false
-	}
-	if st.renamed == nil {
-		st.renamed = make(map[string]*schedule.Program) // most engines rename nothing
-	}
-	st.renamed[key] = prog
-	if _, ok := st.plans[key]; !ok {
-		e.classDedups.Add(1)
-	}
-	return prog, true
+	return e.programOf(e.admit(key, nil, true), ws)
 }
 
 // PublishSplicedProgram replicates a mid-iteration spliced Program under
@@ -153,37 +99,77 @@ func (e *Engine) PublishSplicedProgram(event string, p *schedule.Program) error 
 
 // CompiledProgram lowers (or fetches the cached lowering of) a plan this
 // engine served — the hook consumers with a *Plan in hand use to reach the
-// executable artifact. It tries the plan's own slot (plans are cached and
-// shared, so the slot lives exactly as long as the cache entry), then the
-// replicated store (another engine sharing the store may have compiled and
-// replicated the artifact already), then a local Compile that is encoded
-// and replicated for everyone else. The Program carries the engine's cost
-// model as its cost table — the model the plan was solved under, since its
-// fingerprint keyed it. Concurrent first requests coalesce on the plan:
-// one of them fetches or compiles, encodes and puts, the others wait for
-// it and share its Program. A class-dedup renamed plan (PlanConcrete) is
-// served its set's renamed Program instead, the one ProgramFor serves.
+// executable artifact: the Program of the plan's cache entry, the one
+// ProgramFor serves for its key. A plan this engine did not serve is an
+// error.
 func (e *Engine) CompiledProgram(p *Plan) (*schedule.Program, error) {
-	if p.rep != nil {
-		return e.renameProgram(p.Failed, ckey(e.conf.fp, p.Failed), p.rep, p.perm)
+	en := e.lookup(p.key)
+	if en == nil || en.plan.Load() != p {
+		return nil, fmt.Errorf("engine: the plan for %v was not served by this engine", p.Failed)
 	}
-	if prog := p.prog.Load(); prog != nil {
-		e.programHits.Add(1)
-		return prog, nil
-	}
-	p.progMu.Lock()
-	defer p.progMu.Unlock()
-	if prog := p.prog.Load(); prog != nil {
-		e.programHits.Add(1)
-		return prog, nil
-	}
+	return e.programOf(en, p.Failed)
+}
 
+// programOf serves an entry's Program, filling it on first use under the
+// entry's mutex, so concurrent first requests coalesce: one of them
+// fetches, compiles or renames, the others wait for it and share its
+// Program. ws is the entry's sorted failed set, which only a renamed entry
+// reads.
+func (e *Engine) programOf(en *entry, ws []schedule.Worker) (*schedule.Program, error) {
+	if prog := en.prog.Load(); prog != nil {
+		e.programHits.Add(1)
+		return prog, nil
+	}
+	en.mu.Lock()
+	defer en.mu.Unlock()
+	if prog := en.prog.Load(); prog != nil {
+		e.programHits.Add(1)
+		return prog, nil
+	}
+	var prog *schedule.Program
+	var err error
+	if en.renamed {
+		prog, err = e.rename(ws)
+	} else {
+		prog, err = e.compile(en.plan.Load().Schedule)
+	}
+	if err != nil {
+		return nil, err
+	}
+	en.prog.Store(prog)
+	return prog, nil
+}
+
+// rename builds the Program of a class-dedup renamed set ws: its orbit
+// representative's Program (compiled and replicated once per orbit)
+// permuted by schedule.RenameProgram, and replicated under the set's own
+// Program key, where a Client fetches it. The representative is found by
+// re-canonicalizing ws, an uncounted read: it was solved before any rename
+// of its orbit was admitted.
+func (e *Engine) rename(ws []schedule.Worker) (*schedule.Program, error) {
+	canon, perm, _ := e.canonicalize(ws)
+	rep := e.lookup(ckey(e.conf.fp, canon))
+	rp, err := e.programOf(rep, canon)
+	if err != nil {
+		return nil, err
+	}
+	prog := schedule.RenameProgram(rep.plan.Load().Schedule, rp, schedule.InvertPerm(perm))
+	e.replicate(programKey(e.conf.fp, ws), prog)
+	return prog, nil
+}
+
+// compile fetches the lowering of a cached plan's schedule from the
+// replicated store (another engine sharing the store may have compiled and
+// replicated the artifact already), or compiles it locally, encoded and
+// replicated for everyone else. The Program carries the engine's cost
+// model as its cost table — the model the plan was solved under, since its
+// fingerprint keyed it.
+func (e *Engine) compile(s *schedule.Schedule) (*schedule.Program, error) {
 	// The store is shared and its bytes are untrusted (another engine, or a
 	// corrupt replica, may have left them under this key), so a decoded
 	// artifact is only accepted when it demonstrably lowers THIS schedule
 	// under THIS cost model.
 	c := e.conf
-	s := p.Schedule
 	var costs []int64
 	if c.Costs != nil {
 		costs = schedule.NewCostTable(s.Shape, c.Costs.Fn())
@@ -195,7 +181,6 @@ func (e *Engine) CompiledProgram(p *Plan) (*schedule.Program, error) {
 	} else if found {
 		if prog, err := DecodeProgram(data); err == nil && programMatches(prog, s, costs) {
 			e.storeHits.Add(1)
-			p.prog.Store(prog)
 			return prog, nil
 		}
 	}
@@ -208,7 +193,6 @@ func (e *Engine) CompiledProgram(p *Plan) (*schedule.Program, error) {
 		return nil, err
 	}
 	e.compiles.Add(1)
-	p.prog.Store(prog)
 	e.replicate(key, prog)
 	return prog, nil
 }

@@ -181,7 +181,7 @@ func TestConcurrentFirstFetchesShareOnePlan(t *testing.T) {
 		if m := eng.Metrics(); m.Solves != 1 || m.Compiles != 1 || m.ClassDedups != 1 {
 			t.Fatalf("round %d: %d solves, %d compiles, %d class dedups; want one solve compiled once and renamed once", round, m.Solves, m.Compiles, m.ClassDedups)
 		}
-		if _, ok := eng.cached(ckey(eng.conf.fp, workerList(orbit))); ok {
+		if en := eng.lookup(ckey(eng.conf.fp, workerList(orbit))); en.plan.Load() != nil {
 			t.Fatalf("round %d: a renamed plan was cached", round)
 		}
 	}
@@ -201,6 +201,63 @@ func TestConcurrentFirstFetchesCompileOnce(t *testing.T) {
 		concurrentProgramFor(t, eng, map[schedule.Worker]bool{failed[0]: true}, 16)
 		if m := eng.Metrics(); m.Compiles != 1 {
 			t.Fatalf("round %d: 16 concurrent first fetches compiled %d times, want 1", round, m.Compiles)
+		}
+	}
+}
+
+// TestRenamedPlanRacesProgramFetches checks the merged admission of a
+// class-dedup renamed key: PlanConcrete racing ProgramFor and
+// ProgramConcrete on one non-canonical set, from 16 goroutines released
+// together, admits one entry. Every caller gets one Program (or one Plan),
+// the key counts one class dedup, and the renamed plan's CompiledProgram
+// is that Program.
+func TestRenamedPlanRacesProgramFetches(t *testing.T) {
+	asked := []schedule.Worker{{Stage: 1, Pipeline: 3}} // canonical: pipeline 0
+	set := map[schedule.Worker]bool{asked[0]: true}
+	for round := 0; round < firstFetchRounds; round++ {
+		eng := firstFetchEngine()
+		const n = 16
+		plans, progs, errs := make([]*Plan, n), make([]*schedule.Program, n), make([]error, n)
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for i := range n {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				<-start
+				switch i % 3 {
+				case 0:
+					plans[i], errs[i] = eng.PlanConcrete(asked)
+				case 1:
+					progs[i], errs[i] = eng.ProgramFor(set)
+				default:
+					progs[i], errs[i] = eng.ProgramConcrete(asked)
+				}
+			}(i)
+		}
+		close(start)
+		wg.Wait()
+		var plan *Plan
+		var prog *schedule.Program
+		for i := range n {
+			if errs[i] != nil {
+				t.Fatal(errs[i])
+			}
+			if p := plans[i]; p != nil && plan == nil {
+				plan = p
+			}
+			if p := progs[i]; p != nil && prog == nil {
+				prog = p
+			}
+			if (plans[i] != nil && plans[i] != plan) || (progs[i] != nil && progs[i] != prog) {
+				t.Fatalf("round %d: caller %d got another Plan or Program instance", round, i)
+			}
+		}
+		if m := eng.Metrics(); m.Solves != 1 || m.Compiles != 1 || m.ClassDedups != 1 {
+			t.Fatalf("round %d: %d solves, %d compiles, %d class dedups; want 1 each", round, m.Solves, m.Compiles, m.ClassDedups)
+		}
+		if c, err := eng.CompiledProgram(plan); err != nil || c != prog {
+			t.Fatalf("round %d: the renamed plan's Program is another one (%v)", round, err)
 		}
 	}
 }

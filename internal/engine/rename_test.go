@@ -193,7 +193,7 @@ func TestRenamedSetsCompileOnlyRepresentatives(t *testing.T) {
 	}
 	for i, ws := range sets {
 		_, _, changed := eng.canonicalize(ws)
-		if _, ok := eng.cached(ckey(eng.conf.fp, ws)); ok == changed {
+		if ok := eng.lookup(ckey(eng.conf.fp, ws)).plan.Load() != nil; ok == changed {
 			t.Fatalf("%v: plan cached %v, want %v", ws, ok, !changed)
 		}
 		if _, found, err := opts.Store.Get(programKey(eng.conf.fp, ws)); err != nil || !found {

@@ -3,6 +3,7 @@ package engine
 import (
 	"hash/maphash"
 	"sync"
+	"sync/atomic"
 
 	"recycle/internal/schedule"
 )
@@ -20,15 +21,26 @@ type call struct {
 	err  error
 }
 
-// stripe is one lock shard of the plan cache: a slice of the keyspace,
-// the Programs of its class-dedup renames (which keep no Plan unless
-// PlanConcrete asked for one; the map is made on the first) plus the
-// in-flight solves for that slice. Request coalescing is per-stripe, so a
-// solve on one fingerprint never blocks a hit on another.
+// entry is one key's slot in the plan cache: the key's Plan (nil when only
+// ProgramFor's class-dedup rename reached the key) and its Program, filled
+// once under mu, so concurrent first fetches share one. A renamed entry's
+// artifacts are renamed from its orbit representative's, never solved or
+// compiled. An entry is created once and never replaced, so a Plan's
+// Program lives exactly as long as the Plan's cache slot.
+type entry struct {
+	plan    atomic.Pointer[Plan]
+	prog    atomic.Pointer[schedule.Program]
+	mu      sync.Mutex
+	renamed bool
+}
+
+// stripe is one lock shard of the plan cache: the entries of a slice of
+// the keyspace plus the in-flight solves for that slice. Request
+// coalescing is per-stripe, so a solve on one fingerprint never blocks a
+// hit on another.
 type stripe struct {
 	mu       sync.RWMutex
-	plans    map[string]*Plan
-	renamed  map[string]*schedule.Program
+	entries  map[string]*entry
 	inflight map[string]*call
 }
 
@@ -37,24 +49,38 @@ func (e *Engine) stripeFor(key string) *stripe {
 	return &e.stripes[maphash.String(e.seed, key)&(numStripes-1)]
 }
 
-// cached returns the plan cached under key, probing its stripe under the
-// shared lock.
-func (e *Engine) cached(key string) (*Plan, bool) {
+// lookup returns the entry cached under key (nil if none), probing its
+// stripe under the shared lock. It counts nothing.
+func (e *Engine) lookup(key string) *entry {
 	st := e.stripeFor(key)
 	e.lockShared(&st.mu)
-	p, ok := st.plans[key]
+	en := st.entries[key]
 	st.mu.RUnlock()
-	return p, ok
+	return en
 }
 
-// cachedRenamed returns the class-dedup rename's Program cached under key,
-// probing its stripe under the shared lock.
-func (e *Engine) cachedRenamed(key string) (*schedule.Program, bool) {
+// admit returns the entry under key, creating it if absent, and installs
+// p (when non-nil) as its Plan unless it already holds one. The first
+// admit wins, so every caller of a key shares one *Plan and one Program.
+// Creating a renamed entry counts one ClassDedups, whichever artifact (a
+// Plan or only a Program) the rename reaches the key with first.
+func (e *Engine) admit(key string, p *Plan, renamed bool) *entry {
 	st := e.stripeFor(key)
-	e.lockShared(&st.mu)
-	p, ok := st.renamed[key]
-	st.mu.RUnlock()
-	return p, ok
+	e.lockExcl(&st.mu)
+	defer st.mu.Unlock()
+	en := st.entries[key]
+	if en == nil {
+		en = &entry{renamed: renamed}
+		st.entries[key] = en
+		if renamed {
+			e.classDedups.Add(1)
+		}
+	}
+	if p != nil && en.plan.Load() == nil {
+		p.key = key
+		en.plan.Store(p)
+	}
+	return en
 }
 
 // lockShared acquires a stripe for reading. A failed speculative acquire

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
-	"testing/quick"
 
 	"recycle/internal/tensor"
 )
@@ -178,30 +177,5 @@ func TestValidateFiniteDetectsNaN(t *testing.T) {
 	l.Weight.W.Data[1] = math.NaN()
 	if err := ValidateFinite(l.Params()); err == nil {
 		t.Fatal("NaN parameter not detected")
-	}
-}
-
-// Less orders keys canonically (pipeline-major) — the reduction order that
-// makes data-parallel gradients bitwise identical regardless of where
-// rerouted micro-batches executed.
-func (k MBKey) Less(o MBKey) bool {
-	if k.Pipeline != o.Pipeline {
-		return k.Pipeline < o.Pipeline
-	}
-	return k.MB < o.MB
-}
-
-// TestMBKeyOrdering property-checks the canonical ordering's totality.
-func TestMBKeyOrdering(t *testing.T) {
-	check := func(p1, m1, p2, m2 uint8) bool {
-		a := MBKey{Pipeline: int(p1), MB: int(m1)}
-		b := MBKey{Pipeline: int(p2), MB: int(m2)}
-		if a == b {
-			return !a.Less(b) && !b.Less(a)
-		}
-		return a.Less(b) != b.Less(a)
-	}
-	if err := quick.Check(check, nil); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -194,8 +194,9 @@ func (s *Stage) Reset() {
 // the order given and scales by 1/len(contribs), writing the mean into the
 // stage's parameter gradient accumulators. Floating-point addition is
 // order-sensitive: the caller passes the contributions in canonical
-// MBKey.Less order, which is what makes adapted (rerouted) execution
-// produce *bitwise* the same gradients as fault-free execution.
+// (home pipeline, micro-batch) order, which is what makes adapted
+// (rerouted) execution produce *bitwise* the same gradients as fault-free
+// execution.
 func (s *Stage) ReduceContributions(contribs [][]*tensor.Matrix) {
 	params := s.params
 	for _, p := range params {

@@ -76,10 +76,6 @@ func BuildChromeTrace(t *Trace) *ChromeTrace {
 		at += g.Makespan() + segmentGap
 
 		spans := g.Spans()
-		byInstr := make(map[int]Span, len(spans))
-		for _, s := range spans {
-			byInstr[s.Instr] = s
-		}
 		out.TraceEvents = append(out.TraceEvents, ChromeEvent{
 			Name: "segment:" + g.Label, Cat: "segment", Phase: "i",
 			TS: base[i], PID: 1, TID: 0, Scope: "p",
@@ -104,7 +100,7 @@ func BuildChromeTrace(t *Trace) *ChromeTrace {
 			// Flow arrows along the dependency edges that released this
 			// span, from each producer's completion to our start.
 			for _, d := range s.Deps {
-				p, ok := byInstr[int(d.From)]
+				p, ok := g.Span(int(d.From))
 				if !ok {
 					continue
 				}

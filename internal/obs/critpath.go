@@ -2,7 +2,6 @@ package obs
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"recycle/internal/schedule"
@@ -60,11 +59,10 @@ func CriticalPath(g *Segment) (*PathReport, error) {
 	if len(spans) == 0 {
 		return nil, fmt.Errorf("obs: segment %q has no recorded spans", g.Label)
 	}
-	// Index spans by instruction and per worker (already Start-sorted).
-	byInstr := make(map[int]Span, len(spans))
+	// Index spans per worker (already Start-sorted); producers are read
+	// through the segment's own instruction index.
 	byWorker := make(map[schedule.Worker][]Span)
 	for _, s := range spans {
-		byInstr[s.Instr] = s
 		byWorker[s.Worker()] = append(byWorker[s.Worker()], s)
 	}
 	// Pick the last-finishing span (smallest instr on ties).
@@ -128,7 +126,7 @@ func CriticalPath(g *Segment) (*PathReport, error) {
 		// or before our start.
 		best, found := Span{}, false
 		for _, d := range cur.Deps {
-			ds, ok := byInstr[int(d.From)]
+			ds, ok := g.Span(int(d.From))
 			if !ok || ds.End > cur.Start {
 				continue
 			}
@@ -195,69 +193,6 @@ func (r *PathReport) Tiles() bool {
 func (r *PathReport) String() string {
 	return fmt.Sprintf("%s: makespan %d = %d on-path compute + %d wait (%d steps)",
 		r.Label, r.Makespan, r.OpSlots, r.WaitSlots, len(r.Steps))
-}
-
-// Window is one stretch of a segment's timeline — between splice cuts —
-// with each worker's idle (bubble/stall) time inside it.
-type Window struct {
-	From, To int64
-	Idle     map[schedule.Worker]int64
-}
-
-// SpliceCuts extracts the cut instants of every splice event, in arrival
-// order — the input that chains a cascade's repeated splices into one
-// SpliceWindows partition of the final timeline (a 2-kill cascade yields
-// two cuts and three windows).
-func SpliceCuts(events []Event) []int64 {
-	var cuts []int64
-	for _, e := range events {
-		if e.Kind == EvSplice {
-			cuts = append(cuts, e.At)
-		}
-	}
-	return cuts
-}
-
-// SpliceWindows partitions [0, makespan] at the given cut instants and
-// reports per-worker idle time inside each window — where bubbles opened
-// before and after a mid-iteration splice. Cuts outside (0, makespan) are
-// ignored.
-func SpliceWindows(g *Segment, cuts []int64) []Window {
-	makespan := g.Makespan()
-	bounds := []int64{0}
-	sorted := append([]int64(nil), cuts...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	for _, c := range sorted {
-		if c > bounds[len(bounds)-1] && c < makespan {
-			bounds = append(bounds, c)
-		}
-	}
-	bounds = append(bounds, makespan)
-	spans := g.Spans()
-	workers := g.Workers()
-	out := make([]Window, 0, len(bounds)-1)
-	for i := 0; i+1 < len(bounds); i++ {
-		from, to := bounds[i], bounds[i+1]
-		w := Window{From: from, To: to, Idle: make(map[schedule.Worker]int64, len(workers))}
-		busy := make(map[schedule.Worker]int64, len(workers))
-		for _, s := range spans {
-			lo, hi := s.Start, s.End
-			if lo < from {
-				lo = from
-			}
-			if hi > to {
-				hi = to
-			}
-			if hi > lo {
-				busy[s.Worker()] += hi - lo
-			}
-		}
-		for _, wk := range workers {
-			w.Idle[wk] = (to - from) - busy[wk]
-		}
-		out = append(out, w)
-	}
-	return out
 }
 
 // AuditCriticalPaths computes the critical path of every non-empty

@@ -35,10 +35,11 @@ func TestCriticalPathTilesRealProgram(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		seg := rec.Segment("des")
-		if seg == nil || seg.Len() != len(prog.Instrs) {
-			t.Fatalf("failures=%d: recorded %v spans of %d instructions", failures, seg, len(prog.Instrs))
+		segs := rec.Segments()
+		if len(segs) != 1 || segs[0].Label != "des" || segs[0].Len() != len(prog.Instrs) {
+			t.Fatalf("failures=%d: recorded segments %v, want one \"des\" segment of %d instructions", failures, segs, len(prog.Instrs))
 		}
+		seg := segs[0]
 		if seg.Makespan() != ex.Makespan {
 			t.Fatalf("failures=%d: recorded makespan %d != execution makespan %d", failures, seg.Makespan(), ex.Makespan)
 		}

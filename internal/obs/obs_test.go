@@ -36,8 +36,8 @@ func TestTraceSegmentsSpansAndCounters(t *testing.T) {
 	if len(segs) != 2 || segs[0].Label != "iter0" || segs[1].Label != "iter1" {
 		t.Fatalf("segments = %v", segs)
 	}
-	if g := tr.Segment("iter0"); g == nil || g.Len() != 2 {
-		t.Fatalf("iter0 segment lookup failed: %v", g)
+	if g := segs[0]; g.Len() != 2 {
+		t.Fatalf("iter0 segment holds %d spans, want 2", g.Len())
 	}
 	spans := segs[0].Spans()
 	if spans[0].Instr != 0 || spans[1].Instr != 1 {
@@ -46,8 +46,8 @@ func TestTraceSegmentsSpansAndCounters(t *testing.T) {
 	if got := segs[0].Makespan(); got != 4 {
 		t.Fatalf("makespan = %d, want 4", got)
 	}
-	if evs := tr.SegmentEvents(1); len(evs) != 1 || evs[0].Kind != EvIterEnd {
-		t.Fatalf("segment 1 events = %v", evs)
+	if evs := tr.Events(); len(evs) != 2 || evs[0].Kind != EvIterStart || evs[1].Kind != EvIterEnd {
+		t.Fatalf("events = %v", evs)
 	}
 
 	c := tr.Counters()
@@ -114,28 +114,6 @@ func TestCriticalPathEmptySegment(t *testing.T) {
 	}
 	if _, err := CriticalPath(nil); err == nil {
 		t.Fatal("nil segment must error")
-	}
-}
-
-func TestSpliceWindows(t *testing.T) {
-	tr := NewTrace()
-	tr.BeginProgram("iter0", nil)
-	// One worker busy [0,4) and [6,10); cut at 5 → window idle 1 and 1.
-	tr.Span(Span{Instr: 0, Op: op(0, 0, 0, schedule.F), Start: 0, End: 4})
-	tr.Span(Span{Instr: 1, Op: op(0, 0, 1, schedule.F), Start: 6, End: 10})
-	ws := SpliceWindows(tr.Segments()[0], []int64{5})
-	if len(ws) != 2 {
-		t.Fatalf("windows = %v", ws)
-	}
-	w := schedule.Worker{Stage: 0, Pipeline: 0}
-	if ws[0].Idle[w] != 1 || ws[1].Idle[w] != 1 {
-		t.Fatalf("window idle = %d/%d, want 1/1", ws[0].Idle[w], ws[1].Idle[w])
-	}
-	// A span straddling the cut is clipped, not double-counted.
-	tr.Span(Span{Instr: 2, Op: op(0, 0, 2, schedule.F), Start: 4, End: 6})
-	ws = SpliceWindows(tr.Segments()[0], []int64{5})
-	if ws[0].Idle[w] != 0 || ws[1].Idle[w] != 0 {
-		t.Fatalf("clipped window idle = %d/%d, want 0/0", ws[0].Idle[w], ws[1].Idle[w])
 	}
 }
 

@@ -168,16 +168,6 @@ func (t *Trace) Segments() []*Segment {
 	return append([]*Segment(nil), t.segs...)
 }
 
-// Segment returns the first segment whose label matches, or nil.
-func (t *Trace) Segment(label string) *Segment {
-	for _, g := range t.Segments() {
-		if g.Label == label {
-			return g
-		}
-	}
-	return nil
-}
-
 // Events returns every recorded event in arrival order.
 func (t *Trace) Events() []Event {
 	if t == nil {
@@ -188,22 +178,6 @@ func (t *Trace) Events() []Event {
 	out := make([]Event, len(t.events))
 	for i, pe := range t.events {
 		out[i] = pe.ev
-	}
-	return out
-}
-
-// SegmentEvents returns the events recorded while segment i was current.
-func (t *Trace) SegmentEvents(i int) []Event {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	var out []Event
-	for _, pe := range t.events {
-		if pe.seg == i {
-			out = append(out, pe.ev)
-		}
 	}
 	return out
 }
