@@ -95,8 +95,8 @@ func main() {
 		fmt.Printf("%5d %22.16f %22.16f  %s\n", i, lr, la, mark)
 	}
 	m := adapted.PlanMetrics()
-	fmt.Printf("\nplan service (adapted run): %d solves, %d cache hits, %d store hits, %d Best(n) hits\n",
-		m.Solves, m.CacheHits, m.StoreHits, m.BestHits)
+	fmt.Printf("\nplan service (adapted run): %d solves, %d cache hits, %d Best(n) hits\n",
+		m.Solves, m.CacheHits, m.BestHits)
 	if rec != nil {
 		if err := exportTrace(rec, *tracePath); err != nil {
 			fmt.Fprintln(os.Stderr, err)

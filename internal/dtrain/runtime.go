@@ -38,10 +38,11 @@ type Config struct {
 	// timeline — the simulator's execution of that Program — is timed
 	// under the same cost model.
 	CostModel *profile.CostModel
-	// Store injects a shared replicated plan store (nil keeps a private
-	// one). Pointing several runtimes — or a runtime and a fetch-only
-	// engine.Client — at one store is how executors consume the Program
-	// artifacts another coordinator solved and compiled.
+	// Store injects a shared replicated plan store (nil keeps the plan
+	// service in-process only). Pointing several runtimes — or a runtime
+	// and a fetch-only engine.Client — at one store is how executors
+	// consume the Program artifacts another coordinator solved and
+	// compiled.
 	Store *planstore.Store
 }
 

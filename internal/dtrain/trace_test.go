@@ -289,3 +289,61 @@ func TestOptimizerOpsCountEveryStep(t *testing.T) {
 		t.Fatalf("OpsOPT = %d after %d DP2×PP2 iterations, want %d", got, iters, 4*iters)
 	}
 }
+
+// TestChromeTraceDrawsBoundaryEventsInTheGap checks where the Chrome export
+// draws lifecycle events that carry no logical time: a worker failed
+// before iteration 2 records a boundary kill, a plan fetch and a plan
+// solve while iteration 1's segment is still the open one, and each must
+// fall between iteration 1's end and iteration 2's start.
+func TestChromeTraceDrawsBoundaryEventsInTheGap(t *testing.T) {
+	rt := New(smallConfig())
+	tr := obs.NewTrace()
+	rt.AttachRecorder(tr)
+	var from int // index of the first event recorded after iteration 1
+	for iter := range 3 {
+		if iter == 2 {
+			from = len(tr.Events())
+			rt.Fail(schedule.Worker{Stage: 2, Pipeline: 1})
+		}
+		if _, err := rt.RunIteration(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ct := obs.BuildChromeTrace(tr)
+	var start1, start2 int64 = -1, -1
+	var lifecycle []obs.ChromeEvent
+	for _, ev := range ct.TraceEvents {
+		switch {
+		case ev.Name == "segment:iter1":
+			start1 = ev.TS
+		case ev.Name == "segment:iter2":
+			start2 = ev.TS
+		case ev.Cat == "lifecycle":
+			lifecycle = append(lifecycle, ev)
+		}
+	}
+	if start1 < 0 || start2 < 0 {
+		t.Fatalf("missing segment markers: iter1 at %d, iter2 at %d", start1, start2)
+	}
+	end1 := start1 + segmentNamed(tr, "iter1").Makespan()
+	events := tr.Events()
+	if len(lifecycle) != len(events) {
+		t.Fatalf("the export drew %d lifecycle events, the trace holds %d", len(lifecycle), len(events))
+	}
+	seen := map[obs.EventKind]bool{}
+	for i := from; i < len(events) && events[i].Kind != obs.EvIterStart; i++ {
+		if events[i].At >= 0 {
+			continue
+		}
+		seen[events[i].Kind] = true
+		if ts := lifecycle[i].TS; ts < end1 || ts >= start2 {
+			t.Errorf("%s before iteration 2 drawn at %d, want in [%d, %d): after iteration 1 ends, before iteration 2 starts",
+				events[i].Kind, ts, end1, start2)
+		}
+	}
+	for _, k := range []obs.EventKind{obs.EvKill, obs.EvPlanFetch, obs.EvPlanSolve} {
+		if !seen[k] {
+			t.Errorf("no %s recorded before iteration 2", k)
+		}
+	}
+}

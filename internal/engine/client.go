@@ -1,7 +1,9 @@
 package engine
 
 import (
+	"bytes"
 	"fmt"
+	"sync"
 
 	"recycle/internal/config"
 	"recycle/internal/planstore"
@@ -11,14 +13,18 @@ import (
 
 // Client is a fetch-only view of a shared replicated plan store: it
 // derives the same key namespace an Engine with the same configuration
-// uses, but carries no planner, no solver and no caches. A remote
+// uses, but carries no planner, no solver and no plan cache. A remote
 // executor holds one to pull compiled Program artifacts directly from
 // the store — the coordinator that solved and compiled them does not have
 // to be alive, which is what makes the plan service horizontally
-// shardable.
+// shardable. Every fetch reads the store; a Client decodes once per
+// distinct bytes.
 type Client struct {
 	store *planstore.Store
 	fp    string
+	mu    sync.Mutex // guards the last decode: its bytes and Program
+	data  []byte
+	prog  *schedule.Program
 }
 
 // NewClient builds a fetch-only store view for a job. opts supplies only
@@ -52,6 +58,9 @@ func fetchSpliced(store *planstore.Store, fp, event string) (*schedule.Program, 
 // ProgramFor fetches and decodes the compiled Program artifact for a
 // concrete failed-worker set. It never compiles: the artifact exists iff
 // an engine sharing the store lowered that schedule and replicated it.
+// Bytes equal to the last ones decoded return that Program, plain timeline
+// included, whatever the key: equal bytes decode to equal Programs. Other
+// bytes are decoded, every check run, and kept if valid.
 func (c *Client) ProgramFor(failed map[schedule.Worker]bool) (*schedule.Program, error) {
 	ws := workerList(failed)
 	data, ok, err := c.store.Get(programKey(c.fp, ws))
@@ -61,5 +70,14 @@ func (c *Client) ProgramFor(failed map[schedule.Worker]bool) (*schedule.Program,
 	if !ok {
 		return nil, fmt.Errorf("engine: no replicated program for %v (namespace %s)", ws, c.fp)
 	}
-	return DecodeProgram(data)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.prog == nil || !bytes.Equal(data, c.data) {
+		prog, err := DecodeProgram(data)
+		if err != nil {
+			return nil, err
+		}
+		c.data, c.prog = data, prog
+	}
+	return c.prog, nil
 }

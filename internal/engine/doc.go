@@ -10,17 +10,17 @@
 //     background (fewest failures first, since those are the likeliest
 //     fetches) with a bounded worker pool, while ProgramFor keeps
 //     serving — the offline phase, run as a background warming pipeline;
-//   - plans live in the engine's cache; the one artifact the
-//     quorum-replicated plan store (internal/planstore, standing in for
-//     the paper's etcd) holds is the compiled Program, round-tripped
-//     through the canonical versioned codec (EncodeProgram/DecodeProgram),
-//     so a remote executor's fetch-only Client pulls the executable
-//     artifact directly — cost table included, which is all the executor
-//     needs to splice the Program itself on a failure (ProgramDigest lets
-//     it check its splice against the coordinator's). The codec is one
-//     binary framing of length-prefixed varint arrays (wire.go) read by a
-//     cursor that trusts nothing: a decoded artifact is executable or the
-//     decode fails;
+//   - plans live in the engine's cache; the one artifact a shared plan
+//     store (Options.Store: internal/planstore, the paper's etcd; nil
+//     means in-process only, nothing encoded) holds is the compiled
+//     Program, in the canonical versioned codec (EncodeProgram/
+//     DecodeProgram), so a remote executor's fetch-only Client, decoding
+//     once per distinct bytes, pulls the executable artifact directly —
+//     cost table included, which is all the executor needs to splice the
+//     Program itself on a failure (ProgramDigest lets it check its splice
+//     against the coordinator's). The codec is one binary framing of
+//     length-prefixed varint arrays (wire.go) read by a cursor that trusts
+//     nothing: a decoded artifact is executable or the decode fails;
 //   - Plan / PlanConcrete are get-or-solve with request coalescing:
 //     concurrent callers asking for the same (job fingerprint,
 //     techniques, failure count) trigger exactly one solve, a plan is
@@ -32,13 +32,13 @@
 //   - ProgramFor is the Coordinator's failure-handling fetch path
 //     (§4.1): the set's own cache entry, then the Best(n) entry of the
 //     same failed set, then on-demand solve on miss; then the entry's
-//     Program, from the cache, the replicated store, or a compile. A set
+//     Program, from the cache, the shared store, or a compile. A set
 //     whose canonical victim form differs is never solved or compiled: its
 //     orbit representative is, once, and the representative's Program is
 //     renamed onto the set (schedule.RenameProgram), cached in the set's
-//     entry and replicated under its Program key. No renamed Schedule is
-//     built on this path; PlanConcrete builds one for callers that read
-//     it.
+//     entry and replicated under its Program key (given a store). No
+//     renamed Schedule is built on this path; PlanConcrete builds one for
+//     callers that read it.
 //
 // The Planner (§4.2: Failure Normalization plus schedule generation)
 // lives here too, as the engine's immutable configuration. There

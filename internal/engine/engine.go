@@ -14,8 +14,8 @@ import (
 )
 
 // Options tunes an Engine. The zero value selects full ReCycle techniques,
-// the planner's default unroll window, one worker per CPU and a fresh
-// 3-replica plan store.
+// the planner's default unroll window, one worker per CPU and no plan
+// store.
 type Options struct {
 	// Techniques overrides the ReCycle technique toggles (nil selects
 	// AllTechniques).
@@ -26,8 +26,9 @@ type Options struct {
 	// Workers bounds the worker pool that Warm and Prefetch run on (0
 	// selects GOMAXPROCS).
 	Workers int
-	// Store injects a (possibly shared) replicated plan store. Nil
-	// creates a private 3-replica store, matching a small etcd deployment.
+	// Store injects a shared replicated plan store: the engine fetches
+	// Programs other engines replicated and replicates its own. Nil means
+	// in-process only: no Program is encoded or stored.
 	Store *planstore.Store
 	// CostModel is the heterogeneous cost model (per-(stage, op, worker)
 	// durations). Nil plans with the homogeneous profiled stats. Like every
@@ -88,7 +89,7 @@ func newConf(job config.Job, stats profile.Stats, opts Options) *Planner {
 // Engine is the plan service for one training job. It is safe for
 // concurrent use.
 type Engine struct {
-	store   *planstore.Store
+	store   *planstore.Store // nil: in-process only
 	workers int
 
 	// conf is the configuration, fixed at New.
@@ -113,16 +114,12 @@ type Engine struct {
 
 // New builds the plan service for a job.
 func New(job config.Job, stats profile.Stats, opts Options) *Engine {
-	store := opts.Store
-	if store == nil {
-		store = planstore.New(3)
-	}
 	workers := opts.Workers
 	if workers < 1 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	e := &Engine{
-		store:   store,
+		store:   opts.Store,
 		workers: workers,
 		conf:    newConf(job, stats, opts),
 		seed:    maphash.MakeSeed(),

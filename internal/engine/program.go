@@ -82,8 +82,12 @@ func (e *Engine) programConcrete(ws []schedule.Worker, key string) (*schedule.Pr
 // one-shot resumption artifacts, not reusable plans. A publish that fails
 // — the encode, or a store without quorum — is counted in StoreErrors and
 // its EvPublish event carries the error, so a coordinator that carries on
-// with its in-memory artifact still leaves the failure on record.
+// with its in-memory artifact still leaves the failure on record. An
+// engine without a store has nowhere to publish: it returns an error.
 func (e *Engine) PublishSplicedProgram(event string, p *schedule.Program) error {
+	if e.store == nil {
+		return fmt.Errorf("engine: no plan store to publish the spliced program for event %q", event)
+	}
 	data, err := EncodeProgram(p)
 	if err == nil {
 		err = e.store.Put(spliceKey(e.conf.fp, event), data)
@@ -142,10 +146,10 @@ func (e *Engine) programOf(en *entry, ws []schedule.Worker) (*schedule.Program, 
 
 // rename builds the Program of a class-dedup renamed set ws: its orbit
 // representative's Program (compiled and replicated once per orbit)
-// permuted by schedule.RenameProgram, and replicated under the set's own
-// Program key, where a Client fetches it. The representative is found by
-// re-canonicalizing ws, an uncounted read: it was solved before any rename
-// of its orbit was admitted.
+// permuted by schedule.RenameProgram, and replicated (given a store) under
+// the set's own Program key, where a Client fetches it. The representative
+// is found by re-canonicalizing ws, an uncounted read: it was solved before
+// any rename of its orbit was admitted.
 func (e *Engine) rename(ws []schedule.Worker) (*schedule.Program, error) {
 	canon, perm, _ := e.canonicalize(ws)
 	rep := e.lookup(ckey(e.conf.fp, canon))
@@ -161,9 +165,9 @@ func (e *Engine) rename(ws []schedule.Worker) (*schedule.Program, error) {
 // compile fetches the lowering of a cached plan's schedule from the
 // replicated store (another engine sharing the store may have compiled and
 // replicated the artifact already), or compiles it locally, encoded and
-// replicated for everyone else. The Program carries the engine's cost
-// model as its cost table — the model the plan was solved under, since its
-// fingerprint keyed it.
+// replicated for everyone else; an engine without a store only compiles.
+// The Program carries the engine's cost model as its cost table — the
+// model the plan was solved under, since its fingerprint keyed it.
 func (e *Engine) compile(s *schedule.Schedule) (*schedule.Program, error) {
 	// The store is shared and its bytes are untrusted (another engine, or a
 	// corrupt replica, may have left them under this key), so a decoded
@@ -175,13 +179,15 @@ func (e *Engine) compile(s *schedule.Schedule) (*schedule.Program, error) {
 		costs = schedule.NewCostTable(s.Shape, c.Costs.Fn())
 	}
 	key := programKey(c.fp, workerList(s.Failed))
-	data, found, err := e.store.Get(key)
-	if err != nil {
-		e.storeErrs.Add(1)
-	} else if found {
-		if prog, err := DecodeProgram(data); err == nil && programMatches(prog, s, costs) {
-			e.storeHits.Add(1)
-			return prog, nil
+	if e.store != nil {
+		data, found, err := e.store.Get(key)
+		if err != nil {
+			e.storeErrs.Add(1)
+		} else if found {
+			if prog, err := DecodeProgram(data); err == nil && programMatches(prog, s, costs) {
+				e.storeHits.Add(1)
+				return prog, nil
+			}
 		}
 	}
 
@@ -198,8 +204,11 @@ func (e *Engine) compile(s *schedule.Schedule) (*schedule.Program, error) {
 }
 
 // replicate encodes a Program and puts it in the replicated store under
-// key, counting a failure of either in StoreErrors.
+// key, counting a failure of either in StoreErrors. Without a store, a no-op.
 func (e *Engine) replicate(key string, prog *schedule.Program) {
+	if e.store == nil {
+		return
+	}
 	if data, err := EncodeProgram(prog); err != nil {
 		e.storeErrs.Add(1)
 	} else if err := e.store.Put(key, data); err != nil {

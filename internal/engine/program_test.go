@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"bytes"
+	"fmt"
 	"reflect"
 	"strings"
 	"sync"
@@ -368,6 +370,168 @@ func TestProgramMatchesComparesCostTables(t *testing.T) {
 			if got := programMatches(prog, plan.Schedule, tc.costs); got != tc.want {
 				t.Errorf("%s: programMatches under %d durations = %v, want %v", labels[i], len(tc.costs), got, tc.want)
 			}
+		}
+	}
+}
+
+// TestStorelessEngineServesSamePrograms checks that an engine without a
+// store serves the Programs an engine with a shared store does, byte for
+// byte: the healthy Program and the Program of every single victim on
+// DP4×PP3. Without a store it compiles once per orbit (the healthy plan
+// and each canonical victim set), renames the rest, counts no store
+// traffic and has nowhere to publish a splice.
+func TestStorelessEngineServesSamePrograms(t *testing.T) {
+	job, stats := ShapeJob(4, 3, 4)
+	shared := New(job, stats, Options{UnrollIterations: 1, Store: planstore.New(3)})
+	local := New(job, stats, Options{UnrollIterations: 1})
+	encode := func(at string, p *schedule.Program, err error) []byte {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("%s: %v", at, err)
+		}
+		data, err := EncodeProgram(p)
+		if err != nil {
+			t.Fatalf("%s: %v", at, err)
+		}
+		return data
+	}
+	want, err := shared.Program(0)
+	got, err2 := local.Program(0)
+	if !bytes.Equal(encode("shared Program(0)", want, err), encode("local Program(0)", got, err2)) {
+		t.Fatal("Program(0): the store-less engine's bytes differ from the shared-store engine's")
+	}
+	orbits := map[string]bool{"healthy": true}
+	for stage := range 3 {
+		for pipeline := range 4 {
+			w := schedule.Worker{Stage: stage, Pipeline: pipeline}
+			failed := map[schedule.Worker]bool{w: true}
+			canon, _, _ := local.canonicalize([]schedule.Worker{w})
+			orbits[fmt.Sprint(canon)] = true
+			want, err := shared.ProgramFor(failed)
+			got, err2 := local.ProgramFor(failed)
+			if !bytes.Equal(encode(w.String()+" shared", want, err), encode(w.String()+" local", got, err2)) {
+				t.Errorf("%s failed: the store-less engine's bytes differ from the shared-store engine's", w)
+			}
+		}
+	}
+	m := local.Metrics()
+	if m.Compiles != uint64(len(orbits)) || m.StoreHits != 0 || m.StoreErrors != 0 {
+		t.Fatalf("store-less engine: %d compiles for %d orbits, %d store hits, %d store errors; want %d, 0, 0",
+			m.Compiles, len(orbits), m.StoreHits, m.StoreErrors, len(orbits))
+	}
+	if err := local.PublishSplicedProgram("nowhere", got); err == nil {
+		t.Fatal("a store-less engine published a spliced Program")
+	}
+	if errs := local.Metrics().StoreErrors; errs != 0 {
+		t.Fatalf("a publish without a store counted %d store errors", errs)
+	}
+}
+
+// TestClientDecodesOncePerDistinctBytes pins the Client's decode memo:
+// equal bytes return the same Program, other bytes under the key decode
+// to a new one, corrupt or empty bytes fail with the decode error and
+// leave the memo as it was, and concurrent fetches share one Program.
+func TestClientDecodesOncePerDistinctBytes(t *testing.T) {
+	job, stats := ShapeJob(2, 2, 4)
+	opts := Options{UnrollIterations: 1, Store: planstore.New(3)}
+	eng := New(job, stats, opts)
+	client := NewClient(opts.Store, job, stats, opts)
+	if _, err := eng.ProgramFor(nil); err != nil {
+		t.Fatal(err)
+	}
+	first, err := client.ProgramFor(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := client.ProgramFor(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again != first {
+		t.Fatal("a fetch of unchanged bytes decoded a new Program")
+	}
+
+	// Other valid bytes under the same key: the degraded Program's.
+	degraded, err := eng.ProgramFor(map[schedule.Worker]bool{{Stage: 0, Pipeline: 0}: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, err := EncodeProgram(degraded)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := programKey(client.fp, nil)
+	if err := opts.Store.Put(key, other); err != nil {
+		t.Fatal(err)
+	}
+	swapped, err := client.ProgramFor(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	decoded, err := DecodeProgram(other)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := EncodeProgram(swapped)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := EncodeProgram(decoded)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if swapped == first || !bytes.Equal(got, want) {
+		t.Fatal("re-put bytes did not yield a new Program equal to DecodeProgram's")
+	}
+
+	// Corrupt bytes: the decode error comes back and the memo stays.
+	if err := opts.Store.Put(key, other[:len(other)/2]); err != nil {
+		t.Fatal(err)
+	}
+	_, wantErr := DecodeProgram(other[:len(other)/2])
+	if _, err := client.ProgramFor(nil); err == nil || wantErr == nil || err.Error() != wantErr.Error() {
+		t.Fatalf("a fetch of corrupt bytes returned %v, want the decode error %v", err, wantErr)
+	}
+	if client.prog != swapped || !bytes.Equal(client.data, other) {
+		t.Fatal("a failed decode replaced the memo")
+	}
+	if err := opts.Store.Put(key, other); err != nil {
+		t.Fatal(err)
+	}
+	if p, err := client.ProgramFor(nil); err != nil || p != swapped {
+		t.Fatalf("bytes equal to the memo's after a failed decode: %p, %v; want the memoized %p", p, err, swapped)
+	}
+
+	// A fresh Client has decoded nothing, so empty bytes are no match.
+	fresh := NewClient(opts.Store, job, stats, opts)
+	if err := opts.Store.Put(key, nil); err != nil {
+		t.Fatal(err)
+	}
+	if p, err := fresh.ProgramFor(nil); err == nil {
+		t.Fatalf("a fresh Client served %p for empty bytes", p)
+	}
+	if err := opts.Store.Put(key, other); err != nil {
+		t.Fatal(err)
+	}
+
+	// Concurrent first fetches share one decode.
+	var wg sync.WaitGroup
+	progs := make([]*schedule.Program, 8)
+	errs := make([]error, len(progs))
+	for i := range progs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			progs[i], errs[i] = fresh.ProgramFor(nil)
+		}()
+	}
+	wg.Wait()
+	for i := range progs {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		if progs[i] != progs[0] {
+			t.Fatalf("concurrent fetch %d decoded its own Program", i)
 		}
 	}
 }

@@ -323,11 +323,12 @@ func TestAtBoundaries(t *testing.T) {
 }
 
 // BenchmarkTraceAt guards the O(log steps) lookup: a dense 6h per-machine
-// Poisson trace (about a million steps) probed across the horizon. The
-// former linear scan walked half the step list per query on average;
-// regressions reintroducing it show up as a ~100x blowup here.
+// Poisson trace (about 10^5 steps) probed across the horizon. The former
+// linear scan walked half the step list per query on average, thousands
+// of times a binary search's 17 probes; regressions reintroducing it show
+// up as a >100x blowup here.
 func BenchmarkTraceAt(b *testing.B) {
-	tr := PoissonMachines(2048, 30*time.Second, time.Minute, 6*time.Hour, 11)
+	tr := PoissonMachines(208, 30*time.Second, time.Minute, 6*time.Hour, 11)
 	b.Logf("trace has %d steps", len(tr.Steps))
 	probe := make([]time.Duration, 1024)
 	for i := range probe {

@@ -39,7 +39,10 @@ const segmentGap = 5
 // one process, one track (thread) per worker, one complete event per span,
 // flow arrows along Program dependency edges, and instant events for the
 // lifecycle stream. Each segment's logical clock restarts at zero, so
-// segments are laid out at cumulative base offsets (1 slot = 1 µs).
+// segments are laid out at cumulative base offsets (1 slot = 1 µs). An
+// event without a logical time (At -1) is drawn at the end of the segment
+// open when it arrived, in the gap before the next segment: a boundary
+// kill, a plan fetch or a solve happens between the two segments.
 func BuildChromeTrace(t *Trace) *ChromeTrace {
 	segs := t.Segments()
 
@@ -119,6 +122,9 @@ func BuildChromeTrace(t *Trace) *ChromeTrace {
 		var ts int64
 		if pe.seg >= 0 && pe.seg < len(base) {
 			ts = base[pe.seg]
+			if ev.At < 0 {
+				ts += segs[pe.seg].Makespan()
+			}
 		}
 		if ev.At > 0 {
 			ts += ev.At
