@@ -177,35 +177,8 @@ func opReplay(job config.Job, model string, gcp bool, freq, horizon time.Duratio
 		fmt.Printf("\nrecorded lifecycle events:\n%s", obs.FormatEvents(rec.Events()))
 	}
 	if tracePath != "" {
-		return exportTrace(rec, tracePath)
+		return obs.ExportChromeTrace(os.Stdout, rec, tracePath)
 	}
-	return nil
-}
-
-// exportTrace audits the recorded trace (the critical path must tile every
-// segment's makespan exactly) and writes the Chrome/Perfetto JSON to path.
-func exportTrace(rec *obs.Trace, path string) error {
-	summary, err := obs.AuditCriticalPaths(rec)
-	if summary != "" {
-		fmt.Println("\n" + summary)
-	}
-	if err != nil {
-		return fmt.Errorf("critical-path audit: %w", err)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := obs.WriteChromeTrace(f, rec); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	c := rec.Counters()
-	fmt.Printf("trace: %d segments, %d spans, %d events -> %s\n",
-		c["segments"], c["spans"], c["events"], path)
 	return nil
 }
 
@@ -270,7 +243,7 @@ func desTimeline(eng *engine.Engine, job config.Job, stats profile.Stats, n int,
 	m := eng.Metrics()
 	fmt.Printf("plan service: %d solves, %d programs compiled\n", m.Solves, m.Compiles)
 	if tracePath != "" {
-		return exportTrace(rec, tracePath)
+		return obs.ExportChromeTrace(os.Stdout, rec, tracePath)
 	}
 	return nil
 }

@@ -98,38 +98,11 @@ func main() {
 	fmt.Printf("\nplan service (adapted run): %d solves, %d cache hits, %d Best(n) hits\n",
 		m.Solves, m.CacheHits, m.BestHits)
 	if rec != nil {
-		if err := exportTrace(rec, *tracePath); err != nil {
+		if err := obs.ExportChromeTrace(os.Stdout, rec, *tracePath); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
 	}
-}
-
-// exportTrace audits the recorded trace (the critical path must tile every
-// segment's makespan exactly) and writes the Chrome/Perfetto JSON to path.
-func exportTrace(rec *obs.Trace, path string) error {
-	summary, err := obs.AuditCriticalPaths(rec)
-	if summary != "" {
-		fmt.Println("\n" + summary)
-	}
-	if err != nil {
-		return fmt.Errorf("critical-path audit: %w", err)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := obs.WriteChromeTrace(f, rec); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	c := rec.Counters()
-	fmt.Printf("trace: %d segments, %d spans, %d events -> %s\n",
-		c["segments"], c["spans"], c["events"], path)
-	return nil
 }
 
 // runChaos drives the fault-injection harness: a seeded mid-iteration kill
@@ -154,11 +127,8 @@ func runChaos(cfg dtrain.Config, iters int, seed int64, victims int, pointName s
 		cfg.DP, cfg.PP, cfg.MB, cascade, victims, opt.KillIter, point, seed)
 	res, err := dtrain.Chaos(cfg, opt)
 	if err != nil {
-		// The chaos result carries the flight recorder even on failure —
-		// dump the last records so the crash is diagnosable post-mortem.
-		if res != nil && res.Flight != nil {
-			fmt.Fprintln(os.Stderr, res.Flight.Dump())
-		}
+		// Every chaos error carries the flight recorder's dump, so the
+		// crash is diagnosable post-mortem from this one line.
 		fmt.Fprintln(os.Stderr, "chaos:", err)
 		os.Exit(1)
 	}
@@ -183,7 +153,7 @@ func runChaos(cfg dtrain.Config, iters int, seed int64, victims int, pointName s
 	}
 	fmt.Println("\nall iterations bitwise equal: the kill changed the schedule, never the math")
 	if rec != nil {
-		if err := exportTrace(rec, tracePath); err != nil {
+		if err := obs.ExportChromeTrace(os.Stdout, rec, tracePath); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}

@@ -88,10 +88,11 @@ type ChaosOptions struct {
 	// Points, when non-empty, selects a kill point per cascade event
 	// (len(Points) must equal the cascade depth).
 	Points []KillPoint
-	// Recorder, when enabled, receives the chaos run's full trace — spans,
+	// Recorder, when set, receives the chaos run's full trace — spans,
 	// kills, splices, re-sends (the fault-free reference run is not
-	// traced). A flight-recorder ring is always attached alongside it.
-	Recorder obs.Recorder
+	// traced). Unset, the run records into a black box that keeps only
+	// the newest obs.FlightSegments segments.
+	Recorder *obs.Trace
 }
 
 // ChaosKill reports one kill event of a chaos cascade.
@@ -120,10 +121,10 @@ type ChaosResult struct {
 	// Losses and RefLosses are the per-iteration mean losses of the chaos
 	// run and the fault-free reference.
 	Losses, RefLosses []float64
-	// Flight is the bounded ring that shadowed the chaos run; it is
-	// populated even when Chaos returns an error, so every failing repro
-	// ships its own forensic timeline (Flight.Dump).
-	Flight *obs.FlightRecorder
+	// Trace is what the chaos run recorded into: ChaosOptions.Recorder or
+	// the black box. It is set even when Chaos returns an error, and every
+	// such error already carries its Dump.
+	Trace *obs.Trace
 }
 
 // BitwiseEqual reports whether every iteration's loss matches the
@@ -166,9 +167,11 @@ func Chaos(cfg Config, opt ChaosOptions) (*ChaosResult, error) {
 	}
 	rng := rand.New(rand.NewSource(opt.Seed))
 	rt, ref := New(cfg), New(cfg)
-	fl := obs.NewFlightRecorder(obs.DefaultFlightCap)
-	rt.AttachRecorder(obs.Multi(opt.Recorder, fl))
-	res := &ChaosResult{Flight: fl}
+	res := &ChaosResult{Trace: opt.Recorder}
+	if res.Trace == nil {
+		res.Trace = obs.NewBoundedTrace(obs.FlightSegments)
+	}
+	rt.AttachRecorder(res.Trace)
 	for it := 0; it < opt.Iterations; it++ {
 		if it == opt.KillIter+1 {
 			// Boundary restore: repaired machines come back with
@@ -176,7 +179,7 @@ func Chaos(cfg Config, opt ChaosOptions) (*ChaosResult, error) {
 			// the remaining iterations run on the full fleet again.
 			for _, v := range res.Victims {
 				if err := rt.Rejoin(v); err != nil {
-					return res, err
+					return res, rt.withFlightDump(err)
 				}
 			}
 		}
@@ -184,7 +187,7 @@ func Chaos(cfg Config, opt ChaosOptions) (*ChaosResult, error) {
 		if it == opt.KillIter {
 			kills, err := pickCascade(rt, cfg, opt, cascade, rng)
 			if err != nil {
-				return res, err
+				return res, rt.withFlightDump(err)
 			}
 			for _, k := range kills {
 				res.Victims = append(res.Victims, k.Victims...)
@@ -194,8 +197,9 @@ func Chaos(cfg Config, opt ChaosOptions) (*ChaosResult, error) {
 		}
 		loss, err := rt.RunIteration(events...)
 		if err != nil {
-			// RunIteration folds the flight dump into the error, so a chaos
-			// repro always carries its timeline.
+			// RunIteration folds the flight dump into the error, as the
+			// Rejoin and planning errors above do, so a chaos repro always
+			// carries its timeline, once.
 			return res, fmt.Errorf("dtrain: chaos iteration %d: %w", it, err)
 		}
 		refLoss, err := ref.RunIteration()

@@ -2,6 +2,7 @@ package dtrain
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 )
 
@@ -80,6 +81,48 @@ func TestChaosRejectsDegenerateOptions(t *testing.T) {
 	solo.DP = 1
 	if _, err := Chaos(solo, ChaosOptions{Seed: 1, Iterations: 2, KillIter: 0, Victims: 1}); err == nil {
 		t.Fatal("killing the only replica of a stage was accepted")
+	}
+}
+
+// TestChaosBlackBoxIsBounded checks the black box a chaos run records
+// into when the caller gives it no recorder: however long the run, it
+// keeps only the newest obs.FlightSegments segments, the last iteration's.
+func TestChaosBlackBoxIsBounded(t *testing.T) {
+	cfg := Config{
+		DP: 2, PP: 2, MB: 4,
+		InDim: 6, Hidden: 8, OutDim: 3, MicroBatchSize: 4,
+		Seed: 11, LR: 1e-2,
+	}
+	res, err := Chaos(cfg, ChaosOptions{Seed: 1, Iterations: 12, KillIter: 5, Victims: 1, Cascade: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	segs := res.Trace.Segments()
+	if len(segs) > 2 || segs[len(segs)-1].Label != "iter11" {
+		t.Fatalf("black box holds %d segments ending %q, want at most 2 ending iter11", len(segs), segs[len(segs)-1].Label)
+	}
+	if dump := res.Trace.Dump(); !strings.HasPrefix(dump, "flight recorder: last 2 segments") {
+		t.Fatalf("dump header: %q", strings.SplitN(dump, "\n", 2)[0])
+	}
+}
+
+// TestChaosErrorCarriesOneDump checks that a chaos error carries the
+// flight recorder's dump exactly once, whether the iteration failed or its
+// kills could not be planned.
+func TestChaosErrorCarriesOneDump(t *testing.T) {
+	cfg := Config{
+		DP: 2, PP: 2, MB: 4,
+		InDim: 6, Hidden: 8, OutDim: 3, MicroBatchSize: 4,
+		Seed: 11, LR: 1e-2,
+	}
+	// Three victims cannot be drawn from a 2x2 fleet: planning fails after
+	// two iterations ran.
+	_, err := Chaos(cfg, ChaosOptions{Seed: 1, Iterations: 3, KillIter: 2, Victims: 3})
+	if err == nil {
+		t.Fatal("more victims than the fleet can survive was accepted")
+	}
+	if n := strings.Count(err.Error(), "flight recorder:"); n != 1 || !strings.Contains(err.Error(), "begin iter1") {
+		t.Fatalf("planning error carries %d dumps:\n%v", n, err)
 	}
 }
 

@@ -298,7 +298,8 @@ type CascadeEvent struct {
 // the next phase interprets the re-spliced Program, re-reading
 // already-consumed tensors from their slots. Only the final boundary
 // acknowledges them: a later kill can re-lose a suffix an earlier splice
-// planned. Errors carry the flight recorder's dump when one is attached.
+// planned. Errors carry the flight recorder's dump (obs.Trace.Dump) when
+// the attached recorder is an *obs.Trace.
 func (rt *Runtime) RunIteration(events ...CascadeEvent) (float64, error) {
 	chains, splices, err := rt.planIteration(events)
 	if err != nil {
@@ -345,13 +346,11 @@ func (rt *Runtime) RunIteration(events ...CascadeEvent) (float64, error) {
 	return loss, rt.withFlightDump(err)
 }
 
-// withFlightDump ships the black box with a failed iteration: an attached
-// flight recorder's retained records are the crash's forensic timeline.
+// withFlightDump ships the black box with a failed iteration: the newest
+// segments of an attached Trace are the crash's forensic timeline.
 func (rt *Runtime) withFlightDump(err error) error {
-	if err != nil {
-		if fl := obs.FindFlight(rt.rec); fl != nil {
-			return fmt.Errorf("%w\n%s", err, fl.Dump())
-		}
+	if tr, ok := rt.rec.(*obs.Trace); ok && err != nil && tr.Enabled() {
+		return fmt.Errorf("%w\n%s", err, tr.Dump())
 	}
 	return err
 }
@@ -869,7 +868,7 @@ func (rt *Runtime) MetricsSnapshot() obs.Snapshot {
 	rt.mu.Unlock()
 	reg.Set("runtime", "Iterations", int64(rt.iter))
 	reg.Set("runtime", "FailedWorkers", int64(len(rt.failed)))
-	if tr := obs.FindTrace(rt.rec); tr != nil {
+	if tr, ok := rt.rec.(*obs.Trace); ok {
 		reg.SetAll("trace", tr.Counters())
 	}
 	return reg.Snapshot()

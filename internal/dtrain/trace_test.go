@@ -185,8 +185,8 @@ func TestChaosCriticalPathGolden(t *testing.T) {
 		}
 	}
 
-	// The splice lifecycle: kill and splice events at the cut, and the
-	// flight recorder retained a black box alongside the trace.
+	// The splice lifecycle: kill and splice events at the cut, recorded
+	// into the caller's trace, which the result hands back.
 	c := rec.Counters()
 	if c["events.kill"] < 1 || c["events.splice"] != 1 || c["events.rejoin"] < 1 {
 		t.Fatalf("lifecycle counters = %v", c)
@@ -196,14 +196,14 @@ func TestChaosCriticalPathGolden(t *testing.T) {
 			t.Fatalf("splice event = %+v, want cut %d event %q", e, res.Cut, res.Event)
 		}
 	}
-	if res.Flight == nil || len(res.Flight.Records()) == 0 {
-		t.Fatal("chaos run retained no flight-recorder records")
+	if res.Trace != rec {
+		t.Fatal("chaos result does not hand back the caller's recorder")
 	}
 }
 
 // TestRunIterationFailureDumpsFlightRecorder pins the post-mortem path: a
-// chaos-killed iteration that errors out appends the flight recorder's
-// dump to the returned error.
+// chaos-killed iteration that errors out appends the attached trace's
+// flight-recorder dump to the returned error.
 func TestRunIterationFailureDumpsFlightRecorder(t *testing.T) {
 	cfg := Config{
 		DP: 2, PP: 2, MB: 4,
@@ -211,7 +211,7 @@ func TestRunIterationFailureDumpsFlightRecorder(t *testing.T) {
 		Seed: 11, LR: 1e-2,
 	}
 	rt := New(cfg)
-	rt.AttachRecorder(obs.NewFlightRecorder(32))
+	rt.AttachRecorder(obs.NewBoundedTrace(obs.FlightSegments))
 	// Killing both workers of a stage leaves the stage dead — the failure
 	// path must reject it, and the error must carry the black box.
 	_, err := rt.RunIterationFailure([]schedule.Worker{

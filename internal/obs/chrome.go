@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"os"
 
 	"recycle/internal/schedule"
 )
@@ -48,9 +49,11 @@ func BuildChromeTrace(t *Trace) *ChromeTrace {
 
 	// Stable worker → track mapping across all segments.
 	wset := make(map[schedule.Worker]bool)
-	for _, g := range segs {
-		for _, w := range g.Workers() {
-			wset[w] = true
+	spans := make([][]Span, len(segs))
+	for i, g := range segs {
+		spans[i] = g.Spans()
+		for _, s := range spans[i] {
+			wset[s.Worker()] = true
 		}
 	}
 	workers := make([]schedule.Worker, 0, len(wset))
@@ -78,12 +81,11 @@ func BuildChromeTrace(t *Trace) *ChromeTrace {
 		base[i] = at
 		at += g.Makespan() + segmentGap
 
-		spans := g.Spans()
 		out.TraceEvents = append(out.TraceEvents, ChromeEvent{
 			Name: "segment:" + g.Label, Cat: "segment", Phase: "i",
 			TS: base[i], PID: 1, TID: 0, Scope: "p",
 		})
-		for _, s := range spans {
+		for _, s := range spans[i] {
 			args := map[string]any{
 				"instr":   s.Instr,
 				"segment": g.Label,
@@ -164,5 +166,34 @@ func WriteChromeTrace(w io.Writer, t *Trace) error {
 	if err := enc.Encode(BuildChromeTrace(t)); err != nil {
 		return fmt.Errorf("obs: encoding chrome trace: %w", err)
 	}
+	return nil
+}
+
+// ExportChromeTrace is the -trace CLI modes' exit path: it audits the
+// trace (every segment's critical path must tile its makespan), writes the
+// audit summary to out, exports the Chrome trace JSON to the file at path,
+// and ends with a one-line count of what it wrote.
+func ExportChromeTrace(out io.Writer, t *Trace, path string) error {
+	summary, err := AuditCriticalPaths(t)
+	if summary != "" {
+		fmt.Fprintln(out, "\n"+summary)
+	}
+	if err != nil {
+		return fmt.Errorf("critical-path audit: %w", err)
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := WriteChromeTrace(f, t); err != nil {
+		f.Close()
+		return err
+	}
+	if err := f.Close(); err != nil {
+		return err
+	}
+	c := t.Counters()
+	fmt.Fprintf(out, "trace: %d segments, %d spans, %d events -> %s\n",
+		c["segments"], c["spans"], c["events"], path)
 	return nil
 }

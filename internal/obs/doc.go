@@ -16,19 +16,19 @@
 //   - Nop: the default. Disabled; records nothing; the disabled path adds
 //     no allocation per instruction (executors guard span construction
 //     behind Enabled()).
-//   - Trace: the buffering recorder. Spans group into Segments, one per
-//     executed Program (an iteration, or one phase of a spliced
+//   - Trace: the only buffering recorder. Spans group into Segments, one
+//     per executed Program (an iteration, or one phase of a spliced
 //     iteration), each bound to the Program artifact so the recorded DAG
-//     keeps its dependency edges.
-//   - FlightRecorder: a bounded ring of the most recent records — the
-//     chaos harness's black box, dumped on failure.
-//   - Multi: fans records out to several recorders (a Trace for export
-//     plus a FlightRecorder for forensics).
+//     keeps its dependency edges. NewTrace keeps every segment;
+//     NewBoundedTrace(FlightSegments) keeps the newest two, dropping the
+//     oldest whole with its events — the chaos harness's black box.
+//     Dump renders the newest two segments as the flight recorder's text.
 //
 // On top of a recorded Trace:
 //
 //   - WriteChromeTrace exports Chrome trace-event / Perfetto JSON with one
-//     track per worker and flow events along Program dependency edges.
+//     track per worker and flow events along Program dependency edges;
+//     ExportChromeTrace audits the trace, then writes that JSON to a file.
 //   - CriticalPath walks the recorded DAG backwards from the last
 //     completed instruction and attributes the makespan op by op; the
 //     returned steps tile [0, makespan] exactly (critical-path compute +

@@ -6,8 +6,8 @@ import (
 )
 
 // FormatEvent renders one lifecycle event as a single aligned line — the
-// one event-formatting path shared by the flight recorder's forensic dump
-// and the CLIs' -events output.
+// one event-formatting path shared by the flight recorder's dump
+// (Trace.Dump) and the CLIs' -events output.
 func FormatEvent(e Event) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-11s", e.Kind)

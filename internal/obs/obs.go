@@ -83,40 +83,20 @@ const (
 	EvStepNoop
 )
 
+var eventKindNames = [...]string{
+	EvIterStart: "iter-start", EvIterEnd: "iter-end", EvRollback: "rollback",
+	EvKill: "kill", EvRejoin: "rejoin", EvSplice: "splice", EvResend: "resend",
+	EvCut: "cut", EvMembership: "membership", EvPlanFetch: "plan-fetch",
+	EvPlanSolve: "plan-solve", EvWarm: "warm", EvPublish: "publish",
+	EvStepNoop: "step-noop",
+}
+
 // String implements fmt.Stringer.
 func (k EventKind) String() string {
-	switch k {
-	case EvIterStart:
-		return "iter-start"
-	case EvIterEnd:
-		return "iter-end"
-	case EvRollback:
-		return "rollback"
-	case EvKill:
-		return "kill"
-	case EvRejoin:
-		return "rejoin"
-	case EvSplice:
-		return "splice"
-	case EvResend:
-		return "resend"
-	case EvCut:
-		return "cut"
-	case EvMembership:
-		return "membership"
-	case EvPlanFetch:
-		return "plan-fetch"
-	case EvPlanSolve:
-		return "plan-solve"
-	case EvWarm:
-		return "warm"
-	case EvPublish:
-		return "publish"
-	case EvStepNoop:
-		return "step-noop"
-	default:
-		return fmt.Sprintf("EventKind(%d)", int8(k))
+	if k >= 0 && int(k) < len(eventKindNames) {
+		return eventKindNames[k]
 	}
+	return fmt.Sprintf("EventKind(%d)", int8(k))
 }
 
 // Attr is one structured key/value attribute of an Event, kept ordered so
@@ -178,76 +158,3 @@ func (Nop) Span(Span) {}
 
 // Event implements Recorder.
 func (Nop) Event(Event) {}
-
-// multi fans every record out to several live recorders.
-type multi []Recorder
-
-func (m multi) Enabled() bool { return true }
-func (m multi) BeginProgram(label string, p *schedule.Program) {
-	for _, r := range m {
-		r.BeginProgram(label, p)
-	}
-}
-func (m multi) Span(s Span) {
-	for _, r := range m {
-		r.Span(s)
-	}
-}
-func (m multi) Event(e Event) {
-	for _, r := range m {
-		r.Event(e)
-	}
-}
-
-// Multi combines recorders: records fan out to every enabled one. Nil and
-// disabled recorders are dropped; with none left the result is Nop, and a
-// single survivor is returned unwrapped.
-func Multi(rs ...Recorder) Recorder {
-	live := make(multi, 0, len(rs))
-	for _, r := range rs {
-		if r != nil && r.Enabled() {
-			live = append(live, r)
-		}
-	}
-	switch len(live) {
-	case 0:
-		return Nop{}
-	case 1:
-		return live[0]
-	}
-	return live
-}
-
-// FindFlight unwraps a recorder down to its FlightRecorder, if it is one
-// or contains one via Multi — how a failure path locates the black box to
-// dump.
-func FindFlight(r Recorder) *FlightRecorder {
-	switch v := r.(type) {
-	case *FlightRecorder:
-		return v
-	case multi:
-		for _, sub := range v {
-			if f := FindFlight(sub); f != nil {
-				return f
-			}
-		}
-	}
-	return nil
-}
-
-// FindTrace unwraps a recorder down to its buffering Trace, if it is one
-// or contains one via Multi — how metrics folding locates the recorded
-// span and event counters.
-func FindTrace(r Recorder) *Trace {
-	switch v := r.(type) {
-	case *Trace:
-		return v
-	case multi:
-		for _, sub := range v {
-			if t := FindTrace(sub); t != nil {
-				return t
-			}
-		}
-	}
-	return nil
-}

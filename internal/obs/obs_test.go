@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -117,58 +118,63 @@ func TestCriticalPathEmptySegment(t *testing.T) {
 	}
 }
 
-func TestMultiAndFind(t *testing.T) {
-	if _, ok := Multi().(Nop); !ok {
-		t.Fatal("Multi() must collapse to Nop")
+// TestBoundedTraceDropsWholeSegments opens five segments into a trace
+// bounded to two: only the newest two remain, the events placed in the
+// dropped ones go with them, each kept segment still tiles, and the dump
+// reports the three segments it left out.
+func TestBoundedTraceDropsWholeSegments(t *testing.T) {
+	tr := NewBoundedTrace(2)
+	tr.Event(Event{Kind: EvPlanFetch, At: -1, Iter: -1})
+	for i := range 5 {
+		tr.BeginProgram(fmt.Sprintf("iter%d", i), nil)
+		tr.Span(Span{Instr: 1, Op: op(0, 0, 1, schedule.F), Start: 2, End: 4})
+		tr.Span(Span{Instr: 0, Op: op(0, 0, 0, schedule.F), Start: 0, End: 2})
+		tr.Event(Event{Kind: EvIterEnd, At: 4, Iter: i})
+		tr.Event(Event{Kind: EvIterStart, At: 0, Iter: i})
 	}
-	if _, ok := Multi(nil, Nop{}, (*Trace)(nil)).(Nop); !ok {
-		t.Fatal("Multi of disabled recorders must collapse to Nop")
+	segs := tr.Segments()
+	if len(segs) != 2 || segs[0].Label != "iter3" || segs[1].Label != "iter4" {
+		t.Fatalf("kept segments = %v, want iter3 and iter4", segs)
 	}
-	tr := NewTrace()
-	if got := Multi(nil, tr); got != Recorder(tr) {
-		t.Fatal("single survivor must be returned unwrapped")
+	for _, e := range tr.Events() {
+		if e.Iter < 3 {
+			t.Fatalf("event %v of a dropped segment survived", e)
+		}
 	}
-	fl := NewFlightRecorder(8)
-	m := Multi(tr, fl, Nop{})
-	if !m.Enabled() {
-		t.Fatal("multi must be enabled")
+	if c := tr.Counters(); c["segments"] != 2 || c["spans"] != 4 || c["events"] != 4 {
+		t.Fatalf("counters = %v", c)
 	}
-	if FindFlight(m) != fl || FindTrace(m) != tr {
-		t.Fatal("Find* must unwrap through Multi")
+	for _, g := range segs {
+		if rep, err := CriticalPath(g); err != nil || !rep.Tiles() {
+			t.Fatalf("%s: %v", g.Label, err)
+		}
 	}
-	if FindFlight(tr) != nil || FindTrace(fl) != nil {
-		t.Fatal("Find* must not invent recorders")
+	placed := tr.placed()
+	if placed[0].seg != 0 || placed[len(placed)-1].seg != 1 {
+		t.Fatalf("events placed in segments %d..%d, want 0..1", placed[0].seg, placed[len(placed)-1].seg)
 	}
-	// Fan-out reaches both.
-	m.BeginProgram("x", nil)
-	m.Span(Span{Instr: 0, Op: op(0, 0, 0, schedule.F), Start: 0, End: 1})
-	m.Event(Event{Kind: EvKill, At: 1})
-	if tr.Counters()["spans"] != 1 || len(fl.Records()) != 3 {
-		t.Fatalf("fan-out missed a recorder: trace=%v flight=%v", tr.Counters(), fl.Records())
+	dump := tr.Dump()
+	want := `flight recorder: last 2 segments, 4 spans, 4 events (3 older segments left out)
+  begin iter3 (0 instrs)
+  event iter-start  at=0 iter=3
+  span  #0    `
+	if !strings.HasPrefix(dump, want) {
+		t.Fatalf("dump =\n%s\nwant prefix\n%s", dump, want)
 	}
-}
+	if strings.Count(dump, "\n") != 1+2*(1+2+2) {
+		t.Fatalf("dump has %d lines:\n%s", strings.Count(dump, "\n"), dump)
+	}
 
-func TestFlightRecorderRing(t *testing.T) {
-	fl := NewFlightRecorder(4)
-	for i := 0; i < 7; i++ {
-		fl.Span(Span{Instr: i, Op: op(0, 0, i, schedule.F), Start: int64(i), End: int64(i + 1)})
+	// An unbounded trace keeps everything but dumps the newest two.
+	full := NewTrace()
+	for i := range 3 {
+		full.BeginProgram(fmt.Sprintf("iter%d", i), nil)
 	}
-	recs := fl.Records()
-	if len(recs) != 4 {
-		t.Fatalf("ring holds %d records, want 4", len(recs))
+	if n := len(full.Segments()); n != 3 {
+		t.Fatalf("unbounded trace kept %d segments, want 3", n)
 	}
-	if !strings.Contains(recs[0], "#3") || !strings.Contains(recs[3], "#6") {
-		t.Fatalf("ring not oldest-first: %v", recs)
-	}
-	if fl.Dropped() != 3 {
-		t.Fatalf("dropped = %d, want 3", fl.Dropped())
-	}
-	dump := fl.Dump()
-	if !strings.Contains(dump, "last 4 records (3 older dropped)") {
-		t.Fatalf("dump header: %q", dump)
-	}
-	if NewFlightRecorder(0).ring == nil || len(NewFlightRecorder(-1).ring) != DefaultFlightCap {
-		t.Fatal("non-positive capacity must default")
+	if d := full.Dump(); !strings.HasPrefix(d, "flight recorder: last 2 segments, 0 spans, 0 events (1 older segments left out)\n  begin iter1") {
+		t.Fatalf("unbounded dump = %q", d)
 	}
 }
 

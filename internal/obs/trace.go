@@ -1,8 +1,11 @@
 package obs
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"math"
+	"slices"
+	"strings"
 	"sync"
 
 	"recycle/internal/schedule"
@@ -53,11 +56,8 @@ func (g *Segment) Spans() []Span {
 		out = append(out, s)
 	}
 	g.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Start != out[j].Start {
-			return out[i].Start < out[j].Start
-		}
-		return out[i].Instr < out[j].Instr
+	slices.SortFunc(out, func(a, b Span) int {
+		return cmp.Or(cmp.Compare(a.Start, b.Start), cmp.Compare(a.Instr, b.Instr))
 	})
 	return out
 }
@@ -75,34 +75,16 @@ func (g *Segment) Makespan() int64 {
 	return out
 }
 
-// Workers returns every worker with at least one recorded span, in
-// (pipeline, stage) order.
-func (g *Segment) Workers() []schedule.Worker {
-	g.mu.Lock()
-	set := make(map[schedule.Worker]bool)
-	for _, s := range g.spans {
-		set[s.Worker()] = true
-	}
-	g.mu.Unlock()
-	ws := make([]schedule.Worker, 0, len(set))
-	for w := range set {
-		ws = append(ws, w)
-	}
-	sort.Slice(ws, func(i, j int) bool {
-		if ws[i].Pipeline != ws[j].Pipeline {
-			return ws[i].Pipeline < ws[j].Pipeline
-		}
-		return ws[i].Stage < ws[j].Stage
-	})
-	return ws
-}
-
 // placedEvent remembers which segment was current when an event arrived,
 // so exports can place it on the right stretch of the merged timeline.
 type placedEvent struct {
 	ev  Event
 	seg int // index into segs; -1 before the first BeginProgram
 }
+
+// FlightSegments bounds the chaos harness's black box: the previous phase
+// and the current one.
+const FlightSegments = 2
 
 // Trace is the buffering Recorder: spans grouped into segments, events in
 // arrival order. Safe for concurrent use; a nil *Trace is a valid disabled
@@ -111,13 +93,36 @@ type Trace struct {
 	mu     sync.Mutex
 	segs   []*Segment
 	events []placedEvent
+	// keep > 0 bounds the trace to its newest keep segments; dropped
+	// counts the segments that fell out, each with its events.
+	keep, dropped int
 }
 
-// NewTrace returns an enabled, empty trace.
+// NewTrace returns an enabled, empty trace that keeps every segment.
 func NewTrace() *Trace { return &Trace{} }
+
+// NewBoundedTrace returns an enabled, empty trace that keeps only its
+// newest n segments (at least one): opening a segment past the bound drops
+// the oldest whole, with the events placed in it.
+func NewBoundedTrace(n int) *Trace { return &Trace{keep: max(n, 1)} }
 
 // Enabled implements Recorder; a nil trace is disabled.
 func (t *Trace) Enabled() bool { return t != nil }
+
+// open appends a new segment, first dropping the oldest one (and the
+// events placed in it or before it) when the trace is at its bound. The
+// caller holds t.mu.
+func (t *Trace) open(label string, p *schedule.Program) {
+	if t.keep > 0 && len(t.segs) == t.keep {
+		t.segs = slices.Delete(t.segs, 0, 1)
+		t.events = slices.DeleteFunc(t.events, func(pe placedEvent) bool { return pe.seg <= 0 })
+		for i := range t.events {
+			t.events[i].seg--
+		}
+		t.dropped++
+	}
+	t.segs = append(t.segs, newSegment(label, p))
+}
 
 // BeginProgram implements Recorder: it opens a new segment.
 func (t *Trace) BeginProgram(label string, p *schedule.Program) {
@@ -125,27 +130,23 @@ func (t *Trace) BeginProgram(label string, p *schedule.Program) {
 		return
 	}
 	t.mu.Lock()
-	t.segs = append(t.segs, newSegment(label, p))
+	t.open(label, p)
 	t.mu.Unlock()
 }
 
-// current returns the open segment, creating an anonymous one for spans
-// recorded before any BeginProgram.
-func (t *Trace) current() *Segment {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if len(t.segs) == 0 {
-		t.segs = append(t.segs, newSegment("seg0", nil))
-	}
-	return t.segs[len(t.segs)-1]
-}
-
-// Span implements Recorder.
+// Span implements Recorder: the span joins the open segment, an anonymous
+// one if none was opened.
 func (t *Trace) Span(s Span) {
 	if t == nil {
 		return
 	}
-	t.current().add(s)
+	t.mu.Lock()
+	if len(t.segs) == 0 {
+		t.open("seg0", nil)
+	}
+	g := t.segs[len(t.segs)-1]
+	t.mu.Unlock()
+	g.add(s)
 }
 
 // Event implements Recorder.
@@ -222,4 +223,70 @@ func (t *Trace) Counters() map[string]int64 {
 func (t *Trace) String() string {
 	c := t.Counters()
 	return fmt.Sprintf("trace: %d segments, %d spans, %d events", c["segments"], c["spans"], c["events"])
+}
+
+// Dump renders the black box for a failure report: the newest
+// FlightSegments segments in open order, each with its spans and the
+// events placed in it in logical order, under a header counting the older
+// segments left out, whether a bound dropped them or Dump skipped them.
+func (t *Trace) Dump() string {
+	t.mu.Lock()
+	first := max(len(t.segs)-FlightSegments, 0)
+	segs := append([]*Segment(nil), t.segs[first:]...)
+	omitted := t.dropped + first
+	// evs[i+1] holds the events placed in segs[i]; evs[0] those placed
+	// before the first segment, rendered only when it is shown.
+	evs := make([][]Event, len(segs)+1)
+	for _, pe := range t.events {
+		if i := pe.seg - first; i >= 0 || first == 0 {
+			evs[i+1] = append(evs[i+1], pe.ev)
+		}
+	}
+	t.mu.Unlock()
+	var b strings.Builder
+	spans, events := dumpSegment(&b, nil, evs[0]), len(evs[0])
+	for i, g := range segs {
+		spans += dumpSegment(&b, g, evs[i+1])
+		events += len(evs[i+1])
+	}
+	return fmt.Sprintf("flight recorder: last %d segments, %d spans, %d events (%d older segments left out)\n%s",
+		len(segs), spans, events, omitted, b.String())
+}
+
+// dumpSegment renders one segment's open line, then its spans and events
+// in logical order: by start or event time, an event before the spans
+// starting at its time, an event without a logical time last. It returns
+// the number of spans it rendered.
+func dumpSegment(b *strings.Builder, g *Segment, evs []Event) int {
+	type entry struct {
+		at   int64
+		text string
+	}
+	var es []entry
+	for _, e := range evs {
+		at := e.At
+		if at < 0 {
+			at = math.MaxInt64
+		}
+		es = append(es, entry{at, "event " + FormatEvent(e)})
+	}
+	if g != nil {
+		n := 0
+		if g.Prog != nil {
+			n = len(g.Prog.Instrs)
+		}
+		fmt.Fprintf(b, "  begin %s (%d instrs)\n", g.Label, n)
+		for _, s := range g.Spans() {
+			frozen := ""
+			if s.Frozen {
+				frozen = " frozen"
+			}
+			es = append(es, entry{s.Start, fmt.Sprintf("span  #%-4d %-22s [%d,%d) sched=%d%s", s.Instr, s.Op, s.Start, s.End, s.Sched, frozen)})
+		}
+	}
+	slices.SortStableFunc(es, func(x, y entry) int { return cmp.Compare(x.at, y.at) })
+	for _, e := range es {
+		b.WriteString("  " + e.text + "\n")
+	}
+	return len(es) - len(evs)
 }
