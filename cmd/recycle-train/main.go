@@ -128,8 +128,10 @@ func runChaos(cfg dtrain.Config, iters int, seed int64, victims int, pointName s
 	res, err := dtrain.Chaos(cfg, opt)
 	if err != nil {
 		// Every chaos error carries the flight recorder's dump, so the
-		// crash is diagnosable post-mortem from this one line.
+		// crash is diagnosable post-mortem from this one line; the full
+		// trace of the failed run is exported too.
 		fmt.Fprintln(os.Stderr, "chaos:", err)
+		exportChaosTrace(rec, tracePath)
 		os.Exit(1)
 	}
 	for i, k := range res.Kills {
@@ -149,13 +151,21 @@ func runChaos(cfg dtrain.Config, iters int, seed int64, victims int, pointName s
 	}
 	if !equal {
 		fmt.Fprintln(os.Stderr, "\nchaos run diverged from the fault-free reference")
+		exportChaosTrace(rec, tracePath)
 		os.Exit(1)
 	}
 	fmt.Println("\nall iterations bitwise equal: the kill changed the schedule, never the math")
-	if rec != nil {
-		if err := obs.ExportChromeTrace(os.Stdout, rec, tracePath); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
+	exportChaosTrace(rec, tracePath)
+}
+
+// exportChaosTrace writes the chaos run's trace when -trace asked for one,
+// exiting 1 if the export fails.
+func exportChaosTrace(rec *obs.Trace, path string) {
+	if rec == nil {
+		return
+	}
+	if err := obs.ExportChromeTrace(os.Stdout, rec, path); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
 }

@@ -2,6 +2,7 @@ package dtrain
 
 import (
 	"math/rand"
+	"sync"
 
 	"recycle/internal/tensor"
 )
@@ -44,12 +45,18 @@ func (s *splitmix) Uint64() uint64 {
 func (s *splitmix) Int63() int64    { return int64(s.Uint64() >> 1) }
 func (s *splitmix) Seed(seed int64) { s.state = uint64(seed) }
 
+// rngPool recycles Input's generators: reseeding a *rand.Rand over
+// splitmix restarts its stream, so no micro-batch builds one.
+var rngPool = sync.Pool{New: func() any { return rand.New(&splitmix{}) }}
+
 // Input returns the micro-batch inputs for (iter, pipeline, mb), carved
 // from ar (nil: the Go heap).
 func (d *Dataset) Input(ar *tensor.Arena, iter, pipeline, mb int) *tensor.Matrix {
-	s := d.seed*1_000_003 + int64(iter)*7919 + int64(pipeline)*97 + int64(mb)
-	rng := rand.New(&splitmix{state: uint64(s)})
-	return ar.Randn(d.MicroBatch, d.InDim, 1.0, rng)
+	rng := rngPool.Get().(*rand.Rand)
+	rng.Seed(d.seed*1_000_003 + int64(iter)*7919 + int64(pipeline)*97 + int64(mb))
+	x := ar.Randn(d.MicroBatch, d.InDim, 1.0, rng)
+	rngPool.Put(rng)
+	return x
 }
 
 // Target returns the teacher outputs for the micro-batch, carved from ar.

@@ -78,10 +78,18 @@ type barrier struct {
 	sum     []*nn.Param
 }
 
-// slotPool recycles slot tables across iterations: a router takes one at
-// construction and hands it back, emptied, in release — so neither an
-// idle Runtime nor the garbage collector's live heap carries a table.
-var slotPool sync.Pool
+// table is a router's pooled backing: the slot table and the reduce view,
+// one gradient list per contribution slot, so every stage group reduces
+// through its own window of it.
+type table struct {
+	slots []slot
+	view  [][]*tensor.Matrix
+}
+
+// tablePool recycles tables across iterations: a router takes one when it
+// opens and hands it back, emptied, in release — so neither an idle
+// Runtime nor the garbage collector's live heap carries a table.
+var tablePool sync.Pool
 
 // router is the in-process transport with an upstream re-send protocol,
 // PipeDream's stash-and-replay send buffer made the only buffer there is:
@@ -98,12 +106,13 @@ var slotPool sync.Pool
 // slots are the WeightGradStore, and a stage group's optimizers park on its
 // barrier until all of them are filled. An abort releases every blocked
 // party so an erroring iteration can unwind instead of hanging peers whose
-// producers will never send.
+// producers will never send. A Runtime keeps one router and opens it for
+// every iteration.
 type router struct {
 	shape   schedule.Shape
 	triples int
 	slots   []slot
-	table   *[]slot // slots' pooled backing, handed back by release
+	table   *table // slots' pooled backing, handed back by release
 	bars    []barrier
 	next    []int16 // per worker index: the worker (index+1) parked after it
 	// wake holds one single-token channel per worker index: a worker parks
@@ -117,30 +126,40 @@ type router struct {
 	rec obs.Recorder
 }
 
-// newWake builds the per-worker wake channels a router parks receivers on.
-func newWake(workers int) []chan struct{} {
-	wake := make([]chan struct{}, workers)
-	for i := range wake {
-		wake[i] = make(chan struct{}, 1)
-	}
-	return wake
-}
-
-// newRouter takes an empty slot table for every message of the shape and
-// opens one barrier per stage group.
-func newRouter(shape schedule.Shape, wake []chan struct{}) *router {
-	r := &router{shape: shape, triples: shape.Triples(), wake: wake, done: make(chan struct{}),
-		bars: make([]barrier, shape.Iter*shape.PP), next: make([]int16, shape.DP*shape.PP)}
-	n := 3 * r.triples
-	if r.table, _ = slotPool.Get().(*[]slot); r.table == nil || len(*r.table) < n {
-		t := make([]slot, n)
-		r.table = &t
-	}
-	r.slots = (*r.table)[:n]
-	for i := range r.bars {
-		r.bars[i].pending = int32(shape.DP * shape.MB)
+// newRouter builds a closed router for workers workers: its wake
+// channels, and no table until open.
+func newRouter(workers int) *router {
+	r := &router{wake: make([]chan struct{}, workers), done: make(chan struct{})}
+	for i := range r.wake {
+		r.wake[i] = make(chan struct{}, 1)
 	}
 	return r
+}
+
+// open readies the router for one iteration of shape: it takes an empty
+// slot table for every message of the shape, opens one barrier per stage
+// group and, after an abort, re-arms done.
+func (r *router) open(shape schedule.Shape) {
+	r.shape, r.triples = shape, shape.Triples()
+	n := 3 * r.triples
+	if r.table, _ = tablePool.Get().(*table); r.table == nil || len(r.table.slots) < n {
+		r.table = &table{slots: make([]slot, n), view: make([][]*tensor.Matrix, r.triples)}
+	}
+	r.slots = r.table.slots[:n]
+	if g := shape.Iter * shape.PP; len(r.bars) != g {
+		r.bars = make([]barrier, g)
+	}
+	for i := range r.bars {
+		r.bars[i] = barrier{pending: int32(shape.DP * shape.MB)}
+	}
+	if w := shape.DP * shape.PP; len(r.next) != w {
+		r.next = make([]int16, w)
+	}
+	select {
+	case <-r.done:
+		r.done, r.once = make(chan struct{}), sync.Once{}
+	default:
+	}
 }
 
 // index maps a message to its slot: kind-major, then by micro-batch
@@ -277,9 +296,10 @@ func (r *router) reduce(g int, st *nn.Stage) {
 		}
 		return
 	}
-	contribs := make([][]*tensor.Matrix, r.shape.DP*r.shape.MB)
+	n := r.shape.DP * r.shape.MB
+	contribs := r.table.view[g*n : (g+1)*n]
 	for i := range contribs {
-		s := &r.slots[int(msgContrib)*r.triples+g*len(contribs)+i]
+		s := &r.slots[int(msgContrib)*r.triples+g*n+i]
 		s.mu.Lock()
 		contribs[i] = s.p.grads
 		s.mu.Unlock()
@@ -321,11 +341,12 @@ func (r *router) ackIteration(iter int) int {
 	return n
 }
 
-// release hands the slot table back for the next iteration's router, after
-// every executor has stopped. Whatever was not acknowledged is dropped.
+// release hands the table back for the next iteration, after every
+// executor has stopped. Whatever was not acknowledged is dropped.
 func (r *router) release() {
 	clear(r.slots)
-	slotPool.Put(r.table)
+	clear(r.table.view)
+	tablePool.Put(r.table)
 	r.slots, r.table = nil, nil
 }
 

@@ -14,9 +14,13 @@ import (
 	"recycle/internal/tensor"
 )
 
-// testRouter builds a bare router over its own wake channels — no runtime,
-// no peers running.
-func testRouter(sh schedule.Shape) *router { return newRouter(sh, newWake(sh.DP*sh.PP)) }
+// testRouter builds a bare router, opened for one iteration of sh — no
+// runtime, no peers running.
+func testRouter(sh schedule.Shape) *router {
+	r := newRouter(sh.DP * sh.PP)
+	r.open(sh)
+	return r
+}
 
 // peek reads a slot's state and the worker index + 1 parked on it.
 func (s *slot) peek() (state uint8, waiter int16) {

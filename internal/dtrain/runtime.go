@@ -105,9 +105,13 @@ type Runtime struct {
 	// one worker, and read once they have all stopped.
 	losses  []float64
 	stepped []int
-	// wake parks blocked receivers of the iteration's router, one
-	// channel per worker index.
-	wake []chan struct{}
+	// fl is the state an iteration's phases share, and chains the splice
+	// chains it plans; both are reused by every iteration.
+	fl     inflight
+	chains []replay.Chain
+	// plain is the plain timeline of the last Program an iteration started
+	// from: between failures every iteration fetches the same Program.
+	plain *sim.Execution
 
 	mu        sync.Mutex
 	opSeconds map[schedule.OpType]time.Duration
@@ -134,7 +138,10 @@ func New(cfg Config) *Runtime {
 		epochBase: make([]int, cfg.DP*cfg.PP),
 		losses:    make([]float64, cfg.DP*cfg.MB),
 		stepped:   make([]int, cfg.DP*cfg.PP),
-		wake:      newWake(cfg.DP * cfg.PP),
+		fl: inflight{
+			r:     newRouter(cfg.DP * cfg.PP),
+			preds: make([]*tensor.Matrix, cfg.DP*cfg.DP*cfg.MB),
+		},
 		opSeconds: make(map[schedule.OpType]time.Duration),
 		opCounts:  make(map[schedule.OpType]int),
 		rec:       obs.Nop{},
@@ -193,7 +200,8 @@ func (rt *Runtime) Rejoin(w schedule.Worker) error {
 	// the right target.
 	dst.SetStepEpoch(src.StepEpoch())
 	rt.epochBase[rt.workerIndex(w)] = src.StepEpoch()
-	rt.opts[w] = rt.newOptimizer()
+	// The re-joiner's own optimizer takes the donor's state in place: every
+	// moment, the step count and the hyperparameters (SGD has only its LR).
 	if a, ok := rt.opts[donor].(*nn.AdamW); ok {
 		rt.opts[w].(*nn.AdamW).CopyStateFrom(a, srcP, dstP)
 	}
@@ -305,14 +313,12 @@ func (rt *Runtime) RunIteration(events ...CascadeEvent) (float64, error) {
 	if err != nil {
 		return 0, rt.withFlightDump(err)
 	}
+	defer clear(rt.chains) // pin no Program past the iteration
 	rt.captureEpochBase()
 	clear(rt.losses)
 	clear(rt.stepped)
-	fl := &inflight{
-		r:       newRouter(chains[0].Exec.Program.Shape, rt.wake),
-		valErrs: make(chan error, rt.Cfg.DP*rt.Cfg.PP*(len(events)+1)),
-		preds:   make([]*tensor.Matrix, rt.Cfg.DP*rt.Cfg.DP*rt.Cfg.MB),
-	}
+	fl := &rt.fl
+	fl.r.open(chains[0].Exec.Program.Shape)
 	fl.r.rec = rt.rec
 	i := 0
 	for ; ; i++ {
@@ -331,7 +337,7 @@ func (rt *Runtime) RunIteration(events ...CascadeEvent) (float64, error) {
 			break
 		}
 		rt.runPhase(fl, &chains[i], events[i].Cut, events[i].Fail)
-		if len(fl.valErrs) > 0 {
+		if fl.err != nil {
 			break
 		}
 		if err := rt.applyEvent(events[i], splices[i], cur); err != nil {
@@ -360,22 +366,25 @@ func (rt *Runtime) withFlightDump(err error) error {
 // failure set, as it stands before each event and after the last, and event
 // by event the splice that re-forms it. Phase i interprets chain i up to
 // event i's cut, the last phase its chain to the end. It touches no runtime
-// state.
+// state but the chain scratch it returns.
 func (rt *Runtime) planIteration(events []CascadeEvent) ([]replay.Chain, []*replay.Spliced, error) {
 	c, err := rt.newChain()
 	if err != nil {
 		return nil, nil, err
 	}
-	chains := make([]replay.Chain, len(events)+1)
-	splices := make([]*replay.Spliced, len(events))
-	for i, ev := range events {
-		chains[i] = c
-		if splices[i], err = advance(&c, ev); err != nil {
+	chains := rt.chains[:0]
+	var splices []*replay.Spliced
+	for _, ev := range events {
+		chains = append(chains, c)
+		spl, err := advance(&c, ev)
+		if err != nil {
+			clear(chains)
 			return nil, nil, err
 		}
+		splices = append(splices, spl)
 	}
-	chains[len(events)] = c
-	return chains, splices, nil
+	rt.chains = append(chains, c)
+	return rt.chains, splices, nil
 }
 
 // phaseLabel names the trace segment of one phase: the whole iteration
@@ -394,7 +403,7 @@ func phaseLabel(iter, phase, events int) string {
 
 // newChain starts a splice chain at the compiled Program for the current
 // failure set and its plain timeline, which the Program memoizes
-// (sim.Plain). The Program may
+// (sim.Plain) and the runtime wraps once per Program. The Program may
 // come from a remote source, so it is checked against the runtime it is
 // about to drive.
 func (rt *Runtime) newChain() (replay.Chain, error) {
@@ -412,11 +421,14 @@ func (rt *Runtime) newChain() (replay.Chain, error) {
 	if stale {
 		return replay.Chain{}, fmt.Errorf("%w: compiled around %d failed workers %v, the runtime has %d: %v", ErrForeignProgram, len(prog.Failed), prog.Failed, len(rt.failed), rt.failed)
 	}
-	ex, err := sim.Plain(prog)
-	if err != nil {
-		return replay.Chain{}, err
+	if rt.plain == nil || rt.plain.Program != prog {
+		ex, err := sim.Plain(prog)
+		if err != nil {
+			return replay.Chain{}, err
+		}
+		rt.plain = ex
 	}
-	return replay.Chain{Exec: ex}, nil
+	return replay.Chain{Exec: rt.plain}, nil
 }
 
 // advance splices the chain's Program around one membership event, as the
@@ -462,21 +474,33 @@ func advance(c *replay.Chain, ev CascadeEvent) (*replay.Spliced, error) {
 }
 
 // inflight is the state the phases of one iteration share: the router
-// (its slots must survive every splice), the executors' error channel and
+// (its slots must survive every splice), the executors' first error and
 // each last-stage worker's predictions awaiting their loss, by
 // (pipeline·DP + home)·MB + mb — a forward executed before an event meets
 // its backward after it.
 type inflight struct {
-	r       *router
-	valErrs chan error
-	preds   []*tensor.Matrix
+	r     *router
+	wg    sync.WaitGroup
+	mu    sync.Mutex
+	err   error
+	preds []*tensor.Matrix
+}
+
+// fail keeps an executor's error, the first one reported.
+func (fl *inflight) fail(err error) {
+	fl.mu.Lock()
+	if fl.err == nil {
+		fl.err = err
+	}
+	fl.mu.Unlock()
 }
 
 // runPhase interprets, one goroutine per worker, the part of each stream
 // of the chain's Program that is neither in its frozen prefix nor beyond
 // what had run by instant at, the workers in fail dying there: a phase
 // before an event stops every stream at its first instruction the event's
-// cut leaves unrun (replay.Chain.Ran).
+// cut leaves unrun (replay.Chain.Ran). A goroutine costs one object, its
+// call's arguments; everything else it touches the runtime keeps.
 func (rt *Runtime) runPhase(fl *inflight, c *replay.Chain, at int64, fail []schedule.Worker) {
 	exec := c.Exec
 	prog := exec.Program
@@ -490,7 +514,6 @@ func (rt *Runtime) runPhase(fl *inflight, c *replay.Chain, at int64, fail []sche
 			}
 		}
 	}
-	var wg sync.WaitGroup
 	for _, wk := range prog.Workers() {
 		ids := prog.Stream(wk)
 		for len(ids) > 0 && c.Ran(int(ids[0]), c.Cut, nil) {
@@ -503,15 +526,19 @@ func (rt *Runtime) runPhase(fl *inflight, c *replay.Chain, at int64, fail []sche
 		if n == 0 {
 			continue
 		}
-		wg.Add(1)
-		go func(wk schedule.Worker, ids []int32) {
-			defer wg.Done()
-			if err := rt.execOps(wk, exec, fl, ids); err != nil {
-				fl.valErrs <- err
-			}
-		}(wk, ids[:n])
+		fl.wg.Add(1)
+		go rt.runWorker(wk, exec, fl, ids[:n])
 	}
-	wg.Wait()
+	fl.wg.Wait()
+}
+
+// runWorker is one phase goroutine: it interprets the worker's stream and
+// keeps its error.
+func (rt *Runtime) runWorker(w schedule.Worker, exec *sim.Execution, fl *inflight, stream []int32) {
+	defer fl.wg.Done()
+	if err := rt.execOps(w, exec, fl, stream); err != nil {
+		fl.fail(err)
+	}
 }
 
 // applyEvent lands one membership event between two phases: victims are
@@ -577,13 +604,9 @@ func (rt *Runtime) applyEvent(ev CascadeEvent, lv *replay.Spliced, cur *schedule
 // activation stashes and the arenas under every tensor of the iteration
 // (the boundary GC of the re-send protocol) — then reduces the loss.
 func (rt *Runtime) finish(exec *sim.Execution, fl *inflight) (float64, error) {
-	close(fl.valErrs)
-	var firstErr error
-	for e := range fl.valErrs {
-		if firstErr == nil {
-			firstErr = e
-		}
-	}
+	firstErr := fl.err
+	fl.err = nil
+	clear(fl.preds)
 	if firstErr != nil {
 		// Post-step validation failed somewhere: roll back exactly the
 		// workers that stepped (§5) — aborted peers never applied theirs —

@@ -227,7 +227,8 @@ func TestRunIterationFailureDumpsFlightRecorder(t *testing.T) {
 
 // TestMetricsSnapshotFoldsAllGroups checks the unified registry: one
 // snapshot holds the plan service's counters, the runtime's op totals and
-// the trace's per-phase span counts, under the versioned wire shape.
+// the trace's per-phase span counts, under the versioned wire shape; a
+// black-box trace adds the count of segments its bound dropped.
 func TestMetricsSnapshotFoldsAllGroups(t *testing.T) {
 	cfg := Config{
 		DP: 2, PP: 2, MB: 4,
@@ -251,8 +252,18 @@ func TestMetricsSnapshotFoldsAllGroups(t *testing.T) {
 		t.Fatalf("runtime group = %v", rtg)
 	}
 	tg := snap.Groups["trace"]
-	if tg["segments"] != 1 || tg["spans.iter0"] == 0 {
+	if _, bounded := tg["segments.dropped"]; tg["segments"] != 1 || tg["spans.iter0"] == 0 || bounded {
 		t.Fatalf("trace group = %v", tg)
+	}
+	box := New(cfg)
+	box.AttachRecorder(obs.NewBoundedTrace(obs.FlightSegments))
+	for range 5 {
+		if _, err := box.RunIteration(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if tg := box.MetricsSnapshot().Groups["trace"]; tg["segments"] != 2 || tg["segments.dropped"] != 3 {
+		t.Fatalf("black-box trace group = %v", tg)
 	}
 
 	// Without a buffering trace attached the snapshot still carries the

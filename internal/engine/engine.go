@@ -94,6 +94,9 @@ type Engine struct {
 
 	// conf is the configuration, fixed at New.
 	conf *Planner
+	// healthy is the key of the fault-free plan, nkey(fp, 0): built once,
+	// so the fetch every fault-free iteration makes builds no string.
+	healthy string
 
 	// seed/stripes are the lock-striped plan cache: one entry per key and
 	// the in-flight solves, sharded by key hash. The entries under nkey
@@ -124,6 +127,7 @@ func New(job config.Job, stats profile.Stats, opts Options) *Engine {
 		conf:    newConf(job, stats, opts),
 		seed:    maphash.MakeSeed(),
 	}
+	e.healthy = nkey(e.conf.fp, 0)
 	for i := range e.stripes {
 		e.stripes[i].entries = make(map[string]*entry)
 		e.stripes[i].inflight = make(map[string]*call)
@@ -205,8 +209,11 @@ func (e *Engine) Plan(n int) (*Plan, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("engine: negative failure count %d", n)
 	}
-	c := e.conf
-	return e.getOrSolve(nkey(c.fp, n), func() (*Plan, error) { return c.PlanFor(n) })
+	c, key := e.conf, e.healthy
+	if n > 0 {
+		key = nkey(c.fp, n)
+	}
+	return e.getOrSolve(key, func() (*Plan, error) { return c.PlanFor(n) })
 }
 
 // PlanConcrete returns the plan for one specific failed-worker set,

@@ -33,8 +33,16 @@ func (e *Engine) recorder() obs.Recorder {
 // observe records one plan-service lifecycle event. Engine events carry no
 // logical-clock coordinate (At -1): they happen on the wall clock, between
 // or alongside interpreted iterations.
-func (e *Engine) observe(kind obs.EventKind, detail string, attrs ...obs.Attr) {
+func (e *Engine) observe(kind obs.EventKind, detail string) {
 	if r := e.recorder(); r != nil {
-		r.Event(obs.Event{Kind: kind, At: -1, Wall: time.Now(), Iter: -1, Detail: detail, Attrs: attrs})
+		r.Event(obs.Event{Kind: kind, At: -1, Wall: time.Now(), Iter: -1, Detail: detail})
+	}
+}
+
+// observeCount records an event carrying one counter. The attribute is
+// built only when tracing is on, so an untraced fetch allocates nothing.
+func (e *Engine) observeCount(kind obs.EventKind, key string, val int64) {
+	if r := e.recorder(); r != nil {
+		r.Event(obs.Event{Kind: kind, At: -1, Wall: time.Now(), Iter: -1, Attrs: []obs.Attr{{Key: key, Val: val}}})
 	}
 }

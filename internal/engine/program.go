@@ -37,7 +37,7 @@ func (e *Engine) ProgramConcrete(failed []schedule.Worker) (*schedule.Program, e
 // use; on a miss the set is solved, or renamed from its orbit
 // representative.
 func (e *Engine) ProgramFor(failed map[schedule.Worker]bool) (*schedule.Program, error) {
-	e.observe(obs.EvPlanFetch, "", obs.Attr{Key: "failed", Val: int64(len(failed))})
+	e.observeCount(obs.EvPlanFetch, "failed", int64(len(failed)))
 	ws := workerList(failed)
 	if len(ws) == 0 {
 		return e.Program(0)

@@ -75,7 +75,7 @@ func (e *Engine) Warm(maxFailures int) *Warmer {
 			return fmt.Errorf("engine: warming %d failures: %w", n, err)
 		}
 		e.warmedPlans.Add(1)
-		e.observe(obs.EvWarm, "", obs.Attr{Key: "failures", Val: int64(n)})
+		e.observeCount(obs.EvWarm, "failures", int64(n))
 		return nil
 	})
 }

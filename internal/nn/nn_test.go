@@ -179,3 +179,102 @@ func TestValidateFiniteDetectsNaN(t *testing.T) {
 		t.Fatal("NaN parameter not detected")
 	}
 }
+
+// TestStashSlabReuseMatchesFreshStage runs one iteration's worth of
+// micro-batches through a stage with the failure path's churn — a forward
+// discarded and re-run, a weight gradient re-executed — releases it, and
+// runs a second iteration on the slab and arena it handed back: every
+// gradient must be bit-equal to a fresh stage's, the stash count must track
+// each step, and the guards must still panic.
+func TestStashSlabReuseMatchesFreshStage(t *testing.T) {
+	build := func() *Stage { return MLPStages(2, 6, 12, 3, 99)[0] }
+	rng := rand.New(rand.NewSource(11))
+	var keys []MBKey
+	xs, dys := map[MBKey]*tensor.Matrix{}, map[MBKey]*tensor.Matrix{}
+	for home := 0; home < 2; home++ {
+		for mb := 0; mb < 4; mb++ {
+			k := MBKey{Pipeline: home, MB: mb}
+			keys = append(keys, k)
+			xs[k], dys[k] = heap.Randn(4, 6, 1, rng), heap.Randn(4, 12, 0.1, rng)
+		}
+	}
+	// iteration runs every key and returns heap copies of its gradients.
+	iteration := func(st *Stage, churn bool) [][]*tensor.Matrix {
+		for i, k := range keys {
+			st.Forward(k, xs[k])
+			if got := st.PendingStashes(); got != i+1 {
+				t.Fatalf("%d stashes after %d forwards", got, i+1)
+			}
+		}
+		if churn {
+			victim := keys[3]
+			st.DiscardStash(victim)
+			st.DiscardStash(victim) // idempotent
+			if got := st.PendingStashes(); got != len(keys)-1 {
+				t.Fatalf("%d stashes after a discard, want %d", got, len(keys)-1)
+			}
+			mustPanic(t, "backward after discard", func() { st.BackwardInput(victim, dys[victim]) })
+			st.Forward(victim, xs[victim])
+			mustPanic(t, "duplicate forward", func() { st.Forward(victim, xs[victim]) })
+		}
+		var out [][]*tensor.Matrix
+		for _, k := range keys {
+			st.BackwardInput(k, dys[k])
+			g := st.BackwardWeight(k)
+			if churn {
+				again := st.BackwardWeight(k)
+				if &again[0] == &g[0] {
+					t.Fatal("a re-executed BackwardWeight reused the earlier gradient list")
+				}
+				for i := range g {
+					if !tensor.Equal(g[i], again[i]) {
+						t.Fatalf("re-executed gradient %d of %+v differs", i, k)
+					}
+				}
+			}
+			var cp []*tensor.Matrix
+			for _, m := range g {
+				cp = append(cp, clone(m))
+			}
+			out = append(out, cp)
+		}
+		if got := st.PendingStashes(); got != len(keys) {
+			t.Fatalf("%d stashes after the backward passes, want %d", got, len(keys))
+		}
+		return out
+	}
+	want := iteration(build(), false)
+	st := build()
+	for round, churn := range []bool{true, false, true} {
+		got := iteration(st, churn)
+		st.ReleaseStashes()
+		if n := st.PendingStashes(); n != 0 {
+			t.Fatalf("round %d: %d stashes after ReleaseStashes", round, n)
+		}
+		for i := range want {
+			for j := range want[i] {
+				if !tensor.Equal(got[i][j], want[i][j]) {
+					t.Fatalf("round %d: gradient %d of %+v differs from a fresh stage's", round, j, keys[i])
+				}
+			}
+		}
+	}
+	mustPanic(t, "weight gradient without forward", func() { st.BackwardWeight(keys[0]) })
+	st.Forward(keys[0], xs[keys[0]])
+	st.Reset()
+	if n := st.PendingStashes(); n != 0 {
+		t.Fatalf("%d stashes after Reset", n)
+	}
+	st.Forward(keys[0], xs[keys[0]]) // Reset forgot the stash: no duplicate
+}
+
+// mustPanic fails the test unless f panics.
+func mustPanic(t *testing.T, what string, f func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Fatalf("%s did not panic", what)
+		}
+	}()
+	f()
+}

@@ -3,6 +3,7 @@ package nn
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 
 	"recycle/internal/tensor"
 )
@@ -28,7 +29,11 @@ type Stage struct {
 	// boundary, where ReleaseStashes recycles it.
 	arena tensor.Arena
 
-	stashes map[MBKey][]Stash
+	// slab holds the iteration's activation stashes and the gradient
+	// lists BackwardWeight returns. Like the arena's chunks it is taken
+	// from a pool on the first Forward and handed back by ReleaseStashes,
+	// so an idle stage holds none.
+	slab *slab
 	// epoch counts the optimizer steps applied to this replica's
 	// parameters — the PipeDream-style version stamp that makes step
 	// re-execution idempotent. A re-delivered step whose target epoch the
@@ -38,7 +43,7 @@ type Stage struct {
 
 // NewStage wraps layers into a stage.
 func NewStage(layers ...Layer) *Stage {
-	s := &Stage{Layers: layers, stashes: make(map[MBKey][]Stash)}
+	s := &Stage{Layers: layers}
 	for _, l := range layers {
 		s.params = append(s.params, l.Params()...)
 	}
@@ -80,14 +85,19 @@ func (s *Stage) Arena() *tensor.Arena { return &s.arena }
 // Forward runs the stage's forward pass for one micro-batch, stashing the
 // per-layer state.
 func (s *Stage) Forward(key MBKey, x *tensor.Matrix) *tensor.Matrix {
-	if _, dup := s.stashes[key]; dup {
+	if s.slab == nil {
+		s.slab = slabPool.Get().(*slab)
+	}
+	cell := s.slab.cell(key)
+	if *cell != nil {
 		panic(fmt.Sprintf("nn: duplicate forward for micro-batch %+v", key))
 	}
-	st := make([]Stash, len(s.Layers))
+	st := carve(&s.slab.stash, len(s.Layers))
 	for i, l := range s.Layers {
 		x = l.Forward(&s.arena, x, &st[i])
 	}
-	s.stashes[key] = st
+	*cell = st
+	s.slab.held++
 	return x
 }
 
@@ -95,8 +105,8 @@ func (s *Stage) Forward(key MBKey, x *tensor.Matrix) *tensor.Matrix {
 // and returns the gradient to send upstream. The stash is retained for the
 // deferred BackwardWeight.
 func (s *Stage) BackwardInput(key MBKey, dy *tensor.Matrix) *tensor.Matrix {
-	st, ok := s.stashes[key]
-	if !ok {
+	st := s.slab.lookup(key)
+	if st == nil {
 		panic(fmt.Sprintf("nn: BackwardInput without forward for %+v", key))
 	}
 	for i := len(s.Layers) - 1; i >= 0; i-- {
@@ -107,19 +117,21 @@ func (s *Stage) BackwardInput(key MBKey, dy *tensor.Matrix) *tensor.Matrix {
 
 // BackwardWeight runs the deferred weight-gradient pass and returns the
 // micro-batch's contribution: one gradient per parameter, in Params()
-// order. Running it again for the same micro-batch recomputes the same
-// gradients bit for bit. The activation stash is retained until
-// ReleaseStashes at the iteration boundary (PipeDream-style stash
-// discipline): a mid-iteration failure can invalidate an already-computed
+// order, in a list that lives until ReleaseStashes. Running it again for
+// the same micro-batch recomputes the same gradients bit for bit, into a
+// fresh list: a peer may still be reading the earlier one. The activation
+// stash is retained until ReleaseStashes at the iteration boundary
+// (PipeDream-style stash discipline): a mid-iteration failure can
+// invalidate an already-computed
 // BackwardInput/BackwardWeight on a *live* peer (its downstream provenance
 // died), and re-executing it needs the stash the old lifecycle would have
 // freed here.
 func (s *Stage) BackwardWeight(key MBKey) []*tensor.Matrix {
-	st, ok := s.stashes[key]
-	if !ok {
+	st := s.slab.lookup(key)
+	if st == nil {
 		panic(fmt.Sprintf("nn: BackwardWeight without forward for %+v", key))
 	}
-	grads := make([]*tensor.Matrix, 0, len(s.params))
+	grads := carve(&s.slab.grads, len(s.params))[:0]
 	for i, l := range s.Layers {
 		grads = l.BackwardWeight(&s.arena, &st[i], grads)
 	}
@@ -132,12 +144,22 @@ func (s *Stage) BackwardWeight(key MBKey) []*tensor.Matrix {
 // PendingStashes returns the number of micro-batch activation stashes the
 // stage holds — in-flight work plus completed-but-unreleased work awaiting
 // the iteration-boundary ReleaseStashes.
-func (s *Stage) PendingStashes() int { return len(s.stashes) }
+func (s *Stage) PendingStashes() int {
+	if s.slab == nil {
+		return 0
+	}
+	return s.slab.held
+}
 
 // DiscardStash drops one micro-batch's activation stash — the effect of a
 // forward whose provenance died in a mid-iteration failure, about to be
 // re-executed from a re-sent upstream activation. Idempotent.
-func (s *Stage) DiscardStash(key MBKey) { delete(s.stashes, key) }
+func (s *Stage) DiscardStash(key MBKey) {
+	if st := s.slab.lookup(key); st != nil {
+		*s.slab.cell(key) = nil
+		s.slab.held--
+	}
+}
 
 // ReleaseStashes frees every retained activation stash and recycles the
 // arena under them — the iteration-boundary acknowledgement of the stash
@@ -146,8 +168,16 @@ func (s *Stage) DiscardStash(key MBKey) { delete(s.stashes, key) }
 // and every other tensor the stage produced this iteration are garbage.
 // Tensors cross stages (an activation is the next stage's stash), so the
 // caller releases all stages together, after every executor has stopped.
+// The slab goes back to its pool, emptied.
 func (s *Stage) ReleaseStashes() {
-	s.stashes = make(map[MBKey][]Stash)
+	if sl := s.slab; sl != nil {
+		sl.forget()
+		clear(sl.stash)
+		clear(sl.grads)
+		sl.stash, sl.grads = sl.stash[:0], sl.grads[:0]
+		slabPool.Put(sl)
+		s.slab = nil
+	}
 	s.arena.Reset()
 }
 
@@ -183,10 +213,70 @@ func (s *Stage) RegressStepEpoch(n int) {
 }
 
 // Reset clears all stashes (used when an iteration is aborted and replayed
-// after a mid-iteration failure). The arena is left alone: peers may still
-// hold tensors this stage produced.
+// after a mid-iteration failure). The arena and the slab's carved cells are
+// left alone: peers may still hold tensors and gradient lists this stage
+// produced.
 func (s *Stage) Reset() {
-	s.stashes = make(map[MBKey][]Stash)
+	if s.slab != nil {
+		s.slab.forget()
+	}
+}
+
+// slab is one stage's per-iteration stash table: rows[home][mb] is the
+// micro-batch's per-layer stash (nil when none is held), carved out of
+// stash, and every BackwardWeight carves its gradient list out of grads.
+// Carving only bumps, so a re-forward after DiscardStash or Reset and a
+// re-executed BackwardWeight take fresh cells and never overwrite what a
+// peer may still read; the rows and both backings keep their capacity in
+// the pool, so a warm iteration grows none of them.
+type slab struct {
+	rows  [][][]Stash
+	stash []Stash
+	grads []*tensor.Matrix
+	held  int // non-nil cells of rows
+}
+
+var slabPool = sync.Pool{New: func() any { return new(slab) }}
+
+// cell returns the stash cell of key, growing rows to reach it.
+func (sl *slab) cell(key MBKey) *[]Stash {
+	for len(sl.rows) <= key.Pipeline {
+		sl.rows = append(sl.rows, nil)
+	}
+	row := &sl.rows[key.Pipeline]
+	for len(*row) <= key.MB {
+		*row = append(*row, nil)
+	}
+	return &(*row)[key.MB]
+}
+
+// lookup returns the stash held for key, nil when there is none (a nil
+// slab holds none).
+func (sl *slab) lookup(key MBKey) []Stash {
+	if sl == nil || key.Pipeline < 0 || key.Pipeline >= len(sl.rows) || key.MB < 0 || key.MB >= len(sl.rows[key.Pipeline]) {
+		return nil
+	}
+	return sl.rows[key.Pipeline][key.MB]
+}
+
+// forget drops every stash cell; what was carved stays carved.
+func (sl *slab) forget() {
+	for _, row := range sl.rows {
+		clear(row)
+	}
+	sl.held = 0
+}
+
+// carve bumps n zeroed cells off buf. A full buf is replaced by a larger
+// empty one: cells already carved keep the old backing, and the new one is
+// what the pool keeps.
+func carve[T any](buf *[]T, n int) []T {
+	b := *buf
+	if b == nil || cap(b)-len(b) < n {
+		b = make([]T, 0, max(2*cap(b), n, 16))
+	}
+	*buf = b[:len(b)+n]
+	return b[len(b) : len(b)+n : len(b)+n]
 }
 
 // ReduceContributions sums per-micro-batch weight gradients —

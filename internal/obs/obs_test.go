@@ -141,7 +141,7 @@ func TestBoundedTraceDropsWholeSegments(t *testing.T) {
 			t.Fatalf("event %v of a dropped segment survived", e)
 		}
 	}
-	if c := tr.Counters(); c["segments"] != 2 || c["spans"] != 4 || c["events"] != 4 {
+	if c := tr.Counters(); c["segments"] != 2 || c["spans"] != 4 || c["events"] != 4 || c["segments.dropped"] != 3 {
 		t.Fatalf("counters = %v", c)
 	}
 	for _, g := range segs {

@@ -194,6 +194,8 @@ func (t *Trace) placed() []placedEvent {
 // and events, per-event-kind counts ("events.<kind>") and per-segment
 // span counts ("spans.<label>") — the trace's contribution to the unified
 // metrics registry, and the per-phase span counts recycle-bench reports.
+// A bounded trace also counts the segments its bound dropped
+// ("segments.dropped"): the totals cover only the segments it kept.
 func (t *Trace) Counters() map[string]int64 {
 	if t == nil {
 		return nil
@@ -201,10 +203,14 @@ func (t *Trace) Counters() map[string]int64 {
 	t.mu.Lock()
 	segs := append([]*Segment(nil), t.segs...)
 	events := append([]placedEvent(nil), t.events...)
+	keep, dropped := t.keep, t.dropped
 	t.mu.Unlock()
 	out := map[string]int64{
 		"segments": int64(len(segs)),
 		"events":   int64(len(events)),
+	}
+	if keep > 0 {
+		out["segments.dropped"] = int64(dropped)
 	}
 	var spans int64
 	for _, g := range segs {
