@@ -37,9 +37,9 @@ func main() {
 
 	ff, err := mk(engine.AllTechniques, 1).Plan(0)
 	show("Fig 3a: fault-free 1F1B", ff, err, false)
-	naive, err := mk(engine.Techniques{AdaptivePipelining: true}, 1).PlanConcrete(failed)
+	naive, err := mk(engine.Techniques{}, 1).PlanConcrete(failed)
 	show("Fig 3b: Adaptive Pipelining, naive insertion (W1_2 failed)", naive, err, false)
-	dec, err := mk(engine.Techniques{AdaptivePipelining: true, DecoupledBackProp: true}, 1).PlanConcrete(failed)
+	dec, err := mk(engine.Techniques{DecoupledBackProp: true}, 1).PlanConcrete(failed)
 	show("Fig 5: + Decoupled BackProp", dec, err, false)
 	st, err := mk(engine.AllTechniques, 3).PlanConcrete(failed)
 	show("Fig 6: + Staggered Optimizer (3 iterations unrolled)", st, err, true)

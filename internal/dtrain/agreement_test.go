@@ -171,9 +171,9 @@ func TestAgreementWithHeterogeneousDurations(t *testing.T) {
 		DP: 3, PP: 4, MB: 6,
 		InDim: 8, Hidden: 16, OutDim: 4, MicroBatchSize: 5,
 		Seed: 42, LR: 1e-2,
-		CostModel: profile.UniformCost(profile.Unit()).WithWorkerScale(victim, 3),
 	}
 	rt := New(cfg)
+	rt.SetProgramSource(costSource(cfg, profile.UniformCost(profile.Unit()).WithWorkerScale(victim, 3)))
 	rt.Fail(schedule.Worker{Stage: 2, Pipeline: 1}) // a hard failure on top of the gray one
 	planned := plannedTimeline(t, rt)
 	if _, err := rt.RunIteration(); err != nil {

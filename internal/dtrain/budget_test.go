@@ -116,15 +116,14 @@ func TestKillIterationAllocationBudget(t *testing.T) {
 }
 
 // TestStashSlabsServeInterleavedRuntimes runs two runtimes of different
-// shapes and optimizers iteration by iteration, so every stash slab,
-// slot table and arena chunk moves between stages of both through their
-// pools; one of them takes a mid-iteration kill every other iteration (a
+// shapes iteration by iteration, so every stash slab, slot table and arena
+// chunk moves between stages of both through their pools; one of them takes a mid-iteration kill every other iteration (a
 // discarded, re-run forward and a mid-run Reset on the re-joiner) and is
 // restored at the boundary. Every loss must equal a fault-free run's, bit
 // for bit, and no stage may hold a stash past a boundary.
 func TestStashSlabsServeInterleavedRuntimes(t *testing.T) {
 	a := Config{DP: 2, PP: 2, MB: 4, InDim: 6, Hidden: 8, OutDim: 3, MicroBatchSize: 4, Seed: 5, LR: 1e-2}
-	b := Config{DP: 3, PP: 3, MB: 3, InDim: 5, Hidden: 7, OutDim: 2, MicroBatchSize: 3, Seed: 9, LR: 1e-2, UseSGD: true}
+	b := Config{DP: 3, PP: 3, MB: 3, InDim: 5, Hidden: 7, OutDim: 2, MicroBatchSize: 3, Seed: 9, LR: 1e-2}
 	const iters = 8
 	refA, refB := New(a), New(b)
 	rtA, rtB := New(a), New(b)

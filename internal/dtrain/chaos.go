@@ -79,15 +79,12 @@ type ChaosOptions struct {
 	// across the whole cascade.
 	Victims int
 	// Point selects where in the victims' instruction streams the kills
-	// land (every event of a cascade, unless Points overrides).
+	// land (every event of a cascade).
 	Point KillPoint
 	// Cascade is the number of chained kill events inside the kill
 	// iteration: the second (and Nth) kill lands while the previous
 	// splice's suffix is still executing. 0 and 1 both mean a single kill.
 	Cascade int
-	// Points, when non-empty, selects a kill point per cascade event
-	// (len(Points) must equal the cascade depth).
-	Points []KillPoint
 	// Recorder, when set, receives the chaos run's full trace — spans,
 	// kills, splices, re-sends (the fault-free reference run is not
 	// traced). Unset, the run records into a black box that keeps only
@@ -99,8 +96,8 @@ type ChaosOptions struct {
 type ChaosKill struct {
 	// Victims are the workers killed at this event, Cut the logical slot
 	// the kill landed on, Point the kill-point class it was drawn from,
-	// and Event the splice event ID the re-spliced Program was published
-	// under.
+	// and Event the splice's ID (SpliceEventID), which its EvSplice trace
+	// record carries.
 	Victims []schedule.Worker
 	Cut     int64
 	Point   KillPoint
@@ -112,12 +109,8 @@ type ChaosResult struct {
 	// Kills lists every mid-iteration kill event in cut order (one entry
 	// for a plain kill, Cascade entries for a cascade).
 	Kills []ChaosKill
-	// Victims are all workers killed mid-iteration across the cascade,
-	// Cut the first kill's logical slot, Event the first kill's splice
-	// event ID.
+	// Victims are all workers killed mid-iteration across the cascade.
 	Victims []schedule.Worker
-	Cut     int64
-	Event   string
 	// Losses and RefLosses are the per-iteration mean losses of the chaos
 	// run and the fault-free reference.
 	Losses, RefLosses []float64
@@ -162,9 +155,6 @@ func Chaos(cfg Config, opt ChaosOptions) (*ChaosResult, error) {
 	if cascade < 1 {
 		cascade = 1
 	}
-	if len(opt.Points) > 0 && len(opt.Points) != cascade {
-		return nil, fmt.Errorf("dtrain: chaos got %d kill points for a depth-%d cascade", len(opt.Points), cascade)
-	}
 	rng := rand.New(rand.NewSource(opt.Seed))
 	rt, ref := New(cfg), New(cfg)
 	res := &ChaosResult{Trace: opt.Recorder}
@@ -193,7 +183,7 @@ func Chaos(cfg Config, opt ChaosOptions) (*ChaosResult, error) {
 				res.Victims = append(res.Victims, k.Victims...)
 				events = append(events, CascadeEvent{Cut: k.Cut, Fail: k.Victims})
 			}
-			res.Kills, res.Cut, res.Event = kills, kills[0].Cut, kills[0].Event
+			res.Kills = kills
 		}
 		loss, err := rt.RunIteration(events...)
 		if err != nil {
@@ -226,9 +216,6 @@ func pickCascade(rt *Runtime, cfg Config, opt ChaosOptions, cascade int, rng *ra
 	var kills []ChaosKill
 	for ei := 0; ei < cascade; ei++ {
 		point := opt.Point
-		if len(opt.Points) > 0 {
-			point = opt.Points[ei]
-		}
 		victims, err := drawVictims(rng, cfg, opt.Victims, c.Exec.Program.Failed)
 		if err != nil {
 			if ei > 0 {

@@ -42,15 +42,16 @@ func TestChaosBitwiseLosses(t *testing.T) {
 					if len(res.Victims) != sh.victims {
 						t.Fatalf("killed %d workers, want %d", len(res.Victims), sh.victims)
 					}
-					if res.Cut < 1 {
-						t.Fatalf("kill landed at slot %d, not mid-iteration", res.Cut)
+					kill := res.Kills[0]
+					if kill.Cut < 1 {
+						t.Fatalf("kill landed at slot %d, not mid-iteration", kill.Cut)
 					}
-					if res.Event == "" {
+					if kill.Event == "" {
 						t.Fatal("no splice event recorded")
 					}
 					if !res.BitwiseEqual() {
 						t.Fatalf("losses diverge from fault-free run:\nchaos %v\nref   %v\n(victims %v, cut %d)",
-							res.Losses, res.RefLosses, res.Victims, res.Cut)
+							res.Losses, res.RefLosses, res.Victims, kill.Cut)
 					}
 				})
 			}

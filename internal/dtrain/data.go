@@ -12,9 +12,9 @@ import (
 // come from a fixed random teacher network, so every run — fault-free or
 // adapted — sees identical data.
 type Dataset struct {
-	InDim, OutDim, MicroBatch int
-	seed                      int64
-	teacher                   *tensor.Matrix
+	InDim, MicroBatch int
+	seed              int64
+	teacher           *tensor.Matrix
 }
 
 // NewDataset builds a dataset with a linear teacher.
@@ -22,7 +22,7 @@ func NewDataset(inDim, outDim, microBatch int, seed int64) *Dataset {
 	rng := rand.New(rand.NewSource(seed))
 	var heap *tensor.Arena // the teacher outlives every iteration
 	return &Dataset{
-		InDim: inDim, OutDim: outDim, MicroBatch: microBatch,
+		InDim: inDim, MicroBatch: microBatch,
 		seed:    seed,
 		teacher: heap.Randn(inDim, outDim, 0.5, rng),
 	}
@@ -59,7 +59,8 @@ func (d *Dataset) Input(ar *tensor.Arena, iter, pipeline, mb int) *tensor.Matrix
 	return x
 }
 
-// Target returns the teacher outputs for the micro-batch, carved from ar.
-func (d *Dataset) Target(ar *tensor.Arena, iter, pipeline, mb int) *tensor.Matrix {
-	return ar.MatMul(d.Input(ar, iter, pipeline, mb), d.teacher)
+// Target returns the teacher outputs for a micro-batch's inputs x (what
+// Input returned for it), carved from ar.
+func (d *Dataset) Target(ar *tensor.Arena, x *tensor.Matrix) *tensor.Matrix {
+	return ar.MatMul(x, d.teacher)
 }

@@ -61,9 +61,8 @@ func TestChaosExecutorSplicesWithProgramCosts(t *testing.T) {
 	cfg := deriveConfig()
 	victim := schedule.Worker{Stage: 0, Pipeline: 1}
 	peer := schedule.Worker{Stage: 0, Pipeline: 0}
-	coordCfg := cfg
-	coordCfg.CostModel = profile.UniformCost(profile.Unit()).WithWorkerScale(peer, 2)
-	coord, exec := New(coordCfg), New(cfg)
+	coord, exec := New(cfg), New(cfg)
+	coord.SetProgramSource(costSource(cfg, profile.UniformCost(profile.Unit()).WithWorkerScale(peer, 2)))
 	prog, err := coord.Program()
 	if err != nil {
 		t.Fatal(err)
@@ -94,6 +93,13 @@ func TestChaosExecutorSplicesWithProgramCosts(t *testing.T) {
 	if want, got := executedBytes(t, planned[0]), executedBytes(t, planned[1]); !bytes.Equal(got, want) {
 		t.Fatalf("the executor's spliced Program (%d bytes) differs from the coordinator's (%d bytes)", len(got), len(want))
 	}
+}
+
+// costSource is an in-process plan service that solves and compiles for a
+// runtime of cfg's shape under the cost model cm.
+func costSource(cfg Config, cm *profile.CostModel) *engine.Engine {
+	job, stats := engine.ShapeJob(cfg.DP, cfg.PP, cfg.MB)
+	return engine.New(job, stats, engine.Options{CostModel: cm, UnrollIterations: 1})
 }
 
 // countingSource is a ProgramSource that counts the fetches it serves.

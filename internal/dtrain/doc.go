@@ -30,8 +30,12 @@
 // (deferred weight gradients, held in the router's contribution slots),
 // per-stage optimizer steps with post-step validation and rollback.
 // Failures reach it as events — a trace replay's or a seeded Chaos kill —
-// never from a detector of its own. A heterogeneous cost model
-// (Config.CostModel) is fixed when the runtime is built.
+// never from a detector of its own. The runtime's own plan service solves
+// on unit costs with every technique; a Program solved under another
+// technique set or a heterogeneous cost model reaches it through
+// SetProgramSource, and its losses are the same: every one equals a plain
+// sequential trainer's (referenceLosses in the tests). Each stage steps
+// with AdamW, whose step is arithmetically reversible (§5).
 //
 // Runtime.RunIteration(events ...CascadeEvent) is the one iteration
 // driver: mid-iteration kills, re-joins and cascades are passed as events,

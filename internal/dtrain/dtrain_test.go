@@ -309,7 +309,7 @@ func TestDatasetDeterministic(t *testing.T) {
 	if !tensor.Equal(a.Input(nil, 1, 2, 3), b.Input(nil, 1, 2, 3)) {
 		t.Fatal("dataset inputs not deterministic")
 	}
-	if !tensor.Equal(a.Target(nil, 1, 2, 3), b.Target(nil, 1, 2, 3)) {
+	if !tensor.Equal(a.Target(nil, a.Input(nil, 1, 2, 3)), b.Target(nil, b.Input(nil, 1, 2, 3))) {
 		t.Fatal("dataset targets not deterministic")
 	}
 	if tensor.Equal(a.Input(nil, 1, 2, 3), a.Input(nil, 1, 2, 4)) {

@@ -11,7 +11,6 @@ import (
 	"recycle/internal/nn"
 	"recycle/internal/obs"
 	"recycle/internal/planstore"
-	"recycle/internal/profile"
 	"recycle/internal/replay"
 	"recycle/internal/schedule"
 	"recycle/internal/sim"
@@ -24,20 +23,12 @@ type Config struct {
 	MB                                    int // micro-batches per pipeline per iteration
 	InDim, Hidden, OutDim, MicroBatchSize int
 	Seed                                  int64
-	LR                                    float64
-	// UseSGD selects plain SGD instead of AdamW.
-	UseSGD bool
+	LR                                    float64 // AdamW's learning rate
 	// Delays, when non-zero, adds a fixed busy-delay per op type (values
 	// in microseconds). This emulates profiled GPU kernel latencies so the
 	// runtime's wall-clock timeline can be compared against the
 	// simulator's prediction (Table 2) independent of host CPU contention.
 	Delays schedule.Durations
-	// CostModel seeds the plan service with per-(stage, op, worker)
-	// durations (nil plans with homogeneous unit costs). The compiled
-	// Program carries the stamped heterogeneous durations, so the logical
-	// timeline — the simulator's execution of that Program — is timed
-	// under the same cost model.
-	CostModel *profile.CostModel
 	// Store injects a shared replicated plan store (nil keeps the plan
 	// service in-process only). Pointing several runtimes — or a runtime
 	// and a fetch-only engine.Client — at one store is how executors
@@ -88,7 +79,7 @@ type Runtime struct {
 	progSrc ProgramSource
 
 	stages map[schedule.Worker]*nn.Stage
-	opts   map[schedule.Worker]nn.Optimizer
+	opts   map[schedule.Worker]*nn.AdamW
 	failed map[schedule.Worker]bool
 	iter   int
 
@@ -130,17 +121,18 @@ func New(cfg Config) *Runtime {
 	job, stats := engine.ShapeJob(cfg.DP, cfg.PP, cfg.MB)
 	rt := &Runtime{
 		Cfg:       cfg,
-		eng:       engine.New(job, stats, engine.Options{UnrollIterations: 1, CostModel: cfg.CostModel, Store: cfg.Store}),
+		eng:       engine.New(job, stats, engine.Options{UnrollIterations: 1, Store: cfg.Store}),
 		Dataset:   NewDataset(cfg.InDim, cfg.OutDim, cfg.MicroBatchSize, cfg.Seed),
 		stages:    make(map[schedule.Worker]*nn.Stage),
-		opts:      make(map[schedule.Worker]nn.Optimizer),
+		opts:      make(map[schedule.Worker]*nn.AdamW),
 		failed:    make(map[schedule.Worker]bool),
 		epochBase: make([]int, cfg.DP*cfg.PP),
 		losses:    make([]float64, cfg.DP*cfg.MB),
 		stepped:   make([]int, cfg.DP*cfg.PP),
 		fl: inflight{
-			r:     newRouter(cfg.DP * cfg.PP),
-			preds: make([]*tensor.Matrix, cfg.DP*cfg.DP*cfg.MB),
+			r:      newRouter(cfg.DP * cfg.PP),
+			preds:  make([]*tensor.Matrix, cfg.DP*cfg.DP*cfg.MB),
+			inputs: make([]*tensor.Matrix, cfg.DP*cfg.MB),
 		},
 		opSeconds: make(map[schedule.OpType]time.Duration),
 		opCounts:  make(map[schedule.OpType]int),
@@ -152,17 +144,10 @@ func New(cfg Config) *Runtime {
 		for i, st := range sts {
 			w := schedule.Worker{Stage: i, Pipeline: k}
 			rt.stages[w] = st
-			rt.opts[w] = rt.newOptimizer()
+			rt.opts[w] = nn.NewAdamW(cfg.LR)
 		}
 	}
 	return rt
-}
-
-func (rt *Runtime) newOptimizer() nn.Optimizer {
-	if rt.Cfg.UseSGD {
-		return &nn.SGD{LR: rt.Cfg.LR}
-	}
-	return nn.NewAdamW(rt.Cfg.LR)
 }
 
 // Fail marks a worker failed before the next iteration (the coordinator's
@@ -171,7 +156,7 @@ func (rt *Runtime) newOptimizer() nn.Optimizer {
 func (rt *Runtime) Fail(w schedule.Worker) {
 	rt.failed[w] = true
 	if rt.rec.Enabled() {
-		rt.rec.Event(obs.Event{Kind: obs.EvKill, At: -1, Iter: rt.iter, Wall: time.Now(),
+		rt.rec.Event(obs.Event{Kind: obs.EvKill, At: -1, Iter: rt.iter,
 			Worker: w, HasWorker: true, Detail: "boundary"})
 	}
 }
@@ -201,13 +186,11 @@ func (rt *Runtime) Rejoin(w schedule.Worker) error {
 	dst.SetStepEpoch(src.StepEpoch())
 	rt.epochBase[rt.workerIndex(w)] = src.StepEpoch()
 	// The re-joiner's own optimizer takes the donor's state in place: every
-	// moment, the step count and the hyperparameters (SGD has only its LR).
-	if a, ok := rt.opts[donor].(*nn.AdamW); ok {
-		rt.opts[w].(*nn.AdamW).CopyStateFrom(a, srcP, dstP)
-	}
+	// moment, the step count and the hyperparameters.
+	rt.opts[w].CopyStateFrom(rt.opts[donor], srcP, dstP)
 	delete(rt.failed, w)
 	if rt.rec.Enabled() {
-		rt.rec.Event(obs.Event{Kind: obs.EvRejoin, At: -1, Iter: rt.iter, Wall: time.Now(),
+		rt.rec.Event(obs.Event{Kind: obs.EvRejoin, At: -1, Iter: rt.iter,
 			Worker: w, HasWorker: true, Detail: "restored from " + donor.String()})
 	}
 	return nil
@@ -326,7 +309,7 @@ func (rt *Runtime) RunIteration(events ...CascadeEvent) (float64, error) {
 		if rt.rec.Enabled() {
 			rt.rec.BeginProgram(phaseLabel(rt.iter, i, len(events)), cur)
 			if i == 0 {
-				rt.rec.Event(obs.Event{Kind: obs.EvIterStart, At: 0, Iter: rt.iter, Wall: time.Now()})
+				rt.rec.Event(obs.Event{Kind: obs.EvIterStart, At: 0, Iter: rt.iter})
 			}
 		}
 		// Before an event the phase stops at its cut — victims included:
@@ -474,16 +457,22 @@ func advance(c *replay.Chain, ev CascadeEvent) (*replay.Spliced, error) {
 }
 
 // inflight is the state the phases of one iteration share: the router
-// (its slots must survive every splice), the executors' first error and
-// each last-stage worker's predictions awaiting their loss, by
+// (its slots must survive every splice), the executors' first error, each
+// last-stage worker's predictions awaiting their loss, by
 // (pipeline·DP + home)·MB + mb — a forward executed before an event meets
-// its backward after it.
+// its backward after it — and each micro-batch's input as stage 0's
+// first forward of it drew it, by home·MB + mb, which the loss multiplies
+// by the teacher. Both tables point into stage arenas, which only the
+// boundary recycles. An input is written once per iteration: a later
+// forward of the micro-batch runs in a later phase, after the wait that
+// ends the phase of the first, and reads it.
 type inflight struct {
-	r     *router
-	wg    sync.WaitGroup
-	mu    sync.Mutex
-	err   error
-	preds []*tensor.Matrix
+	r      *router
+	wg     sync.WaitGroup
+	mu     sync.Mutex
+	err    error
+	preds  []*tensor.Matrix
+	inputs []*tensor.Matrix
 }
 
 // fail keeps an executor's error, the first one reported.
@@ -550,14 +539,13 @@ func (rt *Runtime) applyEvent(ev CascadeEvent, lv *replay.Spliced, cur *schedule
 	if rt.rec.Enabled() {
 		// Kills and rejoins first, then the splice record with the
 		// re-plan's structural counters.
-		now := time.Now()
 		for _, w := range ev.Fail {
-			rt.rec.Event(obs.Event{Kind: obs.EvKill, At: ev.Cut, Iter: rt.iter, Wall: now, Worker: w, HasWorker: true})
+			rt.rec.Event(obs.Event{Kind: obs.EvKill, At: ev.Cut, Iter: rt.iter, Worker: w, HasWorker: true})
 		}
 		for _, w := range ev.Rejoin {
-			rt.rec.Event(obs.Event{Kind: obs.EvRejoin, At: ev.Cut, Iter: rt.iter, Wall: now, Worker: w, HasWorker: true})
+			rt.rec.Event(obs.Event{Kind: obs.EvRejoin, At: ev.Cut, Iter: rt.iter, Worker: w, HasWorker: true})
 		}
-		rt.rec.Event(obs.Event{Kind: obs.EvSplice, At: ev.Cut, Iter: rt.iter, Wall: now,
+		rt.rec.Event(obs.Event{Kind: obs.EvSplice, At: ev.Cut, Iter: rt.iter,
 			Detail: SpliceEventID(rt.iter, ev.Cut, ev.Fail, ev.Rejoin),
 			Attrs: []obs.Attr{
 				{Key: "replanned", Val: int64(lv.SuffixOps)},
@@ -607,6 +595,7 @@ func (rt *Runtime) finish(exec *sim.Execution, fl *inflight) (float64, error) {
 	firstErr := fl.err
 	fl.err = nil
 	clear(fl.preds)
+	clear(fl.inputs)
 	if firstErr != nil {
 		// Post-step validation failed somewhere: roll back exactly the
 		// workers that stepped (§5) — aborted peers never applied theirs —
@@ -642,12 +631,12 @@ func (rt *Runtime) finish(exec *sim.Execution, fl *inflight) (float64, error) {
 	if firstErr != nil {
 		if rt.rec.Enabled() {
 			rt.rec.Event(obs.Event{Kind: obs.EvRollback, At: exec.Makespan, Iter: iter,
-				Wall: time.Now(), Detail: firstErr.Error()})
+				Detail: firstErr.Error()})
 		}
 		return 0, fmt.Errorf("dtrain: iteration %d rolled back: %w", iter, firstErr)
 	}
 	if rt.rec.Enabled() {
-		rt.rec.Event(obs.Event{Kind: obs.EvIterEnd, At: exec.Makespan, Iter: iter, Wall: time.Now()})
+		rt.rec.Event(obs.Event{Kind: obs.EvIterEnd, At: exec.Makespan, Iter: iter})
 	}
 	return rt.iterationLoss(), nil
 }
@@ -755,7 +744,12 @@ func (rt *Runtime) execOps(w schedule.Worker, exec *sim.Execution, fl *inflight,
 		case schedule.F:
 			var x *tensor.Matrix
 			if op.Stage == 0 {
-				x = rt.Dataset.Input(ar, rt.iter, op.Home, op.MB)
+				// A forward re-executed after a kill reuses the input its
+				// first run drew: a loss may be reading it right now.
+				if x = fl.inputs[mb]; x == nil {
+					x = rt.Dataset.Input(ar, rt.iter, op.Home, op.MB)
+					fl.inputs[mb] = x
+				}
 			} else {
 				m, ok := r.recv(msgKey{kind: msgAct, stage: op.Stage, iter: op.Iter, mb: key}, me)
 				if !ok {
@@ -775,7 +769,7 @@ func (rt *Runtime) execOps(w schedule.Worker, exec *sim.Execution, fl *inflight,
 		case schedule.B, schedule.BInput:
 			var dy *tensor.Matrix
 			if last {
-				rt.losses[mb], dy = nn.MSELoss(ar, preds[mb], rt.Dataset.Target(ar, rt.iter, op.Home, op.MB))
+				rt.losses[mb], dy = nn.MSELoss(ar, preds[mb], rt.Dataset.Target(ar, fl.inputs[mb]))
 				preds[mb] = nil
 			} else {
 				m, ok := r.recv(msgKey{kind: msgGrad, stage: op.Stage, iter: op.Iter, mb: key}, me)
@@ -839,7 +833,7 @@ func (rt *Runtime) allReduceAndStep(w schedule.Worker, st *nn.Stage, iter int, r
 	target := rt.epochBase[me] + iter + 1
 	if st.StepEpoch() >= target {
 		if rt.rec.Enabled() {
-			rt.rec.Event(obs.Event{Kind: obs.EvStepNoop, At: -1, Iter: iter, Wall: time.Now(),
+			rt.rec.Event(obs.Event{Kind: obs.EvStepNoop, At: -1, Iter: iter,
 				Worker: w, HasWorker: true,
 				Detail: fmt.Sprintf("epoch %d already covers target %d", st.StepEpoch(), target)})
 		}

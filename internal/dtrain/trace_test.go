@@ -120,13 +120,14 @@ func TestChaosCriticalPathGolden(t *testing.T) {
 	if !res.BitwiseEqual() {
 		t.Fatal("chaos run diverged; trace assertions would be meaningless")
 	}
+	cut, event := res.Kills[0].Cut, res.Kills[0].Event
 
 	pre, post := segmentNamed(rec, "iter2/pre-splice"), segmentNamed(rec, "iter2/post-splice")
 	if pre == nil || post == nil {
 		t.Fatalf("spliced iteration did not record both phases; segments: %v", rec)
 	}
-	if pre.Makespan() > res.Cut {
-		t.Fatalf("pre-splice spans run past the cut: makespan %d > cut %d", pre.Makespan(), res.Cut)
+	if pre.Makespan() > cut {
+		t.Fatalf("pre-splice spans run past the cut: makespan %d > cut %d", pre.Makespan(), cut)
 	}
 
 	preRep, err := obs.CriticalPath(pre)
@@ -150,11 +151,11 @@ func TestChaosCriticalPathGolden(t *testing.T) {
 	for _, s := range post.Spans() {
 		if s.Frozen {
 			frozen++
-			if s.End > res.Cut {
-				t.Fatalf("frozen span %d ends at %d, after the cut %d", s.Instr, s.End, res.Cut)
+			if s.End > cut {
+				t.Fatalf("frozen span %d ends at %d, after the cut %d", s.Instr, s.End, cut)
 			}
 		}
-		if s.End <= res.Cut {
+		if s.End <= cut {
 			beforeCut++
 		}
 	}
@@ -169,8 +170,8 @@ func TestChaosCriticalPathGolden(t *testing.T) {
 	}
 
 	// The cut falls inside the post-splice timeline, splitting it in two.
-	if res.Cut <= 0 || res.Cut >= post.Makespan() {
-		t.Fatalf("cut %d outside the post-splice timeline (0, %d)", res.Cut, post.Makespan())
+	if cut <= 0 || cut >= post.Makespan() {
+		t.Fatalf("cut %d outside the post-splice timeline (0, %d)", cut, post.Makespan())
 	}
 
 	// Every segment of the trace — the fault-free iterations and both
@@ -192,8 +193,8 @@ func TestChaosCriticalPathGolden(t *testing.T) {
 		t.Fatalf("lifecycle counters = %v", c)
 	}
 	for _, e := range rec.Events() {
-		if e.Kind == obs.EvSplice && (e.At != res.Cut || e.Detail != res.Event) {
-			t.Fatalf("splice event = %+v, want cut %d event %q", e, res.Cut, res.Event)
+		if e.Kind == obs.EvSplice && (e.At != cut || e.Detail != event) {
+			t.Fatalf("splice event = %+v, want cut %d event %q", e, cut, event)
 		}
 	}
 	if res.Trace != rec {

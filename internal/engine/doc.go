@@ -50,10 +50,11 @@
 // index of Fig 8 is the entries under the normalized keys. A plan is a
 // pure function of its key and is solved at most once.
 //
-// An engine's configuration — job, stats, technique toggles, unroll
-// window and heterogeneous cost model (profile.CostModel) — is fixed at
-// New; an engine per technique set is how the Fig 11 ablation compares
-// them, and an engine per cost model is how the Straggler study compares
+// An engine's configuration — job, stats, technique toggles (Decoupled
+// BackProp and the Staggered Optimizer; Adaptive Pipelining is always
+// on), unroll window and heterogeneous cost model (profile.CostModel) —
+// is fixed at New; an engine per technique set is how the Fig 11 ablation
+// compares them, and an engine per cost model is how the Straggler study compares
 // a plan that knows a worker is slow with one that does not. The cost
 // model's per-(stage, op, worker) durations enter the plan fingerprint,
 // so engines with different models never share a key. A compiled Program

@@ -205,7 +205,7 @@ func TestReCycleThroughputBounded(t *testing.T) {
 func techniqueEngines() (full, adaptive *Engine) {
 	job, stats := ShapeJob(3, 4, 6)
 	store := planstore.New(3)
-	only := Techniques{AdaptivePipelining: true}
+	only := Techniques{}
 	full = New(job, stats, Options{UnrollIterations: 4, Store: store})
 	adaptive = New(job, stats, Options{UnrollIterations: 4, Store: store, Techniques: &only})
 	return full, adaptive

@@ -1,10 +1,6 @@
 package engine
 
-import (
-	"time"
-
-	"recycle/internal/obs"
-)
+import "recycle/internal/obs"
 
 // recBox wraps the recorder in one concrete type so it can live in an
 // atomic.Value (interface values with varying dynamic types cannot).
@@ -35,7 +31,7 @@ func (e *Engine) recorder() obs.Recorder {
 // or alongside interpreted iterations.
 func (e *Engine) observe(kind obs.EventKind, detail string) {
 	if r := e.recorder(); r != nil {
-		r.Event(obs.Event{Kind: kind, At: -1, Wall: time.Now(), Iter: -1, Detail: detail})
+		r.Event(obs.Event{Kind: kind, At: -1, Iter: -1, Detail: detail})
 	}
 }
 
@@ -43,6 +39,6 @@ func (e *Engine) observe(kind obs.EventKind, detail string) {
 // built only when tracing is on, so an untraced fetch allocates nothing.
 func (e *Engine) observeCount(kind obs.EventKind, key string, val int64) {
 	if r := e.recorder(); r != nil {
-		r.Event(obs.Event{Kind: kind, At: -1, Wall: time.Now(), Iter: -1, Attrs: []obs.Attr{{Key: key, Val: val}}})
+		r.Event(obs.Event{Kind: kind, At: -1, Iter: -1, Attrs: []obs.Attr{{Key: key, Val: val}}})
 	}
 }

@@ -10,17 +10,16 @@ import (
 	"recycle/internal/solver"
 )
 
-// Techniques toggles the three ReCycle optimizations — the knobs of the
-// Fig 11 ablation. The zero value disables everything except basic
-// re-routing.
+// Techniques toggles ReCycle's two optimizations on top of Adaptive
+// Pipelining, which is ReCycle itself and always on — the knobs of the
+// Fig 11 ablation. The zero value is Adaptive Pipelining alone.
 type Techniques struct {
-	AdaptivePipelining bool // re-route micro-batches to data-parallel peers
 	DecoupledBackProp  bool // split backward into BInput + BWeight
 	StaggeredOptimizer bool // per-stage optimizer barriers
 }
 
 // AllTechniques is the full ReCycle configuration.
-var AllTechniques = Techniques{AdaptivePipelining: true, DecoupledBackProp: true, StaggeredOptimizer: true}
+var AllTechniques = Techniques{DecoupledBackProp: true, StaggeredOptimizer: true}
 
 // Plan is one precomputed adaptive schedule for a normalized failure count.
 type Plan struct {
@@ -147,9 +146,6 @@ func checkFailed(sh schedule.Shape, ws []schedule.Worker) error {
 // PlanConcrete: the failed-worker set is fixed, the techniques translate
 // into solver toggles, and the result is wrapped into a Plan.
 func (p *Planner) solve(sh schedule.Shape, assign []int, failed []schedule.Worker, start time.Time) (*Plan, error) {
-	if !p.Techniques.AdaptivePipelining && len(failed) > 0 {
-		return nil, fmt.Errorf("engine: %d failures but Adaptive Pipelining disabled — no recovery path without spares", len(failed))
-	}
 	failedSet := make(map[schedule.Worker]bool, len(failed))
 	for _, w := range failed {
 		failedSet[w] = true
@@ -166,11 +162,6 @@ func (p *Planner) solve(sh schedule.Shape, assign []int, failed []schedule.Worke
 		MemCapPerStage: p.Stats.MemCapPerStage,
 		Decoupled:      p.Techniques.DecoupledBackProp,
 		Staggered:      p.Techniques.StaggeredOptimizer,
-		// Without Decoupled BackProp the execution engine lacks the split
-		// backward instructions, so rerouted work can only be inserted
-		// naively into the 1F1B skeleton (the Fig 3b behavior the Fig 11
-		// ablation measures as "Adaptive Pipelining" alone).
-		Naive: !p.Techniques.DecoupledBackProp,
 	}
 	s, err := solver.Solve(in)
 	if err != nil {

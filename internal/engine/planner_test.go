@@ -139,7 +139,7 @@ func TestPlannerSchedulesValidate(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg := schedule.ValidateConfig{Decoupled: true}
+		cfg := schedule.ValidateConfig{}
 		if caps := p.Stats.MemCapPerStage; caps != nil {
 			cfg.MemCap = caps[0]
 		}
@@ -189,23 +189,10 @@ func TestAblationOrdering(t *testing.T) {
 		}
 		return plan.PeriodSlots
 	}
-	adaptive := period(Techniques{AdaptivePipelining: true})
-	decoupled := period(Techniques{AdaptivePipelining: true, DecoupledBackProp: true})
+	adaptive := period(Techniques{})
+	decoupled := period(Techniques{DecoupledBackProp: true})
 	full := period(AllTechniques)
 	if !(adaptive >= decoupled && decoupled >= full && adaptive > full) {
 		t.Fatalf("ablation not monotone: adaptive=%d decoupled=%d full=%d", adaptive, decoupled, full)
-	}
-}
-
-// TestNoAdaptiveNoRecovery checks that disabling Adaptive Pipelining
-// removes the recovery path entirely.
-func TestNoAdaptiveNoRecovery(t *testing.T) {
-	p := analyticPlanner(t)
-	p.Techniques = Techniques{}
-	if _, err := p.PlanFor(1); err == nil {
-		t.Fatal("expected error planning failures without Adaptive Pipelining")
-	}
-	if _, err := p.PlanFor(0); err != nil {
-		t.Fatalf("fault-free planning should work without techniques: %v", err)
 	}
 }

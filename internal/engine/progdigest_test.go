@@ -35,7 +35,8 @@ func codecDigestShapes() []schedule.Shape {
 }
 
 // codecDigestInputs are the solver inputs every (shape, failure set) is
-// compiled from: decoupled on unit slots, and coupled on skewed durations
+// compiled from: decoupled on unit slots, and coupled (so round-robin, as
+// the Planner solves it without Decoupled BackProp) on skewed durations
 // with comm latency (stamped spans differ per op type, and cross-stage edges
 // pay latency).
 func codecDigestInputs(sh schedule.Shape) []solver.Input {
@@ -238,54 +239,54 @@ var compiledDigests = []uint64{
 	0xea4cdaff84dafa27, // {DP:1 PP:3 MB:3 Iter:2}
 	0x07a456cd6c97648b, // {DP:1 PP:3 MB:4 Iter:1}
 	0xd96c31a0a9b01363, // {DP:1 PP:3 MB:4 Iter:2}
-	0xc65408fa56cc699f, // {DP:2 PP:1 MB:1 Iter:1}
-	0xb7d096a92292f6f3, // {DP:2 PP:1 MB:1 Iter:2}
-	0xab7880b0cbcbab5b, // {DP:2 PP:1 MB:2 Iter:1}
-	0x8cc72c6257e61115, // {DP:2 PP:1 MB:2 Iter:2}
-	0x66e3604ce7fbb17b, // {DP:2 PP:1 MB:3 Iter:1}
-	0x577aaacbf60b74b3, // {DP:2 PP:1 MB:3 Iter:2}
-	0x8eb7c196e9fecc57, // {DP:2 PP:1 MB:4 Iter:1}
-	0xe9cfd943f76e7e55, // {DP:2 PP:1 MB:4 Iter:2}
-	0x1f8263dc55d5084d, // {DP:2 PP:2 MB:1 Iter:1}
-	0x1322f490a92d98c1, // {DP:2 PP:2 MB:1 Iter:2}
-	0x76a21d43f130c185, // {DP:2 PP:2 MB:2 Iter:1}
-	0x355e23c235808f53, // {DP:2 PP:2 MB:2 Iter:2}
-	0x53c9529c3f2b0c7b, // {DP:2 PP:2 MB:3 Iter:1}
-	0xff85a4fec6512611, // {DP:2 PP:2 MB:3 Iter:2}
-	0x8c7176405d177b87, // {DP:2 PP:2 MB:4 Iter:1}
-	0x23c0bd0b8b7d55f9, // {DP:2 PP:2 MB:4 Iter:2}
-	0xb4b1b29bef699999, // {DP:2 PP:3 MB:1 Iter:1}
-	0x0728255e99d6e7bb, // {DP:2 PP:3 MB:1 Iter:2}
-	0x4dc92fa0cfec3ee3, // {DP:2 PP:3 MB:2 Iter:1}
-	0x90c27425ea54ede7, // {DP:2 PP:3 MB:2 Iter:2}
-	0xc81ce5be7bd3e2b9, // {DP:2 PP:3 MB:3 Iter:1}
-	0xbd51ddde2b538a79, // {DP:2 PP:3 MB:3 Iter:2}
-	0x225a32a59e50637f, // {DP:2 PP:3 MB:4 Iter:1}
-	0x6e26c62c16eb20b7, // {DP:2 PP:3 MB:4 Iter:2}
-	0xdf7a878af4df2408, // {DP:3 PP:1 MB:1 Iter:1}
-	0x6f18d3469d2c6f12, // {DP:3 PP:1 MB:1 Iter:2}
-	0xa48cb022251b128b, // {DP:3 PP:1 MB:2 Iter:1}
-	0x81d4085a998a27c9, // {DP:3 PP:1 MB:2 Iter:2}
-	0x89d6c98b477569cf, // {DP:3 PP:1 MB:3 Iter:1}
-	0x19c1ab9af464acef, // {DP:3 PP:1 MB:3 Iter:2}
-	0xf43b1a5ebd96c39f, // {DP:3 PP:1 MB:4 Iter:1}
-	0xfab03ee564ce8e4d, // {DP:3 PP:1 MB:4 Iter:2}
-	0x1c91084cf2f24c1a, // {DP:3 PP:2 MB:1 Iter:1}
-	0xe3422c31abf184d1, // {DP:3 PP:2 MB:1 Iter:2}
-	0x6d0056d00cff65dd, // {DP:3 PP:2 MB:2 Iter:1}
-	0x1160156f5f7c76f6, // {DP:3 PP:2 MB:2 Iter:2}
-	0xb020acb466a646f8, // {DP:3 PP:2 MB:3 Iter:1}
-	0x717b14e212b10bdb, // {DP:3 PP:2 MB:3 Iter:2}
-	0x6226e2bfd93983f0, // {DP:3 PP:2 MB:4 Iter:1}
-	0xa66b8e559ca36a53, // {DP:3 PP:2 MB:4 Iter:2}
-	0xf5fb34b0a9d1bdff, // {DP:3 PP:3 MB:1 Iter:1}
-	0xeb206c9bb5b03ab9, // {DP:3 PP:3 MB:1 Iter:2}
-	0x616778e157954bd6, // {DP:3 PP:3 MB:2 Iter:1}
-	0xe8ee830d4952b2de, // {DP:3 PP:3 MB:2 Iter:2}
-	0x4bd7da34862c6a5d, // {DP:3 PP:3 MB:3 Iter:1}
-	0x5e814f270fe755a3, // {DP:3 PP:3 MB:3 Iter:2}
-	0xb87121105e0e776e, // {DP:3 PP:3 MB:4 Iter:1}
-	0xfbefe3ef4ecd3dc2, // {DP:3 PP:3 MB:4 Iter:2}
+	0xb8fbe45baee18137, // {DP:2 PP:1 MB:1 Iter:1}
+	0x8b66adffe075f573, // {DP:2 PP:1 MB:1 Iter:2}
+	0x7266340482ceffcb, // {DP:2 PP:1 MB:2 Iter:1}
+	0x3dd3d2f175887e15, // {DP:2 PP:1 MB:2 Iter:2}
+	0xa70330388ac4c84b, // {DP:2 PP:1 MB:3 Iter:1}
+	0xd2c8acc8a37305db, // {DP:2 PP:1 MB:3 Iter:2}
+	0x0196783fa2c89c4f, // {DP:2 PP:1 MB:4 Iter:1}
+	0xdca8641731860285, // {DP:2 PP:1 MB:4 Iter:2}
+	0x2fff997fb2e2aa19, // {DP:2 PP:2 MB:1 Iter:1}
+	0x02e3eb08f49ee759, // {DP:2 PP:2 MB:1 Iter:2}
+	0x786f772765edbd01, // {DP:2 PP:2 MB:2 Iter:1}
+	0x9cd750532067fa33, // {DP:2 PP:2 MB:2 Iter:2}
+	0x66400acb029426c7, // {DP:2 PP:2 MB:3 Iter:1}
+	0xd00745903eb3178d, // {DP:2 PP:2 MB:3 Iter:2}
+	0x21e97342bae3ee2b, // {DP:2 PP:2 MB:4 Iter:1}
+	0x17d259ef07f4ee7d, // {DP:2 PP:2 MB:4 Iter:2}
+	0xfc98f651a80efb29, // {DP:2 PP:3 MB:1 Iter:1}
+	0xb5d9c569a23c5903, // {DP:2 PP:3 MB:1 Iter:2}
+	0x0f5a69fde56e99ab, // {DP:2 PP:3 MB:2 Iter:1}
+	0x0da21b45e9fb0aaf, // {DP:2 PP:3 MB:2 Iter:2}
+	0x7ad58741b50ebc1d, // {DP:2 PP:3 MB:3 Iter:1}
+	0x859ef5d34a802159, // {DP:2 PP:3 MB:3 Iter:2}
+	0x3c64e11adfde5fa3, // {DP:2 PP:3 MB:4 Iter:1}
+	0x95c126dc7fcdb883, // {DP:2 PP:3 MB:4 Iter:2}
+	0x0e44a89e6569e038, // {DP:3 PP:1 MB:1 Iter:1}
+	0x3e54aa534e65c5ea, // {DP:3 PP:1 MB:1 Iter:2}
+	0x82877e13428dfa53, // {DP:3 PP:1 MB:2 Iter:1}
+	0x544cc3e517598df9, // {DP:3 PP:1 MB:2 Iter:2}
+	0x5fe1bcb63b3ad923, // {DP:3 PP:1 MB:3 Iter:1}
+	0xe5ec380fe042e7c7, // {DP:3 PP:1 MB:3 Iter:2}
+	0x50df33d93d916137, // {DP:3 PP:1 MB:4 Iter:1}
+	0x5eac69efa4d6781d, // {DP:3 PP:1 MB:4 Iter:2}
+	0xb128f7c19bdcd428, // {DP:3 PP:2 MB:1 Iter:1}
+	0x5fbc49f5ae5bde7b, // {DP:3 PP:2 MB:1 Iter:2}
+	0x9c5b99f12c9c3917, // {DP:3 PP:2 MB:2 Iter:1}
+	0xe4c9d9f0380279c0, // {DP:3 PP:2 MB:2 Iter:2}
+	0x9d4e3f36713bdb56, // {DP:3 PP:2 MB:3 Iter:1}
+	0xd327090f91679c0d, // {DP:3 PP:2 MB:3 Iter:2}
+	0x22db9dfdf480f7c2, // {DP:3 PP:2 MB:4 Iter:1}
+	0x59d678de8680d02d, // {DP:3 PP:2 MB:4 Iter:2}
+	0xbf421aea66291009, // {DP:3 PP:3 MB:1 Iter:1}
+	0x1b1619bccda20d19, // {DP:3 PP:3 MB:1 Iter:2}
+	0xbb4124c8a12b9176, // {DP:3 PP:3 MB:2 Iter:1}
+	0x6c2a8e1ed699552c, // {DP:3 PP:3 MB:2 Iter:2}
+	0xdeffd46bb74277ff, // {DP:3 PP:3 MB:3 Iter:1}
+	0xc1dbe3a08643f9f7, // {DP:3 PP:3 MB:3 Iter:2}
+	0x71a29865e9f7a164, // {DP:3 PP:3 MB:4 Iter:1}
+	0xeac4de76989b63b2, // {DP:3 PP:3 MB:4 Iter:2}
 }
 
 // splicedDigests pins the EncodeProgram bytes of every live splice: one

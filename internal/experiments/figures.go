@@ -31,8 +31,8 @@ type GallerySlots struct {
 func Gallery() (GallerySlots, error) {
 	job, stats := engine.ShapeJob(3, 4, 6)
 	failed := []schedule.Worker{{Stage: 2, Pipeline: 1}}
-	adaptive := engine.Techniques{AdaptivePipelining: true}
-	decoupled := engine.Techniques{AdaptivePipelining: true, DecoupledBackProp: true}
+	adaptive := engine.Techniques{}
+	decoupled := engine.Techniques{DecoupledBackProp: true}
 	mk := func(t engine.Techniques, unroll int) *engine.Engine {
 		return engine.New(job, stats, engine.Options{Techniques: &t, UnrollIterations: unroll})
 	}
@@ -271,11 +271,11 @@ func Fig11() ([]Fig11Row, string, error) {
 			}
 			return rep.Average / ff, nil
 		}
-		a, err := avg(engine.Techniques{AdaptivePipelining: true})
+		a, err := avg(engine.Techniques{})
 		if err != nil {
 			return nil, "", err
 		}
-		d, err := avg(engine.Techniques{AdaptivePipelining: true, DecoupledBackProp: true})
+		d, err := avg(engine.Techniques{DecoupledBackProp: true})
 		if err != nil {
 			return nil, "", err
 		}

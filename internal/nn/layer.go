@@ -2,8 +2,8 @@
 // (internal/dtrain): layers with *decoupled* backward passes — separate
 // gradient-w.r.t.-input (BackwardInput) and gradient-w.r.t.-weights
 // (BackwardWeight) computations, exactly the split ReCycle's Decoupled
-// BackProp schedules independently (§3.2, Fig 4) — plus SGD and AdamW
-// optimizers with the arithmetically reversible rollback the Staggered
+// BackProp schedules independently (§3.2, Fig 4) — plus the AdamW
+// optimizer with the arithmetically reversible rollback the Staggered
 // Optimizer's post-step validation relies on (§5).
 package nn
 

@@ -148,25 +148,6 @@ func TestAdamWRollback(t *testing.T) {
 	}
 }
 
-// TestSGDRollback checks the simpler SGD reversal.
-func TestSGDRollback(t *testing.T) {
-	rng := rand.New(rand.NewSource(22))
-	l := NewLinear(3, 3, rng)
-	params := l.Params()
-	for _, p := range params {
-		for i := range p.Grad.Data {
-			p.Grad.Data[i] = rng.NormFloat64()
-		}
-	}
-	before := clone(params[0].W)
-	opt := &SGD{LR: 0.1}
-	opt.Step(params)
-	opt.Rollback(params)
-	if d := maxAbsDiff(params[0].W, before); d > 1e-15 {
-		t.Fatalf("SGD rollback residual %g", d)
-	}
-}
-
 // TestValidateFiniteDetectsNaN checks the post-step validation trigger.
 func TestValidateFiniteDetectsNaN(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))

@@ -5,45 +5,13 @@ import (
 	"math"
 )
 
-// Optimizer updates parameters from their accumulated gradients and can
-// reverse its latest step — the arithmetic reversibility ReCycle's
-// post-step validation depends on (§5): with the Staggered Optimizer,
-// numerical-stability validation moves after the step, and a downstream
-// stage failing validation rolls every stage back without extra memory.
-type Optimizer interface {
-	Step(params []*Param)
-	// Rollback undoes the most recent Step for the same parameters (the
-	// gradients must be unchanged since that Step).
-	Rollback(params []*Param)
-}
-
-// SGD is plain stochastic gradient descent.
-type SGD struct {
-	LR float64
-}
-
-// Step implements Optimizer.
-func (o *SGD) Step(params []*Param) {
-	for _, p := range params {
-		for i := range p.W.Data {
-			p.W.Data[i] -= o.LR * p.Grad.Data[i]
-		}
-	}
-}
-
-// Rollback implements Optimizer: w = w' + lr*g exactly reverses the
-// update in real arithmetic (bit-exact only when the addition re-rounds
-// identically; validation tests allow 1-ulp tolerance).
-func (o *SGD) Rollback(params []*Param) {
-	for _, p := range params {
-		for i := range p.W.Data {
-			p.W.Data[i] += o.LR * p.Grad.Data[i]
-		}
-	}
-}
-
 // AdamW is the decoupled-weight-decay Adam optimizer (Loshchilov &
-// Hutter), the optimizer the paper calls out as reversible (§5).
+// Hutter), the optimizer the paper calls out as reversible (§5). It
+// updates parameters from their accumulated gradients and can reverse its
+// latest step — the arithmetic reversibility ReCycle's post-step
+// validation depends on: with the Staggered Optimizer, numerical-stability
+// validation moves after the step, and a downstream stage failing
+// validation rolls every stage back without extra memory.
 type AdamW struct {
 	LR, Beta1, Beta2, Eps, WeightDecay float64
 
@@ -57,7 +25,7 @@ func NewAdamW(lr float64) *AdamW {
 		m: make(map[*Param][]float64), v: make(map[*Param][]float64)}
 }
 
-// Step implements Optimizer.
+// Step applies one update to params from their gradients.
 func (o *AdamW) Step(params []*Param) {
 	o.t++
 	bc1 := 1 - math.Pow(o.Beta1, float64(o.t))
@@ -75,8 +43,9 @@ func (o *AdamW) Step(params []*Param) {
 	}
 }
 
-// Rollback implements Optimizer by inverting the AdamW arithmetic: the
-// update direction is recomputed from the post-step moments, the weight
+// Rollback undoes the most recent Step for the same parameters (the
+// gradients must be unchanged since that Step) by inverting the AdamW
+// arithmetic: the update direction is recomputed from the post-step moments, the weight
 // division undoes the decay, and the moment recurrences are solved for
 // their previous values using the (unchanged) gradients.
 func (o *AdamW) Rollback(params []*Param) {

@@ -194,7 +194,7 @@ func (s *Stage) SetStepEpoch(e int) { s.epoch = e }
 // the stamp already reached target the parameters are left untouched and
 // StepOnce reports false (the idempotent no-op of a re-executed step);
 // otherwise the step is applied and the stamp advances to target.
-func (s *Stage) StepOnce(opt Optimizer, target int) bool {
+func (s *Stage) StepOnce(opt *AdamW, target int) bool {
 	if s.epoch >= target {
 		return false
 	}

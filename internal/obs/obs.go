@@ -113,8 +113,6 @@ type Event struct {
 	// At is the logical slot time within the current segment; -1 when the
 	// event has no logical-clock coordinate (engine-side events).
 	At int64
-	// Wall is the wall-clock instant; zero in virtual-time executions.
-	Wall time.Time
 	// Iter is the training iteration the event belongs to (-1 if none).
 	Iter int
 	// Worker is the affected worker when HasWorker is set.

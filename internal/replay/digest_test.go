@@ -110,30 +110,30 @@ var resultDigests = []uint64{
 
 // spanDigests pins the span digest of every digestCase, in order.
 var spanDigests = []uint64{
-	0x97ba76d0650880c9, // {dp:3 pp:4 mb:6 seed:1}
-	0x9d10778b0cc52b7f, // {dp:3 pp:4 mb:6 seed:2}
-	0x85e3621541ba8111, // {dp:3 pp:4 mb:6 seed:3}
-	0x73aad8aa17e0efdf, // {dp:3 pp:4 mb:6 seed:4}
-	0x6d57004d74d07024, // {dp:3 pp:4 mb:6 seed:5}
-	0x25fc7694ee5248e1, // {dp:3 pp:4 mb:6 seed:6}
-	0xf95f770ef9027e8b, // {dp:3 pp:4 mb:6 seed:7}
-	0xa993870d90aeeed5, // {dp:3 pp:4 mb:6 seed:8}
-	0x8c7692620ca69aa7, // {dp:4 pp:2 mb:8 seed:1}
-	0xbc023a441bd3615a, // {dp:4 pp:2 mb:8 seed:2}
-	0x1346e14353f961c1, // {dp:4 pp:2 mb:8 seed:3}
-	0x370937d848ddaec7, // {dp:4 pp:2 mb:8 seed:4}
-	0xd79193e6b6ea2ba6, // {dp:4 pp:2 mb:8 seed:5}
-	0x7112c9cae2b027f9, // {dp:4 pp:2 mb:8 seed:6}
-	0x1e32fbf257cf7772, // {dp:4 pp:2 mb:8 seed:7}
-	0xfc6d4c9798361584, // {dp:4 pp:2 mb:8 seed:8}
+	0x495278beef21b9af, // {dp:3 pp:4 mb:6 seed:1}
+	0xb9db36eab15137e3, // {dp:3 pp:4 mb:6 seed:2}
+	0x87cb56bc31f2b95d, // {dp:3 pp:4 mb:6 seed:3}
+	0xc4e842e183861f51, // {dp:3 pp:4 mb:6 seed:4}
+	0x766b9a4adb32571c, // {dp:3 pp:4 mb:6 seed:5}
+	0xb135d3da672c8e59, // {dp:3 pp:4 mb:6 seed:6}
+	0x67ce12b7e4763b03, // {dp:3 pp:4 mb:6 seed:7}
+	0x40e2d802669c7be3, // {dp:3 pp:4 mb:6 seed:8}
+	0x57392ad7162a0629, // {dp:4 pp:2 mb:8 seed:1}
+	0xf2c28b69d265b238, // {dp:4 pp:2 mb:8 seed:2}
+	0x7f4d18a7b3f7caab, // {dp:4 pp:2 mb:8 seed:3}
+	0xf9cb3d664319ce71, // {dp:4 pp:2 mb:8 seed:4}
+	0x62a7f6e5c550692c, // {dp:4 pp:2 mb:8 seed:5}
+	0x40aa40d052073813, // {dp:4 pp:2 mb:8 seed:6}
+	0x29de0faa9e4ed598, // {dp:4 pp:2 mb:8 seed:7}
+	0xc82474d526ab28a4, // {dp:4 pp:2 mb:8 seed:8}
 	0xb55a2a2607828e7e, // {dp:2 pp:3 mb:4 seed:1}
-	0x016f55ed058c71d1, // {dp:2 pp:3 mb:4 seed:2}
+	0x188f506f75c29b7b, // {dp:2 pp:3 mb:4 seed:2}
 	0xa52a2745c58c67ed, // {dp:2 pp:3 mb:4 seed:3}
-	0xb2e3eeb380873a8a, // {dp:2 pp:3 mb:4 seed:4}
+	0x272dca4d3da20da4, // {dp:2 pp:3 mb:4 seed:4}
 	0xb55a2a2607828e7e, // {dp:2 pp:3 mb:4 seed:5}
-	0xd320bc156651e5f9, // {dp:2 pp:3 mb:4 seed:6}
+	0x5e714e6f82ed1303, // {dp:2 pp:3 mb:4 seed:6}
 	0xa52a2745c58c67ed, // {dp:2 pp:3 mb:4 seed:7}
-	0x4c3ef28fef6a178b, // {dp:2 pp:3 mb:4 seed:8}
+	0x20254939d3cf5885, // {dp:2 pp:3 mb:4 seed:8}
 }
 
 // TestReplayDigestsUnchanged is the bit-identity gate of the trace replayer:

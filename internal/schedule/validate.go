@@ -13,11 +13,6 @@ type ValidateConfig struct {
 	// may hold (the MILP's M_Limit, Eq. 6, in activation units). Zero
 	// disables the memory check.
 	MemCap int
-	// Decoupled states whether the schedule is expected to use split
-	// BInput/BWeight ops (true) or coupled B ops (false). Mixed schedules
-	// are allowed when the planner applies Decoupled BackProp selectively;
-	// validation accepts either form per micro-batch regardless.
-	Decoupled bool
 	// Costs gives the expected per-(worker, op) durations for schedules
 	// solved under a heterogeneous cost model. Nil means every op must
 	// take the schedule's homogeneous Durations.

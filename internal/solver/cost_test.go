@@ -99,7 +99,7 @@ func TestHeterogeneousSolveValidates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := schedule.Validate(s, schedule.ValidateConfig{Decoupled: true, Costs: costs}); err != nil {
+	if err := schedule.Validate(s, schedule.ValidateConfig{Costs: costs}); err != nil {
 		t.Fatal(err)
 	}
 	// The slow worker must have shed part of its own micro-batches.

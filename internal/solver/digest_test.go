@@ -42,8 +42,8 @@ func digestFailureSets(sh schedule.Shape) []map[schedule.Worker]bool {
 }
 
 // digestInputs returns the solver configurations every (shape, failure set)
-// is solved under: each combination of the Decoupled, Staggered and Naive
-// toggles on unit slots without a cap, with a global memory cap and with
+// is solved under: each combination of the Decoupled and Staggered toggles
+// on unit slots without a cap, with one cap for every stage and with
 // per-stage caps, then on skewed durations with comm latency, homogeneous
 // and with a 2× straggler through Costs.
 func digestInputs(sh schedule.Shape) []Input {
@@ -55,15 +55,15 @@ func digestInputs(sh schedule.Shape) []Input {
 		}
 		return skewed.Of(t)
 	}
-	perStage := make([]int, sh.PP)
+	even, perStage := make([]int, sh.PP), make([]int, sh.PP)
 	for i := range perStage {
-		perStage[i] = 1 + sh.PP - i
+		even[i], perStage[i] = 2, 1+sh.PP-i
 	}
 	var out []Input
-	for toggles := 0; toggles < 8; toggles++ {
-		base := Input{Shape: sh, Durations: schedule.UnitSlots, Decoupled: toggles&1 != 0, Staggered: toggles&2 != 0, Naive: toggles&4 != 0}
+	for toggles := 0; toggles < 4; toggles++ {
+		base := Input{Shape: sh, Durations: schedule.UnitSlots, Decoupled: toggles&1 != 0, Staggered: toggles&2 != 0}
 		capped, staged := base, base
-		capped.MemCap = 2
+		capped.MemCapPerStage = even
 		staged.MemCapPerStage = perStage
 		hetero, uniform := base, base
 		uniform.Durations = skewed
@@ -152,78 +152,78 @@ func (l *walkLead) check(s *schedule.Schedule) {
 // scratchDigests pins every schedule shapeDigest hashes: one FNV-64a digest
 // per shape of digestShapes, in order.
 var scratchDigests = []uint64{
-	0xfa7ca288f9c71985, // {DP:1 PP:1 MB:1 Iter:1}
-	0xb967b4243867e9c5, // {DP:1 PP:1 MB:1 Iter:2}
-	0xc9c71f308019ab85, // {DP:1 PP:1 MB:2 Iter:1}
-	0x39ecaa2c5ba1be45, // {DP:1 PP:1 MB:2 Iter:2}
-	0xc4458b899220d7c5, // {DP:1 PP:1 MB:3 Iter:1}
-	0x29e2f2aabc26fdc5, // {DP:1 PP:1 MB:3 Iter:2}
-	0x6dd7851150738b85, // {DP:1 PP:1 MB:4 Iter:1}
-	0xfd141f2d0793a445, // {DP:1 PP:1 MB:4 Iter:2}
-	0xbdc47e25f5f9ebc5, // {DP:1 PP:2 MB:1 Iter:1}
-	0x9ed8d0b96b3dc6c5, // {DP:1 PP:2 MB:1 Iter:2}
-	0x0f679b9145b5c785, // {DP:1 PP:2 MB:2 Iter:1}
-	0x879198e98f756b05, // {DP:1 PP:2 MB:2 Iter:2}
-	0x076eb5298fbedd45, // {DP:1 PP:2 MB:3 Iter:1}
-	0x81818b495ae4f885, // {DP:1 PP:2 MB:3 Iter:2}
-	0xc23af7625d09e785, // {DP:1 PP:2 MB:4 Iter:1}
-	0xb882ec3b7c11ba85, // {DP:1 PP:2 MB:4 Iter:2}
-	0x1decf81ab9233ab5, // {DP:1 PP:3 MB:1 Iter:1}
-	0x2af06bf94c13d5b5, // {DP:1 PP:3 MB:1 Iter:2}
-	0x496ae0dfb8f07b75, // {DP:1 PP:3 MB:2 Iter:1}
-	0x0d1dfc0553eca175, // {DP:1 PP:3 MB:2 Iter:2}
-	0x4ac4e5298af44df5, // {DP:1 PP:3 MB:3 Iter:1}
-	0x745a6bbe78616bb5, // {DP:1 PP:3 MB:3 Iter:2}
-	0x932c5efe19ba0375, // {DP:1 PP:3 MB:4 Iter:1}
-	0x6e978b91095740b5, // {DP:1 PP:3 MB:4 Iter:2}
-	0x7eb733821ff670c5, // {DP:2 PP:1 MB:1 Iter:1}
-	0x1a4037c54e4b88c5, // {DP:2 PP:1 MB:1 Iter:2}
-	0xc88d585b939bf605, // {DP:2 PP:1 MB:2 Iter:1}
-	0x6a37126321393a85, // {DP:2 PP:1 MB:2 Iter:2}
-	0xdfe25ebf2eb4aec5, // {DP:2 PP:1 MB:3 Iter:1}
-	0x61c7d5928ebebd45, // {DP:2 PP:1 MB:3 Iter:2}
-	0x4ffb801e4e6e80c5, // {DP:2 PP:1 MB:4 Iter:1}
-	0xf5d0b61a23176e45, // {DP:2 PP:1 MB:4 Iter:2}
-	0x17088a7d85c31a95, // {DP:2 PP:2 MB:1 Iter:1}
-	0xb2570ec2fa875f65, // {DP:2 PP:2 MB:1 Iter:2}
-	0x90b638f3aae05f15, // {DP:2 PP:2 MB:2 Iter:1}
-	0xd40adb2615b05e55, // {DP:2 PP:2 MB:2 Iter:2}
-	0x3a0ce2653a470585, // {DP:2 PP:2 MB:3 Iter:1}
-	0xdee800dd299f7345, // {DP:2 PP:2 MB:3 Iter:2}
-	0x8fedc7385b9633f5, // {DP:2 PP:2 MB:4 Iter:1}
-	0x873cdea7daa71e65, // {DP:2 PP:2 MB:4 Iter:2}
-	0x926c0f6b573facd1, // {DP:2 PP:3 MB:1 Iter:1}
-	0x9726d2ca8b7738a9, // {DP:2 PP:3 MB:1 Iter:2}
-	0xacf9425fc0fa9085, // {DP:2 PP:3 MB:2 Iter:1}
-	0x4b5869c75d233889, // {DP:2 PP:3 MB:2 Iter:2}
-	0xd3fa366c5ba5143d, // {DP:2 PP:3 MB:3 Iter:1}
-	0x5bbae921c6350bd1, // {DP:2 PP:3 MB:3 Iter:2}
-	0x066e8b436e24d199, // {DP:2 PP:3 MB:4 Iter:1}
-	0xa8939c08ce2d5e6d, // {DP:2 PP:3 MB:4 Iter:2}
-	0xb32053019cd2cc25, // {DP:3 PP:1 MB:1 Iter:1}
-	0x0833792c7370b5e5, // {DP:3 PP:1 MB:1 Iter:2}
-	0xda8d49eb29b05725, // {DP:3 PP:1 MB:2 Iter:1}
-	0x56621717957cece5, // {DP:3 PP:1 MB:2 Iter:2}
-	0xb57be350f8f0c025, // {DP:3 PP:1 MB:3 Iter:1}
-	0x431b84161b759565, // {DP:3 PP:1 MB:3 Iter:2}
-	0x5e5682d15a314f65, // {DP:3 PP:1 MB:4 Iter:1}
-	0x7e138224cff536c5, // {DP:3 PP:1 MB:4 Iter:2}
-	0xc30c67044751da25, // {DP:3 PP:2 MB:1 Iter:1}
-	0xcd2c99fcd3737839, // {DP:3 PP:2 MB:1 Iter:2}
-	0xd3da202133e9c8e9, // {DP:3 PP:2 MB:2 Iter:1}
-	0x0dbb893674f4a35d, // {DP:3 PP:2 MB:2 Iter:2}
-	0xee29149746316c41, // {DP:3 PP:2 MB:3 Iter:1}
-	0x3c42064fd5aff8a5, // {DP:3 PP:2 MB:3 Iter:2}
-	0x36e405d9dc166be7, // {DP:3 PP:2 MB:4 Iter:1}
-	0x0804db55ec71d42a, // {DP:3 PP:2 MB:4 Iter:2}
-	0xf7c3c6f99296405b, // {DP:3 PP:3 MB:1 Iter:1}
-	0x1cdee424b4d1104b, // {DP:3 PP:3 MB:1 Iter:2}
-	0x10a8a206c33a6efd, // {DP:3 PP:3 MB:2 Iter:1}
-	0xc46222bd74af47f5, // {DP:3 PP:3 MB:2 Iter:2}
-	0x2ca95e3f18c12a4f, // {DP:3 PP:3 MB:3 Iter:1}
-	0x95a57b6b071ac16b, // {DP:3 PP:3 MB:3 Iter:2}
-	0xeb8fb980e9db69d7, // {DP:3 PP:3 MB:4 Iter:1}
-	0x20201e7fd72b0e02, // {DP:3 PP:3 MB:4 Iter:2}
+	0x80f19d8aaddf9dd5, // {DP:1 PP:1 MB:1 Iter:1}
+	0x2152b540bdfe0d75, // {DP:1 PP:1 MB:1 Iter:2}
+	0x0d08248a665891d5, // {DP:1 PP:1 MB:2 Iter:1}
+	0x14d708bb8f8783b5, // {DP:1 PP:1 MB:2 Iter:2}
+	0xc7351c3e5be74a75, // {DP:1 PP:1 MB:3 Iter:1}
+	0xb0721e9968181675, // {DP:1 PP:1 MB:3 Iter:2}
+	0xf92d8f2dab3d7215, // {DP:1 PP:1 MB:4 Iter:1}
+	0x08d51c92ba2b70b5, // {DP:1 PP:1 MB:4 Iter:2}
+	0x220146e70c1143b5, // {DP:1 PP:2 MB:1 Iter:1}
+	0x60173ee21f9a7a35, // {DP:1 PP:2 MB:1 Iter:2}
+	0x48a72b07a37b3795, // {DP:1 PP:2 MB:2 Iter:1}
+	0x8e9ae4483d1fd595, // {DP:1 PP:2 MB:2 Iter:2}
+	0xf53e3f73e7c9ed75, // {DP:1 PP:2 MB:3 Iter:1}
+	0x5d1f88f2cc3a2dd5, // {DP:1 PP:2 MB:3 Iter:2}
+	0xfd527ffe31470715, // {DP:1 PP:2 MB:4 Iter:1}
+	0xfa265e046832ec15, // {DP:1 PP:2 MB:4 Iter:2}
+	0xe6a18c3cd664dc7d, // {DP:1 PP:3 MB:1 Iter:1}
+	0xa0259b852e6c88fd, // {DP:1 PP:3 MB:1 Iter:2}
+	0x22ef6e96fa8d70dd, // {DP:1 PP:3 MB:2 Iter:1}
+	0xcab7ce607ee8d1dd, // {DP:1 PP:3 MB:2 Iter:2}
+	0x44ebac48d045f35d, // {DP:1 PP:3 MB:3 Iter:1}
+	0x17a432277d98547d, // {DP:1 PP:3 MB:3 Iter:2}
+	0x4d0e8e0f052a599d, // {DP:1 PP:3 MB:4 Iter:1}
+	0x57d7ac15d2ac1c7d, // {DP:1 PP:3 MB:4 Iter:2}
+	0xac18b6096170def5, // {DP:2 PP:1 MB:1 Iter:1}
+	0xc1fee7b89040abb5, // {DP:2 PP:1 MB:1 Iter:2}
+	0x0328e6e1c797cd15, // {DP:2 PP:1 MB:2 Iter:1}
+	0xe11c10ec1ed35935, // {DP:2 PP:1 MB:2 Iter:2}
+	0x126ce0fd60748d15, // {DP:2 PP:1 MB:3 Iter:1}
+	0x56f844323094c475, // {DP:2 PP:1 MB:3 Iter:2}
+	0x3ffae6cbced7ee35, // {DP:2 PP:1 MB:4 Iter:1}
+	0x256306161d04f5f5, // {DP:2 PP:1 MB:4 Iter:2}
+	0x9fed353d0954e771, // {DP:2 PP:2 MB:1 Iter:1}
+	0x182461ce72f6303d, // {DP:2 PP:2 MB:1 Iter:2}
+	0x6190bdcdfc793731, // {DP:2 PP:2 MB:2 Iter:1}
+	0x013b9a0b22d79d15, // {DP:2 PP:2 MB:2 Iter:2}
+	0x0a29888d46b2650d, // {DP:2 PP:2 MB:3 Iter:1}
+	0x027195dff39e2a45, // {DP:2 PP:2 MB:3 Iter:2}
+	0x38677a47fd79b505, // {DP:2 PP:2 MB:4 Iter:1}
+	0x2e3a9da466c613ad, // {DP:2 PP:2 MB:4 Iter:2}
+	0xe9793a3e2f05e699, // {DP:2 PP:3 MB:1 Iter:1}
+	0x61b3e8b7d6618811, // {DP:2 PP:3 MB:1 Iter:2}
+	0xa316760c76b9d115, // {DP:2 PP:3 MB:2 Iter:1}
+	0x0367bcbecc1b7671, // {DP:2 PP:3 MB:2 Iter:2}
+	0x4050ba325af787b1, // {DP:2 PP:3 MB:3 Iter:1}
+	0x46b5511bb23462ad, // {DP:2 PP:3 MB:3 Iter:2}
+	0xd0cd798a667599e1, // {DP:2 PP:3 MB:4 Iter:1}
+	0xd42eb1f672c3420d, // {DP:2 PP:3 MB:4 Iter:2}
+	0x3d6a8996b9c13ec5, // {DP:3 PP:1 MB:1 Iter:1}
+	0x87d24f7aa0a2eba5, // {DP:3 PP:1 MB:1 Iter:2}
+	0x5428a5e2818d66a5, // {DP:3 PP:1 MB:2 Iter:1}
+	0x4ea7f40781b4f925, // {DP:3 PP:1 MB:2 Iter:2}
+	0xa266911316b12965, // {DP:3 PP:1 MB:3 Iter:1}
+	0xabe5061c8bcc5665, // {DP:3 PP:1 MB:3 Iter:2}
+	0x167046ab7f9a1205, // {DP:3 PP:1 MB:4 Iter:1}
+	0xb5ff1c3df6b97205, // {DP:3 PP:1 MB:4 Iter:2}
+	0x26129305c6b04779, // {DP:3 PP:2 MB:1 Iter:1}
+	0x0cb5eb0b8e844f55, // {DP:3 PP:2 MB:1 Iter:2}
+	0xd06ca6edd0c940b5, // {DP:3 PP:2 MB:2 Iter:1}
+	0xf5b0832376068c2f, // {DP:3 PP:2 MB:2 Iter:2}
+	0x90d8808f949dd82f, // {DP:3 PP:2 MB:3 Iter:1}
+	0x7663d90de62180e7, // {DP:3 PP:2 MB:3 Iter:2}
+	0xdde80614293ca44f, // {DP:3 PP:2 MB:4 Iter:1}
+	0xc046fa433eaa6657, // {DP:3 PP:2 MB:4 Iter:2}
+	0xf77dba7017809fd9, // {DP:3 PP:3 MB:1 Iter:1}
+	0x07532fe225927261, // {DP:3 PP:3 MB:1 Iter:2}
+	0x96e699275de1fa59, // {DP:3 PP:3 MB:2 Iter:1}
+	0x4a13bebe04f136d3, // {DP:3 PP:3 MB:2 Iter:2}
+	0x09eac064e2d66a4b, // {DP:3 PP:3 MB:3 Iter:1}
+	0x11343bc53fac1eb1, // {DP:3 PP:3 MB:3 Iter:2}
+	0xcd7599f61de4226d, // {DP:3 PP:3 MB:4 Iter:1}
+	0x4ba03509d60d650e, // {DP:3 PP:3 MB:4 Iter:2}
 }
 
 // largeDigests pins the placements of the solves whose per-worker priority

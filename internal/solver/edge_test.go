@@ -47,11 +47,11 @@ func TestCommLatencyStretchesPipeline(t *testing.T) {
 func TestMemoryPressureForcesEagerBWeight(t *testing.T) {
 	sh := schedule.Shape{DP: 3, PP: 4, MB: 6, Iter: 1}
 	failed := map[schedule.Worker]bool{{Stage: 2, Pipeline: 1}: true}
-	tight, err := Solve(Input{Shape: sh, Durations: schedule.UnitSlots, Failed: failed, Decoupled: true, MemCap: 4})
+	tight, err := Solve(Input{Shape: sh, Durations: schedule.UnitSlots, Failed: failed, Decoupled: true, MemCapPerStage: []int{4, 4, 4, 4}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := schedule.Validate(tight, schedule.ValidateConfig{MemCap: 4, Decoupled: true}); err != nil {
+	if err := schedule.Validate(tight, schedule.ValidateConfig{MemCap: 4}); err != nil {
 		t.Fatal(err)
 	}
 	loose, err := Solve(Input{Shape: sh, Durations: schedule.UnitSlots, Failed: failed, Decoupled: true})
@@ -86,7 +86,7 @@ func TestAsymmetricBackwardDurations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := schedule.Validate(s, schedule.ValidateConfig{Decoupled: true}); err != nil {
+	if err := schedule.Validate(s, schedule.ValidateConfig{}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -121,7 +121,7 @@ func TestAllPipelinesButOneFailedAtEveryStage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := schedule.Validate(s, schedule.ValidateConfig{Decoupled: true}); err != nil {
+	if err := schedule.Validate(s, schedule.ValidateConfig{}); err != nil {
 		t.Fatal(err)
 	}
 	// 12 micro-batch-stages x 3 slots of work on 2 workers: at least 18 per worker.

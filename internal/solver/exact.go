@@ -352,16 +352,12 @@ func (e *exSearch) dfs(c *exCtx) {
 
 // exCaps resolves the per-worker activation caps for the exact search.
 func exCaps(in Input, st *state) []int {
-	if in.MemCapPerStage == nil && in.MemCap <= 0 {
+	if in.MemCapPerStage == nil {
 		return nil
 	}
 	caps := make([]int, len(st.workers))
 	for wi := range st.workers {
-		if in.MemCapPerStage != nil {
-			caps[wi] = in.MemCapPerStage[st.workers[wi].w.Stage]
-		} else {
-			caps[wi] = in.MemCap
-		}
+		caps[wi] = in.MemCapPerStage[st.workers[wi].w.Stage]
 	}
 	return caps
 }

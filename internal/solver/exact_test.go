@@ -31,7 +31,7 @@ func TestExactRootBoundSkipsSearch(t *testing.T) {
 // exploration cannot change the result: repeated runs agree on makespan
 // and optimality (node counts may differ — pruning races are benign).
 func TestExactParallelDeterministic(t *testing.T) {
-	in := Input{Shape: paperShape, Durations: schedule.UnitSlots, Failed: paperFailed, Decoupled: true, MemCap: 4}
+	in := Input{Shape: paperShape, Durations: schedule.UnitSlots, Failed: paperFailed, Decoupled: true, MemCapPerStage: []int{4, 4, 4, 4}}
 	first, err := ExactMakespan(in, 300000)
 	if err != nil {
 		t.Fatal(err)

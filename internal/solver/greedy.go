@@ -86,7 +86,7 @@ func newState(in Input, routes [][][]int) *state {
 		}
 		ws := &s.workers[len(s.workers)-1]
 		*ws = workerState{w: w, crit: ws.crit[:0], ready: ws.ready, bwPool: ws.bwPool[:0],
-			critLeft: filled(ws.critLeft, sh.Iter, 0), bwLeft: filled(ws.bwLeft, sh.Iter, 0), memCap: in.MemCap}
+			critLeft: filled(ws.critLeft, sh.Iter, 0), bwLeft: filled(ws.bwLeft, sh.Iter, 0)}
 		if in.MemCapPerStage != nil {
 			ws.memCap = in.MemCapPerStage[w.Stage]
 		}
@@ -203,7 +203,7 @@ func newState(in Input, routes [][][]int) *state {
 	// what lets a loaded peer run the *last* rerouted forward early enough
 	// for its backward chain to clear upstream stages before their
 	// all-reduce deadlines (the zero-overhead packing of Fig 6c).
-	if !in.Naive {
+	if in.Decoupled {
 		s.applyALAP()
 	}
 
@@ -235,7 +235,7 @@ func newState(in Input, routes [][][]int) *state {
 		// 1F1B forward-ahead window: the fault-free warm-up depth plus one
 		// per rerouted micro-batch this worker absorbs.
 		w.window = sh.PP - w.w.Stage
-		if !in.Naive {
+		if in.Decoupled {
 			w.window += int(s.rerouted[sh.WorkerIndex(w.w)])
 		}
 	}

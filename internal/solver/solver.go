@@ -48,23 +48,20 @@ type Input struct {
 	Costs schedule.CostFunc
 	// Failed is the set of failed workers to route around.
 	Failed map[schedule.Worker]bool
-	// MemCap is the per-worker in-flight activation cap in units (the
-	// MILP's M_Limit, Eq. 6). Zero means unlimited; the Planner derives
-	// real per-stage caps from the memory model. MemCapPerStage, when
-	// non-nil, overrides MemCap with a per-stage value (later 1F1B stages
-	// have more headroom — the imbalance §3.2 exploits).
-	MemCap         int
+	// MemCapPerStage is each stage's per-worker in-flight activation cap
+	// in units (the MILP's M_Limit, Eq. 6; later 1F1B stages have more
+	// headroom — the imbalance §3.2 exploits). Nil means unlimited; the
+	// Planner derives the caps from the memory model.
 	MemCapPerStage []int
-	// Decoupled enables Decoupled BackProp (split BInput/BWeight).
+	// Decoupled enables Decoupled BackProp (split BInput/BWeight). Without
+	// it the executor lacks the split backward instructions, so the solver
+	// also drops the deadline-driven (ALAP) priorities and the extended
+	// 1F1B window and inserts rerouted work round-robin into the 1F1B
+	// skeleton: Figure 3b, the Fig 11 ablation's "Adaptive Pipelining"
+	// alone.
 	Decoupled bool
 	// Staggered enables the Staggered Optimizer (per-stage barriers).
 	Staggered bool
-	// Naive disables the deadline-driven (ALAP) priorities and the
-	// extended 1F1B window, reproducing the plain round-robin insertion of
-	// Figure 3b — the behavior of a pipeline engine without the decoupled
-	// backward instructions. The Planner uses it for the Fig 11 ablation's
-	// "Adaptive Pipelining only" configuration.
-	Naive bool
 }
 
 // ErrStageDead is returned when some pipeline stage has no live worker in

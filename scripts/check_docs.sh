@@ -5,7 +5,8 @@
 # EVALUATION.md names an experiments entry point that is not a defined
 # function, or when the README flag reference and the
 # cmd/ binaries disagree (a flag documented but not defined, or defined
-# but not documented).
+# but not documented), or when a ci.yml step selects a test that does not
+# exist.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 fail=0
@@ -153,7 +154,34 @@ if ! grep -q 'EVALUATION.md' ARCHITECTURE.md; then
   fail=1
 fi
 
+# 6. Every test a ci.yml step selects by name must exist, so a deleted or
+#    renamed test cannot drop silently out of a race or fuzz step: each
+#    alternative of a -run, -bench or -fuzz pattern must match some
+#    Test/Benchmark/Fuzz function of a _test.go file — exactly, for the
+#    names of a '^(A|B)$' list; as the regex it is (a '^TestX' prefix, a
+#    bare substring) otherwise. '^$' and '.' are not names.
+tests=$(git ls-files -co --exclude-standard '*_test.go' |
+  { xargs grep -shoE '^func (Test|Benchmark|Fuzz)[A-Za-z0-9_]*\(' || true; } |
+  sed -E 's/^func //; s/\($//' | sort -u)
+while IFS= read -r pat; do
+  anchor=''
+  if [[ $pat =~ ^\^\((.*)\)\$$ ]]; then
+    pat=${BASH_REMATCH[1]}
+    anchor=1
+  fi
+  IFS='|' read -ra alts <<<"$pat"
+  for alt in "${alts[@]}"; do
+    [[ $alt == '^$' || $alt == '.' ]] && continue
+    re=$alt
+    [ -n "$anchor" ] && re="^$alt\$"
+    if ! grep -qE "$re" <<<"$tests"; then
+      echo "ci.yml selects tests by '$alt' but no _test.go function matches it"
+      fail=1
+    fi
+  done
+done < <(grep -oE -- "-(run|bench|fuzz) '[^']*'" .github/workflows/ci.yml | sed -E "s/^-[a-z]+ '//; s/'$//")
+
 if [ "$fail" -eq 0 ]; then
-  echo "docs check OK: $(printf '%s\n' $flags | wc -l | tr -d ' ') flags documented, all package references, identifiers and experiment entry points resolve"
+  echo "docs check OK: $(printf '%s\n' $flags | wc -l | tr -d ' ') flags documented, all package references, identifiers, experiment entry points and CI test selections resolve"
 fi
 exit $fail
