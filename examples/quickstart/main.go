@@ -34,10 +34,9 @@ func main() {
 	}
 	eng := engine.New(job, stats, engine.Options{})
 
-	// The offline phase: one plan per tolerated failure count, warmed in
-	// the background (fewest failures first) into the engine's cache; Wait
-	// makes it synchronous here.
-	if err := eng.Warm(2).Wait(); err != nil {
+	// The offline phase: one plan per tolerated failure count, warmed
+	// concurrently (fewest failures first) into the engine's cache.
+	if err := eng.Warm(2); err != nil {
 		log.Fatal(err)
 	}
 	ff, err := eng.Plan(0)

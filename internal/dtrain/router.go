@@ -51,8 +51,9 @@ type payload struct {
 
 // slot is one message's cell of the router's table: stash and transport at
 // once. It is empty until its send, then holds the payload — unread until
-// the first recv, read afterwards — until the boundary ack empties it
-// again. waiter is the worker (index+1) parked on the empty slot.
+// the first recv, read afterwards — until the iteration boundary's release
+// empties the whole table. waiter is the worker (index+1) parked on the
+// empty slot.
 type slot struct {
 	mu     sync.Mutex
 	state  uint8
@@ -95,8 +96,8 @@ var tablePool sync.Pool
 // PipeDream's stash-and-replay send buffer made the only buffer there is:
 // one dense slot per message the Shape can name, indexed by the message's
 // own coordinates. A send fills its slot and wakes the one worker parked on
-// it; the payload then stays readable until acknowledged, so a receiver
-// whose predecessor consumed the original copy — re-routed work
+// it; the payload then stays readable until the iteration boundary, so a
+// receiver whose predecessor consumed the original copy — re-routed work
 // re-requesting a tensor that died with a killed worker — reads it again
 // (the replay path) instead of blocking forever. A slot is sent at most
 // once per phase — the original plus one re-derived send per later splice
@@ -308,41 +309,10 @@ func (r *router) reduce(g int, st *nn.Stage) {
 	b.sum = st.Params()
 }
 
-// ack empties one slot: the payload's effects are durable and it must
-// never be replayed again (a fresh send re-opens the obligation, and an
-// emptied contribution slot counts its barrier back up). It reports
-// whether the slot held a payload.
-func (r *router) ack(i int) bool {
-	s := &r.slots[i]
-	s.mu.Lock()
-	held := s.state != slotEmpty
-	s.p, s.state = payload{}, slotEmpty
-	s.mu.Unlock()
-	if c := i - int(msgContrib)*r.triples; held && c >= 0 {
-		r.count(c/(r.shape.DP*r.shape.MB), 1)
-	}
-	return held
-}
-
-// ackIteration acknowledges and garbage-collects every payload of one
-// iteration — called at the iteration boundary, once the optimizer steps
-// are validated and no failure can re-request this iteration's tensors —
-// and returns how many it collected.
-func (r *router) ackIteration(iter int) int {
-	sh, n := r.shape, 0
-	for kind := msgAct; kind <= msgContrib; kind++ {
-		lo := r.index(msgKey{kind: kind, iter: iter})
-		for i := lo; i < lo+sh.PP*sh.DP*sh.MB; i++ {
-			if r.ack(i) {
-				n++
-			}
-		}
-	}
-	return n
-}
-
-// release hands the table back for the next iteration, after every
-// executor has stopped. Whatever was not acknowledged is dropped.
+// release hands the table back, emptied, after every executor has stopped:
+// the iteration boundary, past which no failure can re-request the
+// iteration's payloads. open then starts the next iteration on empty slots
+// and full barriers.
 func (r *router) release() {
 	clear(r.slots)
 	clear(r.table.view)

@@ -50,12 +50,11 @@ func (r *router) held() int {
 }
 
 // TestStashRingProperty drives the slot table through seeded interleavings
-// of send, ack and iteration GC over all three per-triple kinds, checking
-// the protocol invariant after every step: a payload is replayable if and
-// only if it was sent and not since acknowledged (individually or by its
-// iteration's boundary GC), what replays is always the latest copy sent,
-// and every stage group's barrier counts exactly its empty contribution
-// slots.
+// of sends and iteration boundaries (release, then open) over all three
+// per-triple kinds, checking the protocol invariant after every step: a
+// payload is replayable if and only if it was sent since the last
+// boundary, what replays is always the latest copy sent, and every stage
+// group's barrier counts exactly its empty contribution slots.
 func TestStashRingProperty(t *testing.T) {
 	sh := schedule.Shape{DP: 2, PP: 3, MB: 6, Iter: 2}
 	keys := make([]msgKey, 0, 18)
@@ -65,25 +64,17 @@ func TestStashRingProperty(t *testing.T) {
 	for seed := int64(0); seed < 25; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		r := testRouter(sh)
-		model := make(map[msgKey]*tensor.Matrix) // unacked payloads only
+		model := make(map[msgKey]*tensor.Matrix) // payloads sent since the last boundary
 		for step := 0; step < 300; step++ {
 			k := keys[rng.Intn(len(keys))]
-			switch rng.Intn(3) {
-			case 0: // send (a re-send of an acked key re-opens it)
+			if rng.Intn(8) == 0 { // iteration boundary
+				r.release()
+				r.open(sh)
+				clear(model)
+			} else { // send (a send after a boundary re-opens its key)
 				m := &tensor.Matrix{Rows: step}
 				r.send(k, payload{mat: m})
 				model[k] = m
-			case 1: // acknowledge one payload
-				r.ack(r.index(k))
-				delete(model, k)
-			case 2: // iteration-boundary GC
-				it := rng.Intn(2)
-				r.ackIteration(it)
-				for mk := range model {
-					if mk.iter == it {
-						delete(model, mk)
-					}
-				}
 			}
 			for _, mk := range keys {
 				p, ok := r.replay(mk)
@@ -112,12 +103,13 @@ func TestStashRingProperty(t *testing.T) {
 }
 
 // TestStashIterationGCBoundsMemory is the regression test that the
-// iteration-boundary GC actually bounds stash memory: every iteration's
-// entries — acked or not — are collected at its boundary, so the stash
-// never holds more than one iteration's cross-worker traffic.
+// iteration boundary actually bounds stash memory: every iteration's
+// entries — read or not — are collected by release, so the stash never
+// holds more than one iteration's cross-worker traffic.
 func TestStashIterationGCBoundsMemory(t *testing.T) {
 	const perIter = 10
-	r := testRouter(schedule.Shape{DP: 1, PP: perIter, MB: perIter, Iter: 8})
+	sh := schedule.Shape{DP: 1, PP: perIter, MB: perIter, Iter: 8}
+	r := testRouter(sh)
 	for it := 0; it < 8; it++ {
 		for i := 0; i < perIter; i++ {
 			r.send(msgKey{kind: msgAct, stage: i, iter: it, mb: nn.MBKey{MB: i}}, payload{})
@@ -127,9 +119,8 @@ func TestStashIterationGCBoundsMemory(t *testing.T) {
 		if got := r.held(); got != perIter {
 			t.Fatalf("iteration %d: table holds %d payloads before its GC, want %d (leak across boundaries)", it, got, perIter)
 		}
-		if n := r.ackIteration(it); n != perIter {
-			t.Fatalf("iteration %d: boundary GC collected %d payloads, want %d", it, n, perIter)
-		}
+		r.release()
+		r.open(sh)
 		if got := r.held(); got != 0 {
 			t.Fatalf("iteration %d: boundary GC left %d payloads", it, got)
 		}
@@ -209,9 +200,10 @@ func TestAbortMidSendNeverDeadlocks(t *testing.T) {
 // protocol relies on: a sent original is consumed first, unflagged — also
 // by a receiver that parked before the send; once consumed, a
 // re-requesting receiver is served the same payload again, flagged as a
-// re-send; an acknowledged slot no longer replays.
+// re-send; past the iteration boundary the slot no longer replays.
 func TestRecvPrefersLiveChannelThenStash(t *testing.T) {
-	r := testRouter(schedule.Shape{DP: 1, PP: 2, MB: 4, Iter: 1})
+	sh := schedule.Shape{DP: 1, PP: 2, MB: 4, Iter: 1}
+	r := testRouter(sh)
 	tr := obs.NewTrace()
 	r.rec = tr
 	k := msgKey{kind: msgAct, stage: 1, iter: 0, mb: nn.MBKey{MB: 2}}
@@ -250,25 +242,27 @@ func TestRecvPrefersLiveChannelThenStash(t *testing.T) {
 	if n := tr.Counters()["events.resend"]; n != 1 {
 		t.Fatalf("replayed read recorded %d re-sends, want 1", n)
 	}
-	r.ackIteration(0)
+	r.release()
+	r.open(sh)
 	go func() {
 		time.Sleep(10 * time.Millisecond)
 		r.abort()
 	}()
 	if _, ok := r.recv(k, 0); ok {
-		t.Fatal("acked payload was replayed after the iteration-boundary GC")
+		t.Fatal("a payload was replayed past the iteration boundary")
 	}
 }
 
 // TestChaosRouterStashSurvivesSecondLoss is the premature-GC regression
 // for cascading kills: when a second splice re-loses a suffix the first
 // splice already re-executed, the consumer comes back for the same payload
-// a second (and Nth) time. Nothing may acknowledge the stash mid-cascade —
-// the only ack point is the iteration-boundary GC after the final phase —
-// so every re-request before it must still replay, and a fresh send after
-// an ack must re-open the obligation.
+// a second (and Nth) time. Nothing may empty the stash mid-cascade — the
+// only release is the iteration boundary after the final phase — so every
+// re-request before it must still replay, and a fresh send after the
+// boundary must re-open the obligation.
 func TestChaosRouterStashSurvivesSecondLoss(t *testing.T) {
-	r := testRouter(schedule.Shape{DP: 2, PP: 2, MB: 2, Iter: 3})
+	sh := schedule.Shape{DP: 2, PP: 2, MB: 2, Iter: 3}
+	r := testRouter(sh)
 	k := msgKey{kind: msgAct, stage: 1, iter: 2, mb: nn.MBKey{Pipeline: 0, MB: 1}}
 	m := tensor.New(1, 1)
 	r.send(k, payload{mat: m})
@@ -277,31 +271,28 @@ func TestChaosRouterStashSurvivesSecondLoss(t *testing.T) {
 	if p, ok := r.replay(k); !ok || p.mat != m {
 		t.Fatal("first re-request did not replay the stashed payload")
 	}
-	// Second splice re-loses the same suffix before any boundary ack: the
+	// Second splice re-loses the same suffix before the boundary: the
 	// payload must replay again, bit-identical.
 	for n := 0; n < 3; n++ {
 		if p, ok := r.replay(k); !ok || p.mat != m {
 			t.Fatalf("re-request %d after a later splice missed: premature stash GC", n+2)
 		}
 	}
-	// Only the iteration-boundary GC — the cascade's single ack point —
+	// Only the iteration boundary — the cascade's single release —
 	// retires the obligation.
-	if got := r.ackIteration(k.iter); got != 1 {
-		t.Fatalf("boundary GC collected %d entries, want 1", got)
+	if got := r.held(); got != 1 {
+		t.Fatalf("the table holds %d payloads before the boundary, want 1", got)
 	}
+	r.release()
+	r.open(sh)
 	if _, ok := r.replay(k); ok {
-		t.Fatal("payload replayed after its iteration was acknowledged")
+		t.Fatal("payload replayed past the iteration boundary")
 	}
-	// A per-key ack also blocks replay, and a fresh send re-opens it: a
-	// re-planned producer's new send is a new obligation.
-	r.send(k, payload{mat: m})
-	r.ack(r.index(k))
-	if _, ok := r.replay(k); ok {
-		t.Fatal("acked payload replayed")
-	}
+	// A fresh send re-opens it: the next iteration's send is a new
+	// obligation.
 	r.send(k, payload{mat: m})
 	if _, ok := r.replay(k); !ok {
-		t.Fatal("re-stash after ack did not re-open the obligation")
+		t.Fatal("a send after the boundary did not re-open the obligation")
 	}
 }
 

@@ -248,7 +248,7 @@ func (rt *Runtime) Program() (*schedule.Program, error) {
 // the engine's cache — the offline Planner phase of Fig 8, run to completion
 // before training starts.
 func (rt *Runtime) PrePlan(maxFailures int) error {
-	return rt.eng.Warm(maxFailures).Wait()
+	return rt.eng.Warm(maxFailures)
 }
 
 // PlanMetrics reports the plan service's traffic counters: how many
@@ -288,7 +288,7 @@ type CascadeEvent struct {
 // cross-worker payload in its slot. Apply: the event lands (applyEvent) and
 // the next phase interprets the re-spliced Program, re-reading
 // already-consumed tensors from their slots. Only the final boundary
-// acknowledges them: a later kill can re-lose a suffix an earlier splice
+// releases them: a later kill can re-lose a suffix an earlier splice
 // planned. Errors carry the flight recorder's dump (obs.Trace.Dump) when
 // the attached recorder is an *obs.Trace.
 func (rt *Runtime) RunIteration(events ...CascadeEvent) (float64, error) {
@@ -587,10 +587,10 @@ func (rt *Runtime) applyEvent(ev CascadeEvent, lv *replay.Spliced, cur *schedule
 
 // finish seals one interpreted iteration, every executor having stopped,
 // exec its executed timeline: it collects executor errors, rolls back on
-// failure (§5) or acknowledges the iteration's messages, and either way
-// frees what the iteration held — the router's slot table, the stages'
-// activation stashes and the arenas under every tensor of the iteration
-// (the boundary GC of the re-send protocol) — then reduces the loss.
+// failure (§5), and either way frees what the iteration held — the
+// router's slot table, the stages' activation stashes and the arenas under
+// every tensor of the iteration (the boundary GC of the re-send protocol)
+// — then reduces the loss.
 func (rt *Runtime) finish(exec *sim.Execution, fl *inflight) (float64, error) {
 	firstErr := fl.err
 	fl.err = nil
@@ -611,12 +611,6 @@ func (rt *Runtime) finish(exec *sim.Execution, fl *inflight) (float64, error) {
 			if !rt.failed[w] {
 				st.Reset()
 			}
-		}
-	} else {
-		// Iteration boundary: every optimizer step validated, so no
-		// failure can re-request this iteration's tensors anymore.
-		for it := 0; it < exec.Program.Shape.Iter; it++ {
-			fl.r.ackIteration(it)
 		}
 	}
 	// Tensors cross workers — an activation is the next stage's stash, a

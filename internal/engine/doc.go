@@ -6,10 +6,10 @@
 //
 // It owns the full solve→plan→compile→store→fetch lifecycle of Fig 8:
 //
-//   - Warm precomputes the plan for every tolerated failure count in the
-//     background (fewest failures first, since those are the likeliest
-//     fetches) with a bounded worker pool, while ProgramFor keeps
-//     serving — the offline phase, run as a background warming pipeline;
+//   - Warm precomputes the plan for every tolerated failure count on the
+//     engine's worker pool (fewest failures first, since those are the
+//     likeliest fetches) and returns when they are cached, while ProgramFor
+//     keeps serving — the offline phase;
 //   - plans live in the engine's cache; the one artifact a shared plan
 //     store (Options.Store: internal/planstore, the paper's etcd; nil
 //     means in-process only, nothing encoded) holds is the compiled
@@ -42,9 +42,9 @@
 //
 // The Planner (§4.2: Failure Normalization plus schedule generation)
 // lives here too, as the engine's immutable configuration. There
-// is one cache, a get-or-solve map lock-striped into 64 hash shards keyed
-// by plan key, so a stripe is only ever locked for the keys it owns. Each
-// key has one entry: its Plan (absent for a renamed set no PlanConcrete
+// is one cache, a get-or-solve map keyed by plan key under one mutex, held
+// only to look up, admit or mark a solve in flight, never across a solve
+// or a compile. Each key has one entry: its Plan (absent for a renamed set no PlanConcrete
 // asked for), its Program, filled once under the entry's mutex, and
 // whether both are renamed from the orbit representative's. The Best(n)
 // index of Fig 8 is the entries under the normalized keys. A plan is a

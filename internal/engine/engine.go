@@ -2,8 +2,8 @@ package engine
 
 import (
 	"fmt"
-	"hash/maphash"
 	"runtime"
+	"sync"
 	"sync/atomic"
 
 	"recycle/internal/config"
@@ -14,8 +14,7 @@ import (
 )
 
 // Options tunes an Engine. The zero value selects full ReCycle techniques,
-// the planner's default unroll window, one worker per CPU and no plan
-// store.
+// the planner's default unroll window and no plan store.
 type Options struct {
 	// Techniques overrides the ReCycle technique toggles (nil selects
 	// AllTechniques).
@@ -23,9 +22,6 @@ type Options struct {
 	// UnrollIterations overrides the planner's steady-state unroll window
 	// (0 keeps the planner default; the live runtime plans 1 iteration).
 	UnrollIterations int
-	// Workers bounds the worker pool that Warm and Prefetch run on (0
-	// selects GOMAXPROCS).
-	Workers int
 	// Store injects a shared replicated plan store: the engine fetches
 	// Programs other engines replicated and replicates its own. Nil means
 	// in-process only: no Program is encoded or stored.
@@ -57,14 +53,6 @@ type Metrics struct {
 	// One per key, whichever artifacts are renamed for it and however many
 	// first requests for it arrive concurrently.
 	ClassDedups uint64
-
-	// Service counters. StripeContended counts lock acquisitions that
-	// could not be satisfied speculatively and had to block — the direct
-	// measure of cache-lock contention under load. WarmedPlans/WarmTargets
-	// track background warming coverage.
-	StripeContended uint64
-	WarmedPlans     uint64
-	WarmTargets     uint64
 }
 
 // newConf resolves Options against the planner defaults into the
@@ -90,7 +78,7 @@ func newConf(job config.Job, stats profile.Stats, opts Options) *Planner {
 // concurrent use.
 type Engine struct {
 	store   *planstore.Store // nil: in-process only
-	workers int
+	workers int              // the width of Warm's and Prefetch's pool: GOMAXPROCS at New
 
 	// conf is the configuration, fixed at New.
 	conf *Planner
@@ -98,17 +86,18 @@ type Engine struct {
 	// so the fetch every fault-free iteration makes builds no string.
 	healthy string
 
-	// seed/stripes are the lock-striped plan cache: one entry per key and
-	// the in-flight solves, sharded by key hash. The entries under nkey
-	// are the Best(n) index, the adaptive-schedule store of Fig 8.
-	seed    maphash.Seed
-	stripes [numStripes]stripe
+	// mu guards the plan cache: entries holds one entry per key (those
+	// under nkey are the Best(n) index, the adaptive-schedule store of
+	// Fig 8) and inflight the solves in flight. A failed solve leaves no
+	// entry, so its error is not cached.
+	mu       sync.Mutex
+	entries  map[string]*entry
+	inflight map[string]*call
 
 	cacheHits, storeHits, bestHits atomic.Uint64
 	solves, coalesced, storeErrs   atomic.Uint64
 	compiles, programHits          atomic.Uint64
-	classDedups, stripeContended   atomic.Uint64
-	warmedPlans, warmTargets       atomic.Uint64
+	classDedups                    atomic.Uint64
 
 	// rec holds the installed tracing recorder (a recBox; empty means
 	// tracing off). See SetRecorder / observe in observe.go.
@@ -117,21 +106,14 @@ type Engine struct {
 
 // New builds the plan service for a job.
 func New(job config.Job, stats profile.Stats, opts Options) *Engine {
-	workers := opts.Workers
-	if workers < 1 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	e := &Engine{
-		store:   opts.Store,
-		workers: workers,
-		conf:    newConf(job, stats, opts),
-		seed:    maphash.MakeSeed(),
+		store:    opts.Store,
+		workers:  runtime.GOMAXPROCS(0),
+		conf:     newConf(job, stats, opts),
+		entries:  make(map[string]*entry),
+		inflight: make(map[string]*call),
 	}
 	e.healthy = nkey(e.conf.fp, 0)
-	for i := range e.stripes {
-		e.stripes[i].entries = make(map[string]*entry)
-		e.stripes[i].inflight = make(map[string]*call)
-	}
 	return e
 }
 
@@ -178,10 +160,6 @@ func (e *Engine) Metrics() Metrics {
 
 		ScratchSolves: e.solves.Load(),
 		ClassDedups:   e.classDedups.Load(),
-
-		StripeContended: e.stripeContended.Load(),
-		WarmedPlans:     e.warmedPlans.Load(),
-		WarmTargets:     e.warmTargets.Load(),
 	}
 }
 
@@ -312,30 +290,24 @@ func (e *Engine) peek(key string) (*Plan, bool) {
 }
 
 // getOrSolve is the coalescing get-or-solve core: one solve per key no
-// matter how many callers arrive concurrently. Coalescing is per-stripe —
-// a solve on one fingerprint never blocks a hit on another — and the cache
-// is probed under the shared lock before the exclusive inflight path is
-// touched at all.
+// matter how many callers arrive concurrently. The solve runs outside the
+// cache lock, so hits on other keys are served while it runs.
 func (e *Engine) getOrSolve(key string, solve func() (*Plan, error)) (*Plan, error) {
-	if p, ok := e.peek(key); ok {
-		return p, nil
-	}
-	st := e.stripeFor(key)
-	e.lockExcl(&st.mu)
-	if en, ok := st.entries[key]; ok {
-		st.mu.Unlock()
+	e.mu.Lock()
+	if en, ok := e.entries[key]; ok {
+		e.mu.Unlock()
 		e.cacheHits.Add(1)
 		return en.plan.Load(), nil
 	}
-	if c, ok := st.inflight[key]; ok {
-		st.mu.Unlock()
+	if c, ok := e.inflight[key]; ok {
+		e.mu.Unlock()
 		e.coalesced.Add(1)
 		<-c.done
 		return c.plan, c.err
 	}
 	c := &call{done: make(chan struct{})}
-	st.inflight[key] = c
-	st.mu.Unlock()
+	e.inflight[key] = c
+	e.mu.Unlock()
 
 	e.solves.Add(1)
 	e.observe(obs.EvPlanSolve, key)
@@ -343,9 +315,9 @@ func (e *Engine) getOrSolve(key string, solve func() (*Plan, error)) (*Plan, err
 	if err == nil {
 		p = e.admit(key, p, false).plan.Load()
 	}
-	e.lockExcl(&st.mu)
-	delete(st.inflight, key)
-	st.mu.Unlock()
+	e.mu.Lock()
+	delete(e.inflight, key)
+	e.mu.Unlock()
 	c.plan, c.err = p, err
 	close(c.done)
 	return p, err

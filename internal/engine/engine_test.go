@@ -5,8 +5,10 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"recycle/internal/config"
+	"recycle/internal/obs"
 	"recycle/internal/planstore"
 	"recycle/internal/profile"
 	"recycle/internal/schedule"
@@ -33,7 +35,7 @@ func analyticJob(t *testing.T) (config.Job, profile.Stats) {
 func TestPlanAllParallelMatchesSequential(t *testing.T) {
 	job, stats := analyticJob(t)
 	eng := New(job, stats, Options{UnrollIterations: 2})
-	if err := eng.Warm(0).Wait(); err != nil {
+	if err := eng.Warm(0); err != nil {
 		t.Fatal(err)
 	}
 
@@ -94,6 +96,71 @@ func TestPlanCoalescesConcurrentRequests(t *testing.T) {
 	}
 }
 
+// solveGate is a recorder that holds every solve at its start until gate
+// is closed, signalling began as each of its first solves starts.
+type solveGate struct {
+	began chan struct{}
+	gate  chan struct{}
+}
+
+func (r *solveGate) Enabled() bool                          { return true }
+func (r *solveGate) Span(obs.Span)                          {}
+func (r *solveGate) BeginProgram(string, *schedule.Program) {}
+func (r *solveGate) Event(ev obs.Event) {
+	if ev.Kind == obs.EvPlanSolve {
+		select {
+		case r.began <- struct{}{}:
+		default:
+		}
+		<-r.gate
+	}
+}
+
+// TestFailedSolveIsNotCached pins what a failed solve leaves behind:
+// nothing. Concurrent first callers of a set the solver rejects (every
+// worker of stage 0 down) all get the error of one solve, and the next
+// call solves again.
+func TestFailedSolveIsNotCached(t *testing.T) {
+	job, stats := ShapeJob(2, 2, 4)
+	eng := New(job, stats, Options{UnrollIterations: 1})
+	rec := &solveGate{began: make(chan struct{}, 2), gate: make(chan struct{})}
+	eng.SetRecorder(rec)
+	stage0 := []schedule.Worker{{Stage: 0, Pipeline: 0}, {Stage: 0, Pipeline: 1}}
+
+	const callers = 16
+	var wg sync.WaitGroup
+	errs := make([]error, callers)
+	for i := range callers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, errs[i] = eng.PlanConcrete(stage0)
+		}()
+	}
+	<-rec.began
+	for deadline := time.Now().Add(5 * time.Second); eng.Metrics().Coalesced < callers-1; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d callers coalesced onto the solve in flight", eng.Metrics().Coalesced, callers-1)
+		}
+	}
+	close(rec.gate)
+	wg.Wait()
+	for i, err := range errs {
+		if err == nil || err.Error() != errs[0].Error() {
+			t.Fatalf("caller %d got %v, want the one solve's error %v", i, err, errs[0])
+		}
+	}
+	if m := eng.Metrics(); m.Solves != 1 || m.CacheHits != 0 {
+		t.Fatalf("%d concurrent callers: %d solves and %d cache hits, want 1 and 0", callers, m.Solves, m.CacheHits)
+	}
+	if _, err := eng.PlanConcrete(stage0); err == nil {
+		t.Fatal("a retried solve of a rejected set succeeded")
+	}
+	if m := eng.Metrics(); m.Solves != 2 || m.CacheHits != 0 {
+		t.Fatalf("the retry made %d solves in all and %d cache hits, want 2 and 0: the error was cached", m.Solves, m.CacheHits)
+	}
+}
+
 // planFor is ProgramFor's plan half, for tests that check the schedule
 // behind a fetch: the healthy plan for an empty set, else the cached
 // concrete plan or Best(n) (cached), else PlanConcrete — which, for a
@@ -116,7 +183,7 @@ func (e *Engine) planFor(failed map[schedule.Worker]bool) (*Plan, error) {
 func TestPlanForCoordinatorFlow(t *testing.T) {
 	job, stats := ShapeJob(3, 4, 6)
 	eng := New(job, stats, Options{UnrollIterations: 1})
-	if err := eng.Warm(2).Wait(); err != nil {
+	if err := eng.Warm(2); err != nil {
 		t.Fatal(err)
 	}
 	base := eng.Metrics().Solves
@@ -277,7 +344,7 @@ func TestTechniqueRetuningAddressesNewNamespace(t *testing.T) {
 // never served from the other namespace.
 func TestProgramForNeverCrossesTechniqueNamespace(t *testing.T) {
 	fullEng, naiveEng := techniqueEngines()
-	if err := fullEng.Warm(0).Wait(); err != nil {
+	if err := fullEng.Warm(0); err != nil {
 		t.Fatal(err)
 	}
 	full, err := fullEng.Plan(1)
@@ -313,7 +380,7 @@ func TestStoreHoldsOnlyPrograms(t *testing.T) {
 	job, stats := ShapeJob(3, 2, 4)
 	store := planstore.New(3)
 	eng := New(job, stats, Options{UnrollIterations: 1, Store: store})
-	if err := eng.Warm(0).Wait(); err != nil {
+	if err := eng.Warm(0); err != nil {
 		t.Fatal(err)
 	}
 	for stage := range 2 {

@@ -167,7 +167,7 @@ func TestPlanAllAndStore(t *testing.T) {
 		t.Fatalf("max planned failures %d, want %d", maxF, job.Parallel.DP-1)
 	}
 	eng := New(job, stats, Options{UnrollIterations: 2})
-	if err := eng.Warm(maxF).Wait(); err != nil {
+	if err := eng.Warm(maxF); err != nil {
 		t.Fatal(err)
 	}
 	for f := 0; f <= maxF; f++ {

@@ -50,16 +50,16 @@ func drawVictims(rng *rand.Rand, dp, pp, maxF int) map[schedule.Worker]bool {
 	return failed
 }
 
-// TestWarmConcurrentWithScheduleStorm pins the tentpole concurrency
-// property: the background warming pipeline and a planFor storm run
-// against the same engine at the same time, every request is answered
-// correctly, and warming still reaches full coverage.
+// TestWarmConcurrentWithScheduleStorm runs Warm and a planFor storm
+// against the same engine at the same time: every request is answered
+// correctly, and Warm still caches every normalized plan it targets.
 func TestWarmConcurrentWithScheduleStorm(t *testing.T) {
 	job, stats := ShapeJob(4, 3, 6)
 	eng := New(job, stats, Options{UnrollIterations: 1})
 	const maxF = 2
 
-	w := eng.Warm(maxF)
+	warmed := make(chan error, 1)
+	go func() { warmed <- eng.Warm(maxF) }()
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -78,27 +78,24 @@ func TestWarmConcurrentWithScheduleStorm(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if err := w.Wait(); err != nil {
+	if err := <-warmed; err != nil {
 		t.Fatalf("warm alongside storm: %v", err)
 	}
-	done, total := w.Coverage()
-	if done != total || total != maxF+1 {
-		t.Fatalf("warm coverage %d/%d, want %d/%d", done, total, maxF+1, maxF+1)
-	}
-	m := eng.Metrics()
-	if m.WarmedPlans != uint64(maxF+1) || m.WarmTargets != uint64(maxF+1) {
-		t.Fatalf("warm counters %d/%d, want %d/%d", m.WarmedPlans, m.WarmTargets, maxF+1, maxF+1)
+	for n := 0; n <= maxF; n++ {
+		if p, ok := eng.best(n); !ok || p.Failures != n {
+			t.Fatalf("after Warm, best(%d) = (%v, %v), want the %d-failure plan", n, p, ok, n)
+		}
 	}
 }
 
 // TestChurnRaceStress drives a fetch storm over a warmed engine: fetchers
 // validate every schedule and Program they are served while they race to
 // solve, admit and compile the same keys. Run under -race this is the
-// data-race proof for the striped engine.
+// data-race proof for the engine's cache.
 func TestChurnRaceStress(t *testing.T) {
 	job, stats := ShapeJob(3, 3, 4)
 	eng := New(job, stats, Options{UnrollIterations: 1})
-	if err := eng.Warm(2).Wait(); err != nil {
+	if err := eng.Warm(2); err != nil {
 		t.Fatal(err)
 	}
 

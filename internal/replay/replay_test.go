@@ -323,7 +323,10 @@ func poolFetching() bool {
 // baseline, and no solve may start afterwards.
 func TestReplayStopsItsPrefetcher(t *testing.T) {
 	job, stats := engine.ShapeJob(12, 2, 85)
-	eng := engine.New(job, stats, engine.Options{UnrollIterations: 1, Workers: 1})
+	// The pool is as wide as GOMAXPROCS at New.
+	procs := runtime.GOMAXPROCS(1)
+	eng := engine.New(job, stats, engine.Options{UnrollIterations: 1})
+	runtime.GOMAXPROCS(procs)
 	// Machines 2, 9 and 14 (W1_0, W4_1, W7_0) fail and re-join.
 	n := job.Parallel.Workers()
 	tr := failure.Trace{Name: "churn", Total: n, Steps: []failure.Step{{Available: n}}}

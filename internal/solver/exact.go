@@ -2,6 +2,7 @@ package solver
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -350,7 +351,8 @@ func (e *exSearch) dfs(c *exCtx) {
 	}
 }
 
-// exCaps resolves the per-worker activation caps for the exact search.
+// exCaps resolves the per-worker activation caps for the exact search. A
+// stage capped at 0 is unlimited, as in the greedy solver.
 func exCaps(in Input, st *state) []int {
 	if in.MemCapPerStage == nil {
 		return nil
@@ -358,6 +360,9 @@ func exCaps(in Input, st *state) []int {
 	caps := make([]int, len(st.workers))
 	for wi := range st.workers {
 		caps[wi] = in.MemCapPerStage[st.workers[wi].w.Stage]
+		if caps[wi] <= 0 {
+			caps[wi] = math.MaxInt
+		}
 	}
 	return caps
 }

@@ -1,6 +1,7 @@
 package solver
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -266,13 +267,15 @@ func TestExactCertifiesGreedy(t *testing.T) {
 		shape  schedule.Shape
 		failed map[schedule.Worker]bool
 		dec    bool
+		caps   []int // 0 is unlimited
 	}{
-		{schedule.Shape{DP: 2, PP: 2, MB: 2, Iter: 1}, nil, false},
-		{schedule.Shape{DP: 2, PP: 2, MB: 3, Iter: 1}, map[schedule.Worker]bool{{Stage: 1, Pipeline: 1}: true}, false},
-		{schedule.Shape{DP: 2, PP: 2, MB: 3, Iter: 1}, map[schedule.Worker]bool{{Stage: 1, Pipeline: 1}: true}, true},
-		{schedule.Shape{DP: 3, PP: 2, MB: 4, Iter: 1}, map[schedule.Worker]bool{{Stage: 1, Pipeline: 1}: true}, true},
+		{schedule.Shape{DP: 2, PP: 2, MB: 2, Iter: 1}, nil, false, nil},
+		{schedule.Shape{DP: 2, PP: 2, MB: 3, Iter: 1}, map[schedule.Worker]bool{{Stage: 1, Pipeline: 1}: true}, false, nil},
+		{schedule.Shape{DP: 2, PP: 2, MB: 3, Iter: 1}, map[schedule.Worker]bool{{Stage: 1, Pipeline: 1}: true}, true, nil},
+		{schedule.Shape{DP: 2, PP: 2, MB: 3, Iter: 1}, map[schedule.Worker]bool{{Stage: 1, Pipeline: 1}: true}, true, []int{0, 2}},
+		{schedule.Shape{DP: 3, PP: 2, MB: 4, Iter: 1}, map[schedule.Worker]bool{{Stage: 1, Pipeline: 1}: true}, true, nil},
 	} {
-		in := Input{Shape: tc.shape, Durations: schedule.UnitSlots, Failed: tc.failed, Decoupled: tc.dec}
+		in := Input{Shape: tc.shape, Durations: schedule.UnitSlots, Failed: tc.failed, Decoupled: tc.dec, MemCapPerStage: tc.caps}
 		g, err := Solve(in)
 		if err != nil {
 			t.Fatal(err)
@@ -282,7 +285,25 @@ func TestExactCertifiesGreedy(t *testing.T) {
 			t.Fatal(err)
 		}
 		if ex.Makespan < g.ComputeMakespan(0) {
-			t.Errorf("shape %+v dec=%v: exact found %d < greedy %d", tc.shape, tc.dec, ex.Makespan, g.ComputeMakespan(0))
+			t.Errorf("shape %+v dec=%v caps=%v: exact found %d < greedy %d", tc.shape, tc.dec, tc.caps, ex.Makespan, g.ComputeMakespan(0))
+		}
+		if tc.caps != nil {
+			// A 0 cap is unlimited: the search answers as it does under a
+			// cap no worker reaches.
+			in.MemCapPerStage = slices.Clone(tc.caps)
+			for i, c := range in.MemCapPerStage {
+				if c == 0 {
+					in.MemCapPerStage[i] = tc.shape.DP * tc.shape.MB
+				}
+			}
+			loose, err := ExactMakespan(in, 2_000_000)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if loose.Makespan != ex.Makespan || loose.Optimal != ex.Optimal {
+				t.Errorf("shape %+v dec=%v: caps %v searched to (%d, optimal %v), caps %v to (%d, optimal %v)",
+					tc.shape, tc.dec, tc.caps, ex.Makespan, ex.Optimal, in.MemCapPerStage, loose.Makespan, loose.Optimal)
+			}
 		}
 	}
 }
