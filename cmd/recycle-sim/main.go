@@ -166,7 +166,7 @@ func opReplay(job config.Job, model string, gcp bool, freq, horizon time.Duratio
 		return err
 	}
 	if cm := eng.CostModel(); cm != nil {
-		fmt.Printf("calibrated stage scales: %s\n", cm.Signature())
+		fmt.Printf("calibrated stage scales: %g\n", cm.StageScale)
 	}
 	fmt.Printf("op-granularity replay of %s on %s over %s:\n", tr.Name, job.Model.Name, horizon)
 	fmt.Printf("  %d iterations, %.0f samples, avg %.2f samples/s\n", res.Iterations, res.Samples, res.Average)
@@ -203,7 +203,7 @@ func desTimeline(eng *engine.Engine, job config.Job, stats profile.Stats, n int,
 		// The victim's ops run at its modeled straggler cost — the cost
 		// model the straggler-aware comparison below prices it with.
 		truth := profile.UniformCost(stats).WithWorkerScale(victim, straggle)
-		if prog, err = prog.WithCosts(schedule.NewCostTable(prog.Shape, truth.Fn())); err != nil {
+		if prog, err = prog.WithCosts(truth.Table(prog.Shape)); err != nil {
 			return err
 		}
 	}

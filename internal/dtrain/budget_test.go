@@ -2,6 +2,7 @@ package dtrain
 
 import (
 	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"recycle/internal/schedule"
@@ -18,9 +19,13 @@ func liveShape() Config {
 
 // measureAllocs returns the objects and bytes one call of op allocates,
 // warm. testing.AllocsPerRun runs at GOMAXPROCS 1, where a sync.Pool item
-// another P parked is out of reach, so the warm-up runs under it too.
+// another P parked is out of reach, so the warm-up runs under it too. The
+// collector is held off from the warm-up on: a collection would empty the
+// pools and charge the measured calls for refilling them.
 func measureAllocs(op func()) (objs, bytes float64) {
 	const runs = 20
+	runtime.GC()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	testing.AllocsPerRun(5, op)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)

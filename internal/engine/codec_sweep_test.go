@@ -181,7 +181,7 @@ func TestProgramCodecCostTables(t *testing.T) {
 	labels, engines := engine.CostModelEngines(t, store)
 	for i, eng := range engines {
 		label := labels[i]
-		want := schedule.NewCostTable(eng.Shape(), eng.CostModel().Fn())
+		want := eng.CostModel().Table(eng.Shape())
 		check := func(at string, p *schedule.Program) []byte {
 			t.Helper()
 			if !slices.Equal(p.CostTable(), want) {

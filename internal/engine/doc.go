@@ -55,10 +55,10 @@
 // on), unroll window and heterogeneous cost model (profile.CostModel) —
 // is fixed at New; an engine per technique set is how the Fig 11 ablation
 // compares them, and an engine per cost model is how the Straggler study compares
-// a plan that knows a worker is slow with one that does not. The cost
-// model's per-(stage, op, worker) durations enter the plan fingerprint,
-// so engines with different models never share a key. A compiled Program
-// carries the model it was solved under as a dense cost table
-// (schedule.Program.CostTable), tabulated from the configuration whose
-// fingerprint keyed its plan.
+// a plan that knows a worker is slow with one that does not. New
+// tabulates the cost model once (profile.CostModel.Table): solves,
+// canonicalization and compiles read that one table, every compiled
+// Program carries it (schedule.Program.CostTable), and the plan
+// fingerprint encodes it with the rest of what the solver reads, so
+// engines with different models never share a key.
 package engine

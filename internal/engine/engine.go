@@ -69,8 +69,8 @@ func newConf(job config.Job, stats profile.Stats, opts Options) *Planner {
 	if opts.UnrollIterations > 0 {
 		pl.UnrollIterations = opts.UnrollIterations
 	}
-	pl.Costs = opts.CostModel
-	pl.fp = Fingerprint(pl.Job, pl.Stats, pl.Techniques, pl.UnrollIterations, pl.Costs.Signature())
+	pl.model, pl.costs = opts.CostModel, opts.CostModel.Table(pl.Shape())
+	pl.fp = pl.fingerprint()
 	return pl
 }
 
@@ -144,7 +144,7 @@ func (e *Engine) Shape() schedule.Shape { return e.conf.Shape() }
 
 // CostModel returns the heterogeneous cost model (nil when the engine
 // plans with the homogeneous profiled stats).
-func (e *Engine) CostModel() *profile.CostModel { return e.conf.Costs }
+func (e *Engine) CostModel() *profile.CostModel { return e.conf.model }
 
 // Metrics returns a snapshot of the plan-traffic counters.
 func (e *Engine) Metrics() Metrics {
@@ -237,11 +237,7 @@ func (e *Engine) concrete(failed []schedule.Worker) ([]schedule.Worker, string) 
 // (schedule.CanonicalizeVictims).
 func (e *Engine) canonicalize(ws []schedule.Worker) (canon []schedule.Worker, perm []int, changed bool) {
 	c := e.conf
-	var costs schedule.CostFunc
-	if c.Costs != nil {
-		costs = c.Costs.Fn()
-	}
-	return schedule.CanonicalizeVictims(c.Shape(), costs, ws)
+	return schedule.CanonicalizeVictims(c.Shape(), c.costs, ws)
 }
 
 // solveConcrete is the get-or-solve of the concrete plan for a checked,

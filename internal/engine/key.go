@@ -2,42 +2,43 @@ package engine
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
-	"encoding/json"
 	"slices"
 	"strconv"
 	"strings"
 
-	"recycle/internal/config"
-	"recycle/internal/profile"
 	"recycle/internal/schedule"
 )
 
-// fingerprintInput is everything that determines a plan besides the
-// failure set: the job geometry, the profiled statistics, the technique
-// toggles, the unroll window and the cost model. Two engines with equal
-// fingerprints produce interchangeable plans and Programs, so the
-// fingerprint namespaces every key in the shared replicated store. The
-// cost model enters as its canonical signature string (JSON cannot key
-// maps by struct), so engines built with different cost models (say, one
-// that knows a worker is slow and one that does not) never share a key.
-type fingerprintInput struct {
-	Job        config.Job
-	Stats      profile.Stats
-	Techniques Techniques
-	Unroll     int
-	Costs      string
-}
-
-// Fingerprint derives the deterministic job fingerprint used to key plans.
-// costs is the cost model's Signature ("" for the homogeneous model).
-func Fingerprint(job config.Job, stats profile.Stats, t Techniques, unroll int, costs string) string {
-	b, err := json.Marshal(fingerprintInput{Job: job, Stats: stats, Techniques: t, Unroll: unroll, Costs: costs})
-	if err != nil {
-		// The input is plain data; Marshal cannot fail. Guard anyway so a
-		// future non-marshalable field degrades to a shared namespace
-		// instead of a panic.
-		return "unfingerprintable"
+// fingerprint derives the namespace of the configuration's keys from
+// exactly what the solver reads besides the failure set: the shape (unroll
+// window included), the homogeneous durations, the per-stage memory caps,
+// the two technique toggles and the cost table, each varint-encoded.
+// Configurations that agree on these solve every failure set to the same
+// schedule and compile it to the same Program, so they share every key in
+// the replicated store; a field the solver never reads (the model's name,
+// say) moves none, and engines built with different cost models (one that
+// knows a worker is slow and one that does not) never share one.
+func (p *Planner) fingerprint() string {
+	sh, d, caps := p.Shape(), p.Stats.Durations(), p.Stats.MemCapPerStage
+	var bits int64
+	if p.Techniques.DecoupledBackProp {
+		bits |= 1
+	}
+	if p.Techniques.StaggeredOptimizer {
+		bits |= 2
+	}
+	var b []byte
+	for _, v := range []int64{int64(sh.DP), int64(sh.PP), int64(sh.MB), int64(sh.Iter), d.F, d.BInput, d.BWeight, d.Opt, d.Comm, bits, int64(len(caps))} {
+		b = binary.AppendVarint(b, v)
+	}
+	for _, c := range caps {
+		b = binary.AppendVarint(b, int64(c))
+	}
+	b = binary.AppendVarint(b, int64(len(p.costs)))
+	for _, c := range p.costs {
+		b = binary.AppendVarint(b, c)
 	}
 	sum := sha256.Sum256(b)
 	return hex.EncodeToString(sum[:12])

@@ -50,17 +50,19 @@ type Planner struct {
 	Job        config.Job
 	Stats      profile.Stats
 	Techniques Techniques
-	// Costs is the heterogeneous cost model: per-(stage, op, worker)
-	// durations built from Stats plus straggler/stage multipliers. Nil
-	// plans with the homogeneous Stats durations. The model is treated as
-	// immutable, so copying the Planner by value is always safe.
-	Costs *profile.CostModel
 	// UnrollIterations controls the steady-state measurement window
 	// (>= 1; 0 defaults to 3). The live runtime plans one iteration at a
 	// time; throughput analyses unroll 2+ iterations so SteadyPeriod can
 	// difference consecutive makespans.
 	UnrollIterations int
 
+	// model is the heterogeneous cost model (nil: the homogeneous Stats
+	// durations) and costs its table over Shape, tabulated once by
+	// newConf: every solve, canonicalization and compile reads it, and
+	// every compiled Program shares it. Both are immutable. A bare
+	// NewPlanner has neither.
+	model *profile.CostModel
+	costs []int64
 	// fp is the fingerprint namespacing this configuration's keys in the
 	// replicated store ("" on a bare NewPlanner).
 	fp string
@@ -150,14 +152,10 @@ func (p *Planner) solve(sh schedule.Shape, assign []int, failed []schedule.Worke
 	for _, w := range failed {
 		failedSet[w] = true
 	}
-	var costs schedule.CostFunc
-	if p.Costs != nil {
-		costs = p.Costs.Fn()
-	}
 	in := solver.Input{
 		Shape:          sh,
 		Durations:      p.Stats.Durations(),
-		Costs:          costs,
+		Costs:          p.costs,
 		Failed:         failedSet,
 		MemCapPerStage: p.Stats.MemCapPerStage,
 		Decoupled:      p.Techniques.DecoupledBackProp,

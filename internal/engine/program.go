@@ -166,25 +166,21 @@ func (e *Engine) rename(ws []schedule.Worker) (*schedule.Program, error) {
 // replicated store (another engine sharing the store may have compiled and
 // replicated the artifact already), or compiles it locally, encoded and
 // replicated for everyone else; an engine without a store only compiles.
-// The Program carries the engine's cost model as its cost table — the
-// model the plan was solved under, since its fingerprint keyed it.
+// The Program carries the engine's cost table, the one the plan was
+// solved under; every Program the engine compiles shares it.
 func (e *Engine) compile(s *schedule.Schedule) (*schedule.Program, error) {
 	// The store is shared and its bytes are untrusted (another engine, or a
 	// corrupt replica, may have left them under this key), so a decoded
 	// artifact is only accepted when it demonstrably lowers THIS schedule
 	// under THIS cost model.
 	c := e.conf
-	var costs []int64
-	if c.Costs != nil {
-		costs = schedule.NewCostTable(s.Shape, c.Costs.Fn())
-	}
 	key := programKey(c.fp, workerList(s.Failed))
 	if e.store != nil {
 		data, found, err := e.store.Get(key)
 		if err != nil {
 			e.storeErrs.Add(1)
 		} else if found {
-			if prog, err := DecodeProgram(data); err == nil && programMatches(prog, s, costs) {
+			if prog, err := DecodeProgram(data); err == nil && programMatches(prog, s, c.costs) {
 				e.storeHits.Add(1)
 				return prog, nil
 			}
@@ -195,7 +191,7 @@ func (e *Engine) compile(s *schedule.Schedule) (*schedule.Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := prog.SetCostTable(costs); err != nil {
+	if err := prog.SetCostTable(c.costs); err != nil {
 		return nil, err
 	}
 	e.compiles.Add(1)

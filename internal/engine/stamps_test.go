@@ -52,15 +52,16 @@ func TestStampsMatchCostTable(t *testing.T) {
 		profile.UniformCost(stats).WithStageScale([]float64{1, 2, 1, 1.5}),
 	} {
 		e := engine.New(job, stats, engine.Options{CostModel: cm})
+		label := fmt.Sprintf("stages %g, workers %v", cm.StageScale, cm.WorkerScale)
 		for n := 0; n <= 2; n++ {
 			prog, err := e.Program(n)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if len(prog.CostTable()) == 0 {
-				t.Fatalf("%s, %d failures: the Program carries no cost table", cm.Signature(), n)
+				t.Fatalf("%s, %d failures: the Program carries no cost table", label, n)
 			}
-			requireStampsMatchCosts(t, fmt.Sprintf("%s, %d failures", cm.Signature(), n), prog)
+			requireStampsMatchCosts(t, fmt.Sprintf("%s, %d failures", label, n), prog)
 		}
 	}
 }

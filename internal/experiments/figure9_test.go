@@ -76,7 +76,7 @@ func TestReplayEngineCalibration(t *testing.T) {
 			t.Fatal(err)
 		}
 		if cm := eng.CostModel(); cm != nil {
-			t.Fatalf("%s splits evenly but the engine carries cost model %s", job.Model.Name, cm.Signature())
+			t.Fatalf("%s splits evenly but the engine carries stage scales %g", job.Model.Name, cm.StageScale)
 		}
 	}
 	job := config.Table1Jobs()[1] // GPT-3 3.35B, PP=4, 30 layers

@@ -84,7 +84,7 @@ func StragglerStudyJob(job config.Job, stats profile.Stats, n int, victim schedu
 	// comparison isolates the scheduling decision.
 	var slots [2]int64
 	for i, p := range []*schedule.Program{oblivProg, awareProg} {
-		view, err := p.WithCosts(schedule.NewCostTable(p.Shape, truth.Fn()))
+		view, err := p.WithCosts(truth.Table(p.Shape))
 		if err != nil {
 			return StragglerRow{}, err
 		}

@@ -1,9 +1,7 @@
 package profile
 
 import (
-	"fmt"
 	"math"
-	"strings"
 
 	"recycle/internal/schedule"
 )
@@ -74,9 +72,14 @@ func (m *CostModel) Of(w schedule.Worker, t schedule.OpType) int64 {
 	return d
 }
 
-// Fn adapts the model to the solver's cost-function input.
-func (m *CostModel) Fn() schedule.CostFunc {
-	return func(w schedule.Worker, t schedule.OpType) int64 { return m.Of(w, t) }
+// Table tabulates the model over every worker of sh (schedule.NewCostTable):
+// the one form the solver, the canonicalization and a Program read it in.
+// A nil model is the homogeneous one, an empty table.
+func (m *CostModel) Table(sh schedule.Shape) []int64 {
+	if m == nil {
+		return nil
+	}
+	return schedule.NewCostTable(sh, m.Of)
 }
 
 // WithWorkerScale returns a copy of the model with the worker's multiplier
@@ -113,40 +116,4 @@ func (m *CostModel) clone() *CostModel {
 		}
 	}
 	return out
-}
-
-// Signature renders the model as a canonical deterministic string — the
-// piece of a plan-cache fingerprint that distinguishes two cost models.
-// JSON cannot serialize the worker map (struct keys), so the signature is
-// built by hand with sorted keys.
-func (m *CostModel) Signature() string {
-	if m == nil {
-		return ""
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "base:%d,%d,%d,%d,%d", m.Base.F, m.Base.BInput, m.Base.BWeight, m.Base.Opt, m.Base.Comm)
-	if len(m.StageScale) > 0 {
-		b.WriteString(";stages:")
-		for i, s := range m.StageScale {
-			if i > 0 {
-				b.WriteByte(',')
-			}
-			fmt.Fprintf(&b, "%g", s)
-		}
-	}
-	if len(m.WorkerScale) > 0 {
-		ws := make([]schedule.Worker, 0, len(m.WorkerScale))
-		for w := range m.WorkerScale {
-			ws = append(ws, w)
-		}
-		schedule.SortWorkers(ws)
-		b.WriteString(";workers:")
-		for i, w := range ws {
-			if i > 0 {
-				b.WriteByte(',')
-			}
-			fmt.Fprintf(&b, "%s=%g", w, m.WorkerScale[w])
-		}
-	}
-	return b.String()
 }

@@ -69,22 +69,3 @@ func TestCostModelStageScaleAndFloor(t *testing.T) {
 		t.Fatalf("unknown op type cost = %d, want 0", got)
 	}
 }
-
-func TestCostModelSignatureDeterministic(t *testing.T) {
-	a := UniformCost(Unit()).
-		WithWorkerScale(schedule.Worker{Stage: 1, Pipeline: 2}, 2).
-		WithWorkerScale(schedule.Worker{Stage: 0, Pipeline: 1}, 1.5)
-	b := UniformCost(Unit()).
-		WithWorkerScale(schedule.Worker{Stage: 0, Pipeline: 1}, 1.5).
-		WithWorkerScale(schedule.Worker{Stage: 1, Pipeline: 2}, 2)
-	if a.Signature() != b.Signature() {
-		t.Fatalf("insertion order leaks into signature:\n%s\n%s", a.Signature(), b.Signature())
-	}
-	if a.Signature() == UniformCost(Unit()).Signature() {
-		t.Fatal("straggler marks do not change the signature")
-	}
-	var nilModel *CostModel
-	if nilModel.Signature() != "" {
-		t.Fatal("nil model must have the empty signature")
-	}
-}

@@ -19,7 +19,8 @@
 // makespan decisions use real durations; schedule.Compile stamps the same
 // numbers onto Program instructions, so the runtime and the simulator
 // execute against exactly what was optimized. Cost models are immutable
-// and derived copy-on-write (WithWorkerScale / WithStageScale), and their
-// canonical Signature keys the engine's plan-cache namespace, so two
-// engines built with different models never share a plan.
+// and derived copy-on-write (WithWorkerScale / WithStageScale). An engine
+// tabulates its model once (CostModel.Table), and the table enters the
+// engine's plan-cache namespace, so two engines built with different
+// models never share a plan.
 package profile

@@ -103,7 +103,7 @@ func TestCalibratedCost(t *testing.T) {
 			t.Fatal(err)
 		}
 		if cm != nil {
-			t.Fatalf("%s splits evenly but got cost model %s", job.Model.Name, cm.Signature())
+			t.Fatalf("%s splits evenly but got stage scales %g", job.Model.Name, cm.StageScale)
 		}
 	}
 }

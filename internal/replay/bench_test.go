@@ -3,6 +3,7 @@ package replay
 import (
 	"math"
 	"runtime"
+	"runtime/debug"
 	"testing"
 	"time"
 
@@ -239,8 +240,11 @@ func TestReplayWarmAllocationBudget(t *testing.T) {
 		}
 	}
 	replay() // warm the scratch pools
-	// The least of three batches: a collection that empties the pools
-	// mid-batch charges the batch for refilling them.
+	// A collection that empties the pools mid-batch would charge the batch
+	// for refilling them, so the collector is held off across the batches
+	// (each allocates ~18 MB); the least of three batches is kept.
+	runtime.GC()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	const batches, runs = 3, 10
 	bytes := math.Inf(1)
 	for range batches {

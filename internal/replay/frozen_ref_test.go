@@ -131,7 +131,7 @@ func lateName(in schedule.Input) string {
 // placement ending at or before frozenBefore may sit on a failed worker and
 // is exempt from dependency timing — it consumed its inputs before the
 // event.
-func validateFrozenRef(s *schedule.Schedule, costs schedule.CostFunc, frozenBefore int64) error {
+func validateFrozenRef(s *schedule.Schedule, costs func(schedule.Worker, schedule.OpType) int64, frozenBefore int64) error {
 	if err := s.Shape.Validate(); err != nil {
 		return err
 	}

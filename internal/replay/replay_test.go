@@ -275,7 +275,6 @@ func TestReplayHonorsCostModel(t *testing.T) {
 	if a.Iterations >= b.Iterations {
 		t.Fatalf("scaled stage did not slow the replay: %d vs %d iterations", a.Iterations, b.Iterations)
 	}
-	var _ schedule.CostFunc = cm.Fn() // the model drives splice validation
 }
 
 // stopAtFirstProgram is a recorder that, at the first Program a replay

@@ -656,8 +656,8 @@ func splice(in SpliceInput) (out *Spliced, err error) {
 		}
 	}
 	out.Program, out.Exec = prog, ex
-	if err := sc.boundary(out, in.Cut, dur, nil); err != nil {
-		return nil, sc.boundary(out, in.Cut, dur, sc.timeline(sh))
+	if err := sc.boundary(out, in.Cut, nil); err != nil {
+		return nil, sc.boundary(out, in.Cut, sc.timeline(sh))
 	}
 	out.sc = sc
 	return out, nil
@@ -667,11 +667,11 @@ func splice(in SpliceInput) (out *Spliced, err error) {
 // run order, visiting its positions in order (nil: run order). Kept spans
 // are the caller's: none may run past the cut on a worker that is down
 // after the event — a victim keeps only its durable pre-cut work — and
-// each must last its cost. An ungated kept step must follow its group's
+// each must last its Program.Cost. An ungated kept step must follow its group's
 // weight gradients, which the splice may have re-executed after it. Every
 // span is checked before any step, and the first offender in order is
 // reported.
-func (sc *spliceScratch) boundary(out *Spliced, cut int64, dur schedule.CostFunc, order []int32) error {
+func (sc *spliceScratch) boundary(out *Spliced, cut int64, order []int32) error {
 	sh := out.Program.Shape
 	nodeAt := func(j int) *node {
 		if order != nil {
@@ -681,7 +681,7 @@ func (sc *spliceScratch) boundary(out *Spliced, cut int64, dur schedule.CostFunc
 	}
 	for j := range sc.runs {
 		if nd := nodeAt(j); nd.kind == prefix {
-			switch want := dur(nd.worker(), nd.typ); {
+			switch want := out.Program.Cost(nd.worker(), nd.typ); {
 			case sc.down[nd.workerIndex(sh)] && nd.end > cut:
 				return fmt.Errorf("replay: spliced schedule fails validation: schedule: op %s placed on failed worker", nd.op(sh))
 			case nd.end-nd.start != want:

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"runtime/debug"
 	"slices"
 	"strings"
 	"sync"
@@ -462,6 +463,10 @@ func TestLiveSpliceAllocationBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// The collector is held off: a collection would empty the scratch pools
+	// and charge the measured splices for refilling them.
+	runtime.GC()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	splice() // warm the scratch pools
 	const runs = 50
 	allocs := testing.AllocsPerRun(runs, splice)

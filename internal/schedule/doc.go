@@ -7,7 +7,8 @@
 // per-worker timetables. Validate checks a timed schedule against the
 // MILP's constraint set (cross-stage dependencies, same-stage
 // dependencies, no-overlap, memory caps), optionally under a
-// heterogeneous per-(worker, op) cost function (CostFunc).
+// heterogeneous per-(worker, op) cost table (NewCostTable, read through
+// Shape.CostOf).
 //
 // The Program IR is the executable form: Compile lowers a timed schedule
 // into per-worker instruction streams with explicit dependency edges —

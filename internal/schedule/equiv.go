@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"slices"
 	"sort"
-	"strconv"
 	"strings"
 	"sync/atomic"
 )
@@ -18,38 +17,27 @@ import (
 // failure-configuration space combinatorially.
 
 // PipelineClasses partitions the pipelines of a job into cost-equivalence
-// classes. A nil CostFunc means homogeneous costs, so every pipeline falls
-// into one class. Class members are ascending and classes are ordered by
-// their smallest member.
-func PipelineClasses(sh Shape, costs CostFunc) [][]int {
-	if costs == nil {
-		all := make([]int, sh.DP)
-		for k := range all {
-			all[k] = k
-		}
-		return [][]int{all}
+// classes under costs, a cost table (NewCostTable): WorkerIndex is
+// pipeline-major, so a pipeline's costs are one contiguous row of PP·OpTypes
+// entries, and two pipelines share a class when their rows are equal. An
+// empty table means homogeneous costs, so every pipeline falls into one
+// class. Class members are ascending and classes are ordered by their
+// smallest member.
+func PipelineClasses(sh Shape, costs []int64) [][]int {
+	row := sh.PP * OpTypes
+	if len(costs) == 0 {
+		row = 0
 	}
-	types := []OpType{F, B, BInput, BWeight, Optimizer}
-	index := make(map[string]int)
 	var classes [][]int
-	var b strings.Builder
+next:
 	for k := 0; k < sh.DP; k++ {
-		b.Reset()
-		for i := 0; i < sh.PP; i++ {
-			w := Worker{Stage: i, Pipeline: k}
-			for _, t := range types {
-				b.WriteString(strconv.FormatInt(costs(w, t), 10))
-				b.WriteByte(',')
+		for ci, class := range classes {
+			if j := class[0]; slices.Equal(costs[j*row:(j+1)*row], costs[k*row:(k+1)*row]) {
+				classes[ci] = append(class, k)
+				continue next
 			}
 		}
-		sig := b.String()
-		ci, ok := index[sig]
-		if !ok {
-			ci = len(classes)
-			index[sig] = ci
-			classes = append(classes, nil)
-		}
-		classes[ci] = append(classes[ci], k)
+		classes = append(classes, []int{k})
 	}
 	return classes
 }
@@ -62,7 +50,7 @@ func PipelineClasses(sh Shape, costs CostFunc) [][]int {
 // produced it (perm[old] = new, a full permutation over [0, DP) that moves
 // pipelines only within their class), and whether the canonical set
 // differs from the original.
-func CanonicalizeVictims(sh Shape, costs CostFunc, victims []Worker) (canon []Worker, perm []int, changed bool) {
+func CanonicalizeVictims(sh Shape, costs []int64, victims []Worker) (canon []Worker, perm []int, changed bool) {
 	perm = make([]int, sh.DP)
 	for k := range perm {
 		perm[k] = k

@@ -10,13 +10,13 @@ import (
 	"recycle/internal/solver"
 )
 
-// stageCosts builds a cost function where every worker of a stage shares
-// one duration profile scaled by the stage's factor — pipelines stay
+// stageCosts builds a cost table where every worker of a stage shares one
+// duration profile scaled by the stage's factor — pipelines stay
 // cost-identical, so all of them form one equivalence class.
-func stageCosts(d schedule.Durations, scale []int64) schedule.CostFunc {
-	return func(w schedule.Worker, t schedule.OpType) int64 {
+func stageCosts(sh schedule.Shape, d schedule.Durations, scale []int64) []int64 {
+	return schedule.NewCostTable(sh, func(w schedule.Worker, t schedule.OpType) int64 {
 		return d.Of(t) * scale[w.Stage]
-	}
+	})
 }
 
 // TestPipelineClassesSplitByCost checks the partition: homogeneous costs
@@ -30,13 +30,13 @@ func TestPipelineClassesSplitByCost(t *testing.T) {
 	}
 
 	slow := schedule.Worker{Stage: 1, Pipeline: 2}
-	costs := func(w schedule.Worker, ot schedule.OpType) int64 {
+	costs := schedule.NewCostTable(sh, func(w schedule.Worker, ot schedule.OpType) int64 {
 		d := schedule.UnitSlots.Of(ot)
 		if w == slow {
 			return d * 3
 		}
 		return d
-	}
+	})
 	got = schedule.PipelineClasses(sh, costs)
 	if len(got) != 2 || !slices.Equal(got[0], []int{0, 1, 3}) || !slices.Equal(got[1], []int{2}) {
 		t.Fatalf("straggler costs: classes = %v, want [[0 1 3] [2]]", got)
@@ -54,9 +54,9 @@ func TestCanonicalizeRoundTrip(t *testing.T) {
 	sh := schedule.Shape{DP: 4, PP: 3, MB: 8, Iter: 1}
 	scale := []int64{1, 2, 1}
 	for trial := 0; trial < 40; trial++ {
-		var costs schedule.CostFunc
+		var costs []int64
 		if trial%2 == 1 {
-			costs = stageCosts(schedule.UnitSlots, scale)
+			costs = stageCosts(sh, schedule.UnitSlots, scale)
 		}
 		victims := make([]schedule.Worker, 0, 3)
 		seen := make(map[schedule.Worker]bool)

@@ -81,8 +81,8 @@ type Worker struct {
 func (w Worker) String() string { return fmt.Sprintf("W%d_%d", w.Pipeline, w.Stage) }
 
 // SortWorkers orders workers canonically by (stage, pipeline) — the one
-// ordering used for concrete plans, plan-store keys, wire encoding,
-// failed-set comparison and cost-model signatures. It lives next to the
+// ordering used for concrete plans, plan-store keys, wire encoding and
+// failed-set comparison. It lives next to the
 // Worker type so every layer (core, profile, dtrain) shares one
 // definition.
 func SortWorkers(ws []Worker) {
@@ -107,14 +107,6 @@ type Durations struct {
 
 // UnitSlots is the slot model the paper's figures are drawn with.
 var UnitSlots = Durations{F: 1, BInput: 1, BWeight: 1, Opt: 1, Comm: 0}
-
-// CostFunc gives per-(worker, op) durations — the heterogeneous
-// generalization of Durations that a cost model (internal/profile)
-// provides to the solver. A nil CostFunc means "use the homogeneous
-// Durations", and a CostFunc that returns Durations.Of for every worker is
-// guaranteed (and property-tested) to reproduce the homogeneous schedules
-// bit-for-bit.
-type CostFunc func(w Worker, t OpType) int64
 
 // Of returns the duration of an op of type t. A coupled B costs
 // BInput+BWeight.

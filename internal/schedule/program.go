@@ -284,8 +284,9 @@ func (p *Program) DurOf(id int) int64 {
 const OpTypes = int(Optimizer) + 1
 
 // NewCostTable tabulates fn over every worker of sh and every op type — the
-// dense form a Program carries its cost model in.
-func NewCostTable(sh Shape, fn CostFunc) []int64 {
+// dense form a cost model takes wherever durations are read: the solver,
+// the canonicalization, Validate and a Program.
+func NewCostTable(sh Shape, fn func(Worker, OpType) int64) []int64 {
 	table := make([]int64, sh.DP*sh.PP*OpTypes)
 	for w := 0; w < sh.DP*sh.PP; w++ {
 		for t := range OpTypes {
@@ -340,14 +341,21 @@ func (p *Program) WithCosts(table []int64) (*Program, error) {
 // The slice is the Program's own: read-only.
 func (p *Program) CostTable() []int64 { return p.costs }
 
-// Cost returns the modeled duration of an op of type t on worker w: the cost
-// table's entry, or the homogeneous Durations — DurOf's fallback — when the
-// Program carries no table.
+// Cost returns the modeled duration of an op of type t on worker w under
+// the Program's cost table (Shape.CostOf).
 func (p *Program) Cost(w Worker, t OpType) int64 {
-	if len(p.costs) == 0 {
-		return p.Durations.Of(t)
+	return p.Shape.CostOf(p.costs, p.Durations, w, t)
+}
+
+// CostOf returns worker w's duration of an op of type t under table, a cost
+// table as NewCostTable tabulates one over s: its entry, or d's when the
+// table is empty — the homogeneous model. It is the one duration lookup
+// the solver, Validate and a Program share.
+func (s Shape) CostOf(table []int64, d Durations, w Worker, t OpType) int64 {
+	if len(table) == 0 {
+		return d.Of(t)
 	}
-	return p.costs[p.Shape.WorkerIndex(w)*OpTypes+int(t)]
+	return table[s.WorkerIndex(w)*OpTypes+int(t)]
 }
 
 // ProgramBuilder assembles a Program straight into its slabs — the

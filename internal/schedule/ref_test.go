@@ -283,11 +283,7 @@ func validateRef(s *Schedule, cfg ValidateConfig) error {
 		if s.Failed[p.Op.Worker()] {
 			return fmt.Errorf("schedule: op %s placed on failed worker", p.Op)
 		}
-		want := s.Durations.Of(p.Op.Type)
-		if cfg.Costs != nil {
-			want = cfg.Costs(p.Op.Worker(), p.Op.Type)
-		}
-		if got := p.End - p.Start; got != want {
+		if got, want := p.End-p.Start, s.Shape.CostOf(cfg.Costs, s.Durations, p.Op.Worker(), p.Op.Type); got != want {
 			return fmt.Errorf("schedule: op %s has duration %d, want %d", p.Op, got, want)
 		}
 		if p.Op.Type == Optimizer {

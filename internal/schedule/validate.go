@@ -13,10 +13,10 @@ type ValidateConfig struct {
 	// may hold (the MILP's M_Limit, Eq. 6, in activation units). Zero
 	// disables the memory check.
 	MemCap int
-	// Costs gives the expected per-(worker, op) durations for schedules
-	// solved under a heterogeneous cost model. Nil means every op must
-	// take the schedule's homogeneous Durations.
-	Costs CostFunc
+	// Costs is the cost table (NewCostTable) the schedule was solved under:
+	// every op must take its worker's entry, or the schedule's homogeneous
+	// Durations when the table is empty.
+	Costs []int64
 }
 
 // validateScratch is Validate's working set (pooled, see compileScratch).
@@ -84,11 +84,7 @@ func Validate(s *Schedule, cfg ValidateConfig) error {
 		if failed[w] {
 			return fmt.Errorf("schedule: op %s placed on failed worker", p.Op)
 		}
-		want := s.Durations.Of(p.Op.Type)
-		if cfg.Costs != nil {
-			want = cfg.Costs(p.Op.Worker(), p.Op.Type)
-		}
-		if got := p.End - p.Start; got != want {
+		if got, want := p.End-p.Start, sh.CostOf(cfg.Costs, s.Durations, p.Op.Worker(), p.Op.Type); got != want {
 			return fmt.Errorf("schedule: op %s has duration %d, want %d", p.Op, got, want)
 		}
 		workerOff[w+1]++

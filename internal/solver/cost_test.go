@@ -9,15 +9,15 @@ import (
 	"recycle/internal/schedule"
 )
 
-// uniformFn wraps homogeneous durations as a CostFunc — the identity cost
+// uniformCosts tabulates homogeneous durations over sh — the identity cost
 // model every duration-aware code path must treat as a no-op.
-func uniformFn(d schedule.Durations) schedule.CostFunc {
-	return func(w schedule.Worker, t schedule.OpType) int64 { return d.Of(t) }
+func uniformCosts(sh schedule.Shape, d schedule.Durations) []int64 {
+	return schedule.NewCostTable(sh, func(_ schedule.Worker, t schedule.OpType) int64 { return d.Of(t) })
 }
 
 // TestUniformCostsReproduceUnitSlotSchedulesBitForBit is the regression
 // guarantee for the cost-model layer: threading an explicit-but-uniform
-// CostFunc through the solver must produce exactly the placements the
+// cost table through the solver must produce exactly the placements the
 // homogeneous solve produces — same ops, same workers, same start/end
 // times — across random shapes, failure sets and technique toggles. This
 // pins PR 2's sim/runtime agreement guarantees: a uniform cost model
@@ -53,7 +53,7 @@ func TestUniformCostsReproduceUnitSlotSchedulesBitForBit(t *testing.T) {
 		if err != nil {
 			return true // invalid combo (e.g. dead stage) — nothing to compare
 		}
-		in.Costs = uniformFn(d)
+		in.Costs = uniformCosts(sh, d)
 		withCosts, err := Solve(in)
 		if err != nil {
 			t.Logf("seed %d: cost-aware solve failed where homogeneous succeeded: %v", seed, err)
@@ -70,15 +70,16 @@ func TestUniformCostsReproduceUnitSlotSchedulesBitForBit(t *testing.T) {
 	}
 }
 
-// stragglerCosts returns a CostFunc scaling every compute op of one worker.
-func stragglerCosts(d schedule.Durations, slow schedule.Worker, factor int64) schedule.CostFunc {
-	return func(w schedule.Worker, t schedule.OpType) int64 {
+// stragglerCosts returns a cost table over sh scaling every op of one
+// worker.
+func stragglerCosts(sh schedule.Shape, d schedule.Durations, slow schedule.Worker, factor int64) []int64 {
+	return schedule.NewCostTable(sh, func(w schedule.Worker, t schedule.OpType) int64 {
 		c := d.Of(t)
 		if w == slow {
 			c *= factor
 		}
 		return c
-	}
+	})
 }
 
 // TestHeterogeneousSolveValidates checks that schedules solved under a
@@ -87,9 +88,10 @@ func stragglerCosts(d schedule.Durations, slow schedule.Worker, factor int64) sc
 func TestHeterogeneousSolveValidates(t *testing.T) {
 	d := schedule.UnitSlots
 	slow := schedule.Worker{Stage: 0, Pipeline: 0}
-	costs := stragglerCosts(d, slow, 2)
+	sh := schedule.Shape{DP: 3, PP: 4, MB: 6, Iter: 2}
+	costs := stragglerCosts(sh, d, slow, 2)
 	in := Input{
-		Shape:     schedule.Shape{DP: 3, PP: 4, MB: 6, Iter: 2},
+		Shape:     sh,
 		Durations: d,
 		Costs:     costs,
 		Decoupled: true,
@@ -131,7 +133,7 @@ func TestRouteMicroBatchesCostUniformMatchesRoundRobin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := RouteMicroBatchesCost(sh, failed, uniformFn(schedule.UnitSlots))
+	got, err := RouteMicroBatchesCost(sh, failed, uniformCosts(sh, schedule.UnitSlots))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +148,7 @@ func TestRouteMicroBatchesCostUniformMatchesRoundRobin(t *testing.T) {
 func TestRouteMicroBatchesCostBalancesLoad(t *testing.T) {
 	sh := schedule.Shape{DP: 2, PP: 1, MB: 8, Iter: 1}
 	slow := schedule.Worker{Stage: 0, Pipeline: 0}
-	routes, err := RouteMicroBatchesCost(sh, nil, stragglerCosts(schedule.UnitSlots, slow, 2))
+	routes, err := RouteMicroBatchesCost(sh, nil, stragglerCosts(sh, schedule.UnitSlots, slow, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,21 +168,23 @@ func TestRouteMicroBatchesCostBalancesLoad(t *testing.T) {
 	if _, err := RouteMicroBatchesCost(sh, map[schedule.Worker]bool{
 		{Stage: 0, Pipeline: 0}: true,
 		{Stage: 0, Pipeline: 1}: true,
-	}, uniformFn(schedule.UnitSlots)); err == nil {
+	}, uniformCosts(sh, schedule.UnitSlots)); err == nil {
 		t.Fatal("all-dead stage did not error")
 	}
 }
 
 // TestExactSearchUsesCosts certifies the heuristic on a small straggler
-// instance: the branch-and-bound incumbent (seeded by the greedy schedule)
-// must not beat the greedy makespan by running the straggler at base speed.
+// instance: the branch-and-bound search must prove the greedy makespan
+// optimal (the root bound does, without expanding a node), and that
+// optimum must charge the straggler its cost.
 func TestExactSearchUsesCosts(t *testing.T) {
 	d := schedule.UnitSlots
 	slow := schedule.Worker{Stage: 0, Pipeline: 0}
+	sh := schedule.Shape{DP: 2, PP: 2, MB: 2, Iter: 1}
 	in := Input{
-		Shape:     schedule.Shape{DP: 2, PP: 2, MB: 3, Iter: 1},
+		Shape:     sh,
 		Durations: d,
-		Costs:     stragglerCosts(d, slow, 3),
+		Costs:     stragglerCosts(sh, d, slow, 3),
 		Decoupled: true,
 		Staggered: true,
 	}
@@ -192,8 +196,8 @@ func TestExactSearchUsesCosts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Makespan > g.ComputeMakespan(0) {
-		t.Fatalf("exact makespan %d worse than greedy %d", res.Makespan, g.ComputeMakespan(0))
+	if !res.Optimal || res.Makespan != g.ComputeMakespan(0) {
+		t.Fatalf("exact search: %+v, want greedy's %d proven optimal", res, g.ComputeMakespan(0))
 	}
 	// A homogeneous solve of the same shape must be strictly faster than
 	// the straggler-bound optimum — the costs are really being charged.

@@ -49,12 +49,12 @@ func digestFailureSets(sh schedule.Shape) []map[schedule.Worker]bool {
 func digestInputs(sh schedule.Shape) []Input {
 	skewed := schedule.Durations{F: 2, BInput: 3, BWeight: 1, Opt: 2, Comm: 1}
 	slow := schedule.Worker{Stage: sh.PP - 1, Pipeline: 0}
-	straggler := func(w schedule.Worker, t schedule.OpType) int64 {
+	straggler := schedule.NewCostTable(sh, func(w schedule.Worker, t schedule.OpType) int64 {
 		if w == slow && t != schedule.Optimizer {
 			return 2 * skewed.Of(t)
 		}
 		return skewed.Of(t)
-	}
+	})
 	even, perStage := make([]int, sh.PP), make([]int, sh.PP)
 	for i := range perStage {
 		even[i], perStage[i] = 2, 1+sh.PP-i

@@ -91,7 +91,7 @@ func newState(in Input, routes [][][]int) *state {
 			ws.memCap = in.MemCapPerStage[w.Stage]
 		}
 		for t := range ws.durs {
-			ws.durs[t] = in.dur(w, schedule.OpType(t))
+			ws.durs[t] = sh.CostOf(in.Costs, in.Durations, w, schedule.OpType(t))
 		}
 	}
 

@@ -37,15 +37,16 @@ import (
 type Input struct {
 	Shape     schedule.Shape
 	Durations schedule.Durations
-	// Costs, when non-nil, gives per-(stage, op, worker) durations from the
-	// cost model (internal/profile): stragglers, uneven stage splits. The
-	// solver then both times every task with its executor's real duration
-	// and routes micro-batches away from slow workers (gray-failure
-	// handling). Durations remains the homogeneous base — it still supplies
-	// Comm and the fault-free reference skeleton used for priorities. A nil
-	// Costs (or one that equals Durations everywhere) reproduces the
+	// Costs, when nonempty, is the cost model's table
+	// (schedule.NewCostTable): per-(stage, op, worker) durations from
+	// internal/profile, stragglers and uneven stage splits. The solver
+	// then both times every task with its executor's real duration and
+	// routes micro-batches away from slow workers (gray-failure handling).
+	// Durations remains the homogeneous base — it still supplies Comm and
+	// the fault-free reference skeleton used for priorities. An empty
+	// table (or one that equals Durations everywhere) reproduces the
 	// homogeneous schedules bit-for-bit.
-	Costs schedule.CostFunc
+	Costs []int64
 	// Failed is the set of failed workers to route around.
 	Failed map[schedule.Worker]bool
 	// MemCapPerStage is each stage's per-worker in-flight activation cap
@@ -69,15 +70,6 @@ type Input struct {
 // the caller must fall back to checkpoint restoration (§3.4, Fig 7a).
 var ErrStageDead = fmt.Errorf("solver: a pipeline stage has no live data-parallel peer")
 
-// dur resolves the duration of one op on one worker: the cost model when
-// present, the homogeneous Durations otherwise.
-func (in Input) dur(w schedule.Worker, t schedule.OpType) int64 {
-	if in.Costs != nil {
-		return in.Costs(w, t)
-	}
-	return in.Durations.Of(t)
-}
-
 // Solve produces an adaptive schedule for the input.
 func Solve(in Input) (*schedule.Schedule, error) {
 	if err := in.Shape.Validate(); err != nil {
@@ -97,8 +89,8 @@ func Solve(in Input) (*schedule.Schedule, error) {
 
 // RouteMicroBatchesCost computes the exec pipeline for every (stage, home
 // pipeline, micro-batch), indexed [stage][home][mb]: the home worker when
-// alive, otherwise a live data-parallel peer. With no cost model (nil
-// costs) the peers take a failed home's micro-batches round-robin (the
+// alive, otherwise a live data-parallel peer. With no cost model (an
+// empty costs table) the peers take a failed home's micro-batches round-robin (the
 // paper's even distribution, §3.1 and the ReRouteAct operator, §5). Under
 // a heterogeneous cost model — the gray-failure generalization —
 // slow-but-alive workers are demoted too: their micro-batches (and those
@@ -106,9 +98,9 @@ func Solve(in Input) (*schedule.Schedule, error) {
 // per-worker compute costs, so a 2× straggler keeps only the share of work
 // it can finish in step with its peers instead of dragging the whole
 // pipeline. Stages whose live workers all run at the same cost — every
-// stage, when costs is nil — keep the round-robin routing, so a uniform
+// stage, when costs is empty — keep the round-robin routing, so a uniform
 // cost model changes nothing.
-func RouteMicroBatchesCost(shape schedule.Shape, failed map[schedule.Worker]bool, costs schedule.CostFunc) ([][][]int, error) {
+func RouteMicroBatchesCost(shape schedule.Shape, failed map[schedule.Worker]bool, costs []int64) ([][][]int, error) {
 	routes := make([][][]int, shape.PP)
 	for i := 0; i < shape.PP; i++ {
 		var alive []int
@@ -124,11 +116,11 @@ func RouteMicroBatchesCost(shape schedule.Shape, failed map[schedule.Worker]bool
 		var cost []int64
 		minCost := int64(1) << 62
 		flat := true
-		if costs != nil {
+		if len(costs) != 0 {
 			cost = make([]int64, shape.DP)
 			for _, k := range alive {
-				w := schedule.Worker{Stage: i, Pipeline: k}
-				cost[k] = costs(w, schedule.F) + costs(w, schedule.BInput) + costs(w, schedule.BWeight)
+				row := costs[shape.WorkerIndex(schedule.Worker{Stage: i, Pipeline: k})*schedule.OpTypes:]
+				cost[k] = row[schedule.F] + row[schedule.BInput] + row[schedule.BWeight]
 				if cost[k] != cost[alive[0]] {
 					flat = false
 				}
