@@ -129,6 +129,42 @@ func TestSolvedProgramsSoundAcrossFailureCounts(t *testing.T) {
 	}
 }
 
+// TestPeakActivationsAtTheLiveShape pins the in-flight activation peaks
+// the engine's Programs plan at DP4×PP4×MB8, one iteration: 1F1B's PP-i on
+// stage i of every pipeline when no worker is down, and the adapted
+// Program's peaks with W0_1 failed (-1 marks the failed worker, which
+// holds no stream). A runtime's activation stash high-water is measured
+// against these.
+func TestPeakActivationsAtTheLiveShape(t *testing.T) {
+	job, stats := ShapeJob(4, 4, 8)
+	eng := New(job, stats, Options{UnrollIterations: 1})
+	for _, c := range []struct {
+		failed map[schedule.Worker]bool
+		want   [4][4]int // [stage][pipeline]
+	}{
+		{nil, [4][4]int{{4, 4, 4, 4}, {3, 3, 3, 3}, {2, 2, 2, 2}, {1, 1, 1, 1}}},
+		{map[schedule.Worker]bool{{Stage: 1, Pipeline: 0}: true}, [4][4]int{{6, 4, 4, 4}, {-1, 7, 9, 8}, {5, 2, 2, 2}, {5, 1, 1, 1}}},
+	} {
+		prog, err := eng.ProgramFor(c.failed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		peaks := prog.PeakActivations()
+		var got [4][4]int
+		for i := range got {
+			for k := range got[i] {
+				w := schedule.Worker{Stage: i, Pipeline: k}
+				if got[i][k] = -1; len(prog.Stream(w)) > 0 {
+					got[i][k] = peaks[w]
+				}
+			}
+		}
+		if got != c.want {
+			t.Errorf("failed %v: peaks by [stage][pipeline] %v, want %v", c.failed, got, c.want)
+		}
+	}
+}
+
 // firstFetchRounds is how many fresh engines the concurrent first-fetch
 // tests race on: a lost race shows in any one round, so many rounds make a
 // regression fail the test almost surely rather than now and then.

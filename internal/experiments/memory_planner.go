@@ -47,8 +47,15 @@ func Fig12() ([]Fig12Row, string, error) {
 	if err != nil {
 		return nil, "", err
 	}
-	adapted := schedule.PeakActivations(plan.Schedule)
-	faultFree := schedule.PeakActivations(ffPlan.Schedule)
+	prog, err := eng.CompiledProgram(plan)
+	if err != nil {
+		return nil, "", err
+	}
+	ffProg, err := eng.CompiledProgram(ffPlan)
+	if err != nil {
+		return nil, "", err
+	}
+	adapted, faultFree := prog.PeakActivations(), ffProg.PeakActivations()
 
 	perStage := func(peaks map[schedule.Worker]int, stage int) int {
 		m := 0

@@ -181,17 +181,14 @@ func (t Trace) At(d time.Duration) int {
 }
 
 // Window is one membership interval of a trace: from Start (inclusive) to
-// End (exclusive) the fleet holds Available workers. Delta is the
-// availability change at Start relative to the previous window — negative
-// for failures, positive for re-joins, zero for the first window and for
-// same-instant swaps — and Failed/Rejoined name the machines that changed
-// at Start (on the first window, the machines down from the outset), so a
-// replayer walking windows knows, at each boundary, exactly which workers
-// it must splice out of or back into the in-flight iteration.
+// End (exclusive) the fleet holds Available workers, and Failed/Rejoined
+// name the machines that changed at Start (on the first window, the
+// machines down from the outset), so a replayer walking windows knows, at
+// each boundary, exactly which workers it must splice out of or back into
+// the in-flight iteration.
 type Window struct {
 	Start, End time.Duration
 	Available  int
-	Delta      int
 	Failed     []int
 	Rejoined   []int
 }
@@ -227,10 +224,7 @@ func (t Trace) Windows(horizon time.Duration) ([]Window, error) {
 				continue // not a membership event
 			}
 			out[n-1].End = s.At
-			out = append(out, Window{
-				Start: s.At, Available: s.Available, Delta: s.Available - out[n-1].Available,
-				Failed: s.Failed, Rejoined: s.Rejoined,
-			})
+			out = append(out, Window{Start: s.At, Available: s.Available, Failed: s.Failed, Rejoined: s.Rejoined})
 			continue
 		}
 		out = append(out, Window{Start: s.At, Available: s.Available, Failed: s.Failed})

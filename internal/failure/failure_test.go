@@ -345,7 +345,7 @@ func BenchmarkTraceAt(b *testing.B) {
 }
 
 // TestWindows checks the replayer's membership-window iterator: merged
-// no-op steps, correct deltas and canonical machine identities for
+// no-op steps, availabilities and canonical machine identities for
 // failures vs re-joins, and horizon clipping.
 func TestWindows(t *testing.T) {
 	tr := Trace{Name: "w", Total: 8, Steps: []Step{
@@ -357,9 +357,9 @@ func TestWindows(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := []Window{
-		{Start: 0, End: 10 * time.Minute, Available: 8, Delta: 0},
-		{Start: 10 * time.Minute, End: 30 * time.Minute, Available: 6, Delta: -2, Failed: []int{7, 6}},
-		{Start: 30 * time.Minute, End: time.Hour, Available: 7, Delta: 1, Rejoined: []int{6}},
+		{Start: 0, End: 10 * time.Minute, Available: 8},
+		{Start: 10 * time.Minute, End: 30 * time.Minute, Available: 6, Failed: []int{7, 6}},
+		{Start: 30 * time.Minute, End: time.Hour, Available: 7, Rejoined: []int{6}},
 	}
 	if len(ws) != len(want) {
 		t.Fatalf("got %d windows %v, want %d", len(ws), ws, len(want))
@@ -395,8 +395,8 @@ func TestWindowsIdentityStability(t *testing.T) {
 	if !sameInts(ws[1].Failed, []int{2}) {
 		t.Fatalf("window 1 failed %v, want explicit [2] (not the canonical highest-ID pick)", ws[1].Failed)
 	}
-	if !sameInts(ws[2].Failed, []int{0}) || !sameInts(ws[2].Rejoined, []int{2}) || ws[2].Delta != 0 {
-		t.Fatalf("swap window = %+v, want failed [0] rejoined [2] delta 0", ws[2])
+	if !sameInts(ws[2].Failed, []int{0}) || !sameInts(ws[2].Rejoined, []int{2}) || ws[2].Available != 5 {
+		t.Fatalf("swap window = %+v, want failed [0] rejoined [2] available 5", ws[2])
 	}
 	if !sameInts(ws[3].Rejoined, []int{0}) {
 		t.Fatalf("window 3 rejoined %v, want explicit [0]", ws[3].Rejoined)
@@ -441,7 +441,7 @@ func TestWindowsBoundaries(t *testing.T) {
 	if len(ws) != 3 {
 		t.Fatalf("back-to-back events: got %d windows %v, want 3", len(ws), ws)
 	}
-	if ws[1].End-ws[1].Start != time.Nanosecond || ws[1].Delta != -1 || ws[2].Delta != -1 {
+	if ws[1].End-ws[1].Start != time.Nanosecond || ws[1].Available != 3 || ws[2].Available != 2 {
 		t.Fatalf("back-to-back window wrong: %+v", ws[1:])
 	}
 	// An event exactly at the horizon is outside [0, horizon).

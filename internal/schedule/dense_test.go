@@ -67,9 +67,12 @@ func mutate(rng *rand.Rand, sh Shape, ps []Placement) ([]Placement, map[Worker]b
 }
 
 // sameError requires two rejections to carry the same text. Where the
-// reference walks a map (optimizer checks) or re-sorts with an unstable
-// sort (overlap), several violations race for the report; there only the
-// kind of violation must agree.
+// reference walks a map (optimizer checks), re-sorts with an unstable sort
+// (overlap) or visits micro-batches where Validate visits instructions
+// (dependency timing), several violations race for the report; there only
+// the kind of violation must agree. A weight gradient missing from a
+// group no optimizer gates is one violation named two ways: Validate names
+// the group, the reference its micro-batch.
 func sameError(t testing.TB, what string, got, want error) {
 	t.Helper()
 	if got == nil || want == nil {
@@ -81,7 +84,7 @@ func sameError(t testing.TB, what string, got, want error) {
 	if got.Error() == want.Error() {
 		return
 	}
-	for _, kind := range []string{"all-reduce is ready", "after optimizer starts", "before previous iteration optimizer ends", "overlap"} {
+	for _, kind := range []string{"all-reduce is ready", "after optimizer starts", "before previous iteration optimizer ends", "overlap", " starts at ", "missing "} {
 		if strings.Contains(got.Error(), kind) && strings.Contains(want.Error(), kind) {
 			return
 		}
@@ -121,9 +124,10 @@ type trial struct {
 // checkTrial runs one trial against the references: the Program Compile
 // builds equals the reference's field by field — the barrier expanded into
 // the all-reduce edges the reference attaches — and every rejection keeps
-// its text. rng draws the defects and one edge corruption of the compiled
-// Program, whose structural verdict must match too. It reports whether
-// Compile rejected the schedule.
+// its text. Validate returns Compile's rejection verbatim; a schedule
+// Compile accepts gets validateRef's verdict. rng draws the defects and one
+// edge corruption of the compiled Program, whose structural verdict must
+// match too. It reports whether Compile rejected the schedule.
 func checkTrial(t testing.TB, rng *rand.Rand, c trial) (rejected bool) {
 	t.Helper()
 	ps := append([]Placement(nil), FaultFree1F1B(c.sh, UnitSlots).Placements...)
@@ -159,8 +163,16 @@ func checkTrial(t testing.TB, rng *rand.Rand, c trial) (rejected bool) {
 			}
 		}
 	}
+	// Validate returns Compile's rejection as it is, and checks what
+	// Compile accepts as the reference does.
 	cfg := ValidateConfig{MemCap: c.memCap}
-	sameError(t, what+": validate", Validate(s, cfg), validateRef(s, cfg))
+	if verr := Validate(s, cfg); gerr != nil {
+		if verr == nil || verr.Error() != gerr.Error() {
+			t.Fatalf("%s: validate: got %v, want Compile's %v", what, verr, gerr)
+		}
+	} else {
+		sameError(t, what+": validate", verr, validateRef(s, cfg))
+	}
 	return gerr != nil
 }
 
@@ -192,6 +204,13 @@ func FuzzCompileValidate(f *testing.F) {
 	f.Add(uint8(2), uint8(3), uint8(4), uint8(0), false, uint8(0), uint8(0), int64(1))
 	f.Add(uint8(1), uint8(2), uint8(2), uint8(1), true, uint8(1), uint8(1), int64(2))
 	f.Add(uint8(3), uint8(1), uint8(5), uint8(0), true, uint8(2), uint8(2), int64(3))
+	// DP2×PP2×MB2, coupled, one defect: a stray weight gradient lands
+	// before its micro-batch's B, which Compile rejects as a duplicate.
+	f.Add(uint8(1), uint8(1), uint8(1), uint8(0), false, uint8(1), uint8(0), int64(57))
+	// DP1×PP1×MB1, two iterations, two defects: a B re-typed into a BInput
+	// of the wrong duration and a group left without a weight gradient,
+	// which Validate reports in the reference's order, duration first.
+	f.Add(uint8(0), uint8(0), uint8(0), uint8(1), false, uint8(2), uint8(1), int64(-12))
 	f.Fuzz(func(t *testing.T, dp, pp, mb, iter uint8, decoupled bool, defects, memCap uint8, seed int64) {
 		sh := Shape{DP: 1 + int(dp%4), PP: 1 + int(pp%4), MB: 1 + int(mb%6), Iter: 1 + int(iter%2)}
 		sh.MB = max(sh.MB, sh.PP)
@@ -232,10 +251,22 @@ func TestRejectionsKeepTheirText(t *testing.T) {
 			"schedule: compile: it0:F(mb0,p0)@W0_1 has no upstream forward"},
 		{"compile: all-reduce incomplete", compile(edit(one, func(ps []Placement) []Placement { i := first(ps, B, 0); return append(ps[:i:i], ps[i+1:]...) })),
 			"schedule: compile: it0:OPT@W0_0 gates on 1 weight gradients, want 2"},
-		{"validate: duplicate F", validate(edit(two, func(ps []Placement) []Placement { return append(ps, ps[first(ps, F, 0)]) })),
-			"schedule: duplicate F for it0:F(mb0,p0)@W0_0"},
-		{"validate: missing op", validate(edit(two, func(ps []Placement) []Placement { i := first(ps, F, 1); return append(ps[:i:i], ps[i+1:]...) })),
-			"schedule: missing F stage=1 mb=0 pipe=0 iter=0"},
+		// A weight gradient placed before its micro-batch's coupled B is
+		// a duplicate: Validate returns Compile's rejection.
+		{"validate: stray weight gradient", validate(edit(two, func(ps []Placement) []Placement {
+			return append(ps, Placement{Op: Op{Stage: 0, MB: 1, Home: 0, Type: BWeight, Exec: 0}, Start: 2, End: 3})
+		})), "schedule: compile: duplicate weight gradient for it0:B(mb1,p0)@W0_0 (instr 3 and 8)"},
+		// Without its optimizer, a group short of a weight gradient
+		// compiles; Validate counts every group.
+		{"validate: ungated group short", validate(edit(two, func(ps []Placement) []Placement {
+			var short []Placement
+			for _, p := range decouple(ps) {
+				if p.Op.Stage != 1 || p.Op.Type != Optimizer && (p.Op.Type != BWeight || p.Op.MB != 0) {
+					short = append(short, p)
+				}
+			}
+			return short
+		})), "schedule: stage 1 all-reduce of iteration 0 is missing 1 of its 2 weight gradients"},
 		{"validate: overlap", validate(edit(one, func(ps []Placement) []Placement {
 			i := first(ps, B, 0)
 			ps[i].Start, ps[i].End = ps[i].Start+1, ps[i].End+1

@@ -4,9 +4,9 @@
 // The schedule IR is the 5-tuple operation set of the paper's MILP
 // formulation (§4.2.2) — (stage, micro-batch, home pipeline, phase,
 // executing pipeline) plus an iteration index — placed into fully timed
-// per-worker timetables. Validate checks a timed schedule against the
-// MILP's constraint set (cross-stage dependencies, same-stage
-// dependencies, no-overlap, memory caps), optionally under a
+// per-worker timetables. Validate checks one against the MILP's
+// constraint set on the Program it compiles to (dependencies on its edges,
+// no-overlap and memory caps on its streams), optionally under a
 // heterogeneous per-(worker, op) cost table (NewCostTable, read through
 // Shape.CostOf).
 //
@@ -45,19 +45,19 @@
 // in the rectangle its Shape bounds, so Shape derives TripleIndex =
 // ((iter·PP + stage)·DP + home)·MB + mb for a micro-batch triple,
 // StageIndex = iter·PP + stage for an all-reduce group and WorkerIndex =
-// pipeline·PP + stage for a worker, and Compile, Validate, the walk and
+// pipeline·PP + stage for a worker, and Compile, the walk and
 // replay.Splice key their bookkeeping by them, with CSR adjacency built
 // count -> prefix sum -> fill. One op-slot layout files every op: triple k
 // owns slots 3k (F), 3k+1 (BInput, or a coupled B) and 3k+2 (BWeight, or
 // a coupled B), then one slot per (stage group, exec) optimizer (Slot).
 // One dependency rule says what an op waits on: Shape.AppendInputs, the
 // MILP's Eq. 2–4 as at most two producer slots with their DepKind.
-// Compile's edges, Validate's timing checks, replay.Splice's edges and
-// FaultFree1F1B's closed form all loop over those inputs through one table
-// indexed by op slot (-1 for absent); re-routing a micro-batch
-// changes which worker runs it, never what it waits on. The tables are
-// pooled scratch, never cached on a Schedule or Program; the plain
-// timeline is the one thing a Program memoizes.
+// Compile's edges, replay.Splice's edges and FaultFree1F1B's closed form
+// all loop over those inputs through one table indexed by op slot (-1 for
+// absent), and Validate checks placements on Compile's edges; re-routing
+// a micro-batch changes which worker runs it, never what it waits on. The
+// tables are pooled scratch, never cached on a Schedule or Program; the
+// plain timeline is the one thing a Program memoizes.
 // Indexing is bounds-checked: an op outside its Shape, or a Shape claiming
 // far more triples than it has placements (Shape.Indexable), is rejected,
 // never indexed.

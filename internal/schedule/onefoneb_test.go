@@ -59,8 +59,11 @@ func TestFaultFreeValidates(t *testing.T) {
 // activations, so later stages have surplus memory.
 func TestFaultFreePeakActivations(t *testing.T) {
 	shape := Shape{DP: 1, PP: 4, MB: 6, Iter: 1}
-	s := FaultFree1F1B(shape, UnitSlots)
-	peaks := PeakActivations(s)
+	p, err := Compile(FaultFree1F1B(shape, UnitSlots))
+	if err != nil {
+		t.Fatal(err)
+	}
+	peaks := p.PeakActivations()
 	for i := 0; i < shape.PP; i++ {
 		w := Worker{Stage: i, Pipeline: 0}
 		if got, want := peaks[w], shape.PP-i; got != want {

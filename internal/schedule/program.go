@@ -728,8 +728,8 @@ func Compile(s *Schedule) (*Program, error) {
 			// this stage and iteration — including rerouted ones computed on
 			// peers — gates every peer's step. A complete schedule carries
 			// exactly DP*MB of them; fewer means a weight gradient is
-			// missing and the barrier would silently weaken. Validate checks
-			// the same count; this names the optimizer where it is found.
+			// missing and the barrier would silently weaken. This names the
+			// optimizer where it is found; Validate counts ungated groups too.
 			if got, want := len(p.Barrier.Group(int(in.op))), sh.DP*sh.MB; got != want {
 				return nil, fmt.Errorf("schedule: compile: %s gates on %d weight gradients, want %d", *op, got, want)
 			}

@@ -1,7 +1,9 @@
 package schedule
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -377,7 +379,7 @@ func validateRef(s *Schedule, cfg ValidateConfig) error {
 			prevEnd = p.End
 		}
 		if cfg.MemCap > 0 {
-			if err := checkMemory(w, ps, cfg.MemCap); err != nil {
+			if err := checkMemoryRef(w, ps, cfg.MemCap); err != nil {
 				return err
 			}
 		}
@@ -426,6 +428,34 @@ func validateRef(s *Schedule, cfg ValidateConfig) error {
 			if o, ok := byIter[p.Op.Iter-1]; ok && p.Start < o.End {
 				return fmt.Errorf("schedule: %s starts %d before previous iteration optimizer ends %d on %s", p.Op, p.Start, o.End, w)
 			}
+		}
+	}
+	return nil
+}
+
+// checkMemoryRef is the time-sorted activation sweep Validate ran before it
+// counted on the Program's streams: +1 when a forward starts (its stash
+// allocated), -1 when the micro-batch's B or BWeight ends (freed), frees
+// first at one instant. It rejects a worker whose count ever exceeds cap.
+func checkMemoryRef(w Worker, ps []Placement, cap int) error {
+	type ev struct {
+		t     int64
+		delta int
+	}
+	evs := make([]ev, 0, len(ps))
+	for _, p := range ps {
+		switch p.Op.Type {
+		case F:
+			evs = append(evs, ev{p.Start, +1})
+		case B, BWeight:
+			evs = append(evs, ev{p.End, -1})
+		}
+	}
+	slices.SortFunc(evs, func(a, b ev) int { return cmp.Or(cmp.Compare(a.t, b.t), cmp.Compare(a.delta, b.delta)) })
+	held := 0
+	for _, e := range evs {
+		if held += e.delta; held > cap {
+			return fmt.Errorf("schedule: worker %s holds %d in-flight activations at t=%d, cap %d", w, held, e.t, cap)
 		}
 	}
 	return nil

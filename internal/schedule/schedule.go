@@ -27,7 +27,7 @@ func (s Shape) Validate() error {
 }
 
 // The dense op index. Every op of a schedule lives in the rectangle its
-// Shape bounds, so the failure path (Compile, Validate, replay.Splice) keys
+// Shape bounds, so the failure path (Compile, the walk, replay.Splice) keys
 // its bookkeeping by position in that rectangle — slices of int32 initialised
 // to -1 — instead of by struct-keyed maps. All helpers bounds-check: an op
 // outside the Shape has index -1, never an out-of-range one.
@@ -354,28 +354,4 @@ func (s *Schedule) BubbleSlots(iter int) int64 {
 		}
 	}
 	return (span-start)*workers - busy
-}
-
-// OpCount returns the number of placements of the given type in iteration
-// iter (type < 0 counts all).
-func (s *Schedule) OpCount(iter int, t OpType) int {
-	n := 0
-	for _, p := range s.Placements {
-		if p.Op.Iter == iter && (t < 0 || p.Op.Type == t) {
-			n++
-		}
-	}
-	return n
-}
-
-// ReroutedCount returns how many compute ops of iteration iter run on a
-// data-parallel peer instead of their home worker.
-func (s *Schedule) ReroutedCount(iter int) int {
-	n := 0
-	for _, p := range s.Placements {
-		if p.Op.Iter == iter && p.Op.Type != Optimizer && p.Op.Rerouted() {
-			n++
-		}
-	}
-	return n
 }

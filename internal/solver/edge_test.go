@@ -64,7 +64,11 @@ func TestMemoryPressureForcesEagerBWeight(t *testing.T) {
 	}
 	// The loose schedule must actually use the surplus the cap forbids —
 	// otherwise this test exercises nothing.
-	peaks := schedule.PeakActivations(loose)
+	prog, err := schedule.Compile(loose)
+	if err != nil {
+		t.Fatal(err)
+	}
+	peaks := prog.PeakActivations()
 	exceeded := false
 	for _, p := range peaks {
 		if p > 4 {
@@ -102,8 +106,12 @@ func TestSingleIterationStaggered(t *testing.T) {
 	if err := schedule.Validate(s, schedule.ValidateConfig{}); err != nil {
 		t.Fatal(err)
 	}
-	if s.OpCount(0, schedule.Optimizer) != 4 {
-		t.Fatalf("expected 4 optimizer steps, got %d", s.OpCount(0, schedule.Optimizer))
+	prog, err := schedule.Compile(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := prog.OpCount(schedule.Optimizer); got != 4 {
+		t.Fatalf("expected 4 optimizer steps, got %d", got)
 	}
 }
 
@@ -128,8 +136,14 @@ func TestAllPipelinesButOneFailedAtEveryStage(t *testing.T) {
 	if got := s.ComputeMakespan(0); got < 18 {
 		t.Fatalf("makespan %d below the serial bound", got)
 	}
-	if got := s.ReroutedCount(0); got != 2*4*2*3 { // 2 pipelines x 4 mbs x 2 stages x {F,BI,BW}
-		t.Fatalf("rerouted op count %d, want %d", got, 2*4*2*3)
+	rerouted := 0
+	for _, p := range s.Placements {
+		if p.Op.Type != schedule.Optimizer && p.Op.Rerouted() {
+			rerouted++
+		}
+	}
+	if rerouted != 2*4*2*3 { // 2 pipelines x 4 mbs x 2 stages x {F,BI,BW}
+		t.Fatalf("rerouted op count %d, want %d", rerouted, 2*4*2*3)
 	}
 }
 
